@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test smoke serve serve-smoke serve-sharded sharded-smoke bench \
 	bench-parallel bench-concurrent bench-streaming bench-wire \
 	bench-telemetry bench-tokenizer bench-mv bench-format bench-sharded \
-	stress stress-process lint verify
+	bench-budget bench-report stress stress-process lint verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -103,6 +103,22 @@ bench-tokenizer:
 bench-sharded:
 	$(PYTHON) -m pytest benchmarks/bench_sharded.py \
 		--benchmark-only --import-mode=importlib -q -s
+
+# The latency budget (BENCHMARK.json's benchmark, all of it): four
+# workloads, each untraced (end-to-end metrics) then traced (per-layer
+# metrics), a fresh process per pass, every answer checked against a
+# numpy oracle; writes the result JSON.  ~3 minutes.
+bench-budget:
+	$(PYTHON) benchmarks/budget/run.py \
+		--out benchmarks/budget/out/BENCH_budget.json
+
+# Where the time goes: only the traced pass of each workload, printing
+# its layer x op-class self-time table and per-layer metrics.
+bench-report:
+	@for w in cold_first_touch warm_mix append_jsonl wire_mix; do \
+		$(PYTHON) benchmarks/budget/run.py --workload $$w --trace 1 \
+			|| exit 1; \
+	done
 
 # Heavier threaded stress run of the concurrent serving layer (the
 # tier-1 suite runs the same tests at REPRO_STRESS_ROUNDS=2).  `timeout`

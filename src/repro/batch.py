@@ -92,18 +92,11 @@ class ColumnVector:
 
     def to_pylist(self) -> list[object]:
         """Python objects with ``None`` for NULLs (result materialization)."""
-        out: list[object] = []
-        for value, is_null in zip(self.values, self.null_mask):
-            if is_null:
-                out.append(None)
-            elif self.dtype is DataType.INTEGER or self.dtype is DataType.DATE:
-                out.append(int(value))
-            elif self.dtype is DataType.FLOAT:
-                out.append(float(value))
-            elif self.dtype is DataType.BOOLEAN:
-                out.append(bool(value))
-            else:
-                out.append(value)
+        # ``tolist`` already yields int / float / bool / str per the
+        # dtype's numpy representation; only NULL slots need patching.
+        out = self.values.astype(self.dtype.numpy_dtype, copy=False).tolist()
+        for i in np.flatnonzero(self.null_mask).tolist():
+            out[i] = None
         return out
 
     def nbytes(self) -> int:

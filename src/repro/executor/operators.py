@@ -1,14 +1,19 @@
 """Relational operators over batches.
 
-A classic vectorized Volcano pipeline: each operator exposes
-``execute() -> Iterator[Batch]`` and ``output_types()``.  These operators
-are deliberately engine-agnostic — they sit above either a
+A Volcano pipeline of batches: each operator exposes
+``execute() -> Iterator[Batch]`` and ``output_types()``.  Scan, filter,
+project and aggregate work an array at a time — :class:`HashAggregate`
+factorizes group keys and folds arguments with numpy kernels, leaving
+Python only DISTINCT and TEXT MIN/MAX; :class:`HashJoin`, :class:`Sort`
+and :class:`Distinct` still walk Python rows.  These operators are
+deliberately engine-agnostic — they sit above either a
 :class:`repro.core.raw_scan.RawScan` (PostgresRaw) or a binary-storage
 scan (conventional baselines) and never know which.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -262,60 +267,195 @@ class AggregateSpec:
     distinct: bool = False
 
 
-class _Accumulator:
-    __slots__ = (
-        "func", "count", "total", "minimum", "maximum", "distinct_set"
-    )
+_INT64_MAX = np.iinfo(np.int64).max
+#: The one NaN object FLOAT group keys are mapped to, so NaN keys are
+#: equal (tuples compare by identity first) within and across batches.
+_NAN = float("nan")
 
-    def __init__(self, func: str, distinct: bool) -> None:
+#: func -> (folding ufunc, its identity over FLOAT, over int64).
+#: ``fmin``/``fmax`` ignore NaN: a NaN never beats a number, so a
+#: FLOAT MIN/MAX does not depend on row order.
+_FOLDS = {
+    "sum": (np.add, 0.0, 0),
+    "sum0": (np.add, 0.0, 0),
+    "avg": (np.add, 0.0, 0),
+    "min": (np.fmin, np.nan, _INT64_MAX),
+    "max": (np.fmax, np.nan, -_INT64_MAX - 1),
+}
+
+
+def _grown(array: np.ndarray, size: int, fill: object) -> np.ndarray:
+    """``array`` extended with ``fill`` to ``size`` slots (doubling)."""
+    if size <= len(array):
+        return array
+    out = np.full(max(size, 2 * len(array)), fill, dtype=array.dtype)
+    out[: len(array)] = array
+    return out
+
+
+def _key_codes(vector: ColumnVector) -> tuple[np.ndarray, int]:
+    """Integer codes of one key column, and their exclusive upper bound.
+
+    Two rows get the same code exactly when their keys are equal; NULL
+    is a code of its own.
+    """
+    n = len(vector)
+    if vector.dtype is DataType.TEXT:
+        # No numpy hash for str: a dict (driven from C by ``map``) is
+        # ~5x faster than np.unique's object sort.  A string's code is
+        # the row it first appears in.
+        first_row: dict[object, int] = {}
+        codes = np.fromiter(
+            map(first_row.setdefault, vector.values.tolist(), range(n)),
+            dtype=np.int64,
+            count=n,
+        )
+        bound = n
+    else:
+        uniques, codes = np.unique(vector.values, return_inverse=True)
+        bound = len(uniques)
+    if vector.null_mask.any():
+        codes = np.where(vector.null_mask, bound, codes)
+        bound += 1
+    return codes, bound
+
+
+class _ColumnarAggregate:
+    """One aggregate's state as arrays indexed by operator-wide group id.
+
+    ``count`` is the per-group number of non-NULL arguments (of rows,
+    for ``COUNT(*)``) and ``value`` the running SUM / MIN / MAX; a
+    batch is folded into both with one ``ufunc.at`` each, which applies
+    rows in order — so a FLOAT sum is the same left-to-right sum
+    however the input is cut into batches.  No Python runs per row.
+    """
+
+    def __init__(
+        self, func: str, arg: Expression | None, arg_type: DataType | None
+    ) -> None:
         self.func = func
-        self.count = 0
-        self.total = 0.0
-        self.minimum = None
-        self.maximum = None
-        self.distinct_set: set | None = set() if distinct else None
+        self.arg = arg
+        self.count = np.zeros(0, dtype=np.int64)
+        self.ufunc = None
+        if func != "count":
+            self.ufunc, float_identity, int_identity = _FOLDS[func]
+            is_float = arg_type is DataType.FLOAT
+            self.identity = float_identity if is_float else int_identity
+            self.value = np.zeros(
+                0, dtype=np.float64 if is_float else np.int64
+            )
+            # INTEGER sums must be exact: ``magnitude`` bounds every
+            # group's |sum| so far, and once it could pass int64 the
+            # state switches to Python ints (an object array).
+            self.exact_sum = self.ufunc is np.add and not is_float
+            self.magnitude = 0
 
-    def update(self, value: object) -> None:
-        if value is None:
+    def _reserve(self, n_groups: int) -> None:
+        self.count = _grown(self.count, n_groups, 0)
+        if self.ufunc is not None:
+            self.value = _grown(self.value, n_groups, self.identity)
+
+    def fold(self, batch: Batch, group_ids: np.ndarray, n_groups: int) -> None:
+        """Add one batch whose row ``i`` belongs to ``group_ids[i]``."""
+        self._reserve(n_groups)
+        if self.arg is None:  # COUNT(*)
+            np.add.at(self.count, group_ids, 1)
             return
-        if self.distinct_set is not None:
-            if value in self.distinct_set:
-                return
-            self.distinct_set.add(value)
-        self.count += 1
-        if self.func in ("sum", "sum0", "avg"):
-            self.total += value
-        elif self.func == "min":
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif self.func == "max":
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
+        vector = evaluate(self.arg, batch)
+        values = vector.values
+        if vector.null_mask.any():
+            valid = ~vector.null_mask
+            values, group_ids = values[valid], group_ids[valid]
+        np.add.at(self.count, group_ids, 1)
+        if self.ufunc is None:
+            return
+        if self.exact_sum and len(values):
+            self.magnitude += len(values) * max(
+                int(values.max()), -int(values.min())
+            )
+            if self.magnitude > _INT64_MAX and self.value.dtype != object:
+                self.value = self.value.astype(object)
+        self.ufunc.at(
+            self.value, group_ids, values.astype(self.value.dtype, copy=False)
+        )
 
-    def result(self, dtype: DataType) -> object:
+    def result(self, n_groups: int, dtype: DataType) -> ColumnVector:
+        self._reserve(n_groups)
+        count = self.count[:n_groups]
         if self.func == "count":
-            return self.count
-        if self.func == "sum0":
-            # SUM defaulting to 0 over empty input: the re-aggregation
-            # of stored COUNT components must yield 0, not NULL, when
-            # every MV group is filtered away (matching raw COUNT).
-            return int(self.total) if dtype is DataType.INTEGER else self.total
-        if self.count == 0:
-            return None
-        if self.func == "sum":
-            return int(self.total) if dtype is DataType.INTEGER else self.total
+            return ColumnVector.from_values(dtype, count)
+        value = self.value[:n_groups]
         if self.func == "avg":
-            return self.total / self.count
-        if self.func == "min":
-            return self.minimum
-        return self.maximum
+            value = value / np.maximum(count, 1)
+        # SUM defaulting to 0 over empty input (``sum0``): the
+        # re-aggregation of stored COUNT components must yield 0, not
+        # NULL, when every MV group is filtered away (as raw COUNT).
+        null = (count == 0) & (self.func != "sum0")
+        return ColumnVector(
+            dtype, np.where(null, 0, value).astype(dtype.numpy_dtype), null
+        )
+
+
+class _RowAggregate:
+    """The per-row fallback for what has no numpy kernel: DISTINCT
+    COUNT / SUM / AVG (per group, a dict as an ordered set of the
+    values seen, summed at the end in first-seen order) and MIN / MAX
+    over TEXT (per group, the best ``str`` so far).  Same interface as
+    :class:`_ColumnarAggregate`."""
+
+    def __init__(self, func: str, arg: Expression) -> None:
+        self.func = func
+        self.arg = arg
+        self.best_of = {"min": operator.lt, "max": operator.gt}.get(func)
+        self.groups: list = []
+
+    def _reserve(self, n_groups: int) -> None:
+        self.groups.extend(
+            None if self.best_of else {}
+            for __ in range(n_groups - len(self.groups))
+        )
+
+    def fold(self, batch: Batch, group_ids: np.ndarray, n_groups: int) -> None:
+        self._reserve(n_groups)
+        groups, best_of = self.groups, self.best_of
+        values = evaluate(self.arg, batch).to_pylist()
+        for gid, value in zip(group_ids.tolist(), values):
+            if value is None:
+                continue
+            if best_of is None:
+                groups[gid][value] = None
+            elif groups[gid] is None or best_of(value, groups[gid]):
+                groups[gid] = value
+
+    def result(self, n_groups: int, dtype: DataType) -> ColumnVector:
+        self._reserve(n_groups)
+        return ColumnVector.from_pylist(
+            dtype, [self._final(group) for group in self.groups]
+        )
+
+    def _final(self, group: object) -> object:
+        if self.best_of:
+            return group
+        if self.func == "count":
+            return len(group)
+        if not group and self.func != "sum0":
+            return None
+        total = sum(group)
+        return total / len(group) if self.func == "avg" else total
 
 
 class HashAggregate(Operator):
     """Hash aggregation with optional grouping keys.
 
     With no GROUP BY, produces exactly one row (even over empty input,
-    per SQL semantics: ``COUNT(*)`` of nothing is 0).
+    per SQL semantics: ``COUNT(*)`` of nothing is 0).  Groups come out
+    in the order their first rows arrived; NULL keys form one group,
+    and so do NaN keys.
+
+    Columnar: each batch's keys are factorized into group ids
+    (:meth:`_group_ids`) and every aggregate folds the batch into
+    arrays indexed by group id (:class:`_ColumnarAggregate`); only
+    DISTINCT and TEXT MIN/MAX go row by row (:class:`_RowAggregate`).
     """
 
     def __init__(
@@ -356,61 +496,87 @@ class HashAggregate(Operator):
 
     def execute(self) -> Iterator[Batch]:
         child_types = self.child.output_types()
-        groups: dict[tuple, list[_Accumulator]] = {}
-        group_values: dict[tuple, tuple] = {}
-
+        out_types = self.output_types()
+        states = [self._state(spec, child_types) for spec in self.aggregates]
+        # Key tuple -> group id, in first-appearance (= output) order.
+        index: dict[tuple, int] = {}
+        n_groups = 0 if self.group_items else 1
         for batch in self.child.execute():
             if batch.num_rows == 0:
                 continue
-            key_lists = [
-                evaluate(expr, batch).to_pylist()
-                for __, expr in self.group_items
-            ]
-            arg_lists = []
-            for spec in self.aggregates:
-                if spec.arg is None or isinstance(spec.arg, Star):
-                    arg_lists.append(None)
-                else:
-                    arg_lists.append(evaluate(spec.arg, batch).to_pylist())
-            for row in range(batch.num_rows):
-                key = tuple(kl[row] for kl in key_lists)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = [
-                        _Accumulator(s.func, s.distinct)
-                        for s in self.aggregates
-                    ]
-                    groups[key] = accs
-                    group_values[key] = key
-                for acc, arg_list, spec in zip(
-                    accs, arg_lists, self.aggregates
-                ):
-                    if arg_list is None:  # COUNT(*)
-                        acc.count += 1
-                    else:
-                        acc.update(arg_list[row])
+            group_ids = self._group_ids(batch, index)
+            n_groups = max(n_groups, len(index))
+            for state in states:
+                state.fold(batch, group_ids, n_groups)
 
-        if not self.group_items and not groups:
-            groups[()] = [
-                _Accumulator(s.func, s.distinct) for s in self.aggregates
-            ]
-            group_values[()] = ()
-
-        out_types = self.output_types()
-        columns: dict[str, list[object]] = {
-            name: [] for name in out_types
+        columns = {
+            name: ColumnVector.from_pylist(
+                out_types[name], [key[i] for key in index]
+            )
+            for i, (name, __) in enumerate(self.group_items)
         }
-        for key, accs in groups.items():
-            for (name, __), value in zip(self.group_items, key):
-                columns[name].append(value)
-            for spec, acc in zip(self.aggregates, accs):
-                columns[spec.name].append(acc.result(out_types[spec.name]))
-        yield Batch(
-            {
-                name: ColumnVector.from_pylist(out_types[name], values)
-                for name, values in columns.items()
-            }
+        for spec, state in zip(self.aggregates, states):
+            try:
+                columns[spec.name] = state.result(
+                    n_groups, out_types[spec.name]
+                )
+            except OverflowError:  # an exact sum too large for int64
+                raise ExecutionError(
+                    f"{spec.func.upper()} result is out of INTEGER range"
+                ) from None
+        yield Batch(columns, num_rows=n_groups)
+
+    @staticmethod
+    def _state(
+        spec: AggregateSpec, child_types: dict[str, DataType]
+    ) -> "_ColumnarAggregate | _RowAggregate":
+        if spec.arg is None or isinstance(spec.arg, Star):
+            return _ColumnarAggregate(spec.func, None, None)
+        arg_type = infer_type(spec.arg, child_types)
+        if spec.func in ("min", "max"):  # where DISTINCT changes nothing
+            per_row = arg_type is DataType.TEXT
+        else:
+            per_row = spec.distinct
+        if per_row:
+            return _RowAggregate(spec.func, spec.arg)
+        return _ColumnarAggregate(spec.func, spec.arg, arg_type)
+
+    def _group_ids(
+        self, batch: Batch, index: dict[tuple, int]
+    ) -> np.ndarray:
+        """The operator-wide group id of every row of ``batch``.
+
+        Keys not seen before are added to ``index`` in the order their
+        first rows appear; Python touches each of the batch's distinct
+        keys once, never each row.
+        """
+        if not self.group_items:
+            return np.zeros(batch.num_rows, dtype=np.intp)
+        vectors = [evaluate(expr, batch) for __, expr in self.group_items]
+        combined, bound = _key_codes(vectors[0])
+        for vector in vectors[1:]:
+            column_codes, width = _key_codes(vector)
+            if bound * width > _INT64_MAX:
+                # Re-densify so the mixed-radix code still fits int64.
+                combined = np.unique(combined, return_inverse=True)[1]
+                bound = batch.num_rows
+            combined = combined * width + column_codes
+            bound *= width
+        # As uint8 / uint16 the sort inside np.unique is a radix sort.
+        __, first, codes = np.unique(
+            combined.astype(np.min_scalar_type(bound - 1)),
+            return_index=True,
+            return_inverse=True,
         )
+        key_columns = [v.take(first).to_pylist() for v in vectors]
+        for vector, column in zip(vectors, key_columns):
+            if vector.dtype is DataType.FLOAT:
+                column[:] = [_NAN if v != v else v for v in column]
+        keys = list(zip(*key_columns))
+        ids = np.empty(len(keys), dtype=np.intp)
+        for local in np.argsort(first).tolist():
+            ids[local] = index.setdefault(keys[local], len(index))
+        return ids[codes]
 
     def describe(self) -> str:
         keys = ", ".join(n for n, __ in self.group_items) or "<global>"

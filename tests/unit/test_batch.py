@@ -48,13 +48,38 @@ class TestColumnVector:
         vec = _int_vector([1, 2, 3, 4])
         assert vec.slice(1, 3).to_pylist() == [2, 3]
 
-    def test_to_pylist_python_types(self):
-        vec = _int_vector([1])
-        assert type(vec.to_pylist()[0]) is int
-        fvec = ColumnVector.from_pylist(DataType.FLOAT, [1.5])
-        assert type(fvec.to_pylist()[0]) is float
-        bvec = ColumnVector.from_pylist(DataType.BOOLEAN, [True])
-        assert type(bvec.to_pylist()[0]) is bool
+    @pytest.mark.parametrize(
+        "dtype, items, element_type",
+        [
+            (DataType.INTEGER, [7, -(2**62), 0], int),
+            (DataType.FLOAT, [1.5, -0.0, float("inf")], float),
+            (DataType.BOOLEAN, [True, False, True], bool),
+            (DataType.DATE, [0, 15_000, -1], int),
+            (DataType.TEXT, ["a", "", "né"], str),
+        ],
+        ids=lambda v: v.value if isinstance(v, DataType) else None,
+    )
+    @pytest.mark.parametrize("null_at", [(), (1,), (0, 1, 2)])
+    def test_to_pylist_element_types(
+        self, dtype, items, element_type, null_at
+    ):
+        # Exact builtin types (not numpy scalars, not bool-as-int) per
+        # dtype, and NULL slots as None whatever value sits under them.
+        items = [None if i in null_at else v for i, v in enumerate(items)]
+        out = ColumnVector.from_pylist(dtype, items).to_pylist()
+        assert out == items
+        assert [type(v) for v in out] == [
+            type(None) if v is None else element_type for v in items
+        ]
+
+    def test_to_pylist_follows_declared_dtype(self):
+        # An INTEGER vector whose array is float64 still yields ints.
+        vec = ColumnVector.from_values(DataType.INTEGER, np.array([2.0, 3.0]))
+        out = vec.to_pylist()
+        assert out == [2, 3] and all(type(v) is int for v in out)
+
+    def test_to_pylist_empty(self):
+        assert ColumnVector.from_pylist(DataType.TEXT, []).to_pylist() == []
 
     def test_concat(self):
         a = _int_vector([1, 2])

@@ -340,14 +340,23 @@ class TestAnalyzer:
 
 
 def test_sum0_zero_over_empty_input():
-    from repro.executor.operators import _Accumulator
+    from repro.executor.operators import (
+        AggregateSpec,
+        BatchSource,
+        HashAggregate,
+    )
+    from repro.sql.ast import ColumnRef
 
-    acc = _Accumulator("sum0", distinct=False)
-    assert acc.result(DataType.INTEGER) == 0
-    acc.update(3)
-    acc.update(None)
-    acc.update(4)
-    assert acc.result(DataType.INTEGER) == 7
+    def sum0(items):
+        batch = Batch({"v": ColumnVector.from_pylist(DataType.INTEGER, items)})
+        source = BatchSource(lambda: iter([batch]), {"v": DataType.INTEGER})
+        spec = AggregateSpec("s", "sum0", ColumnRef("v"))
+        (out,) = HashAggregate(source, [], [spec]).execute()
+        return out.column("s").to_pylist()
+
+    assert sum0([]) == [0]
+    assert sum0([None, None]) == [0]
+    assert sum0([3, None, 4]) == [7]
 
 
 def test_explain_annotates_mv_decisions(engine):
@@ -399,3 +408,34 @@ def test_mv_disabled_has_no_runtime(tmp_path):
         sql = "SELECT region, count(*) FROM t GROUP BY region"
         assert "MVScan" not in eng.explain(sql)
         assert "-- mv:" not in eng.explain(sql)
+
+
+def test_fast_aggregate_still_feeds_the_mv_tier(tmp_path):
+    # MVCapture scores an entry by the seconds its HashAggregate child
+    # took, and the columnar aggregate made those ~10x fewer.  With the
+    # default mv_min_repeats and a budget that does not bind, every
+    # captured aggregate must still be admitted with a positive
+    # benefit, and then be served — a faster operator may not quietly
+    # switch the MV tier off.
+    path = tmp_path / "t.csv"
+    write_csv(path, ROWS, SCHEMA)
+    config = PostgresRawConfig(mv_auto=True, memory_budget=256 << 20)
+    queries = [
+        "SELECT region, count(*), sum(amount) FROM t GROUP BY region",
+        "SELECT qty, min(amount), avg(amount) FROM t GROUP BY qty",
+        "SELECT count(*), sum(qty) FROM t WHERE amount >= 0",
+    ]
+    with PostgresRaw(config) as eng:
+        eng.register_csv("t", path, SCHEMA)
+        raw = [sorted(eng.query(sql), key=repr) for sql in queries]
+        for __ in range(config.mv_min_repeats):
+            for sql in queries:
+                eng.query(sql)
+        stats = eng.service.mv.stats()
+        assert stats["builds"] == len(queries) == stats["mvs"]
+        assert stats["rejected"] == 0 and stats["evictions"] == 0
+        assert all(e["benefit_seconds"] > 0 for e in stats["entries"])
+        for sql, expected in zip(queries, raw):
+            assert "MVScan [exact]" in eng.explain(sql)
+            assert sorted(eng.query(sql), key=repr) == expected
+        assert eng.service.mv.stats()["hits"] >= stats["hits"] + len(queries)

@@ -245,6 +245,109 @@ class TestHashAggregate:
         with pytest.raises(ExecutionError):
             op.output_types()
 
+    # 2^53 + 1: a float accumulator (the old operator's) rounds the sum
+    # of two of these to ...984; the exact answer ends in ...986.
+    ODD = 9007199254740993
+
+    def test_integer_sum_exact_above_2_53(self):
+        src = _source({"a": (DataType.INTEGER, [self.ODD, self.ODD, None])})
+        specs = [
+            AggregateSpec("s", "sum", _expr("a")),
+            AggregateSpec("s0", "sum0", _expr("a")),
+            AggregateSpec("d", "sum", _expr("a"), distinct=True),
+        ]
+        __, rows = _collect(HashAggregate(src, [], specs))
+        assert rows == [(2 * self.ODD, 2 * self.ODD, self.ODD)]
+
+    def test_grouped_integer_sum_exact_above_2_53(self):
+        src = _source(
+            {
+                "g": (DataType.TEXT, ["x", "y", "x", "y", "x"]),
+                "a": (DataType.INTEGER, [self.ODD, 1, self.ODD, 2, 1]),
+            }
+        )
+        op = HashAggregate(
+            src, [("g", _expr("g"))], [AggregateSpec("s", "sum", _expr("a"))]
+        )
+        __, rows = _collect(op)
+        assert rows == [("x", 2 * self.ODD + 1), ("y", 3)]
+
+    def test_integer_sum_survives_int64_wrap_within_a_batch(self):
+        # Partial sums leave int64 and come back: 2^62 * 3 - 2^62 * 2.
+        big = 2**62
+        values = [big, big, big, -big, -big]
+        src = _source({"a": (DataType.INTEGER, values)}, batch_rows=5)
+        op = HashAggregate(src, [], [AggregateSpec("s", "sum", _expr("a"))])
+        assert _collect(op)[1] == [(big,)]
+
+    def test_integer_sum_out_of_range_is_typed(self):
+        src = _source({"a": (DataType.INTEGER, [2**62, 2**62])})
+        op = HashAggregate(src, [], [AggregateSpec("s", "sum", _expr("a"))])
+        with pytest.raises(ExecutionError, match="out of INTEGER range"):
+            _collect(op)
+
+    def test_groups_keep_first_appearance_order_across_batches(self):
+        src = _source(
+            {
+                "g": (DataType.INTEGER, [9, 3, 9, None, 3, 1, None]),
+                "h": (DataType.TEXT, ["b", "b", "b", "a", "b", "a", "a"]),
+            },
+            batch_rows=3,
+        )
+        op = HashAggregate(
+            src,
+            [("g", _expr("g")), ("h", _expr("h"))],
+            [AggregateSpec("n", "count", None)],
+        )
+        __, rows = _collect(op)
+        assert rows == [(9, "b", 2), (3, "b", 2), (None, "a", 2), (1, "a", 1)]
+
+    def test_float_min_max_ignore_nan(self):
+        nan = float("nan")
+        src = _source({"f": (DataType.FLOAT, [nan, 2.0, nan, -1.0, None])})
+        specs = [
+            AggregateSpec("lo", "min", _expr("f")),
+            AggregateSpec("hi", "max", _expr("f")),
+            AggregateSpec("n", "count", _expr("f")),
+        ]
+        assert _collect(HashAggregate(src, [], specs))[1] == [(-1.0, 2.0, 4)]
+
+    def test_min_max_keep_boolean_and_date_types(self):
+        src = _source(
+            {
+                "b": (DataType.BOOLEAN, [True, None, False]),
+                "d": (DataType.DATE, [15_000, 14_000, None]),
+            }
+        )
+        specs = [
+            AggregateSpec("bl", "min", _expr("b")),
+            AggregateSpec("bh", "max", _expr("b")),
+            AggregateSpec("dl", "min", _expr("d")),
+        ]
+        op = HashAggregate(src, [], specs)
+        assert list(op.output_types().values()) == [
+            DataType.BOOLEAN, DataType.BOOLEAN, DataType.DATE
+        ]
+        (row,) = _collect(op)[1]
+        assert row == (False, True, 14_000)
+        assert [type(v) for v in row] == [bool, bool, int]
+
+
+def test_integer_sum_exact_through_the_engine(tmp_path):
+    from repro import PostgresRaw
+    from repro.catalog.schema import TableSchema
+    from repro.rawio.writer import write_csv
+
+    odd = TestHashAggregate.ODD
+    schema = TableSchema.from_pairs([("g", "text"), ("a", "integer")])
+    path = tmp_path / "t.csv"
+    write_csv(path, [("x", odd), ("y", 5), ("x", odd)], schema)
+    with PostgresRaw() as engine:
+        engine.register_csv("t", path, schema)
+        assert list(engine.query("SELECT SUM(a) FROM t")) == [(2 * odd + 5,)]
+        grouped = engine.query("SELECT g, SUM(a) FROM t GROUP BY g ORDER BY g")
+        assert list(grouped) == [("x", 2 * odd), ("y", 5)]
+
 
 class TestSortLimitDistinct:
     def test_sort_asc_desc(self):

@@ -119,10 +119,10 @@ class PostgresRawConfig:
 
     #: Specialized vectorized scan kernels (:mod:`repro.kernels`) for
     #: the tokenize+parse hot path of unquoted dialects: batch
-    #: delimiter search replaces the per-row ``str.split`` loop and
+    #: delimiter search replaces the per-row ``bytes.split`` loop and
     #: numeric columns convert straight from byte offsets.  Results are
     #: identical to the interpreted path (property-tested); ``False``
-    #: restores the legacy tokenizer byte-for-byte.  Quoted dialects
+    #: runs the interpreted tokenizer over the same bytes.  Quoted dialects
     #: always use the legacy state machine regardless of this knob.
     scan_kernels: bool = True
 
@@ -145,10 +145,10 @@ class PostgresRawConfig:
     #: this knob bounds the per-chunk dispatch overhead.
     parallel_chunk_bytes: int = DEFAULT_PARALLEL_CHUNK_BYTES
 
-    #: ``"thread"`` (default: cheap dispatch, shares the decoded file;
-    #: best when I/O-bound or on GIL-free builds) or ``"process"``
-    #: (workers read, decode and tokenize their own byte ranges in
-    #: separate processes — the CPU-scalable choice for cold scans).
+    #: ``"thread"`` (default: cheap dispatch, one address space; best
+    #: when I/O-bound or on GIL-free builds) or ``"process"`` (separate
+    #: processes — the CPU-scalable choice for cold scans).  Either way
+    #: a worker reads and tokenizes its own byte range of the raw file.
     parallel_backend: str = "thread"
 
     #: In-flight window of the streaming chunk merge: how many chunk

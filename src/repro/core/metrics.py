@@ -15,11 +15,12 @@ buckets while a query runs:
 * ``nodb``        — PostgresRaw-specific overhead: maintaining the
                     positional map, the cache and on-the-fly statistics
 
-Because the full-scan tokenizer produces field text as a side effect of
-boundary discovery (``str.split``), its whole cost is attributed to
-``tokenizing`` and the ``parsing`` bucket is only charged on the
-positional-map extraction path — matching the paper's observation that
-the map converts tokenizing work into (cheaper) direct parsing.
+Boundary discovery (``bytes.split``, the delimiter-position kernels) is
+``tokenizing``; turning located bytes into field text — on the
+positional-map jump path, or for the columns a query reads out of
+freshly tokenized rows — is ``parsing``.  This matches the paper's
+observation that the map converts tokenizing work into (cheaper) direct
+parsing.
 
 **Parallel scans.**  When the chunked scan pool (:mod:`repro.parallel`)
 runs, each worker accumulates its own :class:`QueryMetrics`; the merge

@@ -1,7 +1,7 @@
 """The adaptive positional map (paper §3.1).
 
 The map "maintains low level metadata information on the structure of the
-flat file" — the character offsets where attributes begin inside each
+flat file" — the byte offsets where attributes begin inside each
 tuple — so a later query can "jump directly to the correct position
 without having to perform expensive tokenizing steps".
 
@@ -125,6 +125,9 @@ class PositionalMap:
         self.combination_policy = combination_policy
         self._chunks: list[PositionalChunk] = []
         self._line_bounds: np.ndarray | None = None
+        #: Learned with the line index: some record ends in ``\r\n``,
+        #: so scans trim a trailing ``\r`` per record (LF files skip it).
+        self.crlf = False
         self._clock = 0
         self.governor = None
         self.installs = 0
@@ -186,8 +189,9 @@ class PositionalMap:
     def line_bounds(self) -> np.ndarray | None:
         return self._line_bounds
 
-    def set_line_bounds(self, bounds: np.ndarray) -> None:
+    def set_line_bounds(self, bounds: np.ndarray, crlf: bool = False) -> None:
         self._line_bounds = np.asarray(bounds, dtype=np.int64)
+        self.crlf = crlf
 
     @property
     def n_rows(self) -> int:
@@ -400,6 +404,7 @@ class PositionalMap:
         with self._guard():
             self._chunks = []
             self._line_bounds = None
+            self.crlf = False
 
     def coverage_rows(self, attr: int) -> int:
         chunk = self.best_cover(attr)

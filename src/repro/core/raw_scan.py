@@ -36,6 +36,14 @@ Coverage bookkeeping: cache entries and positional chunks always cover a
 row *prefix*.  After an external append the old prefix stays valid and
 scans stitch the new tail from the raw file, extending the structures
 in place.
+
+**Raw access is by byte range.**  Every offset the scan holds is a byte
+offset into the raw file, and it reads only the ranges its plan needs:
+the whole file once while the line index is unknown, ``[old end,
+size)`` after an append (from the last known record's terminator
+on), and otherwise — per batch — the one window from the first to the
+last row that needs a jump or tokenizing (nothing when no row
+qualifies).  See :mod:`repro.rawio.reader`.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -51,14 +60,14 @@ from ..batch import Batch, ColumnVector
 from ..catalog.catalog import RawTableEntry
 from ..config import PostgresRawConfig
 from ..datatypes import DataType, convert_column
-from ..errors import ExecutionError
+from ..errors import ExecutionError, RawDataError
 from ..executor.expressions import predicate_mask
 from ..executor.operators import Operator
 from ..kernels import ContentBuffer, convert_span, make_signature
 from ..kernels.cache import process_cache
 from ..kernels.kernel import KernelRows
 from ..rawio.reader import RawFileReader
-from ..rawio.tokenizer import TokenizedRows
+from ..rawio.tokenizer import TokenizedRows, has_crlf, trim_cr
 from ..sql.ast import Expression, expr_column_refs
 from .cache import CacheEntry, RawDataCache
 from .metrics import BreakdownComponent, QueryMetrics
@@ -70,6 +79,11 @@ _TOKENIZING = BreakdownComponent.TOKENIZING
 _PARSING = BreakdownComponent.PARSING
 _CONVERT = BreakdownComponent.CONVERT
 _NODB = BreakdownComponent.NODB
+
+#: Zero-argument conversion of one attribute's located fields to
+#: ``(values, nulls)`` — built where the fields are found, run (and
+#: timed) by ``_acquire_attr_part``.
+_Converter = Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 class RawTableState:
@@ -220,6 +234,14 @@ class _SpanCollector:
         return np.vstack(self.blocks)
 
 
+def _empty_vector(dtype: DataType) -> ColumnVector:
+    return ColumnVector(
+        dtype,
+        np.zeros(0, dtype=dtype.numpy_dtype),
+        np.zeros(0, dtype=np.bool_),
+    )
+
+
 @dataclass
 class InstallPlan:
     """Everything one scan learned, materialized and ready to install.
@@ -273,6 +295,7 @@ class RawScan(Operator):
             None
         )
         self.schema = state.entry.schema
+        self._dtypes = tuple(c.dtype for c in self.schema.columns)
         self.dialect = state.entry.dialect
         #: The table's format adapter — all tokenizing geometry
         #: (line index, span tokenizing, warm map jumps, kernel
@@ -308,11 +331,15 @@ class RawScan(Operator):
         self._kcache_resolved = False
         self._kcache = None
 
-        # Per-execution state.
+        # Per-execution state.  The scan never holds "the file": it
+        # holds the window the line index was learned from (the whole
+        # file when cold, the appended tail, nothing when warm) and the
+        # window the current batch's rows were read into.
         self._reader: RawFileReader | None = None
-        self._content: str | None = None
-        self._kcontent: ContentBuffer | None = None
+        self._index_window: ContentBuffer | None = None
+        self._batch_window: ContentBuffer | None = None
         self._bounds: np.ndarray | None = None
+        self._crlf = False
         self._cache_collectors: dict[int, _ColumnCollector] = {}
         self._span_collectors: dict[tuple[int, int], _SpanCollector] = {}
         self._combination_plan: list[tuple[int, PositionalChunk]] | None = None
@@ -360,6 +387,15 @@ class RawScan(Operator):
         )
 
     def execute(self) -> Iterator[Batch]:
+        try:
+            yield from self._execute()
+        finally:
+            if self._reader is not None:
+                self._reader.close()
+                self._reader = None
+            self._index_window = self._batch_window = None
+
+    def _execute(self) -> Iterator[Batch]:
         state = self.state
         state.record_usage(self._needed_attrs)
         driver = self._parallel_driver()
@@ -485,46 +521,96 @@ class RawScan(Operator):
         """Line (tuple boundary) index: reuse, extend after append, or build."""
         pm = self.state.positional_map
         use_pm = self.config.enable_positional_map
-        if (
-            use_pm
-            and pm.line_bounds is not None
-            and not self.state.pending_append
-        ):
-            self._bounds = pm.line_bounds
+        known = use_pm and pm.line_bounds is not None
+        if known and not self.state.pending_append:
+            self._bounds, self._crlf = pm.line_bounds, pm.crlf
             return pm.n_rows
 
-        content = self._ensure_content()
-        if use_pm and pm.line_bounds is not None and self.state.pending_append:
-            old_bounds = pm.line_bounds
-            tail_start = int(old_bounds[-1])
-            with self.metrics.time(_TOKENIZING):
-                tail = self.adapter.build_line_index(
-                    content[tail_start:], has_header=False
-                )
-            if len(tail) > 1:
-                bounds = np.concatenate([old_bounds[:-1], tail + tail_start])
-            else:
-                bounds = old_bounds
-            pm.set_line_bounds(bounds)
-            self.state.pending_append = False
-            self._bounds = bounds
-            return len(bounds) - 1
-
+        # One read: the whole file, or — the rows before a pending
+        # append being known — only the bytes past them.
+        reader = self._ensure_reader()
+        start = skip = 0
+        if known and pm.line_bounds[-1] > 0:
+            # ``line_bounds[-1] - 1`` is the last known record's ``\n``
+            # or, that record having been unterminated, the first byte
+            # the appender wrote: a ``\r\n`` there is one separator.
+            start, skip = int(pm.line_bounds[-1]) - 1, 1
+        data = reader.read_range(start, reader.size)
+        if skip and data.startswith(b"\r\n"):
+            skip = 2
+        start += skip
+        window = ContentBuffer(data[skip:], start)
+        self._index_window = window
         with self.metrics.time(_TOKENIZING):
             bounds = self.adapter.build_line_index(
-                content, self.dialect.has_header
+                window.data,
+                self.dialect.has_header and not known,
+                base=start,
             )
+            crlf = skip == 2 or has_crlf(window.data)
+        if known:
+            crlf = crlf or pm.crlf
+            if len(bounds) > 1:
+                bounds = np.concatenate([pm.line_bounds[:-1], bounds])
+            else:
+                bounds = pm.line_bounds
         if use_pm:
-            pm.set_line_bounds(bounds)
+            pm.set_line_bounds(bounds, crlf)
             self.state.pending_append = False
-        self._bounds = bounds
+        self._bounds, self._crlf = bounds, crlf
         return len(bounds) - 1
 
-    def _ensure_content(self) -> str:
-        if self._content is None:
-            self._reader = RawFileReader(self.state.entry.path, self.metrics)
-            self._content = self._reader.content()
-        return self._content
+    # ------------------------------------------------------------------
+    # Raw-file access: positioned reads of the byte ranges rows occupy.
+    # ------------------------------------------------------------------
+
+    def _ensure_reader(self) -> RawFileReader:
+        if self._reader is None:
+            # The offsets this scan jumps to describe the file version
+            # the service last reconciled with; reading any other
+            # version is an UpdateConflictError, not wrong rows.
+            stamp = None
+            fingerprint = self.state.fingerprint
+            if fingerprint is not None and self.config.auto_detect_updates:
+                stamp = (fingerprint.size_bytes, fingerprint.mtime_ns)
+            self._reader = RawFileReader(
+                self.state.entry.path, self.metrics, stamp
+            )
+        return self._reader
+
+    def _window(self, start: int, end: int) -> ContentBuffer:
+        """The file bytes ``[start, end)``: a window already held, or
+        one positioned read that becomes the batch's window."""
+        for window in (self._batch_window, self._index_window):
+            if window is not None and window.covers(start, end):
+                return window
+        data = self._ensure_reader().read_range(start, end)
+        self._batch_window = ContentBuffer(data, start)
+        return self._batch_window
+
+    def _rows_window(
+        self, lo: int, hi: int, sel: np.ndarray | None = None
+    ) -> ContentBuffer:
+        """The window over rows ``[lo, hi)`` or, given ``sel`` (sorted,
+        non-empty), over its first through last row — shared by every
+        attribute acquired for those rows."""
+        if sel is not None:
+            lo, hi = int(sel[0]), int(sel[-1]) + 1
+        bounds = self._bounds
+        return self._window(int(bounds[lo]), int(bounds[hi]) - 1)
+
+    def _record_ends(
+        self, window: ContentBuffer, lo: int, hi: int, sel: np.ndarray | None
+    ) -> np.ndarray:
+        """Exclusive end of each row's bytes (its newline, CR-trimmed)."""
+        bounds = self._bounds
+        if sel is not None:
+            starts, ends = bounds[sel], bounds[sel + 1] - 1
+        else:
+            starts, ends = bounds[lo:hi], bounds[lo + 1 : hi + 1] - 1
+        if self._crlf:
+            ends = trim_cr(window.buf, starts, ends, window.base)
+        return ends
 
     # ------------------------------------------------------------------
     # Scan kernels (repro.kernels).
@@ -548,18 +634,6 @@ class RawScan(Operator):
                 )
         return self._kcache
 
-    def _kernel_content(self) -> ContentBuffer:
-        if self._kcontent is None or self._kcontent.text is not self._content:
-            self._kcontent = ContentBuffer(self._ensure_content())
-        return self._kcontent
-
-    def _schema_dtypes(self) -> tuple[DataType, ...]:
-        dtypes = getattr(self, "_dtypes_tuple", None)
-        if dtypes is None:
-            dtypes = tuple(c.dtype for c in self.schema.columns)
-            self._dtypes_tuple = dtypes
-        return dtypes
-
     def _kernel_for_span(self, first_attr: int, last_attr: int):
         """Fetch (building if needed) the kernel for one attribute span.
 
@@ -573,7 +647,7 @@ class RawScan(Operator):
             return None
         signature = make_signature(
             self.dialect,
-            self._schema_dtypes(),
+            self._dtypes,
             first_attr,
             last_attr,
             fmt=self.adapter.name,
@@ -681,6 +755,25 @@ class RawScan(Operator):
         tuple formation.  Tokenization itself stays full-range so the
         positional map keeps learning.
         """
+        try:
+            return self._acquire_parts(attrs, segments, r0, r1, sel)
+        except RawDataError as exc:
+            if exc.row is not None or exc.offset is None:
+                raise
+            # A tokenizer reported where in the file; name the row.
+            row = int(np.searchsorted(self._bounds, exc.offset, "right")) - 1
+            raise RawDataError(
+                f"row {row}: {exc}", row=row, offset=exc.offset
+            ) from exc
+
+    def _acquire_parts(
+        self,
+        attrs: list[int],
+        segments: list[_Segment],
+        r0: int,
+        r1: int,
+        sel: np.ndarray | None,
+    ) -> dict[int, ColumnVector]:
         out: dict[int, list[ColumnVector]] = {a: [] for a in attrs}
         for seg in segments:
             lo = max(seg.start, r0)
@@ -694,21 +787,18 @@ class RawScan(Operator):
             tokenized = None
             if to_tokenize:
                 tokenized = self._tokenize_for(seg, to_tokenize, lo, hi)
+            if seg_sel is not None and not len(seg_sel):
+                continue  # no row qualifies: nothing to read or convert
             for attr in attrs:
-                vector = self._acquire_attr_part(
-                    seg, attr, lo, hi, seg_sel, tokenized
+                out[attr].append(
+                    self._acquire_attr_part(
+                        seg, attr, lo, hi, seg_sel, tokenized
+                    )
                 )
-                if sel is None or len(vector):
-                    out[attr].append(vector)
         result = {}
         for attr, parts in out.items():
             if not parts:
-                dtype = self.schema.columns[attr].dtype
-                result[attr] = ColumnVector(
-                    dtype,
-                    np.zeros(0, dtype=dtype.numpy_dtype),
-                    np.zeros(0, dtype=np.bool_),
-                )
+                result[attr] = _empty_vector(self.schema.columns[attr].dtype)
             elif len(parts) == 1:
                 result[attr] = parts[0]
             else:
@@ -741,32 +831,21 @@ class RawScan(Operator):
                 self.metrics,
             )
 
+        # The field bytes come from a positional-map jump or from this
+        # batch's tokenized rows; whichever found them also knows how
+        # they convert (texts, or — numeric columns on the kernel path —
+        # byte bounds parsed without materializing any text).
         dtype = self.schema.columns[attr].dtype
         chunk = seg.chunk_hits.get(attr)
-        fused = None
         if chunk is not None:
-            fused = self._kernel_chunk_convert(chunk, attr, lo, hi, sel, dtype)
-            if fused is None:
-                texts = self._extract_via_chunk(chunk, attr, lo, hi, sel)
+            convert = self._jump_via_chunk(chunk, attr, lo, hi, sel, dtype)
         else:
-            fused = self._kernel_rows_convert(tokenized, attr, lo, sel, dtype)
-            if fused is None:
-                texts = tokenized.texts_of(attr)
-                if sel is not None:
-                    rel = (sel - lo).tolist()
-                    with self.metrics.time(_PARSING):
-                        texts = [texts[i] for i in rel]
-
-        if fused is not None:
-            values, nulls, convert_seconds = fused
-        else:
-            convert_start = time.perf_counter()
-            with self.metrics.time(_CONVERT):
-                values, nulls = convert_column(
-                    texts, dtype, self.dialect.null_token, row_offset=lo
-                )
-                self.metrics.fields_converted += len(texts)
-            convert_seconds = time.perf_counter() - convert_start
+            convert = self._tokenized_fields(tokenized, attr, lo, sel, dtype)
+        convert_start = time.perf_counter()
+        with self.metrics.time(_CONVERT):
+            values, nulls = convert()
+            self.metrics.fields_converted += len(values)
+        convert_seconds = time.perf_counter() - convert_start
         vector = ColumnVector(dtype, values, nulls)
 
         if sel is None:
@@ -778,147 +857,99 @@ class RawScan(Operator):
                     )
         return vector
 
-    def _extract_via_chunk(
+    def _converter(self, convert, *fields, dtype: DataType, lo: int):
+        """``convert`` is ``convert_column`` over texts or ``convert_span``
+        over ``(window, starts, ends)`` — numeric fields parsed from
+        their byte bounds by the kernel batch parser."""
+        null_token = self.dialect.null_token
+        return partial(convert, *fields, dtype, null_token, row_offset=lo)
+
+    def _jump_via_chunk(
         self,
         chunk: PositionalChunk,
         attr: int,
         lo: int,
         hi: int,
         sel: np.ndarray | None,
-    ) -> list[str]:
-        """Positional-map jump: parse one field per row, no tokenizing."""
+        dtype: DataType,
+    ) -> _Converter:
+        """Positional-map jump: one field per row, no tokenizing.
+
+        Returns the converter of the fields found.  For a numeric
+        column when a kernel applies the ends come from the mapped
+        neighbor column (or one vectorized delimiter search) instead of
+        one ``find`` + slice per row.
+        """
         col = chunk.column_of(attr)
-        content = self._ensure_content()
+        window = self._rows_window(lo, hi, sel)
+        rows = slice(lo, hi) if sel is None else sel
+        kernel = None
+        if dtype.is_numeric:
+            kernel = self._kernel_for_span(attr, attr)
         with self.metrics.time(_PARSING):
-            if sel is not None:
-                starts = chunk.offsets[sel, col]
-            else:
-                starts = chunk.offsets[lo:hi, col]
-            has_next = (
+            starts = chunk.offsets[rows, col]
+            self.metrics.fields_parsed_via_map += len(starts)
+            next_starts = line_ends = None
+            if (
                 self.adapter.contiguous_fields
                 and col + 1 < len(chunk.attrs)
                 and chunk.attrs[col + 1] == attr + 1
-            )
-            if has_next:
-                if sel is not None:
-                    next_starts = chunk.offsets[sel, col + 1]
+            ):
+                # The next field's start closes this one.
+                next_starts = chunk.offsets[rows, col + 1]
+            else:
+                line_ends = self._record_ends(window, lo, hi, sel)
+            if kernel is not None:
+                if next_starts is not None:
+                    ends = next_starts - 1
                 else:
-                    next_starts = chunk.offsets[lo:hi, col + 1]
+                    ends = kernel.field_ends(window, starts, line_ends)
+                return self._converter(
+                    convert_span, window, starts, ends, dtype=dtype, lo=lo
+                )
+            data, base, dialect = window.data, window.base, self.dialect
+            if next_starts is not None:
                 texts = self.adapter.extract_fields_between(
-                    content, starts, next_starts, self.dialect
+                    data, starts, next_starts, dialect, base=base
                 )
             else:
-                bounds = self._bounds
-                if sel is not None:
-                    line_ends = bounds[sel + 1] - 1
-                else:
-                    line_ends = bounds[lo + 1 : hi + 1] - 1
                 extract = self.adapter.extract_field
                 texts = [
-                    extract(content, int(s), int(e), self.dialect)
+                    extract(data, s, e, dialect, base)
                     for s, e in zip(starts.tolist(), line_ends.tolist())
                 ]
-            self.metrics.fields_parsed_via_map += len(texts)
-        return texts
+            return self._converter(convert_column, texts, dtype=dtype, lo=lo)
 
-    def _kernel_rows_convert(
+    def _tokenized_fields(
         self,
-        tokenized: TokenizedRows | None,
+        tokenized: TokenizedRows,
         attr: int,
         lo: int,
         sel: np.ndarray | None,
         dtype: DataType,
-    ):
-        """Fused kernel conversion straight from tokenized offsets.
-
-        Numeric columns of a kernel-tokenized batch skip text
-        materialization entirely: byte bounds come from the offsets
-        matrix and :func:`repro.kernels.convert_span` parses the whole
-        slice at once.  Returns ``(values, nulls, convert_seconds)`` or
-        ``None`` when the legacy text path must run.
-        """
-        if not isinstance(tokenized, KernelRows) or not dtype.is_numeric:
-            return None
-        j = attr - tokenized.first_attr
-        starts = tokenized.offsets[:, j]
-        ends = tokenized.offsets[:, j + 1] - 1
-        if sel is not None:
-            rel = sel - lo
-            with self.metrics.time(_PARSING):
-                starts = starts[rel]
-                ends = ends[rel]
-        convert_start = time.perf_counter()
-        with self.metrics.time(_CONVERT):
-            values, nulls = convert_span(
-                self._kernel_content(),
-                starts,
-                ends,
-                dtype,
-                self.dialect.null_token,
-                row_offset=lo,
-            )
-            self.metrics.fields_converted += len(starts)
-        return values, nulls, time.perf_counter() - convert_start
-
-    def _kernel_chunk_convert(
-        self,
-        chunk: PositionalChunk,
-        attr: int,
-        lo: int,
-        hi: int,
-        sel: np.ndarray | None,
-        dtype: DataType,
-    ):
-        """Fused positional-map jump + conversion for numeric columns.
-
-        The legacy jump path slices one Python string per row and then
-        parses each with a scalar ``int()``/``float()``; here field
-        ends come from the mapped neighbor column (or one vectorized
-        delimiter search) and the whole slice converts in one call.
-        Returns ``(values, nulls, convert_seconds)`` or ``None``.
-        """
-        if not dtype.is_numeric:
-            return None
-        kernel = self._kernel_for_span(attr, attr)
-        if kernel is None:
-            return None
-        cbuf = self._kernel_content()
-        col = chunk.column_of(attr)
+    ) -> _Converter:
+        """Converter of one attribute of this batch's tokenized rows
+        (``sel`` rows only, when given)."""
+        rel = None if sel is None else sel - lo
         with self.metrics.time(_PARSING):
-            if sel is not None:
-                starts = chunk.offsets[sel, col]
-            else:
-                starts = chunk.offsets[lo:hi, col]
-            has_next = (
-                self.adapter.contiguous_fields
-                and col + 1 < len(chunk.attrs)
-                and chunk.attrs[col + 1] == attr + 1
+            if isinstance(tokenized, KernelRows) and dtype.is_numeric:
+                j = attr - tokenized.first_attr
+                starts = tokenized.offsets[:, j]
+                ends = tokenized.offsets[:, j + 1] - 1
+                if rel is not None:
+                    starts, ends = starts[rel], ends[rel]
+                return self._converter(
+                    convert_span,
+                    tokenized.cbuf,
+                    starts,
+                    ends,
+                    dtype=dtype,
+                    lo=lo,
+                )
+            texts = tokenized.texts_of(
+                attr, None if rel is None else rel.tolist()
             )
-            if has_next:
-                if sel is not None:
-                    ends = chunk.offsets[sel, col + 1] - 1
-                else:
-                    ends = chunk.offsets[lo:hi, col + 1] - 1
-            else:
-                bounds = self._bounds
-                if sel is not None:
-                    line_ends = bounds[sel + 1] - 1
-                else:
-                    line_ends = bounds[lo + 1 : hi + 1] - 1
-                ends = kernel.field_ends(cbuf, starts, line_ends)
-            self.metrics.fields_parsed_via_map += len(starts)
-        convert_start = time.perf_counter()
-        with self.metrics.time(_CONVERT):
-            values, nulls = convert_span(
-                cbuf,
-                starts,
-                ends,
-                dtype,
-                self.dialect.null_token,
-                row_offset=lo,
-            )
-            self.metrics.fields_converted += len(starts)
-        return values, nulls, time.perf_counter() - convert_start
+            return self._converter(convert_column, texts, dtype=dtype, lo=lo)
 
     def _tokenize_for(
         self, seg: _Segment, attrs: list[int], lo: int, hi: int
@@ -926,7 +957,7 @@ class RawScan(Operator):
         """Tokenize rows [lo, hi) covering ``attrs``, anchored as close
         as possible (batch-local spans first, then the positional map,
         then the start of the tuple)."""
-        content = self._ensure_content()
+        window = self._rows_window(lo, hi)
         bounds = self._bounds
         n_attrs = len(self.schema)
         min_a = min(attrs)
@@ -970,17 +1001,15 @@ class RawScan(Operator):
             first = 0
             field_starts = bounds[lo:hi]
 
-        line_ends = bounds[lo + 1 : hi + 1] - 1
+        line_ends = self._record_ends(window, lo, hi, None)
         kernel = self._kernel_for_span(first, max_a)
         tokenize_start = time.perf_counter()
         with self.metrics.time(_TOKENIZING):
             if kernel is not None:
-                tokenized = kernel.tokenize(
-                    self._kernel_content(), field_starts, line_ends
-                )
+                tokenized = kernel.tokenize(window, field_starts, line_ends)
             else:
                 tokenized = self.adapter.tokenize_span(
-                    content,
+                    window.data,
                     field_starts,
                     line_ends,
                     first,
@@ -988,6 +1017,7 @@ class RawScan(Operator):
                     n_attrs,
                     self.dialect,
                     schema=self.schema,
+                    base=window.base,
                 )
             self.metrics.fields_tokenized += tokenized.num_rows * (
                 max_a - first + 1
@@ -1104,9 +1134,6 @@ class RawScan(Operator):
         self._cache_collectors.clear()
         self._span_collectors.clear()
         self._batch_spans.clear()
-        self._content = None
-        self._kcontent = None
-        self._reader = None
         return plan
 
     def _install(self, plan: InstallPlan) -> None:

@@ -59,12 +59,20 @@ class RawDataError(ReproError):
     """A raw file is malformed with respect to its declared schema.
 
     Carries the 0-based row number when known, mirroring how PostgresRaw
-    reports conversion failures with the offending tuple.
+    reports conversion failures with the offending tuple.  Tokenizers
+    that only know *where* in the file they are pass the byte
+    ``offset`` instead; the scan turns it into the row.
     """
 
-    def __init__(self, message: str, row: int | None = None) -> None:
+    def __init__(
+        self,
+        message: str,
+        row: int | None = None,
+        offset: int | None = None,
+    ) -> None:
         super().__init__(message)
         self.row = row
+        self.offset = offset
 
 
 class ConversionError(RawDataError):
@@ -78,6 +86,8 @@ class ScanWorkerError(RawDataError):
     bare cross-process traceback loses: the 0-based chunk index and the
     table name both travel in the message (so they survive pickling
     through the process backend) and as attributes when available.
+    A worker counts rows from its chunk's first row; the driver rebases
+    ``row`` (and says so in the message) before the error leaves the scan.
     """
 
     def __init__(
@@ -86,8 +96,9 @@ class ScanWorkerError(RawDataError):
         chunk_index: int | None = None,
         table: str | None = None,
         row: int | None = None,
+        offset: int | None = None,
     ) -> None:
-        super().__init__(message, row)
+        super().__init__(message, row, offset)
         self.chunk_index = chunk_index
         self.table = table
 
@@ -97,8 +108,10 @@ class StorageError(ReproError):
 
 
 class UpdateConflictError(ReproError):
-    """The raw file changed in a way that cannot be reconciled
-    incrementally."""
+    """The raw file changed under an open scan: the bytes a positional
+    jump would read are no longer the bytes the map describes.  The
+    next query reconciles (``refresh``) and answers from the new file.
+    """
 
 
 class BudgetError(ReproError):

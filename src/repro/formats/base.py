@@ -32,14 +32,30 @@ Capability flags tell the scan which shortcuts are sound for the format:
     JSON-lines, whose keys arrive in arbitrary per-record order) always
     tokenizes the full record, so the map learns every attribute at once.
 
-**Newline normalization contract.**  Raw content is normalized exactly
-once, at decode time (:meth:`decode`, delegating to
-:func:`repro.rawio.reader.decode_raw`): CRLF becomes LF before any
-offset is computed, so positional maps never straddle a ``\r`` and
-parallel byte chunks (cut after ``\n``) agree with the serial scan.  An
-unterminated final record is likewise handled in one place —
-:meth:`build_line_index` closes it at end-of-content.  Adapters must not
-re-implement either rule per call site.
+**Byte-offset contract.**  Adapters never see "the content" of a file:
+they see ``data``, the bytes of the file range starting at file offset
+``base``, and every offset they take or return — record bounds, field
+starts, error positions — is a byte offset into the *file*.  Nothing is
+rewritten or decoded up front:
+
+* **Record ends.**  A record ends at its ``\n`` or at end-of-file
+  (:meth:`build_line_index` closes an unterminated final record in one
+  place).  When the bytes being indexed contain ``\r\n`` the scan keeps
+  a flag beside the line index and trims one trailing ``\r`` per record
+  (:func:`repro.rawio.tokenizer.trim_cr`) before handing ``line_ends``
+  to any method here — LF files pay nothing, mixed CRLF/LF files are
+  decided per record, and a ``\r`` anywhere else is data.  Parallel byte
+  chunks are cut after ``\n``, so a CRLF pair never straddles chunks.
+  An append that first closes an unterminated last record — with
+  ``\n`` or ``\r\n`` — is indexed from the byte after that separator.
+* **Byte-order mark.**  A UTF-8 BOM at file offset 0 is skipped by
+  :meth:`build_line_index` (the first record starts at byte 3) and by
+  the schema sniffer.
+* **Lazy, strict decoding.**  Fields become ``str`` only when extracted
+  (:meth:`extract_field`, ``TokenizedRows.texts_of``), strictly as
+  UTF-8.  A byte sequence that does not decode fails the query that
+  asks for that field with :class:`repro.errors.RawDataError` naming
+  the row; queries over the table's other columns are unaffected.
 """
 
 from __future__ import annotations
@@ -47,8 +63,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from ..rawio.reader import decode_raw
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..catalog.schema import TableSchema
@@ -65,9 +79,6 @@ class FormatAdapter:
     supports_anchors: bool = False
     selective_tokenizing: bool = False
 
-    # Normalization lives once, here (see module docstring).
-    decode = staticmethod(decode_raw)
-
     def kernel_eligible(self, dialect: "CsvDialect") -> bool:
         """May :mod:`repro.kernels` tokenize this (format, dialect)?
 
@@ -80,14 +91,14 @@ class FormatAdapter:
         raise NotImplementedError
 
     def build_line_index(
-        self, content: str, has_header: bool = False
+        self, data: bytes, has_header: bool = False, base: int = 0
     ) -> np.ndarray:
         """Record-boundary array, length ``n_rows + 1`` (see tokenizer)."""
         raise NotImplementedError
 
     def tokenize_span(
         self,
-        content: str,
+        data: bytes,
         field_starts: np.ndarray,
         line_ends: np.ndarray,
         first_attr: int,
@@ -95,6 +106,7 @@ class FormatAdapter:
         n_attrs: int,
         dialect: "CsvDialect",
         schema: "TableSchema | None" = None,
+        base: int = 0,
     ) -> "TokenizedRows":
         """Locate fields for a record range; offsets feed the map.
 
@@ -104,17 +116,23 @@ class FormatAdapter:
         raise NotImplementedError
 
     def extract_field(
-        self, content: str, start: int, line_end: int, dialect: "CsvDialect"
+        self,
+        data: bytes,
+        start: int,
+        line_end: int,
+        dialect: "CsvDialect",
+        base: int = 0,
     ) -> str:
         """Warm map jump: read one field given its recorded start offset."""
         raise NotImplementedError
 
     def extract_fields_between(
         self,
-        content: str,
+        data: bytes,
         starts: np.ndarray,
         next_starts: np.ndarray,
         dialect: "CsvDialect",
+        base: int = 0,
     ) -> list[str]:
         """Extraction when the map knows the next field's start too.
 

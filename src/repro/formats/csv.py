@@ -1,8 +1,6 @@
 """The CSV adapter: the original tokenizer behind the adapter seam.
 
-Every method delegates verbatim to :mod:`repro.rawio.tokenizer` — the
-CSV path through :class:`repro.core.raw_scan.RawScan` is byte-for-byte
-the pre-refactor behavior (the existing property suites pin this).
+Every method delegates verbatim to :mod:`repro.rawio.tokenizer`.
 """
 
 from __future__ import annotations
@@ -34,13 +32,13 @@ class CsvAdapter(FormatAdapter):
         return DEFAULT_DIALECT
 
     def build_line_index(
-        self, content: str, has_header: bool = False
+        self, data: bytes, has_header: bool = False, base: int = 0
     ) -> np.ndarray:
-        return tokenizer.build_line_index(content, has_header)
+        return tokenizer.build_line_index(data, has_header, base)
 
     def tokenize_span(
         self,
-        content: str,
+        data: bytes,
         field_starts: np.ndarray,
         line_ends: np.ndarray,
         first_attr: int,
@@ -48,31 +46,39 @@ class CsvAdapter(FormatAdapter):
         n_attrs: int,
         dialect: CsvDialect,
         schema=None,  # CSV fields are positional; names are not needed
+        base: int = 0,
     ):
         return tokenizer.tokenize_span(
-            content,
+            data,
             field_starts,
             line_ends,
             first_attr,
             last_attr,
             n_attrs,
             dialect,
+            base,
         )
 
     def extract_field(
-        self, content: str, start: int, line_end: int, dialect: CsvDialect
+        self,
+        data: bytes,
+        start: int,
+        line_end: int,
+        dialect: CsvDialect,
+        base: int = 0,
     ) -> str:
-        return tokenizer.extract_field(content, start, line_end, dialect)
+        return tokenizer.extract_field(data, start, line_end, dialect, base)
 
     def extract_fields_between(
         self,
-        content: str,
+        data: bytes,
         starts: np.ndarray,
         next_starts: np.ndarray,
         dialect: CsvDialect,
+        base: int = 0,
     ) -> list[str]:
         return tokenizer.extract_fields_between(
-            content, starts, next_starts, dialect
+            data, starts, next_starts, dialect, base
         )
 
     def infer_schema(self, path, dialect: CsvDialect, sample_rows: int = 200):

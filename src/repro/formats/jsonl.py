@@ -35,6 +35,8 @@ unknown keys are ignored and duplicate keys last-win.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,154 +60,190 @@ JSONL_DIALECT = CsvDialect(
     delimiter=",", quote_char=None, null_token=JSONL_NULL, has_header=False
 )
 
-_WS = " \t"
+_WS = b" \t"
+_QUOTE = 0x22
+_BACKSLASH = 0x5C
+#: What ends a number / ``true`` / ``false`` / ``null`` literal.
+_LITERAL_END = re.compile(rb"[,} \t]")
+
+# The scanners below work on positions relative to ``data``; ``base``
+# (the file offset of ``data[0]``) only turns them into file offsets
+# for results and error messages.
 
 
-def _skip_ws(content: str, pos: int, limit: int) -> int:
-    while pos < limit and content[pos] in _WS:
+def _skip_ws(data: bytes, pos: int, limit: int) -> int:
+    while pos < limit and data[pos] in _WS:
         pos += 1
     return pos
 
 
-def _scan_string(content: str, start: int, limit: int) -> tuple[str, int]:
-    """Scan the JSON string starting (with ``\"``) at ``start``.
-
-    Returns ``(decoded_text, end)`` with ``end`` one past the closing
-    quote.  Escaped quotes are honored; decoding falls back to
-    :func:`json.loads` only when an escape is present.
-    """
+def _string_end(data: bytes, start: int, limit: int, base: int) -> int:
+    """One past the closing quote of the JSON string opening at
+    ``start`` (escaped quotes are honored)."""
     pos = start + 1
     while True:
-        q = content.find('"', pos, limit)
+        q = data.find(b'"', pos, limit)
         if q == -1:
             raise RawDataError(
-                f"unterminated JSON string at offset {start}"
+                f"unterminated JSON string at offset {start + base}",
+                offset=start + base,
             )
         backslashes = 0
         b = q - 1
-        while b > start and content[b] == "\\":
+        while b > start and data[b] == _BACKSLASH:
             backslashes += 1
             b -= 1
-        if backslashes % 2 == 1:
-            pos = q + 1  # escaped quote, keep scanning
-            continue
-        break
-    raw = content[start : q + 1]
-    if "\\" not in raw:
-        return raw[1:-1], q + 1
-    try:
-        return json.loads(raw), q + 1
-    except ValueError:
+        if backslashes % 2 == 0:
+            return q + 1
+        pos = q + 1  # escaped quote, keep scanning
+
+
+def value_end(data: bytes, pos: int, line_end: int, base: int = 0) -> int:
+    """One past the JSON value token starting at ``pos`` (both relative
+    to ``data``) — the tokenizer's value scanner and, followed by
+    :func:`token_text`, the positional-map jump."""
+    if pos >= line_end:
         raise RawDataError(
-            f"malformed JSON string at offset {start}: {raw!r}"
+            f"missing JSON value at offset {pos + base}", offset=pos + base
+        )
+    c = data[pos]
+    if c == _QUOTE:
+        return _string_end(data, pos, line_end, base)
+    if c in b"{[":
+        raise RawDataError(
+            f"nested JSON containers are not supported (offset "
+            f"{pos + base}): JSONL tables hold flat rows",
+            offset=pos + base,
+        )
+    closer = _LITERAL_END.search(data, pos, line_end)
+    end = closer.start() if closer else line_end
+    if end == pos:
+        raise RawDataError(
+            f"malformed JSON value at offset {pos + base}", offset=pos + base
+        )
+    return end
+
+
+def token_text(raw: bytes, offset: int, null_token: str = JSONL_NULL) -> str:
+    """One JSON value token in the engine's raw-text form.
+
+    That is the form :func:`repro.datatypes.convert_column` parses:
+    decoded string contents (:func:`json.loads` only when an escape is
+    present), the number/boolean literal verbatim, or ``null_token``
+    for JSON ``null``.  ``offset`` is the token's file offset.
+    """
+    try:
+        if raw.startswith(b'"'):
+            if b"\\" in raw:
+                return json.loads(raw)
+            return raw[1:-1].decode()
+        if raw == b"null":
+            return null_token
+        return raw.decode()
+    except ValueError:  # bad escape, or (UnicodeDecodeError) bad bytes
+        raise RawDataError(
+            f"JSON value at byte offset {offset} is malformed or not "
+            f"valid UTF-8: {raw!r}",
+            offset=offset,
         ) from None
 
 
-def scan_value(
-    content: str, pos: int, line_end: int, null_token: str = JSONL_NULL
-) -> tuple[str, int]:
-    """Scan one JSON value starting at ``pos``; return ``(text, end)``.
-
-    ``text`` is the field in the engine's raw-text form — the form
-    :func:`repro.datatypes.convert_column` parses: decoded string
-    contents, the number/boolean literal verbatim, or ``null_token``
-    for JSON ``null``.  This is both the tokenizer's value scanner and
-    the positional-map jump (:meth:`JsonLinesAdapter.extract_field`).
-    """
-    if pos >= line_end:
-        raise RawDataError(f"missing JSON value at offset {pos}")
-    c = content[pos]
-    if c == '"':
-        return _scan_string(content, pos, line_end)
-    if c == "n" and content.startswith("null", pos):
-        return null_token, pos + 4
-    if c == "t" and content.startswith("true", pos):
-        return "true", pos + 4
-    if c == "f" and content.startswith("false", pos):
-        return "false", pos + 5
-    if c in "{[":
-        raise RawDataError(
-            f"nested JSON containers are not supported (offset {pos}): "
-            "JSONL tables hold flat rows"
-        )
-    end = pos
-    while end < line_end and content[end] not in ",} \t":
-        end += 1
-    if end == pos:
-        raise RawDataError(f"malformed JSON value at offset {pos}")
-    return content[pos:end], end
-
-
 def parse_record(
-    content: str,
+    data: bytes,
     pos: int,
     line_end: int,
-    key_to_attr: dict[str, int],
+    key_to_attr: dict[bytes, int],
     row: int = 0,
-    null_token: str = JSONL_NULL,
-) -> tuple[list[int], list[str]]:
-    """Scan one record; return per-attribute value starts and texts.
+    base: int = 0,
+) -> tuple[list[int], list[bytes]]:
+    """Scan one record; return per-attribute value starts and tokens.
 
-    Unknown keys are skipped, duplicates last-win, and a missing schema
-    key raises :class:`RawDataError` (JSON ``null`` expresses NULL).
+    ``pos`` / ``line_end`` and the returned starts are file offsets;
+    the tokens are the raw bytes of each value (:func:`token_text`
+    turns one into text).  Unknown keys are skipped, duplicates
+    last-win, and a missing schema key raises :class:`RawDataError`
+    (JSON ``null`` expresses NULL).
     """
     n_attrs = len(key_to_attr)
     starts = [0] * n_attrs
-    texts: list[str | None] = [None] * n_attrs
-    pos = _skip_ws(content, pos, line_end)
-    if pos >= line_end or content[pos] != "{":
+    tokens: list[bytes | None] = [None] * n_attrs
+    line_end -= base
+    pos = _skip_ws(data, pos - base, line_end)
+    if pos >= line_end or data[pos] != 0x7B:  # {
         raise RawDataError(
             f"row {row}: expected a JSON object record", row=row
         )
-    pos = _skip_ws(content, pos + 1, line_end)
+    pos = _skip_ws(data, pos + 1, line_end)
     first = True
     while True:
         if pos >= line_end:
             raise RawDataError(
                 f"row {row}: unterminated JSON object record", row=row
             )
-        if content[pos] == "}":
+        if data[pos] == 0x7D:  # }
             pos += 1
             break
         if not first:
-            if content[pos] != ",":
+            if data[pos] != 0x2C:  # ,
                 raise RawDataError(
-                    f"row {row}: expected ',' or '}}' at offset {pos}",
+                    f"row {row}: expected ',' or '}}' at offset "
+                    f"{pos + base}",
                     row=row,
                 )
-            pos = _skip_ws(content, pos + 1, line_end)
+            pos = _skip_ws(data, pos + 1, line_end)
         first = False
-        if pos >= line_end or content[pos] != '"':
+        if pos >= line_end or data[pos] != _QUOTE:
             raise RawDataError(
-                f"row {row}: expected a quoted key at offset {pos}", row=row
+                f"row {row}: expected a quoted key at offset {pos + base}",
+                row=row,
             )
-        key, pos = _scan_string(content, pos, line_end)
-        pos = _skip_ws(content, pos, line_end)
-        if pos >= line_end or content[pos] != ":":
+        key_end = _string_end(data, pos, line_end, base)
+        key = data[pos + 1 : key_end - 1]
+        if b"\\" in key:
+            key = token_text(data[pos:key_end], pos + base).encode("utf-8")
+        pos = _skip_ws(data, key_end, line_end)
+        if pos >= line_end or data[pos] != 0x3A:  # :
             raise RawDataError(
                 f"row {row}: expected ':' after key {key!r}", row=row
             )
-        pos = _skip_ws(content, pos + 1, line_end)
+        pos = _skip_ws(data, pos + 1, line_end)
         value_start = pos
-        text, pos = scan_value(content, pos, line_end, null_token)
+        pos = value_end(data, pos, line_end, base)
         attr = key_to_attr.get(key)
         if attr is not None:
-            starts[attr] = value_start
-            texts[attr] = text
-        pos = _skip_ws(content, pos, line_end)
-    if _skip_ws(content, pos, line_end) < line_end:
+            starts[attr] = value_start + base
+            tokens[attr] = data[value_start:pos]
+        pos = _skip_ws(data, pos, line_end)
+    if _skip_ws(data, pos, line_end) < line_end:
         raise RawDataError(
             f"row {row}: trailing content after the JSON record", row=row
         )
-    for attr, text in enumerate(texts):
-        if text is None:
+    for attr, token in enumerate(tokens):
+        if token is None:
             name = next(k for k, a in key_to_attr.items() if a == attr)
             raise RawDataError(
-                f"row {row}: record is missing key {name!r} "
-                "(use JSON null for NULL)",
+                f"row {row}: record is missing key "
+                f"{name.decode('utf-8')!r} (use JSON null for NULL)",
                 row=row,
             )
-    return starts, texts  # type: ignore[return-value]
+    return starts, tokens  # type: ignore[return-value]
+
+
+@dataclass
+class JsonRows(TokenizedRows):
+    """Full-width tokenized records: ``fields`` hold each value's raw
+    JSON token, turned into text only for the attributes asked for."""
+
+    null_token: str = JSONL_NULL
+
+    def texts_of(self, attr: int, rows: list[int] | None = None) -> list[str]:
+        fields, null_token = self.fields, self.null_token
+        starts = self.offsets[:, attr].tolist()
+        picked = range(len(fields)) if rows is None else rows
+        return [
+            token_text(fields[r][attr], starts[r], null_token)
+            for r in picked
+        ]
 
 
 class JsonLinesAdapter(FormatAdapter):
@@ -223,14 +261,14 @@ class JsonLinesAdapter(FormatAdapter):
         return JSONL_DIALECT
 
     def build_line_index(
-        self, content: str, has_header: bool = False
+        self, data: bytes, has_header: bool = False, base: int = 0
     ) -> np.ndarray:
         # Records are newline-aligned; JSONL never has a header line.
-        return tokenizer.build_line_index(content, has_header=False)
+        return tokenizer.build_line_index(data, False, base)
 
     def tokenize_span(
         self,
-        content: str,
+        data: bytes,
         field_starts: np.ndarray,
         line_ends: np.ndarray,
         first_attr: int,
@@ -238,6 +276,7 @@ class JsonLinesAdapter(FormatAdapter):
         n_attrs: int,
         dialect: CsvDialect,
         schema=None,
+        base: int = 0,
     ) -> TokenizedRows:
         if schema is None:
             raise RawDataError("JSONL tokenizing needs the table schema")
@@ -246,42 +285,47 @@ class JsonLinesAdapter(FormatAdapter):
                 "JSONL records tokenize full-width (keys are unordered); "
                 f"got span {first_attr}..{last_attr}"
             )
-        key_to_attr = {c.name: i for i, c in enumerate(schema.columns)}
-        null_token = dialect.null_token
+        key_to_attr = {
+            c.name.encode("utf-8"): i for i, c in enumerate(schema.columns)
+        }
         n_rows = len(field_starts)
         offsets = np.empty((n_rows, n_attrs + 1), dtype=np.int64)
-        fields_out: list[list[str]] = []
+        fields_out: list[list[bytes]] = []
         starts_list = field_starts.tolist()
         ends_list = line_ends.tolist()
         for r in range(n_rows):
-            starts, texts = parse_record(
-                content,
-                starts_list[r],
-                ends_list[r],
-                key_to_attr,
-                row=r,
-                null_token=null_token,
+            starts, tokens = parse_record(
+                data, starts_list[r], ends_list[r], key_to_attr, r, base
             )
             offsets[r, :n_attrs] = starts
             # Uniform end sentinel, like CSV's: one past the record's
-            # newline.  Dropped before map installation (full-width spans
+            # end.  Dropped before map installation (full-width spans
             # install offsets[:, :-1]) — kept only for shape parity.
             offsets[r, n_attrs] = ends_list[r] + 1
-            fields_out.append(texts)
-        return TokenizedRows(0, 0, n_attrs - 1, offsets, fields_out)
+            fields_out.append(tokens)
+        return JsonRows(
+            0, n_attrs - 1, offsets, fields_out, dialect.null_token
+        )
 
     def extract_field(
-        self, content: str, start: int, line_end: int, dialect: CsvDialect
+        self,
+        data: bytes,
+        start: int,
+        line_end: int,
+        dialect: CsvDialect,
+        base: int = 0,
     ) -> str:
-        text, _ = scan_value(content, start, line_end, dialect.null_token)
-        return text
+        pos = start - base
+        end = value_end(data, pos, line_end - base, base)
+        return token_text(data[pos:end], start, dialect.null_token)
 
     def extract_fields_between(
         self,
-        content: str,
+        data: bytes,
         starts: np.ndarray,
         next_starts: np.ndarray,
         dialect: CsvDialect,
+        base: int = 0,
     ) -> list[str]:
         raise RawDataError(
             "JSONL fields are not contiguous; extract_fields_between "

@@ -6,8 +6,8 @@ yields multi-fold raw-scan speedups.  This package is that idea applied
 to the interpreted inner loops of :mod:`repro.rawio.tokenizer` and
 :mod:`repro.datatypes`:
 
-* :class:`ContentBuffer` — one ``frombuffer`` view of the decoded file
-  plus byte<->char offset maps and cached delimiter positions;
+* :class:`ContentBuffer` — one window of raw-file bytes (``frombuffer``
+  view, file offset of its first byte, cached delimiter positions);
 * :class:`ScanKernel` — per-signature vectorized tokenization (one
   ``searchsorted`` + broadcast gather builds the whole offsets matrix)
   and the positional-map jump's field-end computation;

@@ -1,13 +1,13 @@
-"""Byte-level view of decoded file content shared by the scan kernels.
+"""One window of raw-file bytes, shared by everything that reads it.
 
-All engine offsets are *character* offsets into the decoded content
-(:mod:`repro.rawio.tokenizer` module docs).  The vectorized kernels work
-on the UTF-8 encoded byte buffer instead, so :class:`ContentBuffer`
-carries the encoded bytes plus lazily built byte<->char offset maps
-(identity for pure ASCII, continuation-byte cumsums otherwise) and
-caches the sorted character positions of each single-byte separator it
-is asked about.  One buffer is built per scan execution and shared by
-every kernel invocation over that content.
+All engine offsets are byte offsets into the raw file
+(:mod:`repro.rawio.tokenizer` module docs).  A scan never holds "the
+content" — it holds :class:`ContentBuffer` windows: the bytes of the
+file range ``[base, end)`` it actually needs (the whole file on a cold
+scan, an appended tail, the rows one batch selected).  Consumers pass
+file offsets and the window subtracts ``base``; the sorted positions of
+each separator byte it is asked about are cached per window, in file
+coordinates, so the kernels' ``searchsorted`` calls need no rebasing.
 """
 
 from __future__ import annotations
@@ -16,32 +16,18 @@ import numpy as np
 
 
 class ContentBuffer:
-    """Encoded view + offset maps for one decoded file content."""
+    """The bytes ``[base, base + len(data))`` of one raw file."""
 
-    __slots__ = (
-        "text",
-        "_data",
-        "_buf",
-        "_ascii",
-        "_b2c",
-        "_c2b",
-        "_positions",
-    )
+    __slots__ = ("data", "base", "_buf", "_positions")
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self._data: bytes | None = None
+    def __init__(self, data: bytes, base: int = 0) -> None:
+        self.data = data
+        self.base = base
         self._buf: np.ndarray | None = None
-        self._ascii: bool | None = None
-        self._b2c: np.ndarray | None = None
-        self._c2b: np.ndarray | None = None
         self._positions: dict[str, np.ndarray] = {}
 
-    @property
-    def data(self) -> bytes:
-        if self._data is None:
-            self._data = self.text.encode("utf-8")
-        return self._data
+    def covers(self, start: int, end: int) -> bool:
+        return self.base <= start and end <= self.base + len(self.data)
 
     @property
     def buf(self) -> np.ndarray:
@@ -49,43 +35,12 @@ class ContentBuffer:
             self._buf = np.frombuffer(self.data, dtype=np.uint8)
         return self._buf
 
-    @property
-    def is_ascii(self) -> bool:
-        if self._ascii is None:
-            self._ascii = len(self.data) == len(self.text)
-        return self._ascii
-
-    def _char_starts(self) -> np.ndarray:
-        # True at every byte that begins a character: UTF-8 continuation
-        # bytes are exactly those matching 0b10xxxxxx.
-        return (self.buf & 0xC0) != 0x80
-
-    def char_to_byte(self, offsets: np.ndarray) -> np.ndarray:
-        """Map char offsets (``0..n_chars`` inclusive) to byte offsets."""
-        if self.is_ascii:
-            return offsets
-        if self._c2b is None:
-            starts = np.flatnonzero(self._char_starts())
-            self._c2b = np.append(starts, len(self.data)).astype(
-                np.int64, copy=False
-            )
-        return self._c2b[offsets]
-
-    def byte_to_char(self, offsets: np.ndarray) -> np.ndarray:
-        """Map byte offsets of character-start bytes to char offsets."""
-        if self.is_ascii:
-            return offsets
-        if self._b2c is None:
-            self._b2c = np.cumsum(self._char_starts(), dtype=np.int64) - 1
-        return self._b2c[offsets]
-
-    def char_positions(self, ch: str) -> np.ndarray:
-        """Sorted char offsets of every occurrence of an ASCII char."""
+    def byte_positions(self, ch: str) -> np.ndarray:
+        """Sorted file offsets of every occurrence of an ASCII char."""
         cached = self._positions.get(ch)
         if cached is None:
-            byte_pos = np.flatnonzero(self.buf == ord(ch))
-            cached = self.byte_to_char(byte_pos).astype(
-                np.int64, copy=False
-            )
+            cached = np.flatnonzero(self.buf == ord(ch))
+            if self.base:
+                cached += self.base
             self._positions[ch] = cached
         return cached

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..datatypes import DataType
 from ..errors import ConversionError
+from ..rawio.tokenizer import decode_fields
 
 #: Exact powers of ten: 10**k fits int64 for k <= 18 and is an exactly
 #: representable float64 for k <= 22.
@@ -63,8 +64,8 @@ def _gather_right_aligned(
     int64 (|sum| < 23 * 10**width since a byte term is in [-48, 207]).
     """
     # int32 offsets halve the index matrix's memory traffic (the
-    # largest temporary here); buffers are decoded file contents, far
-    # below 2 GiB.
+    # largest temporary here); they index one window of file bytes,
+    # far below 2 GiB.
     base = (ends - width).astype(np.int32)
     idx = base[:, None] + np.arange(width, dtype=np.int32)
     np.maximum(idx, 0, out=idx)
@@ -195,24 +196,24 @@ _SCALARS = {DataType.INTEGER: int, DataType.FLOAT: float}
 
 def convert_span(
     cbuf,
-    starts_c: np.ndarray,
-    ends_c: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
     dtype: DataType,
     null_token: str = "",
     row_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized convert of one column slice given char-offset bounds.
+    """Vectorized convert of one column slice given file-offset bounds.
 
-    Drop-in for :func:`repro.datatypes.convert_column` over the same
-    field texts: same values, same null mask, and the same
-    :class:`ConversionError` (message, row, cause) on the first
-    unconvertible row.  Only INTEGER and FLOAT are supported — callers
-    route other dtypes to the legacy text path.
+    ``starts`` / ``ends`` lie inside the window ``cbuf``.  Drop-in for
+    :func:`repro.datatypes.convert_column` over the same field texts:
+    same values, same null mask, and the same :class:`ConversionError`
+    (message, row, cause) on the first unconvertible row.  Only INTEGER
+    and FLOAT are supported — callers route other dtypes to the legacy
+    text path.
     """
-    starts_c = np.ascontiguousarray(starts_c, dtype=np.int64)
-    ends_c = np.ascontiguousarray(ends_c, dtype=np.int64)
-    starts = cbuf.char_to_byte(starts_c)
-    ends = cbuf.char_to_byte(ends_c)
+    base = cbuf.base
+    starts = np.ascontiguousarray(starts, dtype=np.int64) - base
+    ends = np.ascontiguousarray(ends, dtype=np.int64) - base
     buf = cbuf.buf
     nulls = null_mask(buf, starts, ends, null_token.encode("utf-8"))
     parser = _PARSERS[dtype]
@@ -224,12 +225,15 @@ def convert_span(
         values[good] = vals[ok]
         bad = live[~ok]
         if bad.size:
-            text = cbuf.text
+            data = cbuf.data
             convert = _SCALARS[dtype]
-            slow_a = starts_c[bad].tolist()
-            slow_b = ends_c[bad].tolist()
-            for i, a, b in zip(bad.tolist(), slow_a, slow_b):
-                t = text[a:b]
+            slow_a = starts[bad].tolist()
+            slow_b = ends[bad].tolist()
+            texts = decode_fields(
+                [data[a:b] for a, b in zip(slow_a, slow_b)],
+                starts[bad] + base,
+            )
+            for i, t in zip(bad.tolist(), texts):
                 try:
                     values[i] = convert(t)
                 except (ValueError, ConversionError) as exc:

@@ -4,7 +4,7 @@ A :class:`ScanKernel` replaces the interpreted per-row inner loops of
 :mod:`repro.rawio.tokenizer` for unquoted dialects: tokenization becomes
 one ``searchsorted`` of the batch's row bounds against the content's
 sorted delimiter positions plus a broadcast gather that materializes the
-whole offsets matrix at once, instead of one ``str.split`` per row.
+whole offsets matrix at once, instead of one ``bytes.split`` per row.
 Field texts are produced lazily (:class:`KernelRows`) only when a
 consumer actually needs Python strings — numeric columns convert
 straight from the offsets (:mod:`repro.kernels.convert`) and never
@@ -23,7 +23,7 @@ import numpy as np
 from ..datatypes import DataType
 from ..errors import RawDataError
 from ..rawio.dialect import CsvDialect
-from ..rawio.tokenizer import TokenizedRows
+from ..rawio.tokenizer import TokenizedRows, decode_fields
 from .content import ContentBuffer
 
 
@@ -81,10 +81,8 @@ def make_signature(
 class KernelRows(TokenizedRows):
     """:class:`TokenizedRows` whose field texts materialize lazily.
 
-    The offsets matrix is the primary product; :meth:`texts_of` slices
-    the decoded content on demand (cached per attribute), and the
-    row-major ``fields`` view exists only for compatibility with
-    consumers of the legacy tokenizer's by-product.
+    The offsets matrix is the only product of tokenizing;
+    :meth:`texts_of` slices and decodes the window's bytes on demand.
     """
 
     def __init__(
@@ -92,37 +90,32 @@ class KernelRows(TokenizedRows):
         first_attr: int,
         last_attr: int,
         offsets: np.ndarray,
-        text: str,
+        cbuf: ContentBuffer,
     ) -> None:
-        self.row_from = 0
         self.first_attr = first_attr
         self.last_attr = last_attr
         self.offsets = offsets
-        self._text = text
-        self._texts: dict[int, list[str]] = {}
+        self.cbuf = cbuf
 
     @property
     def num_rows(self) -> int:
         return int(self.offsets.shape[0])
 
-    @property
-    def fields(self) -> list[list[str]]:
-        cols = [
-            self.texts_of(a)
-            for a in range(self.first_attr, self.last_attr + 1)
-        ]
-        return [list(row) for row in zip(*cols)]
-
-    def texts_of(self, attr: int) -> list[str]:
+    def texts_of(self, attr: int, rows: list[int] | None = None) -> list[str]:
         j = attr - self.first_attr
-        cached = self._texts.get(j)
-        if cached is None:
-            text = self._text
-            starts = self.offsets[:, j].tolist()
-            ends = (self.offsets[:, j + 1] - 1).tolist()
-            cached = [text[a:b] for a, b in zip(starts, ends)]
-            self._texts[j] = cached
-        return cached
+        data, base = self.cbuf.data, self.cbuf.base
+        rows = slice(None) if rows is None else rows
+        starts = self.offsets[rows, j]
+        ends = self.offsets[rows, j + 1] - 1
+        return decode_fields(
+            [
+                data[a:b]
+                for a, b in zip(
+                    (starts - base).tolist(), (ends - base).tolist()
+                )
+            ],
+            starts,
+        )
 
 
 class ScanKernel:
@@ -144,11 +137,12 @@ class ScanKernel:
     ) -> KernelRows:
         """Vectorized equivalent of ``tokenize_span`` for this signature.
 
-        Produces the identical offsets matrix (and, on malformed input,
-        the identical :class:`RawDataError`): per-row delimiter counts
-        come from two ``searchsorted`` calls against the content's
-        sorted delimiter positions, and one fancy-indexed gather fills
-        every row's field starts at once.
+        ``field_starts`` / ``line_ends`` are file offsets inside the
+        window ``cbuf``.  Produces the identical offsets matrix (and,
+        on malformed input, the identical :class:`RawDataError`):
+        per-row delimiter counts come from two ``searchsorted`` calls
+        against the window's sorted delimiter positions, and one
+        fancy-indexed gather fills every row's field starts at once.
         """
         sig = self.signature
         span = self.span
@@ -158,10 +152,8 @@ class ScanKernel:
         offsets = np.empty((n, span + 2), dtype=np.int64)
         offsets[:, 0] = starts
         if n == 0:
-            return KernelRows(
-                sig.first_attr, sig.last_attr, offsets, cbuf.text
-            )
-        dpos = cbuf.char_positions(self.delimiter)
+            return KernelRows(sig.first_attr, sig.last_attr, offsets, cbuf)
+        dpos = cbuf.byte_positions(self.delimiter)
         lo = np.searchsorted(dpos, starts, side="left")
         hi = np.searchsorted(dpos, ends, side="left")
         counts = hi - lo  # delimiters inside each row's segment
@@ -190,7 +182,7 @@ class ScanKernel:
             offsets[:, 1 : gather + 1] = dpos[cols] + 1
         if self.runs_to_line_end:
             offsets[:, span + 1] = ends + 1
-        return KernelRows(sig.first_attr, sig.last_attr, offsets, cbuf.text)
+        return KernelRows(sig.first_attr, sig.last_attr, offsets, cbuf)
 
     def field_ends(
         self,
@@ -198,14 +190,14 @@ class ScanKernel:
         starts: np.ndarray,
         line_ends: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized ``field_end``: first delimiter in [start, line_end).
+        """Each field's end: the first delimiter in [start, line_end).
 
         The positional-map jump path for an attribute whose successor
-        is not mapped — the legacy path scans with ``str.find`` per row.
+        is not mapped — the legacy path scans with ``bytes.find`` per row.
         """
         starts = np.ascontiguousarray(starts, dtype=np.int64)
         ends = np.ascontiguousarray(line_ends, dtype=np.int64)
-        dpos = cbuf.char_positions(self.delimiter)
+        dpos = cbuf.byte_positions(self.delimiter)
         if len(dpos) == 0:
             return ends
         i = np.searchsorted(dpos, starts, side="left")

@@ -4,18 +4,16 @@ The scan pool needs the file cut into pieces that (a) together cover it
 exactly once and (b) never split a record: every boundary sits at offset
 0, at end-of-file, or immediately *after* a ``\\n``.  Because a CRLF
 pair ends with the ``\\n``, a boundary can never fall between ``\\r``
-and ``\\n`` — chunking is CRLF-safe by construction, and per-chunk CRLF
-normalization (see :func:`repro.rawio.reader.decode_raw`) composes into
-exactly the whole-file normalization.  A final unterminated record
-belongs to the last chunk.
+and ``\\n`` — chunking is CRLF-safe by construction, and the per-record
+``\\r`` trim (:func:`repro.rawio.tokenizer.trim_cr`) sees every pair
+whole.  A final unterminated record belongs to the last chunk.
 
-:func:`plan_file_chunks` produces *byte* ranges straight off the file:
+:func:`plan_file_chunks` produces byte ranges straight off the file:
 seek to an approximate cut, scan forward to the next record boundary.
-Workers read and decode their own ranges (the process backend's cold
-scan — no shared decoded content is needed at all).  Row-structured
-scans (tails, and every thread-backend scan) don't chunk by size: the
-driver cuts at known batch-aligned row boundaries instead, so worker
-batches coincide with the serial scan's.
+Workers read their own ranges (the process backend's cold scan).
+Row-structured scans (tails, and every thread-backend scan) don't chunk
+by size: the driver cuts at known batch-aligned row boundaries instead,
+so worker batches coincide with the serial scan's.
 """
 
 from __future__ import annotations

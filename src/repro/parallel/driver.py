@@ -14,8 +14,8 @@ Two scan shapes go through the pool (everything else stays serial):
 
 * **Cold scans, process backend** (:meth:`ParallelScanDriver.run_cold`)
   — nothing is known about the file: it is split into newline-aligned
-  *byte* ranges and each worker reads, decodes, line-indexes, tokenizes
-  and converts its own range (parallel I/O included); the merge layer
+  byte ranges and each worker reads, line-indexes, tokenizes and
+  converts its own range (parallel I/O included); the merge layer
   stitches bounds, positional spans, cache columns and statistics back
   into the shared :class:`RawTableState`.
 
@@ -23,7 +23,8 @@ Two scan shapes go through the pool (everything else stays serial):
   adaptive structures cover a row prefix (earlier queries, or an
   append): the serial scan handles the covered prefix with its usual
   cache/map machinery, and the fully-uncovered tail is fanned out at
-  batch-aligned row cuts.  Workers receive row slices of shared
+  batch-aligned row cuts, each worker reading the byte range of its
+  rows.  Workers receive row slices of shared
   positional chunks so anchored tokenizing ("jump ... as close as
   possible") behaves exactly as in the serial scan; batch cuts land on
   the same global ``batch_size`` multiples, so the merged structures —
@@ -42,8 +43,6 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, TYPE_CHECKING
 
-import numpy as np
-
 from ..batch import Batch
 from ..core.metrics import QueryMetrics, Stopwatch
 from ..errors import RawDataError, ScanWorkerError
@@ -54,6 +53,21 @@ from .worker import ChunkResult, ChunkTask, scan_chunk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.raw_scan import RawScan, _Segment
+
+
+def _reraise_in_table_rows(exc: ScanWorkerError, row_base: int):
+    """Re-raise a worker's error with its row — counted from the first
+    row of its chunk, table row ``row_base`` — as the table's row."""
+    if exc.row is None:
+        raise exc
+    row = row_base + exc.row
+    raise ScanWorkerError(
+        f"row {row} (row {exc.row} of its chunk): {exc}",
+        exc.chunk_index,
+        exc.table,
+        row,
+        exc.offset,
+    ) from exc
 
 
 class ParallelScanDriver:
@@ -72,7 +86,7 @@ class ParallelScanDriver:
         """True for a process-backend scan of a completely unknown file.
 
         Only the process backend takes the byte-chunked single-pass cold
-        path (workers read/decode/index their own ranges — parallel I/O).
+        path (workers read and index their own ranges — parallel I/O).
         Thread-backend cold scans deliberately fall through to the
         ordinary flow: the line index is one fast vectorized pass on the
         main thread, after which the *whole file* is a fully-unmapped
@@ -135,9 +149,9 @@ class ParallelScanDriver:
         if tail_up >= n_rows:
             return None
         bounds = scan._bounds
-        tail_chars = int(bounds[n_rows] - bounds[tail_up])
+        tail_bytes = int(bounds[n_rows] - bounds[tail_up])
         chunks = chunk_count(
-            tail_chars, cfg.parallel_chunk_bytes, cfg.scan_workers
+            tail_bytes, cfg.parallel_chunk_bytes, cfg.scan_workers
         )
         if chunks < 2:
             return None
@@ -150,8 +164,8 @@ class ParallelScanDriver:
     def run_cold(self) -> Iterator[Batch]:
         """Single-pass byte-chunked cold scan (process backend only).
 
-        Workers read, decode, line-index and scan their own byte ranges
-        — no shared decoded content exists at all.  Chunk results
+        Workers read, line-index and scan their own byte ranges.  Chunk
+        results
         *stream* through an ordered merge: each chunk's batches are
         yielded (and the result dropped) as soon as it is the next in
         row order, with at most the in-flight window of results alive —
@@ -171,7 +185,6 @@ class ParallelScanDriver:
         def tasks() -> Iterator[ChunkTask]:
             for spec in specs:
                 task = self._base_task(spec.index, first_chunk=spec.index == 0)
-                task.path = str(path)
                 task.byte_start = spec.start
                 task.byte_end = spec.end
                 yield task
@@ -179,15 +192,14 @@ class ParallelScanDriver:
         bounds_acc = LineBoundsAccumulator()
         worker_metrics: list[QueryMetrics] = []
         watch = Stopwatch()
-        row_base = char_base = 0
+        row_base = 0
         try:
             for res in self._stream(tasks()):
                 bounds_acc.add(res)
-                stitch_one(scan, res, row_base, char_base)
+                stitch_one(scan, res, row_base)
                 self._note_chunk(res)
                 worker_metrics.append(res.metrics)
                 row_base += res.n_rows
-                char_base += res.n_chars
                 yield from res.batches
             # Every chunk consumed: install the merged line index.  An
             # abandoned scan (consumer closed the cursor mid-stream)
@@ -208,10 +220,12 @@ class ParallelScanDriver:
                 )
             scan._bounds = bounds
             if cfg.enable_positional_map:
-                state.positional_map.set_line_bounds(bounds)
+                state.positional_map.set_line_bounds(bounds, bounds_acc.crlf)
                 state.pending_append = False
             if cfg.enable_statistics:
                 state.statistics.set_row_estimate(row_base)
+        except ScanWorkerError as exc:
+            _reraise_in_table_rows(exc, row_base)
         finally:
             self._wall = watch.elapsed()
             self._account(worker_metrics, cold=True)
@@ -223,13 +237,16 @@ class ParallelScanDriver:
 
     def run_tail(self, tail_from: int, n_rows: int) -> Iterator[Batch]:
         scan, state, cfg = self.scan, self.state, self.config
-        content = scan._ensure_content()
         bounds = scan._bounds
         batch = cfg.batch_size
+        # The prefix is done and workers read their own byte ranges:
+        # whatever the main thread read (the whole file, when it built
+        # the line index) need not stay resident while they run.
+        scan._index_window = scan._batch_window = None
 
-        tail_chars = int(bounds[n_rows] - bounds[tail_from])
+        tail_bytes = int(bounds[n_rows] - bounds[tail_from])
         # Uncapped chunk count (streaming shape) — see run_cold.
-        n_chunks = chunk_count(tail_chars, cfg.parallel_chunk_bytes, None)
+        n_chunks = chunk_count(tail_bytes, cfg.parallel_chunk_bytes, None)
         # Row cuts land on global batch_size multiples so worker-local
         # batches coincide with the serial scan's batches exactly.
         total_batches = -(-(n_rows - tail_from) // batch)
@@ -239,49 +256,22 @@ class ParallelScanDriver:
         anchors = [
             c for c in state.positional_map.chunks() if c.rows > tail_from
         ]
-        # Threads share the address space: tasks reference the one
-        # decoded content string and numpy views, with offsets left in
-        # file coordinates (char base 0) — no per-chunk copies, so peak
-        # memory stays ~1x the file.  Process tasks must be shipped, so
-        # they carry rebased slices instead; building tasks lazily (the
-        # streaming dispatch pulls them as the window frees up) bounds
-        # how many of those text copies exist at once.
-        share = cfg.parallel_backend == "thread"
-        kcontent = None
-        if share and scan._kernels() is not None:
-            # Threads also share one byte-level kernel view: without it
-            # every chunk worker would re-encode the whole decoded
-            # content to UTF-8 and rebuild the delimiter-position index
-            # — O(file) work per *chunk*, which at 64 KiB chunks costs
-            # more than the scan itself.  The lazy caches are warmed
-            # here, serially, so the workers' concurrent reads race on
-            # nothing.
-            kcontent = scan._kernel_content()
-            kcontent.char_positions(scan.dialect.delimiter)
-            kcontent.char_to_byte(np.zeros(0, dtype=np.int64))
 
         def make_task(i: int, r0: int, r1: int) -> ChunkTask:
-            c0 = 0 if share else int(bounds[r0])
+            # The byte range of rows [r0, r1), up to the last row's
+            # newline; bounds and anchor offsets stay file offsets, so
+            # nothing is rebased on either backend.  Tasks are built
+            # lazily (the streaming dispatch pulls them as the window
+            # frees up), which bounds how many are alive at once.
             task = self._base_task(i, first_chunk=False)
-            task.path = str(state.entry.path)
-            if share:
-                task.text = content
-                task.local_bounds = bounds[r0 : r1 + 1]
-                task.kernel_content = kcontent
-            else:
-                c1 = min(int(bounds[r1]), len(content))
-                task.text = content[c0:c1]
-                task.local_bounds = bounds[r0 : r1 + 1] - c0
+            task.byte_start = int(bounds[r0])
+            task.byte_end = int(bounds[r1]) - 1
+            task.bounds = bounds[r0 : r1 + 1]
+            task.crlf = scan._crlf
             # Every task carries every anchor (empty slices included) so
             # that ChunkResult.anchors_used indexes line up globally.
             task.anchor_chunks = [
-                (
-                    c.attrs,
-                    c.offsets[r0 : min(c.rows, r1)]
-                    if share
-                    else c.offsets[r0 : min(c.rows, r1)] - c0,
-                )
-                for c in anchors
+                (c.attrs, c.offsets[r0 : min(c.rows, r1)]) for c in anchors
             ]
             return task
 
@@ -291,6 +281,7 @@ class ParallelScanDriver:
 
         worker_metrics: list[QueryMetrics] = []
         watch = Stopwatch()
+        r1 = tail_from
         try:
             for i, res in enumerate(self._stream(tasks())):
                 r0, r1 = cuts[i], cuts[i + 1]
@@ -305,12 +296,14 @@ class ParallelScanDriver:
                 # stays serial-identical.
                 for anchor_idx in res.anchors_used:
                     state.positional_map.touch(anchors[anchor_idx])
-                stitch_one(
-                    scan, res, r0, 0 if share else int(bounds[r0])
-                )
+                stitch_one(scan, res, r0)
                 self._note_chunk(res)
                 worker_metrics.append(res.metrics)
                 yield from res.batches
+        except ScanWorkerError as exc:
+            # Raised at the failed chunk's position: it starts at the
+            # row the last merged chunk ended on.
+            _reraise_in_table_rows(exc, r1)
         finally:
             self._wall = watch.elapsed()
             self._account(worker_metrics)
@@ -328,6 +321,8 @@ class ParallelScanDriver:
         )
         return ChunkTask(
             index=index,
+            path=str(self.state.entry.path),
+            stamp=scan._ensure_reader().stamp,
             entry_name=self.state.entry.name,
             schema=scan.schema,
             dialect=scan.dialect,

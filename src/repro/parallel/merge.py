@@ -7,9 +7,9 @@ scan's collectors the moment it is the next in row order, so the driver
 can yield that chunk's batches and drop the result immediately — no
 collect-all barrier, peak memory bounded by the in-flight window:
 
-* **Line bounds** — local per-chunk indexes are shifted by the running
-  character base and concatenated; the result is identical to indexing
-  the whole file at once (chunk boundaries sit exactly after newlines).
+* **Line bounds** — per-chunk indexes are already file byte offsets, so
+  they concatenate; the result is identical to indexing the whole file
+  at once (chunk boundaries sit exactly after newlines).
 * **Span collectors** (positional map) and **column collectors**
   (cache) — worker harvests are replayed through the scan's own
   collectors, whose row-contiguity check enforces the same prefix
@@ -31,34 +31,35 @@ from .worker import ChunkResult
 
 
 class LineBoundsAccumulator:
-    """Global line index from per-chunk local indexes, built one chunk
-    at a time (cold scans).
+    """Global line index from per-chunk indexes, built one chunk at a
+    time (cold scans).
 
-    ``bounds[i][1:] + char_base`` continues exactly where the previous
-    chunk's index ended, because every chunk boundary is one past a
-    newline; the final chunk contributes the end sentinel (including the
-    unterminated-last-record case, where it is ``len + 1``).
+    ``bounds[i][:-1]`` continues exactly where the previous chunk's
+    index ended, because every chunk boundary is one past a newline; the
+    final chunk contributes the end sentinel (including the
+    unterminated-last-record case, where it is the file size + 1).
     """
 
     def __init__(self) -> None:
         self._starts: list[np.ndarray] = []
         self._sentinel: int | None = None
-        self._char_base = 0
+        #: Some chunk holds a CRLF record end (see ``PositionalMap.crlf``).
+        self.crlf = False
 
     def add(self, res: ChunkResult) -> None:
         if res.bounds is None:
             raise RawDataError("chunk result carries no line bounds")
         local = res.bounds
+        self.crlf = self.crlf or res.crlf
         if len(local) > 1:
-            self._starts.append(local[:-1] + self._char_base)
-            self._sentinel = int(local[-1]) + self._char_base
+            self._starts.append(local[:-1])
+            self._sentinel = int(local[-1])
         elif self._sentinel is None:
             # Zero-row chunk (header-only file): its lone element is
             # already the end sentinel — serial build_line_index returns
             # [len + 1] for row-less content, and dropping it here would
             # make a later append re-tokenize the header line as data.
-            self._sentinel = int(local[0]) + self._char_base
-        self._char_base += res.n_chars
+            self._sentinel = int(local[0])
 
     def materialize(self) -> np.ndarray:
         if self._sentinel is None:
@@ -78,12 +79,7 @@ def merge_line_bounds(results: list[ChunkResult]) -> np.ndarray:
     return acc.materialize()
 
 
-def stitch_one(
-    scan: RawScan,
-    res: ChunkResult,
-    row_base: int,
-    char_base: int,
-) -> None:
+def stitch_one(scan: RawScan, res: ChunkResult, row_base: int) -> None:
     """Replay one worker harvest into ``scan``'s collectors.
 
     Must be called in chunk (= row) order — the collectors' contiguity
@@ -101,9 +97,7 @@ def stitch_one(
             coll.blocks.clear()
             continue
         coll.add(
-            span.start_row + row_base,
-            span.matrix + char_base,
-            span.benefit_seconds,
+            span.start_row + row_base, span.matrix, span.benefit_seconds
         )
     if scan.config.enable_cache:
         for col in res.columns:
@@ -126,14 +120,11 @@ def stitch_one(
 
 
 def stitch_results(
-    scan: RawScan,
-    results: list[ChunkResult],
-    row_bases: list[int],
-    char_bases: list[int],
+    scan: RawScan, results: list[ChunkResult], row_bases: list[int]
 ) -> None:
     """Batch form of :func:`stitch_one` (kept for tests/tools)."""
-    for res, row_base, char_base in zip(results, row_bases, char_bases):
-        stitch_one(scan, res, row_base, char_base)
+    for res, row_base in zip(results, row_bases):
+        stitch_one(scan, res, row_base)
 
 
 def check_chunk_rows(

@@ -1,12 +1,12 @@
 """The scan pool: ordered fan-out of chunk tasks over workers.
 
-Threads are the default backend — dispatch is cheap, the decoded file
-content is shared, and I/O-bound scans (plus GIL-free Python builds)
-overlap well.  The ``process`` backend forks worker processes that read,
-decode and tokenize their own byte ranges, which is what scales the
-CPU-bound tokenizing/parsing loops on multi-core machines (the OLA-RAW
+Threads are the default backend — dispatch is cheap and I/O-bound scans
+(plus GIL-free Python builds) overlap well.  The ``process`` backend
+forks worker processes, which is what scales the CPU-bound
+tokenizing/parsing loops on multi-core machines (the OLA-RAW
 observation: in-situ engines need parallel chunked raw access to be
-practical at scale).
+practical at scale).  On both, a worker reads and tokenizes its own
+byte range of the raw file; no file content is handed to it.
 
 Pools are **recycled across queries**: the underlying executor is
 created lazily on the first parallel dispatch and kept alive until
@@ -141,8 +141,7 @@ class ScanPool:
         iterator at any moment — dispatched to workers or completed but
         not yet consumed — so peak memory is O(window x result) instead
         of O(all results).  ``tasks`` may be a lazy generator; it is
-        advanced only as the window frees up (a task's text payload is
-        then also built just-in-time).
+        advanced only as the window frees up.
 
         A worker exception propagates to the consumer at the failed
         task's position; closing the returned generator cancels every

@@ -5,8 +5,9 @@ A worker runs the *existing* selective tokenize/parse/convert machinery
 chunk-local :class:`RawTableState` — so selective tokenizing, anchored
 jumps, selective parsing and selective tuple formation behave exactly as
 in the serial scan.  Everything a worker learns is harvested *before*
-installation and shipped back in local coordinates (row 0 / char 0 =
-chunk start):
+installation and shipped back with chunk-local row numbers (row 0 =
+first row of the chunk) and **file byte offsets** — the worker reads
+its own byte range, so its offsets are already the file's:
 
 * the emitted :class:`Batch` objects (partial query result),
 * span collectors (partial positional map: discovered field offsets),
@@ -14,8 +15,8 @@ chunk start):
 * a statistics log (full-column vectors in observation order),
 * a per-worker :class:`QueryMetrics` (per-worker Figure 3 buckets).
 
-The merge layer shifts rows/offsets into file coordinates and stitches
-the pieces back into the shared state deterministically.
+The merge layer shifts the rows into table coordinates and stitches the
+pieces back into the shared state deterministically.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from ..catalog.schema import TableSchema
 from ..config import PostgresRawConfig
 from ..core.metrics import BreakdownComponent, QueryMetrics
 from ..core.raw_scan import RawScan, RawTableState
-from ..errors import RawDataError, ScanWorkerError
+from ..errors import ScanWorkerError, UpdateConflictError
 from ..kernels import ContentBuffer
 from ..rawio.dialect import CsvDialect
-from ..rawio.reader import decode_raw
+from ..rawio.reader import FileStamp, RawFileReader
+from ..rawio.tokenizer import has_crlf
 from ..sql.ast import Expression
 
 
@@ -43,10 +45,9 @@ from ..sql.ast import Expression
 class ChunkTask:
     """Everything one worker needs to scan one chunk, self-contained.
 
-    The chunk's text arrives either inline (``text`` — thread backend
-    and tail scans) or as a byte range the worker reads itself
-    (``path``/``byte_start``/``byte_end`` — the process backend's cold
-    scan, which parallelizes I/O and decoding too).
+    A chunk is a byte range of the raw file that the worker reads
+    itself, on either backend — no file content crosses a thread or a
+    pickle boundary.
     """
 
     index: int
@@ -62,25 +63,21 @@ class ChunkTask:
     #: rebuilds its chunk-local entry with the same adapter, so JSONL
     #: chunks tokenize as JSON records on both pool backends.
     fmt: str = "csv"
-    # Chunk text source (exactly one of the two).
-    text: str | None = None
-    path: str | None = None
+    path: str = ""
     byte_start: int = 0
     byte_end: int = 0
-    encoding: str = "utf-8"
-    # Known row structure (tail scans); cold scans build their own.
-    local_bounds: np.ndarray | None = None
-    #: Row slices of shared positional-map chunks, in local char offsets,
-    #: so anchored tokenizing works inside the worker.
+    #: The file version the driver planned against; a worker that finds
+    #: another one raises ``UpdateConflictError``.
+    stamp: FileStamp | None = None
+    #: Known row structure of the chunk (tail scans): its slice of the
+    #: line index and the table's CRLF flag.  Cold scans build their own.
+    bounds: np.ndarray | None = None
+    crlf: bool = False
+    #: Row slices of shared positional-map chunks, so anchored
+    #: tokenizing works inside the worker.
     anchor_chunks: list[tuple[tuple[int, ...], np.ndarray]] = field(
         default_factory=list
     )
-    #: Thread backend only: the driver's byte-level content view, shared
-    #: so workers do not re-encode the whole file (and rebuild delimiter
-    #: positions) once per chunk.  Never set on process tasks — the
-    #: buffer must not cross pickling; those workers build their own
-    #: over their chunk-local text.
-    kernel_content: ContentBuffer | None = None
 
 
 @dataclass
@@ -112,8 +109,10 @@ class ChunkResult:
 
     index: int
     n_rows: int
-    n_chars: int
+    #: Cold scans: the chunk's line index (file offsets) and whether it
+    #: holds a CRLF record end.
     bounds: np.ndarray | None
+    crlf: bool
     batches: list[Batch]
     spans: list[SpanHarvest]
     columns: list[ColumnHarvest]
@@ -162,8 +161,8 @@ def scan_chunk(task: ChunkTask) -> ChunkResult:
     t0 = time.perf_counter()
     try:
         result = _scan_chunk(task)
-    except ScanWorkerError:
-        raise
+    except (ScanWorkerError, UpdateConflictError):
+        raise  # already typed: scan context / the file changed under us
     except Exception as exc:
         raise ScanWorkerError(
             f"scan worker failed on chunk {task.index} of table "
@@ -171,6 +170,7 @@ def scan_chunk(task: ChunkTask) -> ChunkResult:
             chunk_index=task.index,
             table=task.entry_name,
             row=getattr(exc, "row", None),
+            offset=getattr(exc, "offset", None),
         ) from exc
     result.elapsed_s = time.perf_counter() - t0
     return result
@@ -178,14 +178,16 @@ def scan_chunk(task: ChunkTask) -> ChunkResult:
 
 def _scan_chunk(task: ChunkTask) -> ChunkResult:
     metrics = QueryMetrics()
-    content = task.text
-    if content is None:
-        content = _read_chunk(task, metrics)
+    with RawFileReader(task.path, metrics, task.stamp) as reader:
+        window = ContentBuffer(
+            reader.read_range(task.byte_start, task.byte_end),
+            task.byte_start,
+        )
 
     entry = RawTableEntry(
         task.entry_name,
         task.schema,
-        Path(task.path) if task.path else Path(task.entry_name),
+        Path(task.path),
         task.dialect,
         task.fmt,
     )
@@ -198,21 +200,25 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
         task.config,
         collect_stats=task.collect_stats,
     )
-    scan._content = content
-    if task.kernel_content is not None:
-        scan._kcontent = task.kernel_content
+    # Every row of the chunk lies inside this window: the scan below
+    # never reads the file again.
+    scan._index_window = window
 
-    if task.local_bounds is not None:
-        bounds = np.asarray(task.local_bounds, dtype=np.int64)
+    if task.bounds is not None:
+        bounds = np.asarray(task.bounds, dtype=np.int64)
+        crlf = task.crlf
     else:
         with metrics.time(BreakdownComponent.TOKENIZING):
             bounds = entry.adapter.build_line_index(
-                content, task.first_chunk and task.dialect.has_header
+                window.data,
+                task.first_chunk and task.dialect.has_header,
+                base=window.base,
             )
+            crlf = has_crlf(window.data)
     n_rows = max(len(bounds) - 1, 0)
-    scan._bounds = bounds
+    scan._bounds, scan._crlf = bounds, crlf
     pm = state.positional_map
-    pm.set_line_bounds(bounds)
+    pm.set_line_bounds(bounds, crlf)
     adopted = []
     for attrs, offsets in task.anchor_chunks:
         chunk = pm.adopt(attrs, offsets)
@@ -264,8 +270,8 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
     return ChunkResult(
         index=task.index,
         n_rows=n_rows,
-        n_chars=len(content),
-        bounds=bounds if task.local_bounds is None else None,
+        bounds=bounds if task.bounds is None else None,
+        crlf=crlf,
         batches=batches,
         spans=spans,
         columns=columns,
@@ -275,18 +281,3 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
             i for i, c in enumerate(adopted) if c.last_used >= 0
         ],
     )
-
-
-def _read_chunk(task: ChunkTask, metrics: QueryMetrics) -> str:
-    """Read and decode the worker's own byte range (process backend)."""
-    if task.path is None:
-        raise RawDataError("chunk task carries neither text nor a path")
-    try:
-        with metrics.time(BreakdownComponent.IO):
-            with open(task.path, "rb") as f:
-                f.seek(task.byte_start)
-                data = f.read(task.byte_end - task.byte_start)
-            metrics.bytes_read += len(data)
-    except FileNotFoundError:
-        raise RawDataError(f"raw file not found: {task.path}") from None
-    return decode_raw(data, task.encoding)

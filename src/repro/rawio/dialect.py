@@ -10,6 +10,7 @@ format the bundled generator emits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import SchemaError
 
@@ -42,6 +43,16 @@ class CsvDialect:
     @property
     def quoting(self) -> bool:
         return self.quote_char is not None
+
+    # The tokenizers work on bytes; encoded once per dialect (a
+    # cached_property writes the instance dict, which frozen allows).
+    @cached_property
+    def delimiter_bytes(self) -> bytes:
+        return self.delimiter.encode("utf-8")
+
+    @cached_property
+    def quote_bytes(self) -> bytes | None:
+        return self.quote_char.encode("utf-8") if self.quoting else None
 
 
 DEFAULT_DIALECT = CsvDialect()

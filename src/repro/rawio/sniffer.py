@@ -25,11 +25,12 @@ def sniff_format(path: str | Path) -> str:
     A file whose first non-empty line parses as a JSON object is JSONL;
     everything else — including single-column CSVs, CSVs whose *quoted
     fields* happen to contain JSON text, and empty files — is CSV (the
-    historical default).  A quoted CSV field never starts a line with a
+    historical default).  A UTF-8 byte-order mark is skipped, as the
+    line index skips it.  A quoted CSV field never starts a line with a
     bare ``{``, so the probe is unambiguous on well-formed inputs.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for line in f:
             stripped = line.strip()
             if not stripped:
@@ -88,7 +89,7 @@ def infer_schema(
         )
     path = Path(path)
     lines: list[str] = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for line in f:
             lines.append(line.rstrip("\n"))
             if len(lines) > sample_rows:
@@ -139,7 +140,7 @@ def infer_schema_jsonl(
     keys: list[str] = []
     samples: dict[str, list[object]] = {}
     n = 0
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for line in f:
             stripped = line.strip()
             if not stripped:

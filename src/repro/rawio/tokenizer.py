@@ -1,10 +1,10 @@
-"""Tokenizing raw CSV content.
+"""Tokenizing raw CSV bytes.
 
 Tokenizing — locating field boundaries inside each tuple — is the
 dominant CPU cost of in-situ querying and the thing the adaptive
 positional map exists to avoid.  This module provides:
 
-* :func:`build_line_index` — tuple (line) boundaries for a whole file;
+* :func:`build_line_index` — tuple (line) boundaries of a byte range;
 * :func:`tokenize_lines` — **selective tokenizing**: split each tuple
   only up to the last attribute a query needs ("opportunistically
   aborting tokenizing tuples as soon as the required attributes for a
@@ -13,10 +13,15 @@ positional map exists to avoid.  This module provides:
   extraction once the positional map supplies start offsets, i.e. the
   "jump directly to the correct position" path.
 
-All offsets are character offsets into the decoded file content; field
-``j`` of a row occupies ``content[starts[j] : starts[j + 1] - 1]`` where
-``starts[last + 1]`` is a uniform end sentinel (one past the delimiter or
-newline that closed the field).
+Every offset, in and out, is a **byte offset into the raw file**.  The
+functions work on ``data``, the bytes of the file range that starts at
+file offset ``base`` (0 when ``data`` is the whole file).  Field ``j``
+of a row occupies ``[starts[j], starts[j + 1] - len(delimiter))`` where
+``starts[last + 1]`` is a uniform end sentinel (the field's end plus
+one delimiter width, whether a delimiter or the newline closed it).
+Bytes become ``str`` only when a field is extracted — strictly UTF-8,
+so an undecodable byte fails the one field that holds it
+(:func:`decode_fields`), never the file.
 """
 
 from __future__ import annotations
@@ -28,48 +33,41 @@ import numpy as np
 from ..errors import RawDataError
 from .dialect import CsvDialect
 
-
-def _newline_positions(content: str) -> np.ndarray:
-    """Offsets of every ``\\n`` in ``content`` (always vectorized).
-
-    Non-ASCII content is scanned over its UTF-8 encoding: ``\\n`` never
-    appears inside a multi-byte sequence (continuation bytes all have
-    the high bit set), so the byte positions are exact and a cumulative
-    count of continuation bytes maps them back to character offsets.
-    """
-    if content.isascii():
-        buf = np.frombuffer(content.encode("ascii"), dtype=np.uint8)
-        return np.flatnonzero(buf == 0x0A).astype(np.int64)
-    buf = np.frombuffer(content.encode("utf-8"), dtype=np.uint8)
-    newline_bytes = np.flatnonzero(buf == 0x0A)
-    # continuation[i] = count of UTF-8 continuation bytes in buf[:i+1];
-    # byte offset minus that count is the character offset.
-    continuation = np.cumsum((buf & 0xC0) == 0x80, dtype=np.int64)
-    return newline_bytes - continuation[newline_bytes]
+_BOM = b"\xef\xbb\xbf"
+_LF = 0x0A
+_CR = 0x0D
 
 
-def build_line_index(content: str, has_header: bool = False) -> np.ndarray:
-    """Boundary array of the data tuples in ``content``.
+def build_line_index(
+    data: bytes, has_header: bool = False, base: int = 0
+) -> np.ndarray:
+    """Boundary array of the data tuples in ``data``.
 
     Returns ``bounds`` of length ``n_rows + 1`` with ``bounds[i]`` the
-    offset of row ``i``'s first character and ``bounds[i + 1] - 1`` one
-    past its last (i.e. the position of its newline, or ``len(content)``
-    for an unterminated final line).  A header line, when present, is
-    excluded.  This array is the positional map's backbone ("tuple start"
-    positions); its memory is pinned, not subject to LRU.
+    file offset of row ``i``'s first byte and ``bounds[i + 1] - 1`` one
+    past its last (i.e. the position of its ``\n``, or end-of-data for
+    an unterminated final line; a ``\r`` before the ``\n`` is trimmed
+    per record by :func:`trim_cr`, not here).  A header line, when
+    present, is excluded, and so is a UTF-8 byte-order mark at the very
+    start of the file.  This array is the positional map's backbone
+    ("tuple start" positions); its memory is pinned, not subject to LRU.
     """
-    if not content:
-        return np.zeros(1, dtype=np.int64)
-    newlines = _newline_positions(content)
-    # Row starts: 0 plus one past each newline (dropping a trailing one).
+    first = len(_BOM) if base == 0 and data.startswith(_BOM) else 0
+    size = len(data)
+    if size == first:
+        return np.full(1, base + first, dtype=np.int64)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == _LF)
+    # Row starts: the first byte plus one past each newline (dropping a
+    # trailing one).
     starts = np.empty(len(newlines) + 1, dtype=np.int64)
-    starts[0] = 0
+    starts[0] = first
     starts[1:] = newlines + 1
-    if starts[-1] >= len(content):  # file ends with a newline
+    if starts[-1] >= size:  # data ends with a newline
         starts = starts[:-1]
         ends = newlines
     else:
-        ends = np.append(newlines, len(content))
+        ends = np.append(newlines, size)
     if has_header:
         starts = starts[1:]
         ends = ends[1:]
@@ -79,62 +77,113 @@ def build_line_index(content: str, has_header: bool = False) -> np.ndarray:
         bounds[-1] = ends[-1] + 1
     else:
         # No data rows: the boundary is where the first row would
-        # start — one past the header's newline, which is len(content)
-        # when the header line is terminated (matching the non-empty
-        # convention of bounds[-1] = last newline + 1).  An append
-        # resumes tokenizing from this offset, so overshooting by one
-        # here would eat the first byte of the first appended row.
-        bounds[0] = (
-            len(content) if content.endswith("\n") else len(content) + 1
-        )
+        # start — one past the header's newline, which is the data's
+        # size when the header line is terminated (matching the
+        # non-empty convention of bounds[-1] = last newline + 1).  An
+        # append resumes tokenizing from this offset, so overshooting
+        # by one here would eat the first byte of the first appended
+        # row.
+        bounds[0] = size if data.endswith(b"\n") else size + 1
+    bounds += base
     return bounds
+
+
+def has_crlf(data: bytes) -> bool:
+    """Does ``data`` hold a CRLF line end?  One ``memchr`` for ``\r``
+    settles it for LF files; the two-byte search costs ~1 ms per MB."""
+    return b"\r" in data and b"\r\n" in data
+
+
+def trim_cr(
+    buf: np.ndarray,
+    row_starts: np.ndarray,
+    line_ends: np.ndarray,
+    base: int = 0,
+) -> np.ndarray:
+    """Record ends with the ``\r`` of a CRLF terminator trimmed.
+
+    ``buf`` is the ``uint8`` view of the bytes starting at file offset
+    ``base``; at most one ``\r`` is trimmed per record, so LF and CRLF
+    records may mix freely in one file.
+    """
+    if not len(buf):
+        return line_ends
+    last = np.maximum(line_ends - 1 - base, 0)
+    return line_ends - ((line_ends > row_starts) & (buf[last] == _CR))
+
+
+def decode_fields(raws: list[bytes], starts) -> list[str]:
+    """The extracted fields as text (strict UTF-8).
+
+    ``starts[i]`` is the file offset of field ``i``; the first field
+    that does not decode is reported by it.
+    """
+    try:
+        return list(map(bytes.decode, raws))
+    except UnicodeDecodeError:
+        for raw, start in zip(raws, starts):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise RawDataError(
+                    f"field at byte offset {int(start)} is not valid "
+                    f"UTF-8: {raw!r}",
+                    offset=int(start),
+                ) from None
+        raise
 
 
 @dataclass
 class TokenizedRows:
-    """Field boundaries (and texts) for a tokenized span of rows.
+    """Field boundaries (and raw bytes) for a tokenized span of rows.
 
-    ``offsets[r, j]`` is the absolute start of attribute
-    ``first_attr + j``; the final column is the uniform end sentinel (one
-    past the delimiter/newline closing the last tokenized attribute).
-    ``fields[r][j]`` is the text of attribute ``first_attr + j`` — a free
-    by-product of split-based tokenization.
+    ``offsets[r, j]`` is the file offset where attribute
+    ``first_attr + j`` starts; the final column is the uniform end
+    sentinel (see the module docs).  ``fields[r][j]`` holds the bytes
+    of attribute ``first_attr + j`` (quotes already removed) — a free
+    by-product of split-based tokenization, decoded on demand by
+    :meth:`texts_of`.
     """
 
-    row_from: int
     first_attr: int
     last_attr: int
     offsets: np.ndarray
-    fields: list[list[str]]
+    fields: list[list[bytes]]
 
     @property
     def num_rows(self) -> int:
         return len(self.fields)
 
-    def texts_of(self, attr: int) -> list[str]:
+    def texts_of(self, attr: int, rows: list[int] | None = None) -> list[str]:
+        """Text of ``attr`` for every row, or just for ``rows``."""
         j = attr - self.first_attr
-        return [row[j] for row in self.fields]
-
-    def starts_of(self, attr: int) -> np.ndarray:
-        return self.offsets[:, attr - self.first_attr]
+        fields = self.fields
+        if rows is None:
+            return decode_fields(
+                [row[j] for row in fields], self.offsets[:, j]
+            )
+        return decode_fields(
+            [fields[r][j] for r in rows], self.offsets[rows, j]
+        )
 
 
 def tokenize_span(
-    content: str,
+    data: bytes,
     field_starts: np.ndarray,
     line_ends: np.ndarray,
     first_attr: int,
     last_attr: int,
     n_attrs: int,
     dialect: CsvDialect,
+    base: int = 0,
 ) -> TokenizedRows:
     """Tokenize attributes ``first_attr .. last_attr`` of a set of rows.
 
-    ``field_starts[r]`` must be the absolute offset where attribute
+    ``field_starts[r]`` must be the file offset where attribute
     ``first_attr`` begins in row ``r`` (a positional-map anchor, or the
-    row start when ``first_attr == 0``); ``line_ends[r]`` is the offset of
-    the row's newline (exclusive end of the row's text).  This is
-    **selective tokenizing**: splitting stops after ``last_attr`` and
+    row start when ``first_attr == 0``); ``line_ends[r]`` is the
+    exclusive end of the row's bytes (its newline, CR-trimmed).  This
+    is **selective tokenizing**: splitting stops after ``last_attr`` and
     never revisits the attributes before the anchor.
     """
     if last_attr >= n_attrs or first_attr > last_attr:
@@ -142,30 +191,35 @@ def tokenize_span(
             f"bad attribute span {first_attr}..{last_attr} for "
             f"{n_attrs}-attribute schema"
         )
-    if dialect.quoting:
-        return _tokenize_span_quoted(
-            content,
-            field_starts,
-            line_ends,
-            first_attr,
-            last_attr,
-            n_attrs,
-            dialect,
-        )
-
-    delim = dialect.delimiter
     span = last_attr - first_attr
+    n_rows = len(field_starts)
+    # Tokenized relative to ``data``; shifted to file offsets at the end.
+    offsets = np.empty((n_rows, span + 2), dtype=np.int64)
+    starts_list = (np.asarray(field_starts) - base).tolist()
+    ends_list = (np.asarray(line_ends) - base).tolist()
+    if dialect.quoting:
+        fields_out = _tokenize_span_quoted(
+            data,
+            starts_list,
+            ends_list,
+            offsets,
+            first_attr,
+            last_attr == n_attrs - 1,
+            dialect,
+            base,
+        )
+        offsets += base
+        return TokenizedRows(first_attr, last_attr, offsets, fields_out)
+
+    delim = dialect.delimiter_bytes
+    step = len(delim)
     runs_to_line_end = last_attr == n_attrs - 1
     maxsplit = -1 if runs_to_line_end else span + 1
-    n_rows = len(field_starts)
-    offsets = np.empty((n_rows, span + 2), dtype=np.int64)
-    fields_out: list[list[str]] = []
-    starts_list = field_starts.tolist()
-    ends_list = line_ends.tolist()
+    fields_out: list[list[bytes]] = []
 
     for r in range(n_rows):
         seg_start = starts_list[r]
-        seg = content[seg_start : ends_list[r]]
+        seg = data[seg_start : ends_list[r]]
         parts = (
             seg.split(delim)
             if runs_to_line_end
@@ -191,14 +245,15 @@ def tokenize_span(
         row_offsets = offsets[r]
         for j, f in enumerate(kept):
             row_offsets[j] = pos
-            pos += len(f) + 1
+            pos += len(f) + step
         row_offsets[span + 1] = pos
         fields_out.append(kept)
-    return TokenizedRows(0, first_attr, last_attr, offsets, fields_out)
+    offsets += base
+    return TokenizedRows(first_attr, last_attr, offsets, fields_out)
 
 
 def tokenize_lines(
-    content: str,
+    data: bytes,
     bounds: np.ndarray,
     row_from: int,
     row_to: int,
@@ -206,42 +261,43 @@ def tokenize_lines(
     n_attrs: int,
     dialect: CsvDialect,
 ) -> TokenizedRows:
-    """Selectively tokenize rows ``[row_from, row_to)`` from attribute 0.
+    """Selectively tokenize rows ``[row_from, row_to)`` of a whole file
+    from attribute 0.
 
     Raises :class:`RawDataError` when a tuple has fewer attributes than
     the query requires (the raw file disagrees with its schema).
     """
     starts = bounds[row_from:row_to]
-    line_ends = bounds[row_from + 1 : row_to + 1] - 1
-    rows = tokenize_span(
-        content, starts, line_ends, 0, last_attr, n_attrs, dialect
+    line_ends = trim_cr(
+        np.frombuffer(data, dtype=np.uint8),
+        starts,
+        bounds[row_from + 1 : row_to + 1] - 1,
     )
-    rows.row_from = row_from
-    return rows
+    return tokenize_span(
+        data, starts, line_ends, 0, last_attr, n_attrs, dialect
+    )
 
 
 def _tokenize_span_quoted(
-    content: str,
-    field_starts: np.ndarray,
-    line_ends: np.ndarray,
+    data: bytes,
+    starts_list: list[int],
+    ends_list: list[int],
+    offsets: np.ndarray,
     first_attr: int,
-    last_attr: int,
-    n_attrs: int,
+    runs_to_line_end: bool,
     dialect: CsvDialect,
-) -> TokenizedRows:
-    """State-machine tokenizer for quoted CSV (RFC-4180-style escapes)."""
-    delim = dialect.delimiter
-    quote = dialect.quote_char
-    assert quote is not None
-    span = last_attr - first_attr
-    n_rows = len(field_starts)
-    offsets = np.empty((n_rows, span + 2), dtype=np.int64)
-    fields_out: list[list[str]] = []
+    base: int,
+) -> list[list[bytes]]:
+    """State-machine tokenizer for quoted CSV (RFC-4180-style escapes).
 
-    for r in range(n_rows):
-        pos = int(field_starts[r])
-        line_end = int(line_ends[r])
-        row_fields: list[str] = []
+    Fills ``offsets`` (relative to ``data``) and returns the fields.
+    """
+    delim, quote = dialect.delimiter_bytes, dialect.quote_bytes
+    span = offsets.shape[1] - 2
+    fields_out: list[list[bytes]] = []
+
+    for r, (pos, line_end) in enumerate(zip(starts_list, ends_list)):
+        row_fields: list[bytes] = []
         row_offsets = offsets[r]
         j = 0
         while j <= span:
@@ -252,103 +308,124 @@ def _tokenize_span_quoted(
                     f"{first_attr}, found {j}",
                     row=r,
                 )
-            text, pos = _scan_quoted_field(
-                content, pos, line_end, delim, quote
+            raw, pos = _scan_quoted_field(
+                data, pos, line_end, delim, quote, base
             )
-            row_fields.append(text)
+            row_fields.append(raw)
             j += 1
         row_offsets[span + 1] = pos
-        if last_attr == n_attrs - 1 and pos <= line_end:
+        if runs_to_line_end and pos <= line_end:
             raise RawDataError(
-                f"row {r}: more fields than the {n_attrs}-attribute schema",
+                f"row {r}: more fields than the "
+                f"{first_attr + span + 1}-attribute schema",
                 row=r,
             )
         fields_out.append(row_fields)
-    return TokenizedRows(0, first_attr, last_attr, offsets, fields_out)
+    return fields_out
 
 
 def _scan_quoted_field(
-    content: str, start: int, line_end: int, delim: str, quote: str
-) -> tuple[str, int]:
-    """Scan one possibly-quoted field; return (text, next_field_start)."""
-    if start <= line_end and start < len(content) and content[start] == quote:
-        pieces: list[str] = []
-        pos = start + 1
+    data: bytes,
+    start: int,
+    line_end: int,
+    delim: bytes,
+    quote: bytes | None,
+    base: int = 0,
+) -> tuple[bytes, int]:
+    """Scan one possibly-quoted field; return (bytes, next_field_start).
+
+    Positions are relative to ``data``; ``base`` only names the file
+    offset in the error.  ``quote`` is ``None`` for unquoted dialects.
+    """
+    if quote and start < line_end and data.startswith(quote, start):
+        q = len(quote)
+        pieces: list[bytes] = []
+        pos = start + q
         while True:
-            closing = content.find(quote, pos, line_end)
+            closing = data.find(quote, pos, line_end)
             if closing == -1:
-                raise RawDataError(f"unterminated quote at offset {start}")
-            if closing + 1 <= line_end - 1 and content[closing + 1] == quote:
-                pieces.append(content[pos : closing + 1])  # doubled quote
-                pos = closing + 2
+                raise RawDataError(
+                    f"unterminated quote at offset {start + base}",
+                    offset=start + base,
+                )
+            if data.startswith(quote, closing + q, line_end):
+                pieces.append(data[pos : closing + q])  # doubled quote
+                pos = closing + 2 * q
                 continue
-            pieces.append(content[pos:closing])
-            end = closing + 1
+            pieces.append(data[pos:closing])
+            end = closing + q
             break
-        return "".join(pieces), end + 1
-    end = content.find(delim, start, line_end)
+        return b"".join(pieces), end + len(delim)
+    end = data.find(delim, start, line_end)
     if end == -1:
         end = line_end
-    return content[start:end], end + 1
+    return data[start:end], end + len(delim)
 
 
 def field_end(
-    content: str, start: int, line_end: int, dialect: CsvDialect
+    data: bytes,
+    start: int,
+    line_end: int,
+    dialect: CsvDialect,
+    base: int = 0,
 ) -> int:
     """Exclusive end offset of the field starting at ``start``."""
-    if (
-        dialect.quoting
-        and start < line_end
-        and content[start] == dialect.quote_char
-    ):
-        __, nxt = _scan_quoted_field(
-            content, start, line_end, dialect.delimiter, dialect.quote_char
-        )
-        return nxt - 1
-    end = content.find(dialect.delimiter, start, line_end)
-    return line_end if end == -1 else end
+    lo, hi = start - base, line_end - base
+    delim, quote = dialect.delimiter_bytes, dialect.quote_bytes
+    if quote is not None and lo < hi and data.startswith(quote, lo):
+        __, nxt = _scan_quoted_field(data, lo, hi, delim, quote, base)
+        return nxt - len(delim) + base
+    end = data.find(delim, lo, hi)
+    return line_end if end == -1 else end + base
 
 
 def extract_field(
-    content: str, start: int, line_end: int, dialect: CsvDialect
+    data: bytes,
+    start: int,
+    line_end: int,
+    dialect: CsvDialect,
+    base: int = 0,
 ) -> str:
     """Positional-map jump: read one field given its start offset."""
-    if (
-        dialect.quoting
-        and start < line_end
-        and content[start] == dialect.quote_char
-    ):
-        text, __ = _scan_quoted_field(
-            content, start, line_end, dialect.delimiter, dialect.quote_char
-        )
-        return text
-    end = content.find(dialect.delimiter, start, line_end)
-    if end == -1:
-        end = line_end
-    return content[start:end]
+    lo, hi = start - base, line_end - base
+    delim, quote = dialect.delimiter_bytes, dialect.quote_bytes
+    if quote is None or not data.startswith(quote, lo):
+        end = data.find(delim, lo, hi)
+        raw = data[lo : hi if end == -1 else end]
+    else:
+        raw, __ = _scan_quoted_field(data, lo, hi, delim, quote, base)
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        return decode_fields([raw], [start])[0]  # raises, naming start
 
 
 def extract_fields_between(
-    content: str,
+    data: bytes,
     starts: np.ndarray,
     next_starts: np.ndarray,
     dialect: CsvDialect,
+    base: int = 0,
 ) -> list[str]:
     """Vectorized extraction when the map also knows the *next* field.
 
-    ``next_starts[i] - 1`` is the delimiter (or newline) closing field
+    ``next_starts[i]`` minus one delimiter width is the end of field
     ``i``, so no scanning is needed at all — the fastest map path.
     """
-    if not dialect.quoting:
-        return [
-            content[a:b]
-            for a, b in zip(starts.tolist(), (next_starts - 1).tolist())
+    step = len(dialect.delimiter_bytes)
+    raws = [
+        data[a:b]
+        for a, b in zip(
+            (starts - base).tolist(), (next_starts - step - base).tolist()
+        )
+    ]
+    if dialect.quoting:
+        quote = dialect.quote_bytes
+        q = len(quote)
+        raws = [
+            raw[q:-q].replace(quote + quote, quote)
+            if raw.startswith(quote) and raw.endswith(quote)
+            else raw
+            for raw in raws
         ]
-    out = []
-    quote = dialect.quote_char
-    for a, b in zip(starts.tolist(), (next_starts - 1).tolist()):
-        text = content[a:b]
-        if text.startswith(quote) and text.endswith(quote):
-            text = text[1:-1].replace(quote + quote, quote)
-        out.append(text)
-    return out
+    return decode_fields(raws, starts)

@@ -64,9 +64,9 @@ def load_csv_to_columns(
     report = LoadReport()
 
     t0 = time.perf_counter()
-    reader = RawFileReader(path)
-    content = reader.content()
-    report.bytes_read = reader.size_bytes()
+    with RawFileReader(path) as reader:
+        content = reader.read_range(0, reader.size)
+    report.bytes_read = len(content)
     report.io_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()

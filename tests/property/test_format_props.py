@@ -219,3 +219,220 @@ def test_jsonl_append_matches_csv_append(tmp_path):
     finally:
         csv_eng.close()
         jsonl_eng.close()
+
+
+# ----------------------------------------------------------------------
+# Physical layouts: the same logical file as LF / CRLF / mixed line
+# ends, with or without a final terminator, with or without a UTF-8
+# byte-order mark.  The engine reads the file's own bytes — nothing is
+# normalized — so every layout must answer like the plain LF file, and
+# every learned offset must point at the bytes it names.
+# ----------------------------------------------------------------------
+
+BOM = b"\xef\xbb\xbf"
+
+# Unquoted, kernel-eligible dialect: the nasty alphabet has no '|'.
+PIPE = CsvDialect(
+    delimiter="|", quote_char=None, null_token="NULL", has_header=False
+)
+
+#: name -> (register, render LF text, dialect or None, scan_kernels)
+PATHS = {
+    "csv_kernel": ("csv", PIPE, True),
+    "csv_scalar": ("csv", PIPE, False),
+    "csv_quoted": ("csv", DIALECT, True),
+    "jsonl": ("jsonl", None, True),
+}
+
+layout_strategy = st.fixed_dictionaries(
+    {
+        "newline": st.sampled_from(["lf", "crlf", "mixed"]),
+        "terminated": st.booleans(),
+        "bom": st.booleans(),
+    }
+)
+
+
+def _render_lf(kind, dialect, rows) -> bytes:
+    from repro.rawio.writer import render_jsonl_rows, render_rows
+
+    if kind == "jsonl":
+        return render_jsonl_rows(rows, SCHEMA).encode()
+    return render_rows(rows, SCHEMA, dialect).encode()
+
+
+def _terminators(layout, n_lines, first=0):
+    """The line end of each of ``n_lines`` lines under ``layout``."""
+    style = layout["newline"]
+    return [
+        b"\r\n" if style == "crlf" or (style == "mixed" and i % 2) else b"\n"
+        for i in range(first, first + n_lines)
+    ]
+
+
+def _physical(lf: bytes, layout) -> bytes:
+    lines = lf.split(b"\n")[:-1]
+    ends = _terminators(layout, len(lines))
+    if not layout["terminated"]:
+        ends[-1] = b""
+    body = b"".join(line + end for line, end in zip(lines, ends))
+    return (BOM if layout["bom"] else b"") + body
+
+
+def _physical_append(lf_tail: bytes, layout, n_before) -> bytes:
+    """What an editor adds: close the open last line — with the line end
+    the layout gives that line, so ``\\r\\n`` on CRLF files — then the
+    rows."""
+    lines = lf_tail.split(b"\n")[:-1]
+    ends = _terminators(layout, len(lines), first=n_before)
+    head = b""
+    if not layout["terminated"]:
+        head = _terminators(layout, 1, first=n_before - 1)[0]
+    return head + b"".join(line + end for line, end in zip(lines, ends))
+
+
+def _open(path, kind, dialect, config):
+    eng = PostgresRaw(config)
+    if kind == "jsonl":
+        eng.register_jsonl("t", path, SCHEMA)
+    else:
+        eng.register_csv("t", path, SCHEMA, dialect)
+    return eng
+
+
+def _cell(kind, dialect, value, dtype) -> bytes:
+    """The bytes a writer puts in the file for one value."""
+    import json
+
+    from repro.datatypes import format_scalar
+
+    if kind == "jsonl":
+        if value is None:
+            return b"null"
+        text = format_scalar(value, dtype, "null")
+        return (json.dumps(text) if dtype is DataType.TEXT else text).encode()
+    text = format_scalar(value, dtype, dialect.null_token)
+    q = dialect.quote_char
+    if q is not None and (dialect.delimiter in text or q in text):
+        text = q + text.replace(q, q + q) + q
+    return text.encode()
+
+
+def _assert_map_points_at_the_bytes(eng, raw, kind, dialect, rows):
+    dtypes = SCHEMA.dtypes()
+    pm = eng.table_state("t").positional_map
+    assert pm.chunk_count > 0
+    for chunk in pm.chunks():
+        offsets = chunk.offsets.tolist()
+        for r in range(chunk.rows):
+            for col, attr in enumerate(chunk.attrs):
+                cell = _cell(kind, dialect, rows[r][attr], dtypes[attr])
+                off = offsets[r][col]
+                assert raw[off : off + len(cell)] == cell, (r, attr)
+
+
+def _map_of(eng):
+    pm = eng.table_state("t").positional_map
+    return (
+        pm.line_bounds.tolist(),
+        pm.crlf,
+        sorted(
+            (c.attrs, c.rows, c.offsets.tolist()) for c in pm.chunks()
+        ),
+    )
+
+
+FULL = "SELECT c0, c1, c2, c3 FROM t"
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    rows=rows_strategy,
+    tail=st.lists(st.tuples(*cell_strategies), min_size=1, max_size=6),
+    layout=layout_strategy,
+    query=query_strategy,
+)
+def test_layouts_answer_like_the_lf_file(
+    tmp_path_factory, name, rows, tail, layout, query
+):
+    """(a) every layout == the LF, BOM-less copy; (b) the map points at
+    the bytes; (d) cold -> warm -> append -> warm, identical throughout."""
+    kind, dialect, kernels = PATHS[name]
+    tmp = tmp_path_factory.mktemp("layout")
+    lf = _render_lf(kind, dialect, rows)
+    lf_tail = _render_lf(kind, dialect, tail)
+    plain, laid = tmp / f"plain.{kind}", tmp / f"laid.{kind}"
+    plain.write_bytes(lf)
+    laid.write_bytes(_physical(lf, layout))
+
+    config = PostgresRawConfig(batch_size=16, scan_kernels=kernels)
+    reference = _open(plain, kind, dialect, PostgresRawConfig(batch_size=16))
+    eng = _open(laid, kind, dialect, config)
+    sqls = [FULL, _sql(query)]
+    try:
+        for step in ("cold", "warm"):
+            for sql in sqls:
+                assert eng.query(sql).rows == reference.query(sql).rows, (
+                    step, sql
+                )
+        assert eng.query(FULL).rows == rows
+        _assert_map_points_at_the_bytes(
+            eng, laid.read_bytes(), kind, dialect, rows
+        )
+
+        with open(plain, "ab") as f:
+            f.write(lf_tail)
+        with open(laid, "ab") as f:
+            f.write(_physical_append(lf_tail, layout, len(rows)))
+        for step in ("appended", "warm again"):
+            for sql in sqls:
+                assert eng.query(sql).rows == reference.query(sql).rows, (
+                    step, sql
+                )
+        assert eng.query(FULL).rows == rows + tail
+        _assert_map_points_at_the_bytes(
+            eng, laid.read_bytes(), kind, dialect, rows + tail
+        )
+    finally:
+        eng.close()
+        reference.close()
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(rows=rows_strategy, layout=layout_strategy, query=query_strategy)
+def test_layouts_serial_equals_thread_equals_process(
+    tmp_path_factory, name, rows, layout, query
+):
+    """(c) rows, merged positional map, line bounds and the CRLF flag
+    agree across the serial scan and both 4-worker pool backends."""
+    kind, dialect, kernels = PATHS[name]
+    path = tmp_path_factory.mktemp("layout-par") / f"t.{kind}"
+    path.write_bytes(_physical(_render_lf(kind, dialect, rows), layout))
+    outcomes = []
+    for workers, backend in ((1, "thread"), (4, "thread"), (4, "process")):
+        config = PostgresRawConfig(
+            batch_size=16,
+            scan_kernels=kernels,
+            scan_workers=workers,
+            parallel_backend=backend,
+            parallel_chunk_bytes=64,
+        )
+        eng = _open(path, kind, dialect, config)
+        try:
+            answers = [eng.query(sql).rows for sql in (FULL, _sql(query))]
+            outcomes.append((answers, _map_of(eng)))
+        finally:
+            eng.close()
+    assert outcomes[0][0][0] == rows
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]

@@ -1,7 +1,8 @@
 """Property-based tests for the vectorized scan kernels: for arbitrary
-generated files — ASCII and unicode, NULL-heavy, CRLF, unterminated
-final lines — an engine with ``scan_kernels=True`` is row-for-row and
-structure-for-structure identical to the legacy interpreted path
+generated files — ASCII and unicode, NULL-heavy, LF / CRLF / mixed line
+ends, unterminated final lines, a leading byte-order mark — an engine
+with ``scan_kernels=True`` is row-for-row and structure-for-structure
+identical to the legacy interpreted path
 (``scan_kernels=False``), serially and with a 4-worker pool."""
 
 import numpy as np
@@ -54,9 +55,18 @@ def raw_files(draw, null_heavy=False):
             if draw(st.floats(0, 1)) < null_p:
                 cells[i] = NULL_TOKEN
         rows.append(",".join(cells))
-    nl = draw(st.sampled_from(["\n", "\r\n"]))
-    terminate = draw(st.booleans())
-    return "a,b,c,d" + nl + nl.join(rows) + (nl if terminate else "")
+    # Line ends: all LF, all CRLF, or mixed per line; the last line may
+    # be unterminated; the file may start with a byte-order mark.
+    style = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    ends = [
+        draw(st.sampled_from(["\n", "\r\n"])) if style == "mixed" else style
+        for _ in range(n_rows + 1)
+    ]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    lines = ["a,b,c,d"] + rows
+    return bom + "".join(line + end for line, end in zip(lines, ends))
 
 
 QUERIES = [

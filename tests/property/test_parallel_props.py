@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro import PostgresRaw, PostgresRawConfig
 from repro.catalog.schema import TableSchema
 from repro.parallel.chunker import plan_file_chunks
-from repro.rawio.reader import decode_raw
+from repro.rawio.tokenizer import build_line_index, trim_cr
 
 # --- generated raw files ---------------------------------------------
 
@@ -185,22 +185,35 @@ def test_parallel_append_tail_equals_serial(
         assert np.array_equal(sc.offsets, pc.offsets)
 
 
-# --- decode normalization is chunking-compatible ---------------------
+# --- record bounds are chunking-compatible ---------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=rows_strategy, terminate=st.booleans())
-def test_crlf_decode_composes_over_chunks(
+def test_crlf_record_bounds_compose_over_chunks(
     tmp_path_factory, rows, terminate
 ):
-    """Per-chunk CRLF normalization concatenates to whole-file
-    normalization (chunk cuts always sit after a newline)."""
+    """Per-chunk line indexes and CR trims concatenate to the whole
+    file's (chunk cuts always sit after a newline, so a CRLF pair never
+    straddles chunks)."""
     tmp = tmp_path_factory.mktemp("nl")
     path = tmp / "t.csv"
     data = _render(rows, "\r\n", terminate).encode()
     path.write_bytes(data)
-    specs = plan_file_chunks(path, 40, 8)
-    joined = "".join(
-        decode_raw(data[s.start : s.end]) for s in specs
-    )
-    assert joined == decode_raw(data)
+
+    def records(chunk, has_header, base):
+        bounds = build_line_index(chunk, has_header, base)
+        starts, ends = bounds[:-1], bounds[1:] - 1
+        buf = np.frombuffer(chunk, dtype=np.uint8)
+        return starts.tolist(), trim_cr(buf, starts, ends, base).tolist()
+
+    starts, ends = [], []
+    for spec in plan_file_chunks(path, 40, 8):
+        chunk = data[spec.start : spec.end]
+        s, e = records(chunk, spec.index == 0, spec.start)
+        starts += s
+        ends += e
+    assert (starts, ends) == records(data, True, 0)
+    assert [data[s:e] for s, e in zip(starts, ends)] == [
+        f"{a},{b},{c}".encode() for a, b, c in rows
+    ]

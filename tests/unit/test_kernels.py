@@ -17,14 +17,16 @@ from repro.rawio.dialect import CsvDialect
 from repro.telemetry import MetricsRegistry
 
 
-def _span(texts):
-    """A ContentBuffer + char bounds laying out ``texts`` comma-joined."""
-    cbuf = ContentBuffer(",".join(texts))
-    starts, ends, pos = [], [], 0
+def _span(texts, base=0):
+    """A ContentBuffer window at file offset ``base`` + the file-offset
+    bounds laying out ``texts`` comma-joined."""
+    cbuf = ContentBuffer(",".join(texts).encode(), base)
+    starts, ends, pos = [], [], base
     for t in texts:
+        size = len(t.encode())
         starts.append(pos)
-        ends.append(pos + len(t))
-        pos += len(t) + 1
+        ends.append(pos + size)
+        pos += size + 1
     return cbuf, np.array(starts), np.array(ends)
 
 
@@ -62,6 +64,20 @@ class TestConvertSpan:
             convert_column(texts, DataType.INTEGER, null_token="NULL")
         assert str(kexc.value) == str(lexc.value)
         assert kexc.value.row == lexc.value.row
+
+    def test_window_base_is_subtracted(self):
+        texts = ["12", "-3.5", "NULL", "1e3"]
+        cbuf, starts, ends = _span(texts, base=1_000_000)
+        values, nulls = convert_span(
+            cbuf, starts, ends, DataType.FLOAT, null_token="NULL"
+        )
+        assert values.tolist() == [12.0, -3.5, 0.0, 1000.0]
+        assert nulls.tolist() == [False, False, True, False]
+        assert cbuf.covers(1_000_000, 1_000_000 + len(cbuf.data))
+        assert not cbuf.covers(999_999, 1_000_001)
+        assert cbuf.byte_positions(",").tolist() == [
+            1_000_002, 1_000_007, 1_000_012
+        ]
 
     def test_error_row_offset(self):
         texts = ["1", "x", "3"]

@@ -4,11 +4,21 @@ cached, jumped over and charged where."""
 import pytest
 
 from repro import (
+    Column,
+    DataType,
     PostgresRaw,
     PostgresRawConfig,
+    TableSchema,
+    append_csv_rows,
+    append_jsonl_rows,
     generate_csv,
     uniform_table_spec,
+    write_csv,
+    write_jsonl,
 )
+from repro.errors import RawDataError
+from repro.rawio.dialect import CsvDialect
+from repro.rawio.reader import RawFileReader
 
 
 @pytest.fixture
@@ -237,3 +247,228 @@ class TestCorrectnessUnderConfigs:
             # Run twice: cold and warm must agree.
             assert list(eng.query(q)) == exp
             assert list(eng.query(q)) == exp
+
+
+# ----------------------------------------------------------------------
+# Byte-addressed raw access: a scan reads the byte ranges its plan
+# needs — never "the file" once the line index is known.
+# ----------------------------------------------------------------------
+
+FACTS = TableSchema(
+    [
+        Column("id", DataType.INTEGER),
+        Column("amount", DataType.INTEGER),
+        Column("note", DataType.TEXT),
+    ]
+)
+
+
+@pytest.fixture
+def record_reads(monkeypatch):
+    """Every ``RawFileReader.read_range`` call as ``(start, end)``."""
+    reads = []
+    original = RawFileReader.read_range
+
+    def recording(self, start, end):
+        reads.append((start, end))
+        return original(self, start, end)
+
+    monkeypatch.setattr(RawFileReader, "read_range", recording)
+    return reads
+
+
+class TestByteRangeReads:
+    def test_warm_point_reads_one_record_not_the_file(
+        self, tmp_path, record_reads
+    ):
+        path = tmp_path / "facts.csv"
+        n = 80_000
+        write_csv(
+            path, [(i, i * 7 % 1000, f"note-{i:09d}") for i in range(n)], FACTS
+        )
+        eng = PostgresRaw()
+        eng.register_csv("t", path, FACTS)
+        sql = "SELECT id, amount, note FROM t WHERE id = {}"
+        cold = eng.query(sql.format(5))
+        assert cold.metrics.bytes_read == path.stat().st_size  # once
+        del record_reads[:]
+        warm = eng.query(sql.format(61_234))
+        assert warm.rows == [(61_234, 61_234 * 7 % 1000, "note-000061234")]
+        assert warm.metrics.fields_tokenized == 0
+        # One positioned read of the one selected record, shared by
+        # both projected attributes; no whole-file buffer anywhere.
+        assert 0 < warm.metrics.bytes_read < 4096
+        assert len(record_reads) == 1
+        (start, end), = record_reads
+        assert path.read_bytes()[start:end] == b"61234,638,note-000061234"
+        eng.close()
+
+    def test_no_qualifying_row_reads_nothing(self, tmp_path, record_reads):
+        path = tmp_path / "facts.csv"
+        write_csv(path, [(i, i, f"n{i}") for i in range(500)], FACTS)
+        eng = PostgresRaw()
+        eng.register_csv("t", path, FACTS)
+        eng.query("SELECT note FROM t WHERE id = 3")
+        del record_reads[:]
+        assert eng.query("SELECT note FROM t WHERE id = -1").rows == []
+        assert record_reads == []
+        eng.close()
+
+    def test_all_cached_query_never_constructs_a_reader(
+        self, fresh, monkeypatch
+    ):
+        import repro.core.raw_scan as raw_scan_mod
+
+        eng = fresh()
+        expected = eng.query("SELECT a1, a2 FROM t").rows
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("raw file opened on an all-cached scan")
+
+        monkeypatch.setattr(raw_scan_mod, "RawFileReader", no_reader)
+        assert eng.query("SELECT a1, a2 FROM t").rows == expected
+        assert eng.query("SELECT a2 FROM t WHERE a1 >= 0").rows == [
+            (r[1],) for r in expected
+        ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_append_reads_only_the_tail(self, tmp_path, fmt, record_reads):
+        """Regression: indexing a pending append went through the whole
+        content to look at ``content[tail_start:]``."""
+        path = tmp_path / f"t.{fmt}"
+        rows = [(i, i * 10, f"s{i}") for i in range(5_000)]
+        tail = [(5_000 + i, i, f"t{i}") for i in range(20)]
+        eng = PostgresRaw()
+        if fmt == "csv":
+            write_csv(path, rows, FACTS)
+            eng.register_csv("t", path, FACTS)
+        else:
+            write_jsonl(path, rows, FACTS)
+            eng.register_jsonl("t", path, FACTS)
+        sql = "SELECT id, amount, note FROM t WHERE id >= 0"
+        for _ in range(2):
+            eng.query(sql)  # warmed: every attribute cached
+        old_size = path.stat().st_size
+        if fmt == "csv":
+            append_csv_rows(path, tail, FACTS)
+        else:
+            append_jsonl_rows(path, tail, FACTS)
+        tail_size = path.stat().st_size - old_size
+        del record_reads[:]
+        result = eng.query(sql)
+        assert result.rows == rows + tail
+        # One read: the last known record's terminator, then the tail.
+        assert record_reads == [(old_size - 1, old_size + tail_size)]
+        assert result.metrics.bytes_read == tail_size + 1
+        eng.close()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "first, separator, second",
+        [
+            (b"\r\n", b"\r\n", b"\r\n"),  # CRLF file, CRLF appender
+            (b"\n", b"\r\n", b"\n"),  # only the separator is CRLF
+            (b"\r\n", b"\n", b"\n"),  # CRLF file, LF appender
+            (b"\n", b"\n", b"\r\n"),  # LF file, CRLF rows
+        ],
+    )
+    def test_append_after_unterminated_last_record(
+        self, tmp_path, fmt, workers, first, separator, second
+    ):
+        """Regression: the tail read started one byte past the old end
+        of file, so the ``\\n`` of a separating ``\\r\\n`` became a
+        phantom empty record."""
+        if fmt == "csv":
+            lines = [b"%d,%d,n%d" % (i, i * 2, i) for i in range(8)]
+        else:
+            lines = [
+                b'{"id": %d, "amount": %d, "note": "n%d"}' % (i, i * 2, i)
+                for i in range(8)
+            ]
+        expected = [(i, i * 2, f"n{i}") for i in range(8)]
+        path = tmp_path / f"t.{fmt}"
+        path.write_bytes(first.join(lines[:5]))  # no final terminator
+        eng = PostgresRaw(PostgresRawConfig(scan_workers=workers))
+        if fmt == "csv":
+            dialect = CsvDialect(has_header=False)
+            eng.register_csv("t", path, FACTS, dialect)
+        else:
+            eng.register_jsonl("t", path, FACTS)
+        sql = "SELECT id, amount, note FROM t"
+        assert eng.query(sql).rows == expected[:5]
+        with open(path, "ab") as f:
+            f.write(separator + second.join(lines[5:]) + second)
+        assert eng.query("SELECT COUNT(*) AS n FROM t").rows == [(8,)]
+        assert eng.query(sql).rows == expected
+        assert eng.query(sql).rows == expected  # warm: map and cache
+        eng.close()
+
+
+def _invalid_utf8_csv(path, n_rows=400, bad_row=257):
+    """``k,s,v`` rows; the TEXT field of ``bad_row`` holds a lone 0xFF."""
+    lines = [b"k,s,v\n"]
+    for i in range(n_rows):
+        s = b"caf\xff" if i == bad_row else "café".encode()
+        lines.append(b"%d,%s,%d\n" % (i, s, i * 3))
+    path.write_bytes(b"".join(lines))
+    return TableSchema(
+        [
+            Column("k", DataType.INTEGER),
+            Column("s", DataType.TEXT),
+            Column("v", DataType.INTEGER),
+        ]
+    )
+
+
+class TestLazyDecode:
+    """An undecodable byte fails the field that holds it, not the table."""
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_serial_names_the_row(self, tmp_path, kernels):
+        path = tmp_path / "t.csv"
+        schema = _invalid_utf8_csv(path)
+        eng = PostgresRaw(PostgresRawConfig(scan_kernels=kernels))
+        eng.register_csv("t", path, schema)
+        # Cold: tokenizes across the TEXT column without decoding it.
+        assert eng.query("SELECT v FROM t").rows == [
+            (i * 3,) for i in range(400)
+        ]
+        # Rows that do not hold the byte are readable too.
+        assert eng.query("SELECT s FROM t WHERE k = 5").rows == [("café",)]
+        # Warm (map jump) and cold (fresh engine) both name row 257.
+        cold = PostgresRaw(PostgresRawConfig(scan_kernels=kernels))
+        cold.register_csv("t", path, schema)
+        for engine in (eng, cold):
+            with pytest.raises(RawDataError, match="not valid UTF-8") as info:
+                engine.query("SELECT s FROM t")
+            assert info.value.row == 257
+            assert "row 257" in str(info.value)
+            engine.close()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_parallel_backends(self, tmp_path, backend):
+        path = tmp_path / "t.csv"
+        schema = _invalid_utf8_csv(path)
+        config = PostgresRawConfig(
+            scan_workers=4,
+            parallel_backend=backend,
+            parallel_chunk_bytes=1024,
+            batch_size=64,
+        )
+        with PostgresRaw(config) as eng:
+            eng.register_csv("t", path, schema)
+            result = eng.query("SELECT v FROM t")
+            assert result.metrics.parallel_chunks > 1
+            assert result.rows == [(i * 3,) for i in range(400)]
+        with PostgresRaw(config) as eng:
+            eng.register_csv("t", path, schema)
+            with pytest.raises(RawDataError, match="not valid UTF-8") as info:
+                eng.query("SELECT s FROM t")
+            # The byte offset is the file's on every backend, and the
+            # row is the table's — not the one within the worker's chunk.
+            offset = path.read_bytes().index(b"caf\xff")
+            assert info.value.offset == offset
+            assert f"byte offset {offset}" in str(info.value)
+            assert info.value.row == 257
+            assert str(info.value).startswith("row 257 ")

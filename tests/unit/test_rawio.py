@@ -6,7 +6,7 @@ import pytest
 from repro.catalog.schema import Column, TableSchema
 from repro.core.metrics import QueryMetrics
 from repro.datatypes import DataType, days_to_date
-from repro.errors import RawDataError, SchemaError
+from repro.errors import RawDataError, SchemaError, UpdateConflictError
 from repro.rawio.dialect import CsvDialect
 from repro.rawio.generator import (
     ColumnSpec,
@@ -204,36 +204,49 @@ class TestWriter:
 
 
 class TestReader:
-    def test_content_metered(self, tmp_path):
+    def test_range_reads_are_metered(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("x" * 1000)
+        path.write_bytes(b"0123456789" * 100)
         metrics = QueryMetrics()
-        reader = RawFileReader(path, metrics)
-        content = reader.content()
-        assert len(content) == 1000
-        assert metrics.bytes_read == 1000
+        with RawFileReader(path, metrics) as reader:
+            assert reader.size == 1000
+            assert reader.read_range(8, 12) == b"8901"
+            assert reader.read_range(990, 1000) == b"0123456789"
+            assert reader.read_range(5, 5) == b""
+        # Only the bytes asked for were read.
+        assert metrics.bytes_read == 14
         assert metrics.io_seconds > 0
 
-    def test_content_read_once(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("abc")
-        metrics = QueryMetrics()
-        reader = RawFileReader(path, metrics)
-        reader.content()
-        reader.content()
-        assert metrics.bytes_read == 3
-
     def test_missing_file(self, tmp_path):
-        reader = RawFileReader(tmp_path / "nope.csv")
         with pytest.raises(RawDataError):
-            reader.content()
-        with pytest.raises(RawDataError):
-            reader.size_bytes()
+            RawFileReader(tmp_path / "nope.csv")
 
     def test_prefix_bytes(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_bytes(b"0123456789")
-        assert RawFileReader(path).read_prefix_bytes(4) == b"0123"
+        with RawFileReader(path) as reader:
+            assert reader.read_prefix_bytes(4) == b"0123"
+
+    def test_shrunk_file_is_a_typed_conflict(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"0123456789")
+        with RawFileReader(path) as reader:
+            path.write_bytes(b"0123")  # truncated in place, same inode
+            with pytest.raises(UpdateConflictError):
+                reader.read_range(2, 8)  # short read
+            with pytest.raises(UpdateConflictError):
+                reader.read_range(0, 2)  # readable, but another version
+
+    def test_expected_version_is_checked_at_open(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"0123456789")
+        with RawFileReader(path) as reader:
+            stamp = reader.stamp
+        with RawFileReader(path, stamp=stamp) as reader:
+            assert reader.read_range(0, 4) == b"0123"
+        path.write_bytes(b"something else entirely")
+        with pytest.raises(UpdateConflictError):
+            RawFileReader(path, stamp=stamp)
 
 
 class TestSniffer:

@@ -239,10 +239,11 @@ class TestSlowQueryLog:
 
 class TestScanWorkerError:
     def _failing_task(self):
-        # Neither inline text nor a path: _read_chunk raises, and the
-        # wrapper must attach the chunk's scan context.
+        # No such raw file: the worker's read raises, and the wrapper
+        # must attach the chunk's scan context.
         return ChunkTask(
             index=3,
+            path="/nonexistent/orders.csv",
             entry_name="orders",
             schema=None,
             dialect=CsvDialect(),

@@ -8,10 +8,11 @@ from repro.rawio.dialect import CsvDialect
 from repro.rawio.tokenizer import (
     build_line_index,
     extract_field,
-    extract_fields_between,
     field_end,
+    extract_fields_between,
     tokenize_lines,
     tokenize_span,
+    trim_cr,
 )
 
 PLAIN = CsvDialect(has_header=False)
@@ -20,48 +21,57 @@ QUOTED = CsvDialect(has_header=False, quote_char='"')
 
 class TestLineIndex:
     def test_trailing_newline(self):
-        bounds = build_line_index("ab\ncd\n")
+        bounds = build_line_index(b"ab\ncd\n")
         assert bounds.tolist() == [0, 3, 6]
 
     def test_no_trailing_newline(self):
-        bounds = build_line_index("ab\ncd")
+        bounds = build_line_index(b"ab\ncd")
         assert bounds.tolist() == [0, 3, 6]
 
     def test_single_line(self):
-        assert build_line_index("abc\n").tolist() == [0, 4]
+        assert build_line_index(b"abc\n").tolist() == [0, 4]
 
     def test_empty_content(self):
-        assert build_line_index("").tolist() == [0]
+        assert build_line_index(b"").tolist() == [0]
 
     def test_header_skipped(self):
-        bounds = build_line_index("h1,h2\n1,2\n3,4\n", has_header=True)
+        bounds = build_line_index(b"h1,h2\n1,2\n3,4\n", has_header=True)
         assert bounds.tolist() == [6, 10, 14]
 
     def test_header_only(self):
-        bounds = build_line_index("h1,h2\n", has_header=True)
+        bounds = build_line_index(b"h1,h2\n", has_header=True)
         assert len(bounds) - 1 == 0
 
     def test_non_ascii_content(self):
-        content = "aé,b\ncd,e\n"
+        content = "aé,b\ncd,e\n".encode()
         bounds = build_line_index(content)
-        # Offsets are character offsets into the decoded string.
-        n_rows = len(bounds) - 1
-        assert n_rows == 2
-        line0 = content[bounds[0] : bounds[1] - 1]
-        assert line0 == "aé,b"
+        # Offsets are byte offsets into the file: é is two bytes.
+        assert bounds.tolist() == [0, 6, 11]
+        assert content[bounds[0] : bounds[1] - 1].decode() == "aé,b"
+
+    def test_bom_is_skipped_at_file_start_only(self):
+        content = b"\xef\xbb\xbf1,2\n3,4\n"
+        assert build_line_index(content).tolist() == [3, 7, 11]
+        assert build_line_index(content, has_header=True).tolist() == [7, 11]
+        # The same bytes as a mid-file range are data, not a mark.
+        assert build_line_index(content, base=100).tolist() == [100, 107, 111]
+        assert build_line_index(b"\xef\xbb\xbf").tolist() == [3]
+
+    def test_base_shifts_to_file_offsets(self):
+        assert build_line_index(b"ab\ncd", base=10).tolist() == [10, 13, 16]
 
     def test_line_extraction_roundtrip(self):
-        content = "one,1\ntwo,2\nthree,3\n"
+        content = b"one,1\ntwo,2\nthree,3\n"
         bounds = build_line_index(content)
         lines = [
             content[bounds[i] : bounds[i + 1] - 1]
             for i in range(len(bounds) - 1)
         ]
-        assert lines == ["one,1", "two,2", "three,3"]
+        assert lines == [b"one,1", b"two,2", b"three,3"]
 
 
 class TestTokenizeLines:
-    CONTENT = "10,20,30,40\n11,21,31,41\n12,22,32,42\n"
+    CONTENT = b"10,20,30,40\n11,21,31,41\n12,22,32,42\n"
 
     def _bounds(self):
         return build_line_index(self.CONTENT)
@@ -81,7 +91,10 @@ class TestTokenizeLines:
         for r in range(3):
             for j in range(4):
                 start = rows.offsets[r, j]
-                assert self.CONTENT[start : start + 2] == rows.texts_of(j)[r]
+                assert (
+                    self.CONTENT[start : start + 2].decode()
+                    == rows.texts_of(j)[r]
+                )
 
     def test_sentinel_column(self):
         rows = tokenize_lines(self.CONTENT, self._bounds(), 0, 3, 1, 4, PLAIN)
@@ -94,13 +107,13 @@ class TestTokenizeLines:
         assert rows.texts_of(0) == ["11", "12"]
 
     def test_too_few_fields_raises(self):
-        content = "1,2\n3\n"
+        content = b"1,2\n3\n"
         bounds = build_line_index(content)
         with pytest.raises(RawDataError):
             tokenize_lines(content, bounds, 0, 2, 1, 2, PLAIN)
 
     def test_too_many_fields_raises_on_full_split(self):
-        content = "1,2,3\n"
+        content = b"1,2,3\n"
         bounds = build_line_index(content)
         with pytest.raises(RawDataError):
             tokenize_lines(content, bounds, 0, 1, 1, 2, PLAIN)
@@ -110,7 +123,7 @@ class TestTokenizeLines:
             tokenize_lines(self.CONTENT, self._bounds(), 0, 3, 4, 4, PLAIN)
 
     def test_empty_fields(self):
-        content = ",,x\n,y,\n"
+        content = b",,x\n,y,\n"
         bounds = build_line_index(content)
         rows = tokenize_lines(content, bounds, 0, 2, 2, 3, PLAIN)
         assert rows.texts_of(0) == ["", ""]
@@ -119,7 +132,7 @@ class TestTokenizeLines:
 
 
 class TestTokenizeSpan:
-    CONTENT = "10,20,30,40\n11,21,31,41\n"
+    CONTENT = b"10,20,30,40\n11,21,31,41\n"
 
     def test_anchored_span_skips_prefix(self):
         bounds = build_line_index(self.CONTENT)
@@ -142,32 +155,32 @@ class TestTokenizeSpan:
 
 class TestQuotedTokenizer:
     def test_quoted_fields_with_delimiters(self):
-        content = '"a,b",2\n"c""d",4\n'
+        content = b'"a,b",2\n"c""d",4\n'
         bounds = build_line_index(content)
         rows = tokenize_lines(content, bounds, 0, 2, 1, 2, QUOTED)
         assert rows.texts_of(0) == ["a,b", 'c"d']
         assert rows.texts_of(1) == ["2", "4"]
 
     def test_mixed_quoted_unquoted(self):
-        content = 'x,"y z",w\n'
+        content = b'x,"y z",w\n'
         bounds = build_line_index(content)
         rows = tokenize_lines(content, bounds, 0, 1, 2, 3, QUOTED)
         assert rows.texts_of(1) == ["y z"]
 
     def test_unterminated_quote_raises(self):
-        content = '"abc,2\n'
+        content = b'"abc,2\n'
         bounds = build_line_index(content)
         with pytest.raises(RawDataError):
             tokenize_lines(content, bounds, 0, 1, 1, 2, QUOTED)
 
     def test_too_few_fields_raises(self):
-        content = "1\n"
+        content = b"1\n"
         bounds = build_line_index(content)
         with pytest.raises(RawDataError):
             tokenize_lines(content, bounds, 0, 1, 1, 2, QUOTED)
 
     def test_offsets_usable_for_extraction(self):
-        content = '"a,b",xyz,3\n'
+        content = b'"a,b",xyz,3\n'
         bounds = build_line_index(content)
         rows = tokenize_lines(content, bounds, 0, 1, 2, 3, QUOTED)
         start = int(rows.offsets[0, 1])
@@ -180,7 +193,7 @@ class TestQuotedTokenizer:
 
 
 class TestExtraction:
-    CONTENT = "10,200,3\n40,500,6\n"
+    CONTENT = b"10,200,3\n40,500,6\n"
 
     def test_extract_field(self):
         bounds = build_line_index(self.CONTENT)
@@ -190,6 +203,10 @@ class TestExtraction:
     def test_field_end(self):
         assert field_end(self.CONTENT, 3, 8, PLAIN) == 6
         assert field_end(self.CONTENT, 7, 8, PLAIN) == 8
+        # File offsets in and out when the data is a window of the file.
+        assert field_end(self.CONTENT[9:], 12, 17, PLAIN, base=9) == 15
+        quoted = b'1,"a,""b",2\n'
+        assert field_end(quoted, 2, 11, QUOTED) == 9
 
     def test_extract_fields_between(self):
         starts = np.array([3, 12])
@@ -200,8 +217,78 @@ class TestExtraction:
         assert texts == ["200", "500"]
 
     def test_extract_fields_between_quoted(self):
-        content = '"a,b",2\n'
+        content = b'"a,b",2\n'
         texts = extract_fields_between(
             content, np.array([0]), np.array([6]), QUOTED
         )
         assert texts == ["a,b"]
+
+
+class TestByteWindows:
+    """Every function takes the bytes of a file range plus the range's
+    file offset, and speaks file offsets in and out."""
+
+    FILE = b"x,y\n10,20,30\n11,21,31\n"
+    BASE = 4  # the window starts at the first data row
+
+    def test_tokenize_span_in_a_window_returns_file_offsets(self):
+        window = self.FILE[self.BASE :]
+        bounds = build_line_index(window, base=self.BASE)
+        assert bounds.tolist() == [4, 13, 22]
+        rows = tokenize_span(
+            window, bounds[:-1], bounds[1:] - 1, 0, 2, 3, PLAIN, self.BASE
+        )
+        whole = tokenize_span(
+            self.FILE, bounds[:-1], bounds[1:] - 1, 0, 2, 3, PLAIN
+        )
+        assert np.array_equal(rows.offsets, whole.offsets)
+        assert rows.texts_of(1) == ["20", "21"]
+        # The map points at the bytes.
+        assert self.FILE[rows.offsets[1, 2] :].startswith(b"31")
+
+    def test_extraction_in_a_window(self):
+        window = self.FILE[self.BASE :]
+        assert extract_field(window, 7, 12, PLAIN, self.BASE) == "20"
+        texts = extract_fields_between(
+            window, np.array([7, 16]), np.array([10, 19]), PLAIN, self.BASE
+        )
+        assert texts == ["20", "21"]
+
+    def test_trim_cr_per_record(self):
+        data = b"1,a\r\n2,b\n\r\n3,c\r"  # CRLF, LF, empty CRLF, bare CR
+        bounds = build_line_index(data)
+        starts, ends = bounds[:-1], bounds[1:] - 1
+        buf = np.frombuffer(data, dtype=np.uint8)
+        trimmed = trim_cr(buf, starts, ends)
+        assert [data[s:e] for s, e in zip(starts, trimmed)] == [
+            b"1,a", b"2,b", b"", b"3,c"
+        ]
+        # tokenize_lines applies the trim itself.
+        two = data[:9]
+        rows = tokenize_lines(two, build_line_index(two), 0, 2, 1, 2, PLAIN)
+        assert rows.texts_of(1) == ["a", "b"]
+
+    def test_multibyte_delimiter_uses_one_sentinel_rule(self):
+        dialect = CsvDialect(has_header=False, delimiter="§")
+        data = "a§bé§c\n".encode()
+        bounds = build_line_index(data)
+        rows = tokenize_lines(data, bounds, 0, 1, 2, 3, dialect)
+        assert [rows.texts_of(j) for j in range(3)] == [["a"], ["bé"], ["c"]]
+        # Every column boundary is "field end + one delimiter width".
+        starts = rows.offsets[0]
+        assert extract_fields_between(
+            data, starts[:-1], starts[1:], dialect
+        ) == ["a", "bé", "c"]
+        assert extract_field(data, int(starts[1]), 9, dialect) == "bé"
+
+    def test_invalid_utf8_fails_only_the_field_that_holds_it(self):
+        data = b"1,ok\n2,\xff\xfe\n"
+        bounds = build_line_index(data)
+        rows = tokenize_lines(data, bounds, 0, 2, 1, 2, PLAIN)
+        assert rows.texts_of(0) == ["1", "2"]
+        assert rows.texts_of(1, [0]) == ["ok"]
+        with pytest.raises(RawDataError, match="not valid UTF-8") as info:
+            rows.texts_of(1)
+        assert info.value.offset == 7
+        with pytest.raises(RawDataError, match="byte offset 7"):
+            extract_field(data, 7, 9, PLAIN)

@@ -59,18 +59,17 @@ class ColumnVector:
     ) -> "ColumnVector":
         """Build a vector from Python objects, treating ``None`` as NULL."""
         items = list(items)
-        mask = np.fromiter(
-            (v is None for v in items), dtype=np.bool_, count=len(items)
-        )
+        # One C-level pass each, no Python per element (a ``str`` is
+        # assigned whole: TEXT and scalars never hold sequences).
+        objects = np.empty(len(items), dtype=object)
+        objects[:] = items
+        mask = np.equal(objects, None).astype(np.bool_)
         if dtype is DataType.TEXT:
-            values = np.empty(len(items), dtype=object)
-            for i, v in enumerate(items):
-                values[i] = v
+            values = objects
         else:
             values = np.zeros(len(items), dtype=dtype.numpy_dtype)
-            for i, v in enumerate(items):
-                if v is not None:
-                    values[i] = v
+            valid = ~mask
+            values[valid] = objects[valid].astype(dtype.numpy_dtype)
         return cls(dtype, values, mask)
 
     def take(self, indices: np.ndarray) -> "ColumnVector":

@@ -280,10 +280,17 @@ class RawScan(Operator):
         predicate: Expression | None = None,
         config: PostgresRawConfig | None = None,
         pool=None,
+        row_from: int = 0,
     ) -> None:
         self.state = state
         self.config = config or state.config
         self.metrics = metrics
+        #: The scan covers table rows ``[row_from, row_to)``: from the
+        #: row it was asked to start at (an MV's watermark; 0 otherwise)
+        #: to the end of the line index it ran against — ``None`` until
+        #: that is known.
+        self.row_from = row_from
+        self.row_to: int | None = None
         #: Engine-owned persistent scan pool (repro.parallel) — when set,
         #: parallel dispatches reuse it across queries instead of forking
         #: a fresh pool per scan.
@@ -364,8 +371,9 @@ class RawScan(Operator):
         )
         fmt = self.state.entry.format
         fmt_tag = f"[{fmt}]" if fmt != "csv" else ""
+        rows = f" from row {self.row_from}" if self.row_from else ""
         text = (
-            f"RawScan({self.state.entry.name}{fmt_tag} -> "
+            f"RawScan({self.state.entry.name}{fmt_tag}{rows} -> "
             f"{', '.join(self.output_columns)}{pred})"
         )
         if self._vp_covers_all():
@@ -405,7 +413,7 @@ class RawScan(Operator):
             # convert concurrently (repro.parallel).
             yield from driver.run_cold()
             return
-        n_rows = self._ensure_bounds()
+        n_rows = self.row_to = self._ensure_bounds()
         if self.config.enable_statistics:
             state.statistics.set_row_estimate(n_rows)
         segments = self._plan_segments(n_rows)
@@ -459,8 +467,13 @@ class RawScan(Operator):
         pred_attrs: list[int],
         proj_only: list[int],
     ) -> Iterator[Batch]:
-        for r0 in range(0, row_to, batch_size):
+        # Batch cuts stay on table-wide ``batch_size`` multiples when
+        # the scan starts mid-table, as the pool's row cuts do.
+        row_from = self.row_from
+        first_cut = row_from - row_from % batch_size
+        for r0 in range(first_cut, row_to, batch_size):
             r1 = min(row_to, r0 + batch_size)
+            r0 = max(r0, row_from)
             self._batch_spans.clear()
             if self.predicate is None:
                 vectors = self._acquire(self._needed_attrs, segments, r0, r1)
@@ -659,26 +672,28 @@ class RawScan(Operator):
         return kernel
 
     def _plan_segments(self, n_rows: int) -> list[_Segment]:
-        """Split [0, n_rows) at coverage boundaries and classify attrs."""
+        """Split [row_from, n_rows) at coverage boundaries and classify
+        attrs."""
         cache = self.state.cache
         pm = self.state.positional_map
         vp = self.vp
         use_cache = self.config.enable_cache
         use_pm = self.config.enable_positional_map
 
-        boundaries = {0, n_rows}
+        row_from = min(self.row_from, n_rows)
+        boundaries = {row_from, n_rows}
         for attr in self._needed_attrs:
             if use_cache:
                 rows = cache.coverage_rows(attr)
-                if 0 < rows < n_rows:
+                if row_from < rows < n_rows:
                     boundaries.add(rows)
             if vp is not None:
                 rows = vp.coverage_rows(attr)
-                if 0 < rows < n_rows:
+                if row_from < rows < n_rows:
                     boundaries.add(rows)
             if use_pm:
                 rows = pm.coverage_rows(attr)
-                if 0 < rows < n_rows:
+                if row_from < rows < n_rows:
                     boundaries.add(rows)
         cuts = sorted(boundaries)
 
@@ -1191,14 +1206,18 @@ class RawScan(Operator):
         self._maybe_promote(plan)
 
     def _maybe_promote(self, plan: InstallPlan) -> None:
-        """Vertical persistence: promote hot fully-converted columns.
+        """Vertical persistence: bring hot columns' promoted prefixes up
+        to the table's rows.
 
         A needed attribute whose usage count has reached
-        ``vp_min_accesses`` and whose full-prefix vector is at hand —
-        either converted by this very scan or already resident in the
-        cache — is written into the columnstore, where later scans read
-        it without touching the raw file.  Charged to the ``nodb``
-        bucket like all adaptive-structure maintenance.
+        ``vp_min_accesses`` is written into the columnstore, where
+        later scans read it without touching the raw file — when the
+        rows it lacks are at hand, converted by this very scan or
+        resident in the cache.  A promoted prefix that an append left
+        short is extended by the tail alone; the whole column is
+        written for one never promoted, or whose files cannot take the
+        tail in place.  Charged to the ``nodb`` bucket like all
+        adaptive-structure maintenance.
         """
         vp = self.vp
         if vp is None or plan.n_rows <= 0:
@@ -1207,32 +1226,39 @@ class RawScan(Operator):
             return
         usage = self.state.attribute_usage
         min_accesses = self.config.vp_min_accesses
-        full = {
-            attr: (vector, benefit)
-            for attr, start_row, vector, benefit in plan.columns
-            if start_row == 0 and len(vector) == plan.n_rows
-        }
         for attr in self._needed_attrs:
             if usage.get(attr, 0) < min_accesses:
                 continue
-            if vp.coverage_rows(attr) >= plan.n_rows:
+            covered = vp.coverage_rows(attr)
+            if covered >= plan.n_rows:
                 continue
-            source = full.get(attr)
-            if source is None and self.config.enable_cache:
-                entry = self.state.cache.peek(attr)
-                if entry is not None and entry.rows >= plan.n_rows:
-                    vector = entry.vector
-                    if entry.rows > plan.n_rows:
-                        vector = vector.slice(0, plan.n_rows)
-                    source = (vector, entry.benefit_seconds)
-            if source is None:
-                continue
-            column = self.schema.columns[attr]
             with self.metrics.time(_NODB):
-                vp.promote(
-                    attr,
-                    column.name,
-                    column.dtype,
-                    source[0],
-                    source[1],
+                if covered:
+                    tail = self._rows_at_hand(plan, attr, covered)
+                    if tail is None or vp.extend(attr, tail[0]):
+                        continue
+                full = self._rows_at_hand(plan, attr, 0)
+                if full is not None:
+                    column = self.schema.columns[attr]
+                    vp.promote(attr, column.name, column.dtype, *full)
+
+    def _rows_at_hand(
+        self, plan: InstallPlan, attr: int, lo: int
+    ) -> tuple[ColumnVector, float] | None:
+        """Rows ``[lo, plan.n_rows)`` of ``attr`` as ``(vector, convert
+        benefit seconds)``: from this scan's harvest, else the cache."""
+        for harvested, start_row, vector, benefit in plan.columns:
+            if (
+                harvested == attr
+                and start_row <= lo
+                and start_row + len(vector) == plan.n_rows
+            ):
+                return vector.slice(lo - start_row, len(vector)), benefit
+        if self.config.enable_cache:
+            entry = self.state.cache.peek(attr)
+            if entry is not None and entry.rows >= plan.n_rows:
+                return (
+                    entry.vector.slice(lo, plan.n_rows),
+                    entry.benefit_seconds,
                 )
+        return None

@@ -13,6 +13,7 @@ scan (conventional baselines) and never know which.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import time
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 from ..batch import Batch, ColumnVector
 from ..datatypes import DataType
 from ..errors import ExecutionError
-from ..sql.ast import Expression, Star
+from ..sql.ast import BinaryOp, ColumnRef, Expression, Star
 from .expressions import evaluate, infer_type, predicate_mask
 
 
@@ -282,6 +283,11 @@ _FOLDS = {
     "min": (np.fmin, np.nan, _INT64_MAX),
     "max": (np.fmax, np.nan, -_INT64_MAX - 1),
 }
+
+#: Partial aggregate -> the function that folds partials of it into one
+#: (an MV's stored groups, an append's tail, shards' answers).  COUNT
+#: re-aggregates with ``sum0``: no partials at all is 0, not NULL.
+REAGGREGATE = {"count": "sum0", "sum": "sum", "min": "min", "max": "max"}
 
 
 def _grown(array: np.ndarray, size: int, fill: object) -> np.ndarray:
@@ -574,8 +580,15 @@ class HashAggregate(Operator):
                 column[:] = [_NAN if v != v else v for v in column]
         keys = list(zip(*key_columns))
         ids = np.empty(len(keys), dtype=np.intp)
-        for local in np.argsort(first).tolist():
-            ids[local] = index.setdefault(keys[local], len(index))
+        order = np.argsort(first)
+        if not index:
+            # The first batch: every key is new, in appearance order.
+            ids[order] = np.arange(len(keys))
+            in_order = map(keys.__getitem__, order.tolist())
+            index.update(zip(in_order, range(len(keys))))
+        else:
+            for local in order.tolist():
+                ids[local] = index.setdefault(keys[local], len(index))
         return ids[codes]
 
     def describe(self) -> str:
@@ -588,26 +601,84 @@ class HashAggregate(Operator):
 
 
 class MVScan(Operator):
-    """Serve a stored materialized-aggregate batch; no raw-file scan."""
+    """Serve a stored materialized-aggregate batch.
+
+    An entry level with its table is served as stored — no raw-file
+    scan.  One that lags it (rows were appended since it was built or
+    last advanced) comes with ``tail``: the entry's own aggregate
+    planned over the table rows past its watermark.  The tail's groups
+    are re-aggregated with the stored ones (:data:`REAGGREGATE`; AVG
+    finals recomputed from the merged SUM/COUNT components), the merged
+    batch is what is served, and ``on_merged`` receives it for the
+    deferred install.  ``aggs`` maps ``(func, arg)`` to the stored
+    column name; every other stored column is a group key.
+    """
 
     def __init__(
         self,
         batch: Batch,
         types: dict[str, DataType],
         label: str = "MVScan",
+        tail: Operator | None = None,
+        aggs: dict[tuple[str, str], str] | None = None,
+        on_merged: Callable[[Batch], None] | None = None,
     ) -> None:
         self._batch = batch
         self._types = types
         self._label = label
+        self._tail = tail
+        self._aggs = aggs or {}
+        self._on_merged = on_merged
 
     def execute(self) -> Iterator[Batch]:
-        yield self._batch
+        if self._tail is None:
+            yield self._batch
+            return
+        merged = self._merge()
+        if self._on_merged is not None:
+            self._on_merged(merged)
+        yield merged
+
+    def _merge(self) -> Batch:
+        aggs = self._aggs
+        stored_aggs = set(aggs.values())
+        dims = [name for name in self._types if name not in stored_aggs]
+        partials = {
+            name: func for (func, __), name in aggs.items() if func != "avg"
+        }
+        names = dims + list(partials)
+        stored = self._batch.select(names)
+        source = BatchSource(
+            lambda: itertools.chain((stored,), self._tail.execute()),
+            {name: self._types[name] for name in names},
+        )
+        fold = HashAggregate(
+            source,
+            [(name, ColumnRef(name)) for name in dims],
+            [
+                AggregateSpec(name, REAGGREGATE[func], ColumnRef(name))
+                for name, func in partials.items()
+            ],
+        )
+        (merged,) = fold.execute()
+        for (func, arg), name in aggs.items():
+            if func == "avg":
+                ratio = BinaryOp(
+                    "/",
+                    ColumnRef(aggs[("sum", arg)]),
+                    ColumnRef(aggs[("count", arg)]),
+                )
+                merged = merged.with_column(name, evaluate(ratio, merged))
+        return merged.select(list(self._types))
 
     def output_types(self) -> dict[str, DataType]:
         return dict(self._types)
 
     def describe(self) -> str:
         return self._label
+
+    def children(self) -> list[Operator]:
+        return [] if self._tail is None else [self._tail]
 
 
 class MVCapture(Operator):

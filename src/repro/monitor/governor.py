@@ -79,11 +79,13 @@ def render_governor_panel(service: PostgresRawService, width: int = 40) -> str:
             f" (+{mv['partial_hits']} partial)  misses: {mv['misses']}"
             f"  builds: {mv['builds']}  evictions: {mv['evictions']}"
             f"  invalidated: {mv['invalidations']}"
+            f"  tail-merges: {mv['tail_merges']}"
         )
         for entry in mv.get("entries", []):
             lines.append(
                 f"  mv#{entry['mv_id']} {entry['signature']}  "
-                f"{entry['rows']} rows / {entry['nbytes'] / 1024:.1f} KiB"
+                f"{entry['groups']} groups over {entry['rows']} rows / "
+                f"{entry['nbytes'] / 1024:.1f} KiB"
                 f"  hits {entry['hits']}+{entry['partial_hits']}p"
                 f"  benefit {entry['benefit_seconds'] * 1000:.1f} ms"
             )

@@ -10,13 +10,14 @@ with residency governed by the same
 """
 
 from .analyzer import SignatureStats, WorkloadAnalyzer
-from .catalog import MaterializedAggregate, MVCatalog, MVMatch
+from .catalog import MaterializedAggregate, MVCatalog, MVMatch, MVRecipe
 from .runtime import MVRuntime
 from .signature import QuerySignature, extract_signature, normalize_sql
 
 __all__ = [
     "MVCatalog",
     "MVMatch",
+    "MVRecipe",
     "MVRuntime",
     "MaterializedAggregate",
     "QuerySignature",

@@ -11,8 +11,7 @@ re-aggregatable subset of its function family.
 Matching (:meth:`MVCatalog.match`) is the AppLovin-style ladder:
 
 * **exact** — same dims, same filters, every requested aggregate
-  stored as a final column: serve the batch as-is (bit-identical to
-  the raw path, including AVG).
+  stored as a final column: serve the batch as-is.
 * **partial** — the MV is *wider*: its dims are a superset of the
   query's, its filters a subset (the leftover conjuncts must touch
   only MV dimension columns, so they can be applied to the stored
@@ -27,8 +26,21 @@ member inside the engine's :class:`repro.service.MemoryGovernor`
 chunks and cache entries — the benefit being the measured
 scan+aggregate seconds the capture replaced.  Without a governor the
 catalog runs its own silo capped at ``mv_max_bytes_fraction x
-cache_budget``, evicting by the same decayed density.  Appends,
-rewrites and drops invalidate generation-style through the service's
+cache_budget``, evicting by the same decayed density.
+
+**Row watermark.**  An entry aggregates the table rows ``[0, rows)``
+— ``rows`` is taken from the line index of the scan that built it —
+and keeps the recipe (:class:`MVRecipe`) that built it.  An append
+leaves the entry valid for that prefix: the next hit aggregates only
+the rows past the watermark, re-aggregates them with the stored groups
+and :meth:`MVCatalog.advance` swaps the merged batch in.  Every stored
+component is append-mergeable (``count``/``sum`` by summation,
+``min``/``max`` by min/max, AVG recomputed from merged sum and count).
+INTEGER results stay exact — or raise the typed out-of-range error —
+however often they were merged; a FLOAT ``SUM``/``AVG`` adds the tail's
+sum to the stored one instead of adding row by row, so it equals the
+raw path's within 1e-9 relative rather than bit for bit.  Rewrites and
+drops still invalidate, generation-style, through the service's
 per-table write path.
 """
 
@@ -41,17 +53,28 @@ from dataclasses import dataclass, field
 
 from ..batch import Batch
 from ..datatypes import DataType
+from ..sql.ast import Expression
 from .signature import QuerySignature
-
-#: Which stored component serves a partial re-aggregation of ``func``.
-#: COUNT re-aggregates with the internal ``sum0`` (empty input is 0,
-#: not NULL — matching raw COUNT over zero qualifying rows).
-REAGG_FUNC = {"count": "sum0", "sum": "sum", "min": "min", "max": "max"}
 
 
 def column_name(func: str, arg: str) -> str:
     """Canonical stored-column name of one aggregate component."""
     return f"{func}:{arg}"
+
+
+@dataclass(frozen=True)
+class MVRecipe:
+    """What an entry aggregates, as alias-free expressions over the
+    table's columns — enough to fold further table rows into it."""
+
+    #: ``(stored dim column, group expression)``.
+    groups: tuple[tuple[str, Expression], ...]
+    #: ``(stored column, func, argument)`` of every append-mergeable
+    #: component (AVG is stored as its SUM and COUNT); ``None`` is
+    #: ``COUNT(*)``'s argument.
+    aggs: tuple[tuple[str, str, Expression | None], ...]
+    #: WHERE conjuncts.
+    filters: tuple[Expression, ...]
 
 
 @dataclass
@@ -70,6 +93,9 @@ class MaterializedAggregate:
     nbytes: int
     #: Table generation at install; bumped generations invalidate.
     generation: int
+    #: The batch aggregates table rows ``[0, rows)``.
+    rows: int
+    recipe: MVRecipe
     #: Measured scan+aggregate seconds the capture replaced — the
     #: seconds a future hit saves (the governor's benefit signal).
     benefit_seconds: float
@@ -80,13 +106,19 @@ class MaterializedAggregate:
     last_used: int = 0
     last_used_ts: float = field(default_factory=time.monotonic)
 
-    def describe(self) -> dict[str, object]:
+    def describe(self, table_rows: int | None = None) -> dict[str, object]:
+        """``table_rows``: the table's reconciled row count, when known
+        (``lag_rows`` is how far the watermark trails it)."""
         return {
             "mv_id": self.mv_id,
             "table": self.signature.table,
             "signature": self.signature.label(),
             "dims": list(self.dims),
-            "rows": self.batch.num_rows,
+            "groups": self.batch.num_rows,
+            "rows": self.rows,
+            "lag_rows": (
+                None if table_rows is None else max(table_rows - self.rows, 0)
+            ),
             "nbytes": self.nbytes,
             "hits": self.hits,
             "partial_hits": self.partial_hits,
@@ -101,9 +133,16 @@ class MVMatch:
 
     entry: MaterializedAggregate
     kind: str  # "exact" | "partial"
+    #: The entry's batch and the watermark it aggregates up to, read
+    #: together under the catalog lock (``advance`` swaps both).
+    batch: Batch
+    rows: int
     #: Query conjuncts (normalized SQL) the MV has *not* applied;
     #: the planner filters the stored groups by them (partial only).
     residual_filters: tuple[str, ...] = ()
+    #: Set by the runtime when the entry lags its table: the plan must
+    #: fold the table rows from ``rows`` on into the served batch.
+    lagging: bool = False
 
 
 class _TableMVs:
@@ -214,14 +253,14 @@ class MVCatalog:
                 if kind == "partial":
                     partials.append(entry)
             if exact is not None:
-                return MVMatch(exact, "exact")
+                return MVMatch(exact, "exact", exact.batch, exact.rows)
             if not partials:
                 return None
             best = min(partials, key=lambda e: (len(e.dims), e.nbytes))
             residual = tuple(
                 f for f in sig.filters if f not in set(best.signature.filters)
             )
-            return MVMatch(best, "partial", residual)
+            return MVMatch(best, "partial", best.batch, best.rows, residual)
 
     def _compatibility(
         self, entry: MaterializedAggregate, sig: QuerySignature
@@ -280,24 +319,8 @@ class MVCatalog:
             with self.lock:
                 self.rejected += 1
             return False
-        table = entry.signature.table
-        if self._governor is not None:
-            with self.lock:
-                container = self._ensure_container(table)
-                stale = [
-                    e.mv_id
-                    for e in container.entries.values()
-                    if e.signature == entry.signature
-                ]
-                for mv_id in stale:
-                    container.governed_evict(mv_id)
-                if not self._governor.grant(container, entry.nbytes):
-                    self.rejected += 1
-                    return False
-                self._admit(container, entry)
-            return True
         with self.lock:
-            container = self._ensure_container(table)
+            container = self._ensure_container(entry.signature.table)
             stale = [
                 e.mv_id
                 for e in container.entries.values()
@@ -305,7 +328,7 @@ class MVCatalog:
             ]
             for mv_id in stale:
                 container.governed_evict(mv_id)
-            if not self._silo_make_room(entry.nbytes):
+            if not self._make_room(container, entry.nbytes):
                 self.rejected += 1
                 return False
             self._admit(container, entry)
@@ -334,9 +357,19 @@ class MVCatalog:
         )
         self._update_gauge()
 
-    def _silo_make_room(self, nbytes: int) -> bool:
-        """Evict lowest benefit-per-byte MVs until ``nbytes`` fits the
-        silo cap (governor-less mode only)."""
+    def _make_room(
+        self,
+        container: _TableMVs,
+        nbytes: int,
+        keep: MaterializedAggregate | None = None,
+    ) -> bool:
+        """May ``container`` grow by ``nbytes``?  Asks the governor or,
+        without one, evicts lowest benefit-per-byte MVs until the bytes
+        fit the silo cap.  ``keep`` (the entry that is growing) is
+        never the victim."""
+        if self._governor is not None:
+            protected = None if keep is None else {keep.mv_id}
+            return self._governor.grant(container, nbytes, protected)
         if not self.max_total_bytes:
             return True
         candidates = [
@@ -350,6 +383,8 @@ class MVCatalog:
         for __, __, mv_id, container, entry_bytes in candidates:
             if used + nbytes <= self.max_total_bytes:
                 break
+            if keep is not None and mv_id == keep.mv_id:
+                continue
             container.governed_evict(mv_id)
             used -= entry_bytes
         return used + nbytes <= self.max_total_bytes
@@ -362,9 +397,45 @@ class MVCatalog:
         self._registry.counter("mv_evictions_total").inc()
         self._update_gauge()
 
+    def advance(
+        self,
+        entry: MaterializedAggregate,
+        from_rows: int,
+        batch: Batch,
+        rows: int,
+    ) -> bool:
+        """Move ``entry``'s watermark to ``rows`` with the merged
+        ``batch`` — iff it is still resident and still ends at
+        ``from_rows``, the row the merge started from (of two sessions
+        merging the same tail, one install wins).  Growth in bytes is
+        granted like an install; a refusal leaves the entry lagging.
+        Callers hold the table's write lock.
+        """
+        nbytes = sum(v.nbytes() for v in batch.columns.values())
+        table = entry.signature.table
+        with self.lock:
+            container = self._tables.get(table)
+            if (
+                container is None
+                or container.entries.get(entry.mv_id) is not entry
+                or entry.rows != from_rows
+                or rows <= from_rows
+            ):
+                return False
+            if self.max_entry_bytes and nbytes > self.max_entry_bytes:
+                return False
+            extra = nbytes - entry.nbytes
+            if extra > 0 and not self._make_room(container, extra, entry):
+                return False
+            entry.batch, entry.rows, entry.nbytes = batch, rows, nbytes
+            self._registry.counter("mv_tail_merges_total").inc()
+            self._registry.counter("mv_tail_rows_total").inc(rows - from_rows)
+            self._update_gauge()
+        return True
+
     def invalidate_table(self, table: str) -> int:
-        """Generation-style invalidation on append/rewrite: drop every
-        MV of the table (the stored groups no longer match the file)."""
+        """Generation-style invalidation on rewrite: drop every MV of
+        the table (the stored groups no longer match the file)."""
         with self.lock:
             container = self._tables.get(table)
             if container is None:

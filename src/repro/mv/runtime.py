@@ -19,6 +19,7 @@ from .catalog import (
     MaterializedAggregate,
     MVCatalog,
     MVMatch,
+    MVRecipe,
     column_name,
 )
 from .signature import QuerySignature, extract_signature, normalize_sql
@@ -33,10 +34,14 @@ class MVRuntime:
         registry,
         governor=None,
         stats_provider=None,
+        rows_provider=None,
     ) -> None:
         self.config = config
         self.registry = registry
         self._stats_provider = stats_provider
+        #: ``table -> its reconciled row count``, or ``None`` while that
+        #: is unknown (an append not yet indexed, no line index kept).
+        self._rows_provider = rows_provider or (lambda table: None)
         budget = (
             config.memory_budget
             if config.memory_budget is not None
@@ -71,13 +76,18 @@ class MVRuntime:
         """Serve decision for one planned query.
 
         ``record=False`` (EXPLAIN) previews the decision without
-        mining the signature, bumping counters or marking hits.
+        mining the signature, bumping counters or marking hits.  The
+        match is marked ``lagging`` unless the table is known to end at
+        the entry's watermark.
         """
         if record:
             self.analyzer.note_planned(sig)
         if self.analyzer.is_forced(sig):
             return None  # build_mv in flight: force the raw capture path
         match = self.catalog.match(sig)
+        if match is not None:
+            table_rows = self._rows_provider(sig.table)
+            match.lagging = table_rows is None or match.rows < table_rows
         if not record:
             return match
         if match is None:
@@ -105,28 +115,43 @@ class MVRuntime:
         layout: dict,
         batch: Batch,
         benefit_seconds: float,
+        rows: int,
         generation: int,
     ) -> bool:
         """Assemble a captured aggregate into a governed entry.
 
         ``layout`` maps the capture plan's internal column names to
-        canonical MV names: ``{"dims": [(plan, canonical)], "aggs":
-        [(plan, func, arg)], "types": {plan: DataType}}``.  The caller
-        holds the table's write lock and has validated generation and
-        pending-append state.
+        canonical MV names and carries the alias-free expressions they
+        were computed from: ``{"dims": [(plan, canonical, expr)],
+        "aggs": [(plan, func, arg, expr)], "filters": [expr], "types":
+        {plan: DataType}}``.  ``rows`` is how many table rows the
+        capture scan folded; the table may have grown past them since
+        (the entry is then simply lagging).  The caller holds the
+        table's write lock and has validated the generation.
         """
         start = time.perf_counter()
         columns: dict[tuple[str, str], str] = {}
         stored = {}
         types = {}
-        for plan_name, canonical in layout["dims"]:
+        for plan_name, canonical, __ in layout["dims"]:
             stored[canonical] = batch.column(plan_name)
             types[canonical] = layout["types"][plan_name]
-        for plan_name, func, arg in layout["aggs"]:
+        for plan_name, func, arg, __ in layout["aggs"]:
             name = column_name(func, arg)
             columns[(func, arg)] = name
             stored[name] = batch.column(plan_name)
             types[name] = layout["types"][plan_name]
+        recipe = MVRecipe(
+            groups=tuple(
+                (canonical, expr) for __, canonical, expr in layout["dims"]
+            ),
+            aggs=tuple(
+                (column_name(func, arg), func, expr)
+                for __, func, arg, expr in layout["aggs"]
+                if func != "avg"
+            ),
+            filters=tuple(layout["filters"]),
+        )
         entry_batch = Batch(stored, num_rows=batch.num_rows)
         nbytes = sum(v.nbytes() for v in entry_batch.columns.values())
         observed = self.analyzer.observed_seconds(sig)
@@ -139,6 +164,8 @@ class MVRuntime:
             types=types,
             nbytes=nbytes,
             generation=generation,
+            rows=rows,
+            recipe=recipe,
             benefit_seconds=max(benefit_seconds, observed),
             build_seconds=time.perf_counter() - start,
             created_unix=time.time(),
@@ -149,6 +176,21 @@ class MVRuntime:
         self, sig: QuerySignature, decision: str | None, seconds: float
     ) -> None:
         self.analyzer.note_completed(sig, decision, seconds)
+
+    def advance(
+        self,
+        entry: MaterializedAggregate,
+        from_rows: int,
+        batch: Batch,
+        rows: int,
+        generation: int,
+    ) -> bool:
+        """Install a tail-merge: ``batch`` is ``entry`` with the table
+        rows ``[from_rows, rows)`` folded in.  Same caller contract as
+        :meth:`install`; not a build, so build counters do not move."""
+        if entry.generation != generation:
+            return False
+        return self.catalog.advance(entry, from_rows, batch, rows)
 
     def invalidate_table(self, table: str) -> int:
         return self.catalog.invalidate_table(table)
@@ -166,7 +208,7 @@ class MVRuntime:
         return self.catalog.find(sig)
 
     def describe_entry(self, entry: MaterializedAggregate) -> dict:
-        return entry.describe()
+        return entry.describe(self._rows_provider(entry.signature.table))
 
     # ------------------------------------------------------------------
     # Pricing & introspection.
@@ -217,7 +259,11 @@ class MVRuntime:
             "evictions": catalog.evictions,
             "rejected": catalog.rejected,
             "signatures": self.analyzer.signature_count(),
-            "entries": [e.describe() for e in catalog.entries()],
+            "tail_merges": int(
+                registry.counter("mv_tail_merges_total").value
+            ),
+            "tail_rows": int(registry.counter("mv_tail_rows_total").value),
+            "entries": [self.describe_entry(e) for e in catalog.entries()],
             "suggestions": self.analyzer.suggestions(
                 estimator=self.estimate_result_bytes,
                 materialized=materialized,

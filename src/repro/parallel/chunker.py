@@ -36,10 +36,6 @@ class ChunkSpec:
     start: int
     end: int
 
-    @property
-    def size(self) -> int:
-        return self.end - self.start
-
 
 def chunk_count(
     total_size: int, target_chunk_size: int, cap: int | None

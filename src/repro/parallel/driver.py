@@ -101,8 +101,8 @@ class ParallelScanDriver:
             return False
         if not scan._needed_attrs:
             return False  # zero-attribute scans (COUNT(*)) count rows only
-        if state.pending_append:
-            return False
+        if state.pending_append or scan.row_from:
+            return False  # byte chunks cannot start at a table row
         pm = state.positional_map
         if pm.line_bounds is not None or pm.chunk_count:
             return False
@@ -125,8 +125,9 @@ class ParallelScanDriver:
         The tail is the longest row suffix in which *every* needed
         attribute must be tokenized (no cache entry, no positional
         jump); coverage is prefix-shaped, so this is simply the last run
-        of fully-tokenizing segments.  Returns ``None`` when there is no
-        such tail or it is too small to amortize dispatch.
+        of fully-tokenizing segments (which start at the scan's
+        ``row_from``, never before it).  Returns ``None`` when there is
+        no such tail or it is too small to amortize dispatch.
         """
         scan, cfg = self.scan, self.config
         needed = set(scan._needed_attrs)
@@ -219,6 +220,7 @@ class ParallelScanDriver:
                     f"chunks scanned {row_base}"
                 )
             scan._bounds = bounds
+            scan.row_to = row_base
             if cfg.enable_positional_map:
                 state.positional_map.set_line_bounds(bounds, bounds_acc.crlf)
                 state.pending_append = False

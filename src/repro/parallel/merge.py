@@ -70,15 +70,6 @@ class LineBoundsAccumulator:
         return np.concatenate(pieces).astype(np.int64, copy=False)
 
 
-def merge_line_bounds(results: list[ChunkResult]) -> np.ndarray:
-    """Global line index from a full list of chunk results (batch form
-    of :class:`LineBoundsAccumulator`, kept for tests/tools)."""
-    acc = LineBoundsAccumulator()
-    for res in results:
-        acc.add(res)
-    return acc.materialize()
-
-
 def stitch_one(scan: RawScan, res: ChunkResult, row_base: int) -> None:
     """Replay one worker harvest into ``scan``'s collectors.
 
@@ -117,26 +108,3 @@ def stitch_one(scan: RawScan, res: ChunkResult, row_base: int) -> None:
         statistics = scan.state.statistics
         for attr, vector in res.stats_log:
             statistics.observe(schema.columns[attr].name, vector)
-
-
-def stitch_results(
-    scan: RawScan, results: list[ChunkResult], row_bases: list[int]
-) -> None:
-    """Batch form of :func:`stitch_one` (kept for tests/tools)."""
-    for res, row_base in zip(results, row_bases):
-        stitch_one(scan, res, row_base)
-
-
-def check_chunk_rows(
-    results: list[ChunkResult], expected: list[int] | None
-) -> int:
-    """Total row count; verifies per-chunk counts when they were known."""
-    total = 0
-    for i, res in enumerate(results):
-        if expected is not None and res.n_rows != expected[i]:
-            raise RawDataError(
-                f"chunk {i} scanned {res.n_rows} rows, expected "
-                f"{expected[i]} (file changed mid-scan?)"
-            )
-        total += res.n_rows
-    return total

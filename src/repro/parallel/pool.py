@@ -29,7 +29,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import ExecutionError
 
@@ -109,25 +109,6 @@ class ScanPool:
     # ------------------------------------------------------------------
     # Dispatch.
     # ------------------------------------------------------------------
-
-    def run(
-        self,
-        fn: Callable[[_Task], _Result],
-        tasks: Sequence[_Task],
-    ) -> list[_Result]:
-        """Apply ``fn`` to every task; results keep task order.
-
-        A worker exception propagates to the caller (the scan surfaces
-        it exactly like the serial path would — e.g. a malformed row
-        raises :class:`repro.errors.RawDataError` either way).
-        """
-        if not tasks:
-            return []
-        self.dispatches += 1
-        if len(tasks) == 1:
-            return [fn(tasks[0])]
-        executor = self._ensure_executor()
-        return list(executor.map(fn, tasks))
 
     def run_streaming(
         self,

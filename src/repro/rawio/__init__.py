@@ -7,7 +7,6 @@ from .tokenizer import (
     tokenize_lines,
     tokenize_span,
     TokenizedRows,
-    field_end,
     extract_field,
     extract_fields_between,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "tokenize_lines",
     "tokenize_span",
     "TokenizedRows",
-    "field_end",
     "extract_field",
     "extract_fields_between",
     "ColumnSpec",

@@ -88,10 +88,6 @@ class RawFileReader:
             raise self._conflict("changed under an open scan")
         return data
 
-    def read_prefix_bytes(self, n: int) -> bytes:
-        """First ``n`` raw bytes — used by update detection, not metered."""
-        return os.pread(self._fd, n, 0)
-
     def close(self) -> None:
         fd, self._fd = self._fd, -1
         if fd >= 0:

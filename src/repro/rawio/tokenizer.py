@@ -362,23 +362,6 @@ def _scan_quoted_field(
     return data[start:end], end + len(delim)
 
 
-def field_end(
-    data: bytes,
-    start: int,
-    line_end: int,
-    dialect: CsvDialect,
-    base: int = 0,
-) -> int:
-    """Exclusive end offset of the field starting at ``start``."""
-    lo, hi = start - base, line_end - base
-    delim, quote = dialect.delimiter_bytes, dialect.quote_bytes
-    if quote is not None and lo < hi and data.startswith(quote, lo):
-        __, nxt = _scan_quoted_field(data, lo, hi, delim, quote, base)
-        return nxt - len(delim) + base
-    end = data.find(delim, lo, hi)
-    return line_end if end == -1 else end + base
-
-
 def extract_field(
     data: bytes,
     start: int,

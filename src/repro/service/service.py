@@ -212,8 +212,10 @@ class PostgresRawService:
                 registry,
                 governor=self.governor,
                 stats_provider=self._stats_provider,
+                rows_provider=self._table_rows,
             )
         registry.register_collector("mv", self._collect_mv)
+        registry.register_collector("vertical", self._collect_vertical)
         registry.register_collector("scheduler", self.scheduler.stats)
         registry.register_collector("cursors", self.cursor_stats)
         registry.register_collector("locks", self.lock_stats)
@@ -794,44 +796,43 @@ class PostgresRawService:
             finally:
                 self._release_all(tables, write=True, held=held)
 
-        # Deferred MV installs: captured aggregates go resident under
-        # the table's write lock, after the rows are out (same ordering
-        # discipline as the scans' own InstallPlans above).
+        # Deferred MV installs: captured aggregates and tail-merges go
+        # resident under the table's write lock, after the rows are out
+        # (same ordering discipline as the scans' own InstallPlans
+        # above).
         if captures:
             self._install_mv_captures(captures, generations)
 
-        if plan.mv_decision not in ("exact", "partial"):
-            # MV-served queries touched no raw rows; everything else
-            # reports the table rows its scans covered.
-            for _, state, _ in tables:
-                metrics.rows_scanned += state.positional_map.n_rows
+        # The table rows the scans covered: all of them, or — under an
+        # MV hit — none, or only those past the entry's watermark.
+        for scan in scans:
+            if scan.row_to is not None:
+                metrics.rows_scanned += max(scan.row_to - scan.row_from, 0)
 
     def _install_mv_captures(
         self, captures: list, generations: dict[str, int]
     ) -> None:
-        """Install captured aggregates under their table's write lock.
+        """Install captured aggregates and tail-merges under their
+        table's write lock.
 
-        A capture is discarded when its table changed since planning —
-        generation bump (rewrite/drop) or pending append — because the
-        batch aggregates a snapshot that no longer matches the file.
+        ``captures`` holds ``(table, install)`` pairs.  One is discarded
+        when its table was rewritten or dropped since planning (its
+        generation moved): the batch aggregates a file that no longer
+        exists.  An append since then discards nothing — every batch
+        carries the row count its scan folded, so the entry is simply
+        installed lagging and the next hit merges the tail.
         """
-        if self.mv is None:
-            return
-        for sig, layout, batch, elapsed in captures:
-            lock = self._table_locks.get(sig.table)
+        for table, install in captures:
+            lock = self._table_locks.get(table)
             if lock is None:
                 continue  # table dropped while we were producing
             with lock.write():
-                state = self._states.get(sig.table)
-                if (
-                    state is None
-                    or state.generation != generations.get(sig.table)
-                    or state.pending_append
+                state = self._states.get(table)
+                if state is None or state.generation != generations.get(
+                    table
                 ):
                     continue
-                self.mv.install(
-                    sig, layout, batch, elapsed, state.generation
-                )
+                install(state.generation)
 
     def _pump(
         self,
@@ -1020,7 +1021,10 @@ class PostgresRawService:
         captures: list | None = None,
     ) -> Planner:
         def scan_factory(
-            table: str, columns: list[str], predicate: Expression | None
+            table: str,
+            columns: list[str],
+            predicate: Expression | None,
+            row_from: int = 0,
         ) -> RawScan:
             # The service-level config decides scan parallelism and the
             # adaptive-structure knobs for every scan it plans; the
@@ -1035,6 +1039,7 @@ class PostgresRawService:
                 predicate,
                 config=self.config,
                 pool=self._scan_pool(),
+                row_from=row_from,
             )
             # Telemetry context for the parallel driver: worker spans
             # are parented under this query's trace as chunks merge.
@@ -1060,6 +1065,17 @@ class PostgresRawService:
         state = self._states.get(table)
         return state.statistics if state is not None else None
 
+    def _table_rows(self, table: str) -> int | None:
+        """Rows of ``table`` as last reconciled — what the watermarks of
+        its MVs and promoted columns are measured against.  ``None``
+        while that is unknown: an append is detected but not indexed
+        yet, or no line index exists (never scanned, or not kept)."""
+        state = self._states.get(table)
+        if state is None or state.pending_append:
+            return None
+        pm = state.positional_map
+        return pm.n_rows if pm.line_bounds is not None else None
+
     @staticmethod
     def _referenced_tables(stmt: SelectStatement) -> list[str]:
         names = []
@@ -1073,10 +1089,15 @@ class PostgresRawService:
     ) -> FileChange:
         """Detect external changes to the raw file and reconcile state.
 
-        Appends keep every prefix-shaped structure valid; rewrites drop
-        everything (the file is effectively new).  ``force`` bypasses the
-        ``auto_detect_updates`` knob (explicit :meth:`refresh`).  Callers
-        hold the table's write lock.
+        An append invalidates nothing: positional-map chunks, cache
+        entries, promoted columns and materialized aggregates all
+        describe a row prefix (each with its own watermark) and stay
+        valid for it; ``pending_append`` only tells the next scan to
+        index the new tail, and whatever that scan touches is extended
+        over it.  A rewrite drops everything (the file is effectively
+        new).  ``force`` bypasses the ``auto_detect_updates`` knob
+        (explicit :meth:`refresh`).  Callers hold the table's write
+        lock.
         """
         path = state.entry.path
         if state.fingerprint is None:
@@ -1093,20 +1114,13 @@ class PostgresRawService:
         elif change is FileChange.REWRITTEN:
             state.invalidate()
             state.fingerprint = fingerprint
-        else:
-            state.fingerprint = fingerprint
-        if change in (FileChange.APPENDED, FileChange.REWRITTEN):
-            # Stored aggregates summarize the old rows: drop them.  (A
-            # positional map survives an append as a valid prefix; an
-            # aggregate does not — its groups are already totals.)
             if self.mv is not None:
                 self.mv.invalidate_table(state.entry.name)
-            # Promoted columns likewise: a vertical column is a full
-            # prefix snapshot, stale the moment the file grows or
-            # changes underneath it.
             store = self._vertical.get(state.entry.name)
             if store is not None:
                 store.invalidate()
+        else:
+            state.fingerprint = fingerprint
         return change
 
     # ------------------------------------------------------------------
@@ -1128,6 +1142,16 @@ class PostgresRawService:
     def _collect_mv(self) -> dict[str, object] | None:
         """Registry collector: MV cache stats (None when disabled)."""
         return self.mv.stats() if self.mv is not None else None
+
+    def _collect_vertical(self) -> list[dict[str, object]] | None:
+        """Registry collector: promoted columns and their watermarks,
+        one row per table (None when ``vp_enabled`` is off)."""
+        if not self._vertical:
+            return None
+        return [
+            store.stats(self._table_rows(name))
+            for name, store in sorted(self._vertical.items())
+        ]
 
     def _collect_residency(self) -> list[dict[str, object]]:
         """Registry collector: per-structure residency rows — from the

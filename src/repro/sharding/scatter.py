@@ -40,6 +40,7 @@ from ..executor.operators import (
     Limit,
     Operator,
     Project,
+    REAGGREGATE,
     Sort,
 )
 from ..sql.ast import (
@@ -61,9 +62,6 @@ from ..sql.ast import (
 )
 from ..sql.parser import parse_select
 from ..sql.planner import transform_expr
-
-#: Shard-side partial function → client-side re-aggregation function.
-REAGGREGATE = {"count": "sum0", "sum": "sum", "min": "min", "max": "max"}
 
 
 @dataclass

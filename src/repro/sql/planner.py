@@ -13,8 +13,10 @@ projection -> distinct/sort/limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
+from ..batch import Batch
 from ..catalog.catalog import Catalog
 from ..catalog.schema import TableSchema
 from ..core.stats import StatisticsStore
@@ -32,6 +34,7 @@ from ..executor.operators import (
     MVScan,
     Operator,
     Project,
+    REAGGREGATE,
     SingleRowSource,
     Sort,
 )
@@ -60,8 +63,10 @@ from .optimizer import JoinEdge, Optimizer, estimate_scan_rows
 #: ``scan_factory(table_name, output_columns, pushed_predicate)`` returns
 #: an operator yielding batches keyed by *schema* column names with the
 #: predicate already applied.  ``pushed_predicate`` uses unqualified
-#: schema names.
-ScanFactory = Callable[[str, list[str], Expression | None], Operator]
+#: schema names.  A factory planning under an MV runtime also takes
+#: ``row_from=N`` (scan only the table rows from ``N`` on) and its
+#: scans report the row they ended at as ``row_to``.
+ScanFactory = Callable[..., Operator]
 
 #: ``stats_provider(table_name)`` returns the statistics store (if any).
 StatsProvider = Callable[[str], StatisticsStore | None]
@@ -168,9 +173,11 @@ class Planner:
         #: ``False`` for EXPLAIN: preview serve decisions without
         #: mining the signature or bumping hit/miss counters.
         self.mv_mining = mv_mining
-        #: Capture sink: the service's per-stream list receiving
-        #: ``(signature, layout, batch, elapsed_seconds)`` tuples from
-        #: :class:`MVCapture` operators at execution time.
+        #: Capture sink: the service's per-stream list receiving, at
+        #: execution time, ``(table, install)`` pairs — a finished
+        #: capture (:class:`MVCapture`) or tail-merge (:class:`MVScan`)
+        #: to install by calling ``install(generation)`` under the
+        #: table's write lock.
         self.mv_captures = mv_captures
 
     # ------------------------------------------------------------------
@@ -643,9 +650,7 @@ class Planner:
         """
         entry = match.entry
         if match.kind == "exact":
-            plan: Operator = MVScan(
-                entry.batch, entry.types, "MVScan [exact]"
-            )
+            plan: Operator = self._mv_scan(match, "exact")
             mapping: dict[str, Expression] = {}
             for expr in stmt.group_by:
                 mapping.setdefault(
@@ -671,6 +676,64 @@ class Planner:
             order.expr = rewrite(order.expr)
         return plan, rewritten
 
+    def _mv_scan(self, match, label: str) -> MVScan:
+        """The leaf serving ``match``'s stored batch.
+
+        An entry level with its table is served as stored.  A lagging
+        one also gets its own aggregate, rebuilt from its recipe over
+        the table rows past its watermark; the leaf merges the two and
+        hands the result to the capture sink, whose deferred step
+        advances the entry.
+        """
+        entry = match.entry
+        if not match.lagging:
+            return MVScan(match.batch, entry.types, f"MVScan [{label}]")
+        recipe = entry.recipe
+        table = entry.signature.table
+        exprs = [expr for __, expr in recipe.groups]
+        exprs += [arg for __, __, arg in recipe.aggs if arg is not None]
+        pushed = [c for c in recipe.filters if expr_column_refs(c)]
+        used = {
+            ref.name for e in exprs + pushed for ref in expr_column_refs(e)
+        }
+        scan = self.scan_factory(
+            table,
+            [c for c in self.catalog.schema_of(table).names() if c in used],
+            conjoin(pushed),
+            row_from=match.rows,
+        )
+        tail: Operator = scan
+        for conjunct in recipe.filters:
+            if not expr_column_refs(conjunct):
+                tail = Filter(tail, conjunct)
+        tail = HashAggregate(
+            tail,
+            list(recipe.groups),
+            [AggregateSpec(*component) for component in recipe.aggs],
+        )
+        on_merged = None
+        if self.mv_captures is not None:
+            captures, advance = self.mv_captures, self.mv.advance
+
+            def on_merged(batch: Batch) -> None:
+                captures.append(
+                    (
+                        table,
+                        partial(
+                            advance, entry, match.rows, batch, scan.row_to
+                        ),
+                    )
+                )
+
+        return MVScan(
+            match.batch,
+            entry.types,
+            f"MVScan [{label} + tail from row {match.rows}]",
+            tail,
+            entry.columns,
+            on_merged,
+        )
+
     def _plan_mv_partial(
         self, stmt: SelectStatement, sig, match
     ) -> tuple[Operator, dict[str, Expression]]:
@@ -683,11 +746,7 @@ class Planner:
         """
         entry = match.entry
         dims = ", ".join(sig.dims) or "<global>"
-        plan: Operator = MVScan(
-            entry.batch,
-            entry.types,
-            f"MVScan [partial: re-agg over {dims}]",
-        )
+        plan = self._mv_scan(match, f"partial: re-agg over {dims}")
         residual = set(match.residual_filters)
         applied: set[str] = set()
         for conjunct in split_conjuncts(stmt.where):
@@ -708,7 +767,6 @@ class Planner:
 
         specs: list[AggregateSpec] = []
         spec_names: dict[tuple[str, str], str] = {}
-        reagg = {"count": "sum0", "sum": "sum", "min": "min", "max": "max"}
 
         def component(func: str, arg: str) -> str:
             key = (func, arg)
@@ -717,7 +775,9 @@ class Planner:
                 name = f"__a{len(specs)}"
                 specs.append(
                     AggregateSpec(
-                        name, reagg[func], ColumnRef(entry.columns[key])
+                        name,
+                        REAGGREGATE[func],
+                        ColumnRef(entry.columns[key]),
                     )
                 )
                 spec_names[key] = name
@@ -744,6 +804,7 @@ class Planner:
         group_items: list[tuple[str, Expression]],
         specs: list[AggregateSpec],
         mv_sig,
+        where: Expression | None = None,
     ) -> Operator:
         """The raw aggregate, wrapped in an MVCapture when this
         signature has earned materialization."""
@@ -761,12 +822,15 @@ class Planner:
             arg_sql = "*" if spec.arg is None else self.mv.normalize(spec.arg)
             by_key[(spec.func, arg_sql)] = spec
 
-        layout_aggs: list[tuple[str, str, str]] = []
+        def unqualified(expr: Expression | None) -> Expression | None:
+            return None if expr is None else self._strip_alias(expr)
+
+        layout_aggs: list[tuple[str, str, str, Expression | None]] = []
         for func, arg in mv_sig.aggs:
             spec = by_key.get((func, arg))
             if spec is None:  # normalization drift: skip the capture
                 return HashAggregate(plan, group_items, specs)
-            layout_aggs.append((spec.name, func, arg))
+            layout_aggs.append((spec.name, func, arg, unqualified(spec.arg)))
 
         # AVG entries additionally store their SUM/COUNT components so
         # the stored MV can later be partially re-aggregated; capture-
@@ -789,22 +853,34 @@ class Planner:
                     extra.append(comp_spec)
                     drop.append(name)
                     by_key[(comp, arg)] = comp_spec
-                layout_aggs.append((comp_spec.name, comp, arg))
+                layout_aggs.append(
+                    (comp_spec.name, comp, arg, unqualified(comp_spec.arg))
+                )
 
         agg = HashAggregate(plan, group_items, specs + extra)
         layout = {
             "dims": [
-                (name, self.mv.normalize(expr))
+                (name, self.mv.normalize(expr), unqualified(expr))
                 for name, expr in group_items
             ],
             "aggs": layout_aggs,
+            "filters": [unqualified(c) for c in split_conjuncts(where)],
             "types": agg.output_types(),
         }
-        captures = self.mv_captures
+        captures, install = self.mv_captures, self.mv.install
         sig = mv_sig
+        # The capture's one scan: how many table rows the batch folds.
+        scan = plan
+        while scan.children():
+            scan = scan.children()[0]
 
-        def sink(batch: object, elapsed: float) -> None:
-            captures.append((sig, layout, batch, elapsed))
+        def sink(batch: Batch, elapsed: float) -> None:
+            captures.append(
+                (
+                    sig.table,
+                    partial(install, sig, layout, batch, elapsed, scan.row_to),
+                )
+            )
 
         return MVCapture(agg, sink, tuple(drop), f"MVCapture [{sig.label()}]")
 
@@ -880,7 +956,9 @@ class Planner:
         rewritten_items = [
             (name, rewrite(expr)) for name, expr in select_items
         ]
-        plan = self._build_aggregate(plan, group_items, specs, mv_sig)
+        plan = self._build_aggregate(
+            plan, group_items, specs, mv_sig, stmt.where
+        )
         if stmt.having is not None:
             plan = Filter(plan, rewrite(stmt.having))
         for order in stmt.order_by:

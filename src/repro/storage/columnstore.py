@@ -1,20 +1,24 @@
 """Columnar binary storage with block zone maps (the "DBMS X" profile).
 
-Each column lives in its own pair of ``.npy`` files (values + null
-mask).  At load time the engine additionally builds *zone maps* — block
-min/max summaries for numeric columns — which lets scans with pushed
-range/equality predicates skip whole blocks.  This is the extra "tuning"
-work that makes the commercial contestant's initialization slower and
-its scans faster, producing the race dynamics the demo stages.
+Each column lives in its own ``.npy`` file of values, plus one of null
+flags when it holds a NULL (no file: no NULLs).  At load time the
+engine additionally builds *zone maps* — block min/max summaries for
+numeric columns — which lets scans with pushed range/equality
+predicates skip whole blocks.  This is the extra "tuning" work that
+makes the commercial contestant's initialization slower and its scans
+faster, producing the race dynamics the demo stages.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
+from numpy.lib import format as npy
 
 from ..batch import Batch, ColumnVector
 from ..catalog.schema import TableSchema
@@ -36,9 +40,13 @@ class ColumnStoreTable:
         self.directory = Path(directory)
         self.schema = schema
         self._columns: dict[str, np.ndarray] = {}
-        self._nulls: dict[str, np.ndarray] = {}
+        self._nulls: dict[str, np.ndarray | None] = {}
         self._zones: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
+        self._meta_cache: dict | None = None
         self._num_rows: int | None = None
+        #: File -> (dtype, offset of the data) of the array saved in it;
+        #: neither changes while the file lives.
+        self._layouts: dict[Path, tuple[np.dtype, int]] = {}
 
     # ------------------------------------------------------------------
     # Loading.
@@ -68,28 +76,14 @@ class ColumnStoreTable:
                     f"column {column.name!r} has {len(vec)} rows, "
                     f"expected {n_rows}"
                 )
-            if column.dtype is DataType.TEXT:
-                width = 1
-                for value in vec.values:
-                    if value is not None:
-                        width = max(width, len(value.encode("utf-8")))
-                encoded = np.array(
-                    [
-                        v.encode("utf-8") if v is not None else b""
-                        for v in vec.values
-                    ],
-                    dtype=f"S{width}",
-                )
-                np.save(directory / f"{column.name}.values.npy", encoded)
-            else:
-                np.save(
-                    directory / f"{column.name}.values.npy",
-                    np.ascontiguousarray(vec.values),
-                )
             np.save(
-                directory / f"{column.name}.nulls.npy",
-                np.ascontiguousarray(vec.null_mask),
+                directory / f"{column.name}.values.npy", _stored_values(vec)
             )
+            if vec.null_mask.any():
+                np.save(
+                    directory / f"{column.name}.nulls.npy",
+                    np.ascontiguousarray(vec.null_mask),
+                )
             if build_zone_maps and column.dtype in (
                 DataType.INTEGER,
                 DataType.FLOAT,
@@ -97,28 +91,99 @@ class ColumnStoreTable:
             ):
                 zones[column.name] = _build_zone_map(vec)
 
-        meta = {
-            "n_rows": n_rows,
-            "zones": zones,
-            "zone_block_rows": ZONE_BLOCK_ROWS,
-        }
+        meta = {"zones": zones, "zone_block_rows": ZONE_BLOCK_ROWS}
         with open(directory / "meta.json", "w", encoding="utf-8") as f:
             json.dump(meta, f)
         return cls(directory, schema)
+
+    def extend(
+        self,
+        columns: dict[str, ColumnVector],
+        admit: Callable[[int], bool] = lambda nbytes: True,
+    ) -> int:
+        """Append rows to every column in O(appended) bytes.
+
+        Values (and null flags, for a column that has its file) go onto
+        the end of the existing files; a column's flags file is written
+        out whole the first time a NULL arrives.  ``admit`` is asked
+        once for the bytes about to be added.  Returns those bytes — or
+        0, with nothing written, when it refuses or when a TEXT value
+        is wider than its column was saved with, the one thing an
+        append cannot represent.
+        """
+        if self._meta()["zones"]:
+            raise StorageError("cannot extend a table that has zone maps")
+        lengths = {len(columns[column.name]) for column in self.schema}
+        if len(lengths) != 1:
+            raise StorageError(f"ragged extension: lengths {sorted(lengths)}")
+        n_rows = self.num_rows
+        appends: list[tuple[Path, np.ndarray]] = []
+        saves: list[tuple[Path, bytes]] = []
+        for column in self.schema:
+            vec = columns[column.name]
+            values_path = self.directory / f"{column.name}.values.npy"
+            saved_dtype = self._layout(values_path)[0]
+            values = _stored_values(vec)
+            if values.dtype.itemsize > saved_dtype.itemsize:
+                return 0
+            appends.append(
+                (values_path, values.astype(saved_dtype, copy=False))
+            )
+            nulls_path = self.directory / f"{column.name}.nulls.npy"
+            if nulls_path.exists():
+                appends.append((nulls_path, vec.null_mask))
+            elif vec.null_mask.any():
+                flags = io.BytesIO()
+                np.save(
+                    flags,
+                    np.concatenate(
+                        [np.zeros(n_rows, dtype=np.bool_), vec.null_mask]
+                    ),
+                )
+                saves.append((nulls_path, flags.getvalue()))
+        added = sum(tail.nbytes for __, tail in appends)
+        added += sum(len(payload) for __, payload in saves)
+        if not admit(added):
+            return 0
+        for path, tail in appends:
+            _append_npy(path, tail, n_rows, self._layout(path)[1])
+        for path, payload in saves:
+            path.write_bytes(payload)
+        # The mapped arrays end at the old row count.
+        self._columns.clear()
+        self._nulls.clear()
+        self._num_rows = n_rows + lengths.pop()
+        return added
 
     # ------------------------------------------------------------------
     # Access.
     # ------------------------------------------------------------------
 
     def _meta(self) -> dict:
-        with open(self.directory / "meta.json", "r", encoding="utf-8") as f:
-            return json.load(f)
+        """The zone maps, written once at load time."""
+        if self._meta_cache is None:
+            path = self.directory / "meta.json"
+            with open(path, "r", encoding="utf-8") as f:
+                self._meta_cache = json.load(f)
+        return self._meta_cache
 
     @property
     def num_rows(self) -> int:
+        """Rows saved — every column's values file says so itself."""
         if self._num_rows is None:
-            self._num_rows = int(self._meta()["n_rows"])
+            names = self.schema.names()
+            self._num_rows = (
+                _saved_layout(self.directory / f"{names[0]}.values.npy")[0]
+                if names
+                else 0
+            )
         return self._num_rows
+
+    def _layout(self, path: Path) -> tuple[np.dtype, int]:
+        layout = self._layouts.get(path)
+        if layout is None:
+            layout = self._layouts[path] = _saved_layout(path)[1:]
+        return layout
 
     def zone_map(self, column: str) -> tuple[np.ndarray, np.ndarray] | None:
         """(block_mins, block_maxs) for a numeric column, if built."""
@@ -135,20 +200,28 @@ class ColumnStoreTable:
 
     def _column_arrays(
         self, name: str, metrics: QueryMetrics | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The mapped values and null flags (``None``: no NULLs)."""
         if name not in self._columns:
             values_path = self.directory / f"{name}.values.npy"
             nulls_path = self.directory / f"{name}.nulls.npy"
+
+            def load() -> None:
+                self._columns[name] = np.load(values_path, mmap_mode="r")
+                self._nulls[name] = (
+                    np.load(nulls_path, mmap_mode="r")
+                    if nulls_path.exists()
+                    else None
+                )
+
             if metrics is not None:
                 with metrics.time(_IO):
-                    values = np.load(values_path, mmap_mode="r")
-                    nulls = np.load(nulls_path, mmap_mode="r")
-                    metrics.bytes_read += values.nbytes + nulls.nbytes
+                    load()
+                    metrics.bytes_read += self._columns[name].nbytes
+                    if self._nulls[name] is not None:
+                        metrics.bytes_read += self._nulls[name].nbytes
             else:
-                values = np.load(values_path, mmap_mode="r")
-                nulls = np.load(nulls_path, mmap_mode="r")
-            self._columns[name] = values
-            self._nulls[name] = nulls
+                load()
         return self._columns[name], self._nulls[name]
 
     def _vector(
@@ -160,7 +233,10 @@ class ColumnStoreTable:
         dtype = self.schema.dtype_of(name)
         values, nulls = self._column_arrays(name, metrics)
         raw = values[sl]
-        nul = np.ascontiguousarray(nulls[sl])
+        if nulls is None:
+            nul = np.zeros(len(raw), dtype=np.bool_)
+        else:
+            nul = np.ascontiguousarray(nulls[sl])
         if dtype is DataType.TEXT:
             if metrics is not None:
                 with metrics.time(_CONVERT):
@@ -218,6 +294,56 @@ class ColumnStoreTable:
         for path in self.directory.glob("*.npy"):
             total += path.stat().st_size
         return total
+
+
+def _stored_values(vec: ColumnVector) -> np.ndarray:
+    """``vec.values`` as saved: TEXT as fixed-width UTF-8 bytes (a NULL
+    as ``b""``), every other type as it is."""
+    if vec.dtype is not DataType.TEXT:
+        return np.ascontiguousarray(vec.values)
+    encoded = [
+        v.encode("utf-8") if v is not None else b"" for v in vec.values
+    ]
+    width = max(map(len, encoded), default=1)
+    return np.array(encoded, dtype=f"S{max(width, 1)}")
+
+
+def _saved_layout(path: Path) -> tuple[int, np.dtype, int]:
+    """Rows, dtype and data offset of the 1-d array saved at ``path``."""
+    with open(path, "rb") as f:
+        npy.read_magic(f)
+        (rows,), __, dtype = npy.read_array_header_1_0(f)
+        return rows, dtype, f.tell()
+
+
+def _append_npy(
+    path: Path, tail: np.ndarray, n_old: int, data_start: int
+) -> None:
+    """Append ``tail`` to the ``n_old``-row 1-d array saved at ``path``
+    (same dtype; its data starts at byte ``data_start``).
+
+    The rows go onto the end of the data, then the header's shape is
+    rewritten in place — ``np.save`` pads its headers for exactly this
+    growth.  Arrays mapped from the file before the call stay valid:
+    the bytes they cover do not change.
+    """
+    header = io.BytesIO()
+    npy.write_array_header_1_0(
+        header,
+        {
+            "descr": npy.dtype_to_descr(tail.dtype),
+            "fortran_order": False,
+            "shape": (n_old + len(tail),),
+        },
+    )
+    if header.tell() != data_start:
+        raise StorageError(f"cannot append in place to {path}")
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        os.pwrite(fd, tail.tobytes(), data_start + n_old * tail.itemsize)
+        os.pwrite(fd, header.getvalue(), 0)
+    finally:
+        os.close(fd)
 
 
 def _build_zone_map(vec: ColumnVector) -> dict[str, list[float]]:

@@ -13,9 +13,13 @@ It is a :class:`repro.service.governor.GovernedStructure` of kind
 ``"columnstore"``: promoted bytes are admitted through
 ``governor.grant`` against the same budget as positional-map chunks,
 cache entries and materialized aggregates, and evict per column by
-benefit-per-byte.  Appends, rewrites and drops invalidate the whole
-store, exactly like materialized aggregates — promoted vectors always
-describe a full, current row prefix.
+benefit-per-byte.
+
+A promoted column covers a row *prefix* of its table (``rows`` is its
+watermark).  An append leaves it valid: scans read the prefix from the
+columnstore and only the new tail from the raw file, and
+:meth:`VerticalStore.extend` then appends that tail onto the column's
+files in O(tail) bytes.  Rewrites and drops invalidate the whole store.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import shutil
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,29 +131,31 @@ class VerticalStore:
         Bytes are measured from the files actually written, then
         admitted through the governor (which may evict other governed
         structures — or refuse, in which case the files are removed
-        again).  Returns whether the column is now resident.
+        again).  The files are written beside those of an earlier
+        promotion of the same column and swapped in once admitted, so a
+        refusal keeps the old prefix.  Returns whether the new column
+        is now resident.
         """
         directory = self.root / f"{self.table}-{attr}-{name}"
+        staging = directory.with_name(directory.name + ".new")
         schema = TableSchema([Column(name, dtype)])
         # Zone maps are skipped: this tier is a cache serving row
         # ranges, not a block-skipping scan target.
-        store = ColumnStoreTable.create(
-            directory, schema, {name: vector}, build_zone_maps=False
-        )
-        nbytes = store.storage_bytes()
+        nbytes = ColumnStoreTable.create(
+            staging, schema, {name: vector}, build_zone_maps=False
+        ).storage_bytes()
         if not self._admit(nbytes):
-            shutil.rmtree(directory, ignore_errors=True)
+            shutil.rmtree(staging, ignore_errors=True)
             return False
         with self._lock:
-            old = self._columns.get(attr)
-            if old is not None:
-                shutil.rmtree(old.store.directory, ignore_errors=True)
+            shutil.rmtree(directory, ignore_errors=True)
+            staging.rename(directory)
             self._clock += 1
             self._columns[attr] = PromotedColumn(
                 attr=attr,
                 name=name,
                 dtype=dtype,
-                store=store,
+                store=ColumnStoreTable(directory, schema),
                 rows=len(vector),
                 nbytes=nbytes,
                 benefit_seconds=benefit_seconds,
@@ -158,9 +165,45 @@ class VerticalStore:
             self.registry.counter("vp_promotions_total").inc()
         return True
 
-    def _admit(self, nbytes: int) -> bool:
+    def extend(self, attr: int, tail: ColumnVector) -> bool:
+        """Append ``tail`` — the table rows right after the promoted
+        prefix of ``attr`` — onto the column's files.
+
+        Costs O(tail) bytes of I/O; the added bytes are admitted
+        through the governor first.  ``False`` (the column keeps its
+        old prefix) when it refuses, when the column is not resident,
+        or when the files cannot take the tail as they are — a TEXT
+        value wider than the stored width; a full :meth:`promote`
+        covers that case.
+        """
+        # The governor's lock first, as its grants take it before they
+        # reach into this store: no grant elsewhere can evict the
+        # column while its files are being appended to.
+        governor = self._governor
+        governed = governor.lock if governor is not None else nullcontext()
+        with governed, self._lock:
+            column = self._columns.get(attr)
+            if column is None:
+                return False
+            added = column.store.extend(
+                {column.name: tail},
+                lambda nbytes: self._admit(nbytes, keep=attr),
+            )
+            if not added:
+                return False
+            column.rows += len(tail)
+            column.nbytes += added
+        if self.registry is not None:
+            self.registry.counter("vp_extends_total").inc()
+        return True
+
+    def _admit(self, nbytes: int, keep: int | None = None) -> bool:
+        """May the store grow by ``nbytes``?  ``keep`` (the column that
+        is growing) is never evicted to make the room."""
         if self._governor is not None:
-            return self._governor.grant(self, nbytes)
+            return self._governor.grant(
+                self, nbytes, None if keep is None else {keep}
+            )
         # Silo mode (no shared governor): stay under the cache budget by
         # evicting the lowest benefit-per-byte columns first.
         budget = self.config.cache_budget
@@ -171,7 +214,7 @@ class VerticalStore:
             if used + nbytes <= budget:
                 return True
             victims = sorted(
-                self._columns.values(),
+                (c for c in self._columns.values() if c.attr != keep),
                 key=lambda c: (
                     (c.benefit_seconds / c.nbytes) if c.nbytes else 0.0,
                     c.last_used,
@@ -213,7 +256,7 @@ class VerticalStore:
     # ------------------------------------------------------------------
 
     def invalidate(self) -> int:
-        """Append/rewrite/drop: the promoted prefixes are stale."""
+        """Rewrite/drop: the promoted prefixes describe another file."""
         with self._lock:
             dropped = len(self._columns)
             for column in self._columns.values():
@@ -223,11 +266,22 @@ class VerticalStore:
             self.registry.counter("vp_invalidations_total").inc(dropped)
         return dropped
 
-    def stats(self) -> dict[str, object]:
+    def stats(self, table_rows: int | None = None) -> dict[str, object]:
+        """``table_rows``: the table's reconciled row count, when known
+        (a column's ``lag_rows`` is how far its watermark trails it)."""
         with self._lock:
             return {
                 "table": self.table,
                 "columns": sorted(c.name for c in self._columns.values()),
                 "nbytes": sum(c.nbytes for c in self._columns.values()),
                 "hits": sum(c.hits for c in self._columns.values()),
+                "rows": {c.name: c.rows for c in self._columns.values()},
+                "lag_rows": {
+                    c.name: (
+                        None
+                        if table_rows is None
+                        else max(table_rows - c.rows, 0)
+                    )
+                    for c in self._columns.values()
+                },
             }

@@ -1,7 +1,8 @@
 """Adaptive materialized-aggregate lifecycle against a live service.
 
 Auto-materialization after ``mv_min_repeats``, explicit ``build_mv``,
-append/rewrite/drop invalidation, governed accounting with MVs in the
+appends advancing an entry's watermark (tail-merge), rewrite/drop
+invalidation, governed accounting with MVs in the
 budget, monitor panels, and an aggregate-heavy concurrent hammer whose
 every answer must match a fresh MV-less engine.
 
@@ -85,7 +86,8 @@ def test_build_mv_explicit_and_idempotent(csv_path):
         engine.register_csv("t", csv_path, SCHEMA)
         sql = AGG_QUERIES[4]
         entry = engine.build_mv(sql)
-        assert entry["rows"] == 5 and entry["table"] == "t"
+        assert entry["groups"] == 5 and entry["table"] == "t"
+        assert entry["rows"] == len(ROWS) and entry["lag_rows"] == 0
         again = engine.build_mv(sql)
         assert again["mv_id"] == entry["mv_id"]  # idempotent
         assert "MVScan [exact]" in engine.explain(sql)
@@ -98,25 +100,75 @@ def test_build_mv_explicit_and_idempotent(csv_path):
         assert engine.service.mv.catalog.entry_count() == 1
 
 
-def test_append_and_rewrite_invalidate(csv_path):
+def test_append_advances_and_rewrite_invalidates(csv_path):
     config = PostgresRawConfig(mv_auto=True, mv_min_repeats=1)
     sql = AGG_QUERIES[0]
     with PostgresRaw(config) as engine:
         engine.register_csv("t", csv_path, SCHEMA)
         engine.query(sql)
-        assert engine.service.mv.catalog.entry_count() == 1
+        catalog = engine.service.mv.catalog
+        counter = engine.telemetry.registry.counter
+        assert catalog.entry_count() == 1
 
+        # An append leaves the entry valid for its prefix: the next hit
+        # folds the 7 new rows (a new group among them) into it.
         append_csv_rows(csv_path, [("r9", 123, 1)] * 7, SCHEMA)
+        engine.refresh()
+        assert (
+            f"MVScan [exact + tail from row {len(ROWS)}]"
+            in engine.explain(sql)
+        )
+        assert f"RawScan(t from row {len(ROWS)}" in engine.explain(sql)
         expected = reference(csv_path, [sql])[sql]
-        assert sorted(engine.query(sql).rows) == expected
-        assert engine.service.mv.catalog.invalidations >= 1
+        merged = engine.query(sql)
+        assert sorted(merged.rows) == expected
+        assert merged.metrics.rows_scanned == 7
+        assert catalog.invalidations == 0 and catalog.builds == 1
+        assert counter("mv_builds_total").value == 1
+        assert counter("mv_tail_merges_total").value == 1
+        assert counter("mv_tail_rows_total").value == 7
+        (entry,) = engine.service.mv.stats()["entries"]
+        assert entry["rows"] == len(ROWS) + 7 and entry["lag_rows"] == 0
+        # Level with the table again: served as stored, no scan.
+        assert "MVScan [exact]" in engine.explain(sql)
+        again = engine.query(sql)
+        assert sorted(again.rows) == expected
+        assert again.metrics.rows_scanned == 0
 
-        # Warm again, then rewrite the file wholesale.
-        engine.query(sql)
+        # A rewrite is a new file: everything is dropped and rebuilt.
         write_csv(csv_path, ROWS[:500], SCHEMA)
         expected = reference(csv_path, [sql])[sql]
         assert sorted(engine.query(sql).rows) == expected
+        assert catalog.invalidations == 1
         assert sorted(engine.query(sql).rows) == expected
+        assert catalog.builds == 2
+
+
+def test_capture_installed_after_a_reconciled_append_is_not_stale(csv_path):
+    """Session A's capture scan folds N rows; before A's deferred
+    install, an append lands and session B's query reconciles it.  A's
+    entry must go resident as an aggregate of N rows (lagging by 2),
+    never as the current answer."""
+    config = PostgresRawConfig(mv_auto=True, mv_min_repeats=1)
+    sql = "SELECT region, COUNT(*) AS n FROM t GROUP BY region"
+    with PostgresRawService(config) as service:
+        service.register_csv("t", csv_path, SCHEMA)
+        a, b = service.session(), service.session()
+        install = service._install_mv_captures
+
+        def interleaved(captures, generations):
+            service._install_mv_captures = install  # one shot
+            append_csv_rows(csv_path, [("r0", 1, 1)] * 2, SCHEMA)
+            assert b.query("SELECT COUNT(*) FROM t").rows == [
+                (len(ROWS) + 2,)
+            ]
+            install(captures, generations)
+
+        service._install_mv_captures = interleaved
+        assert sum(n for __, n in a.query(sql).rows) == len(ROWS)
+        assert service.mv.catalog.entry_count() >= 1
+        for __ in range(2):
+            assert sum(n for __, n in a.query(sql).rows) == len(ROWS) + 2
 
 
 def test_drop_table_forgets_mvs(csv_path):

@@ -3,10 +3,12 @@
 With ``vp_enabled=True`` a repeated workload crosses the
 ``vp_min_accesses`` threshold and the governor admits promoted columns
 as a durable "columnstore" tier; later scans of a promoted column are
-served without touching the raw file, appends/rewrites/drops invalidate
-the store, and with the default ``vp_enabled=False`` nothing changes.
+served without touching the raw file, an append extends the promoted
+prefixes by the tail alone, rewrites/drops invalidate the store, and
+with the default ``vp_enabled=False`` nothing changes.
 """
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -133,24 +135,68 @@ def test_monitor_panel_shows_format_and_columnstore(tmp_path):
         eng.close()
 
 
-def test_append_invalidates_promoted_columns(tmp_path):
+def _column_file(tmp_path, name):
+    (path,) = (tmp_path / "vp").glob(f"t-*-{name}/{name}.values.npy")
+    return path
+
+
+def test_append_extends_promoted_columns(tmp_path):
     eng = _make_engine(tmp_path, _vp_config(tmp_path))
     try:
         for _ in range(3):
             eng.query(SQL)
-        assert _counter(eng, "vp_promotions_total") >= 1
         promos_before = _counter(eng, "vp_promotions_total")
-        append_csv_rows(tmp_path / "t.csv", [(1000, 2000, "x")], SCHEMA)
+        assert promos_before >= 1
+        size_before = _column_file(tmp_path, "a").stat().st_size
+        append_csv_rows(
+            tmp_path / "t.csv", [(1000, 2000, "x"), (1001, 2002, "y")], SCHEMA
+        )
         eng.refresh()
-        assert _counter(eng, "vp_invalidations_total") >= 1
-        # The stale promotion is gone until a scan rebuilds it.
+        # The promoted prefix survives; the scan stitches the tail on.
+        assert _counter(eng, "vp_invalidations_total") == 0
         assert "vp: served from columnstore" not in eng.explain(SQL)
-        # Stale columnstore data must not leak into answers.
+        (stats,) = eng.service._collect_vertical()
+        assert stats["rows"]["a"] == len(ROWS)
         got = list(eng.query(SQL))
-        assert len(got) == len(ROWS) + 1
-        assert got[-1] == (1000,)
-        # The still-hot column re-promotes over the appended rows.
-        assert _counter(eng, "vp_promotions_total") > promos_before
+        assert len(got) == len(ROWS) + 2
+        assert got[-2:] == [(1000,), (1001,)]
+        # ... and appends it onto the column's file: 2 rows of int64.
+        assert _counter(eng, "vp_extends_total") >= 1
+        assert _counter(eng, "vp_promotions_total") == promos_before
+        assert _counter(eng, "vp_invalidations_total") == 0
+        grown = _column_file(tmp_path, "a").stat().st_size
+        assert grown == size_before + 2 * 8
+        (stats,) = eng.service._collect_vertical()
+        assert stats["rows"]["a"] == len(ROWS) + 2
+        assert stats["lag_rows"]["a"] == 0
+        # The extended column serves the whole table again.
+        assert "-- vp: served from columnstore" in eng.explain(SQL)
+        eng.table_state("t").cache.invalidate()
+        served_before = _counter(eng, "vp_served_total")
+        assert list(eng.query(SQL)) == got
+        assert _counter(eng, "vp_served_total") > served_before
+    finally:
+        eng.close()
+
+
+def test_text_tail_wider_than_the_column_re_promotes(tmp_path):
+    eng = _make_engine(tmp_path, _vp_config(tmp_path))
+    try:
+        sql = "SELECT c FROM t WHERE a >= 0"
+        for _ in range(3):
+            eng.query(sql)
+        promos_before = _counter(eng, "vp_promotions_total")
+        stored = np.load(_column_file(tmp_path, "c"))
+        assert stored.dtype == "S4"  # "r399"
+        append_csv_rows(tmp_path / "t.csv", [(1000, 1, "wider")], SCHEMA)
+        expected = [(r[2],) for r in ROWS] + [("wider",)]
+        assert list(eng.query(sql)) == expected
+        # "a" took the tail in place; "c" had to be written out again.
+        assert _counter(eng, "vp_promotions_total") == promos_before + 1
+        assert _counter(eng, "vp_invalidations_total") == 0
+        assert np.load(_column_file(tmp_path, "c")).dtype == "S5"
+        eng.table_state("t").cache.invalidate()
+        assert list(eng.query(sql)) == expected
     finally:
         eng.close()
 

@@ -5,8 +5,11 @@ For arbitrary tables, query shapes, scan parallelism and fetch styles:
 * an **exact** hit returns the same rows the raw aggregation would;
 * a **partial** hit (wider MV re-aggregated down, including residual
   dim filters and AVG recomposed as SUM/COUNT) returns the same rows;
-* an external append invalidates every MV of the table, after which
-  answers again equal a fresh engine's over the grown file.
+* under any sequence of external appends interleaved with exact hits,
+  partial hits and queries the MV tier cannot serve, every answer
+  equals a fresh engine's over the grown file — while no MV and no
+  promoted column is ever invalidated or rebuilt: their watermarks
+  advance over the appended rows instead.
 
 Aggregate inputs are integers, so re-aggregated SUM/AVG arithmetic is
 exact and comparison needs no tolerance.
@@ -19,7 +22,12 @@ from hypothesis import given, settings, strategies as st
 from repro import PostgresRaw, PostgresRawConfig
 from repro.catalog.schema import TableSchema
 from repro.executor.result import batch_rows
-from repro.rawio.writer import append_csv_rows, write_csv
+from repro.rawio.writer import (
+    append_csv_rows,
+    append_jsonl_rows,
+    write_csv,
+    write_jsonl,
+)
 
 SCHEMA = TableSchema.from_pairs(
     [("g", "integer"), ("h", "integer"), ("v", "integer")]
@@ -102,38 +110,85 @@ def test_mv_served_rows_equal_raw(tmp_path_factory, rows, workers, query):
         assert sorted(streamed) == expected
 
 
-@settings(max_examples=25, deadline=None)
+#: Rows for the append sequences: NULL keys and NULL arguments occur,
+#: possibly for the first time in a tail.
+nullable_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.integers(0, 2),
+        st.one_of(st.none(), st.integers(-99, 99)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+AFTER_APPEND = DERIVED + [
+    "SELECT g, v FROM t WHERE v > 0",  # no aggregate at all
+    "SELECT h, count(DISTINCT v) FROM t GROUP BY h",  # MV-ineligible
+]
+FORMATS = {
+    "csv": (write_csv, append_csv_rows, "register_csv"),
+    "jsonl": (write_jsonl, append_jsonl_rows, "register_jsonl"),
+}
+
+
+@settings(max_examples=30, deadline=None)
 @given(
-    rows=rows_strategy,
-    tail=st.lists(
+    rows=nullable_rows,
+    steps=st.lists(
         st.tuples(
-            st.integers(0, 3), st.integers(0, 2), st.integers(-99, 99)
+            nullable_rows,
+            st.lists(st.sampled_from(AFTER_APPEND), max_size=3),
+            st.booleans(),
         ),
         min_size=1,
-        max_size=60,
+        max_size=4,
     ),
     workers=st.sampled_from([1, 4]),
-    query=st.sampled_from(DERIVED),
+    fmt=st.sampled_from(sorted(FORMATS)),
 )
-def test_append_invalidates_and_stays_correct(
-    tmp_path_factory, rows, tail, workers, query
+def test_appends_advance_both_tiers_and_stay_correct(
+    tmp_path_factory, rows, steps, workers, fmt
 ):
     tmp = tmp_path_factory.mktemp("mv_append")
-    path = tmp / "t.csv"
-    write_csv(path, rows, SCHEMA)
+    path = tmp / f"t.{fmt}"
+    write, append, register = FORMATS[fmt]
+    write(path, rows, SCHEMA)
 
-    with PostgresRaw(build_config(workers)) as engine:
-        engine.register_csv("t", path, SCHEMA)
-        engine.query(WIDE)  # min_repeats=1: captures on first run
-        assert engine.service.mv.catalog.entry_count() == 1
-        engine.query(query)
+    def expected(query):
+        with PostgresRaw(PostgresRawConfig(mv_enabled=False)) as ref:
+            getattr(ref, register)("t", path, SCHEMA)
+            return sorted(ref.query(query).rows, key=repr)
 
-        append_csv_rows(path, tail, SCHEMA)
-        expected = reference_rows(path, query)
-        # First post-append scan reconciles the file and invalidates;
-        # the answer must reflect the grown file, not the stale MV.
-        assert sorted(engine.query(query).rows) == expected
-        assert sorted(engine.query(query).rows) == expected
+    config = build_config(
+        workers,
+        mv_auto=False,
+        memory_budget=8 << 20,
+        vp_enabled=True,
+        vp_min_accesses=1,
+        vp_dir=str(tmp / "vp"),
+    )
+    with PostgresRaw(config) as engine:
+        getattr(engine, register)("t", path, SCHEMA)
+        engine.build_mv(WIDE)
+        counter = engine.telemetry.registry.counter
+        for tail, queries, drop_cache in steps:
+            append(path, tail, SCHEMA)
+            if drop_cache:
+                # Promoted prefixes now serve what the cache did.
+                engine.table_state("t").cache.invalidate()
+            for query in queries:
+                got = sorted(engine.query(query).rows, key=repr)
+                assert got == expected(query)
+        # One more exact hit: whatever the sequence left lagging.
+        assert sorted(engine.query(WIDE).rows, key=repr) == expected(WIDE)
+        catalog = engine.service.mv.catalog
+        assert catalog.builds == 1 and catalog.invalidations == 0
+        assert counter("vp_invalidations_total").value == 0
+        n_rows = len(rows) + sum(len(tail) for tail, __, __ in steps)
+        (entry,) = engine.service.mv.stats()["entries"]
+        assert entry["rows"] == n_rows and entry["lag_rows"] == 0
+        for covered in engine.service._collect_vertical()[0]["rows"].values():
+            assert covered <= n_rows
 
 
 @settings(max_examples=10, deadline=None)

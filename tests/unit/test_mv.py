@@ -18,6 +18,7 @@ from repro.errors import BudgetError, ServiceError
 from repro.mv import (
     MaterializedAggregate,
     MVCatalog,
+    MVRecipe,
     QuerySignature,
     WorkloadAnalyzer,
     extract_signature,
@@ -104,7 +105,9 @@ class TestSignature:
 # ----------------------------------------------------------------------
 
 
-def make_entry(mv_id, sig, columns, dim_types=(), benefit=1.0, nbytes=100):
+def make_entry(
+    mv_id, sig, columns, dim_types=(), benefit=1.0, nbytes=100, rows=10
+):
     cols = {}
     types = {}
     for dim, dtype in dim_types:
@@ -122,6 +125,8 @@ def make_entry(mv_id, sig, columns, dim_types=(), benefit=1.0, nbytes=100):
         types=types,
         nbytes=nbytes,
         generation=0,
+        rows=rows,
+        recipe=MVRecipe((), (), ()),
         benefit_seconds=benefit,
         build_seconds=0.0,
         created_unix=0.0,

@@ -221,12 +221,6 @@ class TestReader:
         with pytest.raises(RawDataError):
             RawFileReader(tmp_path / "nope.csv")
 
-    def test_prefix_bytes(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_bytes(b"0123456789")
-        with RawFileReader(path) as reader:
-            assert reader.read_prefix_bytes(4) == b"0123"
-
     def test_shrunk_file_is_a_typed_conflict(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_bytes(b"0123456789")

@@ -8,7 +8,6 @@ from repro.rawio.dialect import CsvDialect
 from repro.rawio.tokenizer import (
     build_line_index,
     extract_field,
-    field_end,
     extract_fields_between,
     tokenize_lines,
     tokenize_span,
@@ -199,14 +198,6 @@ class TestExtraction:
         bounds = build_line_index(self.CONTENT)
         assert extract_field(self.CONTENT, 3, 8, PLAIN) == "200"
         assert extract_field(self.CONTENT, 7, 8, PLAIN) == "3"  # last field
-
-    def test_field_end(self):
-        assert field_end(self.CONTENT, 3, 8, PLAIN) == 6
-        assert field_end(self.CONTENT, 7, 8, PLAIN) == 8
-        # File offsets in and out when the data is a window of the file.
-        assert field_end(self.CONTENT[9:], 12, 17, PLAIN, base=9) == 15
-        quoted = b'1,"a,""b",2\n'
-        assert field_end(quoted, 2, 11, QUOTED) == 9
 
     def test_extract_fields_between(self):
         starts = np.array([3, 12])

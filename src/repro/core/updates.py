@@ -88,7 +88,6 @@ def detect_change(
     Returns the detected change kind and the file's *current*
     fingerprint (``None`` when the file is missing).
     """
-    path = Path(path)
     try:
         stat = os.stat(path)
     except FileNotFoundError:

@@ -630,6 +630,11 @@ class MVScan(Operator):
         self._aggs = aggs or {}
         self._on_merged = on_merged
 
+    def serving(self, batch: Batch | None) -> "MVScan":
+        """This (level, tail-less) leaf re-bound to another batch of
+        the same entry."""
+        return MVScan(batch, self._types, self._label)
+
     def execute(self) -> Iterator[Batch]:
         if self._tail is None:
             yield self._batch

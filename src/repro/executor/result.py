@@ -19,6 +19,17 @@ def batch_rows(batch: Batch, names: list[str]) -> list[tuple]:
     return list(zip(*ordered))
 
 
+def replay(
+    batches: list[Batch], error: BaseException | None = None
+) -> Iterator[Batch]:
+    """The batch source of a cursor whose plan already ran: its
+    batches, then the error that stopped production (if any) — the
+    order a live stream would have delivered them in."""
+    yield from batches
+    if error is not None:
+        raise error
+
+
 class Cursor:
     """A lazy result: batches are pulled from the producing scan on
     demand instead of being materialized up front.

@@ -11,6 +11,8 @@ under concurrency:
 * :mod:`repro.service.governor` — the global memory governor: one
   ``memory_budget`` arbitrated across every table's positional-map
   chunks and cache entries on benefit-per-byte;
+* :mod:`repro.service.plan_cache` — the engine-wide cache of scan-free
+  plans by SQL text (repeat MV hits skip parser and planner);
 * :mod:`repro.service.service` — :class:`PostgresRawService` (the
   thread-safe engine) and :class:`Session` (per-client handles).
 

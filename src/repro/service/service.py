@@ -21,15 +21,23 @@ makes that sharing safe under concurrency:
   queue smooths bursts (granted round-robin across sessions, so one
   greedy session cannot monopolize the slots) and overload is rejected
   fast.
-* **Streaming execution** — every query runs on a producer thread
-  feeding a bounded :class:`repro.service.streaming.BatchChannel`;
-  :meth:`Session.cursor` hands the consuming end to the client as a
-  lazy :class:`repro.executor.result.Cursor`, and the classic
+* **Streaming execution, two lanes** — a query whose plan contains a
+  raw scan runs on a producer thread feeding a bounded
+  :class:`repro.service.streaming.BatchChannel`; :meth:`Session.cursor`
+  hands the consuming end to the client as a lazy
+  :class:`repro.executor.result.Cursor`, and the classic
   ``query()``/``execute()`` APIs are just ``fetchall()`` over the same
   stream.  The producing scan holds its table locks until the cursor
   is exhausted or closed (``cursor_ttl_s`` abandons stalled consumers
   cleanly); a ``drop_table``/rewrite that races an opening cursor is
   generation-guarded into :class:`repro.errors.CursorInvalidError`.
+  A plan that scans nothing — a level MV hit, a FROM-less SELECT — is
+  the *inline* lane: it runs on the caller's thread under the same
+  slot, shared locks and generation check, and its cursor is handed
+  out already produced and holding no lock.
+* **Plan cache** (:mod:`repro.service.plan_cache`) — scan-free plans
+  are cached by SQL text for every session; a repeat skips lexer,
+  parser and planner and costs one MV serve decision.
 * **One recycled scan pool** — parallel chunked scans
   (:mod:`repro.parallel`) reuse a single engine-wide pool across
   queries, amortizing thread/fork start-up and bounding total scan
@@ -67,19 +75,21 @@ from ..errors import (
     RawDataError,
     ServiceError,
 )
-from ..executor.result import Cursor, QueryResult
+from ..batch import Batch
+from ..executor.result import Cursor, QueryResult, replay
 from ..kernels import KernelCache
 from ..mv import MVRuntime
 from ..rawio.dialect import CsvDialect, DEFAULT_DIALECT
 from ..rawio.sniffer import infer_schema
 from ..sql.ast import Expression, SelectStatement
 from ..sql.parser import parse_select
-from ..sql.planner import LogicalPlan, Planner
+from ..sql.planner import UNSERVED, LogicalPlan, Planner
 from ..storage.vertical import VerticalStore
 from ..telemetry import Telemetry
 from ..telemetry.trace import Span
 from .governor import MemoryGovernor
 from .locks import RWLock
+from .plan_cache import CachedPlan, PlanCache
 from .scheduler import QueryScheduler
 from .streaming import BatchChannel
 
@@ -101,43 +111,45 @@ class Session:
         self.total_seconds = 0.0
 
     def query(self, sql: str) -> QueryResult:
-        """Parse, plan and execute one SELECT statement."""
-        return self.execute(parse_select(sql), sql=sql)
+        """Parse (or reuse a cached plan), plan and execute one SELECT
+        statement."""
+        return self.cursor(sql).fetchall()
 
     def execute(
         self, stmt: SelectStatement, sql: str | None = None
     ) -> QueryResult:
-        result = self.service.execute(
-            stmt, session_id=self.session_id, sql=sql
-        )
-        self.queries_issued += 1
-        self.rows_returned += len(result)
-        self.total_seconds += result.metrics.total_seconds
-        return result
+        return self.execute_stream(stmt, sql=sql).fetchall()
 
     def cursor(self, sql: str) -> Cursor:
-        """Parse, plan and *stream* one SELECT statement.
+        """Parse (or reuse a cached plan), plan and *stream* one SELECT
+        statement.
 
         Batches flow from the producing scan through a bounded handoff
         queue as they are computed; iterate / ``fetchmany`` / close the
         returned :class:`Cursor`.  The table's shared lock is held until
         the cursor is exhausted or closed (``cursor_ttl_s`` bounds how
-        long an idle consumer can pin it).
+        long an idle consumer can pin it) — except on the inline lane:
+        a plan that scans nothing has run, and released every lock, by
+        the time the cursor is returned.
         """
-        return self.execute_stream(parse_select(sql), sql=sql)
+        cursor = self.service.query_stream(
+            sql, session_id=self.session_id, on_close=self._account
+        )
+        self.queries_issued += 1
+        return cursor
 
     def execute_stream(
         self, stmt: SelectStatement, sql: str | None = None
     ) -> Cursor:
-        def account(cursor: Cursor) -> None:
-            self.rows_returned += cursor.rows_fetched
-            self.total_seconds += cursor.metrics.total_seconds
-
         cursor = self.service.execute_stream(
-            stmt, session_id=self.session_id, on_close=account, sql=sql
+            stmt, session_id=self.session_id, on_close=self._account, sql=sql
         )
         self.queries_issued += 1
         return cursor
+
+    def _account(self, cursor: Cursor) -> None:
+        self.rows_returned += cursor.rows_fetched
+        self.total_seconds += cursor.metrics.total_seconds
 
     def explain(self, sql: str) -> str:
         return self.service.explain(sql)
@@ -158,7 +170,9 @@ class _StreamHandle:
     """One open streaming query, tracked for monitoring and shutdown."""
 
     stream_id: int
-    channel: BatchChannel
+    #: The producer thread and its channel (``None`` on the inline
+    #: lane: the plan ran before the cursor was handed out).
+    channel: BatchChannel | None = field(default=None)
     thread: threading.Thread | None = field(default=None)
     #: Root span of the query's trace (None when telemetry is off).
     root: Span | None = field(default=None)
@@ -241,6 +255,8 @@ class PostgresRawService:
         self._ttfb_sum = 0.0
         self._ttfb_count = 0
         self._last_ttfb: float | None = None
+        #: Scan-free plans by SQL text, shared by every session.
+        self.plan_cache = PlanCache(registry)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -249,13 +265,17 @@ class PostgresRawService:
     def close(self) -> None:
         """Shut down the service; further queries error.
 
-        Open cursors are force-closed: their producers unblock, release
-        their locks and finish; a consumer still reading such a cursor
-        gets a :class:`repro.errors.CursorInvalidError`.
+        Open threaded cursors are force-closed: their producers unblock,
+        release their locks and finish; a consumer still reading such a
+        cursor gets a :class:`repro.errors.CursorInvalidError`.  Inline
+        cursors hold no lock and no slot — their rows are complete and
+        stay readable.
         """
         self._closed = True
         with self._cursor_lock:
-            handles = list(self._open_streams.values())
+            handles = [
+                h for h in self._open_streams.values() if h.channel is not None
+            ]
         for handle in handles:
             # Error first, then close: a consumer mid-drain gets a clean
             # CursorInvalidError instead of a silently truncated result
@@ -406,6 +426,7 @@ class PostgresRawService:
                 self._vertical[name] = store
             self._states[name] = state
             self._table_locks[name] = RWLock()
+            self.plan_cache.clear()
         return entry
 
     def _vp_root(self) -> Path:
@@ -436,6 +457,7 @@ class PostgresRawService:
                 self.catalog.drop(name)
                 self._states.pop(name, None)
                 self._table_locks.pop(name, None)
+                self.plan_cache.clear()
             if self.governor is not None:
                 self.governor.unregister_table(name)
             if self.mv is not None:
@@ -466,9 +488,10 @@ class PostgresRawService:
     # Querying.
     # ------------------------------------------------------------------
 
-    def query(self, sql: str) -> QueryResult:
-        """Parse, plan and execute one SELECT statement."""
-        return self.execute(parse_select(sql))
+    def query(self, sql: str, session_id: object = 0) -> QueryResult:
+        """Parse (or reuse a cached plan), plan and execute one SELECT
+        statement."""
+        return self.query_stream(sql, session_id=session_id).fetchall()
 
     def execute(
         self,
@@ -486,10 +509,20 @@ class PostgresRawService:
             stmt, session_id=session_id, sql=sql
         ).fetchall()
 
-    def query_stream(self, sql: str, session_id: object = 0) -> Cursor:
-        """Parse, plan and stream one SELECT statement."""
+    def query_stream(
+        self,
+        sql: str,
+        session_id: object = 0,
+        on_close: Callable[[Cursor], None] | None = None,
+    ) -> Cursor:
+        """Stream one SELECT statement given as text — the one entry
+        point every text API goes through.  A plan-cache hit skips
+        lexer, parser and planner; a miss parses, and the plan is
+        cached when it turns out scan-free."""
+        cached = self.plan_cache.get(sql)
+        stmt = parse_select(sql) if cached is None else cached.stmt
         return self.execute_stream(
-            parse_select(sql), session_id=session_id, sql=sql
+            stmt, session_id, on_close, sql, cached=cached, from_text=True
         )
 
     def execute_stream(
@@ -498,19 +531,37 @@ class PostgresRawService:
         session_id: object = 0,
         on_close: Callable[[Cursor], None] | None = None,
         sql: str | None = None,
+        *,
+        cached: CachedPlan | None = None,
+        from_text: bool = False,
     ) -> Cursor:
-        """Admit, plan and launch one streaming query; return its cursor.
+        """Admit, plan and run one streaming query; return its cursor.
 
         Admission control, per-table reconcile and planning run
         synchronously in the caller (so :class:`AdmissionError`, SQL or
-        catalog errors raise here); execution runs on a producer thread
-        that holds the table locks and feeds a bounded
-        :class:`BatchChannel` (``stream_queue_batches`` deep,
-        ``cursor_ttl_s`` flow-control timeout).  Errors raised while
-        producing — including :class:`CursorInvalidError` when a
-        racing ``drop_table``/rewrite invalidated the plan, and
-        :class:`CursorTimeoutError` on a stalled consumer — surface
-        from the cursor after the batches that preceded them.
+        catalog errors raise here).  Then one question picks the lane:
+        does the plan contain a raw scan?
+
+        * **Threaded** (it does): execution runs on a producer thread
+          that holds the table locks and feeds a bounded
+          :class:`BatchChannel` (``stream_queue_batches`` deep,
+          ``cursor_ttl_s`` flow-control timeout).
+        * **Inline** (it does not — a level MV hit or a FROM-less
+          SELECT): the plan runs here, under the same admission slot,
+          shared locks and generation check, and its batches are in the
+          cursor before it is returned — no thread, no channel, no lock
+          held by the open cursor.  Its output is bounded by a
+          resident, governed MV; it is too short to cancel or time out.
+
+        On both lanes errors raised while producing — including
+        :class:`CursorInvalidError` when a racing ``drop_table``/rewrite
+        invalidated the plan, and :class:`CursorTimeoutError` on a
+        stalled consumer — surface from the cursor after the batches
+        that preceded them.
+
+        ``from_text`` marks ``sql`` as the exact text of ``stmt`` (see
+        :meth:`query_stream`): only then is a scan-free plan cached.
+        ``cached`` is that text's plan-cache entry, if any.
         """
         if self._closed:
             raise ServiceError("service is closed")
@@ -550,10 +601,15 @@ class PostgresRawService:
             scans: list[RawScan] = []
             captures: list = []
             with tracer.span(root, "plan"):
-                planner = self._planner(
-                    metrics, scans, root, captures=captures
+                plan = self._plan(
+                    stmt,
+                    sql if from_text else None,
+                    cached,
+                    metrics,
+                    scans,
+                    root,
+                    captures,
                 )
-                plan = planner.plan(stmt)
             # The cursor contract is "rows from the table as admitted":
             # the producer re-checks these generations under its locks
             # and fails with CursorInvalidError rather than serve rows
@@ -566,17 +622,27 @@ class PostgresRawService:
             self.scheduler.release()
             raise
 
-        channel = BatchChannel(
-            self.config.stream_queue_batches, self.config.cursor_ttl_s
-        )
+        # The lane: a plan that scans no raw file runs right here.
+        inline = not scans
+        if root is not None:
+            root.attrs["lane"] = "inline" if inline else "threaded"
         handle = _StreamHandle(
             stream_id=next(self._cursor_ids),
-            channel=channel,
             root=root,
             sql=sql,
             mv_signature=plan.mv_signature,
             mv_decision=plan.mv_decision,
         )
+        job = (plan, scans, tables, generations, metrics, root, captures)
+        if inline:
+            registry.counter("inline_queries_total").inc()
+            batches: list[Batch] = []
+            source = replay(batches, self._produce(batches.append, *job))
+        else:
+            handle.channel = BatchChannel(
+                self.config.stream_queue_batches, self.config.cursor_ttl_s
+            )
+            source = handle.channel.drain()
         with self._cursor_lock:
             self._open_streams[handle.stream_id] = handle
             self.cursors_opened += 1
@@ -589,23 +655,16 @@ class PostgresRawService:
         cursor = Cursor(
             list(plan.output_types),
             list(plan.output_types.values()),
-            channel.drain(),
+            source,
             metrics,
             on_close=finished,
         )
         cursor.trace_id = None if root is None else root.trace_id
+        if inline:
+            return cursor
+        channel = handle.channel
         thread = threading.Thread(
-            target=self._produce,
-            args=(
-                plan,
-                scans,
-                tables,
-                generations,
-                metrics,
-                channel,
-                root,
-                captures,
-            ),
+            target=lambda: channel.finish(self._produce(channel.put, *job)),
             name=f"repro-cursor-{handle.stream_id}",
             daemon=True,
         )
@@ -618,14 +677,58 @@ class PostgresRawService:
             raise
         return cursor
 
+    def _plan(
+        self,
+        stmt: SelectStatement,
+        sql: str | None,
+        cached: CachedPlan | None,
+        metrics: QueryMetrics,
+        scans: list[RawScan],
+        root: Span | None,
+        captures: list,
+    ) -> LogicalPlan:
+        """Plan ``stmt``, through the plan cache when ``sql`` is its
+        exact text.
+
+        A cached shape is reused when the statement's serve verdict
+        still names the entry (and kind) it was planned over, level
+        with its table; otherwise that verdict is handed to the planner
+        — ``serve`` runs once per statement either way, so mining, hit
+        counters and capture timing do not depend on the cache.  The
+        new plan replaces the entry when it is scan-free, else the
+        entry is dropped.
+        """
+        match = UNSERVED
+        if cached is not None:
+            sig = cached.shape.mv_signature
+            match = None if sig is None else self.mv.serve(sig)
+            plan = cached.bind(match)
+            if plan is not None:
+                return plan
+        planner = self._planner(metrics, scans, root, captures=captures)
+        plan = planner.plan(stmt, match)
+        if sql is not None:
+            if not scans:
+                self.plan_cache.put(sql, stmt, plan)
+            elif cached is not None:
+                self.plan_cache.discard(sql, cached)
+        return plan
+
     def explain(self, sql: str) -> str:
-        """The physical plan as indented text (EXPLAIN)."""
+        """The physical plan as indented text (EXPLAIN).
+
+        Never reads or fills the plan cache.
+        """
         stmt = parse_select(sql)
         metrics = QueryMetrics()
+        scans: list[RawScan] = []
         # mining=False: EXPLAIN previews the MV serve decision without
         # counting as a workload repeat or bumping hit/miss counters.
-        plan = self._planner(metrics, [], mining=False).plan(stmt)
-        return plan.explain()
+        plan = self._planner(metrics, scans, mining=False).plan(stmt)
+        text = plan.explain()
+        if not scans:
+            text += "\n-- lane: inline (no raw scan)"
+        return text
 
     def build_mv(self, sql: str, session_id: object = 0) -> dict[str, object]:
         """Materialize the aggregate result of ``sql`` right now.
@@ -686,30 +789,32 @@ class PostgresRawService:
 
     def _produce(
         self,
+        put: Callable[[Batch], bool | None],
         plan: LogicalPlan,
         scans: list[RawScan],
         tables: list[tuple[str, RawTableState, RWLock]],
         generations: dict[str, int],
         metrics: QueryMetrics,
-        channel: BatchChannel,
         root: Span | None = None,
         captures: list | None = None,
-    ) -> None:
-        """Producer-thread body: run the plan, feed the channel.
+    ) -> BaseException | None:
+        """Run the plan into ``put``: the body of both lanes (on the
+        producer thread, or inline on the caller's).
 
-        Owns the scheduler slot taken by :meth:`execute_stream`; always
-        releases it and finishes the channel (with the error, if any).
+        Owns the scheduler slot taken by :meth:`execute_stream` and
+        always releases it.  Returns the error that stopped production
+        (``None`` on success); the caller delivers it through the
+        cursor, after the batches that preceded it.
         """
-        error: BaseException | None = None
         try:
             with self.telemetry.tracer.span(root, "produce"):
                 self._run_stream(
+                    put,
                     plan,
                     scans,
                     tables,
                     generations,
                     metrics,
-                    channel,
                     root,
                     captures,
                 )
@@ -717,7 +822,6 @@ class PostgresRawService:
             # BaseException included: swallowing even SystemExit here is
             # better than a channel that never finishes (consumer hang)
             # or finishes clean (silent truncation).
-            error = exc
             if root is not None:
                 # Stamp the trace id so the wire server's ERROR frame
                 # (and any other consumer) can correlate the failure.
@@ -725,18 +829,19 @@ class PostgresRawService:
                     exc.trace_id = root.trace_id
                 except Exception:  # exotic immutable exception
                     pass
+            return exc
         finally:
             self.scheduler.release()
-            channel.finish(error)
+        return None
 
     def _run_stream(
         self,
+        put: Callable[[Batch], bool | None],
         plan: LogicalPlan,
         scans: list[RawScan],
         tables: list[tuple[str, RawTableState, RWLock]],
         generations: dict[str, int],
         metrics: QueryMetrics,
-        channel: BatchChannel,
         root: Span | None = None,
         captures: list | None = None,
     ) -> None:
@@ -778,7 +883,7 @@ class PostgresRawService:
                 # bounded channel flow-controls production, so this
                 # lasts until the cursor is exhausted or closed
                 # (bounded by cursor_ttl_s for stalled consumers).
-                self._pump(plan, channel, root)
+                self._pump(plan, put, root)
             finally:
                 self._release_all(tables, write=False, held=held)
                 # Install what the shared-lock scans learned (e.g.
@@ -792,7 +897,7 @@ class PostgresRawService:
             held = self._acquire_all(tables, write=True, root=root)
             try:
                 self._check_generations(tables, generations)
-                self._pump(plan, channel, root)
+                self._pump(plan, put, root)
             finally:
                 self._release_all(tables, write=True, held=held)
 
@@ -837,10 +942,11 @@ class PostgresRawService:
     def _pump(
         self,
         plan: LogicalPlan,
-        channel: BatchChannel,
+        put: Callable[[Batch], bool | None],
         root: Span | None = None,
     ) -> None:
-        """Drive the operator tree into the channel.
+        """Drive the operator tree into ``put`` (a channel, or the
+        inline lane's list).
 
         A consumer hang-up (``put`` returning ``False``) or a flow-
         control timeout stops the plan generators; their ``finally``
@@ -852,7 +958,7 @@ class PostgresRawService:
         with self.telemetry.tracer.span(root, "pump") as pump_span:
             try:
                 for batch in batches:
-                    if not channel.put(batch):
+                    if put(batch) is False:
                         break
                     n_batches += 1
             finally:
@@ -908,8 +1014,9 @@ class PostgresRawService:
     def _retire_stream(self, handle: "_StreamHandle", cursor: Cursor) -> None:
         """Cursor finished (exhausted, closed or errored): bookkeeping.
 
-        Joins the producer first, so ``Cursor.close()`` returning means
-        the locks are released and the scan's learnings are installed.
+        Joins the producer first (threaded lane), so ``Cursor.close()``
+        returning means the locks are released and the scan's learnings
+        are installed.
         """
         thread = handle.thread
         if (
@@ -927,7 +1034,7 @@ class PostgresRawService:
             if self._open_streams.pop(handle.stream_id, None) is None:
                 return  # already retired
             self.cursors_finished += 1
-            if handle.channel.timed_out:
+            if handle.channel is not None and handle.channel.timed_out:
                 self.cursors_abandoned += 1
             ttfb = cursor.metrics.time_to_first_batch
             if ttfb is not None:

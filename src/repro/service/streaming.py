@@ -1,9 +1,12 @@
 """The bounded batch handoff between a producing scan and a cursor.
 
-A streaming query runs its plan on a dedicated producer thread (holding
-the scheduler slot and the per-table locks); the client consumes through
-a :class:`repro.executor.result.Cursor`.  :class:`BatchChannel` is the
-pipe between them:
+A streaming query whose plan scans a raw file runs on a dedicated
+producer thread (holding the scheduler slot and the per-table locks);
+the client consumes through a :class:`repro.executor.result.Cursor`.
+:class:`BatchChannel` is the pipe between them.  (A plan that scans
+nothing — a level MV hit, a FROM-less SELECT — needs no pipe: the
+service runs it inline, before the cursor is handed out.)  The
+channel is:
 
 * **Bounded** — at most ``capacity`` batches sit in the channel, so the
   producer runs only that far ahead of the consumer and an open cursor
@@ -24,7 +27,9 @@ The lock-lifetime contract this enforces: a streaming query's shared
 (or exclusive) table locks are held while the scan *produces* — which,
 because production is flow-controlled by this bounded channel, lasts
 until the cursor is exhausted or closed (the producer is never more
-than ``capacity`` batches ahead), bounded by ``cursor_ttl_s``.
+than ``capacity`` batches ahead), bounded by ``cursor_ttl_s``.  An
+inline cursor holds no lock at all: its locks were released before it
+was returned.
 """
 
 from __future__ import annotations

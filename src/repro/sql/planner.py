@@ -12,6 +12,7 @@ projection -> distinct/sort/limit.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -46,8 +47,11 @@ from .ast import (
     FunctionCall,
     InList,
     IsNull,
+    JoinClause,
     Like,
     Literal,
+    OrderItem,
+    SelectItem,
     SelectStatement,
     Star,
     UnaryOp,
@@ -120,6 +124,11 @@ def transform_expr(
     return expr
 
 
+#: ``Planner.plan``'s default ``mv_match``: no serve verdict was
+#: obtained for the statement yet, so the planner asks the MV runtime.
+UNSERVED = object()
+
+
 @dataclass
 class LogicalPlan:
     """The planner's product: an executable tree plus output metadata."""
@@ -131,6 +140,32 @@ class LogicalPlan:
     #: verdict ("exact" | "partial" | "miss"); everything else ``None``.
     mv_signature: object | None = None
     mv_decision: str | None = None
+    #: The serving entry's ``mv_id`` when the plan reads an MV.
+    mv_id: int | None = None
+
+    def rebound(self, batch: Batch | None) -> "LogicalPlan":
+        """This plan with its MV leaf serving ``batch``.
+
+        Only the single-child chain from the root to the leaf is copied
+        (shallowly: operators keep no execution state), so a cached
+        shape is never mutated by a hit and holds no batch itself.
+        """
+
+        def bind(op: Operator) -> Operator:
+            if isinstance(op, MVScan):
+                return op.serving(batch)
+            clone = object.__new__(type(op))
+            clone.__dict__.update(vars(op), child=bind(op.child))
+            return clone
+
+        return LogicalPlan(
+            bind(self.root),
+            self.output_names,
+            self.output_types,
+            self.mv_signature,
+            self.mv_decision,
+            self.mv_id,
+        )
 
     def explain(self) -> str:
         text = "\n".join(self.root.explain_lines())
@@ -184,7 +219,17 @@ class Planner:
     # Entry point.
     # ------------------------------------------------------------------
 
-    def plan(self, stmt: SelectStatement) -> LogicalPlan:
+    def plan(
+        self, stmt: SelectStatement, mv_match: object = UNSERVED
+    ) -> LogicalPlan:
+        """Plan ``stmt``, which is left unchanged (one parsed statement
+        may be planned any number of times).
+
+        ``mv_match`` is a serve verdict the caller already obtained for
+        this statement's signature (an ``MVMatch`` or ``None``): the
+        plan cache's hit path, which must not serve — and so mine — a
+        statement twice.
+        """
         bindings = self._bind_tables(stmt)
         types_full = {
             f"{b.alias}.{c.name}": c.dtype
@@ -192,19 +237,23 @@ class Planner:
             for c in b.schema
         }
 
-        self._resolve_statement(stmt, bindings, types_full)
+        stmt = self._resolve_statement(stmt, bindings, types_full)
 
         mv_sig = None
         mv_decision = None
         if self.mv is not None and len(bindings) == 1:
             mv_sig = self.mv.signature_of(stmt, bindings[0].table_name)
         if mv_sig is not None:
-            match = self.mv.serve(mv_sig, record=self.mv_mining)
+            match = mv_match
+            if match is UNSERVED:
+                match = self.mv.serve(mv_sig, record=self.mv_mining)
             if match is not None:
                 plan, select_items = self._plan_from_mv(stmt, mv_sig, match)
-                return self._finish_plan(
+                logical = self._finish_plan(
                     stmt, plan, select_items, mv_sig, match.kind
                 )
+                logical.mv_id = match.entry.mv_id
+                return logical
             mv_decision = "miss"
 
         if not bindings:
@@ -257,7 +306,7 @@ class Planner:
             for b in bindings
             for c in b.schema
         }
-        self._resolve_statement(stmt, bindings, types_full)
+        stmt = self._resolve_statement(stmt, bindings, types_full)
         return self.mv.signature_of(stmt, bindings[0].table_name)
 
     # ------------------------------------------------------------------
@@ -285,92 +334,107 @@ class Planner:
         stmt: SelectStatement,
         bindings: list[_TableBinding],
         types_full: dict[str, DataType],
-    ) -> None:
-        resolve = lambda e: self._resolve_expr(e, bindings)  # noqa: E731
+    ) -> SelectStatement:
+        """A resolved copy of ``stmt``: column refs qualified, DATE
+        literals coerced, ORDER BY aliases and ordinals substituted.
+        Everything downstream rewrites the copy, never the input."""
 
-        for item in stmt.items:
-            if not isinstance(item.expr, Star):
-                resolve(item.expr)
-                normalize_expression(item.expr, types_full)
-        for join in stmt.joins:
-            resolve(join.condition)
-            normalize_expression(join.condition, types_full)
-        if stmt.where is not None:
-            resolve(stmt.where)
-            normalize_expression(stmt.where, types_full)
-        for expr in stmt.group_by:
-            resolve(expr)
-            normalize_expression(expr, types_full)
-        if stmt.having is not None:
-            resolve(stmt.having)
-            normalize_expression(stmt.having, types_full)
+        by_alias = {b.alias: b for b in bindings}
 
-        self._resolve_order_by(stmt, bindings, types_full)
+        def qualify(node: Expression) -> ColumnRef | None:
+            if isinstance(node, ColumnRef):
+                return ColumnRef(node.name, self._owner(node, by_alias))
+            return None
 
-    def _resolve_order_by(
-        self,
-        stmt: SelectStatement,
-        bindings: list[_TableBinding],
-        types_full: dict[str, DataType],
-    ) -> None:
-        """ORDER BY may reference select aliases or ordinal positions."""
-        aliases = {
-            item.alias: item.expr
+        def resolve(expr: Expression | None) -> Expression | None:
+            if expr is None:
+                return None
+            return normalize_expression(
+                transform_expr(expr, qualify), types_full
+            )
+
+        items = [
+            item
+            if isinstance(item.expr, Star)
+            else SelectItem(resolve(item.expr), item.alias)
             for item in stmt.items
-            if item.alias is not None
+        ]
+        return dataclasses.replace(
+            stmt,
+            items=items,
+            joins=[
+                JoinClause(j.table, resolve(j.condition), j.kind)
+                for j in stmt.joins
+            ],
+            where=resolve(stmt.where),
+            group_by=[resolve(expr) for expr in stmt.group_by],
+            having=resolve(stmt.having),
+            order_by=self._resolve_order_by(stmt.order_by, items, resolve),
+        )
+
+    @staticmethod
+    def _resolve_order_by(
+        order_by: list[OrderItem],
+        items: list[SelectItem],
+        resolve: Callable[[Expression], Expression],
+    ) -> list[OrderItem]:
+        """ORDER BY may reference select aliases or ordinal positions
+        (of the already resolved ``items``)."""
+        aliases = {
+            item.alias: item.expr for item in items if item.alias is not None
         }
-        for order in stmt.order_by:
+        resolved = []
+        for order in order_by:
             expr = order.expr
             if (
                 isinstance(expr, Literal)
                 and expr.dtype is DataType.INTEGER
             ):
                 ordinal = expr.value
-                if not 1 <= ordinal <= len(stmt.items):
+                if not 1 <= ordinal <= len(items):
                     raise PlanningError(
                         f"ORDER BY position {ordinal} is out of range"
                     )
-                target = stmt.items[ordinal - 1].expr
-                if isinstance(target, Star):
+                expr = items[ordinal - 1].expr
+                if isinstance(expr, Star):
                     raise PlanningError("cannot ORDER BY a * item")
-                order.expr = target
-                continue
-            if (
+            elif (
                 isinstance(expr, ColumnRef)
                 and expr.table is None
                 and expr.name in aliases
             ):
-                order.expr = aliases[expr.name]
-                continue
-            self._resolve_expr(expr, bindings)
-            normalize_expression(expr, types_full)
+                expr = aliases[expr.name]
+            else:
+                expr = resolve(expr)
+            resolved.append(OrderItem(expr, order.ascending))
+        return resolved
 
-    def _resolve_expr(
-        self, expr: Expression, bindings: list[_TableBinding]
-    ) -> None:
-        by_alias = {b.alias: b for b in bindings}
-        for node in walk_expr(expr):
-            if not isinstance(node, ColumnRef):
-                continue
-            if node.table is not None:
-                binding = by_alias.get(node.table)
-                if binding is None:
-                    raise PlanningError(f"unknown table alias {node.table!r}")
-                if not binding.schema.has_column(node.name):
-                    raise PlanningError(
-                        f"table {node.table!r} has no column {node.name!r}"
-                    )
-                continue
-            owners = [
-                b.alias for b in bindings if b.schema.has_column(node.name)
-            ]
-            if not owners:
-                raise PlanningError(f"unknown column {node.name!r}")
-            if len(owners) > 1:
+    @staticmethod
+    def _owner(
+        node: ColumnRef, by_alias: dict[str, _TableBinding]
+    ) -> str:
+        """The alias of the table ``node`` refers to."""
+        if node.table is not None:
+            binding = by_alias.get(node.table)
+            if binding is None:
+                raise PlanningError(f"unknown table alias {node.table!r}")
+            if not binding.schema.has_column(node.name):
                 raise PlanningError(
-                    f"ambiguous column {node.name!r} (in {owners})"
+                    f"table {node.table!r} has no column {node.name!r}"
                 )
-            node.table = owners[0]
+            return node.table
+        owners = [
+            alias
+            for alias, b in by_alias.items()
+            if b.schema.has_column(node.name)
+        ]
+        if not owners:
+            raise PlanningError(f"unknown column {node.name!r}")
+        if len(owners) > 1:
+            raise PlanningError(
+                f"ambiguous column {node.name!r} (in {owners})"
+            )
+        return owners[0]
 
     # ------------------------------------------------------------------
     # FROM/WHERE planning: pushdown, join ordering, join tree.

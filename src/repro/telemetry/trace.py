@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 MAX_SPANS_PER_TRACE = 512
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed stage of a query, part of a trace tree."""
 
@@ -201,10 +201,10 @@ class Tracer:
                 self.traces_finished += 1
 
     def _append(self, span: Span) -> None:
-        record = self._find(span.trace_id)
-        if record is None:
-            return
         with self._lock:
+            record = self._locked_find(span.trace_id)
+            if record is None:
+                return
             if len(record.spans) >= MAX_SPANS_PER_TRACE:
                 record.dropped += 1
             else:
@@ -212,12 +212,15 @@ class Tracer:
 
     def _find(self, trace_id: str) -> _TraceRecord | None:
         with self._lock:
-            record = self._active.get(trace_id)
-            if record is not None:
+            return self._locked_find(trace_id)
+
+    def _locked_find(self, trace_id: str) -> _TraceRecord | None:
+        record = self._active.get(trace_id)
+        if record is not None:
+            return record
+        for record in self._recent:
+            if record.trace_id == trace_id:
                 return record
-            for record in self._recent:
-                if record.trace_id == trace_id:
-                    return record
         return None
 
     # ------------------------------------------------------------------

@@ -1,15 +1,11 @@
 """E14 — wire-protocol serving throughput (repro.server / repro.client).
 
-The socket front end against the in-process baseline it wraps, across
-protocol v2's negotiated dimensions:
+The socket front end against the in-process baseline it wraps:
 
-* **Encodings** — N concurrent socket clients vs N in-process sessions
-  hammering the same warmed service with the hot-query batch, once per
-  ROWS encoding (the JSON floor vs v2's binary columnar vectors),
-  reporting queries/sec and each encoding's overhead factor.  Binary
-  skips the per-value serialize/parse on both ends, so its overhead
-  factor must not exceed JSON's by more than noise — and on row-heavy
-  results it should cut it.
+* **Throughput** — N concurrent socket clients vs N in-process sessions
+  hammering the same warmed service with the hot-query batch (results
+  as binary columnar ROWS_BIN frames), reporting queries/sec and the
+  wire's overhead factor over in-process.
 * **Multiplexing** — K cursors streaming a large result over ONE
   connection (demultiplexed by qid) vs the same K streams on K
   separate connections: row-identical, with one connection's wall
@@ -39,7 +35,7 @@ CLIENT_COUNTS = [1, 2, 4]
 CORES = os.cpu_count() or 1
 
 #: Hot batch: all coverable by the warmed structures.  The last two
-#: return thousands of rows, so the ROWS encoding cost is on the
+#: return thousands of rows, so the ROWS_BIN encoding cost is on the
 #: scoreboard, not just connection round trips.
 HOT_QUERIES = [
     "SELECT SUM(a2) AS s FROM t WHERE a1 < 600000",
@@ -91,7 +87,7 @@ def _run_inprocess(service, n_clients: int) -> tuple[float, int]:
     return wall, n_clients * BATCHES_PER_CLIENT * len(HOT_QUERIES)
 
 
-def _run_wire(server, n_clients: int, encodings) -> tuple[float, int]:
+def _run_wire(server, n_clients: int) -> tuple[float, int]:
     from repro.core.metrics import Stopwatch
 
     start = threading.Barrier(n_clients + 1, timeout=60)
@@ -99,10 +95,7 @@ def _run_wire(server, n_clients: int, encodings) -> tuple[float, int]:
 
     def client():
         try:
-            with repro.client.Connection(
-                "127.0.0.1", server.port, encodings=encodings
-            ) as conn:
-                assert conn.encoding == encodings[0]
+            with repro.client.Connection("127.0.0.1", server.port) as conn:
                 start.wait()
                 for _ in range(BATCHES_PER_CLIENT):
                     for sql in HOT_QUERIES:
@@ -259,16 +252,8 @@ def test_wire_throughput(benchmark, tmp_path_factory):
             try:
                 for n_clients in CLIENT_COUNTS:
                     wall_in, queries = _run_inprocess(service, n_clients)
-                    wall_json, _ = _run_wire(
-                        server, n_clients, ("json",)
-                    )
-                    wall_bin, _ = _run_wire(
-                        server, n_clients, ("binary", "json")
-                    )
+                    wall_bin, _ = _run_wire(server, n_clients)
                     qps_in = queries / wall_in if wall_in else float("inf")
-                    qps_json = (
-                        queries / wall_json if wall_json else float("inf")
-                    )
                     qps_bin = (
                         queries / wall_bin if wall_bin else float("inf")
                     )
@@ -277,22 +262,15 @@ def test_wire_throughput(benchmark, tmp_path_factory):
                             "clients": n_clients,
                             "queries": queries,
                             "inproc_qps": qps_in,
-                            "json_qps": qps_json,
                             "binary_qps": qps_bin,
-                            "json_overhead_x": (
-                                qps_in / qps_json if qps_json else 0.0
-                            ),
                             "binary_overhead_x": (
                                 qps_in / qps_bin if qps_bin else 0.0
                             ),
                         }
                     )
-                # Wire bytes per encoding over the *identical* sweep
-                # workloads (snapshotted before the binary-only legs
-                # below add traffic): the apples-to-apples size story.
-                sweep_bytes = dict(
-                    server.connection_stats()["bytes_by_encoding"]
-                )
+                # Wire bytes of the sweep (snapshotted before the legs
+                # below add traffic): every frame, control and ROWS_BIN.
+                sweep_bytes = server.connection_stats()["bytes_sent"]
                 # Multiplexed cursors on one connection vs the same
                 # K streams on K connections: row identity + timing.
                 mux_wall, mux_rows = _run_multiplexed(server)
@@ -349,7 +327,7 @@ def test_wire_throughput(benchmark, tmp_path_factory):
     report = benchmark.pedantic(sweep, rounds=1, iterations=1)
     records = report["throughput"]
     print_records(
-        f"E14: wire qps by ROWS encoding vs in-process, {n_rows} rows x "
+        f"E14: wire qps vs in-process, {n_rows} rows x "
         f"6 attrs, {CORES} cores",
         records,
     )
@@ -371,15 +349,12 @@ def test_wire_throughput(benchmark, tmp_path_factory):
     }
 
     by_clients = {r["clients"]: r for r in records}
-    bytes_by_encoding = report["sweep_bytes"]
     emit_bench_artifact(
         "wire_throughput",
         {
             "rows": n_rows,
             "inproc_qps_4_clients": by_clients[4]["inproc_qps"],
-            "json_qps_4_clients": by_clients[4]["json_qps"],
             "binary_qps_4_clients": by_clients[4]["binary_qps"],
-            "json_overhead_x": by_clients[4]["json_overhead_x"],
             "binary_overhead_x": by_clients[4]["binary_overhead_x"],
             "mux_one_conn_s": report["mux"]["mux_one_conn_s"],
             "separate_conns_s": report["mux"]["separate_conns_s"],
@@ -390,8 +365,7 @@ def test_wire_throughput(benchmark, tmp_path_factory):
             "ttfb_p95_s": report["ttfb_summary"]["p95"],
             "ttfb_p99_s": report["ttfb_summary"]["p99"],
             "ttfb_observations": report["ttfb_summary"]["count"],
-            "json_wire_bytes": bytes_by_encoding.get("json", 0),
-            "binary_wire_bytes": bytes_by_encoding.get("binary", 0),
+            "binary_wire_bytes": report["sweep_bytes"],
         },
     )
 
@@ -414,19 +388,9 @@ def test_wire_throughput(benchmark, tmp_path_factory):
     else:
         assert any(r["ttfb_s"] < r["materialized_s"] for r in ttfb_rows)
     # The wire must not collapse under concurrency: 4 clients never
-    # drop below half of one client's throughput (binary path).
+    # drop below half of one client's throughput.
     assert by_clients[4]["binary_qps"] > by_clients[1]["binary_qps"] * 0.5
-    # (Wire bytes per encoding stay informational: for small-integer
-    # data an int64 vector is size-parity with its decimal text — the
-    # binary win is the skipped per-value serialize/parse, i.e. qps.)
-    assert bytes_by_encoding["binary"] > 0 and bytes_by_encoding["json"] > 0
-    # The binary encoding must not be meaningfully slower than the
-    # JSON floor — on multi-core hosts it should cut the overhead; the
-    # hard gate tolerates scheduler noise.
-    if CORES >= 2:
-        assert (
-            by_clients[4]["binary_qps"] > by_clients[4]["json_qps"] * 0.8
-        )
+    assert report["sweep_bytes"] > 0
     # The pool amortizes connect cost: pooled qps beats fresh-connect
     # qps (generously gated — localhost connects are cheap).
     assert report["pool"]["pooled_qps"] > report["pool"]["fresh_conn_qps"] * 0.9

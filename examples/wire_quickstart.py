@@ -3,8 +3,8 @@
 Boots a :class:`repro.RawServer` on localhost (ephemeral port) over a
 freshly generated raw CSV, runs queries through the blocking
 :mod:`repro.client` — materialized, streamed, abandoned mid-stream,
-multiplexed (several cursors on one connection, protocol v2's binary
-columnar ROWS encoding), through both negotiated encodings, and via a
+multiplexed (several cursors on one connection, results as binary
+columnar ROWS_BIN frames), and via a
 :class:`repro.client.ConnectionPool` — verifies row-for-row identity
 with the in-process path, then shuts down and asserts nothing leaked:
 no open cursors, no busy scheduler slots, no open connections.  CI
@@ -16,6 +16,7 @@ Run:  python examples/wire_quickstart.py
 import tempfile
 from pathlib import Path
 
+import repro
 import repro.client
 from repro import (
     PostgresRawConfig,
@@ -43,7 +44,7 @@ def main() -> None:
             sql = "SELECT a0, a1 FROM m WHERE a2 < 500000"
             reference = service.query(sql).rows
 
-            with repro.client.Connection("127.0.0.1", server.port) as conn:
+            with repro.connect(f"raw://127.0.0.1:{server.port}/") as conn:
                 # Materialized over the wire == in-process, row for row.
                 result = conn.query(sql)
                 assert result.rows == reference, "wire rows diverged!"
@@ -70,7 +71,6 @@ def main() -> None:
 
                 # Multiplexed: three cursors on ONE connection, frames
                 # demultiplexed by qid, results row-identical.
-                assert conn.encoding == "binary"  # negotiated default
                 mux_sql = [
                     sql,
                     "SELECT a3 FROM m WHERE a4 < 250000",
@@ -82,16 +82,8 @@ def main() -> None:
                     assert rows == service.query(s).rows, "mux diverged!"
                 print(
                     f"multiplexed: {len(cursors)} cursors on one "
-                    f"connection ({conn.encoding} encoding), identical rows"
+                    "connection, identical rows"
                 )
-
-            # The JSON floor answers identically to the binary default.
-            with repro.client.Connection(
-                "127.0.0.1", server.port, encodings=("json",)
-            ) as floor:
-                assert floor.encoding == "json"
-                assert floor.query(sql).rows == reference
-            print("json floor: negotiated and identical")
 
             # Pooled connections skip the per-query connect cost.
             with repro.client.ConnectionPool(

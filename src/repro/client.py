@@ -1,10 +1,11 @@
-"""Blocking socket client for the repro wire protocol (v2).
+"""Blocking socket client for the repro wire protocol.
 
-:func:`connect` opens one TCP connection to a :class:`repro.server.RawServer`
-and returns a :class:`Connection`; ``connection.cursor(sql)`` streams a
-query through the very same lazy :class:`repro.executor.result.Cursor`
-the in-process API hands out — the only difference is that its batch
-source decodes ROWS frames off the socket instead of draining a local
+``repro.connect("raw://host:port/")`` opens one TCP connection to a
+:class:`repro.server.RawServer` and returns a :class:`Connection`;
+``connection.cursor(sql)`` streams a query through the very same lazy
+:class:`repro.executor.result.Cursor` the in-process API hands out —
+the only difference is that its batch source decodes ROWS_BIN frames
+off the socket instead of draining a local
 :class:`BatchChannel`.  ``fetchone``/``fetchmany``/``fetchall``/
 ``batches`` therefore behave identically, and server-side failures
 re-raise the *same* exception classes (:class:`repro.errors.AdmissionError`,
@@ -18,15 +19,16 @@ re-raise the *same* exception classes (:class:`repro.errors.AdmissionError`,
                 ...
         result = conn.query("SELECT COUNT(*) AS n FROM t")  # materialized
 
-Under protocol v2 a connection is **multiplexed**: up to the server's
-``max_streams_per_connection`` cursors may be open at once, each
-streaming independently.  Every frame carries its stream's qid; the
-connection demultiplexes — whichever cursor needs a frame reads from
-the socket and routes frames for *other* streams into their buffers,
-so cursors can be consumed in any order (including from different
-threads).  ROWS payloads arrive in the encoding negotiated at
-handshake: typed binary column vectors (the default; decoded
-column-at-a-time, no per-value JSON dispatch) or the JSON floor.
+There is one conversation (:mod:`repro.server.protocol`): the client
+says HELLO with version 2, accepts only a version-2 WELCOME, and reads
+results as typed binary column vectors (decoded column-at-a-time, no
+per-value dispatch).  A connection is **multiplexed**: up to the
+server's ``max_streams_per_connection`` cursors may be open at once,
+each streaming independently.  Every frame carries its stream's qid;
+the connection demultiplexes — whichever cursor needs a frame reads
+from the socket and routes frames for *other* streams into their
+buffers, so cursors can be consumed in any order (including from
+different threads).
 
 One caveat follows from sharing a single socket: flow control is
 per-connection, not per-stream.  Draining cursor B while cursor A
@@ -54,11 +56,10 @@ import itertools
 import socket
 import threading
 import time
-import warnings
 from collections import deque
 from typing import Iterator
 
-from .batch import Batch, ColumnVector
+from .batch import Batch
 from .core.metrics import QueryMetrics
 from .datatypes import DataType
 from .errors import (
@@ -70,11 +71,7 @@ from .errors import (
     fresh_copy,
 )
 from .executor.result import Cursor, QueryResult
-from .server.encoding import (
-    ENCODING_BINARY,
-    ENCODING_JSON,
-    decode_binary_rows,
-)
+from .server.encoding import decode_binary_rows
 from .server.protocol import (
     PROTOCOL_VERSION,
     FrameType,
@@ -87,44 +84,6 @@ from .server.protocol import (
 #: the client therefore reads with this much slack before declaring the
 #: stream broken.
 _READ_SLACK = 64
-
-#: Default HELLO encoding preference: binary, with the JSON floor.
-DEFAULT_ENCODINGS = (ENCODING_BINARY, ENCODING_JSON)
-
-
-def connect(
-    host: str = "127.0.0.1",
-    port: int = 5433,
-    *,
-    token: str | None = None,
-    timeout: float | None = None,
-    frame_bytes: int = 1 << 20,
-    encodings: tuple[str, ...] = DEFAULT_ENCODINGS,
-) -> "Connection":
-    """Deprecated: use ``repro.connect("raw://host:port/")`` instead.
-
-    The DSN entry point replaces this per-argument signature — one
-    string now also names multi-host shard clusters (see
-    :mod:`repro.dsn`).  This shim opens the same single-server
-    :class:`Connection` and will be removed in a future release.
-    ``encodings`` is the ROWS-encoding preference offered in HELLO
-    (pass ``("json",)`` to pin the portable floor); callers needing it
-    should construct :class:`Connection` directly.
-    """
-    warnings.warn(
-        "repro.client.connect(host, port) is deprecated; use "
-        'repro.connect("raw://host:port/") or repro.client.Connection',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Connection(
-        host,
-        port,
-        token=token,
-        timeout=timeout,
-        frame_bytes=frame_bytes,
-        encodings=encodings,
-    )
 
 
 class _StreamBuffer:
@@ -147,7 +106,6 @@ class Connection:
         token: str | None = None,
         timeout: float | None = None,
         frame_bytes: int = 1 << 20,
-        encodings: tuple[str, ...] = DEFAULT_ENCODINGS,
     ) -> None:
         self.host = host
         self.port = port
@@ -170,14 +128,9 @@ class Connection:
         self._broken: BaseException | None = None
         self.closed = False
         self.session_id: int | None = None
-        self.version: int = PROTOCOL_VERSION
-        self.encoding: str = ENCODING_JSON
         self.max_streams: int = 1
         self.queries_issued = 0
-        hello: dict = {
-            "version": PROTOCOL_VERSION,
-            "encodings": list(encodings),
-        }
+        hello: dict = {"version": PROTOCOL_VERSION}
         if token is not None:
             hello["token"] = token
         try:
@@ -194,18 +147,11 @@ class Connection:
             if ftype is not FrameType.WELCOME:
                 raise ProtocolError(f"expected WELCOME, got {ftype.name}")
             version = payload.get("version")
-            if (
-                not isinstance(version, int)
-                or not 1 <= version <= PROTOCOL_VERSION
-            ):
+            if type(version) is not int or version != PROTOCOL_VERSION:
                 raise ProtocolError(
-                    f"server speaks protocol {version}, "
+                    f"server speaks protocol {version!r}, "
                     f"client {PROTOCOL_VERSION}"
                 )
-            # A v1 server (if one answered) pins the v1 conversation:
-            # JSON rows, one stream at a time.
-            self.version = version
-            self.encoding = payload.get("encoding", ENCODING_JSON)
             self.max_streams = payload.get("max_streams", 1)
             self.session_id = payload.get("session_id")
         except BaseException:
@@ -220,8 +166,8 @@ class Connection:
         """Stream one SELECT; returns the standard lazy cursor.
 
         Cursors multiplex: several may be open on this connection at
-        once (up to the negotiated ``max_streams``), each streaming
-        independently.  Beyond the limit this raises
+        once (up to the server's advertised ``max_streams``), each
+        streaming independently.  Beyond the limit this raises
         :class:`repro.errors.StreamLimitError` without a round trip —
         the server enforces the same bound.
         """
@@ -284,7 +230,7 @@ class Connection:
             return len(self._streams) - len(self._stats_qids)
 
     # ------------------------------------------------------------------
-    # Engine observability (the STATS command; protocol v2).
+    # Engine observability (the STATS command).
     # ------------------------------------------------------------------
 
     def stats(self, trace_id: str | None = None) -> dict:
@@ -346,8 +292,6 @@ class Connection:
     def _open_stats_qid(self) -> int:
         if self.closed:
             raise ProtocolError("connection is closed")
-        if self.version < 2:
-            raise ProtocolError("STATS requires protocol v2")
         with self._io:
             if self._broken is not None:
                 raise fresh_copy(self._broken) from self._broken
@@ -426,8 +370,7 @@ class Connection:
         state = "closed" if self.closed else "open"
         return (
             f"Connection({self.host}:{self.port}, session "
-            f"{self.session_id}, v{self.version}/{self.encoding}, "
-            f"{self.queries_issued} queries, {state})"
+            f"{self.session_id}, {self.queries_issued} queries, {state})"
         )
 
     # ------------------------------------------------------------------
@@ -526,7 +469,7 @@ class Connection:
 
 
 class _MuxBatches:
-    """Batch iterator decoding one stream's ROWS/END/ERROR frames.
+    """Batch iterator decoding one stream's ROWS_BIN/END/ERROR frames.
 
     Mirrors :class:`repro.service.streaming._ChannelBatches`: a plain
     iterator whose ``close()`` abandons the stream even when iteration
@@ -578,21 +521,8 @@ class _MuxBatches:
             return decode_binary_rows(
                 payload["data"], self._names, self._dtypes
             )
-        if ftype is FrameType.ROWS:
-            return self._decode_json_rows(payload)
         self._finish()
         raise ProtocolError(f"unexpected {ftype.name} frame in stream")
-
-    def _decode_json_rows(self, payload: dict) -> Batch:
-        rows = payload.get("rows", [])
-        columns = {}
-        for i, (name, dtype) in enumerate(zip(self._names, self._dtypes)):
-            columns[name] = ColumnVector.from_pylist(
-                dtype, [row[i] for row in rows]
-            )
-        if not columns:
-            return Batch({}, num_rows=len(rows))
-        return Batch(columns)
 
     def _stamp_trace(self, trace_id: str | None) -> None:
         """Terminal frames carry the query's trace id; put it on the
@@ -624,7 +554,7 @@ class _MuxBatches:
                 ftype, _ = conn._frame_for(self._qid)
                 if ftype in (FrameType.END, FrameType.ERROR):
                     return  # natural or closed END — either ends it
-                if ftype not in (FrameType.ROWS, FrameType.ROWS_BIN):
+                if ftype is not FrameType.ROWS_BIN:
                     raise ProtocolError(
                         f"unexpected {ftype.name} frame while closing"
                     )
@@ -737,7 +667,6 @@ class ConnectionPool:
         token: str | None = None,
         timeout: float | None = None,
         frame_bytes: int = 1 << 20,
-        encodings: tuple[str, ...] = DEFAULT_ENCODINGS,
     ) -> None:
         if min_size < 0:
             raise BudgetError("pool min_size must be >= 0")
@@ -748,10 +677,7 @@ class ConnectionPool:
         self.min_size = min_size
         self.max_size = max_size
         self._connect_kwargs = dict(
-            token=token,
-            timeout=timeout,
-            frame_bytes=frame_bytes,
-            encodings=encodings,
+            token=token, timeout=timeout, frame_bytes=frame_bytes
         )
         self._cond = threading.Condition()
         self._idle: list[Connection] = []

@@ -26,7 +26,7 @@ DEFAULT_POSITIONAL_MAP_BUDGET = 64 * 1024 * 1024
 #: Default byte budget for the binary data cache (per engine).
 DEFAULT_CACHE_BUDGET = 256 * 1024 * 1024
 
-#: Default reservoir size used by on-the-fly statistics, per attribute.
+#: Reservoir sample size per attribute for on-the-fly statistics.
 DEFAULT_STATS_SAMPLE_SIZE = 1024
 
 #: Default number of buckets in equi-depth histograms.
@@ -37,10 +37,6 @@ DEFAULT_PARALLEL_CHUNK_BYTES = 1 << 20
 
 #: Supported parallel scan-pool backends.
 PARALLEL_BACKENDS = ("thread", "process")
-
-#: Negotiable ROWS encodings for the wire protocol (see
-#: :mod:`repro.server.encoding`); ``"json"`` is the mandatory floor.
-WIRE_ENCODINGS = ("json", "binary")
 
 #: Floor for ``frame_bytes``: a wire frame must always fit the
 #: protocol's control payloads plus at least one row's framing overhead
@@ -104,9 +100,6 @@ class PostgresRawConfig:
     #: chunks, then the new combination is indexed."
     pm_combination_policy: bool = True
 
-    #: Reservoir sample size per attribute for on-the-fly statistics.
-    stats_sample_size: int = DEFAULT_STATS_SAMPLE_SIZE
-
     #: Bucket count for the equi-depth histograms fed to the optimizer.
     histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS
 
@@ -126,12 +119,6 @@ class PostgresRawConfig:
     #: always use the legacy state machine regardless of this knob.
     scan_kernels: bool = True
 
-    #: Capacity of the per-engine :class:`repro.kernels.KernelCache`
-    #: (distinct (dialect, schema, attribute-span) signatures held
-    #: before LRU eviction).  Kernels are small; the default comfortably
-    #: covers many tables x many query shapes.
-    kernel_cache_entries: int = 64
-
     #: Number of workers for the parallel chunked raw scan
     #: (:mod:`repro.parallel`).  ``1`` (the default) keeps the serial
     #: scan path byte-for-byte unchanged; raise it on multi-core machines
@@ -150,14 +137,6 @@ class PostgresRawConfig:
     #: processes — the CPU-scalable choice for cold scans).  Either way
     #: a worker reads and tokenizes its own byte range of the raw file.
     parallel_backend: str = "thread"
-
-    #: In-flight window of the streaming chunk merge: how many chunk
-    #: results may exist at once (dispatched to workers or finished but
-    #: not yet folded into the shared state).  ``None`` (the default)
-    #: means ``2 * scan_workers`` — enough to keep every worker busy
-    #: while the merge consumes.  Peak additional memory of a parallel
-    #: scan is O(window x chunk) instead of O(result set).
-    parallel_inflight_chunks: int | None = None
 
     #: Engine-wide byte budget for *all* adaptive state (every table's
     #: positional-map chunks and cache entries together), arbitrated by
@@ -215,21 +194,12 @@ class PostgresRawConfig:
     #: than buffered without bound.
     frame_bytes: int = 1 << 20
 
-    #: The server's preferred ROWS payload encoding for protocol-v2
-    #: connections: ``"binary"`` (typed column vectors — struct-packed
-    #: ints/floats, null bitmaps, length-prefixed strings; the wire
-    #: analogue of the engine's binary cache) or ``"json"`` to pin the
-    #: portable floor.  Negotiated per connection in HELLO/WELCOME;
-    #: v1 peers always get JSON.
-    wire_encoding: str = "binary"
-
     #: How many concurrent query streams one wire connection may
-    #: multiplex (protocol v2).  The server runs one cursor pump per
-    #: stream and interleaves their ROWS frames fairly; a QUERY beyond
-    #: the limit is refused with
-    #: :class:`repro.errors.StreamLimitError` (wire code
-    #: ``stream_limit``) without disturbing the other streams.  v1
-    #: connections are pinned to 1.
+    #: multiplex.  The server runs one cursor pump per stream and
+    #: interleaves their ROWS_BIN frames fairly; a QUERY beyond the
+    #: limit is refused with :class:`repro.errors.StreamLimitError`
+    #: (wire code ``stream_limit``) without disturbing the other
+    #: streams.
     max_streams_per_connection: int = 8
 
     #: Master switch for :mod:`repro.telemetry` — the per-query span
@@ -243,7 +213,7 @@ class PostgresRawConfig:
     telemetry_enabled: bool = True
 
     #: Default period (seconds) of the server-push stats stream: a
-    #: protocol-v2 client that subscribes via a STATS frame receives a
+    #: wire client that subscribes via a STATS frame receives a
     #: registry snapshot every ``stats_interval_s`` until it closes the
     #: subscription.  A subscriber may override it per subscription.
     stats_interval_s: float = 1.0
@@ -334,14 +304,10 @@ class PostgresRawConfig:
             )
         if self.batch_size <= 0:
             raise BudgetError("batch_size must be positive")
-        if self.stats_sample_size <= 0:
-            raise BudgetError("stats_sample_size must be positive")
         if self.histogram_buckets <= 0:
             raise BudgetError("histogram_buckets must be positive")
         if self.scan_workers < 1:
             raise BudgetError("scan_workers must be >= 1")
-        if self.kernel_cache_entries < 1:
-            raise BudgetError("kernel_cache_entries must be >= 1")
         if self.parallel_chunk_bytes <= 0:
             raise BudgetError("parallel_chunk_bytes must be positive")
         if self.parallel_backend not in PARALLEL_BACKENDS:
@@ -355,13 +321,6 @@ class PostgresRawConfig:
             raise BudgetError("max_concurrent_queries must be >= 1")
         if self.admission_queue_depth < 0:
             raise BudgetError("admission_queue_depth must be >= 0")
-        if (
-            self.parallel_inflight_chunks is not None
-            and self.parallel_inflight_chunks < 1
-        ):
-            raise BudgetError(
-                "parallel_inflight_chunks must be >= 1 (or None for auto)"
-            )
         if self.stream_queue_batches < 1:
             raise BudgetError("stream_queue_batches must be >= 1")
         if self.cursor_ttl_s is not None and self.cursor_ttl_s <= 0:
@@ -377,11 +336,6 @@ class PostgresRawConfig:
             raise BudgetError("max_connections must be >= 1")
         if self.frame_bytes < MIN_FRAME_BYTES:
             raise BudgetError(f"frame_bytes must be >= {MIN_FRAME_BYTES}")
-        if self.wire_encoding not in WIRE_ENCODINGS:
-            raise BudgetError(
-                f"wire_encoding must be one of {WIRE_ENCODINGS}, "
-                f"not {self.wire_encoding!r}"
-            )
         if self.max_streams_per_connection < 1:
             raise BudgetError("max_streams_per_connection must be >= 1")
         if self.stats_interval_s <= 0:

@@ -58,7 +58,7 @@ import numpy as np
 
 from ..batch import Batch, ColumnVector
 from ..catalog.catalog import RawTableEntry
-from ..config import PostgresRawConfig
+from ..config import DEFAULT_STATS_SAMPLE_SIZE, PostgresRawConfig
 from ..datatypes import DataType, convert_column
 from ..errors import ExecutionError, RawDataError
 from ..executor.expressions import predicate_mask
@@ -104,7 +104,7 @@ class RawTableState:
         )
         self.cache = RawDataCache(config.cache_budget, config.cache_policy)
         self.statistics = StatisticsStore(
-            config.stats_sample_size, config.histogram_buckets
+            DEFAULT_STATS_SAMPLE_SIZE, config.histogram_buckets
         )
         self.fingerprint = None
         self.pending_append = False
@@ -642,9 +642,7 @@ class RawScan(Operator):
             if self.config.scan_kernels and self.adapter.kernel_eligible(
                 self.dialect
             ):
-                self._kcache = self.kernel_cache or process_cache(
-                    self.config
-                )
+                self._kcache = self.kernel_cache or process_cache()
         return self._kcache
 
     def _kernel_for_span(self, first_attr: int, last_attr: int):

@@ -15,28 +15,55 @@ whole shard cluster::
 :class:`repro.sharding.ShardedConnectionPool`; a cluster's canonical
 DSN comes from :meth:`repro.sharding.ShardCluster.dsn`.
 
-Recognized query options: ``token``, ``timeout`` (seconds, float),
-``frame_bytes`` (int), ``min_size``/``max_size`` (sharded pool sizing)
-and any number of ``partition.<table>=<key>[:<scheme>[:b1|b2|...]]``
+Recognized query options: ``token``, ``timeout`` (seconds, a float
+> 0), ``frame_bytes`` (an int >= ``MIN_FRAME_BYTES``),
+``min_size``/``max_size`` (sharded pool sizing, ints) and any number
+of ``partition.<table>=<key>[:<scheme>[:b1|b2|...]]``
 entries describing how each table is split across the listed hosts
 (scheme defaults to ``hash``; ``|``-separated bounds are only valid —
-and then required — for ``range``).
+and then required — for ``range``).  Ports must lie in 1..65535; every
+number is checked here, so junk fails as :class:`ProtocolError` before
+any socket is opened.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, quote, unquote, urlsplit
 
 from .catalog.schema import PartitionSpec
+from .config import MIN_FRAME_BYTES
 from .errors import ProtocolError
 
 SCHEME = "raw"
 DEFAULT_PORT = 5433
 
-_OPTION_KEYS = frozenset(
-    {"token", "timeout", "frame_bytes", "min_size", "max_size"}
-)
+
+#: Integer options and the smallest value each accepts.
+_INT_OPTIONS = {"frame_bytes": MIN_FRAME_BYTES, "min_size": 0, "max_size": 1}
+_OPTION_KEYS = frozenset({"token", "timeout", *_INT_OPTIONS})
+
+
+def _option_value(key: str, text: str) -> object:
+    """One recognized option's typed value; :class:`ProtocolError` on
+    junk."""
+    if key == "token":
+        return text
+    try:
+        value = float(text) if key == "timeout" else int(text)
+    except ValueError:
+        raise ProtocolError(
+            f"DSN option {key}={text!r} is not a number"
+        ) from None
+    if key == "timeout":
+        if not (math.isfinite(value) and value > 0):
+            raise ProtocolError(f"DSN option timeout={text!r} must be > 0")
+    elif value < _INT_OPTIONS[key]:
+        raise ProtocolError(
+            f"DSN option {key}={value} must be >= {_INT_OPTIONS[key]}"
+        )
+    return value
 
 
 @dataclass
@@ -67,16 +94,16 @@ def _parse_host(part: str) -> tuple[str, int]:
     part = part.strip()
     if not part:
         raise ProtocolError("empty host in DSN")
-    if ":" in part:
-        host, __, port_text = part.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ProtocolError(
-                f"bad port {port_text!r} in DSN host {part!r}"
-            ) from None
-    else:
-        host, port = part, DEFAULT_PORT
+    if ":" not in part:
+        return part, DEFAULT_PORT
+    host, __, port_text = part.rpartition(":")
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = 0
+    # getaddrinfo would silently wrap an out-of-range port mod 65536.
+    if not host or not 1 <= port <= 65535:
+        raise ProtocolError(f"bad port {port_text!r} in DSN host {part!r}")
     return host, port
 
 
@@ -113,6 +140,7 @@ def parse_dsn(dsn: str) -> ParsedDSN:
                 table, value, len(hosts)
             )
         elif key in _OPTION_KEYS:
+            _option_value(key, value)  # validate; keep the text
             options[key] = value
         else:
             raise ProtocolError(f"unknown DSN option {key!r}")
@@ -149,12 +177,13 @@ def connect(dsn: str):
     routes and merges across the listed shard servers.
     """
     parsed = parse_dsn(dsn)
-    opts = parsed.options
+    opts = {
+        key: _option_value(key, value)
+        for key, value in parsed.options.items()
+    }
     token = opts.get("token") or None
-    timeout = float(opts["timeout"]) if "timeout" in opts else None
-    frame_bytes = (
-        int(opts["frame_bytes"]) if "frame_bytes" in opts else 1 << 20
-    )
+    timeout = opts.get("timeout")
+    frame_bytes = opts.get("frame_bytes", 1 << 20)
     if not parsed.is_sharded:
         from .client import Connection
 
@@ -174,6 +203,6 @@ def connect(dsn: str):
         token=token,
         timeout=timeout,
         frame_bytes=frame_bytes,
-        min_size=int(opts.get("min_size", 1)),
-        max_size=int(opts.get("max_size", 4)),
+        min_size=opts.get("min_size", 1),
+        max_size=opts.get("max_size", 4),
     )

@@ -2,7 +2,7 @@
 
 Kernels are built per (dialect, schema, attribute-span) signature and
 requested once per batch — the cache makes the build cost O(distinct
-signatures), LRU-bounds the footprint (``kernel_cache_entries``) and
+signatures), LRU-bounds the footprint (:data:`KERNEL_CACHE_ENTRIES`) and
 feeds hit/miss/build-time counters to the telemetry registry.
 
 :class:`ScanKernel` objects are never pickled: process-backend parallel
@@ -19,11 +19,18 @@ from collections import OrderedDict
 
 from .kernel import KernelSignature, ScanKernel
 
+#: Default capacity: distinct (dialect, schema, attribute-span)
+#: signatures held before LRU eviction.  Kernels are small; 64
+#: comfortably covers many tables x many query shapes.
+KERNEL_CACHE_ENTRIES = 64
+
 
 class KernelCache:
     """Thread-safe LRU cache of :class:`ScanKernel` keyed by signature."""
 
-    def __init__(self, max_entries: int = 64, registry=None) -> None:
+    def __init__(
+        self, max_entries: int = KERNEL_CACHE_ENTRIES, registry=None
+    ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
@@ -107,15 +114,14 @@ _process_lock = threading.Lock()
 _process_cache: KernelCache | None = None
 
 
-def process_cache(config) -> KernelCache:
+def process_cache() -> KernelCache:
     """The per-process fallback cache (parallel workers, bare engines).
 
     Process-backend workers cannot share the service's cache across the
     pickle boundary; each worker process lazily builds its own here.
-    The first caller's ``kernel_cache_entries`` sizes it.
     """
     global _process_cache
     with _process_lock:
         if _process_cache is None:
-            _process_cache = KernelCache(config.kernel_cache_entries)
+            _process_cache = KernelCache()
         return _process_cache

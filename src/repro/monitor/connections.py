@@ -3,8 +3,8 @@
 Extends the serving-layer monitoring (scheduler occupancy, cursors,
 locks — :mod:`repro.monitor.governor`) down to the socket front end:
 open connections against ``max_connections``, frame/row traffic,
-frames/s and bytes/s split by negotiated ROWS encoding (json vs
-binary) over the server's uptime, and per-connection rows with each
+frames/s and bytes/s (every frame sent, control and ROWS_BIN alike)
+over the server's uptime, and per-connection rows with each
 connection's open stream count and last time-to-first-batch — the
 interactive-latency signal OLA-style raw-data exploration cares about.
 
@@ -49,12 +49,9 @@ def render_connections_panel(server: RawServer, width: int = 40) -> str:
             f"  errors: {stats['errors_sent']}"
             f"  streams refused: {stats['streams_refused']}"
         ),
-        "  ".join(
-            f"{enc}: {total / 1024:.1f} KiB ({rate / 1024:.1f} KiB/s)"
-            for (enc, total), rate in zip(
-                stats["bytes_by_encoding"].items(),
-                stats["bytes_per_s_by_encoding"].values(),
-            )
+        (
+            f"sent: {stats['bytes_sent'] / 1024:.1f} KiB"
+            f" ({stats['bytes_per_s'] / 1024:.1f} KiB/s)"
         ),
     ]
     connections = stats["connections"]
@@ -62,7 +59,7 @@ def render_connections_panel(server: RawServer, width: int = 40) -> str:
         lines.append("")
         lines.append(
             "conn        peer                 age     queries streams"
-            "  enc     frames    rows      ttfb"
+            "  frames    rows      ttfb"
         )
         for conn in connections:
             ttfb = conn["last_ttfb_s"]
@@ -73,7 +70,6 @@ def render_connections_panel(server: RawServer, width: int = 40) -> str:
                 f"#{conn['id']:<10d} {conn['peer']:<20s} "
                 f"{conn['age_s']:>6.1f}s {conn['queries']:>7d} "
                 f"{conn['streams']:>3d}/{conn['max_streams']:<3d} "
-                f"{conn['encoding']:<6s} "
                 f"{conn['frames_sent']:>7d} {conn['rows_sent']:>7d} "
                 + ttfb_cell
                 + ("  *streaming*" if conn["streaming"] else "")

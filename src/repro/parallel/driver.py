@@ -2,7 +2,7 @@
 
 Chunk results **stream** through an ordered merge: the pool dispatches
 chunks with a bounded in-flight window (:meth:`inflight_window`,
-``parallel_inflight_chunks``), each chunk's batches are yielded the
+``2 * scan_workers``), each chunk's batches are yielded the
 moment the chunk is the next in row order, and its positional-map /
 cache / statistics contributions are folded into the scan's collectors
 incrementally (:func:`repro.parallel.merge.stitch_one`) — so a parallel
@@ -337,10 +337,8 @@ class ParallelScanDriver:
         )
 
     def inflight_window(self) -> int:
-        """How many chunk results may be in flight or awaiting merge."""
-        override = self.config.parallel_inflight_chunks
-        if override is not None:
-            return max(override, 1)
+        """How many chunk results may be in flight or awaiting merge:
+        enough to keep every worker busy while the merge consumes."""
         return 2 * self.config.scan_workers
 
     def _note_chunk(self, res: ChunkResult) -> None:

@@ -1,10 +1,10 @@
-"""Binary columnar ROWS encoding — wire protocol v2's ``"binary"``.
+"""Binary columnar ROWS_BIN encoding — the wire's only result encoding.
 
-The JSON ROWS encoding re-serializes every result value to text, which
-re-introduces exactly the per-value conversion cost the engine works to
-avoid (the paper's "Convert" component, paid again at the wire).  The
-binary encoding ships each batch as *typed column vectors* instead:
-numeric columns travel as raw little-endian ``int64``/``float64``
+Re-serializing every result value to text would re-introduce exactly
+the per-value conversion cost the engine works to avoid (the paper's
+"Convert" component, paid again at the wire).  Each batch therefore
+travels as *typed column vectors*: numeric columns go as raw
+little-endian ``int64``/``float64``
 vectors (one ``frombuffer`` on the receiving side, no per-value
 dispatch), NULLs as a packed bitmap, and strings as one offsets array
 plus a UTF-8 blob — the wire-level analogue of the engine's cache of
@@ -28,28 +28,21 @@ NULL slots keep their fixed-width cell (0 / NaN / zero-length), exactly
 as the engine stores them under the mask, so encoding a batch is a
 handful of ``tobytes`` calls on the column vectors it already holds.
 Vector data is little-endian (the engine's native layout on every
-supported host); the outer frame header stays big-endian as in v1.
-
-The JSON floor (``iter_row_frames``) and this encoding decode to
-identical rows — asserted value-for-value by the wire test suite.
+supported host); the outer frame header stays big-endian like every
+other frame.  Decoded rows equal ``batch_rows`` of the source batch
+value for value — asserted by the wire test suite.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from ..batch import Batch, ColumnVector
 from ..datatypes import DataType
 from ..errors import ProtocolError
-
-#: Negotiable ROWS encodings, preferred first.  ``"json"`` is the
-#: floor: every peer must speak it, so negotiation can always succeed.
-ENCODING_JSON = "json"
-ENCODING_BINARY = "binary"
-SUPPORTED_ENCODINGS = (ENCODING_BINARY, ENCODING_JSON)
 
 #: One byte per column identifying its type on the wire.
 TYPE_TAGS: dict[DataType, int] = {
@@ -75,20 +68,6 @@ _FIXED_WIDTH: dict[DataType, int] = {
     DataType.BOOLEAN: 1,
     DataType.TEXT: 4,  # its offsets-array entry
 }
-
-
-def negotiate_encoding(offered: Sequence[str], server_preference: str) -> str:
-    """The encoding a v2 connection will speak.
-
-    ``offered`` is the client's HELLO preference list; the server
-    accepts binary only when both sides want it, and falls back to the
-    JSON floor otherwise (including for clients that offer nothing
-    recognizable — JSON is mandatory-to-implement, never negotiated
-    away).
-    """
-    if server_preference == ENCODING_BINARY and ENCODING_BINARY in offered:
-        return ENCODING_BINARY
-    return ENCODING_JSON
 
 
 # ----------------------------------------------------------------------
@@ -184,13 +163,15 @@ def iter_binary_row_frames(
     frame_bytes: int,
 ) -> Iterator[bytes]:
     """Encode one batch as ROWS_BIN frames, each under ``frame_bytes``
-    where possible (the binary twin of ``protocol.iter_row_frames``).
+    where possible.
 
     Split points come from exact per-row sizes (fixed widths plus UTF-8
     text lengths plus each column's bitmap when its slice has NULLs),
     computed from prefix sums so the greedy packing is O(rows x cols).
     A single row whose encoding alone exceeds the bound still travels
-    as its own oversized frame, matching the JSON path's rule.
+    as its own oversized frame — the receiving side's limit applies to
+    incoming *request* frames; result frames that large mean the
+    operator should raise ``frame_bytes``.
     """
     n = batch.num_rows
     if n == 0:

@@ -1,50 +1,51 @@
 """The wire protocol spoken between :mod:`repro.server` and
 :mod:`repro.client`.
 
-A deliberately small, length-prefixed framed protocol — one frame is::
+A deliberately small, length-prefixed framed protocol (version 2, the
+only version) — one frame is::
 
-    +----------------+------------+----------------------+
-    | length (4B BE) | type (1B)  | payload (JSON utf-8) |
-    +----------------+------------+----------------------+
+    +----------------+------------+--------------------------------+
+    | length (4B BE) | type (1B)  | payload (JSON, or ROWS_BIN)    |
+    +----------------+------------+--------------------------------+
 
-where ``length`` counts the type byte plus the payload.  Control
-payloads are JSON (debuggable with ``tcpdump``, dependency-free;
-Python's encoder round-trips ``NaN``/``Infinity`` floats, and every SQL
-value the engine produces — int, float, str, bool, NULL, DATE as
-epoch-days — is JSON-representable).  Result payloads come in two
-negotiated encodings: the JSON ``ROWS`` floor, and protocol v2's typed
-binary columnar ``ROWS_BIN`` (:mod:`repro.server.encoding`).
-
-Protocol **v2** conversation (v1 omits ``encodings``/``encoding``/
-``max_streams`` and runs one stream at a time)::
+where ``length`` counts the type byte plus the payload.  There is one
+conversation: control payloads are JSON (debuggable with ``tcpdump``,
+dependency-free; Python's encoder round-trips ``NaN``/``Infinity``
+floats), and result rows travel only as typed binary columnar
+``ROWS_BIN`` frames (:mod:`repro.server.encoding`), so no result value
+is turned back into text at the socket::
 
     client                                server
-    HELLO {version, token?, encodings?} -->
-                              <--  WELCOME {version, session_id,
-                                           encoding, max_streams}
+    HELLO {version, token?}   -->
+                              <--  WELCOME {version: 2, session_id,
+                                           server, max_streams}
     QUERY {qid, sql}          -->
                               <--  ROWSET {qid, columns, types}
-                              <--  ROWS {qid, rows} | ROWS_BIN  (repeated)
+                              <--  ROWS_BIN                 (repeated)
                               <--  END {qid, rows, closed}
     CLOSE {qid}               -->  (abandon stream qid early;
                               <--   END {qid, closed: true} acks it)
-    STATS {qid, trace?}       -->  (v2 only: one-shot stats snapshot)
+    STATS {qid, trace?}       -->  (one-shot stats snapshot)
                               <--  STATS {qid, stats, trace?}
-    STATS {qid, subscribe:    -->  (v2 only: server-push subscription)
+    STATS {qid, subscribe:    -->  (server-push subscription)
            true, interval_s?}
                               <--  STATS {qid, stats}   (repeated every
                                    interval until CLOSE {qid}, acked by
                                    END {qid, closed: true})
     GOODBYE {}                -->  (connection closes)
 
-Under v2 the conversation is **multiplexed**: qids are on every frame,
-so a client may hold up to ``max_streams_per_connection`` QUERYs open
-at once and the server interleaves their ROWS frames fairly; the
-client demultiplexes by qid.  A v1 peer (``HELLO {version: 1}``) gets
-exactly the v1 conversation back: JSON rows, one stream at a time.
+HELLO's ``version`` must be an int (not a bool) of at least
+``PROTOCOL_VERSION``; anything else is answered with a ``protocol``
+ERROR before a session exists, and a newer client is answered with
+``PROTOCOL_VERSION``.
+
+The conversation is **multiplexed**: qids are on every frame, so a
+client may hold up to ``max_streams_per_connection`` QUERYs open at
+once and the server interleaves their ROWS_BIN frames fairly; the
+client demultiplexes by qid.
 
 An ERROR frame ``{qid?, code, message}`` may replace ROWSET (the query
-failed to admit/parse/plan), interrupt a ROWS stream (the producing
+failed to admit/parse/plan), interrupt a ROWS_BIN stream (the producing
 scan failed mid-flight), or reject a QUERY beyond the stream limit
 (code ``stream_limit``); ``code`` is a stable string from
 :func:`repro.errors.wire_code_for`, so the client re-raises the
@@ -52,11 +53,11 @@ matching exception class.  A CLOSE for a stream that already ended is
 silently ignored (the natural END is already in flight — the client
 drains to it), which makes the close race benign.
 
-Frames are bounded by ``frame_bytes``: outgoing ROWS frames are *split*
-(:func:`iter_row_frames` packs rows greedily by encoded size, starting
-a new frame whenever the next row would overflow the bound), and
-incoming frames over the limit are rejected as a
-:class:`repro.errors.ProtocolError` instead of buffered without bound.
+Frames are bounded by ``frame_bytes``: outgoing ROWS_BIN frames are
+*split* (:func:`repro.server.encoding.iter_binary_row_frames` packs
+rows greedily by exact encoded size), and incoming frames over the
+limit are rejected as a :class:`repro.errors.ProtocolError` instead of
+buffered without bound.
 """
 
 from __future__ import annotations
@@ -64,17 +65,13 @@ from __future__ import annotations
 import enum
 import json
 import struct
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 from ..errors import ProtocolError
 from .encoding import peek_qid
 
-#: Protocol revision carried in HELLO/WELCOME.  The server negotiates
-#: down to the client's version as long as it is at least
-#: ``MIN_PROTOCOL_VERSION``; anything outside that window fails the
-#: handshake with a ``protocol`` ERROR frame.
+#: Protocol revision carried in HELLO/WELCOME: the only one spoken.
 PROTOCOL_VERSION = 2
-MIN_PROTOCOL_VERSION = 1
 
 _HEADER = struct.Struct("!I")
 _HEADER_BYTES = _HEADER.size
@@ -83,19 +80,20 @@ _HEADER_BYTES = _HEADER.size
 class FrameType(enum.IntEnum):
     """One byte on the wire; grouped by direction."""
 
-    HELLO = 0x01  # client -> server: {version, token?, encodings?}
+    HELLO = 0x01  # client -> server: {version, token?}
     WELCOME = 0x02  # server -> client: {version, session_id, server,
-    #                 encoding, max_streams}  (last two: v2 only)
+    #                 max_streams}
     QUERY = 0x03  # client -> server: {qid, sql}
     ROWSET = 0x04  # server -> client: {qid, columns, types}
-    ROWS = 0x05  # server -> client: {qid, rows: [[...], ...]}
+    # 0x05 is reserved (the retired JSON ROWS frame) and never reused:
+    # a peer that sends it gets the "unknown frame type" ProtocolError.
     END = 0x06  # server -> client: {qid, rows, closed}
     ERROR = 0x07  # server -> client: {qid?, code, message}
     CLOSE = 0x08  # client -> server: {qid}
     GOODBYE = 0x09  # client -> server: {}
     ROWS_BIN = 0x0A  # server -> client: binary columnar payload
-    #                  (repro.server.encoding; v2 "binary" only)
-    STATS = 0x0B  # both directions (v2 only).  client -> server:
+    #                  (repro.server.encoding)
+    STATS = 0x0B  # both directions.  client -> server:
     #               {qid, trace?, subscribe?, interval_s?}; server ->
     #               client: {qid, stats, trace?} — a telemetry-registry
     #               snapshot, one-shot or pushed every interval_s.
@@ -130,43 +128,6 @@ def decode_payload(ftype_byte: int, body: bytes) -> tuple[FrameType, dict]:
     if not isinstance(payload, dict):
         raise ProtocolError(f"{ftype.name} payload must be a JSON object")
     return ftype, payload
-
-
-def iter_row_frames(
-    qid: int, rows: list, frame_bytes: int
-) -> Iterator[bytes]:
-    """Encode ``rows`` as one or more ROWS frames, each under
-    ``frame_bytes`` where possible.
-
-    Single pass, each row JSON-encoded exactly once: rows are packed
-    greedily by encoded size and the payload is assembled from the
-    pre-encoded pieces (this is the per-batch hot path of every
-    streamed result).  A single row whose encoding alone exceeds the
-    limit is still sent as its own (oversized) frame — the receiving
-    side's limit applies to *incoming request* frames; result frames
-    this large mean the operator should raise ``frame_bytes``.
-    """
-    if not rows:
-        return
-    prefix = f'{{"qid":{qid:d},"rows":['.encode("utf-8")
-    overhead = _HEADER_BYTES + 1 + len(prefix) + len(b"]}")
-    chunk: list[bytes] = []
-    size = 0
-    for row in rows:
-        piece = json.dumps(row, separators=(",", ":")).encode("utf-8")
-        extra = len(piece) + (1 if chunk else 0)  # +1 for the comma
-        if chunk and overhead + size + extra > frame_bytes:
-            yield _assemble_rows_frame(prefix, chunk)
-            chunk, size = [], 0
-            extra = len(piece)
-        chunk.append(piece)
-        size += extra
-    yield _assemble_rows_frame(prefix, chunk)
-
-
-def _assemble_rows_frame(prefix: bytes, pieces: list[bytes]) -> bytes:
-    body = prefix + b",".join(pieces) + b"]}"
-    return _HEADER.pack(len(body) + 1) + bytes((int(FrameType.ROWS),)) + body
 
 
 def read_frame_blocking(

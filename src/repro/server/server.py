@@ -2,13 +2,13 @@
 
 :class:`RawServer` is an asyncio socket server fronting one
 :class:`repro.service.PostgresRawService`.  Each accepted connection
-owns one :class:`repro.service.Session` and — under protocol v2 — a
-**stream table**: up to ``max_streams_per_connection`` concurrent query
-streams, each with its own cursor pump task.  The pumps share the
-connection's socket through one FIFO write lock acquired per ROWS
-frame, so frames from concurrently producing streams interleave fairly
-(round-robin among the streams with a frame ready) instead of one
-stream monopolizing the pipe.  The flow-control domains still compose
+owns one :class:`repro.service.Session` and a **stream table**: up to
+``max_streams_per_connection`` concurrent query streams, each with its
+own cursor pump task.  The pumps share the connection's socket through
+one FIFO write lock acquired per ROWS_BIN frame, so frames from
+concurrently producing streams interleave fairly (round-robin among the
+streams with a frame ready) instead of one stream monopolizing the
+pipe.  The flow-control domains still compose
 end-to-end:
 
 * inside the service, each producing scan is throttled by its bounded
@@ -23,9 +23,9 @@ and after ``cursor_ttl_s`` each producer abandons its query and
 releases its table locks.  The in-process lock-lifetime contract
 carries over the wire unchanged.
 
-ROWS payloads travel in the encoding negotiated at HELLO/WELCOME
-(:mod:`repro.server.encoding`): typed binary column vectors by default,
-the JSON floor for v1 peers or when ``wire_encoding="json"``.
+There is one conversation (:mod:`repro.server.protocol`, version 2):
+JSON control frames, and results as ROWS_BIN typed column vectors
+(:mod:`repro.server.encoding`) — there is nothing to negotiate.
 
 Blocking service calls (admission, planning, batch pulls, cursor
 close) run on worker threads; the event loop only ever parses frames
@@ -61,21 +61,9 @@ from ..errors import (
     StreamLimitError,
     wire_code_for,
 )
-from ..executor.result import batch_rows
 from ..service.service import PostgresRawService, Session
-from .encoding import (
-    ENCODING_JSON,
-    iter_binary_row_frames,
-    negotiate_encoding,
-)
-from .protocol import (
-    MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-    FrameType,
-    encode_frame,
-    iter_row_frames,
-    read_frame,
-)
+from .encoding import iter_binary_row_frames
+from .protocol import PROTOCOL_VERSION, FrameType, encode_frame, read_frame
 
 
 @dataclass
@@ -98,9 +86,6 @@ class _Connection:
     opened_monotonic: float
     task: "asyncio.Task | None" = None
     session: Session | None = None
-    version: int = PROTOCOL_VERSION
-    encoding: str = ENCODING_JSON
-    max_streams: int = 1
     queries: int = 0
     frames_sent: int = 0
     rows_sent: int = 0
@@ -108,7 +93,7 @@ class _Connection:
     last_ttfb_s: float | None = None
     streams: dict[int, _Stream] = field(default_factory=dict)
     write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    #: Live STATS push subscriptions by qid (v2 only).  Not counted
+    #: Live STATS push subscriptions by qid.  Not counted
     #: against ``max_streams`` — a dashboard watching the engine must
     #: never crowd out the queries it is watching.
     stats_subs: dict[int, "asyncio.Task"] = field(default_factory=dict)
@@ -119,7 +104,7 @@ class RawServer:
 
     Knobs default to the service's config (``server_host``,
     ``server_port``, ``max_connections``, ``frame_bytes``,
-    ``wire_encoding``, ``max_streams_per_connection``); keyword
+    ``max_streams_per_connection``); keyword
     overrides exist for embedding several servers in one process.
     ``auth_token`` is the handshake's auth stub: when set, HELLO frames
     must carry the same token or the connection is refused.
@@ -133,7 +118,6 @@ class RawServer:
         port: int | None = None,
         max_connections: int | None = None,
         frame_bytes: int | None = None,
-        wire_encoding: str | None = None,
         max_streams_per_connection: int | None = None,
         auth_token: str | None = None,
     ) -> None:
@@ -148,9 +132,6 @@ class RawServer:
         )
         self.frame_bytes = (
             config.frame_bytes if frame_bytes is None else frame_bytes
-        )
-        self.wire_encoding = (
-            config.wire_encoding if wire_encoding is None else wire_encoding
         )
         self.max_streams_per_connection = (
             config.max_streams_per_connection
@@ -194,7 +175,7 @@ class RawServer:
         self.frames_sent = 0
         self.rows_sent = 0
         self.errors_sent = 0
-        self.bytes_by_encoding: dict[str, int] = {"json": 0, "binary": 0}
+        self.bytes_sent = 0
         # The connections panel and the STATS command both read the
         # server through the engine-wide registry snapshot.
         self.service.telemetry.registry.register_collector(
@@ -417,35 +398,25 @@ class RawServer:
         ftype, payload = frame
         if ftype is not FrameType.HELLO:
             raise ProtocolError(f"expected HELLO, got {ftype.name}")
+        # HELLO is input from outside the program: the version must be a
+        # real int (JSON ``true`` is a Python int) of at least ours.  A
+        # newer client is answered with the one version we speak.
         version = payload.get("version")
         if (
             not isinstance(version, int)
-            or not MIN_PROTOCOL_VERSION <= version
+            or isinstance(version, bool)
+            or version < PROTOCOL_VERSION
         ):
             await self._send_error(
                 writer,
                 None,
                 ProtocolError(
-                    f"protocol version mismatch: client {version}, "
-                    f"server speaks {MIN_PROTOCOL_VERSION}.."
-                    f"{PROTOCOL_VERSION}"
+                    f"protocol version mismatch: client {version!r}, "
+                    f"server speaks {PROTOCOL_VERSION}"
                 ),
                 conn,
             )
             return False
-        # A newer client is negotiated down to what we speak; an older
-        # one (>= the minimum) gets its own version's conversation.
-        conn.version = min(version, PROTOCOL_VERSION)
-        if conn.version >= 2:
-            offered = payload.get("encodings")
-            conn.encoding = negotiate_encoding(
-                offered if isinstance(offered, list) else [ENCODING_JSON],
-                self.wire_encoding,
-            )
-            conn.max_streams = self.max_streams_per_connection
-        else:
-            conn.encoding = ENCODING_JSON
-            conn.max_streams = 1
         if (
             self.auth_token is not None
             and payload.get("token") != self.auth_token
@@ -460,13 +431,11 @@ class RawServer:
             await self._send_error(writer, None, exc, conn)
             return False
         welcome = {
-            "version": conn.version,
+            "version": PROTOCOL_VERSION,
             "session_id": conn.session.session_id,
             "server": "repro-postgresraw",
+            "max_streams": self.max_streams_per_connection,
         }
-        if conn.version >= 2:
-            welcome["encoding"] = conn.encoding
-            welcome["max_streams"] = conn.max_streams
         await self._send(writer, conn, FrameType.WELCOME, welcome)
         return True
 
@@ -522,7 +491,8 @@ class RawServer:
             raise ProtocolError(
                 f"qid={qid} is already streaming on this connection"
             )
-        if len(conn.streams) >= conn.max_streams:
+        max_streams = self.max_streams_per_connection
+        if len(conn.streams) >= max_streams:
             with self._stats_lock:
                 self.streams_refused += 1
             await self._send_error(
@@ -530,7 +500,7 @@ class RawServer:
                 qid,
                 StreamLimitError(
                     f"connection already runs {len(conn.streams)} streams "
-                    f"(max_streams_per_connection={conn.max_streams}); "
+                    f"(max_streams_per_connection={max_streams}); "
                     "close a cursor first"
                 ),
                 conn,
@@ -560,7 +530,7 @@ class RawServer:
             cursor.abort_stream()
 
     # ------------------------------------------------------------------
-    # STATS: one-shot snapshots and server-push subscriptions (v2).
+    # STATS: one-shot snapshots and server-push subscriptions.
     # ------------------------------------------------------------------
 
     async def _handle_stats(
@@ -577,14 +547,6 @@ class RawServer:
         qid = payload.get("qid")
         if not isinstance(qid, int):
             raise ProtocolError("STATS frame needs an int qid")
-        if conn.version < 2:
-            await self._send_error(
-                writer,
-                qid,
-                ProtocolError("STATS requires protocol v2"),
-                conn,
-            )
-            return
         if qid in conn.streams or qid in conn.stats_subs:
             raise ProtocolError(
                 f"qid={qid} is already in use on this connection"
@@ -701,20 +663,16 @@ class RawServer:
                     return
                 if batch is None:
                     break
-                if conn.encoding == ENCODING_JSON:
-                    rows = batch_rows(batch, cursor.column_names)
-                    wire_frames = iter_row_frames(qid, rows, self.frame_bytes)
-                else:
-                    wire_frames = iter_binary_row_frames(
-                        qid,
-                        batch,
-                        cursor.column_names,
-                        cursor.column_types,
-                        self.frame_bytes,
-                    )
+                wire_frames = iter_binary_row_frames(
+                    qid,
+                    batch,
+                    cursor.column_names,
+                    cursor.column_types,
+                    self.frame_bytes,
+                )
                 for wire_frame in wire_frames:
                     # One FIFO lock acquisition per frame: concurrent
-                    # streams' pumps take turns, so ROWS frames
+                    # streams' pumps take turns, so ROWS_BIN frames
                     # round-robin among every stream with one ready.
                     # drain() under the lock is the consumer side of
                     # the bounded channel — TCP backpressure throttles
@@ -816,15 +774,12 @@ class RawServer:
     # ------------------------------------------------------------------
 
     def _note_frame(self, conn: _Connection | None, nbytes: int) -> None:
-        encoding = conn.encoding if conn is not None else ENCODING_JSON
         if conn is not None:
             conn.frames_sent += 1
             conn.bytes_sent += nbytes
         with self._stats_lock:
             self.frames_sent += 1
-            self.bytes_by_encoding[encoding] = (
-                self.bytes_by_encoding.get(encoding, 0) + nbytes
-            )
+            self.bytes_sent += nbytes
 
     async def _send(
         self, writer, conn: _Connection | None, ftype: FrameType, payload: dict
@@ -881,11 +836,9 @@ class RawServer:
                     "id": conn.conn_id,
                     "peer": conn.peer,
                     "age_s": now - conn.opened_monotonic,
-                    "version": conn.version,
-                    "encoding": conn.encoding,
                     "queries": conn.queries,
                     "streams": len(conn.streams),
-                    "max_streams": conn.max_streams,
+                    "max_streams": self.max_streams_per_connection,
                     "frames_sent": conn.frames_sent,
                     "rows_sent": conn.rows_sent,
                     "bytes_sent": conn.bytes_sent,
@@ -896,7 +849,6 @@ class RawServer:
                     self._connections.values(), key=lambda c: c.conn_id
                 )
             ]
-            bytes_by_encoding = dict(self.bytes_by_encoding)
             return {
                 "host": self.host,
                 "port": self.port,
@@ -912,10 +864,7 @@ class RawServer:
                 "rows_sent": self.rows_sent,
                 "errors_sent": self.errors_sent,
                 "frames_per_s": self.frames_sent / uptime if uptime else 0.0,
-                "bytes_by_encoding": bytes_by_encoding,
-                "bytes_per_s_by_encoding": {
-                    enc: total / uptime if uptime else 0.0
-                    for enc, total in bytes_by_encoding.items()
-                },
+                "bytes_sent": self.bytes_sent,
+                "bytes_per_s": self.bytes_sent / uptime if uptime else 0.0,
                 "connections": connections,
             }

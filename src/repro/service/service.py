@@ -212,9 +212,7 @@ class PostgresRawService:
         #: Engine-owned cache of specialized scan kernels
         #: (:mod:`repro.kernels`), shared by every scan this service
         #: plans; hit/miss/build counters feed the registry.
-        self.kernel_cache = KernelCache(
-            self.config.kernel_cache_entries, registry=registry
-        )
+        self.kernel_cache = KernelCache(registry=registry)
         #: Adaptive materialized-aggregate cache (:mod:`repro.mv`):
         #: workload-mined aggregate results governed alongside the
         #: positional maps and caches.  ``None`` when ``mv_enabled``

@@ -18,7 +18,6 @@ from repro import (
     generate_csv,
     uniform_table_spec,
 )
-from repro.errors import ProtocolError
 
 SQL = "SELECT a0, a1 FROM t WHERE a2 < 500000"
 
@@ -168,13 +167,6 @@ class TestTracedWireQuery:
             assert "trace_id" in record and "root" in record
         for line in slow.read_text().splitlines():
             assert "breakdown" in json.loads(line)
-
-    def test_stats_rejected_on_v1(self, served):
-        service, server = served
-        with repro.client.Connection("127.0.0.1", server.port) as conn:
-            conn.version = 1  # simulate a v1 negotiation client-side
-            with pytest.raises(ProtocolError):
-                conn.stats()
 
     def test_telemetry_disabled_still_serves_stats(self, table_csv):
         path, schema = table_csv

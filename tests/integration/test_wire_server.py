@@ -1,10 +1,11 @@
 """The wire protocol end-to-end: a real asyncio server over localhost,
-blocking clients, row-for-row identity with the in-process path (under
-both ROWS encodings), multiplexed cursors on one connection, the
-CLOSE/lock-lifetime contract over the socket, error-code round-trips,
-the handshake stub, v1-peer compatibility, connection capping and
-stream capping, the client connection pool, and a concurrent socket
-stress run sharing one service's adaptive state."""
+blocking clients, row-for-row identity with the in-process path,
+multiplexed cursors on one connection, the CLOSE/lock-lifetime contract
+over the socket, error-code round-trips, the handshake stub, protocol
+conformance against hand-rolled foreign peers (bad versions, the
+reserved 0x05 frame), connection capping and stream capping, the client
+connection pool, and a concurrent socket stress run sharing one
+service's adaptive state."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro import (
     uniform_table_spec,
 )
 from repro.client import ConnectionPool
+from repro.datatypes import DataType
 from repro.errors import (
     CatalogError,
     CursorClosedError,
@@ -32,6 +35,9 @@ from repro.errors import (
     ServiceError,
     StreamLimitError,
 )
+from repro.executor.result import batch_rows
+from repro.server.encoding import decode_binary_rows
+from repro.server.protocol import FrameType, encode_frame, read_frame_blocking
 
 SQL = "SELECT a0, a1 FROM t WHERE a2 < 500000"
 
@@ -70,6 +76,17 @@ def served(table_csv):
 
 def wire_connect(server, **kwargs):
     return repro.client.Connection("127.0.0.1", server.port, **kwargs)
+
+
+def assert_nothing_leaked(service, server, timeout=10.0):
+    """Every connection torn down, no cursor or scheduler slot held."""
+    deadline = time.monotonic() + timeout
+    while server.connection_stats()["open"]:
+        assert time.monotonic() < deadline, "connection never torn down"
+        time.sleep(0.01)
+    assert service.cursor_stats()["open"] == 0
+    stats = service.scheduler.stats()
+    assert stats["active"] == 0 and stats["waiting"] == 0
 
 
 def assert_write_lock_free(service, table, timeout=5.0):
@@ -219,6 +236,11 @@ class TestWireLifecycle:
             assert stats["frames_sent"] >= 3  # WELCOME + ROWSET + ROWS...
             (connection,) = stats["connections"]
             assert connection["queries"] == 1
+            # bytes_sent counts every frame, control and ROWS_BIN alike.
+            assert stats["bytes_sent"] == connection["bytes_sent"] > 0
+            assert stats["bytes_per_s"] > 0
+            assert "version" not in connection
+            assert "encoding" not in connection
 
 
 class TestMultiplexing:
@@ -327,10 +349,7 @@ class TestMultiplexing:
             with RawServer(service) as server:
                 raw = _RawWireClient(server.port)
                 try:
-                    raw.send(
-                        _RawWireClient.HELLO,
-                        {"version": 2, "encodings": ["json"]},
-                    )
+                    raw.send(_RawWireClient.HELLO, {"version": 2})
                     _, welcome = raw.read()
                     assert welcome["max_streams"] == 2
                     for qid in (1, 2, 3):
@@ -364,13 +383,29 @@ class _RawWireClient:
             struct.pack("!I", len(body) + 1) + bytes((ftype,)) + body
         )
 
-    def read(self) -> tuple[int, dict]:
+    def read(self) -> tuple[int, dict | bytes]:
+        """Next frame; ROWS_BIN (0x0A) bodies come back raw."""
         header = self.reader.read(4)
         assert len(header) == 4, "server hung up mid-conversation"
         (length,) = struct.unpack("!I", header)
         body = self.reader.read(length)
         assert len(body) == length
+        if body[0] == FrameType.ROWS_BIN:
+            return body[0], body[1:]
         return body[0], json.loads(body[1:].decode("utf-8"))
+
+    def read_rows(self, rowset: dict) -> tuple[list, dict]:
+        """Decode one stream's ROWS_BIN frames up to its END."""
+        names = rowset["columns"]
+        dtypes = [DataType(t) for t in rowset["types"]]
+        rows: list = []
+        while True:
+            ftype, payload = self.read()
+            if ftype == FrameType.END:
+                return rows, payload
+            assert ftype == FrameType.ROWS_BIN, f"got frame 0x{ftype:02x}"
+            batch = decode_binary_rows(payload, names, dtypes)
+            rows.extend(batch_rows(batch, names))
 
     def close(self) -> None:
         try:
@@ -380,109 +415,139 @@ class _RawWireClient:
             pass
 
 
-class TestEncodingNegotiation:
-    def test_default_connection_speaks_binary(self, served):
+class TestProtocolConformance:
+    """One conversation: v2 HELLO, binary ROWS_BIN results.  A peer that
+    speaks anything else gets a ``protocol`` ERROR, leaks no session,
+    cursor or scheduler slot, and the next v2 connection still works.
+    Frames are hand-rolled, as a foreign peer would send them."""
+
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            {"version": 1},
+            {"version": True},  # JSON true is a Python int: still no
+            {"version": 0},
+            {"version": "2"},
+            {"version": 2.0},
+            {},
+        ],
+    )
+    def test_bad_hello_version_is_refused_before_a_session(
+        self, served, hello
+    ):
         service, server = served
-        reference = service.query(SQL).rows
-        with wire_connect(server) as conn:
-            assert conn.version == 2
-            assert conn.encoding == "binary"
-            assert conn.query(SQL).rows == reference
-        assert server.connection_stats()["bytes_by_encoding"]["binary"] > 0
-
-    def test_client_can_pin_the_json_floor(self, served):
-        service, server = served
-        reference = service.query(SQL).rows
-        with wire_connect(server, encodings=("json",)) as conn:
-            assert conn.encoding == "json"
-            assert conn.query(SQL).rows == reference
-
-    def test_server_can_pin_the_json_floor(self, table_csv):
-        path, schema = table_csv
-        config = PostgresRawConfig(server_port=0, wire_encoding="json")
-        with PostgresRawService(config) as service:
-            service.register_csv("t", path, schema)
-            reference = service.query(SQL).rows
-            with RawServer(service) as server:
-                with wire_connect(server) as conn:
-                    assert conn.encoding == "json"  # despite offering binary
-                    assert conn.query(SQL).rows == reference
-
-    def test_json_and_binary_return_identical_rows(self, served, mixed_csv):
-        service, server = served
-        path, schema = mixed_csv
-        service.register_csv("m", path, schema)
-        sql = "SELECT id, price, label, day, flag, qty FROM m"
-        with wire_connect(server) as binary_conn:
-            binary_rows = binary_conn.query(sql).rows
-        with wire_connect(server, encodings=("json",)) as json_conn:
-            json_rows = json_conn.query(sql).rows
-        assert binary_rows == json_rows == service.query(sql).rows
-
-
-class TestV1Compatibility:
-    """The regression gate: a v1 peer (JSON, single stream) completes
-    a query against a v2 server, byte-level frames hand-rolled."""
-
-    def test_v1_client_completes_a_query(self, served):
-        service, server = served
-        reference = [list(row) for row in service.query(SQL).rows]
+        with wire_connect(server) as before:
+            first_session = before.session_id
         raw = _RawWireClient(server.port)
         try:
-            raw.send(_RawWireClient.HELLO, {"version": 1})
+            raw.send(_RawWireClient.HELLO, hello)
+            ftype, payload = raw.read()
+            assert ftype == FrameType.ERROR
+            assert payload["code"] == "protocol"
+            assert "version mismatch" in payload["message"]
+        finally:
+            raw.close()
+        assert_nothing_leaked(service, server)
+        with wire_connect(server) as after:
+            # No session was opened for the refused peer.
+            assert after.session_id == first_session + 1
+            assert after.query("SELECT COUNT(*) AS n FROM t").scalar() == 4000
+
+    def test_peer_sent_0x05_frame_is_a_protocol_error(self, served):
+        # 0x05 was the JSON ROWS frame; the byte is reserved, so a peer
+        # sending it mid-stream is an unknown frame type.
+        service, server = served
+        raw = _RawWireClient(server.port)
+        try:
+            raw.send(_RawWireClient.HELLO, {"version": 2})
+            assert raw.read()[0] == FrameType.WELCOME
+            raw.send(
+                _RawWireClient.QUERY, {"qid": 1, "sql": "SELECT a0 FROM t"}
+            )
+            assert raw.read()[0] == FrameType.ROWSET
+            raw.send(0x05, {"qid": 1, "rows": [[1]]})
+            while True:  # drain the stream's frames up to the ERROR
+                ftype, payload = raw.read()
+                if ftype == FrameType.ERROR and payload["qid"] is None:
+                    break
+            assert payload["code"] == "protocol"
+            assert "unknown frame type 0x05" in payload["message"]
+        finally:
+            raw.close()
+        assert_nothing_leaked(service, server)
+        assert_write_lock_free(service, "t")
+        with wire_connect(server) as conn:
+            assert conn.query("SELECT COUNT(*) AS n FROM t").scalar() == 4000
+
+    def test_newer_client_is_answered_with_version_2(self, served):
+        service, server = served
+        raw = _RawWireClient(server.port)
+        try:
+            # An ``encodings`` offer is ignored: results are ROWS_BIN.
+            raw.send(
+                _RawWireClient.HELLO, {"version": 3, "encodings": ["json"]}
+            )
             ftype, welcome = raw.read()
-            assert ftype == 0x02  # WELCOME
-            assert welcome["version"] == 1
-            # v2 negotiation fields are not leaked into a v1 WELCOME.
-            assert "encoding" not in welcome and "max_streams" not in welcome
+            assert ftype == FrameType.WELCOME
+            assert welcome["version"] == 2
+            assert set(welcome) == {
+                "version",
+                "session_id",
+                "server",
+                "max_streams",
+            }
             raw.send(_RawWireClient.QUERY, {"qid": 1, "sql": SQL})
             ftype, rowset = raw.read()
-            assert ftype == 0x04 and rowset["qid"] == 1  # ROWSET
-            rows: list = []
-            while True:
-                ftype, payload = raw.read()
-                if ftype == 0x06:  # END
-                    assert payload["rows"] == len(rows)
-                    break
-                assert ftype == 0x05, f"v1 peer got frame 0x{ftype:02x}"
-                rows.extend(payload["rows"])  # ROWS: always JSON for v1
-            assert rows == reference
+            assert ftype == FrameType.ROWSET and rowset["qid"] == 1
+            rows, end = raw.read_rows(rowset)
+            assert end["rows"] == len(rows)
+            assert rows == service.query(SQL).rows
             raw.send(_RawWireClient.GOODBYE, {})
         finally:
             raw.close()
 
-    def test_v1_close_mid_stream_still_acks_with_end(self, served):
-        _, server = served
+    def test_close_mid_stream_still_acks_with_end(self, served):
+        service, server = served
         raw = _RawWireClient(server.port)
         try:
-            raw.send(_RawWireClient.HELLO, {"version": 1})
+            raw.send(_RawWireClient.HELLO, {"version": 2})
             raw.read()  # WELCOME
             raw.send(
                 _RawWireClient.QUERY,
                 {"qid": 9, "sql": "SELECT a0 FROM t"},
             )
-            ftype, _ = raw.read()
-            assert ftype == 0x04
+            ftype, rowset = raw.read()
+            assert ftype == FrameType.ROWSET
             raw.send(_RawWireClient.CLOSE, {"qid": 9})
-            while True:
-                ftype, payload = raw.read()
-                if ftype == 0x06:
-                    break  # the closed (or natural) END arrived
-                assert ftype == 0x05
+            _, end = raw.read_rows(rowset)  # closed (or natural) END
+            assert end["qid"] == 9
             raw.send(_RawWireClient.GOODBYE, {})
         finally:
             raw.close()
+        assert_nothing_leaked(service, server)
 
-    def test_unsupported_version_is_refused(self, served):
-        _, server = served
-        raw = _RawWireClient(server.port)
+    @pytest.mark.parametrize("version", [1, 3, True, "2"])
+    def test_client_rejects_a_welcome_other_than_version_2(self, version):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def fake_server() -> None:
+            peer, _ = listener.accept()
+            with peer, peer.makefile("rb") as reader:
+                read_frame_blocking(reader, 1 << 20)  # HELLO
+                welcome = {"version": version, "session_id": 1}
+                peer.sendall(encode_frame(FrameType.WELCOME, welcome))
+                reader.read()  # until the client hangs up
+
+        thread = threading.Thread(target=fake_server, daemon=True)
+        thread.start()
         try:
-            raw.send(_RawWireClient.HELLO, {"version": 0})
-            ftype, payload = raw.read()
-            assert ftype == 0x07 and payload["code"] == "protocol"
-            assert "version mismatch" in payload["message"]
+            with pytest.raises(ProtocolError, match="server speaks protocol"):
+                repro.client.Connection(
+                    "127.0.0.1", listener.getsockname()[1], timeout=10
+                )
         finally:
-            raw.close()
+            thread.join(timeout=10)
+            listener.close()
 
 
 class TestConnectionPool:

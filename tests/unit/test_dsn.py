@@ -1,6 +1,6 @@
-"""The ``raw://`` DSN surface: parsing, canonical rendering and the
-:func:`repro.connect` entry point (plus the deprecation pin on the old
-``repro.client.connect(host, port)`` signature)."""
+"""The ``raw://`` DSN surface: parsing (including validation of every
+port and numeric option), canonical rendering and the
+:func:`repro.connect` entry point."""
 
 from __future__ import annotations
 
@@ -91,6 +91,60 @@ def test_parse_rejects_junk(dsn):
         parse_dsn(dsn)
 
 
+@pytest.mark.parametrize(
+    "dsn",
+    [
+        # getaddrinfo wraps ports mod 65536: 99999 would dial 34463.
+        "raw://127.0.0.1:99999/",
+        "raw://h:65536/",
+        "raw://h:0/",
+        "raw://h:-1/",
+        "raw://h:1,h:70000/",
+        "raw://:5433/",  # a port but no host
+    ],
+)
+def test_parse_rejects_out_of_range_ports(dsn):
+    with pytest.raises(ProtocolError, match="bad port"):
+        parse_dsn(dsn)
+
+
+def test_parse_accepts_port_bounds():
+    parsed = parse_dsn("raw://h:1,h:65535/")
+    assert parsed.hosts == [("h", 1), ("h", 65535)]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "timeout=abc",
+        "timeout=0",
+        "timeout=-1.5",
+        "timeout=nan",
+        "timeout=inf",
+        "frame_bytes=1k",
+        "frame_bytes=2.5",
+        "frame_bytes=512",  # below MIN_FRAME_BYTES
+        "min_size=x",
+        "min_size=-1",
+        "max_size=",
+        "max_size=0",
+    ],
+)
+def test_parse_rejects_bad_numeric_options(query):
+    """Junk numbers fail as ProtocolError, never a bare ValueError."""
+    with pytest.raises(ProtocolError, match="DSN option"):
+        parse_dsn(f"raw://h:1,h:2/?{query}")
+
+
+def test_connect_rejects_bad_options_before_dialing():
+    # Nothing listens on this port: a ProtocolError (not a connection
+    # error) proves the DSN was refused before any socket was opened.
+    with pytest.raises(ProtocolError):
+        repro.connect("raw://127.0.0.1:1/?timeout=abc")
+    with pytest.raises(ProtocolError):
+        repro.connect("raw://127.0.0.1:99999/")
+
+
 # ----------------------------------------------------------------------
 # Rendering and round-trip.
 # ----------------------------------------------------------------------
@@ -149,14 +203,11 @@ def test_connect_single_host_dsn(served):
     assert isinstance(conn, repro.client.Connection)
 
 
-def test_connect_old_signature_warns_but_works(served):
-    """The pre-DSN entry point still functions, with a deprecation."""
-    with pytest.warns(DeprecationWarning, match="raw://"):
-        conn = repro.client.connect("127.0.0.1", served.port)
-    try:
+def test_connect_dsn_options_reach_the_connection(served):
+    dsn = f"raw://127.0.0.1:{served.port}/?timeout=5&frame_bytes=4096"
+    with repro.connect(dsn) as conn:
+        assert conn._sock.gettimeout() == 5.0
         assert conn.query("SELECT COUNT(*) AS n FROM t").scalar() == 500
-    finally:
-        conn.close()
 
 
 def test_connect_rejects_bad_dsn():

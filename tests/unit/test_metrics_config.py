@@ -108,7 +108,6 @@ class TestPostgresRawConfig:
             ("positional_map_budget", -1),
             ("cache_budget", -5),
             ("batch_size", 0),
-            ("stats_sample_size", 0),
             ("histogram_buckets", -2),
             ("scan_workers", 0),
             ("scan_workers", -3),

@@ -1,7 +1,7 @@
 """The wire protocol's building blocks in isolation: frame round-trips,
-oversized-frame rejection, ROWS-frame splitting under both encodings
-(json floor and v2 binary columnar), encoding negotiation, and the
-exception <-> wire-code mapping."""
+oversized-frame rejection, the reserved 0x05 byte, ROWS_BIN frame
+splitting and decoding (value-for-value against ``batch_rows`` of the
+source batch), and the exception <-> wire-code mapping."""
 
 from __future__ import annotations
 
@@ -27,17 +27,10 @@ from repro.errors import (
     wire_code_for,
 )
 from repro.executor.result import batch_rows
-from repro.server.encoding import (
-    ENCODING_BINARY,
-    ENCODING_JSON,
-    decode_binary_rows,
-    iter_binary_row_frames,
-    negotiate_encoding,
-)
+from repro.server.encoding import decode_binary_rows, iter_binary_row_frames
 from repro.server.protocol import (
     FrameType,
     encode_frame,
-    iter_row_frames,
     read_frame_blocking,
 )
 
@@ -57,8 +50,8 @@ class TestFraming:
 
     def test_roundtrip_value_types_survive(self):
         rows = [[1, 1.5, "x", True, None], [-2, float("nan"), "", False, 0]]
-        _, payload = roundtrip(FrameType.ROWS, {"qid": 1, "rows": rows})
-        got = payload["rows"]
+        _, payload = roundtrip(FrameType.STATS, {"qid": 1, "stats": rows})
+        got = payload["stats"]
         assert got[0] == rows[0]
         # NaN != NaN: compare field-by-field.
         assert got[1][0] == -2 and got[1][1] != got[1][1]
@@ -72,20 +65,25 @@ class TestFraming:
             read_frame_blocking(io.BytesIO(b"\x00\x00"), 1024)
 
     def test_truncated_body_raises(self):
-        whole = encode_frame(FrameType.HELLO, {"version": 1})
+        whole = encode_frame(FrameType.HELLO, {"version": 2})
         with pytest.raises(ProtocolError, match="mid frame body"):
             read_frame_blocking(io.BytesIO(whole[:-3]), 1024)
 
     def test_oversized_frame_rejected_without_reading_body(self):
-        big = encode_frame(FrameType.ROWS, {"rows": [["x" * 5000]]})
+        big = encode_frame(FrameType.QUERY, {"qid": 1, "sql": "x" * 5000})
         with pytest.raises(ProtocolError, match="exceeds frame_bytes"):
             read_frame_blocking(io.BytesIO(big), 1024)
 
-    def test_unknown_frame_type_raises(self):
-        body = b'{"a":1}'
-        raw = struct.pack("!I", len(body) + 1) + b"\x7f" + body
+    @pytest.mark.parametrize("type_byte", [0x05, 0x7F])
+    def test_unknown_frame_type_raises(self, type_byte):
+        # 0x05 is the retired JSON ROWS frame: reserved, never reused.
+        body = b'{"qid":1,"rows":[[1]]}'
+        raw = struct.pack("!I", len(body) + 1) + bytes((type_byte,)) + body
         with pytest.raises(ProtocolError, match="unknown frame type"):
             read_frame_blocking(io.BytesIO(raw), 1024)
+
+    def test_byte_0x05_is_not_a_frame_type(self):
+        assert 0x05 not in {int(t) for t in FrameType}
 
     def test_non_object_payload_raises(self):
         body = b"[1,2]"
@@ -94,37 +92,6 @@ class TestFraming:
         ) + body
         with pytest.raises(ProtocolError, match="JSON object"):
             read_frame_blocking(io.BytesIO(raw), 1024)
-
-
-class TestRowFrameSplitting:
-    def decode_all(self, frames):
-        rows = []
-        for frame in frames:
-            _, payload = read_frame_blocking(io.BytesIO(frame), 1 << 30)
-            rows.extend(payload["rows"])
-        return rows
-
-    def test_small_rowset_is_one_frame(self):
-        rows = [[i, i * 10] for i in range(10)]
-        frames = list(iter_row_frames(1, rows, 1 << 20))
-        assert len(frames) == 1
-        assert self.decode_all(frames) == rows
-
-    def test_large_rowset_splits_preserving_order(self):
-        rows = [[i, "v" * 50] for i in range(500)]
-        frames = list(iter_row_frames(3, rows, 2048))
-        assert len(frames) > 1
-        assert all(len(f) <= 2048 for f in frames)
-        assert self.decode_all(frames) == rows
-
-    def test_single_giant_row_still_sent(self):
-        rows = [["x" * 10_000]]
-        frames = list(iter_row_frames(1, rows, 1024))
-        assert len(frames) == 1  # unsplittable: oversized but delivered
-        assert self.decode_all(frames) == rows
-
-    def test_empty_rowset_yields_no_frames(self):
-        assert list(iter_row_frames(1, [], 1024)) == []
 
 
 def rows_to_batch(
@@ -140,20 +107,16 @@ def rows_to_batch(
 
 
 def decode_frames(frames: list[bytes], names, dtypes) -> list[tuple]:
-    """Rows carried by a frame sequence, either encoding."""
+    """Rows carried by a ROWS_BIN frame sequence."""
     out: list[tuple] = []
     for frame in frames:
         ftype, payload = read_frame_blocking(io.BytesIO(frame), 1 << 30)
-        if ftype is FrameType.ROWS_BIN:
-            out.extend(
-                batch_rows(
-                    decode_binary_rows(payload["data"], names, dtypes),
-                    names,
-                )
+        assert ftype is FrameType.ROWS_BIN
+        out.extend(
+            batch_rows(
+                decode_binary_rows(payload["data"], names, dtypes), names
             )
-        else:
-            assert ftype is FrameType.ROWS
-            out.extend(tuple(row) for row in payload["rows"])
+        )
     return out
 
 
@@ -176,78 +139,59 @@ MIXED_ROWS = [
 ]
 
 
-def encode_mixed(frame_bytes: int, encoding: str, rows=MIXED_ROWS):
+def encode_mixed(frame_bytes: int, rows=MIXED_ROWS):
+    """ROWS_BIN frames of ``rows``, plus the source batch's own rows
+    (``batch_rows``) — the value-for-value reference."""
     batch, names = rows_to_batch(rows, MIXED_DTYPES)
-    if encoding == ENCODING_BINARY:
-        frames = list(
-            iter_binary_row_frames(5, batch, names, MIXED_DTYPES, frame_bytes)
-        )
-    else:
-        frames = list(
-            iter_row_frames(5, batch_rows(batch, names), frame_bytes)
-        )
-    return frames, names
+    frames = list(
+        iter_binary_row_frames(5, batch, names, MIXED_DTYPES, frame_bytes)
+    )
+    return frames, names, batch_rows(batch, names)
 
 
-BOTH_ENCODINGS = [ENCODING_JSON, ENCODING_BINARY]
+class TestRowFrames:
+    """ROWS_BIN splitting edge cases; every decode is compared value for
+    value with ``batch_rows`` of the source batch."""
 
+    def test_unicode_and_null_heavy_rows_round_trip(self):
+        frames, names, expected = encode_mixed(1 << 20)
+        assert expected == MIXED_ROWS
+        assert decode_frames(frames, names, MIXED_DTYPES) == expected
 
-class TestRowFramesBothEncodings:
-    """The ISSUE's splitting edge cases, asserted for json and binary,
-    plus value-identical decoding between the two."""
-
-    @pytest.mark.parametrize("encoding", BOTH_ENCODINGS)
-    def test_unicode_and_null_heavy_rows_round_trip(self, encoding):
-        frames, names = encode_mixed(1 << 20, encoding)
-        assert decode_frames(frames, names, MIXED_DTYPES) == MIXED_ROWS
-
-    def test_json_and_binary_decode_to_identical_rows(self):
-        json_frames, names = encode_mixed(1 << 20, ENCODING_JSON)
-        bin_frames, _ = encode_mixed(1 << 20, ENCODING_BINARY)
-        assert decode_frames(
-            json_frames, names, MIXED_DTYPES
-        ) == decode_frames(bin_frames, names, MIXED_DTYPES)
-
-    @pytest.mark.parametrize("encoding", BOTH_ENCODINGS)
-    def test_empty_batch_yields_no_frames(self, encoding):
-        frames, _ = encode_mixed(1 << 20, encoding, rows=[])
+    def test_empty_batch_yields_no_frames(self):
+        frames, _, _ = encode_mixed(1 << 20, rows=[])
         assert frames == []
 
-    @pytest.mark.parametrize("encoding", BOTH_ENCODINGS)
-    def test_single_row_larger_than_frame_bytes_still_sent(self, encoding):
+    def test_single_row_larger_than_frame_bytes_still_sent(self):
         rows = [(1, 2.0, "x" * 10_000, True, 3)]
-        frames, names = encode_mixed(1024, encoding, rows=rows)
+        frames, names, expected = encode_mixed(1024, rows=rows)
         assert len(frames) == 1  # unsplittable: oversized but delivered
         assert len(frames[0]) > 1024
-        assert decode_frames(frames, names, MIXED_DTYPES) == rows
+        assert decode_frames(frames, names, MIXED_DTYPES) == expected
 
-    @pytest.mark.parametrize("encoding", BOTH_ENCODINGS)
-    def test_split_frames_stay_under_bound_and_preserve_order(
-        self, encoding
-    ):
+    def test_split_frames_stay_under_bound_and_preserve_order(self):
         rows = [
             (i, i * 0.5, f"value-{i:06d}-ü", i % 2 == 0, i)
             for i in range(500)
         ]
-        frames, names = encode_mixed(2048, encoding, rows=rows)
+        frames, names, expected = encode_mixed(2048, rows=rows)
         assert len(frames) > 1
         assert all(len(f) <= 2048 for f in frames)
-        assert decode_frames(frames, names, MIXED_DTYPES) == rows
+        assert decode_frames(frames, names, MIXED_DTYPES) == expected
 
-    @pytest.mark.parametrize("encoding", BOTH_ENCODINGS)
-    def test_batch_exactly_at_the_boundary_is_one_frame(self, encoding):
+    def test_batch_exactly_at_the_boundary_is_one_frame(self):
         # Learn the exact single-frame size, then re-encode with the
         # bound set exactly there: still one frame, exactly full.
-        frames, names = encode_mixed(1 << 20, encoding)
+        frames, names, expected = encode_mixed(1 << 20)
         assert len(frames) == 1
         exact = len(frames[0])
-        refit, _ = encode_mixed(exact, encoding)
+        refit, _, _ = encode_mixed(exact)
         assert len(refit) == 1
         assert len(refit[0]) == exact
         # One byte less and the packing must split.
-        split, _ = encode_mixed(exact - 1, encoding)
+        split, _, _ = encode_mixed(exact - 1)
         assert len(split) > 1
-        assert decode_frames(split, names, MIXED_DTYPES) == MIXED_ROWS
+        assert decode_frames(split, names, MIXED_DTYPES) == expected
 
 
 class TestBinaryCodec:
@@ -260,49 +204,31 @@ class TestBinaryCodec:
         assert decoded.num_rows == 4 and decoded.columns == {}
 
     def test_column_count_mismatch_rejected(self):
-        frames, names = encode_mixed(1 << 20, ENCODING_BINARY)
+        frames, names, _ = encode_mixed(1 << 20)
         _, payload = read_frame_blocking(io.BytesIO(frames[0]), 1 << 20)
         with pytest.raises(ProtocolError, match="columns"):
             decode_binary_rows(payload["data"], names[:2], MIXED_DTYPES[:2])
 
     def test_type_tag_mismatch_rejected(self):
-        frames, names = encode_mixed(1 << 20, ENCODING_BINARY)
+        frames, names, _ = encode_mixed(1 << 20)
         _, payload = read_frame_blocking(io.BytesIO(frames[0]), 1 << 20)
         shuffled = [MIXED_DTYPES[-1]] + MIXED_DTYPES[1:-1] + [MIXED_DTYPES[0]]
         with pytest.raises(ProtocolError, match="tag"):
             decode_binary_rows(payload["data"], names, shuffled)
 
     def test_truncated_payload_rejected(self):
-        frames, names = encode_mixed(1 << 20, ENCODING_BINARY)
+        frames, names, _ = encode_mixed(1 << 20)
         _, payload = read_frame_blocking(io.BytesIO(frames[0]), 1 << 20)
         with pytest.raises(ProtocolError):
             decode_binary_rows(payload["data"][:-9], names, MIXED_DTYPES)
 
     def test_trailing_garbage_rejected(self):
-        frames, names = encode_mixed(1 << 20, ENCODING_BINARY)
+        frames, names, _ = encode_mixed(1 << 20)
         _, payload = read_frame_blocking(io.BytesIO(frames[0]), 1 << 20)
         with pytest.raises(ProtocolError, match="trailing"):
             decode_binary_rows(
                 payload["data"] + b"\x00", names, MIXED_DTYPES
             )
-
-
-class TestEncodingNegotiation:
-    def test_binary_when_both_sides_want_it(self):
-        assert (
-            negotiate_encoding(["binary", "json"], "binary")
-            == ENCODING_BINARY
-        )
-
-    def test_json_floor_when_server_pins_json(self):
-        assert negotiate_encoding(["binary", "json"], "json") == ENCODING_JSON
-
-    def test_json_floor_when_client_offers_nothing_known(self):
-        assert negotiate_encoding([], "binary") == ENCODING_JSON
-        assert negotiate_encoding(["zstd"], "binary") == ENCODING_JSON
-
-    def test_v1_style_offer_is_json(self):
-        assert negotiate_encoding(["json"], "binary") == ENCODING_JSON
 
 
 class TestWireCodes:

@@ -28,7 +28,7 @@ def test_epoch_adaptation_curve(benchmark, bench_csv):
 
     def replay():
         engine = PostgresRaw(
-            PostgresRawConfig(cache_budget=2 * 1024 * 1024)
+            PostgresRawConfig(memory_budget=2 * 1024 * 1024)
         )
         engine.register_csv("t", path, schema)
         series = []
@@ -74,10 +74,7 @@ def test_epoch_eviction_turnover(benchmark, bench_csv):
 
     def replay():
         engine = PostgresRaw(
-            PostgresRawConfig(
-                cache_budget=800 * 1024,
-                positional_map_budget=900 * 1024,
-            )
+            PostgresRawConfig(memory_budget=1700 * 1024)
         )
         engine.register_csv("t", path, schema)
         snapshots = []

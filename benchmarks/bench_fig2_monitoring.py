@@ -20,7 +20,7 @@ def test_fig2_monitoring_series(benchmark, bench_csv):
 
     def run_sequence():
         engine = PostgresRaw(
-            PostgresRawConfig(cache_budget=8 * 1024 * 1024)
+            PostgresRawConfig(memory_budget=8 * 1024 * 1024)
         )
         engine.register_csv("t", path, schema)
         panel = SystemMonitorPanel(engine.table_state("t"))
@@ -57,12 +57,17 @@ def test_fig2_monitoring_series(benchmark, bench_csv):
 
 
 def test_fig2_eviction_under_tight_budget(benchmark, bench_csv):
-    """With a tight cache budget the utilization saturates near 100%
-    and LRU turnover begins (the panel's steady state)."""
+    """With a tight budget the cache's utilization saturates near 100%
+    and eviction turnover begins (the panel's steady state).  The map
+    is off, so the budget is the cache's alone."""
     path, schema = bench_csv
 
     def run_sequence():
-        engine = PostgresRaw(PostgresRawConfig(cache_budget=600 * 1024))
+        engine = PostgresRaw(
+            PostgresRawConfig(
+                memory_budget=600 * 1024, enable_positional_map=False
+            )
+        )
         engine.register_csv("t", path, schema)
         for attr in range(10):
             engine.query(f"SELECT a{attr} FROM t")

@@ -4,8 +4,10 @@
 in order to examine the impact of these parameters on the performance."
 
 Paper shape: performance improves with budget until the working set
-fits, then flattens; below the working set LRU thrashes and warm queries
-degrade toward the baseline.
+fits, then flattens; below the working set eviction thrashes and warm
+queries degrade toward the baseline.  Each sweep varies the engine's
+one ``memory_budget`` with the other structure disabled, so the budget
+is the swept structure's alone.
 """
 
 
@@ -37,9 +39,7 @@ def test_positional_map_budget_sweep(benchmark, bench_csv):
         records = []
         for budget in PM_BUDGETS:
             engine = PostgresRaw(
-                PostgresRawConfig(
-                    positional_map_budget=budget, enable_cache=False
-                )
+                PostgresRawConfig(memory_budget=budget, enable_cache=False)
             )
             engine.register_csv("t", path, schema)
             seconds = _workload_times(engine, schema)
@@ -61,7 +61,8 @@ def test_positional_map_budget_sweep(benchmark, bench_csv):
     # More budget never hurts (within noise): the largest budget beats
     # the zero budget clearly.
     assert records[-1]["warm_workload_s"] < records[0]["warm_workload_s"]
-    # Tight budgets show memory pressure: LRU churn or rejected installs.
+    # Tight budgets show memory pressure: eviction churn or rejected
+    # installs.
     assert any(
         r["evictions"] > 0 or r["rejected"] > 0 for r in records[1:3]
     )
@@ -75,7 +76,7 @@ def test_cache_budget_sweep(benchmark, bench_csv):
         for budget in CACHE_BUDGETS:
             engine = PostgresRaw(
                 PostgresRawConfig(
-                    cache_budget=budget, enable_positional_map=False
+                    memory_budget=budget, enable_positional_map=False
                 )
             )
             engine.register_csv("t", path, schema)

@@ -28,14 +28,9 @@ def main() -> None:
         raw_file, uniform_table_spec(n_attrs=12, n_rows=40_000, seed=3)
     )
 
-    # Budgets deliberately too small for the whole table: the structures
+    # A budget deliberately too small for the whole table: the structures
     # must *follow* the exploration instead of holding everything.
-    engine = PostgresRaw(
-        PostgresRawConfig(
-            cache_budget=2 * 1024 * 1024,
-            positional_map_budget=3 * 1024 * 1024,
-        )
-    )
+    engine = PostgresRaw(PostgresRawConfig(memory_budget=5 * 1024 * 1024))
     engine.register_csv("w", raw_file, schema)
     panel = SystemMonitorPanel(engine.table_state("w"))
 

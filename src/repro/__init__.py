@@ -12,9 +12,9 @@ The library provides:
 * :class:`PostgresRawService` / :class:`Session` — the concurrent
   serving layer: many client threads share one set of adaptive
   structures under per-table reader-writer locks, with admission
-  control (``max_concurrent_queries``) and an optional global
-  ``memory_budget`` arbitrated across all tables' maps and caches by
-  the benefit-per-byte :class:`MemoryGovernor`;
+  control (``max_concurrent_queries``) and one engine-wide
+  ``memory_budget`` arbitrated across all tables' adaptive structures
+  by the benefit-per-byte :class:`MemoryGovernor`;
 * :class:`RawServer` / :mod:`repro.client` — the wire protocol:
   an asyncio socket server fronting a service (one session per
   connection, streaming cursors pumped into socket writes with

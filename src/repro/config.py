@@ -2,9 +2,10 @@
 
 The demo paper exposes these as GUI controls: enabling/disabling the NoDB
 components (positional map, cache, statistics), and the storage space
-devoted to each auxiliary structure.  :class:`PostgresRawConfig` is the
-programmatic equivalent; every knob maps to a sentence in the paper
-(quoted in the attribute docs below).
+devoted to the auxiliary structures — here one engine-wide
+``memory_budget`` every structure is admitted under.
+:class:`PostgresRawConfig` is the programmatic equivalent; every knob
+maps to a sentence in the paper (quoted in the attribute docs below).
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from .errors import BudgetError
 #: Number of tuples processed per vectorized batch by the scan operators.
 DEFAULT_BATCH_SIZE = 4096
 
-#: Default byte budget for the adaptive positional map (per engine).
-DEFAULT_POSITIONAL_MAP_BUDGET = 64 * 1024 * 1024
-
-#: Default byte budget for the binary data cache (per engine).
-DEFAULT_CACHE_BUDGET = 256 * 1024 * 1024
+#: Default engine-wide byte budget for all adaptive state: room for a
+#: 64 MiB positional map plus a 256 MiB binary cache.
+DEFAULT_MEMORY_BUDGET = 320 * 1024 * 1024
 
 #: Reservoir sample size per attribute for on-the-fly statistics.
 DEFAULT_STATS_SAMPLE_SIZE = 1024
@@ -63,21 +62,6 @@ class PostgresRawConfig:
     #: "We extend the PostgresRaw scan operator to create statistics
     #: on-the-fly."  Disable to measure the overhead / plan-quality impact.
     enable_statistics: bool = True
-
-    #: "specify the amount of storage space which is devoted to internal
-    #: indexes" — byte budget for positional-map chunks (line index is
-    #: pinned and accounted separately, see positional_map module docs).
-    positional_map_budget: int = DEFAULT_POSITIONAL_MAP_BUDGET
-
-    #: "The size of the cache is a parameter that can be tuned depending
-    #: on the resources."
-    cache_budget: int = DEFAULT_CACHE_BUDGET
-
-    #: Eviction policy: ``"lru"`` (the paper's default) or
-    #: ``"cost_aware"`` — "caching should give priority to attributes
-    #: that are more expensive to parse and cheaper to maintain in
-    #: memory e.g. integer attributes".
-    cache_policy: str = "lru"
 
     #: "PostgresRaw reduces the tokenizing costs by opportunistically
     #: aborting tokenizing tuples as soon as the required attributes for a
@@ -138,13 +122,16 @@ class PostgresRawConfig:
     #: a worker reads and tokenizes its own byte range of the raw file.
     parallel_backend: str = "thread"
 
-    #: Engine-wide byte budget for *all* adaptive state (every table's
-    #: positional-map chunks and cache entries together), arbitrated by
-    #: the :class:`repro.service.MemoryGovernor` using the cost-aware
-    #: benefit-per-byte signal.  ``None`` (the default) keeps the
-    #: classic per-structure silos (``positional_map_budget`` /
-    #: ``cache_budget`` per table).
-    memory_budget: int | None = None
+    #: "the amount of storage space which is devoted to internal
+    #: indexes" and caches: one engine-wide byte budget for every
+    #: table's positional-map chunks, cache entries, materialized
+    #: aggregates and promoted columns.  The
+    #: :class:`repro.service.MemoryGovernor` admits every byte; under
+    #: pressure the lowest benefit-per-byte item goes first ("caching
+    #: should give priority to attributes that are more expensive to
+    #: parse and cheaper to maintain in memory"), recency breaking
+    #: ties.  Line indexes are pinned and not charged.
+    memory_budget: int = DEFAULT_MEMORY_BUDGET
 
     #: Maximum queries executing simultaneously inside the concurrent
     #: service (:class:`repro.service.PostgresRawService`).  Further
@@ -242,13 +229,6 @@ class PostgresRawConfig:
     #: captures it.
     mv_min_repeats: int = 3
 
-    #: Largest fraction of the governing byte budget
-    #: (``memory_budget``, or ``cache_budget`` in silo mode) that
-    #: materialized aggregates may occupy; a single capture larger than
-    #: this is rejected outright, and in silo mode the MV store evicts
-    #: its lowest benefit-per-byte entries to stay under it.
-    mv_max_bytes_fraction: float = 0.25
-
     #: Vertical persistence: promote hot converted columns of raw
     #: tables into the on-disk columnstore as a durable governed cache
     #: tier.  Scans then serve those columns from binary storage
@@ -293,14 +273,10 @@ class PostgresRawConfig:
     benefit_half_life_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.positional_map_budget < 0:
-            raise BudgetError("positional_map_budget must be >= 0")
-        if self.cache_budget < 0:
-            raise BudgetError("cache_budget must be >= 0")
-        if self.cache_policy not in ("lru", "cost_aware"):
+        if self.memory_budget is None or self.memory_budget < 0:
             raise BudgetError(
-                "cache_policy must be 'lru' or 'cost_aware', "
-                f"not {self.cache_policy!r}"
+                f"memory_budget must be an int >= 0, "
+                f"not {self.memory_budget!r}"
             )
         if self.batch_size <= 0:
             raise BudgetError("batch_size must be positive")
@@ -315,8 +291,6 @@ class PostgresRawConfig:
                 f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
                 f"not {self.parallel_backend!r}"
             )
-        if self.memory_budget is not None and self.memory_budget < 0:
-            raise BudgetError("memory_budget must be >= 0 (or None)")
         if self.max_concurrent_queries < 1:
             raise BudgetError("max_concurrent_queries must be >= 1")
         if self.admission_queue_depth < 0:
@@ -344,8 +318,6 @@ class PostgresRawConfig:
             raise BudgetError("slow_query_s must be > 0 (or None)")
         if self.mv_min_repeats < 1:
             raise BudgetError("mv_min_repeats must be >= 1")
-        if not (0.0 < self.mv_max_bytes_fraction <= 1.0):
-            raise BudgetError("mv_max_bytes_fraction must be in (0, 1]")
         if self.vp_min_accesses < 1:
             raise BudgetError("vp_min_accesses must be >= 1")
         if self.shard_count < 1:

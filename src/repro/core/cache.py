@@ -10,34 +10,30 @@ Faithful properties:
 
 * **Only requested attributes are cached** — "caching does not force
   additional data to be parsed".
-* **LRU with a byte budget** — "The size of the cache is a parameter ...
-  PostgresRaw follows the LRU policy to drop and populate the cache."
 * **Positional-map-compatible layout** — entries are columnar binary
   vectors over a row *prefix*, the same coverage shape as positional
   chunks, "such that it is easy to integrate it in the PostgresRaw query
   flow" (a query may read rows 0..k from the cache and parse the tail via
   the map — exactly what happens after an append).
-* **Optional cost-aware eviction** — the demo observes that "caching
-  should give priority to attributes that are more expensive to parse
-  and cheaper to maintain in memory e.g. integer attributes".  With
-  ``policy="cost_aware"`` the victim is the entry with the lowest
-  *conversion-seconds-saved per byte held* (recency as tie-break)
-  instead of plain LRU: an int64 column (costly ``int()`` parsing,
-  8 bytes/value) outranks a text column (nearly free to re-slice,
-  ~50+ bytes/value).
+* **Cost-aware eviction under one budget** — "The size of the cache is
+  a parameter that can be tuned depending on the resources", and
+  "caching should give priority to attributes that are more expensive
+  to parse and cheaper to maintain in memory e.g. integer attributes".
+  Every byte an entry wants is granted by the engine's
+  :class:`repro.service.MemoryGovernor`, which evicts the item with the
+  lowest *conversion-seconds-saved per byte held* (recency as
+  tie-break) across every structure it governs: an int64 column
+  (costly ``int()`` parsing, 8 bytes/value) outranks a text column
+  (nearly free to re-slice, ~50+ bytes/value).  Container mutations
+  run under the governor's lock.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..batch import ColumnVector
-from ..errors import ReproError
-
-#: Supported eviction policies.
-CACHE_POLICIES = ("lru", "cost_aware")
 
 
 @dataclass
@@ -73,20 +69,16 @@ class CacheEntry:
 
 
 class RawDataCache:
-    """Budgeted cache of adaptively loaded binary columns for one file.
+    """Governed cache of adaptively loaded binary columns for one file.
 
     "Overall, the PostgresRaw cache can be seen as the place holder for
-    adaptively loaded data."
+    adaptively loaded data."  ``governor`` is the engine's
+    :class:`repro.service.MemoryGovernor`, which admits (and may
+    reclaim) every byte the cache holds.
     """
 
-    def __init__(self, budget_bytes: int, policy: str = "lru") -> None:
-        if policy not in CACHE_POLICIES:
-            raise ReproError(
-                f"unknown cache policy {policy!r} (have {CACHE_POLICIES})"
-            )
-        self.budget_bytes = budget_bytes
-        self.policy = policy
-        self.governor = None
+    def __init__(self, governor) -> None:
+        self.governor = governor
         self._entries: dict[int, CacheEntry] = {}
         self._clock = 0
         self.insertions = 0
@@ -94,19 +86,8 @@ class RawDataCache:
         self.rejected_insertions = 0
 
     # ------------------------------------------------------------------
-    # Global-governor binding (repro.service.MemoryGovernor).
+    # GovernedStructure protocol (repro.service.MemoryGovernor).
     # ------------------------------------------------------------------
-
-    def bind_governor(self, governor) -> None:
-        """Hand budget arbitration to an engine-wide memory governor;
-        the local ``budget_bytes`` silo stops applying."""
-        self.governor = governor
-
-    def _guard(self):
-        """Serialize container mutations with the governor (if bound)."""
-        if self.governor is not None:
-            return self.governor.lock
-        return nullcontext()
 
     def governed_bytes(self) -> int:
         return self.used_bytes
@@ -127,7 +108,7 @@ class RawDataCache:
 
     def governed_evict(self, token: object) -> int:
         """Evict one entry by attribute token; returns bytes freed."""
-        with self._guard():
+        with self.governor.lock:
             entry = self._entries.get(token)
             if entry is None:
                 return 0
@@ -136,7 +117,7 @@ class RawDataCache:
             return entry.nbytes
 
     def tick(self) -> int:
-        """Advance the LRU clock (one tick per query)."""
+        """Advance the recency clock (one tick per query)."""
         self._clock += 1
         return self._clock
 
@@ -149,10 +130,10 @@ class RawDataCache:
         return len(self._entries)
 
     def utilization(self) -> float:
-        """Fraction of the budget in use — the Figure 2 panel series."""
-        if self.budget_bytes <= 0:
-            return 0.0
-        return self.used_bytes / float(self.budget_bytes)
+        """Fraction of the engine budget this cache holds — the Figure 2
+        panel series."""
+        budget = self.governor.budget_bytes
+        return self.used_bytes / float(budget) if budget > 0 else 0.0
 
     def get(self, attr: int) -> CacheEntry | None:
         entry = self._entries.get(attr)
@@ -174,12 +155,12 @@ class RawDataCache:
     ) -> bool:
         """Insert/replace the binary column for ``attr``.
 
-        Evicts victims (per the configured policy) until the new entry
-        fits; returns ``False`` (and caches nothing) if it cannot fit
-        even after evicting everything unprotected.
+        The governor evicts victims until the new entry fits; returns
+        ``False`` (and keeps any older, shallower entry) if it cannot
+        fit even after evicting everything unprotected.
         """
         protected = protected or set()
-        with self._guard():
+        with self.governor.lock:
             existing = self._entries.get(attr)
             if existing is not None and existing.rows >= len(vector):
                 existing.last_used = self._clock
@@ -193,10 +174,11 @@ class RawDataCache:
             )
             if existing is not None:
                 # Release the superseded entry before asking for room so
-                # the used-byte ledger (local or governed) reflects the
-                # bytes actually coming back.
+                # the governed ledger reflects the bytes coming back.
                 del self._entries[attr]
-            if not self._fits(entry.nbytes, protected | {attr}):
+            if not self.governor.grant(
+                self, entry.nbytes, protected | {attr}
+            ):
                 self.rejected_insertions += 1
                 if existing is not None:
                     self._entries[attr] = existing  # keep the old prefix
@@ -207,12 +189,12 @@ class RawDataCache:
 
     def extend(self, attr: int, tail: ColumnVector) -> bool:
         """Append rows to an entry (post-append reconciliation)."""
-        with self._guard():
+        with self.governor.lock:
             entry = self._entries.get(attr)
             if entry is None:
                 return False
             extra = tail.nbytes()
-            if not self._fits(extra, {attr}):
+            if not self.governor.grant(self, extra, {attr}):
                 return False
             entry.vector = ColumnVector.concat([entry.vector, tail])
             entry.nbytes += extra
@@ -220,38 +202,9 @@ class RawDataCache:
             entry.last_used_ts = time.monotonic()
             return True
 
-    def _fits(self, nbytes: int, protected: set[int]) -> bool:
-        if self.governor is not None:
-            # Engine-wide budget: the governor evicts across every
-            # table's caches *and* positional maps on benefit-per-byte.
-            return self.governor.grant(self, nbytes, protected)
-        if nbytes > self.budget_bytes:
-            return False
-        while self.used_bytes + nbytes > self.budget_bytes:
-            victim = self._lru_victim(protected)
-            if victim is None:
-                return False
-            del self._entries[victim.attr]
-            self.evictions += 1
-        return True
-
-    def _lru_victim(self, protected: set[int]) -> CacheEntry | None:
-        candidates = [
-            e for e in list(self._entries.values()) if e.attr not in protected
-        ]
-        if not candidates:
-            return None
-        if self.policy == "cost_aware":
-            # Drop the entry saving the least conversion time per byte;
-            # recency breaks ties.
-            return min(
-                candidates, key=lambda e: (e.value_density, e.last_used)
-            )
-        return min(candidates, key=lambda e: e.last_used)
-
     def invalidate(self) -> None:
         """Drop everything (the raw file was rewritten)."""
-        with self._guard():
+        with self.governor.lock:
             self._entries.clear()
 
     def coverage_rows(self, attr: int) -> int:

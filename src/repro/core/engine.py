@@ -138,7 +138,7 @@ class PostgresRaw:
 
     def drop_table(self, name: str) -> None:
         """Unregister a table; its adaptive-state bytes return to the
-        (global or per-table) budget.  Raises
+        engine's ``memory_budget``.  Raises
         :class:`repro.errors.CatalogError` when the table is unknown."""
         self.service.drop_table(name)
 

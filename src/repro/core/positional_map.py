@@ -15,10 +15,15 @@ Faithful properties implemented here:
   together live in one chunk (a ``(rows x attrs)`` int64 matrix), and the
   default policy indexes a *new* combination "if all requested attributes
   for a query belong in different chunks".
-* **Bounded + LRU** — chunks are dropped least-recently-used first when
-  the byte budget is exceeded; the tuple/line boundary index is pinned
-  (it is the minimum structure needed to find tuples at all) and
-  accounted separately.
+* **Bounded** — "the amount of storage space which is devoted to
+  internal indexes" is the engine's one ``memory_budget``
+  (:class:`repro.service.MemoryGovernor`): every install/extend asks
+  the governor for room, competing with every table's chunks, cache
+  entries, aggregates and promoted columns on benefit-per-byte (a
+  chunk's benefit is the tokenizing time spent discovering it — the
+  cost a future query pays again if it is evicted).  The tuple/line
+  boundary index is pinned (it is the minimum structure needed to find
+  tuples at all) and not charged.
 * **Approximate jumps** — a query needing attribute ``a`` with no exact
   chunk can still anchor at the *nearest mapped attribute* ``a' <= a``
   and tokenize only the ``a - a'`` intervening fields.
@@ -26,21 +31,16 @@ Faithful properties implemented here:
 Coverage is a row *prefix*: a chunk always describes rows ``0 .. rows``;
 appends to the raw file extend chunks rather than invalidating them.
 
-**Global governance.**  When the engine runs with a single
-``memory_budget`` (:class:`repro.service.MemoryGovernor`), the map is
-*bound* to the governor: the local ``budget_bytes`` silo is ignored and
-every install/extend asks the governor for room instead, competing with
-every other table's chunks and cache entries on benefit-per-byte (a
-chunk's benefit is the tokenizing time spent discovering it — the cost
-a future query pays again if it is evicted).  Container mutations are
-then serialized under the governor's lock, and lookups iterate
-snapshots, so concurrent readers never observe a half-applied change.
+Container mutations are serialized under the governor's lock, and
+lookups iterate snapshots, so concurrent readers never observe a
+half-applied change.  A parallel scan worker's chunk-local map has no
+governor: it only ``adopt``s row slices of the shared map's chunks and
+takes line bounds, and its findings are installed into the shared map.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +64,7 @@ class PositionalChunk:
     last_used: int = 0
     benefit_seconds: float = 0.0
     #: Wall-clock of the last touch — the shared time base the global
-    #: governor's benefit half-life decays against (per-table LRU
+    #: governor's benefit half-life decays against (per-table recency
     #: clocks are not comparable across tables).
     last_used_ts: float = field(default_factory=time.monotonic)
 
@@ -116,12 +116,15 @@ class AnchorHit:
 
 
 class PositionalMap:
-    """Budgeted, LRU-evicted collection of positional chunks for one file."""
+    """Governed collection of positional chunks for one file.
 
-    def __init__(
-        self, budget_bytes: int, combination_policy: bool = True
-    ) -> None:
-        self.budget_bytes = budget_bytes
+    ``governor`` is the engine's :class:`repro.service.MemoryGovernor`
+    (``None`` only for a scan worker's chunk-local map, which never
+    installs).
+    """
+
+    def __init__(self, governor, combination_policy: bool = True) -> None:
+        self.governor = governor
         self.combination_policy = combination_policy
         self._chunks: list[PositionalChunk] = []
         self._line_bounds: np.ndarray | None = None
@@ -129,33 +132,17 @@ class PositionalMap:
         #: so scans trim a trailing ``\r`` per record (LF files skip it).
         self.crlf = False
         self._clock = 0
-        self.governor = None
         self.installs = 0
         self.evictions = 0
         self.rejected_installs = 0
 
     # ------------------------------------------------------------------
-    # Global-governor binding (repro.service.MemoryGovernor).
+    # GovernedStructure protocol (repro.service.MemoryGovernor).
     # ------------------------------------------------------------------
 
-    def bind_governor(self, governor) -> None:
-        """Hand budget arbitration to an engine-wide memory governor.
-
-        The local ``budget_bytes`` silo stops applying; every byte this
-        map wants is requested from (and may be reclaimed by) the
-        governor instead.
-        """
-        self.governor = governor
-
-    def _guard(self):
-        """Serialize container mutations with the governor (if bound)."""
-        if self.governor is not None:
-            return self.governor.lock
-        return nullcontext()
-
     def governed_bytes(self) -> int:
-        """Bytes charged against the global budget (line index is pinned
-        backbone state and stays exempt, exactly as with the local silo)."""
+        """Bytes charged against the global budget (the line index is
+        pinned backbone state and stays exempt)."""
         return self.used_bytes
 
     def governed_items(self) -> list[tuple[object, int, float, int, float]]:
@@ -168,7 +155,7 @@ class PositionalMap:
 
     def governed_evict(self, token: object) -> int:
         """Evict one chunk by token (``id``); returns bytes freed."""
-        with self._guard():
+        with self.governor.lock:
             for chunk in self._chunks:
                 if id(chunk) == token:
                     self._discard(chunk)
@@ -210,7 +197,7 @@ class PositionalMap:
     # ------------------------------------------------------------------
 
     def tick(self) -> int:
-        """Advance the LRU clock (one tick per query)."""
+        """Advance the recency clock (one tick per query)."""
         self._clock += 1
         return self._clock
 
@@ -279,21 +266,24 @@ class PositionalMap:
         protected: "set[int] | None" = None,
         benefit_seconds: float = 0.0,
     ) -> PositionalChunk | None:
-        """Insert (or upgrade) a chunk, evicting LRU chunks to fit.
+        """Insert (or upgrade) a chunk; the governor evicts to fit.
 
         Returns the installed chunk, or ``None`` when the budget cannot
-        accommodate it even after evicting everything evictable.
+        accommodate it even after evicting everything evictable (a
+        refused upgrade keeps the shallower chunk it would replace).
         ``protected`` chunks (by ``id``) are never evicted — the scan
         protects chunks it is reading from in the current query.
         """
         attrs = tuple(sorted(attrs))
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        with self._guard():
+        with self.governor.lock:
             existing = self.find_exact(attrs)
             if existing is not None:
                 if existing.rows >= offsets.shape[0]:
                     self.touch(existing)
                     return existing
+                # Release the superseded chunk before asking for room so
+                # the governed ledger reflects the bytes coming back.
                 self._discard(existing)
                 benefit_seconds += existing.benefit_seconds
 
@@ -313,8 +303,12 @@ class PositionalMap:
                 last_used=self._clock,
                 benefit_seconds=benefit_seconds,
             )
-            if not self._make_room(candidate.nbytes, protected or set()):
+            if not self.governor.grant(
+                self, candidate.nbytes, protected or set()
+            ):
                 self.rejected_installs += 1
+                if existing is not None:
+                    self._chunks = self._chunks + [existing]  # keep it
                 return None
             self._chunks = self._chunks + [candidate]
             self.installs += 1
@@ -347,39 +341,20 @@ class PositionalMap:
         benefit_seconds: float = 0.0,
     ) -> bool:
         """Append rows to an existing chunk (append-reconciliation path)."""
-        with self._guard():
+        with self.governor.lock:
             if chunk not in self._chunks:
                 return False
             more_offsets = np.ascontiguousarray(more_offsets, dtype=np.int64)
             if more_offsets.shape[1] != len(chunk.attrs):
                 raise ReproError("extension width does not match chunk attrs")
-            if not self._make_room(more_offsets.nbytes, {id(chunk)}):
+            if not self.governor.grant(
+                self, more_offsets.nbytes, {id(chunk)}
+            ):
                 return False
             chunk.offsets = np.vstack([chunk.offsets, more_offsets])
             chunk.benefit_seconds += benefit_seconds
             self.touch(chunk)
             return True
-
-    def _make_room(self, nbytes: int, protected: set[int]) -> bool:
-        if self.governor is not None:
-            # Engine-wide budget: the governor evicts across every
-            # table's maps *and* caches on benefit-per-byte.
-            return self.governor.grant(self, nbytes, protected)
-        if nbytes > self.budget_bytes:
-            return False
-        while self.used_bytes + nbytes > self.budget_bytes:
-            victim = self._lru_victim(protected)
-            if victim is None:
-                return False
-            self._discard(victim)
-            self.evictions += 1
-        return True
-
-    def _lru_victim(self, protected: set[int]) -> PositionalChunk | None:
-        candidates = [c for c in self._chunks if id(c) not in protected]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda c: c.last_used)
 
     def _drop_subsumed(self, keeper: PositionalChunk) -> None:
         """Drop chunks whose attrs are a subset of ``keeper`` with no
@@ -401,7 +376,7 @@ class PositionalMap:
 
     def invalidate(self) -> None:
         """Drop everything (the raw file was rewritten)."""
-        with self._guard():
+        with self.governor.lock:
             self._chunks = []
             self._line_bounds = None
             self.crlf = False

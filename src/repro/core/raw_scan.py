@@ -91,18 +91,21 @@ class RawTableState:
 
     Everything here is a *side effect of queries*: it starts empty
     ("zero initialization overhead") and is built, refined and evicted
-    as the workload evolves.
+    as the workload evolves.  ``governor`` admits every byte the map
+    and cache hold; a parallel scan worker's chunk-local state passes
+    ``None`` (it only adopts chunks and takes line bounds — what it
+    learns is installed into the engine's state).
     """
 
     def __init__(
-        self, entry: RawTableEntry, config: PostgresRawConfig
+        self, entry: RawTableEntry, config: PostgresRawConfig, governor
     ) -> None:
         self.entry = entry
         self.config = config
         self.positional_map = PositionalMap(
-            config.positional_map_budget, config.pm_combination_policy
+            governor, config.pm_combination_policy
         )
-        self.cache = RawDataCache(config.cache_budget, config.cache_policy)
+        self.cache = RawDataCache(governor)
         self.statistics = StatisticsStore(
             DEFAULT_STATS_SAMPLE_SIZE, config.histogram_buckets
         )
@@ -156,7 +159,7 @@ class _ColumnCollector:
 
     ``benefit_seconds`` sums the measured conversion time of the
     collected blocks — the time a future cache hit saves, used by the
-    cost-aware eviction policy.
+    memory governor's benefit-per-byte eviction.
     """
 
     __slots__ = (

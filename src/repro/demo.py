@@ -69,7 +69,7 @@ def part_two(path: Path, schema) -> None:
 
     print("\n-- Query Adaptation over epochs (monitoring panel) --")
     explorer = PostgresRaw(
-        PostgresRawConfig(cache_budget=2 * 1024 * 1024)
+        PostgresRawConfig(memory_budget=2 * 1024 * 1024)
     )
     explorer.register_csv("t", path, schema)
     panel = SystemMonitorPanel(explorer.table_state("t"))

@@ -1,12 +1,11 @@
 """Governor + concurrency monitoring panel.
 
 Extends the demo's Figure 2 storage view to the serving layer: where
-the per-table panel shows *one* table's structures against *its own*
-budgets, this panel shows the engine-wide picture —
+the per-table panel shows *one* table's structures and their share of
+the engine budget, this panel shows the engine-wide picture —
 
-* the global ``memory_budget`` bar and how the resident bytes split
-  across every table's positional map and cache ("live per-table
-  residency"),
+* the ``memory_budget`` bar and how the resident bytes split across
+  every table's governed structures ("live per-table residency"),
 * governor pressure counters (evictions, cross-table evictions,
   rejected grants, bytes released by ``drop_table``),
 * scheduler occupancy (active/waiting/peaks, admissions/rejections),
@@ -29,15 +28,12 @@ def governor_report(service: PostgresRawService) -> dict[str, object]:
     """The governor panel's data: stats plus per-table residency rows.
 
     Pulled from the registry snapshot's ``governor`` and ``residency``
-    collectors.  Works without a governor too (``memory_budget``
-    unset): residency is then derived from the table states directly
-    and the ``stats`` key is ``None`` — the panel stays useful for
-    silo-budget engines.
+    collectors.
     """
     collectors = service.telemetry.registry.snapshot()["collectors"]
     return {
-        "stats": collectors.get("governor"),
-        "residency": collectors.get("residency") or [],
+        "stats": collectors["governor"],
+        "residency": collectors["residency"],
         "kernels": collectors.get("kernels"),
         "mv": collectors.get("mv"),
     }
@@ -48,21 +44,18 @@ def render_governor_panel(service: PostgresRawService, width: int = 40) -> str:
     report = governor_report(service)
     stats = report["stats"]
     residency = report["residency"]
-    lines = ["=== Memory Governor ==="]
-    if stats is not None:
-        budget = stats["budget_bytes"]
-        used = stats["used_bytes"]
-        fraction = used / budget if budget else 0.0
-        lines.append(_bar("global budget", fraction, width)
-                     + f"  {used / 1024:.0f} / {budget / 1024:.0f} KiB")
-        lines.append(
-            f"evictions: {stats['evictions']} "
-            f"(cross-table: {stats['cross_evictions']})  "
-            f"rejected grants: {stats['rejected_grants']}  "
-            f"released: {stats['released_bytes'] / 1024:.0f} KiB"
-        )
-    else:
-        lines.append("(no global budget: per-table silos in effect)")
+    budget = stats["budget_bytes"]
+    used = stats["used_bytes"]
+    fraction = used / budget if budget else 0.0
+    lines = [
+        "=== Memory Governor ===",
+        _bar("global budget", fraction, width)
+        + f"  {used / 1024:.0f} / {budget / 1024:.0f} KiB",
+        f"evictions: {stats['evictions']} "
+        f"(cross-table: {stats['cross_evictions']})  "
+        f"rejected grants: {stats['rejected_grants']}  "
+        f"released: {stats['released_bytes'] / 1024:.0f} KiB",
+    ]
     kernels = report.get("kernels")
     if kernels:
         lines.append(

@@ -8,7 +8,8 @@ are known to the positional map, caches or both"
 each query, keeps the time series (the Figure 2 cache-utilization
 curve), and renders an ASCII panel with:
 
-* cache / positional-map utilization bars,
+* cache / positional-map utilization bars (each structure's share of
+  the engine's ``memory_budget``),
 * a per-attribute coverage grid shading file regions as known to the
   map (``m``), the cache (``c``), both (``B``) or neither (``.``),
 * per-attribute access counts.
@@ -107,6 +108,7 @@ class SystemMonitorPanel:
         """The full panel as text."""
         pm = self.state.positional_map
         cache = self.state.cache
+        budget = pm.governor.budget_bytes
         lines = [
             f"=== System Monitoring Panel: {self.state.entry.name} "
             f"(after {self.state.queries_executed} queries) ===",
@@ -115,7 +117,7 @@ class SystemMonitorPanel:
             f"{cache.entry_count} entries",
             _bar(
                 "positional map",
-                pm.used_bytes / pm.budget_bytes if pm.budget_bytes else 0.0,
+                pm.used_bytes / budget if budget else 0.0,
                 width,
             )
             + f"  {pm.used_bytes / 1024:.0f} KiB in {pm.chunk_count} chunks"

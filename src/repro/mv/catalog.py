@@ -24,9 +24,9 @@ Governance: each table's MVs form one :class:`GovernedStructure`
 member inside the engine's :class:`repro.service.MemoryGovernor`
 (kind ``"mv"``), valued at ``benefit_seconds / nbytes`` like map
 chunks and cache entries — the benefit being the measured
-scan+aggregate seconds the capture replaced.  Without a governor the
-catalog runs its own silo capped at ``mv_max_bytes_fraction x
-cache_budget``, evicting by the same decayed density.
+scan+aggregate seconds the capture replaced.  Every install and
+tail-merge asks the governor for its bytes; one entry may not exceed
+``max_entry_bytes``.
 
 **Row watermark.**  An entry aggregates the table rows ``[0, rows)``
 — ``rows`` is taken from the line index of the scan that built it —
@@ -47,7 +47,6 @@ per-table write path.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -152,8 +151,8 @@ class _TableMVs:
     table's MVs are evicted (and ``unregister_table``-released) exactly
     like its positional-map chunks and cache entries.  All mutation
     happens under the owning catalog's lock — which *is* the governor's
-    lock when one is attached, preserving the "one lock serializes
-    budget decisions and container mutations" invariant.
+    lock, preserving the "one lock serializes budget decisions and
+    container mutations" invariant.
     """
 
     def __init__(self, catalog: "MVCatalog", table: str) -> None:
@@ -190,28 +189,15 @@ class _TableMVs:
 class MVCatalog:
     """All resident materialized aggregates of one engine."""
 
-    def __init__(
-        self,
-        registry,
-        governor=None,
-        max_total_bytes: int = 0,
-        max_entry_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, registry, governor, max_entry_bytes: int = 0) -> None:
         self._registry = registry
         self._governor = governor
         # Sharing the governor's reentrant lock makes grant-triggered
         # evictions re-enter our containers without a second lock (and
         # without an install-vs-evict lock-order inversion).
-        self.lock = governor.lock if governor is not None else (
-            threading.RLock()
-        )
-        #: Silo-mode cap on total MV bytes (ignored under a governor,
-        #: which arbitrates the global budget itself).
-        self.max_total_bytes = max_total_bytes
-        #: Per-entry size ceiling in both modes.
-        self.max_entry_bytes = (
-            max_entry_bytes if max_entry_bytes is not None else max_total_bytes
-        )
+        self.lock = governor.lock
+        #: Per-entry size ceiling (``0``: only the governor's budget).
+        self.max_entry_bytes = max_entry_bytes
         self._tables: dict[str, _TableMVs] = {}
         self._ids = itertools.count(1)
         self._tick = itertools.count(1)
@@ -328,7 +314,7 @@ class MVCatalog:
             ]
             for mv_id in stale:
                 container.governed_evict(mv_id)
-            if not self._make_room(container, entry.nbytes):
+            if not self._governor.grant(container, entry.nbytes):
                 self.rejected += 1
                 return False
             self._admit(container, entry)
@@ -339,8 +325,7 @@ class MVCatalog:
         if container is None:
             container = _TableMVs(self, table)
             self._tables[table] = container
-            if self._governor is not None:
-                self._governor.register(container, table, "mv")
+            self._governor.register(container, table, "mv")
         return container
 
     def _admit(
@@ -357,42 +342,10 @@ class MVCatalog:
         )
         self._update_gauge()
 
-    def _make_room(
-        self,
-        container: _TableMVs,
-        nbytes: int,
-        keep: MaterializedAggregate | None = None,
-    ) -> bool:
-        """May ``container`` grow by ``nbytes``?  Asks the governor or,
-        without one, evicts lowest benefit-per-byte MVs until the bytes
-        fit the silo cap.  ``keep`` (the entry that is growing) is
-        never the victim."""
-        if self._governor is not None:
-            protected = None if keep is None else {keep.mv_id}
-            return self._governor.grant(container, nbytes, protected)
-        if not self.max_total_bytes:
-            return True
-        candidates = [
-            (entry.benefit_seconds / max(entry.nbytes, 1), entry.last_used,
-             entry.mv_id, container, entry.nbytes)
-            for container in self._tables.values()
-            for entry in container.entries.values()
-        ]
-        candidates.sort(key=lambda c: c[:3])
-        used = sum(c[4] for c in candidates)
-        for __, __, mv_id, container, entry_bytes in candidates:
-            if used + nbytes <= self.max_total_bytes:
-                break
-            if keep is not None and mv_id == keep.mv_id:
-                continue
-            container.governed_evict(mv_id)
-            used -= entry_bytes
-        return used + nbytes <= self.max_total_bytes
-
     def _note_evicted(self, entry: MaterializedAggregate) -> None:
         """Called (under the lock) by containers for every removal that
-        goes through ``governed_evict`` — governor pressure, silo
-        pressure, or same-signature replacement."""
+        goes through ``governed_evict`` — governor pressure or
+        same-signature replacement."""
         self.evictions += 1
         self._registry.counter("mv_evictions_total").inc()
         self._update_gauge()
@@ -425,7 +378,9 @@ class MVCatalog:
             if self.max_entry_bytes and nbytes > self.max_entry_bytes:
                 return False
             extra = nbytes - entry.nbytes
-            if extra > 0 and not self._make_room(container, extra, entry):
+            if extra > 0 and not self._governor.grant(
+                container, extra, {entry.mv_id}
+            ):
                 return False
             entry.batch, entry.rows, entry.nbytes = batch, rows, nbytes
             self._registry.counter("mv_tail_merges_total").inc()
@@ -480,19 +435,6 @@ class MVCatalog:
                 e
                 for c in self._tables.values()
                 for e in c.entries.values()
-            ]
-
-    def residency(self) -> list[dict[str, object]]:
-        """Silo-mode residency rows (the governor renders its own)."""
-        with self.lock:
-            return [
-                {
-                    "table": table,
-                    "kind": "mv",
-                    "nbytes": container.governed_bytes(),
-                    "items": len(container.entries),
-                }
-                for table, container in sorted(self._tables.items())
             ]
 
     def next_id(self) -> int:

@@ -24,6 +24,11 @@ from .catalog import (
 )
 from .signature import QuerySignature, extract_signature, normalize_sql
 
+#: Largest fraction of ``memory_budget`` one captured aggregate may
+#: occupy; a bigger capture is rejected outright instead of evicting
+#: most of the engine's adaptive state to make room for it.
+MV_MAX_ENTRY_FRACTION = 0.25
+
 
 class MVRuntime:
     """Analyzer + catalog + telemetry wiring for one engine."""
@@ -32,7 +37,7 @@ class MVRuntime:
         self,
         config: PostgresRawConfig,
         registry,
-        governor=None,
+        governor,
         stats_provider=None,
         rows_provider=None,
     ) -> None:
@@ -42,20 +47,15 @@ class MVRuntime:
         #: ``table -> its reconciled row count``, or ``None`` while that
         #: is unknown (an append not yet indexed, no line index kept).
         self._rows_provider = rows_provider or (lambda table: None)
-        budget = (
-            config.memory_budget
-            if config.memory_budget is not None
-            else config.cache_budget
-        )
-        max_bytes = int(budget * config.mv_max_bytes_fraction)
         self.analyzer = WorkloadAnalyzer(
             config.mv_min_repeats, config.mv_auto
         )
         self.catalog = MVCatalog(
             registry,
-            governor=governor,
-            max_total_bytes=max_bytes,
-            max_entry_bytes=max_bytes,
+            governor,
+            max_entry_bytes=int(
+                config.memory_budget * MV_MAX_ENTRY_FRACTION
+            ),
         )
 
     # ------------------------------------------------------------------

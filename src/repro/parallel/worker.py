@@ -191,7 +191,7 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
         task.dialect,
         task.fmt,
     )
-    state = RawTableState(entry, task.config)
+    state = RawTableState(entry, task.config, governor=None)
     scan = _ChunkScan(
         state,
         metrics,

@@ -13,7 +13,7 @@ import contextlib
 import tempfile
 from pathlib import Path
 
-from ..config import PostgresRawConfig
+from ..config import DEFAULT_MEMORY_BUDGET, PostgresRawConfig
 from ..service.service import PostgresRawService
 from .server import RawServer
 
@@ -48,8 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel scan workers (default 1 = serial)",
     )
     parser.add_argument(
-        "--memory-budget", type=int, default=None,
-        help="global adaptive-state byte budget (default: per-table silos)",
+        "--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET,
+        help="byte budget for all adaptive state "
+        f"(default {DEFAULT_MEMORY_BUDGET})",
     )
     parser.add_argument(
         "--auth-token", default=None,
@@ -62,13 +63,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not args.data and not args.demo:
         build_parser().error("nothing to serve: pass --data and/or --demo")
-    overrides: dict = {"scan_workers": args.scan_workers}
+    overrides: dict = {
+        "scan_workers": args.scan_workers,
+        "memory_budget": args.memory_budget,
+    }
     if args.host is not None:
         overrides["server_host"] = args.host
     if args.port is not None:
         overrides["server_port"] = args.port
-    if args.memory_budget is not None:
-        overrides["memory_budget"] = args.memory_budget
     config = PostgresRawConfig(**overrides)
     with contextlib.ExitStack() as stack:
         service = stack.enter_context(PostgresRawService(config))

@@ -8,9 +8,10 @@ under concurrency:
   (jump-path queries share, installation excludes);
 * :mod:`repro.service.scheduler` — admission control
   (``max_concurrent_queries`` + a bounded wait queue);
-* :mod:`repro.service.governor` — the global memory governor: one
-  ``memory_budget`` arbitrated across every table's positional-map
-  chunks and cache entries on benefit-per-byte;
+* :mod:`repro.service.governor` — the memory governor, every engine's
+  only admission path: one ``memory_budget`` arbitrated across every
+  table's map chunks, cache entries, aggregates and promoted columns on
+  benefit-per-byte;
 * :mod:`repro.service.plan_cache` — the engine-wide cache of scan-free
   plans by SQL text (repeat MV hits skip parser and planner);
 * :mod:`repro.service.service` — :class:`PostgresRawService` (the

@@ -1,23 +1,24 @@
-"""The global memory governor: one budget for *all* adaptive state.
+"""The memory governor: one budget for *all* adaptive state.
 
-The seed engine gave every table two independent silos — a positional
-map budget and a cache budget — so a hot table could thrash its own
-structures while a cold table's budget sat idle.  With
-``PostgresRawConfig(memory_budget=...)`` every positional-map chunk and
-cache entry of every table is charged against one engine-wide budget,
-and under pressure the governor evicts the item with the lowest
-*benefit per byte* across the whole engine:
+Every engine runs under exactly one governor and it is the only
+admission path: every positional-map chunk, cache entry, materialized
+aggregate and promoted column of every table is charged against the
+engine-wide ``PostgresRawConfig.memory_budget``, so a hot table can
+use the room a cold one leaves idle.  Under pressure the governor
+evicts the item with the lowest *benefit per byte* across the whole
+engine:
 
-* a cache entry's benefit is the conversion time it saves per read
-  (the cost-aware signal the per-table cache already measured);
+* a cache entry's benefit is the conversion time it saves per read;
 * a positional chunk's benefit is the tokenizing time that was spent
   discovering its offsets — the cost a future query pays again if the
-  chunk is gone.
+  chunk is gone;
+* an aggregate's is the scan+aggregate time it replaced, a promoted
+  column's the conversion time it captured.
 
-Both are "seconds saved per byte held", so map chunks and cache columns
-compete in one currency, across tables (the workload-driven partitioning
-observation: what survives should be decided by the *workload*, not by
-which structure happens to own the bytes).  Recency breaks ties, so an
+All are "seconds saved per byte held", so every kind competes in one
+currency, across tables (the workload-driven partitioning observation:
+what survives should be decided by the *workload*, not by which
+structure happens to own the bytes).  Recency breaks ties, so an
 all-cold engine degrades to global LRU.
 
 **Benefit decay.**  With ``benefit_half_life_s`` set, an item's benefit
@@ -42,7 +43,8 @@ from typing import Protocol
 
 
 class GovernedStructure(Protocol):
-    """What the governor needs from a positional map or cache.
+    """What the governor needs from a governed structure (positional
+    map, cache, a table's MVs, a columnstore tier).
 
     Structures report inventory as plain ``(token, nbytes,
     value_density, last_used, last_used_ts)`` tuples — keeping

@@ -42,9 +42,10 @@ makes that sharing safe under concurrency:
   (:mod:`repro.parallel`) reuse a single engine-wide pool across
   queries, amortizing thread/fork start-up and bounding total scan
   parallelism.
-* **Global memory governor** — with ``memory_budget`` set, every
-  table's map chunks and cache entries compete for one budget on
-  benefit-per-byte (:class:`repro.service.governor.MemoryGovernor`).
+* **One memory governor** — every table's map chunks, cache entries,
+  materialized aggregates and promoted columns are admitted under one
+  ``memory_budget`` and compete for it on benefit-per-byte
+  (:class:`repro.service.governor.MemoryGovernor`).
 
 The classic single-threaded :class:`repro.core.engine.PostgresRaw`
 facade is now a thin wrapper holding one default session, so every
@@ -193,12 +194,10 @@ class PostgresRawService:
         self._states: dict[str, RawTableState] = {}
         self._table_locks: dict[str, RWLock] = {}
         self._registry_lock = threading.Lock()
-        self.governor: MemoryGovernor | None = None
-        if self.config.memory_budget is not None:
-            self.governor = MemoryGovernor(
-                self.config.memory_budget,
-                benefit_half_life_s=self.config.benefit_half_life_s,
-            )
+        self.governor = MemoryGovernor(
+            self.config.memory_budget,
+            benefit_half_life_s=self.config.benefit_half_life_s,
+        )
         self.scheduler = QueryScheduler(
             self.config.max_concurrent_queries,
             self.config.admission_queue_depth,
@@ -231,8 +230,8 @@ class PostgresRawService:
         registry.register_collector("scheduler", self.scheduler.stats)
         registry.register_collector("cursors", self.cursor_stats)
         registry.register_collector("locks", self.lock_stats)
-        registry.register_collector("governor", self._collect_governor)
-        registry.register_collector("residency", self._collect_residency)
+        registry.register_collector("governor", self.governor.stats)
+        registry.register_collector("residency", self.governor.residency)
         registry.register_collector("traces", self.telemetry.tracer.stats)
         registry.register_collector("kernels", self.kernel_cache.stats)
         #: Vertical-persistence stores, one per table (``vp_enabled``).
@@ -403,24 +402,17 @@ class PostgresRawService:
             entry = self.catalog.register_raw(
                 name, schema, path, dialect, fmt, partition
             )
-            state = RawTableState(entry, self.config)
-            if self.governor is not None:
-                state.positional_map.bind_governor(self.governor)
-                state.cache.bind_governor(self.governor)
-                self.governor.register(
-                    state.positional_map, name, "map", fmt
-                )
-                self.governor.register(state.cache, name, "cache", fmt)
+            state = RawTableState(entry, self.config, self.governor)
+            self.governor.register(state.positional_map, name, "map", fmt)
+            self.governor.register(state.cache, name, "cache", fmt)
             if self.config.vp_enabled:
                 store = VerticalStore(
                     name,
                     self._vp_root(),
-                    self.config,
+                    self.governor,
                     registry=self.telemetry.registry,
                 )
-                if self.governor is not None:
-                    store.bind_governor(self.governor)
-                    self.governor.register(store, name, "columnstore", fmt)
+                self.governor.register(store, name, "columnstore", fmt)
                 self._vertical[name] = store
             self._states[name] = state
             self._table_locks[name] = RWLock()
@@ -456,8 +448,7 @@ class PostgresRawService:
                 self._states.pop(name, None)
                 self._table_locks.pop(name, None)
                 self.plan_cache.clear()
-            if self.governor is not None:
-                self.governor.unregister_table(name)
+            self.governor.unregister_table(name)
             if self.mv is not None:
                 self.mv.drop_table(name)
             store = self._vertical.pop(name, None)
@@ -1240,10 +1231,6 @@ class PostgresRawService:
                 for name, lock in sorted(self._table_locks.items())
             }
 
-    def _collect_governor(self) -> dict[str, object] | None:
-        """Registry collector: governor stats (None without a budget)."""
-        return self.governor.stats() if self.governor is not None else None
-
     def _collect_mv(self) -> dict[str, object] | None:
         """Registry collector: MV cache stats (None when disabled)."""
         return self.mv.stats() if self.mv is not None else None
@@ -1257,50 +1244,6 @@ class PostgresRawService:
             store.stats(self._table_rows(name))
             for name, store in sorted(self._vertical.items())
         ]
-
-    def _collect_residency(self) -> list[dict[str, object]]:
-        """Registry collector: per-structure residency rows — from the
-        governor when one runs, derived from table states otherwise, so
-        silo-budget engines keep a live residency panel."""
-        if self.governor is not None:
-            return self.governor.residency()
-        residency = []
-        with self._registry_lock:
-            states = sorted(self._states.items())
-        for name, state in states:
-            fmt = state.entry.format
-            residency.append(
-                {
-                    "table": name,
-                    "kind": "map",
-                    "format": fmt,
-                    "nbytes": state.positional_map.used_bytes,
-                    "items": state.positional_map.chunk_count,
-                }
-            )
-            residency.append(
-                {
-                    "table": name,
-                    "kind": "cache",
-                    "format": fmt,
-                    "nbytes": state.cache.used_bytes,
-                    "items": state.cache.entry_count,
-                }
-            )
-            store = self._vertical.get(name)
-            if store is not None:
-                residency.append(
-                    {
-                        "table": name,
-                        "kind": "columnstore",
-                        "format": fmt,
-                        "nbytes": store.governed_bytes(),
-                        "items": len(store.governed_items()),
-                    }
-                )
-        if self.mv is not None:
-            residency.extend(self.mv.catalog.residency())
-        return residency
 
     def cursor_stats(self) -> dict[str, object]:
         """Streaming-cursor gauges for the concurrency panel."""

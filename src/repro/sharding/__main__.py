@@ -14,7 +14,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ..config import PostgresRawConfig
+from ..config import DEFAULT_MEMORY_BUDGET, PostgresRawConfig
 from .coordinator import ShardCluster
 
 
@@ -52,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel scan workers per shard (default 1)",
     )
     parser.add_argument(
-        "--memory-budget", type=int, default=None,
-        help="global byte budget, divided evenly across shards",
+        "--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET,
+        help="byte budget for all adaptive state, divided evenly across "
+        f"shards (default {DEFAULT_MEMORY_BUDGET})",
     )
     parser.add_argument(
         "--auth-token", default=None,
@@ -66,13 +67,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not args.data and not args.demo:
         build_parser().error("nothing to serve: pass --data and/or --demo")
-    overrides: dict = {
-        "scan_workers": args.scan_workers,
-        "shard_scheme": args.scheme,
-    }
-    if args.memory_budget is not None:
-        overrides["memory_budget"] = args.memory_budget
-    config = PostgresRawConfig(**overrides)
+    config = PostgresRawConfig(
+        scan_workers=args.scan_workers,
+        shard_scheme=args.scheme,
+        memory_budget=args.memory_budget,
+    )
     with contextlib.ExitStack() as stack:
         cluster = ShardCluster(
             args.shards, config, auth_token=args.auth_token

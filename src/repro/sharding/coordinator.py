@@ -168,11 +168,7 @@ class ShardCluster:
             self.config,
             server_port=0,
             shard_count=1,
-            memory_budget=(
-                None
-                if self.config.memory_budget is None
-                else max(1, self.config.memory_budget // self.shards)
-            ),
+            memory_budget=max(1, self.config.memory_budget // self.shards),
         )
         ctx = _mp_context()
         try:

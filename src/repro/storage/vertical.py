@@ -13,7 +13,9 @@ It is a :class:`repro.service.governor.GovernedStructure` of kind
 ``"columnstore"``: promoted bytes are admitted through
 ``governor.grant`` against the same budget as positional-map chunks,
 cache entries and materialized aggregates, and evict per column by
-benefit-per-byte.
+benefit-per-byte.  The governor's lock is the store's only lock, so a
+grant that evicts a column and a scan that reads or extends it are
+serialized by one mutex.
 
 A promoted column covers a row *prefix* of its table (``rows`` is its
 watermark).  An append leaves it valid: scans read the prefix from the
@@ -25,9 +27,7 @@ files in O(tail) bytes.  Rewrites and drops invalidate the whole store.
 from __future__ import annotations
 
 import shutil
-import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +35,6 @@ import numpy as np
 
 from ..batch import ColumnVector
 from ..catalog.schema import Column, TableSchema
-from ..config import PostgresRawConfig
 from ..datatypes import DataType
 from .columnstore import ColumnStoreTable
 
@@ -62,34 +61,28 @@ class VerticalStore:
     """Per-table columnstore tier holding promoted hot columns."""
 
     def __init__(
-        self,
-        table: str,
-        root: str | Path,
-        config: PostgresRawConfig,
-        registry=None,
+        self, table: str, root: str | Path, governor, registry=None
     ) -> None:
         self.table = table
         self.root = Path(root)
-        self.config = config
         self.registry = registry
-        self._lock = threading.RLock()
+        self._governor = governor
+        # The governor's reentrant lock: grant-triggered evictions
+        # re-enter this store without a second lock to order against.
+        self.lock = governor.lock
         self._columns: dict[int, PromotedColumn] = {}
         self._clock = 0
-        self._governor = None
-
-    def bind_governor(self, governor) -> None:
-        self._governor = governor
 
     # ------------------------------------------------------------------
     # GovernedStructure protocol.
     # ------------------------------------------------------------------
 
     def governed_bytes(self) -> int:
-        with self._lock:
+        with self.lock:
             return sum(c.nbytes for c in self._columns.values())
 
     def governed_items(self):
-        with self._lock:
+        with self.lock:
             return [
                 (
                     c.attr,
@@ -102,7 +95,7 @@ class VerticalStore:
             ]
 
     def governed_evict(self, token: object) -> int:
-        with self._lock:
+        with self.lock:
             column = self._columns.pop(token, None)
             if column is None:
                 return 0
@@ -114,7 +107,7 @@ class VerticalStore:
     # ------------------------------------------------------------------
 
     def coverage_rows(self, attr: int) -> int:
-        with self._lock:
+        with self.lock:
             column = self._columns.get(attr)
             return column.rows if column is not None else 0
 
@@ -144,10 +137,10 @@ class VerticalStore:
         nbytes = ColumnStoreTable.create(
             staging, schema, {name: vector}, build_zone_maps=False
         ).storage_bytes()
-        if not self._admit(nbytes):
-            shutil.rmtree(staging, ignore_errors=True)
-            return False
-        with self._lock:
+        with self.lock:
+            if not self._governor.grant(self, nbytes):
+                shutil.rmtree(staging, ignore_errors=True)
+                return False
             shutil.rmtree(directory, ignore_errors=True)
             staging.rename(directory)
             self._clock += 1
@@ -176,18 +169,16 @@ class VerticalStore:
         value wider than the stored width; a full :meth:`promote`
         covers that case.
         """
-        # The governor's lock first, as its grants take it before they
-        # reach into this store: no grant elsewhere can evict the
-        # column while its files are being appended to.
-        governor = self._governor
-        governed = governor.lock if governor is not None else nullcontext()
-        with governed, self._lock:
+        # Under the governor's lock no grant elsewhere can evict the
+        # column while its files are being appended to; the growing
+        # column itself is protected from its own grant.
+        with self.lock:
             column = self._columns.get(attr)
             if column is None:
                 return False
             added = column.store.extend(
                 {column.name: tail},
-                lambda nbytes: self._admit(nbytes, keep=attr),
+                lambda nbytes: self._governor.grant(self, nbytes, {attr}),
             )
             if not added:
                 return False
@@ -196,35 +187,6 @@ class VerticalStore:
         if self.registry is not None:
             self.registry.counter("vp_extends_total").inc()
         return True
-
-    def _admit(self, nbytes: int, keep: int | None = None) -> bool:
-        """May the store grow by ``nbytes``?  ``keep`` (the column that
-        is growing) is never evicted to make the room."""
-        if self._governor is not None:
-            return self._governor.grant(
-                self, nbytes, None if keep is None else {keep}
-            )
-        # Silo mode (no shared governor): stay under the cache budget by
-        # evicting the lowest benefit-per-byte columns first.
-        budget = self.config.cache_budget
-        if nbytes > budget:
-            return False
-        with self._lock:
-            used = sum(c.nbytes for c in self._columns.values())
-            if used + nbytes <= budget:
-                return True
-            victims = sorted(
-                (c for c in self._columns.values() if c.attr != keep),
-                key=lambda c: (
-                    (c.benefit_seconds / c.nbytes) if c.nbytes else 0.0,
-                    c.last_used,
-                ),
-            )
-            for victim in victims:
-                used -= self.governed_evict(victim.attr)
-                if used + nbytes <= budget:
-                    return True
-        return False
 
     def read(
         self,
@@ -240,7 +202,7 @@ class VerticalStore:
         mmap loads are charged to the ``io`` bucket by the columnstore
         itself; the raw file is never touched.
         """
-        with self._lock:
+        with self.lock:
             column = self._columns[attr]
             self._clock += 1
             column.last_used = self._clock
@@ -257,7 +219,7 @@ class VerticalStore:
 
     def invalidate(self) -> int:
         """Rewrite/drop: the promoted prefixes describe another file."""
-        with self._lock:
+        with self.lock:
             dropped = len(self._columns)
             for column in self._columns.values():
                 shutil.rmtree(column.store.directory, ignore_errors=True)
@@ -269,7 +231,7 @@ class VerticalStore:
     def stats(self, table_rows: int | None = None) -> dict[str, object]:
         """``table_rows``: the table's reconciled row count, when known
         (a column's ``lag_rows`` is how far its watermark trails it)."""
-        with self._lock:
+        with self.lock:
             return {
                 "table": self.table,
                 "columns": sorted(c.name for c in self._columns.values()),

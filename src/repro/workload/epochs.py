@@ -11,8 +11,8 @@ An :class:`EpochWorkload` slides an attribute window across the schema:
 epoch ``k`` draws all its projections and filters from window ``k``.
 Replaying it against PostgresRaw shows latency dropping within an epoch
 (structures warm up), spiking at each boundary (new attributes, cold),
-and the LRU evicting the previous epoch's chunks/columns when budgets
-are tight.
+and the memory governor evicting the previous epoch's chunks/columns
+when the budget is tight.
 """
 
 from __future__ import annotations

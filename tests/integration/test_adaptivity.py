@@ -1,8 +1,8 @@
 """Adaptive behaviour over query sequences: learning, budgets, eviction.
 
 These are the dynamics Part II of the demo visualizes — structures grow
-as a side-effect of queries, stabilize, and turn over under LRU when the
-workload shifts and budgets are tight.
+as a side-effect of queries, stabilize, and turn over under the memory
+governor when the workload shifts and the budget is tight.
 """
 
 import pytest
@@ -65,7 +65,7 @@ class TestLearningCurve:
 class TestBudgetsAndEviction:
     def test_pm_budget_respected_under_shifting_workload(self, dataset):
         budget = 200 * 1024
-        eng, __ = _engine(dataset, positional_map_budget=budget)
+        eng, __ = _engine(dataset, memory_budget=budget, enable_cache=False)
         pm = eng.table_state("t").positional_map
         for attr in range(12):
             eng.query(f"SELECT a{attr} FROM t")
@@ -74,7 +74,9 @@ class TestBudgetsAndEviction:
 
     def test_cache_budget_respected(self, dataset):
         budget = 100 * 1024
-        eng, __ = _engine(dataset, cache_budget=budget)
+        eng, __ = _engine(
+            dataset, memory_budget=budget, enable_positional_map=False
+        )
         cache = eng.table_state("t").cache
         for attr in range(12):
             eng.query(f"SELECT a{attr} FROM t")
@@ -82,9 +84,7 @@ class TestBudgetsAndEviction:
         assert cache.evictions > 0
 
     def test_zero_budgets_still_correct(self, dataset):
-        eng, __ = _engine(
-            dataset, positional_map_budget=0, cache_budget=0
-        )
+        eng, __ = _engine(dataset, memory_budget=0)
         expected = eng.query("SELECT COUNT(*) AS n FROM t").scalar()
         assert eng.query("SELECT COUNT(*) AS n FROM t").scalar() == expected
         state = eng.table_state("t")
@@ -92,8 +92,14 @@ class TestBudgetsAndEviction:
         assert state.cache.entry_count == 0
 
     def test_eviction_keeps_recent_attributes(self, dataset):
-        """LRU drops the epoch-old attributes, not the hot ones."""
-        eng, __ = _engine(dataset, cache_budget=150 * 1024)
+        """With benefit decay, the epoch-old attributes go, not the hot
+        ones."""
+        eng, __ = _engine(
+            dataset,
+            memory_budget=150 * 1024,
+            enable_positional_map=False,
+            benefit_half_life_s=1e-3,
+        )
         cache = eng.table_state("t").cache
         eng.query("SELECT a0 FROM t")
         for attr in range(1, 12):
@@ -106,9 +112,7 @@ class TestBudgetsAndEviction:
 
 class TestEpochWorkloadDynamics:
     def test_epoch_shift_changes_structures(self, dataset):
-        eng, schema = _engine(
-            dataset, cache_budget=120 * 1024, positional_map_budget=300 * 1024
-        )
+        eng, schema = _engine(dataset, memory_budget=420 * 1024)
         workload = EpochWorkload(
             "t",
             schema,

@@ -1,17 +1,18 @@
-"""The cost-aware cache policy (demo §4.2).
+"""Cost-aware eviction (demo §4.2) under the memory governor.
 
 "caching should give priority to attributes that are more expensive to
 parse and cheaper to maintain in memory e.g. integer attributes"
 
-Under memory pressure, ``cache_policy="cost_aware"`` must keep integer
-columns (expensive ``int()`` conversion, 8 bytes/value) over wide text
-columns (nearly free to re-slice, dozens of bytes/value); plain LRU
-keeps whatever was touched last.
+Under memory pressure the governor must keep integer columns
+(expensive ``int()`` conversion, 8 bytes/value) over wide text columns
+(nearly free to re-slice, dozens of bytes/value), even when the
+integer column is the least recently used.
 """
 
 import numpy as np
 import pytest
 
+from governed import governed_cache
 from repro import (
     DataType,
     PostgresRaw,
@@ -19,29 +20,30 @@ from repro import (
     generate_csv,
 )
 from repro.batch import ColumnVector
-from repro.core.cache import RawDataCache
-from repro.errors import BudgetError, ReproError
+from repro.errors import BudgetError
 from repro.rawio.generator import ColumnSpec, DatasetSpec
+from repro.service import MemoryGovernor
 
 
-def _vec(n, dtype=DataType.INTEGER):
-    if dtype is DataType.TEXT:
-        return ColumnVector.from_pylist(dtype, ["x" * 40] * n)
+def _vec(n):
     return ColumnVector(
-        dtype, np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.bool_)
+        DataType.INTEGER,
+        np.arange(n, dtype=np.int64),
+        np.zeros(n, dtype=np.bool_),
     )
 
 
+def _cache():
+    return governed_cache(MemoryGovernor(_vec(100).nbytes() * 2 + 64))
+
+
 class TestPolicyUnit:
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ReproError):
-            RawDataCache(100, policy="mru")
+    def test_memory_budget_is_required(self):
         with pytest.raises(BudgetError):
-            PostgresRawConfig(cache_policy="newest")
+            PostgresRawConfig(memory_budget=None)
 
     def test_cost_aware_evicts_low_value_density_first(self):
-        int_vec = _vec(100)
-        cache = RawDataCache(int_vec.nbytes() * 2 + 64, policy="cost_aware")
+        cache = _cache()
         cache.tick()
         cache.put(0, _vec(100), benefit_seconds=0.5)   # valuable
         cache.tick()
@@ -52,20 +54,8 @@ class TestPolicyUnit:
         # even though attr 0 is the least recently used.
         assert cache.cached_attrs() == [0, 2]
 
-    def test_lru_ignores_benefit(self):
-        int_vec = _vec(100)
-        cache = RawDataCache(int_vec.nbytes() * 2 + 64, policy="lru")
-        cache.tick()
-        cache.put(0, _vec(100), benefit_seconds=9.9)
-        cache.tick()
-        cache.put(1, _vec(100), benefit_seconds=0.0)
-        cache.tick()
-        cache.put(2, _vec(100), benefit_seconds=0.0)
-        assert cache.cached_attrs() == [1, 2]  # 0 was oldest
-
     def test_cost_aware_recency_tiebreak(self):
-        int_vec = _vec(100)
-        cache = RawDataCache(int_vec.nbytes() * 2 + 64, policy="cost_aware")
+        cache = _cache()
         cache.tick()
         cache.put(0, _vec(100), benefit_seconds=0.1)
         cache.tick()
@@ -93,43 +83,21 @@ def int_vs_text_csv(tmp_path_factory):
 
 
 class TestPolicyEndToEnd:
-    def _run(self, path, schema, policy):
-        # Budget fits the int column plus one text column, not all three.
+    def test_cost_aware_keeps_integer_column(self, int_vs_text_csv):
+        path, schema = int_vs_text_csv
+        # The budget fits the int column plus one text column, not all
+        # three; the positional map is off so only the cache competes.
         engine = PostgresRaw(
-            PostgresRawConfig(cache_budget=900_000, cache_policy=policy)
+            PostgresRawConfig(
+                memory_budget=900_000, enable_positional_map=False
+            )
         )
         engine.register_csv("t", path, schema)
         engine.query("SELECT num FROM t")    # oldest touch
         engine.query("SELECT blob1 FROM t")
         engine.query("SELECT blob2 FROM t")  # forces an eviction
         cache = engine.table_state("t").cache
-        return {schema.columns[a].name for a in cache.cached_attrs()}
-
-    def test_cost_aware_keeps_integer_column(self, int_vs_text_csv):
-        path, schema = int_vs_text_csv
-        cached = self._run(path, schema, "cost_aware")
+        cached = {schema.columns[a].name for a in cache.cached_attrs()}
         assert "num" in cached  # survives despite being least recent
-
-    def test_lru_drops_integer_column(self, int_vs_text_csv):
-        path, schema = int_vs_text_csv
-        cached = self._run(path, schema, "lru")
-        assert "num" not in cached  # oldest touch is evicted
-
-    def test_policies_agree_on_results(self, int_vs_text_csv):
-        path, schema = int_vs_text_csv
-        queries = [
-            "SELECT num FROM t WHERE num < 500000 ORDER BY num LIMIT 5",
-            "SELECT COUNT(blob1) AS n FROM t",
-        ]
-        engines = {}
-        for policy in ("lru", "cost_aware"):
-            eng = PostgresRaw(
-                PostgresRawConfig(cache_budget=900_000, cache_policy=policy)
-            )
-            eng.register_csv("t", path, schema)
-            engines[policy] = eng
-        for q in queries:
-            for __ in range(2):
-                assert list(engines["lru"].query(q)) == list(
-                    engines["cost_aware"].query(q)
-                )
+        assert len(cached) == 2
+        assert engine.service.governor.evictions >= 1

@@ -110,7 +110,7 @@ def hammer(service, thread_id, reference, errors, mismatches):
             ),
         ),
         (
-            "silo_budgets",
+            "default_budget",
             PostgresRawConfig(max_concurrent_queries=4),
         ),
         (
@@ -161,12 +161,11 @@ def test_eight_threads_match_serial_engine(small_csv, label, config):
 
         # Adaptive-state byte accounting balances.
         state = service.table_state("t")
-        if service.governor is not None:
-            governor = service.governor
-            assert governor.used_bytes <= governor.budget_bytes
-            assert governor.used_bytes == (
-                state.positional_map.used_bytes + state.cache.used_bytes
-            )
+        governor = service.governor
+        assert governor.used_bytes <= governor.budget_bytes
+        assert governor.used_bytes == (
+            state.positional_map.used_bytes + state.cache.used_bytes
+        )
         # Every surviving structure is a coherent row prefix.
         n_rows = state.positional_map.n_rows
         assert n_rows == 5_000

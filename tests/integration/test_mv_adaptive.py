@@ -275,12 +275,11 @@ def _hammer(service, thread_id, expected, errors, mismatches):
             ),
         ),
         (
-            "silo_tiny_mv_budget",
+            "tiny_budget",
             PostgresRawConfig(
                 mv_auto=True,
                 mv_min_repeats=2,
-                cache_budget=64 * 1024,
-                mv_max_bytes_fraction=0.05,
+                memory_budget=64 * 1024,
             ),
         ),
     ],
@@ -312,11 +311,8 @@ def test_concurrent_aggregate_hammer(csv_path, label, config):
         assert stats["builds"] >= 1
         assert stats["hits"] + stats["partial_hits"] >= 1
         # ...and the accounting came out balanced.
-        if service.governor is not None:
-            governor = service.governor
-            assert governor.used_bytes == sum(
-                r["nbytes"] for r in governor.residency()
-            )
-        else:
-            catalog = service.mv.catalog
-            assert catalog.total_bytes() <= catalog.max_total_bytes
+        governor = service.governor
+        assert governor.used_bytes == sum(
+            r["nbytes"] for r in governor.residency()
+        )
+        assert governor.used_bytes <= governor.budget_bytes

@@ -89,8 +89,7 @@ class TestPostgresRawAgainstBaseline:
     def test_tight_budget_engine_matches(self, dataset, reference_results):
         path, schema = dataset
         config = PostgresRawConfig(
-            positional_map_budget=64 * 1024,  # forces chunk eviction
-            cache_budget=64 * 1024,  # forces cache eviction
+            memory_budget=128 * 1024,  # forces chunk + cache eviction
             batch_size=512,
         )
         eng = PostgresRaw(config)
@@ -98,6 +97,7 @@ class TestPostgresRawAgainstBaseline:
         for repeat in range(2):
             for query, expected in zip(QUERIES, reference_results):
                 assert list(eng.query(query)) == expected, query
+        assert eng.service.governor.evictions > 0
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import PostgresRaw, PostgresRawConfig, PostgresRawService
 from repro.catalog.schema import TableSchema
+from repro.config import DEFAULT_MEMORY_BUDGET
 from repro.errors import UpdateConflictError
 from repro.executor.operators import SingleRowSource
 from repro.rawio.writer import append_csv_rows, write_csv
@@ -306,7 +307,7 @@ actions = st.lists(
 @given(
     rows=table_rows,
     steps=actions,
-    budget=st.sampled_from([None, 48 << 10]),
+    budget=st.sampled_from([DEFAULT_MEMORY_BUDGET, 48 << 10]),
 )
 def test_cached_plans_answer_like_fresh_ones(
     tmp_path_factory, rows, steps, budget

@@ -196,25 +196,28 @@ def test_appends_advance_both_tiers_and_stay_correct(
 def test_eviction_and_drop_never_change_answers(
     tmp_path_factory, rows, workers
 ):
-    """A silo too small for two MVs keeps evicting; a dropped and
-    re-registered table forgets its MVs.  Answers never change."""
+    """A budget too small for the map, the cache and two MVs keeps
+    evicting; a dropped and re-registered table forgets its MVs.
+    Answers never change."""
     tmp = tmp_path_factory.mktemp("mv_evict")
     path = tmp / "t.csv"
     write_csv(path, rows, SCHEMA)
 
     queries = DERIVED[1:3]
     expected = {q: reference_rows(path, q) for q in queries}
-    # cache_budget * fraction caps the silo at ~1 KiB: real captures
-    # of the wide shape (hundreds of bytes each) contend for room.
-    config = build_config(workers, cache_budget=8192,
-                          mv_max_bytes_fraction=0.125)
+    # 4 KiB: captures of the wide shape (hundreds of bytes each, at
+    # most 1 KiB) contend with map chunks and cache columns for room.
+    config = build_config(workers, memory_budget=4096)
     with PostgresRaw(config) as engine:
         engine.register_csv("t", path, SCHEMA)
         for __ in range(3):
             for q in queries:
                 assert sorted(engine.query(q).rows) == expected[q]
         catalog = engine.service.mv.catalog
-        assert catalog.total_bytes() <= catalog.max_total_bytes
+        governor = engine.service.governor
+        assert governor.used_bytes <= governor.budget_bytes
+        by_kind = governor.stats()["by_kind"]
+        assert by_kind.get("mv", 0) == catalog.total_bytes()
 
         engine.drop_table("t")
         assert catalog.entry_count() == 0

@@ -3,10 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from governed import governed_cache, governed_map
 from repro.batch import ColumnVector
-from repro.core.cache import RawDataCache
-from repro.core.positional_map import PositionalMap
 from repro.datatypes import DataType
+from repro.service import MemoryGovernor
 from repro.storage.btree import BPlusTree
 
 
@@ -22,50 +22,53 @@ def _offsets(rows, attrs):
     return np.arange(rows * attrs, dtype=np.int64).reshape(rows, attrs)
 
 
-cache_ops = st.lists(
-    st.tuples(st.integers(0, 7), st.integers(1, 200)), max_size=40
-)
-
-
-@given(budget=st.integers(0, 4000), ops=cache_ops)
-@settings(max_examples=100, deadline=None)
-def test_cache_budget_invariant(budget, ops):
-    cache = RawDataCache(budget)
-    for attr, n in ops:
-        cache.tick()
-        cache.put(attr, _vec(n))
-        assert cache.used_bytes <= budget
-        entry = cache.peek(attr)
-        if entry is not None:
-            assert entry.vector.to_pylist() == list(range(entry.rows))
-
-
-pm_ops = st.lists(
-    st.tuples(
-        st.integers(0, 5),  # first attr
-        st.integers(1, 3),  # width
-        st.integers(1, 150),  # rows
+#: One op: a cache put ``(attr, rows, benefit)`` or a map install
+#: ``(first attr, width, rows, benefit)``.
+structure_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.integers(0, 7), st.integers(1, 200), st.floats(0, 1)
+        ),
+        st.tuples(
+            st.integers(0, 5),  # first attr
+            st.integers(1, 3),  # width
+            st.integers(1, 150),  # rows
+            st.floats(0, 1),
+        ),
     ),
-    max_size=30,
+    max_size=50,
 )
 
 
-@given(budget=st.integers(0, 6000), ops=pm_ops)
-@settings(max_examples=100, deadline=None)
-def test_positional_map_budget_invariant(budget, ops):
-    pm = PositionalMap(budget)
-    for first, width, rows in ops:
+@given(budget=st.integers(0, 8000), ops=structure_ops)
+@settings(max_examples=150, deadline=None)
+def test_cache_and_map_share_one_budget(budget, ops):
+    """A cache and a positional map under one governor: together they
+    never hold more than its budget, whatever evicts whom."""
+    governor = MemoryGovernor(budget)
+    cache = governed_cache(governor)
+    pm = governed_map(governor)
+    for op in ops:
+        cache.tick()
         pm.tick()
-        attrs = tuple(range(first, first + width))
-        pm.install(attrs, _offsets(rows, width))
-        assert pm.used_bytes <= budget
+        if len(op) == 3:
+            attr, n, benefit = op
+            cache.put(attr, _vec(n), benefit_seconds=benefit)
+            entry = cache.peek(attr)
+            if entry is not None:
+                assert entry.vector.to_pylist() == list(range(entry.rows))
+        else:
+            first, width, rows, benefit = op
+            attrs = tuple(range(first, first + width))
+            pm.install(attrs, _offsets(rows, width), benefit_seconds=benefit)
+        assert cache.used_bytes + pm.used_bytes == governor.used_bytes
+        assert governor.used_bytes <= budget
     # Lookup structures stay internally consistent.
-    for first, width, rows in ops:
-        for attr in range(first, first + width):
-            chunk = pm.best_cover(attr)
-            if chunk is not None:
-                assert attr in chunk.attrs
-                assert chunk.rows >= 1
+    for attr in range(8):
+        chunk = pm.best_cover(attr)
+        if chunk is not None:
+            assert attr in chunk.attrs
+            assert chunk.rows >= 1
 
 
 @given(

@@ -10,9 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from governed import governed_cache, governed_map
 from repro.batch import ColumnVector
-from repro.core.cache import RawDataCache
-from repro.core.positional_map import PositionalMap
 from repro.datatypes import DataType
 from repro.service import MemoryGovernor
 
@@ -33,20 +32,6 @@ def offsets(n_rows: int, n_attrs: int) -> np.ndarray:
     return np.arange(n_rows * n_attrs, dtype=np.int64).reshape(
         n_rows, n_attrs
     )
-
-
-def governed_cache(governor: MemoryGovernor, table: str) -> RawDataCache:
-    cache = RawDataCache(budget_bytes=0)  # silo budget moot once bound
-    cache.bind_governor(governor)
-    governor.register(cache, table, "cache")
-    return cache
-
-
-def governed_map(governor: MemoryGovernor, table: str) -> PositionalMap:
-    pm = PositionalMap(budget_bytes=0)
-    pm.bind_governor(governor)
-    governor.register(pm, table, "map")
-    return pm
 
 
 class TestGovernorAccounting:
@@ -85,8 +70,7 @@ class TestGovernorAccounting:
         governor = MemoryGovernor(1 << 16)
         pm = governed_map(governor, "a")
         pm.set_line_bounds(np.arange(1000, dtype=np.int64))
-        # The tuple-boundary backbone is not governed (matches the
-        # silo-budget engine, which accounts it separately).
+        # The tuple-boundary backbone is pinned, not governed.
         assert governor.used_bytes == 0
         assert pm.line_index_bytes > 0
 
@@ -189,6 +173,40 @@ class TestRelease:
         service.register_csv("t", path, schema)
         assert len(session.query("SELECT a0 FROM t WHERE a0 >= 0")) > 0
         service.close()
+
+
+class TestOneAdmissionPath:
+    def test_default_engine_admits_every_tier_through_its_governor(
+        self, small_csv, tmp_path
+    ):
+        from repro import PostgresRawConfig, PostgresRawService
+        from repro.config import DEFAULT_MEMORY_BUDGET
+
+        path, schema = small_csv
+        config = PostgresRawConfig(
+            mv_auto=True,
+            mv_min_repeats=1,
+            vp_enabled=True,
+            vp_min_accesses=1,
+            vp_dir=str(tmp_path / "vp"),
+        )
+        with PostgresRawService(config) as service:
+            governor = service.governor
+            assert governor.budget_bytes == DEFAULT_MEMORY_BUDGET
+            service.register_csv("t", path, schema)
+            state = service.table_state("t")
+            assert state.positional_map.governor is governor
+            assert state.cache.governor is governor
+            session = service.session()
+            for __ in range(3):
+                session.query("SELECT SUM(a1) AS s FROM t WHERE a2 < 500000")
+            resident = {
+                r["kind"] for r in governor.residency() if r["nbytes"]
+            }
+            assert resident == {"map", "cache", "columnstore", "mv"}
+            assert governor.used_bytes == sum(
+                r["nbytes"] for r in governor.residency()
+            )
 
 
 class TestBenefitDecay:

@@ -98,15 +98,14 @@ class TestPostgresRawConfig:
 
     def test_with_overrides_is_pure(self):
         base = PostgresRawConfig()
-        derived = base.with_overrides(cache_budget=123)
-        assert derived.cache_budget == 123
-        assert base.cache_budget != 123
+        derived = base.with_overrides(memory_budget=123)
+        assert derived.memory_budget == 123
+        assert base.memory_budget != 123
 
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("positional_map_budget", -1),
-            ("cache_budget", -5),
+            ("memory_budget", -1),
             ("batch_size", 0),
             ("histogram_buckets", -2),
             ("scan_workers", 0),

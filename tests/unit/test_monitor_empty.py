@@ -1,5 +1,5 @@
 """Every monitoring panel must render on a fresh engine — no queries,
-no traffic, no governor — without raising.  The panels are the first
+no traffic, no tables — without raising.  The panels are the first
 thing an operator opens on a new deployment; a crash on empty state is
 a worse bug than a wrong number."""
 
@@ -59,13 +59,13 @@ def test_attribute_usage_empty(fresh_engine):
     assert render_attribute_usage(state) == "(no attributes accessed yet)"
 
 
-def test_governor_panel_fresh_service_without_budget():
+def test_governor_panel_fresh_default_service():
     with PostgresRawService() as service:
         report = governor_report(service)
-        assert report["stats"] is None
+        assert report["stats"]["used_bytes"] == 0
         assert report["residency"] == []
         text = render_governor_panel(service)
-        assert "silos" in text
+        assert "global budget" in text
 
 
 def test_governor_panel_fresh_service_with_budget():

@@ -1,7 +1,7 @@
 """Unit coverage of the adaptive materialized-aggregate cache.
 
 Signature normalization and eligibility, the catalog's exact/partial
-match ladder, silo eviction by benefit-per-byte, the analyzer's capture
+match ladder, governed eviction by benefit-per-byte, the analyzer's capture
 decisions, the internal ``sum0`` aggregate and the EXPLAIN annotations.
 """
 
@@ -24,6 +24,7 @@ from repro.mv import (
     extract_signature,
 )
 from repro.rawio.writer import write_csv
+from repro.service import MemoryGovernor
 from repro.sql.parser import parse_select
 from repro.telemetry.registry import MetricsRegistry
 
@@ -145,7 +146,7 @@ def wide_sig():
 
 class TestCatalogMatch:
     def setup_method(self):
-        self.catalog = MVCatalog(MetricsRegistry(), max_total_bytes=10_000)
+        self.catalog = MVCatalog(MetricsRegistry(), MemoryGovernor(10_000))
         self.wide = wide_sig()
         self.entry = make_entry(
             1,
@@ -247,9 +248,9 @@ class TestCatalogMatch:
         assert self.catalog.entry_count() == 0
 
 
-class TestSiloEviction:
+class TestGovernedEviction:
     def test_evicts_lowest_benefit_per_byte(self):
-        catalog = MVCatalog(MetricsRegistry(), max_total_bytes=250)
+        catalog = MVCatalog(MetricsRegistry(), MemoryGovernor(250))
         base = wide_sig()
         cheap = QuerySignature(
             "t", ("a",), (), (("count", "*"),), ()
@@ -270,7 +271,9 @@ class TestSiloEviction:
         assert catalog.total_bytes() <= 250
 
     def test_oversized_entry_rejected(self):
-        catalog = MVCatalog(MetricsRegistry(), max_total_bytes=50)
+        catalog = MVCatalog(
+            MetricsRegistry(), MemoryGovernor(10_000), max_entry_bytes=50
+        )
         entry = make_entry(
             1, wide_sig(), {("count", "*"): "count:*"}, nbytes=100
         )
@@ -278,8 +281,25 @@ class TestSiloEviction:
         assert catalog.rejected == 1
         assert catalog.entry_count() == 0
 
+    def test_one_capture_takes_at_most_a_quarter_of_the_budget(self):
+        from repro.mv.runtime import MV_MAX_ENTRY_FRACTION, MVRuntime
+
+        governor = MemoryGovernor(1000)
+        runtime = MVRuntime(
+            PostgresRawConfig(memory_budget=1000), MetricsRegistry(), governor
+        )
+        catalog = runtime.catalog
+        assert catalog.max_entry_bytes == int(1000 * MV_MAX_ENTRY_FRACTION)
+        cols = {("count", "*"): "count:*"}
+        # The governor has room for it, the per-capture cap does not.
+        assert not catalog.install(
+            make_entry(1, wide_sig(), dict(cols), nbytes=300)
+        )
+        assert catalog.install(make_entry(2, wide_sig(), dict(cols)))
+        assert governor.used_bytes == 100
+
     def test_replaces_same_signature(self):
-        catalog = MVCatalog(MetricsRegistry(), max_total_bytes=10_000)
+        catalog = MVCatalog(MetricsRegistry(), MemoryGovernor(10_000))
         sig = wide_sig()
         cols = {("count", "*"): "count:*"}
         assert catalog.install(make_entry(1, sig, dict(cols)))
@@ -391,10 +411,6 @@ def test_explain_does_not_mine(engine):
 def test_mv_config_validation():
     with pytest.raises(BudgetError):
         PostgresRawConfig(mv_min_repeats=0)
-    with pytest.raises(BudgetError):
-        PostgresRawConfig(mv_max_bytes_fraction=0.0)
-    with pytest.raises(BudgetError):
-        PostgresRawConfig(mv_max_bytes_fraction=1.5)
 
 
 def test_build_mv_rejects_ineligible(engine):

@@ -199,7 +199,8 @@ class TestMonitorPanels:
             text = render_concurrency_panel(service)
             assert "admitted: 1" in text and "t" in text
 
-    def test_panels_work_without_governor(self, small_csv):
+    def test_default_engine_reports_governor_stats(self, small_csv):
+        from repro.config import DEFAULT_MEMORY_BUDGET
         from repro.monitor import governor_report, render_governor_panel
 
         path, schema = small_csv
@@ -207,9 +208,13 @@ class TestMonitorPanels:
             service.register_csv("t", path, schema)
             service.session().query("SELECT a0 FROM t WHERE a0 >= 0")
             report = governor_report(service)
-            assert report["stats"] is None
+            stats = report["stats"]
+            assert stats["budget_bytes"] == DEFAULT_MEMORY_BUDGET
+            assert stats["used_bytes"] == sum(
+                r["nbytes"] for r in report["residency"]
+            )
             assert any(r["nbytes"] for r in report["residency"])
-            assert "silos" in render_governor_panel(service)
+            assert "global budget" in render_governor_panel(service)
 
 
 class TestPoolRecycling:

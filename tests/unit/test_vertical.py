@@ -13,7 +13,6 @@ import pytest
 
 from repro.batch import ColumnVector
 from repro.catalog.schema import Column, TableSchema
-from repro.config import PostgresRawConfig
 from repro.core.metrics import QueryMetrics
 from repro.datatypes import DataType
 from repro.errors import StorageError
@@ -36,15 +35,16 @@ def texts(values):
     return ColumnVector.from_pylist(DataType.TEXT, values)
 
 
-@pytest.fixture()
-def store(tmp_path):
-    store = VerticalStore(
-        "t", tmp_path / "vp", PostgresRawConfig(), MetricsRegistry()
-    )
-    governor = MemoryGovernor(1 << 20)
-    store.bind_governor(governor)
+def make_store(tmp_path, budget=1 << 20):
+    governor = MemoryGovernor(budget)
+    store = VerticalStore("t", tmp_path / "vp", governor, MetricsRegistry())
     governor.register(store, "t", "columnstore")
     return store
+
+
+@pytest.fixture()
+def store(tmp_path):
+    return make_store(tmp_path)
 
 
 def read(store, attr, name, lo, hi):
@@ -65,9 +65,9 @@ def test_promote_over_a_promoted_column_stays_readable(store):
     assert [p.name for p in store.root.iterdir()] == ["t-0-a"]
 
 
-def test_refused_re_promote_keeps_the_old_prefix(store, tmp_path):
+def test_refused_re_promote_keeps_the_old_prefix(tmp_path):
+    store = make_store(tmp_path, 128 + 10 * 8)  # 10 rows, not 15
     assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 1.0)
-    store.bind_governor(MemoryGovernor(64))  # admits nothing this large
     assert not store.promote(0, "a", DataType.INTEGER, ints(range(15)), 1.0)
     assert store.coverage_rows(0) == 10
     assert read(store, 0, "a", 0, 10) == list(range(10))
@@ -118,20 +118,31 @@ def test_text_wider_than_stored_falls_back_to_promote(store):
     assert read(store, 2, "s", 0, 6) == full.to_pylist()
 
 
-def test_extend_refused_by_the_governor_keeps_the_prefix(store):
-    store.promote(0, "a", DataType.INTEGER, ints(range(10)), 1.0)
+def test_extend_refused_by_the_governor_keeps_the_prefix(tmp_path):
+    store = make_store(tmp_path, 128 + 10 * 8 + 8)  # room for one row
+    assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 1.0)
     sizes = files(store)
-    store.bind_governor(MemoryGovernor(8))
     assert not store.extend(0, ints([1, 2]))
     assert files(store) == sizes and store.coverage_rows(0) == 10
     assert not store.extend(5, ints([1]))  # never promoted
 
 
+def test_the_governor_lock_is_the_store_lock(tmp_path):
+    store = make_store(tmp_path, 128 + 80)  # room for one 10-row column
+    governor = store._governor
+    assert store.lock is governor.lock
+    assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 0.001)
+    # Another structure's grant evicts the column from under the store
+    # while holding the one lock the store itself takes.
+    with store.lock:
+        assert governor.grant(object(), 128 + 80)
+        assert store.coverage_rows(0) == 0
+    assert files(store) == {} and store.governed_bytes() == 0
+    assert not store.extend(0, ints([1]))
+
+
 def test_extending_never_evicts_the_growing_column(tmp_path):
-    store = VerticalStore("t", tmp_path / "vp", PostgresRawConfig())
-    governor = MemoryGovernor(128 + 800 + 128 + 80 + 8)
-    store.bind_governor(governor)
-    governor.register(store, "t", "columnstore")
+    store = make_store(tmp_path, 128 + 800 + 128 + 80 + 8)
     assert store.promote(0, "a", DataType.INTEGER, ints(range(100)), 0.001)
     assert store.promote(1, "b", DataType.INTEGER, ints(range(10)), 9.0)
     # Room for one more row only.  "a" saves the least per byte, but it

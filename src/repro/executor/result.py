@@ -65,7 +65,11 @@ class Cursor:
         #: Default :meth:`fetchmany` size (PEP 249); mutable per cursor.
         self.arraysize = 1
         self._batches = batches
-        self._pending: list[tuple] = []  # rows decoded, not yet fetched
+        # Rows decoded from the current batch; those before the read
+        # offset are already fetched (dropped once per batch, so
+        # row-at-a-time reads stay O(1) each).
+        self._pending: list[tuple] = []
+        self._pending_pos = 0
         self._on_close = on_close
         self._stream_error: BaseException | None = None
         self.closed = False
@@ -175,18 +179,23 @@ class Cursor:
             n = self.arraysize
         if n < 0:
             raise ExecutionError(f"fetchmany needs n >= 0, got {n}")
-        while len(self._pending) < n:
+        pending = self._pending
+        while len(pending) - self._pending_pos < n:
             batch = self._next_batch()
             if batch is None:
                 break
-            self._pending.extend(batch_rows(batch, self.column_names))
-        out, self._pending = self._pending[:n], self._pending[n:]
+            del pending[: self._pending_pos]
+            self._pending_pos = 0
+            pending.extend(batch_rows(batch, self.column_names))
+        out = pending[self._pending_pos : self._pending_pos + n]
+        self._pending_pos += len(out)
         return out
 
     def fetchall(self) -> "QueryResult":
         """Drain the stream into a materialized :class:`QueryResult`."""
-        rows = self._pending
-        self._pending = []
+        rows, self._pending = self._pending, []
+        del rows[: self._pending_pos]
+        self._pending_pos = 0
         while True:
             batch = self._next_batch()
             if batch is None:
@@ -238,7 +247,7 @@ class Cursor:
             closer()
         self._finish()
         self.closed = True
-        self._pending = []
+        self._pending, self._pending_pos = [], 0
 
     def __enter__(self) -> "Cursor":
         return self

@@ -4,11 +4,10 @@ Re-serializing every result value to text would re-introduce exactly
 the per-value conversion cost the engine works to avoid (the paper's
 "Convert" component, paid again at the wire).  Each batch therefore
 travels as *typed column vectors*: numeric columns go as raw
-little-endian ``int64``/``float64``
-vectors (one ``frombuffer`` on the receiving side, no per-value
-dispatch), NULLs as a packed bitmap, and strings as one offsets array
-plus a UTF-8 blob — the wire-level analogue of the engine's cache of
-"final binary values".
+little-endian ``int64``/``float64`` vectors (one ``frombuffer`` on the
+receiving side), NULLs as a packed bitmap, and strings as one offsets
+array plus a UTF-8 blob — the wire-level analogue of the engine's cache
+of "final binary values".
 
 A ROWS_BIN frame's payload (after the protocol's 1-byte frame type)::
 
@@ -25,12 +24,17 @@ A ROWS_BIN frame's payload (after the protocol's 1-byte frame type)::
                              then the concatenated UTF-8 blob
 
 NULL slots keep their fixed-width cell (0 / NaN / zero-length), exactly
-as the engine stores them under the mask, so encoding a batch is a
-handful of ``tobytes`` calls on the column vectors it already holds.
-Vector data is little-endian (the engine's native layout on every
-supported host); the outer frame header stays big-endian like every
-other frame.  Decoded rows equal ``batch_rows`` of the source batch
-value for value — asserted by the wire test suite.
+as the engine stores them under the mask.  Every column is converted
+once per batch, whole: numeric vectors by one typed copy, a TEXT column
+by one ``"".join`` + one UTF-8 encode (per-value byte lengths only when
+the column is not ASCII); a frame is then slices of those.  Decoding
+mirrors it (one strict decode per TEXT blob), so on ASCII columns
+neither side does interpreted work per value beyond building the
+Python ``str`` objects.  Vector data is
+little-endian (the engine's native layout on every supported host); the
+outer frame header stays big-endian like every other frame.  Decoded
+rows equal ``batch_rows`` of the source batch value for value —
+asserted by the wire and codec property suites.
 """
 
 from __future__ import annotations
@@ -60,13 +64,13 @@ _PAYLOAD_HEADER = struct.Struct("<IIH")
 #: cannot import without a cycle: protocol imports the codec).
 _FRAME_HEADER = struct.Struct("!I")
 
-#: Bytes one row contributes beyond its text payload, per column.
-_FIXED_WIDTH: dict[DataType, int] = {
-    DataType.INTEGER: 8,
-    DataType.FLOAT: 8,
-    DataType.DATE: 8,
-    DataType.BOOLEAN: 1,
-    DataType.TEXT: 4,  # its offsets-array entry
+#: Wire layout of each fixed-width vector; TEXT's entry is its offsets.
+_WIRE_DTYPE: dict[DataType, str] = {
+    DataType.INTEGER: "<i8",
+    DataType.DATE: "<i8",
+    DataType.FLOAT: "<f8",
+    DataType.BOOLEAN: "<u1",
+    DataType.TEXT: "<u4",
 }
 
 
@@ -75,84 +79,21 @@ _FIXED_WIDTH: dict[DataType, int] = {
 # ----------------------------------------------------------------------
 
 
-def _column_chunk(
-    vec: ColumnVector,
-    dtype: DataType,
-    start: int,
-    stop: int,
-    encoded_texts: "list[bytes | None] | None" = None,
-) -> list[bytes]:
-    """One column's wire pieces for rows ``[start, stop)``.
-
-    ``encoded_texts`` is the column's pre-encoded UTF-8 values (NULLs
-    as ``None``, full-column indexing) when the caller already paid the
-    encode during frame sizing — each TEXT value is encoded exactly
-    once per batch.
-    """
-    mask = np.ascontiguousarray(vec.null_mask[start:stop])
-    has_nulls = bool(mask.any())
-    pieces = [bytes((TYPE_TAGS[dtype], 1 if has_nulls else 0))]
-    if has_nulls:
-        pieces.append(np.packbits(mask, bitorder="little").tobytes())
-    values = vec.values[start:stop]
-    if dtype is DataType.FLOAT:
-        pieces.append(np.ascontiguousarray(values, dtype="<f8").tobytes())
-    elif dtype is DataType.BOOLEAN:
-        pieces.append(
-            np.ascontiguousarray(values, dtype=np.uint8).tobytes()
-        )
-    elif dtype is DataType.TEXT:
-        n = stop - start
-        offsets = np.zeros(n + 1, dtype="<u4")
-        blob = bytearray()
-        for i in range(n):
-            if encoded_texts is not None:
-                piece = encoded_texts[start + i]
-            else:
-                value = values[i]
-                piece = (
-                    str(value).encode("utf-8")
-                    if not mask[i] and value is not None
-                    else None
-                )
-            if piece is not None:
-                blob += piece
-            offsets[i + 1] = len(blob)
-        if len(blob) > 0xFFFFFFFF:
-            raise ProtocolError(
-                "TEXT column chunk exceeds the 4 GiB offset range; "
-                "lower frame_bytes"
-            )
-        pieces.append(offsets.tobytes())
-        pieces.append(bytes(blob))
-    else:  # INTEGER / DATE share the int64 vector layout
-        pieces.append(np.ascontiguousarray(values, dtype="<i8").tobytes())
-    return pieces
-
-
-def _encode_slice(
-    qid: int,
-    cols: list[ColumnVector],
-    dtypes: list[DataType],
-    start: int,
-    stop: int,
-    encoded_by_col: "dict[int, list[bytes | None]] | None" = None,
-) -> bytes:
-    """One complete ROWS_BIN frame for rows ``[start, stop)``."""
-    pieces = [_PAYLOAD_HEADER.pack(qid, stop - start, len(cols))]
-    for index, (vec, dtype) in enumerate(zip(cols, dtypes)):
-        encoded = (
-            encoded_by_col.get(index) if encoded_by_col is not None else None
-        )
-        pieces.extend(_column_chunk(vec, dtype, start, stop, encoded))
-    body = b"".join(pieces)
-    from .protocol import FrameType  # late: protocol imports this module
-
-    return (
-        _FRAME_HEADER.pack(len(body) + 1)
-        + bytes((int(FrameType.ROWS_BIN),))
-        + body
-    )
+def _text_offsets(vec: ColumnVector) -> tuple[np.ndarray, bytes]:
+    """A whole TEXT column as ``n + 1`` cumulative UTF-8 byte offsets
+    (int64) and one blob; NULL slots are zero-length whatever sits
+    under the mask."""
+    texts = vec.values.tolist()
+    for i in np.flatnonzero(vec.null_mask).tolist():
+        texts[i] = ""
+    joined = "".join(texts)
+    blob = joined.encode("utf-8")
+    if len(blob) != len(joined):  # not ASCII: lengths in bytes, not chars
+        texts = [t.encode("utf-8") for t in texts]
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets, blob
 
 
 def iter_binary_row_frames(
@@ -165,69 +106,92 @@ def iter_binary_row_frames(
     """Encode one batch as ROWS_BIN frames, each under ``frame_bytes``
     where possible.
 
-    Split points come from exact per-row sizes (fixed widths plus UTF-8
-    text lengths plus each column's bitmap when its slice has NULLs),
-    computed from prefix sums so the greedy packing is O(rows x cols).
+    A frame takes the longest run of rows whose exact encoded size
+    (fixed widths plus UTF-8 text bytes plus each column's bitmap when
+    its slice has NULLs) fits: the size of rows ``[start, stop)`` is
+    O(cols) from prefix sums and grows with ``stop``, so the whole
+    batch is checked once and only a batch over the bound is bisected.
     A single row whose encoding alone exceeds the bound still travels
     as its own oversized frame — the receiving side's limit applies to
     incoming *request* frames; result frames that large mean the
     operator should raise ``frame_bytes``.
     """
+    from .protocol import FrameType  # late: protocol imports this module
+
     n = batch.num_rows
     if n == 0:
         return
-    cols = [batch.column(name) for name in names]
-    fixed_per_row = sum(_FIXED_WIDTH[dt] for dt in dtypes)
-    # Cumulative UTF-8 bytes of every TEXT column, rows [0, i), and
-    # cumulative NULL counts per column (a bitmap is emitted only for
-    # slices that contain one).  The encoded values are kept and reused
-    # when the slices are emitted, so each TEXT value pays its UTF-8
-    # encode exactly once per batch.
-    encoded_by_col: dict[int, list] = {}
+    # Per column: tag, mask, NULL prefix sums (None: no NULLs at all),
+    # the whole column in wire layout and, for TEXT, its blob.
+    columns = []
     text_cum = np.zeros(n + 1, dtype=np.int64)
-    for index, (vec, dtype) in enumerate(zip(cols, dtypes)):
-        if dtype is not DataType.TEXT:
-            continue
-        encoded: list = [None] * n
-        for i in range(n):
-            value = vec.values[i]
-            if not vec.null_mask[i] and value is not None:
-                piece = str(value).encode("utf-8")
-                encoded[i] = piece
-                text_cum[i + 1] += len(piece)
-        encoded_by_col[index] = encoded
-    np.cumsum(text_cum, out=text_cum)
-    null_cums = [
-        np.concatenate(([0], np.cumsum(vec.null_mask, dtype=np.int64)))
-        for vec in cols
-    ]
-    n_text = sum(1 for dt in dtypes if dt is DataType.TEXT)
+    for name, dtype in zip(names, dtypes):
+        vec = batch.column(name)
+        mask = vec.null_mask
+        null_cum = None
+        if mask.any():
+            null_cum = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(mask, out=null_cum[1:])
+        if dtype is DataType.TEXT:
+            data, blob = _text_offsets(vec)
+            text_cum += data
+        else:
+            data = np.ascontiguousarray(vec.values, _WIRE_DTYPE[dtype])
+            blob = None
+        columns.append((TYPE_TAGS[dtype], mask, null_cum, data, blob))
+    null_cums = [col[2] for col in columns if col[2] is not None]
+    fixed_per_row = sum(np.dtype(_WIRE_DTYPE[dt]).itemsize for dt in dtypes)
     # Per-frame constant: payload header, per-column tag+flag bytes and
     # the TEXT columns' extra offsets entry.
-    base = _PAYLOAD_HEADER.size + 2 * len(cols) + 4 * n_text
+    base = _PAYLOAD_HEADER.size + sum(
+        6 if dt is DataType.TEXT else 2 for dt in dtypes
+    )
     budget = frame_bytes - (_FRAME_HEADER.size + 1)
 
-    def slice_size(start: int, stop: int) -> int:
+    def fits(start: int, stop: int) -> bool:
         rows = stop - start
-        bitmap_rows = (rows + 7) // 8
-        bitmaps = sum(
-            bitmap_rows
-            for cum in null_cums
-            if cum[stop] - cum[start] > 0
-        )
-        return (
+        bitmaps = sum(1 for cum in null_cums if cum[stop] > cum[start])
+        size = (
             base
-            + bitmaps
+            + bitmaps * ((rows + 7) // 8)
             + rows * fixed_per_row
             + int(text_cum[stop] - text_cum[start])
         )
+        return size <= budget
 
+    frame_type = bytes((int(FrameType.ROWS_BIN),))
     start = 0
     while start < n:
-        stop = start + 1  # a frame always carries at least one row
-        while stop < n and slice_size(start, stop + 1) <= budget:
-            stop += 1
-        yield _encode_slice(qid, cols, dtypes, start, stop, encoded_by_col)
+        # Largest stop with a fitting slice; a frame carries >= 1 row.
+        stop, over = start + 1, n
+        if fits(start, n):
+            stop = n
+        while over - stop > 1:
+            mid = (stop + over) // 2
+            if fits(start, mid):
+                stop = mid
+            else:
+                over = mid
+        pieces = [_PAYLOAD_HEADER.pack(qid, stop - start, len(columns))]
+        for tag, mask, cum, data, blob in columns:
+            nulls = cum is not None and bool(cum[stop] > cum[start])
+            pieces.append(bytes((tag, nulls)))
+            if nulls:
+                bits = np.packbits(mask[start:stop], bitorder="little")
+                pieces.append(bits.tobytes())
+            if blob is None:
+                pieces.append(data[start:stop].tobytes())
+                continue
+            lo, hi = int(data[start]), int(data[stop])
+            if hi - lo > 0xFFFFFFFF:
+                raise ProtocolError(
+                    "TEXT column chunk exceeds the 4 GiB offset range; "
+                    "lower frame_bytes"
+                )
+            offsets = (data[start : stop + 1] - lo).astype("<u4")
+            pieces += [offsets.tobytes(), memoryview(blob)[lo:hi]]
+        length = sum(map(len, pieces)) + 1
+        yield b"".join([_FRAME_HEADER.pack(length), frame_type, *pieces])
         start = stop
 
 
@@ -243,15 +207,41 @@ def peek_qid(body: bytes) -> int:
     return _PAYLOAD_HEADER.unpack_from(body, 0)[0]
 
 
+def _decode_text(
+    view: memoryview, pos: int, offsets: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """One TEXT column whose blob starts at ``view[pos]``: one bounds
+    check, one strict UTF-8 decode of the blob, then slices of it — or,
+    when the blob is not ASCII (char offsets are not byte offsets), one
+    decode per value, so a character split across two values still
+    raises.  NULL slots become ``None`` through ``mask``."""
+    if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+        raise ProtocolError("ROWS_BIN text offsets do not ascend from 0")
+    bounds = offsets.tolist()
+    blob = view[pos : pos + bounds[-1]]
+    if len(blob) != bounds[-1]:
+        raise ProtocolError("ROWS_BIN text blob shorter than its offsets")
+    text = str(blob, "utf-8")
+    spans = zip(bounds, bounds[1:])
+    values = np.empty(len(bounds) - 1, dtype=object)
+    if len(text) == len(blob):
+        values[:] = [text[a:b] for a, b in spans]
+    else:
+        values[:] = [str(blob[a:b], "utf-8") for a, b in spans]
+    values[mask] = None
+    return values
+
+
 def decode_binary_rows(
     body: bytes, names: list[str], dtypes: list[DataType]
 ) -> Batch:
     """Decode one ROWS_BIN payload into a :class:`Batch`.
 
     Numeric vectors come back through one ``frombuffer`` + copy per
-    column (owned arrays — the frame buffer is not retained); TEXT is
-    rebuilt per value from the offsets array, which is the only
-    per-value loop left on the hot path.
+    column (owned arrays — the frame buffer is not retained); a TEXT
+    column through one bounds check and one UTF-8 decode of its blob
+    (see :func:`_decode_text`), NULL slots set to ``None`` by the mask.
+    Anything malformed raises :class:`ProtocolError`.
     """
     view = memoryview(body)
     try:
@@ -264,6 +254,8 @@ def decode_binary_rows(
             f"{len(dtypes)}"
         )
     pos = _PAYLOAD_HEADER.size
+    if n_cols and n_rows > len(view) - pos:  # every cell takes >= 1 byte
+        raise ProtocolError(f"ROWS_BIN payload too short for {n_rows} rows")
     columns: dict[str, ColumnVector] = {}
     try:
         for name, dtype in zip(names, dtypes):
@@ -284,37 +276,15 @@ def decode_binary_rows(
                 pos += nb
             else:
                 mask = np.zeros(n_rows, dtype=np.bool_)
-            if dtype is DataType.FLOAT:
-                values = np.frombuffer(
-                    view, "<f8", count=n_rows, offset=pos
-                ).astype(np.float64)
-                pos += 8 * n_rows
-            elif dtype is DataType.BOOLEAN:
-                values = np.frombuffer(
-                    view, np.uint8, count=n_rows, offset=pos
-                ).astype(np.bool_)
-                pos += n_rows
-            elif dtype is DataType.TEXT:
-                offsets = np.frombuffer(
-                    view, "<u4", count=n_rows + 1, offset=pos
-                )
-                pos += 4 * (n_rows + 1)
-                values = np.empty(n_rows, dtype=object)
-                for i in range(n_rows):
-                    if not mask[i]:
-                        lo = pos + int(offsets[i])
-                        hi = pos + int(offsets[i + 1])
-                        if hi > len(view):
-                            raise ProtocolError(
-                                "ROWS_BIN text blob shorter than its offsets"
-                            )
-                        values[i] = str(view[lo:hi], "utf-8")
-                pos += int(offsets[-1])
-            else:  # INTEGER / DATE
-                values = np.frombuffer(
-                    view, "<i8", count=n_rows, offset=pos
-                ).astype(np.int64)
-                pos += 8 * n_rows
+            wire = _WIRE_DTYPE[dtype]
+            count = n_rows + 1 if dtype is DataType.TEXT else n_rows
+            vector = np.frombuffer(view, wire, count=count, offset=pos)
+            pos += vector.nbytes
+            if dtype is DataType.TEXT:
+                values = _decode_text(view, pos, vector, mask)
+                pos += int(vector[-1])
+            else:
+                values = vector.astype(dtype.numpy_dtype)
             columns[name] = ColumnVector(dtype, values, mask)
     except (ValueError, IndexError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"undecodable ROWS_BIN payload: {exc}") from None

@@ -54,10 +54,12 @@ silently ignored (the natural END is already in flight — the client
 drains to it), which makes the close race benign.
 
 Frames are bounded by ``frame_bytes``: outgoing ROWS_BIN frames are
-*split* (:func:`repro.server.encoding.iter_binary_row_frames` packs
-rows greedily by exact encoded size), and incoming frames over the
-limit are rejected as a :class:`repro.errors.ProtocolError` instead of
-buffered without bound.
+*split* (:func:`repro.server.encoding.iter_binary_row_frames` gives
+each frame the longest run of rows whose exact encoded size fits —
+one size check per batch, a bisection over prefix sums only when the
+batch is over the bound), and incoming frames over the limit are
+rejected as a :class:`repro.errors.ProtocolError` instead of buffered
+without bound.
 """
 
 from __future__ import annotations

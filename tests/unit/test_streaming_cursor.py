@@ -80,6 +80,28 @@ class TestCursor:
         rest = cursor.fetchall()
         assert [first] + rest.rows == expected_rows(8)
 
+    def test_mixed_fetch_styles_return_rows_in_order(self):
+        cursor = make_cursor([5, 1, 6, 4])
+        out = [cursor.fetchone()]
+        out += cursor.fetchmany(3)
+        out.append(cursor.fetchone())
+        out += cursor.fetchmany(4)  # crosses two batch boundaries
+        assert cursor.fetchmany(0) == []
+        out.append(cursor.fetchone())
+        out += cursor.fetchmany(2)
+        out += cursor.fetchall().rows
+        assert out == expected_rows(16)
+        assert cursor.fetchone() is None and cursor.fetchmany(3) == []
+
+    def test_row_iteration_over_one_big_batch_is_linear(self):
+        # Each fetchone is O(1): it must not copy the unread rest of
+        # the batch, which made this loop quadratic (seconds).
+        cursor = make_cursor([65_536])
+        started = time.perf_counter()
+        count = sum(1 for _ in cursor)
+        assert time.perf_counter() - started < 1.0
+        assert count == 65_536 and cursor.exhausted
+
     def test_batches_iterator_yields_batches(self):
         cursor = make_cursor([3, 3])
         sizes = [b.num_rows for b in cursor.batches()]

@@ -1,7 +1,8 @@
 """The wire protocol's building blocks in isolation: frame round-trips,
 oversized-frame rejection, the reserved 0x05 byte, ROWS_BIN frame
 splitting and decoding (value-for-value against ``batch_rows`` of the
-source batch), and the exception <-> wire-code mapping."""
+source batch), TEXT offset validation, and the exception <-> wire-code
+mapping."""
 
 from __future__ import annotations
 
@@ -222,6 +223,15 @@ class TestBinaryCodec:
         with pytest.raises(ProtocolError):
             decode_binary_rows(payload["data"][:-9], names, MIXED_DTYPES)
 
+    def test_row_count_beyond_payload_rejected(self):
+        # Checked before any per-column vector is allocated.
+        frames, names, _ = encode_mixed(1 << 20)
+        _, payload = read_frame_blocking(io.BytesIO(frames[0]), 1 << 20)
+        data = payload["data"]
+        forged = data[:4] + struct.pack("<I", 2**32 - 1) + data[8:]
+        with pytest.raises(ProtocolError, match="too short"):
+            decode_binary_rows(forged, names, MIXED_DTYPES)
+
     def test_trailing_garbage_rejected(self):
         frames, names, _ = encode_mixed(1 << 20)
         _, payload = read_frame_blocking(io.BytesIO(frames[0]), 1 << 20)
@@ -229,6 +239,46 @@ class TestBinaryCodec:
             decode_binary_rows(
                 payload["data"] + b"\x00", names, MIXED_DTYPES
             )
+
+
+def text_payload(offsets: list[int], blob: bytes) -> bytes:
+    """A hand-built one-TEXT-column ROWS_BIN payload, no NULLs."""
+    n = len(offsets) - 1
+    return (
+        struct.pack("<IIH", 1, n, 1)
+        + bytes((3, 0))
+        + struct.pack(f"<{n + 1}I", *offsets)
+        + blob
+    )
+
+
+class TestTextOffsets:
+    def decode(self, offsets, blob):
+        batch = decode_binary_rows(
+            text_payload(offsets, blob), ["s"], [DataType.TEXT]
+        )
+        return batch.column("s").to_pylist()
+
+    def test_well_formed_offsets_decode(self):
+        assert self.decode([0, 5, 5, 8], b"abcdefgh") == ["abcde", "", "fgh"]
+        assert self.decode([0, 2, 6], "éa日".encode()) == ["é", "a日"]
+
+    def test_decreasing_offsets_rejected(self):
+        with pytest.raises(ProtocolError, match="offsets"):
+            self.decode([0, 5, 3, 8], b"abcdefgh")
+
+    def test_offsets_not_starting_at_zero_rejected(self):
+        with pytest.raises(ProtocolError, match="offsets"):
+            self.decode([2, 4, 6], b"abcdef")
+
+    def test_offsets_past_the_blob_rejected(self):
+        with pytest.raises(ProtocolError, match="shorter"):
+            self.decode([0, 3, 9], b"abcdef")
+
+    def test_character_split_across_values_rejected(self):
+        # The blob alone is valid UTF-8; the boundary cuts "é" in two.
+        with pytest.raises(ProtocolError):
+            self.decode([0, 1, 2], "é".encode())
 
 
 class TestWireCodes:

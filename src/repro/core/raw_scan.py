@@ -27,10 +27,24 @@ bucket of the Figure 3 breakdown.
 **Selective tuple formation** is two-phase row assembly: predicate
 columns are materialized first, the filter runs, and the remaining
 projected columns are *converted only for qualifying rows* — "tuples are
-only created after the select operator".  Tokenization of a batch stays
-full-width for the attributes the query touches (that is what populates
-the map); the savings land in parsing/convert, and — once the map knows
-the projected attributes — later queries jump per qualifying row only.
+only created after the select operator".  The filter runs once per
+*stride* of rows.  The first stride is the first batch, so the first
+batch leaves as early as a per-batch scan's would.  A scan is
+**resident** when it has a predicate and every segment it covers serves
+all the predicate's attributes from the cache or the columnstore and
+has no needed attribute left to tokenize.  A resident scan doubles each
+later stride, up to :data:`MAX_STRIDE_BATCHES` batches: one acquisition
+of the predicate columns, one mask and one selection vector per stride.
+Columns the cache or columnstore hold are taken once per stride for the
+survivors.  When those are all the scan needs, survivors leave in
+batches of up to ``batch_size`` rows.  Otherwise each ``batch_size``
+input window with survivors is one batch, and the other columns are
+map-jumped per window, for its survivors only (all of a window's rows
+when every one qualifies, so the cache and statistics still collect
+them).  Any other scan steps one batch at a time: tokenization of a
+batch stays full-width for the attributes the query touches (that is
+what populates the map), even when no row of it qualifies.  Rows always
+leave in file order.
 
 Coverage bookkeeping: cache entries and positional chunks always cover a
 row *prefix*.  After an external append the old prefix stays valid and
@@ -41,8 +55,8 @@ in place.
 offset into the raw file, and it reads only the ranges its plan needs:
 the whole file once while the line index is unknown, ``[old end,
 size)`` after an append (from the last known record's terminator
-on), and otherwise — per batch — the one window from the first to the
-last row that needs a jump or tokenizing (nothing when no row
+on), and otherwise — per batch window — the one range from the first
+to the last row that needs a jump or tokenizing (nothing when no row
 qualifies).  See :mod:`repro.rawio.reader`.
 """
 
@@ -84,6 +98,10 @@ _NODB = BreakdownComponent.NODB
 #: ``(values, nulls)`` — built where the fields are found, run (and
 #: timed) by ``_acquire_attr_part``.
 _Converter = Callable[[], tuple[np.ndarray, np.ndarray]]
+
+#: A resident scan's selection stride doubles from one batch up to this
+#: many batches, so a stride's temporaries stay bounded on big tables.
+MAX_STRIDE_BATCHES = 64
 
 
 class RawTableState:
@@ -237,6 +255,16 @@ class _SpanCollector:
         return np.vstack(self.blocks)
 
 
+def _held(segments: list[_Segment], attrs: list[int]) -> bool:
+    """Is every attribute of ``attrs`` served by the cache or the
+    columnstore in every segment?"""
+    return all(
+        a in seg.cache_entries or a in seg.vp_attrs
+        for seg in segments
+        for a in attrs
+    )
+
+
 def _empty_vector(dtype: DataType) -> ColumnVector:
     return ColumnVector(
         dtype,
@@ -332,6 +360,7 @@ class RawScan(Operator):
         needed = list(dict.fromkeys(self._pred_columns + self.output_columns))
         self._needed_attrs = sorted(self.schema.positions(needed))
         self._attr_name = {self.schema.position(n): n for n in needed}
+        self._out_attrs = set(self.schema.positions(self.output_columns))
 
         #: The engine-owned :class:`repro.kernels.KernelCache`, set by
         #: the service's scan factory.  Unset (bare scans, parallel
@@ -470,53 +499,115 @@ class RawScan(Operator):
         pred_attrs: list[int],
         proj_only: list[int],
     ) -> Iterator[Batch]:
-        # Batch cuts stay on table-wide ``batch_size`` multiples when
-        # the scan starts mid-table, as the pool's row cuts do.
-        row_from = self.row_from
-        first_cut = row_from - row_from % batch_size
-        for r0 in range(first_cut, row_to, batch_size):
-            r1 = min(row_to, r0 + batch_size)
-            r0 = max(r0, row_from)
-            self._batch_spans.clear()
-            if self.predicate is None:
-                vectors = self._acquire(self._needed_attrs, segments, r0, r1)
-                batch = self._emit(vectors, r1 - r0)
-                if batch.num_rows:
-                    yield batch
-                continue
-            pred_vectors = self._acquire(pred_attrs, segments, r0, r1)
+        # Strides and windows cut on table-wide ``batch_size`` multiples
+        # when the scan starts mid-table, as the pool's row cuts do.  The
+        # first stride is the first batch; a resident scan doubles each
+        # later one, any other scan steps one batch at a time.
+        covered = [seg for seg in segments if seg.start < row_to]
+        resident = self._resident(covered, pred_attrs)
+        held = [a for a in proj_only if resident and _held(covered, [a])]
+        jumped = [a for a in proj_only if a not in held]
+        max_stride = batch_size * (MAX_STRIDE_BATCHES if resident else 1)
+        stride = batch_size
+        s0 = self.row_from
+        s1 = s0 - s0 % batch_size + batch_size
+        while s0 < row_to:
+            s1 = min(s1, row_to)
+            yield from self._select_stride(
+                segments,
+                s0,
+                s1,
+                batch_size,
+                pred_attrs,
+                held,
+                jumped,
+                resident,
+            )
+            stride = min(2 * stride, max_stride)
+            s0, s1 = s1, s1 + stride
+
+    def _resident(
+        self, segments: list[_Segment], pred_attrs: list[int]
+    ) -> bool:
+        """Is there a predicate, and does every segment serve its
+        attributes from the cache or the columnstore, with nothing left
+        to tokenize?"""
+        return (
+            self.predicate is not None
+            and _held(segments, pred_attrs)
+            and not any(seg.tokenize_attrs for seg in segments)
+        )
+
+    def _select_stride(
+        self,
+        segments: list[_Segment],
+        s0: int,
+        s1: int,
+        batch_size: int,
+        pred_attrs: list[int],
+        held: list[int],
+        jumped: list[int],
+        resident: bool,
+    ) -> Iterator[Batch]:
+        """Emit the rows of ``[s0, s1)`` the predicate keeps, in file
+        order: one evaluation and one ``take`` per held column for the
+        whole stride; ``jumped`` columns are acquired per ``batch_size``
+        window, for that window's survivors only."""
+        self._batch_spans.clear()
+        # Survivors' vectors by survivor rank; ``selected`` (relative to
+        # ``s0``) stays ``None`` while every row survives.
+        vectors: dict[int, ColumnVector] = {}
+        selected = None
+        if self.predicate is not None:
+            pred_vectors = self._acquire(pred_attrs, segments, s0, s1)
             pred_batch = Batch(
-                {self._attr_name[a]: v for a, v in pred_vectors.items()}
+                {self._attr_name[a]: v for a, v in pred_vectors.items()},
+                num_rows=s1 - s0,
             )
             mask = predicate_mask(self.predicate, pred_batch)
-            selected = np.flatnonzero(mask)
-            selective = (
-                self.config.selective_tuple_formation
-                and len(selected) < (r1 - r0)
-            )
-            if selective:
-                # Even with no qualifying rows the projected attributes
-                # must be tokenized once so the map keeps learning.
-                sel_abs = selected + r0
-                proj_vectors = self._acquire(
-                    proj_only, segments, r0, r1, sel=sel_abs
+            if not mask.all():
+                selected = np.flatnonzero(mask)
+            vectors = {
+                a: v if selected is None else v.take(selected)
+                for a, v in pred_vectors.items()
+                if a in self._out_attrs
+            }
+        sel_abs = None if selected is None else selected + s0
+        n_out = s1 - s0 if selected is None else len(selected)
+        if held and n_out:
+            vectors.update(self._acquire(held, segments, s0, s1, sel=sel_abs))
+        if not jumped:
+            for k in range(0, n_out, batch_size):
+                end = min(k + batch_size, n_out)
+                yield self._emit(
+                    {a: v.slice(k, end) for a, v in vectors.items()}, end - k
                 )
-                if len(selected) == 0:
-                    continue
-                vectors = {
-                    a: v.take(selected) for a, v in pred_vectors.items()
-                }
-                vectors.update(proj_vectors)
-            else:
-                proj_vectors = self._acquire(proj_only, segments, r0, r1)
-                if len(selected) == 0:
-                    continue
-                vectors = dict(pred_vectors)
-                vectors.update(proj_vectors)
-                vectors = {a: v.filter(mask) for a, v in vectors.items()}
-            batch = self._emit(vectors, len(selected))
-            if batch.num_rows:
-                yield batch
+            return
+        # Window ``i`` is rows ``s0 + edges[i]`` up to ``s0 + edges[i +
+        # 1]``; its survivors are ranks ``cuts[i]`` up to ``cuts[i + 1]``.
+        edges = [*range(0, s1 - s0, batch_size), s1 - s0]
+        cuts = edges
+        if selected is not None:
+            cuts = np.searchsorted(selected, edges).tolist()
+        for i in range(len(edges) - 1):
+            w0, w1 = s0 + edges[i], s0 + edges[i + 1]
+            a, b = cuts[i], cuts[i + 1]
+            sel = None
+            if b - a < w1 - w0 and self.config.selective_tuple_formation:
+                sel = sel_abs[a:b]
+                if a == b and resident:
+                    continue  # nothing qualifies, nothing left to learn
+            # Even with no qualifying rows a window that tokenizes does
+            # so once, so the map keeps learning.
+            part = self._acquire(jumped, segments, w0, w1, sel=sel)
+            if a == b:
+                continue
+            if sel is None and b - a < w1 - w0:
+                rows = selected[a:b] - (w0 - s0)
+                part = {x: v.take(rows) for x, v in part.items()}
+            window = {x: v.slice(a, b) for x, v in vectors.items()}
+            window.update(part)
+            yield self._emit(window, b - a)
 
     def _emit(self, vectors: dict[int, ColumnVector], num_rows: int) -> Batch:
         # A zero-column batch still carries its row count (COUNT(*)

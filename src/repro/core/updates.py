@@ -93,28 +93,24 @@ def detect_change(
     except FileNotFoundError:
         return FileChange.MISSING, None
 
-    new_size = stat.st_size
-    if new_size == old.size_bytes and stat.st_mtime_ns == old.mtime_ns:
+    if stat.st_size == old.size_bytes and stat.st_mtime_ns == old.mtime_ns:
         return FileChange.UNCHANGED, old
 
+    # A writer may still be appending: the size ``current`` saw is the
+    # one judged, never the first ``stat``'s (a write can move mtime
+    # before it moves the size).
     current = fingerprint_file(path)
-    if new_size < old.size_bytes:
+    if current.size_bytes < old.size_bytes:
         return FileChange.REWRITTEN, current
-    if new_size == old.size_bytes:
-        if (
-            current.head_hash == old.head_hash
-            and current.tail_hash == old.tail_hash
-        ):
-            # Touched but content windows identical: treat as unchanged.
-            return FileChange.UNCHANGED, current
-        return FileChange.REWRITTEN, current
-
-    # Grew: verify the old extent is intact where we have evidence.
+    # Verify the old extent is intact where we have evidence.
     head_len = min(old.size_bytes, _HEAD_WINDOW)
     tail_len = min(old.size_bytes, _TAIL_WINDOW)
     with open(path, "rb") as f:
         head_now = _hash_window(f, 0, head_len)
         tail_now = _hash_window(f, old.tail_offset, tail_len)
-    if head_now == old.head_hash and tail_now == old.tail_hash:
-        return FileChange.APPENDED, current
-    return FileChange.REWRITTEN, current
+    if head_now != old.head_hash or tail_now != old.tail_hash:
+        return FileChange.REWRITTEN, current
+    if current.size_bytes == old.size_bytes:
+        # Touched but content windows identical: treat as unchanged.
+        return FileChange.UNCHANGED, current
+    return FileChange.APPENDED, current

@@ -56,15 +56,12 @@ def infer_type(expr: Expression, types: dict[str, DataType]) -> DataType:
             return DataType.TEXT
         left = infer_type(expr.left, types)
         right = infer_type(expr.right, types)
-        if expr.op == "/":
-            return DataType.FLOAT
-        if left is DataType.DATE and right is DataType.DATE and expr.op == "-":
-            return DataType.INTEGER
-        if DataType.DATE in (left, right) and expr.op in ("+", "-"):
-            return DataType.DATE
-        if DataType.FLOAT in (left, right):
-            return DataType.FLOAT
-        return DataType.INTEGER
+        # An untyped NULL operand takes the other one's type.
+        if _is_null(expr.left):
+            left = right
+        elif _is_null(expr.right):
+            right = left
+        return _arith_dtype(expr.op, left, right)
     if isinstance(expr, UnaryOp):
         if expr.op == "not":
             return DataType.BOOLEAN
@@ -188,7 +185,7 @@ def evaluate(expr: Expression, batch: Batch) -> ColumnVector:
 
 def predicate_mask(expr: Expression, batch: Batch) -> np.ndarray:
     """WHERE semantics: True only where the predicate is TRUE and not NULL."""
-    result = evaluate(expr, batch)
+    (result,) = _operands([expr], batch, DataType.BOOLEAN)
     if result.dtype is not DataType.BOOLEAN:
         raise ExecutionError(
             f"predicate evaluates to {result.dtype.value}, expected boolean"
@@ -196,12 +193,36 @@ def predicate_mask(expr: Expression, batch: Batch) -> np.ndarray:
     return np.asarray(result.values, dtype=np.bool_) & ~result.null_mask
 
 
+def _is_null(expr: Expression) -> bool:
+    """Is ``expr`` the untyped ``NULL`` literal?"""
+    return isinstance(expr, Literal) and expr.dtype is None
+
+
+def _null_vector(dtype: DataType, n: int) -> ColumnVector:
+    values = np.zeros(n, dtype=dtype.numpy_dtype)
+    if dtype is DataType.TEXT:
+        values.fill(None)
+    return ColumnVector(dtype, values, np.ones(n, dtype=np.bool_))
+
+
+def _operands(
+    exprs: list[Expression], batch: Batch, default: DataType
+) -> list[ColumnVector]:
+    """Evaluate the operands of one operator.  An untyped ``NULL`` takes
+    the type of the first typed operand (``default`` when there is
+    none): SQL's NULL of unknown type yields NULL, never a type error."""
+    vectors = [None if _is_null(e) else evaluate(e, batch) for e in exprs]
+    dtype = next((v.dtype for v in vectors if v is not None), default)
+    return [
+        _null_vector(dtype, batch.num_rows) if v is None else v
+        for v in vectors
+    ]
+
+
 def _literal_vector(lit: Literal, n: int) -> ColumnVector:
     dtype = lit.dtype
-    if dtype is None:  # NULL literal: type defaults to TEXT
-        values = np.empty(n, dtype=object)
-        values.fill(None)
-        return ColumnVector(DataType.TEXT, values, np.ones(n, dtype=np.bool_))
+    if dtype is None:  # NULL literal: TEXT unless an operator types it
+        return _null_vector(DataType.TEXT, n)
     if dtype is DataType.TEXT:
         values = np.empty(n, dtype=object)
         values.fill(lit.value)
@@ -213,8 +234,7 @@ def _literal_vector(lit: Literal, n: int) -> ColumnVector:
 def _evaluate_binary(expr: BinaryOp, batch: Batch) -> ColumnVector:
     if expr.op in ("and", "or"):
         return _evaluate_logical(expr, batch)
-    left = evaluate(expr.left, batch)
-    right = evaluate(expr.right, batch)
+    left, right = _operands([expr.left, expr.right], batch, DataType.INTEGER)
     if expr.op in _COMPARISONS:
         return _compare(expr.op, left, right)
     if expr.op in _ARITHMETIC:
@@ -225,8 +245,7 @@ def _evaluate_binary(expr: BinaryOp, batch: Batch) -> ColumnVector:
 
 
 def _evaluate_logical(expr: BinaryOp, batch: Batch) -> ColumnVector:
-    left = evaluate(expr.left, batch)
-    right = evaluate(expr.right, batch)
+    left, right = _operands([expr.left, expr.right], batch, DataType.BOOLEAN)
     for side in (left, right):
         if side.dtype is not DataType.BOOLEAN:
             raise ExecutionError(
@@ -328,27 +347,30 @@ def _arithmetic(
     if op == "%":
         zero_div = r == 0
         safe_r = np.where(zero_div, 1, r)
-        values = l % safe_r
-        return ColumnVector(
-            _arith_dtype(left, right), values, nulls | zero_div
-        )
+        # SQL's remainder takes the dividend's sign (numpy's ``%``
+        # would take the divisor's).
+        values = np.fmod(l, safe_r)
+        dtype = _arith_dtype(op, left.dtype, right.dtype)
+        return ColumnVector(dtype, values, nulls | zero_div)
     if op == "+":
         values = l + r
     elif op == "-":
         values = l - r
     else:
         values = l * r
-    return ColumnVector(_arith_dtype(left, right, op), values, nulls)
+    dtype = _arith_dtype(op, left.dtype, right.dtype)
+    return ColumnVector(dtype, values, nulls)
 
 
-def _arith_dtype(
-    left: ColumnVector, right: ColumnVector, op: str = "%"
-) -> DataType:
-    if left.dtype is DataType.DATE and right.dtype is DataType.DATE:
+def _arith_dtype(op: str, left: DataType, right: DataType) -> DataType:
+    """Result type of ``left op right`` for an arithmetic ``op``."""
+    if op == "/":
+        return DataType.FLOAT
+    if left is DataType.DATE and right is DataType.DATE and op == "-":
         return DataType.INTEGER  # date - date = days
-    if DataType.DATE in (left.dtype, right.dtype):
+    if DataType.DATE in (left, right) and op in ("+", "-"):
         return DataType.DATE
-    if DataType.FLOAT in (left.dtype, right.dtype):
+    if DataType.FLOAT in (left, right):
         return DataType.FLOAT
     return DataType.INTEGER
 
@@ -364,7 +386,8 @@ def _concat(left: ColumnVector, right: ColumnVector) -> ColumnVector:
 
 
 def _evaluate_unary(expr: UnaryOp, batch: Batch) -> ColumnVector:
-    operand = evaluate(expr.operand, batch)
+    default = DataType.BOOLEAN if expr.op == "not" else DataType.TEXT
+    (operand,) = _operands([expr.operand], batch, default)
     if expr.op == "not":
         if operand.dtype is not DataType.BOOLEAN:
             raise ExecutionError("NOT expects a boolean operand")
@@ -384,9 +407,9 @@ def _evaluate_unary(expr: UnaryOp, batch: Batch) -> ColumnVector:
 
 
 def _evaluate_between(expr: Between, batch: Batch) -> ColumnVector:
-    value = evaluate(expr.expr, batch)
-    low = evaluate(expr.low, batch)
-    high = evaluate(expr.high, batch)
+    value, low, high = _operands(
+        [expr.expr, expr.low, expr.high], batch, DataType.INTEGER
+    )
     ge = _compare(">=", value, low)
     le = _compare("<=", value, high)
     result = _evaluate_logical_pair("and", ge, le)
@@ -419,8 +442,6 @@ def _negate_bool(vec: ColumnVector) -> ColumnVector:
 
 
 def _evaluate_in(expr: InList, batch: Batch) -> ColumnVector:
-    value = evaluate(expr.expr, batch)
-    n = len(value)
     has_null_item = any(
         isinstance(i, Literal) and i.value is None for i in expr.items
     )
@@ -429,9 +450,10 @@ def _evaluate_in(expr: InList, batch: Batch) -> ColumnVector:
         for i in expr.items
         if not (isinstance(i, Literal) and i.value is None)
     ]
+    value, *items = _operands([expr.expr, *concrete], batch, DataType.INTEGER)
+    n = len(value)
     matched = np.zeros(n, dtype=np.bool_)
-    for item in concrete:
-        item_vec = evaluate(item, batch)
+    for item_vec in items:
         eq = _compare("=", value, item_vec)
         matched |= np.asarray(eq.values, dtype=np.bool_) & ~eq.null_mask
     nulls = value.null_mask.copy()

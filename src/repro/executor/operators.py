@@ -333,7 +333,12 @@ class _ColumnarAggregate:
     for ``COUNT(*)``) and ``value`` the running SUM / MIN / MAX; a
     batch is folded into both with one ``ufunc.at`` each, which applies
     rows in order — so a FLOAT sum is the same left-to-right sum
-    however the input is cut into batches.  No Python runs per row.
+    however the input is cut into batches.  While there is one group
+    (a global aggregate, or a GROUP BY that has met one key so far),
+    order cannot matter for a count or for an exact INTEGER sum still
+    held in int64: a count adds the batch's length and the sum adds
+    ``values.sum()``.  FLOAT SUM / AVG and MIN / MAX keep ``ufunc.at``.
+    No Python runs per row.
     """
 
     def __init__(
@@ -365,14 +370,14 @@ class _ColumnarAggregate:
         """Add one batch whose row ``i`` belongs to ``group_ids[i]``."""
         self._reserve(n_groups)
         if self.arg is None:  # COUNT(*)
-            np.add.at(self.count, group_ids, 1)
+            self._count(group_ids, n_groups)
             return
         vector = evaluate(self.arg, batch)
         values = vector.values
         if vector.null_mask.any():
             valid = ~vector.null_mask
             values, group_ids = values[valid], group_ids[valid]
-        np.add.at(self.count, group_ids, 1)
+        self._count(group_ids, n_groups)
         if self.ufunc is None:
             return
         if self.exact_sum and len(values):
@@ -381,9 +386,19 @@ class _ColumnarAggregate:
             )
             if self.magnitude > _INT64_MAX and self.value.dtype != object:
                 self.value = self.value.astype(object)
+        if n_groups == 1 and self.exact_sum and self.value.dtype != object:
+            # Exact and bounded by ``magnitude``: order cannot matter.
+            self.value[0] += values.sum(dtype=np.int64)
+            return
         self.ufunc.at(
             self.value, group_ids, values.astype(self.value.dtype, copy=False)
         )
+
+    def _count(self, group_ids: np.ndarray, n_groups: int) -> None:
+        if n_groups == 1:
+            self.count[0] += len(group_ids)
+        else:
+            np.add.at(self.count, group_ids, 1)
 
     def result(self, n_groups: int, dtype: DataType) -> ColumnVector:
         self._reserve(n_groups)

@@ -472,8 +472,11 @@ class Planner:
                     residual.append(conjunct)
 
         needed = self._needed_columns(stmt, residual, edges, bindings)
-        estimates = {}
+        if len(bindings) == 1:
+            # Estimates only order joins and pick build sides.
+            return self._build_scan(bindings[0], needed, pushed), residual
         by_alias = {b.alias: b for b in bindings}
+        estimates = {}
         for binding in bindings:
             stats = self.stats_provider(binding.table_name)
             pred = conjoin(

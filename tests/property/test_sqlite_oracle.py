@@ -1,0 +1,285 @@
+"""Differential tests against an external oracle: stdlib ``sqlite3``.
+
+Every other equivalence suite compares two paths of this engine, which
+share the planner and the executor.  Here a generated table with NULLs
+is loaded into ``sqlite3`` too, and every generated statement must give
+the same rows on both — cold, then repeated until its columns are
+cache-resident, with appends interleaved between statements, across
+batch sizes, the columnstore + materialized-aggregate tiers and the
+parallel scan pool.
+
+SQL semantics where sqlite's defaults differ are spelled out on its
+side: ``LIKE`` is made case-sensitive and ``ORDER BY`` says ``NULLS
+LAST`` (``NULLS FIRST`` descending).  Generated floats are multiples of
+1/4 and small, so sums are exact in any order.
+"""
+
+from __future__ import annotations
+
+import math
+import sqlite3
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import (
+    Column,
+    DataType,
+    PostgresRaw,
+    PostgresRawConfig,
+    TableSchema,
+    append_csv_rows,
+    write_csv,
+)
+
+SCHEMA = TableSchema(
+    [
+        Column("i", DataType.INTEGER),
+        Column("j", DataType.INTEGER),
+        Column("f", DataType.FLOAT),
+        Column("s", DataType.TEXT),
+    ]
+)
+NUMERIC = ("i", "j", "f")
+WORDS = ("a", "b", "ab", "ba", "abc", "B", "bb")
+
+CONFIGS = {
+    "batch3": {"batch_size": 3},
+    "batch7": {"batch_size": 7},
+    "batch4096": {"batch_size": 4096},
+    "vp_mv": {
+        "batch_size": 7,
+        "vp_enabled": True,
+        "vp_min_accesses": 1,
+        "mv_auto": True,
+        "mv_min_repeats": 1,
+    },
+    "workers2": {"batch_size": 7, "scan_workers": 2},
+}
+
+# ----------------------------------------------------------------------
+# Tables.
+# ----------------------------------------------------------------------
+
+ints = st.one_of(st.none(), st.integers(-9, 9))
+floats = st.one_of(st.none(), st.integers(-40, 40).map(lambda q: q / 4))
+texts = st.one_of(st.none(), st.sampled_from(WORDS))
+row = st.tuples(ints, ints, floats, texts)
+rows_of = st.lists(row, max_size=30)
+
+# ----------------------------------------------------------------------
+# Expressions: typed, so both engines accept them.
+# ----------------------------------------------------------------------
+
+int_literals = st.integers(-9, 9).map(str)
+float_literals = st.integers(-40, 40).map(lambda q: repr(q / 4))
+text_literals = st.sampled_from(WORDS).map(lambda w: f"'{w}'")
+
+
+def _numeric(depth: int):
+    leaf = st.one_of(st.sampled_from(NUMERIC), int_literals, float_literals)
+    if depth == 0:
+        return leaf
+    inner = _numeric(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+    )
+
+
+numeric = _numeric(2)
+compare_ops = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+negation = st.sampled_from(["", "NOT "])
+
+
+def _in_items(items):
+    return st.lists(st.one_of(st.just("NULL"), items), min_size=1, max_size=4)
+
+
+def _atoms():
+    return st.one_of(
+        st.tuples(numeric, compare_ops, numeric).map(" ".join),
+        # ``%`` over integers, ``/`` with a FLOAT dividend: sqlite
+        # would divide two integers as integers.
+        st.tuples(
+            st.sampled_from(["i", "j"]),
+            int_literals,
+            compare_ops,
+            int_literals,
+        ).map(lambda t: f"({t[0]} % {t[1]}) {t[2]} {t[3]}"),
+        st.tuples(
+            st.sampled_from(["i", "j", "2", "-3", "0"]),
+            compare_ops,
+            float_literals,
+        ).map(lambda t: f"(f / {t[0]}) {t[1]} {t[2]}"),
+        st.tuples(st.just("s"), compare_ops, text_literals).map(" ".join),
+        st.tuples(
+            st.one_of(numeric, st.just("s")), st.sampled_from(["=", "<>"])
+        ).map(lambda t: f"{t[0]} {t[1]} NULL"),
+        st.tuples(
+            st.sampled_from(NUMERIC + ("s",)), st.sampled_from(["", "NOT "])
+        ).map(lambda t: f"{t[0]} IS {t[1]}NULL"),
+        st.tuples(
+            numeric,
+            negation,
+            st.one_of(int_literals, st.just("NULL")),
+            st.one_of(int_literals, st.just("NULL")),
+        ).map(lambda t: f"{t[0]} {t[1]}BETWEEN {t[2]} AND {t[3]}"),
+        st.tuples(numeric, negation, _in_items(int_literals)).map(
+            lambda t: f"{t[0]} {t[1]}IN ({', '.join(t[2])})"
+        ),
+        st.tuples(st.just("s"), negation, _in_items(text_literals)).map(
+            lambda t: f"{t[0]} {t[1]}IN ({', '.join(t[2])})"
+        ),
+        st.tuples(
+            negation,
+            st.lists(st.sampled_from("ab%_B"), min_size=1, max_size=4),
+        ).map(lambda t: f"s {t[0]}LIKE '{''.join(t[1])}'"),
+    )
+
+
+predicates = st.recursive(
+    _atoms(),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["AND", "OR"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        inner.map(lambda p: f"(NOT {p})"),
+    ),
+    max_leaves=4,
+)
+
+# ----------------------------------------------------------------------
+# Statements: (engine SQL, sqlite SQL, ordered?).
+# ----------------------------------------------------------------------
+
+
+def _projection(pred):
+    sql = f"SELECT i, f, s FROM t WHERE {pred}"
+    return sql, sql, False
+
+
+def _global_aggregate(pred):
+    sql = (
+        "SELECT COUNT(*), COUNT(i), SUM(i), SUM(f), AVG(j), MIN(f), "
+        f"MAX(s), MIN(s) FROM t WHERE {pred}"
+    )
+    return sql, sql, False
+
+
+def _group_by(args):
+    pred, key = args
+    sql = (
+        f"SELECT {key}, COUNT(*), SUM(i), AVG(f), MAX(j) FROM t "
+        f"WHERE {pred} GROUP BY {key}"
+    )
+    return sql, sql, False
+
+
+def _distinct(pred):
+    sql = f"SELECT DISTINCT s, j FROM t WHERE {pred}"
+    return sql, sql, False
+
+
+def _top(args):
+    pred, descending, limit = args
+    if descending:
+        ours = "i DESC, s DESC"
+        theirs = "i DESC NULLS FIRST, s DESC NULLS FIRST"
+    else:
+        ours = "i, s"
+        theirs = "i NULLS LAST, s NULLS LAST"
+    tail = f"FROM t WHERE {pred} ORDER BY"
+    return (
+        f"SELECT i, s {tail} {ours} LIMIT {limit}",
+        f"SELECT i, s {tail} {theirs} LIMIT {limit}",
+        True,
+    )
+
+
+statements = st.one_of(
+    predicates.map(_projection),
+    predicates.map(_global_aggregate),
+    st.tuples(predicates, st.sampled_from(["s", "j", "s, j"])).map(_group_by),
+    predicates.map(_distinct),
+    st.tuples(predicates, st.booleans(), st.integers(0, 12)).map(_top),
+)
+#: A step is a statement or an external append of rows.
+steps = st.lists(
+    st.one_of(
+        statements.map(lambda s: ("query", s)),
+        st.lists(row, min_size=1, max_size=6).map(lambda r: ("append", r)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+# ----------------------------------------------------------------------
+# Comparison.
+# ----------------------------------------------------------------------
+
+
+def _key(row):
+    return tuple(
+        (v is None, round(v, 6) if isinstance(v, float) else v) for v in row
+    )
+
+
+def _same(got, want, ordered):
+    if len(got) != len(want):
+        return False
+    if not ordered:
+        got, want = sorted(got, key=_key), sorted(want, key=_key)
+    for g_row, w_row in zip(got, want):
+        for g, w in zip(g_row, w_row):
+            if isinstance(g, float) or isinstance(w, float):
+                if g is None or w is None:
+                    return False
+                if not math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-9):
+                    return False
+            elif g != w:
+                return False
+    return True
+
+
+def _oracle(rows):
+    db = sqlite3.connect(":memory:")
+    db.execute("PRAGMA case_sensitive_like = ON")
+    db.execute("CREATE TABLE t (i INTEGER, j INTEGER, f REAL, s TEXT)")
+    db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", rows)
+    return db
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@given(rows=rows_of, plan=steps)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_engine_matches_sqlite(tmp_path_factory, name, rows, plan):
+    tmp = tmp_path_factory.mktemp("oracle")
+    path = tmp / "t.csv"
+    write_csv(path, rows, SCHEMA)
+    config = dict(CONFIGS[name])
+    if config.get("vp_enabled"):
+        config["vp_dir"] = str(tmp / "vp")
+    db = _oracle(rows)
+    try:
+        with PostgresRaw(PostgresRawConfig(**config)) as engine:
+            engine.register_csv("t", path, SCHEMA)
+            for kind, step in plan:
+                if kind == "append":
+                    append_csv_rows(path, step, SCHEMA)
+                    db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", step)
+                    continue
+                ours, theirs, ordered = step
+                want = db.execute(theirs).fetchall()
+                # Cold, then warm: the repeats run over cached columns.
+                for __ in range(3):
+                    got = list(engine.query(ours))
+                    assert _same(got, want, ordered), (ours, got, want)
+    finally:
+        db.close()

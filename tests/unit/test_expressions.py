@@ -126,6 +126,11 @@ class TestArithmetic:
         assert _eval("a * 2", batch) == [14, 20]
         assert _eval("a % 3", batch) == [1, 1]
 
+    def test_remainder_takes_the_dividends_sign(self):
+        batch = _batch(a=(DataType.INTEGER, [-7, 7, -7]))
+        assert _eval("a % 3", batch) == [-1, 1, -1]
+        assert _eval("a % -3", batch) == [-1, 1, -1]
+
     def test_division_always_float(self):
         batch = _batch(a=(DataType.INTEGER, [7]))
         result = evaluate(_expr("a / 2"), batch)
@@ -215,6 +220,75 @@ class TestPredicates:
         batch = _batch(a=(DataType.INTEGER, [1, None]))
         assert _eval("a IS NULL", batch) == [False, True]
         assert _eval("a IS NOT NULL", batch) == [True, False]
+
+
+class TestUntypedNull:
+    """A bare ``NULL`` takes its operator's type: NULL, not an error."""
+
+    def _batch(self):
+        return _batch(
+            i=(DataType.INTEGER, [1, 7, None]),
+            f=(DataType.FLOAT, [0.5, 2.5, None]),
+            s=(DataType.TEXT, ["a", "b", None]),
+            d=(DataType.DATE, [15_000, 15_001, None]),
+        )
+
+    @pytest.mark.parametrize(
+        "fragment",
+        [
+            "i = NULL",
+            "NULL <> i",
+            "f > NULL",
+            "d <= NULL",
+            "NULL BETWEEN i AND 5",
+            "i NOT BETWEEN 0 AND NULL",
+            "NULL IN (1, 2)",
+            "NOT NULL",
+            "NULL = NULL",
+        ],
+    )
+    def test_comparisons_are_null(self, fragment):
+        assert _eval(fragment, self._batch()) == [None, None, None]
+
+    def test_kleene_logic_with_a_null_operand(self):
+        batch = self._batch()
+        assert _eval("s = 'a' OR i = NULL", batch) == [True, None, None]
+        assert _eval("i > 5 AND NULL", batch) == [False, None, None]
+        assert _eval("i < 5 OR NULL", batch) == [True, None, None]
+        # Only a bound that is definitely violated decides a BETWEEN.
+        assert _eval("i BETWEEN NULL AND 5", batch) == [None, False, None]
+        assert _eval("i NOT BETWEEN 5 AND NULL", batch) == [True, None, None]
+
+    @pytest.mark.parametrize(
+        "fragment, dtype",
+        [
+            ("i + NULL", DataType.INTEGER),
+            ("NULL * f", DataType.FLOAT),
+            ("i / NULL", DataType.FLOAT),
+            ("d + NULL", DataType.DATE),
+            ("NULL - d", DataType.INTEGER),
+            ("NULL + NULL", DataType.INTEGER),
+        ],
+    )
+    def test_arithmetic_is_null_of_the_inferred_type(self, fragment, dtype):
+        batch = self._batch()
+        types = {name: v.dtype for name, v in batch.columns.items()}
+        result = evaluate(_expr(fragment), batch)
+        assert result.to_pylist() == [None, None, None]
+        assert result.dtype is infer_type(_expr(fragment), types) is dtype
+
+    def test_null_predicate_keeps_no_row(self):
+        batch = self._batch()
+        for fragment in ("NULL", "NOT NULL", "i = NULL", "NULL AND i > 0"):
+            assert predicate_mask(_expr(fragment), batch).tolist() == [
+                False,
+                False,
+                False,
+            ]
+
+    def test_text_against_a_number_still_raises(self):
+        with pytest.raises(ExecutionError, match="cannot compare"):
+            _eval("s = 1", self._batch())
 
 
 class TestScalarFunctions:

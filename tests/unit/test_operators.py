@@ -286,6 +286,69 @@ class TestHashAggregate:
         with pytest.raises(ExecutionError, match="out of INTEGER range"):
             _collect(op)
 
+    def test_global_integer_sum_crosses_int64_after_the_summed_batches(self):
+        # The first batch is summed as int64; the second one's bound
+        # passes int64 and the state turns into Python ints mid-stream.
+        big = 2**61
+        values = [big, big, 3 * big, -3 * big, big, -big]
+        src = _source({"a": (DataType.INTEGER, values)}, batch_rows=2)
+        specs = [
+            AggregateSpec("s", "sum", _expr("a")),
+            AggregateSpec("avg", "avg", _expr("a")),
+        ]
+        assert _collect(HashAggregate(src, [], specs))[1] == [
+            (2 * big, 2 * big / 6)
+        ]
+
+    def test_global_counts_skip_nulls_across_batches(self):
+        values = [1, None, None, None, 3, None, 4]
+        src = _source({"a": (DataType.INTEGER, values)}, batch_rows=2)
+        specs = [
+            AggregateSpec("n", "count", None),
+            AggregateSpec("nn", "count", _expr("a")),
+            AggregateSpec("s", "sum", _expr("a")),
+            AggregateSpec("avg", "avg", _expr("a")),
+        ]
+        assert _collect(HashAggregate(src, [], specs))[1] == [
+            (7, 3, 8, 8 / 3)
+        ]
+
+    def test_group_by_that_has_met_one_group_so_far(self):
+        # Two batches of key "x" alone, then "y" arrives and "x" again.
+        src = _source(
+            {
+                "g": (DataType.TEXT, ["x", "x", "x", "x", "y", "x"]),
+                "v": (DataType.INTEGER, [1, None, 3, 4, 5, 6]),
+                "f": (DataType.FLOAT, [0.5, 1.5, None, 2.5, 3.5, 4.5]),
+            },
+            batch_rows=2,
+        )
+        op = HashAggregate(
+            src,
+            [("g", _expr("g"))],
+            [
+                AggregateSpec("n", "count", None),
+                AggregateSpec("nv", "count", _expr("v")),
+                AggregateSpec("s", "sum", _expr("v")),
+                AggregateSpec("fs", "sum", _expr("f")),
+            ],
+        )
+        assert _collect(op)[1] == [("x", 5, 4, 14, 9.0), ("y", 1, 1, 5, 3.5)]
+
+    def test_float_sums_bit_identical_across_batch_cuts(self):
+        values = [1e16, 1.0, -1e16, 0.1, 1.0, 3e-5, 1e16, 0.7, -1e16, 2.2]
+        total = 0.0
+        for v in values:
+            total += v
+        for batch_rows in (1, 3, 4, len(values)):
+            src = _source({"f": (DataType.FLOAT, values)}, batch_rows)
+            specs = [
+                AggregateSpec("s", "sum", _expr("f")),
+                AggregateSpec("avg", "avg", _expr("f")),
+            ]
+            rows = _collect(HashAggregate(src, [], specs))[1]
+            assert rows == [(total, total / len(values))]
+
     def test_groups_keep_first_appearance_order_across_batches(self):
         src = _source(
             {

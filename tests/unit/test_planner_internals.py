@@ -15,6 +15,7 @@ from repro.sql.ast import (
     Literal,
     expr_to_sql,
 )
+from repro.sql import planner as planner_mod
 from repro.sql.parser import parse_select
 from repro.sql.planner import transform_expr
 
@@ -108,6 +109,35 @@ class TestPushdownClassification:
         # The OR stays one pushed conjunct on l's scan.
         scans = [line for line in plan.splitlines() if "RawScan(l" in line]
         assert "OR" in scans[0]
+
+
+class TestCardinalityEstimates:
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        """Every scan estimate the planner asks for."""
+        calls = []
+        estimate = planner_mod.estimate_scan_rows
+
+        def spy(stats, predicate):
+            calls.append(predicate)
+            return estimate(stats, predicate)
+
+        monkeypatch.setattr(planner_mod, "estimate_scan_rows", spy)
+        return calls
+
+    def test_single_table_plan_estimates_nothing(self, two_tables, estimates):
+        two_tables.query("SELECT x FROM l")  # statistics exist from here
+        for sql in (
+            "SELECT x FROM l WHERE id = 1",
+            "SELECT COUNT(*), SUM(x) FROM l WHERE x > 5 AND id < 9",
+            "SELECT pad, COUNT(*) FROM l WHERE x IN (1, 20) GROUP BY pad",
+        ):
+            two_tables.query(sql)
+        assert estimates == []
+
+    def test_join_estimates_every_input(self, two_tables, estimates):
+        two_tables.query("SELECT l.x FROM l JOIN r ON l.id = r.id")
+        assert len(estimates) == 2
 
 
 class TestProjectionPruning:

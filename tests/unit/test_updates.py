@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.core import updates
 from repro.core.updates import (
     FileChange,
     detect_change,
@@ -93,6 +94,30 @@ class TestDetectChange:
         change, new_fp = detect_change(fp, raw_file)
         assert change is FileChange.MISSING
         assert new_fp is None
+
+    def test_append_caught_mid_write_is_an_append(self, raw_file, monkeypatch):
+        # A write moves mtime before it moves the size: the first stat
+        # sees the old size with a new mtime, the fingerprint after it
+        # the grown file.  That is an append, never a rewrite.
+        fp = fingerprint_file(raw_file)
+        with open(raw_file, "a") as f:
+            f.write("5,6\n")
+        real_stat = os.stat
+        first = [True]
+
+        def mid_write_stat(path, *args, **kwargs):
+            result = real_stat(path, *args, **kwargs)
+            if first[0]:
+                first[0] = False
+                fields = list(result)
+                fields[6] = fp.size_bytes  # st_size
+                return os.stat_result(fields, {"st_mtime_ns": 1})
+            return result
+
+        monkeypatch.setattr(updates.os, "stat", mid_write_stat)
+        change, new_fp = detect_change(fp, raw_file)
+        assert change is FileChange.APPENDED
+        assert new_fp.size_bytes == fp.size_bytes + 4
 
     def test_repeated_appends(self, raw_file):
         fp = fingerprint_file(raw_file)

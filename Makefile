@@ -120,12 +120,16 @@ bench-report:
 			|| exit 1; \
 	done
 
-# Heavier threaded stress run of the concurrent serving layer (the
-# tier-1 suite runs the same tests at REPRO_STRESS_ROUNDS=2).  `timeout`
-# guards against a deadlocked lock/scheduler hanging CI forever.
+# Heavier threaded stress run of the concurrent serving layer and of the
+# governed tiers under concurrent eviction, grow and extend (the tier-1
+# suite runs the same tests at REPRO_STRESS_ROUNDS=2).  `timeout` guards
+# against a deadlocked lock/scheduler hanging CI forever.
 stress:
 	REPRO_STRESS_ROUNDS=10 timeout 600 $(PYTHON) -m pytest \
-		tests/integration/test_concurrent_service.py -x -q
+		tests/integration/test_concurrent_service.py \
+		"tests/integration/test_mv_adaptive.py::test_concurrent_aggregate_hammer" \
+		"tests/integration/test_append_watermarks.py::test_sessions_hammering_while_the_file_grows_never_miscount" \
+		-x -q
 
 # Process-backend leg: multiprocessing scan workers racing the serving
 # layer's locks, governor and cursors (CI runs this after `stress`).

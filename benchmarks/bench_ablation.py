@@ -172,7 +172,7 @@ def test_combination_policy_ablation(benchmark, bench_csv):
         engine.query("SELECT a1, a6 FROM t")  # triggers the policy
         warm = engine.query("SELECT a1, a6 FROM t").metrics.total_seconds
         chunks = {
-            c.attrs for c in engine.table_state("t").positional_map.chunks()
+            c.attrs for c in engine.table_state("t").positional_map.entries()
         }
         return warm, chunks
 

@@ -50,7 +50,7 @@ def test_positional_map_budget_sweep(benchmark, bench_csv):
                     "warm_workload_s": seconds,
                     "chunks": pm.chunk_count,
                     "evictions": pm.evictions,
-                    "rejected": pm.rejected_installs,
+                    "rejected": pm.rejections,
                 }
             )
         return records

@@ -267,7 +267,7 @@ class Connection:
         """Subscribe to server-pushed stats snapshots.
 
         The server re-sends its registry snapshot every ``interval_s``
-        seconds (its ``stats_interval_s`` knob when ``None``) until the
+        seconds (its ``STATS_INTERVAL_S``, 1 s, when ``None``) until the
         stream is closed; iterate the returned :class:`StatsStream`::
 
             with conn.stats_stream(interval_s=0.5) as updates:

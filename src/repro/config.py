@@ -84,9 +84,6 @@ class PostgresRawConfig:
     #: chunks, then the new combination is indexed."
     pm_combination_policy: bool = True
 
-    #: Bucket count for the equi-depth histograms fed to the optimizer.
-    histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS
-
     #: Rows per vectorized batch in the scan pipeline.
     batch_size: int = DEFAULT_BATCH_SIZE
 
@@ -199,12 +196,6 @@ class PostgresRawConfig:
     #: their own operation.
     telemetry_enabled: bool = True
 
-    #: Default period (seconds) of the server-push stats stream: a
-    #: wire client that subscribes via a STATS frame receives a
-    #: registry snapshot every ``stats_interval_s`` until it closes the
-    #: subscription.  A subscriber may override it per subscription.
-    stats_interval_s: float = 1.0
-
     #: Queries whose ``total_seconds`` reaches this threshold are
     #: recorded in the slow-query log with their full Figure-3
     #: breakdown and span tree (``None`` disables the log).
@@ -280,8 +271,6 @@ class PostgresRawConfig:
             )
         if self.batch_size <= 0:
             raise BudgetError("batch_size must be positive")
-        if self.histogram_buckets <= 0:
-            raise BudgetError("histogram_buckets must be positive")
         if self.scan_workers < 1:
             raise BudgetError("scan_workers must be >= 1")
         if self.parallel_chunk_bytes <= 0:
@@ -312,8 +301,6 @@ class PostgresRawConfig:
             raise BudgetError(f"frame_bytes must be >= {MIN_FRAME_BYTES}")
         if self.max_streams_per_connection < 1:
             raise BudgetError("max_streams_per_connection must be >= 1")
-        if self.stats_interval_s <= 0:
-            raise BudgetError("stats_interval_s must be > 0")
         if self.slow_query_s is not None and self.slow_query_s <= 0:
             raise BudgetError("slow_query_s must be > 0 (or None)")
         if self.mv_min_repeats < 1:

@@ -2,6 +2,8 @@
 
 * :mod:`repro.core.positional_map` — the adaptive positional map (§3.1)
 * :mod:`repro.core.cache` — the binary data cache (§3.2)
+* :mod:`repro.core.ledger` — the governed ledger every adaptive tier
+  keeps its entries in (admission, eviction, one recency clock)
 * :mod:`repro.core.stats` — on-the-fly statistics (§3.3)
 * :mod:`repro.core.raw_scan` — the overridden scan operator (§3)
 * :mod:`repro.core.engine` — the PostgresRaw facade

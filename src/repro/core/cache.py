@@ -24,16 +24,21 @@ Faithful properties:
   lowest *conversion-seconds-saved per byte held* (recency as
   tie-break) across every structure it governs: an int64 column
   (costly ``int()`` parsing, 8 bytes/value) outranks a text column
-  (nearly free to re-slice, ~50+ bytes/value).  Container mutations
-  run under the governor's lock.
+  (nearly free to re-slice, ~50+ bytes/value).
+
+The cache is a :class:`repro.core.ledger.GovernedLedger` keyed by
+attribute number: admission, growth, eviction, invalidation and recency
+are the ledger's.  What is the cache's own is the coverage rule (a
+deeper prefix replaces a shallower one, never the reverse) and
+appending a tail onto an entry's vector.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..batch import ColumnVector
+from .ledger import GovernedLedger, now
 
 
 @dataclass
@@ -46,13 +51,9 @@ class CacheEntry:
 
     attr: int
     vector: ColumnVector
-    last_used: int = 0
     nbytes: int = 0
     benefit_seconds: float = 0.0
-    #: Wall-clock of the last touch — clocks tick per *query* and per
-    #: table, so cross-table benefit decay (the governor's half-life)
-    #: needs a shared time base.
-    last_used_ts: float = field(default_factory=time.monotonic)
+    last_used_ts: float = field(default_factory=now)
 
     def __post_init__(self) -> None:
         if self.nbytes == 0:
@@ -62,13 +63,8 @@ class CacheEntry:
     def rows(self) -> int:
         return len(self.vector)
 
-    @property
-    def value_density(self) -> float:
-        """Conversion seconds saved per byte of budget held."""
-        return self.benefit_seconds / max(self.nbytes, 1)
 
-
-class RawDataCache:
+class RawDataCache(GovernedLedger):
     """Governed cache of adaptively loaded binary columns for one file.
 
     "Overall, the PostgresRaw cache can be seen as the place holder for
@@ -77,58 +73,6 @@ class RawDataCache:
     reclaim) every byte the cache holds.
     """
 
-    def __init__(self, governor) -> None:
-        self.governor = governor
-        self._entries: dict[int, CacheEntry] = {}
-        self._clock = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.rejected_insertions = 0
-
-    # ------------------------------------------------------------------
-    # GovernedStructure protocol (repro.service.MemoryGovernor).
-    # ------------------------------------------------------------------
-
-    def governed_bytes(self) -> int:
-        return self.used_bytes
-
-    def governed_items(self) -> list[tuple[object, int, float, int, float]]:
-        """Evictable inventory:
-        ``(token, nbytes, density, last_used, last_used_ts)``.
-
-        The token is the attribute number; density is the cost-aware
-        conversion-seconds-saved-per-byte signal, the same currency the
-        positional map reports, so the governor can arbitrate across
-        both structure kinds.
-        """
-        return [
-            (attr, e.nbytes, e.value_density, e.last_used, e.last_used_ts)
-            for attr, e in list(self._entries.items())
-        ]
-
-    def governed_evict(self, token: object) -> int:
-        """Evict one entry by attribute token; returns bytes freed."""
-        with self.governor.lock:
-            entry = self._entries.get(token)
-            if entry is None:
-                return 0
-            del self._entries[token]
-            self.evictions += 1
-            return entry.nbytes
-
-    def tick(self) -> int:
-        """Advance the recency clock (one tick per query)."""
-        self._clock += 1
-        return self._clock
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(e.nbytes for e in list(self._entries.values()))
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
-
     def utilization(self) -> float:
         """Fraction of the engine budget this cache holds — the Figure 2
         panel series."""
@@ -136,15 +80,10 @@ class RawDataCache:
         return self.used_bytes / float(budget) if budget > 0 else 0.0
 
     def get(self, attr: int) -> CacheEntry | None:
-        entry = self._entries.get(attr)
+        entry = self.peek(attr)
         if entry is not None:
-            entry.last_used = self._clock
-            entry.last_used_ts = time.monotonic()
+            self.touch(entry)
         return entry
-
-    def peek(self, attr: int) -> CacheEntry | None:
-        """Like :meth:`get` but without refreshing recency."""
-        return self._entries.get(attr)
 
     def put(
         self,
@@ -159,69 +98,44 @@ class RawDataCache:
         ``False`` (and keeps any older, shallower entry) if it cannot
         fit even after evicting everything unprotected.
         """
-        protected = protected or set()
         with self.governor.lock:
-            existing = self._entries.get(attr)
+            existing = self.peek(attr)
             if existing is not None and existing.rows >= len(vector):
-                existing.last_used = self._clock
-                existing.last_used_ts = time.monotonic()
+                self.touch(existing)
                 return True
-            entry = CacheEntry(
-                attr,
-                vector,
-                last_used=self._clock,
-                benefit_seconds=benefit_seconds,
-            )
-            if existing is not None:
-                # Release the superseded entry before asking for room so
-                # the governed ledger reflects the bytes coming back.
-                del self._entries[attr]
-            if not self.governor.grant(
-                self, entry.nbytes, protected | {attr}
-            ):
-                self.rejected_insertions += 1
-                if existing is not None:
-                    self._entries[attr] = existing  # keep the old prefix
-                return False
-            self._entries[attr] = entry
-            self.insertions += 1
-            return True
+            entry = CacheEntry(attr, vector, benefit_seconds=benefit_seconds)
+            return self.admit(attr, entry, protected or ())
 
     def extend(self, attr: int, tail: ColumnVector) -> bool:
         """Append rows to an entry (post-append reconciliation)."""
         with self.governor.lock:
-            entry = self._entries.get(attr)
+            entry = self.peek(attr)
             if entry is None:
                 return False
             extra = tail.nbytes()
-            if not self.governor.grant(self, extra, {attr}):
+            if not self.grow(attr, extra):
                 return False
             entry.vector = ColumnVector.concat([entry.vector, tail])
             entry.nbytes += extra
-            entry.last_used = self._clock
-            entry.last_used_ts = time.monotonic()
+            self.touch(entry)
             return True
 
-    def invalidate(self) -> None:
-        """Drop everything (the raw file was rewritten)."""
-        with self.governor.lock:
-            self._entries.clear()
-
     def coverage_rows(self, attr: int) -> int:
-        entry = self._entries.get(attr)
+        entry = self.peek(attr)
         return 0 if entry is None else entry.rows
 
     def cached_attrs(self) -> list[int]:
-        return sorted(self._entries)
+        return sorted(e.attr for e in self.entries())
 
     def describe(self) -> list[dict[str, object]]:
         """Entry inventory for the monitoring panel."""
+        at = now()
         return [
             {
                 "attr": e.attr,
                 "rows": e.rows,
                 "nbytes": e.nbytes,
-                "last_used": e.last_used,
+                "idle_s": round(at - e.last_used_ts, 3),
             }
-            for e in sorted(self._entries.values(), key=lambda e: e.attr)
+            for e in sorted(self.entries(), key=lambda e: e.attr)
         ]

@@ -31,21 +31,25 @@ Faithful properties implemented here:
 Coverage is a row *prefix*: a chunk always describes rows ``0 .. rows``;
 appends to the raw file extend chunks rather than invalidating them.
 
-Container mutations are serialized under the governor's lock, and
-lookups iterate snapshots, so concurrent readers never observe a
-half-applied change.  A parallel scan worker's chunk-local map has no
-governor: it only ``adopt``s row slices of the shared map's chunks and
-takes line bounds, and its findings are installed into the shared map.
+The map is a :class:`repro.core.ledger.GovernedLedger` keyed by each
+chunk's ``attrs`` tuple: admission, growth, eviction, invalidation and
+recency are the ledger's, and lookups iterate its snapshot, so
+concurrent readers never observe a half-applied change.  What is the
+map's own is subsumption (a chunk covered by a wider, deeper one is
+redundant), anchors and the pinned line index.  A parallel scan
+worker's chunk-local map has no governor: it only ``adopt``s row slices
+of the shared map's chunks and takes line bounds, and its findings are
+installed into the shared map.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ReproError
+from .ledger import GovernedLedger, now
 
 
 @dataclass
@@ -61,12 +65,8 @@ class PositionalChunk:
 
     attrs: tuple[int, ...]
     offsets: np.ndarray
-    last_used: int = 0
     benefit_seconds: float = 0.0
-    #: Wall-clock of the last touch — the shared time base the global
-    #: governor's benefit half-life decays against (per-table recency
-    #: clocks are not comparable across tables).
-    last_used_ts: float = field(default_factory=time.monotonic)
+    last_used_ts: float = field(default_factory=now)
 
     def __post_init__(self) -> None:
         if tuple(sorted(self.attrs)) != self.attrs:
@@ -84,11 +84,6 @@ class PositionalChunk:
     @property
     def nbytes(self) -> int:
         return int(self.offsets.nbytes)
-
-    @property
-    def value_density(self) -> float:
-        """Tokenizing seconds saved per byte of budget held."""
-        return self.benefit_seconds / max(self.nbytes, 1)
 
     def column_of(self, attr: int) -> int:
         """Index of ``attr`` inside this chunk (raises if absent)."""
@@ -115,7 +110,7 @@ class AnchorHit:
     column: int
 
 
-class PositionalMap:
+class PositionalMap(GovernedLedger):
     """Governed collection of positional chunks for one file.
 
     ``governor`` is the engine's :class:`repro.service.MemoryGovernor`
@@ -124,49 +119,12 @@ class PositionalMap:
     """
 
     def __init__(self, governor, combination_policy: bool = True) -> None:
-        self.governor = governor
+        super().__init__(governor)
         self.combination_policy = combination_policy
-        self._chunks: list[PositionalChunk] = []
         self._line_bounds: np.ndarray | None = None
         #: Learned with the line index: some record ends in ``\r\n``,
         #: so scans trim a trailing ``\r`` per record (LF files skip it).
         self.crlf = False
-        self._clock = 0
-        self.installs = 0
-        self.evictions = 0
-        self.rejected_installs = 0
-
-    # ------------------------------------------------------------------
-    # GovernedStructure protocol (repro.service.MemoryGovernor).
-    # ------------------------------------------------------------------
-
-    def governed_bytes(self) -> int:
-        """Bytes charged against the global budget (the line index is
-        pinned backbone state and stays exempt)."""
-        return self.used_bytes
-
-    def governed_items(self) -> list[tuple[object, int, float, int, float]]:
-        """Evictable inventory:
-        ``(token, nbytes, density, last_used, last_used_ts)``."""
-        return [
-            (id(c), c.nbytes, c.value_density, c.last_used, c.last_used_ts)
-            for c in self._chunks
-        ]
-
-    def governed_evict(self, token: object) -> int:
-        """Evict one chunk by token (``id``); returns bytes freed."""
-        with self.governor.lock:
-            for chunk in self._chunks:
-                if id(chunk) == token:
-                    self._discard(chunk)
-                    self.evictions += 1
-                    return chunk.nbytes
-        return 0
-
-    def _discard(self, chunk: PositionalChunk) -> None:
-        # Rebind instead of in-place remove: concurrent readers iterate
-        # a snapshot reference and never see a list mid-mutation.
-        self._chunks = [c for c in self._chunks if c is not chunk]
 
     # ------------------------------------------------------------------
     # Line (tuple boundary) index — pinned backbone.
@@ -196,35 +154,14 @@ class PositionalMap:
     # Lookup.
     # ------------------------------------------------------------------
 
-    def tick(self) -> int:
-        """Advance the recency clock (one tick per query)."""
-        self._clock += 1
-        return self._clock
-
-    @property
-    def clock(self) -> int:
-        return self._clock
-
-    def touch(self, chunk: PositionalChunk) -> None:
-        chunk.last_used = self._clock
-        chunk.last_used_ts = time.monotonic()
-
-    def chunks(self) -> list[PositionalChunk]:
-        return list(self._chunks)
-
-    def find_exact(self, attrs: tuple[int, ...]) -> PositionalChunk | None:
-        for chunk in self._chunks:
-            if chunk.attrs == attrs:
-                return chunk
-        return None
-
     def best_cover(self, attr: int) -> PositionalChunk | None:
-        """The chunk holding ``attr`` with the deepest row coverage."""
+        """The chunk holding ``attr`` with the deepest row coverage (the
+        most recently used one among equally deep chunks)."""
         best: PositionalChunk | None = None
-        for chunk in self._chunks:
+        for chunk in self.entries():
             if chunk.has_attr(attr):
-                rank = (chunk.rows, chunk.last_used)
-                if best is None or rank > (best.rows, best.last_used):
+                rank = (chunk.rows, chunk.last_used_ts)
+                if best is None or rank > (best.rows, best.last_used_ts):
                     best = chunk
         return best
 
@@ -236,7 +173,7 @@ class PositionalMap:
         of the beginning of the tuple.
         """
         best: AnchorHit | None = None
-        for chunk in self._chunks:
+        for chunk in self.entries():
             if chunk.rows < min_rows:
                 continue
             candidates = [a for a in chunk.attrs if a <= attr]
@@ -252,18 +189,16 @@ class PositionalMap:
     # ------------------------------------------------------------------
 
     @property
-    def used_bytes(self) -> int:
-        return sum(c.nbytes for c in self._chunks)
-
-    @property
     def chunk_count(self) -> int:
-        return len(self._chunks)
+        """``entry_count`` under the name the monitors and the benchmark
+        harness read."""
+        return self.entry_count
 
     def install(
         self,
         attrs: tuple[int, ...],
         offsets: np.ndarray,
-        protected: "set[int] | None" = None,
+        protected: "set[tuple[int, ...]] | None" = None,
         benefit_seconds: float = 0.0,
     ) -> PositionalChunk | None:
         """Insert (or upgrade) a chunk; the governor evicts to fit.
@@ -271,47 +206,35 @@ class PositionalMap:
         Returns the installed chunk, or ``None`` when the budget cannot
         accommodate it even after evicting everything evictable (a
         refused upgrade keeps the shallower chunk it would replace).
-        ``protected`` chunks (by ``id``) are never evicted — the scan
+        ``protected`` chunks (by ``attrs``) are never evicted — the scan
         protects chunks it is reading from in the current query.
         """
         attrs = tuple(sorted(attrs))
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        n_rows = offsets.shape[0]
         with self.governor.lock:
-            existing = self.find_exact(attrs)
+            existing = self.peek(attrs)
             if existing is not None:
-                if existing.rows >= offsets.shape[0]:
+                if existing.rows >= n_rows:
                     self.touch(existing)
                     return existing
-                # Release the superseded chunk before asking for room so
-                # the governed ledger reflects the bytes coming back.
-                self._discard(existing)
                 benefit_seconds += existing.benefit_seconds
 
             # A combination chunk is redundant if some chunk already
-            # covers a superset of its attributes at least as deeply.
-            for chunk in self._chunks:
-                if (
-                    set(attrs) <= set(chunk.attrs)
-                    and chunk.rows >= offsets.shape[0]
-                ):
+            # covers a superset of its attributes at least as deeply
+            # (which also makes a shallower exact chunk redundant).
+            for chunk in self.entries():
+                if set(attrs) <= set(chunk.attrs) and chunk.rows >= n_rows:
+                    if existing is not None:
+                        self._remove(attrs)
                     self.touch(chunk)
                     return chunk
 
             candidate = PositionalChunk(
-                attrs,
-                offsets,
-                last_used=self._clock,
-                benefit_seconds=benefit_seconds,
+                attrs, offsets, benefit_seconds=benefit_seconds
             )
-            if not self.governor.grant(
-                self, candidate.nbytes, protected or set()
-            ):
-                self.rejected_installs += 1
-                if existing is not None:
-                    self._chunks = self._chunks + [existing]  # keep it
+            if not self.admit(attrs, candidate, protected or ()):
                 return None
-            self._chunks = self._chunks + [candidate]
-            self.installs += 1
             self._drop_subsumed(candidate)
             return candidate
 
@@ -327,11 +250,9 @@ class PositionalMap:
         budget bookkeeping applies.
         """
         chunk = PositionalChunk(
-            tuple(attrs),
-            np.asarray(offsets, dtype=np.int64),
-            last_used=self._clock,
+            tuple(attrs), np.asarray(offsets, dtype=np.int64)
         )
-        self._chunks = self._chunks + [chunk]
+        self._store(chunk.attrs, chunk)
         return chunk
 
     def extend(
@@ -342,14 +263,12 @@ class PositionalMap:
     ) -> bool:
         """Append rows to an existing chunk (append-reconciliation path)."""
         with self.governor.lock:
-            if chunk not in self._chunks:
+            if self.peek(chunk.attrs) is not chunk:
                 return False
             more_offsets = np.ascontiguousarray(more_offsets, dtype=np.int64)
             if more_offsets.shape[1] != len(chunk.attrs):
                 raise ReproError("extension width does not match chunk attrs")
-            if not self.governor.grant(
-                self, more_offsets.nbytes, {id(chunk)}
-            ):
+            if not self.grow(chunk.attrs, more_offsets.nbytes):
                 return False
             chunk.offsets = np.vstack([chunk.offsets, more_offsets])
             chunk.benefit_seconds += benefit_seconds
@@ -360,26 +279,26 @@ class PositionalMap:
         """Drop chunks whose attrs are a subset of ``keeper`` with no
         deeper coverage — they can never win a lookup again."""
         keep_attrs = set(keeper.attrs)
-        doomed = {
-            id(c)
-            for c in self._chunks
-            if c is not keeper
-            and set(c.attrs) <= keep_attrs
-            and c.rows <= keeper.rows
-        }
-        if doomed:
-            self._chunks = [c for c in self._chunks if id(c) not in doomed]
+        self._remove_many(
+            [
+                chunk.attrs
+                for chunk in self.entries()
+                if chunk is not keeper
+                and set(chunk.attrs) <= keep_attrs
+                and chunk.rows <= keeper.rows
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Maintenance / introspection.
     # ------------------------------------------------------------------
 
-    def invalidate(self) -> None:
+    def invalidate(self) -> int:
         """Drop everything (the raw file was rewritten)."""
         with self.governor.lock:
-            self._chunks = []
             self._line_bounds = None
             self.crlf = False
+            return super().invalidate()
 
     def coverage_rows(self, attr: int) -> int:
         chunk = self.best_cover(attr)
@@ -396,12 +315,13 @@ class PositionalMap:
 
     def describe(self) -> list[dict[str, object]]:
         """Chunk inventory for the monitoring panel."""
+        at = now()
         return [
             {
                 "attrs": chunk.attrs,
                 "rows": chunk.rows,
                 "nbytes": chunk.nbytes,
-                "last_used": chunk.last_used,
+                "idle_s": round(at - chunk.last_used_ts, 3),
             }
-            for chunk in sorted(self._chunks, key=lambda c: c.attrs)
+            for chunk in sorted(self.entries(), key=lambda c: c.attrs)
         ]

@@ -72,7 +72,11 @@ import numpy as np
 
 from ..batch import Batch, ColumnVector
 from ..catalog.catalog import RawTableEntry
-from ..config import DEFAULT_STATS_SAMPLE_SIZE, PostgresRawConfig
+from ..config import (
+    DEFAULT_HISTOGRAM_BUCKETS,
+    DEFAULT_STATS_SAMPLE_SIZE,
+    PostgresRawConfig,
+)
 from ..datatypes import DataType, convert_column
 from ..errors import ExecutionError, RawDataError
 from ..executor.expressions import predicate_mask
@@ -84,6 +88,7 @@ from ..rawio.reader import RawFileReader
 from ..rawio.tokenizer import TokenizedRows, has_crlf, trim_cr
 from ..sql.ast import Expression, expr_column_refs
 from .cache import CacheEntry, RawDataCache
+from .ledger import now
 from .metrics import BreakdownComponent, QueryMetrics
 from .positional_map import PositionalChunk, PositionalMap
 from .stats import StatisticsStore
@@ -125,7 +130,7 @@ class RawTableState:
         )
         self.cache = RawDataCache(governor)
         self.statistics = StatisticsStore(
-            DEFAULT_STATS_SAMPLE_SIZE, config.histogram_buckets
+            DEFAULT_STATS_SAMPLE_SIZE, DEFAULT_HISTOGRAM_BUCKETS
         )
         self.fingerprint = None
         self.pending_append = False
@@ -139,8 +144,6 @@ class RawTableState:
         self._usage_lock = threading.Lock()
 
     def begin_query(self) -> None:
-        self.positional_map.tick()
-        self.cache.tick()
         self.queries_executed += 1
 
     def record_usage(self, attrs: list[int]) -> None:
@@ -385,6 +388,9 @@ class RawScan(Operator):
         # Spans tokenized for the current batch, reusable as anchors by
         # later acquisitions over the same rows (phase B after phase A).
         self._batch_spans: list[tuple[int, int, TokenizedRows]] = []
+        # Scans are built per query: map chunks touched since are this
+        # query's working set, which its own installs must not evict.
+        self._started_ts = now()
 
     # ------------------------------------------------------------------
     # Operator interface.
@@ -1253,7 +1259,9 @@ class RawScan(Operator):
         with self.metrics.time(_NODB):
             if self.config.enable_positional_map:
                 protected = {
-                    id(c) for c in pm.chunks() if c.last_used >= pm.clock
+                    c.attrs
+                    for c in pm.entries()
+                    if c.last_used_ts >= self._started_ts
                 }
                 for attrs, start_row, matrix, benefit in plan.spans:
                     if start_row == 0:
@@ -1261,7 +1269,7 @@ class RawScan(Operator):
                             attrs, matrix, protected, benefit_seconds=benefit
                         )
                     else:
-                        existing = pm.find_exact(attrs)
+                        existing = pm.peek(attrs)
                         if (
                             existing is not None
                             and existing.rows == start_row

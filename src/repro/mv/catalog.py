@@ -20,13 +20,16 @@ Matching (:meth:`MVCatalog.match`) is the AppLovin-style ladder:
   ``SUM(sum)/SUM(count)``).
 * otherwise ``None`` — the planner falls through to the raw path.
 
-Governance: each table's MVs form one :class:`GovernedStructure`
-member inside the engine's :class:`repro.service.MemoryGovernor`
+Governance: each table's MVs form one
+:class:`repro.core.ledger.GovernedLedger` keyed by query signature and
+registered with the engine's :class:`repro.service.MemoryGovernor`
 (kind ``"mv"``), valued at ``benefit_seconds / nbytes`` like map
 chunks and cache entries — the benefit being the measured
-scan+aggregate seconds the capture replaced.  Every install and
-tail-merge asks the governor for its bytes; one entry may not exceed
-``max_entry_bytes``.
+scan+aggregate seconds the capture replaced.  Admission (a re-capture
+of a signature supersedes its entry, which stays if the new one is
+refused), tail-merge growth, eviction, invalidation and recency are the
+ledger's; matching and tail-merging are the catalog's own.  One entry
+may not exceed ``max_entry_bytes``.
 
 **Row watermark.**  An entry aggregates the table rows ``[0, rows)``
 — ``rows`` is taken from the line index of the scan that built it —
@@ -47,10 +50,10 @@ per-table write path.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 from ..batch import Batch
+from ..core.ledger import GovernedLedger, now
 from ..datatypes import DataType
 from ..sql.ast import Expression
 from .signature import QuerySignature
@@ -102,8 +105,7 @@ class MaterializedAggregate:
     created_unix: float
     hits: int = 0
     partial_hits: int = 0
-    last_used: int = 0
-    last_used_ts: float = field(default_factory=time.monotonic)
+    last_used_ts: float = field(default_factory=now)
 
     def describe(self, table_rows: int | None = None) -> dict[str, object]:
         """``table_rows``: the table's reconciled row count, when known
@@ -133,7 +135,7 @@ class MVMatch:
     entry: MaterializedAggregate
     kind: str  # "exact" | "partial"
     #: The entry's batch and the watermark it aggregates up to, read
-    #: together under the catalog lock (``advance`` swaps both).
+    #: together under the governor lock (``advance`` swaps both).
     batch: Batch
     rows: int
     #: Query conjuncts (normalized SQL) the MV has *not* applied;
@@ -144,63 +146,22 @@ class MVMatch:
     lagging: bool = False
 
 
-class _TableMVs:
-    """Per-table MV container; the governor-facing membership unit.
-
-    Satisfies :class:`repro.service.governor.GovernedStructure`, so a
-    table's MVs are evicted (and ``unregister_table``-released) exactly
-    like its positional-map chunks and cache entries.  All mutation
-    happens under the owning catalog's lock — which *is* the governor's
-    lock, preserving the "one lock serializes budget decisions and
-    container mutations" invariant.
-    """
-
-    def __init__(self, catalog: "MVCatalog", table: str) -> None:
-        self._catalog = catalog
-        self.table = table
-        self.entries: dict[int, MaterializedAggregate] = {}
-
-    def governed_bytes(self) -> int:
-        with self._catalog.lock:
-            return sum(e.nbytes for e in self.entries.values())
-
-    def governed_items(self) -> list[tuple]:
-        with self._catalog.lock:
-            return [
-                (
-                    e.mv_id,
-                    e.nbytes,
-                    e.benefit_seconds / max(e.nbytes, 1),
-                    e.last_used,
-                    e.last_used_ts,
-                )
-                for e in self.entries.values()
-            ]
-
-    def governed_evict(self, token: object) -> int:
-        with self._catalog.lock:
-            entry = self.entries.pop(token, None)
-            if entry is None:
-                return 0
-            self._catalog._note_evicted(entry)
-            return entry.nbytes
-
-
 class MVCatalog:
     """All resident materialized aggregates of one engine."""
 
     def __init__(self, registry, governor, max_entry_bytes: int = 0) -> None:
         self._registry = registry
+        # Every method takes the governor's reentrant lock: grant-
+        # triggered evictions re-enter our ledgers without a second lock
+        # (and without an install-vs-evict lock-order inversion).
         self._governor = governor
-        # Sharing the governor's reentrant lock makes grant-triggered
-        # evictions re-enter our containers without a second lock (and
-        # without an install-vs-evict lock-order inversion).
-        self.lock = governor.lock
         #: Per-entry size ceiling (``0``: only the governor's budget).
         self.max_entry_bytes = max_entry_bytes
-        self._tables: dict[str, _TableMVs] = {}
+        #: Per-table ledgers keyed by signature — the governor-facing
+        #: membership unit, so a table's MVs are evicted (and
+        #: ``unregister_table``-released) exactly like its map chunks.
+        self._tables: dict[str, GovernedLedger] = {}
         self._ids = itertools.count(1)
-        self._tick = itertools.count(1)
         self.evictions = 0
         self.invalidations = 0
         self.rejected = 0
@@ -213,25 +174,20 @@ class MVCatalog:
 
     def find(self, sig: QuerySignature) -> MaterializedAggregate | None:
         """The entry captured from exactly this signature, if resident."""
-        with self.lock:
+        with self._governor.lock:
             container = self._tables.get(sig.table)
-            if container is None:
-                return None
-            for entry in container.entries.values():
-                if entry.signature == sig:
-                    return entry
-            return None
+            return None if container is None else container.peek(sig)
 
     def match(self, sig: QuerySignature) -> MVMatch | None:
         """Best resident MV able to answer ``sig`` (exact beats
         partial; smaller beats wider among partials)."""
-        with self.lock:
+        with self._governor.lock:
             container = self._tables.get(sig.table)
             if container is None:
                 return None
             exact: MaterializedAggregate | None = None
             partials: list[MaterializedAggregate] = []
-            for entry in container.entries.values():
+            for entry in container.entries():
                 kind = self._compatibility(entry, sig)
                 if kind == "exact":
                     exact = entry
@@ -281,14 +237,13 @@ class MVCatalog:
 
     def note_served(self, match: MVMatch) -> None:
         """Mark a hit: recency + hit counters feed the benefit decay."""
-        with self.lock:
+        with self._governor.lock:
             entry = match.entry
             if match.kind == "partial":
                 entry.partial_hits += 1
             else:
                 entry.hits += 1
-            entry.last_used = next(self._tick)
-            entry.last_used_ts = time.monotonic()
+            GovernedLedger.touch(entry)
 
     # ------------------------------------------------------------------
     # Install / invalidate / drop.
@@ -297,55 +252,43 @@ class MVCatalog:
     def install(self, entry: MaterializedAggregate) -> bool:
         """Admit one captured aggregate; ``False`` when rejected.
 
-        Callers hold the table's write lock (install is part of the
-        deferred post-pump path), so admission races a concurrent
-        reconcile/drop never interleave mid-decision.
+        A re-capture of a resident signature replaces its entry (which
+        stays when the new one is refused).  Callers hold the table's
+        write lock (install is part of the deferred post-pump path), so
+        admission races a concurrent reconcile/drop never interleave
+        mid-decision.
         """
-        if self.max_entry_bytes and entry.nbytes > self.max_entry_bytes:
-            with self.lock:
-                self.rejected += 1
-            return False
-        with self.lock:
-            container = self._ensure_container(entry.signature.table)
-            stale = [
-                e.mv_id
-                for e in container.entries.values()
-                if e.signature == entry.signature
-            ]
-            for mv_id in stale:
-                container.governed_evict(mv_id)
-            if not self._governor.grant(container, entry.nbytes):
+        oversized = bool(self.max_entry_bytes) and (
+            entry.nbytes > self.max_entry_bytes
+        )
+        with self._governor.lock:
+            if oversized or not self._ensure_container(
+                entry.signature.table
+            ).admit(entry.signature, entry):
                 self.rejected += 1
                 return False
-            self._admit(container, entry)
+            self.builds += 1
+            self.build_seconds += entry.build_seconds
+            self._registry.counter("mv_builds_total").inc()
+            self._registry.counter("mv_build_seconds_total").inc(
+                entry.build_seconds
+            )
+            self._update_gauge()
         return True
 
-    def _ensure_container(self, table: str) -> _TableMVs:
+    def _ensure_container(self, table: str) -> GovernedLedger:
         container = self._tables.get(table)
         if container is None:
-            container = _TableMVs(self, table)
+            container = GovernedLedger(
+                self._governor, on_evict=self._note_evicted
+            )
             self._tables[table] = container
             self._governor.register(container, table, "mv")
         return container
 
-    def _admit(
-        self, container: _TableMVs, entry: MaterializedAggregate
-    ) -> None:
-        entry.last_used = next(self._tick)
-        entry.last_used_ts = time.monotonic()
-        container.entries[entry.mv_id] = entry
-        self.builds += 1
-        self.build_seconds += entry.build_seconds
-        self._registry.counter("mv_builds_total").inc()
-        self._registry.counter("mv_build_seconds_total").inc(
-            entry.build_seconds
-        )
-        self._update_gauge()
-
     def _note_evicted(self, entry: MaterializedAggregate) -> None:
-        """Called (under the lock) by containers for every removal that
-        goes through ``governed_evict`` — governor pressure or
-        same-signature replacement."""
+        """The ledgers' eviction hook (called under the lock for every
+        entry the governor evicts)."""
         self.evictions += 1
         self._registry.counter("mv_evictions_total").inc()
         self._update_gauge()
@@ -366,11 +309,11 @@ class MVCatalog:
         """
         nbytes = sum(v.nbytes() for v in batch.columns.values())
         table = entry.signature.table
-        with self.lock:
+        with self._governor.lock:
             container = self._tables.get(table)
             if (
                 container is None
-                or container.entries.get(entry.mv_id) is not entry
+                or container.peek(entry.signature) is not entry
                 or entry.rows != from_rows
                 or rows <= from_rows
             ):
@@ -378,9 +321,7 @@ class MVCatalog:
             if self.max_entry_bytes and nbytes > self.max_entry_bytes:
                 return False
             extra = nbytes - entry.nbytes
-            if extra > 0 and not self._governor.grant(
-                container, extra, {entry.mv_id}
-            ):
+            if extra > 0 and not container.grow(entry.signature, extra):
                 return False
             entry.batch, entry.rows, entry.nbytes = batch, rows, nbytes
             self._registry.counter("mv_tail_merges_total").inc()
@@ -391,12 +332,11 @@ class MVCatalog:
     def invalidate_table(self, table: str) -> int:
         """Generation-style invalidation on rewrite: drop every MV of
         the table (the stored groups no longer match the file)."""
-        with self.lock:
+        with self._governor.lock:
             container = self._tables.get(table)
             if container is None:
                 return 0
-            dropped = len(container.entries)
-            container.entries.clear()
+            dropped = container.invalidate()
             if dropped:
                 self.invalidations += dropped
                 self._registry.counter("mv_invalidations_total").inc(dropped)
@@ -406,11 +346,10 @@ class MVCatalog:
     def drop_table(self, table: str) -> None:
         """Forget a dropped table entirely.  The governor membership is
         released by ``unregister_table`` on the service side."""
-        with self.lock:
+        with self._governor.lock:
             container = self._tables.pop(table, None)
-            if container is not None and container.entries:
-                self.invalidations += len(container.entries)
-                container.entries.clear()
+            if container is not None:
+                self.invalidations += container.invalidate()
             self._update_gauge()
 
     # ------------------------------------------------------------------
@@ -418,24 +357,16 @@ class MVCatalog:
     # ------------------------------------------------------------------
 
     def total_bytes(self) -> int:
-        with self.lock:
-            return sum(
-                e.nbytes
-                for c in self._tables.values()
-                for e in c.entries.values()
-            )
+        with self._governor.lock:
+            return sum(c.used_bytes for c in self._tables.values())
 
     def entry_count(self) -> int:
-        with self.lock:
-            return sum(len(c.entries) for c in self._tables.values())
+        with self._governor.lock:
+            return sum(c.entry_count for c in self._tables.values())
 
     def entries(self) -> list[MaterializedAggregate]:
-        with self.lock:
-            return [
-                e
-                for c in self._tables.values()
-                for e in c.entries.values()
-            ]
+        with self._governor.lock:
+            return [e for c in self._tables.values() for e in c.entries()]
 
     def next_id(self) -> int:
         return next(self._ids)

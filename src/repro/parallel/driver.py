@@ -256,7 +256,7 @@ class ParallelScanDriver:
         cuts = list(range(tail_from, n_rows, per_chunk * batch)) + [n_rows]
 
         anchors = [
-            c for c in state.positional_map.chunks() if c.rows > tail_from
+            c for c in state.positional_map.entries() if c.rows > tail_from
         ]
 
         def make_task(i: int, r0: int, r1: int) -> ChunkTask:

@@ -40,6 +40,9 @@ from ..rawio.reader import FileStamp, RawFileReader
 from ..rawio.tokenizer import has_crlf
 from ..sql.ast import Expression
 
+#: Recency stamp of an adopted anchor the worker has not jumped from.
+UNTOUCHED = float("-inf")
+
 
 @dataclass
 class ChunkTask:
@@ -222,10 +225,10 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
     adopted = []
     for attrs, offsets in task.anchor_chunks:
         chunk = pm.adopt(attrs, offsets)
-        # Sentinel recency: the worker clock never ticks, so any touch
-        # (anchored jump) raises last_used back to 0 — that is how the
-        # driver learns which shared chunks to mark recently-used.
-        chunk.last_used = -1
+        # Sentinel recency: any touch (an anchored jump) stamps a real
+        # time over it — that is how the driver learns which shared
+        # chunks to mark recently-used.
+        chunk.last_used_ts = UNTOUCHED
         adopted.append(chunk)
 
     segments = scan._plan_segments(n_rows)
@@ -278,6 +281,6 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
         stats_log=scan.stats_log,
         metrics=metrics,
         anchors_used=[
-            i for i, c in enumerate(adopted) if c.last_used >= 0
+            i for i, c in enumerate(adopted) if c.last_used_ts != UNTOUCHED
         ],
     )

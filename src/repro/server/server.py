@@ -65,6 +65,10 @@ from ..service.service import PostgresRawService, Session
 from .encoding import iter_binary_row_frames
 from .protocol import PROTOCOL_VERSION, FrameType, encode_frame, read_frame
 
+#: Default period (seconds) of a STATS push subscription; a subscriber
+#: may ask for another one per subscription.
+STATS_INTERVAL_S = 1.0
+
 
 @dataclass
 class _Stream:
@@ -139,9 +143,6 @@ class RawServer:
             else max_streams_per_connection
         )
         self.auth_token = auth_token
-        #: Default cadence of STATS push subscriptions (clients may ask
-        #: for a different one per subscription).
-        self.stats_interval_s = config.stats_interval_s
         self.port: int | None = None  # bound port, set by start
         # Dedicated worker pool for blocking service calls, sized so
         # every stream always has a worker.  The loop's *default*
@@ -554,7 +555,7 @@ class RawServer:
         if payload.get("subscribe"):
             interval = payload.get("interval_s")
             if not isinstance(interval, (int, float)) or interval <= 0:
-                interval = self.stats_interval_s
+                interval = STATS_INTERVAL_S
             conn.stats_subs[qid] = asyncio.create_task(
                 self._push_stats(conn, writer, qid, float(interval))
             )

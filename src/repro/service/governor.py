@@ -19,7 +19,12 @@ All are "seconds saved per byte held", so every kind competes in one
 currency, across tables (the workload-driven partitioning observation:
 what survives should be decided by the *workload*, not by which
 structure happens to own the bytes).  Recency breaks ties, so an
-all-cold engine degrades to global LRU.
+all-cold engine degrades to global LRU.  That tie-break is sound across
+tables and kinds because there is one recency clock: every governed
+structure keeps its entries in a
+:class:`repro.core.ledger.GovernedLedger`, whose every touch stamps
+the same monotonic clock (``last_used_ts``) — no structure keeps a
+private counter whose values would not compare with another's.
 
 **Benefit decay.**  With ``benefit_half_life_s`` set, an item's benefit
 is aged by how long it has gone untouched: an expensive-to-rebuild
@@ -37,19 +42,24 @@ safely evict from table B while B's installer is one lock-acquire away.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Protocol
+
+from ..core.ledger import now as recency_now
 
 
 class GovernedStructure(Protocol):
     """What the governor needs from a governed structure (positional
     map, cache, a table's MVs, a columnstore tier).
 
+    :class:`repro.core.ledger.GovernedLedger` is the one
+    implementation: every governed tier keeps its entries in one.
     Structures report inventory as plain ``(token, nbytes,
-    value_density, last_used, last_used_ts)`` tuples — keeping
-    :mod:`repro.core` free of any import on this package — and the
-    governor wraps them in :class:`GovernedItem` for arbitration.
+    value_density, last_used_ts)`` tuples — keeping :mod:`repro.core`
+    free of any import on this package — and the governor wraps them in
+    :class:`GovernedItem` for arbitration.  Tokens are stable per
+    structure (an attribute, an attribute tuple, a query signature);
+    ``grant``'s ``protected`` set speaks the requester's tokens.
     """
 
     def governed_bytes(self) -> int:
@@ -64,13 +74,14 @@ class GovernedStructure(Protocol):
 
 @dataclass
 class GovernedItem:
-    """One evictable unit of adaptive state (a chunk or a cache entry)."""
+    """One evictable unit of adaptive state (a chunk, a cache entry, a
+    promoted column or an aggregate)."""
 
     structure: "GovernedStructure"
     token: object
     nbytes: int
     value_density: float  # seconds saved per byte held (decayed)
-    last_used: int
+    last_used_ts: float
 
 
 class MemoryGovernor:
@@ -148,10 +159,11 @@ class MemoryGovernor:
         """May ``requester`` grow by ``nbytes``?  Evicts to make room.
 
         ``protected`` tokens (interpreted by the requester structure —
-        chunk ids for maps, attribute numbers for caches) are never
-        evicted *from the requester*; other structures are fully up for
-        grabs.  Returns ``False`` — and evicts nothing further — when
-        the bytes cannot fit even after evicting everything evictable.
+        attribute tuples for maps, attribute numbers for caches and
+        columnstores, signatures for MVs) are never evicted *from the
+        requester*; other structures are fully up for grabs.  Returns
+        ``False`` — and evicts nothing further — when the bytes cannot
+        fit even after evicting everything evictable.
         """
         protected = protected or set()
         with self.lock:
@@ -177,15 +189,15 @@ class MemoryGovernor:
     def _victim_order(
         self, requester: GovernedStructure, protected: set
     ) -> list[GovernedItem]:
-        """Evictable items, cheapest-to-lose first (decayed benefit)."""
-        now = time.monotonic()
+        """Evictable items, cheapest-to-lose first (decayed benefit),
+        the least recently used first among equals."""
+        now = recency_now()
         candidates: list[GovernedItem] = []
         for _, _, _, structure in self._members:
             for (
                 token,
                 nbytes,
                 density,
-                last_used,
                 last_used_ts,
             ) in structure.governed_items():
                 if structure is requester and token in protected:
@@ -196,11 +208,11 @@ class MemoryGovernor:
                         token,
                         nbytes,
                         self._decayed(density, last_used_ts, now),
-                        last_used,
+                        last_used_ts,
                     )
                 )
         candidates.sort(
-            key=lambda i: (i.value_density, i.last_used, i.nbytes)
+            key=lambda i: (i.value_density, i.last_used_ts, i.nbytes)
         )
         return candidates
 

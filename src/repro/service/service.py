@@ -577,8 +577,8 @@ class PostgresRawService:
                     continue  # planner raises CatalogError with context
                 tables.append((name, state, lock))
 
-            # Phase 1 — reconcile external file changes and tick the LRU
-            # clocks, one short exclusive section per table.
+            # Phase 1 — reconcile external file changes, one short
+            # exclusive section per table.
             with tracer.span(root, "reconcile", tables=len(tables)):
                 for _, state, lock in tables:
                     with lock.write():

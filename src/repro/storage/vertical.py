@@ -9,12 +9,15 @@ binary storage — no raw-file I/O, no tokenizing, no parsing — while the
 table stays registered in situ.
 
 One :class:`VerticalStore` exists per raw table (when ``vp_enabled``).
-It is a :class:`repro.service.governor.GovernedStructure` of kind
-``"columnstore"``: promoted bytes are admitted through
-``governor.grant`` against the same budget as positional-map chunks,
+It is a :class:`repro.core.ledger.GovernedLedger` keyed by attribute
+and registered with the governor as kind ``"columnstore"``: promoted
+bytes are admitted against the same budget as positional-map chunks,
 cache entries and materialized aggregates, and evict per column by
-benefit-per-byte.  The governor's lock is the store's only lock, so a
-grant that evicts a column and a scan that reads or extends it are
+benefit-per-byte.  What is the store's own is the files: the ledger's
+eviction hook removes an evicted column's directory, and a promotion
+is written beside the column it replaces and swapped in only once
+admitted.  The governor's lock is the store's only lock, so a grant
+that evicts a column and a scan that reads or extends it are
 serialized by one mutex.
 
 A promoted column covers a row *prefix* of its table (``rows`` is its
@@ -27,7 +30,6 @@ files in O(tail) bytes.  Rewrites and drops invalidate the whole store.
 from __future__ import annotations
 
 import shutil
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +37,7 @@ import numpy as np
 
 from ..batch import ColumnVector
 from ..catalog.schema import Column, TableSchema
+from ..core.ledger import GovernedLedger, now
 from ..datatypes import DataType
 from .columnstore import ColumnStoreTable
 
@@ -52,63 +55,28 @@ class PromotedColumn:
     #: Measured conversion time the promotion captured — what a future
     #: scan of this column saves, for benefit-per-byte eviction.
     benefit_seconds: float
-    last_used: int = 0
-    last_used_ts: float = field(default_factory=time.monotonic)
+    last_used_ts: float = field(default_factory=now)
     hits: int = 0
 
 
-class VerticalStore:
+class VerticalStore(GovernedLedger):
     """Per-table columnstore tier holding promoted hot columns."""
 
     def __init__(
         self, table: str, root: str | Path, governor, registry=None
     ) -> None:
+        super().__init__(governor, on_evict=_remove_files)
         self.table = table
         self.root = Path(root)
         self.registry = registry
-        self._governor = governor
-        # The governor's reentrant lock: grant-triggered evictions
-        # re-enter this store without a second lock to order against.
-        self.lock = governor.lock
-        self._columns: dict[int, PromotedColumn] = {}
-        self._clock = 0
-
-    # ------------------------------------------------------------------
-    # GovernedStructure protocol.
-    # ------------------------------------------------------------------
-
-    def governed_bytes(self) -> int:
-        with self.lock:
-            return sum(c.nbytes for c in self._columns.values())
-
-    def governed_items(self):
-        with self.lock:
-            return [
-                (
-                    c.attr,
-                    c.nbytes,
-                    (c.benefit_seconds / c.nbytes) if c.nbytes else 0.0,
-                    c.last_used,
-                    c.last_used_ts,
-                )
-                for c in self._columns.values()
-            ]
-
-    def governed_evict(self, token: object) -> int:
-        with self.lock:
-            column = self._columns.pop(token, None)
-            if column is None:
-                return 0
-            shutil.rmtree(column.store.directory, ignore_errors=True)
-            return column.nbytes
 
     # ------------------------------------------------------------------
     # Promotion / serving.
     # ------------------------------------------------------------------
 
     def coverage_rows(self, attr: int) -> int:
-        with self.lock:
-            column = self._columns.get(attr)
+        with self.governor.lock:
+            column = self.peek(attr)
             return column.rows if column is not None else 0
 
     def promote(
@@ -137,23 +105,21 @@ class VerticalStore:
         nbytes = ColumnStoreTable.create(
             staging, schema, {name: vector}, build_zone_maps=False
         ).storage_bytes()
-        with self.lock:
-            if not self._governor.grant(self, nbytes):
+        column = PromotedColumn(
+            attr=attr,
+            name=name,
+            dtype=dtype,
+            store=ColumnStoreTable(directory, schema),
+            rows=len(vector),
+            nbytes=nbytes,
+            benefit_seconds=benefit_seconds,
+        )
+        with self.governor.lock:
+            if not self.admit(attr, column):
                 shutil.rmtree(staging, ignore_errors=True)
                 return False
             shutil.rmtree(directory, ignore_errors=True)
             staging.rename(directory)
-            self._clock += 1
-            self._columns[attr] = PromotedColumn(
-                attr=attr,
-                name=name,
-                dtype=dtype,
-                store=ColumnStoreTable(directory, schema),
-                rows=len(vector),
-                nbytes=nbytes,
-                benefit_seconds=benefit_seconds,
-                last_used=self._clock,
-            )
         if self.registry is not None:
             self.registry.counter("vp_promotions_total").inc()
         return True
@@ -172,13 +138,13 @@ class VerticalStore:
         # Under the governor's lock no grant elsewhere can evict the
         # column while its files are being appended to; the growing
         # column itself is protected from its own grant.
-        with self.lock:
-            column = self._columns.get(attr)
+        with self.governor.lock:
+            column = self.peek(attr)
             if column is None:
                 return False
             added = column.store.extend(
                 {column.name: tail},
-                lambda nbytes: self._governor.grant(self, nbytes, {attr}),
+                lambda nbytes: self.grow(attr, nbytes),
             )
             if not added:
                 return False
@@ -202,11 +168,9 @@ class VerticalStore:
         mmap loads are charged to the ``io`` bucket by the columnstore
         itself; the raw file is never touched.
         """
-        with self.lock:
-            column = self._columns[attr]
-            self._clock += 1
-            column.last_used = self._clock
-            column.last_used_ts = time.monotonic()
+        with self.governor.lock:
+            column = self._entries[attr]
+            self.touch(column)
             column.hits += 1
         if self.registry is not None:
             self.registry.counter("vp_served_total").inc()
@@ -219,11 +183,10 @@ class VerticalStore:
 
     def invalidate(self) -> int:
         """Rewrite/drop: the promoted prefixes describe another file."""
-        with self.lock:
-            dropped = len(self._columns)
-            for column in self._columns.values():
-                shutil.rmtree(column.store.directory, ignore_errors=True)
-            self._columns.clear()
+        with self.governor.lock:
+            for column in self.entries():
+                _remove_files(column)
+            dropped = super().invalidate()
         if self.registry is not None and dropped:
             self.registry.counter("vp_invalidations_total").inc(dropped)
         return dropped
@@ -231,19 +194,24 @@ class VerticalStore:
     def stats(self, table_rows: int | None = None) -> dict[str, object]:
         """``table_rows``: the table's reconciled row count, when known
         (a column's ``lag_rows`` is how far its watermark trails it)."""
-        with self.lock:
+        with self.governor.lock:
+            columns = self.entries()
             return {
                 "table": self.table,
-                "columns": sorted(c.name for c in self._columns.values()),
-                "nbytes": sum(c.nbytes for c in self._columns.values()),
-                "hits": sum(c.hits for c in self._columns.values()),
-                "rows": {c.name: c.rows for c in self._columns.values()},
+                "columns": sorted(c.name for c in columns),
+                "nbytes": self.used_bytes,
+                "hits": sum(c.hits for c in columns),
+                "rows": {c.name: c.rows for c in columns},
                 "lag_rows": {
                     c.name: (
                         None
                         if table_rows is None
                         else max(table_rows - c.rows, 0)
                     )
-                    for c in self._columns.values()
+                    for c in columns
                 },
             }
+
+
+def _remove_files(column: PromotedColumn) -> None:
+    shutil.rmtree(column.store.directory, ignore_errors=True)

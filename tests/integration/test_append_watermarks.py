@@ -6,12 +6,14 @@ the new tail.  These are the edges of that contract: what a tail may
 bring (NULLs, NaN keys, new groups, nothing that passes the filter,
 sums past 2^53 and past int64), float tolerance, two sessions merging
 one tail, an append racing an open tail-merge, and the counters that
-tell an advance from a rebuild.
+tell an advance from a rebuild.  ``REPRO_STRESS_ROUNDS`` scales the
+append hammer like the other stress suites.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 import time
@@ -29,6 +31,7 @@ SCHEMA = TableSchema.from_pairs(
 NAN = float("nan")
 ROWS = [(i % 3, float(i % 2), i, f"s{i % 4}") for i in range(50)]
 TIMEOUT = 30
+ROUNDS = int(os.environ.get("REPRO_STRESS_ROUNDS", "2"))
 
 
 @pytest.fixture()
@@ -271,7 +274,7 @@ def test_sessions_hammering_while_the_file_grows_never_miscount(tmp_path):
     ]
     plain = "SELECT v FROM t WHERE g >= 0"
     constant = sum(v for __, __, v, __ in ROWS) - len(ROWS)
-    appends, per_append = 12, 5
+    appends, per_append = 6 * ROUNDS, 5
     cfg = config(
         memory_budget=8 << 20,
         vp_enabled=True,

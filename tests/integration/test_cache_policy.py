@@ -44,11 +44,8 @@ class TestPolicyUnit:
 
     def test_cost_aware_evicts_low_value_density_first(self):
         cache = _cache()
-        cache.tick()
         cache.put(0, _vec(100), benefit_seconds=0.5)   # valuable
-        cache.tick()
         cache.put(1, _vec(100), benefit_seconds=0.001)  # cheap to redo
-        cache.tick()
         cache.put(2, _vec(100), benefit_seconds=0.3)
         # Attr 1 has the lowest benefit/byte and must be the victim,
         # even though attr 0 is the least recently used.
@@ -56,11 +53,8 @@ class TestPolicyUnit:
 
     def test_cost_aware_recency_tiebreak(self):
         cache = _cache()
-        cache.tick()
         cache.put(0, _vec(100), benefit_seconds=0.1)
-        cache.tick()
         cache.put(1, _vec(100), benefit_seconds=0.1)
-        cache.tick()
         cache.put(2, _vec(100), benefit_seconds=0.1)
         assert cache.cached_attrs() == [1, 2]
 

@@ -169,7 +169,7 @@ def test_eight_threads_match_serial_engine(small_csv, label, config):
         # Every surviving structure is a coherent row prefix.
         n_rows = state.positional_map.n_rows
         assert n_rows == 5_000
-        for chunk in state.positional_map.chunks():
+        for chunk in state.positional_map.entries():
             assert 0 < chunk.rows <= n_rows
         for attr in state.cache.cached_attrs():
             assert 0 < state.cache.coverage_rows(attr) <= n_rows

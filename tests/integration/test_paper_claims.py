@@ -73,8 +73,11 @@ class TestFigure3Shape:
         baseline.register_csv("t", path, schema)
         q = "SELECT a0, a7 FROM t WHERE a3 < 200000"
         raw.query(q)  # warm up
-        warm = raw.query(q).metrics.total_seconds
-        base = baseline.query(q).metrics.total_seconds
+        # Best of five per engine: one stalled run must not decide it.
+        warm = min(raw.query(q).metrics.total_seconds for __ in range(5))
+        base = min(
+            baseline.query(q).metrics.total_seconds for __ in range(5)
+        )
         assert warm < base / 2  # paper shows ~order-of-magnitude
 
     def test_nodb_overhead_is_minor(self, dataset):

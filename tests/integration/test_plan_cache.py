@@ -328,8 +328,10 @@ def test_cached_plans_answer_like_fresh_ones(
                 write_csv(path, rows_for(schema, arg), schema)
             elif kind == "evict":
                 container = service.mv.catalog._tables.get("t")
-                for mv_id in list(container.entries) if container else ():
-                    container.governed_evict(mv_id)
+                for token, *__ in (
+                    container.governed_items() if container else ()
+                ):
+                    container.governed_evict(token)
             elif kind == "reregister":
                 engine.drop_table("t")
                 assert len(service.plan_cache) == 0
@@ -377,7 +379,7 @@ def test_cached_sql_keeps_no_evicted_batch_alive(csv_path):
         (entry,) = service.mv.catalog.entries()
         column = weakref.ref(next(iter(entry.batch.columns.values())))
         container = service.mv.catalog._tables["t"]
-        container.governed_evict(entry.mv_id)  # the governor's path
+        container.governed_evict(entry.signature)  # the governor's path
         del entry
         gc.collect()
         assert TILE in service.plan_cache

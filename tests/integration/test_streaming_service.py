@@ -194,7 +194,7 @@ class TestLockLifetime:
             # The abandoned scan installed the row prefix it completed.
             assert state.positional_map.n_rows == 5_000
             assert any(
-                c.rows > 0 for c in state.positional_map.chunks()
+                c.rows > 0 for c in state.positional_map.entries()
             )
             assert session.query(SQL).rows  # engine fully consistent
 

@@ -322,7 +322,7 @@ def _assert_map_points_at_the_bytes(eng, raw, kind, dialect, rows):
     dtypes = SCHEMA.dtypes()
     pm = eng.table_state("t").positional_map
     assert pm.chunk_count > 0
-    for chunk in pm.chunks():
+    for chunk in pm.entries():
         offsets = chunk.offsets.tolist()
         for r in range(chunk.rows):
             for col, attr in enumerate(chunk.attrs):
@@ -337,7 +337,7 @@ def _map_of(eng):
         pm.line_bounds.tolist(),
         pm.crlf,
         sorted(
-            (c.attrs, c.rows, c.offsets.tolist()) for c in pm.chunks()
+            (c.attrs, c.rows, c.offsets.tolist()) for c in pm.entries()
         ),
     )
 

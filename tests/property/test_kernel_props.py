@@ -8,6 +8,7 @@ identical to the legacy interpreted path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from governed import cache_layout, record_touches
 from repro import PostgresRaw, PostgresRawConfig
 from repro.catalog.schema import TableSchema
 from repro.executor.result import batch_rows
@@ -87,7 +88,7 @@ def _engine(path, kernels, workers=1):
     )
     eng = PostgresRaw(cfg)
     eng.register_csv("t", path, SCHEMA, DIALECT)
-    return eng
+    return record_touches(eng)
 
 
 def _outcome(eng, sql):
@@ -111,16 +112,15 @@ def _assert_equivalent(kernel_eng, legacy_eng):
     kpm = kernel_eng.table_state("t").positional_map
     lpm = legacy_eng.table_state("t").positional_map
     assert np.array_equal(kpm.line_bounds, lpm.line_bounds)
-    kchunks = sorted(kpm.chunks(), key=lambda c: c.attrs)
-    lchunks = sorted(lpm.chunks(), key=lambda c: c.attrs)
+    kchunks = sorted(kpm.entries(), key=lambda c: c.attrs)
+    lchunks = sorted(lpm.entries(), key=lambda c: c.attrs)
     assert [(c.attrs, c.rows) for c in kchunks] == [
         (c.attrs, c.rows) for c in lchunks
     ]
     for kc, lc in zip(kchunks, lchunks):
         assert np.array_equal(kc.offsets, lc.offsets)
-    assert kernel_eng.table_state("t").cache.describe() == (
-        legacy_eng.table_state("t").cache.describe()
-    )
+    assert cache_layout(kernel_eng) == cache_layout(legacy_eng)
+    assert kernel_eng.touches == legacy_eng.touches
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ equivalent to the serial scan."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from governed import cache_layout, record_touches
 from repro import PostgresRaw, PostgresRawConfig
 from repro.catalog.schema import TableSchema
 from repro.parallel.chunker import plan_file_chunks
@@ -85,22 +86,22 @@ def _compare_engines(
         )
     )
     parallel.register_csv("t", path, SCHEMA)
+    record_touches(serial), record_touches(parallel)
     for sql in queries:
         assert serial.query(sql).rows == parallel.query(sql).rows
     spm = serial.table_state("t").positional_map
     ppm = parallel.table_state("t").positional_map
     assert np.array_equal(spm.line_bounds, ppm.line_bounds)
-    schunks = sorted(spm.chunks(), key=lambda c: c.attrs)
-    pchunks = sorted(ppm.chunks(), key=lambda c: c.attrs)
+    schunks = sorted(spm.entries(), key=lambda c: c.attrs)
+    pchunks = sorted(ppm.entries(), key=lambda c: c.attrs)
     assert [(c.attrs, c.rows) for c in schunks] == [
         (c.attrs, c.rows) for c in pchunks
     ]
     for sc, pc in zip(schunks, pchunks):
         assert np.array_equal(sc.offsets, pc.offsets)
     if check_cache:
-        assert serial.table_state("t").cache.describe() == (
-            parallel.table_state("t").cache.describe()
-        )
+        assert cache_layout(serial) == cache_layout(parallel)
+        assert serial.touches == parallel.touches
 
 
 QUERIES = [
@@ -178,8 +179,8 @@ def test_parallel_append_tail_equals_serial(
     ppm = parallel.table_state("t").positional_map
     assert np.array_equal(spm.line_bounds, ppm.line_bounds)
     for sc, pc in zip(
-        sorted(spm.chunks(), key=lambda c: c.attrs),
-        sorted(ppm.chunks(), key=lambda c: c.attrs),
+        sorted(spm.entries(), key=lambda c: c.attrs),
+        sorted(ppm.entries(), key=lambda c: c.attrs),
     ):
         assert sc.attrs == pc.attrs
         assert np.array_equal(sc.offsets, pc.offsets)

@@ -59,11 +59,8 @@ class TestGovernedBudget:
     def test_recency_breaks_equal_benefit(self):
         vec_bytes = _vec(100).nbytes()
         cache = _cache(vec_bytes * 2)
-        cache.tick()
         cache.put(0, _vec(100))
-        cache.tick()
         cache.put(1, _vec(100))
-        cache.tick()
         cache.get(0)  # refresh 0; 1 becomes least recent
         cache.put(2, _vec(100))
         assert cache.cached_attrs() == [0, 2]
@@ -72,7 +69,7 @@ class TestGovernedBudget:
     def test_oversized_rejected(self):
         cache = _cache(10)
         assert not cache.put(0, _vec(1000))
-        assert cache.rejected_insertions == 1
+        assert cache.rejections == 1
         assert cache.entry_count == 0
 
     def test_protected_not_evicted(self):
@@ -92,11 +89,8 @@ class TestGovernedBudget:
     def test_peek_does_not_refresh(self):
         vec_bytes = _vec(100).nbytes()
         cache = _cache(vec_bytes * 2)
-        cache.tick()
         cache.put(0, _vec(100))
-        cache.tick()
         cache.put(1, _vec(100))
-        cache.tick()
         cache.peek(0)  # not a recency touch: 0 stays least recent
         cache.put(2, _vec(100))
         assert 0 not in cache.cached_attrs()

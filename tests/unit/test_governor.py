@@ -10,10 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from governed import governed_cache, governed_map
+from governed import count_signature, governed_cache, governed_map, mv_entry
 from repro.batch import ColumnVector
 from repro.datatypes import DataType
+from repro.mv import MVCatalog, MVMatch
 from repro.service import MemoryGovernor
+from repro.telemetry.registry import MetricsRegistry
 
 
 def vector(n_rows: int) -> ColumnVector:
@@ -104,22 +106,62 @@ class TestEvictionOrdering:
         installed = pm.install((2, 3), offsets(n, 2), benefit_seconds=8.0)
         assert installed is not None
         assert cache.peek(0) is not None
-        assert pm.find_exact((0, 1)) is None
-        assert pm.find_exact((2, 3)) is not None
+        assert pm.peek((0, 1)) is None
+        assert pm.peek((2, 3)) is not None
 
     def test_recency_breaks_density_ties(self):
         budget = vector_bytes(100) * 2
         governor = MemoryGovernor(budget)
         cache = governed_cache(governor, "a")
         cache.put(0, vector(100), benefit_seconds=1.0)
-        cache.tick()
         cache.put(1, vector(100), benefit_seconds=1.0)
-        cache.tick()
         cache.put(2, vector(100), benefit_seconds=1.0)
         # Equal densities: the least recently installed/used entry loses.
         assert cache.peek(0) is None
         assert cache.peek(1) is not None
         assert cache.peek(2) is not None
+
+    def test_recency_tie_break_spans_tables(self, small_csv):
+        # Table A runs ten queries before installing, B one query and
+        # installs later: recency must say B's chunk is the newer one,
+        # whatever per-table query counts say.
+        from repro import PostgresRawConfig, PostgresRawService
+
+        path, schema = small_csv
+        chunk = offsets(100, 1)
+        config = PostgresRawConfig(memory_budget=2 * chunk.nbytes)
+        with PostgresRawService(config) as service:
+            for table in "abc":
+                service.register_csv(table, path, schema)
+            a, b, c = (service.table_state(t) for t in "abc")
+            for __ in range(10):
+                a.begin_query()
+            a.positional_map.install((0,), chunk)
+            b.begin_query()
+            b.positional_map.install((0,), chunk)
+            c.begin_query()
+            assert c.positional_map.install((0,), chunk) is not None
+            assert a.positional_map.chunk_count == 0  # the older chunk
+            assert b.positional_map.chunk_count == 1
+
+    def test_recency_tie_break_spans_kinds(self):
+        n = vector_bytes(100)
+        governor = MemoryGovernor(2 * n)
+        cache = governed_cache(governor)
+        catalog = MVCatalog(MetricsRegistry(), governor)
+        cache.put(0, vector(100), benefit_seconds=1.0)
+        entry = mv_entry(count_signature("a"), 1, benefit=1.0, nbytes=n)
+        assert catalog.install(entry)
+        cache.get(0)  # the cache entry is now the more recently used
+        # Equal densities: the least recently touched entry, the MV,
+        # makes room for the new column.
+        assert cache.put(1, vector(100), benefit_seconds=1.0)
+        assert catalog.entry_count() == 0
+        assert cache.peek(0) is not None and cache.peek(1) is not None
+        # Touching the MV makes the cache entries the older ones.
+        assert catalog.install(mv_entry(count_signature("b"), 1, nbytes=n))
+        catalog.note_served(MVMatch(catalog.entries()[0], "exact", None, 1))
+        assert cache.peek(0) is None and cache.peek(1) is not None
 
     def test_protected_tokens_survive(self):
         budget = vector_bytes(100) * 2
@@ -216,12 +258,10 @@ class TestBenefitDecay:
         cache = governed_cache(governor, "a")
         # Attr 0 measured a huge benefit... a long time ago.
         cache.put(0, vector(100), benefit_seconds=100.0)
-        cache.tick()
         cache.put(1, vector(100), benefit_seconds=1.0)
         # Age attr 0 by many half-lives: its effective benefit-per-byte
         # decays below the recently-useful attr 1.
         cache.peek(0).last_used_ts -= 1000.0
-        cache.tick()
         assert cache.put(2, vector(100), benefit_seconds=1.0)
         assert cache.peek(0) is None  # the cold, stale entry lost
         assert cache.peek(1) is not None
@@ -232,10 +272,8 @@ class TestBenefitDecay:
         governor = MemoryGovernor(budget)  # no decay configured
         cache = governed_cache(governor, "a")
         cache.put(0, vector(100), benefit_seconds=100.0)
-        cache.tick()
         cache.put(1, vector(100), benefit_seconds=1.0)
         cache.peek(0).last_used_ts -= 1000.0
-        cache.tick()
         assert cache.put(2, vector(100), benefit_seconds=1.0)
         # Undecayed: the high measured benefit keeps attr 0 resident and
         # the low-benefit attr 1 is the victim.
@@ -250,7 +288,8 @@ class TestBenefitDecay:
         pm = governed_map(governor, "b")
         # A stale-but-expensive map chunk vs a fresh cheap cache entry.
         pm.install((0, 1), offsets(n, 2), benefit_seconds=50.0)
-        pm.chunks()[0].last_used_ts -= 1000.0
+        (chunk,) = pm.entries()
+        chunk.last_used_ts -= 1000.0
         cache.put(0, vector(n), benefit_seconds=0.5)
         # New bytes need room: the decayed chunk is the cheapest loss.
         assert cache.put(1, vector(n), benefit_seconds=0.5)

@@ -107,7 +107,6 @@ class TestPostgresRawConfig:
         [
             ("memory_budget", -1),
             ("batch_size", 0),
-            ("histogram_buckets", -2),
             ("scan_workers", 0),
             ("scan_workers", -3),
             ("parallel_chunk_bytes", 0),

@@ -5,6 +5,7 @@ accounting, and the boundary edge cases found in the raw-scan audit."""
 import numpy as np
 import pytest
 
+from governed import cache_layout, record_touches
 from repro import (
     PostgresRaw,
     PostgresRawConfig,
@@ -33,7 +34,7 @@ def _engines(path, schema, parallel_config=PARALLEL):
     serial.register_csv("t", path, schema)
     parallel = PostgresRaw(parallel_config)
     parallel.register_csv("t", path, schema)
-    return serial, parallel
+    return record_touches(serial), record_touches(parallel)
 
 
 def _assert_same_state(serial, parallel, check_cache=True):
@@ -45,17 +46,17 @@ def _assert_same_state(serial, parallel, check_cache=True):
     spm = serial.table_state("t").positional_map
     ppm = parallel.table_state("t").positional_map
     assert np.array_equal(spm.line_bounds, ppm.line_bounds)
-    schunks = sorted(spm.chunks(), key=lambda c: c.attrs)
-    pchunks = sorted(ppm.chunks(), key=lambda c: c.attrs)
+    schunks = sorted(spm.entries(), key=lambda c: c.attrs)
+    pchunks = sorted(ppm.entries(), key=lambda c: c.attrs)
     assert [(c.attrs, c.rows) for c in schunks] == [
         (c.attrs, c.rows) for c in pchunks
     ]
     for sc, pc in zip(schunks, pchunks):
         assert np.array_equal(sc.offsets, pc.offsets)
     if check_cache:
-        assert serial.table_state("t").cache.describe() == (
-            parallel.table_state("t").cache.describe()
-        )
+        assert cache_layout(serial) == cache_layout(parallel)
+        # Which query last touched each entry decides eviction order.
+        assert serial.touches == parallel.touches
 
 
 class TestColdParallelScan:
@@ -214,15 +215,7 @@ class TestTailParallelScan:
                 append_csv_rows(path, rows, schema)
                 continue
             serial.query(sql), parallel.query(sql)
-        s_used = {
-            c.attrs: c.last_used
-            for c in serial.table_state("t").positional_map.chunks()
-        }
-        p_used = {
-            c.attrs: c.last_used
-            for c in parallel.table_state("t").positional_map.chunks()
-        }
-        assert s_used == p_used
+        assert serial.touches == parallel.touches
 
     def test_anchored_tail_tokenizes_from_anchor(self, raw_file):
         # Map knows a0..a2 (from SELECT a1); the appended tail then

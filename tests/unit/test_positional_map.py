@@ -46,12 +46,12 @@ class TestPositionalChunk:
 
 
 class TestInstallAndLookup:
-    def test_install_and_find_exact(self):
+    def test_install_and_peek(self):
         pm = _map()
         chunk = pm.install((0, 1), _offsets(5, 2))
         assert chunk is not None
-        assert pm.find_exact((0, 1)) is chunk
-        assert pm.find_exact((0, 2)) is None
+        assert pm.peek((0, 1)) is chunk
+        assert pm.peek((0, 2)) is None
 
     def test_best_cover_prefers_deeper(self):
         pm = _map()
@@ -86,7 +86,7 @@ class TestInstallAndLookup:
         deep = pm.install((0, 1), _offsets(9, 2))
         result = pm.install((0, 1), _offsets(3, 2))
         assert result is deep
-        assert pm.find_exact((0, 1)).rows == 9
+        assert pm.peek((0, 1)).rows == 9
 
 
 class TestAnchors:
@@ -125,21 +125,18 @@ class TestGovernedBudget:
 
     def test_recency_breaks_equal_benefit(self):
         pm = _map(2 * 10 * 8)
-        pm.tick()
         a = pm.install((0,), _offsets(10, 1))
-        pm.tick()
         pm.install((1,), _offsets(10, 1))
-        pm.tick()
         pm.touch(a)  # refresh a; (1,) is now least recent
         pm.install((2,), _offsets(10, 1))
-        attrs = {c.attrs for c in pm.chunks()}
+        attrs = {c.attrs for c in pm.entries()}
         assert (0,) in attrs and (2,) in attrs and (1,) not in attrs
         assert pm.evictions == 1
 
     def test_oversized_install_rejected(self):
         pm = _map(8)
         assert pm.install((0,), _offsets(10, 1)) is None
-        assert pm.rejected_installs == 1
+        assert pm.rejections == 1
 
     def test_refused_upgrade_keeps_shallower_chunk(self):
         # Room for the 10-row chunk, not for its 20-row upgrade.
@@ -147,8 +144,8 @@ class TestGovernedBudget:
         shallow = pm.install((0, 1), _offsets(10, 2))
         assert shallow is not None
         assert pm.install((0, 1), _offsets(20, 2)) is None
-        assert pm.rejected_installs == 1
-        assert pm.find_exact((0, 1)) is shallow
+        assert pm.rejections == 1
+        assert pm.peek((0, 1)) is shallow
         assert pm.coverage_rows(0) == pm.coverage_rows(1) == 10
         assert pm.governor.used_bytes == shallow.nbytes
 
@@ -156,9 +153,11 @@ class TestGovernedBudget:
         pm = _map(2 * 10 * 8)
         a = pm.install((0,), _offsets(10, 1))
         b = pm.install((1,), _offsets(10, 1))
-        result = pm.install((2,), _offsets(10, 1), protected={id(a), id(b)})
+        result = pm.install(
+            (2,), _offsets(10, 1), protected={a.attrs, b.attrs}
+        )
         assert result is None  # nothing evictable
-        assert pm.find_exact((0,)) is a and pm.find_exact((1,)) is b
+        assert pm.peek((0,)) is a and pm.peek((1,)) is b
 
     def test_extend(self):
         pm = _map()

@@ -72,9 +72,9 @@ class TestPositionalMapLearning:
         eng.query("SELECT a1 FROM t")
         eng.query("SELECT a6 FROM t")  # separate chunk (anchored)
         pm = eng.table_state("t").positional_map
-        before = {c.attrs for c in pm.chunks()}
+        before = {c.attrs for c in pm.entries()}
         eng.query("SELECT a1, a6 FROM t")  # attrs in different chunks
-        after = {c.attrs for c in pm.chunks()}
+        after = {c.attrs for c in pm.entries()}
         assert (1, 6) in after - before
 
     def test_combination_policy_disabled(self, fresh):
@@ -85,7 +85,7 @@ class TestPositionalMapLearning:
         eng.query("SELECT a6 FROM t")
         eng.query("SELECT a1, a6 FROM t")
         pm = eng.table_state("t").positional_map
-        assert (1, 6) not in {c.attrs for c in pm.chunks()}
+        assert (1, 6) not in {c.attrs for c in pm.entries()}
 
     def test_pm_disabled_never_learns(self, fresh):
         eng = fresh(PostgresRawConfig(enable_positional_map=False))

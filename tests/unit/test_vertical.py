@@ -129,12 +129,11 @@ def test_extend_refused_by_the_governor_keeps_the_prefix(tmp_path):
 
 def test_the_governor_lock_is_the_store_lock(tmp_path):
     store = make_store(tmp_path, 128 + 80)  # room for one 10-row column
-    governor = store._governor
-    assert store.lock is governor.lock
+    governor = store.governor
     assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 0.001)
     # Another structure's grant evicts the column from under the store
     # while holding the one lock the store itself takes.
-    with store.lock:
+    with governor.lock:
         assert governor.grant(object(), 128 + 80)
         assert store.coverage_rows(0) == 0
     assert files(store) == {} and store.governed_bytes() == 0

@@ -121,7 +121,8 @@ bench-report:
 	done
 
 # Heavier threaded stress run of the concurrent serving layer and of the
-# governed tiers under concurrent eviction, grow and extend (the tier-1
+# governed tiers under concurrent eviction, grow and extend, including
+# columnstore-served streams under cross-table eviction (the tier-1
 # suite runs the same tests at REPRO_STRESS_ROUNDS=2).  `timeout` guards
 # against a deadlocked lock/scheduler hanging CI forever.
 stress:
@@ -129,6 +130,7 @@ stress:
 		tests/integration/test_concurrent_service.py \
 		"tests/integration/test_mv_adaptive.py::test_concurrent_aggregate_hammer" \
 		"tests/integration/test_append_watermarks.py::test_sessions_hammering_while_the_file_grows_never_miscount" \
+		"tests/integration/test_vertical_persistence.py::test_columnstore_streams_under_cross_table_eviction" \
 		-x -q
 
 # Process-backend leg: multiprocessing scan workers racing the serving

@@ -85,6 +85,20 @@ class RawDataCache(GovernedLedger):
             self.touch(entry)
         return entry
 
+    def pin(self, attr: int, rows: int, metrics=None) -> CacheEntry | None:
+        """The entry of ``attr`` if it holds at least ``rows`` rows (an
+        entry is touched either way).  A scan reads what it pinned, so
+        an eviction meanwhile does not change its answer."""
+        entry = self.get(attr)
+        return entry if entry is not None and entry.rows >= rows else None
+
+    @staticmethod
+    def read(entry: CacheEntry, lo: int, hi: int, sel, metrics=None):
+        """Rows ``[lo, hi)`` (or the ``sel`` subset) of a pinned entry."""
+        if sel is not None:
+            return entry.vector.take(sel)
+        return entry.vector.slice(lo, hi)
+
     def put(
         self,
         attr: int,

@@ -165,6 +165,17 @@ class PositionalMap(GovernedLedger):
                     best = chunk
         return best
 
+    def pin(
+        self, attr: int, rows: int, metrics=None
+    ) -> PositionalChunk | None:
+        """The deepest chunk holding ``attr`` if it covers at least
+        ``rows`` rows, touched: a scan jumps through what it pinned."""
+        chunk = self.best_cover(attr)
+        if chunk is None or chunk.rows < rows:
+            return None
+        self.touch(chunk)
+        return chunk
+
     def best_anchor(self, attr: int, min_rows: int) -> AnchorHit | None:
         """Nearest mapped attribute ``<= attr`` covering at least ``min_rows``.
 

@@ -4,18 +4,25 @@
 data files directly, while the rest of the query plan, generated by the
 optimizer, works without any changes compared to a conventional DBMS."
 
-:class:`RawScan` is that operator.  For every batch of tuples it obtains
-each needed attribute through the cheapest available source:
+:class:`RawScan` is that operator.  It obtains each needed attribute
+through the cheapest available source, one ladder per attribute:
 
 1. **cache** — binary values already converted by an earlier query
    (no I/O, no tokenizing, no parsing, no conversion);
-2. **positional map** — jump straight to the recorded field offset and
+2. **columnstore** — a promoted column (vertical persistence): binary
+   values mapped from disk, no raw-file access;
+3. **positional map** — jump straight to the recorded field offset and
    parse just that field (no tokenizing);
-3. **anchored tokenizing** — start at the nearest mapped attribute at or
+4. **anchored tokenizing** — start at the nearest mapped attribute at or
    before the needed one and tokenize only the intervening fields
    ("jump ... as close as possible");
-4. **plain selective tokenizing** — from the start of the tuple, stopping
+5. **plain selective tokenizing** — from the start of the tuple, stopping
    at the last needed attribute.
+
+The first three rungs are the table's tiers (:attr:`RawTableState.tiers`),
+each resolved when the scan plans: per row segment and attribute the
+first tier covering it is *pinned* and read from, so an eviction while
+the scan runs neither raises nor changes the answer.
 
 As a side effect it populates the positional map with every boundary it
 discovers ("it does not keep maps only for the attributes requested in
@@ -30,9 +37,9 @@ projected columns are *converted only for qualifying rows* — "tuples are
 only created after the select operator".  The filter runs once per
 *stride* of rows.  The first stride is the first batch, so the first
 batch leaves as early as a per-batch scan's would.  A scan is
-**resident** when it has a predicate and every segment it covers serves
-all the predicate's attributes from the cache or the columnstore and
-has no needed attribute left to tokenize.  A resident scan doubles each
+**resident** when it has a predicate and every segment it covers pinned
+all the predicate's attributes in a binary tier (cache or columnstore)
+and has no needed attribute left to tokenize.  A resident scan doubles each
 later stride, up to :data:`MAX_STRIDE_BATCHES` batches: one acquisition
 of the predicate columns, one mask and one selection vector per stride.
 Columns the cache or columnstore hold are taken once per stride for the
@@ -46,10 +53,10 @@ batch stays full-width for the attributes the query touches (that is
 what populates the map), even when no row of it qualifies.  Rows always
 leave in file order.
 
-Coverage bookkeeping: cache entries and positional chunks always cover a
-row *prefix*.  After an external append the old prefix stays valid and
-scans stitch the new tail from the raw file, extending the structures
-in place.
+Coverage bookkeeping: cache entries, promoted columns and positional
+chunks always cover a row *prefix*.  After an external append the old
+prefix stays valid and scans stitch the new tail from the raw file,
+extending the structures in place.
 
 **Raw access is by byte range.**  Every offset the scan holds is a byte
 offset into the raw file, and it reads only the ranges its plan needs:
@@ -66,6 +73,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
@@ -87,7 +95,8 @@ from ..kernels.kernel import KernelRows
 from ..rawio.reader import RawFileReader
 from ..rawio.tokenizer import TokenizedRows, has_crlf, trim_cr
 from ..sql.ast import Expression, expr_column_refs
-from .cache import CacheEntry, RawDataCache
+from ..storage.vertical import VerticalStore
+from .cache import RawDataCache
 from .ledger import now
 from .metrics import BreakdownComponent, QueryMetrics
 from .positional_map import PositionalChunk, PositionalMap
@@ -114,14 +123,22 @@ class RawTableState:
 
     Everything here is a *side effect of queries*: it starts empty
     ("zero initialization overhead") and is built, refined and evicted
-    as the workload evolves.  ``governor`` admits every byte the map
-    and cache hold; a parallel scan worker's chunk-local state passes
-    ``None`` (it only adopts chunks and takes line bounds — what it
-    learns is installed into the engine's state).
+    as the workload evolves.  It owns the table's governed tiers —
+    ``positional_map``, ``cache`` and, with ``vp_enabled``,
+    ``columnstore`` (files under ``vp_root``) — and its statistics.
+    ``governor`` admits every byte the tiers hold; a parallel scan
+    worker's chunk-local state passes ``None`` and has no columnstore
+    (it only adopts chunks and takes line bounds — what it learns is
+    installed into the engine's state).
     """
 
     def __init__(
-        self, entry: RawTableEntry, config: PostgresRawConfig, governor
+        self,
+        entry: RawTableEntry,
+        config: PostgresRawConfig,
+        governor,
+        vp_root: Path | None = None,
+        registry=None,
     ) -> None:
         self.entry = entry
         self.config = config
@@ -129,6 +146,19 @@ class RawTableState:
             governor, config.pm_combination_policy
         )
         self.cache = RawDataCache(governor)
+        self.columnstore: VerticalStore | None = None
+        if config.vp_enabled and governor is not None:
+            self.columnstore = VerticalStore(
+                entry.name, vp_root, governor, registry
+            )
+        #: The ladder's tiers, cheapest read first (each when enabled).
+        self.tiers: list = []
+        if config.enable_cache:
+            self.tiers.append(self.cache)
+        if self.columnstore is not None:
+            self.tiers.append(self.columnstore)
+        if config.enable_positional_map:
+            self.tiers.append(self.positional_map)
         self.statistics = StatisticsStore(
             DEFAULT_STATS_SAMPLE_SIZE, DEFAULT_HISTOGRAM_BUCKETS
         )
@@ -153,92 +183,79 @@ class RawTableState:
                     self.attribute_usage.get(attr, 0) + 1
                 )
 
+    def table_rows(self) -> int | None:
+        """Rows as last reconciled; ``None`` while unknown (no line
+        index kept, or an append not indexed yet)."""
+        pm = self.positional_map
+        if self.pending_append or pm.line_bounds is None:
+            return None
+        return pm.n_rows
+
+    def coverage_rows(self, attr: int, tiers=None) -> int:
+        """The deepest row prefix of ``attr`` one of ``tiers`` (default:
+        the whole ladder) holds."""
+        tiers = self.tiers if tiers is None else tiers
+        return max((tier.coverage_rows(attr) for tier in tiers), default=0)
+
+    def covers(self, attrs: list[int], tiers=None) -> bool:
+        """Do ``tiers`` (default: the whole ladder) hold every row of
+        each of ``attrs``?  A scan they cover discovers nothing about
+        the file.  ``False`` while the table's rows are unknown."""
+        n_rows = self.table_rows()
+        return n_rows is not None and all(
+            self.coverage_rows(attr, tiers) >= n_rows for attr in attrs
+        )
+
     def invalidate(self) -> None:
-        """The raw file was rewritten: drop every auxiliary structure."""
+        """The raw file was rewritten, or the table is dropped or its
+        engine closed: drop every tier and the statistics."""
         self.generation += 1
         self.positional_map.invalidate()
         self.cache.invalidate()
+        if self.columnstore is not None:
+            self.columnstore.invalidate()
         self.statistics.invalidate()
         self.pending_append = False
 
 
 @dataclass
 class _Segment:
-    """A row range over which every attribute has one acquisition source."""
+    """A row range over which every attribute has one acquisition source,
+    pinned when the scan planned."""
 
     start: int
     end: int
-    cache_entries: dict[int, CacheEntry] = field(default_factory=dict)
-    #: Attributes served from the vertical-persistence columnstore.
-    vp_attrs: set[int] = field(default_factory=set)
+    #: Binary tiers: attribute -> ``(tier, entry)``, the cache entry or
+    #: the promoted column (arrays mapped) ``tier.read`` serves it from.
+    resident: dict[int, tuple] = field(default_factory=dict)
     chunk_hits: dict[int, PositionalChunk] = field(default_factory=dict)
     tokenize_attrs: set[int] = field(default_factory=set)
 
 
-class _ColumnCollector:
-    """Accumulates a contiguous run of converted values for cache insertion.
+class _Collector:
+    """Accumulates a contiguous run of row blocks for installation: the
+    converted vectors of one attribute (cache) or the tokenized offset
+    matrices of one attribute span, ``attrs`` (positional map).
 
-    ``benefit_seconds`` sums the measured conversion time of the
-    collected blocks — the time a future cache hit saves, used by the
-    memory governor's benefit-per-byte eviction.
-    """
-
-    __slots__ = (
-        "start_row", "next_row", "vectors", "valid", "benefit_seconds"
-    )
-
-    def __init__(self, start_row: int) -> None:
-        self.start_row = start_row
-        self.next_row = start_row
-        self.vectors: list[ColumnVector] = []
-        self.valid = True
-        self.benefit_seconds = 0.0
-
-    def add(
-        self, row_from: int, vector: ColumnVector, convert_seconds: float
-    ) -> None:
-        if not self.valid:
-            return
-        if row_from != self.next_row:
-            self.valid = False
-            self.vectors.clear()
-            return
-        self.vectors.append(vector)
-        self.benefit_seconds += convert_seconds
-        self.next_row += len(vector)
-
-    def materialize(self) -> ColumnVector | None:
-        """The collected run as one vector (``None`` if invalid/empty)."""
-        if not self.valid or not self.vectors:
-            return None
-        if len(self.vectors) == 1:
-            return self.vectors[0]
-        return ColumnVector.concat(self.vectors)
-
-
-class _SpanCollector:
-    """Accumulates tokenized offset blocks for positional-map insertion.
-
-    ``benefit_seconds`` sums the measured tokenizing time that discovered
-    the collected offsets — the rebuild cost a future query avoids while
-    the chunk stays resident, used by the global memory governor.
+    ``benefit_seconds`` sums the measured time that produced the blocks
+    — the conversion a future cache hit, or the tokenizing a future map
+    jump, saves; the memory governor's benefit-per-byte eviction uses
+    it.  A block that does not continue the run invalidates it.
     """
 
     __slots__ = (
         "attrs", "start_row", "next_row", "blocks", "valid", "benefit_seconds"
     )
 
-    def __init__(self, attrs: tuple[int, ...], start_row: int) -> None:
+    def __init__(self, start_row: int, attrs: tuple[int, ...] = ()) -> None:
         self.attrs = attrs
         self.start_row = start_row
         self.next_row = start_row
-        self.blocks: list[np.ndarray] = []
+        self.blocks: list = []
         self.valid = True
         self.benefit_seconds = 0.0
 
-    def add(
-        self, row_from: int, block: np.ndarray, tokenize_seconds: float = 0.0
-    ) -> None:
+    def add(self, row_from: int, block, seconds: float = 0.0) -> None:
         if not self.valid:
             return
         if row_from != self.next_row:
@@ -246,26 +263,21 @@ class _SpanCollector:
             self.blocks.clear()
             return
         self.blocks.append(block)
-        self.benefit_seconds += tokenize_seconds
-        self.next_row += block.shape[0]
+        self.benefit_seconds += seconds
+        self.next_row += len(block)
 
-    def materialize(self) -> np.ndarray | None:
-        """The collected offsets as one matrix (``None`` if invalid/empty)."""
+    def materialize(self, concat: Callable):
+        """The run as one block, joined by ``concat`` (``None`` if
+        invalid or empty)."""
         if not self.valid or not self.blocks:
             return None
-        if len(self.blocks) == 1:
-            return self.blocks[0]
-        return np.vstack(self.blocks)
+        return self.blocks[0] if len(self.blocks) == 1 else concat(self.blocks)
 
 
 def _held(segments: list[_Segment], attrs: list[int]) -> bool:
-    """Is every attribute of ``attrs`` served by the cache or the
-    columnstore in every segment?"""
-    return all(
-        a in seg.cache_entries or a in seg.vp_attrs
-        for seg in segments
-        for a in attrs
-    )
+    """Is every attribute of ``attrs`` pinned in a binary tier in every
+    segment?"""
+    return all(a in seg.resident for seg in segments for a in attrs)
 
 
 def _empty_vector(dtype: DataType) -> ColumnVector:
@@ -298,9 +310,17 @@ class InstallPlan:
     combination: "list[tuple[int, PositionalChunk]] | None"
     #: ``(attr, start_row, vector, convert benefit seconds)``.
     columns: list[tuple[int, int, ColumnVector, float]]
+    #: Attributes whose promoted column this plan may bring up to
+    #: ``n_rows`` (see :meth:`RawScan._promotions`).
+    promotions: list[int] = field(default_factory=list)
 
     def empty(self) -> bool:
-        return not self.spans and not self.columns and self.combination is None
+        return not (
+            self.spans
+            or self.columns
+            or self.promotions
+            or self.combination is not None
+        )
 
 
 class RawScan(Operator):
@@ -342,10 +362,6 @@ class RawScan(Operator):
         #: (line index, span tokenizing, warm map jumps, kernel
         #: eligibility) routes through it.
         self.adapter = state.entry.adapter
-        #: The table's vertical-persistence store, set by the service's
-        #: scan factory when ``vp_enabled``.  ``None`` keeps the scan
-        #: exactly as before the tier existed.
-        self.vp = None
         self.output_columns = list(output_columns)
         self.predicate = predicate
 
@@ -361,7 +377,7 @@ class RawScan(Operator):
                         )
                     self._pred_columns.append(ref.key)
         needed = list(dict.fromkeys(self._pred_columns + self.output_columns))
-        self._needed_attrs = sorted(self.schema.positions(needed))
+        self.needed_attrs = sorted(self.schema.positions(needed))
         self._attr_name = {self.schema.position(n): n for n in needed}
         self._out_attrs = set(self.schema.positions(self.output_columns))
 
@@ -382,8 +398,8 @@ class RawScan(Operator):
         self._batch_window: ContentBuffer | None = None
         self._bounds: np.ndarray | None = None
         self._crlf = False
-        self._cache_collectors: dict[int, _ColumnCollector] = {}
-        self._span_collectors: dict[tuple[int, int], _SpanCollector] = {}
+        self._cache_collectors: dict[int, _Collector] = {}
+        self._span_collectors: dict[tuple[int, int], _Collector] = {}
         self._combination_plan: list[tuple[int, PositionalChunk]] | None = None
         # Spans tokenized for the current batch, reusable as anchors by
         # later acquisitions over the same rows (phase B after phase A).
@@ -414,23 +430,14 @@ class RawScan(Operator):
             f"RawScan({self.state.entry.name}{fmt_tag}{rows} -> "
             f"{', '.join(self.output_columns)}{pred})"
         )
-        if self._vp_covers_all():
+        columnstore = self.state.columnstore
+        if (
+            columnstore is not None
+            and self.needed_attrs
+            and self.state.covers(self.needed_attrs, [columnstore])
+        ):
             text += "\n-- vp: served from columnstore"
         return text
-
-    def _vp_covers_all(self) -> bool:
-        """Would this scan serve every needed attribute from the
-        vertical-persistence columnstore (no raw-file access)?"""
-        vp = self.vp
-        if vp is None or not self._needed_attrs:
-            return False
-        pm = self.state.positional_map
-        if pm.line_bounds is None or self.state.pending_append:
-            return False
-        n_rows = pm.n_rows
-        return all(
-            vp.coverage_rows(a) >= n_rows for a in self._needed_attrs
-        )
 
     def execute(self) -> Iterator[Batch]:
         try:
@@ -443,7 +450,7 @@ class RawScan(Operator):
 
     def _execute(self) -> Iterator[Batch]:
         state = self.state
-        state.record_usage(self._needed_attrs)
+        state.record_usage(self.needed_attrs)
         driver = self._parallel_driver()
         if driver is not None and driver.cold_eligible():
             # Nothing is known about the file yet: chunk it by byte
@@ -460,7 +467,7 @@ class RawScan(Operator):
         batch_size = self.config.batch_size
         pred_attrs = sorted(self.schema.positions(self._pred_columns))
         pred_set = set(pred_attrs)
-        proj_only = [a for a in self._needed_attrs if a not in pred_set]
+        proj_only = [a for a in self.needed_attrs if a not in pred_set]
 
         tail_from = None
         if driver is not None:
@@ -770,27 +777,16 @@ class RawScan(Operator):
         return kernel
 
     def _plan_segments(self, n_rows: int) -> list[_Segment]:
-        """Split [row_from, n_rows) at coverage boundaries and classify
-        attrs."""
-        cache = self.state.cache
-        pm = self.state.positional_map
-        vp = self.vp
-        use_cache = self.config.enable_cache
-        use_pm = self.config.enable_positional_map
-
+        """Split [row_from, n_rows) at the tiers' coverage boundaries
+        and pin, per segment and attribute, the first tier of the
+        ladder that covers it; the rest are tokenized."""
+        state, metrics = self.state, self.metrics
+        needed = self.needed_attrs
         row_from = min(self.row_from, n_rows)
         boundaries = {row_from, n_rows}
-        for attr in self._needed_attrs:
-            if use_cache:
-                rows = cache.coverage_rows(attr)
-                if row_from < rows < n_rows:
-                    boundaries.add(rows)
-            if vp is not None:
-                rows = vp.coverage_rows(attr)
-                if row_from < rows < n_rows:
-                    boundaries.add(rows)
-            if use_pm:
-                rows = pm.coverage_rows(attr)
+        for attr in needed:
+            for tier in state.tiers:
+                rows = tier.coverage_rows(attr)
                 if row_from < rows < n_rows:
                     boundaries.add(rows)
         cuts = sorted(boundaries)
@@ -798,28 +794,26 @@ class RawScan(Operator):
         segments = []
         for start, end in zip(cuts[:-1], cuts[1:]):
             seg = _Segment(start, end)
-            for attr in self._needed_attrs:
-                entry = cache.get(attr) if use_cache else None
-                if entry is not None and entry.rows >= end:
-                    seg.cache_entries[attr] = entry
-                    self.metrics.cache_hits += 1
-                    continue
-                if use_cache:
-                    self.metrics.cache_misses += 1
-                # Vertical persistence sits between the in-memory cache
-                # and the positional map: binary values, but disk-backed.
-                if vp is not None and vp.coverage_rows(attr) >= end:
-                    seg.vp_attrs.add(attr)
-                    continue
-                chunk = pm.best_cover(attr) if use_pm else None
-                if chunk is not None and chunk.rows >= end:
-                    seg.chunk_hits[attr] = chunk
-                    pm.touch(chunk)
-                    self.metrics.pm_chunk_hits += 1
-                    continue
-                if use_pm:
-                    self.metrics.pm_chunk_misses += 1
-                seg.tokenize_attrs.add(attr)
+            for attr in needed:
+                for tier in state.tiers:
+                    entry = tier.pin(attr, end, metrics)
+                    if entry is None:
+                        continue
+                    if tier is state.positional_map:
+                        seg.chunk_hits[attr] = entry
+                    else:
+                        seg.resident[attr] = (tier, entry)
+                    break
+                else:
+                    seg.tokenize_attrs.add(attr)
+            # A columnstore hit counts as a cache miss.
+            if self.config.enable_cache:
+                hits = sum(t is state.cache for t, _ in seg.resident.values())
+                metrics.cache_hits += hits
+                metrics.cache_misses += len(needed) - hits
+            if self.config.enable_positional_map:
+                metrics.pm_chunk_hits += len(seg.chunk_hits)
+                metrics.pm_chunk_misses += len(seg.tokenize_attrs)
             segments.append(seg)
         return segments
 
@@ -833,18 +827,18 @@ class RawScan(Operator):
             and self.config.pm_combination_policy
         ):
             return
-        if len(self._needed_attrs) < 2 or n_rows == 0:
+        if len(self.needed_attrs) < 2 or n_rows == 0:
             return
         pm = self.state.positional_map
         plan: list[tuple[int, PositionalChunk]] = []
         chunk_ids = set()
-        for attr in self._needed_attrs:
+        for attr in self.needed_attrs:
             chunk = pm.best_cover(attr)
             if chunk is None or chunk.rows < n_rows:
                 return  # some attr not fully mapped yet
             plan.append((attr, chunk))
             chunk_ids.add(id(chunk))
-        if len(chunk_ids) != len(self._needed_attrs):
+        if len(chunk_ids) != len(self.needed_attrs):
             return  # at least two requested attrs already share a chunk
         self._combination_plan = plan
 
@@ -927,22 +921,11 @@ class RawScan(Operator):
         sel: np.ndarray | None,
         tokenized: TokenizedRows | None,
     ) -> ColumnVector:
-        entry = seg.cache_entries.get(attr)
-        if entry is not None:
-            if sel is not None:
-                return entry.vector.take(sel)
-            return entry.vector.slice(lo, hi)
-
-        if attr in seg.vp_attrs:
-            # Served from the columnstore: no raw-file access at all.
-            return self.vp.read(
-                attr,
-                self.schema.columns[attr].name,
-                lo,
-                hi,
-                sel,
-                self.metrics,
-            )
+        resident = seg.resident.get(attr)
+        if resident is not None:
+            # Binary values: no raw-file access at all.
+            tier, entry = resident
+            return tier.read(entry, lo, hi, sel, self.metrics)
 
         # The field bytes come from a positional-map jump or from this
         # batch's tokenized rows; whichever found them also knows how
@@ -1140,7 +1123,7 @@ class RawScan(Operator):
         if not self.config.selective_parsing:
             # Without selective parsing every tokenized field is
             # converted to binary whether or not the query needs it.
-            needed = set(self._needed_attrs)
+            needed = set(self.needed_attrs)
             extra = [a for a in range(first, max_a + 1) if a not in needed]
             with self.metrics.time(_CONVERT):
                 for a in extra:
@@ -1174,7 +1157,7 @@ class RawScan(Operator):
         key = (first, last)
         collector = self._span_collectors.get(key)
         if collector is None:
-            collector = _SpanCollector(attrs, lo)
+            collector = _Collector(lo, attrs)
             self._span_collectors[key] = collector
         block = (
             tokenized.offsets
@@ -1190,7 +1173,7 @@ class RawScan(Operator):
             return
         collector = self._cache_collectors.get(attr)
         if collector is None:
-            collector = _ColumnCollector(lo)
+            collector = _Collector(lo)
             self._cache_collectors[attr] = collector
         collector.add(lo, vector, convert_seconds)
 
@@ -1211,39 +1194,23 @@ class RawScan(Operator):
     def _harvest(self, n_rows: int) -> InstallPlan:
         """Materialize collected offsets/columns and reset scan state."""
         with self.metrics.time(_NODB):
-            spans = []
-            for collector in self._span_collectors.values():
-                matrix = collector.materialize()
-                if matrix is None:
-                    continue
-                spans.append(
-                    (
-                        collector.attrs,
-                        collector.start_row,
-                        matrix,
-                        collector.benefit_seconds,
-                    )
-                )
-            columns = []
-            for attr, collector in self._cache_collectors.items():
-                vector = collector.materialize()
-                if vector is None:
-                    continue
-                columns.append(
-                    (
-                        attr,
-                        collector.start_row,
-                        vector,
-                        collector.benefit_seconds,
-                    )
-                )
             plan = InstallPlan(
                 n_rows=n_rows,
                 generation=self.state.generation,
-                spans=spans,
+                spans=[
+                    (c.attrs, c.start_row, matrix, c.benefit_seconds)
+                    for c in self._span_collectors.values()
+                    if (matrix := c.materialize(np.vstack)) is not None
+                ],
                 combination=self._combination_plan,
-                columns=columns,
+                columns=[
+                    (attr, c.start_row, vector, c.benefit_seconds)
+                    for attr, c in self._cache_collectors.items()
+                    if (vector := c.materialize(ColumnVector.concat))
+                    is not None
+                ],
             )
+            plan.promotions = self._promotions(plan)
         self._cache_collectors.clear()
         self._span_collectors.clear()
         self._batch_spans.clear()
@@ -1290,7 +1257,7 @@ class RawScan(Operator):
                     pm.install(tuple(attrs), matrix, protected)
 
             if self.config.enable_cache:
-                needed = set(self._needed_attrs)
+                needed = set(self.needed_attrs)
                 for attr, start_row, vector, benefit in plan.columns:
                     if start_row == 0:
                         cache.put(
@@ -1305,42 +1272,60 @@ class RawScan(Operator):
                             cache.extend(attr, vector)
         self._maybe_promote(plan)
 
+    def _promotions(self, plan: InstallPlan) -> list[int]:
+        """The needed attributes whose promoted column ``plan`` may bring
+        up to its rows: used ``vp_min_accesses`` times, promoted short
+        of them, and with the rows they lack at hand once the plan is
+        installed (:meth:`_maybe_promote` checks again)."""
+        store = self.state.columnstore
+        if store is None:
+            return []
+        usage = self.state.attribute_usage
+        cache = self.state.cache if self.config.enable_cache else None
+        # Rows at hand: harvested up to the table's end from ``start``;
+        # all of them when the cache (extended by the plan) reaches it.
+        starts = {
+            a: s for a, s, v, __ in plan.columns if s + len(v) == plan.n_rows
+        }
+        promotions = []
+        for attr in self.needed_attrs:
+            start = starts.get(attr, plan.n_rows)
+            if cache is not None and cache.coverage_rows(attr) >= start:
+                start = 0
+            if (
+                usage.get(attr, 0) >= self.config.vp_min_accesses
+                and start <= store.coverage_rows(attr) < plan.n_rows
+            ):
+                promotions.append(attr)
+        return promotions
+
     def _maybe_promote(self, plan: InstallPlan) -> None:
         """Vertical persistence: bring hot columns' promoted prefixes up
         to the table's rows.
 
-        A needed attribute whose usage count has reached
-        ``vp_min_accesses`` is written into the columnstore, where
-        later scans read it without touching the raw file — when the
-        rows it lacks are at hand, converted by this very scan or
-        resident in the cache.  A promoted prefix that an append left
-        short is extended by the tail alone; the whole column is
-        written for one never promoted, or whose files cannot take the
-        tail in place.  Charged to the ``nodb`` bucket like all
-        adaptive-structure maintenance.
+        Each of ``plan.promotions`` is written into the columnstore,
+        where later scans read it without touching the raw file — when
+        the rows it lacks are still at hand, converted by this very
+        scan or resident in the cache.  A promoted prefix that an
+        append left short is extended by the tail alone; the whole
+        column is written for one never promoted, or whose files cannot
+        take the tail in place.  Charged to the ``nodb`` bucket like
+        all adaptive-structure maintenance.
         """
-        vp = self.vp
-        if vp is None or plan.n_rows <= 0:
-            return
-        if plan.generation != self.state.generation:
-            return
-        usage = self.state.attribute_usage
-        min_accesses = self.config.vp_min_accesses
-        for attr in self._needed_attrs:
-            if usage.get(attr, 0) < min_accesses:
-                continue
-            covered = vp.coverage_rows(attr)
+        store = self.state.columnstore
+        for attr in plan.promotions:
+            covered = store.coverage_rows(attr)
             if covered >= plan.n_rows:
                 continue
             with self.metrics.time(_NODB):
                 if covered:
                     tail = self._rows_at_hand(plan, attr, covered)
-                    if tail is None or vp.extend(attr, tail[0]):
+                    if tail is None or store.extend(attr, tail[0]):
                         continue
                 full = self._rows_at_hand(plan, attr, 0)
                 if full is not None:
                     column = self.schema.columns[attr]
-                    vp.promote(attr, column.name, column.dtype, *full)
+                    store.promote(attr, column.name, column.dtype, *full)
 
     def _rows_at_hand(
         self, plan: InstallPlan, attr: int, lo: int

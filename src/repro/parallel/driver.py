@@ -99,17 +99,15 @@ class ParallelScanDriver:
         scan, state, cfg = self.scan, self.state, self.config
         if cfg.parallel_backend != "process":
             return False
-        if not scan._needed_attrs:
+        if not scan.needed_attrs:
             return False  # zero-attribute scans (COUNT(*)) count rows only
         if state.pending_append or scan.row_from:
             return False  # byte chunks cannot start at a table row
         pm = state.positional_map
         if pm.line_bounds is not None or pm.chunk_count:
             return False
-        if cfg.enable_cache and any(
-            state.cache.coverage_rows(a) for a in scan._needed_attrs
-        ):
-            return False
+        if any(state.coverage_rows(a) for a in scan.needed_attrs):
+            return False  # some tier holds rows of a needed attribute
         try:
             size = os.stat(state.entry.path).st_size
         except FileNotFoundError:
@@ -123,14 +121,14 @@ class ParallelScanDriver:
         """First batch-aligned row of a pool-worthy fully-unmapped tail.
 
         The tail is the longest row suffix in which *every* needed
-        attribute must be tokenized (no cache entry, no positional
-        jump); coverage is prefix-shaped, so this is simply the last run
-        of fully-tokenizing segments (which start at the scan's
+        attribute must be tokenized (no tier pinned); coverage is
+        prefix-shaped, so this is simply the last run of
+        fully-tokenizing segments (which start at the scan's
         ``row_from``, never before it).  Returns ``None`` when there is
         no such tail or it is too small to amortize dispatch.
         """
         scan, cfg = self.scan, self.config
-        needed = set(scan._needed_attrs)
+        needed = set(scan.needed_attrs)
         if not needed:
             # A zero-attribute scan (COUNT(*)) only counts tuple
             # boundaries, which the line index already knows — without
@@ -393,7 +391,7 @@ class ParallelScanDriver:
         # on the main thread; worker-local planning counters are not
         # absorbed, see absorb_workers.)
         if cold:
-            needed = len(self.scan._needed_attrs)
+            needed = len(self.scan.needed_attrs)
             if self.config.enable_cache:
                 metrics.cache_misses += needed
             if self.config.enable_positional_map:

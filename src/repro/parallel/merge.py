@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.raw_scan import RawScan, _ColumnCollector, _SpanCollector
+from ..core.raw_scan import RawScan, _Collector
 from ..errors import RawDataError
 from .worker import ChunkResult
 
@@ -81,7 +81,7 @@ def stitch_one(scan: RawScan, res: ChunkResult, row_base: int) -> None:
     for span in res.spans:
         coll = scan._span_collectors.get(span.key)
         if coll is None:
-            coll = _SpanCollector(span.attrs, span.start_row + row_base)
+            coll = _Collector(span.start_row + row_base, span.attrs)
             scan._span_collectors[span.key] = coll
         if not span.valid:
             coll.valid = False
@@ -94,11 +94,11 @@ def stitch_one(scan: RawScan, res: ChunkResult, row_base: int) -> None:
         for col in res.columns:
             coll = scan._cache_collectors.get(col.attr)
             if coll is None:
-                coll = _ColumnCollector(col.start_row + row_base)
+                coll = _Collector(col.start_row + row_base)
                 scan._cache_collectors[col.attr] = coll
             if not col.valid or col.vector is None:
                 coll.valid = False
-                coll.vectors.clear()
+                coll.blocks.clear()
                 continue
             coll.add(
                 col.start_row + row_base, col.vector, col.benefit_seconds

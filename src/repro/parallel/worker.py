@@ -234,7 +234,7 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
     segments = scan._plan_segments(n_rows)
     pred_attrs = sorted(task.schema.positions(scan._pred_columns))
     pred_set = set(pred_attrs)
-    proj_only = [a for a in scan._needed_attrs if a not in pred_set]
+    proj_only = [a for a in scan.needed_attrs if a not in pred_set]
     batches = list(
         scan._scan_batches(
             segments, n_rows, task.config.batch_size, pred_attrs, proj_only
@@ -243,7 +243,7 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
 
     spans = []
     for key, coll in scan._span_collectors.items():
-        matrix = coll.materialize()
+        matrix = coll.materialize(np.vstack)
         if matrix is None and coll.valid:
             continue
         if matrix is None:
@@ -260,7 +260,7 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
         )
     columns = []
     for attr, coll in scan._cache_collectors.items():
-        vector = coll.materialize()
+        vector = coll.materialize(ColumnVector.concat)
         if vector is None and coll.valid:
             continue
         columns.append(

@@ -85,7 +85,6 @@ from ..rawio.sniffer import infer_schema
 from ..sql.ast import Expression, SelectStatement
 from ..sql.parser import parse_select
 from ..sql.planner import UNSERVED, LogicalPlan, Planner
-from ..storage.vertical import VerticalStore
 from ..telemetry import Telemetry
 from ..telemetry.trace import Span
 from .governor import MemoryGovernor
@@ -226,7 +225,7 @@ class PostgresRawService:
                 rows_provider=self._table_rows,
             )
         registry.register_collector("mv", self._collect_mv)
-        registry.register_collector("vertical", self._collect_vertical)
+        registry.register_collector("vertical", self._collect_columnstores)
         registry.register_collector("scheduler", self.scheduler.stats)
         registry.register_collector("cursors", self.cursor_stats)
         registry.register_collector("locks", self.lock_stats)
@@ -234,10 +233,15 @@ class PostgresRawService:
         registry.register_collector("residency", self.governor.residency)
         registry.register_collector("traces", self.telemetry.tracer.stats)
         registry.register_collector("kernels", self.kernel_cache.stats)
-        #: Vertical-persistence stores, one per table (``vp_enabled``).
-        self._vertical: dict[str, VerticalStore] = {}
+        #: Where promoted columns are written (``vp_enabled``); a
+        #: temporary directory is the service's own, removed on close.
         self._vp_dir: Path | None = None
-        self._vp_dir_owned = False
+        self._vp_dir_owned = self.config.vp_enabled and not self.config.vp_dir
+        if self.config.vp_enabled:
+            self._vp_dir = Path(
+                self.config.vp_dir or tempfile.mkdtemp(prefix="repro-vp-")
+            )
+            self._vp_dir.mkdir(parents=True, exist_ok=True)
         self._pool = None
         self._pool_lock = threading.Lock()
         self._session_ids = itertools.count(1)
@@ -288,9 +292,8 @@ class PostgresRawService:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
-        for store in list(self._vertical.values()):
-            store.invalidate()
-        self._vertical.clear()
+        for state in list(self._states.values()):
+            state.invalidate()
         if self._vp_dir_owned and self._vp_dir is not None:
             shutil.rmtree(self._vp_dir, ignore_errors=True)
             self._vp_dir = None
@@ -402,35 +405,23 @@ class PostgresRawService:
             entry = self.catalog.register_raw(
                 name, schema, path, dialect, fmt, partition
             )
-            state = RawTableState(entry, self.config, self.governor)
+            state = RawTableState(
+                entry,
+                self.config,
+                self.governor,
+                self._vp_dir,
+                self.telemetry.registry,
+            )
             self.governor.register(state.positional_map, name, "map", fmt)
             self.governor.register(state.cache, name, "cache", fmt)
-            if self.config.vp_enabled:
-                store = VerticalStore(
-                    name,
-                    self._vp_root(),
-                    self.governor,
-                    registry=self.telemetry.registry,
+            if state.columnstore is not None:
+                self.governor.register(
+                    state.columnstore, name, "columnstore", fmt
                 )
-                self.governor.register(store, name, "columnstore", fmt)
-                self._vertical[name] = store
             self._states[name] = state
             self._table_locks[name] = RWLock()
             self.plan_cache.clear()
         return entry
-
-    def _vp_root(self) -> Path:
-        """Directory vertical-persistence columns are written under."""
-        if self._vp_dir is None:
-            if self.config.vp_dir is not None:
-                self._vp_dir = Path(self.config.vp_dir)
-                self._vp_dir.mkdir(parents=True, exist_ok=True)
-            else:
-                self._vp_dir = Path(
-                    tempfile.mkdtemp(prefix="repro-vp-")
-                )
-                self._vp_dir_owned = True
-        return self._vp_dir
 
     def drop_table(self, name: str) -> None:
         """Unregister a table, releasing its adaptive-state bytes.
@@ -445,15 +436,13 @@ class PostgresRawService:
         with lock.write():
             with self._registry_lock:
                 self.catalog.drop(name)
-                self._states.pop(name, None)
+                state = self._states.pop(name)
                 self._table_locks.pop(name, None)
                 self.plan_cache.clear()
             self.governor.unregister_table(name)
             if self.mv is not None:
                 self.mv.drop_table(name)
-            store = self._vertical.pop(name, None)
-            if store is not None:
-                store.invalidate()
+            state.invalidate()
 
     def table_state(self, name: str) -> RawTableState:
         """Adaptive state of a table (positional map, cache, statistics) —
@@ -841,7 +830,7 @@ class PostgresRawService:
         # list puts it on the shared-lock path automatically: a
         # generation check under shared locks, zero raw-file work.
         read_path = bool(tables) and all(
-            self._covered(scan) for scan in scans
+            scan.state.covers(scan.needed_attrs) for scan in scans
         )
 
         deferred: list[tuple[RawScan, InstallPlan]] = []
@@ -855,11 +844,15 @@ class PostgresRawService:
             # Re-check under the locks: another query's reconcile may
             # have flagged an append/rewrite between classification and
             # acquisition.  Once the shared locks are held no writer can
-            # change that verdict (reconcile needs the write lock); a
-            # cross-table governor eviction mid-read merely sends the
-            # scan down its fallback tokenize path, whose results are
-            # deferred like everything else.
-            if not all(self._covered(scan) for scan in scans):
+            # change that verdict (reconcile needs the write lock).  A
+            # cross-table governor eviction before a scan plans sends
+            # it down a lower rung of its ladder — at worst tokenizing,
+            # whose results are deferred like everything else; once it
+            # has planned, the columns it reads are pinned, and an
+            # eviction changes neither what it reads nor its answer.
+            if not all(
+                scan.state.covers(scan.needed_attrs) for scan in scans
+            ):
                 self._release_all(tables, write=False, held=held)
                 read_path = False
         if read_path:
@@ -964,10 +957,11 @@ class PostgresRawService:
         self, deferred: list[tuple[RawScan, InstallPlan]]
     ) -> None:
         for scan, install_plan in deferred:
-            # An empty plan still matters to vertical persistence: a
-            # cache-served repeat query discovers nothing new, yet it is
-            # exactly the usage signal that crosses ``vp_min_accesses``.
-            if install_plan.empty() and scan.vp is None:
+            # A plan counts the promotions it may make, so a
+            # cache-served repeat query that crosses
+            # ``vp_min_accesses`` still takes the lock; one with
+            # nothing to install does not.
+            if install_plan.empty():
                 continue
             lock = self._table_locks.get(scan.state.entry.name)
             if lock is None:
@@ -1083,31 +1077,6 @@ class PostgresRawService:
                     "lock_hold_seconds", {"table": name, "mode": mode}
                 ).observe(now - held[i])
 
-    def _covered(self, scan: RawScan) -> bool:
-        """True when a scan cannot touch raw-file structure discovery:
-        bounds are known, nothing is pending, and every needed attribute
-        is served end-to-end by the cache or a positional-map jump."""
-        state = scan.state
-        if not self.config.enable_positional_map:
-            return False  # bounds are rebuilt per scan without the map
-        pm = state.positional_map
-        if state.pending_append or pm.line_bounds is None:
-            return False
-        n_rows = pm.n_rows
-        vp = self._vertical.get(state.entry.name)
-        for attr in scan._needed_attrs:
-            if (
-                self.config.enable_cache
-                and state.cache.coverage_rows(attr) >= n_rows
-            ):
-                continue
-            if vp is not None and vp.coverage_rows(attr) >= n_rows:
-                continue
-            if pm.coverage_rows(attr) >= n_rows:
-                continue
-            return False
-        return True
-
     def _planner(
         self,
         metrics: QueryMetrics,
@@ -1142,7 +1111,6 @@ class PostgresRawService:
             scan.telemetry = self.telemetry
             scan.trace_parent = root
             scan.kernel_cache = self.kernel_cache
-            scan.vp = self._vertical.get(table)
             scans.append(scan)
             return scan
 
@@ -1167,10 +1135,7 @@ class PostgresRawService:
         while that is unknown: an append is detected but not indexed
         yet, or no line index exists (never scanned, or not kept)."""
         state = self._states.get(table)
-        if state is None or state.pending_append:
-            return None
-        pm = state.positional_map
-        return pm.n_rows if pm.line_bounds is not None else None
+        return None if state is None else state.table_rows()
 
     @staticmethod
     def _referenced_tables(stmt: SelectStatement) -> list[str]:
@@ -1212,9 +1177,6 @@ class PostgresRawService:
             state.fingerprint = fingerprint
             if self.mv is not None:
                 self.mv.invalidate_table(state.entry.name)
-            store = self._vertical.get(state.entry.name)
-            if store is not None:
-                store.invalidate()
         else:
             state.fingerprint = fingerprint
         return change
@@ -1235,15 +1197,15 @@ class PostgresRawService:
         """Registry collector: MV cache stats (None when disabled)."""
         return self.mv.stats() if self.mv is not None else None
 
-    def _collect_vertical(self) -> list[dict[str, object]] | None:
+    def _collect_columnstores(self) -> list[dict[str, object]] | None:
         """Registry collector: promoted columns and their watermarks,
         one row per table (None when ``vp_enabled`` is off)."""
-        if not self._vertical:
-            return None
-        return [
-            store.stats(self._table_rows(name))
-            for name, store in sorted(self._vertical.items())
+        stats = [
+            state.columnstore.stats(state.table_rows())
+            for __, state in sorted(self._states.items())
+            if state.columnstore is not None
         ]
+        return stats or None
 
     def cursor_stats(self) -> dict[str, object]:
         """Streaming-cursor gauges for the concurrency panel."""

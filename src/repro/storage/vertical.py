@@ -8,23 +8,27 @@ governed cache tier.  Later scans serve those columns straight from
 binary storage — no raw-file I/O, no tokenizing, no parsing — while the
 table stays registered in situ.
 
-One :class:`VerticalStore` exists per raw table (when ``vp_enabled``).
-It is a :class:`repro.core.ledger.GovernedLedger` keyed by attribute
-and registered with the governor as kind ``"columnstore"``: promoted
-bytes are admitted against the same budget as positional-map chunks,
-cache entries and materialized aggregates, and evict per column by
+One :class:`VerticalStore` exists per raw table (when ``vp_enabled``):
+the ``columnstore`` tier of its :class:`repro.core.raw_scan.RawTableState`,
+between the cache and the positional map on the scan's ladder.  It is a
+:class:`repro.core.ledger.GovernedLedger` keyed by attribute and
+registered with the governor as kind ``"columnstore"``: promoted bytes
+are admitted against the same budget as positional-map chunks, cache
+entries and materialized aggregates, and evict per column by
 benefit-per-byte.  What is the store's own is the files: the ledger's
 eviction hook removes an evicted column's directory, and a promotion
 is written beside the column it replaces and swapped in only once
-admitted.  The governor's lock is the store's only lock, so a grant
-that evicts a column and a scan that reads or extends it are
-serialized by one mutex.
+admitted.  Mutations run under the governor's lock; lookups read the
+ledger's snapshot.  A scan *pins* a column when it plans
+(:meth:`VerticalStore.pin` maps its arrays under the lock), so an
+eviction while it reads removes the files but not the mapping.
 
 A promoted column covers a row *prefix* of its table (``rows`` is its
 watermark).  An append leaves it valid: scans read the prefix from the
 columnstore and only the new tail from the raw file, and
 :meth:`VerticalStore.extend` then appends that tail onto the column's
-files in O(tail) bytes.  Rewrites and drops invalidate the whole store.
+files in O(tail) bytes.  Rewrites, drops and ``close`` invalidate the
+whole store (through the table state).
 """
 
 from __future__ import annotations
@@ -75,9 +79,24 @@ class VerticalStore(GovernedLedger):
     # ------------------------------------------------------------------
 
     def coverage_rows(self, attr: int) -> int:
+        column = self.peek(attr)
+        return column.rows if column is not None else 0
+
+    def pin(
+        self, attr: int, rows: int, metrics=None
+    ) -> PromotedColumn | None:
+        """The promoted column of ``attr`` if it holds at least ``rows``
+        rows, its arrays mapped (the loads charged to ``metrics``) so it
+        stays readable after an eviction removes its files."""
+        if self.coverage_rows(attr) < rows:
+            return None
+        # Under the lock no eviction can remove the files mid-load.
         with self.governor.lock:
             column = self.peek(attr)
-            return column.rows if column is not None else 0
+            if column is None:
+                return None  # evicted since
+            column.store._column_arrays(column.name, metrics)
+        return column
 
     def promote(
         self,
@@ -156,26 +175,24 @@ class VerticalStore(GovernedLedger):
 
     def read(
         self,
-        attr: int,
-        name: str,
+        column: PromotedColumn,
         lo: int,
         hi: int,
         sel: np.ndarray | None,
         metrics,
     ) -> ColumnVector:
-        """Serve rows [lo, hi) (or the ``sel`` subset) of one column.
+        """Serve rows [lo, hi) (or the ``sel`` subset) of a pinned
+        column from its mapped arrays — also after it was evicted.
 
-        mmap loads are charged to the ``io`` bucket by the columnstore
-        itself; the raw file is never touched.
+        TEXT decoding is charged to the ``convert`` bucket by the
+        columnstore itself; the raw file is never touched.
         """
-        with self.governor.lock:
-            column = self._entries[attr]
-            self.touch(column)
-            column.hits += 1
+        self.touch(column)
+        column.hits += 1
         if self.registry is not None:
             self.registry.counter("vp_served_total").inc()
         index = sel if sel is not None else slice(lo, hi)
-        return column.store._vector(name, index, metrics)
+        return column.store._vector(column.name, index, metrics)
 
     # ------------------------------------------------------------------
     # Lifecycle.

@@ -8,6 +8,10 @@ prefixes by the tail alone, rewrites/drops invalidate the store, and
 with the default ``vp_enabled=False`` nothing changes.
 """
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -155,7 +159,7 @@ def test_append_extends_promoted_columns(tmp_path):
         # The promoted prefix survives; the scan stitches the tail on.
         assert _counter(eng, "vp_invalidations_total") == 0
         assert "vp: served from columnstore" not in eng.explain(SQL)
-        (stats,) = eng.service._collect_vertical()
+        (stats,) = eng.service._collect_columnstores()
         assert stats["rows"]["a"] == len(ROWS)
         got = list(eng.query(SQL))
         assert len(got) == len(ROWS) + 2
@@ -166,7 +170,7 @@ def test_append_extends_promoted_columns(tmp_path):
         assert _counter(eng, "vp_invalidations_total") == 0
         grown = _column_file(tmp_path, "a").stat().st_size
         assert grown == size_before + 2 * 8
-        (stats,) = eng.service._collect_vertical()
+        (stats,) = eng.service._collect_columnstores()
         assert stats["rows"]["a"] == len(ROWS) + 2
         assert stats["lag_rows"]["a"] == 0
         # The extended column serves the whole table again.
@@ -229,6 +233,161 @@ def test_drop_table_releases_columnstore_bytes(tmp_path):
         eng.close()
 
 
+XY = TableSchema(
+    [Column("x", DataType.INTEGER), Column("y", DataType.INTEGER)]
+)
+
+
+@pytest.mark.parametrize("tier", ["cache", "columnstore", "map"])
+def test_eviction_mid_scan_keeps_the_pinned_column(tmp_path, tier):
+    """A scan reads ``x`` from the tier it pinned when it planned: other
+    tables' grants evicting that entry while the cursor is open change
+    neither whether it finishes nor its rows."""
+    for name, n in (("a", 5_000), ("b", 20_000)):
+        write_csv(tmp_path / f"{name}.csv", [(i, i) for i in range(n)], XY)
+    config = PostgresRawConfig(
+        memory_budget=400_000,
+        vp_enabled=tier == "columnstore",
+        vp_min_accesses=1,
+        vp_dir=str(tmp_path / "vp"),
+        batch_size=64,
+        stream_queue_batches=1,
+    )
+    with PostgresRaw(config) as eng:
+        for name in "ab":
+            eng.register_csv(name, tmp_path / f"{name}.csv", XY)
+        for _ in range(3):
+            eng.query("SELECT x FROM a")
+        if tier != "cache":
+            # The governor's own call: only the lower rungs serve ``x``.
+            eng.table_state("a").cache.governed_evict(0)
+        governor = eng.service.governor
+
+        def held():
+            (row,) = [
+                r
+                for r in governor.residency()
+                if r["table"] == "a" and r["kind"] == tier
+            ]
+            return row["items"]
+
+        assert held() >= 1
+        cursor = eng.service.session().cursor("SELECT x FROM a")
+        rows = cursor.fetchmany(10)
+        for _ in range(3):
+            eng.query("SELECT x, y FROM b")
+        assert held() == 0  # evicted while the cursor was open
+        rows += cursor.fetchall()
+        assert rows == [(i,) for i in range(5_000)]
+
+
+#: Scales the stress test below (``make stress`` raises it).
+ROUNDS = int(os.environ.get("REPRO_STRESS_ROUNDS", "2"))
+
+
+def test_columnstore_streams_under_cross_table_eviction(tmp_path):
+    """Threads stream ``a`` in small fetches — ``x`` promoted, so mostly
+    from the columnstore — while others query ``b`` under a budget that
+    ``b`` alone overflows: the governor evicts across tables while
+    cursors are open.  Every answer matches the oracle and the
+    governor's books balance."""
+    a_rows = [(i, i % 7) for i in range(5_000)]
+    b_rows = [(i, i % 11) for i in range(20_000)]
+    write_csv(tmp_path / "a.csv", a_rows, XY)
+    write_csv(tmp_path / "b.csv", b_rows, XY)
+    oracle = {
+        "SELECT x FROM a": [(x,) for x, __ in a_rows],
+        "SELECT x FROM a WHERE x % 3 = 0": [
+            (x,) for x, __ in a_rows if x % 3 == 0
+        ],
+        "SELECT x, y FROM b WHERE y < 5": [r for r in b_rows if r[1] < 5],
+        "SELECT COUNT(*), SUM(x) FROM b WHERE y >= 5": [
+            (
+                sum(1 for __, y in b_rows if y >= 5),
+                sum(x for x, y in b_rows if y >= 5),
+            )
+        ],
+    }
+    streamed, queried = list(oracle)[:2], list(oracle)[2:]
+    config = PostgresRawConfig(
+        memory_budget=400_000,
+        vp_enabled=True,
+        vp_min_accesses=1,
+        vp_dir=str(tmp_path / "vp"),
+        batch_size=64,
+        stream_queue_batches=1,
+        max_concurrent_queries=4,
+    )
+    errors: list = []
+    mismatches: list = []
+
+    def stream(session, i):
+        for r in range(4 * ROUNDS):
+            sql = streamed[(i + r) % 2]
+            rows = []
+            with session.cursor(sql) as cursor:
+                while got := cursor.fetchmany(97):
+                    rows.extend(got)
+            if rows != oracle[sql]:
+                mismatches.append((sql, len(rows)))
+
+    def query(session, i):
+        for r in range(4 * ROUNDS):
+            sql = queried[(i + r) % 2]
+            if sorted(session.query(sql).rows) != oracle[sql]:
+                mismatches.append((sql, "b"))
+
+    with PostgresRaw(config) as eng:
+        service = eng.service
+        for name in "ab":
+            eng.register_csv(name, tmp_path / f"{name}.csv", XY)
+        for __ in range(3):
+            eng.query("SELECT x FROM a")
+        eng.table_state("a").cache.governed_evict(0)
+
+        def client(work, i):
+            try:
+                work(service.session(), i)
+            except Exception as exc:  # surfaced by the main thread
+                errors.append((work.__name__, i, repr(exc)))
+
+        threads = [
+            threading.Thread(target=client, args=(work, i))
+            for work in (stream, query)
+            for i in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the threads finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "stress test hung"
+        assert errors == [] and mismatches == []
+        governor = service.governor
+        assert governor.cross_evictions > 0
+        assert _counter(eng, "vp_served_total") > 0
+        assert governor.used_bytes <= governor.budget_bytes
+        assert governor.used_bytes == sum(
+            r["nbytes"] for r in governor.residency()
+        )
+        for name in "ab":
+            state = eng.table_state(name)
+            tiers = (state.positional_map, state.cache, state.columnstore)
+            held = sum(
+                r["nbytes"]
+                for r in governor.residency()
+                if r["table"] == name
+            )
+            assert held == sum(tier.used_bytes for tier in tiers)
+        assert service.cursor_stats()["open"] == 0
+        sched = service.scheduler.stats()
+        assert sched["active"] == 0 and sched["admitted"] == sched["completed"]
+
+
 def test_vp_disabled_by_default(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ROWS, SCHEMA)
@@ -238,7 +397,8 @@ def test_vp_disabled_by_default(tmp_path):
         for _ in range(4):
             assert len(list(eng.query(SQL))) == len(ROWS)
         assert _counter(eng, "vp_promotions_total") == 0
-        assert eng.service._vertical == {}
+        assert eng.table_state("t").columnstore is None
+        assert eng.service._collect_columnstores() is None
         kinds = {r["kind"] for r in eng.service.governor.residency()}
         assert "columnstore" not in kinds
         assert "vp: served from columnstore" not in eng.explain(SQL)

@@ -187,7 +187,8 @@ def test_appends_advance_both_tiers_and_stay_correct(
         n_rows = len(rows) + sum(len(tail) for tail, __, __ in steps)
         (entry,) = engine.service.mv.stats()["entries"]
         assert entry["rows"] == n_rows and entry["lag_rows"] == 0
-        for covered in engine.service._collect_vertical()[0]["rows"].values():
+        (store,) = engine.service._collect_columnstores()
+        for covered in store["rows"].values():
             assert covered <= n_rows
 
 

@@ -5,7 +5,8 @@ share the planner and the executor.  Here a generated table with NULLs
 is loaded into ``sqlite3`` too, and every generated statement must give
 the same rows on both — cold, then repeated until its columns are
 cache-resident, with appends interleaved between statements, across
-batch sizes, the columnstore + materialized-aggregate tiers and the
+batch sizes, the columnstore + materialized-aggregate tiers (with room
+to spare, and under a budget that keeps the governor evicting) and the
 parallel scan pool.
 
 SQL semantics where sqlite's defaults differ are spelled out on its
@@ -43,17 +44,22 @@ SCHEMA = TableSchema(
 NUMERIC = ("i", "j", "f")
 WORDS = ("a", "b", "ab", "ba", "abc", "B", "bb")
 
+VP_MV = {
+    "batch_size": 7,
+    "vp_enabled": True,
+    "vp_min_accesses": 1,
+    "mv_auto": True,
+    "mv_min_repeats": 1,
+}
 CONFIGS = {
     "batch3": {"batch_size": 3},
     "batch7": {"batch_size": 7},
     "batch4096": {"batch_size": 4096},
-    "vp_mv": {
-        "batch_size": 7,
-        "vp_enabled": True,
-        "vp_min_accesses": 1,
-        "mv_auto": True,
-        "mv_min_repeats": 1,
-    },
+    "vp_mv": VP_MV,
+    # A budget of a few columns: the governor evicts between (and
+    # within) statements in most examples, so scans are served from a
+    # mix of evicted and surviving tiers.
+    "vp_mv_tight": {**VP_MV, "memory_budget": 500},
     "workers2": {"batch_size": 7, "scan_workers": 2},
 }
 

@@ -145,9 +145,9 @@ class _Engine:
             elif kind == "map":
                 self.pm.touch(entry)
             elif kind == "columnstore":
-                self.store.read(
-                    key, entry.name, 0, entry.rows, None, QueryMetrics()
-                )
+                metrics = QueryMetrics()
+                column = self.store.pin(key, entry.rows, metrics)
+                self.store.read(column, 0, entry.rows, None, metrics)
             else:
                 self.catalog.note_served(
                     MVMatch(entry, "exact", entry.batch, entry.rows)

@@ -8,6 +8,8 @@ NULLs has no null-flags file until a tail brings one.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,10 @@ def store(tmp_path):
 
 
 def read(store, attr, name, lo, hi):
-    return store.read(attr, name, lo, hi, None, QueryMetrics()).to_pylist()
+    metrics = QueryMetrics()
+    column = store.pin(attr, hi, metrics)
+    assert column.name == name
+    return store.read(column, lo, hi, None, metrics).to_pylist()
 
 
 def files(store):
@@ -138,6 +143,32 @@ def test_the_governor_lock_is_the_store_lock(tmp_path):
         assert store.coverage_rows(0) == 0
     assert files(store) == {} and store.governed_bytes() == 0
     assert not store.extend(0, ints([1]))
+
+
+def test_coverage_is_read_without_the_governor_lock(store):
+    # A scan planning against the store must not wait on another
+    # table's eviction, which holds the lock across its file deletion.
+    assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 1.0)
+    held, release, seen = threading.Event(), threading.Event(), []
+
+    def hold():
+        with store.governor.lock:
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert held.wait(10)
+    reader = threading.Thread(
+        target=lambda: seen.append(store.coverage_rows(0))
+    )
+    reader.start()
+    reader.join(timeout=2)
+    finished = not reader.is_alive()
+    release.set()
+    holder.join(timeout=10)
+    reader.join(timeout=10)
+    assert finished and seen == [10]
 
 
 def test_extending_never_evicts_the_growing_column(tmp_path):

@@ -7,7 +7,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test smoke serve serve-smoke serve-sharded sharded-smoke bench \
 	bench-parallel bench-concurrent bench-streaming bench-wire \
 	bench-telemetry bench-tokenizer bench-mv bench-format bench-sharded \
-	bench-budget bench-report stress stress-process lint verify
+	bench-statistics bench-budget bench-report stress stress-process lint \
+	verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -95,6 +96,14 @@ bench-format:
 # asserts the kernels win (>= 3x on wide numeric at full scale).
 bench-tokenizer:
 	$(PYTHON) -m pytest benchmarks/bench_tokenizer.py \
+		--benchmark-only --import-mode=importlib -q -s
+
+# E10, on-the-fly statistics: the join order a skewed star schema
+# gets with and without statistics (asserts the informed plan builds on
+# the small dimension) and the statistics' share of a cold scan
+# (asserts nodb upkeep < 50 % of the query).
+bench-statistics:
+	$(PYTHON) -m pytest benchmarks/bench_statistics.py \
 		--benchmark-only --import-mode=importlib -q -s
 
 # Sharded serving tier: scatter-gather aggregate qps at 1/2/4 shards

@@ -26,6 +26,7 @@ from ..catalog.schema import TableSchema
 from ..config import DEFAULT_BATCH_SIZE
 from ..core.metrics import QueryMetrics
 from ..core.stats import StatisticsStore
+from ..core.synopsis import column_intervals, column_op_literal
 from ..datatypes import DataType
 from ..errors import CatalogError
 from ..executor.expressions import predicate_mask
@@ -33,8 +34,8 @@ from ..executor.operators import Operator
 from ..executor.result import QueryResult
 from ..rawio.dialect import CsvDialect, DEFAULT_DIALECT
 from ..sql.ast import (
-    BinaryOp,
     Between,
+    BinaryOp,
     ColumnRef,
     Expression,
     Literal,
@@ -212,7 +213,9 @@ class ConventionalDBMS:
                 self.storage_dir / f"{name}.cols",
                 schema,
                 columns,
-                build_zone_maps=self.profile.build_zone_maps,
+                zone_rows=(
+                    ZONE_BLOCK_ROWS if self.profile.build_zone_maps else None
+                ),
             )
         else:
             table = RowHeapTable.create(
@@ -367,26 +370,20 @@ class ConventionalDBMS:
     def _index_probe(
         self, table_name: str, conjunct: Expression
     ) -> np.ndarray | None:
-        if isinstance(conjunct, BinaryOp) and conjunct.op in (
-            "=",
-            "<",
-            "<=",
-            ">",
-            ">=",
-        ):
-            column, literal, op = _column_op_literal(conjunct)
-            if column is None:
-                return None
-            tree = self._indexes.get((table_name, column))
+        hit = column_op_literal(conjunct)
+        if hit is not None:
+            column, literal, op = hit
+            tree = self._indexes.get((table_name, column.name))
             if tree is None:
                 return None
+            value = literal.value
             if op == "=":
-                return tree.search_eq(literal)
+                return tree.search_eq(value)
             if op in ("<", "<="):
                 return tree.search_range(
-                    None, literal, high_inclusive=op == "<="
+                    None, value, high_inclusive=op == "<="
                 )
-            return tree.search_range(literal, None, low_inclusive=op == ">=")
+            return tree.search_range(value, None, low_inclusive=op == ">=")
         if isinstance(conjunct, Between) and not conjunct.negated:
             if not isinstance(conjunct.expr, ColumnRef):
                 return None
@@ -407,66 +404,10 @@ class ConventionalDBMS:
         self, table: ColumnStoreTable, predicate: Expression
     ) -> np.ndarray | None:
         """Blocks that *might* contain qualifying rows, per zone maps."""
-        n_blocks = (table.num_rows + ZONE_BLOCK_ROWS - 1) // ZONE_BLOCK_ROWS
-        if n_blocks == 0:
-            return None
-        keep = np.ones(n_blocks, dtype=np.bool_)
-        useful = False
-        for conjunct in split_conjuncts(predicate):
-            column, literal, op = (None, None, None)
-            low = high = None
-            if isinstance(conjunct, BinaryOp):
-                column, literal, op = _column_op_literal(conjunct)
-                if column is None or op is None:
-                    continue
-                if op == "=":
-                    low = high = literal
-                elif op in ("<", "<="):
-                    high = literal
-                elif op in (">", ">="):
-                    low = literal
-                else:
-                    continue
-            elif isinstance(conjunct, Between) and not conjunct.negated:
-                if not (
-                    isinstance(conjunct.expr, ColumnRef)
-                    and isinstance(conjunct.low, Literal)
-                    and isinstance(conjunct.high, Literal)
-                ):
-                    continue
-                column = conjunct.expr.name
-                low, high = conjunct.low.value, conjunct.high.value
-            else:
-                continue
-            zones = table.zone_map(column)
-            if zones is None or low is None and high is None:
-                continue
-            mins, maxs = zones
-            possible = np.ones(n_blocks, dtype=np.bool_)
-            if low is not None:
-                possible &= maxs >= float(low)
-            if high is not None:
-                possible &= mins <= float(high)
-            keep &= possible
-            useful = True
-        return keep if useful else None
-
-
-def _column_op_literal(
-    conjunct: BinaryOp,
-) -> tuple[str | None, object, str | None]:
-    """Normalize ``col op lit`` / ``lit op col`` to (col, lit, op)."""
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-    if isinstance(conjunct.left, ColumnRef) and isinstance(
-        conjunct.right, Literal
-    ):
-        if conjunct.right.value is None:
-            return None, None, None
-        return conjunct.left.name, conjunct.right.value, conjunct.op
-    if isinstance(conjunct.right, ColumnRef) and isinstance(
-        conjunct.left, Literal
-    ):
-        if conjunct.left.value is None or conjunct.op not in flipped:
-            return None, None, None
-        return conjunct.right.name, conjunct.left.value, flipped[conjunct.op]
-    return None, None, None
+        keep = None
+        for column, intervals in column_intervals(predicate):
+            zone_map = table.zone_map(column)
+            if zone_map is not None:
+                possible = zone_map.possible(intervals)
+                keep = possible if keep is None else keep & possible
+        return keep

@@ -5,6 +5,8 @@
 * :mod:`repro.core.ledger` — the governed ledger every adaptive tier
   keeps its entries in (admission, eviction, one recency clock)
 * :mod:`repro.core.stats` — on-the-fly statistics (§3.3)
+* :mod:`repro.core.synopsis` — per-window min / max / NULL count of
+  resident columns, which let a scan skip windows
 * :mod:`repro.core.raw_scan` — the overridden scan operator (§3)
 * :mod:`repro.core.engine` — the PostgresRaw facade
 * :mod:`repro.core.updates` — raw-file change detection (§4.2 Updates)

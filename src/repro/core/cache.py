@@ -31,6 +31,13 @@ attribute number: admission, growth, eviction, invalidation and recency
 are the ledger's.  What is the cache's own is the coverage rule (a
 deeper prefix replaces a shallower one, never the reverse) and
 appending a tail onto an entry's vector.
+
+An entry of an INTEGER, FLOAT or DATE column also carries its
+:class:`repro.core.synopsis.Synopsis` — per-window min / max / NULL
+count over windows of ``window_rows`` rows (the scan's ``batch_size``),
+built when the entry is admitted and extended by its tail window on
+append.  Its bytes are the entry's, governed with the values; a scan
+uses it to skip windows its predicate rules out.
 """
 
 from __future__ import annotations
@@ -38,12 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..batch import ColumnVector
+from ..config import DEFAULT_BATCH_SIZE
 from .ledger import GovernedLedger, now
+from .synopsis import Synopsis
 
 
 @dataclass
 class CacheEntry:
-    """Binary values of one attribute over rows ``0 .. len(vector)``.
+    """Binary values of one attribute over rows ``0 .. len(vector)``,
+    and their synopsis (``None`` for TEXT and BOOLEAN).
 
     ``benefit_seconds`` is the measured conversion time this entry saves
     per full read (fed by the scan when the column was materialized).
@@ -51,13 +61,16 @@ class CacheEntry:
 
     attr: int
     vector: ColumnVector
+    synopsis: Synopsis | None = None
     nbytes: int = 0
     benefit_seconds: float = 0.0
     last_used_ts: float = field(default_factory=now)
 
     def __post_init__(self) -> None:
         if self.nbytes == 0:
-            self.nbytes = self.vector.nbytes()
+            self.nbytes = self.vector.nbytes() + _synopsis_bytes(
+                self.synopsis
+            )
 
     @property
     def rows(self) -> int:
@@ -70,8 +83,15 @@ class RawDataCache(GovernedLedger):
     "Overall, the PostgresRaw cache can be seen as the place holder for
     adaptively loaded data."  ``governor`` is the engine's
     :class:`repro.service.MemoryGovernor`, which admits (and may
-    reclaim) every byte the cache holds.
+    reclaim) every byte the cache holds.  ``window_rows`` is the
+    window of the entries' synopses.
     """
+
+    def __init__(
+        self, governor, window_rows: int = DEFAULT_BATCH_SIZE
+    ) -> None:
+        super().__init__(governor)
+        self.window_rows = window_rows
 
     def utilization(self) -> float:
         """Fraction of the engine budget this cache holds — the Figure 2
@@ -112,12 +132,17 @@ class RawDataCache(GovernedLedger):
         ``False`` (and keeps any older, shallower entry) if it cannot
         fit even after evicting everything unprotected.
         """
+        entry = CacheEntry(
+            attr,
+            vector,
+            Synopsis.of(vector, self.window_rows),
+            benefit_seconds=benefit_seconds,
+        )
         with self.governor.lock:
             existing = self.peek(attr)
             if existing is not None and existing.rows >= len(vector):
                 self.touch(existing)
                 return True
-            entry = CacheEntry(attr, vector, benefit_seconds=benefit_seconds)
             return self.admit(attr, entry, protected or ())
 
     def extend(self, attr: int, tail: ColumnVector) -> bool:
@@ -126,10 +151,13 @@ class RawDataCache(GovernedLedger):
             entry = self.peek(attr)
             if entry is None:
                 return False
-            extra = tail.nbytes()
+            synopsis = entry.synopsis and entry.synopsis.extended(tail)
+            extra = tail.nbytes() + _synopsis_bytes(synopsis)
+            extra -= _synopsis_bytes(entry.synopsis)
             if not self.grow(attr, extra):
                 return False
             entry.vector = ColumnVector.concat([entry.vector, tail])
+            entry.synopsis = synopsis
             entry.nbytes += extra
             self.touch(entry)
             return True
@@ -153,3 +181,7 @@ class RawDataCache(GovernedLedger):
             }
             for e in sorted(self.entries(), key=lambda e: e.attr)
         ]
+
+
+def _synopsis_bytes(synopsis: Synopsis | None) -> int:
+    return 0 if synopsis is None else synopsis.nbytes

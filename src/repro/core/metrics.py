@@ -94,6 +94,9 @@ class QueryMetrics:
     cache_misses: int = 0
     pm_chunk_hits: int = 0
     pm_chunk_misses: int = 0
+    #: ``batch_size`` windows a scan skipped because the synopses of
+    #: its predicate columns ruled every row of them out.
+    windows_skipped: int = 0
 
     #: Seconds spent building scan kernels (:mod:`repro.kernels`) on
     #: kernel-cache misses.  Informational detail of the ``nodb``
@@ -228,6 +231,7 @@ class QueryMetrics:
             "cache_misses",
             "pm_chunk_hits",
             "pm_chunk_misses",
+            "windows_skipped",
             "parallel_scans",
             "parallel_chunks",
             "parallel_scan_seconds",

@@ -53,6 +53,19 @@ batch stays full-width for the attributes the query touches (that is
 what populates the map), even when no row of it qualifies.  Rows always
 leave in file order.
 
+**Window skipping.**  Cache entries and promoted columns of INTEGER,
+FLOAT and DATE columns carry a synopsis — per ``batch_size`` window
+min / max / NULL count (:mod:`repro.core.synopsis`) — and the scan
+tests the predicate's ``col op literal`` / ``BETWEEN`` / ``IN``
+conjuncts against it when it plans.  It skips a window that cannot
+qualify only where reading it would learn nothing: every segment the
+window overlaps pins all predicate attributes in a binary tier and has
+nothing to tokenize, and selective tuple formation is on (so a window
+without survivors converts, collects and observes nothing).  A skipped
+window is neither acquired, masked nor read, so no tier, statistic or
+answer changes — only time, and ``metrics.windows_skipped``.  Strides
+restart at one batch for each run of kept windows.
+
 Coverage bookkeeping: cache entries, promoted columns and positional
 chunks always cover a row *prefix*.  After an external append the old
 prefix stays valid and scans stitch the new tail from the raw file,
@@ -101,6 +114,7 @@ from .ledger import now
 from .metrics import BreakdownComponent, QueryMetrics
 from .positional_map import PositionalChunk, PositionalMap
 from .stats import StatisticsStore
+from .synopsis import column_intervals
 
 _IO = BreakdownComponent.IO
 _TOKENIZING = BreakdownComponent.TOKENIZING
@@ -145,11 +159,12 @@ class RawTableState:
         self.positional_map = PositionalMap(
             governor, config.pm_combination_policy
         )
-        self.cache = RawDataCache(governor)
+        # Synopsis windows are the scan's windows.
+        self.cache = RawDataCache(governor, config.batch_size)
         self.columnstore: VerticalStore | None = None
         if config.vp_enabled and governor is not None:
             self.columnstore = VerticalStore(
-                entry.name, vp_root, governor, registry
+                entry.name, vp_root, governor, registry, config.batch_size
             )
         #: The ladder's tiers, cheapest read first (each when enabled).
         self.tiers: list = []
@@ -380,6 +395,11 @@ class RawScan(Operator):
         self.needed_attrs = sorted(self.schema.positions(needed))
         self._attr_name = {self.schema.position(n): n for n in needed}
         self._out_attrs = set(self.schema.positions(self.output_columns))
+        #: ``(attr, intervals)`` per conjunct a synopsis can test.
+        self._prunable = [
+            (self.schema.position(name), intervals)
+            for name, intervals in column_intervals(predicate)
+        ]
 
         #: The engine-owned :class:`repro.kernels.KernelCache`, set by
         #: the service's scan factory.  Unset (bare scans, parallel
@@ -514,30 +534,107 @@ class RawScan(Operator):
     ) -> Iterator[Batch]:
         # Strides and windows cut on table-wide ``batch_size`` multiples
         # when the scan starts mid-table, as the pool's row cuts do.  The
-        # first stride is the first batch; a resident scan doubles each
-        # later one, any other scan steps one batch at a time.
+        # first stride of each run of kept windows is its first batch; a
+        # resident scan doubles each later one, any other scan steps one
+        # batch at a time.
         covered = [seg for seg in segments if seg.start < row_to]
         resident = self._resident(covered, pred_attrs)
         held = [a for a in proj_only if resident and _held(covered, [a])]
         jumped = [a for a in proj_only if a not in held]
         max_stride = batch_size * (MAX_STRIDE_BATCHES if resident else 1)
-        stride = batch_size
-        s0 = self.row_from
-        s1 = s0 - s0 % batch_size + batch_size
-        while s0 < row_to:
-            s1 = min(s1, row_to)
-            yield from self._select_stride(
-                segments,
-                s0,
-                s1,
-                batch_size,
-                pred_attrs,
-                held,
-                jumped,
-                resident,
+        runs = self._kept_runs(covered, pred_attrs, row_to, batch_size)
+        if not runs:
+            # Every window was ruled out: evaluate over no rows, so a
+            # predicate the evaluator rejects still raises.
+            empty = {
+                self._attr_name[a]: _empty_vector(self._dtypes[a])
+                for a in pred_attrs
+            }
+            predicate_mask(self.predicate, Batch(empty, num_rows=0))
+        for r0, r1 in runs:
+            stride = batch_size
+            s0, s1 = r0, r0 - r0 % batch_size + batch_size
+            while s0 < r1:
+                s1 = min(s1, r1)
+                yield from self._select_stride(
+                    segments,
+                    s0,
+                    s1,
+                    batch_size,
+                    pred_attrs,
+                    held,
+                    jumped,
+                    resident,
+                )
+                stride = min(2 * stride, max_stride)
+                s0, s1 = s1, s1 + stride
+
+    def _kept_runs(
+        self,
+        segments: list[_Segment],
+        pred_attrs: list[int],
+        row_to: int,
+        batch_size: int,
+    ) -> list[tuple[int, int]]:
+        """The row ranges ``[r0, r1)`` the scan reads: ``[row_from,
+        row_to)`` less the ``batch_size`` windows the predicate's
+        synopses rule out (counted in ``metrics.windows_skipped``).
+        Without selective tuple formation a window with no survivor
+        still converts its other columns whole (the cache and statistics
+        learn them), so none is skipped."""
+        row_from = self.row_from
+        whole = [(row_from, row_to)]
+        if not (
+            self._prunable
+            and self.config.selective_tuple_formation
+            and row_from < row_to
+        ):
+            return whole
+        # Window ``i`` is rows ``(k0 + i) * batch_size`` up to the next
+        # cut, clipped to ``[row_from, row_to)``; it may hold a row the
+        # predicate keeps where ``keep[i + 1]`` (one False either side).
+        k0 = row_from // batch_size
+        keep = np.zeros(-(-row_to // batch_size) - k0 + 2, dtype=np.bool_)
+        for seg in segments:
+            lo, hi = max(seg.start, row_from), min(seg.end, row_to)
+            if lo < hi:
+                k_lo, k_hi = lo // batch_size, (hi - 1) // batch_size + 1
+                keep[k_lo - k0 + 1 : k_hi - k0 + 1] |= self._segment_windows(
+                    seg, pred_attrs, k_lo, k_hi, batch_size
+                )
+        skipped = len(keep) - 2 - int(np.count_nonzero(keep))
+        if not skipped:
+            return whole
+        self.metrics.windows_skipped += skipped
+        edges = np.flatnonzero(keep[1:] != keep[:-1]).tolist()
+        return [
+            (
+                max(row_from, (k0 + a) * batch_size),
+                min(row_to, (k0 + b) * batch_size),
             )
-            stride = min(2 * stride, max_stride)
-            s0, s1 = s1, s1 + stride
+            for a, b in zip(edges[::2], edges[1::2])
+        ]
+
+    def _segment_windows(
+        self,
+        seg: _Segment,
+        pred_attrs: list[int],
+        k_lo: int,
+        k_hi: int,
+        batch_size: int,
+    ) -> np.ndarray | bool:
+        """Per window ``k_lo .. k_hi - 1``: may its rows in ``seg`` hold
+        one the predicate keeps?  Always ``True`` unless a window with
+        no survivor teaches the engine nothing there: ``seg`` pins every
+        predicate attribute in a binary tier and tokenizes nothing."""
+        if seg.tokenize_attrs or not _held([seg], pred_attrs):
+            return True
+        possible = np.ones(k_hi - k_lo, dtype=np.bool_)
+        for attr, intervals in self._prunable:
+            synopsis = seg.resident[attr][1].synopsis
+            if synopsis is not None and synopsis.window_rows == batch_size:
+                possible &= synopsis.possible(intervals)[k_lo:k_hi]
+        return possible
 
     def _resident(
         self, segments: list[_Segment], pred_attrs: list[int]

@@ -12,6 +12,16 @@ samples, min/max, null fractions, distinct-value estimates and equi-depth
 histograms.  The optimizer consumes them through the same selectivity API
 a conventional DBMS would use after ANALYZE.
 
+**A typed reservoir.**  The sample is a numpy array of the column's own
+dtype (object for TEXT), kept by Vitter's algorithm R with numpy draws:
+a batch first fills the free slots, then draws one ``rng.random`` and
+one ``rng.integers`` per remaining value; the accepted values land in
+one fancy-index assignment, where the last arrival per slot wins, just
+as a value-at-a-time loop would leave it.  The estimators and the
+histogram read the array with numpy.  Arrival numbers count non-NULL
+values only: a batch's values arrive after the non-NULL values of the
+batches before it, however many NULLs either held.
+
 One deliberate refinement over a literal reading of the paper: only
 *full-column* reads feed the store.  Attributes materialized solely for
 qualifying rows (selective tuple formation) are skipped, because a
@@ -45,9 +55,13 @@ class AttributeStatistics:
     null_count: int = 0
     min_value: object = None
     max_value: object = None
-    sample: list = field(default_factory=list)
+    #: The reservoir: up to ``sample_size`` non-NULL values, typed.
+    sample: np.ndarray = field(init=False, repr=False)
     _histogram: np.ndarray | None = field(default=None, repr=False)
     _histogram_dirty: bool = field(default=True, repr=False)
+
+    def __post_init__(self) -> None:
+        self.sample = np.empty(0, dtype=self.dtype.numpy_dtype)
 
     # ------------------------------------------------------------------
     # Maintenance.
@@ -59,35 +73,30 @@ class AttributeStatistics:
         if n == 0:
             return
         nulls = vector.null_mask
-        null_in_batch = int(nulls.sum())
+        null_in_batch = int(np.count_nonzero(nulls))
+        seen = self.rows_seen - self.null_count  # non-NULL values so far
+        self.rows_seen += n
         self.null_count += null_in_batch
 
         values = vector.values[~nulls] if null_in_batch else vector.values
         if len(values):
-            if self.dtype is DataType.TEXT:
-                batch_min, batch_max = min(values), max(values)
-            else:
-                batch_min, batch_max = values.min(), values.max()
-            if self.min_value is None or batch_min < self.min_value:
-                self.min_value = _to_python(batch_min, self.dtype)
-            if self.max_value is None or batch_max > self.max_value:
-                self.max_value = _to_python(batch_max, self.dtype)
-            self._reservoir_update(values, rng)
-        self.rows_seen += n
+            low, high = values[[values.argmin(), values.argmax()]].tolist()
+            if self.min_value is None or low < self.min_value:
+                self.min_value = low
+            if self.max_value is None or high > self.max_value:
+                self.max_value = high
+            self._reservoir_update(values, seen, rng)
         self._histogram_dirty = True
 
     def _reservoir_update(
-        self, values: np.ndarray, rng: np.random.Generator
+        self, values: np.ndarray, seen: int, rng: np.random.Generator
     ) -> None:
-        """Vitter's algorithm R, vectorized over the incoming batch."""
-        seen = self.rows_seen - self.null_count  # non-null values so far
+        """Vitter's algorithm R over one batch of non-NULL ``values``,
+        ``seen`` non-NULL values having arrived before it."""
         k = self.sample_size
-        room = k - len(self.sample)
-        take = min(room, len(values))
+        take = min(k - len(self.sample), len(values))
         if take:
-            self.sample.extend(
-                _to_python(v, self.dtype) for v in values[:take]
-            )
+            self.sample = np.concatenate([self.sample, values[:take]])
             values = values[take:]
             seen += take
         if not len(values):
@@ -95,8 +104,10 @@ class AttributeStatistics:
         arrival = seen + np.arange(1, len(values) + 1)
         accept = rng.random(len(values)) < (k / arrival)
         slots = rng.integers(0, k, size=len(values))
-        for idx in np.flatnonzero(accept):
-            self.sample[slots[idx]] = _to_python(values[idx], self.dtype)
+        # One assignment; of two arrivals for one slot the later wins.
+        slots, values = slots[accept][::-1], values[accept][::-1]
+        slots, last = np.unique(slots, return_index=True)
+        self.sample[slots] = values[last]
 
     # ------------------------------------------------------------------
     # Derived estimates.
@@ -110,10 +121,10 @@ class AttributeStatistics:
 
     def distinct_estimate(self) -> float:
         """Sample-scaled number of distinct values (GEE-style heuristic)."""
-        if not self.sample:
-            return 1.0
-        d = len(set(self.sample))
         n = len(self.sample)
+        if not n:
+            return 1.0
+        d = len(np.unique(self.sample))
         non_null = max(self.rows_seen - self.null_count, n)
         if d < n / 2:
             return float(d)  # low-cardinality domain, sample saw it all
@@ -121,10 +132,10 @@ class AttributeStatistics:
 
     def histogram(self) -> np.ndarray | None:
         """Equi-depth bucket boundaries over the sample (numeric only)."""
-        if self.dtype is DataType.TEXT or not self.sample:
+        if self.dtype is DataType.TEXT or not len(self.sample):
             return None
         if self._histogram_dirty:
-            data = np.sort(np.asarray(self.sample, dtype=np.float64))
+            data = np.sort(self.sample.astype(np.float64))
             quantiles = np.linspace(0.0, 1.0, self.histogram_buckets + 1)
             self._histogram = np.quantile(data, quantiles)
             self._histogram_dirty = False
@@ -134,13 +145,12 @@ class AttributeStatistics:
         """Estimated fraction of rows with ``attr = value``."""
         if value is None:
             return self.null_fraction
-        if not self.sample:
+        n = len(self.sample)
+        if not n:
             return _DEFAULT_SELECTIVITY_EQ
-        matches = sum(1 for s in self.sample if s == value)
+        matches = np.count_nonzero(self.sample == value)
         if matches:
-            return max(matches / len(self.sample), 1e-6) * (
-                1 - self.null_fraction
-            )
+            return max(matches / n, 1e-6) * (1 - self.null_fraction)
         return (1.0 / max(self.distinct_estimate(), 1.0)) * (
             1 - self.null_fraction
         )
@@ -153,41 +163,28 @@ class AttributeStatistics:
         high_inclusive: bool = True,
     ) -> float:
         """Estimated fraction of rows inside a (half-)open interval."""
-        if not self.sample:
-            return _DEFAULT_SELECTIVITY_RANGE
         n = len(self.sample)
-        count = 0
-        for s in self.sample:
-            if low is not None:
-                if s < low or (s == low and not low_inclusive):
-                    continue
-            if high is not None:
-                if s > high or (s == high and not high_inclusive):
-                    continue
-            count += 1
-        sel = count / n
+        if not n:
+            return _DEFAULT_SELECTIVITY_RANGE
+        sample = self.sample
+        inside = np.ones(n, dtype=np.bool_)
+        if low is not None:
+            inside &= sample >= low if low_inclusive else sample > low
+        if high is not None:
+            inside &= sample <= high if high_inclusive else sample < high
+        sel = np.count_nonzero(inside) / n
         return min(max(sel, 0.0), 1.0) * (1 - self.null_fraction)
 
     def selectivity_like_prefix(self, prefix: str) -> float:
         """Estimated fraction of rows matching ``LIKE 'prefix%'``."""
-        if not self.sample:
+        n = len(self.sample)
+        if not n:
             return _DEFAULT_SELECTIVITY_EQ
-        count = sum(
-            1
-            for s in self.sample
-            if isinstance(s, str) and s.startswith(prefix)
-        )
-        return max(count / len(self.sample), 1e-6)
-
-
-def _to_python(value: object, dtype: DataType):
-    if dtype is DataType.TEXT:
-        return value
-    if dtype is DataType.FLOAT:
-        return float(value)
-    if dtype is DataType.BOOLEAN:
-        return bool(value)
-    return int(value)
+        count = 0
+        if self.dtype is DataType.TEXT:
+            texts = self.sample.astype(str)
+            count = np.count_nonzero(np.char.startswith(texts, prefix))
+        return max(count / n, 1e-6)
 
 
 class StatisticsStore:

@@ -2,17 +2,24 @@
 
 Each column lives in its own ``.npy`` file of values, plus one of null
 flags when it holds a NULL (no file: no NULLs).  At load time the
-engine additionally builds *zone maps* — block min/max summaries for
-numeric columns — which lets scans with pushed range/equality
-predicates skip whole blocks.  This is the extra "tuning" work that
-makes the commercial contestant's initialization slower and its scans
-faster, producing the race dynamics the demo stages.
+engine additionally builds *zone maps* — per-block min / max / NULL
+count of every INTEGER, FLOAT and DATE column — which lets scans with
+pushed range/equality predicates skip whole blocks.  This is the extra
+"tuning" work that makes the commercial contestant's initialization
+slower and its scans faster, producing the race dynamics the demo
+stages.
+
+The zone maps are the engine's shared synopses
+(:class:`repro.core.synopsis.Synopsis`): the same builder, with
+``ZONE_BLOCK_ROWS``-row blocks here and the scan's ``batch_size`` for
+the columns the columnstore tier promotes (:mod:`repro.storage.vertical`).
+They are held in memory beside the mapped files, and :meth:`extend`
+re-derives only the tail block.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 from pathlib import Path
 from typing import Callable, Iterator
@@ -23,6 +30,7 @@ from numpy.lib import format as npy
 from ..batch import Batch, ColumnVector
 from ..catalog.schema import TableSchema
 from ..core.metrics import BreakdownComponent, QueryMetrics
+from ..core.synopsis import Synopsis
 from ..datatypes import DataType
 from ..errors import StorageError
 
@@ -36,13 +44,18 @@ ZONE_BLOCK_ROWS = 4096
 class ColumnStoreTable:
     """A loaded table stored column-at-a-time with zone maps."""
 
-    def __init__(self, directory: Path, schema: TableSchema) -> None:
+    def __init__(
+        self,
+        directory: Path,
+        schema: TableSchema,
+        zone_maps: dict[str, Synopsis] | None = None,
+    ) -> None:
         self.directory = Path(directory)
         self.schema = schema
         self._columns: dict[str, np.ndarray] = {}
         self._nulls: dict[str, np.ndarray | None] = {}
-        self._zones: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
-        self._meta_cache: dict | None = None
+        #: Column -> its zone map (the summarized types only).
+        self.zone_maps: dict[str, Synopsis] = dict(zone_maps or {})
         self._num_rows: int | None = None
         #: File -> (dtype, offset of the data) of the array saved in it;
         #: neither changes while the file lives.
@@ -58,8 +71,10 @@ class ColumnStoreTable:
         directory: str | Path,
         schema: TableSchema,
         columns: dict[str, ColumnVector],
-        build_zone_maps: bool = True,
+        zone_rows: int | None = ZONE_BLOCK_ROWS,
     ) -> "ColumnStoreTable":
+        """Save ``columns`` under ``directory``; with ``zone_rows``, zone
+        maps in blocks of that many rows are built too."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         names = schema.names()
@@ -68,7 +83,7 @@ class ColumnStoreTable:
             raise StorageError(f"missing columns at load time: {missing}")
         n_rows = len(columns[names[0]]) if names else 0
 
-        zones: dict[str, dict[str, list[float]]] = {}
+        zones: dict[str, Synopsis] = {}
         for column in schema:
             vec = columns[column.name]
             if len(vec) != n_rows:
@@ -84,17 +99,11 @@ class ColumnStoreTable:
                     directory / f"{column.name}.nulls.npy",
                     np.ascontiguousarray(vec.null_mask),
                 )
-            if build_zone_maps and column.dtype in (
-                DataType.INTEGER,
-                DataType.FLOAT,
-                DataType.DATE,
-            ):
-                zones[column.name] = _build_zone_map(vec)
-
-        meta = {"zones": zones, "zone_block_rows": ZONE_BLOCK_ROWS}
-        with open(directory / "meta.json", "w", encoding="utf-8") as f:
-            json.dump(meta, f)
-        return cls(directory, schema)
+            if zone_rows is not None:
+                zone_map = Synopsis.of(vec, zone_rows)
+                if zone_map is not None:
+                    zones[column.name] = zone_map
+        return cls(directory, schema, zones)
 
     def extend(
         self,
@@ -106,13 +115,12 @@ class ColumnStoreTable:
         Values (and null flags, for a column that has its file) go onto
         the end of the existing files; a column's flags file is written
         out whole the first time a NULL arrives.  ``admit`` is asked
-        once for the bytes about to be added.  Returns those bytes — or
-        0, with nothing written, when it refuses or when a TEXT value
-        is wider than its column was saved with, the one thing an
-        append cannot represent.
+        once for the bytes about to be added, the zone maps' growth
+        included; each zone map re-derives its tail block.  Returns
+        those bytes — or 0, with nothing written, when it refuses or
+        when a TEXT value is wider than its column was saved with, the
+        one thing an append cannot represent.
         """
-        if self._meta()["zones"]:
-            raise StorageError("cannot extend a table that has zone maps")
         lengths = {len(columns[column.name]) for column in self.schema}
         if len(lengths) != 1:
             raise StorageError(f"ragged extension: lengths {sorted(lengths)}")
@@ -141,8 +149,13 @@ class ColumnStoreTable:
                     ),
                 )
                 saves.append((nulls_path, flags.getvalue()))
+        zones = {
+            name: zone_map.extended(columns[name])
+            for name, zone_map in self.zone_maps.items()
+        }
         added = sum(tail.nbytes for __, tail in appends)
         added += sum(len(payload) for __, payload in saves)
+        added += _zone_bytes(zones) - self.zone_bytes()
         if not admit(added):
             return 0
         for path, tail in appends:
@@ -152,20 +165,13 @@ class ColumnStoreTable:
         # The mapped arrays end at the old row count.
         self._columns.clear()
         self._nulls.clear()
+        self.zone_maps = zones
         self._num_rows = n_rows + lengths.pop()
         return added
 
     # ------------------------------------------------------------------
     # Access.
     # ------------------------------------------------------------------
-
-    def _meta(self) -> dict:
-        """The zone maps, written once at load time."""
-        if self._meta_cache is None:
-            path = self.directory / "meta.json"
-            with open(path, "r", encoding="utf-8") as f:
-                self._meta_cache = json.load(f)
-        return self._meta_cache
 
     @property
     def num_rows(self) -> int:
@@ -185,18 +191,13 @@ class ColumnStoreTable:
             layout = self._layouts[path] = _saved_layout(path)[1:]
         return layout
 
-    def zone_map(self, column: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """(block_mins, block_maxs) for a numeric column, if built."""
-        if self._zones is None:
-            meta = self._meta()
-            self._zones = {
-                name: (
-                    np.asarray(z["mins"], dtype=np.float64),
-                    np.asarray(z["maxs"], dtype=np.float64),
-                )
-                for name, z in meta.get("zones", {}).items()
-            }
-        return self._zones.get(column)
+    def zone_map(self, column: str) -> Synopsis | None:
+        """The zone map of ``column``, if one was built."""
+        return self.zone_maps.get(column)
+
+    def zone_bytes(self) -> int:
+        """Bytes the zone maps hold (in memory, beside the files)."""
+        return _zone_bytes(self.zone_maps)
 
     def _column_arrays(
         self, name: str, metrics: QueryMetrics | None
@@ -346,21 +347,8 @@ def _append_npy(
         os.close(fd)
 
 
-def _build_zone_map(vec: ColumnVector) -> dict[str, list[float]]:
-    mins: list[float] = []
-    maxs: list[float] = []
-    n = len(vec)
-    for b0 in range(0, n, ZONE_BLOCK_ROWS):
-        block = vec.values[b0 : b0 + ZONE_BLOCK_ROWS]
-        nulls = vec.null_mask[b0 : b0 + ZONE_BLOCK_ROWS]
-        valid = block[~nulls]
-        if len(valid):
-            mins.append(float(valid.min()))
-            maxs.append(float(valid.max()))
-        else:
-            mins.append(float("inf"))
-            maxs.append(float("-inf"))
-    return {"mins": mins, "maxs": maxs}
+def _zone_bytes(zones: dict[str, Synopsis]) -> int:
+    return sum(zone_map.nbytes for zone_map in zones.values())
 
 
 def _decode_text(raw: np.ndarray, nulls: np.ndarray) -> np.ndarray:

@@ -23,12 +23,19 @@ ledger's snapshot.  A scan *pins* a column when it plans
 (:meth:`VerticalStore.pin` maps its arrays under the lock), so an
 eviction while it reads removes the files but not the mapping.
 
+A promoted INTEGER, FLOAT or DATE column carries the columnstore's zone
+map in windows of the scan's ``batch_size`` rows — the same
+:class:`repro.core.synopsis.Synopsis` a cache entry carries, built when
+it is promoted and governed with its files — so a scan can skip the
+windows its predicate rules out.
+
 A promoted column covers a row *prefix* of its table (``rows`` is its
 watermark).  An append leaves it valid: scans read the prefix from the
 columnstore and only the new tail from the raw file, and
 :meth:`VerticalStore.extend` then appends that tail onto the column's
-files in O(tail) bytes.  Rewrites, drops and ``close`` invalidate the
-whole store (through the table state).
+files in O(tail) bytes, and re-derives only the zone map's tail window.
+Rewrites, drops and ``close`` invalidate the whole store (through the
+table state).
 """
 
 from __future__ import annotations
@@ -41,7 +48,9 @@ import numpy as np
 
 from ..batch import ColumnVector
 from ..catalog.schema import Column, TableSchema
+from ..config import DEFAULT_BATCH_SIZE
 from ..core.ledger import GovernedLedger, now
+from ..core.synopsis import Synopsis
 from ..datatypes import DataType
 from .columnstore import ColumnStoreTable
 
@@ -62,17 +71,28 @@ class PromotedColumn:
     last_used_ts: float = field(default_factory=now)
     hits: int = 0
 
+    @property
+    def synopsis(self) -> Synopsis | None:
+        return self.store.zone_map(self.name)
+
 
 class VerticalStore(GovernedLedger):
-    """Per-table columnstore tier holding promoted hot columns."""
+    """Per-table columnstore tier holding promoted hot columns;
+    ``window_rows`` is the window of their zone maps."""
 
     def __init__(
-        self, table: str, root: str | Path, governor, registry=None
+        self,
+        table: str,
+        root: str | Path,
+        governor,
+        registry=None,
+        window_rows: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(governor, on_evict=_remove_files)
         self.table = table
         self.root = Path(root)
         self.registry = registry
+        self.window_rows = window_rows
 
     # ------------------------------------------------------------------
     # Promotion / serving.
@@ -108,29 +128,27 @@ class VerticalStore(GovernedLedger):
     ) -> bool:
         """Write one converted column into the columnstore tier.
 
-        Bytes are measured from the files actually written, then
-        admitted through the governor (which may evict other governed
-        structures — or refuse, in which case the files are removed
-        again).  The files are written beside those of an earlier
-        promotion of the same column and swapped in once admitted, so a
-        refusal keeps the old prefix.  Returns whether the new column
-        is now resident.
+        Bytes are measured from the files actually written, plus the
+        zone map, then admitted through the governor (which may evict
+        other governed structures — or refuse, in which case the files
+        are removed again).  The files are written beside those of an
+        earlier promotion of the same column and swapped in once
+        admitted, so a refusal keeps the old prefix.  Returns whether
+        the new column is now resident.
         """
         directory = self.root / f"{self.table}-{attr}-{name}"
         staging = directory.with_name(directory.name + ".new")
         schema = TableSchema([Column(name, dtype)])
-        # Zone maps are skipped: this tier is a cache serving row
-        # ranges, not a block-skipping scan target.
-        nbytes = ColumnStoreTable.create(
-            staging, schema, {name: vector}, build_zone_maps=False
-        ).storage_bytes()
+        staged = ColumnStoreTable.create(
+            staging, schema, {name: vector}, self.window_rows
+        )
         column = PromotedColumn(
             attr=attr,
             name=name,
             dtype=dtype,
-            store=ColumnStoreTable(directory, schema),
+            store=ColumnStoreTable(directory, schema, staged.zone_maps),
             rows=len(vector),
-            nbytes=nbytes,
+            nbytes=staged.storage_bytes() + staged.zone_bytes(),
             benefit_seconds=benefit_seconds,
         )
         with self.governor.lock:

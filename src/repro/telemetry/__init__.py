@@ -70,6 +70,10 @@ class Telemetry:
         reg.histogram("query_latency_seconds").observe(metrics.total_seconds)
         if metrics.time_to_first_batch is not None:
             reg.histogram("ttfb_seconds").observe(metrics.time_to_first_batch)
+        if metrics.windows_skipped:
+            reg.counter("scan_windows_skipped_total").inc(
+                metrics.windows_skipped
+            )
         threshold = self.slow_query_s
         if threshold is None or metrics.total_seconds < threshold:
             return

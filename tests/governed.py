@@ -8,10 +8,14 @@ engine.  (``tests/`` is on ``sys.path`` through its ``conftest.py``.)
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.batch import Batch, ColumnVector
-from repro.core.cache import RawDataCache
+from repro.config import DEFAULT_BATCH_SIZE
+from repro.core.cache import CacheEntry, RawDataCache
 from repro.core.ledger import now
 from repro.core.positional_map import PositionalMap
+from repro.core.synopsis import Synopsis
 from repro.datatypes import DataType
 from repro.mv import MaterializedAggregate, MVRecipe, QuerySignature
 from repro.service import MemoryGovernor
@@ -24,6 +28,22 @@ def governed_cache(
     cache = RawDataCache(governor)
     governor.register(cache, table, "cache")
     return cache
+
+
+def cache_bytes(vector: ColumnVector) -> int:
+    """What a :func:`governed_cache` entry holding ``vector`` charges:
+    its values and its synopsis."""
+    synopsis = Synopsis.of(vector, DEFAULT_BATCH_SIZE)
+    return CacheEntry(0, vector, synopsis).nbytes
+
+
+def synopsis_bytes(rows: int) -> int:
+    """Bytes the synopsis of a ``rows``-row INTEGER column holds, in the
+    windows :func:`governed_cache` and :func:`governed_store` use."""
+    vector = ColumnVector.from_values(
+        DataType.INTEGER, np.zeros(rows, dtype=np.int64)
+    )
+    return Synopsis.of(vector, DEFAULT_BATCH_SIZE).nbytes
 
 
 def governed_map(

@@ -12,7 +12,7 @@ integer column is the least recently used.
 import numpy as np
 import pytest
 
-from governed import governed_cache
+from governed import cache_bytes, governed_cache
 from repro import (
     DataType,
     PostgresRaw,
@@ -34,7 +34,7 @@ def _vec(n):
 
 
 def _cache():
-    return governed_cache(MemoryGovernor(_vec(100).nbytes() * 2 + 64))
+    return governed_cache(MemoryGovernor(cache_bytes(_vec(100)) * 2 + 64))
 
 
 class TestPolicyUnit:

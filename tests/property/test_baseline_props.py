@@ -8,9 +8,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.batch import ColumnVector
+from repro.core.synopsis import Interval, Synopsis
 from repro.datatypes import DataType
 from repro.storage.btree import BPlusTree
-from repro.storage.columnstore import ZONE_BLOCK_ROWS, _build_zone_map
+from repro.storage.columnstore import ZONE_BLOCK_ROWS
 
 
 @given(
@@ -21,17 +22,20 @@ from repro.storage.columnstore import ZONE_BLOCK_ROWS, _build_zone_map
     ),
     low=st.integers(-1100, 1100),
     span=st.integers(0, 500),
+    inclusive=st.tuples(st.booleans(), st.booleans()),
 )
 @settings(max_examples=50, deadline=None)
-def test_zone_map_never_prunes_qualifying_rows(values, low, span):
+def test_zone_map_never_prunes_qualifying_rows(values, low, span, inclusive):
     high = low + span
     vec = ColumnVector.from_pylist(DataType.INTEGER, values)
-    zones = _build_zone_map(vec)
-    mins = np.asarray(zones["mins"])
-    maxs = np.asarray(zones["maxs"])
-    possible = (maxs >= low) & (mins <= high)
+    zones = Synopsis.of(vec, ZONE_BLOCK_ROWS)
+    interval = Interval(np.int64(low), np.int64(high), *inclusive)
+    possible = zones.possible([interval])
     for i, v in enumerate(values):
-        if v is None or not (low <= v <= high):
+        if v is None or not (
+            (low < v or (v == low and inclusive[0]))
+            and (v < high or (v == high and inclusive[1]))
+        ):
             continue
         block = i // ZONE_BLOCK_ROWS
         assert possible[block], (

@@ -7,7 +7,9 @@ the same rows on both — cold, then repeated until its columns are
 cache-resident, with appends interleaved between statements, across
 batch sizes, the columnstore + materialized-aggregate tiers (with room
 to spare, and under a budget that keeps the governor evicting) and the
-parallel scan pool.
+parallel scan pool.  One more column orders the table by ``i`` (NULLs
+last) and leads each predicate with a conjunct on ``i`` or ``f`` that
+synopses can test, so warm scans skip windows — and must still agree.
 
 SQL semantics where sqlite's defaults differ are spelled out on its
 side: ``LIKE`` is made case-sensitive and ``ORDER BY`` says ``NULLS
@@ -205,21 +207,63 @@ def _top(args):
     )
 
 
-statements = st.one_of(
-    predicates.map(_projection),
-    predicates.map(_global_aggregate),
-    st.tuples(predicates, st.sampled_from(["s", "j", "s, j"])).map(_group_by),
-    predicates.map(_distinct),
-    st.tuples(predicates, st.booleans(), st.integers(0, 12)).map(_top),
+def _statements(preds):
+    return st.one_of(
+        preds.map(_projection),
+        preds.map(_global_aggregate),
+        st.tuples(preds, st.sampled_from(["s", "j", "s, j"])).map(_group_by),
+        preds.map(_distinct),
+        st.tuples(preds, st.booleans(), st.integers(0, 12)).map(_top),
+    )
+
+
+def _steps(statements):
+    """A step is a statement or an external append of rows."""
+    return st.lists(
+        st.one_of(
+            statements.map(lambda s: ("query", s)),
+            st.lists(row, min_size=1, max_size=6).map(
+                lambda r: ("append", r)
+            ),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+
+
+steps = _steps(_statements(predicates))
+
+# ----------------------------------------------------------------------
+# The window-skipping column: a table ordered by ``i``, predicates led
+# by a conjunct a synopsis can test.
+# ----------------------------------------------------------------------
+
+SORTED_CONFIGS = ("batch3", "batch7", "vp_mv")
+
+sorted_rows = st.lists(row, min_size=6, max_size=30).map(
+    lambda rows: sorted(rows, key=lambda r: (r[0] is None, r[0] or 0))
 )
-#: A step is a statement or an external append of rows.
-steps = st.lists(
-    st.one_of(
-        statements.map(lambda s: ("query", s)),
-        st.lists(row, min_size=1, max_size=6).map(lambda r: ("append", r)),
+range_ops = st.sampled_from(["=", "<", "<=", ">", ">="])
+number_literals = st.one_of(int_literals, float_literals)
+prunable = st.one_of(
+    st.tuples(st.sampled_from(["i", "f"]), range_ops, number_literals).map(
+        " ".join
     ),
-    min_size=1,
-    max_size=8,
+    st.tuples(number_literals, range_ops, st.just("i")).map(" ".join),
+    st.tuples(int_literals, int_literals).map(
+        lambda t: f"i BETWEEN {t[0]} AND {t[1]}"
+    ),
+    _in_items(int_literals).map(lambda items: f"i IN ({', '.join(items)})"),
+)
+sorted_steps = _steps(
+    _statements(
+        st.one_of(
+            prunable,
+            st.tuples(prunable, predicates).map(
+                lambda t: f"{t[0]} AND {t[1]}"
+            ),
+        )
+    )
 )
 
 # ----------------------------------------------------------------------
@@ -258,14 +302,9 @@ def _oracle(rows):
     return db
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-@given(rows=rows_of, plan=steps)
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_engine_matches_sqlite(tmp_path_factory, name, rows, plan):
+def _matches_sqlite(tmp_path_factory, name, rows, plan) -> int:
+    """Run ``plan`` on a fresh engine and on sqlite; every statement's
+    rows must agree.  Returns the windows the engine's scans skipped."""
     tmp = tmp_path_factory.mktemp("oracle")
     path = tmp / "t.csv"
     write_csv(path, rows, SCHEMA)
@@ -287,5 +326,36 @@ def test_engine_matches_sqlite(tmp_path_factory, name, rows, plan):
                 for __ in range(3):
                     got = list(engine.query(ours))
                     assert _same(got, want, ordered), (ours, got, want)
+            registry = engine.telemetry.registry
+            return registry.counter("scan_windows_skipped_total").value
     finally:
         db.close()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@given(rows=rows_of, plan=steps)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_engine_matches_sqlite(tmp_path_factory, name, rows, plan):
+    _matches_sqlite(tmp_path_factory, name, rows, plan)
+
+
+@pytest.mark.parametrize("name", SORTED_CONFIGS)
+def test_window_skipping_matches_sqlite(tmp_path_factory, name):
+    skipped = []
+
+    @given(rows=sorted_rows, plan=sorted_steps)
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def run(rows, plan):
+        skipped.append(_matches_sqlite(tmp_path_factory, name, rows, plan))
+
+    run()
+    # The column is about skipped windows: some scans must have skipped.
+    assert sum(skipped) > 0

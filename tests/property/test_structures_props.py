@@ -8,11 +8,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from governed import (
+    cache_bytes,
     count_signature,
     governed_cache,
     governed_map,
     governed_store,
     mv_entry,
+    synopsis_bytes,
 )
 from repro.batch import ColumnVector
 from repro.core.metrics import QueryMetrics
@@ -90,19 +92,24 @@ class _Engine:
     def needed(self, action, kind, key, n, before) -> int:
         """Bytes the entry holds after an admit or grow: more than the
         budget is the only reason either may be refused, because the
-        governor may evict every other entry to make room."""
-        if kind == "cache":
-            extra = _vec(n).nbytes()
+        governor may evict every other entry to make room.  Cache and
+        columnstore entries hold their synopsis too."""
+        if action == "grow" and kind in ("cache", "columnstore"):
+            rows = before.rows + n
+            extra = _vec(n).values.nbytes + synopsis_bytes(rows)
+            extra -= synopsis_bytes(before.rows)
+            if kind == "cache":
+                extra += _vec(n).null_mask.nbytes
+        elif kind == "cache":
+            extra = cache_bytes(_vec(n))
         elif kind == "map":
             extra = _offsets(n, len(key)).nbytes
         elif kind == "mv":
             extra = mv_entry(count_signature("d"), n).nbytes
-        elif action == "grow":
-            extra = _vec(n).values.nbytes
         else:
             saved = io.BytesIO()
             np.save(saved, _vec(n).values)
-            extra = len(saved.getvalue())
+            extra = len(saved.getvalue()) + synopsis_bytes(n)
         return extra + (before.nbytes if action == "grow" else 0)
 
     def column_files(self, key: int) -> dict[str, int]:
@@ -260,13 +267,14 @@ def test_every_governed_kind_shares_one_ledger_discipline(budget, ops):
             resident = [e for led in eng.ledgers() for e in led.entries()]
             held = sum(e.nbytes for e in resident)
             assert eng.governor.used_bytes == held <= budget
-            # The columnstore charges exactly the files it keeps.
+            # The columnstore charges exactly the files it keeps and
+            # their zone maps.
             assert {p.name for p in root.iterdir()} == {
                 c.store.directory.name for c in eng.store.entries()
             }
             assert eng.store.used_bytes == sum(
                 p.stat().st_size for p in root.rglob("*.npy")
-            )
+            ) + sum(c.store.zone_bytes() for c in eng.store.entries())
             order = [
                 (i.value_density, i.last_used_ts)
                 for i in eng.governor._victim_order(None, set())

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from governed import governed_cache
+from governed import cache_bytes, governed_cache
 from repro.batch import ColumnVector
 from repro.datatypes import DataType
 from repro.service import MemoryGovernor
@@ -50,14 +50,14 @@ class TestPutGet:
 
 class TestGovernedBudget:
     def test_budget_never_exceeded(self):
-        per_entry = _vec(100).nbytes()
+        per_entry = cache_bytes(_vec(100))
         cache = _cache(per_entry * 2)
         for attr in range(5):
             cache.put(attr, _vec(100))
             assert cache.used_bytes <= per_entry * 2
 
     def test_recency_breaks_equal_benefit(self):
-        vec_bytes = _vec(100).nbytes()
+        vec_bytes = cache_bytes(_vec(100))
         cache = _cache(vec_bytes * 2)
         cache.put(0, _vec(100))
         cache.put(1, _vec(100))
@@ -73,7 +73,7 @@ class TestGovernedBudget:
         assert cache.entry_count == 0
 
     def test_protected_not_evicted(self):
-        vec_bytes = _vec(100).nbytes()
+        vec_bytes = cache_bytes(_vec(100))
         cache = _cache(vec_bytes * 2)
         cache.put(0, _vec(100))
         cache.put(1, _vec(100))
@@ -81,13 +81,13 @@ class TestGovernedBudget:
         assert cache.cached_attrs() == [0, 1]
 
     def test_refused_upgrade_keeps_old_prefix(self):
-        cache = _cache(_vec(10).nbytes() + 8)
+        cache = _cache(cache_bytes(_vec(10)) + 8)
         assert cache.put(0, _vec(10))
         assert not cache.put(0, _vec(20))
         assert cache.get(0).rows == 10
 
     def test_peek_does_not_refresh(self):
-        vec_bytes = _vec(100).nbytes()
+        vec_bytes = cache_bytes(_vec(100))
         cache = _cache(vec_bytes * 2)
         cache.put(0, _vec(100))
         cache.put(1, _vec(100))
@@ -111,7 +111,7 @@ class TestExtend:
 
     def test_extend_respects_budget(self):
         base = _vec(100)
-        cache = _cache(base.nbytes() + 8)
+        cache = _cache(cache_bytes(base) + 8)
         cache.put(0, base)
         assert not cache.extend(0, _vec(100))
         assert cache.get(0).rows == 100

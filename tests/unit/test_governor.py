@@ -10,7 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from governed import count_signature, governed_cache, governed_map, mv_entry
+from governed import (
+    cache_bytes,
+    count_signature,
+    governed_cache,
+    governed_map,
+    mv_entry,
+)
 from repro.batch import ColumnVector
 from repro.datatypes import DataType
 from repro.mv import MVCatalog, MVMatch
@@ -27,7 +33,8 @@ def vector(n_rows: int) -> ColumnVector:
 
 
 def vector_bytes(n_rows: int) -> int:
-    return vector(n_rows).nbytes()
+    """What a cache entry of ``vector(n_rows)`` charges."""
+    return cache_bytes(vector(n_rows))
 
 
 def offsets(n_rows: int, n_attrs: int) -> np.ndarray:

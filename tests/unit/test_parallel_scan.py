@@ -171,7 +171,8 @@ class TestTailParallelScan:
         s = serial.table_state("t").statistics.get("a4")
         p = parallel.table_state("t").statistics.get("a4")
         assert s.rows_seen == p.rows_seen
-        assert s.sample == p.sample
+        assert s.sample.dtype == p.sample.dtype
+        assert np.array_equal(s.sample, p.sample)
 
     def test_process_backend_tail_matches(self, raw_file):
         path, schema = raw_file

@@ -15,8 +15,31 @@ def _int_vec(values, nulls=None):
     return ColumnVector(DataType.INTEGER, values, np.asarray(nulls))
 
 
-def _store(sample_size=256):
-    return StatisticsStore(sample_size=sample_size, histogram_buckets=8)
+def _store(sample_size=256, seed=0x5EED):
+    return StatisticsStore(
+        sample_size=sample_size, histogram_buckets=8, seed=seed
+    )
+
+
+def _reference_sample(batches, k, seed):
+    """Algorithm R one value at a time, drawing what the store draws:
+    per batch, after the free slots are filled, one ``random`` and one
+    ``integers`` per remaining value."""
+    rng = np.random.default_rng(seed)
+    sample, seen = [], 0
+    for values in batches:
+        take = min(k - len(sample), len(values))
+        sample.extend(values[:take].tolist())
+        rest = values[take:]
+        seen += take
+        if len(rest):
+            arrival = seen + np.arange(1, len(rest) + 1)
+            accept = rng.random(len(rest)) < k / arrival
+            slots = rng.integers(0, k, size=len(rest))
+            for i in np.flatnonzero(accept):
+                sample[slots[i]] = rest[i : i + 1].tolist()[0]
+            seen += len(rest)
+    return sample
 
 
 class TestObservation:
@@ -63,10 +86,85 @@ class TestReservoir:
         store.observe("x", _int_vec([1, 2, 3]))
         assert sorted(store.get("x").sample) == [1, 2, 3]
 
-    def test_sample_values_are_python_ints(self):
+    def test_sample_is_typed(self):
         store = _store()
         store.observe("x", _int_vec([1]))
-        assert type(store.get("x").sample[0]) is int
+        assert store.get("x").sample.dtype == np.int64
+        text = ColumnVector.from_pylist(DataType.TEXT, ["a", None])
+        store.observe("s", text)
+        assert store.get("s").sample.tolist() == ["a"]
+
+
+class TestTypedReservoir:
+    @pytest.mark.parametrize("seed", [0, 7, 0x5EED])
+    def test_null_free_sample_equals_the_scalar_reference(self, seed):
+        rng = np.random.default_rng(seed + 1)
+        sizes = (100, 1000, 5, 3000, 17, 4096, 1)
+        ints = [rng.integers(0, 1 << 40, n) for n in sizes]
+        floats = [rng.random(n) for n in sizes]
+        for name, batches, dtype in (
+            ("i", ints, DataType.INTEGER),
+            ("f", floats, DataType.FLOAT),
+        ):
+            store = _store(sample_size=256, seed=seed)
+            for values in batches:
+                store.observe(
+                    name, ColumnVector.from_values(dtype, values)
+                )
+            sample = store.get(name).sample
+            assert sample.dtype == dtype.numpy_dtype
+            assert sample.tolist() == _reference_sample(batches, 256, seed)
+
+    def test_text_sample_equals_the_scalar_reference(self):
+        rng = np.random.default_rng(3)
+        words = np.array([f"w{i}" for i in range(500)], dtype=object)
+        batches = [words[rng.integers(0, 500, n)] for n in (300, 700, 900)]
+        store = _store(sample_size=128, seed=11)
+        for values in batches:
+            store.observe("s", ColumnVector.from_values(DataType.TEXT, values))
+        assert store.get("s").sample.tolist() == _reference_sample(
+            batches, 128, 11
+        )
+
+    def test_values_of_a_null_heavy_batch_arrive(self):
+        # 1024 zeros fill the sample; then 1024 sevens arrive among 3072
+        # NULLs.  Algorithm R keeps each of the 2048 values with equal
+        # probability: about half the sample must be sevens.
+        store = _store(sample_size=1024)
+        store.observe("x", _int_vec(np.zeros(1024)))
+        nulls = np.arange(4096) % 4 != 0
+        store.observe("x", _int_vec(np.full(4096, 7), nulls))
+        stats = store.get("x")
+        assert stats.rows_seen == 5120 and stats.null_count == 3072
+        assert 0.45 < np.count_nonzero(stats.sample == 7) / 1024 < 0.55
+
+    def test_null_bearing_estimates_center_on_the_truth(self):
+        # About half the rows NULL, values uniform over 0..9.  Over many
+        # seeds the estimates of ``= 3`` and ``BETWEEN 0 AND 4`` must
+        # center on the true shares of rows, whatever batch sizes and
+        # NULL runs the sample saw.
+        data = np.random.default_rng(1)
+        eq_error, range_error = [], []
+        for seed in range(40):
+            store = _store(sample_size=128, seed=seed)
+            kept_eq = kept_range = rows = 0
+            for size in (50, 300, 1000, 2000):
+                values = data.integers(0, 10, size)
+                nulls = data.random(size) < 0.5
+                if size == 300:
+                    nulls[:] = True  # a batch of nothing but NULLs
+                store.observe("x", _int_vec(values, nulls))
+                kept_eq += np.count_nonzero(~nulls & (values == 3))
+                kept_range += np.count_nonzero(~nulls & (values <= 4))
+                rows += size
+            stats = store.get("x")
+            eq_error.append(stats.selectivity_eq(3) - kept_eq / rows)
+            range_error.append(
+                stats.selectivity_range(0, 4) - kept_range / rows
+            )
+        assert abs(np.mean(eq_error)) < 0.01
+        assert abs(np.mean(range_error)) < 0.015
+        assert np.std(eq_error) < 0.025 and np.std(range_error) < 0.04
 
 
 class TestEstimates:

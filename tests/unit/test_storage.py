@@ -126,17 +126,21 @@ class TestZoneMaps:
         columns = _columns(ZONE_BLOCK_ROWS * 2 + 10)
         table = ColumnStoreTable.create(tmp_path / "t", SCHEMA, columns)
         zones = table.zone_map("i")
-        assert zones is not None
-        mins, maxs = zones
-        assert len(mins) == 3
-        assert (mins <= maxs).all()
+        assert zones is not None and zones.window_rows == ZONE_BLOCK_ROWS
+        assert len(zones.mins) == 3
+        assert (zones.mins <= zones.maxs).all()
+        assert zones.mins.dtype == np.int64
+        assert table.zone_map("d").mins.dtype == np.int64
+        assert table.zone_map("f").mins.dtype == np.float64
         assert table.zone_map("s") is None
+        assert table.zone_map("b") is None
 
     def test_zone_map_disabled(self, tmp_path):
         table = ColumnStoreTable.create(
-            tmp_path / "t", SCHEMA, _columns(10), build_zone_maps=False
+            tmp_path / "t", SCHEMA, _columns(10), zone_rows=None
         )
         assert table.zone_map("i") is None
+        assert table.zone_bytes() == 0
 
     def test_block_filter_skips_blocks(self, tmp_path):
         n = ZONE_BLOCK_ROWS * 3
@@ -162,9 +166,33 @@ class TestZoneMaps:
         }
         schema = TableSchema([Column("v", DataType.INTEGER)])
         table = ColumnStoreTable.create(tmp_path / "t", schema, columns)
-        mins, maxs = table.zone_map("v")
-        assert mins.tolist() == [0, ZONE_BLOCK_ROWS]
-        assert maxs.tolist() == [ZONE_BLOCK_ROWS - 1, n - 1]
+        zones = table.zone_map("v")
+        assert zones.mins.tolist() == [0, ZONE_BLOCK_ROWS]
+        assert zones.maxs.tolist() == [ZONE_BLOCK_ROWS - 1, n - 1]
+        assert zones.nulls.tolist() == [0, 0]
+
+    def test_extend_updates_only_the_tail_block(self, tmp_path):
+        schema = TableSchema([Column("v", DataType.INTEGER)])
+        head = ColumnVector.from_pylist(
+            DataType.INTEGER, list(range(ZONE_BLOCK_ROWS + 5))
+        )
+        table = ColumnStoreTable.create(tmp_path / "t", schema, {"v": head})
+        before = table.zone_map("v")
+        tail = ColumnVector.from_pylist(
+            DataType.INTEGER, [-7, None] + [10**6] * ZONE_BLOCK_ROWS
+        )
+        asked = []
+        assert table.extend({"v": tail}, lambda n: asked.append(n) or True)
+        zones = table.zone_map("v")
+        assert zones.rows == table.num_rows == len(head) + len(tail)
+        assert zones.mins.tolist() == [0, -7, 10**6]
+        assert zones.maxs.tolist() == [ZONE_BLOCK_ROWS - 1, 10**6, 10**6]
+        assert zones.nulls.tolist() == [0, 1, 0]
+        # The head block is untouched; the zone map's growth is charged.
+        assert zones.mins[0] == before.mins[0]
+        assert asked[0] - table.zone_bytes() + before.nbytes == (
+            len(tail) * 8 + (128 + table.num_rows)
+        )
 
 
 class TestLoader:

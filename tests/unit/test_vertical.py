@@ -24,6 +24,10 @@ from repro.storage.vertical import VerticalStore
 from repro.telemetry.registry import MetricsRegistry
 
 
+#: One window of an INTEGER column's zone map: min, max, NULL count.
+WINDOW_BYTES = 3 * 8
+
+
 def ints(values, nulls=()):
     vector = ColumnVector.from_values(
         DataType.INTEGER, np.asarray(values, dtype=np.int64)
@@ -60,18 +64,24 @@ def files(store):
     return {p.name: p.stat().st_size for p in store.root.rglob("*.npy")}
 
 
+def held(store):
+    """What the store should charge: its files and its zone maps."""
+    zones = sum(c.store.zone_bytes() for c in store.entries())
+    return sum(files(store).values()) + zones
+
+
 def test_promote_over_a_promoted_column_stays_readable(store):
     assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 1.0)
     assert read(store, 0, "a", 0, 10) == list(range(10))
     assert store.promote(0, "a", DataType.INTEGER, ints(range(15)), 1.0)
     assert store.coverage_rows(0) == 15
     assert read(store, 0, "a", 5, 15) == list(range(5, 15))
-    assert store.governed_bytes() == sum(files(store).values())
+    assert store.governed_bytes() == held(store)
     assert [p.name for p in store.root.iterdir()] == ["t-0-a"]
 
 
 def test_refused_re_promote_keeps_the_old_prefix(tmp_path):
-    store = make_store(tmp_path, 128 + 10 * 8)  # 10 rows, not 15
+    store = make_store(tmp_path, 128 + 10 * 8 + WINDOW_BYTES)  # not 15
     assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 1.0)
     assert not store.promote(0, "a", DataType.INTEGER, ints(range(15)), 1.0)
     assert store.coverage_rows(0) == 10
@@ -87,7 +97,7 @@ def test_extend_appends_exactly_the_tail(store):
     assert store.extend(0, ints(range(1000, 1020)))
     assert files(store) == {"a.values.npy": before["a.values.npy"] + 20 * 8}
     assert store.coverage_rows(0) == 1020
-    assert store.governed_bytes() == sum(files(store).values())
+    assert store.governed_bytes() == held(store)
     # The arrays mapped before the append ended at row 1000.
     assert read(store, 0, "a", 995, 1020) == list(range(995, 1020))
     assert store.stats(1025)["lag_rows"] == {"a": 5}
@@ -107,7 +117,7 @@ def test_extend_writes_null_flags_when_the_first_null_arrives(store):
         "a.nulls.npy": sizes["a.nulls.npy"] + 2,
     }
     assert read(store, 0, "a", 100, 105) == [7, None, 9, 1, 2]
-    assert store.governed_bytes() == sum(files(store).values())
+    assert store.governed_bytes() == held(store)
 
 
 def test_text_wider_than_stored_falls_back_to_promote(store):
@@ -124,7 +134,8 @@ def test_text_wider_than_stored_falls_back_to_promote(store):
 
 
 def test_extend_refused_by_the_governor_keeps_the_prefix(tmp_path):
-    store = make_store(tmp_path, 128 + 10 * 8 + 8)  # room for one row
+    # Room for one more row.
+    store = make_store(tmp_path, 128 + 10 * 8 + WINDOW_BYTES + 8)
     assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 1.0)
     sizes = files(store)
     assert not store.extend(0, ints([1, 2]))
@@ -133,13 +144,14 @@ def test_extend_refused_by_the_governor_keeps_the_prefix(tmp_path):
 
 
 def test_the_governor_lock_is_the_store_lock(tmp_path):
-    store = make_store(tmp_path, 128 + 80)  # room for one 10-row column
+    column_bytes = 128 + 80 + WINDOW_BYTES  # one 10-row column
+    store = make_store(tmp_path, column_bytes)
     governor = store.governor
     assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 0.001)
     # Another structure's grant evicts the column from under the store
     # while holding the one lock the store itself takes.
     with governor.lock:
-        assert governor.grant(object(), 128 + 80)
+        assert governor.grant(object(), column_bytes)
         assert store.coverage_rows(0) == 0
     assert files(store) == {} and store.governed_bytes() == 0
     assert not store.extend(0, ints([1]))
@@ -172,7 +184,7 @@ def test_coverage_is_read_without_the_governor_lock(store):
 
 
 def test_extending_never_evicts_the_growing_column(tmp_path):
-    store = make_store(tmp_path, 128 + 800 + 128 + 80 + 8)
+    store = make_store(tmp_path, 128 + 800 + 128 + 80 + 2 * WINDOW_BYTES + 8)
     assert store.promote(0, "a", DataType.INTEGER, ints(range(100)), 0.001)
     assert store.promote(1, "b", DataType.INTEGER, ints(range(10)), 9.0)
     # Room for one more row only.  "a" saves the least per byte, but it
@@ -190,7 +202,7 @@ def test_columnstore_table_extends_all_columns_or_none(tmp_path):
         tmp_path / "t",
         schema,
         {"n": floats, "s": texts(["x", "yy"])},
-        build_zone_maps=False,
+        zone_rows=None,
     )
     assert table.num_rows == 2
     asked = []
@@ -210,8 +222,19 @@ def test_columnstore_table_extends_all_columns_or_none(tmp_path):
         table.extend({"n": floats, "s": texts(["a"])})
 
 
-def test_a_table_with_zone_maps_refuses_to_extend(tmp_path):
-    schema = TableSchema([Column("n", DataType.INTEGER)])
-    table = ColumnStoreTable.create(tmp_path / "t", schema, {"n": ints([1])})
-    with pytest.raises(StorageError):
-        table.extend({"n": ints([2])})
+def test_a_promoted_column_extends_its_zone_map(tmp_path):
+    store = make_store(tmp_path, 1 << 20)
+    assert store.promote(0, "a", DataType.INTEGER, ints(range(100)), 0.1)
+    column = store.peek(0)
+    assert column.synopsis.window_rows == store.window_rows
+    assert column.synopsis.maxs.tolist() == [99]
+    held = column.nbytes
+    assert store.extend(0, ints([500, -3]))
+    assert column.synopsis.rows == 102
+    assert column.synopsis.mins.tolist() == [-3]
+    assert column.synopsis.maxs.tolist() == [500]
+    # One window before and after: only the files grew.
+    assert column.nbytes == held + 2 * 8
+    assert store.used_bytes == column.store.storage_bytes() + (
+        column.store.zone_bytes()
+    )

@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	bench-parallel bench-concurrent bench-streaming bench-wire \
 	bench-telemetry bench-tokenizer bench-mv bench-format bench-sharded \
 	bench-statistics bench-budget bench-report stress stress-process lint \
-	verify
+	oracle verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -141,6 +141,13 @@ stress:
 		"tests/integration/test_append_watermarks.py::test_sessions_hammering_while_the_file_grows_never_miscount" \
 		"tests/integration/test_vertical_persistence.py::test_columnstore_streams_under_cross_table_eviction" \
 		-x -q
+
+# Deep differential run against stdlib sqlite3: every column of the
+# oracle (the 2-shard one included) at 250 examples instead of the
+# tier-1 suite's 25, under a fixed seed so a disagreement reproduces.
+oracle:
+	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
+		tests/property/test_sqlite_oracle.py --hypothesis-seed=29 -x -q
 
 # Process-backend leg: multiprocessing scan workers racing the serving
 # layer's locks, governor and cursors (CI runs this after `stress`).

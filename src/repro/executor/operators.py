@@ -13,6 +13,7 @@ scan (conventional baselines) and never know which.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
@@ -284,10 +285,48 @@ _FOLDS = {
     "max": (np.fmax, np.nan, -_INT64_MAX - 1),
 }
 
-#: Partial aggregate -> the function that folds partials of it into one
-#: (an MV's stored groups, an append's tail, shards' answers).  COUNT
-#: re-aggregates with ``sum0``: no partials at all is 0, not NULL.
+#: Aggregate -> the partial aggregates it travels as (see
+#: :func:`partial_aggregate`).
+PARTIALS = {
+    "count": ("count",),
+    "sum": ("sum",),
+    "min": ("min",),
+    "max": ("max",),
+    "avg": ("sum", "count"),
+}
+
+#: Partial aggregate -> the function that folds partials of it into one.
 REAGGREGATE = {"count": "sum0", "sum": "sum", "min": "min", "max": "max"}
+
+
+def partial_aggregate(
+    func: str, component: Callable[[str, str], Expression]
+) -> Expression:
+    """The partial-aggregate algebra, the one place it is written.
+
+    An aggregate computed in parts — an MV's stored groups and an
+    append's tail, or the shards of a cluster — ships each part as
+    partial aggregates (:data:`PARTIALS`) and folds the partials of all
+    parts into one:
+
+    * AVG ships SUM and COUNT; COUNT, SUM, MIN and MAX ship themselves.
+    * COUNT re-aggregates with ``sum0`` (no partials at all is a count
+      of 0, not NULL); SUM, MIN and MAX with themselves (SUM over only
+      NULLs stays NULL).
+    * AVG's final value is the re-summed SUM divided by the re-summed
+      COUNT (NULL over no rows).
+
+    ``component(partial, reagg)`` is called once per partial ``func``
+    ships, in :data:`PARTIALS` order, with the function that folds it;
+    it returns an expression reading the folded partial.  The result is
+    ``func``'s final value over those expressions.
+    """
+    folded = [component(part, REAGGREGATE[part]) for part in PARTIALS[func]]
+    if func == "avg":
+        total, count = folded
+        return BinaryOp("/", total, count)
+    (value,) = folded
+    return value
 
 
 def _grown(array: np.ndarray, size: int, fill: object) -> np.ndarray:
@@ -622,11 +661,10 @@ class MVScan(Operator):
     scan.  One that lags it (rows were appended since it was built or
     last advanced) comes with ``tail``: the entry's own aggregate
     planned over the table rows past its watermark.  The tail's groups
-    are re-aggregated with the stored ones (:data:`REAGGREGATE`; AVG
-    finals recomputed from the merged SUM/COUNT components), the merged
-    batch is what is served, and ``on_merged`` receives it for the
-    deferred install.  ``aggs`` maps ``(func, arg)`` to the stored
-    column name; every other stored column is a group key.
+    are re-aggregated with the stored ones by :func:`partial_aggregate`,
+    the merged batch is what is served, and ``on_merged`` receives it
+    for the deferred install.  ``aggs`` maps ``(func, arg)`` to the
+    stored column name; every other stored column is a group key.
     """
 
     def __init__(
@@ -661,34 +699,36 @@ class MVScan(Operator):
 
     def _merge(self) -> Batch:
         aggs = self._aggs
-        stored_aggs = set(aggs.values())
-        dims = [name for name in self._types if name not in stored_aggs]
-        partials = {
-            name: func for (func, __), name in aggs.items() if func != "avg"
-        }
-        names = dims + list(partials)
+        # Stored partial column -> the spec folding it; stored aggregate
+        # column -> its final value over the folded partials.
+        folds: dict[str, AggregateSpec] = {}
+        finals: dict[str, Expression] = {}
+
+        def fold(arg: str, part: str, reagg: str) -> Expression:
+            name = aggs[(part, arg)]
+            if name not in folds:
+                folds[name] = AggregateSpec(name, reagg, ColumnRef(name))
+            return ColumnRef(name)
+
+        for (func, arg), name in aggs.items():
+            finals[name] = partial_aggregate(
+                func, functools.partial(fold, arg)
+            )
+        dims = [name for name in self._types if name not in finals]
+        names = dims + list(folds)
         stored = self._batch.select(names)
         source = BatchSource(
             lambda: itertools.chain((stored,), self._tail.execute()),
             {name: self._types[name] for name in names},
         )
-        fold = HashAggregate(
+        (merged,) = HashAggregate(
             source,
             [(name, ColumnRef(name)) for name in dims],
-            [
-                AggregateSpec(name, REAGGREGATE[func], ColumnRef(name))
-                for name, func in partials.items()
-            ],
-        )
-        (merged,) = fold.execute()
-        for (func, arg), name in aggs.items():
-            if func == "avg":
-                ratio = BinaryOp(
-                    "/",
-                    ColumnRef(aggs[("sum", arg)]),
-                    ColumnRef(aggs[("count", arg)]),
-                )
-                merged = merged.with_column(name, evaluate(ratio, merged))
+            list(folds.values()),
+        ).execute()
+        for name, final in finals.items():
+            if name not in folds:  # not itself a partial: AVG
+                merged = merged.with_column(name, evaluate(final, merged))
         return merged.select(list(self._types))
 
     def output_types(self) -> dict[str, DataType]:

@@ -4,9 +4,10 @@ A :class:`MaterializedAggregate` is one captured ``HashAggregate``
 output, stored as a single :class:`repro.batch.Batch` whose columns are
 keyed by *canonical* names: each dimension column by its normalized
 SQL (``region``, ``(a % 10)``), each aggregate by ``"func:arg"``
-(``sum:amount``, ``count:*``).  An AVG capture also stores its
-``sum:``/``count:`` components, so a stored MV can later serve any
-re-aggregatable subset of its function family.
+(``sum:amount``, ``count:*``).  Every aggregate is also stored as
+its partials (an AVG as ``sum:`` and ``count:``; the algebra is
+:func:`repro.executor.operators.partial_aggregate`), so a stored MV can
+later serve any re-aggregatable subset of its function family.
 
 Matching (:meth:`MVCatalog.match`) is the AppLovin-style ladder:
 
@@ -15,9 +16,8 @@ Matching (:meth:`MVCatalog.match`) is the AppLovin-style ladder:
 * **partial** — the MV is *wider*: its dims are a superset of the
   query's, its filters a subset (the leftover conjuncts must touch
   only MV dimension columns, so they can be applied to the stored
-  groups), and every requested aggregate re-derivable from stored
-  components (COUNT/SUM via summation, MIN/MAX via min/max, AVG as
-  ``SUM(sum)/SUM(count)``).
+  groups), and every partial of every requested aggregate stored:
+  the planner re-aggregates them.
 * otherwise ``None`` — the planner falls through to the raw path.
 
 Governance: each table's MVs form one
@@ -37,14 +37,13 @@ and keeps the recipe (:class:`MVRecipe`) that built it.  An append
 leaves the entry valid for that prefix: the next hit aggregates only
 the rows past the watermark, re-aggregates them with the stored groups
 and :meth:`MVCatalog.advance` swaps the merged batch in.  Every stored
-component is append-mergeable (``count``/``sum`` by summation,
-``min``/``max`` by min/max, AVG recomputed from merged sum and count).
-INTEGER results stay exact — or raise the typed out-of-range error —
-however often they were merged; a FLOAT ``SUM``/``AVG`` adds the tail's
-sum to the stored one instead of adding row by row, so it equals the
-raw path's within 1e-9 relative rather than bit for bit.  Rewrites and
-drops still invalidate, generation-style, through the service's
-per-table write path.
+partial is append-mergeable, and an AVG is recomputed from its merged
+partials.  INTEGER results stay exact — or raise the typed out-of-range
+error — however often they were merged; a FLOAT ``SUM``/``AVG`` adds
+the tail's sum to the stored one instead of adding row by row, so it
+equals the raw path's within 1e-9 relative rather than bit for bit.
+Rewrites and drops still invalidate, generation-style, through the
+service's per-table write path.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from dataclasses import dataclass, field
 from ..batch import Batch
 from ..core.ledger import GovernedLedger, now
 from ..datatypes import DataType
+from ..executor.operators import PARTIALS
 from ..sql.ast import Expression
 from .signature import QuerySignature
 
@@ -71,9 +71,9 @@ class MVRecipe:
 
     #: ``(stored dim column, group expression)``.
     groups: tuple[tuple[str, Expression], ...]
-    #: ``(stored column, func, argument)`` of every append-mergeable
-    #: component (AVG is stored as its SUM and COUNT); ``None`` is
-    #: ``COUNT(*)``'s argument.
+    #: ``(stored column, func, argument)`` of every stored partial
+    #: (the append-mergeable columns; an AVG is derived from its
+    #: partials); ``None`` is ``COUNT(*)``'s argument.
     aggs: tuple[tuple[str, str, Expression | None], ...]
     #: WHERE conjuncts.
     filters: tuple[Expression, ...]
@@ -228,10 +228,7 @@ class MVCatalog:
             if not set(refs) <= dim_cols:
                 return None
         for func, arg in sig.aggs:
-            if func == "avg":
-                if ("sum", arg) not in stored or ("count", arg) not in stored:
-                    return None
-            elif (func, arg) not in stored:
+            if any((part, arg) not in stored for part in PARTIALS[func]):
                 return None
         return "partial"
 

@@ -13,7 +13,8 @@ import time
 
 from ..batch import Batch
 from ..config import PostgresRawConfig
-from ..sql.ast import Expression, SelectStatement
+from ..executor.operators import PARTIALS
+from ..sql.ast import SelectStatement
 from .analyzer import WorkloadAnalyzer
 from .catalog import (
     MaterializedAggregate,
@@ -22,7 +23,7 @@ from .catalog import (
     MVRecipe,
     column_name,
 )
-from .signature import QuerySignature, extract_signature, normalize_sql
+from .signature import QuerySignature, extract_signature
 
 #: Largest fraction of ``memory_budget`` one captured aggregate may
 #: occupy; a bigger capture is rejected outright instead of evicting
@@ -61,9 +62,6 @@ class MVRuntime:
     # ------------------------------------------------------------------
     # Planner-facing surface.
     # ------------------------------------------------------------------
-
-    def normalize(self, expr: Expression) -> str:
-        return normalize_sql(expr)
 
     def signature_of(
         self, stmt: SelectStatement, table: str
@@ -148,7 +146,7 @@ class MVRuntime:
             aggs=tuple(
                 (column_name(func, arg), func, expr)
                 for __, func, arg, expr in layout["aggs"]
-                if func != "avg"
+                if PARTIALS[func] == (func,)  # a partial itself: not AVG
             ),
             filters=tuple(layout["filters"]),
         )

@@ -18,34 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..executor.operators import PARTIALS
 from ..sql.ast import (
-    ColumnRef,
     Expression,
-    FunctionCall,
     SelectStatement,
     Star,
     contains_aggregate,
     expr_column_refs,
-    expr_to_sql,
     split_conjuncts,
-    walk_expr,
 )
-from ..sql.planner import transform_expr
-
-#: Functions the partial (wider-MV) path can re-aggregate; DISTINCT
-#: aggregates are excluded from signatures entirely.
-REAGGREGATABLE = frozenset({"count", "sum", "avg", "min", "max"})
-
-
-def normalize_sql(expr: Expression) -> str:
-    """Alias-free SQL rendering — the canonical signature string."""
-    stripped = transform_expr(
-        expr,
-        lambda node: ColumnRef(node.name)
-        if isinstance(node, ColumnRef)
-        else None,
-    )
-    return expr_to_sql(stripped)
+from ..sql.planner import (
+    aggregate_calls,
+    aggregate_key,
+    is_aggregate_query,
+    normalize_sql,
+)
 
 
 @dataclass(frozen=True)
@@ -74,53 +61,24 @@ class QuerySignature:
         return f"{self.table}[{dims}; {aggs}{where}]"
 
 
-def aggregate_nodes(stmt: SelectStatement) -> list[FunctionCall]:
-    """Every aggregate call in the post-grouping expressions."""
-    exprs: list[Expression] = [
-        item.expr for item in stmt.items if not isinstance(item.expr, Star)
-    ]
-    if stmt.having is not None:
-        exprs.append(stmt.having)
-    exprs.extend(order.expr for order in stmt.order_by)
-    nodes = []
-    for expr in exprs:
-        for node in walk_expr(expr):
-            if isinstance(node, FunctionCall) and node.is_aggregate:
-                nodes.append(node)
-    return nodes
-
-
-def aggregate_key(node: FunctionCall) -> tuple[str, str]:
-    """``(func, normalized arg)`` identity of one aggregate call."""
-    if not node.args or isinstance(node.args[0], Star):
-        return (node.name, "*")
-    return (node.name, normalize_sql(node.args[0]))
-
-
 def extract_signature(
     stmt: SelectStatement, table_name: str
 ) -> QuerySignature | None:
     """The statement's signature, or ``None`` when MV-ineligible.
 
     Eligible means: a single-table aggregate query (caller guarantees
-    no joins), no ``SELECT *``, no DISTINCT aggregates, no nested
-    aggregates.  The statement must already be resolved.
+    no joins), no ``SELECT *``, no nested aggregates, and only
+    aggregates that travel as partials (:data:`PARTIALS`, no DISTINCT).
+    The statement must already be resolved.
     """
     if any(isinstance(item.expr, Star) for item in stmt.items):
         return None
-    select_exprs = [item.expr for item in stmt.items]
-    has_aggregates = (
-        bool(stmt.group_by)
-        or any(contains_aggregate(e) for e in select_exprs)
-        or (stmt.having is not None and contains_aggregate(stmt.having))
-        or any(contains_aggregate(o.expr) for o in stmt.order_by)
-    )
-    if not has_aggregates:
+    if not is_aggregate_query(stmt):
         return None
 
     aggs: set[tuple[str, str]] = set()
-    for node in aggregate_nodes(stmt):
-        if node.distinct or node.name not in REAGGREGATABLE:
+    for node in aggregate_calls(stmt):
+        if node.distinct or node.name not in PARTIALS:
             return None
         if any(
             contains_aggregate(a)

@@ -7,24 +7,27 @@ query between:
   equality pins the query to one shard; the original SQL is forwarded
   verbatim and the answer streams back untouched.
 * **scatter + re-aggregate** — aggregate queries are decomposed into
-  per-shard partial aggregates (AVG splits into SUM and COUNT
-  components, exactly like the materialized-view partial algebra) and
-  merged with a second :class:`~repro.executor.operators.HashAggregate`
-  whose functions are the re-aggregation of the partials
-  (``count → sum0``, ``sum → sum``, ``min → min``, ``max → max``).
+  per-shard partial aggregates and merged with a second
+  :class:`~repro.executor.operators.HashAggregate` that re-aggregates
+  them, both by :func:`~repro.executor.operators.partial_aggregate`
+  (the algebra a materialized aggregate's partial serving and tail
+  merges use too).
 * **scatter + concat** — everything else fans out and the client
-  merges streams, replaying the engine's own plan tail
-  (Sort → hidden-column drop → Distinct → Limit) over the union.
+  merges streams, replaying the engine's own plan tail over the union.
 
 The merge runs the *same* Volcano operators the single-node engine
-uses, over batches rebuilt from shard rows — there is one aggregation
-algebra in the codebase, not two.
+uses, over batches rebuilt from shard rows, and is planned by the
+engine planner's own statement-level functions (ORDER BY resolution,
+output naming, the post-aggregate rewrite, the plan tail) — there is
+one aggregation algebra in the codebase, not two.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from ..batch import Batch, ColumnVector
@@ -34,14 +37,10 @@ from ..errors import PlanningError, ShardingError
 from ..executor.operators import (
     AggregateSpec,
     BatchSource,
-    Distinct,
     Filter,
     HashAggregate,
-    Limit,
     Operator,
-    Project,
-    REAGGREGATE,
-    Sort,
+    partial_aggregate,
 )
 from ..sql.ast import (
     BinaryOp,
@@ -58,10 +57,17 @@ from ..sql.ast import (
     expr_to_sql,
     select_to_sql,
     split_conjuncts,
-    walk_expr,
 )
 from ..sql.parser import parse_select
-from ..sql.planner import transform_expr
+from ..sql.planner import (
+    aggregate_calls,
+    is_aggregate_query,
+    plan_tail,
+    resolve_order_by,
+    rewrite_post_agg,
+    select_outputs,
+    transform_expr,
+)
 
 
 @dataclass
@@ -205,11 +211,11 @@ class ScatterPlanner:
                 "joins are not supported on sharded tables "
                 "(co-partitioned joins are future work)"
             )
-        _resolve_order_targets(stmt)
+        stmt.order_by = resolve_order_by(stmt.order_by, stmt.items)
         routed = self._try_route(stmt, spec, sql)
         if routed is not None:
             return routed
-        if _is_aggregate(stmt):
+        if is_aggregate_query(stmt):
             return self._plan_scatter_agg(stmt)
         return self._plan_scatter_concat(stmt)
 
@@ -260,57 +266,36 @@ class ScatterPlanner:
         comps: list[tuple[str, FunctionCall, str]] = []  # name, call, reagg
         comp_by_key: dict[tuple[str, str], str] = {}
 
-        def component(func: str, source: FunctionCall) -> str:
+        def component(
+            source: FunctionCall, func: str, reagg: str
+        ) -> Expression:
             arg_sig = expr_to_sql(source.args[0]) if source.args else "*"
             key = (func, arg_sig)
             name = comp_by_key.get(key)
             if name is None:
                 name = f"__c{len(comps)}"
                 comp_by_key[key] = name
-                comps.append(
-                    (
-                        name,
-                        FunctionCall(func, list(source.args)),
-                        REAGGREGATE[func],
+                call = FunctionCall(func, list(source.args))
+                comps.append((name, call, reagg))
+            return ColumnRef(name)
+
+        for node in aggregate_calls(stmt):
+            for arg in node.args:
+                if not isinstance(arg, Star) and contains_aggregate(arg):
+                    raise PlanningError(
+                        "nested aggregate functions are not allowed"
                     )
+            if node.distinct:
+                raise ShardingError(
+                    "DISTINCT aggregates cannot be decomposed into "
+                    "per-shard partials; run against one shard or "
+                    "an unsharded server"
                 )
-            return name
-
-        def collect(expr: Expression) -> None:
-            for node in walk_expr(expr):
-                if not (
-                    isinstance(node, FunctionCall) and node.is_aggregate
-                ):
-                    continue
-                for arg in node.args:
-                    if not isinstance(arg, Star) and contains_aggregate(arg):
-                        raise PlanningError(
-                            "nested aggregate functions are not allowed"
-                        )
-                if node.distinct:
-                    raise ShardingError(
-                        "DISTINCT aggregates cannot be decomposed into "
-                        "per-shard partials; run against one shard or "
-                        "an unsharded server"
-                    )
-                signature = expr_to_sql(node)
-                if signature in mapping:
-                    continue
-                if node.name == "avg":
-                    total = ColumnRef(component("sum", node))
-                    count = ColumnRef(component("count", node))
-                    mapping[signature] = BinaryOp("/", total, count)
-                else:
-                    mapping[signature] = ColumnRef(
-                        component(node.name, node)
-                    )
-
-        for item in stmt.items:
-            collect(item.expr)
-        if stmt.having is not None:
-            collect(stmt.having)
-        for order in stmt.order_by:
-            collect(order.expr)
+            signature = expr_to_sql(node)
+            if signature not in mapping:
+                mapping[signature] = partial_aggregate(
+                    node.name, partial(component, node)
+                )
 
         shard_stmt = SelectStatement(
             items=[SelectItem(expr, name) for name, expr in dims]
@@ -321,15 +306,12 @@ class ScatterPlanner:
         )
         shard_sql = select_to_sql(shard_stmt)
 
-        rewrite = lambda e: _rewrite(e, mapping)  # noqa: E731
-        select_items = [
-            (name, rewrite(item.expr))
-            for name, item in zip(_output_names(stmt), stmt.items)
-        ]
-        having = rewrite(stmt.having) if stmt.having is not None else None
-        order_by = [
-            OrderItem(rewrite(o.expr), o.ascending) for o in stmt.order_by
-        ]
+        names = _engine_names(stmt)
+        select_items, having = rewrite_post_agg(
+            stmt,
+            [(name, item.expr) for name, item in zip(names, stmt.items)],
+            mapping,
+        )
         group_items = [(name, ColumnRef(name)) for name, __ in dims]
         specs = [
             AggregateSpec(name, reagg, ColumnRef(name))
@@ -340,39 +322,40 @@ class ScatterPlanner:
             plan: Operator = HashAggregate(source, group_items, specs)
             if having is not None:
                 plan = Filter(plan, having)
-            return _finish(plan, stmt, select_items, order_by)
+            return plan_tail(stmt, plan, select_items)
 
         return ScatterPlan(
             "scatter_agg",
             shard_sql,
             _merge_builder=build,
-            _final_names=[name for name, __ in select_items],
+            _final_names=names,
         )
 
     # -- scatter + concat ---------------------------------------------
 
     def _plan_scatter_concat(self, stmt: SelectStatement) -> ScatterPlan:
         has_star = any(isinstance(i.expr, Star) for i in stmt.items)
-        names = [] if has_star else _output_names(stmt)
         by_signature = (
             {}
             if has_star
             else {
                 expr_to_sql(item.expr): name
-                for name, item in zip(names, stmt.items)
+                for name, item in zip(_engine_names(stmt), stmt.items)
             }
         )
 
+        # Sort keys are shard output columns: a select item's, or a
+        # hidden __sort{i} column the merge drops after sorting.
         shard_items = list(stmt.items)
         hidden: list[str] = []
-        sort_keys: list[tuple[Expression, bool]] = []
+        sort_keys: list[OrderItem] = []
         for i, order in enumerate(stmt.order_by):
             name = by_signature.get(expr_to_sql(order.expr))
             if name is None:
                 name = f"__sort{i}"
                 hidden.append(name)
                 shard_items.append(SelectItem(order.expr, name))
-            sort_keys.append((ColumnRef(name), order.ascending))
+            sort_keys.append(OrderItem(ColumnRef(name), order.ascending))
 
         # With a LIMIT, shards pre-sort and return only the rows that
         # can possibly survive the global cut; otherwise shard-side
@@ -389,23 +372,13 @@ class ScatterPlanner:
             ),
         )
         shard_sql = select_to_sql(shard_stmt)
+        merge_stmt = dataclasses.replace(stmt, order_by=sort_keys)
 
         def build(source: Operator) -> Operator:
-            plan: Operator = source
-            if sort_keys:
-                plan = Sort(plan, sort_keys)
-            if hidden:
-                visible = [
-                    k for k in plan.output_types() if k not in hidden
-                ]
-                plan = Project(
-                    plan, [(k, ColumnRef(k)) for k in visible]
-                )
-            if stmt.distinct:
-                plan = Distinct(plan)
-            if stmt.limit is not None or stmt.offset:
-                plan = Limit(plan, stmt.limit, stmt.offset or 0)
-            return plan
+            visible = [k for k in source.output_types() if k not in hidden]
+            return plan_tail(
+                merge_stmt, source, [(k, ColumnRef(k)) for k in visible]
+            )
 
         return ScatterPlan(
             "scatter_concat",
@@ -418,46 +391,6 @@ class ScatterPlanner:
 # ----------------------------------------------------------------------
 # Shared pieces.
 # ----------------------------------------------------------------------
-
-
-def _resolve_order_targets(stmt: SelectStatement) -> None:
-    """Substitute ORDER BY aliases/ordinals with their select
-    expressions (mirrors the engine's ``_resolve_order_by``)."""
-    aliases = {
-        item.alias: item.expr
-        for item in stmt.items
-        if item.alias is not None
-    }
-    for order in stmt.order_by:
-        expr = order.expr
-        if isinstance(expr, Literal) and expr.dtype is DataType.INTEGER:
-            ordinal = expr.value
-            if not 1 <= ordinal <= len(stmt.items):
-                raise PlanningError(
-                    f"ORDER BY position {ordinal} is out of range"
-                )
-            target = stmt.items[ordinal - 1].expr
-            if isinstance(target, Star):
-                raise PlanningError("cannot ORDER BY a * item")
-            order.expr = target
-        elif (
-            isinstance(expr, ColumnRef)
-            and expr.table is None
-            and expr.name in aliases
-        ):
-            order.expr = aliases[expr.name]
-
-
-def _is_aggregate(stmt: SelectStatement) -> bool:
-    select_exprs = [
-        item.expr for item in stmt.items if not isinstance(item.expr, Star)
-    ]
-    return (
-        bool(stmt.group_by)
-        or any(contains_aggregate(e) for e in select_exprs)
-        or (stmt.having is not None and contains_aggregate(stmt.having))
-        or any(contains_aggregate(o.expr) for o in stmt.order_by)
-    )
 
 
 def _key_values(
@@ -486,103 +419,22 @@ def _key_values(
     return None
 
 
-def _output_names(stmt: SelectStatement) -> list[str]:
-    """Final output column names, mirroring the engine's assignment.
+def _engine_names(stmt: SelectStatement) -> list[str]:
+    """The output names the engine gives ``stmt``'s select items.  The
+    engine names them after resolution, which qualifies every column by
+    the table's alias; qualifying here is all that resolution adds."""
+    alias = stmt.from_table.effective_alias
 
-    The engine names unaliased expression items from their *resolved*
-    SQL — column refs qualified with the table's effective alias — so
-    the naming here qualifies them the same way before rendering.
-    """
-    used: dict[str, int] = {}
-
-    def unique(name: str) -> str:
-        count = used.get(name, 0)
-        used[name] = count + 1
-        return name if count == 0 else f"{name}_{count + 1}"
-
-    table = (
-        stmt.from_table.effective_alias
-        if stmt.from_table is not None
-        else None
-    )
-
-    def qualified(expr: Expression) -> Expression:
-        if table is None:
-            return expr
-
-        def qualify(node: Expression) -> Expression | None:
-            if isinstance(node, ColumnRef) and node.table is None:
-                return ColumnRef(node.name, table)
-            return None
-
-        return transform_expr(expr, qualify)
-
-    names = []
-    for item in stmt.items:
-        if item.alias is not None:
-            name = item.alias
-        elif isinstance(item.expr, ColumnRef):
-            name = item.expr.name
-        else:
-            name = (
-                expr_to_sql(qualified(item.expr)).strip("()").lower()
-                or "column"
-            )
-        names.append(unique(name))
-    return names
-
-
-def _rewrite(
-    expr: Expression, mapping: dict[str, Expression]
-) -> Expression:
-    """Replace grouped/aggregate subtrees with merge-column references."""
-
-    def replace(node: Expression) -> Expression | None:
-        target = mapping.get(expr_to_sql(node))
-        if target is not None:
-            return transform_expr(target, lambda __: None)
-        if isinstance(node, ColumnRef):
-            raise PlanningError(
-                f"column {node.key!r} must appear in GROUP BY or be "
-                "used in an aggregate function"
-            )
+    def qualify(node: Expression) -> Expression | None:
+        if isinstance(node, ColumnRef) and node.table is None:
+            return ColumnRef(node.name, alias)
         return None
 
-    return transform_expr(expr, replace)
-
-
-def _finish(
-    plan: Operator,
-    stmt: SelectStatement,
-    select_items: list[tuple[str, Expression]],
-    order_by: list[OrderItem],
-) -> Operator:
-    """Replay the engine's plan tail over the merged aggregate."""
-    if not order_by:
-        plan = Project(plan, select_items)
-    else:
-        by_signature = {
-            expr_to_sql(expr): name for name, expr in select_items
-        }
-        project_items = list(select_items)
-        sort_keys: list[tuple[Expression, bool]] = []
-        for i, order in enumerate(order_by):
-            name = by_signature.get(expr_to_sql(order.expr))
-            if name is None:
-                name = f"__sort{i}"
-                project_items.append((name, order.expr))
-            sort_keys.append((ColumnRef(name), order.ascending))
-        plan = Project(plan, project_items)
-        plan = Sort(plan, sort_keys)
-        if len(project_items) != len(select_items):
-            plan = Project(
-                plan, [(n, ColumnRef(n)) for n, __ in select_items]
-            )
-    if stmt.distinct:
-        plan = Distinct(plan)
-    if stmt.limit is not None or stmt.offset:
-        plan = Limit(plan, stmt.limit, stmt.offset or 0)
-    return plan
+    items = [
+        SelectItem(transform_expr(item.expr, qualify), item.alias)
+        for item in stmt.items
+    ]
+    return [name for name, __ in select_outputs(items, [])]
 
 
 # ----------------------------------------------------------------------

@@ -34,10 +34,11 @@ from ..executor.operators import (
     MVCapture,
     MVScan,
     Operator,
+    PARTIALS,
     Project,
-    REAGGREGATE,
     SingleRowSource,
     Sort,
+    partial_aggregate,
 )
 from .ast import (
     Between,
@@ -124,6 +125,200 @@ def transform_expr(
     return expr
 
 
+# ----------------------------------------------------------------------
+# Statement-level pieces shared with the MV tier and the sharded
+# coordinator (which plans without a catalog).
+# ----------------------------------------------------------------------
+
+
+def strip_alias(expr: Expression) -> Expression:
+    """A copy of ``expr`` with unqualified column names."""
+    return transform_expr(
+        expr,
+        lambda node: ColumnRef(node.name)
+        if isinstance(node, ColumnRef)
+        else None,
+    )
+
+
+def normalize_sql(expr: Expression) -> str:
+    """Alias-free SQL rendering (``t.region`` and ``region`` agree): the
+    canonical string MV signatures and stored columns are keyed by."""
+    return expr_to_sql(strip_alias(expr))
+
+
+def aggregate_key(node: FunctionCall) -> tuple[str, str]:
+    """``(func, normalized arg)`` identity of one aggregate call;
+    ``COUNT(*)``'s argument is ``"*"``."""
+    if not node.args or isinstance(node.args[0], Star):
+        return (node.name, "*")
+    return (node.name, normalize_sql(node.args[0]))
+
+
+def aggregate_calls(stmt: SelectStatement) -> list[FunctionCall]:
+    """Every aggregate call in the post-grouping expressions: select
+    items, HAVING, ORDER BY, each walked in pre-order."""
+    exprs = [
+        item.expr for item in stmt.items if not isinstance(item.expr, Star)
+    ]
+    if stmt.having is not None:
+        exprs.append(stmt.having)
+    exprs.extend(order.expr for order in stmt.order_by)
+    return [
+        node
+        for expr in exprs
+        for node in walk_expr(expr)
+        if isinstance(node, FunctionCall) and node.is_aggregate
+    ]
+
+
+def is_aggregate_query(stmt: SelectStatement) -> bool:
+    """Whether ``stmt`` groups or calls an aggregate anywhere."""
+    return bool(stmt.group_by or aggregate_calls(stmt))
+
+
+def resolve_order_by(
+    order_by: list[OrderItem],
+    items: list[SelectItem],
+    resolve: Callable[[Expression], Expression] = lambda expr: expr,
+) -> list[OrderItem]:
+    """ORDER BY keys with select aliases and ordinal positions replaced
+    by their select item's expression; ``resolve`` maps the others."""
+    aliases = {
+        item.alias: item.expr for item in items if item.alias is not None
+    }
+    resolved = []
+    for order in order_by:
+        expr = order.expr
+        if isinstance(expr, Literal) and expr.dtype is DataType.INTEGER:
+            ordinal = expr.value
+            if not 1 <= ordinal <= len(items):
+                raise PlanningError(
+                    f"ORDER BY position {ordinal} is out of range"
+                )
+            expr = items[ordinal - 1].expr
+            if isinstance(expr, Star):
+                raise PlanningError("cannot ORDER BY a * item")
+        elif (
+            isinstance(expr, ColumnRef)
+            and expr.table is None
+            and expr.name in aliases
+        ):
+            expr = aliases[expr.name]
+        else:
+            expr = resolve(expr)
+        resolved.append(OrderItem(expr, order.ascending))
+    return resolved
+
+
+def select_outputs(
+    items: list[SelectItem], available: list[str]
+) -> list[tuple[str, Expression]]:
+    """Expand ``*`` over the ``available`` input columns and name every
+    output: its alias, a column's own name, or else its SQL lower-cased
+    and without the one pair of parentheses an operator renders in
+    (``(t.j + 1) * 2``, ``count(*)``).  Repeats get ``_2``, ``_3``..."""
+    plain_counts: dict[str, int] = {}
+    for key in available:
+        plain = key.split(".", 1)[-1]
+        plain_counts[plain] = plain_counts.get(plain, 0) + 1
+    used: dict[str, int] = {}
+
+    def unique(name: str) -> str:
+        count = used.get(name, 0)
+        used[name] = count + 1
+        return name if count == 0 else f"{name}_{count + 1}"
+
+    outputs: list[tuple[str, Expression]] = []
+    for item in items:
+        if isinstance(item.expr, Star):
+            if not available:
+                raise PlanningError("SELECT * requires a FROM clause")
+            for key in available:
+                plain = key.split(".", 1)[-1]
+                name = plain if plain_counts[plain] == 1 else key
+                outputs.append((unique(name), ColumnRef(key)))
+            continue
+        if item.alias is not None:
+            name = item.alias
+        elif isinstance(item.expr, ColumnRef):
+            name = item.expr.name
+        else:
+            name = expr_to_sql(item.expr).lower()
+            if name.startswith("("):
+                name = name[1:-1]
+        outputs.append((unique(name), item.expr))
+    return outputs
+
+
+def rewrite_post_agg(
+    stmt: SelectStatement,
+    select_items: list[tuple[str, Expression]],
+    mapping: dict[str, Expression],
+) -> tuple[list[tuple[str, Expression]], Expression | None]:
+    """What runs above an aggregate, rewritten over its output.
+
+    ``mapping`` maps the SQL of each group key and aggregate call to the
+    expression reading it: an output column, or a final value over
+    re-aggregated partials (AVG's division).  Returns the select items
+    and HAVING rewritten; ``stmt``'s ORDER BY keys are rewritten in
+    place.  A column left over is neither grouped nor aggregated.
+    """
+
+    def replace(node: Expression) -> Expression | None:
+        target = mapping.get(expr_to_sql(node))
+        if target is not None:
+            return transform_expr(target, lambda __: None)
+        if isinstance(node, ColumnRef):
+            raise PlanningError(
+                f"column {node.key!r} must appear in GROUP BY or be "
+                "used in an aggregate function"
+            )
+        return None
+
+    rewrite = partial(transform_expr, fn=replace)
+    items = [(name, rewrite(expr)) for name, expr in select_items]
+    having = None if stmt.having is None else rewrite(stmt.having)
+    for order in stmt.order_by:
+        order.expr = rewrite(order.expr)
+    return items, having
+
+
+def plan_tail(
+    stmt: SelectStatement,
+    plan: Operator,
+    select_items: list[tuple[str, Expression]],
+) -> Operator:
+    """The tail every plan shape ends in: projection, sort, DISTINCT,
+    LIMIT/OFFSET.  ``stmt.order_by`` keys are over ``plan``'s output;
+    one matching a select item sorts on its column, any other travels
+    as a hidden ``__sort{i}`` column dropped after the sort."""
+    if not stmt.order_by:
+        plan = Project(plan, select_items)
+    else:
+        by_signature = {
+            expr_to_sql(expr): name for name, expr in select_items
+        }
+        project_items = list(select_items)
+        sort_keys: list[tuple[Expression, bool]] = []
+        for i, order in enumerate(stmt.order_by):
+            name = by_signature.get(expr_to_sql(order.expr))
+            if name is None:
+                name = f"__sort{i}"
+                project_items.append((name, order.expr))
+            sort_keys.append((ColumnRef(name), order.ascending))
+        plan = Sort(Project(plan, project_items), sort_keys)
+        if len(project_items) != len(select_items):
+            plan = Project(
+                plan, [(n, ColumnRef(n)) for n, __ in select_items]
+            )
+    if stmt.distinct:
+        plan = Distinct(plan)
+    if stmt.limit is not None or stmt.offset:
+        plan = Limit(plan, stmt.limit, stmt.offset or 0)
+    return plan
+
+
 #: ``Planner.plan``'s default ``mv_match``: no serve verdict was
 #: obtained for the statement yet, so the planner asks the MV runtime.
 UNSERVED = object()
@@ -202,8 +397,8 @@ class Planner:
         self.stats_provider = stats_provider or (lambda __: None)
         self.optimizer = optimizer or Optimizer()
         #: Duck-typed :class:`repro.mv.MVRuntime` (``None`` disables MV
-        #: planning entirely — mv.signature imports ``transform_expr``
-        #: from here, so this module must never import repro.mv).
+        #: planning entirely — mv.signature imports this module's
+        #: statement-level functions, so it must never import repro.mv).
         self.mv = mv
         #: ``False`` for EXPLAIN: preview serve decisions without
         #: mining the signature or bumping hit/miss counters.
@@ -280,17 +475,14 @@ class Planner:
         mv_sig=None,
         mv_decision: str | None = None,
     ) -> LogicalPlan:
-        """The shared post-aggregation tail of every plan shape."""
-        plan, output_names = self._plan_projection_and_order(
-            stmt, plan, select_items
+        root = plan_tail(stmt, plan, select_items)
+        return LogicalPlan(
+            root,
+            [name for name, __ in select_items],
+            root.output_types(),
+            mv_sig,
+            mv_decision,
         )
-        if stmt.distinct:
-            plan = Distinct(plan)
-        if stmt.limit is not None or stmt.offset:
-            plan = Limit(plan, stmt.limit, stmt.offset or 0)
-
-        types = plan.output_types()
-        return LogicalPlan(plan, output_names, types, mv_sig, mv_decision)
 
     def mv_signature(self, stmt: SelectStatement):
         """Bind/resolve ``stmt`` and return its MV signature (or
@@ -369,45 +561,8 @@ class Planner:
             where=resolve(stmt.where),
             group_by=[resolve(expr) for expr in stmt.group_by],
             having=resolve(stmt.having),
-            order_by=self._resolve_order_by(stmt.order_by, items, resolve),
+            order_by=resolve_order_by(stmt.order_by, items, resolve),
         )
-
-    @staticmethod
-    def _resolve_order_by(
-        order_by: list[OrderItem],
-        items: list[SelectItem],
-        resolve: Callable[[Expression], Expression],
-    ) -> list[OrderItem]:
-        """ORDER BY may reference select aliases or ordinal positions
-        (of the already resolved ``items``)."""
-        aliases = {
-            item.alias: item.expr for item in items if item.alias is not None
-        }
-        resolved = []
-        for order in order_by:
-            expr = order.expr
-            if (
-                isinstance(expr, Literal)
-                and expr.dtype is DataType.INTEGER
-            ):
-                ordinal = expr.value
-                if not 1 <= ordinal <= len(items):
-                    raise PlanningError(
-                        f"ORDER BY position {ordinal} is out of range"
-                    )
-                expr = items[ordinal - 1].expr
-                if isinstance(expr, Star):
-                    raise PlanningError("cannot ORDER BY a * item")
-            elif (
-                isinstance(expr, ColumnRef)
-                and expr.table is None
-                and expr.name in aliases
-            ):
-                expr = aliases[expr.name]
-            else:
-                expr = resolve(expr)
-            resolved.append(OrderItem(expr, order.ascending))
-        return resolved
 
     @staticmethod
     def _owner(
@@ -479,9 +634,7 @@ class Planner:
         estimates = {}
         for binding in bindings:
             stats = self.stats_provider(binding.table_name)
-            pred = conjoin(
-                [self._strip_alias(c) for c in pushed[binding.alias]]
-            )
+            pred = conjoin([strip_alias(c) for c in pushed[binding.alias]])
             estimates[binding.alias] = estimate_scan_rows(stats, pred)
 
         order = self.optimizer.order_joins(
@@ -653,15 +806,6 @@ class Planner:
             for alias, cols in needed.items()
         }
 
-    def _strip_alias(self, expr: Expression) -> Expression:
-        """Clone a pushed predicate with unqualified column names."""
-        return transform_expr(
-            expr,
-            lambda node: ColumnRef(node.name)
-            if isinstance(node, ColumnRef)
-            else None,
-        )
-
     def _build_scan(
         self,
         binding: _TableBinding,
@@ -669,9 +813,7 @@ class Planner:
         pushed: dict[str, list[Expression]],
     ) -> Operator:
         columns = needed[binding.alias]
-        predicate = conjoin(
-            [self._strip_alias(c) for c in pushed[binding.alias]]
-        )
+        predicate = conjoin([strip_alias(c) for c in pushed[binding.alias]])
         scan = self.scan_factory(binding.table_name, columns, predicate)
         if not columns:
             return scan
@@ -683,27 +825,6 @@ class Planner:
     # ------------------------------------------------------------------
     # Materialized-aggregate serving.
     # ------------------------------------------------------------------
-
-    def _aggregate_calls(self, stmt: SelectStatement) -> list[FunctionCall]:
-        """Every aggregate call in the post-grouping expressions."""
-        exprs = [
-            item.expr for item in stmt.items if not isinstance(item.expr, Star)
-        ]
-        if stmt.having is not None:
-            exprs.append(stmt.having)
-        exprs.extend(order.expr for order in stmt.order_by)
-        calls = []
-        for expr in exprs:
-            for node in walk_expr(expr):
-                if isinstance(node, FunctionCall) and node.is_aggregate:
-                    calls.append(node)
-        return calls
-
-    def _mv_agg_key(self, node: FunctionCall) -> tuple[str, str]:
-        """``(func, normalized arg)`` — the MV catalog's column key."""
-        if not node.args or isinstance(node.args[0], Star):
-            return (node.name, "*")
-        return (node.name, self.mv.normalize(node.args[0]))
 
     def _plan_from_mv(
         self, stmt: SelectStatement, sig, match
@@ -721,27 +842,22 @@ class Planner:
             mapping: dict[str, Expression] = {}
             for expr in stmt.group_by:
                 mapping.setdefault(
-                    expr_to_sql(expr),
-                    ColumnRef(self.mv.normalize(expr)),
+                    expr_to_sql(expr), ColumnRef(normalize_sql(expr))
                 )
-            for node in self._aggregate_calls(stmt):
-                qualified = expr_to_sql(node)
-                if qualified in mapping:
-                    continue
-                mapping[qualified] = ColumnRef(
-                    entry.columns[self._mv_agg_key(node)]
+            for node in aggregate_calls(stmt):
+                mapping.setdefault(
+                    expr_to_sql(node),
+                    ColumnRef(entry.columns[aggregate_key(node)]),
                 )
         else:
             plan, mapping = self._plan_mv_partial(stmt, sig, match)
 
-        select_items = self._expand_select_items(stmt, plan)
-        rewrite = lambda e: self._rewrite_post_agg(e, mapping)  # noqa: E731
-        rewritten = [(name, rewrite(expr)) for name, expr in select_items]
-        if stmt.having is not None:
-            plan = Filter(plan, rewrite(stmt.having))
-        for order in stmt.order_by:
-            order.expr = rewrite(order.expr)
-        return plan, rewritten
+        select_items, having = rewrite_post_agg(  # MV signatures have no *
+            stmt, select_outputs(stmt.items, []), mapping
+        )
+        if having is not None:
+            plan = Filter(plan, having)
+        return plan, select_items
 
     def _mv_scan(self, match, label: str) -> MVScan:
         """The leaf serving ``match``'s stored batch.
@@ -804,23 +920,18 @@ class Planner:
     def _plan_mv_partial(
         self, stmt: SelectStatement, sig, match
     ) -> tuple[Operator, dict[str, Expression]]:
-        """Filter + re-aggregate a wider MV down to the query's shape.
-
-        COUNT re-sums stored counts (``sum0``: zero, not NULL, when
-        every group is filtered away), SUM re-sums, MIN/MAX re-min/max,
-        AVG divides re-summed SUM components by re-summed COUNT
-        components (0 groups -> NULL, matching raw AVG of no rows).
-        """
+        """Filter + re-aggregate a wider MV's stored partials down to
+        the query's shape (:func:`partial_aggregate`)."""
         entry = match.entry
         dims = ", ".join(sig.dims) or "<global>"
         plan = self._mv_scan(match, f"partial: re-agg over {dims}")
         residual = set(match.residual_filters)
         applied: set[str] = set()
         for conjunct in split_conjuncts(stmt.where):
-            normalized = self.mv.normalize(conjunct)
+            normalized = normalize_sql(conjunct)
             if normalized in residual and normalized not in applied:
                 applied.add(normalized)
-                plan = Filter(plan, self._strip_alias(conjunct))
+                plan = Filter(plan, strip_alias(conjunct))
 
         group_items: list[tuple[str, Expression]] = []
         mapping: dict[str, Expression] = {}
@@ -829,40 +940,30 @@ class Planner:
             if qualified in mapping:
                 continue
             name = f"__g{len(group_items)}"
-            group_items.append((name, ColumnRef(self.mv.normalize(expr))))
+            group_items.append((name, ColumnRef(normalize_sql(expr))))
             mapping[qualified] = ColumnRef(name)
 
         specs: list[AggregateSpec] = []
         spec_names: dict[tuple[str, str], str] = {}
 
-        def component(func: str, arg: str) -> str:
+        def component(arg: str, func: str, reagg: str) -> Expression:
             key = (func, arg)
             name = spec_names.get(key)
             if name is None:
                 name = f"__a{len(specs)}"
                 specs.append(
-                    AggregateSpec(
-                        name,
-                        REAGGREGATE[func],
-                        ColumnRef(entry.columns[key]),
-                    )
+                    AggregateSpec(name, reagg, ColumnRef(entry.columns[key]))
                 )
                 spec_names[key] = name
-            return name
+            return ColumnRef(name)
 
-        for node in self._aggregate_calls(stmt):
+        for node in aggregate_calls(stmt):
             qualified = expr_to_sql(node)
-            if qualified in mapping:
-                continue
-            func, arg = self._mv_agg_key(node)
-            if func == "avg":
-                mapping[qualified] = BinaryOp(
-                    "/",
-                    ColumnRef(component("sum", arg)),
-                    ColumnRef(component("count", arg)),
+            if qualified not in mapping:
+                func, arg = aggregate_key(node)
+                mapping[qualified] = partial_aggregate(
+                    func, partial(component, arg)
                 )
-            else:
-                mapping[qualified] = ColumnRef(component(func, arg))
         return HashAggregate(plan, group_items, specs), mapping
 
     def _build_aggregate(
@@ -886,11 +987,11 @@ class Planner:
 
         by_key: dict[tuple[str, str], AggregateSpec] = {}
         for spec in specs:
-            arg_sql = "*" if spec.arg is None else self.mv.normalize(spec.arg)
+            arg_sql = "*" if spec.arg is None else normalize_sql(spec.arg)
             by_key[(spec.func, arg_sql)] = spec
 
         def unqualified(expr: Expression | None) -> Expression | None:
-            return None if expr is None else self._strip_alias(expr)
+            return None if expr is None else strip_alias(expr)
 
         layout_aggs: list[tuple[str, str, str, Expression | None]] = []
         for func, arg in mv_sig.aggs:
@@ -899,35 +1000,34 @@ class Planner:
                 return HashAggregate(plan, group_items, specs)
             layout_aggs.append((spec.name, func, arg, unqualified(spec.arg)))
 
-        # AVG entries additionally store their SUM/COUNT components so
-        # the stored MV can later be partially re-aggregated; capture-
-        # only components are dropped before the query's own output.
+        # Every aggregate also stores its partials (AVG's SUM and COUNT)
+        # so the stored MV can later be re-aggregated; capture-only
+        # partials are dropped before the query's own output.
         extra: list[AggregateSpec] = []
         drop: list[str] = []
-        sig_aggs = set(mv_sig.aggs)
+        stored = set(mv_sig.aggs)
         for func, arg in mv_sig.aggs:
-            if func != "avg":
-                continue
-            base = by_key[("avg", arg)]
-            for comp in ("sum", "count"):
-                if (comp, arg) in sig_aggs:
+            for part in PARTIALS[func]:
+                if (part, arg) in stored:
                     continue
-                comp_spec = by_key.get((comp, arg))
-                if comp_spec is None:
+                stored.add((part, arg))
+                part_spec = by_key.get((part, arg))
+                if part_spec is None:
                     name = f"__mv{len(extra)}"
-                    comp_arg = transform_expr(base.arg, lambda __: None)
-                    comp_spec = AggregateSpec(name, comp, comp_arg)
-                    extra.append(comp_spec)
+                    part_arg = transform_expr(
+                        by_key[(func, arg)].arg, lambda __: None
+                    )
+                    part_spec = AggregateSpec(name, part, part_arg)
+                    extra.append(part_spec)
                     drop.append(name)
-                    by_key[(comp, arg)] = comp_spec
                 layout_aggs.append(
-                    (comp_spec.name, comp, arg, unqualified(comp_spec.arg))
+                    (part_spec.name, part, arg, unqualified(part_spec.arg))
                 )
 
         agg = HashAggregate(plan, group_items, specs + extra)
         layout = {
             "dims": [
-                (name, self.mv.normalize(expr), unqualified(expr))
+                (name, normalize_sql(expr), unqualified(expr))
                 for name, expr in group_items
             ],
             "aggs": layout_aggs,
@@ -959,17 +1059,8 @@ class Planner:
         self, stmt: SelectStatement, plan: Operator, mv_sig=None
     ) -> tuple[Operator, list[tuple[str, Expression]]]:
         """Insert HashAggregate when needed; returns rewritten select items."""
-        select_exprs = [
-            item.expr for item in stmt.items if not isinstance(item.expr, Star)
-        ]
-        has_aggregates = (
-            bool(stmt.group_by)
-            or any(contains_aggregate(e) for e in select_exprs)
-            or (stmt.having is not None and contains_aggregate(stmt.having))
-            or any(contains_aggregate(o.expr) for o in stmt.order_by)
-        )
-        select_items = self._expand_select_items(stmt, plan)
-        if not has_aggregates:
+        select_items = select_outputs(stmt.items, list(plan.output_types()))
+        if not is_aggregate_query(stmt):
             if stmt.having is not None:
                 raise PlanningError("HAVING requires GROUP BY or aggregates")
             return plan, select_items
@@ -979,8 +1070,8 @@ class Planner:
 
         # Group keys.
         group_items: list[tuple[str, Expression]] = []
-        mapping: dict[str, ColumnRef] = {}
-        for i, expr in enumerate(stmt.group_by):
+        mapping: dict[str, Expression] = {}
+        for expr in stmt.group_by:
             signature = expr_to_sql(expr)
             if signature not in mapping:
                 name = f"__g{len(group_items)}"
@@ -989,138 +1080,29 @@ class Planner:
 
         # Aggregate calls, collected from every post-grouping expression.
         specs: list[AggregateSpec] = []
+        for node in aggregate_calls(stmt):
+            if any(
+                contains_aggregate(arg)
+                for arg in node.args
+                if not isinstance(arg, Star)
+            ):
+                raise PlanningError(
+                    "nested aggregate functions are not allowed"
+                )
+            signature = expr_to_sql(node)
+            if signature in mapping:
+                continue
+            name = f"__a{len(specs)}"
+            arg = None
+            if node.args and not isinstance(node.args[0], Star):
+                arg = node.args[0]
+            specs.append(AggregateSpec(name, node.name, arg, node.distinct))
+            mapping[signature] = ColumnRef(name)
 
-        def collect_aggs(expr: Expression) -> None:
-            for node in walk_expr(expr):
-                if isinstance(node, FunctionCall) and node.is_aggregate:
-                    for arg in node.args:
-                        if isinstance(arg, Star):
-                            continue
-                        if contains_aggregate(arg):
-                            raise PlanningError(
-                                "nested aggregate functions are not allowed"
-                            )
-                    signature = expr_to_sql(node)
-                    if signature in mapping:
-                        continue
-                    name = f"__a{len(specs)}"
-                    arg = None
-                    if node.args and not isinstance(node.args[0], Star):
-                        arg = node.args[0]
-                    specs.append(
-                        AggregateSpec(name, node.name, arg, node.distinct)
-                    )
-                    mapping[signature] = ColumnRef(name)
-
-        for __, expr in select_items:
-            collect_aggs(expr)
-        if stmt.having is not None:
-            collect_aggs(stmt.having)
-        for order in stmt.order_by:
-            collect_aggs(order.expr)
-
-        rewrite = lambda e: self._rewrite_post_agg(e, mapping)  # noqa: E731
-        rewritten_items = [
-            (name, rewrite(expr)) for name, expr in select_items
-        ]
+        select_items, having = rewrite_post_agg(stmt, select_items, mapping)
         plan = self._build_aggregate(
             plan, group_items, specs, mv_sig, stmt.where
         )
-        if stmt.having is not None:
-            plan = Filter(plan, rewrite(stmt.having))
-        for order in stmt.order_by:
-            order.expr = rewrite(order.expr)
-        return plan, rewritten_items
-
-    def _rewrite_post_agg(
-        self, expr: Expression, mapping: dict[str, Expression]
-    ) -> Expression:
-        def replace(node: Expression) -> Expression | None:
-            signature = expr_to_sql(node)
-            target = mapping.get(signature)
-            if target is not None:
-                # Deep-copy the replacement (plain ColumnRefs on the
-                # raw path; whole expressions, e.g. AVG's SUM/COUNT
-                # division, when serving a partial MV match).
-                return transform_expr(target, lambda __: None)
-            if isinstance(node, ColumnRef):
-                raise PlanningError(
-                    f"column {node.key!r} must appear in GROUP BY or be "
-                    "used in an aggregate function"
-                )
-            return None
-
-        return transform_expr(expr, replace)
-
-    def _expand_select_items(
-        self, stmt: SelectStatement, plan: Operator
-    ) -> list[tuple[str, Expression]]:
-        """Expand * and assign output names."""
-        items: list[tuple[str, Expression]] = []
-        available = list(plan.output_types())
-        plain_counts: dict[str, int] = {}
-        for key in available:
-            plain = key.split(".", 1)[-1]
-            plain_counts[plain] = plain_counts.get(plain, 0) + 1
-
-        used: dict[str, int] = {}
-
-        def unique(name: str) -> str:
-            count = used.get(name, 0)
-            used[name] = count + 1
-            return name if count == 0 else f"{name}_{count + 1}"
-
-        for item in stmt.items:
-            if isinstance(item.expr, Star):
-                if not available:
-                    raise PlanningError("SELECT * requires a FROM clause")
-                for key in available:
-                    plain = key.split(".", 1)[-1]
-                    name = plain if plain_counts[plain] == 1 else key
-                    items.append((unique(name), ColumnRef(key)))
-                continue
-            if item.alias is not None:
-                name = item.alias
-            elif isinstance(item.expr, ColumnRef):
-                name = item.expr.name
-            else:
-                name = expr_to_sql(item.expr).strip("()").lower() or "column"
-            items.append((unique(name), item.expr))
-        return items
-
-    # ------------------------------------------------------------------
-    # Projection, ordering, distinct, limit.
-    # ------------------------------------------------------------------
-
-    def _plan_projection_and_order(
-        self,
-        stmt: SelectStatement,
-        plan: Operator,
-        select_items: list[tuple[str, Expression]],
-    ) -> tuple[Operator, list[str]]:
-        output_names = [name for name, __ in select_items]
-        if not stmt.order_by:
-            return Project(plan, select_items), output_names
-
-        # Sort keys that match a select item sort on its output column;
-        # others become hidden columns dropped after the sort.
-        by_signature = {
-            expr_to_sql(expr): name for name, expr in select_items
-        }
-        project_items = list(select_items)
-        sort_keys: list[tuple[Expression, bool]] = []
-        for i, order in enumerate(stmt.order_by):
-            signature = expr_to_sql(order.expr)
-            name = by_signature.get(signature)
-            if name is None:
-                name = f"__sort{i}"
-                project_items.append((name, order.expr))
-            sort_keys.append((ColumnRef(name), order.ascending))
-
-        plan = Project(plan, project_items)
-        plan = Sort(plan, sort_keys)
-        if len(project_items) != len(select_items):
-            plan = Project(
-                plan, [(n, ColumnRef(n)) for n, __ in select_items]
-            )
-        return plan, output_names
+        if having is not None:
+            plan = Filter(plan, having)
+        return plan, select_items

@@ -14,12 +14,17 @@ into batches.  Pinned here beyond plain equality:
 
 DISTINCT is never drawn over the NaN-bearing column: a set keeps every
 NaN object apart, before this operator and after it.
+
+The partial-aggregate algebra (:func:`partial_aggregate`) is checked
+here directly: rows cut into parts, each part aggregated into its
+partials, the partials re-aggregated, equal the aggregate of all rows.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,10 +33,12 @@ from hypothesis import given, settings, strategies as st
 from repro.batch import Batch, ColumnVector
 from repro.datatypes import DataType
 from repro.errors import ExecutionError
+from repro.executor.expressions import evaluate
 from repro.executor.operators import (
     AggregateSpec,
     BatchSource,
     HashAggregate,
+    partial_aggregate,
 )
 from repro.sql.ast import ColumnRef
 
@@ -254,3 +261,148 @@ def test_float_sum_does_not_depend_on_batching():
     whole = run_operator(table, ["i"], specs, [0, 5000])
     pieces = run_operator(table, ["i"], specs, [0, 1, 512, 513, 4096, 5000])
     assert whole == pieces == reference(table, 5000, ["i"], specs)
+
+
+# ----------------------------------------------------------------------
+# The partial-aggregate algebra.
+# ----------------------------------------------------------------------
+
+#: The table every algebra case aggregates; ``g`` is the group key.
+PART_TYPES = {
+    "g": DataType.INTEGER,
+    "i": DataType.INTEGER,
+    "f": DataType.FLOAT,
+    "s": DataType.TEXT,
+}
+#: Every call the algebra decomposes: ``(func, arg)``, ``None`` = ``*``.
+CALLS = (
+    [("count", None)]
+    + [("count", arg) for arg in ("i", "f", "s")]
+    + [(func, arg) for func in ("sum", "avg") for arg in ("i", "f")]
+    + [(func, arg) for func in ("min", "max") for arg in ("i", "f", "s")]
+)
+
+part_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.one_of(st.none(), st.integers(-1000, 1000)),
+        st.one_of(
+            st.none(), st.floats(-1e3, 1e3, allow_nan=False, width=32)
+        ),
+        st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b"])),
+    ),
+    max_size=25,
+)
+
+
+def _source(batches, types):
+    return BatchSource(lambda: iter(batches), dict(types))
+
+
+def _table(rows):
+    columns = list(zip(*rows)) if rows else [()] * len(PART_TYPES)
+    return Batch(
+        {
+            name: ColumnVector.from_pylist(dtype, list(values))
+            for (name, dtype), values in zip(PART_TYPES.items(), columns)
+        },
+        num_rows=len(rows),
+    )
+
+
+def _by_group(batch, keys, values):
+    """``{group key: (value per call)}`` of one aggregate output."""
+    groups = batch.column("k").to_pylist() if keys else [None]
+    columns = [v.to_pylist() for v in values]
+    return {key: tuple(c[n] for c in columns) for n, key in enumerate(groups)}
+
+
+def aggregate_at_once(rows, grouped):
+    keys = [("k", ColumnRef("g"))] if grouped else []
+    specs = [
+        AggregateSpec(f"a{n}", func, None if arg is None else ColumnRef(arg))
+        for n, (func, arg) in enumerate(CALLS)
+    ]
+    (out,) = HashAggregate(
+        _source([_table(rows)], PART_TYPES), keys, specs
+    ).execute()
+    return _by_group(out, keys, [out.column(s.name) for s in specs])
+
+
+def aggregate_in_parts(rows, bounds, grouped, parts_grouped=True):
+    """Aggregate each part of ``rows`` into its partials (grouped by
+    ``g`` — the grain of an MV's stored groups — or globally, like one
+    shard of a global query), re-aggregate the partials, and finish
+    every call from them."""
+    partials: list[AggregateSpec] = []
+    folds: list[AggregateSpec] = []
+
+    def component(arg, part, reagg):
+        name = f"p{len(partials)}"
+        source = None if arg is None else ColumnRef(arg)
+        partials.append(AggregateSpec(name, part, source))
+        folds.append(AggregateSpec(name, reagg, ColumnRef(name)))
+        return ColumnRef(name)
+
+    finals = [
+        partial_aggregate(func, partial(component, arg)) for func, arg in CALLS
+    ]
+    part_keys = [("k", ColumnRef("g"))] if parts_grouped else []
+    outputs = []
+    for start, stop in zip(bounds, bounds[1:]):
+        part = HashAggregate(
+            _source([_table(rows[start:stop])], PART_TYPES),
+            part_keys,
+            partials,
+        )
+        (out,) = part.execute()
+        outputs.append(out)
+    keys = [("k", ColumnRef("k"))] if grouped else []
+    (merged,) = HashAggregate(
+        _source(outputs, part.output_types()), keys, folds
+    ).execute()
+    return _by_group(
+        merged, keys, [evaluate(final, merged) for final in finals]
+    )
+
+
+def _agree(got, want):
+    if isinstance(want, float) or isinstance(got, float):
+        return (
+            isinstance(got, float)
+            and isinstance(want, float)
+            and math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
+        )
+    return type(got) is type(want) and got == want
+
+
+@given(
+    rows=part_rows,
+    cuts=st.lists(st.integers(0, 25), max_size=5),
+    # (final grouped by g?, parts grouped by g?): parts never coarser.
+    grains=st.sampled_from([(True, True), (False, True), (False, False)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_partials_re_aggregate_to_the_whole(rows, cuts, grains):
+    grouped, parts_grouped = grains
+    # Repeated and out-of-range cuts give empty parts; k >= 1 always.
+    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    whole = aggregate_at_once(rows, grouped)
+    parts = aggregate_in_parts(rows, bounds, grouped, parts_grouped)
+    assert parts.keys() == whole.keys()
+    for key, want in whole.items():
+        assert all(map(_agree, parts[key], want)), (key, parts[key], want)
+
+
+def test_empty_parts_count_zero_and_sum_null():
+    # Grouped parts of no rows leave the global fold no partials at all.
+    calls = {call: n for n, call in enumerate(CALLS)}
+    nulls = [(None, None, None, None)] * 3
+    for rows, bounds in (([], [0, 0, 0]), (nulls, [0, 0, 3, 3])):
+        (got,) = aggregate_in_parts(rows, bounds, grouped=False).values()
+        assert got == aggregate_at_once(rows, grouped=False)[None]
+        assert got[calls[("count", None)]] == len(rows)
+        assert got[calls[("count", "i")]] == 0  # sum0: 0, not NULL
+        assert got[calls[("sum", "i")]] is None
+        assert got[calls[("sum", "f")]] is None
+        assert got[calls[("avg", "f")]] is None

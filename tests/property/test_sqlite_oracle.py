@@ -10,6 +10,11 @@ to spare, and under a budget that keeps the governor evicting) and the
 parallel scan pool.  One more column orders the table by ``i`` (NULLs
 last) and leads each predicate with a conjunct on ``i`` or ``f`` that
 synopses can test, so warm scans skip windows — and must still agree.
+Another splits the table into two shards hashed on ``i`` and answers
+through the scatter planner and gather merge, in process.
+
+``REPRO_ORACLE_EXAMPLES`` sets the examples per column (default 25;
+``make oracle`` runs a deep, seeded pass).
 
 SQL semantics where sqlite's defaults differ are spelled out on its
 side: ``LIKE`` is made case-sensitive and ``ORDER BY`` says ``NULLS
@@ -19,7 +24,9 @@ LAST`` (``NULLS FIRST`` descending).  Generated floats are multiples of
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import sqlite3
 
 import pytest
@@ -28,12 +35,22 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import (
     Column,
     DataType,
+    PartitionSpec,
     PostgresRaw,
     PostgresRawConfig,
     TableSchema,
     append_csv_rows,
     write_csv,
 )
+from repro.sharding import (
+    ScatterPlanner,
+    ShardResult,
+    append_rows_partitioned,
+    gather,
+    partition_file,
+)
+
+EXAMPLES = int(os.environ.get("REPRO_ORACLE_EXAMPLES", "25"))
 
 SCHEMA = TableSchema(
     [
@@ -335,7 +352,7 @@ def _matches_sqlite(tmp_path_factory, name, rows, plan) -> int:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @given(rows=rows_of, plan=steps)
 @settings(
-    max_examples=25,
+    max_examples=EXAMPLES,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -349,7 +366,7 @@ def test_window_skipping_matches_sqlite(tmp_path_factory, name):
 
     @given(rows=sorted_rows, plan=sorted_steps)
     @settings(
-        max_examples=25,
+        max_examples=EXAMPLES,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
@@ -359,3 +376,62 @@ def test_window_skipping_matches_sqlite(tmp_path_factory, name):
     run()
     # The column is about skipped windows: some scans must have skipped.
     assert sum(skipped) > 0
+
+
+# ----------------------------------------------------------------------
+# The 2-shard column: scatter planner + gather over two engines.
+# ----------------------------------------------------------------------
+
+
+def _shards_match_sqlite(tmp_path_factory, rows, plan, shards=2):
+    """Run ``plan`` on ``shards`` engines over hash-on-``i`` slices of
+    the table, merged by the coordinator's planner; rows must agree
+    with sqlite and column names with one engine over the whole file."""
+    tmp = tmp_path_factory.mktemp("oracle_shards")
+    path = tmp / "t.csv"
+    write_csv(path, rows, SCHEMA)
+    spec = PartitionSpec("i", "hash", shards)
+    targets = partition_file(path, SCHEMA, spec, tmp / "shards")
+    planner = ScatterPlanner({"t": spec}, shards)
+    db = _oracle(rows)
+    with contextlib.ExitStack() as stack:
+        stack.callback(db.close)
+        config = PostgresRawConfig(batch_size=7)
+        single = stack.enter_context(PostgresRaw(config))
+        single.register_csv("t", path, SCHEMA)
+        engines = []
+        for target in targets:
+            engine = stack.enter_context(PostgresRaw(config))
+            engine.register_csv("t", target, SCHEMA)
+            engines.append(engine)
+
+        def run_shard(index, shard_sql):
+            result = engines[index].query(shard_sql)
+            return ShardResult(
+                result.column_names, result.column_types, result.rows
+            )
+
+        for kind, step in plan:
+            if kind == "append":
+                append_csv_rows(path, step, SCHEMA)
+                append_rows_partitioned(step, SCHEMA, spec, targets)
+                db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", step)
+                continue
+            ours, theirs, ordered = step
+            want = db.execute(theirs).fetchall()
+            names = single.query(ours).column_names
+            for __ in range(2):  # cold, then warm
+                merged = gather(planner.plan(ours), shards, run_shard)
+                got = list(merged.rows())
+                assert _same(got, want, ordered), (ours, got, want)
+                assert merged.columns == names, ours
+
+
+@given(rows=rows_of, plan=steps)
+@settings(
+    max_examples=EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_two_shards_match_sqlite(tmp_path_factory, rows, plan):
+    _shards_match_sqlite(tmp_path_factory, rows, plan)

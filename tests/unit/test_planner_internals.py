@@ -170,6 +170,22 @@ class TestOutputNaming:
         # Derived from the resolved expression text.
         assert "x + 1" in result.column_names[0]
 
+    @pytest.mark.parametrize(
+        "sql, name",
+        [
+            ("SELECT COUNT(*) FROM l", "count(*)"),
+            ("SELECT MAX(x) FROM l", "max(l.x)"),
+            ("SELECT (x + 1) * 2 FROM l", "(l.x + 1) * 2"),
+            ("SELECT x + 1 FROM l", "l.x + 1"),
+            ("SELECT -x FROM l", "-l.x"),
+        ],
+    )
+    def test_expression_names_keep_inner_parentheses(
+        self, two_tables, sql, name
+    ):
+        # Only the one pair an operator renders in is dropped.
+        assert two_tables.query(sql).column_names == [name]
+
     def test_qualified_star_duplicates(self, two_tables):
         result = two_tables.query(
             "SELECT * FROM l JOIN r ON l.id = r.id"

@@ -91,9 +91,10 @@ bench-format:
 	$(PYTHON) -m pytest benchmarks/bench_format_scan.py \
 		--benchmark-only --import-mode=importlib -q -s
 
-# Vectorized scan kernels vs the interpreted tokenize+parse path on
-# wide/narrow/string-heavy shapes; sweeps scan_kernels on and off and
-# asserts the kernels win (>= 3x on wide numeric at full scale).
+# The vectorized scan kernel vs the scalar tokenize+parse path on
+# wide/narrow/string-heavy shapes; sweeps the dialect over one file
+# (unquoted: the kernel; quoted: the RFC-4180 state machine) and
+# asserts the kernel wins (>= 3x on wide numeric at full scale).
 bench-tokenizer:
 	$(PYTHON) -m pytest benchmarks/bench_tokenizer.py \
 		--benchmark-only --import-mode=importlib -q -s

@@ -91,15 +91,6 @@ class PostgresRawConfig:
     #: raw file's fingerprint before every query and reconcile.
     auto_detect_updates: bool = True
 
-    #: Specialized vectorized scan kernels (:mod:`repro.kernels`) for
-    #: the tokenize+parse hot path of unquoted dialects: batch
-    #: delimiter search replaces the per-row ``bytes.split`` loop and
-    #: numeric columns convert straight from byte offsets.  Results are
-    #: identical to the interpreted path (property-tested); ``False``
-    #: runs the interpreted tokenizer over the same bytes.  Quoted dialects
-    #: always use the legacy state machine regardless of this knob.
-    scan_kernels: bool = True
-
     #: Number of workers for the parallel chunked raw scan
     #: (:mod:`repro.parallel`).  ``1`` (the default) keeps the serial
     #: scan path byte-for-byte unchanged; raise it on multi-core machines

@@ -15,7 +15,7 @@ buckets while a query runs:
 * ``nodb``        — PostgresRaw-specific overhead: maintaining the
                     positional map, the cache and on-the-fly statistics
 
-Boundary discovery (``bytes.split``, the delimiter-position kernels) is
+Boundary discovery (the state machine, the delimiter-position kernels) is
 ``tokenizing``; turning located bytes into field text — on the
 positional-map jump path, or for the columns a query reads out of
 freshly tokenized rows — is ``parsing``.  This matches the paper's

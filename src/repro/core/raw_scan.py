@@ -834,18 +834,16 @@ class RawScan(Operator):
     # ------------------------------------------------------------------
 
     def _kernels(self):
-        """The kernel cache to use, or ``None`` on the legacy path.
+        """The kernel cache to use, or ``None`` for the scalar tokenizer.
 
-        ``None`` when ``scan_kernels`` is off or the dialect is not
-        eligible (quoting keeps the legacy state machine) — selection
-        is per signature, so a quoted table and an unquoted one on the
-        same engine take different paths.
+        ``None`` when the dialect is not eligible (quoting or a
+        non-ASCII delimiter runs the state machine) — selection is per
+        dialect, so a quoted table and an unquoted one on the same
+        engine take different paths.
         """
         if not self._kcache_resolved:
             self._kcache_resolved = True
-            if self.config.scan_kernels and self.adapter.kernel_eligible(
-                self.dialect
-            ):
+            if self.adapter.kernel_eligible(self.dialect):
                 self._kcache = self.kernel_cache or process_cache()
         return self._kcache
 

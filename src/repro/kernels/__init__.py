@@ -16,10 +16,12 @@ to the interpreted inner loops of :mod:`repro.rawio.tokenizer` and
 * :class:`KernelCache` — signature-keyed LRU of built kernels with
   telemetry hit/miss/build-time counters.
 
-Quoted dialects keep the legacy RFC-4180 state machine — eligibility is
-decided per signature by :func:`kernel_supported`.  Results are
-property-tested identical to the legacy tokenizer (offsets, texts,
-error messages and converted values alike).
+:func:`kernel_supported` alone picks the tokenizer: every unquoted
+dialect with an ASCII delimiter runs the kernel, and quoted or
+non-ASCII-delimited dialects run the RFC-4180 state machine, the one
+scalar tokenizer.  Results are property-tested identical to it over
+quote-free bytes (offsets, texts, error messages and converted values
+alike).
 """
 
 from .cache import KernelCache, process_cache

@@ -1,17 +1,18 @@
 """Scan kernels specialized per (dialect, schema, attribute-span).
 
-A :class:`ScanKernel` replaces the interpreted per-row inner loops of
-:mod:`repro.rawio.tokenizer` for unquoted dialects: tokenization becomes
-one ``searchsorted`` of the batch's row bounds against the content's
-sorted delimiter positions plus a broadcast gather that materializes the
-whole offsets matrix at once, instead of one ``bytes.split`` per row.
-Field texts are produced lazily (:class:`KernelRows`) only when a
+A :class:`ScanKernel` tokenizes every unquoted dialect with an ASCII
+delimiter: one ``searchsorted`` of the batch's row bounds against the
+content's sorted delimiter positions plus a broadcast gather that
+materializes the whole offsets matrix at once, instead of one scan per
+row.  Field texts are produced lazily (:class:`KernelRows`) only when a
 consumer actually needs Python strings — numeric columns convert
 straight from the offsets (:mod:`repro.kernels.convert`) and never
 build the per-row string lists at all.
 
-Quoted dialects are not eligible: the RFC-4180 state machine keeps the
-legacy path, selected per signature by :func:`kernel_supported`.
+Quoted dialects and non-ASCII delimiters are not eligible: they run the
+RFC-4180 state machine (:func:`repro.rawio.tokenizer.tokenize_span`),
+the one scalar tokenizer.  :func:`kernel_supported` decides, per
+dialect, and nothing else does.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datatypes import DataType
-from ..errors import RawDataError
 from ..rawio.dialect import CsvDialect
-from ..rawio.tokenizer import TokenizedRows, decode_fields
+from ..rawio.tokenizer import TokenizedRows, decode_fields, field_count_error
 from .content import ContentBuffer
 
 
@@ -165,16 +165,8 @@ class ScanKernel:
         if bad.any():
             r = int(np.argmax(bad))
             found = int(counts[r]) + 1
-            if self.runs_to_line_end:
-                raise RawDataError(
-                    f"row {r}: expected {span + 1} fields from attribute "
-                    f"{sig.first_attr}, found {found}",
-                    row=r,
-                )
-            raise RawDataError(
-                f"row {r}: expected at least {span + 2} fields from "
-                f"attribute {sig.first_attr}, found {found}",
-                row=r,
+            raise field_count_error(
+                r, found, span, sig.first_attr, self.runs_to_line_end
             )
         gather = span if self.runs_to_line_end else span + 1
         if gather:
@@ -193,7 +185,8 @@ class ScanKernel:
         """Each field's end: the first delimiter in [start, line_end).
 
         The positional-map jump path for an attribute whose successor
-        is not mapped — the legacy path scans with ``bytes.find`` per row.
+        is not mapped — the scalar path scans with ``bytes.find`` per
+        row.
         """
         starts = np.ascontiguousarray(starts, dtype=np.int64)
         ends = np.ascontiguousarray(line_ends, dtype=np.int64)

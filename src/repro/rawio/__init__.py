@@ -4,7 +4,6 @@ from .dialect import CsvDialect
 from .reader import RawFileReader
 from .tokenizer import (
     build_line_index,
-    tokenize_lines,
     tokenize_span,
     TokenizedRows,
     extract_field,
@@ -28,7 +27,6 @@ __all__ = [
     "CsvDialect",
     "RawFileReader",
     "build_line_index",
-    "tokenize_lines",
     "tokenize_span",
     "TokenizedRows",
     "extract_field",

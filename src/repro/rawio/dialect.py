@@ -19,8 +19,9 @@ from ..errors import SchemaError
 class CsvDialect:
     """How a raw file's bytes map to tuples and fields.
 
-    ``quote_char=None`` selects the fast tokenizer (fields may not contain
-    the delimiter or newlines); setting a quote character enables the
+    ``quote_char=None`` with an ASCII delimiter selects the vectorized
+    scan kernel (fields may not contain the delimiter or newlines);
+    setting a quote character, or a non-ASCII delimiter, selects the
     RFC-4180-style state machine with doubled-quote escapes.
     """
 

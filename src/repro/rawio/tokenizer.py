@@ -5,10 +5,13 @@ dominant CPU cost of in-situ querying and the thing the adaptive
 positional map exists to avoid.  This module provides:
 
 * :func:`build_line_index` — tuple (line) boundaries of a byte range;
-* :func:`tokenize_lines` — **selective tokenizing**: split each tuple
+* :func:`tokenize_span` — **selective tokenizing**: scan each tuple
   only up to the last attribute a query needs ("opportunistically
   aborting tokenizing tuples as soon as the required attributes for a
-  query have been found");
+  query have been found").  It is the one scalar tokenizer, an
+  RFC-4180 state machine, for the dialects the vectorized
+  :class:`repro.kernels.ScanKernel` does not serve (quoting, or a
+  non-ASCII delimiter); the kernel is tested against it;
 * :func:`extract_field` / :func:`extract_fields_between` — direct field
   extraction once the positional map supplies start offsets, i.e. the
   "jump directly to the correct position" path.
@@ -141,7 +144,7 @@ class TokenizedRows:
     ``first_attr + j`` starts; the final column is the uniform end
     sentinel (see the module docs).  ``fields[r][j]`` holds the bytes
     of attribute ``first_attr + j`` (quotes already removed) — a free
-    by-product of split-based tokenization, decoded on demand by
+    by-product of scalar tokenizing, decoded on demand by
     :meth:`texts_of`.
     """
 
@@ -183,8 +186,11 @@ def tokenize_span(
     ``first_attr`` begins in row ``r`` (a positional-map anchor, or the
     row start when ``first_attr == 0``); ``line_ends[r]`` is the
     exclusive end of the row's bytes (its newline, CR-trimmed).  This
-    is **selective tokenizing**: splitting stops after ``last_attr`` and
-    never revisits the attributes before the anchor.
+    is **selective tokenizing**: scanning stops after ``last_attr`` and
+    never revisits the attributes before the anchor.  Quoted fields
+    follow RFC-4180 (doubled-quote escapes); an unquoted dialect is the
+    same machine with no quote to open.  A row with the wrong number of
+    fields raises :func:`field_count_error`, as the kernel does.
     """
     if last_attr >= n_attrs or first_attr > last_attr:
         raise RawDataError(
@@ -192,136 +198,65 @@ def tokenize_span(
             f"{n_attrs}-attribute schema"
         )
     span = last_attr - first_attr
-    n_rows = len(field_starts)
+    runs_to_line_end = last_attr == n_attrs - 1
+    delim, quote = dialect.delimiter_bytes, dialect.quote_bytes
     # Tokenized relative to ``data``; shifted to file offsets at the end.
-    offsets = np.empty((n_rows, span + 2), dtype=np.int64)
+    offsets = np.empty((len(field_starts), span + 2), dtype=np.int64)
     starts_list = (np.asarray(field_starts) - base).tolist()
     ends_list = (np.asarray(line_ends) - base).tolist()
-    if dialect.quoting:
-        fields_out = _tokenize_span_quoted(
-            data,
-            starts_list,
-            ends_list,
-            offsets,
-            first_attr,
-            last_attr == n_attrs - 1,
-            dialect,
-            base,
-        )
-        offsets += base
-        return TokenizedRows(first_attr, last_attr, offsets, fields_out)
-
-    delim = dialect.delimiter_bytes
-    step = len(delim)
-    runs_to_line_end = last_attr == n_attrs - 1
-    maxsplit = -1 if runs_to_line_end else span + 1
-    fields_out: list[list[bytes]] = []
-
-    for r in range(n_rows):
-        seg_start = starts_list[r]
-        seg = data[seg_start : ends_list[r]]
-        parts = (
-            seg.split(delim)
-            if runs_to_line_end
-            else seg.split(delim, maxsplit)
-        )
-        if runs_to_line_end:
-            if len(parts) != span + 1:
-                raise RawDataError(
-                    f"row {r}: expected {span + 1} fields from attribute "
-                    f"{first_attr}, found {len(parts)}",
-                    row=r,
-                )
-            kept = parts
-        else:
-            if len(parts) < span + 2:
-                raise RawDataError(
-                    f"row {r}: expected at least {span + 2} fields from "
-                    f"attribute {first_attr}, found {len(parts)}",
-                    row=r,
-                )
-            kept = parts[: span + 1]
-        pos = seg_start
-        row_offsets = offsets[r]
-        for j, f in enumerate(kept):
-            row_offsets[j] = pos
-            pos += len(f) + step
-        row_offsets[span + 1] = pos
-        fields_out.append(kept)
-    offsets += base
-    return TokenizedRows(first_attr, last_attr, offsets, fields_out)
-
-
-def tokenize_lines(
-    data: bytes,
-    bounds: np.ndarray,
-    row_from: int,
-    row_to: int,
-    last_attr: int,
-    n_attrs: int,
-    dialect: CsvDialect,
-) -> TokenizedRows:
-    """Selectively tokenize rows ``[row_from, row_to)`` of a whole file
-    from attribute 0.
-
-    Raises :class:`RawDataError` when a tuple has fewer attributes than
-    the query requires (the raw file disagrees with its schema).
-    """
-    starts = bounds[row_from:row_to]
-    line_ends = trim_cr(
-        np.frombuffer(data, dtype=np.uint8),
-        starts,
-        bounds[row_from + 1 : row_to + 1] - 1,
-    )
-    return tokenize_span(
-        data, starts, line_ends, 0, last_attr, n_attrs, dialect
-    )
-
-
-def _tokenize_span_quoted(
-    data: bytes,
-    starts_list: list[int],
-    ends_list: list[int],
-    offsets: np.ndarray,
-    first_attr: int,
-    runs_to_line_end: bool,
-    dialect: CsvDialect,
-    base: int,
-) -> list[list[bytes]]:
-    """State-machine tokenizer for quoted CSV (RFC-4180-style escapes).
-
-    Fills ``offsets`` (relative to ``data``) and returns the fields.
-    """
-    delim, quote = dialect.delimiter_bytes, dialect.quote_bytes
-    span = offsets.shape[1] - 2
     fields_out: list[list[bytes]] = []
 
     for r, (pos, line_end) in enumerate(zip(starts_list, ends_list)):
         row_fields: list[bytes] = []
         row_offsets = offsets[r]
-        j = 0
-        while j <= span:
-            row_offsets[j] = pos
+        for j in range(span + 1):
             if pos > line_end:
-                raise RawDataError(
-                    f"row {r}: expected {span + 1} fields from attribute "
-                    f"{first_attr}, found {j}",
-                    row=r,
+                raise field_count_error(
+                    r, j, span, first_attr, runs_to_line_end
                 )
+            row_offsets[j] = pos
             raw, pos = _scan_quoted_field(
                 data, pos, line_end, delim, quote, base
             )
             row_fields.append(raw)
-            j += 1
         row_offsets[span + 1] = pos
-        if runs_to_line_end and pos <= line_end:
-            raise RawDataError(
-                f"row {r}: more fields than the "
-                f"{first_attr + span + 1}-attribute schema",
-                row=r,
+        if (pos <= line_end) == runs_to_line_end:
+            # A full-width span left fields over, or an early-stopping
+            # one found no field after ``last_attr``: count what is there.
+            found = span + 1
+            while pos <= line_end:
+                __, pos = _scan_quoted_field(
+                    data, pos, line_end, delim, quote, base
+                )
+                found += 1
+            raise field_count_error(
+                r, found, span, first_attr, runs_to_line_end
             )
         fields_out.append(row_fields)
-    return fields_out
+    offsets += base
+    return TokenizedRows(first_attr, last_attr, offsets, fields_out)
+
+
+def field_count_error(
+    row: int, found: int, span: int, first_attr: int, runs_to_line_end: bool
+) -> RawDataError:
+    """The error for a row holding ``found`` fields from ``first_attr``.
+
+    A span that runs to the line end needs exactly ``span + 1`` fields;
+    one that stops early needs at least one more, the field whose start
+    closes ``last_attr``.
+    """
+    if runs_to_line_end:
+        return RawDataError(
+            f"row {row}: expected {span + 1} fields from attribute "
+            f"{first_attr}, found {found}",
+            row=row,
+        )
+    return RawDataError(
+        f"row {row}: expected at least {span + 2} fields from "
+        f"attribute {first_attr}, found {found}",
+        row=row,
+    )
 
 
 def _scan_quoted_field(

@@ -5,16 +5,16 @@ vanishes), never absolute times, so they are robust to machine speed.
 Each maps to an experiment in DESIGN.md §3.
 """
 
-import dataclasses
-
 import pytest
 
 from repro import (
+    CsvDialect,
     PostgresRaw,
     PostgresRawConfig,
     generate_csv,
     uniform_table_spec,
 )
+from repro.rawio.dialect import DEFAULT_DIALECT
 from repro.baselines import ConventionalDBMS, POSTGRESQL
 from repro.workload import (
     ConventionalContestant,
@@ -22,6 +22,11 @@ from repro.workload import (
     PostgresRawContestant,
     RandomSelectProjectWorkload,
 )
+
+
+#: The generator's dialect with a quote character: the file holds no
+#: quotes, so it reads the same fields through the scalar state machine.
+QUOTED = CsvDialect(quote_char='"')
 
 
 @pytest.fixture(scope="module")
@@ -36,41 +41,41 @@ class TestFigure3Shape:
 
     def test_cold_in_situ_query_dominated_by_tokenizing(self, dataset):
         # Figure 3's shape is a claim about the *interpreted* raw-file
-        # cost model, so pin scan_kernels off: the vectorized kernels
-        # exist precisely to collapse this tokenizing wall (asserted
-        # in test_scan_kernels_collapse_tokenizing below).
+        # cost model.  The quoted dialect over the same quote-free file
+        # runs the scalar state machine — that cost model, on a path
+        # users run; the vectorized kernels exist precisely to collapse
+        # this tokenizing wall (test_scan_kernel_collapses_tokenizing).
         path, schema = dataset
-        eng = PostgresRaw(PostgresRawConfig(scan_kernels=False))
-        eng.register_csv("t", path, schema)
+        eng = PostgresRaw()
+        eng.register_csv("t", path, schema, QUOTED)
         metrics = eng.query("SELECT a0, a7 FROM t WHERE a3 < 200000").metrics
         buckets = metrics.component_seconds()
         assert buckets["tokenizing"] == max(buckets.values())
 
-    def test_scan_kernels_collapse_tokenizing(self, dataset):
-        # The PR's counterpart claim: with the vectorized kernels on,
-        # cold-scan tokenizing drops well below the interpreted path's.
+    def test_scan_kernel_collapses_tokenizing(self, dataset):
+        # The counterpart claim: the unquoted dialect runs the
+        # vectorized kernel, and cold-scan tokenizing drops well below
+        # the state machine's over the same bytes.
         path, schema = dataset
         q = "SELECT a0, a7 FROM t WHERE a3 < 200000"
         times = {}
-        for kernels in (True, False):
-            eng = PostgresRaw(PostgresRawConfig(scan_kernels=kernels))
-            eng.register_csv("t", path, schema)
-            times[kernels] = eng.query(q).metrics.tokenizing_seconds
-        assert times[True] < times[False] / 2
+        for dialect in (DEFAULT_DIALECT, QUOTED):
+            eng = PostgresRaw()
+            eng.register_csv("t", path, schema, dialect)
+            times[dialect] = eng.query(q).metrics.tokenizing_seconds
+        assert times[DEFAULT_DIALECT] < times[QUOTED] / 2
 
     def test_warm_postgresraw_beats_baseline(self, dataset):
         # Another interpreted-cost-model claim: the adaptive structures
         # beat re-tokenizing because tokenizing is expensive.  The scan
-        # kernels shrink the baseline's re-tokenizing cost too, so the
-        # paper's 2x margin only holds with them off for both engines.
+        # kernel shrinks the baseline's re-tokenizing cost too, so the
+        # paper's 2x margin is asserted with both engines on the
+        # quoted dialect's state machine.
         path, schema = dataset
-        raw = PostgresRaw(PostgresRawConfig(scan_kernels=False))
-        raw.register_csv("t", path, schema)
-        baseline_cfg = dataclasses.replace(
-            PostgresRawConfig.baseline(), scan_kernels=False
-        )
-        baseline = PostgresRaw(baseline_cfg)
-        baseline.register_csv("t", path, schema)
+        raw = PostgresRaw()
+        raw.register_csv("t", path, schema, QUOTED)
+        baseline = PostgresRaw(PostgresRawConfig.baseline())
+        baseline.register_csv("t", path, schema, QUOTED)
         q = "SELECT a0, a7 FROM t WHERE a3 < 200000"
         raw.query(q)  # warm up
         # Best of five per engine: one stalled run must not decide it.

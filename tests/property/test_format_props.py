@@ -235,13 +235,19 @@ BOM = b"\xef\xbb\xbf"
 PIPE = CsvDialect(
     delimiter="|", quote_char=None, null_token="NULL", has_header=False
 )
+# Unquoted with a non-ASCII delimiter: the one unquoted dialect the
+# state machine serves (the kernel needs an ASCII delimiter).
+SECTION = CsvDialect(
+    delimiter="§", quote_char=None, null_token="NULL", has_header=False
+)
+assert "|" not in TEXT_ALPHABET and "§" not in TEXT_ALPHABET
 
-#: name -> (register, render LF text, dialect or None, scan_kernels)
+#: name -> (register, dialect or None); the dialect picks the tokenizer.
 PATHS = {
-    "csv_kernel": ("csv", PIPE, True),
-    "csv_scalar": ("csv", PIPE, False),
-    "csv_quoted": ("csv", DIALECT, True),
-    "jsonl": ("jsonl", None, True),
+    "csv_kernel": ("csv", PIPE),
+    "csv_scalar": ("csv", SECTION),
+    "csv_quoted": ("csv", DIALECT),
+    "jsonl": ("jsonl", None),
 }
 
 layout_strategy = st.fixed_dictionaries(
@@ -362,7 +368,7 @@ def test_layouts_answer_like_the_lf_file(
 ):
     """(a) every layout == the LF, BOM-less copy; (b) the map points at
     the bytes; (d) cold -> warm -> append -> warm, identical throughout."""
-    kind, dialect, kernels = PATHS[name]
+    kind, dialect = PATHS[name]
     tmp = tmp_path_factory.mktemp("layout")
     lf = _render_lf(kind, dialect, rows)
     lf_tail = _render_lf(kind, dialect, tail)
@@ -370,8 +376,8 @@ def test_layouts_answer_like_the_lf_file(
     plain.write_bytes(lf)
     laid.write_bytes(_physical(lf, layout))
 
-    config = PostgresRawConfig(batch_size=16, scan_kernels=kernels)
-    reference = _open(plain, kind, dialect, PostgresRawConfig(batch_size=16))
+    config = PostgresRawConfig(batch_size=16)
+    reference = _open(plain, kind, dialect, config)
     eng = _open(laid, kind, dialect, config)
     sqls = [FULL, _sql(query)]
     try:
@@ -415,14 +421,13 @@ def test_layouts_serial_equals_thread_equals_process(
 ):
     """(c) rows, merged positional map, line bounds and the CRLF flag
     agree across the serial scan and both 4-worker pool backends."""
-    kind, dialect, kernels = PATHS[name]
+    kind, dialect = PATHS[name]
     path = tmp_path_factory.mktemp("layout-par") / f"t.{kind}"
     path.write_bytes(_physical(_render_lf(kind, dialect, rows), layout))
     outcomes = []
     for workers, backend in ((1, "thread"), (4, "thread"), (4, "process")):
         config = PostgresRawConfig(
             batch_size=16,
-            scan_kernels=kernels,
             scan_workers=workers,
             parallel_backend=backend,
             parallel_chunk_bytes=64,

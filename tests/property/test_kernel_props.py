@@ -1,9 +1,11 @@
 """Property-based tests for the vectorized scan kernels: for arbitrary
 generated files — ASCII and unicode, NULL-heavy, LF / CRLF / mixed line
-ends, unterminated final lines, a leading byte-order mark — an engine
-with ``scan_kernels=True`` is row-for-row and structure-for-structure
-identical to the legacy interpreted path
-(``scan_kernels=False``), serially and with a 4-worker pool."""
+ends, unterminated final lines, a leading byte-order mark — the same
+bytes registered under the unquoted dialect (scan kernel) and under the
+same dialect with a quote character (the RFC-4180 state machine, the
+scalar tokenizer) answer row-for-row and structure-for-structure
+identically, serially, with 4-worker pools and streamed.  The text
+alphabet holds no quote, so both dialects read the same fields."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -55,7 +57,13 @@ def raw_files(draw, null_heavy=False):
         for i in (0, 1, 3):
             if draw(st.floats(0, 1)) < null_p:
                 cells[i] = NULL_TOKEN
-        rows.append(",".join(cells))
+        rows.append(cells)
+    # About one file in four has a row of 1, 3 or 5 fields: both
+    # tokenizers must fail it with the same error.
+    bad = draw(st.integers(0, 4 * n_rows - 1))
+    if bad < n_rows:
+        width = draw(st.sampled_from([1, 3, 5]))
+        rows[bad] = (rows[bad] + ["7"])[:width]
     # Line ends: all LF, all CRLF, or mixed per line; the last line may
     # be unterminated; the file may start with a byte-order mark.
     style = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
@@ -66,7 +74,7 @@ def raw_files(draw, null_heavy=False):
     if not draw(st.booleans()):
         ends[-1] = ""
     bom = "\ufeff" if draw(st.booleans()) else ""
-    lines = ["a,b,c,d"] + rows
+    lines = ["a,b,c,d"] + [",".join(cells) for cells in rows]
     return bom + "".join(line + end for line, end in zip(lines, ends))
 
 
@@ -78,16 +86,14 @@ QUERIES = [
 ]
 
 DIALECT = CsvDialect(null_token=NULL_TOKEN)
+#: The same dialect with quoting: not kernel-eligible, so it runs the
+#: state machine over the same quote-free bytes.
+QUOTED = CsvDialect(null_token=NULL_TOKEN, quote_char='"')
 
 
-def _engine(path, kernels, workers=1):
-    cfg = PostgresRawConfig(
-        scan_kernels=kernels,
-        scan_workers=workers,
-        parallel_chunk_bytes=97 if workers > 1 else 1 << 20,
-    )
-    eng = PostgresRaw(cfg)
-    eng.register_csv("t", path, SCHEMA, DIALECT)
+def _engine(path, dialect, config=None):
+    eng = PostgresRaw(config)
+    eng.register_csv("t", path, SCHEMA, dialect)
     return record_touches(eng)
 
 
@@ -99,18 +105,18 @@ def _outcome(eng, sql):
         return ("error", type(exc).__name__, str(exc))
 
 
-def _assert_equivalent(kernel_eng, legacy_eng):
+def _assert_equivalent(kernel_eng, scalar_eng):
     errored = False
     for sql in QUERIES:
         kout = _outcome(kernel_eng, sql)
-        assert kout == _outcome(legacy_eng, sql)
+        assert kout == _outcome(scalar_eng, sql)
         errored |= kout[0] == "error"
     if errored:
         # Identical errors are the assertion; partially-built adaptive
         # structures after an aborted scan are not compared.
         return
     kpm = kernel_eng.table_state("t").positional_map
-    lpm = legacy_eng.table_state("t").positional_map
+    lpm = scalar_eng.table_state("t").positional_map
     assert np.array_equal(kpm.line_bounds, lpm.line_bounds)
     kchunks = sorted(kpm.entries(), key=lambda c: c.attrs)
     lchunks = sorted(lpm.entries(), key=lambda c: c.attrs)
@@ -119,54 +125,39 @@ def _assert_equivalent(kernel_eng, legacy_eng):
     ]
     for kc, lc in zip(kchunks, lchunks):
         assert np.array_equal(kc.offsets, lc.offsets)
-    assert cache_layout(kernel_eng) == cache_layout(legacy_eng)
-    assert kernel_eng.touches == legacy_eng.touches
+    assert cache_layout(kernel_eng) == cache_layout(scalar_eng)
+    assert kernel_eng.touches == scalar_eng.touches
 
 
 @settings(max_examples=40, deadline=None)
 @given(content=raw_files())
-def test_kernel_scan_equals_legacy_serial(tmp_path_factory, content):
+def test_kernel_scan_equals_scalar_serial(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("kern") / "t.csv"
     path.write_text(content, encoding="utf-8", newline="")
-    _assert_equivalent(_engine(path, True), _engine(path, False))
+    _assert_equivalent(_engine(path, DIALECT), _engine(path, QUOTED))
 
 
 @settings(max_examples=25, deadline=None)
 @given(content=raw_files(null_heavy=True))
-def test_kernel_scan_equals_legacy_null_heavy(tmp_path_factory, content):
+def test_kernel_scan_equals_scalar_null_heavy(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("kern_null") / "t.csv"
     path.write_text(content, encoding="utf-8", newline="")
-    _assert_equivalent(_engine(path, True), _engine(path, False))
+    _assert_equivalent(_engine(path, DIALECT), _engine(path, QUOTED))
 
 
 @settings(max_examples=15, deadline=None)
 @given(content=raw_files(), backend=st.sampled_from(["thread", "process"]))
-def test_kernel_scan_equals_legacy_parallel(
+def test_kernel_scan_equals_scalar_parallel(
     tmp_path_factory, content, backend
 ):
     path = tmp_path_factory.mktemp("kern_par") / "t.csv"
     path.write_text(content, encoding="utf-8", newline="")
-    engines = []
-    for kernels in (True, False):
-        cfg = PostgresRawConfig(
-            scan_kernels=kernels,
-            scan_workers=4,
-            parallel_chunk_bytes=97,
-            parallel_backend=backend,
-        )
-        eng = PostgresRaw(cfg)
-        eng.register_csv("t", path, SCHEMA, DIALECT)
-        engines.append(eng)
-    kernel_eng, legacy_eng = engines
-    errored = False
-    for sql in QUERIES:
-        kout = _outcome(kernel_eng, sql)
-        assert kout == _outcome(legacy_eng, sql)
-        errored |= kout[0] == "error"
-    if not errored:
-        kpm = kernel_eng.table_state("t").positional_map
-        lpm = legacy_eng.table_state("t").positional_map
-        assert np.array_equal(kpm.line_bounds, lpm.line_bounds)
+    config = PostgresRawConfig(
+        scan_workers=4, parallel_chunk_bytes=97, parallel_backend=backend
+    )
+    _assert_equivalent(
+        _engine(path, DIALECT, config), _engine(path, QUOTED, config)
+    )
 
 
 @settings(max_examples=20, deadline=None)
@@ -174,8 +165,8 @@ def test_kernel_scan_equals_legacy_parallel(
 def test_kernel_streaming_equals_blocking(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("kern_stream") / "t.csv"
     path.write_text(content, encoding="utf-8", newline="")
-    eng = _engine(path, True)
-    blocking = _engine(path, False)
+    eng = _engine(path, DIALECT)
+    blocking = _engine(path, QUOTED)
     for sql in QUERIES:
         try:
             streamed = []

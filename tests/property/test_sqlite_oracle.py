@@ -7,9 +7,10 @@ the same rows on both — cold, then repeated until its columns are
 cache-resident, with appends interleaved between statements, across
 batch sizes, the columnstore + materialized-aggregate tiers (with room
 to spare, and under a budget that keeps the governor evicting) and the
-parallel scan pool.  One more column orders the table by ``i`` (NULLs
-last) and leads each predicate with a conjunct on ``i`` or ``f`` that
-synopses can test, so warm scans skip windows — and must still agree.
+parallel scan pool, and the scalar tokenizer (a quoted dialect).  One
+more column orders the table by ``i`` (NULLs last) and leads each
+predicate with a conjunct on ``i`` or ``f`` that synopses can test, so
+warm scans skip windows — and must still agree.
 Another splits the table into two shards hashed on ``i`` and answers
 through the scatter planner and gather merge, in process.
 
@@ -34,6 +35,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     Column,
+    CsvDialect,
     DataType,
     PartitionSpec,
     PostgresRaw,
@@ -42,6 +44,7 @@ from repro import (
     append_csv_rows,
     write_csv,
 )
+from repro.rawio.dialect import DEFAULT_DIALECT
 from repro.sharding import (
     ScatterPlanner,
     ShardResult,
@@ -80,7 +83,12 @@ CONFIGS = {
     # mix of evicted and surviving tiers.
     "vp_mv_tight": {**VP_MV, "memory_budget": 500},
     "workers2": {"batch_size": 7, "scan_workers": 2},
+    # The same bytes through the scalar tokenizer: a quoted dialect is
+    # not kernel-eligible, so it runs the RFC-4180 state machine.
+    "quoted": {"batch_size": 7},
 }
+#: Each column's CSV dialect, when not the default.
+DIALECTS = {"quoted": CsvDialect(quote_char='"')}
 
 # ----------------------------------------------------------------------
 # Tables.
@@ -324,17 +332,18 @@ def _matches_sqlite(tmp_path_factory, name, rows, plan) -> int:
     rows must agree.  Returns the windows the engine's scans skipped."""
     tmp = tmp_path_factory.mktemp("oracle")
     path = tmp / "t.csv"
-    write_csv(path, rows, SCHEMA)
+    dialect = DIALECTS.get(name, DEFAULT_DIALECT)
+    write_csv(path, rows, SCHEMA, dialect)
     config = dict(CONFIGS[name])
     if config.get("vp_enabled"):
         config["vp_dir"] = str(tmp / "vp")
     db = _oracle(rows)
     try:
         with PostgresRaw(PostgresRawConfig(**config)) as engine:
-            engine.register_csv("t", path, SCHEMA)
+            engine.register_csv("t", path, SCHEMA, dialect)
             for kind, step in plan:
                 if kind == "append":
-                    append_csv_rows(path, step, SCHEMA)
+                    append_csv_rows(path, step, SCHEMA, dialect)
                     db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", step)
                     continue
                 ours, theirs, ordered = step

@@ -9,7 +9,7 @@ from repro.rawio.tokenizer import (
     build_line_index,
     extract_field,
     extract_fields_between,
-    tokenize_lines,
+    tokenize_span,
 )
 
 PLAIN = CsvDialect(has_header=False)
@@ -81,8 +81,8 @@ def test_full_tokenize_matches_split(rows):
     content = _render_plain(rows)
     bounds = build_line_index(content)
     n_attrs = len(rows[0])
-    tokenized = tokenize_lines(
-        content, bounds, 0, len(rows), n_attrs - 1, n_attrs, PLAIN
+    tokenized = tokenize_span(
+        content, bounds[:-1], bounds[1:] - 1, 0, n_attrs - 1, n_attrs, PLAIN
     )
     for attr in range(n_attrs):
         assert tokenized.texts_of(attr) == [row[attr] for row in rows]
@@ -95,8 +95,8 @@ def test_selective_prefix_matches_full(rows, data):
     bounds = build_line_index(content)
     n_attrs = len(rows[0])
     last = data.draw(st.integers(0, n_attrs - 1))
-    tokenized = tokenize_lines(
-        content, bounds, 0, len(rows), last, n_attrs, PLAIN
+    tokenized = tokenize_span(
+        content, bounds[:-1], bounds[1:] - 1, 0, last, n_attrs, PLAIN
     )
     for attr in range(last + 1):
         assert tokenized.texts_of(attr) == [row[attr] for row in rows]
@@ -110,8 +110,8 @@ def test_offsets_allow_direct_extraction(rows):
     content = _render_plain(rows)
     bounds = build_line_index(content)
     n_attrs = len(rows[0])
-    tokenized = tokenize_lines(
-        content, bounds, 0, len(rows), n_attrs - 1, n_attrs, PLAIN
+    tokenized = tokenize_span(
+        content, bounds[:-1], bounds[1:] - 1, 0, n_attrs - 1, n_attrs, PLAIN
     )
     for r, row in enumerate(rows):
         line_end = int(bounds[r + 1]) - 1
@@ -128,8 +128,8 @@ def test_adjacent_offsets_vectorized_extraction(rows):
     n_attrs = len(rows[0])
     if n_attrs < 2:
         return
-    tokenized = tokenize_lines(
-        content, bounds, 0, len(rows), n_attrs - 1, n_attrs, PLAIN
+    tokenized = tokenize_span(
+        content, bounds[:-1], bounds[1:] - 1, 0, n_attrs - 1, n_attrs, PLAIN
     )
     for attr in range(n_attrs - 1):
         texts = extract_fields_between(
@@ -147,8 +147,8 @@ def test_quoted_roundtrip(rows):
     content = _render_quoted(rows)
     bounds = build_line_index(content)
     n_attrs = len(rows[0])
-    tokenized = tokenize_lines(
-        content, bounds, 0, len(rows), n_attrs - 1, n_attrs, QUOTED
+    tokenized = tokenize_span(
+        content, bounds[:-1], bounds[1:] - 1, 0, n_attrs - 1, n_attrs, QUOTED
     )
     for attr in range(n_attrs):
         assert tokenized.texts_of(attr) == [row[attr] for row in rows]

@@ -405,6 +405,55 @@ class TestByteRangeReads:
         eng.close()
 
 
+#: One dialect per tokenizer: the scan kernel, and the state machine
+#: for a quoted dialect over the same quote-free bytes.
+DIALECTS = [CsvDialect(), CsvDialect(quote_char='"')]
+DIALECT_IDS = ["kernel", "quoted"]
+
+
+class TestMalformedRows:
+    """A row with too few or too many fields fails the same way, with
+    the same text and row, whichever tokenizer the dialect picks."""
+
+    SCHEMA = TableSchema.from_pairs(
+        [("a", "integer"), ("b", "integer"), ("c", "integer")]
+    )
+    SHORT = "1,2,3\n4,5\n7,8,9\n"
+    LONG = "1,2,3\n4,5,6,99\n7,8,9\n"
+    EXPECTED = {
+        ("SHORT", "a"): [(1,), (4,), (7,)],
+        ("SHORT", "b"): "row 1: expected at least 3 fields from "
+        "attribute 0, found 2",
+        ("SHORT", "c"): "row 1: expected 3 fields from attribute 0, found 2",
+        ("LONG", "a"): [(1,), (4,), (7,)],
+        ("LONG", "b"): [(2,), (5,), (8,)],
+        ("LONG", "c"): "row 1: expected 3 fields from attribute 0, found 4",
+    }
+
+    @pytest.mark.parametrize(
+        "dialect",
+        DIALECTS + [CsvDialect(delimiter="§")],
+        ids=DIALECT_IDS + ["section_sign"],
+    )
+    @pytest.mark.parametrize("body", ["SHORT", "LONG"])
+    @pytest.mark.parametrize("column", ["a", "b", "c"])
+    def test_same_outcome_per_dialect(self, tmp_path, dialect, body, column):
+        path = tmp_path / "t.csv"
+        text = "a,b,c\n" + getattr(self, body)
+        path.write_text(text.replace(",", dialect.delimiter), "utf-8")
+        with PostgresRaw() as eng:
+            eng.register_csv("t", path, self.SCHEMA, dialect)
+            expected = self.EXPECTED[body, column]
+            sql = f"SELECT {column} FROM t"
+            if isinstance(expected, list):
+                assert eng.query(sql).rows == expected
+                return
+            with pytest.raises(RawDataError) as info:
+                eng.query(sql)
+            assert str(info.value) == expected
+            assert info.value.row == 1
+
+
 def _invalid_utf8_csv(path, n_rows=400, bad_row=257):
     """``k,s,v`` rows; the TEXT field of ``bad_row`` holds a lone 0xFF."""
     lines = [b"k,s,v\n"]
@@ -424,12 +473,12 @@ def _invalid_utf8_csv(path, n_rows=400, bad_row=257):
 class TestLazyDecode:
     """An undecodable byte fails the field that holds it, not the table."""
 
-    @pytest.mark.parametrize("kernels", [True, False])
-    def test_serial_names_the_row(self, tmp_path, kernels):
+    @pytest.mark.parametrize("dialect", DIALECTS, ids=DIALECT_IDS)
+    def test_serial_names_the_row(self, tmp_path, dialect):
         path = tmp_path / "t.csv"
         schema = _invalid_utf8_csv(path)
-        eng = PostgresRaw(PostgresRawConfig(scan_kernels=kernels))
-        eng.register_csv("t", path, schema)
+        eng = PostgresRaw()
+        eng.register_csv("t", path, schema, dialect)
         # Cold: tokenizes across the TEXT column without decoding it.
         assert eng.query("SELECT v FROM t").rows == [
             (i * 3,) for i in range(400)
@@ -437,8 +486,8 @@ class TestLazyDecode:
         # Rows that do not hold the byte are readable too.
         assert eng.query("SELECT s FROM t WHERE k = 5").rows == [("café",)]
         # Warm (map jump) and cold (fresh engine) both name row 257.
-        cold = PostgresRaw(PostgresRawConfig(scan_kernels=kernels))
-        cold.register_csv("t", path, schema)
+        cold = PostgresRaw()
+        cold.register_csv("t", path, schema, dialect)
         for engine in (eng, cold):
             with pytest.raises(RawDataError, match="not valid UTF-8") as info:
                 engine.query("SELECT s FROM t")

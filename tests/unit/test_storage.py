@@ -7,7 +7,8 @@ from repro.batch import ColumnVector
 from repro.catalog.schema import Column, TableSchema
 from repro.core.metrics import QueryMetrics
 from repro.datatypes import DataType
-from repro.errors import StorageError
+from repro.errors import RawDataError, StorageError
+from repro.rawio.dialect import DEFAULT_DIALECT, CsvDialect
 from repro.rawio.generator import (
     ColumnSpec,
     DatasetSpec,
@@ -215,6 +216,36 @@ class TestLoader:
         assert len(columns["a"]) == 500
         nulls = columns["n"].null_mask.sum()
         assert 50 < nulls < 150
+
+    def test_quoted_dialect_loads_the_same_columns(self, tmp_path):
+        """The loader tokenizes as the engine does for the dialect: the
+        scan kernel unquoted, the state machine quoted — same columns
+        from the same quote-free file, and the same malformed-row error."""
+        path = tmp_path / "t.csv"
+        spec = DatasetSpec(
+            columns=(
+                ColumnSpec("a", DataType.INTEGER),
+                ColumnSpec("t", DataType.TEXT, width=5),
+                ColumnSpec("n", DataType.INTEGER, null_fraction=0.2),
+            ),
+            n_rows=300,
+            seed=6,
+        )
+        schema = generate_csv(path, spec)
+        quoted = CsvDialect(quote_char='"')
+        kernel, __ = load_csv_to_columns(path, schema)
+        scalar, __ = load_csv_to_columns(path, schema, quoted)
+        for name, column in kernel.items():
+            assert np.array_equal(column.values, scalar[name].values)
+            assert np.array_equal(column.null_mask, scalar[name].null_mask)
+        with open(path, "a") as f:
+            f.write("1,x\n")
+        errors = []
+        for dialect in (DEFAULT_DIALECT, quoted):
+            with pytest.raises(RawDataError) as info:
+                load_csv_to_columns(path, schema, dialect)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
     def test_report_phases_populated(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -9,13 +9,27 @@ from repro.rawio.tokenizer import (
     build_line_index,
     extract_field,
     extract_fields_between,
-    tokenize_lines,
     tokenize_span,
     trim_cr,
 )
 
 PLAIN = CsvDialect(has_header=False)
 QUOTED = CsvDialect(has_header=False, quote_char='"')
+
+
+def _lines(data, row_from, row_to, last_attr, n_attrs, dialect):
+    """Rows ``[row_from, row_to)`` of LF-terminated ``data``, tokenized
+    from attribute 0 through ``last_attr``."""
+    bounds = build_line_index(data)
+    return tokenize_span(
+        data,
+        bounds[row_from:row_to],
+        bounds[row_from + 1 : row_to + 1] - 1,
+        0,
+        last_attr,
+        n_attrs,
+        dialect,
+    )
 
 
 class TestLineIndex:
@@ -76,17 +90,17 @@ class TestTokenizeLines:
         return build_line_index(self.CONTENT)
 
     def test_full_tokenize(self):
-        rows = tokenize_lines(self.CONTENT, self._bounds(), 0, 3, 3, 4, PLAIN)
+        rows = _lines(self.CONTENT, 0, 3, 3, 4, PLAIN)
         assert rows.texts_of(0) == ["10", "11", "12"]
         assert rows.texts_of(3) == ["40", "41", "42"]
 
     def test_selective_stops_early(self):
-        rows = tokenize_lines(self.CONTENT, self._bounds(), 0, 3, 1, 4, PLAIN)
+        rows = _lines(self.CONTENT, 0, 3, 1, 4, PLAIN)
         assert rows.texts_of(1) == ["20", "21", "22"]
         assert rows.offsets.shape == (3, 3)  # attrs 0,1 + sentinel
 
     def test_offsets_point_at_field_starts(self):
-        rows = tokenize_lines(self.CONTENT, self._bounds(), 0, 3, 3, 4, PLAIN)
+        rows = _lines(self.CONTENT, 0, 3, 3, 4, PLAIN)
         for r in range(3):
             for j in range(4):
                 start = rows.offsets[r, j]
@@ -96,35 +110,32 @@ class TestTokenizeLines:
                 )
 
     def test_sentinel_column(self):
-        rows = tokenize_lines(self.CONTENT, self._bounds(), 0, 3, 1, 4, PLAIN)
+        rows = _lines(self.CONTENT, 0, 3, 1, 4, PLAIN)
         # Sentinel = start of attr 2.
-        full = tokenize_lines(self.CONTENT, self._bounds(), 0, 3, 3, 4, PLAIN)
+        full = _lines(self.CONTENT, 0, 3, 3, 4, PLAIN)
         assert rows.offsets[:, 2].tolist() == full.offsets[:, 2].tolist()
 
     def test_row_subrange(self):
-        rows = tokenize_lines(self.CONTENT, self._bounds(), 1, 3, 0, 4, PLAIN)
+        rows = _lines(self.CONTENT, 1, 3, 0, 4, PLAIN)
         assert rows.texts_of(0) == ["11", "12"]
 
     def test_too_few_fields_raises(self):
         content = b"1,2\n3\n"
-        bounds = build_line_index(content)
         with pytest.raises(RawDataError):
-            tokenize_lines(content, bounds, 0, 2, 1, 2, PLAIN)
+            _lines(content, 0, 2, 1, 2, PLAIN)
 
     def test_too_many_fields_raises_on_full_split(self):
         content = b"1,2,3\n"
-        bounds = build_line_index(content)
         with pytest.raises(RawDataError):
-            tokenize_lines(content, bounds, 0, 1, 1, 2, PLAIN)
+            _lines(content, 0, 1, 1, 2, PLAIN)
 
     def test_attr_out_of_range(self):
         with pytest.raises(RawDataError):
-            tokenize_lines(self.CONTENT, self._bounds(), 0, 3, 4, 4, PLAIN)
+            _lines(self.CONTENT, 0, 3, 4, 4, PLAIN)
 
     def test_empty_fields(self):
         content = b",,x\n,y,\n"
-        bounds = build_line_index(content)
-        rows = tokenize_lines(content, bounds, 0, 2, 2, 3, PLAIN)
+        rows = _lines(content, 0, 2, 2, 3, PLAIN)
         assert rows.texts_of(0) == ["", ""]
         assert rows.texts_of(1) == ["", "y"]
         assert rows.texts_of(2) == ["x", ""]
@@ -135,7 +146,7 @@ class TestTokenizeSpan:
 
     def test_anchored_span_skips_prefix(self):
         bounds = build_line_index(self.CONTENT)
-        full = tokenize_lines(self.CONTENT, bounds, 0, 2, 3, 4, PLAIN)
+        full = _lines(self.CONTENT, 0, 2, 3, 4, PLAIN)
         anchors = full.offsets[:, 2]  # start of attr 2
         line_ends = bounds[1:] - 1
         span = tokenize_span(
@@ -155,33 +166,28 @@ class TestTokenizeSpan:
 class TestQuotedTokenizer:
     def test_quoted_fields_with_delimiters(self):
         content = b'"a,b",2\n"c""d",4\n'
-        bounds = build_line_index(content)
-        rows = tokenize_lines(content, bounds, 0, 2, 1, 2, QUOTED)
+        rows = _lines(content, 0, 2, 1, 2, QUOTED)
         assert rows.texts_of(0) == ["a,b", 'c"d']
         assert rows.texts_of(1) == ["2", "4"]
 
     def test_mixed_quoted_unquoted(self):
         content = b'x,"y z",w\n'
-        bounds = build_line_index(content)
-        rows = tokenize_lines(content, bounds, 0, 1, 2, 3, QUOTED)
+        rows = _lines(content, 0, 1, 2, 3, QUOTED)
         assert rows.texts_of(1) == ["y z"]
 
     def test_unterminated_quote_raises(self):
         content = b'"abc,2\n'
-        bounds = build_line_index(content)
         with pytest.raises(RawDataError):
-            tokenize_lines(content, bounds, 0, 1, 1, 2, QUOTED)
+            _lines(content, 0, 1, 1, 2, QUOTED)
 
     def test_too_few_fields_raises(self):
         content = b"1\n"
-        bounds = build_line_index(content)
         with pytest.raises(RawDataError):
-            tokenize_lines(content, bounds, 0, 1, 1, 2, QUOTED)
+            _lines(content, 0, 1, 1, 2, QUOTED)
 
     def test_offsets_usable_for_extraction(self):
         content = b'"a,b",xyz,3\n'
-        bounds = build_line_index(content)
-        rows = tokenize_lines(content, bounds, 0, 1, 2, 3, QUOTED)
+        rows = _lines(content, 0, 1, 2, 3, QUOTED)
         start = int(rows.offsets[0, 1])
         assert extract_field(content, start, len(content) - 1, QUOTED) == "xyz"
         quoted_start = int(rows.offsets[0, 0])
@@ -254,16 +260,14 @@ class TestByteWindows:
         assert [data[s:e] for s, e in zip(starts, trimmed)] == [
             b"1,a", b"2,b", b"", b"3,c"
         ]
-        # tokenize_lines applies the trim itself.
-        two = data[:9]
-        rows = tokenize_lines(two, build_line_index(two), 0, 2, 1, 2, PLAIN)
+        # Tokenizing up to the trimmed ends drops the ``\r``.
+        rows = tokenize_span(data, starts[:2], trimmed[:2], 0, 1, 2, PLAIN)
         assert rows.texts_of(1) == ["a", "b"]
 
     def test_multibyte_delimiter_uses_one_sentinel_rule(self):
         dialect = CsvDialect(has_header=False, delimiter="§")
         data = "a§bé§c\n".encode()
-        bounds = build_line_index(data)
-        rows = tokenize_lines(data, bounds, 0, 1, 2, 3, dialect)
+        rows = _lines(data, 0, 1, 2, 3, dialect)
         assert [rows.texts_of(j) for j in range(3)] == [["a"], ["bé"], ["c"]]
         # Every column boundary is "field end + one delimiter width".
         starts = rows.offsets[0]
@@ -274,8 +278,7 @@ class TestByteWindows:
 
     def test_invalid_utf8_fails_only_the_field_that_holds_it(self):
         data = b"1,ok\n2,\xff\xfe\n"
-        bounds = build_line_index(data)
-        rows = tokenize_lines(data, bounds, 0, 2, 1, 2, PLAIN)
+        rows = _lines(data, 0, 2, 1, 2, PLAIN)
         assert rows.texts_of(0) == ["1", "2"]
         assert rows.texts_of(1, [0]) == ["ok"]
         with pytest.raises(RawDataError, match="not valid UTF-8") as info:

@@ -145,10 +145,14 @@ stress:
 
 # Deep differential run against stdlib sqlite3: every column of the
 # oracle (the 2-shard one included) at 250 examples instead of the
-# tier-1 suite's 25, under a fixed seed so a disagreement reproduces.
+# tier-1 suite's 25, under a fixed seed so a disagreement reproduces;
+# plus, as deep, the kernel's TEXT dictionary encode against the
+# scalar one (multi-byte, NUL-ended, outlier-wide and invalid UTF-8).
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
-		tests/property/test_sqlite_oracle.py --hypothesis-seed=29 -x -q
+		tests/property/test_sqlite_oracle.py \
+		"tests/property/test_kernel_props.py::test_kernel_text_equals_scalar" \
+		--hypothesis-seed=29 -x -q
 
 # Process-backend leg: multiprocessing scan workers racing the serving
 # layer's locks, governor and cursors (CI runs this after `stress`).

@@ -24,7 +24,9 @@ Faithful properties:
   lowest *conversion-seconds-saved per byte held* (recency as
   tie-break) across every structure it governs: an int64 column
   (costly ``int()`` parsing, 8 bytes/value) outranks a text column
-  (nearly free to re-slice, ~50+ bytes/value).
+  of distinct strings (~60+ bytes/value).  A TEXT entry is charged
+  exactly: its int32 codes, its mask, its dictionary's 8-byte slots and
+  ``sys.getsizeof`` of each distinct string.
 
 The cache is a :class:`repro.core.ledger.GovernedLedger` keyed by
 attribute number: admission, growth, eviction, invalidation and recency
@@ -152,11 +154,13 @@ class RawDataCache(GovernedLedger):
             if entry is None:
                 return False
             synopsis = entry.synopsis and entry.synopsis.extended(tail)
-            extra = tail.nbytes() + _synopsis_bytes(synopsis)
-            extra -= _synopsis_bytes(entry.synopsis)
+            # A TEXT tail's new strings join the entry's dictionary; old
+            # rows are at most remapped, never re-factorized.
+            vector = ColumnVector.concat([entry.vector, tail])
+            extra = vector.nbytes() + _synopsis_bytes(synopsis) - entry.nbytes
             if not self.grow(attr, extra):
                 return False
-            entry.vector = ColumnVector.concat([entry.vector, tail])
+            entry.vector = vector
             entry.synopsis = synopsis
             entry.nbytes += extra
             self.touch(entry)

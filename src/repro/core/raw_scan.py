@@ -98,7 +98,7 @@ from ..config import (
     DEFAULT_STATS_SAMPLE_SIZE,
     PostgresRawConfig,
 )
-from ..datatypes import DataType, convert_column
+from ..datatypes import DataType
 from ..errors import ExecutionError, RawDataError
 from ..executor.expressions import predicate_mask
 from ..executor.operators import Operator
@@ -122,10 +122,14 @@ _PARSING = BreakdownComponent.PARSING
 _CONVERT = BreakdownComponent.CONVERT
 _NODB = BreakdownComponent.NODB
 
-#: Zero-argument conversion of one attribute's located fields to
-#: ``(values, nulls)`` — built where the fields are found, run (and
+#: Zero-argument conversion of one attribute's located fields to a
+#: :class:`ColumnVector` — built where the fields are found, run (and
 #: timed) by ``_acquire_attr_part``.
-_Converter = Callable[[], tuple[np.ndarray, np.ndarray]]
+_Converter = Callable[[], ColumnVector]
+
+#: Types ``convert_span`` converts from byte bounds on the kernel path.
+_KERNEL_TYPES = frozenset({DataType.INTEGER, DataType.FLOAT, DataType.TEXT})
+
 
 #: A resident scan's selection stride doubles from one batch up to this
 #: many batches, so a stride's temporaries stay bounded on big tables.
@@ -1034,10 +1038,9 @@ class RawScan(Operator):
             convert = self._tokenized_fields(tokenized, attr, lo, sel, dtype)
         convert_start = time.perf_counter()
         with self.metrics.time(_CONVERT):
-            values, nulls = convert()
-            self.metrics.fields_converted += len(values)
+            vector = convert()
+            self.metrics.fields_converted += len(vector)
         convert_seconds = time.perf_counter() - convert_start
-        vector = ColumnVector(dtype, values, nulls)
 
         if sel is None:
             self._collect_for_cache(attr, lo, vector, convert_seconds)
@@ -1049,9 +1052,9 @@ class RawScan(Operator):
         return vector
 
     def _converter(self, convert, *fields, dtype: DataType, lo: int):
-        """``convert`` is ``convert_column`` over texts or ``convert_span``
-        over ``(window, starts, ends)`` — numeric fields parsed from
-        their byte bounds by the kernel batch parser."""
+        """``convert`` is ``ColumnVector.from_fields`` over texts or
+        ``convert_span`` over ``(window, starts, ends)`` — INTEGER, FLOAT
+        and TEXT fields converted from their byte bounds by the kernel."""
         null_token = self.dialect.null_token
         return partial(convert, *fields, dtype, null_token, row_offset=lo)
 
@@ -1075,7 +1078,7 @@ class RawScan(Operator):
         window = self._rows_window(lo, hi, sel)
         rows = slice(lo, hi) if sel is None else sel
         kernel = None
-        if dtype.is_numeric:
+        if dtype in _KERNEL_TYPES:
             kernel = self._kernel_for_span(attr, attr)
         with self.metrics.time(_PARSING):
             starts = chunk.offsets[rows, col]
@@ -1109,7 +1112,9 @@ class RawScan(Operator):
                     extract(data, s, e, dialect, base)
                     for s, e in zip(starts.tolist(), line_ends.tolist())
                 ]
-            return self._converter(convert_column, texts, dtype=dtype, lo=lo)
+            return self._converter(
+                ColumnVector.from_fields, texts, dtype=dtype, lo=lo
+            )
 
     def _tokenized_fields(
         self,
@@ -1123,7 +1128,7 @@ class RawScan(Operator):
         (``sel`` rows only, when given)."""
         rel = None if sel is None else sel - lo
         with self.metrics.time(_PARSING):
-            if isinstance(tokenized, KernelRows) and dtype.is_numeric:
+            if isinstance(tokenized, KernelRows) and dtype in _KERNEL_TYPES:
                 j = attr - tokenized.first_attr
                 starts = tokenized.offsets[:, j]
                 ends = tokenized.offsets[:, j + 1] - 1
@@ -1140,7 +1145,9 @@ class RawScan(Operator):
             texts = tokenized.texts_of(
                 attr, None if rel is None else rel.tolist()
             )
-            return self._converter(convert_column, texts, dtype=dtype, lo=lo)
+            return self._converter(
+                ColumnVector.from_fields, texts, dtype=dtype, lo=lo
+            )
 
     def _tokenize_for(
         self, seg: _Segment, attrs: list[int], lo: int, hi: int
@@ -1222,7 +1229,7 @@ class RawScan(Operator):
             extra = [a for a in range(first, max_a + 1) if a not in needed]
             with self.metrics.time(_CONVERT):
                 for a in extra:
-                    convert_column(
+                    ColumnVector.from_fields(
                         tokenized.texts_of(a),
                         self.schema.columns[a].dtype,
                         self.dialect.null_token,

@@ -13,14 +13,18 @@ histograms.  The optimizer consumes them through the same selectivity API
 a conventional DBMS would use after ANALYZE.
 
 **A typed reservoir.**  The sample is a numpy array of the column's own
-dtype (object for TEXT), kept by Vitter's algorithm R with numpy draws:
-a batch first fills the free slots, then draws one ``rng.random`` and
-one ``rng.integers`` per remaining value; the accepted values land in
-one fancy-index assignment, where the last arrival per slot wins, just
-as a value-at-a-time loop would leave it.  The estimators and the
-histogram read the array with numpy.  Arrival numbers count non-NULL
-values only: a batch's values arrive after the non-NULL values of the
-batches before it, however many NULLs either held.
+dtype (for TEXT, an object array of the decoded strings), kept by
+Vitter's algorithm R with numpy draws: a batch first fills the free
+slots, then draws one ``rng.random`` and one ``rng.integers`` per
+remaining value; the accepted values land in one fancy-index
+assignment, where the last arrival per slot wins, just as a
+value-at-a-time loop would leave it.  A TEXT batch arrives as
+dictionary codes — the draws are the same, and only the values kept
+are decoded — and its min / max are the strings of its extreme codes.
+The estimators and the histogram read the array with numpy.  Arrival
+numbers count non-NULL values only: a batch's values arrive after the
+non-NULL values of the batches before it, however many NULLs either
+held.
 
 One deliberate refinement over a literal reading of the paper: only
 *full-column* reads feed the store.  Attributes materialized solely for
@@ -61,7 +65,10 @@ class AttributeStatistics:
     _histogram_dirty: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
-        self.sample = np.empty(0, dtype=self.dtype.numpy_dtype)
+        # TEXT samples hold the decoded strings.
+        text = self.dtype is DataType.TEXT
+        dtype = object if text else self.dtype.numpy_dtype
+        self.sample = np.empty(0, dtype=dtype)
 
     # ------------------------------------------------------------------
     # Maintenance.
@@ -80,23 +87,37 @@ class AttributeStatistics:
 
         values = vector.values[~nulls] if null_in_batch else vector.values
         if len(values):
-            low, high = values[[values.argmin(), values.argmax()]].tolist()
+            # TEXT: codes order like their strings, so the extreme codes
+            # name the extreme strings.
+            extremes = values[[values.argmin(), values.argmax()]]
+            if vector.dtype is DataType.TEXT:
+                extremes = vector.dictionary[extremes]
+            low, high = extremes.tolist()
             if self.min_value is None or low < self.min_value:
                 self.min_value = low
             if self.max_value is None or high > self.max_value:
                 self.max_value = high
-            self._reservoir_update(values, seen, rng)
+            self._reservoir_update(values, seen, rng, vector.dictionary)
         self._histogram_dirty = True
 
     def _reservoir_update(
-        self, values: np.ndarray, seen: int, rng: np.random.Generator
+        self,
+        values: np.ndarray,
+        seen: int,
+        rng: np.random.Generator,
+        dictionary: np.ndarray | None = None,
     ) -> None:
         """Vitter's algorithm R over one batch of non-NULL ``values``,
-        ``seen`` non-NULL values having arrived before it."""
+        ``seen`` non-NULL values having arrived before it.  TEXT
+        ``values`` are codes into ``dictionary``: the draws are the
+        same, and only the values kept are decoded."""
         k = self.sample_size
         take = min(k - len(self.sample), len(values))
         if take:
-            self.sample = np.concatenate([self.sample, values[:take]])
+            kept = values[:take]
+            if dictionary is not None:
+                kept = dictionary[kept]
+            self.sample = np.concatenate([self.sample, kept])
             values = values[take:]
             seen += take
         if not len(values):
@@ -107,7 +128,8 @@ class AttributeStatistics:
         # One assignment; of two arrivals for one slot the later wins.
         slots, values = slots[accept][::-1], values[accept][::-1]
         slots, last = np.unique(slots, return_index=True)
-        self.sample[slots] = values[last]
+        kept = values[last]
+        self.sample[slots] = kept if dictionary is None else dictionary[kept]
 
     # ------------------------------------------------------------------
     # Derived estimates.

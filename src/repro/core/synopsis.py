@@ -12,8 +12,10 @@ A :class:`Synopsis` covers one INTEGER, FLOAT or DATE column: per window
 its smallest and largest non-NULL value, in the column's own dtype, and
 its NULL count.  NaN is not a bound (``np.fmin`` / ``np.fmax`` skip
 it): no comparison holds for a NaN, so a window of nothing but NaNs and
-NULLs cannot qualify for any interval.  TEXT waits for dictionary codes
-(its min/max would be Python per value); BOOLEAN is not summarized.
+NULLs cannot qualify for any interval.  TEXT zone maps are still parked
+(TEXT is dictionary codes now, but codes are only comparable within one
+dictionary, and a window's bounds would have to be strings); BOOLEAN is
+not summarized.
 
 :func:`column_intervals` turns a predicate's top-level ``col op
 literal``, ``BETWEEN`` and ``IN`` conjuncts into :class:`Interval`\\ s,

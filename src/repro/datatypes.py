@@ -12,7 +12,8 @@ Binary representation:
 * ``FLOAT``    — ``numpy.float64`` (NULL = nan under a mask)
 * ``BOOLEAN``  — ``numpy.bool_``
 * ``DATE``     — ``numpy.int64`` days since 1970-01-01
-* ``TEXT``     — ``numpy.object_`` array of ``str``
+* ``TEXT``     — ``numpy.int32`` codes into a sorted dictionary of the
+  distinct ``str`` values (see :class:`repro.batch.ColumnVector`)
 
 NULLs are carried in a separate boolean mask rather than sentinel values
 so that comparisons and aggregates can implement SQL three-valued logic
@@ -76,7 +77,7 @@ class DataType(enum.Enum):
 _NUMPY_DTYPES = {
     DataType.INTEGER: np.dtype(np.int64),
     DataType.FLOAT: np.dtype(np.float64),
-    DataType.TEXT: np.dtype(object),
+    DataType.TEXT: np.dtype(np.int32),
     DataType.BOOLEAN: np.dtype(np.bool_),
     DataType.DATE: np.dtype(np.int64),
 }
@@ -185,22 +186,14 @@ def convert_column(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convert a column of raw text fields to ``(values, null_mask)``.
 
-    This is the engine's "Convert" phase.  ``row_offset`` is only used to
-    report the absolute row number of a malformed field.  ``None`` entries
-    and entries equal to ``null_token`` become NULLs.
+    This is the engine's "Convert" phase for INTEGER, FLOAT, BOOLEAN and
+    DATE (TEXT is factorized instead: :meth:`ColumnVector.from_texts
+    <repro.batch.ColumnVector.from_texts>`).  ``row_offset`` is only
+    used to report the absolute row number of a malformed field.
+    ``None`` entries and entries equal to ``null_token`` become NULLs.
     """
     n = len(texts)
     mask = np.zeros(n, dtype=np.bool_)
-    if dtype is DataType.TEXT:
-        values = np.empty(n, dtype=object)
-        for i, t in enumerate(texts):
-            if t is None or t == null_token:
-                mask[i] = True
-                values[i] = None
-            else:
-                values[i] = t
-        return values, mask
-
     converter = _SCALAR_CONVERTERS[dtype]
     values = np.zeros(n, dtype=dtype.numpy_dtype)
     for i, t in enumerate(texts):
@@ -227,19 +220,4 @@ _SCALAR_CONVERTERS: dict[DataType, Callable[[str], object]] = {
 
 def null_array(dtype: DataType, n: int) -> tuple[np.ndarray, np.ndarray]:
     """An all-NULL column of length ``n`` in binary form."""
-    values = np.zeros(n, dtype=dtype.numpy_dtype)
-    if dtype is DataType.TEXT:
-        values.fill(None)
-    return values, np.ones(n, dtype=np.bool_)
-
-
-def measure_text_bytes(values: np.ndarray) -> int:
-    """Approximate heap bytes held by a TEXT column (cache accounting)."""
-    total = 0
-    for v in values:
-        if v is not None:
-            # CPython str overhead ~49 bytes + 1 byte/char for ASCII.
-            total += 49 + len(v)
-        else:
-            total += 8
-    return total
+    return np.zeros(n, dtype=dtype.numpy_dtype), np.ones(n, dtype=np.bool_)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..batch import Batch, ColumnVector
+from ..batch import Batch, ColumnVector, recode, unify_dictionaries
 from ..datatypes import DataType, parse_date
 from ..errors import ExecutionError
 from ..sql.ast import (
@@ -200,8 +200,6 @@ def _is_null(expr: Expression) -> bool:
 
 def _null_vector(dtype: DataType, n: int) -> ColumnVector:
     values = np.zeros(n, dtype=dtype.numpy_dtype)
-    if dtype is DataType.TEXT:
-        values.fill(None)
     return ColumnVector(dtype, values, np.ones(n, dtype=np.bool_))
 
 
@@ -224,9 +222,7 @@ def _literal_vector(lit: Literal, n: int) -> ColumnVector:
     if dtype is None:  # NULL literal: TEXT unless an operator types it
         return _null_vector(DataType.TEXT, n)
     if dtype is DataType.TEXT:
-        values = np.empty(n, dtype=object)
-        values.fill(lit.value)
-        return ColumnVector(dtype, values, np.zeros(n, dtype=np.bool_))
+        return _text_vector(np.zeros(n, dtype=np.int32), [lit.value])
     values = np.full(n, lit.value, dtype=dtype.numpy_dtype)
     return ColumnVector(dtype, values, np.zeros(n, dtype=np.bool_))
 
@@ -275,20 +271,15 @@ def _numeric_pair(
 
 def _compare(op: str, left: ColumnVector, right: ColumnVector) -> ColumnVector:
     nulls = left.null_mask | right.null_mask
-    n = len(left)
     if left.dtype is DataType.TEXT or right.dtype is DataType.TEXT:
         if left.dtype is not right.dtype:
             raise ExecutionError(
                 f"cannot compare {left.dtype.value} with {right.dtype.value}"
             )
-        values = np.zeros(n, dtype=np.bool_)
-        func = _TEXT_COMPARATORS[op]
-        l_vals, r_vals = left.values, right.values
-        for i in np.flatnonzero(~nulls):
-            values[i] = func(l_vals[i], r_vals[i])
-        return ColumnVector(DataType.BOOLEAN, values, nulls)
-    _check_comparable(left.dtype, right.dtype)
-    l, r = _numeric_pair(left, right)
+        l, r = _text_codes(left, right)
+    else:
+        _check_comparable(left.dtype, right.dtype)
+        l, r = _numeric_pair(left, right)
     if op == "=":
         values = l == r
     elif op == "<>":
@@ -305,14 +296,18 @@ def _compare(op: str, left: ColumnVector, right: ColumnVector) -> ColumnVector:
     return ColumnVector(DataType.BOOLEAN, values, nulls.copy())
 
 
-_TEXT_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+def _text_codes(
+    left: ColumnVector, right: ColumnVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of two TEXT vectors that compare as their strings do: both
+    recoded into one unified dictionary (against a literal, a binary
+    search of its one string in the column's dictionary — the column's
+    codes stand unless the string is new to it)."""
+    left, right = left.narrowed(), right.narrowed()
+    __, (l_map, r_map) = unify_dictionaries(
+        [left.dictionary, right.dictionary]
+    )
+    return recode(left.values, l_map), recode(right.values, r_map)
 
 
 def _check_comparable(left: DataType, right: DataType) -> None:
@@ -376,13 +371,24 @@ def _arith_dtype(op: str, left: DataType, right: DataType) -> DataType:
 
 
 def _concat(left: ColumnVector, right: ColumnVector) -> ColumnVector:
-    nulls = left.null_mask | right.null_mask
-    n = len(left)
-    values = np.empty(n, dtype=object)
-    values.fill(None)
-    for i in np.flatnonzero(~nulls):
-        values[i] = str(left.values[i]) + str(right.values[i])
-    return ColumnVector(DataType.TEXT, values, nulls)
+    return ColumnVector.from_texts(
+        [
+            None if a is None or b is None else str(a) + str(b)
+            for a, b in zip(left.to_pylist(), right.to_pylist())
+        ]
+    )
+
+
+def _text_vector(codes: np.ndarray, texts: list[str]) -> ColumnVector:
+    """A TEXT vector whose row ``i`` is ``texts[codes[i]]`` (``texts``
+    need be neither sorted nor distinct)."""
+    encoded = ColumnVector.from_texts(texts)
+    return ColumnVector(
+        DataType.TEXT,
+        encoded.values[codes] if len(texts) else codes,
+        np.zeros(len(codes), dtype=np.bool_),
+        encoded.dictionary,
+    )
 
 
 def _evaluate_unary(expr: UnaryOp, batch: Batch) -> ColumnVector:
@@ -482,13 +488,9 @@ def _evaluate_like(expr: Like, batch: Batch) -> ColumnVector:
     if value.dtype is not DataType.TEXT:
         raise ExecutionError("LIKE expects a text operand")
     rx = _like_regex(expr.pattern)
-    n = len(value)
-    values = np.zeros(n, dtype=np.bool_)
     nulls = value.null_mask.copy()
-    vals = value.values
-    for i in np.flatnonzero(~nulls):
-        values[i] = rx.match(vals[i]) is not None
-    result = ColumnVector(DataType.BOOLEAN, values, nulls)
+    values = _per_string(value, lambda t: rx.match(t) is not None, np.bool_)
+    result = ColumnVector(DataType.BOOLEAN, values & ~nulls, nulls)
     return _negate_bool(result) if expr.negated else result
 
 
@@ -511,16 +513,25 @@ def _evaluate_scalar_function(
     operand = evaluate(call.args[0], batch)
     if operand.dtype is not DataType.TEXT:
         raise ExecutionError(f"{call.name.upper()} expects a text operand")
-    n = len(operand)
     nulls = operand.null_mask.copy()
     if call.name == "length":
-        values = np.zeros(n, dtype=np.int64)
-        for i in np.flatnonzero(~nulls):
-            values[i] = len(operand.values[i])
+        values = _per_string(operand, len, np.int64)
+        values = np.where(nulls, 0, values)
         return ColumnVector(DataType.INTEGER, values, nulls)
     transform = str.lower if call.name == "lower" else str.upper
-    values = np.empty(n, dtype=object)
-    values.fill(None)
-    for i in np.flatnonzero(~nulls):
-        values[i] = transform(operand.values[i])
-    return ColumnVector(DataType.TEXT, values, nulls)
+    operand = operand.narrowed()
+    texts = list(map(transform, operand.dictionary.tolist()))
+    vector = _text_vector(operand.values, texts)
+    return ColumnVector(DataType.TEXT, vector.values, nulls, vector.dictionary)
+
+
+def _per_string(vector: ColumnVector, func, dtype) -> np.ndarray:
+    """``func`` of every row's string, run once per dictionary entry
+    and gathered by code (NULL rows get the result of code 0)."""
+    vector = vector.narrowed()
+    results = np.fromiter(
+        map(func, vector.dictionary.tolist()), dtype, len(vector.dictionary)
+    )
+    if not len(results):
+        return np.zeros(len(vector), dtype=dtype)
+    return results[vector.values]

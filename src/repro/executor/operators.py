@@ -3,8 +3,8 @@
 A Volcano pipeline of batches: each operator exposes
 ``execute() -> Iterator[Batch]`` and ``output_types()``.  Scan, filter,
 project and aggregate work an array at a time — :class:`HashAggregate`
-factorizes group keys and folds arguments with numpy kernels, leaving
-Python only DISTINCT and TEXT MIN/MAX; :class:`HashJoin`, :class:`Sort`
+maps group keys to operator-wide ids and folds arguments with numpy
+kernels, leaving Python only DISTINCT; :class:`HashJoin`, :class:`Sort`
 and :class:`Distinct` still walk Python rows.  These operators are
 deliberately engine-agnostic — they sit above either a
 :class:`repro.core.raw_scan.RawScan` (PostgresRaw) or a binary-storage
@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ..batch import Batch, ColumnVector
+from ..batch import Batch, ColumnVector, recode, unify_dictionaries
 from ..datatypes import DataType
 from ..errors import ExecutionError
 from ..sql.ast import BinaryOp, ColumnRef, Expression, Star
@@ -237,8 +236,6 @@ class HashJoin(Operator):
             combined = dict(left_part.columns)
             for name, dtype in right_types.items():
                 values = np.zeros(len(unmatched), dtype=dtype.numpy_dtype)
-                if dtype is DataType.TEXT:
-                    values.fill(None)
                 combined[name] = ColumnVector(
                     dtype, values, np.ones(len(unmatched), dtype=np.bool_)
                 )
@@ -270,9 +267,8 @@ class AggregateSpec:
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-#: The one NaN object FLOAT group keys are mapped to, so NaN keys are
-#: equal (tuples compare by identity first) within and across batches.
-_NAN = float("nan")
+#: Integers of smaller magnitude are exact in float64.
+_FLOAT_EXACT = 2**53
 
 #: func -> (folding ufunc, its identity over FLOAT, over int64).
 #: ``fmin``/``fmax`` ignore NaN: a NaN never beats a number, so a
@@ -329,6 +325,33 @@ def partial_aggregate(
     return value
 
 
+def _factorize(
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(values, return_index=True, return_inverse=True)``.
+
+    Integers (and booleans) spanning a range not much wider than their
+    count are factorized by direct addressing, with no sort: one
+    ``np.minimum.at`` finds each value's first row.
+    """
+    n = len(values)
+    if values.dtype.kind in "biu" and n:
+        if values.dtype.kind == "b":
+            values = values.view(np.uint8)
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= 2 * n + 1024:
+            offsets = (values - low).astype(np.intp)
+            first = np.full(span, n, dtype=np.intp)
+            np.minimum.at(first, offsets, np.arange(n))
+            present = np.flatnonzero(first < n)
+            rank = np.zeros(span, dtype=np.intp)
+            rank[present] = np.arange(len(present))
+            uniques = (present + low).astype(values.dtype)
+            return uniques, first[present], rank[offsets]
+    return np.unique(values, return_index=True, return_inverse=True)
+
+
 def _grown(array: np.ndarray, size: int, fill: object) -> np.ndarray:
     """``array`` extended with ``fill`` to ``size`` slots (doubling)."""
     if size <= len(array):
@@ -338,31 +361,198 @@ def _grown(array: np.ndarray, size: int, fill: object) -> np.ndarray:
     return out
 
 
-def _key_codes(vector: ColumnVector) -> tuple[np.ndarray, int]:
-    """Integer codes of one key column, and their exclusive upper bound.
+class _KeyColumn:
+    """Operator-wide codes of one GROUP BY key column.
 
-    Two rows get the same code exactly when their keys are equal; NULL
-    is a code of its own.
+    Codes are dense and assigned in the order values first appear, NULL
+    taking a code of its own (and, for FLOAT, NaN: ``np.unique`` folds
+    every NaN into one value, and ``-0.0`` into ``0.0``).  A batch is
+    mapped in one pass per column: TEXT through its dictionary's
+    strings (one dict lookup per dictionary entry, no sort), every other
+    type by :func:`_factorize` plus a binary search among the values
+    seen.  Python runs once per batch and per new string, never per row.
     """
-    n = len(vector)
-    if vector.dtype is DataType.TEXT:
-        # No numpy hash for str: a dict (driven from C by ``map``) is
-        # ~5x faster than np.unique's object sort.  A string's code is
-        # the row it first appears in.
-        first_row: dict[object, int] = {}
-        codes = np.fromiter(
-            map(first_row.setdefault, vector.values.tolist(), range(n)),
-            dtype=np.int64,
-            count=n,
+
+    def __init__(self, dtype: DataType) -> None:
+        self.dtype = dtype
+        self.count = 0
+        self.null_code = -1
+        #: Per code, its value (NULL's slot holds a placeholder).
+        self.by_code: list | np.ndarray
+        if dtype is DataType.TEXT:
+            self.index: dict[str, int] = {}
+            self.by_code = []
+        else:
+            self.by_code = np.zeros(0, dtype=dtype.numpy_dtype)
+            self.seen = np.zeros(0, dtype=dtype.numpy_dtype)
+            self.seen_codes = np.zeros(0, dtype=np.int64)
+
+    def codes(self, vector: ColumnVector) -> np.ndarray:
+        """The operator-wide code of every row of ``vector``."""
+        if self.dtype is DataType.TEXT:
+            return self._text_codes(vector)
+        return self._value_codes(vector)
+
+    def _assign(self, known: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Codes for the local keys ``known`` marks ``-1``, in the order
+        of their first rows (``first``; a key absent from the batch has
+        a first row past its end and gets none).  Returns the new keys'
+        local numbers, in code order."""
+        new = np.flatnonzero((known < 0) & (first < _INT64_MAX))
+        new = new[np.argsort(first[new], kind="stable")]
+        known[new] = self.count + np.arange(len(new))
+        self.count += len(new)
+        return new
+
+    def _text_codes(self, vector: ColumnVector) -> np.ndarray:
+        vector = vector.narrowed()
+        strings = vector.dictionary.tolist()
+        # Local key k < len(strings) is a dictionary entry; NULL is one
+        # past them.
+        local = vector.values
+        known = np.fromiter(
+            map(self.index.get, strings, itertools.repeat(-1)),
+            np.int64,
+            len(strings),
         )
-        bound = n
-    else:
-        uniques, codes = np.unique(vector.values, return_inverse=True)
-        bound = len(uniques)
-    if vector.null_mask.any():
-        codes = np.where(vector.null_mask, bound, codes)
-        bound += 1
-    return codes, bound
+        nulls = vector.null_mask
+        if nulls.any():
+            local = np.where(nulls, len(strings), local)
+            known = np.append(known, self.null_code)
+        if (known < 0).any():
+            first = np.full(len(known), _INT64_MAX, dtype=np.int64)
+            np.minimum.at(first, local, np.arange(len(local)))
+            for k in self._assign(known, first).tolist():
+                code = int(known[k])
+                if k == len(strings):
+                    self.null_code = code
+                    self.by_code.append(None)
+                else:
+                    self.index[strings[k]] = code
+                    self.by_code.append(strings[k])
+        return known[local]
+
+    def _value_codes(self, vector: ColumnVector) -> np.ndarray:
+        values, nulls = vector.values, vector.null_mask
+        rows = np.flatnonzero(~nulls) if nulls.any() else None
+        uniques, first, inverse = _factorize(
+            values if rows is None else values[rows]
+        )
+        if rows is not None:
+            first = rows[first]
+        at = np.searchsorted(self.seen, uniques)
+        hit = at < len(self.seen)
+        match = self.seen[at[hit]]
+        same = match == uniques[hit]
+        if self.dtype is DataType.FLOAT:
+            same |= np.isnan(match) & np.isnan(uniques[hit])
+        hit[hit] = same
+        known = np.full(len(uniques) + 1, -1, dtype=np.int64)
+        known[:-1][hit] = self.seen_codes[at[hit]]
+        known[-1] = self.null_code
+        first = np.append(
+            first, int(np.argmax(nulls)) if rows is not None else _INT64_MAX
+        )
+        new = self._assign(known, first)
+        if len(new):
+            if (new == len(uniques)).any():
+                self.null_code = int(known[-1])
+            # A key's value is that of the row it first appeared in
+            # (``-0.0`` or ``0.0``); NULL's is whatever its row holds.
+            self.by_code = np.concatenate([self.by_code, values[first[new]]])
+            inserted = np.sort(new[new < len(uniques)])
+            spots = at[inserted]
+            self.seen = np.insert(self.seen, spots, uniques[inserted])
+            self.seen_codes = np.insert(
+                self.seen_codes, spots, known[inserted]
+            )
+        if rows is None:
+            return known[:-1][inverse]
+        codes = np.full(len(values), known[-1], dtype=np.int64)
+        codes[rows] = known[:-1][inverse]
+        return codes
+
+    def vector(self, codes: np.ndarray) -> ColumnVector:
+        """The key column of groups whose codes are ``codes``."""
+        if self.dtype is DataType.TEXT:
+            return ColumnVector.from_texts(self.by_code).take(codes)
+        null = codes == self.null_code
+        return ColumnVector(self.dtype, self.by_code[codes], null)
+
+
+class _PairTable:
+    """Dense ids of ``(a, b)`` code pairs, assigned in the order pairs
+    first appear: a sorted array of the pairs seen (as ``a << 32 | b``)
+    beside their ids."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.ids = np.zeros(0, dtype=np.int64)
+
+    def lookup(
+        self, a: np.ndarray, a_bound: int, b: np.ndarray, b_bound: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's pair id, and the first rows of the pairs that
+        got new ids (in id order)."""
+        # Mixed radix within the batch (dense, so usually factorized
+        # without a sort).
+        uniques, first, inverse = _factorize(a * b_bound + b)
+        keys = (uniques // b_bound) << 32 | (uniques % b_bound)
+        at = np.searchsorted(self.keys, keys)
+        hit = at < len(self.keys)
+        hit[hit] = self.keys[at[hit]] == keys[hit]
+        ids = np.empty(len(uniques), dtype=np.int64)
+        ids[hit] = self.ids[at[hit]]
+        new = np.flatnonzero(~hit)
+        by_row = new[np.argsort(first[new], kind="stable")]
+        ids[by_row] = self.count + np.arange(len(new))
+        self.count += len(new)
+        self.keys = np.insert(self.keys, at[new], keys[new])
+        self.ids = np.insert(self.ids, at[new], ids[new])
+        return ids[inverse], first[by_row]
+
+
+class _GroupIndex:
+    """Operator-wide group ids: per key column a :class:`_KeyColumn`,
+    and for composite keys a chain of :class:`_PairTable`\\ s combining
+    them.  Ids are dense, in the order groups first appear; a single
+    key's codes are its group ids.  The key columns of the output come
+    from here: per group, each column's code."""
+
+    def __init__(self, dtypes: list[DataType]) -> None:
+        self.columns = [_KeyColumn(dtype) for dtype in dtypes]
+        self.pairs = [_PairTable() for __ in dtypes[1:]]
+        self.group_codes = [np.zeros(0, dtype=np.int64) for __ in dtypes]
+        self.n_groups = 0
+
+    def ids(self, vectors: list[ColumnVector]) -> np.ndarray:
+        codes = [col.codes(v) for col, v in zip(self.columns, vectors)]
+        if not self.pairs:
+            self.n_groups = self.columns[0].count
+            return codes[0]
+        ids, bound = codes[0], self.columns[0].count
+        for pairs, column, column_codes in zip(
+            self.pairs, self.columns[1:], codes[1:]
+        ):
+            ids, new_rows = pairs.lookup(
+                ids, bound, column_codes, column.count
+            )
+            bound = pairs.count
+        self.group_codes = [
+            np.concatenate([held, column_codes[new_rows]])
+            for held, column_codes in zip(self.group_codes, codes)
+        ]
+        self.n_groups = bound
+        return ids
+
+    def key_vectors(self) -> list[ColumnVector]:
+        if not self.pairs:
+            return [self.columns[0].vector(np.arange(self.n_groups))]
+        return [
+            column.vector(codes)
+            for column, codes in zip(self.columns, self.group_codes)
+        ]
 
 
 class _ColumnarAggregate:
@@ -376,7 +566,12 @@ class _ColumnarAggregate:
     (a global aggregate, or a GROUP BY that has met one key so far),
     order cannot matter for a count or for an exact INTEGER sum still
     held in int64: a count adds the batch's length and the sum adds
-    ``values.sum()``.  FLOAT SUM / AVG and MIN / MAX keep ``ufunc.at``.
+    ``values.sum()``.  With more groups, counts and INTEGER sums whose
+    bound stays below 2**53 are added per batch by ``np.bincount``.
+    FLOAT SUM / AVG and MIN / MAX keep ``ufunc.at``.
+    TEXT MIN / MAX fold dictionary codes: ``value`` holds codes into
+    ``dictionary``, which only keeps the strings some group holds, and
+    each batch's per-group best codes are merged into it.
     No Python runs per row.
     """
 
@@ -399,6 +594,11 @@ class _ColumnarAggregate:
             # state switches to Python ints (an object array).
             self.exact_sum = self.ufunc is np.add and not is_float
             self.magnitude = 0
+            self.dictionary = (
+                np.zeros(0, dtype=object)
+                if arg_type is DataType.TEXT
+                else None
+            )
 
     def _reserve(self, n_groups: int) -> None:
         self.count = _grown(self.count, n_groups, 0)
@@ -419,25 +619,59 @@ class _ColumnarAggregate:
         self._count(group_ids, n_groups)
         if self.ufunc is None:
             return
+        if self.dictionary is not None:
+            self._fold_text(vector.dictionary, values, group_ids, n_groups)
+            return
         if self.exact_sum and len(values):
             self.magnitude += len(values) * max(
                 int(values.max()), -int(values.min())
             )
             if self.magnitude > _INT64_MAX and self.value.dtype != object:
                 self.value = self.value.astype(object)
-        if n_groups == 1 and self.exact_sum and self.value.dtype != object:
-            # Exact and bounded by ``magnitude``: order cannot matter.
-            self.value[0] += values.sum(dtype=np.int64)
+        if self.exact_sum and self.magnitude < _FLOAT_EXACT:
+            # Exact and bounded by ``magnitude``: order cannot matter,
+            # and every partial sum is an integer float64 holds exactly.
+            if n_groups == 1:
+                self.value[0] += values.sum(dtype=np.int64)
+            else:
+                self.value[:n_groups] += np.bincount(
+                    group_ids, weights=values, minlength=n_groups
+                ).astype(np.int64)
             return
         self.ufunc.at(
             self.value, group_ids, values.astype(self.value.dtype, copy=False)
         )
 
+    def _fold_text(
+        self,
+        dictionary: np.ndarray,
+        codes: np.ndarray,
+        group_ids: np.ndarray,
+        n_groups: int,
+    ) -> None:
+        """TEXT MIN / MAX of one batch: each group's best code in the
+        batch, its string merged into the state's dictionary, and the
+        better of old and new per group (codes order like strings)."""
+        best = np.full(n_groups, self.identity, dtype=np.int64)
+        self.ufunc.at(best, group_ids, codes)
+        hit = np.flatnonzero(best != self.identity)
+        used, slot = np.unique(best[hit], return_inverse=True)
+        held = self.value != self.identity
+        live, live_slot = np.unique(self.value[held], return_inverse=True)
+        # Only strings some group holds stay in the dictionary.
+        merged, (old, new) = unify_dictionaries(
+            [self.dictionary[live], dictionary[used]]
+        )
+        self.value[held] = recode(live_slot, old)
+        candidate = recode(slot, new)
+        self.value[hit] = self.ufunc(self.value[hit], candidate)
+        self.dictionary = merged
+
     def _count(self, group_ids: np.ndarray, n_groups: int) -> None:
         if n_groups == 1:
             self.count[0] += len(group_ids)
         else:
-            np.add.at(self.count, group_ids, 1)
+            self.count[:n_groups] += np.bincount(group_ids, minlength=n_groups)
 
     def result(self, n_groups: int, dtype: DataType) -> ColumnVector:
         self._reserve(n_groups)
@@ -452,40 +686,34 @@ class _ColumnarAggregate:
         # NULL, when every MV group is filtered away (as raw COUNT).
         null = (count == 0) & (self.func != "sum0")
         return ColumnVector(
-            dtype, np.where(null, 0, value).astype(dtype.numpy_dtype), null
+            dtype,
+            np.where(null, 0, value).astype(dtype.numpy_dtype),
+            null,
+            self.dictionary,
         )
 
 
 class _RowAggregate:
     """The per-row fallback for what has no numpy kernel: DISTINCT
     COUNT / SUM / AVG (per group, a dict as an ordered set of the
-    values seen, summed at the end in first-seen order) and MIN / MAX
-    over TEXT (per group, the best ``str`` so far).  Same interface as
-    :class:`_ColumnarAggregate`."""
+    values seen, summed at the end in first-seen order).  Same
+    interface as :class:`_ColumnarAggregate`."""
 
     def __init__(self, func: str, arg: Expression) -> None:
         self.func = func
         self.arg = arg
-        self.best_of = {"min": operator.lt, "max": operator.gt}.get(func)
-        self.groups: list = []
+        self.groups: list[dict] = []
 
     def _reserve(self, n_groups: int) -> None:
-        self.groups.extend(
-            None if self.best_of else {}
-            for __ in range(n_groups - len(self.groups))
-        )
+        self.groups.extend({} for __ in range(n_groups - len(self.groups)))
 
     def fold(self, batch: Batch, group_ids: np.ndarray, n_groups: int) -> None:
         self._reserve(n_groups)
-        groups, best_of = self.groups, self.best_of
+        groups = self.groups
         values = evaluate(self.arg, batch).to_pylist()
         for gid, value in zip(group_ids.tolist(), values):
-            if value is None:
-                continue
-            if best_of is None:
+            if value is not None:
                 groups[gid][value] = None
-            elif groups[gid] is None or best_of(value, groups[gid]):
-                groups[gid] = value
 
     def result(self, n_groups: int, dtype: DataType) -> ColumnVector:
         self._reserve(n_groups)
@@ -493,9 +721,7 @@ class _RowAggregate:
             dtype, [self._final(group) for group in self.groups]
         )
 
-    def _final(self, group: object) -> object:
-        if self.best_of:
-            return group
+    def _final(self, group: dict) -> object:
         if self.func == "count":
             return len(group)
         if not group and self.func != "sum0":
@@ -512,10 +738,10 @@ class HashAggregate(Operator):
     in the order their first rows arrived; NULL keys form one group,
     and so do NaN keys.
 
-    Columnar: each batch's keys are factorized into group ids
-    (:meth:`_group_ids`) and every aggregate folds the batch into
+    Columnar: each batch's keys are mapped to operator-wide group ids
+    (:class:`_GroupIndex`) and every aggregate folds the batch into
     arrays indexed by group id (:class:`_ColumnarAggregate`); only
-    DISTINCT and TEXT MIN/MAX go row by row (:class:`_RowAggregate`).
+    DISTINCT COUNT / SUM / AVG go row by row (:class:`_RowAggregate`).
     """
 
     def __init__(
@@ -558,23 +784,32 @@ class HashAggregate(Operator):
         child_types = self.child.output_types()
         out_types = self.output_types()
         states = [self._state(spec, child_types) for spec in self.aggregates]
-        # Key tuple -> group id, in first-appearance (= output) order.
-        index: dict[tuple, int] = {}
-        n_groups = 0 if self.group_items else 1
+        index = None
+        n_groups = 1
+        if self.group_items:
+            index = _GroupIndex(
+                [out_types[name] for name, __ in self.group_items]
+            )
+            n_groups = 0
         for batch in self.child.execute():
             if batch.num_rows == 0:
                 continue
-            group_ids = self._group_ids(batch, index)
-            n_groups = max(n_groups, len(index))
+            if index is None:
+                group_ids = np.zeros(batch.num_rows, dtype=np.intp)
+            else:
+                group_ids = index.ids(
+                    [evaluate(expr, batch) for __, expr in self.group_items]
+                )
+                n_groups = index.n_groups
             for state in states:
                 state.fold(batch, group_ids, n_groups)
 
-        columns = {
-            name: ColumnVector.from_pylist(
-                out_types[name], [key[i] for key in index]
-            )
-            for i, (name, __) in enumerate(self.group_items)
-        }
+        columns = {}
+        if index is not None:
+            for (name, __), vector in zip(
+                self.group_items, index.key_vectors()
+            ):
+                columns[name] = vector
         for spec, state in zip(self.aggregates, states):
             try:
                 columns[spec.name] = state.result(
@@ -593,57 +828,10 @@ class HashAggregate(Operator):
         if spec.arg is None or isinstance(spec.arg, Star):
             return _ColumnarAggregate(spec.func, None, None)
         arg_type = infer_type(spec.arg, child_types)
-        if spec.func in ("min", "max"):  # where DISTINCT changes nothing
-            per_row = arg_type is DataType.TEXT
-        else:
-            per_row = spec.distinct
-        if per_row:
+        # DISTINCT changes nothing for MIN / MAX.
+        if spec.distinct and spec.func not in ("min", "max"):
             return _RowAggregate(spec.func, spec.arg)
         return _ColumnarAggregate(spec.func, spec.arg, arg_type)
-
-    def _group_ids(
-        self, batch: Batch, index: dict[tuple, int]
-    ) -> np.ndarray:
-        """The operator-wide group id of every row of ``batch``.
-
-        Keys not seen before are added to ``index`` in the order their
-        first rows appear; Python touches each of the batch's distinct
-        keys once, never each row.
-        """
-        if not self.group_items:
-            return np.zeros(batch.num_rows, dtype=np.intp)
-        vectors = [evaluate(expr, batch) for __, expr in self.group_items]
-        combined, bound = _key_codes(vectors[0])
-        for vector in vectors[1:]:
-            column_codes, width = _key_codes(vector)
-            if bound * width > _INT64_MAX:
-                # Re-densify so the mixed-radix code still fits int64.
-                combined = np.unique(combined, return_inverse=True)[1]
-                bound = batch.num_rows
-            combined = combined * width + column_codes
-            bound *= width
-        # As uint8 / uint16 the sort inside np.unique is a radix sort.
-        __, first, codes = np.unique(
-            combined.astype(np.min_scalar_type(bound - 1)),
-            return_index=True,
-            return_inverse=True,
-        )
-        key_columns = [v.take(first).to_pylist() for v in vectors]
-        for vector, column in zip(vectors, key_columns):
-            if vector.dtype is DataType.FLOAT:
-                column[:] = [_NAN if v != v else v for v in column]
-        keys = list(zip(*key_columns))
-        ids = np.empty(len(keys), dtype=np.intp)
-        order = np.argsort(first)
-        if not index:
-            # The first batch: every key is new, in appearance order.
-            ids[order] = np.arange(len(keys))
-            in_order = map(keys.__getitem__, order.tolist())
-            index.update(zip(in_order, range(len(keys))))
-        else:
-            for local in order.tolist():
-                ids[local] = index.setdefault(keys[local], len(index))
-        return ids[codes]
 
     def describe(self) -> str:
         keys = ", ".join(n for n, __ in self.group_items) or "<global>"
@@ -841,6 +1029,10 @@ class Sort(Operator):
         # Stable multi-key sort: apply keys from minor to major.
         for expr, ascending in reversed(self.keys):
             vector = evaluate(expr, data)
+            if vector.dtype is DataType.TEXT:  # codes order like strings
+                vector = ColumnVector(
+                    DataType.INTEGER, vector.values, vector.null_mask
+                )
             values = vector.to_pylist()
 
             def sort_key(i: int, values=values) -> tuple:

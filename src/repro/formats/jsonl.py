@@ -23,8 +23,8 @@ Format geometry (see :class:`repro.formats.base.FormatAdapter`):
   interpreted per-record path first, as planned.
 
 Value mapping: JSON ``null`` becomes the engine NULL (surfaced as the
-:data:`JSONL_NULL` sentinel token so the shared
-:func:`repro.datatypes.convert_column` path applies); ``true``/``false``
+:data:`JSONL_NULL` sentinel token so the shared scalar convert path,
+:meth:`repro.batch.ColumnVector.from_fields`, applies); ``true``/``false``
 parse via the BOOLEAN converter; numbers and strings parse by the
 declared column type.  Nested objects/arrays are rejected — this engine
 models flat relational rows, like its CSV side.  A record missing a
@@ -127,7 +127,7 @@ def value_end(data: bytes, pos: int, line_end: int, base: int = 0) -> int:
 def token_text(raw: bytes, offset: int, null_token: str = JSONL_NULL) -> str:
     """One JSON value token in the engine's raw-text form.
 
-    That is the form :func:`repro.datatypes.convert_column` parses:
+    That is the form :meth:`repro.batch.ColumnVector.from_fields` parses:
     decoded string contents (:func:`json.loads` only when an escape is
     present), the number/boolean literal verbatim, or ``null_token``
     for JSON ``null``.  ``offset`` is the token's file offset.

@@ -12,7 +12,8 @@ to the interpreted inner loops of :mod:`repro.rawio.tokenizer` and
   ``searchsorted`` + broadcast gather builds the whole offsets matrix)
   and the positional-map jump's field-end computation;
 * :mod:`.convert` — batch int64/float64 parsing of whole column slices
-  with a null-mask pass, scalar fallback for rows failing validation;
+  with a null-mask pass, scalar fallback for rows failing validation,
+  and TEXT dictionary encoding straight from the field bytes;
 * :class:`KernelCache` — signature-keyed LRU of built kernels with
   telemetry hit/miss/build-time counters.
 

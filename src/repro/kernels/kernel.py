@@ -5,9 +5,10 @@ delimiter: one ``searchsorted`` of the batch's row bounds against the
 content's sorted delimiter positions plus a broadcast gather that
 materializes the whole offsets matrix at once, instead of one scan per
 row.  Field texts are produced lazily (:class:`KernelRows`) only when a
-consumer actually needs Python strings — numeric columns convert
-straight from the offsets (:mod:`repro.kernels.convert`) and never
-build the per-row string lists at all.
+consumer actually needs Python strings — INTEGER, FLOAT and TEXT
+columns convert straight from the offsets (:mod:`repro.kernels.convert`;
+TEXT decodes each distinct value once) and never build the per-row
+string lists at all.
 
 Quoted dialects and non-ASCII delimiters are not eligible: they run the
 RFC-4180 state machine (:func:`repro.rawio.tokenizer.tokenize_span`),

@@ -26,11 +26,12 @@ A ROWS_BIN frame's payload (after the protocol's 1-byte frame type)::
 NULL slots keep their fixed-width cell (0 / NaN / zero-length), exactly
 as the engine stores them under the mask.  Every column is converted
 once per batch, whole: numeric vectors by one typed copy, a TEXT column
-by one ``"".join`` + one UTF-8 encode (per-value byte lengths only when
-the column is not ASCII); a frame is then slices of those.  Decoding
-mirrors it (one strict decode per TEXT blob), so on ASCII columns
-neither side does interpreted work per value beyond building the
-Python ``str`` objects.  Vector data is
+— dictionary codes — by encoding each dictionary string once and
+gathering the rows' bytes and lengths by code; a frame is then slices
+of those.  Decoding dictionary-encodes each TEXT column again, with the
+scan kernel's own routine (:func:`repro.kernels.convert.factorize_fields`:
+each distinct value decoded once, strictly), so neither side does
+interpreted work per value.  Vector data is
 little-endian (the engine's native layout on every supported host); the
 outer frame header stays big-endian like every other frame.  Decoded
 rows equal ``batch_rows`` of the source batch value for value —
@@ -46,7 +47,8 @@ import numpy as np
 
 from ..batch import Batch, ColumnVector
 from ..datatypes import DataType
-from ..errors import ProtocolError
+from ..errors import ProtocolError, RawDataError
+from ..kernels.convert import factorize_fields
 
 #: One byte per column identifying its type on the wire.
 TYPE_TAGS: dict[DataType, int] = {
@@ -81,19 +83,18 @@ _WIRE_DTYPE: dict[DataType, str] = {
 
 def _text_offsets(vec: ColumnVector) -> tuple[np.ndarray, bytes]:
     """A whole TEXT column as ``n + 1`` cumulative UTF-8 byte offsets
-    (int64) and one blob; NULL slots are zero-length whatever sits
-    under the mask."""
-    texts = vec.values.tolist()
-    for i in np.flatnonzero(vec.null_mask).tolist():
-        texts[i] = ""
-    joined = "".join(texts)
-    blob = joined.encode("utf-8")
-    if len(blob) != len(joined):  # not ASCII: lengths in bytes, not chars
-        texts = [t.encode("utf-8") for t in texts]
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return offsets, blob
+    (int64) and one blob, gathered by code from the encoded dictionary;
+    NULL slots are zero-length."""
+    vec = vec.narrowed()
+    encoded = [text.encode("utf-8") for text in vec.dictionary.tolist()]
+    encoded.append(b"")  # what a NULL row takes
+    pieces = np.empty(len(encoded), dtype=object)
+    pieces[:] = encoded
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    codes = np.where(vec.null_mask, len(encoded) - 1, vec.values)
+    offsets = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum(lengths[codes], out=offsets[1:])
+    return offsets, b"".join(pieces[codes].tolist())
 
 
 def iter_binary_row_frames(
@@ -209,27 +210,27 @@ def peek_qid(body: bytes) -> int:
 
 def _decode_text(
     view: memoryview, pos: int, offsets: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
+) -> ColumnVector:
     """One TEXT column whose blob starts at ``view[pos]``: one bounds
-    check, one strict UTF-8 decode of the blob, then slices of it — or,
-    when the blob is not ASCII (char offsets are not byte offsets), one
-    decode per value, so a character split across two values still
-    raises.  NULL slots become ``None`` through ``mask``."""
+    check, then the non-NULL values dictionary-encoded from the blob's
+    bytes, each distinct value decoded once (strict UTF-8, so a
+    character split across two values still raises)."""
     if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
         raise ProtocolError("ROWS_BIN text offsets do not ascend from 0")
-    bounds = offsets.tolist()
-    blob = view[pos : pos + bounds[-1]]
-    if len(blob) != bounds[-1]:
+    size = int(offsets[-1])
+    blob = bytes(view[pos : pos + size])
+    if len(blob) != size:
         raise ProtocolError("ROWS_BIN text blob shorter than its offsets")
-    text = str(blob, "utf-8")
-    spans = zip(bounds, bounds[1:])
-    values = np.empty(len(bounds) - 1, dtype=object)
-    if len(text) == len(blob):
-        values[:] = [text[a:b] for a, b in spans]
-    else:
-        values[:] = [str(blob[a:b], "utf-8") for a, b in spans]
-    values[mask] = None
-    return values
+    bounds = offsets.astype(np.int64)
+    live = np.flatnonzero(~mask)
+    codes = np.zeros(len(mask), dtype=np.int32)
+    try:
+        codes[live], dictionary = factorize_fields(
+            blob, bounds[:-1][live], bounds[1:][live]
+        )
+    except RawDataError as exc:
+        raise ProtocolError(f"undecodable ROWS_BIN text: {exc}") from None
+    return ColumnVector(DataType.TEXT, codes, mask, dictionary)
 
 
 def decode_binary_rows(
@@ -239,8 +240,8 @@ def decode_binary_rows(
 
     Numeric vectors come back through one ``frombuffer`` + copy per
     column (owned arrays — the frame buffer is not retained); a TEXT
-    column through one bounds check and one UTF-8 decode of its blob
-    (see :func:`_decode_text`), NULL slots set to ``None`` by the mask.
+    column through one bounds check and a dictionary encode of its
+    blob (see :func:`_decode_text`).
     Anything malformed raises :class:`ProtocolError`.
     """
     view = memoryview(body)
@@ -281,11 +282,11 @@ def decode_binary_rows(
             vector = np.frombuffer(view, wire, count=count, offset=pos)
             pos += vector.nbytes
             if dtype is DataType.TEXT:
-                values = _decode_text(view, pos, vector, mask)
+                columns[name] = _decode_text(view, pos, vector, mask)
                 pos += int(vector[-1])
             else:
                 values = vector.astype(dtype.numpy_dtype)
-            columns[name] = ColumnVector(dtype, values, mask)
+                columns[name] = ColumnVector(dtype, values, mask)
     except (ValueError, IndexError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"undecodable ROWS_BIN payload: {exc}") from None
     if pos != len(view):

@@ -1,7 +1,14 @@
 """Columnar binary storage with block zone maps (the "DBMS X" profile).
 
 Each column lives in its own ``.npy`` file of values, plus one of null
-flags when it holds a NULL (no file: no NULLs).  At load time the
+flags when it holds a NULL (no file: no NULLs).  A TEXT column's values
+are int32 codes into its *file dictionary*, saved beside them as one
+UTF-8 blob (``.dict.npy``) and each string's end offset in it
+(``.dictends.npy``): in the column's sorted order when it is written,
+with the strings an append brings added at the end — so an append
+writes only the tail's codes and its new strings, and a read maps file
+codes to sorted codes with one gather (the dictionary itself is
+decoded and sorted once per mapping).  At load time the
 engine additionally builds *zone maps* — per-block min / max / NULL
 count of every INTEGER, FLOAT and DATE column — which lets scans with
 pushed range/equality predicates skip whole blocks.  This is the extra
@@ -20,6 +27,7 @@ re-derives only the tail block.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 from pathlib import Path
 from typing import Callable, Iterator
@@ -35,7 +43,6 @@ from ..datatypes import DataType
 from ..errors import StorageError
 
 _IO = BreakdownComponent.IO
-_CONVERT = BreakdownComponent.CONVERT
 
 #: Rows per zone-map block.
 ZONE_BLOCK_ROWS = 4096
@@ -60,6 +67,9 @@ class ColumnStoreTable:
         #: File -> (dtype, offset of the data) of the array saved in it;
         #: neither changes while the file lives.
         self._layouts: dict[Path, tuple[np.dtype, int]] = {}
+        #: TEXT column -> its decoded file dictionary (see
+        #: :meth:`_dictionary`).
+        self._dictionaries: dict[str, _FileDictionary] = {}
 
     # ------------------------------------------------------------------
     # Loading.
@@ -91,9 +101,11 @@ class ColumnStoreTable:
                     f"column {column.name!r} has {len(vec)} rows, "
                     f"expected {n_rows}"
                 )
-            np.save(
-                directory / f"{column.name}.values.npy", _stored_values(vec)
-            )
+            np.save(directory / f"{column.name}.values.npy", vec.values)
+            if vec.dtype is DataType.TEXT:
+                blob, ends = _encode_strings(vec.dictionary.tolist())
+                np.save(directory / f"{column.name}.dict.npy", blob)
+                np.save(directory / f"{column.name}.dictends.npy", ends)
             if vec.null_mask.any():
                 np.save(
                     directory / f"{column.name}.nulls.npy",
@@ -116,30 +128,28 @@ class ColumnStoreTable:
         the end of the existing files; a column's flags file is written
         out whole the first time a NULL arrives.  ``admit`` is asked
         once for the bytes about to be added, the zone maps' growth
-        included; each zone map re-derives its tail block.  Returns
-        those bytes — or 0, with nothing written, when it refuses or
-        when a TEXT value is wider than its column was saved with, the
-        one thing an append cannot represent.
+        included; each zone map re-derives its tail block.  A TEXT
+        column's new strings go onto the end of its file dictionary and
+        the tail's codes are mapped into it.  Returns those bytes — or
+        0, with nothing written, when it refuses.
         """
         lengths = {len(columns[column.name]) for column in self.schema}
         if len(lengths) != 1:
             raise StorageError(f"ragged extension: lengths {sorted(lengths)}")
         n_rows = self.num_rows
-        appends: list[tuple[Path, np.ndarray]] = []
+        #: (file, rows to append, rows it holds).
+        appends: list[tuple[Path, np.ndarray, int]] = []
         saves: list[tuple[Path, bytes]] = []
         for column in self.schema:
             vec = columns[column.name]
             values_path = self.directory / f"{column.name}.values.npy"
-            saved_dtype = self._layout(values_path)[0]
-            values = _stored_values(vec)
-            if values.dtype.itemsize > saved_dtype.itemsize:
-                return 0
-            appends.append(
-                (values_path, values.astype(saved_dtype, copy=False))
-            )
+            values = vec.values
+            if vec.dtype is DataType.TEXT:
+                values = self._file_codes(column.name, vec, appends)
+            appends.append((values_path, values, n_rows))
             nulls_path = self.directory / f"{column.name}.nulls.npy"
             if nulls_path.exists():
-                appends.append((nulls_path, vec.null_mask))
+                appends.append((nulls_path, vec.null_mask, n_rows))
             elif vec.null_mask.any():
                 flags = io.BytesIO()
                 np.save(
@@ -153,18 +163,19 @@ class ColumnStoreTable:
             name: zone_map.extended(columns[name])
             for name, zone_map in self.zone_maps.items()
         }
-        added = sum(tail.nbytes for __, tail in appends)
+        added = sum(tail.nbytes for __, tail, __ in appends)
         added += sum(len(payload) for __, payload in saves)
         added += _zone_bytes(zones) - self.zone_bytes()
         if not admit(added):
             return 0
-        for path, tail in appends:
-            _append_npy(path, tail, n_rows, self._layout(path)[1])
+        for path, tail, n_old in appends:
+            _append_npy(path, tail, n_old, self._layout(path)[1])
         for path, payload in saves:
             path.write_bytes(payload)
         # The mapped arrays end at the old row count.
         self._columns.clear()
         self._nulls.clear()
+        self._dictionaries.clear()
         self.zone_maps = zones
         self._num_rows = n_rows + lengths.pop()
         return added
@@ -214,6 +225,8 @@ class ColumnStoreTable:
                     if nulls_path.exists()
                     else None
                 )
+                if self.schema.dtype_of(name) is DataType.TEXT:
+                    self._dictionary(name)
 
             if metrics is not None:
                 with metrics.time(_IO):
@@ -238,14 +251,49 @@ class ColumnStoreTable:
             nul = np.zeros(len(raw), dtype=np.bool_)
         else:
             nul = np.ascontiguousarray(nulls[sl])
-        if dtype is DataType.TEXT:
-            if metrics is not None:
-                with metrics.time(_CONVERT):
-                    out = _decode_text(raw, nul)
-            else:
-                out = _decode_text(raw, nul)
-            return ColumnVector(dtype, out, nul)
-        return ColumnVector(dtype, np.ascontiguousarray(raw), nul)
+        if dtype is not DataType.TEXT:
+            return ColumnVector(dtype, np.ascontiguousarray(raw), nul)
+        strings = self._dictionary(name)
+        codes = raw if strings.rank is None else strings.rank[raw]
+        return ColumnVector(
+            dtype, np.ascontiguousarray(codes), nul, strings.sorted
+        )
+
+    def _dictionary(self, name: str) -> "_FileDictionary":
+        """The file dictionary of TEXT column ``name``, decoded."""
+        strings = self._dictionaries.get(name)
+        if strings is None:
+            blob = np.load(self.directory / f"{name}.dict.npy")
+            ends = np.load(self.directory / f"{name}.dictends.npy")
+            strings = _FileDictionary(_decode_strings(blob, ends), len(blob))
+            self._dictionaries[name] = strings
+        return strings
+
+    def _file_codes(
+        self,
+        name: str,
+        vec: ColumnVector,
+        appends: list[tuple[Path, np.ndarray, int]],
+    ) -> np.ndarray:
+        """``vec``'s codes as codes of the column's file dictionary;
+        strings it does not hold yet are queued onto ``appends``."""
+        strings = self._dictionary(name)
+        index = strings.index
+        texts = vec.dictionary.tolist()
+        known = np.fromiter(
+            map(index.get, texts, itertools.repeat(-1)), np.int64, len(texts)
+        )
+        fresh = [t for t, code in zip(texts, known.tolist()) if code < 0]
+        if fresh:
+            known[known < 0] = len(index) + np.arange(len(fresh))
+            blob, ends = _encode_strings(fresh)
+            held = strings.blob_bytes
+            appends.append((self.directory / f"{name}.dict.npy", blob, held))
+            ends_path = self.directory / f"{name}.dictends.npy"
+            appends.append((ends_path, ends + held, len(index)))
+        if not len(known):
+            return np.zeros(len(vec), dtype=np.int32)
+        return known.astype(np.int32)[vec.values]
 
     def scan(
         self,
@@ -297,16 +345,35 @@ class ColumnStoreTable:
         return total
 
 
-def _stored_values(vec: ColumnVector) -> np.ndarray:
-    """``vec.values`` as saved: TEXT as fixed-width UTF-8 bytes (a NULL
-    as ``b""``), every other type as it is."""
-    if vec.dtype is not DataType.TEXT:
-        return np.ascontiguousarray(vec.values)
-    encoded = [
-        v.encode("utf-8") if v is not None else b"" for v in vec.values
-    ]
-    width = max(map(len, encoded), default=1)
-    return np.array(encoded, dtype=f"S{max(width, 1)}")
+class _FileDictionary:
+    """A TEXT column's file dictionary, decoded: the strings in file
+    order (``index``: string -> file code; ``blob_bytes`` of UTF-8),
+    the sorted dictionary and
+    ``rank`` mapping file codes to sorted ones (``None``: the file order
+    is sorted already)."""
+
+    def __init__(self, strings: list[str], blob_bytes: int) -> None:
+        self.blob_bytes = blob_bytes
+        self.index = {text: code for code, text in enumerate(strings)}
+        encoded = ColumnVector.from_texts(strings)
+        self.sorted = encoded.dictionary
+        rank = encoded.values
+        sorted_already = bool((rank == np.arange(len(rank))).all())
+        self.rank = None if sorted_already else rank
+
+
+def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as one UTF-8 blob and each one's end offset in it."""
+    encoded = [text.encode("utf-8") for text in strings]
+    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    ends = np.cumsum(np.fromiter(map(len, encoded), np.int64, len(encoded)))
+    return blob, ends
+
+
+def _decode_strings(blob: np.ndarray, ends: np.ndarray) -> list[str]:
+    data = blob.tobytes()
+    starts = [0, *ends[:-1].tolist()]
+    return [data[a:b].decode("utf-8") for a, b in zip(starts, ends.tolist())]
 
 
 def _saved_layout(path: Path) -> tuple[int, np.dtype, int]:
@@ -349,11 +416,3 @@ def _append_npy(
 
 def _zone_bytes(zones: dict[str, Synopsis]) -> int:
     return sum(zone_map.nbytes for zone_map in zones.values())
-
-
-def _decode_text(raw: np.ndarray, nulls: np.ndarray) -> np.ndarray:
-    values = np.empty(len(raw), dtype=object)
-    decoded = np.char.decode(raw, "utf-8")
-    for i, text in enumerate(decoded):
-        values[i] = None if nulls[i] else str(text)
-    return values

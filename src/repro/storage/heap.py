@@ -71,15 +71,20 @@ class RowHeapTable:
             raise StorageError(f"missing columns at load time: {missing}")
         n_rows = len(columns[names[0]]) if names else 0
 
-        text_widths = {}
-        for column in schema:
-            if column.dtype is DataType.TEXT:
-                vec = columns[column.name]
-                width = 1
-                for value in vec.values:
-                    if value is not None:
-                        width = max(width, len(value.encode("utf-8")))
-                text_widths[column.name] = width
+        # TEXT is stored per row, as fixed-width UTF-8 bytes (a NULL as
+        # ``b""``), the row store's own layout.
+        encoded_texts = {
+            column.name: [
+                b"" if v is None else v.encode("utf-8")
+                for v in columns[column.name].to_pylist()
+            ]
+            for column in schema
+            if column.dtype is DataType.TEXT
+        }
+        text_widths = {
+            name: max(map(len, encoded), default=1)
+            for name, encoded in encoded_texts.items()
+        }
 
         records = np.zeros(n_rows, dtype=_record_dtype(schema, text_widths))
         for i, column in enumerate(schema):
@@ -90,11 +95,7 @@ class RowHeapTable:
                     f"expected {n_rows}"
                 )
             if column.dtype is DataType.TEXT:
-                encoded = [
-                    v.encode("utf-8") if v is not None else b""
-                    for v in vec.values
-                ]
-                records[f"v{i}"] = encoded
+                records[f"v{i}"] = encoded_texts[column.name]
             else:
                 records[f"v{i}"] = vec.values
             records[f"n{i}"] = vec.null_mask
@@ -133,16 +134,13 @@ class RowHeapTable:
         dtype = self.schema.dtype_of(name)
         raw = records[f"v{i}"]
         nulls = np.ascontiguousarray(records[f"n{i}"])
-        if dtype is DataType.TEXT:
-            # Decoding bytes back to str is the row store's "detoast" cost.
-            if metrics is not None:
-                with metrics.time(_CONVERT):
-                    values = _decode_text(raw, nulls)
-            else:
-                values = _decode_text(raw, nulls)
-        else:
-            values = np.ascontiguousarray(raw)
-        return ColumnVector(dtype, values, nulls)
+        if dtype is not DataType.TEXT:
+            return ColumnVector(dtype, np.ascontiguousarray(raw), nulls)
+        # Decoding bytes back to str is the row store's "detoast" cost.
+        if metrics is not None:
+            with metrics.time(_CONVERT):
+                return _decode_text(raw, nulls)
+        return _decode_text(raw, nulls)
 
     def scan(
         self,
@@ -182,9 +180,7 @@ class RowHeapTable:
         return self._load(None).nbytes
 
 
-def _decode_text(raw: np.ndarray, nulls: np.ndarray) -> np.ndarray:
-    values = np.empty(len(raw), dtype=object)
-    decoded = np.char.decode(raw, "utf-8")
-    for i, text in enumerate(decoded):
-        values[i] = None if nulls[i] else str(text)
-    return values
+def _decode_text(raw: np.ndarray, nulls: np.ndarray) -> ColumnVector:
+    texts = np.char.decode(raw, "utf-8").astype(object)
+    texts[nulls] = None
+    return ColumnVector.from_texts(texts.tolist())

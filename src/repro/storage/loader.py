@@ -18,7 +18,6 @@ from pathlib import Path
 
 from ..batch import ColumnVector
 from ..catalog.schema import TableSchema
-from ..datatypes import convert_column
 from ..errors import RawDataError
 from ..kernels import (
     ContentBuffer,
@@ -109,11 +108,10 @@ def load_csv_to_columns(
     columns: dict[str, ColumnVector] = {}
     for a, column in enumerate(schema):
         t0 = time.perf_counter()
-        values, nulls = convert_column(
+        columns[column.name] = ColumnVector.from_fields(
             texts_per_column[a], column.dtype, dialect.null_token
         )
         report.convert_seconds += time.perf_counter() - t0
-        columns[column.name] = ColumnVector(column.dtype, values, nulls)
         texts_per_column[a] = []  # release text early
 
     if n_rows == 0 and n_attrs == 0:

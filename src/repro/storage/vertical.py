@@ -165,12 +165,11 @@ class VerticalStore(GovernedLedger):
         """Append ``tail`` — the table rows right after the promoted
         prefix of ``attr`` — onto the column's files.
 
-        Costs O(tail) bytes of I/O; the added bytes are admitted
-        through the governor first.  ``False`` (the column keeps its
-        old prefix) when it refuses, when the column is not resident,
-        or when the files cannot take the tail as they are — a TEXT
-        value wider than the stored width; a full :meth:`promote`
-        covers that case.
+        Costs O(tail) bytes of I/O (a TEXT tail adds its codes and the
+        strings the column's dictionary lacks); the added bytes are
+        admitted through the governor first.  ``False`` (the column
+        keeps its old prefix) when it refuses or when the column is not
+        resident.
         """
         # Under the governor's lock no grant elsewhere can evict the
         # column while its files are being appended to; the growing
@@ -202,8 +201,8 @@ class VerticalStore(GovernedLedger):
         """Serve rows [lo, hi) (or the ``sel`` subset) of a pinned
         column from its mapped arrays — also after it was evicted.
 
-        TEXT decoding is charged to the ``convert`` bucket by the
-        columnstore itself; the raw file is never touched.
+        A TEXT column is served as codes plus its dictionary, decoded
+        once when the column was pinned; the raw file is never touched.
         """
         self.touch(column)
         column.hits += 1

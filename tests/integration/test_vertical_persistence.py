@@ -183,22 +183,26 @@ def test_append_extends_promoted_columns(tmp_path):
         eng.close()
 
 
-def test_text_tail_wider_than_the_column_re_promotes(tmp_path):
+def test_text_tail_with_new_strings_extends_in_place(tmp_path):
     eng = _make_engine(tmp_path, _vp_config(tmp_path))
     try:
         sql = "SELECT c FROM t WHERE a >= 0"
         for _ in range(3):
             eng.query(sql)
         promos_before = _counter(eng, "vp_promotions_total")
-        stored = np.load(_column_file(tmp_path, "c"))
-        assert stored.dtype == "S4"  # "r399"
+        codes = _column_file(tmp_path, "c")
+        stored = np.load(codes)
+        assert stored.dtype == np.int32  # codes into the file dictionary
+        strings = codes.with_name("c.dict.npy").stat().st_size
         append_csv_rows(tmp_path / "t.csv", [(1000, 1, "wider")], SCHEMA)
         expected = [(r[2],) for r in ROWS] + [("wider",)]
         assert list(eng.query(sql)) == expected
-        # "a" took the tail in place; "c" had to be written out again.
-        assert _counter(eng, "vp_promotions_total") == promos_before + 1
+        # Both columns took the tail in place: one more code, and the
+        # new string on the end of the file dictionary.
+        assert _counter(eng, "vp_promotions_total") == promos_before
         assert _counter(eng, "vp_invalidations_total") == 0
-        assert np.load(_column_file(tmp_path, "c")).dtype == "S5"
+        assert len(np.load(codes)) == len(stored) + 1
+        assert codes.with_name("c.dict.npy").stat().st_size == strings + 5
         eng.table_state("t").cache.invalidate()
         assert list(eng.query(sql)) == expected
     finally:

@@ -59,7 +59,8 @@ TYPES = {name: dtype for name, (dtype, __) in COLUMNS.items()}
 UNDER_NULL = {
     DataType.INTEGER: 77,
     DataType.FLOAT: NAN,
-    DataType.TEXT: "junk",
+    # TEXT holds codes: its NULL rows take the dictionary's last one.
+    DataType.TEXT: -1,
     DataType.BOOLEAN: True,
     DataType.DATE: 77,
 }
@@ -177,7 +178,10 @@ def reference(table, n, keys, specs):
 
 def _vector(dtype, items):
     vector = ColumnVector.from_pylist(dtype, items)
-    vector.values[vector.null_mask] = UNDER_NULL[dtype]
+    under = UNDER_NULL[dtype]
+    if dtype is DataType.TEXT:
+        under = max(len(vector.dictionary) - 1, 0)
+    vector.values[vector.null_mask] = under
     return vector
 
 

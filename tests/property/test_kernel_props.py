@@ -7,13 +7,18 @@ scalar tokenizer) answer row-for-row and structure-for-structure
 identically, serially, with 4-worker pools and streamed.  The text
 alphabet holds no quote, so both dialects read the same fields."""
 
+import os
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from governed import cache_layout, record_touches
 from repro import PostgresRaw, PostgresRawConfig
 from repro.catalog.schema import TableSchema
+from repro.errors import RawDataError
 from repro.executor.result import batch_rows
+from repro.kernels.convert import _SCALAR_ROWS as SCALAR_ROWS
 from repro.rawio.dialect import CsvDialect
 
 # --- generated raw files ---------------------------------------------
@@ -179,3 +184,110 @@ def test_kernel_streaming_equals_blocking(tmp_path_factory, content):
         except Exception as exc:  # noqa: BLE001
             out = ("error", type(exc).__name__, str(exc))
         assert out == _outcome(blocking, sql)
+
+
+# --- TEXT: the kernel's dictionary encode against the scalar one -------
+
+#: ``make oracle`` runs the TEXT property at 250 examples.
+TEXT_EXAMPLES = int(os.environ.get("REPRO_ORACLE_EXAMPLES", "25"))
+
+TEXT_SCHEMA = TableSchema.from_pairs(
+    [("id", "integer"), ("s", "text"), ("t", "text")]
+)
+TEXT_QUERIES = [
+    "SELECT s FROM t",
+    "SELECT id, s, t FROM t WHERE id < 20",
+    "SELECT t, s FROM t",
+    "SELECT s FROM t",  # again: served by the cache
+]
+
+# Multi-byte UTF-8 (2, 3 and 4 bytes per character), fields ending in a
+# NUL byte, one outlier-wide field and empty fields (the NULL token).
+text_bytes = st.one_of(
+    st.text(alphabet=st.sampled_from("ab é世😀_"), max_size=7).map(
+        lambda t: t.encode("utf-8")
+    ),
+    st.sampled_from(
+        [b"a\x00", b"\x00a", b"ab", b"ba", b"\xc3\xa9\x00", b"a", b""]
+    ),
+    st.just(("w" * 150 + "é").encode("utf-8")),
+)
+#: Bytes that are not UTF-8: a stray continuation byte, a truncated
+#: 3-byte sequence, an invalid start byte.
+invalid_bytes = st.sampled_from([b"\x80", b"\xe4\xb8", b"x\xff"])
+
+
+@st.composite
+def text_files(draw):
+    """A headed CSV of ``id,s,t`` rows as bytes, and the file offset of
+    the first ``s`` field that is not UTF-8 (``None``: there is none).
+    Rows are drawn from small pools of fields, so batches hold repeated
+    values, and are few or more than the kernel encodes value by value
+    (``SCALAR_ROWS``), so both of its paths run."""
+    # Every pool holds distinct fields of one length (and one that only
+    # a trailing NUL tells apart), so equal-length fields must be told
+    # apart by their bytes.
+    pool_s = draw(st.lists(text_bytes, max_size=6)) + [b"ab", b"a\x00"]
+    pool_t = draw(st.lists(text_bytes, max_size=6)) + [b"ba", b"a"]
+    # A few rows take the kernel's few-rows path, more its vectorized one.
+    n_rows = draw(
+        st.one_of(
+            st.integers(1, 20),
+            st.integers(SCALAR_ROWS + 1, SCALAR_ROWS + 120),
+        )
+    )
+    picks = st.lists(st.integers(0, 63), min_size=n_rows, max_size=n_rows)
+    s_picks, t_picks = draw(picks), draw(picks)
+    # Most files have no invalid field, some one or two.
+    broken = set(draw(st.lists(st.integers(0, 3 * n_rows), max_size=2)))
+    out = bytearray(b"id,s,t\n")
+    first_invalid = None
+    for row in range(n_rows):
+        if row in broken:
+            s = draw(invalid_bytes)
+        else:
+            s = pool_s[s_picks[row] % len(pool_s)]
+        t = pool_t[t_picks[row] % len(pool_t)]
+        line = b"%d," % row
+        if row in broken and first_invalid is None:
+            first_invalid = len(out) + len(line)
+        out += line + s + b"," + t + b"\n"
+    return bytes(out), first_invalid
+
+
+def _text_engine(path, dialect, batch_size, workers):
+    # Chunks long enough for a worker's vectorized encode.
+    config = PostgresRawConfig(
+        batch_size=batch_size, scan_workers=workers, parallel_chunk_bytes=4096
+    )
+    eng = PostgresRaw(config)
+    eng.register_csv("t", path, TEXT_SCHEMA, dialect)
+    return eng
+
+
+@settings(max_examples=TEXT_EXAMPLES, deadline=None)
+@given(
+    case=text_files(),
+    batch_size=st.sampled_from([3, 4096]),
+    workers=st.sampled_from([1, 2]),
+)
+def test_kernel_text_equals_scalar(
+    tmp_path_factory, case, batch_size, workers
+):
+    content, first_invalid = case
+    path = tmp_path_factory.mktemp("kern_text") / "t.csv"
+    path.write_bytes(content)
+    kernel = _text_engine(path, CsvDialect(), batch_size, workers)
+    scalar = _text_engine(
+        path, CsvDialect(quote_char='"'), batch_size, workers
+    )
+    for sql in TEXT_QUERIES:
+        kout = _outcome(kernel, sql)
+        assert kout == _outcome(scalar, sql)
+    if first_invalid is None:
+        assert kout[0] == "rows"
+        return
+    with pytest.raises(RawDataError) as exc:
+        kernel.query("SELECT s FROM t")
+    assert exc.value.offset == first_invalid
+    assert f"byte offset {first_invalid} " in str(exc.value)

@@ -64,7 +64,9 @@ SCHEMA = TableSchema(
     ]
 )
 NUMERIC = ("i", "j", "f")
-WORDS = ("a", "b", "ab", "ba", "abc", "B", "bb")
+#: Multi-byte words too: TEXT codes must order like sqlite's BINARY
+#: collation (UTF-8 bytes), which is code point order.
+WORDS = ("a", "b", "ab", "ba", "abc", "B", "bb", "é", "éa", "z", "日本")
 
 VP_MV = {
     "batch_size": 7,
@@ -205,7 +207,8 @@ def _global_aggregate(pred):
 def _group_by(args):
     pred, key = args
     sql = (
-        f"SELECT {key}, COUNT(*), SUM(i), AVG(f), MAX(j) FROM t "
+        f"SELECT {key}, COUNT(*), SUM(i), AVG(f), MAX(j), MIN(s), MAX(s) "
+        "FROM t "
         f"WHERE {pred} GROUP BY {key}"
     )
     return sql, sql, False
@@ -217,13 +220,13 @@ def _distinct(pred):
 
 
 def _top(args):
-    pred, descending, limit = args
+    pred, descending, limit, keys = args
     if descending:
-        ours = "i DESC, s DESC"
-        theirs = "i DESC NULLS FIRST, s DESC NULLS FIRST"
+        ours = ", ".join(f"{k} DESC" for k in keys)
+        theirs = ", ".join(f"{k} DESC NULLS FIRST" for k in keys)
     else:
-        ours = "i, s"
-        theirs = "i NULLS LAST, s NULLS LAST"
+        ours = ", ".join(keys)
+        theirs = ", ".join(f"{k} NULLS LAST" for k in keys)
     tail = f"FROM t WHERE {pred} ORDER BY"
     return (
         f"SELECT i, s {tail} {ours} LIMIT {limit}",
@@ -238,7 +241,12 @@ def _statements(preds):
         preds.map(_global_aggregate),
         st.tuples(preds, st.sampled_from(["s", "j", "s, j"])).map(_group_by),
         preds.map(_distinct),
-        st.tuples(preds, st.booleans(), st.integers(0, 12)).map(_top),
+        st.tuples(
+            preds,
+            st.booleans(),
+            st.integers(0, 12),
+            st.sampled_from([("i", "s"), ("s", "i")]),
+        ).map(_top),
     )
 
 

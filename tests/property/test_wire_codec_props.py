@@ -64,22 +64,31 @@ FRAME_BYTES = st.one_of(
 @st.composite
 def batches(draw, min_rows: int = 0):
     """A batch, its column names and dtypes.  Cells under the NULL mask
-    are junk: arbitrary numbers, or for TEXT a string, None or an int."""
+    are junk: arbitrary numbers, or for TEXT any code of its dictionary
+    (whose strings include ones only NULL rows hold)."""
     n = draw(st.integers(min_rows, 150))
     dtypes = draw(st.lists(st.sampled_from(list(TYPE_TAGS)), max_size=5))
     names = [f"c{i}" for i in range(len(dtypes))]
     columns = {}
     for name, dtype in zip(names, dtypes):
         mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        mask = np.array(mask, bool)
         if dtype is DataType.TEXT:
             text = draw(st.sampled_from([ASCII, UNICODE]))
-            junk = st.one_of(st.none(), UNICODE, st.integers())
-            cells = [draw(junk if null else text) for null in mask]
-        else:
-            cells = draw(st.lists(CELLS[dtype], min_size=n, max_size=n))
+            cells = [draw(UNICODE if null else text) for null in mask]
+            vector = ColumnVector.from_texts(cells)
+            for i in np.flatnonzero(mask).tolist():
+                vector.values[i] = draw(
+                    st.integers(0, len(vector.dictionary) - 1)
+                )
+            columns[name] = ColumnVector(
+                dtype, vector.values, mask, vector.dictionary
+            )
+            continue
+        cells = draw(st.lists(CELLS[dtype], min_size=n, max_size=n))
         values = np.empty(n, dtype=dtype.numpy_dtype)
         values[:] = cells
-        columns[name] = ColumnVector(dtype, values, np.array(mask, bool))
+        columns[name] = ColumnVector(dtype, values, mask)
     return Batch(columns, num_rows=n), names, dtypes
 
 
@@ -97,6 +106,7 @@ def reference_frame(batch, names, dtypes, start: int, stop: int) -> bytes:
             body += bytes(bitmap)
         values = vec.values[start:stop].tolist()
         if dtype is DataType.TEXT:
+            values = [vec.dictionary[code] for code in values]
             offsets, blob = [0], b""
             for value, null in zip(values, mask):
                 blob += b"" if null else value.encode("utf-8")

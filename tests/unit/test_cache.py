@@ -130,3 +130,50 @@ class TestMaintenance:
         cache.put(2, _vec(4))
         info = cache.describe()
         assert info[0]["attr"] == 2 and info[0]["rows"] == 4
+
+
+class TestTextCharges:
+    """A TEXT entry is charged exactly what it holds: its int32 codes,
+    its NULL mask, its dictionary's 8-byte slots and ``sys.getsizeof``
+    of each distinct string — whatever the strings' width in memory
+    (CPython stores Latin-1, BMP and astral text 1, 2 and 4 bytes per
+    character)."""
+
+    VALUES = ["ascii", "é" * 9, "日本語のテキスト", "😀" * 4]
+
+    def test_governed_bytes_are_exact_and_released(self, tmp_path):
+        import sys
+
+        from repro import (
+            Column,
+            PostgresRawConfig,
+            PostgresRawService,
+            TableSchema,
+            write_csv,
+        )
+
+        schema = TableSchema(
+            [Column("id", DataType.INTEGER), Column("s", DataType.TEXT)]
+        )
+        texts = [self.VALUES[i % 4] if i % 5 else None for i in range(40)]
+        path = tmp_path / "t.csv"
+        write_csv(path, list(enumerate(texts)), schema)
+        service = PostgresRawService(PostgresRawConfig(memory_budget=1 << 26))
+        try:
+            service.register_csv("t", path, schema)
+            rows = service.session().query("SELECT s FROM t").rows
+            assert [r[0] for r in rows] == texts
+            cache = service.table_state("t").cache
+            (entry,) = cache.entries()
+            exact = 40 * 4 + 40 + 4 * 8 + sum(map(sys.getsizeof, self.VALUES))
+            assert entry.nbytes == exact
+            assert cache.governed_bytes() == exact
+            assert cache.governed_evict(entry.attr) == exact
+            assert cache.governed_bytes() == 0
+            service.session().query("SELECT s FROM t")
+            assert cache.governed_bytes() == exact
+            service.drop_table("t")
+            assert cache.governed_bytes() == 0
+            assert service.governor.used_bytes == 0
+        finally:
+            service.close()

@@ -5,13 +5,13 @@ import datetime
 import numpy as np
 import pytest
 
+from repro.batch import ColumnVector
 from repro.datatypes import (
     DataType,
     convert_column,
     date_to_days,
     days_to_date,
     format_scalar,
-    measure_text_bytes,
     null_array,
     parse_boolean,
     parse_date,
@@ -42,7 +42,8 @@ class TestDataType:
     def test_numpy_dtypes(self):
         assert DataType.INTEGER.numpy_dtype == np.dtype(np.int64)
         assert DataType.FLOAT.numpy_dtype == np.dtype(np.float64)
-        assert DataType.TEXT.numpy_dtype == np.dtype(object)
+        # TEXT vectors hold dictionary codes.
+        assert DataType.TEXT.numpy_dtype == np.dtype(np.int32)
 
     def test_binary_widths_positive(self):
         for dtype in DataType:
@@ -139,13 +140,16 @@ class TestConvertColumn:
         assert mask.tolist() == [False, True, False]
 
     def test_none_entries_are_null(self):
-        __, mask = convert_column([None, "x"], DataType.TEXT)
+        __, mask = convert_column([None, "1"], DataType.INTEGER)
         assert mask.tolist() == [True, False]
 
     def test_text_column(self):
-        values, mask = convert_column(["a", "", "c"], DataType.TEXT)
-        assert values[0] == "a" and values[2] == "c"
-        assert values[1] is None and mask[1]
+        # TEXT is factorized by the scalar constructor, not converted.
+        vector = ColumnVector.from_fields(["c", "", "a", "c"], DataType.TEXT)
+        assert vector.to_pylist() == ["c", None, "a", "c"]
+        assert vector.dictionary.tolist() == ["a", "c"]
+        assert vector.values[[0, 2, 3]].tolist() == [1, 0, 1]
+        assert vector.null_mask.tolist() == [False, True, False, False]
 
     def test_error_reports_absolute_row(self):
         with pytest.raises(ConversionError) as exc:
@@ -170,11 +174,11 @@ class TestHelpers:
         values, mask = null_array(DataType.INTEGER, 4)
         assert mask.all() and len(values) == 4
         values, mask = null_array(DataType.TEXT, 2)
-        assert values[0] is None
+        assert values.dtype == np.int32 and mask.all()
 
-    def test_measure_text_bytes_scales_with_content(self):
-        short = np.array(["a", "b"], dtype=object)
-        long = np.array(["a" * 100, "b" * 100], dtype=object)
-        assert measure_text_bytes(long) > measure_text_bytes(short)
-        with_null = np.array([None, "ab"], dtype=object)
-        assert measure_text_bytes(with_null) > 0
+    def test_text_nbytes_scales_with_content(self):
+        short = ColumnVector.from_pylist(DataType.TEXT, ["a", "b"])
+        long = ColumnVector.from_pylist(DataType.TEXT, ["a" * 100, "b" * 100])
+        assert long.nbytes() > short.nbytes()
+        with_null = ColumnVector.from_pylist(DataType.TEXT, [None, "ab"])
+        assert with_null.nbytes() > 0

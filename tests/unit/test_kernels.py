@@ -48,7 +48,8 @@ class TestConvertSpan:
     def test_matches_legacy_converter(self, texts, dtype):
         dt = DataType(dtype)
         cbuf, starts, ends = _span(texts)
-        values, nulls = convert_span(cbuf, starts, ends, dt)
+        vector = convert_span(cbuf, starts, ends, dt)
+        values, nulls = vector.values, vector.null_mask
         expected, exp_nulls = convert_column(texts, dt)
         assert np.array_equal(values, expected, equal_nan=True)
         assert np.array_equal(nulls, exp_nulls)
@@ -68,11 +69,11 @@ class TestConvertSpan:
     def test_window_base_is_subtracted(self):
         texts = ["12", "-3.5", "NULL", "1e3"]
         cbuf, starts, ends = _span(texts, base=1_000_000)
-        values, nulls = convert_span(
+        vector = convert_span(
             cbuf, starts, ends, DataType.FLOAT, null_token="NULL"
         )
-        assert values.tolist() == [12.0, -3.5, 0.0, 1000.0]
-        assert nulls.tolist() == [False, False, True, False]
+        assert vector.values.tolist() == [12.0, -3.5, 0.0, 1000.0]
+        assert vector.null_mask.tolist() == [False, False, True, False]
         assert cbuf.covers(1_000_000, 1_000_000 + len(cbuf.data))
         assert not cbuf.covers(999_999, 1_000_001)
         assert cbuf.byte_positions(",").tolist() == [
@@ -92,8 +93,8 @@ class TestConvertSpan:
     def test_float_values_bit_identical(self):
         texts = [f"{v / 997:.6f}" for v in range(-4000, 4000, 7)]
         cbuf, starts, ends = _span(texts)
-        values, _ = convert_span(cbuf, starts, ends, DataType.FLOAT)
-        assert values.tolist() == [float(t) for t in texts]
+        vector = convert_span(cbuf, starts, ends, DataType.FLOAT)
+        assert vector.values.tolist() == [float(t) for t in texts]
 
 
 class TestKernelCache:

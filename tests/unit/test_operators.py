@@ -396,6 +396,105 @@ class TestHashAggregate:
         assert [type(v) for v in row] == [bool, bool, int]
 
 
+def _own_dictionaries(types, batches):
+    """BatchSource of ``batches`` (lists of row tuples), each batch
+    built on its own, so every TEXT column has its own dictionary."""
+    names = list(types)
+
+    def factory():
+        for rows in batches:
+            columns = list(zip(*rows)) if rows else [()] * len(names)
+            yield Batch(
+                {
+                    name: ColumnVector.from_pylist(types[name], column)
+                    for name, column in zip(names, columns)
+                }
+            )
+
+    return BatchSource(factory, dict(types))
+
+
+def _reference_groups(rows, n_keys):
+    """Per-row Python: groups in first-appearance order with COUNT(*);
+    NULL is one group, NaN is one group, -0.0 equals 0.0."""
+    groups = {}
+    for row in rows:
+        key = tuple("nan" if v != v else v for v in row[:n_keys])
+        if key not in groups:
+            groups[key] = [row[:n_keys], 0]
+        groups[key][1] += 1
+    return [(*first, count) for first, count in groups.values()]
+
+
+class TestGroupIds:
+    """Operator-wide group ids: first-appearance order across batches,
+    whatever dictionaries and value sets each batch brings."""
+
+    def _run(self, types, batches, n_keys=None):
+        n_keys = len(types) if n_keys is None else n_keys
+        keys = list(types)[:n_keys]
+        op = HashAggregate(
+            _own_dictionaries(types, batches),
+            [(k, _expr(k)) for k in keys],
+            [AggregateSpec("n", "count", None)],
+        )
+        return _collect(op)[1]
+
+    def test_order_null_nan_and_signed_zero(self):
+        nan = float("nan")
+        batches = [
+            [(2.0,), (None,), (nan,)],
+            [(-0.0,), (nan,), (2.0,), (0.0,)],
+            [(None,), (1.5,), (-0.0,)],
+        ]
+        got = self._run({"f": DataType.FLOAT}, batches)
+        rows = [r for b in batches for r in b]
+        want = _reference_groups(rows, 1)
+        assert len(got) == len(want) == 5
+        for g, w in zip(got, want):
+            assert (g[0] != g[0] and w[0] != w[0]) or g[0] == w[0]
+            assert g[1] == w[1]
+        # -0.0 first appeared as -0.0: its group keeps that value.
+        assert str(got[3][0]) == "-0.0"
+
+    def test_text_integer_key_with_earlier_sorting_strings_later(self):
+        batches = [
+            [("m", 1), ("z", 2), ("m", 1)],
+            [("c", 1), ("m", 2), (None, 1)],  # "c" sorts before "m"
+            [("a", None), ("c", 1), ("é", 2), ("b", 2), (None, 1)],
+            [],
+            [("a", None), ("m", 1)],
+        ]
+        types = {"s": DataType.TEXT, "i": DataType.INTEGER}
+        rows = [r for b in batches for r in b]
+        assert self._run(types, batches) == _reference_groups(rows, 2)
+        # The TEXT key alone, and ordered by the key column.
+        assert self._run(types, batches, 1) == _reference_groups(rows, 1)
+
+    def test_more_distinct_keys_than_rows_per_batch(self):
+        import random
+
+        rng = random.Random(7)
+        rows = [
+            (
+                rng.choice([None, *(f"k{i:03d}" for i in range(300))]),
+                rng.randrange(-40, 40),
+                rng.choice([None, 1.0, 2.5, -0.0, 0.0]),
+            )
+            for __ in range(2000)
+        ]
+        batches = [rows[i : i + 64] for i in range(0, len(rows), 64)]
+        types = {
+            "s": DataType.TEXT,
+            "i": DataType.INTEGER,
+            "f": DataType.FLOAT,
+        }
+        got = self._run(types, batches)
+        assert got == _reference_groups(rows, 3)
+        assert len(got) > 64
+        assert self._run(types, batches, 2) == _reference_groups(rows, 2)
+
+
 def test_integer_sum_exact_through_the_engine(tmp_path):
     from repro import PostgresRaw
     from repro.catalog.schema import TableSchema

@@ -121,7 +121,7 @@ class TestTypedReservoir:
         batches = [words[rng.integers(0, 500, n)] for n in (300, 700, 900)]
         store = _store(sample_size=128, seed=11)
         for values in batches:
-            store.observe("s", ColumnVector.from_values(DataType.TEXT, values))
+            store.observe("s", ColumnVector.from_pylist(DataType.TEXT, values))
         assert store.get("s").sample.tolist() == _reference_sample(
             batches, 128, 11
         )

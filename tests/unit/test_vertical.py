@@ -120,17 +120,32 @@ def test_extend_writes_null_flags_when_the_first_null_arrives(store):
     assert store.governed_bytes() == held(store)
 
 
-def test_text_wider_than_stored_falls_back_to_promote(store):
-    column = texts(["ab", None, "cd"])
-    store.promote(2, "s", DataType.TEXT, column, 1.0)
-    assert store.extend(2, texts(["e", None]))
-    assert read(store, 2, "s", 0, 5) == ["ab", None, "cd", "e", None]
+def test_text_tail_extends_the_file_dictionary_in_place(store):
+    store.promote(2, "s", DataType.TEXT, texts(["cd", None, "ab"]), 1.0)
     sizes = files(store)
-    assert not store.extend(2, texts(["wider"]))  # S2 cannot hold it
-    assert files(store) == sizes and store.coverage_rows(2) == 5
-    full = texts(["ab", None, "cd", "e", None, "wider"])
-    assert store.promote(2, "s", DataType.TEXT, full, 1.0)
-    assert read(store, 2, "s", 0, 6) == full.to_pylist()
+    assert store.extend(2, texts(["ab", None]))  # known strings: codes only
+    assert files(store) == {
+        **sizes,
+        "s.values.npy": sizes["s.values.npy"] + 2 * 4,
+        "s.nulls.npy": sizes["s.nulls.npy"] + 2,
+    }
+    sizes = files(store)
+    # New strings sorting before, between and after the stored ones go
+    # onto the end of the file dictionary; nothing is rewritten.
+    assert store.extend(2, texts(["wider", "a", "ab", "b"]))
+    assert files(store) == {
+        "s.values.npy": sizes["s.values.npy"] + 4 * 4,
+        "s.nulls.npy": sizes["s.nulls.npy"] + 4,
+        "s.dict.npy": sizes["s.dict.npy"] + len("wider" "a" "b"),
+        "s.dictends.npy": sizes["s.dictends.npy"] + 3 * 8,
+    }
+    metrics = QueryMetrics()
+    vector = store.read(store.pin(2, 9, metrics), 0, 9, None, metrics)
+    assert vector.to_pylist() == [
+        "cd", None, "ab", "ab", None, "wider", "a", "ab", "b"
+    ]
+    assert vector.dictionary.tolist() == ["a", "ab", "b", "cd", "wider"]
+    assert store.governed_bytes() == held(store)
 
 
 def test_extend_refused_by_the_governor_keeps_the_prefix(tmp_path):
@@ -206,13 +221,12 @@ def test_columnstore_table_extends_all_columns_or_none(tmp_path):
     )
     assert table.num_rows == 2
     asked = []
-    tail = {"n": floats, "s": texts(["zzz", "z"])}
-    assert not table.extend(tail, asked.append)  # "zzz" is too wide
-    assert asked == [] and table.num_rows == 2
-    tail["s"] = texts(["z", None])
+    tail = {"n": floats, "s": texts(["z", None])}
     assert not table.extend(tail, lambda nbytes: False)
+    assert table.num_rows == 2
     assert table.extend(tail, lambda nbytes: asked.append(nbytes) or True)
-    assert asked == [2 * 8 + 2 * 2 + (128 + 4)]  # values + a flags file
+    # Values and codes, a flags file, and "z" in the file dictionary.
+    assert asked == [2 * 8 + 2 * 4 + (128 + 4) + 1 + 8]
     assert table.num_rows == 4
     assert ColumnStoreTable(tmp_path / "t", schema).num_rows == 4
     (batch,) = table.scan(["n", "s"], batch_size=10)

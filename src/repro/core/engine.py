@@ -46,7 +46,7 @@ from ..config import PostgresRawConfig
 from ..executor.result import Cursor, QueryResult
 from ..rawio.dialect import CsvDialect, DEFAULT_DIALECT
 from ..sql.ast import SelectStatement
-from .raw_scan import RawTableState
+from .table_state import RawTableState
 from .updates import FileChange
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.raw_scan import RawTableState
+from ..core.table_state import RawTableState
 
 
 @dataclass

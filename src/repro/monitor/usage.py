@@ -10,7 +10,7 @@ result size — the same currency the memory governor evicts by."""
 
 from __future__ import annotations
 
-from ..core.raw_scan import RawTableState
+from ..core.table_state import RawTableState
 
 
 def attribute_usage_counts(state: RawTableState) -> dict[str, int]:

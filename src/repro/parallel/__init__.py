@@ -11,7 +11,7 @@ with parallel chunked raw access — applied to the PostgresRaw scan:
   selective tokenize/parse machinery over chunk-local state;
 * :mod:`repro.parallel.merge` — deterministic stitching of per-chunk
   positional maps, cache columns and statistics back into the shared
-  :class:`repro.core.raw_scan.RawTableState`;
+  :class:`repro.core.table_state.RawTableState`;
 * :mod:`repro.parallel.driver` — routing (cold scans and fully-unmapped
   tails go through the pool; ``scan_workers=1`` keeps the serial path
   untouched).

@@ -22,7 +22,8 @@ Two scan shapes go through the pool (everything else stays serial):
 * **Unmapped tails** (:meth:`ParallelScanDriver.run_tail`) — the
   adaptive structures cover a row prefix (earlier queries, or an
   append): the serial scan handles the covered prefix with its usual
-  cache/map machinery, and the fully-uncovered tail is fanned out at
+  cache/map machinery, and the fully-uncovered tail — from the scan
+  plan's ``tail_from`` (:mod:`repro.core.scan_plan`) — is fanned out at
   batch-aligned row cuts, each worker reading the byte range of its
   rows.  Workers receive row slices of shared
   positional chunks so anchored tokenizing ("jump ... as close as
@@ -52,7 +53,7 @@ from .pool import ScanPool
 from .worker import ChunkResult, ChunkTask, scan_chunk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.raw_scan import RawScan, _Segment
+    from ..core.raw_scan import RawScan
 
 
 def _reraise_in_table_rows(exc: ScanWorkerError, row_base: int):
@@ -115,47 +116,6 @@ class ParallelScanDriver:
         chunks = chunk_count(size, cfg.parallel_chunk_bytes, cfg.scan_workers)
         return chunks > 1
 
-    def tail_start(
-        self, segments: "list[_Segment]", n_rows: int
-    ) -> int | None:
-        """First batch-aligned row of a pool-worthy fully-unmapped tail.
-
-        The tail is the longest row suffix in which *every* needed
-        attribute must be tokenized (no tier pinned); coverage is
-        prefix-shaped, so this is simply the last run of
-        fully-tokenizing segments (which start at the scan's
-        ``row_from``, never before it).  Returns ``None`` when there is
-        no such tail or it is too small to amortize dispatch.
-        """
-        scan, cfg = self.scan, self.config
-        needed = set(scan.needed_attrs)
-        if not needed:
-            # A zero-attribute scan (COUNT(*)) only counts tuple
-            # boundaries, which the line index already knows — without
-            # this guard the subset test below is vacuously true and
-            # every such query would re-dispatch the pool forever.
-            return None
-        tail = n_rows
-        for seg in reversed(segments):
-            if seg.tokenize_attrs >= needed:
-                tail = seg.start
-            else:
-                break
-        if tail >= n_rows:
-            return None
-        batch = cfg.batch_size
-        tail_up = ((tail + batch - 1) // batch) * batch
-        if tail_up >= n_rows:
-            return None
-        bounds = scan._bounds
-        tail_bytes = int(bounds[n_rows] - bounds[tail_up])
-        chunks = chunk_count(
-            tail_bytes, cfg.parallel_chunk_bytes, cfg.scan_workers
-        )
-        if chunks < 2:
-            return None
-        return tail_up
-
     # ------------------------------------------------------------------
     # Cold scan.
     # ------------------------------------------------------------------
@@ -211,8 +171,7 @@ class ParallelScanDriver:
                 # The chunks disagree with their own line indexes (file
                 # changed mid-scan): poison the harvest so the finally
                 # below installs nothing built from inconsistent chunks.
-                scan._span_collectors.clear()
-                scan._cache_collectors.clear()
+                scan.collectors.clear()
                 raise RawDataError(
                     f"merged line index has {len(bounds) - 1} rows, "
                     f"chunks scanned {row_base}"
@@ -315,9 +274,7 @@ class ParallelScanDriver:
     def _base_task(self, index: int, first_chunk: bool) -> ChunkTask:
         scan, cfg = self.scan, self.config
         worker_config = cfg.with_overrides(
-            scan_workers=1,
-            enable_statistics=False,
-            auto_detect_updates=False,
+            scan_workers=1, auto_detect_updates=False
         )
         return ChunkTask(
             index=index,
@@ -329,7 +286,6 @@ class ParallelScanDriver:
             output_columns=scan.output_columns,
             predicate=scan.predicate,
             config=worker_config,
-            collect_stats=cfg.enable_statistics,
             first_chunk=first_chunk,
             fmt=self.state.entry.format,
         )
@@ -342,11 +298,11 @@ class ParallelScanDriver:
     def _note_chunk(self, res: ChunkResult) -> None:
         """Record one merged chunk as a worker span under the query's
         trace (duration measured on the worker's own clock)."""
-        telemetry = getattr(self.scan, "telemetry", None)
+        telemetry = self.scan.telemetry
         if telemetry is None:
             return
         telemetry.tracer.add_span(
-            getattr(self.scan, "trace_parent", None),
+            self.scan.trace_parent,
             f"scan-chunk:{res.index}",
             res.elapsed_s,
             table=self.state.entry.name,
@@ -375,7 +331,7 @@ class ParallelScanDriver:
                         scan_chunk, tasks, window
                     )
         except ScanWorkerError:
-            telemetry = getattr(self.scan, "telemetry", None)
+            telemetry = self.scan.telemetry
             if telemetry is not None:
                 telemetry.registry.counter("scan_worker_errors").inc()
             raise

@@ -10,12 +10,12 @@ collect-all barrier, peak memory bounded by the in-flight window:
 * **Line bounds** — per-chunk indexes are already file byte offsets, so
   they concatenate; the result is identical to indexing the whole file
   at once (chunk boundaries sit exactly after newlines).
-* **Span collectors** (positional map) and **column collectors**
-  (cache) — worker harvests are replayed through the scan's own
-  collectors, whose row-contiguity check enforces the same prefix
-  semantics as the serial scan; installation then happens through the
-  untouched :meth:`RawScan._finalize`, preserving budget/LRU/protection
-  behavior ("Figure 2" adaptivity) across parallel and serial paths.
+* **Collectors** (positional map offsets, cache columns) — each
+  worker's packed collectors are absorbed into the scan's own, whose
+  row-contiguity check enforces the same prefix semantics as the serial
+  scan; installation then happens through the scan's ordinary
+  :meth:`RawScan._finalize`, preserving budget/LRU/protection behavior
+  ("Figure 2" adaptivity) across parallel and serial paths.
 * **Statistics** — each worker's log of full-column vectors is replayed
   into the shared store in row order, feeding the same reservoir
   sampler the serial scan feeds.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.raw_scan import RawScan, _Collector
+from ..core.raw_scan import RawScan
 from ..errors import RawDataError
 from .worker import ChunkResult
 
@@ -71,40 +71,13 @@ class LineBoundsAccumulator:
 
 
 def stitch_one(scan: RawScan, res: ChunkResult, row_base: int) -> None:
-    """Replay one worker harvest into ``scan``'s collectors.
+    """Fold one worker's harvest into ``scan``'s collectors.
 
     Must be called in chunk (= row) order — the collectors' contiguity
     check enforces it.  After the last chunk, the scan's ordinary
     ``_finalize`` installs everything — the merge layer never touches
     the positional map or cache directly.
     """
-    for span in res.spans:
-        coll = scan._span_collectors.get(span.key)
-        if coll is None:
-            coll = _Collector(span.start_row + row_base, span.attrs)
-            scan._span_collectors[span.key] = coll
-        if not span.valid:
-            coll.valid = False
-            coll.blocks.clear()
-            continue
-        coll.add(
-            span.start_row + row_base, span.matrix, span.benefit_seconds
-        )
-    if scan.config.enable_cache:
-        for col in res.columns:
-            coll = scan._cache_collectors.get(col.attr)
-            if coll is None:
-                coll = _Collector(col.start_row + row_base)
-                scan._cache_collectors[col.attr] = coll
-            if not col.valid or col.vector is None:
-                coll.valid = False
-                coll.blocks.clear()
-                continue
-            coll.add(
-                col.start_row + row_base, col.vector, col.benefit_seconds
-            )
-    if scan.config.enable_statistics and scan.state.statistics is not None:
-        schema = scan.schema
-        statistics = scan.state.statistics
-        for attr, vector in res.stats_log:
-            statistics.observe(schema.columns[attr].name, vector)
+    scan.collectors.absorb(res.collectors, row_base)
+    for name, vector in res.stats_log:
+        scan.state.statistics.observe(name, vector)

@@ -1,17 +1,16 @@
 """Per-chunk scan work executed inside the pool.
 
-A worker runs the *existing* selective tokenize/parse/convert machinery
-(:class:`repro.core.raw_scan.RawScan`) over one chunk, against a fresh
-chunk-local :class:`RawTableState` — so selective tokenizing, anchored
-jumps, selective parsing and selective tuple formation behave exactly as
-in the serial scan.  Everything a worker learns is harvested *before*
-installation and shipped back with chunk-local row numbers (row 0 =
-first row of the chunk) and **file byte offsets** — the worker reads
-its own byte range, so its offsets are already the file's:
+A worker plans and scans one chunk exactly as the serial scan does —
+:func:`repro.core.scan_plan.plan_scan`, then
+:class:`repro.core.raw_scan.RawScan`'s walk — against a fresh
+chunk-local :class:`RawTableState`.  Everything a worker learns is
+shipped back with chunk-local row numbers (row 0 = first row of the
+chunk) and **file byte offsets** — the worker reads its own byte range,
+so its offsets are already the file's:
 
 * the emitted :class:`Batch` objects (partial query result),
-* span collectors (partial positional map: discovered field offsets),
-* column collectors (partial cache: converted binary columns),
+* its packed :class:`repro.core.install.Collectors` (field offsets for
+  the positional map, converted columns for the cache),
 * a statistics log (full-column vectors in observation order),
 * a per-worker :class:`QueryMetrics` (per-worker Figure 3 buckets).
 
@@ -31,8 +30,11 @@ from ..batch import Batch, ColumnVector
 from ..catalog.catalog import RawTableEntry
 from ..catalog.schema import TableSchema
 from ..config import PostgresRawConfig
+from ..core.install import Collectors
 from ..core.metrics import BreakdownComponent, QueryMetrics
-from ..core.raw_scan import RawScan, RawTableState
+from ..core.raw_scan import RawScan
+from ..core.scan_plan import plan_scan
+from ..core.table_state import RawTableState
 from ..errors import ScanWorkerError, UpdateConflictError
 from ..kernels import ContentBuffer
 from ..rawio.dialect import CsvDialect
@@ -60,7 +62,6 @@ class ChunkTask:
     output_columns: list[str]
     predicate: Expression | None
     config: PostgresRawConfig
-    collect_stats: bool
     first_chunk: bool
     #: Source-file format of the table (``repro.formats``): the worker
     #: rebuilds its chunk-local entry with the same adapter, so JSONL
@@ -84,29 +85,6 @@ class ChunkTask:
 
 
 @dataclass
-class SpanHarvest:
-    """One span collector's state, in chunk-local coordinates."""
-
-    key: tuple[int, int]
-    attrs: tuple[int, ...]
-    start_row: int
-    matrix: np.ndarray
-    valid: bool
-    benefit_seconds: float = 0.0
-
-
-@dataclass
-class ColumnHarvest:
-    """One cache collector's state, in chunk-local coordinates."""
-
-    attr: int
-    start_row: int
-    vector: ColumnVector
-    benefit_seconds: float
-    valid: bool
-
-
-@dataclass
 class ChunkResult:
     """What one worker sends back to the merge layer."""
 
@@ -117,9 +95,10 @@ class ChunkResult:
     bounds: np.ndarray | None
     crlf: bool
     batches: list[Batch]
-    spans: list[SpanHarvest]
-    columns: list[ColumnHarvest]
-    stats_log: list[tuple[int, ColumnVector]]
+    #: What the chunk's scan learned, in chunk-local rows.
+    collectors: Collectors
+    #: ``(column name, vector)`` per full-column read, in order.
+    stats_log: list[tuple[str, ColumnVector]]
     metrics: QueryMetrics
     #: Indices (into the task's ``anchor_chunks``) of anchors some batch
     #: actually jumped from — the driver touches only those shared
@@ -132,25 +111,12 @@ class ChunkResult:
     elapsed_s: float = 0.0
 
 
-class _ChunkScan(RawScan):
-    """RawScan that additionally logs full-column reads for statistics.
+class _StatsLog(list):
+    """A chunk-local state's statistics: what the scan observes, in
+    order, for the merge to replay into the shared reservoir."""
 
-    Workers run with statistics disabled (the reservoir sampler is
-    shared, main-thread state); instead every vector the serial scan
-    *would* have observed — a full-column read, ``sel is None`` — is
-    logged in observation order and replayed by the merge layer.
-    """
-
-    def __init__(self, *args, collect_stats: bool = False) -> None:
-        super().__init__(*args)
-        self._collect_stats = collect_stats
-        self.stats_log: list[tuple[int, ColumnVector]] = []
-
-    def _acquire_attr_part(self, seg, attr, lo, hi, sel, tokenized):
-        vector = super()._acquire_attr_part(seg, attr, lo, hi, sel, tokenized)
-        if self._collect_stats and sel is None:
-            self.stats_log.append((attr, vector))
-        return vector
+    def observe(self, name: str, vector: ColumnVector) -> None:
+        self.append((name, vector))
 
 
 def scan_chunk(task: ChunkTask) -> ChunkResult:
@@ -195,14 +161,8 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
         task.fmt,
     )
     state = RawTableState(entry, task.config, governor=None)
-    scan = _ChunkScan(
-        state,
-        metrics,
-        task.output_columns,
-        task.predicate,
-        task.config,
-        collect_stats=task.collect_stats,
-    )
+    state.statistics = stats_log = _StatsLog()
+    scan = RawScan(state, metrics, task.output_columns, task.predicate)
     # Every row of the chunk lies inside this window: the scan below
     # never reads the file again.
     scan._index_window = window
@@ -231,43 +191,9 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
         chunk.last_used_ts = UNTOUCHED
         adopted.append(chunk)
 
-    segments = scan._plan_segments(n_rows)
-    pred_attrs = sorted(task.schema.positions(scan._pred_columns))
-    pred_set = set(pred_attrs)
-    proj_only = [a for a in scan.needed_attrs if a not in pred_set]
-    batches = list(
-        scan._scan_batches(
-            segments, n_rows, task.config.batch_size, pred_attrs, proj_only
-        )
-    )
-
-    spans = []
-    for key, coll in scan._span_collectors.items():
-        matrix = coll.materialize(np.vstack)
-        if matrix is None and coll.valid:
-            continue
-        if matrix is None:
-            matrix = np.zeros((0, len(coll.attrs)), dtype=np.int64)
-        spans.append(
-            SpanHarvest(
-                key,
-                coll.attrs,
-                coll.start_row,
-                matrix,
-                coll.valid,
-                coll.benefit_seconds,
-            )
-        )
-    columns = []
-    for attr, coll in scan._cache_collectors.items():
-        vector = coll.materialize(ColumnVector.concat)
-        if vector is None and coll.valid:
-            continue
-        columns.append(
-            ColumnHarvest(
-                attr, coll.start_row, vector, coll.benefit_seconds, coll.valid
-            )
-        )
+    scan.plan = plan_scan(scan, bounds)
+    batches = list(scan._scan_batches())
+    scan.collectors.pack()
 
     metrics.rows_scanned = n_rows
     return ChunkResult(
@@ -276,9 +202,8 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
         bounds=bounds if task.bounds is None else None,
         crlf=crlf,
         batches=batches,
-        spans=spans,
-        columns=columns,
-        stats_log=scan.stats_log,
+        collectors=scan.collectors,
+        stats_log=stats_log,
         metrics=metrics,
         anchors_used=[
             i for i, c in enumerate(adopted) if c.last_used_ts != UNTOUCHED

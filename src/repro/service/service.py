@@ -13,7 +13,7 @@ makes that sharing safe under concurrency:
   parallel under shared locks; scans that must tokenize raw data, and
   all structure installation, take the exclusive path.  What a read-path
   query *learns* (converted columns, combination chunks) is harvested
-  into an :class:`repro.core.raw_scan.InstallPlan` and installed under
+  into an :class:`repro.core.install.InstallPlan` and installed under
   the write lock after the rows are out — readers never mutate shared
   containers.
 * **Admission control** (:class:`repro.service.scheduler.QueryScheduler`)
@@ -67,7 +67,9 @@ from ..catalog.catalog import Catalog, RawTableEntry
 from ..catalog.schema import PartitionSpec, TableSchema
 from ..config import PostgresRawConfig
 from ..core.metrics import BreakdownComponent, QueryMetrics
-from ..core.raw_scan import InstallPlan, RawScan, RawTableState
+from ..core.install import InstallPlan, install
+from ..core.raw_scan import RawScan
+from ..core.table_state import RawTableState
 from ..core.stats import StatisticsStore
 from ..core.updates import FileChange, detect_change, fingerprint_file
 from ..errors import (
@@ -967,7 +969,10 @@ class PostgresRawService:
             if lock is None:
                 continue  # table dropped while we were reading
             with lock.write():
-                scan._install(install_plan)
+                install(scan, install_plan)
+        # The scans' sinks hold this list: break the cycle, so they and
+        # the entries their plans pin are freed now, not at the next GC.
+        deferred.clear()
 
     def _check_generations(
         self,
@@ -1091,10 +1096,11 @@ class PostgresRawService:
             predicate: Expression | None,
             row_from: int = 0,
         ) -> RawScan:
-            # The service-level config decides scan parallelism and the
-            # adaptive-structure knobs for every scan it plans; the
-            # recycled engine-wide pool is threaded through so parallel
-            # dispatches never rebuild their workers.
+            # The service's config (every table state's) decides scan
+            # parallelism and the adaptive-structure knobs; the recycled
+            # engine-wide pool is threaded through so parallel
+            # dispatches never rebuild their workers.  Worker spans are
+            # parented under this query's trace as chunks merge.
             # table_state (not a bare dict lookup) so a concurrent
             # drop_table surfaces as CatalogError, never KeyError.
             scan = RawScan(
@@ -1102,15 +1108,12 @@ class PostgresRawService:
                 metrics,
                 columns,
                 predicate,
-                config=self.config,
                 pool=self._scan_pool(),
                 row_from=row_from,
+                telemetry=self.telemetry,
+                trace_parent=root,
+                kernel_cache=self.kernel_cache,
             )
-            # Telemetry context for the parallel driver: worker spans
-            # are parented under this query's trace as chunks merge.
-            scan.telemetry = self.telemetry
-            scan.trace_parent = root
-            scan.kernel_cache = self.kernel_cache
             scans.append(scan)
             return scan
 

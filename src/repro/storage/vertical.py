@@ -9,7 +9,7 @@ binary storage — no raw-file I/O, no tokenizing, no parsing — while the
 table stays registered in situ.
 
 One :class:`VerticalStore` exists per raw table (when ``vp_enabled``):
-the ``columnstore`` tier of its :class:`repro.core.raw_scan.RawTableState`,
+the ``columnstore`` tier of its :class:`repro.core.table_state.RawTableState`,
 between the cache and the positional map on the scan's ladder.  It is a
 :class:`repro.core.ledger.GovernedLedger` keyed by attribute and
 registered with the governor as kind ``"columnstore"``: promoted bytes

@@ -7,7 +7,8 @@ the same rows on both — cold, then repeated until its columns are
 cache-resident, with appends interleaved between statements, across
 batch sizes, the columnstore + materialized-aggregate tiers (with room
 to spare, and under a budget that keeps the governor evicting) and the
-parallel scan pool, and the scalar tokenizer (a quoted dialect).  One
+parallel scan pool on both backends (asserted to have run), and the
+scalar tokenizer (a quoted dialect).  One
 more column orders the table by ``i`` (NULLs last) and leads each
 predicate with a conjunct on ``i`` or ``f`` that synopses can test, so
 warm scans skip windows — and must still agree.
@@ -84,7 +85,19 @@ CONFIGS = {
     # within) statements in most examples, so scans are served from a
     # mix of evicted and surviving tiers.
     "vp_mv_tight": {**VP_MV, "memory_budget": 500},
-    "workers2": {"batch_size": 7, "scan_workers": 2},
+    # 8-byte chunks, so the pool runs on these small files: cold
+    # scans and appended tails fan out over two workers.
+    "workers2": {
+        "batch_size": 7,
+        "scan_workers": 2,
+        "parallel_chunk_bytes": 8,
+    },
+    "process2": {
+        "batch_size": 7,
+        "scan_workers": 2,
+        "parallel_chunk_bytes": 8,
+        "parallel_backend": "process",
+    },
     # The same bytes through the scalar tokenizer: a quoted dialect is
     # not kernel-eligible, so it runs the RFC-4180 state machine.
     "quoted": {"batch_size": 7},
@@ -335,9 +348,10 @@ def _oracle(rows):
     return db
 
 
-def _matches_sqlite(tmp_path_factory, name, rows, plan) -> int:
+def _matches_sqlite(tmp_path_factory, name, rows, plan) -> tuple[int, int]:
     """Run ``plan`` on a fresh engine and on sqlite; every statement's
-    rows must agree.  Returns the windows the engine's scans skipped."""
+    rows must agree.  Returns the windows the engine's scans skipped and
+    the chunks its scan pool ran."""
     tmp = tmp_path_factory.mktemp("oracle")
     path = tmp / "t.csv"
     dialect = DIALECTS.get(name, DEFAULT_DIALECT)
@@ -346,6 +360,7 @@ def _matches_sqlite(tmp_path_factory, name, rows, plan) -> int:
     if config.get("vp_enabled"):
         config["vp_dir"] = str(tmp / "vp")
     db = _oracle(rows)
+    chunks = 0
     try:
         with PostgresRaw(PostgresRawConfig(**config)) as engine:
             engine.register_csv("t", path, SCHEMA, dialect)
@@ -358,23 +373,38 @@ def _matches_sqlite(tmp_path_factory, name, rows, plan) -> int:
                 want = db.execute(theirs).fetchall()
                 # Cold, then warm: the repeats run over cached columns.
                 for __ in range(3):
-                    got = list(engine.query(ours))
+                    result = engine.query(ours)
+                    got = list(result)
                     assert _same(got, want, ordered), (ours, got, want)
+                    chunks += result.metrics.parallel_chunks
             registry = engine.telemetry.registry
-            return registry.counter("scan_windows_skipped_total").value
+            skipped = registry.counter("scan_windows_skipped_total").value
+            return skipped, chunks
     finally:
         db.close()
 
 
+#: Columns that exist to run the scan pool.
+POOLED = ("process2", "workers2")
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-@given(rows=rows_of, plan=steps)
-@settings(
-    max_examples=EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_engine_matches_sqlite(tmp_path_factory, name, rows, plan):
-    _matches_sqlite(tmp_path_factory, name, rows, plan)
+def test_engine_matches_sqlite(tmp_path_factory, name):
+    chunks = []
+
+    @given(rows=rows_of, plan=steps)
+    @settings(
+        max_examples=EXAMPLES,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def run(rows, plan):
+        chunks.append(_matches_sqlite(tmp_path_factory, name, rows, plan)[1])
+
+    run()
+    if name in POOLED:
+        # Some statements must have gone through the pool.
+        assert sum(chunks) > 0
 
 
 @pytest.mark.parametrize("name", SORTED_CONFIGS)
@@ -388,7 +418,7 @@ def test_window_skipping_matches_sqlite(tmp_path_factory, name):
         suppress_health_check=[HealthCheck.too_slow],
     )
     def run(rows, plan):
-        skipped.append(_matches_sqlite(tmp_path_factory, name, rows, plan))
+        skipped.append(_matches_sqlite(tmp_path_factory, name, rows, plan)[0])
 
     run()
     # The column is about skipped windows: some scans must have skipped.

@@ -4,6 +4,7 @@ identity, kernel-cache LRU eviction, and signature keying."""
 import numpy as np
 import pytest
 
+from repro import PostgresRaw, generate_csv, uniform_table_spec
 from repro.datatypes import DataType, convert_column
 from repro.errors import ConversionError
 from repro.kernels import (
@@ -149,6 +150,16 @@ class TestKernelCache:
         assert snap["counters"]["kernel_cache_misses"] == 1
         assert snap["counters"]["kernel_cache_hits"] == 1
         assert snap["counters"]["kernel_build_seconds_total"] > 0.0
+
+
+def test_engine_scans_use_the_engine_kernel_cache(tmp_path):
+    path = tmp_path / "t.csv"
+    schema = generate_csv(path, uniform_table_spec(4, 100, seed=1))
+    with PostgresRaw() as engine:
+        engine.register_csv("t", path, schema)
+        engine.query("SELECT a1 FROM t WHERE a2 > 0")
+        # An empty cache is falsy; scans must still take the engine's.
+        assert engine.service.kernel_cache.stats()["misses"] > 0
 
 
 class TestKernelSupported:

@@ -10,6 +10,8 @@ the work a tokenizing scan does.
 
 import pytest
 
+import repro.core.raw_scan as raw_scan_mod
+
 from repro import (
     Column,
     DataType,
@@ -54,17 +56,21 @@ def make(tmp_path):
 
 
 @pytest.fixture
-def resident(monkeypatch):
-    """Every residency decision scans take, in order."""
+def scans(monkeypatch):
+    """Every scan executed, in order (each keeps its plan)."""
     seen = []
-    decide = RawScan._resident
+    execute = RawScan.execute
 
-    def spy(self, segments, pred_attrs):
-        seen.append(decide(self, segments, pred_attrs))
-        return seen[-1]
+    def spy(self):
+        seen.append(self)
+        return execute(self)
 
-    monkeypatch.setattr(RawScan, "_resident", spy)
+    monkeypatch.setattr(RawScan, "execute", spy)
     return seen
+
+
+def _residency(scans):
+    return [scan.plan.resident for scan in scans]
 
 
 def _scan(eng, columns, where, row_from=0):
@@ -98,38 +104,40 @@ def _warm_jumped_c(eng):
     assert cache.peek(0) is not None and cache.peek(2) is None
 
 
-def test_first_batch_is_the_per_batch_scans_first_batch(make, resident):
+def test_first_batch_is_the_per_batch_scans_first_batch(make, scans):
     cold = make()
     __, cold_batches = _scan(cold, ["a", "b"], "a % 3 = 0")
-    assert resident == [False]
+    assert _residency(scans) == [False]
     warm = make()
     _warm_all(warm)
     __, warm_batches = _scan(warm, ["a", "b"], "a % 3 = 0")
-    assert resident[-1] is True
+    assert _residency(scans)[-1] is True
     first = [r[0] for r in ROWS[:B] if r[0] % 3 == 0]
     for batches in (cold_batches, warm_batches):
         assert batches[0].column("a").to_pylist() == first
         assert batches[0].column("b").to_pylist() == [3 * a for a in first]
 
 
-def test_batches_arrive_in_row_order_packed_per_stride(make, resident):
+def test_batches_arrive_in_row_order_packed_per_stride(make, scans):
     eng = make()
     _warm_all(eng)
-    __, batches = _scan(eng, ["a", "c"], "a % 3 = 0")
-    assert resident[-1] is True
+    scan, batches = _scan(eng, ["a", "c"], "a % 3 = 0")
+    assert _residency(scans)[-1] is True
     expected = [r[0] for r in ROWS if r[0] % 3 == 0]
     assert _column(batches, "a") == expected
     assert _column(batches, "c") == [f"r{a}" for a in expected]
     # Strides [0, 16) [16, 48) [48, 112) [112, 200) hold 6, 10, 22 and
     # 29 survivors; each leaves in batches of at most 16 rows.
+    strides = [(0, 16), (16, 48), (48, 112), (112, 200)]
+    assert list(scan.plan.strides()) == strides
     assert [b.num_rows for b in batches] == [6, 10, 16, 6, 16, 13]
 
 
-def test_fully_qualifying_window_still_collects_jumped_column(make, resident):
+def test_fully_qualifying_window_still_collects_jumped_column(make, scans):
     eng = make()
     _warm_jumped_c(eng)
     result = eng.query("SELECT a, c FROM t WHERE a < 16 OR a % 2 = 0")
-    assert resident[-1] is True
+    assert _residency(scans)[-1] is True
     expected = [(a, f"r{a}") for a in range(N) if a < 16 or a % 2 == 0]
     assert list(result) == expected
     # Window [0, 16) qualified whole: ``c`` was converted for all of it,
@@ -139,37 +147,39 @@ def test_fully_qualifying_window_still_collects_jumped_column(make, resident):
     assert result.metrics.fields_converted == len(expected)
 
 
-def test_zero_survivors_yield_no_batch_and_read_no_bytes(make, resident):
+def test_zero_survivors_yield_no_batch_and_read_no_bytes(make, scans):
     eng = make()
     _warm_jumped_c(eng)
     scan, batches = _scan(eng, ["a", "c"], "a < 0")
-    assert resident[-1] is True
+    assert _residency(scans)[-1] is True
     assert batches == []
     assert scan.metrics.bytes_read == 0
     assert scan.metrics.fields_converted == 0
 
 
-def test_limit_stops_after_the_first_stride(make, resident, monkeypatch):
+def test_limit_stops_after_the_first_stride(make, scans, monkeypatch):
     eng = make()
     _warm_all(eng)
-    strides = []
-    select = RawScan._select_stride
+    masked = []
+    mask = raw_scan_mod.predicate_mask
 
-    def counting(self, segments, s0, s1, *args):
-        strides.append((s0, s1))
-        return select(self, segments, s0, s1, *args)
+    def counting(predicate, batch):
+        masked.append(batch.num_rows)
+        return mask(predicate, batch)
 
-    monkeypatch.setattr(RawScan, "_select_stride", counting)
+    monkeypatch.setattr(raw_scan_mod, "predicate_mask", counting)
     assert list(eng.query("SELECT a FROM t WHERE a >= 0 LIMIT 3")) == [
         (0,),
         (1,),
         (2,),
     ]
-    assert resident[-1] is True
-    assert strides == [(0, B)]
+    assert _residency(scans)[-1] is True
+    # The first stride is one batch, and the scan stopped after it.
+    assert next(scans[-1].plan.strides()) == (0, B)
+    assert masked == [B]
 
 
-def test_columnstore_served_predicate_column(make, resident, tmp_path):
+def test_columnstore_served_predicate_column(make, scans, tmp_path):
     eng = make(vp_enabled=True, vp_min_accesses=1, vp_dir=str(tmp_path / "vp"))
     _warm_all(eng)
     state = eng.table_state("t")
@@ -177,7 +187,7 @@ def test_columnstore_served_predicate_column(make, resident, tmp_path):
     served = eng.telemetry.registry.counter("vp_served_total")
     before = served.value
     result = eng.query("SELECT a, b FROM t WHERE a % 5 = 0 AND b > 30")
-    assert resident[-1] is True
+    assert _residency(scans)[-1] is True
     assert served.value > before
     assert list(result) == [
         (a, b) for a, b, __, __ in ROWS if a % 5 == 0 and b > 30
@@ -186,11 +196,11 @@ def test_columnstore_served_predicate_column(make, resident, tmp_path):
     assert result.metrics.fields_converted == 0
 
 
-def test_scan_from_a_mid_table_row(make, resident):
+def test_scan_from_a_mid_table_row(make, scans):
     eng = make()
     _warm_all(eng)
     __, batches = _scan(eng, ["a", "c"], "a % 2 = 0", row_from=37)
-    assert resident[-1] is True
+    assert _residency(scans)[-1] is True
     expected = [a for a in range(37, N) if a % 2 == 0]
     # The first stride ends at the first table-wide batch cut.
     assert batches[0].column("a").to_pylist() == [38, 40, 42, 44, 46]
@@ -199,7 +209,7 @@ def test_scan_from_a_mid_table_row(make, resident):
 
 
 @pytest.mark.parametrize("batch_size", [3, B, 4096])
-def test_tokenizing_scan_tokenizes_every_batch(tmp_path, resident, batch_size):
+def test_tokenizing_scan_tokenizes_every_batch(tmp_path, scans, batch_size):
     path = tmp_path / "t.csv"
     write_csv(path, ROWS, SCHEMA)
     with PostgresRaw(PostgresRawConfig(batch_size=batch_size)) as eng:
@@ -207,20 +217,20 @@ def test_tokenizing_scan_tokenizes_every_batch(tmp_path, resident, batch_size):
         # Most batches have no survivor: each is still tokenized once,
         # ``a`` for the predicate, then ``b`` and ``c`` anchored on it.
         result = eng.query("SELECT c FROM t WHERE a < 20")
-        assert resident == [False]
+        assert _residency(scans) == [False]
         assert list(result) == [(f"r{a}",) for a in range(20)]
         assert result.metrics.fields_tokenized == N * 3
 
 
-def test_float_sum_is_bit_identical_over_packed_batches(make, resident):
+def test_float_sum_is_bit_identical_over_packed_batches(make, scans):
     sql = "SELECT SUM(f), AVG(f), COUNT(f) FROM t WHERE a % 3 <> 1"
     cold = make()
     (cold_row,) = list(cold.query(sql))
-    assert resident == [False]
+    assert _residency(scans) == [False]
     warm = make()
     _warm_all(warm)
     (warm_row,) = list(warm.query(sql))
-    assert resident[-1] is True
+    assert _residency(scans)[-1] is True
     total = 0.0
     for r in ROWS:
         if r[0] % 3 != 1:

@@ -3,12 +3,20 @@ control, sessions, pool recycling and service lifecycle."""
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
 import pytest
 
-from repro import PostgresRaw, PostgresRawConfig, PostgresRawService
+from repro import (
+    PostgresRaw,
+    PostgresRawConfig,
+    PostgresRawService,
+    generate_csv,
+    uniform_table_spec,
+)
+from repro.core.raw_scan import RawScan
 from repro.errors import AdmissionError, CatalogError, ServiceError
 from repro.service import QueryScheduler, RWLock
 
@@ -172,6 +180,26 @@ class TestServiceLifecycle:
             stats = service.lock_stats()
             assert set(stats) == {"t"}
             assert stats["t"]["write_acquisitions"] >= 1
+
+
+def test_read_path_scans_are_freed_without_a_collection(tmp_path):
+    # A finished scan keeps its plan, which pins tier entries: the read
+    # path's deferred installs must not keep it alive in a cycle.
+    path = tmp_path / "t.csv"
+    schema = generate_csv(path, uniform_table_spec(4, 500, seed=3))
+    sql = "SELECT a1 FROM t WHERE a2 > 5"
+    with PostgresRaw() as engine:
+        engine.register_csv("t", path, schema)
+        list(engine.query(sql))  # cold: the exclusive path
+        gc.collect()
+        gc.disable()
+        try:
+            for __ in range(3):
+                list(engine.query(sql))  # cached: the shared-lock path
+            live = [o for o in gc.get_objects() if isinstance(o, RawScan)]
+        finally:
+            gc.enable()
+        assert live == []
 
 
 class TestMonitorPanels:

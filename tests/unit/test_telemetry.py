@@ -250,7 +250,6 @@ class TestScanWorkerError:
             output_columns=[],
             predicate=None,
             config=PostgresRawConfig(),
-            collect_stats=False,
             first_chunk=True,
         )
 

@@ -144,14 +144,17 @@ stress:
 		-x -q
 
 # Deep differential run against stdlib sqlite3: every column of the
-# oracle (the 2-shard one included) at 250 examples instead of the
-# tier-1 suite's 25, under a fixed seed so a disagreement reproduces;
-# plus, as deep, the kernel's TEXT dictionary encode against the
-# scalar one (multi-byte, NUL-ended, outlier-wide and invalid UTF-8).
+# oracle (the 2-shard and JSONL ones included) at 250 examples instead
+# of the tier-1 suite's 25, under a fixed seed so a disagreement
+# reproduces; plus, as deep, the kernel's TEXT dictionary encode
+# against the scalar one (multi-byte, NUL-ended, outlier-wide and
+# invalid UTF-8) and the JSONL kernel against parse_record (clean,
+# escaped and malformed windows).
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
 		tests/property/test_sqlite_oracle.py \
 		"tests/property/test_kernel_props.py::test_kernel_text_equals_scalar" \
+		"tests/property/test_kernel_props.py::test_jsonl_kernel_equals_parse_record" \
 		--hypothesis-seed=29 -x -q
 
 # Process-backend leg: multiprocessing scan workers racing the serving

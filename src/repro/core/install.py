@@ -188,6 +188,11 @@ def harvest(scan: "RawScan", n_rows: int) -> InstallPlan:
     of what to install."""
     collectors = scan.collectors
     plan = scan.plan
+    scan.metrics.collector_invalidations += sum(
+        not c.valid
+        for runs in (collectors.spans, collectors.columns)
+        for c in runs.values()
+    )
     with scan.metrics.time(_NODB):
         result = InstallPlan(
             n_rows=n_rows,

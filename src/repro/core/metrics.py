@@ -97,6 +97,11 @@ class QueryMetrics:
     #: ``batch_size`` windows a scan skipped because the synopses of
     #: its predicate columns ruled every row of them out.
     windows_skipped: int = 0
+    #: Collector runs (map spans and cache columns) a scan's harvest
+    #: found invalidated — learned work dropped because a block did not
+    #: continue its run (window skipping and abandoned ``LIMIT`` scans
+    #: may do so legitimately; a full scan should not).
+    collector_invalidations: int = 0
 
     #: Seconds spent building scan kernels (:mod:`repro.kernels`) on
     #: kernel-cache misses.  Informational detail of the ``nodb``
@@ -232,6 +237,7 @@ class QueryMetrics:
             "pm_chunk_hits",
             "pm_chunk_misses",
             "windows_skipped",
+            "collector_invalidations",
             "parallel_scans",
             "parallel_chunks",
             "parallel_scan_seconds",

@@ -139,11 +139,15 @@ class RawScan(Operator):
         self._install_sink = None
         self.schema = state.entry.schema
         self._dtypes = tuple(c.dtype for c in self.schema.columns)
+        self._names = tuple(c.name for c in self.schema.columns)
         self.dialect = state.entry.dialect
         #: The table's format adapter — all tokenizing geometry
         #: (line index, span tokenizing, warm map jumps, kernel
         #: eligibility) routes through it.
         self.adapter = state.entry.adapter
+        #: JSONL fields are JSON value tokens: ``convert_span`` strips a
+        #: string's quotes and reads an unquoted ``null`` as NULL.
+        self._json_values = self.adapter.name == "jsonl"
         self.output_columns = list(output_columns)
         self.predicate = predicate
 
@@ -478,6 +482,7 @@ class RawScan(Operator):
             first_attr,
             last_attr,
             fmt=self.adapter.name,
+            names=self._names,
         )
         with self.metrics.time(_NODB):
             kernel, built = cache.get(signature)
@@ -561,8 +566,9 @@ class RawScan(Operator):
 
         # The field bytes come from a positional-map jump or from this
         # batch's tokenized rows; whichever found them also knows how
-        # they convert (texts, or — numeric columns on the kernel path —
-        # byte bounds parsed without materializing any text).
+        # they convert (texts, or — INTEGER, FLOAT and TEXT columns on
+        # the kernel path — byte bounds parsed without materializing
+        # any text).
         dtype = self.schema.columns[attr].dtype
         chunk = seg.chunk_hits.get(attr)
         if chunk is not None:
@@ -585,12 +591,36 @@ class RawScan(Operator):
                     )
         return vector
 
-    def _converter(self, convert, *fields, dtype: DataType, lo: int):
-        """``convert`` is ``ColumnVector.from_fields`` over texts or
-        ``convert_span`` over ``(window, starts, ends)`` — INTEGER, FLOAT
-        and TEXT fields converted from their byte bounds by the kernel."""
-        null_token = self.dialect.null_token
-        return partial(convert, *fields, dtype, null_token, row_offset=lo)
+    def _converter(self, texts: list[str], dtype: DataType, lo: int):
+        """``ColumnVector.from_fields`` over field texts."""
+        return partial(
+            ColumnVector.from_fields,
+            texts,
+            dtype,
+            self.dialect.null_token,
+            row_offset=lo,
+        )
+
+    def _span_converter(
+        self,
+        cbuf: ContentBuffer,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        dtype: DataType,
+        lo: int,
+    ):
+        """``convert_span``: INTEGER, FLOAT and TEXT fields converted
+        from their byte bounds in ``cbuf`` by the kernel."""
+        return partial(
+            convert_span,
+            cbuf,
+            starts,
+            ends,
+            dtype,
+            self.dialect.null_token,
+            row_offset=lo,
+            json=self._json_values,
+        )
 
     def _jump_via_chunk(
         self,
@@ -632,9 +662,10 @@ class RawScan(Operator):
                     ends = next_starts - 1
                 else:
                     ends = kernel.field_ends(window, starts, line_ends)
-                return self._converter(
-                    convert_span, window, starts, ends, dtype=dtype, lo=lo
-                )
+                if ends is not None:
+                    return self._span_converter(
+                        window, starts, ends, dtype, lo
+                    )
             data, base, dialect = window.data, window.base, self.dialect
             if next_starts is not None:
                 texts = self.adapter.extract_fields_between(
@@ -646,9 +677,7 @@ class RawScan(Operator):
                     extract(data, s, e, dialect, base)
                     for s, e in zip(starts.tolist(), line_ends.tolist())
                 ]
-            return self._converter(
-                ColumnVector.from_fields, texts, dtype=dtype, lo=lo
-            )
+            return self._converter(texts, dtype, lo)
 
     def _tokenized_fields(
         self,
@@ -663,37 +692,39 @@ class RawScan(Operator):
         rel = None if sel is None else sel - lo
         with self.metrics.time(_PARSING):
             if isinstance(tokenized, KernelRows) and dtype in _KERNEL_TYPES:
-                j = attr - tokenized.first_attr
-                starts = tokenized.offsets[:, j]
-                ends = tokenized.offsets[:, j + 1] - 1
+                starts, ends = tokenized.field_bounds(attr)
                 if rel is not None:
                     starts, ends = starts[rel], ends[rel]
-                return self._converter(
-                    convert_span,
-                    tokenized.cbuf,
-                    starts,
-                    ends,
-                    dtype=dtype,
-                    lo=lo,
+                return self._span_converter(
+                    tokenized.cbuf, starts, ends, dtype, lo
                 )
             texts = tokenized.texts_of(
                 attr, None if rel is None else rel.tolist()
             )
-            return self._converter(
-                ColumnVector.from_fields, texts, dtype=dtype, lo=lo
-            )
+            return self._converter(texts, dtype, lo)
 
     def _tokenize_for(
         self, attrs: list[int], lo: int, hi: int
     ) -> TokenizedRows:
         """Tokenize rows [lo, hi) covering ``attrs``, anchored as close
         as possible (batch-local spans first, then the positional map,
-        then the start of the tuple)."""
+        then the start of the tuple).
+
+        Rows are tokenized once per batch: a span this batch already
+        holds for the same rows that covers ``attrs`` is returned as
+        is, learning and counting nothing twice."""
+        min_a = min(attrs)
+        max_a = max(attrs)
+        for span_lo, span_hi, prev in self._batch_spans:
+            if (
+                (span_lo, span_hi) == (lo, hi)
+                and prev.first_attr <= min_a
+                and max_a <= prev.last_attr
+            ):
+                return prev
         window = self._rows_window(lo, hi)
         bounds = self._bounds
         n_attrs = len(self.schema)
-        min_a = min(attrs)
-        max_a = max(attrs)
         if not (
             self.config.selective_tokenizing
             and self.adapter.selective_tokenizing
@@ -737,9 +768,11 @@ class RawScan(Operator):
         kernel = self._kernel_for_span(first, max_a)
         tokenize_start = time.perf_counter()
         with self.metrics.time(_TOKENIZING):
+            tokenized = None
             if kernel is not None:
+                # ``None``: a JSONL window only the scalar parser reads.
                 tokenized = kernel.tokenize(window, field_starts, line_ends)
-            else:
+            if tokenized is None:
                 tokenized = self.adapter.tokenize_span(
                     window.data,
                     field_starts,

@@ -13,14 +13,18 @@ Format geometry (see :class:`repro.formats.base.FormatAdapter`):
 * keys arrive in arbitrary per-record order, so tokenizing always scans
   the full record (``selective_tokenizing = False``) and never anchors
   mid-record (``supports_anchors = False``) — but it learns *all*
-  attributes in one pass, so one cold query warms the map for every
-  later projection;
+  attributes in one pass, so one cold query, with or without a
+  ``WHERE`` clause, warms the map for every later projection;
 * value offsets of adjacent schema attributes are not adjacent in the
   record (``contiguous_fields = False``): the warm jump re-scans each
   value to its top-level ``,`` / ``}`` terminator (quote- and
   escape-aware for strings);
-* no vectorized kernel (``kernel_eligible`` is always ``False``) — the
-  interpreted per-record path first, as planned.
+* a vectorized kernel (``kernel_eligible`` is always ``True``):
+  :mod:`repro.kernels.jsonl` structurally indexes a whole window of
+  records at once and ends map-jumped values without Python per row.
+  The scalar :func:`parse_record` / :func:`value_end` here read the
+  windows it leaves — escapes, nested values, keys missing, extra or
+  out of order, malformed records — and raise this module's errors.
 
 Value mapping: JSON ``null`` becomes the engine NULL (surfaced as the
 :data:`JSONL_NULL` sentinel token so the shared scalar convert path,
@@ -255,7 +259,7 @@ class JsonLinesAdapter(FormatAdapter):
     selective_tokenizing = False
 
     def kernel_eligible(self, dialect: CsvDialect) -> bool:
-        return False  # interpreted per-record path
+        return True  # repro.kernels.jsonl, per window
 
     def default_dialect(self) -> CsvDialect:
         return JSONL_DIALECT

@@ -17,12 +17,21 @@ to the interpreted inner loops of :mod:`repro.rawio.tokenizer` and
 * :class:`KernelCache` — signature-keyed LRU of built kernels with
   telemetry hit/miss/build-time counters.
 
-:func:`kernel_supported` alone picks the tokenizer: every unquoted
+:func:`kernel_supported` alone picks the CSV tokenizer: every unquoted
 dialect with an ASCII delimiter runs the kernel, and quoted or
 non-ASCII-delimited dialects run the RFC-4180 state machine, the one
 scalar tokenizer.  Results are property-tested identical to it over
 quote-free bytes (offsets, texts, error messages and converted values
 alike).
+
+* :mod:`.jsonl` — the JSONL kernel, a structural index of a window of
+  records (after simdjson).  It accepts windows of at least
+  ``MIN_RECORDS`` flat records holding exactly the schema's keys in one
+  order, with no backslash and valid UTF-8, and map jumps of at least
+  ``MIN_VALUES`` values that need no escape decoding; every other
+  window or jump returns ``None`` to the scalar parser of
+  :mod:`repro.formats.jsonl`, which the kernel is property-tested
+  against (offsets, converted values and errors).
 """
 
 from .cache import KernelCache, process_cache

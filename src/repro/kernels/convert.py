@@ -42,6 +42,7 @@ _POW10_F = np.array([float(10**k) for k in range(23)], dtype=np.float64)
 _MINUS = 0x2D
 _PLUS = 0x2B
 _DOT = 0x2E
+_QUOTE = 0x22
 
 
 def _sign_split(
@@ -360,6 +361,20 @@ def null_mask(
     return mask
 
 
+def json_values(
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The text bounds of JSON value tokens (window-relative): a
+    string's contents between its quotes, any other token as is; and
+    which tokens are the unquoted literal ``null``.  The string
+    ``"null"`` is the text ``null``."""
+    if len(starts) == 0:
+        return starts, ends, np.zeros(0, dtype=np.bool_)
+    quoted = (buf[starts] == _QUOTE).astype(np.int64)
+    nulls = (quoted == 0) & null_mask(buf, starts, ends, b"null")
+    return starts + quoted, ends - quoted, nulls
+
+
 _PARSERS = {
     DataType.INTEGER: parse_int64,
     DataType.FLOAT: parse_float64,
@@ -375,6 +390,7 @@ def convert_span(
     dtype: DataType,
     null_token: str = "",
     row_offset: int = 0,
+    json: bool = False,
 ) -> ColumnVector:
     """Vectorized convert of one column slice given file-offset bounds.
 
@@ -385,12 +401,21 @@ def convert_span(
     null mask, and the same error (message, row, cause) on the first
     unconvertible row.  INTEGER, FLOAT and TEXT are supported — callers
     route BOOLEAN and DATE to the text path.
+
+    ``json`` bounds are JSON value tokens (:mod:`repro.kernels.jsonl`):
+    the unquoted literal ``null`` is NULL, and a string converts its
+    contents between the quotes, as
+    :func:`repro.formats.jsonl.token_text` reads them.
     """
     base = cbuf.base
     starts = np.ascontiguousarray(starts, dtype=np.int64) - base
     ends = np.ascontiguousarray(ends, dtype=np.int64) - base
     buf = cbuf.buf
+    if json:
+        starts, ends, json_nulls = json_values(buf, starts, ends)
     nulls = null_mask(buf, starts, ends, null_token.encode("utf-8"))
+    if json:
+        nulls |= json_nulls
     live = np.flatnonzero(~nulls)
     if dtype is DataType.TEXT:
         codes = np.zeros(len(starts), dtype=np.int32)

@@ -5,9 +5,15 @@ bytes registered under the unquoted dialect (scan kernel) and under the
 same dialect with a quote character (the RFC-4180 state machine, the
 scalar tokenizer) answer row-for-row and structure-for-structure
 identically, serially, with 4-worker pools and streamed.  The text
-alphabet holds no quote, so both dialects read the same fields."""
+alphabet holds no quote, so both dialects read the same fields.
 
+The JSONL kernel is held to ``parse_record``: the same value offsets,
+converted vectors and map-jump ends on every window it reads, and the
+same answers or errors through an engine with the kernel and without."""
+
+import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +21,18 @@ from hypothesis import given, settings, strategies as st
 
 from governed import cache_layout, record_touches
 from repro import PostgresRaw, PostgresRawConfig
+from repro.batch import ColumnVector
 from repro.catalog.schema import TableSchema
-from repro.errors import RawDataError
+from repro.datatypes import DataType
+from repro.errors import ConversionError, RawDataError
 from repro.executor.result import batch_rows
+from repro.formats.jsonl import JSONL_ADAPTER, JSONL_NULL, JsonLinesAdapter
+from repro.kernels import ContentBuffer, ScanKernel, convert_span
+from repro.kernels import jsonl as jsonl_kernel
+from repro.kernels import make_signature
 from repro.kernels.convert import _SCALAR_ROWS as SCALAR_ROWS
 from repro.rawio.dialect import CsvDialect
+from repro.rawio.tokenizer import build_line_index, trim_cr
 
 # --- generated raw files ---------------------------------------------
 
@@ -188,8 +201,8 @@ def test_kernel_streaming_equals_blocking(tmp_path_factory, content):
 
 # --- TEXT: the kernel's dictionary encode against the scalar one -------
 
-#: ``make oracle`` runs the TEXT property at 250 examples.
-TEXT_EXAMPLES = int(os.environ.get("REPRO_ORACLE_EXAMPLES", "25"))
+#: ``make oracle`` runs the TEXT and JSONL properties at 250 examples.
+ORACLE_EXAMPLES = int(os.environ.get("REPRO_ORACLE_EXAMPLES", "25"))
 
 TEXT_SCHEMA = TableSchema.from_pairs(
     [("id", "integer"), ("s", "text"), ("t", "text")]
@@ -265,7 +278,7 @@ def _text_engine(path, dialect, batch_size, workers):
     return eng
 
 
-@settings(max_examples=TEXT_EXAMPLES, deadline=None)
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
 @given(
     case=text_files(),
     batch_size=st.sampled_from([3, 4096]),
@@ -291,3 +304,247 @@ def test_kernel_text_equals_scalar(
         kernel.query("SELECT s FROM t")
     assert exc.value.offset == first_invalid
     assert f"byte offset {first_invalid} " in str(exc.value)
+
+
+# --- JSONL: the structural-index kernel against parse_record -----------
+
+JSONL_SCHEMA = TableSchema.from_pairs(
+    [("a", "integer"), ("b", "float"), ("c", "text"), ("d", "boolean")]
+)
+JSONL_KEYS = tuple(JSONL_SCHEMA.names())
+JSONL_DTYPES = tuple(JSONL_SCHEMA.dtypes())
+#: Per column: values it converts, JSON null among them.  Strings hold
+#: structural bytes, blanks, the word null and multi-byte UTF-8.
+json_values = {
+    "a": st.one_of(
+        st.integers(-(10**6), 10**6).map(str),
+        st.sampled_from(["null", '"17"', "-0", "007"]),
+    ),
+    "b": st.one_of(
+        st.integers(-8000, 8000).map(lambda v: repr(v / 8)),
+        st.sampled_from(["null", "1e3", "-0.0", '"2.5"']),
+    ),
+    "c": st.one_of(
+        st.text(alphabet=st.sampled_from("ab ,:}{[]é"), max_size=6).map(
+            lambda t: json.dumps(t, ensure_ascii=False)
+        ),
+        st.sampled_from(["null", '"null"', '""', "17", "true"]),
+    ),
+    "d": st.sampled_from(["true", "false", "null", '"true"']),
+}
+#: Some windows' values: tokens their column does not convert, and
+#: escaped strings: ``\\``, ``é`` and, in some windows, ``\"``.
+odd_values = {
+    "a": st.sampled_from(["true", "1.5", '"x"']),
+    "b": st.sampled_from(["x", "true"]),
+    "c": st.text(alphabet=st.sampled_from("a\\é"), max_size=4).map(
+        json.dumps
+    ),
+    "d": st.sampled_from(["0", "1x"]),
+}
+escaped_quotes = st.text(alphabet=st.sampled_from('a"'), max_size=3).map(
+    json.dumps
+)
+blanks = st.sampled_from(["", " ", "\t", " \t "])
+#: The ways a record may deviate from the schema's flat shape.
+MUTATIONS = (
+    "reorder",
+    "missing",
+    "extra",
+    "renamed",
+    "duplicate",
+    "nested",
+    "junk",
+    "trailing",
+    "empty",
+)
+
+
+def _render(members, layout, trailing=""):
+    """One record line: ``members`` are ``(key, value token)`` pairs,
+    ``layout`` the blanks around its tokens."""
+    lead, open_, close, tail, around_colon, around_comma = layout
+    body = around_comma.join(
+        f'"{key}"{around_colon}:{around_colon}{value}'
+        for key, value in members
+    )
+    return f"{lead}{{{open_}{body}{close}}}{tail}{trailing}"
+
+
+def _window(lines, end, closed, clean):
+    content = end.join(lines) + (end if closed else "")
+    return content.encode("utf-8"), clean and "\\" not in content
+
+
+@st.composite
+def jsonl_windows(draw):
+    """A window of flat JSONL records, and the same window with each
+    kind of deviation in one of its records; each as ``(bytes, clean)``
+    where ``clean`` says every record reads as the kernel needs: the
+    schema's keys once each in the first record's order, flat values,
+    nothing after the ``}`` and no backslash in the window."""
+    n_records = draw(st.integers(1, 16))
+    values = dict(json_values)
+    for key in draw(st.sets(st.sampled_from(JSONL_KEYS), max_size=2)):
+        values[key] = st.one_of(values[key], odd_values[key])
+    if draw(st.integers(0, 7)) == 0:
+        values["c"] = st.one_of(values["c"], escaped_quotes)
+    records = [
+        (
+            [(key, draw(values[key])) for key in JSONL_KEYS],
+            tuple(draw(blanks) for __ in range(4))
+            + (draw(blanks), draw(blanks) + "," + draw(blanks)),
+        )
+        for __ in range(n_records)
+    ]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    closed = draw(st.booleans())
+    lines = [_render(*record) for record in records]
+    windows = [_window(lines, end, closed, True)]
+    for kind in MUTATIONS:
+        at = draw(st.integers(0, n_records - 1))
+        members, layout = records[at]
+        members, trailing = list(members), ""
+        if kind == "reorder":
+            members = draw(st.permutations(members))
+        elif kind == "missing":
+            del members[draw(st.integers(0, len(members) - 1))]
+        elif kind == "extra":
+            spot = draw(st.integers(0, len(members)))
+            members.insert(spot, ("zz", draw(values["a"])))
+        elif kind == "renamed":
+            spot = draw(st.integers(0, len(members) - 1))
+            key, value = members[spot]
+            members[spot] = (draw(st.sampled_from([key + "x", "zz"])), value)
+        elif kind == "duplicate":
+            key = members[0][0]
+            members.append((key, draw(values[key])))
+        elif kind == "nested":
+            spot = draw(st.integers(0, len(members) - 1))
+            nested = draw(st.sampled_from(['{"x": 1}', "[1, 2]", "[]"]))
+            members[spot] = (members[spot][0], nested)
+        elif kind == "junk":
+            spot = draw(st.integers(0, len(members) - 1))
+            junk = draw(
+                st.sampled_from(['1"2"', '"a"b', "1 2", '"x"y"z"', '"', "-"])
+            )
+            members[spot] = (members[spot][0], junk)
+        elif kind == "trailing":
+            trailing = draw(st.sampled_from([" x", "x", ",", "}", ' "a"']))
+        mutated = list(lines)
+        mutated[at] = "" if kind == "empty" else _render(
+            members, layout, trailing
+        )
+        # A reordered record is clean when it is the window's only one.
+        clean = kind == "reorder" and n_records == 1
+        windows.append(_window(mutated, end, closed, clean))
+    return windows
+
+
+def _converted(convert):
+    try:
+        vector = convert()
+    except (ConversionError, RawDataError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("vector", vector.to_pylist())
+
+
+JSONL_QUERIES = [
+    "SELECT a FROM t WHERE b > 0",  # tokenizes: the map learns all keys
+    "SELECT c, d FROM t",  # map jumps
+    "SELECT a, b, c, d FROM t WHERE a < 100",
+]
+
+
+def _jsonl_outcomes(path):
+    with PostgresRaw(PostgresRawConfig(batch_size=8)) as eng:
+        eng.register_jsonl("t", path, JSONL_SCHEMA)
+        return [_outcome(eng, sql) for sql in JSONL_QUERIES]
+
+
+#: Every window and map jump goes to the kernel, however small, and
+#: windows are indexed three records at a time.
+_EVERY_WINDOW = {"MIN_RECORDS": 1, "MIN_VALUES": 1, "CHUNK_RECORDS": 3}
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(windows=jsonl_windows())
+def test_jsonl_kernel_equals_parse_record(tmp_path_factory, windows):
+    for data, clean in windows:
+        _assert_jsonl_kernel_equals_parse_record(tmp_path_factory, data, clean)
+
+
+def _assert_jsonl_kernel_equals_parse_record(tmp_path_factory, data, clean):
+    bounds = build_line_index(data)
+    cbuf = ContentBuffer(data)
+    starts = bounds[:-1]
+    line_ends = trim_cr(cbuf.buf, starts, bounds[1:] - 1)
+    n_attrs = len(JSONL_KEYS)
+    kernel = ScanKernel(
+        make_signature(
+            JSONL_ADAPTER.default_dialect(),
+            JSONL_DTYPES,
+            0,
+            n_attrs - 1,
+            fmt="jsonl",
+            names=JSONL_KEYS,
+        )
+    )
+    with mock.patch.multiple(jsonl_kernel, **_EVERY_WINDOW):
+        rows = kernel.tokenize(cbuf, starts, line_ends)
+        try:
+            scalar = JSONL_ADAPTER.tokenize_span(
+                data,
+                starts,
+                line_ends,
+                0,
+                n_attrs - 1,
+                n_attrs,
+                JSONL_ADAPTER.default_dialect(),
+                schema=JSONL_SCHEMA,
+            )
+        except RawDataError:
+            scalar = None
+        assert rows is not None or not clean
+        if rows is not None:
+            # What the kernel reads, the scalar parser reads the same.
+            assert scalar is not None
+            assert np.array_equal(rows.offsets, scalar.offsets)
+            for attr, dtype in enumerate(JSONL_DTYPES):
+                value_starts, value_ends = rows.field_bounds(attr)
+                jumped = kernel.field_ends(cbuf, value_starts, line_ends)
+                assert np.array_equal(jumped, value_ends)
+                if dtype in (DataType.INTEGER, DataType.FLOAT, DataType.TEXT):
+                    ours = _converted(
+                        lambda: convert_span(
+                            cbuf,
+                            value_starts,
+                            value_ends,
+                            dtype,
+                            JSONL_NULL,
+                            json=True,
+                        )
+                    )
+                else:
+                    ours = _converted(
+                        lambda: ColumnVector.from_fields(
+                            rows.texts_of(attr), dtype, JSONL_NULL
+                        )
+                    )
+                theirs = _converted(
+                    lambda: ColumnVector.from_fields(
+                        scalar.texts_of(attr), dtype, JSONL_NULL
+                    )
+                )
+                assert ours == theirs
+
+    # Through an engine: the same rows, or the same error, with the
+    # kernel on every window and with the scalar parser alone.
+    path = tmp_path_factory.mktemp("kern_jsonl") / "t.jsonl"
+    path.write_bytes(data)
+    with mock.patch.multiple(jsonl_kernel, **_EVERY_WINDOW):
+        with_kernel = _jsonl_outcomes(path)
+    with mock.patch.object(
+        JsonLinesAdapter, "kernel_eligible", lambda self, dialect: False
+    ):
+        assert with_kernel == _jsonl_outcomes(path)

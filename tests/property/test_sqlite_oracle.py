@@ -7,8 +7,10 @@ the same rows on both — cold, then repeated until its columns are
 cache-resident, with appends interleaved between statements, across
 batch sizes, the columnstore + materialized-aggregate tiers (with room
 to spare, and under a budget that keeps the governor evicting) and the
-parallel scan pool on both backends (asserted to have run), and the
-scalar tokenizer (a quoted dialect).  One
+parallel scan pool on both backends (asserted to have run), the
+scalar tokenizer (a quoted dialect), and JSON lines (the JSONL kernel
+on every window it reads, and the scalar parser on the windows whose
+strings ``\\u``-escape the multi-byte words).  One
 more column orders the table by ``i`` (NULLs last) and leads each
 predicate with a conjunct on ``i`` or ``f`` that synopses can test, so
 warm scans skip windows — and must still agree.
@@ -43,8 +45,11 @@ from repro import (
     PostgresRawConfig,
     TableSchema,
     append_csv_rows,
+    append_jsonl_rows,
     write_csv,
+    write_jsonl,
 )
+from repro.kernels import jsonl as jsonl_kernel
 from repro.rawio.dialect import DEFAULT_DIALECT
 from repro.sharding import (
     ScatterPlanner,
@@ -101,9 +106,12 @@ CONFIGS = {
     # The same bytes through the scalar tokenizer: a quoted dialect is
     # not kernel-eligible, so it runs the RFC-4180 state machine.
     "quoted": {"batch_size": 7},
+    "jsonl": {"batch_size": 7},
 }
 #: Each column's CSV dialect, when not the default.
 DIALECTS = {"quoted": CsvDialect(quote_char='"')}
+#: Columns whose table is JSON lines, not CSV.
+FORMATS = {"jsonl": "jsonl"}
 
 # ----------------------------------------------------------------------
 # Tables.
@@ -353,9 +361,12 @@ def _matches_sqlite(tmp_path_factory, name, rows, plan) -> tuple[int, int]:
     rows must agree.  Returns the windows the engine's scans skipped and
     the chunks its scan pool ran."""
     tmp = tmp_path_factory.mktemp("oracle")
-    path = tmp / "t.csv"
     dialect = DIALECTS.get(name, DEFAULT_DIALECT)
-    write_csv(path, rows, SCHEMA, dialect)
+    jsonl = FORMATS.get(name) == "jsonl"
+    if jsonl:
+        path = write_jsonl(tmp / "t.jsonl", rows, SCHEMA)
+    else:
+        path = write_csv(tmp / "t.csv", rows, SCHEMA, dialect)
     config = dict(CONFIGS[name])
     if config.get("vp_enabled"):
         config["vp_dir"] = str(tmp / "vp")
@@ -363,10 +374,16 @@ def _matches_sqlite(tmp_path_factory, name, rows, plan) -> tuple[int, int]:
     chunks = 0
     try:
         with PostgresRaw(PostgresRawConfig(**config)) as engine:
-            engine.register_csv("t", path, SCHEMA, dialect)
+            if jsonl:
+                engine.register_jsonl("t", path, SCHEMA)
+            else:
+                engine.register_csv("t", path, SCHEMA, dialect)
             for kind, step in plan:
                 if kind == "append":
-                    append_csv_rows(path, step, SCHEMA, dialect)
+                    if jsonl:
+                        append_jsonl_rows(path, step, SCHEMA)
+                    else:
+                        append_csv_rows(path, step, SCHEMA, dialect)
                     db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", step)
                     continue
                 ours, theirs, ordered = step
@@ -389,7 +406,12 @@ POOLED = ("process2", "workers2")
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_engine_matches_sqlite(tmp_path_factory, name):
+def test_engine_matches_sqlite(tmp_path_factory, monkeypatch, name):
+    if FORMATS.get(name) == "jsonl":
+        # These tables are a few rows: let the kernel read every window
+        # and map jump it can, however small.
+        monkeypatch.setattr(jsonl_kernel, "MIN_RECORDS", 1)
+        monkeypatch.setattr(jsonl_kernel, "MIN_VALUES", 1)
     chunks = []
 
     @given(rows=rows_of, plan=steps)

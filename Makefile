@@ -148,13 +148,17 @@ stress:
 # of the tier-1 suite's 25, under a fixed seed so a disagreement
 # reproduces; plus, as deep, the kernel's TEXT dictionary encode
 # against the scalar one (multi-byte, NUL-ended, outlier-wide and
-# invalid UTF-8) and the JSONL kernel against parse_record (clean,
-# escaped and malformed windows).
+# invalid UTF-8), the JSONL kernel against parse_record (clean,
+# escaped and malformed windows), and a cold parallel scan on either
+# pool backend against the serial one (rows and every learned
+# structure).
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
 		tests/property/test_sqlite_oracle.py \
 		"tests/property/test_kernel_props.py::test_kernel_text_equals_scalar" \
 		"tests/property/test_kernel_props.py::test_jsonl_kernel_equals_parse_record" \
+		"tests/property/test_parallel_props.py::test_parallel_scan_equals_serial_scan" \
+		"tests/property/test_parallel_props.py::test_parallel_process_backend_equals_serial" \
 		--hypothesis-seed=29 -x -q
 
 # Process-backend leg: multiprocessing scan workers racing the serving

@@ -3,8 +3,9 @@
 OLA-RAW's point applied to PostgresRaw: cold in-situ scans should use
 every core.  Two sweeps over worker counts (1/2/4/8) measure
 
-* **cold-scan latency** — first query over a fresh file, where the pool
-  parallelizes line indexing, tokenizing, parsing and conversion;
+* **cold-scan latency** — first query over a fresh file: the main
+  thread builds the line index, then the pool parallelizes tokenizing,
+  parsing and conversion of the whole file as the plan's tail;
 * **repeat-query latency** — the adaptively-built structures must make
   the second query equally cheap on serial and parallel engines (the
   merged positional map/cache are identical by construction).
@@ -12,8 +13,9 @@ every core.  Two sweeps over worker counts (1/2/4/8) measure
 Shapes: a *wide* file (32 attributes — lots of tokenizing per tuple)
 and a *narrow* one (4 attributes), matching the paper's observation
 that attribute count drives raw-access cost.  Thread and process
-backends are both swept; threads only win on GIL-free builds or
-I/O-bound scans, processes are the CPU-scaling backend.  Speedup
+backends are both swept; they run one algorithm and differ only in the
+pool: threads win on GIL-free builds or I/O-bound scans, processes
+escape the GIL for CPU-bound tokenizing.  Speedup
 assertions are gated on the cores actually available — on a single-core
 host the benchmark only verifies result equality and reports overhead.
 """

@@ -20,10 +20,11 @@ The library provides:
   connection, streaming cursors pumped into socket writes with
   end-to-end backpressure) and the matching blocking client whose
   ``connect(...).cursor(sql)`` returns the same lazy cursor API;
-* :mod:`repro.parallel` — a parallel chunked raw-scan subsystem: cold
-  scans and fully-unmapped tail scans split the file into newline-aligned
-  chunks processed by a scan pool, with per-chunk positional maps, cache
-  columns and statistics merged back deterministically;
+* :mod:`repro.parallel` — a parallel chunked raw-scan subsystem: a
+  scan's fully-unmapped tail (the whole file, when cold) is cut at
+  batch-aligned rows and processed by a scan pool of threads or
+  processes, with per-chunk positional maps, cache columns and
+  statistics merged back into exactly the serial scan's;
 * :mod:`repro.sharding` — the scale-out tier: a coordinator partitions
   raw files by key across N worker processes (one engine + wire server
   each), and :func:`connect` with a multi-host DSN returns a

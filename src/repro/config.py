@@ -94,9 +94,9 @@ class PostgresRawConfig:
     #: Number of workers for the parallel chunked raw scan
     #: (:mod:`repro.parallel`).  ``1`` (the default) keeps the serial
     #: scan path byte-for-byte unchanged; raise it on multi-core machines
-    #: so cold scans and unmapped-tail scans split the file into
-    #: newline-aligned chunks processed concurrently.  Query results and
-    #: the merged positional map are identical to the serial path.
+    #: so a scan's fully-unmapped tail (the whole file, when cold) is
+    #: cut at batch-aligned rows and scanned concurrently.  Query results
+    #: and every learned structure are identical to the serial path.
     scan_workers: int = 1
 
     #: Target size of one parallel scan chunk.  Also the engagement
@@ -104,10 +104,12 @@ class PostgresRawConfig:
     #: this knob bounds the per-chunk dispatch overhead.
     parallel_chunk_bytes: int = DEFAULT_PARALLEL_CHUNK_BYTES
 
-    #: ``"thread"`` (default: cheap dispatch, one address space; best
-    #: when I/O-bound or on GIL-free builds) or ``"process"`` (separate
-    #: processes — the CPU-scalable choice for cold scans).  Either way
-    #: a worker reads and tokenizes its own byte range of the raw file.
+    #: The scan pool: ``"thread"`` (default: cheap dispatch, one address
+    #: space; best when I/O-bound or on GIL-free builds) or ``"process"``
+    #: (separate processes, so tokenizing and converting escape the
+    #: GIL).  Only the pool differs: on both, the main thread builds the
+    #: line index and a worker reads and tokenizes its own rows' byte
+    #: range of the raw file.
     parallel_backend: str = "thread"
 
     #: "the amount of storage space which is devoted to internal

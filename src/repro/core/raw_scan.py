@@ -179,8 +179,7 @@ class RawScan(Operator):
             self._kernels = kernel_cache
 
         #: What this execution decided (:func:`plan_scan`); ``None``
-        #: before it has its line index, and for a byte-chunked parallel
-        #: cold scan, whose chunk workers plan their own chunks.
+        #: only before it has its line index.
         self.plan: ScanPlan | None = None
         #: What this execution learned, until it is installed.
         self.collectors = Collectors()
@@ -243,19 +242,6 @@ class RawScan(Operator):
     def _execute(self) -> Iterator[Batch]:
         state = self.state
         state.record_usage(self.needed_attrs)
-        # ``scan_workers=1`` builds no driver: the serial scan is the
-        # degenerate case of the parallel one.
-        driver = None
-        if self.config.scan_workers > 1:
-            from ..parallel.driver import ParallelScanDriver
-
-            driver = ParallelScanDriver(self)
-            if driver.cold_eligible():
-                # Nothing is known about the file yet: chunk it by byte
-                # ranges and let the pool build the line index, tokenize
-                # and convert concurrently (repro.parallel).
-                yield from driver.run_cold()
-                return
         n_rows = self.row_to = self._ensure_bounds()
         if self.config.enable_statistics:
             state.statistics.set_row_estimate(n_rows)
@@ -264,8 +250,11 @@ class RawScan(Operator):
             yield from self._scan_batches()
             if plan.tail_from is not None:
                 # Rows [row_from, tail_from) were served above; the
-                # fully-unmapped tail fans out over the pool.
-                yield from driver.run_tail(plan.tail_from, n_rows)
+                # fully-unmapped tail (the whole file, when cold) fans
+                # out over the pool (repro.parallel).
+                from ..parallel.driver import run_tail
+
+                yield from run_tail(self, plan.tail_from, n_rows)
         finally:
             # Runs even when a LIMIT above abandons the scan early: the
             # offsets/values collected so far form a valid row prefix and

@@ -2,7 +2,7 @@
 
 JSONL records are newline-aligned, so the whole adaptive stack
 generalizes: the CSV line index *is* the JSONL record index, parallel
-byte chunks cut after ``\\n`` stay record-aligned, and streaming/wire
+row chunks cut after ``\\n`` stay record-aligned, and streaming/wire
 serving are format-blind.  What differs is the positional-map flavor —
 for each record the map stores the **value-start offset of every schema
 key** (wherever that key happens to appear in the record), so a warm

@@ -1,40 +1,16 @@
-"""Newline-aligned chunking of raw CSV files.
+"""How many pieces a parallel scan cuts its rows into.
 
-The scan pool needs the file cut into pieces that (a) together cover it
-exactly once and (b) never split a record: every boundary sits at offset
-0, at end-of-file, or immediately *after* a ``\\n``.  Because a CRLF
-pair ends with the ``\\n``, a boundary can never fall between ``\\r``
-and ``\\n`` — chunking is CRLF-safe by construction, and the per-record
-``\\r`` trim (:func:`repro.rawio.tokenizer.trim_cr`) sees every pair
-whole.  A final unterminated record belongs to the last chunk.
-
-:func:`plan_file_chunks` produces byte ranges straight off the file:
-seek to an approximate cut, scan forward to the next record boundary.
-Workers read their own ranges (the process backend's cold scan).
-Row-structured scans (tails, and every thread-backend scan) don't chunk
-by size: the driver cuts at known batch-aligned row boundaries instead,
-so worker batches coincide with the serial scan's.
+The pool never cuts by bytes alone: the scan plan's tail is split at
+batch-aligned *row* boundaries (:func:`repro.parallel.driver.run_tail`),
+so worker batches coincide with the serial scan's and every cut sits
+after a record's newline — CRLF pairs and unterminated final records
+stay whole.  :func:`chunk_count` decides how many cuts the tail's byte
+size is worth and :func:`row_cuts` places them.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from pathlib import Path
-
-from ..errors import RawDataError
-
-#: Read granularity while scanning forward for a newline.
-_PROBE_BLOCK = 64 * 1024
-
-
-@dataclass(frozen=True)
-class ChunkSpec:
-    """One half-open slice ``[start, end)`` of a raw file, in bytes."""
-
-    index: int
-    start: int
-    end: int
+import numpy as np
 
 
 def chunk_count(
@@ -59,55 +35,24 @@ def chunk_count(
     return max(1, n)
 
 
-def _specs_from_cuts(cuts: list[int]) -> list[ChunkSpec]:
-    # Deduplicate (several approximate cuts can land on the same
-    # boundary when lines are long) while preserving order.
-    unique = sorted(set(cuts))
-    return [
-        ChunkSpec(i, start, end)
-        for i, (start, end) in enumerate(zip(unique[:-1], unique[1:]))
-        if end > start
-    ]
+def row_cuts(
+    bounds: np.ndarray,
+    tail_from: int,
+    n_rows: int,
+    batch_size: int,
+    target_chunk_size: int,
+) -> list[int]:
+    """Row cuts of the tail ``[tail_from, n_rows)`` over line index
+    ``bounds``: chunk ``i`` holds rows ``[cuts[i], cuts[i + 1])`` and
+    reads bytes ``[bounds[cuts[i]], bounds[cuts[i + 1]] - 1)``.
 
-
-def plan_file_chunks(
-    path: str | Path, target_chunk_bytes: int, max_chunks: int | None
-) -> list[ChunkSpec]:
-    """Split ``path`` into newline-aligned byte-range chunks.
-
-    Seeks to ``i * size / n`` for each interior cut and scans forward to
-    one past the next ``\\n``; a cut that finds no newline before EOF
-    collapses into the previous chunk.
+    Uncapped (streaming shape).  Every inner cut lies a ``batch_size``
+    multiple past ``tail_from`` (itself one), so worker-local batches
+    coincide with the serial scan's, and a cut is a row start, so a
+    chunk never splits a record.
     """
-    path = Path(path)
-    try:
-        size = os.stat(path).st_size
-    except FileNotFoundError:
-        raise RawDataError(f"raw file not found: {path}") from None
-    n = chunk_count(size, target_chunk_bytes, max_chunks)
-    if n <= 1:
-        return [ChunkSpec(0, 0, size)]
-    cuts = [0, size]
-    with open(path, "rb") as f:
-        for i in range(1, n):
-            cuts.append(_align_forward_file(f, size * i // n, size))
-    return _specs_from_cuts(cuts)
-
-
-def _align_forward_file(f, offset: int, size: int) -> int:
-    """First record boundary at or after ``offset`` (file variant)."""
-    if offset <= 0:
-        return 0
-    f.seek(offset)
-    pos = offset
-    while pos < size:
-        block = f.read(_PROBE_BLOCK)
-        if not block:
-            break
-        nl = block.find(b"\n")
-        if nl != -1:
-            return pos + nl + 1
-        pos += len(block)
-    return size
-
-
+    tail_bytes = int(bounds[n_rows] - bounds[tail_from])
+    n_chunks = chunk_count(tail_bytes, target_chunk_size, None)
+    total_batches = -(-(n_rows - tail_from) // batch_size)
+    per_chunk = -(-total_batches // n_chunks)
+    return list(range(tail_from, n_rows, per_chunk * batch_size)) + [n_rows]

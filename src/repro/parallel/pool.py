@@ -2,11 +2,11 @@
 
 Threads are the default backend — dispatch is cheap and I/O-bound scans
 (plus GIL-free Python builds) overlap well.  The ``process`` backend
-forks worker processes, which is what scales the CPU-bound
-tokenizing/parsing loops on multi-core machines (the OLA-RAW
-observation: in-situ engines need parallel chunked raw access to be
-practical at scale).  On both, a worker reads and tokenizes its own
-byte range of the raw file; no file content is handed to it.
+forks worker processes, so the CPU-bound tokenizing/parsing loops
+escape the GIL (the OLA-RAW observation: in-situ engines need parallel
+chunked raw access to be practical at scale).  Both run the same
+chunk tasks: a worker reads and tokenizes the byte range of its rows;
+no file content is handed to it.
 
 Pools are **recycled across queries**: the underlying executor is
 created lazily on the first parallel dispatch and kept alive until
@@ -136,8 +136,8 @@ class ScanPool:
         self.dispatches += 1
         lookahead = next(it, None)
         if lookahead is None:
-            # Single chunk: run inline, as `run` does — no executor
-            # start-up for degenerate dispatches.
+            # Single chunk: run inline — no executor start-up for
+            # degenerate dispatches.
             yield fn(first)
             return
         executor = self._ensure_executor()

@@ -31,7 +31,7 @@ from ..catalog.catalog import RawTableEntry
 from ..catalog.schema import TableSchema
 from ..config import PostgresRawConfig
 from ..core.install import Collectors
-from ..core.metrics import BreakdownComponent, QueryMetrics
+from ..core.metrics import QueryMetrics
 from ..core.raw_scan import RawScan
 from ..core.scan_plan import plan_scan
 from ..core.table_state import RawTableState
@@ -39,7 +39,6 @@ from ..errors import ScanWorkerError, UpdateConflictError
 from ..kernels import ContentBuffer
 from ..rawio.dialect import CsvDialect
 from ..rawio.reader import FileStamp, RawFileReader
-from ..rawio.tokenizer import has_crlf
 from ..sql.ast import Expression
 
 #: Recency stamp of an adopted anchor the worker has not jumped from.
@@ -62,7 +61,11 @@ class ChunkTask:
     output_columns: list[str]
     predicate: Expression | None
     config: PostgresRawConfig
-    first_chunk: bool
+    #: The chunk's slice of the table's line index (file offsets: row
+    #: ``i`` of the chunk starts at ``bounds[i]``) and the table's CRLF
+    #: flag — the main thread built the index before the pool runs.
+    bounds: np.ndarray
+    crlf: bool = False
     #: Source-file format of the table (``repro.formats``): the worker
     #: rebuilds its chunk-local entry with the same adapter, so JSONL
     #: chunks tokenize as JSON records on both pool backends.
@@ -73,10 +76,6 @@ class ChunkTask:
     #: The file version the driver planned against; a worker that finds
     #: another one raises ``UpdateConflictError``.
     stamp: FileStamp | None = None
-    #: Known row structure of the chunk (tail scans): its slice of the
-    #: line index and the table's CRLF flag.  Cold scans build their own.
-    bounds: np.ndarray | None = None
-    crlf: bool = False
     #: Row slices of shared positional-map chunks, so anchored
     #: tokenizing works inside the worker.
     anchor_chunks: list[tuple[tuple[int, ...], np.ndarray]] = field(
@@ -90,10 +89,6 @@ class ChunkResult:
 
     index: int
     n_rows: int
-    #: Cold scans: the chunk's line index (file offsets) and whether it
-    #: holds a CRLF record end.
-    bounds: np.ndarray | None
-    crlf: bool
     batches: list[Batch]
     #: What the chunk's scan learned, in chunk-local rows.
     collectors: Collectors
@@ -167,21 +162,11 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
     # never reads the file again.
     scan._index_window = window
 
-    if task.bounds is not None:
-        bounds = np.asarray(task.bounds, dtype=np.int64)
-        crlf = task.crlf
-    else:
-        with metrics.time(BreakdownComponent.TOKENIZING):
-            bounds = entry.adapter.build_line_index(
-                window.data,
-                task.first_chunk and task.dialect.has_header,
-                base=window.base,
-            )
-            crlf = has_crlf(window.data)
+    bounds = np.asarray(task.bounds, dtype=np.int64)
     n_rows = max(len(bounds) - 1, 0)
-    scan._bounds, scan._crlf = bounds, crlf
+    scan._bounds, scan._crlf = bounds, task.crlf
     pm = state.positional_map
-    pm.set_line_bounds(bounds, crlf)
+    pm.set_line_bounds(bounds, task.crlf)
     adopted = []
     for attrs, offsets in task.anchor_chunks:
         chunk = pm.adopt(attrs, offsets)
@@ -199,8 +184,6 @@ def _scan_chunk(task: ChunkTask) -> ChunkResult:
     return ChunkResult(
         index=task.index,
         n_rows=n_rows,
-        bounds=bounds if task.bounds is None else None,
-        crlf=crlf,
         batches=batches,
         collectors=scan.collectors,
         stats_log=stats_log,

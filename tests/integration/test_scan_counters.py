@@ -5,9 +5,10 @@ The same sequence runs serially and on both scan-pool backends with
 external append, the repeat over the appended tail and a point lookup
 on the cached key that skips windows.  Every counter the benchmark
 reports per scan must stay exactly these values, on every backend.
-``bytes_read`` is pinned per backend: a thread-backend cold scan reads
-the file twice by design (the main thread's line index, then the
-workers' rows), and a pooled tail is read by both too.
+``bytes_read`` and ``parallel_chunks`` are pinned per backend, and
+both pool backends share one list: a pooled cold scan reads the file
+twice by design (the main thread's line index, then the workers' rows),
+and a pooled tail is read by both too.
 """
 
 import pytest
@@ -60,6 +61,8 @@ STEPS = [
         (20000, 0, 1, 1, 1, 1, 0, 4),
     ),
 ]
+#: ``bytes_read`` and ``parallel_chunks`` per statement, on either pool.
+POOLED = ([263239, 64811, 64811, 0, 683304, 21], [2, 0, 0, 0, 3, 0])
 #: Per backend: its config, then ``bytes_read`` and ``parallel_chunks``
 #: per statement.
 BACKENDS = {
@@ -68,15 +71,10 @@ BACKENDS = {
         [131626, 64811, 64811, 0, 398560, 21],
         [0, 0, 0, 0, 0, 0],
     ),
-    "thread2": (
-        {"scan_workers": 2},
-        [263239, 64811, 64811, 0, 683304, 21],
-        [2, 0, 0, 0, 3, 0],
-    ),
+    "thread2": ({"scan_workers": 2}, *POOLED),
     "process2": (
         {"scan_workers": 2, "parallel_backend": "process"},
-        [131626, 64811, 64811, 0, 683304, 21],
-        [2, 0, 0, 0, 3, 0],
+        *POOLED,
     ),
 }
 

@@ -1,7 +1,14 @@
 """Property-based tests for the parallel chunked scan: for arbitrary
-files and chunk geometries, chunking loses no rows, duplicates no rows,
-and the parallel scan is row-for-row (and structure-for-structure)
-equivalent to the serial scan."""
+files and chunk geometries, the row cuts lose no row and duplicate none,
+and on either pool backend the parallel scan is row-for-row (and
+structure-for-structure) equivalent to the serial scan.
+
+``REPRO_ORACLE_EXAMPLES`` sets the examples of the cold-scan
+equivalence properties (``make oracle`` runs them at 250 under a fixed
+seed); unset, the thread backend runs 30 and the process backend 10.
+"""
+
+import os
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from governed import cache_layout, record_touches
 from repro import PostgresRaw, PostgresRawConfig
 from repro.catalog.schema import TableSchema
-from repro.parallel.chunker import plan_file_chunks
+from repro.parallel.chunker import chunk_count, row_cuts
 from repro.rawio.tokenizer import build_line_index, trim_cr
 
 # --- generated raw files ---------------------------------------------
@@ -31,7 +38,7 @@ def _render(rows, nl, terminate):
     return "a,b,c" + nl + body + (nl if terminate else "")
 
 
-# --- chunker: no row lost, none duplicated ---------------------------
+# --- row cuts: no row lost, none duplicated --------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -40,66 +47,68 @@ def _render(rows, nl, terminate):
     nl=newline,
     terminate=st.booleans(),
     target=st.integers(1, 200),
-    cap=st.integers(1, 9),
+    batch=st.integers(1, 9),
+    tail_batches=st.integers(0, 20),
 )
 def test_file_chunks_partition_bytes_and_records(
-    tmp_path_factory, rows, nl, terminate, target, cap
+    rows, nl, terminate, target, batch, tail_batches
 ):
-    tmp = tmp_path_factory.mktemp("chunks")
-    path = tmp / "t.csv"
     data = _render(rows, nl, terminate).encode()
-    path.write_bytes(data)
+    bounds = build_line_index(data, has_header=True)
+    n_rows = len(bounds) - 1
+    tail_from = min(tail_batches, (n_rows - 1) // batch) * batch
 
-    specs = plan_file_chunks(path, target, cap)
-    # Exact partition: concatenating the chunks re-creates the file.
-    assert specs[0].start == 0 and specs[-1].end == len(data)
-    assert all(a.end == b.start for a, b in zip(specs[:-1], specs[1:]))
-    reassembled = b"".join(data[s.start : s.end] for s in specs)
-    assert reassembled == data
-    # Record-boundary alignment: line counts per chunk sum to the total
-    # (no record split across chunks, none lost, none duplicated).
-    total_lines = data.count(b"\n")
-    per_chunk = [data[s.start : s.end].count(b"\n") for s in specs]
-    assert sum(per_chunk) == total_lines
-    for s in specs[1:]:
-        assert data[s.start - 1 : s.start] == b"\n"
+    cuts = row_cuts(bounds, tail_from, n_rows, batch, target)
+    tail_bytes = int(bounds[n_rows] - bounds[tail_from])
+    assert len(cuts) - 1 <= chunk_count(tail_bytes, target, None)
+    assert cuts[0] == tail_from and cuts[-1] == n_rows
+    assert all(a < b for a, b in zip(cuts[:-1], cuts[1:]))
+    # Inner cuts are serial batch cuts, and sit just after a newline.
+    assert all(c % batch == 0 for c in cuts[:-1])
+    assert all(data[bounds[c] - 1 : bounds[c]] == b"\n" for c in cuts[1:-1])
+    # Exact partition: each worker's byte range holds its rows whole,
+    # and the ranges re-create the tail.
+    ranges = [
+        (int(bounds[r0]), int(bounds[r1]) - 1)
+        for r0, r1 in zip(cuts[:-1], cuts[1:])
+    ]
+    for (r0, r1), (a, b) in zip(zip(cuts[:-1], cuts[1:]), ranges):
+        assert data[a:b].count(b"\n") == r1 - r0 - 1
+    tail = b"".join(data[a : b + 1] for a, b in ranges)
+    assert tail == data[int(bounds[tail_from]) :]
 
 
 # --- parallel scan == serial scan ------------------------------------
 
 
-def _compare_engines(
-    path, workers, chunk_bytes, backend, queries, check_cache=True
-):
-    # check_cache=False only for process-backend cold scans, where
-    # chunk-local batching may legitimately cache a different prefix of
-    # the projection columns under a selective predicate; everything
-    # else (results, bounds, positional map) must always match, and the
-    # default thread backend must match on cache content too.
-    serial = PostgresRaw()
-    serial.register_csv("t", path, SCHEMA)
-    parallel = PostgresRaw(
-        PostgresRawConfig(
-            scan_workers=workers,
-            parallel_chunk_bytes=chunk_bytes,
-            parallel_backend=backend,
-        )
+def _examples(default):
+    return int(os.environ.get("REPRO_ORACLE_EXAMPLES", default))
+
+
+def _compare_engines(path, workers, chunk_bytes, backend, queries):
+    config = PostgresRawConfig(
+        scan_workers=workers,
+        parallel_chunk_bytes=chunk_bytes,
+        parallel_backend=backend,
     )
-    parallel.register_csv("t", path, SCHEMA)
-    record_touches(serial), record_touches(parallel)
-    for sql in queries:
-        assert serial.query(sql).rows == parallel.query(sql).rows
-    spm = serial.table_state("t").positional_map
-    ppm = parallel.table_state("t").positional_map
-    assert np.array_equal(spm.line_bounds, ppm.line_bounds)
-    schunks = sorted(spm.entries(), key=lambda c: c.attrs)
-    pchunks = sorted(ppm.entries(), key=lambda c: c.attrs)
-    assert [(c.attrs, c.rows) for c in schunks] == [
-        (c.attrs, c.rows) for c in pchunks
-    ]
-    for sc, pc in zip(schunks, pchunks):
-        assert np.array_equal(sc.offsets, pc.offsets)
-    if check_cache:
+    # Closing both engines shuts the process backend's pool down with
+    # the example, not with the session.
+    with PostgresRaw() as serial, PostgresRaw(config) as parallel:
+        serial.register_csv("t", path, SCHEMA)
+        parallel.register_csv("t", path, SCHEMA)
+        record_touches(serial), record_touches(parallel)
+        for sql in queries:
+            assert serial.query(sql).rows == parallel.query(sql).rows
+        spm = serial.table_state("t").positional_map
+        ppm = parallel.table_state("t").positional_map
+        assert np.array_equal(spm.line_bounds, ppm.line_bounds)
+        schunks = sorted(spm.entries(), key=lambda c: c.attrs)
+        pchunks = sorted(ppm.entries(), key=lambda c: c.attrs)
+        assert [(c.attrs, c.rows) for c in schunks] == [
+            (c.attrs, c.rows) for c in pchunks
+        ]
+        for sc, pc in zip(schunks, pchunks):
+            assert np.array_equal(sc.offsets, pc.offsets)
         assert cache_layout(serial) == cache_layout(parallel)
         assert serial.touches == parallel.touches
 
@@ -111,7 +120,7 @@ QUERIES = [
 ]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=_examples(30), deadline=None)
 @given(
     rows=rows_strategy,
     nl=newline,
@@ -128,7 +137,7 @@ def test_parallel_scan_equals_serial_scan(
     _compare_engines(path, workers, chunk_bytes, "thread", QUERIES)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=_examples(10), deadline=None)
 @given(
     rows=rows_strategy,
     terminate=st.booleans(),
@@ -141,9 +150,7 @@ def test_parallel_process_backend_equals_serial(
     tmp = tmp_path_factory.mktemp("proc")
     path = tmp / "t.csv"
     path.write_bytes(_render(rows, "\n", terminate).encode())
-    _compare_engines(
-        path, workers, chunk_bytes, "process", QUERIES[:1], check_cache=False
-    )
+    _compare_engines(path, workers, chunk_bytes, "process", QUERIES)
 
 
 @settings(max_examples=25, deadline=None)
@@ -191,30 +198,22 @@ def test_parallel_append_tail_equals_serial(
 
 @settings(max_examples=60, deadline=None)
 @given(rows=rows_strategy, terminate=st.booleans())
-def test_crlf_record_bounds_compose_over_chunks(
-    tmp_path_factory, rows, terminate
-):
-    """Per-chunk line indexes and CR trims concatenate to the whole
-    file's (chunk cuts always sit after a newline, so a CRLF pair never
-    straddles chunks)."""
-    tmp = tmp_path_factory.mktemp("nl")
-    path = tmp / "t.csv"
+def test_crlf_record_bounds_compose_over_chunks(rows, terminate):
+    """CR trims computed per chunk, over only the byte range its worker
+    reads, concatenate to the whole file's (a cut always sits after a
+    newline, so a CRLF pair never straddles chunks)."""
     data = _render(rows, "\r\n", terminate).encode()
-    path.write_bytes(data)
+    bounds = build_line_index(data, has_header=True)
+    n_rows = len(bounds) - 1
 
-    def records(chunk, has_header, base):
-        bounds = build_line_index(chunk, has_header, base)
-        starts, ends = bounds[:-1], bounds[1:] - 1
-        buf = np.frombuffer(chunk, dtype=np.uint8)
-        return starts.tolist(), trim_cr(buf, starts, ends, base).tolist()
+    def ends(r0, r1):
+        start = int(bounds[r0])
+        buf = np.frombuffer(data[start : int(bounds[r1]) - 1], np.uint8)
+        line_ends = bounds[r0 + 1 : r1 + 1] - 1
+        return trim_cr(buf, bounds[r0:r1], line_ends, start).tolist()
 
-    starts, ends = [], []
-    for spec in plan_file_chunks(path, 40, 8):
-        chunk = data[spec.start : spec.end]
-        s, e = records(chunk, spec.index == 0, spec.start)
-        starts += s
-        ends += e
-    assert (starts, ends) == records(data, True, 0)
-    assert [data[s:e] for s, e in zip(starts, ends)] == [
-        f"{a},{b},{c}".encode() for a, b, c in rows
-    ]
+    cuts = row_cuts(bounds, 0, n_rows, 4, 40)
+    per_chunk = [ends(r0, r1) for r0, r1 in zip(cuts[:-1], cuts[1:])]
+    assert sum(per_chunk, []) == ends(0, n_rows)
+    records = [data[s:e] for s, e in zip(bounds[:-1], ends(0, n_rows))]
+    assert records == [f"{a},{b},{c}".encode() for a, b, c in rows]

@@ -14,6 +14,8 @@ from repro import (
 )
 from repro.catalog.schema import TableSchema
 from repro.core.metrics import QueryMetrics
+from repro.core.raw_scan import RawScan
+from repro.core.scan_plan import ScanPlan
 from repro.monitor.breakdown import render_worker_breakdown
 from repro.rawio.dialect import CsvDialect
 from repro.rawio.writer import append_csv_rows
@@ -37,12 +39,9 @@ def _engines(path, schema, parallel_config=PARALLEL):
     return record_touches(serial), record_touches(parallel)
 
 
-def _assert_same_state(serial, parallel, check_cache=True):
-    # check_cache=False for process-backend *cold* scans: selective
-    # tuple formation decides per chunk-local batch there, so which
-    # projection columns end up cached can differ from serial (results,
-    # bounds and the positional map never do).  The default thread
-    # backend is exact on everything.
+def _assert_same_state(serial, parallel):
+    # Exact on every structure, on either backend: both pools run the
+    # plan's tail at the serial scan's batch cuts.
     spm = serial.table_state("t").positional_map
     ppm = parallel.table_state("t").positional_map
     assert np.array_equal(spm.line_bounds, ppm.line_bounds)
@@ -53,10 +52,9 @@ def _assert_same_state(serial, parallel, check_cache=True):
     ]
     for sc, pc in zip(schunks, pchunks):
         assert np.array_equal(sc.offsets, pc.offsets)
-    if check_cache:
-        assert cache_layout(serial) == cache_layout(parallel)
-        # Which query last touched each entry decides eviction order.
-        assert serial.touches == parallel.touches
+    assert cache_layout(serial) == cache_layout(parallel)
+    # Which query last touched each entry decides eviction order.
+    assert serial.touches == parallel.touches
 
 
 class TestColdParallelScan:
@@ -106,7 +104,7 @@ class TestColdParallelScan:
         serial, parallel = _engines(path, schema, config)
         sql = "SELECT a0, a3 FROM t WHERE a1 < 300000"
         assert serial.query(sql).rows == parallel.query(sql).rows
-        _assert_same_state(serial, parallel, check_cache=False)
+        _assert_same_state(serial, parallel)
 
     def test_count_star_matches(self, raw_file):
         path, schema = raw_file
@@ -139,6 +137,45 @@ class TestColdParallelScan:
         sql = "SELECT a FROM t WHERE c < 50"
         assert serial.query(sql).rows == parallel.query(sql).rows
         _assert_same_state(serial, parallel)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_cold_scan_caches_the_serial_prefix(tmp_path, monkeypatch, backend):
+    # Regression: a process-backend cold scan once cut byte chunks and
+    # batched per chunk, so a chunk whose rows all qualified cached an
+    # 18-row prefix of ``a`` the serial scan does not, and the scan had
+    # no plan.  Every pooled scan now runs the plan's tail.
+    path = tmp_path / "t.csv"
+    lines = ["a,b,c"] + [
+        f"{i},{i},{10 if i < 20 else 90 + i % 10}" for i in range(100)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    schema = TableSchema.from_pairs(
+        [("a", "integer"), ("b", "integer"), ("c", "integer")]
+    )
+    config = PostgresRawConfig(
+        scan_workers=2, parallel_chunk_bytes=64, parallel_backend=backend
+    )
+    sql = "SELECT a, c FROM t WHERE c < 50"
+    with PostgresRaw() as serial, PostgresRaw(config) as parallel:
+        serial.register_csv("t", path, schema)
+        parallel.register_csv("t", path, schema)
+        expected = serial.query(sql)
+        scans = []
+        execute = RawScan.execute
+
+        def spy(self):
+            scans.append(self)
+            return execute(self)
+
+        monkeypatch.setattr(RawScan, "execute", spy)
+        result = parallel.query(sql)
+        assert result.rows == expected.rows
+        assert result.metrics.parallel_scans == 1
+        assert cache_layout(parallel) == cache_layout(serial)
+        (scan,) = scans
+        assert isinstance(scan.plan, ScanPlan)
+        assert scan.plan.tail_from == 0
 
 
 class TestTailParallelScan:

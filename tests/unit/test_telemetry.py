@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.config import PostgresRawConfig
@@ -250,7 +251,7 @@ class TestScanWorkerError:
             output_columns=[],
             predicate=None,
             config=PostgresRawConfig(),
-            first_chunk=True,
+            bounds=np.zeros(1, dtype=np.int64),
         )
 
     def test_worker_failure_carries_chunk_context(self):

@@ -121,7 +121,7 @@ def test_sharded_throughput(benchmark, tmp_path_factory):
     )
     # MVs off: rotating predicates must hit the raw scan path on every
     # query, so qps measures the sharded scan fan-out, not a cache.
-    config = PostgresRawConfig(server_port=0, mv_enabled=False)
+    config = PostgresRawConfig(mv_enabled=False)
 
     def sweep():
         records = []

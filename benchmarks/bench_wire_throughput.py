@@ -235,7 +235,6 @@ def test_wire_throughput(benchmark, tmp_path_factory):
         path, uniform_table_spec(n_attrs=6, n_rows=n_rows, width=8, seed=55)
     )
     config = PostgresRawConfig(
-        server_port=0,
         memory_budget=256 * 1024 * 1024,
         max_concurrent_queries=8,
         admission_queue_depth=64,
@@ -248,7 +247,7 @@ def test_wire_throughput(benchmark, tmp_path_factory):
             warm = service.session()
             for sql in HOT_QUERIES + [STREAM_SQL, POOL_SQL]:
                 warm.query(sql)
-            server = RawServer(service).start()
+            server = RawServer(service, port=0).start()
             try:
                 for n_clients in CLIENT_COUNTS:
                     wall_in, queries = _run_inprocess(service, n_clients)

@@ -35,10 +35,10 @@ def main() -> None:
     schema = generate_csv(raw_file, spec)
     print(f"raw file: {raw_file} ({raw_file.stat().st_size / 1024:.0f} KiB)")
 
-    config = PostgresRawConfig(server_port=0, batch_size=2048)
+    config = PostgresRawConfig(batch_size=2048)
     with PostgresRawService(config) as service:
         service.register_csv("m", raw_file, schema)
-        server = RawServer(service).start()
+        server = RawServer(service, port=0).start()
         print(f"server on {server.host}:{server.port}")
         try:
             sql = "SELECT a0, a1 FROM m WHERE a2 < 500000"

@@ -69,7 +69,6 @@ positional map are identical to the serial path either way.
 from .batch import Batch, ColumnVector
 from .catalog import Catalog, Column, PartitionSpec, TableSchema
 from .config import PostgresRawConfig
-from .dsn import connect, format_dsn, parse_dsn
 from .core import (
     FileChange,
     PostgresRaw,
@@ -128,6 +127,10 @@ from .service import (
     Session,
 )
 from .server import RawServer
+
+# After the engine packages: dsn imports the wire protocol, whose codec
+# needs them loaded.
+from .dsn import connect, format_dsn, parse_dsn
 from .telemetry import MetricsRegistry, Telemetry, Tracer
 from .rawio import (
     ColumnSpec,

@@ -73,6 +73,7 @@ from .errors import (
 from .executor.result import Cursor, QueryResult
 from .server.encoding import decode_binary_rows
 from .server.protocol import (
+    DEFAULT_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameType,
     encode_frame,
@@ -105,7 +106,7 @@ class Connection:
         *,
         token: str | None = None,
         timeout: float | None = None,
-        frame_bytes: int = 1 << 20,
+        frame_bytes: int = DEFAULT_FRAME_BYTES,
     ) -> None:
         self.host = host
         self.port = port
@@ -666,7 +667,7 @@ class ConnectionPool:
         max_size: int = 4,
         token: str | None = None,
         timeout: float | None = None,
-        frame_bytes: int = 1 << 20,
+        frame_bytes: int = DEFAULT_FRAME_BYTES,
     ) -> None:
         if min_size < 0:
             raise BudgetError("pool min_size must be >= 0")

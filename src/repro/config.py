@@ -6,6 +6,9 @@ devoted to the auxiliary structures — here one engine-wide
 ``memory_budget`` every structure is admitted under.
 :class:`PostgresRawConfig` is the programmatic equivalent; every knob
 maps to a sentence in the paper (quoted in the attribute docs below).
+Serving settings are not engine knobs: bind address, port and wire
+limits are parameters of :class:`repro.server.RawServer`, shard count,
+scheme and data directory of :class:`repro.sharding.ShardCluster`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import re
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
-from .catalog.schema import PARTITION_SCHEMES
 from .errors import BudgetError
 
 #: Number of tuples processed per vectorized batch by the scan operators.
@@ -36,12 +38,6 @@ DEFAULT_PARALLEL_CHUNK_BYTES = 1 << 20
 
 #: Supported parallel scan-pool backends.
 PARALLEL_BACKENDS = ("thread", "process")
-
-#: Floor for ``frame_bytes``: a wire frame must always fit the
-#: protocol's control payloads plus at least one row's framing overhead
-#: (:mod:`repro.server.protocol` — which cannot be imported here
-#: without a cycle, so the bound lives with its validation).
-MIN_FRAME_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -149,36 +145,6 @@ class PostgresRawConfig:
     #: cursor then holds its shared table locks indefinitely).
     cursor_ttl_s: float | None = 60.0
 
-    #: Bind address of the wire-protocol server (:mod:`repro.server`).
-    server_host: str = "127.0.0.1"
-
-    #: TCP port of the wire-protocol server.  ``0`` asks the OS for an
-    #: ephemeral port (the bound port is reported by
-    #: :attr:`repro.server.RawServer.port` — handy for tests and
-    #: benchmarks that run many servers side by side).
-    server_port: int = 5433
-
-    #: Maximum simultaneously open client connections; arrivals beyond
-    #: this are turned away with a fast wire-level ERROR frame instead
-    #: of being accepted and starved (admission control for sockets,
-    #: mirroring ``admission_queue_depth`` for queries).
-    max_connections: int = 64
-
-    #: Upper bound (bytes) on one wire frame's payload.  Outgoing row
-    #: frames are split to stay under it (a huge batch becomes several
-    #: frames, so per-connection send buffers stay bounded); incoming
-    #: frames that exceed it are rejected as a protocol error rather
-    #: than buffered without bound.
-    frame_bytes: int = 1 << 20
-
-    #: How many concurrent query streams one wire connection may
-    #: multiplex.  The server runs one cursor pump per stream and
-    #: interleaves their ROWS_BIN frames fairly; a QUERY beyond the
-    #: limit is refused with :class:`repro.errors.StreamLimitError`
-    #: (wire code ``stream_limit``) without disturbing the other
-    #: streams.
-    max_streams_per_connection: int = 8
-
     #: Master switch for :mod:`repro.telemetry` — the per-query span
     #: tracer, the engine-wide metrics registry's direct instruments
     #: (latency/TTFB/lock-wait histograms, counters) and the slow-query
@@ -230,24 +196,6 @@ class PostgresRawConfig:
     #: that is removed on ``close()``.
     vp_dir: str | None = None
 
-    #: How many shard workers a :class:`repro.sharding.ShardCluster`
-    #: spawns, each a full service over its partition of every raw
-    #: file.  ``1`` (the default) is the single-node layout: no
-    #: partitioning happens and the engine path is byte-identical to a
-    #: cluster-less deployment.
-    shard_count: int = 1
-
-    #: Default partitioning scheme for sharded tables: ``"hash"``
-    #: (deterministic CRC32 of the key's canonical text) or
-    #: ``"range"`` (ascending split points derived from the data or
-    #: supplied per table).
-    shard_scheme: str = "hash"
-
-    #: Directory the coordinator writes partitioned shard files into.
-    #: ``None`` (the default) uses a per-cluster temporary directory
-    #: removed when the cluster stops.
-    shard_data_dir: str | None = None
-
     #: Half-life (seconds) for decaying the ``benefit_seconds`` signal
     #: of governed structures: a positional chunk or cache entry that
     #: has not been touched for one half-life counts at half its
@@ -286,27 +234,12 @@ class PostgresRawConfig:
             and self.benefit_half_life_s <= 0
         ):
             raise BudgetError("benefit_half_life_s must be > 0 (or None)")
-        if not (0 <= self.server_port <= 65535):
-            raise BudgetError("server_port must be in [0, 65535]")
-        if self.max_connections < 1:
-            raise BudgetError("max_connections must be >= 1")
-        if self.frame_bytes < MIN_FRAME_BYTES:
-            raise BudgetError(f"frame_bytes must be >= {MIN_FRAME_BYTES}")
-        if self.max_streams_per_connection < 1:
-            raise BudgetError("max_streams_per_connection must be >= 1")
         if self.slow_query_s is not None and self.slow_query_s <= 0:
             raise BudgetError("slow_query_s must be > 0 (or None)")
         if self.mv_min_repeats < 1:
             raise BudgetError("mv_min_repeats must be >= 1")
         if self.vp_min_accesses < 1:
             raise BudgetError("vp_min_accesses must be >= 1")
-        if self.shard_count < 1:
-            raise BudgetError("shard_count must be >= 1")
-        if self.shard_scheme not in PARTITION_SCHEMES:
-            raise BudgetError(
-                f"shard_scheme must be one of {PARTITION_SCHEMES}, "
-                f"not {self.shard_scheme!r}"
-            )
 
     def with_overrides(self, **overrides: Any) -> "PostgresRawConfig":
         """Return a copy with the given fields replaced.

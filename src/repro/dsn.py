@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, quote, unquote, urlsplit
 
 from .catalog.schema import PartitionSpec
-from .config import MIN_FRAME_BYTES
 from .errors import ProtocolError
+from .server.protocol import DEFAULT_FRAME_BYTES, MIN_FRAME_BYTES
 
 SCHEME = "raw"
 DEFAULT_PORT = 5433
@@ -183,7 +183,7 @@ def connect(dsn: str):
     }
     token = opts.get("token") or None
     timeout = opts.get("timeout")
-    frame_bytes = opts.get("frame_bytes", 1 << 20)
+    frame_bytes = opts.get("frame_bytes", DEFAULT_FRAME_BYTES)
     if not parsed.is_sharded:
         from .client import Connection
 

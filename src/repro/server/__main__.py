@@ -23,12 +23,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.server",
         description="Serve raw CSV files over the repro wire protocol.",
     )
+    parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
-        "--host", default=None, help="bind address (default: config)"
-    )
-    parser.add_argument(
-        "--port", type=int, default=None,
-        help="TCP port; 0 picks an ephemeral port (default: config)",
+        "--port", type=int, default=5433,
+        help="TCP port; 0 picks an ephemeral port (default 5433)",
     )
     parser.add_argument(
         "--data", action="append", default=[], metavar="NAME=PATH",
@@ -63,15 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not args.data and not args.demo:
         build_parser().error("nothing to serve: pass --data and/or --demo")
-    overrides: dict = {
-        "scan_workers": args.scan_workers,
-        "memory_budget": args.memory_budget,
-    }
-    if args.host is not None:
-        overrides["server_host"] = args.host
-    if args.port is not None:
-        overrides["server_port"] = args.port
-    config = PostgresRawConfig(**overrides)
+    config = PostgresRawConfig(
+        scan_workers=args.scan_workers, memory_budget=args.memory_budget
+    )
     with contextlib.ExitStack() as stack:
         service = stack.enter_context(PostgresRawService(config))
         if args.demo:
@@ -93,7 +85,9 @@ def main(argv: list[str] | None = None) -> int:
                 name = Path(path).stem
             service.register_csv(name, path)
             print(f"table {name!r} <- {path}")
-        server = RawServer(service, auth_token=args.auth_token)
+        server = RawServer(
+            service, host=args.host, port=args.port, auth_token=args.auth_token
+        )
         try:
             asyncio.run(_serve(server))
         except KeyboardInterrupt:

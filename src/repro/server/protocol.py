@@ -75,6 +75,13 @@ from .encoding import peek_qid
 #: Protocol revision carried in HELLO/WELCOME: the only one spoken.
 PROTOCOL_VERSION = 2
 
+#: Floor for ``frame_bytes``: a wire frame must always fit the
+#: protocol's control payloads plus at least one row's framing overhead.
+MIN_FRAME_BYTES = 1024
+
+#: Default upper bound (bytes) on one frame's payload, on both ends.
+DEFAULT_FRAME_BYTES = 1 << 20
+
 _HEADER = struct.Struct("!I")
 _HEADER_BYTES = _HEADER.size
 

@@ -34,13 +34,13 @@ while at most ``max_concurrent_queries`` producers run.
 
 Use it embedded (tests, benchmarks)::
 
-    server = RawServer(service).start()     # background event loop
+    server = RawServer(service, port=0).start()  # background event loop
     ... repro.connect(f"raw://127.0.0.1:{server.port}/") ...
     server.stop()
 
 or standalone (``make serve``)::
 
-    python -m repro.server --data t.csv --table t --port 5433
+    python -m repro.server --data t=t.csv --port 5433
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..errors import (
+    BudgetError,
     CursorClosedError,
     ProtocolError,
     ReproError,
@@ -63,7 +64,14 @@ from ..errors import (
 )
 from ..service.service import PostgresRawService, Session
 from .encoding import iter_binary_row_frames
-from .protocol import PROTOCOL_VERSION, FrameType, encode_frame, read_frame
+from .protocol import (
+    DEFAULT_FRAME_BYTES,
+    MIN_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    FrameType,
+    encode_frame,
+    read_frame,
+)
 
 #: Default period (seconds) of a STATS push subscription; a subscriber
 #: may ask for another one per subscription.
@@ -106,42 +114,39 @@ class _Connection:
 class RawServer:
     """Serve one :class:`PostgresRawService` over TCP.
 
-    Knobs default to the service's config (``server_host``,
-    ``server_port``, ``max_connections``, ``frame_bytes``,
-    ``max_streams_per_connection``); keyword
-    overrides exist for embedding several servers in one process.
-    ``auth_token`` is the handshake's auth stub: when set, HELLO frames
-    must carry the same token or the connection is refused.
+    ``port=0`` binds an ephemeral port, reported by :attr:`port`.
+    Clients beyond ``max_connections`` get a fast ERROR frame; row
+    frames are split under ``frame_bytes`` and larger incoming frames
+    are a protocol error; a QUERY beyond ``max_streams_per_connection``
+    open streams gets :class:`repro.errors.StreamLimitError`.  When
+    ``auth_token`` is set, HELLO must carry it.
     """
 
     def __init__(
         self,
         service: PostgresRawService,
         *,
-        host: str | None = None,
-        port: int | None = None,
-        max_connections: int | None = None,
-        frame_bytes: int | None = None,
-        max_streams_per_connection: int | None = None,
+        host: str = "127.0.0.1",
+        port: int = 5433,
+        max_connections: int = 64,
+        frame_bytes: int = DEFAULT_FRAME_BYTES,
+        max_streams_per_connection: int = 8,
         auth_token: str | None = None,
     ) -> None:
-        config = service.config
+        if not (0 <= port <= 65535):
+            raise BudgetError("port must be in [0, 65535]")
+        if max_connections < 1:
+            raise BudgetError("max_connections must be >= 1")
+        if frame_bytes < MIN_FRAME_BYTES:
+            raise BudgetError(f"frame_bytes must be >= {MIN_FRAME_BYTES}")
+        if max_streams_per_connection < 1:
+            raise BudgetError("max_streams_per_connection must be >= 1")
         self.service = service
-        self.host = config.server_host if host is None else host
-        self.requested_port = config.server_port if port is None else port
-        self.max_connections = (
-            config.max_connections
-            if max_connections is None
-            else max_connections
-        )
-        self.frame_bytes = (
-            config.frame_bytes if frame_bytes is None else frame_bytes
-        )
-        self.max_streams_per_connection = (
-            config.max_streams_per_connection
-            if max_streams_per_connection is None
-            else max_streams_per_connection
-        )
+        self.host = host
+        self.requested_port = port
+        self.max_connections = max_connections
+        self.frame_bytes = frame_bytes
+        self.max_streams_per_connection = max_streams_per_connection
         self.auth_token = auth_token
         self.port: int | None = None  # bound port, set by start
         # Dedicated worker pool for blocking service calls, sized so

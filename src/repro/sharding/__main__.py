@@ -69,7 +69,6 @@ def main(argv: list[str] | None = None) -> int:
         build_parser().error("nothing to serve: pass --data and/or --demo")
     config = PostgresRawConfig(
         scan_workers=args.scan_workers,
-        shard_scheme=args.scheme,
         memory_budget=args.memory_budget,
     )
     with contextlib.ExitStack() as stack:
@@ -89,7 +88,9 @@ def main(argv: list[str] | None = None) -> int:
                     n_attrs=10, n_rows=args.demo_rows, width=8, seed=7
                 ),
             )
-            cluster.add_table("t", demo_path, key="a0", schema=schema)
+            cluster.add_table(
+                "t", demo_path, key="a0", schema=schema, scheme=args.scheme
+            )
             print(f"demo table 't' ({args.demo_rows} rows) at {demo_path}")
         for entry in args.data:
             name, __, rest = entry.rpartition("=")
@@ -98,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
                 build_parser().error(
                     f"--data needs NAME=PATH:KEY, got {entry!r}"
                 )
-            cluster.add_table(name, path, key=key)
+            cluster.add_table(name, path, key=key, scheme=args.scheme)
             print(f"table {name!r} <- {path} (partitioned on {key!r})")
         stack.callback(cluster.stop)
         cluster.start()

@@ -23,6 +23,7 @@ from ..catalog.schema import PartitionSpec
 from ..client import ConnectionPool
 from ..errors import ServiceError
 from ..executor.result import Cursor, QueryResult
+from ..server.protocol import DEFAULT_FRAME_BYTES
 from .scatter import (
     MergedResult,
     ScatterPlanner,
@@ -41,7 +42,7 @@ class ShardedConnectionPool:
         *,
         token: str | None = None,
         timeout: float | None = None,
-        frame_bytes: int = 1 << 20,
+        frame_bytes: int = DEFAULT_FRAME_BYTES,
         min_size: int = 1,
         max_size: int = 4,
     ) -> None:

@@ -47,26 +47,27 @@ def _mp_context():
 
 
 class ShardCluster:
-    """Partition files, run one wire server per shard, relay STATS."""
+    """Partition files, run one wire server per shard, relay STATS.
+
+    Each worker binds ``host`` on an ephemeral port; shard files go to
+    ``data_dir`` (``None``: a temporary directory removed on stop).
+    """
 
     def __init__(
         self,
-        shards: int | None = None,
+        shards: int,
         config: PostgresRawConfig | None = None,
         *,
         host: str = "127.0.0.1",
         auth_token: str | None = None,
         data_dir: str | Path | None = None,
     ) -> None:
-        self.config = config or PostgresRawConfig()
-        self.shards = (
-            shards if shards is not None else self.config.shard_count
-        )
-        if self.shards < 1:
+        if shards < 1:
             raise ShardingError("a cluster needs at least one shard")
+        self.config = config or PostgresRawConfig()
+        self.shards = shards
         self.host = host
         self.auth_token = auth_token
-        data_dir = data_dir or self.config.shard_data_dir
         self._own_data_dir = data_dir is None
         self.data_dir = Path(
             data_dir
@@ -99,15 +100,16 @@ class ShardCluster:
         *,
         schema: TableSchema | None = None,
         format: str | None = None,
-        scheme: str | None = None,
+        scheme: str = "hash",
         bounds: tuple | None = None,
         dialect: CsvDialect = DEFAULT_DIALECT,
     ) -> PartitionSpec:
         """Partition one raw file across the cluster's shards.
 
-        ``scheme`` defaults to the config's ``shard_scheme``; range
-        bounds are derived from the data (equi-count quantiles) when
-        not given.  Returns the cluster-wide :class:`PartitionSpec`.
+        ``scheme`` is ``"hash"`` (CRC32 of the key's text) or
+        ``"range"``, whose bounds are derived from the data (equi-count
+        quantiles) when not given.  Returns the cluster-wide
+        :class:`PartitionSpec`.
         """
         if self.started:
             raise ShardingError(
@@ -122,7 +124,6 @@ class ShardCluster:
                 if fmt == "jsonl"
                 else infer_schema(path, dialect)
             )
-        scheme = scheme or self.config.shard_scheme
         if scheme == "range" and bounds is None and self.shards > 1:
             bounds = derive_range_bounds(
                 path, schema, key, self.shards, fmt=fmt, dialect=dialect
@@ -166,8 +167,6 @@ class ShardCluster:
             raise ShardingError("cluster already started")
         worker_config = replace(
             self.config,
-            server_port=0,
-            shard_count=1,
             memory_budget=max(1, self.config.memory_budget // self.shards),
         )
         ctx = _mp_context()
@@ -179,6 +178,7 @@ class ShardCluster:
                     args=(
                         i,
                         worker_config,
+                        self.host,
                         self._tables[i],
                         child,
                         self.auth_token,

@@ -4,9 +4,10 @@
 pickles under both fork and spawn start methods.  The child builds its
 own :class:`~repro.service.PostgresRawService` (its slice of the
 global memory budget arrives pre-divided in ``config``), registers its
-shard files, binds a :class:`~repro.server.RawServer` on an ephemeral
-port, reports the port back through the pipe, then parks until the
-coordinator sends the stop token (or dies, which closes the pipe).
+shard files, binds a :class:`~repro.server.RawServer` on the
+coordinator's host at an ephemeral port, reports the port back through
+the pipe, then parks until the coordinator sends the stop token (or
+dies, which closes the pipe).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class WorkerTable:
 def run_worker(
     index: int,
     config: PostgresRawConfig,
+    host: str,
     tables: list[WorkerTable],
     pipe,
     auth_token: str | None = None,
@@ -58,7 +60,7 @@ def run_worker(
                 partition=table.partition,
             )
         server = RawServer(
-            service, port=0, auth_token=auth_token
+            service, host=host, port=0, auth_token=auth_token
         ).start()
         pipe.send({"ok": True, "shard": index, "port": server.port})
     except Exception as exc:  # startup failed: tell the coordinator

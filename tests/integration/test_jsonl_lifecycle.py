@@ -106,11 +106,11 @@ def test_streaming_cursor(jsonl_path):
 
 
 def test_wire_serving(jsonl_path):
-    config = PostgresRawConfig(server_port=0, batch_size=64)
+    config = PostgresRawConfig(batch_size=64)
     with PostgresRawService(config) as service:
         service.register_jsonl("t", jsonl_path, SCHEMA)
         reference = service.query(SQL).rows
-        server = RawServer(service).start()
+        server = RawServer(service, port=0).start()
         try:
             with repro.client.Connection("127.0.0.1", server.port) as conn:
                 assert conn.query(SQL).rows == reference

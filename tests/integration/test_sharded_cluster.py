@@ -10,6 +10,8 @@ the coordinator must relay per-shard STATS.
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 import repro
@@ -183,3 +185,33 @@ def test_add_table_after_start_is_rejected(cluster_and_single):
     cluster, __ = cluster_and_single
     with pytest.raises(ShardingError, match="before start"):
         cluster.add_table("u", "nowhere.csv", key="x")
+
+
+def _can_bind(host: str) -> bool:
+    try:
+        with socket.socket() as probe:
+            probe.bind((host, 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(
+    not _can_bind("127.0.0.2"), reason="127.0.0.2 is not a local address"
+)
+def test_workers_bind_the_cluster_host(tmp_path):
+    # The DSN advertises the cluster's host, so every worker must bind
+    # it too, or the advertised address refuses the connection.
+    path = tmp_path / "t.csv"
+    schema = generate_csv(
+        path, uniform_table_spec(n_attrs=3, n_rows=100, seed=9)
+    )
+    single = PostgresRaw()
+    single.register_csv("t", path, schema)
+    sql = "SELECT COUNT(*) AS n FROM t"
+    cluster = ShardCluster(2, host="127.0.0.2")
+    cluster.add_table("t", path, key="a0", schema=schema)
+    with cluster:
+        assert all(host == "127.0.0.2" for host, __ in cluster.addresses)
+        with repro.connect(cluster.dsn()) as client:
+            assert client.query(sql).rows == single.query(sql).rows

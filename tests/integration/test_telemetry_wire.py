@@ -36,7 +36,6 @@ def served(table_csv):
     """Parallel-scan service (4 workers, small chunks) behind a server."""
     path, schema = table_csv
     config = PostgresRawConfig(
-        server_port=0,
         batch_size=256,
         scan_workers=4,
         parallel_chunk_bytes=16 * 1024,
@@ -45,7 +44,7 @@ def served(table_csv):
     )
     with PostgresRawService(config) as service:
         service.register_csv("t", path, schema)
-        server = RawServer(service).start()
+        server = RawServer(service, port=0).start()
         try:
             yield service, server
         finally:
@@ -126,12 +125,11 @@ class TestTracedWireQuery:
 
     def test_stats_does_not_count_against_stream_limit(self, table_csv):
         path, schema = table_csv
-        config = PostgresRawConfig(
-            server_port=0, max_streams_per_connection=1
-        )
-        with PostgresRawService(config) as service:
+        with PostgresRawService(PostgresRawConfig()) as service:
             service.register_csv("t", path, schema)
-            with RawServer(service) as server:
+            with RawServer(
+                service, port=0, max_streams_per_connection=1
+            ) as server:
                 with repro.client.Connection("127.0.0.1", server.port) as conn:
                     with conn.stats_stream(interval_s=0.05) as updates:
                         next(updates)
@@ -170,10 +168,10 @@ class TestTracedWireQuery:
 
     def test_telemetry_disabled_still_serves_stats(self, table_csv):
         path, schema = table_csv
-        config = PostgresRawConfig(server_port=0, telemetry_enabled=False)
+        config = PostgresRawConfig(telemetry_enabled=False)
         with PostgresRawService(config) as service:
             service.register_csv("t", path, schema)
-            with RawServer(service) as server:
+            with RawServer(service, port=0) as server:
                 with repro.client.Connection("127.0.0.1", server.port) as conn:
                     cursor = conn.cursor(SQL)
                     assert cursor.fetchall().rows

@@ -229,7 +229,6 @@ def fault_service(tmp_path):
         batch_size=64,
         stream_queue_batches=2,
         memory_budget=64 << 20,
-        server_port=0,
     )
     with PostgresRawService(config) as service:
         service.register_csv("t", path, WIDE)
@@ -259,7 +258,7 @@ class TestFileShrinksUnderOpenCursor:
 
     def test_wire_cursor_and_the_server_survives(self, fault_service, shrink):
         service, path = fault_service
-        with RawServer(service) as server:
+        with RawServer(service, port=0) as server:
             with connect(f"raw://127.0.0.1:{server.port}/") as conn:
                 cursor = conn.cursor(JUMPS)
                 rows = [cursor.fetchone()]

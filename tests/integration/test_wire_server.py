@@ -28,6 +28,7 @@ from repro import (
 from repro.client import ConnectionPool
 from repro.datatypes import DataType
 from repro.errors import (
+    BudgetError,
     CatalogError,
     CursorClosedError,
     PlanningError,
@@ -37,7 +38,12 @@ from repro.errors import (
 )
 from repro.executor.result import batch_rows
 from repro.server.encoding import decode_binary_rows
-from repro.server.protocol import FrameType, encode_frame, read_frame_blocking
+from repro.server.protocol import (
+    MIN_FRAME_BYTES,
+    FrameType,
+    encode_frame,
+    read_frame_blocking,
+)
 
 SQL = "SELECT a0, a1 FROM t WHERE a2 < 500000"
 
@@ -62,12 +68,10 @@ def table_csv(tmp_path):
 def served(table_csv):
     """A service with one table behind a started wire server."""
     path, schema = table_csv
-    config = PostgresRawConfig(
-        server_port=0, batch_size=128, stream_queue_batches=2
-    )
+    config = PostgresRawConfig(batch_size=128, stream_queue_batches=2)
     with PostgresRawService(config) as service:
         service.register_csv("t", path, schema)
-        server = RawServer(service).start()
+        server = RawServer(service, port=0).start()
         try:
             yield service, server
         finally:
@@ -212,10 +216,10 @@ class TestWireLifecycle:
 
     def test_server_stop_leaves_no_leaked_slots_or_cursors(self, table_csv):
         path, schema = table_csv
-        config = PostgresRawConfig(server_port=0, batch_size=128)
+        config = PostgresRawConfig(batch_size=128)
         with PostgresRawService(config) as service:
             service.register_csv("t", path, schema)
-            server = RawServer(service).start()
+            server = RawServer(service, port=0).start()
             conn = wire_connect(server)
             cursor = conn.cursor("SELECT a0 FROM t")
             assert cursor.fetchone() is not None
@@ -319,12 +323,11 @@ class TestMultiplexing:
 
     def test_stream_limit_enforced_client_side(self, table_csv):
         path, schema = table_csv
-        config = PostgresRawConfig(
-            server_port=0, max_streams_per_connection=2
-        )
-        with PostgresRawService(config) as service:
+        with PostgresRawService(PostgresRawConfig()) as service:
             service.register_csv("t", path, schema)
-            with RawServer(service) as server:
+            with RawServer(
+                service, port=0, max_streams_per_connection=2
+            ) as server:
                 with wire_connect(server) as conn:
                     assert conn.max_streams == 2
                     a = conn.cursor("SELECT a0 FROM t")
@@ -341,12 +344,12 @@ class TestMultiplexing:
         # server answers the over-limit QUERY with a stream_limit ERROR
         # and keeps the other streams healthy.
         path, schema = table_csv
-        config = PostgresRawConfig(
-            server_port=0, max_streams_per_connection=2, batch_size=128
-        )
+        config = PostgresRawConfig(batch_size=128)
         with PostgresRawService(config) as service:
             service.register_csv("t", path, schema)
-            with RawServer(service) as server:
+            with RawServer(
+                service, port=0, max_streams_per_connection=2
+            ) as server:
                 raw = _RawWireClient(server.port)
                 try:
                     raw.send(_RawWireClient.HELLO, {"version": 2})
@@ -661,10 +664,9 @@ class TestWireErrors:
 
     def test_auth_token_stub(self, table_csv):
         path, schema = table_csv
-        config = PostgresRawConfig(server_port=0)
-        with PostgresRawService(config) as service:
+        with PostgresRawService(PostgresRawConfig()) as service:
             service.register_csv("t", path, schema)
-            server = RawServer(service, auth_token="sesame").start()
+            server = RawServer(service, port=0, auth_token="sesame").start()
             try:
                 with pytest.raises(ProtocolError, match="auth token"):
                     wire_connect(server)
@@ -677,10 +679,9 @@ class TestWireErrors:
 
     def test_max_connections_turns_extras_away(self, table_csv):
         path, schema = table_csv
-        config = PostgresRawConfig(server_port=0)
-        with PostgresRawService(config) as service:
+        with PostgresRawService(PostgresRawConfig()) as service:
             service.register_csv("t", path, schema)
-            server = RawServer(service, max_connections=2).start()
+            server = RawServer(service, port=0, max_connections=2).start()
             try:
                 first = wire_connect(server)
                 second = wire_connect(server)
@@ -691,6 +692,21 @@ class TestWireErrors:
             finally:
                 server.stop()
             assert server.connection_stats()["rejected"] == 1
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("frame_bytes", MIN_FRAME_BYTES - 1),
+            ("max_connections", 0),
+            ("max_streams_per_connection", 0),
+            ("port", -1),
+            ("port", 65536),
+        ],
+    )
+    def test_server_settings_are_checked(self, name, value):
+        with PostgresRawService(PostgresRawConfig()) as service:
+            with pytest.raises(BudgetError, match=f"^{name} must"):
+                RawServer(service, **{name: value})
 
 
 class TestWireStress:

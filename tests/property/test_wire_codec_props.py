@@ -21,7 +21,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.batch import Batch, ColumnVector
-from repro.config import MIN_FRAME_BYTES
 from repro.datatypes import DataType
 from repro.errors import ProtocolError
 from repro.executor.result import batch_rows
@@ -30,7 +29,11 @@ from repro.server.encoding import (
     decode_binary_rows,
     iter_binary_row_frames,
 )
-from repro.server.protocol import FrameType, read_frame_blocking
+from repro.server.protocol import (
+    MIN_FRAME_BYTES,
+    FrameType,
+    read_frame_blocking,
+)
 
 QID = 7
 

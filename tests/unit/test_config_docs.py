@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro import PostgresRawConfig
+from repro import PostgresRawConfig, generate_csv, uniform_table_spec
 from repro.config import knob_docs, knob_table_markdown
-from repro.errors import BudgetError
+from repro.errors import SchemaError, ShardingError
+from repro.sharding import ShardCluster
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
@@ -33,12 +34,6 @@ def test_every_knob_has_a_docstring():
     assert not undocumented
 
 
-def test_knob_table_lists_shard_knobs():
-    table = knob_table_markdown()
-    for knob in ("shard_count", "shard_scheme", "shard_data_dir"):
-        assert f"`{knob}`" in table, knob
-
-
 def test_readme_knob_table_is_fresh():
     """README.md must equal a fresh render (the --check CI gate)."""
     readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -49,23 +44,21 @@ def test_readme_knob_table_is_fresh():
 
 
 # ----------------------------------------------------------------------
-# Shard knob validation.
+# Serving settings belong to their components, not to the config.
 # ----------------------------------------------------------------------
 
 
-def test_shard_knob_defaults_are_single_node():
-    config = PostgresRawConfig()
-    assert config.shard_count == 1
-    assert config.shard_scheme == "hash"
-    assert config.shard_data_dir is None
+def test_cluster_needs_at_least_one_shard():
+    with pytest.raises(ShardingError, match="at least one shard"):
+        ShardCluster(0)
 
 
-def test_shard_count_must_be_positive():
-    with pytest.raises(BudgetError, match="shard_count"):
-        PostgresRawConfig(shard_count=0)
-
-
-def test_shard_scheme_must_be_known():
-    with pytest.raises(BudgetError, match="shard_scheme"):
-        PostgresRawConfig(shard_scheme="modulo")
-    PostgresRawConfig(shard_scheme="range")  # valid
+def test_add_table_rejects_unknown_scheme(tmp_path):
+    path = tmp_path / "t.csv"
+    schema = generate_csv(
+        path, uniform_table_spec(n_attrs=2, n_rows=50, seed=1)
+    )
+    cluster = ShardCluster(2, data_dir=tmp_path / "shards")
+    with pytest.raises(SchemaError, match="modulo"):
+        cluster.add_table("t", path, key="a0", schema=schema, scheme="modulo")
+    cluster.add_table("t", path, key="a0", schema=schema, scheme="range")

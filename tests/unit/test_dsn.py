@@ -187,9 +187,9 @@ def served(tmp_path):
     schema = generate_csv(
         path, uniform_table_spec(n_attrs=4, n_rows=500, seed=3)
     )
-    with PostgresRawService(PostgresRawConfig(server_port=0)) as service:
+    with PostgresRawService(PostgresRawConfig()) as service:
         service.register_csv("t", path, schema)
-        server = RawServer(service).start()
+        server = RawServer(service, port=0).start()
         try:
             yield server
         finally:

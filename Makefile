@@ -146,15 +146,22 @@ stress:
 # Deep differential run against stdlib sqlite3: every column of the
 # oracle (the 2-shard and JSONL ones included) at 250 examples instead
 # of the tier-1 suite's 25, under a fixed seed so a disagreement
-# reproduces; plus, as deep, the kernel's TEXT dictionary encode
-# against the scalar one (multi-byte, NUL-ended, outlier-wide and
-# invalid UTF-8), the JSONL kernel against parse_record (clean,
-# escaped and malformed windows), and a cold parallel scan on either
-# pool backend against the serial one (rows and every learned
-# structure).
+# reproduces; plus, as deep, the CSV scan kernel against the RFC-4180
+# state machine (serial and NULL-heavy files, one batch or batches of
+# 3 and 7 rows, ragged rows at batch edges), the kernel's INTEGER /
+# FLOAT word parsers against int() / float() (0..20 digits, signs,
+# dots, stray bytes, fields at a window's edges), the kernel's TEXT
+# dictionary encode against the scalar one (multi-byte, NUL-ended,
+# outlier-wide and invalid UTF-8), the JSONL kernel against
+# parse_record (clean, escaped and malformed windows), and a cold
+# parallel scan on either pool backend against the serial one (rows
+# and every learned structure).
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
 		tests/property/test_sqlite_oracle.py \
+		"tests/property/test_kernel_props.py::test_kernel_scan_equals_scalar_serial" \
+		"tests/property/test_kernel_props.py::test_kernel_scan_equals_scalar_null_heavy" \
+		"tests/property/test_kernel_props.py::test_convert_span_equals_convert_column" \
 		"tests/property/test_kernel_props.py::test_kernel_text_equals_scalar" \
 		"tests/property/test_kernel_props.py::test_jsonl_kernel_equals_parse_record" \
 		"tests/property/test_parallel_props.py::test_parallel_scan_equals_serial_scan" \

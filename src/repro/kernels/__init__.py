@@ -8,19 +8,23 @@ to the interpreted inner loops of :mod:`repro.rawio.tokenizer` and
 
 * :class:`ContentBuffer` — one window of raw-file bytes (``frombuffer``
   view, file offset of its first byte, cached delimiter positions);
-* :class:`ScanKernel` — per-signature vectorized tokenization (one
-  ``searchsorted`` + broadcast gather builds the whole offsets matrix)
-  and the positional-map jump's field-end computation;
+* :class:`ScanKernel` — per-signature vectorized tokenization (the
+  window's delimiter positions, read as a grid of one row per record
+  and proved regular, are the offsets matrix) and the positional-map
+  jump's field-end computation;
 * :mod:`.convert` — batch int64/float64 parsing of whole column slices
-  with a null-mask pass, scalar fallback for rows failing validation,
-  and TEXT dictionary encoding straight from the field bytes;
+  eight digits per word (SWAR) with a null-mask pass, scalar fallback
+  for rows failing validation, and TEXT dictionary encoding straight
+  from the field bytes;
 * :class:`KernelCache` — signature-keyed LRU of built kernels with
   telemetry hit/miss/build-time counters.
 
 :func:`kernel_supported` alone picks the CSV tokenizer: every unquoted
 dialect with an ASCII delimiter runs the kernel, and quoted or
 non-ASCII-delimited dialects run the RFC-4180 state machine, the one
-scalar tokenizer.  Results are property-tested identical to it over
+scalar tokenizer.  It also reads every batch of rows the kernel's grid
+does not prove regular (a ragged row, say), so it alone raises the
+malformed-row errors.  Results are property-tested identical to it over
 quote-free bytes (offsets, texts, error messages and converted values
 alike).
 

@@ -11,13 +11,18 @@ exception cause chain) for every input the fast path cannot prove safe.
 Fast-path coverage (everything else falls back to ``int()``/``float()``
 per row):
 
-* INTEGER — optional sign + 1..18 ASCII digits (int64-safe; no
-  whitespace, underscores or unicode digits).
+* INTEGER — optional sign + 1..16 ASCII digits (no whitespace,
+  underscores or unicode digits).  Each field's last 16 bytes are read
+  as two little-endian words, the bytes before its digits read as
+  ``'0'``; two mask compares check that every byte is a digit and
+  three multiply-shift-mask steps sum eight digits per word (SWAR).
+  A field whose 16 bytes start before the window (8 for at most 8
+  digits) falls back.
 * FLOAT — optional sign + ASCII digits with at most one ``.`` and at
-  most 15 digits total: the field parses as an exact int64 mantissa
-  divided by an exact power of ten, and IEEE-754 division rounds that
-  to the same double ``float(text)`` produces (the classic Clinger
-  fast path).
+  most 15 digits total, read from the same two words, the dot found in
+  them: the field parses as an exact int64 mantissa divided by an
+  exact power of ten, and IEEE-754 division rounds that to the same
+  double ``float(text)`` produces (the classic Clinger fast path).
 * TEXT — every field: its bytes are gathered left-aligned into a
   fixed number of uint64 words (:func:`gather_width` bounds it; wider
   fields are sliced one by one), rows are factorized by a hash of their
@@ -39,45 +44,133 @@ from ..rawio.tokenizer import decode_fields
 _POW10_I = np.array([10**k for k in range(19)], dtype=np.int64)
 _POW10_F = np.array([float(10**k) for k in range(23)], dtype=np.float64)
 
+#: Per count ``k``, the mask of a word's first ``k`` bytes
+#: (little-endian: a word's first bytes are its low-order ones).
+_BYTE_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+
 _MINUS = 0x2D
 _PLUS = 0x2B
-_DOT = 0x2E
 _QUOTE = 0x22
 
 
 def _sign_split(
-    buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Strip an optional leading sign; return (neg, digit_starts, digit_lens)."""
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strip an optional leading sign; return (neg, digit_lens)."""
+    lengths = ends - starts
+    if not len(buf):  # only empty fields
+        return np.zeros(len(lengths), dtype=np.bool_), lengths
     has = lengths > 0
-    safe = np.minimum(starts, max(len(buf) - 1, 0))
-    first = buf[safe]
+    first = buf[np.minimum(starts, len(buf) - 1)]
     neg = has & (first == _MINUS)
     signed = neg | (has & (first == _PLUS))
-    return neg, starts + signed, lengths - signed
+    return neg, lengths - signed
 
 
-def _gather_right_aligned(
-    buf: np.ndarray, ends: np.ndarray, width: int
-) -> np.ndarray:
-    """(n, width) byte matrix, each field right-aligned to its end.
+#: Word-wide constants of the digit parsers (eight bytes each).
+_ZEROS = np.uint64(0x3030303030303030)  # "00000000"
+_DOTS = np.uint64(0x2E2E2E2E2E2E2E2E)  # "........"
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
+_THREES = np.uint64(0x3333333333333333)
+_LOW_BITS = np.uint64(0x7F7F7F7F7F7F7F7F)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+#: Byte ``j`` holds ``j``: multiplying a word's single byte flag by it
+#: brings the count of bytes after the flag to the top byte.
+_BYTE_INDEX = np.uint64(0x0706050403020100)
+_U = np.uint64
 
-    Right alignment keeps each digit's power of ten a *per-column*
-    constant (the Horner sweeps below need no per-row place matrix).
-    Positions before a short field's start read earlier buffer bytes
-    unmasked: whatever they contribute lands at decimal places >=
-    ``10**dlens``, so one ``% 10**dlens`` per row recovers the exact
-    field value — far cheaper than masking (n, width) cells.  Callers
-    bound ``width`` so the garbage-polluted accumulator stays inside
-    int64 (|sum| < 23 * 10**width since a byte term is in [-48, 207]).
-    """
-    # int32 offsets halve the index matrix's memory traffic (the
-    # largest temporary here); they index one window of file bytes,
-    # far below 2 GiB.
-    base = (ends - width).astype(np.int32)
-    idx = base[:, None] + np.arange(width, dtype=np.int32)
-    np.maximum(idx, 0, out=idx)
-    return buf[idx]
+
+def _word_view(buf: np.ndarray) -> np.ndarray:
+    """Every unaligned little-endian word of ``buf``: word ``p`` is
+    bytes ``[p, p + 8)``, its first byte the lowest-order one."""
+    return np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
+def _fill_zeros(words: np.ndarray, fill: np.ndarray) -> np.ndarray:
+    """``words`` (in place) with their first ``fill`` bytes read as
+    ``'0'``: set to 0xFF, then 0xFF ^ 0xCF."""
+    mask = _BYTE_MASKS[fill]
+    words |= mask
+    mask &= ~_ZEROS
+    words ^= mask
+    return words
+
+
+def _digit_words(
+    buf: np.ndarray, ends: np.ndarray, dlens: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Each field's last 16 bytes as two words ``(high, low)``, every
+    byte before its ``dlens`` digit bytes read as ``'0'`` (``high`` is
+    ``None`` when no field is longer than 8); and which rows the window
+    holds the reach of (16 bytes, or 8 for fields of at most 8)."""
+    n = len(ends)
+    if len(buf) < 8:
+        return None, np.full(n, _ZEROS), np.zeros(n, dtype=np.bool_)
+    view = _word_view(buf)
+    wide = dlens > 8
+    held = ends >= 8
+    at = ends - 8
+    np.maximum(at, 0, out=at)
+    fill = 8 - dlens  # bytes before the digits, if positive
+    low = _fill_zeros(view[at], np.maximum(fill, 0))
+    high = None
+    if wide.any():
+        held &= ~wide | (ends >= 16)
+        at -= 8
+        np.maximum(at, 0, out=at)
+        fill += 8
+        np.clip(fill, 0, 8, out=fill)
+        high = _fill_zeros(view[at], fill)
+    return high, low, held
+
+
+def _all_digits(words: np.ndarray) -> np.ndarray:
+    """Words whose eight bytes are all ASCII digits: high nibble 3, and
+    still 3 after adding 6 (``':'`` .. ``'?'`` carry into 4)."""
+    carried = words + _SIXES
+    carried &= _HIGH_NIBBLES
+    carried >>= _U(4)
+    carried |= words & _HIGH_NIBBLES
+    return carried == _THREES
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The value of eight ASCII digits per word, first byte most
+    significant: pairs, then quads, then the whole (x10, x100, x10^4)."""
+    value = words & _U(0x0F0F0F0F0F0F0F0F)
+    value *= _U(2561)
+    value >>= _U(8)
+    value &= _U(0x00FF00FF00FF00FF)
+    value *= _U(6553601)
+    value >>= _U(16)
+    value &= _U(0x0000FFFF0000FFFF)
+    value *= _U(42949672960001)
+    value >>= _U(32)
+    return value
+
+
+def _digits_value(high: np.ndarray | None, low: np.ndarray) -> np.ndarray:
+    """The (at most 16-digit) decimal value of ``high`` then ``low``."""
+    value = _eight_digits(low)
+    if high is not None:
+        upper = _eight_digits(high)
+        upper *= _U(10**8)
+        value += upper
+    return value.view(np.int64)
+
+
+def _dot_flags(words: np.ndarray) -> np.ndarray:
+    """``0x80`` in each byte of ``words`` that is ``'.'``, else 0 (the
+    exact zero-byte test: no carry crosses a byte)."""
+    x = words ^ _DOTS
+    return ~(((x & _LOW_BITS) + _LOW_BITS) | x) & _HIGH_BITS
+
+
+def _bytes_after(flags: np.ndarray) -> np.ndarray:
+    """Per word holding one flagged byte, the bytes after it (0 when
+    none is flagged)."""
+    return (((flags >> _U(7)) * _BYTE_INDEX) >> _U(56)).view(np.int64)
 
 
 def parse_int64(
@@ -86,32 +179,19 @@ def parse_int64(
     """Batch-parse int64 fields given byte bounds; returns (values, ok).
 
     Rows with ``ok`` False carry 0 and must be parsed by the caller's
-    scalar fallback.  Fast path: optional sign + 1..17 ASCII digits
-    (18+ digit fields fall back so the unmasked accumulator cannot
-    overflow; see :func:`_gather_right_aligned`).
+    scalar fallback.  Fast path: optional sign + 1..16 ASCII digits,
+    read as the two words ending at the field's end, when the window
+    holds those 16 bytes (8 for at most 8 digits).
     """
     n = len(starts)
-    values = np.zeros(n, dtype=np.int64)
     if n == 0:
-        return values, np.zeros(0, dtype=np.bool_)
-    lengths = ends - starts
-    neg, __, dlens = _sign_split(buf, starts, lengths)
-    ok = (dlens > 0) & (dlens <= 17)
-    if not ok.any():
-        return values, ok
-    width = int(dlens[ok].max())
-    chars = _gather_right_aligned(buf, ends, width)
-    # uint8 wraparound turns "is an ASCII digit" into one comparison.
-    isdig = (chars - np.uint8(48)) <= 9
-    incol = np.arange(width, dtype=np.int64) >= (width - dlens)[:, None]
-    ok &= ~np.any(incol & ~isdig, axis=1)
-    magnitude = np.zeros(n, dtype=np.int64)
-    for j in range(width):
-        magnitude *= 10
-        magnitude += chars[:, j]
-        magnitude -= 48
-    # Strip the out-of-field garbage above the field's own digits.
-    magnitude %= _POW10_I[np.minimum(dlens, 18)]
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.bool_)
+    neg, dlens = _sign_split(buf, starts, ends)
+    high, low, ok = _digit_words(buf, ends, dlens)
+    ok &= (dlens > 0) & (dlens <= 16) & _all_digits(low)
+    if high is not None:
+        ok &= _all_digits(high)
+    magnitude = _digits_value(high, low)
     values = np.where(ok, np.where(neg, -magnitude, magnitude), 0)
     return values, ok
 
@@ -123,51 +203,39 @@ def parse_float64(
 
     Bit-identical to ``float(text)`` for every row it accepts: the
     mantissa (<= 15 digits) and the power of ten (<= 22) are both exact
-    in float64, so the single division is correctly rounded.
+    in float64, so the single division is correctly rounded.  The dot
+    is found in the field's own two words and read as a ``'0'`` digit;
+    the digits after it are then split off the integer value.
     """
     n = len(starts)
-    values = np.zeros(n, dtype=np.float64)
     if n == 0:
-        return values, np.zeros(0, dtype=np.bool_)
-    lengths = ends - starts
-    neg, __, dlens = _sign_split(buf, starts, lengths)
-    # <= 15 digits + one dot = at most 16 chars after the sign.
-    ok = (dlens > 0) & (dlens <= 16)
-    if not ok.any():
-        return values, ok
-    width = int(dlens[ok].max())
-    chars = _gather_right_aligned(buf, ends, width)
-    isdig = (chars - np.uint8(48)) <= 9
-    incol = np.arange(width, dtype=np.int64) >= (width - dlens)[:, None]
-    isdot = incol & (chars == _DOT)
-    ok &= ~np.any(incol & ~(isdig | isdot), axis=1)
-    dots = np.count_nonzero(isdot, axis=1)
-    # Conditional on the all-digit-or-dot check, the digit count is
-    # just the field length minus the dot count.
-    ndigits = dlens - dots
-    ok &= (dots <= 1) & (ndigits >= 1) & (ndigits <= 15)
-    # Zero the dot cell by its known column, then run the *integer*
-    # Horner sweep and repair dot rows in one vectorized step below
-    # instead of branching per column.
-    hasdot = dots > 0
-    dotcol = np.argmax(isdot, axis=1)
-    rows = np.flatnonzero(hasdot)
-    chars[rows, dotcol[rows]] = 48
-    horner = np.zeros(n, dtype=np.int64)
-    for j in range(width):
-        horner *= 10
-        horner += chars[:, j]
-        horner -= 48
-    # For a row with ``frac`` digits after its dot, those digits occupy
-    # the low ``frac`` decimal places of the Horner sum and the digits
-    # before the dot sit one place too high (the dot consumed a
-    # column).  Split at 10**frac, shift the high part down one place,
-    # recombine, and strip the out-of-field garbage above the field's
-    # own ``ndigits`` mantissa digits.
-    frac = np.where(hasdot, width - 1 - dotcol, 0)
-    post = horner % _POW10_I[frac]
-    mantissa = np.where(hasdot, (horner - post) // 10 + post, horner)
-    mantissa %= _POW10_I[np.minimum(dlens - hasdot, 18)]
+        return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.bool_)
+    neg, dlens = _sign_split(buf, starts, ends)
+    high, low, ok = _digit_words(buf, ends, dlens)
+    dots = _dot_flags(low)
+    low += dots >> _U(6)  # '.' + 2 == '0'
+    ok &= _all_digits(low)
+    single = (dots & (dots - _U(1))) == 0
+    hasdot = dots != 0
+    frac = _bytes_after(dots)
+    if high is not None:
+        high_dots = _dot_flags(high)
+        high += high_dots >> _U(6)
+        ok &= _all_digits(high)
+        in_high = high_dots != 0
+        single &= (high_dots & (high_dots - _U(1))) == 0
+        single &= ~(in_high & hasdot)  # a dot in each word
+        frac = np.where(in_high, 8 + _bytes_after(high_dots), frac)
+        hasdot |= in_high
+    ndigits = dlens - hasdot
+    ok &= single & (ndigits >= 1) & (ndigits <= 15)
+    frac = np.where(ok, frac, 0)  # many dots sum to any count
+    # With the dot read as a 0 digit ``frac`` places up, the digits
+    # before it sit one place too high: split at 10**frac, shift the
+    # high part down one place and recombine.
+    digits = _digits_value(high, low)
+    post = digits % _POW10_I[frac]
+    mantissa = np.where(hasdot, (digits - post) // 10 + post, digits)
     vals = mantissa.astype(np.float64) / _POW10_F[frac]
     vals = np.where(neg, -vals, vals)
     values = np.where(ok, vals, 0.0)
@@ -198,11 +266,6 @@ def gather_width(lengths: np.ndarray, longest: int) -> int:
         if longest > limit:
             longest = int(lengths[lengths <= limit].max(initial=0))
     return max(8, -(-longest // 8) * 8)
-
-
-#: Per count of a word's bytes inside a field, the mask keeping them
-#: (little-endian: a word's first bytes are its low-order ones).
-_BYTE_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _field_words(
@@ -425,28 +488,30 @@ def convert_span(
         codes[live] = live_codes
         return ColumnVector(dtype, codes, nulls, dictionary)
     parser = _PARSERS[dtype]
-    values = np.zeros(len(starts), dtype=dtype.numpy_dtype)
-    if live.size:
+    if live.size == len(starts):  # no NULL: parse the slice as is
+        values, ok = parser(buf, starts, ends)
+        bad = np.flatnonzero(~ok)
+    else:
+        values = np.zeros(len(starts), dtype=dtype.numpy_dtype)
         vals, ok = parser(buf, starts[live], ends[live])
-        good = live[ok]
-        values[good] = vals[ok]
+        values[live] = vals  # 0 where not ok
         bad = live[~ok]
-        if bad.size:
-            data = cbuf.data
-            convert = _SCALARS[dtype]
-            slow_a = starts[bad].tolist()
-            slow_b = ends[bad].tolist()
-            texts = decode_fields(
-                [data[a:b] for a, b in zip(slow_a, slow_b)],
-                starts[bad] + base,
-            )
-            for i, t in zip(bad.tolist(), texts):
-                try:
-                    values[i] = convert(t)
-                except (ValueError, ConversionError) as exc:
-                    raise ConversionError(
-                        f"row {row_offset + i}: cannot convert {t!r} "
-                        f"to {dtype.value}",
-                        row=row_offset + i,
-                    ) from exc
+    if bad.size:
+        data = cbuf.data
+        convert = _SCALARS[dtype]
+        slow_a = starts[bad].tolist()
+        slow_b = ends[bad].tolist()
+        texts = decode_fields(
+            [data[a:b] for a, b in zip(slow_a, slow_b)],
+            starts[bad] + base,
+        )
+        for i, t in zip(bad.tolist(), texts):
+            try:
+                values[i] = convert(t)
+            except (ValueError, ConversionError) as exc:
+                raise ConversionError(
+                    f"row {row_offset + i}: cannot convert {t!r} "
+                    f"to {dtype.value}",
+                    row=row_offset + i,
+                ) from exc
     return ColumnVector(dtype, values, nulls)

@@ -1,10 +1,12 @@
 """Scan kernels specialized per (dialect, schema, attribute-span).
 
 A :class:`ScanKernel` tokenizes every unquoted dialect with an ASCII
-delimiter: one ``searchsorted`` of the batch's row bounds against the
-content's sorted delimiter positions plus a broadcast gather that
-materializes the whole offsets matrix at once, instead of one scan per
-row.  Field texts are produced lazily (:class:`KernelRows`) only when a
+delimiter.  In a regular window the sorted delimiter positions already
+form a grid, one row per record, so the offsets matrix is a few column
+slices of them instead of one scan per row; two ``searchsorted`` calls
+and O(n) compares prove the grid first (:meth:`ScanKernel._row_grid`),
+and a batch they do not prove returns ``None`` to the state machine.
+Field texts are produced lazily (:class:`KernelRows`) only when a
 consumer actually needs Python strings — INTEGER, FLOAT and TEXT
 columns convert straight from the offsets (:mod:`repro.kernels.convert`;
 TEXT decodes each distinct value once) and never build the per-row
@@ -13,7 +15,8 @@ string lists at all.
 Quoted dialects and non-ASCII delimiters are not eligible: they run the
 RFC-4180 state machine (:func:`repro.rawio.tokenizer.tokenize_span`),
 the one scalar tokenizer.  :func:`kernel_supported` decides, per
-dialect, and nothing else does.
+dialect, and nothing else does; the state machine also reads, and
+raises the errors of, every CSV batch the kernel returns ``None`` for.
 
 A JSONL signature (``fmt="jsonl"``) dispatches to
 :mod:`repro.kernels.jsonl`: it accepts windows of flat records that hold
@@ -33,7 +36,7 @@ import numpy as np
 from ..datatypes import DataType
 from ..formats.jsonl import token_text
 from ..rawio.dialect import CsvDialect
-from ..rawio.tokenizer import TokenizedRows, decode_fields, field_count_error
+from ..rawio.tokenizer import TokenizedRows, decode_fields
 from .content import ContentBuffer
 from .jsonl import tokenize_records, value_ends
 
@@ -193,11 +196,11 @@ class ScanKernel:
         """Vectorized equivalent of ``tokenize_span`` for this signature.
 
         ``field_starts`` / ``line_ends`` are file offsets inside the
-        window ``cbuf``.  Produces the identical offsets matrix (and,
-        on malformed input, the identical :class:`RawDataError`):
-        per-row delimiter counts come from two ``searchsorted`` calls
-        against the window's sorted delimiter positions, and one
-        fancy-indexed gather fills every row's field starts at once.
+        window ``cbuf``.  Produces the identical offsets matrix, read
+        off the window's delimiter grid (:meth:`_row_grid`), or returns
+        ``None`` for rows the grid does not prove regular: the caller
+        then runs the state machine, which raises the same
+        :class:`RawDataError` on a malformed row as it always does.
 
         A JSONL kernel reads whole records (:mod:`repro.kernels.jsonl`)
         and returns ``None`` for a window only the scalar parser reads.
@@ -208,33 +211,68 @@ class ScanKernel:
         span = self.span
         starts = np.ascontiguousarray(field_starts, dtype=np.int64)
         ends = np.ascontiguousarray(line_ends, dtype=np.int64)
-        n = len(starts)
-        offsets = np.empty((n, span + 2), dtype=np.int64)
+        offsets = np.empty((len(starts), span + 2), dtype=np.int64)
         offsets[:, 0] = starts
-        if n == 0:
+        if len(starts) == 0:
             return KernelRows(sig.first_attr, sig.last_attr, offsets, cbuf)
-        dpos = cbuf.byte_positions(self.delimiter)
-        lo = np.searchsorted(dpos, starts, side="left")
-        hi = np.searchsorted(dpos, ends, side="left")
-        counts = hi - lo  # delimiters inside each row's segment
-        bad = (
-            counts != span
-            if self.runs_to_line_end
-            else counts < span + 1
-        )
-        if bad.any():
-            r = int(np.argmax(bad))
-            found = int(counts[r]) + 1
-            raise field_count_error(
-                r, found, span, sig.first_attr, self.runs_to_line_end
-            )
-        gather = span if self.runs_to_line_end else span + 1
-        if gather:
-            cols = lo[:, None] + np.arange(gather, dtype=np.int64)[None, :]
-            offsets[:, 1 : gather + 1] = dpos[cols] + 1
+        grid = self._row_grid(cbuf, starts, ends)
+        if grid is None:
+            return None
         if self.runs_to_line_end:
-            offsets[:, span + 1] = ends + 1
+            np.add(grid[:, :span], 1, out=offsets[:, 1 : span + 1])
+            np.add(ends, 1, out=offsets[:, span + 1])
+        else:
+            np.add(grid[:, : span + 1], 1, out=offsets[:, 1:])
         return KernelRows(sig.first_attr, sig.last_attr, offsets, cbuf)
+
+    def _row_grid(
+        self, cbuf: ContentBuffer, starts: np.ndarray, ends: np.ndarray
+    ) -> np.ndarray | None:
+        """The window's delimiter positions from the first anchor as an
+        ``(n, A - 1)`` grid, or ``None`` when it is not one.
+
+        With ``A`` attributes and the span's first attribute ``F``, row
+        ``r`` of a regular window holds its own ``A - 1 - F`` delimiters
+        after its anchor, then the ``F`` of row ``r + 1`` before that
+        row's anchor.  The grid is proved, not assumed:
+
+        * the window holds exactly ``(n - 1)(A - 1) + A - 1 - F``
+          delimiters from the first anchor to the last line end;
+        * each row's own delimiters lie in ``[start, line_end)``;
+        * the next row's leading ones lie between the two rows (for
+          ``F = 0``, where there are none, the rows follow each other).
+
+        Every delimiter in row ``r``'s range is then one of its own, so
+        the grid's columns are the offsets' columns, minus one.  The
+        last row's leading columns are padding, never read.
+        """
+        sig = self.signature
+        width = sig.n_attrs - 1
+        own = width - sig.first_attr
+        n = len(starts)
+        dpos = cbuf.byte_positions(self.delimiter)
+        lo = int(np.searchsorted(dpos, starts[0]))
+        hi = int(np.searchsorted(dpos, ends[-1]))
+        if hi - lo != (n - 1) * width + own:
+            return None
+        stop = lo + n * width
+        if stop <= len(dpos):
+            grid = dpos[lo:stop]
+        else:
+            pad = np.zeros(stop - len(dpos), dtype=dpos.dtype)
+            grid = np.concatenate([dpos[lo:], pad])
+        grid = grid.reshape(n, width)
+        if own and not (
+            (grid[:, 0] >= starts).all() and (grid[:, own - 1] < ends).all()
+        ):
+            return None
+        if sig.first_attr:
+            lead, last = grid[:-1, own], grid[:-1, width - 1]
+            if not ((lead >= ends[:-1]).all() and (last < starts[1:]).all()):
+                return None
+        elif not (starts[1:] > ends[:-1]).all():
+            return None
+        return grid
 
     def _tokenize_records(
         self,

@@ -94,9 +94,11 @@ def load_csv_to_columns(
         t0 = time.perf_counter()
         starts = bounds[r0:r1]
         line_ends = trim_cr(window.buf, starts, bounds[r0 + 1 : r1 + 1] - 1)
+        tokenized = None
         if kernel is not None:
+            # ``None``: rows the kernel cannot prove regular.
             tokenized = kernel.tokenize(window, starts, line_ends)
-        else:
+        if tokenized is None:
             tokenized = tokenize_span(
                 content, starts, line_ends, 0, n_attrs - 1, n_attrs, dialect
             )

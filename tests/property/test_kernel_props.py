@@ -4,8 +4,11 @@ ends, unterminated final lines, a leading byte-order mark — the same
 bytes registered under the unquoted dialect (scan kernel) and under the
 same dialect with a quote character (the RFC-4180 state machine, the
 scalar tokenizer) answer row-for-row and structure-for-structure
-identically, serially, with 4-worker pools and streamed.  The text
-alphabet holds no quote, so both dialects read the same fields.
+identically, serially (one batch per scan, and batches of 3 and 7
+rows, so the kernel's delimiter grid starts and ends at many row
+ranges), with 4-worker pools and streamed.  The text alphabet holds no
+quote, so both dialects read the same fields.  The numeric converters
+are held to the scalar ``int`` / ``float`` column converter directly.
 
 The JSONL kernel is held to ``parse_record``: the same value offsets,
 converted vectors and map-jump ends on every window it reads, and the
@@ -23,7 +26,7 @@ from governed import cache_layout, record_touches
 from repro import PostgresRaw, PostgresRawConfig
 from repro.batch import ColumnVector
 from repro.catalog.schema import TableSchema
-from repro.datatypes import DataType
+from repro.datatypes import DataType, convert_column
 from repro.errors import ConversionError, RawDataError
 from repro.executor.result import batch_rows
 from repro.formats.jsonl import JSONL_ADAPTER, JSONL_NULL, JsonLinesAdapter
@@ -33,6 +36,17 @@ from repro.kernels import make_signature
 from repro.kernels.convert import _SCALAR_ROWS as SCALAR_ROWS
 from repro.rawio.dialect import CsvDialect
 from repro.rawio.tokenizer import build_line_index, trim_cr
+
+
+def _examples(default):
+    """``default`` examples, or ``make oracle``'s count (250): it runs
+    the numeric, TEXT and JSONL properties and the serial
+    kernel-vs-state-machine scans."""
+    return int(os.environ.get("REPRO_ORACLE_EXAMPLES", default))
+
+
+ORACLE_EXAMPLES = _examples(25)
+
 
 # --- generated raw files ---------------------------------------------
 
@@ -77,11 +91,27 @@ def raw_files(draw, null_heavy=False):
                 cells[i] = NULL_TOKEN
         rows.append(cells)
     # About one file in four has a row of 1, 3 or 5 fields: both
-    # tokenizers must fail it with the same error.
+    # tokenizers must fail it with the same error.  Some put it at the
+    # first or last row of a batch of 3 or 7 rows, and some pair a
+    # 5-field row with a 3-field one a row or two away, which balances
+    # the delimiter count of the rows between.
     bad = draw(st.integers(0, 4 * n_rows - 1))
     if bad < n_rows:
-        width = draw(st.sampled_from([1, 3, 5]))
-        rows[bad] = (rows[bad] + ["7"])[:width]
+        if draw(st.booleans()):
+            bad = draw(
+                st.sampled_from(
+                    [r for r in range(n_rows) if r % 3 != 1 or r % 7 in (0, 6)]
+                )
+            )
+        other = bad + draw(st.integers(1, 2))
+        if other < n_rows and draw(st.booleans()):
+            if draw(st.booleans()):
+                bad, other = other, bad
+            rows[bad] = rows[bad] + ["7"]
+            rows[other] = rows[other][:3]
+        else:
+            width = draw(st.sampled_from([1, 3, 5]))
+            rows[bad] = (rows[bad] + ["7"])[:width]
     # Line ends: all LF, all CRLF, or mixed per line; the last line may
     # be unterminated; the file may start with a byte-order mark.
     style = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
@@ -147,20 +177,34 @@ def _assert_equivalent(kernel_eng, scalar_eng):
     assert kernel_eng.touches == scalar_eng.touches
 
 
-@settings(max_examples=40, deadline=None)
-@given(content=raw_files())
-def test_kernel_scan_equals_scalar_serial(tmp_path_factory, content):
+#: Rows per batch: one tokenize call per scan (the default), or many.
+batch_sizes = st.sampled_from([3, 7, PostgresRawConfig().batch_size])
+
+
+@settings(max_examples=_examples(40), deadline=None)
+@given(content=raw_files(), batch_size=batch_sizes)
+def test_kernel_scan_equals_scalar_serial(
+    tmp_path_factory, content, batch_size
+):
     path = tmp_path_factory.mktemp("kern") / "t.csv"
     path.write_text(content, encoding="utf-8", newline="")
-    _assert_equivalent(_engine(path, DIALECT), _engine(path, QUOTED))
+    config = PostgresRawConfig(batch_size=batch_size)
+    _assert_equivalent(
+        _engine(path, DIALECT, config), _engine(path, QUOTED, config)
+    )
 
 
-@settings(max_examples=25, deadline=None)
-@given(content=raw_files(null_heavy=True))
-def test_kernel_scan_equals_scalar_null_heavy(tmp_path_factory, content):
+@settings(max_examples=_examples(25), deadline=None)
+@given(content=raw_files(null_heavy=True), batch_size=batch_sizes)
+def test_kernel_scan_equals_scalar_null_heavy(
+    tmp_path_factory, content, batch_size
+):
     path = tmp_path_factory.mktemp("kern_null") / "t.csv"
     path.write_text(content, encoding="utf-8", newline="")
-    _assert_equivalent(_engine(path, DIALECT), _engine(path, QUOTED))
+    config = PostgresRawConfig(batch_size=batch_size)
+    _assert_equivalent(
+        _engine(path, DIALECT, config), _engine(path, QUOTED, config)
+    )
 
 
 @settings(max_examples=15, deadline=None)
@@ -199,10 +243,115 @@ def test_kernel_streaming_equals_blocking(tmp_path_factory, content):
         assert out == _outcome(blocking, sql)
 
 
-# --- TEXT: the kernel's dictionary encode against the scalar one -------
+# --- INTEGER / FLOAT: the word parsers against int() / float() --------
 
-#: ``make oracle`` runs the TEXT and JSONL properties at 250 examples.
-ORACLE_EXAMPLES = int(os.environ.get("REPRO_ORACLE_EXAMPLES", "25"))
+
+def _digits(n):
+    """``n`` digits, led by a nonzero one or zero-padded."""
+    if n == 0:
+        return st.just("")
+    return st.one_of(
+        st.integers(10 ** (n - 1), 10**n - 1).map(str),
+        st.integers(0, 10**n - 1).map(lambda v: str(v).zfill(n)),
+    )
+
+
+#: 0..20 digits, the lengths around the words' 16-digit reach often.
+digit_runs = st.sampled_from([*range(21), 16, 17, 18]).flatmap(_digits)
+
+
+#: Numeric texts taken as they are.
+NUMERIC_EDGES = [
+    str(-(2**63)),
+    str(2**63 - 1),
+    "0",
+    "-0",
+    ".5",
+    "5.",
+    "-.5",
+    ".",
+    "1e3",
+    "nan",
+    NULL_TOKEN,
+    "",
+]
+
+
+@st.composite
+def numeric_texts(draw):
+    """Digit runs, signed or not, with zero, one or two dots and maybe
+    a stray byte; or an edge case."""
+    if draw(st.sampled_from([True, False, False, False, False])):
+        return draw(st.sampled_from(NUMERIC_EDGES))
+    digits = draw(digit_runs)
+    for __ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        spot = draw(st.integers(0, len(digits)))
+        digits = digits[:spot] + "." + digits[spot:]
+    if draw(st.sampled_from([True, False, False, False, False])):
+        spot = draw(st.integers(0, len(digits)))
+        stray = draw(st.sampled_from([" ", "_", "e", "１", "-"]))
+        digits = digits[:spot] + stray + digits[spot:]
+    return draw(st.sampled_from(["", "", "-", "+"])) + digits
+
+
+@st.composite
+def numeric_windows(draw):
+    """A window of fields joined by commas, as ``(bytes, base, texts,
+    starts, ends)``; the first and last fields often touch the window's
+    edges, and few short fields make windows under 16 bytes."""
+    texts = draw(st.lists(numeric_texts(), min_size=1, max_size=12))
+    lead = draw(st.sampled_from(["", "", "9", "x" * 17]))
+    tail = draw(st.sampled_from(["", "", "\n", ",7"]))
+    data = (lead + ",".join(texts) + tail).encode("utf-8")
+    base = draw(st.sampled_from([0, 1000]))
+    starts, ends, pos = [], [], base + len(lead.encode("utf-8"))
+    for text in texts:
+        size = len(text.encode("utf-8"))
+        starts.append(pos)
+        ends.append(pos + size)
+        pos += size + 1
+    starts = np.array(starts, dtype=np.int64)
+    return data, base, texts, starts, np.array(ends, dtype=np.int64)
+
+
+def _numeric(convert):
+    """Values and nulls (bit for bit), or the error identity."""
+    try:
+        values, nulls = convert()
+    except Exception as exc:  # noqa: BLE001 - identity is the assertion
+        row = getattr(exc, "row", None)
+        return ("error", type(exc).__name__, str(exc), row)
+    return ("vector", values.tobytes(), nulls.tobytes())
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(
+    window=numeric_windows(),
+    dtype=st.sampled_from([DataType.INTEGER, DataType.FLOAT]),
+)
+def test_convert_span_equals_convert_column(window, dtype):
+    data, base, texts, starts, ends = window
+    cbuf = ContentBuffer(data, base)
+
+    def assert_rows_agree(rows):
+        def ours():
+            vector = convert_span(
+                cbuf, starts[rows], ends[rows], dtype, NULL_TOKEN, 5
+            )
+            return vector.values, vector.null_mask
+
+        assert _numeric(ours) == _numeric(
+            lambda: convert_column(texts[rows], dtype, NULL_TOKEN, 5)
+        )
+
+    assert_rows_agree(slice(None))
+    # Row by row too: the first error of a window hides the rows after
+    # it.
+    for row in range(len(texts)):
+        assert_rows_agree(slice(row, row + 1))
+
+
+# --- TEXT: the kernel's dictionary encode against the scalar one -------
 
 TEXT_SCHEMA = TableSchema.from_pairs(
     [("id", "integer"), ("s", "text"), ("t", "text")]

@@ -1,20 +1,23 @@
 """Units for ``repro.kernels``: batch parser edges and fallback
-identity, kernel-cache LRU eviction, and signature keying."""
+identity, the CSV kernel's delimiter grid and when it declines,
+kernel-cache LRU eviction, and signature keying."""
 
 import numpy as np
 import pytest
 
 from repro import PostgresRaw, generate_csv, uniform_table_spec
 from repro.datatypes import DataType, convert_column
-from repro.errors import ConversionError
+from repro.errors import ConversionError, RawDataError
 from repro.kernels import (
     ContentBuffer,
     KernelCache,
+    ScanKernel,
     convert_span,
     kernel_supported,
     make_signature,
 )
 from repro.rawio.dialect import CsvDialect
+from repro.rawio.tokenizer import build_line_index, tokenize_span
 from repro.telemetry import MetricsRegistry
 
 
@@ -36,9 +39,12 @@ class TestConvertSpan:
         "texts,dtype",
         [
             # Fast-path integers, including sign and padding edges.
-            (["0", "-1", "+2", "00042", str(10**17 - 1)], "integer"),
-            # Fallback integers: 18+ digits, whitespace, underscores.
-            ([str(10**17), "-" + "9" * 18, " 7 ", "1_0"], "integer"),
+            (["0", "-1", "+2", "00042", str(10**16 - 1)], "integer"),
+            # Fallback integers: 17+ digits, whitespace, underscores.
+            (
+                [str(10**16), str(10**17 - 1), "-" + "9" * 18, " 7 ", "1_0"],
+                "integer",
+            ),
             # Fast-path floats, including dot-first/dot-last edges.
             (["3.14", "-0.0", ".5", "5.", "0.000001", "12345.6789"],
              "float"),
@@ -96,6 +102,66 @@ class TestConvertSpan:
         cbuf, starts, ends = _span(texts)
         vector = convert_span(cbuf, starts, ends, DataType.FLOAT)
         assert vector.values.tolist() == [float(t) for t in texts]
+
+
+class TestRowGrid:
+    """The CSV kernel reads offsets off the window's delimiter grid, and
+    returns ``None`` (the state machine's rows) when it cannot prove
+    the grid."""
+
+    DTYPES = (DataType.INTEGER,) * 4
+
+    def kernel(self, first, last):
+        signature = make_signature(CsvDialect(), self.DTYPES, first, last)
+        return ScanKernel(signature)
+
+    def rows(self, data, lo=0, hi=None):
+        cbuf = ContentBuffer(data)
+        bounds = build_line_index(data)
+        hi = len(bounds) - 1 if hi is None else hi
+        return cbuf, bounds[lo:hi], bounds[lo + 1 : hi + 1] - 1
+
+    @pytest.mark.parametrize("first,last", [(0, 3), (0, 0), (1, 2), (3, 3)])
+    @pytest.mark.parametrize("lo,hi", [(0, 3), (1, 3), (0, 2), (2, 3)])
+    def test_offsets_equal_the_state_machine(self, first, last, lo, hi):
+        data = b"1,22,333,4\n55,6,7,888\n9,10,11,12"
+        cbuf, starts, ends = self.rows(data, lo, hi)
+        if first:  # anchor on the state machine's own field starts
+            starts = tokenize_span(
+                data, starts, ends, 0, first, 4, CsvDialect()
+            ).offsets[:, first]
+        ours = self.kernel(first, last).tokenize(cbuf, starts, ends)
+        theirs = tokenize_span(
+            data, starts, ends, first, last, 4, CsvDialect()
+        )
+        assert np.array_equal(ours.offsets, theirs.offsets)
+
+    @pytest.mark.parametrize(
+        "data,row",
+        [
+            # A 5-field row then a 3-field one: the window's delimiter
+            # count is regular, the rows are not.
+            (b"1,2,3,4,5\n6,7,8\n9,10,11,12\n", 0),
+            (b"1,2,3,4\n5,6,7\n8,9,10,11,12\n", 1),
+            # A last row too long or too short: only the count tells.
+            (b"1,2,3,4\n5,6,7,8,9", 1),
+            (b"1,2,3,4\n5,6,7\n", 1),
+        ],
+    )
+    def test_ragged_rows_are_declined(self, data, row):
+        cbuf, starts, ends = self.rows(data)
+        assert self.kernel(0, 3).tokenize(cbuf, starts, ends) is None
+        with pytest.raises(RawDataError, match=f"row {row}: expected 4 "):
+            tokenize_span(data, starts, ends, 0, 3, 4, CsvDialect())
+
+    def test_anchors_the_grid_contradicts_are_declined(self):
+        # Row 1's anchor is its line start, not attribute 1: the count
+        # and each row's own delimiters fit, but row 1's leading
+        # delimiter lies after its anchor.
+        data = b"1,2,3,4\n5,6,7,8\n"
+        cbuf, starts, ends = self.rows(data)
+        starts = np.array([2, 8])
+        assert self.kernel(1, 3).tokenize(cbuf, starts, ends) is None
 
 
 class TestKernelCache:

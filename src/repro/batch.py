@@ -120,11 +120,11 @@ class ColumnVector:
         texts: list[str],
         dtype: DataType,
         null_token: str = "",
-        row_offset: int = 0,
+        row_offset: int | np.ndarray = 0,
     ) -> "ColumnVector":
         """The scalar "Convert" of raw field texts, ``convert_span``'s
         twin (``null_token`` marks NULL; ``row_offset`` numbers a
-        malformed field's row)."""
+        malformed field's row: :func:`repro.datatypes.row_number`)."""
         if dtype is DataType.TEXT:
             return cls.from_texts(texts, null_token)
         values, mask = convert_column(texts, dtype, null_token, row_offset)
@@ -160,6 +160,20 @@ class ColumnVector:
             self.null_mask,
             self.dictionary[used],
         )
+
+    def compacted(self) -> "ColumnVector":
+        """A copy holding nothing its rows do not use — fresh arrays
+        and, for TEXT, exactly the strings its non-NULL rows use (NULL
+        rows at code 0): the vector a producer builds from the same
+        fields, for one :meth:`slice` cut from a larger vector."""
+        mask = self.null_mask.copy()
+        if self.dtype is not DataType.TEXT:
+            return ColumnVector(self.dtype, self.values.copy(), mask)
+        live = ~mask
+        used, codes = np.unique(self.values[live], return_inverse=True)
+        values = np.zeros(len(mask), dtype=np.int32)
+        values[live] = codes
+        return ColumnVector(self.dtype, values, mask, self.dictionary[used])
 
     def to_pylist(self) -> list[object]:
         """Python objects with ``None`` for NULLs (result materialization)."""

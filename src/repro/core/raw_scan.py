@@ -29,23 +29,24 @@ scan walks it.  What it learns on the way is installed when it ends
 columns are materialized first, the filter runs once per *stride* of
 rows (:meth:`ScanPlan.strides`; the first is the first batch), and the
 remaining projected columns are *converted only for qualifying rows* —
-"tuples are only created after the select operator".  Survivors of a
-resident scan whose columns a binary tier holds leave in batches of up
-to ``batch_size`` rows; otherwise each ``batch_size`` input window with
-survivors is one batch, its other columns acquired for its survivors
-only (all of its rows when every one qualifies, so the cache and
-statistics still collect them).  Tokenization of a batch stays
-full-width for the attributes the query touches (that is what
-populates the map), even when no row of it qualifies.  Rows always
+"tuples are only created after the select operator".  Each stride
+acquires them once, for its survivors, which leave in batches of up to
+``batch_size`` rows.  Learning stays per ``batch_size`` window: a
+window whose every row qualifies is collected (cache) and observed
+(statistics) whole, on its own, as if converted alone.  Tokenization of
+a batch stays full-width for the attributes the query touches (that is
+what populates the map), even when no row of it qualifies.  Rows always
 leave in file order.
 
 **Raw access is by byte range.**  Every offset the scan holds is a byte
 offset into the raw file, and it reads only the ranges its plan needs:
 the whole file once while the line index is unknown, ``[old end,
 size)`` after an append (from the last known record's terminator
-on), and otherwise — per batch window — the one range from the first
-to the last row that needs a jump or tokenizing (nothing when no row
-qualifies).  See :mod:`repro.rawio.reader`.
+on), and otherwise — per stride — the one range from the first to the
+last row that needs a jump or tokenizing (nothing when no row
+qualifies; pieces cut at window edges past
+:data:`repro.core.scan_plan.MAX_READ_BYTES`).  See
+:mod:`repro.rawio.reader`.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .install import Collectors, harvest, install
 from .ledger import now
 from .metrics import BreakdownComponent, QueryMetrics
 from .positional_map import PositionalChunk
-from .scan_plan import ScanPlan, Segment, plan_scan
+from .scan_plan import MAX_READ_BYTES, ScanPlan, Segment, plan_scan
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .install import InstallPlan
@@ -278,12 +279,13 @@ class RawScan(Operator):
 
     def _select_stride(self, s0: int, s1: int) -> Iterator[Batch]:
         """Emit the rows of ``[s0, s1)`` the predicate keeps, in file
-        order: one evaluation and one ``take`` per held column for the
-        whole stride; jumped columns are acquired per ``batch_size``
-        window, for that window's survivors only."""
+        order, in batches of up to ``batch_size`` rows: one predicate
+        evaluation, then one acquisition of the projection-only columns
+        for the stride's survivors (all of its rows, then taken, when
+        selective tuple formation is off).  What the acquisition
+        converts is still learned per window (:meth:`_learn`)."""
         plan = self.plan
         batch_size = plan.batch_size
-        held, jumped = plan.held, plan.jumped
         self._batch_spans.clear()
         # Survivors' vectors by survivor rank; ``selected`` (relative to
         # ``s0``) stays ``None`` while every row survives.
@@ -303,42 +305,22 @@ class RawScan(Operator):
                 for a, v in pred_vectors.items()
                 if a in self._out_attrs
             }
-        sel_abs = None if selected is None else selected + s0
         n_out = s1 - s0 if selected is None else len(selected)
-        if held and n_out:
-            vectors.update(self._acquire(held, s0, s1, sel=sel_abs))
-        if not jumped:
-            for k in range(0, n_out, batch_size):
-                end = min(k + batch_size, n_out)
-                yield self._emit(
-                    {a: v.slice(k, end) for a, v in vectors.items()}, end - k
-                )
-            return
-        # Window ``i`` is rows ``s0 + edges[i]`` up to ``s0 + edges[i +
-        # 1]``; its survivors are ranks ``cuts[i]`` up to ``cuts[i + 1]``.
-        edges = [*range(0, s1 - s0, batch_size), s1 - s0]
-        cuts = edges
-        if selected is not None:
-            cuts = np.searchsorted(selected, edges).tolist()
-        for i in range(len(edges) - 1):
-            w0, w1 = s0 + edges[i], s0 + edges[i + 1]
-            a, b = cuts[i], cuts[i + 1]
-            sel = None
-            if b - a < w1 - w0 and self.config.selective_tuple_formation:
-                sel = sel_abs[a:b]
-                if a == b and plan.resident:
-                    continue  # nothing qualifies, nothing left to learn
-            # Even with no qualifying rows a window that tokenizes does
-            # so once, so the map keeps learning.
-            part = self._acquire(jumped, w0, w1, sel=sel)
-            if a == b:
-                continue
-            if sel is None and b - a < w1 - w0:
-                rows = selected[a:b] - (w0 - s0)
-                part = {x: v.take(rows) for x, v in part.items()}
-            window = {x: v.slice(a, b) for x, v in vectors.items()}
-            window.update(part)
-            yield self._emit(window, b - a)
+        sel = None
+        if selected is not None and self.config.selective_tuple_formation:
+            sel = selected + s0
+        # With no survivors a stride that tokenizes still does so once,
+        # so the map keeps learning; a resident one has nothing to learn.
+        if plan.proj_attrs and (n_out or sel is None or not plan.resident):
+            part = self._acquire(plan.proj_attrs, s0, s1, sel=sel)
+            if sel is None and selected is not None:
+                part = {a: v.take(selected) for a, v in part.items()}
+            vectors.update(part)
+        for k in range(0, n_out, batch_size):
+            end = min(k + batch_size, n_out)
+            yield self._emit(
+                {a: v.slice(k, end) for a, v in vectors.items()}, end - k
+            )
 
     def _emit(self, vectors: dict[int, ColumnVector], num_rows: int) -> Batch:
         # A zero-column batch still carries its row count (COUNT(*)
@@ -496,38 +478,61 @@ class RawScan(Operator):
         map sources extract only those rows, and tokenized text is
         converted only for those rows — selective parsing / selective
         tuple formation.  Tokenization itself stays full-range so the
-        positional map keeps learning.
+        positional map keeps learning.  Each segment is acquired once
+        per read piece (:meth:`_read_pieces`); the ``batch_size``
+        windows in which every row is acquired are learned one at a
+        time (:meth:`_learn`).
         """
+        edges = self.plan.window_edges(r0, r1)
+        # Where each window's rows start in ``sel``.
+        ranks = None
+        if sel is not None:
+            ranks = [0, len(sel)]
+            if len(edges) > 2:
+                ranks = np.searchsorted(sel, edges).tolist()
+        whole = [
+            (w0, w1)
+            for i, (w0, w1) in enumerate(zip(edges, edges[1:]))
+            if ranks is None or ranks[i + 1] - ranks[i] == w1 - w0
+        ]
         out: dict[int, list[ColumnVector]] = {a: [] for a in attrs}
-        for seg in self.plan.segments:
-            lo = max(seg.start, r0)
-            hi = min(seg.end, r1)
-            if lo >= hi:
-                continue
-            seg_sel = None
-            if sel is not None:
-                seg_sel = sel[(sel >= lo) & (sel < hi)]
-            to_tokenize = sorted(a for a in attrs if a in seg.tokenize_attrs)
-            try:
-                tokenized = None
-                if to_tokenize:
-                    tokenized = self._tokenize_for(to_tokenize, lo, hi)
-                if seg_sel is not None and not len(seg_sel):
-                    continue  # no row qualifies: nothing to read or convert
-                for attr in attrs:
-                    out[attr].append(
-                        self._acquire_attr_part(
+        for p0, p1 in self._read_pieces(attrs, edges, sel, ranks):
+            for seg in self.plan.segments:
+                lo = max(seg.start, p0)
+                hi = min(seg.end, p1)
+                if lo >= hi:
+                    continue
+                seg_sel = None
+                if sel is not None:
+                    seg_sel = sel[(sel >= lo) & (sel < hi)]
+                to_tokenize = sorted(
+                    a for a in attrs if a in seg.tokenize_attrs
+                )
+                converted = {}
+                try:
+                    tokenized = None
+                    if to_tokenize:
+                        tokenized = self._tokenize_for(to_tokenize, lo, hi)
+                    if seg_sel is not None and not len(seg_sel):
+                        continue  # no row qualifies: nothing to convert
+                    for attr in attrs:
+                        vector, seconds = self._acquire_attr_part(
                             seg, attr, lo, hi, seg_sel, tokenized
                         )
-                    )
-            except RawDataError as exc:
-                if exc.row is not None or exc.offset is None:
-                    raise
-                # A tokenizer reported where in the file; name the row.
-                row = np.searchsorted(self._bounds, exc.offset, "right") - 1
-                raise RawDataError(
-                    f"row {row}: {exc}", row=int(row), offset=exc.offset
-                ) from exc
+                        out[attr].append(vector)
+                        if seconds is not None:
+                            converted[attr] = (vector, seconds)
+                except RawDataError as exc:
+                    if exc.row is not None or exc.offset is None:
+                        raise
+                    # A tokenizer reported where in the file; name the row.
+                    row = np.searchsorted(self._bounds, exc.offset, "right")
+                    row = int(row) - 1
+                    raise RawDataError(
+                        f"row {row}: {exc}", row=row, offset=exc.offset
+                    ) from exc
+                if converted:
+                    self._learn(converted, lo, hi, seg_sel, whole)
         result = {}
         for attr, parts in out.items():
             if not parts:
@@ -538,6 +543,80 @@ class RawScan(Operator):
                 result[attr] = ColumnVector.concat(parts)
         return result
 
+    def _read_pieces(
+        self,
+        attrs: tuple[int, ...],
+        edges: list[int],
+        sel: np.ndarray | None,
+        ranks: list[int] | None,
+    ) -> list[tuple[int, int]]:
+        """Rows ``[edges[0], edges[-1])`` cut at window edges so that
+        no positioned read of ``attrs``' raw fields — from a piece's
+        first acquired row through its last — exceeds
+        :data:`MAX_READ_BYTES`; one window is never cut.  ``ranks``
+        places ``edges`` in ``sel``."""
+        r0, r1 = edges[0], edges[-1]
+        if len(edges) <= 2 or sel is not None and not len(sel):
+            return [(r0, r1)]
+        bounds = self._bounds
+        lo, hi = (r0, r1 - 1) if sel is None else (sel[0], sel[-1])
+        if bounds[hi + 1] - bounds[lo] <= MAX_READ_BYTES or all(
+            a in seg.resident
+            for seg in self.plan.segments
+            if seg.start < r1 and r0 < seg.end
+            for a in attrs
+        ):
+            return [(r0, r1)]
+        pieces, start, first = [], r0, None
+        for i in range(len(edges) - 1):
+            if sel is None:
+                w_first, w_last = edges[i], edges[i + 1] - 1
+            elif ranks[i] < ranks[i + 1]:
+                w_first, w_last = sel[ranks[i]], sel[ranks[i + 1] - 1]
+            else:
+                continue  # no acquired row
+            if first is None:
+                first = w_first
+            elif bounds[w_last + 1] - bounds[first] > MAX_READ_BYTES:
+                pieces.append((start, edges[i]))
+                start, first = edges[i], w_first
+        pieces.append((start, r1))
+        return pieces
+
+    def _learn(
+        self,
+        converted: dict[int, tuple[ColumnVector, float]],
+        lo: int,
+        hi: int,
+        sel: np.ndarray | None,
+        whole: list[tuple[int, int]],
+    ) -> None:
+        """Collect (cache) and observe (statistics) the vectors
+        converted for rows [lo, hi) (``sel`` rows only, when given),
+        one ``whole`` window at a time in row order, attributes in
+        order within each: exactly what converting each window alone
+        would learn.  The reservoir sample draws per call, so the calls
+        cannot merge."""
+        for w0, w1 in whole:
+            l0, l1 = max(w0, lo), min(w1, hi)
+            if l0 >= l1:
+                continue
+            k = l0 - lo if sel is None else int(np.searchsorted(sel, l0))
+            for attr, (vector, seconds) in converted.items():
+                piece = vector
+                if l1 - l0 < len(vector):
+                    piece = vector.slice(k, k + l1 - l0)
+                    seconds *= (l1 - l0) / len(vector)
+                if self.config.enable_cache:
+                    # A cached window holds only its own rows and strings.
+                    own = piece if piece is vector else piece.compacted()
+                    self.collectors.add_column(attr, l0, own, seconds)
+                if self.config.enable_statistics:
+                    with self.metrics.time(_NODB):
+                        self.state.statistics.observe(
+                            self.schema.columns[attr].name, piece
+                        )
+
     def _acquire_attr_part(
         self,
         seg: Segment,
@@ -546,12 +625,15 @@ class RawScan(Operator):
         hi: int,
         sel: np.ndarray | None,
         tokenized: TokenizedRows | None,
-    ) -> ColumnVector:
+    ) -> tuple[ColumnVector, float | None]:
+        """One attribute's vector over rows [lo, hi) of ``seg`` (``sel``
+        rows only, when given) and the seconds its conversion took —
+        ``None`` when a binary tier served it."""
         resident = seg.resident.get(attr)
         if resident is not None:
             # Binary values: no raw-file access at all.
             tier, entry = resident
-            return tier.read(entry, lo, hi, sel, self.metrics)
+            return tier.read(entry, lo, hi, sel, self.metrics), None
 
         # The field bytes come from a positional-map jump or from this
         # batch's tokenized rows; whichever found them also knows how
@@ -568,26 +650,18 @@ class RawScan(Operator):
         with self.metrics.time(_CONVERT):
             vector = convert()
             self.metrics.fields_converted += len(vector)
-        convert_seconds = time.perf_counter() - convert_start
+        return vector, time.perf_counter() - convert_start
 
-        if sel is None:
-            if self.config.enable_cache:
-                self.collectors.add_column(attr, lo, vector, convert_seconds)
-            if self.config.enable_statistics:
-                with self.metrics.time(_NODB):
-                    self.state.statistics.observe(
-                        self.schema.columns[attr].name, vector
-                    )
-        return vector
-
-    def _converter(self, texts: list[str], dtype: DataType, lo: int):
-        """``ColumnVector.from_fields`` over field texts."""
+    def _converter(self, texts: list[str], dtype: DataType, rows):
+        """``ColumnVector.from_fields`` over field texts; ``rows`` (the
+        first field's row, or the ``sel`` array) names a bad field's
+        row."""
         return partial(
             ColumnVector.from_fields,
             texts,
             dtype,
             self.dialect.null_token,
-            row_offset=lo,
+            row_offset=rows,
         )
 
     def _span_converter(
@@ -596,10 +670,11 @@ class RawScan(Operator):
         starts: np.ndarray,
         ends: np.ndarray,
         dtype: DataType,
-        lo: int,
+        rows,
     ):
         """``convert_span``: INTEGER, FLOAT and TEXT fields converted
-        from their byte bounds in ``cbuf`` by the kernel."""
+        from their byte bounds in ``cbuf`` by the kernel (``rows`` as
+        for :meth:`_converter`)."""
         return partial(
             convert_span,
             cbuf,
@@ -607,7 +682,7 @@ class RawScan(Operator):
             ends,
             dtype,
             self.dialect.null_token,
-            row_offset=lo,
+            row_offset=rows,
             json=self._json_values,
         )
 
@@ -630,6 +705,7 @@ class RawScan(Operator):
         col = chunk.column_of(attr)
         window = self._rows_window(lo, hi, sel)
         rows = slice(lo, hi) if sel is None else sel
+        rows_of = lo if sel is None else sel
         kernel = None
         if dtype in _KERNEL_TYPES:
             kernel = self._kernel_for_span(attr, attr)
@@ -653,7 +729,7 @@ class RawScan(Operator):
                     ends = kernel.field_ends(window, starts, line_ends)
                 if ends is not None:
                     return self._span_converter(
-                        window, starts, ends, dtype, lo
+                        window, starts, ends, dtype, rows_of
                     )
             data, base, dialect = window.data, window.base, self.dialect
             if next_starts is not None:
@@ -666,7 +742,7 @@ class RawScan(Operator):
                     extract(data, s, e, dialect, base)
                     for s, e in zip(starts.tolist(), line_ends.tolist())
                 ]
-            return self._converter(texts, dtype, lo)
+            return self._converter(texts, dtype, rows_of)
 
     def _tokenized_fields(
         self,
@@ -679,18 +755,19 @@ class RawScan(Operator):
         """Converter of one attribute of this batch's tokenized rows
         (``sel`` rows only, when given)."""
         rel = None if sel is None else sel - lo
+        rows_of = lo if sel is None else sel
         with self.metrics.time(_PARSING):
             if isinstance(tokenized, KernelRows) and dtype in _KERNEL_TYPES:
                 starts, ends = tokenized.field_bounds(attr)
                 if rel is not None:
                     starts, ends = starts[rel], ends[rel]
                 return self._span_converter(
-                    tokenized.cbuf, starts, ends, dtype, lo
+                    tokenized.cbuf, starts, ends, dtype, rows_of
                 )
             texts = tokenized.texts_of(
                 attr, None if rel is None else rel.tolist()
             )
-            return self._converter(texts, dtype, lo)
+            return self._converter(texts, dtype, rows_of)
 
     def _tokenize_for(
         self, attrs: list[int], lo: int, hi: int

@@ -13,11 +13,16 @@ scan runs neither raises nor changes the answer; whatever no tier
 covers is tokenized.
 
 **Resident scans** have a predicate, and every segment they read pins
-all its attributes in a binary tier (cache or columnstore) and has
-nothing to tokenize.  Their selection strides double, up to
-:data:`MAX_STRIDE_BATCHES` batches, and the projection columns a binary
-tier holds everywhere (``held``) are taken once per stride; the others
-(``jumped``) per window, for its survivors only.
+all its predicate attributes in a binary tier (cache or columnstore)
+and has nothing to tokenize.  Their selection strides double, up to
+:data:`MAX_STRIDE_BATCHES` batches; any other scan steps one batch at a
+time.  Either way a stride acquires its projection-only attributes
+(``proj_attrs``) once, for its survivors only: a binary tier's rows are
+taken, and a positional-map jump is one read from the first survivor
+to the last — split at window edges where it would exceed
+:data:`MAX_READ_BYTES` — one offsets gather and one conversion.  What a
+stride learns is still learned per ``batch_size`` window: a window
+whose every row survives is collected and observed whole, on its own.
 
 **Window skipping.**  Cache entries and promoted columns of INTEGER,
 FLOAT and DATE columns carry a synopsis — per ``batch_size`` window
@@ -56,6 +61,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: many batches, so a stride's temporaries stay bounded on big tables.
 MAX_STRIDE_BATCHES = 64
 
+#: The most file bytes one positional-map jump over a stride reads in
+#: one positioned read (first acquired row through last): a longer
+#: stride is read in pieces cut at window edges, so a 64-batch stride
+#: over wide rows never holds hundreds of MB.  A single window is read
+#: whole, whatever its size.
+MAX_READ_BYTES = 8 << 20
+
 
 @dataclass
 class Segment:
@@ -82,10 +94,10 @@ class ScanPlan:
     segments: tuple[Segment, ...]
     #: Attributes the predicate reads, in attribute order.
     pred_attrs: tuple[int, ...]
-    #: Projection-only attributes taken once per stride (``held``) or
-    #: acquired per window for its survivors (``jumped``).
-    held: tuple[int, ...]
-    jumped: tuple[int, ...]
+    #: Projection-only attributes (needed, not read by the predicate),
+    #: acquired once per stride for its survivors.
+    proj_attrs: tuple[int, ...]
+    #: Strides double (see :meth:`strides`).
     resident: bool
     #: The kept row ranges ``[r0, r1)`` of the serially scanned rows.
     runs: tuple[tuple[int, int], ...]
@@ -111,6 +123,13 @@ class ScanPlan:
                 yield s0, s1
                 stride = min(2 * stride, max_stride)
                 s0, s1 = s1, s1 + stride
+
+    def window_edges(self, r0: int, r1: int) -> list[int]:
+        """``r0``, the table-wide ``batch_size`` cuts inside ``(r0,
+        r1)``, and ``r1``: the edges of the windows rows ``[r0, r1)``
+        learn in."""
+        batch = self.batch_size
+        return [r0, *range(r0 - r0 % batch + batch, r1, batch), r1]
 
 
 def plan_scan(scan: "RawScan", bounds: np.ndarray) -> ScanPlan:
@@ -145,25 +164,21 @@ def plan_scan(scan: "RawScan", bounds: np.ndarray) -> ScanPlan:
         tail_from = _tail_from(scan, segments, bounds, n_rows)
     scan_to = n_rows if tail_from is None else tail_from
 
-    # Attributes a binary tier holds in every segment the scan reads.
+    # The segments the serial scan reads.
     covered = [seg for seg in segments if seg.start < scan_to]
-    binary = {a for a in needed if all(a in s.resident for s in covered)}
     pred_attrs = scan.pred_attrs
     resident = (
         scan.predicate is not None
-        and binary.issuperset(pred_attrs)
+        and all(a in s.resident for s in covered for a in pred_attrs)
         and not any(seg.tokenize_attrs for seg in covered)
     )
-    proj_only = [a for a in needed if a not in pred_attrs]
-    held = [a for a in proj_only if resident and a in binary]
     return ScanPlan(
         row_from=row_from,
         row_to=n_rows,
         batch_size=config.batch_size,
         segments=tuple(segments),
         pred_attrs=tuple(pred_attrs),
-        held=tuple(held),
-        jumped=tuple(a for a in proj_only if a not in held),
+        proj_attrs=tuple(a for a in needed if a not in pred_attrs),
         resident=resident,
         runs=tuple(_kept_runs(scan, covered, row_from, scan_to)),
         combination=combination,

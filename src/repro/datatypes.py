@@ -178,18 +178,28 @@ def format_scalar(value, dtype: DataType, null_token: str = "") -> str:
     return str(value)
 
 
+def row_number(row_offset: int | np.ndarray, i: int) -> int:
+    """The row of field ``i``: ``row_offset`` is the first field's row
+    (the fields are consecutive rows) or each field's row (the rows a
+    selection kept)."""
+    if np.ndim(row_offset):
+        return int(row_offset[i])
+    return int(row_offset) + i
+
+
 def convert_column(
     texts: Sequence[str | None],
     dtype: DataType,
     null_token: str = "",
-    row_offset: int = 0,
+    row_offset: int | np.ndarray = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convert a column of raw text fields to ``(values, null_mask)``.
 
     This is the engine's "Convert" phase for INTEGER, FLOAT, BOOLEAN and
     DATE (TEXT is factorized instead: :meth:`ColumnVector.from_texts
     <repro.batch.ColumnVector.from_texts>`).  ``row_offset`` is only
-    used to report the absolute row number of a malformed field.
+    used to report the absolute row number of a malformed field (see
+    :func:`row_number`).
     ``None`` entries and entries equal to ``null_token`` become NULLs.
     """
     n = len(texts)
@@ -203,9 +213,10 @@ def convert_column(
             try:
                 values[i] = converter(t)
             except (ValueError, ConversionError) as exc:
+                row = row_number(row_offset, i)
                 raise ConversionError(
-                    f"row {row_offset + i}: cannot convert {t!r} to {dtype.value}",
-                    row=row_offset + i,
+                    f"row {row}: cannot convert {t!r} to {dtype.value}",
+                    row=row,
                 ) from exc
     return values, mask
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..batch import ColumnVector
-from ..datatypes import DataType
+from ..datatypes import DataType, row_number
 from ..errors import ConversionError
 from ..rawio.tokenizer import decode_fields
 
@@ -452,7 +452,7 @@ def convert_span(
     ends: np.ndarray,
     dtype: DataType,
     null_token: str = "",
-    row_offset: int = 0,
+    row_offset: int | np.ndarray = 0,
     json: bool = False,
 ) -> ColumnVector:
     """Vectorized convert of one column slice given file-offset bounds.
@@ -509,9 +509,9 @@ def convert_span(
             try:
                 values[i] = convert(t)
             except (ValueError, ConversionError) as exc:
+                row = row_number(row_offset, i)
                 raise ConversionError(
-                    f"row {row_offset + i}: cannot convert {t!r} "
-                    f"to {dtype.value}",
-                    row=row_offset + i,
+                    f"row {row}: cannot convert {t!r} to {dtype.value}",
+                    row=row,
                 ) from exc
     return ColumnVector(dtype, values, nulls)

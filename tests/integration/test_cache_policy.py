@@ -20,6 +20,7 @@ from repro import (
     generate_csv,
 )
 from repro.batch import ColumnVector
+from repro.core.install import Collectors
 from repro.errors import BudgetError
 from repro.rawio.generator import ColumnSpec, DatasetSpec
 from repro.service import MemoryGovernor
@@ -76,8 +77,30 @@ def int_vs_text_csv(tmp_path_factory):
     return path, schema
 
 
+#: Conversion seconds charged per field, by type: what the scan's
+#: measured convert time would say on an idle box, without its noise
+#: (integers parse, text only slices).
+CONVERT_SECONDS = {DataType.INTEGER: 2e-7, DataType.TEXT: 1e-7}
+
+
+@pytest.fixture
+def convert_clock(monkeypatch):
+    """Charge every collected column its fields' conversion cost by
+    type instead of the measured seconds, which a busy box makes swing
+    by more than the policy's margin."""
+    add_column = Collectors.add_column
+
+    def charged(self, attr, lo, vector, seconds):
+        cost = len(vector) * CONVERT_SECONDS[vector.dtype]
+        add_column(self, attr, lo, vector, cost)
+
+    monkeypatch.setattr(Collectors, "add_column", charged)
+
+
 class TestPolicyEndToEnd:
-    def test_cost_aware_keeps_integer_column(self, int_vs_text_csv):
+    def test_cost_aware_keeps_integer_column(
+        self, int_vs_text_csv, convert_clock
+    ):
         path, schema = int_vs_text_csv
         # The budget fits the int column plus one text column, not all
         # three; the positional map is off so only the cache competes.

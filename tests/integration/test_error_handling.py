@@ -9,12 +9,15 @@ import pytest
 
 from repro import (
     Column,
+    CsvDialect,
     DataType,
     PostgresRaw,
+    PostgresRawConfig,
     TableSchema,
     write_csv,
 )
 from repro.errors import ConversionError, RawDataError
+from repro.rawio.dialect import DEFAULT_DIALECT
 
 TWO_INTS = TableSchema(
     [Column("a", DataType.INTEGER), Column("b", DataType.INTEGER)]
@@ -46,6 +49,49 @@ class TestMalformedRows:
         with pytest.raises(ConversionError) as exc:
             eng.query("SELECT a FROM t")
         assert exc.value.row == 2
+
+    @pytest.mark.parametrize(
+        "dtype, good, dialect",
+        [
+            # The kernel's convert_span, and the scalar converter: a
+            # DATE column, and an INTEGER one in a quoted dialect.
+            (DataType.INTEGER, "7", DEFAULT_DIALECT),
+            (DataType.DATE, "2020-01-02", DEFAULT_DIALECT),
+            (DataType.INTEGER, "7", CsvDialect(quote_char='"')),
+        ],
+        ids=["kernel", "scalar-date", "scalar-quoted"],
+    )
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bad_value_under_selection_reports_its_row(
+        self, tmp_path, dtype, good, dialect, warm
+    ):
+        """Converted for the survivors only, a bad field still names its
+        own row, not the first row plus its rank among the survivors —
+        on the tokenized path (cold) and the map jump (warm)."""
+        path = tmp_path / "sel.csv"
+        bad = 148
+        body = [f"{i},{'oops' if i == bad else good}" for i in range(200)]
+        path.write_text("a,c\n" + "\n".join(body) + "\n")
+        schema = TableSchema(
+            [Column("a", DataType.INTEGER), Column("c", dtype)]
+        )
+        eng = PostgresRaw(PostgresRawConfig(batch_size=16))
+        eng.register_csv("t", path, schema, dialect)
+        if warm:
+            eng.query("SELECT a FROM t")  # caches ``a``
+            eng.query("SELECT c FROM t WHERE a % 2 = 1")  # maps ``c``
+            state = eng.table_state("t")
+            assert state.cache.peek(1) is None
+            assert state.positional_map.best_cover(1) is not None
+        for sql in (
+            "SELECT a, c FROM t WHERE a % 2 = 0",
+            "SELECT c FROM t WHERE a > 140",
+            "SELECT c FROM t",
+        ):
+            with pytest.raises(ConversionError) as exc:
+                eng.query(sql)
+            assert exc.value.row == bad, sql
+            assert str(exc.value).startswith(f"row {bad}: "), sql
 
     def test_error_does_not_poison_engine(self, tmp_path):
         """A failed query must not leave broken adaptive state behind."""

@@ -49,6 +49,7 @@ from repro import (
     write_csv,
     write_jsonl,
 )
+from repro.core.raw_scan import RawScan
 from repro.kernels import jsonl as jsonl_kernel
 from repro.rawio.dialect import DEFAULT_DIALECT
 from repro.sharding import (
@@ -154,8 +155,10 @@ def _in_items(items):
     return st.lists(st.one_of(st.just("NULL"), items), min_size=1, max_size=4)
 
 
-def _atoms():
-    return st.one_of(
+def _atoms(text: bool = True):
+    """Predicate atoms; without ``text`` none reads ``s``."""
+    nullable = st.one_of(numeric, st.just("s")) if text else numeric
+    atoms = [
         st.tuples(numeric, compare_ops, numeric).map(" ".join),
         # ``%`` over integers, ``/`` with a FLOAT dividend: sqlite
         # would divide two integers as integers.
@@ -170,12 +173,12 @@ def _atoms():
             compare_ops,
             float_literals,
         ).map(lambda t: f"(f / {t[0]}) {t[1]} {t[2]}"),
-        st.tuples(st.just("s"), compare_ops, text_literals).map(" ".join),
+        st.tuples(nullable, st.sampled_from(["=", "<>"])).map(
+            lambda t: f"{t[0]} {t[1]} NULL"
+        ),
         st.tuples(
-            st.one_of(numeric, st.just("s")), st.sampled_from(["=", "<>"])
-        ).map(lambda t: f"{t[0]} {t[1]} NULL"),
-        st.tuples(
-            st.sampled_from(NUMERIC + ("s",)), st.sampled_from(["", "NOT "])
+            st.sampled_from(NUMERIC + (("s",) if text else ())),
+            st.sampled_from(["", "NOT "]),
         ).map(lambda t: f"{t[0]} IS {t[1]}NULL"),
         st.tuples(
             numeric,
@@ -186,26 +189,37 @@ def _atoms():
         st.tuples(numeric, negation, _in_items(int_literals)).map(
             lambda t: f"{t[0]} {t[1]}IN ({', '.join(t[2])})"
         ),
-        st.tuples(st.just("s"), negation, _in_items(text_literals)).map(
-            lambda t: f"{t[0]} {t[1]}IN ({', '.join(t[2])})"
+    ]
+    if text:
+        atoms += [
+            st.tuples(st.just("s"), compare_ops, text_literals).map(
+                " ".join
+            ),
+            st.tuples(st.just("s"), negation, _in_items(text_literals)).map(
+                lambda t: f"{t[0]} {t[1]}IN ({', '.join(t[2])})"
+            ),
+            st.tuples(
+                negation,
+                st.lists(st.sampled_from("ab%_B"), min_size=1, max_size=4),
+            ).map(lambda t: f"s {t[0]}LIKE '{''.join(t[1])}'"),
+        ]
+    return st.one_of(*atoms)
+
+
+def _predicates(atoms):
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["AND", "OR"]), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+            inner.map(lambda p: f"(NOT {p})"),
         ),
-        st.tuples(
-            negation,
-            st.lists(st.sampled_from("ab%_B"), min_size=1, max_size=4),
-        ).map(lambda t: f"s {t[0]}LIKE '{''.join(t[1])}'"),
+        max_leaves=4,
     )
 
 
-predicates = st.recursive(
-    _atoms(),
-    lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from(["AND", "OR"]), inner).map(
-            lambda t: f"({t[0]} {t[1]} {t[2]})"
-        ),
-        inner.map(lambda p: f"(NOT {p})"),
-    ),
-    max_leaves=4,
-)
+predicates = _predicates(_atoms())
 
 # ----------------------------------------------------------------------
 # Statements: (engine SQL, sqlite SQL, ordered?).
@@ -321,6 +335,18 @@ sorted_steps = _steps(
 )
 
 # ----------------------------------------------------------------------
+# The map-jump column: ``i``, ``j`` and ``f`` cached, ``s`` only mapped,
+# and predicates that never read ``s`` — so warm scans are resident and
+# jump the map for ``s``, once per stride of many windows.
+# ----------------------------------------------------------------------
+
+JUMPED_CONFIGS = ("batch3", "batch7")
+#: Cache the numeric columns; map ``s`` without converting a row of it.
+JUMPED_WARMUP = ("SELECT i, j, f FROM t", "SELECT s FROM t WHERE i <> i")
+
+jumped_steps = _steps(_statements(_predicates(_atoms(text=False))))
+
+# ----------------------------------------------------------------------
 # Comparison.
 # ----------------------------------------------------------------------
 
@@ -356,10 +382,13 @@ def _oracle(rows):
     return db
 
 
-def _matches_sqlite(tmp_path_factory, name, rows, plan) -> tuple[int, int]:
-    """Run ``plan`` on a fresh engine and on sqlite; every statement's
-    rows must agree.  Returns the windows the engine's scans skipped and
-    the chunks its scan pool ran."""
+def _matches_sqlite(
+    tmp_path_factory, name, rows, plan, warmup=()
+) -> tuple[int, int]:
+    """Run ``plan`` on a fresh engine (after the ``warmup`` statements)
+    and on sqlite; every statement's rows must agree.  Returns the
+    windows the engine's scans skipped and the chunks its scan pool
+    ran."""
     tmp = tmp_path_factory.mktemp("oracle")
     dialect = DIALECTS.get(name, DEFAULT_DIALECT)
     jsonl = FORMATS.get(name) == "jsonl"
@@ -378,6 +407,8 @@ def _matches_sqlite(tmp_path_factory, name, rows, plan) -> tuple[int, int]:
                 engine.register_jsonl("t", path, SCHEMA)
             else:
                 engine.register_csv("t", path, SCHEMA, dialect)
+            for sql in warmup:
+                engine.query(sql)
             for kind, step in plan:
                 if kind == "append":
                     if jsonl:
@@ -445,6 +476,43 @@ def test_window_skipping_matches_sqlite(tmp_path_factory, name):
     run()
     # The column is about skipped windows: some scans must have skipped.
     assert sum(skipped) > 0
+
+
+@pytest.mark.parametrize("name", JUMPED_CONFIGS)
+def test_resident_map_jumps_match_sqlite(tmp_path_factory, monkeypatch, name):
+    jumped = []
+    execute = RawScan.execute
+
+    def spy(self):
+        try:
+            yield from execute(self)
+        finally:
+            plan = self.plan
+            jumped.append(
+                plan is not None
+                and plan.resident
+                and any(
+                    a in seg.chunk_hits
+                    for seg in plan.segments
+                    for a in plan.proj_attrs
+                )
+            )
+
+    monkeypatch.setattr(RawScan, "execute", spy)
+
+    @given(rows=rows_of, plan=jumped_steps)
+    @settings(
+        max_examples=EXAMPLES,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def run(rows, plan):
+        _matches_sqlite(tmp_path_factory, name, rows, plan, JUMPED_WARMUP)
+
+    run()
+    # The column is about resident scans that jump the map for a
+    # projection column: some scans must have.
+    assert any(jumped)
 
 
 # ----------------------------------------------------------------------

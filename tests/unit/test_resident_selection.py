@@ -8,6 +8,7 @@ batch, row order, what the cache and statistics learn, bytes read and
 the work a tokenizing scan does.
 """
 
+import numpy as np
 import pytest
 
 import repro.core.raw_scan as raw_scan_mod
@@ -20,8 +21,11 @@ from repro import (
     TableSchema,
     write_csv,
 )
+from repro.batch import ColumnVector
 from repro.core.metrics import QueryMetrics
 from repro.core.raw_scan import RawScan
+from repro.core.stats import StatisticsStore
+from repro.rawio.reader import RawFileReader
 from repro.sql.parser import parse_select
 
 SCHEMA = TableSchema(
@@ -237,3 +241,192 @@ def test_float_sum_is_bit_identical_over_packed_batches(make, scans):
             total += r[3]
     assert cold_row[0] == warm_row[0] == total
     assert cold_row == warm_row
+
+
+# ----------------------------------------------------------------------
+# Map-jumped projection columns: one acquisition per stride.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Positioned reads (their byte ranges) and ``convert_span`` calls
+    (their field counts), in order."""
+    seen = {"reads": [], "converts": []}
+    read_range = RawFileReader.read_range
+    convert_span = raw_scan_mod.convert_span
+
+    def counting_read(self, start, end):
+        seen["reads"].append((start, end))
+        return read_range(self, start, end)
+
+    def counting_convert(cbuf, starts, *args, **kwargs):
+        seen["converts"].append(len(starts))
+        return convert_span(cbuf, starts, *args, **kwargs)
+
+    monkeypatch.setattr(RawFileReader, "read_range", counting_read)
+    monkeypatch.setattr(raw_scan_mod, "convert_span", counting_convert)
+    return seen
+
+
+def _chunk_jumped(scan, attr):
+    return any(attr in seg.chunk_hits for seg in scan.plan.segments)
+
+
+def test_jumped_column_packs_per_stride(make, scans):
+    eng = make()
+    _warm_jumped_c(eng)
+    scan, batches = _scan(eng, ["a", "c"], "a % 3 = 0")
+    assert scan.plan.resident and _chunk_jumped(scan, 2)
+    expected = [r[0] for r in ROWS if r[0] % 3 == 0]
+    assert _column(batches, "a") == expected
+    assert _column(batches, "c") == [f"r{a}" for a in expected]
+    # The same batches as when ``c`` is held by the cache.
+    assert [b.num_rows for b in batches] == [6, 10, 16, 6, 16, 13]
+
+
+def test_jumped_column_is_read_and_converted_once_per_stride(
+    make, scans, calls
+):
+    eng = make()
+    _warm_jumped_c(eng)
+    calls["reads"].clear()
+    calls["converts"].clear()
+    scan, __ = _scan(eng, ["a", "c"], "a % 3 = 0")
+    assert scan.plan.resident and _chunk_jumped(scan, 2)
+    # Four strides, each with survivors: one read from its first
+    # survivor to its last and one conversion of its survivors each —
+    # not one per window (13 of them).
+    assert len(calls["reads"]) == 4
+    assert calls["converts"] == [6, 10, 22, 29]
+    # Zero survivors: no read and no conversion at all.
+    calls["reads"].clear()
+    calls["converts"].clear()
+    _scan(eng, ["a", "c"], "a < 0 OR a % 100 = 1")
+    assert len(calls["reads"]) == len(calls["converts"]) == 2
+
+
+#: Stride [48, 112) holds windows [48, 64) and [64, 80), which qualify
+#: whole and touch, [80, 96) which does not, and [96, 112) which does.
+WHOLE_WINDOWS = "(a >= 48 AND a < 80) OR (a >= 96 AND a < 112) OR a % 5 = 0"
+
+
+def _small_sample_stats(eng):
+    """Give ``t`` a fresh statistics store with a small reservoir, so
+    observations draw from its generator."""
+    store = StatisticsStore(sample_size=8)
+    eng.table_state("t").statistics = store
+    return store
+
+
+def test_whole_windows_are_observed_one_call_each(make, scans):
+    eng = make()
+    _warm_jumped_c(eng)
+    store = _small_sample_stats(eng)
+    scan, __ = _scan(eng, ["a", "c"], WHOLE_WINDOWS)
+    assert scan.plan.resident and _chunk_jumped(scan, 2)
+    assert (48, 112) in list(scan.plan.strides())
+    windows = [(48, 64), (64, 80), (96, 112)]
+    fresh = StatisticsStore(sample_size=8)
+    for w0, w1 in windows:
+        fresh.observe("c", ColumnVector.from_texts(_texts(w0, w1)))
+    got, want = store.get("c"), fresh.get("c")
+    assert got.rows_seen == want.rows_seen == 48
+    assert (got.min_value, got.max_value) == (want.min_value, want.max_value)
+    assert got.sample.tolist() == want.sample.tolist()
+    # One call over all three windows would draw another sample.
+    merged = StatisticsStore(sample_size=8)
+    rows = [t for w0, w1 in windows for t in _texts(w0, w1)]
+    merged.observe("c", ColumnVector.from_texts(rows))
+    assert merged.get("c").sample.tolist() != want.sample.tolist()
+    # Windows [48, 64) and [64, 80) touch, [96, 112) does not: the run
+    # does not start at row 0 and breaks, so nothing is cached.
+    assert eng.table_state("t").cache.peek(2) is None
+
+
+def _texts(lo, hi):
+    return [f"r{i}" for i in range(lo, hi)]
+
+
+def test_whole_window_prefix_is_cached_as_converted_alone(make, scans):
+    eng = make()
+    _warm_jumped_c(eng)
+    result = eng.query("SELECT a, c FROM t WHERE a < 40 OR a % 3 = 0")
+    assert scans[-1].plan.resident and _chunk_jumped(scans[-1], 2)
+    expected = [a for a in range(N) if a < 40 or a % 3 == 0]
+    assert list(result) == [(a, f"r{a}") for a in expected]
+    # Windows [0, 16) and [16, 32) qualify whole; [32, 48), in the same
+    # stride, does not: a 32-row prefix holding only its own strings,
+    # charged like the same rows converted alone.
+    entry = eng.table_state("t").cache.peek(2)
+    assert entry is not None and entry.rows == 32
+    alone = ColumnVector.from_texts(_texts(0, 32))
+    assert entry.vector.to_pylist() == _texts(0, 32)
+    assert entry.vector.dictionary.tolist() == alone.dictionary.tolist()
+    assert entry.nbytes == alone.nbytes()
+
+
+def test_cache_prefix_ends_inside_a_stride(make, scans, calls):
+    eng = make()
+    _warm_jumped_c(eng)
+    eng.query("SELECT a, c FROM t WHERE a < 40 OR a % 3 = 0")
+    assert eng.table_state("t").cache.peek(2).rows == 32
+    calls["reads"].clear()
+    calls["converts"].clear()
+    scan, batches = _scan(eng, ["a", "c"], "a % 3 = 0")
+    assert scan.plan.resident
+    # ``c`` is cached up to row 32 and map-jumped after it: the segment
+    # boundary falls inside stride [16, 48).
+    assert [(s.start, s.end) for s in scan.plan.segments] == [(0, 32), (32, N)]
+    assert (16, 48) in list(scan.plan.strides())
+    expected = [a for a in range(N) if a % 3 == 0]
+    assert _column(batches, "a") == expected
+    assert _column(batches, "c") == [f"r{a}" for a in expected]
+    assert [b.num_rows for b in batches] == [6, 10, 16, 6, 16, 13]
+    # Strides [16, 48), [48, 112) and [112, 200) read the map-jumped
+    # rows; [16, 48) only its survivors past row 32.
+    assert calls["converts"] == [5, 22, 29]
+
+
+def _learned(eng):
+    """What ``c`` taught the engine: its cache entry and statistics."""
+    state = eng.table_state("t")
+    entry = state.cache.peek(2)
+    stats = state.statistics.get("c")
+    return (
+        None if entry is None else entry.vector.to_pylist(),
+        None if entry is None else entry.nbytes,
+        stats.rows_seen,
+        stats.sample.tolist(),
+    )
+
+
+def test_tiny_read_bound_splits_reads_at_window_edges(
+    make, scans, calls, monkeypatch
+):
+    answers, learned = [], []
+    for bound in (raw_scan_mod.MAX_READ_BYTES, 1):
+        monkeypatch.setattr(raw_scan_mod, "MAX_READ_BYTES", bound)
+        eng = make()
+        _warm_jumped_c(eng)
+        _small_sample_stats(eng)
+        calls["reads"].clear()
+        # A 32-row prefix of ``c`` is cached, then whole windows past it
+        # are observed.
+        for where in ("a < 40 OR a % 5 = 0", WHOLE_WINDOWS):
+            result = eng.query(f"SELECT a, c FROM t WHERE {where}")
+            answers.append(list(result))
+            assert scans[-1].plan.resident and _chunk_jumped(scans[-1], 2)
+        learned.append(_learned(eng))
+        reads = list(calls["reads"])
+    # With a 1-byte bound each window with survivors is its own read:
+    # 13 for the first query, 11 past the cached prefix for the second.
+    assert len(reads) == 13 + 11
+    bounds = eng.table_state("t").positional_map.line_bounds
+    for start, end in reads:
+        first = int(np.searchsorted(bounds, start, "right")) - 1
+        last = int(np.searchsorted(bounds, end - 1, "right")) - 1
+        assert first // B == last // B
+    assert answers[:2] == answers[2:]
+    assert learned[0] == learned[1]
+    assert learned[0][0] == _texts(0, 32)

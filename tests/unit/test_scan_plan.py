@@ -88,7 +88,7 @@ def test_cold_scan(make):
     assert (seg.start, seg.end) == (0, N)
     assert _sources(seg) == {0: "tokenize", 1: "tokenize", 2: "tokenize"}
     assert plan.pred_attrs == (0,)
-    assert (plan.held, plan.jumped, plan.resident) == ((), (1, 2), False)
+    assert (plan.proj_attrs, plan.resident) == ((1, 2), False)
     assert plan.runs == ((0, N),)
     assert plan.combination is None and plan.tail_from is None
     assert next(plan.strides()) == (0, B)
@@ -102,7 +102,11 @@ def test_map_jump(make):
     (seg,) = plan.segments
     assert _sources(seg) == {2: "map"}
     assert seg.chunk_hits[2].has_attr(2)
-    assert (plan.pred_attrs, plan.jumped, plan.resident) == ((), (2,), False)
+    assert (plan.pred_attrs, plan.proj_attrs, plan.resident) == (
+        (),
+        (2,),
+        False,
+    )
     # One needed attribute: nothing to combine.
     assert plan.combination is None
 
@@ -126,7 +130,7 @@ def test_cache_resident_predicate_column(make):
     plan = _plan(eng, ["a", "c"], "a % 3 = 0")
     (seg,) = plan.segments
     assert _sources(seg) == {0: "RawDataCache", 2: "RawDataCache"}
-    assert (plan.held, plan.jumped, plan.resident) == ((2,), (), True)
+    assert (plan.proj_attrs, plan.resident) == ((2,), True)
     # A resident scan doubles its strides.
     assert list(plan.strides()) == [(0, 16), (16, 48), (48, 112), (112, N)]
 
@@ -138,7 +142,7 @@ def test_columnstore_resident_predicate_column(make, tmp_path):
     plan = _plan(eng, ["a", "b"], "a % 5 = 0")
     (seg,) = plan.segments
     assert _sources(seg) == {0: "VerticalStore", 1: "VerticalStore"}
-    assert (plan.held, plan.jumped, plan.resident) == ((1,), (), True)
+    assert (plan.proj_attrs, plan.resident) == ((1,), True)
 
 
 def test_post_append_scan_has_two_segments(make, tmp_path):
@@ -153,7 +157,7 @@ def test_post_append_scan_has_two_segments(make, tmp_path):
     assert _sources(head) == {0: "RawDataCache", 2: "RawDataCache"}
     assert _sources(tail) == {0: "tokenize", 2: "tokenize"}
     # The tail tokenizes, so the scan is not resident.
-    assert (plan.held, plan.jumped, plan.resident) == ((), (2,), False)
+    assert (plan.proj_attrs, plan.resident) == ((2,), False)
 
 
 def test_window_skip_runs_from_a_mid_table_row(make):

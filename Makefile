@@ -5,10 +5,9 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test smoke serve serve-smoke serve-sharded sharded-smoke bench \
-	bench-parallel bench-concurrent bench-streaming bench-wire \
-	bench-telemetry bench-tokenizer bench-mv bench-format bench-sharded \
-	bench-statistics bench-budget bench-report stress stress-process lint \
-	oracle verify
+	bench-concurrent bench-streaming bench-wire bench-telemetry \
+	bench-tokenizer bench-mv bench-format bench-sharded bench-statistics \
+	bench-budget bench-report stress lint oracle verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,16 +48,12 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only --import-mode=importlib \
 		-o python_files="bench_*.py" -q -s
 
-bench-parallel:
-	$(PYTHON) -m pytest benchmarks/bench_parallel_scan.py \
-		--benchmark-only --import-mode=importlib -q -s
-
 bench-concurrent:
 	$(PYTHON) -m pytest benchmarks/bench_concurrent_throughput.py \
 		--benchmark-only --import-mode=importlib -q -s
 
 # Time-to-first-batch + peak-RSS contrast of the streaming query path
-# against full materialization on a cold parallel scan (asserts both).
+# against full materialization on a cold serial scan (asserts both).
 bench-streaming:
 	$(PYTHON) -m pytest benchmarks/bench_streaming.py \
 		--benchmark-only --import-mode=importlib -q -s
@@ -152,10 +147,8 @@ stress:
 # FLOAT word parsers against int() / float() (0..20 digits, signs,
 # dots, stray bytes, fields at a window's edges), the kernel's TEXT
 # dictionary encode against the scalar one (multi-byte, NUL-ended,
-# outlier-wide and invalid UTF-8), the JSONL kernel against
-# parse_record (clean, escaped and malformed windows), and a cold
-# parallel scan on either pool backend against the serial one (rows
-# and every learned structure).
+# outlier-wide and invalid UTF-8), and the JSONL kernel against
+# parse_record (clean, escaped and malformed windows).
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
 		tests/property/test_sqlite_oracle.py \
@@ -164,14 +157,6 @@ oracle:
 		"tests/property/test_kernel_props.py::test_convert_span_equals_convert_column" \
 		"tests/property/test_kernel_props.py::test_kernel_text_equals_scalar" \
 		"tests/property/test_kernel_props.py::test_jsonl_kernel_equals_parse_record" \
-		"tests/property/test_parallel_props.py::test_parallel_scan_equals_serial_scan" \
-		"tests/property/test_parallel_props.py::test_parallel_process_backend_equals_serial" \
 		--hypothesis-seed=29 -x -q
-
-# Process-backend leg: multiprocessing scan workers racing the serving
-# layer's locks, governor and cursors (CI runs this after `stress`).
-stress-process:
-	REPRO_STRESS_BACKEND=process REPRO_STRESS_ROUNDS=3 timeout 600 \
-		$(PYTHON) -m pytest tests/integration/test_concurrent_service.py -x -q
 
 verify: test smoke serve-smoke

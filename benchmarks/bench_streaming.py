@@ -1,25 +1,22 @@
-"""E13 — end-to-end streaming query path (cursors + streaming merge).
+"""E13 — end-to-end streaming query path (cursors).
 
 What OLA-RAW motivates (incremental result delivery makes in-situ
-exploration usable) made measurable: on a *cold parallel scan* of a
-large raw file, the streaming path must
+exploration usable) made measurable: on a *cold serial scan* of a large
+raw file, the streaming path must
 
 * deliver its **first batch** well before the full-materialization
-  latency of the same query (time-to-first-batch << total), and
-* hold **bounded memory** — the chunk merge keeps at most the in-flight
-  window of chunk results alive and the cursor's handoff queue is a few
-  batches deep, so peak allocation while streaming is far below
-  materializing the whole result set.
+  latency of the same query (TTFB, time to first batch, << total), and
+* hold **bounded memory** — the cursor's handoff queue is a few batches
+  deep, so peak allocation while streaming is far below materializing
+  the whole result set.
 
 Both properties are asserted, not just reported: TTFB against the
 materialized run's wall clock, peak allocation via ``tracemalloc``
-(Python-side high-water mark, the layer where the old collect-then-
-stitch barrier and ``QueryResult.from_batches`` used to materialize).
+(Python-side high-water mark, the layer where
+``QueryResult.from_batches`` materializes).
 """
 
-import os
 import tracemalloc
-
 
 from repro import (
     PostgresRaw,
@@ -30,17 +27,9 @@ from repro import (
 
 from .conftest import emit_bench_artifact, print_records, scaled_rows
 
-CHUNK_BYTES = 64 * 1024
-CORES = os.cpu_count() or 1
-WORKERS = min(4, CORES) if CORES > 1 else 2
-
 
 def _config():
-    return PostgresRawConfig(
-        scan_workers=WORKERS,
-        parallel_chunk_bytes=CHUNK_BYTES,
-        stream_queue_batches=4,
-    )
+    return PostgresRawConfig(stream_queue_batches=4)
 
 
 def _fresh_engine(path, schema, name):
@@ -82,7 +71,6 @@ def _measure_streaming(path, schema, sql):
             "first_batch_rows": first_batch_rows or 0,
             "ttfb_s": metrics.time_to_first_batch,
             "total_s": metrics.total_seconds,
-            "chunks": metrics.parallel_chunks,
             "peak_mib": peak / (1 << 20),
         }
 
@@ -113,9 +101,8 @@ def test_streaming_ttfb_and_bounded_memory(benchmark, tmp_path_factory):
     records = benchmark.pedantic(run, rounds=1, iterations=1)
     materialized, streamed = records
     title = (
-        "E13: streaming vs materialized cold parallel scan "
-        f"({n_rows} rows, {path.stat().st_size >> 20} MiB, "
-        f"{WORKERS} workers, {CORES} cores)"
+        "E13: streaming vs materialized cold serial scan "
+        f"({n_rows} rows, {path.stat().st_size >> 20} MiB)"
     )
     print_records(title, records)
     benchmark.extra_info["streaming"] = records
@@ -134,18 +121,17 @@ def test_streaming_ttfb_and_bounded_memory(benchmark, tmp_path_factory):
     # Identity: streaming delivers every row the materialized run does.
     assert streamed["rows"] == materialized["rows"] > 0
 
-    # Time-to-first-batch: the whole point.  The first batch arrives
-    # while later chunks are still being scanned, so TTFB must land
-    # well inside the materialized run's wall clock (which is also the
-    # streamed run's own completion time, asserted for good measure).
+    # Time-to-first-batch: the whole point.  The first batch leaves
+    # after the line index and one stride, while later strides are
+    # still to scan, so TTFB must land well inside the materialized
+    # run's wall clock (and inside the streamed run's own).
     assert streamed["ttfb_s"] is not None
-    if streamed["chunks"] > 1:
-        assert streamed["ttfb_s"] < materialized["total_s"] * 0.75
-        assert streamed["ttfb_s"] < streamed["total_s"]
+    assert streamed["ttfb_s"] < materialized["total_s"] * 0.75
+    assert streamed["ttfb_s"] < streamed["total_s"]
 
     # Bounded memory: consuming batch-at-a-time must allocate far less
-    # than materializing the result set (window x chunk + a few queued
-    # batches vs every row tuple at once).  The strict ratio needs the
+    # than materializing the result set (a few queued batches vs every
+    # row tuple at once).  The strict ratio needs the
     # result set to dominate the fixed costs (decoded file, adaptive
     # structures — paid by both modes), so it is gated on scale; the
     # direction must hold regardless.

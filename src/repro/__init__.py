@@ -20,15 +20,11 @@ The library provides:
   connection, streaming cursors pumped into socket writes with
   end-to-end backpressure) and the matching blocking client whose
   ``connect(...).cursor(sql)`` returns the same lazy cursor API;
-* :mod:`repro.parallel` — a parallel chunked raw-scan subsystem: a
-  scan's fully-unmapped tail (the whole file, when cold) is cut at
-  batch-aligned rows and processed by a scan pool of threads or
-  processes, with per-chunk positional maps, cache columns and
-  statistics merged back into exactly the serial scan's;
-* :mod:`repro.sharding` — the scale-out tier: a coordinator partitions
-  raw files by key across N worker processes (one engine + wire server
-  each), and :func:`connect` with a multi-host DSN returns a
-  shard-aware client that routes partition-key lookups and
+* :mod:`repro.sharding` — the scale-out tier and the one multi-core
+  path (each scan is serial): a coordinator partitions raw files by
+  key across N worker processes (one engine + wire server each), and
+  :func:`connect` with a multi-host DSN returns a shard-aware client
+  that routes partition-key lookups and
   scatter/merges everything else (aggregates re-merge through the same
   partial-aggregation algebra the materialized-view cache uses);
 * :class:`ConventionalDBMS` / :class:`ExternalFilesDBMS` — load-first and
@@ -45,25 +41,6 @@ Quickstart::
     engine = PostgresRaw()
     engine.register_csv("t", "data.csv", schema)
     print(engine.query("SELECT a0, a1 FROM t WHERE a2 < 1000").format_table())
-
-Parallel scans are off by default (``scan_workers=1`` keeps the serial
-hot path byte-identical).  On multi-core machines::
-
-    from repro import PostgresRaw, PostgresRawConfig
-
-    config = PostgresRawConfig(
-        scan_workers=4,              # chunked scan pool size
-        parallel_chunk_bytes=1 << 20,  # target chunk size / threshold
-        parallel_backend="thread",   # or "process" for CPU-bound scans
-    )
-    engine = PostgresRaw(config)
-
-Raise ``scan_workers`` when cold scans of large files dominate (first
-touch of a big file, or append-heavy workloads re-scanning fresh tails);
-prefer the ``process`` backend when tokenizing/parsing CPU time — not
-I/O — is the bottleneck, since workers then read, decode and tokenize
-their own byte ranges on separate cores.  Query results and the merged
-positional map are identical to the serial path either way.
 """
 
 from .batch import Batch, ColumnVector
@@ -90,7 +67,6 @@ from .errors import (
     PlanningError,
     RawDataError,
     ReproError,
-    ScanWorkerError,
     SchemaError,
     ServiceError,
     ShardingError,
@@ -190,7 +166,6 @@ __all__ = [
     "ProtocolError",
     "RawDataError",
     "RawServer",
-    "ScanWorkerError",
     "ReproError",
     "SchemaError",
     "ServiceError",

@@ -33,12 +33,6 @@ DEFAULT_STATS_SAMPLE_SIZE = 1024
 #: Default number of buckets in equi-depth histograms.
 DEFAULT_HISTOGRAM_BUCKETS = 32
 
-#: Default target size of one parallel raw-scan chunk.
-DEFAULT_PARALLEL_CHUNK_BYTES = 1 << 20
-
-#: Supported parallel scan-pool backends.
-PARALLEL_BACKENDS = ("thread", "process")
-
 
 @dataclass(frozen=True)
 class PostgresRawConfig:
@@ -86,27 +80,6 @@ class PostgresRawConfig:
     #: "PostgresRaw is responsible for detecting the changes" — check the
     #: raw file's fingerprint before every query and reconcile.
     auto_detect_updates: bool = True
-
-    #: Number of workers for the parallel chunked raw scan
-    #: (:mod:`repro.parallel`).  ``1`` (the default) keeps the serial
-    #: scan path byte-for-byte unchanged; raise it on multi-core machines
-    #: so a scan's fully-unmapped tail (the whole file, when cold) is
-    #: cut at batch-aligned rows and scanned concurrently.  Query results
-    #: and every learned structure are identical to the serial path.
-    scan_workers: int = 1
-
-    #: Target size of one parallel scan chunk.  Also the engagement
-    #: threshold: a scan region smaller than two chunks stays serial, so
-    #: this knob bounds the per-chunk dispatch overhead.
-    parallel_chunk_bytes: int = DEFAULT_PARALLEL_CHUNK_BYTES
-
-    #: The scan pool: ``"thread"`` (default: cheap dispatch, one address
-    #: space; best when I/O-bound or on GIL-free builds) or ``"process"``
-    #: (separate processes, so tokenizing and converting escape the
-    #: GIL).  Only the pool differs: on both, the main thread builds the
-    #: line index and a worker reads and tokenizes its own rows' byte
-    #: range of the raw file.
-    parallel_backend: str = "thread"
 
     #: "the amount of storage space which is devoted to internal
     #: indexes" and caches: one engine-wide byte budget for every
@@ -212,15 +185,6 @@ class PostgresRawConfig:
             )
         if self.batch_size <= 0:
             raise BudgetError("batch_size must be positive")
-        if self.scan_workers < 1:
-            raise BudgetError("scan_workers must be >= 1")
-        if self.parallel_chunk_bytes <= 0:
-            raise BudgetError("parallel_chunk_bytes must be positive")
-        if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise BudgetError(
-                f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
-                f"not {self.parallel_backend!r}"
-            )
         if self.max_concurrent_queries < 1:
             raise BudgetError("max_concurrent_queries must be >= 1")
         if self.admission_queue_depth < 0:

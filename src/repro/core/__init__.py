@@ -10,7 +10,7 @@
 * :mod:`repro.core.table_state` — a table's adaptive state: its tiers
   (map, cache, columnstore) and statistics
 * :mod:`repro.core.scan_plan` — what one scan will do, decided once:
-  pinned sources per row segment, kept windows, the parallel tail
+  pinned sources per row segment, kept windows
 * :mod:`repro.core.raw_scan` — the overridden scan operator (§3), which
   walks its plan
 * :mod:`repro.core.install` — what a scan learned, installed into the

@@ -26,14 +26,10 @@ reader-writer locks).  Many threads may call :meth:`query` on one
 engine directly — every call is admission-controlled and lock-protected
 by the service underneath.
 
-With ``PostgresRawConfig(scan_workers=N)`` the engine routes cold scans
-and fully-unmapped tail scans (e.g. after an external append) through
-the parallel chunked scan pool (:mod:`repro.parallel`) — one recycled
-pool per engine, shared across queries; results and the merged adaptive
-structures are identical to the serial path, and
-``result.metrics.worker_breakdowns`` carries the per-worker Figure 3
-buckets.  Call :meth:`close` (or use the engine as a context manager)
-to shut the pool down.
+Every scan is serial; multi-core scale-out is the sharded tier
+(:mod:`repro.sharding`), one engine per shard process.  Call
+:meth:`close` (or use the engine as a context manager) to shut the
+service down.
 """
 
 from __future__ import annotations
@@ -87,7 +83,8 @@ class PostgresRaw:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the engine's recycled scan pool (idempotent)."""
+        """Shut the service down: open cursors end, adaptive state is
+        dropped (idempotent)."""
         self.service.close()
 
     def __enter__(self) -> "PostgresRaw":

@@ -8,9 +8,7 @@ ends — or is abandoned: the completed row prefix is valid —
 :func:`harvest` turns them into an :class:`InstallPlan` and
 :func:`install` applies it: map chunks, cache entries, the combination
 chunk and columnstore promotions, charged to the ``nodb`` bucket of the
-Figure 3 breakdown.  A parallel chunk worker ships its packed
-:class:`Collectors`; the driver folds them into the scan's own, in row
-order.
+Figure 3 breakdown.
 """
 
 from __future__ import annotations
@@ -117,31 +115,6 @@ class Collectors:
         if collector is None:
             collector = self.columns[attr] = Collector(lo)
         collector.add(lo, vector, seconds)
-
-    def pack(self) -> None:
-        """Join each run into one block, as :meth:`absorb` takes them."""
-        for collector in self.spans.values():
-            collector.materialize(np.vstack)
-        for collector in self.columns.values():
-            collector.materialize(ColumnVector.concat)
-
-    def absorb(self, other: "Collectors", row_base: int) -> None:
-        """Fold in a chunk's packed collectors, its row 0 being table
-        row ``row_base``.  Called in row order; the runs' contiguity
-        check enforces it."""
-        for mine, theirs in (
-            (self.spans, other.spans),
-            (self.columns, other.columns),
-        ):
-            for key, run in theirs.items():
-                row = run.start_row + row_base
-                target = mine.get(key)
-                if target is None:
-                    target = mine[key] = Collector(row, run.attrs)
-                if not run.valid:
-                    target.invalidate()
-                for block in run.blocks:
-                    target.add(row, block, run.benefit_seconds)
 
     def clear(self) -> None:
         self.spans.clear()

@@ -42,8 +42,7 @@ class GovernedLedger:
 
     An entry is any object with ``nbytes``, ``benefit_seconds`` and a
     writable ``last_used_ts``.  ``governor`` is the engine's
-    :class:`repro.service.MemoryGovernor` (``None`` only for a scan
-    worker's chunk-local map, which never admits).  ``on_evict`` runs,
+    :class:`repro.service.MemoryGovernor`.  ``on_evict`` runs,
     under the lock, for every entry the governor evicts.
     """
 
@@ -159,7 +158,7 @@ class GovernedLedger:
 
     def _store(self, token: Hashable, entry) -> None:
         """Make ``entry`` resident without admission.  Callers hold the
-        lock (or own the ledger, as a scan worker's local map does)."""
+        lock."""
         self._entries = {**self._entries, token: entry}
 
     def _remove(self, token: Hashable):

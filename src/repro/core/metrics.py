@@ -21,16 +21,6 @@ positional-map jump path, or for the columns a query reads out of
 freshly tokenized rows — is ``parsing``.  This matches the paper's
 observation that the map converts tokenizing work into (cheaper) direct
 parsing.
-
-**Parallel scans.**  When the chunked scan pool (:mod:`repro.parallel`)
-runs, each worker accumulates its own :class:`QueryMetrics`; the merge
-layer folds them back via :meth:`QueryMetrics.absorb_workers`.  Volume
-counters add up exactly.  Worker *seconds* overlap in wall-clock time,
-so the raw per-worker buckets are preserved in ``worker_breakdowns``
-(one dict per chunk — the per-worker Figure 3 panel) while the main
-six buckets receive the parallel phase's *wall* time split
-proportionally to the summed worker components.  The stacked bar
-therefore still sums to ``total_seconds``.
 """
 
 from __future__ import annotations
@@ -62,8 +52,7 @@ class QueryMetrics:
     :meth:`settle_processing` has run: processing absorbs the wall time
     no data-access bucket claimed, and the residual records the
     remaining drift (negative when instrumented sections overlapped the
-    measured wall clock, e.g. a consumer that stamped ``total_seconds``
-    while a parallel merge was still folding worker time in).
+    measured wall clock).
     """
 
     io_seconds: float = 0.0
@@ -108,12 +97,6 @@ class QueryMetrics:
     #: bucket — the time itself is charged there, so the Figure 3
     #: stack (and its ``unattributed_seconds`` invariant) is unchanged.
     kernel_build_seconds: float = 0.0
-
-    #: Parallel-scan accounting (see module docstring).
-    parallel_scans: int = 0
-    parallel_chunks: int = 0
-    parallel_scan_seconds: float = 0.0
-    worker_breakdowns: list = field(default_factory=list, repr=False)
 
     _start: float | None = field(default=None, repr=False)
 
@@ -179,42 +162,6 @@ class QueryMetrics:
             attributed + self.processing_seconds
         )
 
-    def absorb_workers(
-        self, wall_seconds: float, workers: "list[QueryMetrics]"
-    ) -> None:
-        """Fold a parallel scan phase's per-worker metrics into this query.
-
-        ``wall_seconds`` is the elapsed time of the whole parallel phase
-        (dispatch to join).  Volume counters are summed exactly; the six
-        timing buckets receive the *wall* time apportioned by the summed
-        worker components, so the Figure 3 stack keeps adding up to
-        ``total_seconds`` even though workers overlapped.  The raw
-        per-worker stacks are appended to :attr:`worker_breakdowns`.
-        """
-        self.parallel_scans += 1
-        self.parallel_chunks += len(workers)
-        self.parallel_scan_seconds += wall_seconds
-        component_sums = {c: 0.0 for c in BreakdownComponent}
-        for w in workers:
-            self.bytes_read += w.bytes_read
-            self.fields_tokenized += w.fields_tokenized
-            self.fields_parsed_via_map += w.fields_parsed_via_map
-            self.fields_converted += w.fields_converted
-            self.kernel_build_seconds += w.kernel_build_seconds
-            breakdown = w.component_seconds()
-            breakdown["rows"] = w.rows_scanned
-            breakdown["fields_tokenized"] = w.fields_tokenized
-            breakdown["fields_converted"] = w.fields_converted
-            self.worker_breakdowns.append(breakdown)
-            for c in BreakdownComponent:
-                component_sums[c] += getattr(w, f"{c.value}_seconds")
-        cpu_total = sum(component_sums.values())
-        if cpu_total > 0:
-            for c, seconds in component_sums.items():
-                self.add(c, wall_seconds * seconds / cpu_total)
-        else:
-            self.add(BreakdownComponent.IO, wall_seconds)
-
     def merge(self, other: "QueryMetrics") -> None:
         """Fold another query's counters into this one (workload totals)."""
         for name in (
@@ -238,12 +185,8 @@ class QueryMetrics:
             "pm_chunk_misses",
             "windows_skipped",
             "collector_invalidations",
-            "parallel_scans",
-            "parallel_chunks",
-            "parallel_scan_seconds",
         ):
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.worker_breakdowns.extend(other.worker_breakdowns)
 
 
 class Stopwatch:

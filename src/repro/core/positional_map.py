@@ -36,10 +36,7 @@ chunk's ``attrs`` tuple: admission, growth, eviction, invalidation and
 recency are the ledger's, and lookups iterate its snapshot, so
 concurrent readers never observe a half-applied change.  What is the
 map's own is subsumption (a chunk covered by a wider, deeper one is
-redundant), anchors and the pinned line index.  A parallel scan
-worker's chunk-local map has no governor: it only ``adopt``s row slices
-of the shared map's chunks and takes line bounds, and its findings are
-installed into the shared map.
+redundant), anchors and the pinned line index.
 """
 
 from __future__ import annotations
@@ -113,9 +110,7 @@ class AnchorHit:
 class PositionalMap(GovernedLedger):
     """Governed collection of positional chunks for one file.
 
-    ``governor`` is the engine's :class:`repro.service.MemoryGovernor`
-    (``None`` only for a scan worker's chunk-local map, which never
-    installs).
+    ``governor`` is the engine's :class:`repro.service.MemoryGovernor`.
     """
 
     def __init__(self, governor, combination_policy: bool = True) -> None:
@@ -248,23 +243,6 @@ class PositionalMap(GovernedLedger):
                 return None
             self._drop_subsumed(candidate)
             return candidate
-
-    def adopt(
-        self, attrs: tuple[int, ...], offsets: np.ndarray
-    ) -> PositionalChunk:
-        """Insert a chunk verbatim, bypassing budget/eviction accounting.
-
-        Used by parallel scan workers to seed their chunk-local maps with
-        row slices of the shared map's chunks, so anchored tokenizing
-        ("jump ... as close as possible") behaves identically inside a
-        worker.  Worker-local maps are discarded after the merge, so no
-        budget bookkeeping applies.
-        """
-        chunk = PositionalChunk(
-            tuple(attrs), np.asarray(offsets, dtype=np.int64)
-        )
-        self._store(chunk.attrs, chunk)
-        return chunk
 
     def extend(
         self,

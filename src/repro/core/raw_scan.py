@@ -19,9 +19,9 @@ through the cheapest available source, one ladder per attribute:
 5. **plain selective tokenizing** — from the start of the tuple, stopping
    at the last needed attribute.
 
-Which rung serves which rows, which windows are skipped and where the
-scan pool takes over is decided once, when the scan has its line index:
-the :class:`repro.core.scan_plan.ScanPlan`, kept as ``scan.plan``.  The
+Which rung serves which rows and which windows are skipped is decided
+once, when the scan has its line index: the
+:class:`repro.core.scan_plan.ScanPlan`, kept as ``scan.plan``.  The
 scan walks it.  What it learns on the way is installed when it ends
 (:mod:`repro.core.install`).
 
@@ -109,11 +109,8 @@ class RawScan(Operator):
         metrics: QueryMetrics,
         output_columns: list[str],
         predicate: Expression | None = None,
-        pool=None,
         row_from: int = 0,
         *,
-        telemetry=None,
-        trace_parent=None,
         kernel_cache=None,
     ) -> None:
         self.state = state
@@ -125,14 +122,6 @@ class RawScan(Operator):
         #: that is known.
         self.row_from = row_from
         self.row_to: int | None = None
-        #: Engine-owned persistent scan pool (repro.parallel) — when set,
-        #: parallel dispatches reuse it across queries instead of forking
-        #: a fresh pool per scan.
-        self.pool = pool
-        #: The engine's :mod:`repro.telemetry` and this query's trace
-        #: span: the parallel driver parents worker spans under it.
-        self.telemetry = telemetry
-        self.trace_parent = trace_parent
         #: When set (the service's shared-lock read path), the finished
         #: scan hands its :class:`InstallPlan` here instead of installing
         #: into the shared structures itself.
@@ -168,10 +157,10 @@ class RawScan(Operator):
         self._attr_name = {self.schema.position(n): n for n in needed}
         self._out_attrs = set(self.schema.positions(self.output_columns))
 
-        #: The engine's :class:`repro.kernels.KernelCache` or, unset
-        #: (bare scans, parallel workers), the per-process one; ``None``
-        #: runs the scalar tokenizer: the dialect is not eligible
-        #: (quoting or a non-ASCII delimiter runs the state machine).
+        #: The engine's :class:`repro.kernels.KernelCache` or, unset (a
+        #: bare scan), the per-process one; ``None`` runs the scalar
+        #: tokenizer: the dialect is not eligible (quoting or a
+        #: non-ASCII delimiter runs the state machine).
         self._kernels = None
         if self.adapter.kernel_eligible(self.dialect):
             # ``is None``: an empty KernelCache is falsy (``__len__``).
@@ -246,16 +235,9 @@ class RawScan(Operator):
         n_rows = self.row_to = self._ensure_bounds()
         if self.config.enable_statistics:
             state.statistics.set_row_estimate(n_rows)
-        plan = self.plan = plan_scan(self, self._bounds)
+        self.plan = plan_scan(self, self._bounds)
         try:
             yield from self._scan_batches()
-            if plan.tail_from is not None:
-                # Rows [row_from, tail_from) were served above; the
-                # fully-unmapped tail (the whole file, when cold) fans
-                # out over the pool (repro.parallel).
-                from ..parallel.driver import run_tail
-
-                yield from run_tail(self, plan.tail_from, n_rows)
         finally:
             # Runs even when a LIMIT above abandons the scan early: the
             # offsets/values collected so far form a valid row prefix and
@@ -263,8 +245,7 @@ class RawScan(Operator):
             self._finalize(n_rows)
 
     def _scan_batches(self) -> Iterator[Batch]:
-        """The plan's rows up to its tail, one selection stride at a
-        time."""
+        """The plan's rows, one selection stride at a time."""
         plan = self.plan
         if not plan.runs:
             # Every window was ruled out: evaluate over no rows, so a
@@ -849,6 +830,7 @@ class RawScan(Operator):
                     self.dialect,
                     schema=self.schema,
                     base=window.base,
+                    first_row=lo,
                 )
             self.metrics.fields_tokenized += tokenized.num_rows * (
                 max_a - first + 1

@@ -2,8 +2,8 @@
 
 :func:`plan_scan` runs when the scan has its line index — under the
 table lock the scan already holds — and returns a frozen
-:class:`ScanPlan`.  The serial scan, a parallel chunk worker and the
-parallel tail cut all read that one plan; none of them decides again.
+:class:`ScanPlan`.  The scan reads that one plan; it never decides
+again.
 
 **Segments.**  ``[row_from, row_to)`` is split at the tiers' coverage
 boundaries.  Per segment and needed attribute the first tier of the
@@ -36,12 +36,6 @@ converts, collects and observes nothing).  A skipped window is neither
 acquired, masked nor read, so no tier, statistic or answer changes —
 only time, and ``metrics.windows_skipped``.  ``runs`` holds the kept
 row ranges; strides restart at one batch for each.
-
-**The parallel tail.**  With ``scan_workers > 1`` the longest row
-suffix in which every needed attribute must be tokenized goes to the
-scan pool from ``tail_from`` (a ``batch_size`` multiple, so worker
-batches are the serial scan's), when it spans at least two chunks; the
-serial scan stops there.
 """
 
 from __future__ import annotations
@@ -99,20 +93,17 @@ class ScanPlan:
     proj_attrs: tuple[int, ...]
     #: Strides double (see :meth:`strides`).
     resident: bool
-    #: The kept row ranges ``[r0, r1)`` of the serially scanned rows.
+    #: The kept row ranges ``[r0, r1)``.
     runs: tuple[tuple[int, int], ...]
     #: The attribute-combination chunk to index at the end (paper's
     #: default policy): ``(attr, chunk)`` per needed attribute.
     combination: tuple[tuple[int, PositionalChunk], ...] | None
-    #: First row the scan pool takes; ``None`` when the scan is serial.
-    tail_from: int | None
 
     def strides(self) -> Iterator[tuple[int, int]]:
         """The selection strides ``[s0, s1)``, in row order.  They cut
-        on table-wide ``batch_size`` multiples, as the pool's row cuts
-        do; the first stride of each run is its first batch, a resident
-        scan doubles each later one, any other steps one batch at a
-        time."""
+        on table-wide ``batch_size`` multiples; the first stride of each
+        run is its first batch, a resident scan doubles each later one,
+        any other steps one batch at a time."""
         batch = self.batch_size
         max_stride = batch * (MAX_STRIDE_BATCHES if self.resident else 1)
         for r0, r1 in self.runs:
@@ -135,8 +126,8 @@ class ScanPlan:
 def plan_scan(scan: "RawScan", bounds: np.ndarray) -> ScanPlan:
     """Plan ``scan`` over the table rows its line index ``bounds``
     delimits: pin each segment's sources (counting cache and map hits
-    and misses), then decide the combination chunk, the parallel tail,
-    residency and the kept windows (counting the skipped ones)."""
+    and misses), then decide the combination chunk, residency and the
+    kept windows (counting the skipped ones)."""
     config = scan.config
     n_rows = max(len(bounds) - 1, 0)
     row_from = min(scan.row_from, n_rows)
@@ -159,18 +150,11 @@ def plan_scan(scan: "RawScan", bounds: np.ndarray) -> ScanPlan:
             c is not None and c.rows >= n_rows for __, c in covers
         ):
             combination = tuple(covers)
-    tail_from = None
-    if config.scan_workers > 1:
-        tail_from = _tail_from(scan, segments, bounds, n_rows)
-    scan_to = n_rows if tail_from is None else tail_from
-
-    # The segments the serial scan reads.
-    covered = [seg for seg in segments if seg.start < scan_to]
     pred_attrs = scan.pred_attrs
     resident = (
         scan.predicate is not None
-        and all(a in s.resident for s in covered for a in pred_attrs)
-        and not any(seg.tokenize_attrs for seg in covered)
+        and all(a in s.resident for s in segments for a in pred_attrs)
+        and not any(seg.tokenize_attrs for seg in segments)
     )
     return ScanPlan(
         row_from=row_from,
@@ -180,9 +164,8 @@ def plan_scan(scan: "RawScan", bounds: np.ndarray) -> ScanPlan:
         pred_attrs=tuple(pred_attrs),
         proj_attrs=tuple(a for a in needed if a not in pred_attrs),
         resident=resident,
-        runs=tuple(_kept_runs(scan, covered, row_from, scan_to)),
+        runs=tuple(_kept_runs(scan, segments, row_from, n_rows)),
         combination=combination,
-        tail_from=tail_from,
     )
 
 
@@ -225,44 +208,6 @@ def _pin_segments(scan: "RawScan", row_from: int, n_rows: int) -> list:
             metrics.pm_chunk_misses += len(seg.tokenize_attrs)
         segments.append(seg)
     return segments
-
-
-def _tail_from(
-    scan: "RawScan", segments: list[Segment], bounds: np.ndarray, n_rows: int
-) -> int | None:
-    """First batch-aligned row of a pool-worthy fully-unmapped tail.
-
-    The tail is the longest row suffix in which *every* needed
-    attribute must be tokenized (no tier pinned); coverage is
-    prefix-shaped, so this is the last run of fully-tokenizing segments
-    (which start at the scan's ``row_from``, never before it).  ``None``
-    when there is no such tail or it is too small to amortize dispatch.
-    """
-    from ..parallel.chunker import chunk_count
-
-    needed = set(scan.needed_attrs)
-    if not needed:
-        # A zero-attribute scan (COUNT(*)) only counts tuple
-        # boundaries, which the line index already knows — without this
-        # guard the subset test below is vacuously true and every such
-        # query would re-dispatch the pool forever.
-        return None
-    tail = n_rows
-    for seg in reversed(segments):
-        if seg.tokenize_attrs >= needed:
-            tail = seg.start
-        else:
-            break
-    config = scan.config
-    batch = config.batch_size
-    tail_up = -(-tail // batch) * batch
-    if tail_up >= n_rows:
-        return None
-    tail_bytes = int(bounds[n_rows] - bounds[tail_up])
-    chunks = chunk_count(
-        tail_bytes, config.parallel_chunk_bytes, config.scan_workers
-    )
-    return tail_up if chunks >= 2 else None
 
 
 def _kept_runs(

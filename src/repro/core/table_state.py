@@ -31,10 +31,7 @@ class RawTableState:
     as the workload evolves.  It owns the table's governed tiers —
     ``positional_map``, ``cache`` and, with ``vp_enabled``,
     ``columnstore`` (files under ``vp_root``) — and its statistics.
-    ``governor`` admits every byte the tiers hold; a parallel scan
-    worker's chunk-local state passes ``None`` and has no columnstore
-    (it only adopts chunks and takes line bounds — what it learns is
-    installed into the engine's state).
+    ``governor`` admits every byte the tiers hold.
     """
 
     def __init__(
@@ -53,7 +50,7 @@ class RawTableState:
         # Synopsis windows are the scan's windows.
         self.cache = RawDataCache(governor, config.batch_size)
         self.columnstore: VerticalStore | None = None
-        if config.vp_enabled and governor is not None:
+        if config.vp_enabled:
             self.columnstore = VerticalStore(
                 entry.name, vp_root, governor, registry, config.batch_size
             )

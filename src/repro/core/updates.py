@@ -10,10 +10,13 @@ fingerprint before every query (``auto_detect_updates``).  Three
 outcomes:
 
 * ``UNCHANGED``  — nothing to do;
-* ``APPENDED``   — the file grew and its previous extent is intact:
-  positional-map chunks, cache entries and the line index remain valid
-  *prefixes* and are extended lazily as queries touch the new tail;
-* ``REWRITTEN``  — content changed in place (or the file shrank): all
+* ``APPENDED``   — the file grew, its previous extent is intact and
+  ended in ``\n``: positional-map chunks, cache entries and the line
+  index remain valid *prefixes* and are extended lazily as queries
+  touch the new tail;
+* ``REWRITTEN``  — content changed in place, the file shrank, or it
+  grew after an unterminated last record (the new bytes may continue
+  that record, so its row is no longer what the engine learned): all
   auxiliary structures are invalidated and rebuilt from scratch by
   subsequent queries, exactly like pointing the engine at a new file.
 
@@ -53,11 +56,18 @@ class FileFingerprint:
     head_hash: bytes  # sha256 of the first min(size, 64 KiB) bytes
     tail_hash: bytes  # sha256 of the last min(size, 4 KiB) bytes
     tail_offset: int  # where the tail window started
+    #: The file is empty or its last byte is ``\n``: bytes appended
+    #: later start a new record instead of continuing the last one.
+    ends_with_newline: bool
 
 
 def _hash_window(f, offset: int, length: int) -> bytes:
+    return hashlib.sha256(_read_window(f, offset, length)).digest()
+
+
+def _read_window(f, offset: int, length: int) -> bytes:
     f.seek(offset)
-    return hashlib.sha256(f.read(length)).digest()
+    return f.read(length)
 
 
 def fingerprint_file(path: str | Path) -> FileFingerprint:
@@ -70,13 +80,14 @@ def fingerprint_file(path: str | Path) -> FileFingerprint:
     tail_offset = size - tail_len
     with open(path, "rb") as f:
         head = _hash_window(f, 0, head_len)
-        tail = _hash_window(f, tail_offset, tail_len)
+        tail = _read_window(f, tail_offset, tail_len)
     return FileFingerprint(
         size_bytes=size,
         mtime_ns=stat.st_mtime_ns,
         head_hash=head,
-        tail_hash=tail,
+        tail_hash=hashlib.sha256(tail).digest(),
         tail_offset=tail_offset,
+        ends_with_newline=not tail or tail.endswith(b"\n"),
     )
 
 
@@ -113,4 +124,7 @@ def detect_change(
     if current.size_bytes == old.size_bytes:
         # Touched but content windows identical: treat as unchanged.
         return FileChange.UNCHANGED, current
+    if not old.ends_with_newline:
+        # The new bytes may continue the old last record.
+        return FileChange.REWRITTEN, current
     return FileChange.APPENDED, current

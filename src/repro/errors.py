@@ -79,30 +79,6 @@ class ConversionError(RawDataError):
     """A field's text could not be converted to its declared binary type."""
 
 
-class ScanWorkerError(RawDataError):
-    """A parallel scan-pool worker failed while processing its chunk.
-
-    Wraps the worker's original exception with the scan context that a
-    bare cross-process traceback loses: the 0-based chunk index and the
-    table name both travel in the message (so they survive pickling
-    through the process backend) and as attributes when available.
-    A worker counts rows from its chunk's first row; the driver rebases
-    ``row`` (and says so in the message) before the error leaves the scan.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        chunk_index: int | None = None,
-        table: str | None = None,
-        row: int | None = None,
-        offset: int | None = None,
-    ) -> None:
-        super().__init__(message, row, offset)
-        self.chunk_index = chunk_index
-        self.table = table
-
-
 class StorageError(ReproError):
     """The conventional-DBMS storage layer hit an inconsistency."""
 
@@ -259,7 +235,6 @@ for _code, _cls in (
     ("planning", PlanningError),
     ("execution", ExecutionError),
     ("conversion", ConversionError),
-    ("scan_worker", ScanWorkerError),
     ("raw_data", RawDataError),
     ("catalog", CatalogError),
     ("schema", SchemaError),

@@ -3,8 +3,8 @@
 NoDB's machinery — positional maps, selective parsing, adaptive caching
 — is format-agnostic; only the *tokenizing geometry* differs per format.
 A :class:`FormatAdapter` captures exactly that geometry so the scan
-operator (:class:`repro.core.raw_scan.RawScan`), the parallel chunk
-workers and the schema sniffer can serve any newline-delimited format
+operator (:class:`repro.core.raw_scan.RawScan`) and the schema
+sniffer can serve any newline-delimited format
 through the same adaptive cold->warm flow:
 
 * :meth:`build_line_index` — record (tuple) boundaries, the positional
@@ -44,10 +44,9 @@ rewritten or decoded up front:
   a flag beside the line index and trims one trailing ``\r`` per record
   (:func:`repro.rawio.tokenizer.trim_cr`) before handing ``line_ends``
   to any method here — LF files pay nothing, mixed CRLF/LF files are
-  decided per record, and a ``\r`` anywhere else is data.  Parallel byte
-  chunks are cut after ``\n``, so a CRLF pair never straddles chunks.
-  An append that first closes an unterminated last record — with
-  ``\n`` or ``\r\n`` — is indexed from the byte after that separator.
+  decided per record, and a ``\r`` anywhere else is data.  A file that
+  grows after an unterminated last record is a rewrite
+  (:mod:`repro.core.updates`): the new bytes may continue that record.
 * **Byte-order mark.**  A UTF-8 BOM at file offset 0 is skipped by
   :meth:`build_line_index` (the first record starts at byte 3) and by
   the schema sniffer.
@@ -107,11 +106,13 @@ class FormatAdapter:
         dialect: "CsvDialect",
         schema: "TableSchema | None" = None,
         base: int = 0,
+        first_row: int = 0,
     ) -> "TokenizedRows":
         """Locate fields for a record range; offsets feed the map.
 
         ``schema`` carries attribute names for formats that address
-        fields by key (JSON-lines); positional formats ignore it.
+        fields by key (JSON-lines); positional formats ignore it.  An
+        error names its row counting from table row ``first_row``.
         """
         raise NotImplementedError
 

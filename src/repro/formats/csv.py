@@ -47,6 +47,7 @@ class CsvAdapter(FormatAdapter):
         dialect: CsvDialect,
         schema=None,  # CSV fields are positional; names are not needed
         base: int = 0,
+        first_row: int = 0,
     ):
         return tokenizer.tokenize_span(
             data,
@@ -57,6 +58,7 @@ class CsvAdapter(FormatAdapter):
             n_attrs,
             dialect,
             base,
+            first_row,
         )
 
     def extract_field(

@@ -1,12 +1,12 @@
 """The JSON-lines adapter: one JSON object per newline-delimited record.
 
 JSONL records are newline-aligned, so the whole adaptive stack
-generalizes: the CSV line index *is* the JSONL record index, parallel
-row chunks cut after ``\\n`` stay record-aligned, and streaming/wire
-serving are format-blind.  What differs is the positional-map flavor —
-for each record the map stores the **value-start offset of every schema
-key** (wherever that key happens to appear in the record), so a warm
-scan jumps straight to ``"price": <here>`` and parses just that value.
+generalizes: the CSV line index *is* the JSONL record index, and
+streaming/wire serving are format-blind.  What differs is the
+positional-map flavor — for each record the map stores the
+**value-start offset of every schema key** (wherever that key happens
+to appear in the record), so a warm scan jumps straight to
+``"price": <here>`` and parses just that value.
 
 Format geometry (see :class:`repro.formats.base.FormatAdapter`):
 
@@ -281,6 +281,7 @@ class JsonLinesAdapter(FormatAdapter):
         dialect: CsvDialect,
         schema=None,
         base: int = 0,
+        first_row: int = 0,
     ) -> TokenizedRows:
         if schema is None:
             raise RawDataError("JSONL tokenizing needs the table schema")
@@ -299,7 +300,12 @@ class JsonLinesAdapter(FormatAdapter):
         ends_list = line_ends.tolist()
         for r in range(n_rows):
             starts, tokens = parse_record(
-                data, starts_list[r], ends_list[r], key_to_attr, r, base
+                data,
+                starts_list[r],
+                ends_list[r],
+                key_to_attr,
+                first_row + r,
+                base,
             )
             offsets[r, :n_attrs] = starts
             # Uniform end sentinel, like CSV's: one past the record's

@@ -5,10 +5,8 @@ requested once per batch — the cache makes the build cost O(distinct
 signatures), LRU-bounds the footprint (:data:`KERNEL_CACHE_ENTRIES`) and
 feeds hit/miss/build-time counters to the telemetry registry.
 
-:class:`ScanKernel` objects are never pickled: process-backend parallel
-workers rebuild kernels in their own per-process cache
-(:func:`process_cache`), which is the pickle-safety story — a worker's
-first batch pays one cheap build, every later batch hits.
+A scan with no engine (a bare :class:`repro.core.raw_scan.RawScan`)
+uses the per-process cache, :func:`process_cache`.
 """
 
 from __future__ import annotations
@@ -115,11 +113,7 @@ _process_cache: KernelCache | None = None
 
 
 def process_cache() -> KernelCache:
-    """The per-process fallback cache (parallel workers, bare engines).
-
-    Process-backend workers cannot share the service's cache across the
-    pickle boundary; each worker process lazily builds its own here.
-    """
+    """The per-process fallback cache, for scans with no engine."""
     global _process_cache
     with _process_lock:
         if _process_cache is None:

@@ -14,12 +14,7 @@
   query/row load shares from the coordinator's relayed STATS.
 """
 
-from .breakdown import (
-    BreakdownReport,
-    render_breakdown,
-    render_worker_breakdown,
-    worker_report,
-)
+from .breakdown import BreakdownReport, render_breakdown
 from .connections import connections_report, render_connections_panel
 from .governor import (
     governor_report,
@@ -37,8 +32,6 @@ from .usage import (
 __all__ = [
     "BreakdownReport",
     "render_breakdown",
-    "render_worker_breakdown",
-    "worker_report",
     "connections_report",
     "render_connections_panel",
     "governor_report",

@@ -89,29 +89,3 @@ def render_breakdown(report: BreakdownReport, width: int = 60) -> str:
     lines.append(legend)
     return "\n".join(lines)
 
-
-def worker_report(metrics: QueryMetrics) -> BreakdownReport:
-    """Per-worker Figure 3 stacks for a parallel scan.
-
-    Each chunk worker of :mod:`repro.parallel` keeps its own component
-    buckets; this report shows one bar per chunk, so the monitoring
-    panel can display how evenly the scan's raw-data work spread across
-    the pool (the main metrics keep the wall-clock view — see
-    :meth:`QueryMetrics.absorb_workers`).
-    """
-    report = BreakdownReport()
-    for i, breakdown in enumerate(metrics.worker_breakdowns):
-        components = {
-            name: float(breakdown.get(name, 0.0)) for name in COMPONENT_ORDER
-        }
-        rows = breakdown.get("rows")
-        label = f"chunk {i}" + (f" ({rows} rows)" if rows is not None else "")
-        report.add_components(label, components)
-    return report
-
-
-def render_worker_breakdown(metrics: QueryMetrics, width: int = 60) -> str:
-    """ASCII per-worker stacked bars (empty message when scan was serial)."""
-    if not metrics.worker_breakdowns:
-        return "(serial scan: no worker breakdown)"
-    return render_breakdown(worker_report(metrics), width)

@@ -179,6 +179,7 @@ def tokenize_span(
     n_attrs: int,
     dialect: CsvDialect,
     base: int = 0,
+    first_row: int = 0,
 ) -> TokenizedRows:
     """Tokenize attributes ``first_attr .. last_attr`` of a set of rows.
 
@@ -190,7 +191,8 @@ def tokenize_span(
     never revisits the attributes before the anchor.  Quoted fields
     follow RFC-4180 (doubled-quote escapes); an unquoted dialect is the
     same machine with no quote to open.  A row with the wrong number of
-    fields raises :func:`field_count_error`, as the kernel does.
+    fields raises :func:`field_count_error`, as the kernel does; rows
+    are counted from table row ``first_row``.
     """
     if last_attr >= n_attrs or first_attr > last_attr:
         raise RawDataError(
@@ -212,7 +214,7 @@ def tokenize_span(
         for j in range(span + 1):
             if pos > line_end:
                 raise field_count_error(
-                    r, j, span, first_attr, runs_to_line_end
+                    first_row + r, j, span, first_attr, runs_to_line_end
                 )
             row_offsets[j] = pos
             raw, pos = _scan_quoted_field(
@@ -230,7 +232,7 @@ def tokenize_span(
                 )
                 found += 1
             raise field_count_error(
-                r, found, span, first_attr, runs_to_line_end
+                first_row + r, found, span, first_attr, runs_to_line_end
             )
         fields_out.append(row_fields)
     offsets += base

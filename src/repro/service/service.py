@@ -38,10 +38,6 @@ makes that sharing safe under concurrency:
 * **Plan cache** (:mod:`repro.service.plan_cache`) — scan-free plans
   are cached by SQL text for every session; a repeat skips lexer,
   parser and planner and costs one MV serve decision.
-* **One recycled scan pool** — parallel chunked scans
-  (:mod:`repro.parallel`) reuse a single engine-wide pool across
-  queries, amortizing thread/fork start-up and bounding total scan
-  parallelism.
 * **One memory governor** — every table's map chunks, cache entries,
   materialized aggregates and promoted columns are admitted under one
   ``memory_budget`` and compete for it on benefit-per-byte
@@ -244,8 +240,6 @@ class PostgresRawService:
                 self.config.vp_dir or tempfile.mkdtemp(prefix="repro-vp-")
             )
             self._vp_dir.mkdir(parents=True, exist_ok=True)
-        self._pool = None
-        self._pool_lock = threading.Lock()
         self._session_ids = itertools.count(1)
         self._closed = False
         # Streaming-cursor bookkeeping (monitoring + orderly shutdown).
@@ -290,10 +284,6 @@ class PostgresRawService:
         for handle in handles:
             if handle.thread is not None:
                 handle.thread.join(timeout=10)
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
         for state in list(self._states.values()):
             state.invalidate()
         if self._vp_dir_owned and self._vp_dir is not None:
@@ -305,19 +295,6 @@ class PostgresRawService:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _scan_pool(self):
-        """The engine-wide recycled scan pool (None on the serial path)."""
-        if self.config.scan_workers <= 1:
-            return None
-        with self._pool_lock:
-            if self._pool is None and not self._closed:
-                from ..parallel.pool import ScanPool
-
-                self._pool = ScanPool(
-                    self.config.scan_workers, self.config.parallel_backend
-                )
-            return self._pool
 
     # ------------------------------------------------------------------
     # Sessions.
@@ -685,7 +662,7 @@ class PostgresRawService:
             plan = cached.bind(match)
             if plan is not None:
                 return plan
-        planner = self._planner(metrics, scans, root, captures=captures)
+        planner = self._planner(metrics, scans, captures=captures)
         plan = planner.plan(stmt, match)
         if sql is not None:
             if not scans:
@@ -1086,7 +1063,6 @@ class PostgresRawService:
         self,
         metrics: QueryMetrics,
         scans: list[RawScan],
-        root: Span | None = None,
         mining: bool = True,
         captures: list | None = None,
     ) -> Planner:
@@ -1096,11 +1072,6 @@ class PostgresRawService:
             predicate: Expression | None,
             row_from: int = 0,
         ) -> RawScan:
-            # The service's config (every table state's) decides scan
-            # parallelism and the adaptive-structure knobs; the recycled
-            # engine-wide pool is threaded through so parallel
-            # dispatches never rebuild their workers.  Worker spans are
-            # parented under this query's trace as chunks merge.
             # table_state (not a bare dict lookup) so a concurrent
             # drop_table surfaces as CatalogError, never KeyError.
             scan = RawScan(
@@ -1108,10 +1079,7 @@ class PostgresRawService:
                 metrics,
                 columns,
                 predicate,
-                pool=self._scan_pool(),
                 row_from=row_from,
-                telemetry=self.telemetry,
-                trace_parent=root,
                 kernel_cache=self.kernel_cache,
             )
             scans.append(scan)

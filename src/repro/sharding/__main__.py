@@ -48,10 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows in the generated demo table (default 50000)",
     )
     parser.add_argument(
-        "--scan-workers", type=int, default=1,
-        help="parallel scan workers per shard (default 1)",
-    )
-    parser.add_argument(
         "--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET,
         help="byte budget for all adaptive state, divided evenly across "
         f"shards (default {DEFAULT_MEMORY_BUDGET})",
@@ -67,10 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not args.data and not args.demo:
         build_parser().error("nothing to serve: pass --data and/or --demo")
-    config = PostgresRawConfig(
-        scan_workers=args.scan_workers,
-        memory_budget=args.memory_budget,
-    )
+    config = PostgresRawConfig(memory_budget=args.memory_budget)
     with contextlib.ExitStack() as stack:
         cluster = ShardCluster(
             args.shards, config, auth_token=args.auth_token

@@ -100,7 +100,14 @@ def load_csv_to_columns(
             tokenized = kernel.tokenize(window, starts, line_ends)
         if tokenized is None:
             tokenized = tokenize_span(
-                content, starts, line_ends, 0, n_attrs - 1, n_attrs, dialect
+                content,
+                starts,
+                line_ends,
+                0,
+                n_attrs - 1,
+                n_attrs,
+                dialect,
+                first_row=r0,
             )
         # The kernel slices field texts lazily: charge them here too.
         for a in range(n_attrs):

@@ -8,7 +8,7 @@ Three pieces, one facade:
   panels render from its :meth:`~MetricsRegistry.snapshot`.
 * :class:`Tracer` (:mod:`repro.telemetry.trace`) — per-query span
   trees under one ``trace_id``, propagated from admission through
-  locks, pool workers and the wire server's socket writes.
+  locks and the wire server's socket writes.
 * :class:`Telemetry` — what a service owns: the registry + tracer +
   the slow-query log, with the JSONL/Prometheus exporters attached.
 

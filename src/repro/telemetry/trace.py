@@ -2,7 +2,7 @@
 
 Every streamed query gets a ``trace_id``; the stages it passes through
 — admission wait, file reconcile, planning, per-table lock
-acquisition, scan-pool workers, the producer's channel pump, the wire
+acquisition, the producer's channel pump, the wire
 server's frame writes — each record a span under that id.  The result
 is one connected tree per query answering *where a specific query's
 wall time went across threads and processes*, complementing the
@@ -10,15 +10,10 @@ aggregate view of :class:`repro.telemetry.registry.MetricsRegistry`.
 
 Context is passed **explicitly** (a :class:`Span` parent argument), not
 via ``contextvars``: a query's spans are produced by the calling
-thread, a dedicated producer thread, pool workers and the asyncio
-server loop, so there is no one logical context to inherit from —
-threading the parent through the call graph is both cheaper and
-honest about who owns what.
-
-Process-backend workers cannot share a monotonic clock with the
-parent, so worker spans are synthesized driver-side from the worker's
-*own* elapsed measurement (:meth:`Tracer.add_span`) as chunk results
-merge — durations are exact, offsets are merge-time approximations.
+thread, a dedicated producer thread and the asyncio server loop, so
+there is no one logical context to inherit from — threading the
+parent through the call graph is both cheaper and honest about who
+owns what.
 
 Finished traces live in a bounded ring buffer (``keep`` most recent)
 and export as JSONL; when disabled every method returns ``None`` and
@@ -153,10 +148,8 @@ class Tracer:
     ) -> Span | None:
         """Record an already-completed span of known duration.
 
-        Used for work measured elsewhere — a pool worker's elapsed time
-        travels back in its :class:`ChunkResult` and lands here when
-        the driver merges it; ``start_s`` is back-dated so offsets stay
-        plausible even though the worker's clock is not ours.
+        Used for work measured elsewhere, such as a lock wait timed
+        by its caller; ``start_s`` is back-dated by ``duration_s``.
         """
         if parent is None or not self.enabled:
             return None

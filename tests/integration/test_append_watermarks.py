@@ -129,24 +129,16 @@ def test_tail_filtered_away_still_advances_the_watermark(path):
         assert merges(engine) == 1
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_long_tail_fans_out_over_the_scan_pool(path, backend):
+def test_long_tail_from_an_unaligned_watermark(path):
     sql = "SELECT g, count(*), sum(v), avg(f) FROM t WHERE v >= 0 GROUP BY g"
-    cfg = config(
-        scan_workers=4,
-        parallel_backend=backend,
-        parallel_chunk_bytes=256,
-        batch_size=16,
-    )
-    with PostgresRaw(cfg) as engine:
+    with PostgresRaw(config(batch_size=16)) as engine:
         engine.register_csv("t", path, SCHEMA)
         engine.query(sql)
         tail = [(i % 4, 0.25 * i, i, f"s{i % 3}") for i in range(300)]
         append_csv_rows(path, tail, SCHEMA)
         merged = engine.query(sql)
-        # The watermark (row 50) is no batch multiple: rows [50, 64)
-        # are scanned here, the batch-aligned rest by the pool.
-        assert merged.metrics.parallel_chunks > 1
+        # The watermark (row 50) is no batch multiple: the tail's
+        # first stride is rows [50, 64), the rest whole batches.
         assert merged.metrics.rows_scanned == 300
         assert same_rows(merged.rows, raw(path, sql), rel=1e-9)
         assert merges(engine) == 1

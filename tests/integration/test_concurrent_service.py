@@ -22,22 +22,6 @@ from repro import PostgresRaw, PostgresRawConfig, PostgresRawService
 N_THREADS = 8
 ROUNDS = int(os.environ.get("REPRO_STRESS_ROUNDS", "2"))
 
-#: CI's process-backend smoke leg: ``REPRO_STRESS_BACKEND=process``
-#: reruns the stress suite with parallel chunked scans on that backend
-#: (2 workers minimum), so multiprocessing workers race the serving
-#: layer's locks, governor and cursors too.
-STRESS_BACKEND = os.environ.get("REPRO_STRESS_BACKEND")
-
-
-def apply_stress_backend(config):
-    if not STRESS_BACKEND:
-        return config
-    return config.with_overrides(
-        parallel_backend=STRESS_BACKEND,
-        scan_workers=max(config.scan_workers, 2),
-        parallel_chunk_bytes=16 * 1024,
-    )
-
 #: A mixed sequence: full scans, selective filters, aggregates, multi-
 #: attribute projections — enough shapes to exercise cache hits, map
 #: jumps, anchored tokenizing and selective tuple formation.
@@ -125,7 +109,6 @@ def hammer(service, thread_id, reference, errors, mismatches):
 def test_eight_threads_match_serial_engine(small_csv, label, config):
     path, schema = small_csv
     reference = serial_reference(path, schema, PostgresRawConfig())
-    config = apply_stress_backend(config)
 
     with PostgresRawService(config) as service:
         service.register_csv("t", path, schema)
@@ -180,9 +163,7 @@ def test_concurrent_queries_on_disjoint_tables(small_csv, mixed_csv):
     in results, and residency reported per table."""
     small_path, small_schema = small_csv
     mixed_path, mixed_schema = mixed_csv
-    config = apply_stress_backend(
-        PostgresRawConfig(memory_budget=16 * 1024 * 1024)
-    )
+    config = PostgresRawConfig(memory_budget=16 * 1024 * 1024)
 
     with PostgresRaw() as serial:
         serial.register_csv("t", small_path, small_schema)

@@ -1,9 +1,8 @@
 """The full adaptive lifecycle over a JSON-lines table.
 
-Cold scan, warm positional-map scan, parallel chunked scans (thread
-pool), streaming cursors, wire serving, sniffed registration, appends
-with invalidation, and the monitor/EXPLAIN surfaces — everything the
-CSV path has, driven through a JSONL source.
+Cold scan, warm positional-map scan, streaming cursors, wire serving,
+sniffed registration, appends with invalidation, and the monitor/EXPLAIN
+surfaces — everything the CSV path has, driven through a JSONL source.
 """
 
 import pytest
@@ -79,20 +78,6 @@ def test_explain_tags_format(jsonl_path):
     with PostgresRawService() as service:
         service.register_jsonl("t", jsonl_path, SCHEMA)
         assert "t[jsonl]" in service.explain(SQL)
-
-
-def test_parallel_thread_scan(jsonl_path):
-    config = PostgresRawConfig(
-        scan_workers=4, parallel_chunk_bytes=512, batch_size=64
-    )
-    with PostgresRawService(config) as service:
-        service.register_jsonl("t", jsonl_path, SCHEMA)
-        result = service.query(SQL)
-        assert result.rows == EXPECTED
-        assert result.metrics.parallel_scans >= 1
-        assert result.metrics.parallel_chunks > 1
-        # Warm pass over the merged map answers identically.
-        assert service.query(SQL).rows == EXPECTED
 
 
 def test_streaming_cursor(jsonl_path):

@@ -1,23 +1,15 @@
 """The scan's traced counters, pinned over one fixed query sequence.
 
-The same sequence runs serially and on both scan-pool backends with
-64 KiB chunks: a cold scan, its repeat, new columns, ``COUNT(*)``, an
+The sequence: a cold scan, its repeat, new columns, ``COUNT(*)``, an
 external append, the repeat over the appended tail and a point lookup
 on the cached key that skips windows.  Every counter the benchmark
-reports per scan must stay exactly these values, on every backend.
-``bytes_read`` and ``parallel_chunks`` are pinned per backend, and
-both pool backends share one list: a pooled cold scan reads the file
-twice by design (the main thread's line index, then the workers' rows),
-and a pooled tail is read by both too.
+reports per scan, and ``bytes_read``, must stay exactly these values.
 """
-
-import pytest
 
 from repro import (
     Column,
     DataType,
     PostgresRaw,
-    PostgresRawConfig,
     TableSchema,
     append_csv_rows,
     write_csv,
@@ -61,22 +53,8 @@ STEPS = [
         (20000, 0, 1, 1, 1, 1, 0, 4),
     ),
 ]
-#: ``bytes_read`` and ``parallel_chunks`` per statement, on either pool.
-POOLED = ([263239, 64811, 64811, 0, 683304, 21], [2, 0, 0, 0, 3, 0])
-#: Per backend: its config, then ``bytes_read`` and ``parallel_chunks``
-#: per statement.
-BACKENDS = {
-    "serial": (
-        {},
-        [131626, 64811, 64811, 0, 398560, 21],
-        [0, 0, 0, 0, 0, 0],
-    ),
-    "thread2": ({"scan_workers": 2}, *POOLED),
-    "process2": (
-        {"scan_workers": 2, "parallel_backend": "process"},
-        *POOLED,
-    ),
-}
+#: ``bytes_read`` per statement.
+BYTES_READ = [131626, 64811, 64811, 0, 398560, 21]
 
 
 def _rows(lo, hi):
@@ -86,14 +64,11 @@ def _rows(lo, hi):
     ]
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_scan_counters_are_pinned(tmp_path, backend):
-    overrides, bytes_read, chunks = BACKENDS[backend]
+def test_scan_counters_are_pinned(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, _rows(0, 6000), SCHEMA)
-    config = PostgresRawConfig(parallel_chunk_bytes=64 * 1024, **overrides)
     got, want = {}, {}
-    with PostgresRaw(config) as engine:
+    with PostgresRaw() as engine:
         engine.register_csv("t", path, SCHEMA)
         for step, sql, counters in STEPS:
             if sql is None:
@@ -103,11 +78,9 @@ def test_scan_counters_are_pinned(tmp_path, backend):
             got[step] = (
                 tuple(getattr(metrics, name) for name in COUNTERS),
                 metrics.bytes_read,
-                metrics.parallel_chunks,
             )
             want[step] = counters
     steps = [step for step, sql, __ in STEPS if sql is not None]
     assert got == {
-        step: (want[step], n_bytes, n_chunks)
-        for step, n_bytes, n_chunks in zip(steps, bytes_read, chunks)
+        step: (want[step], n_bytes) for step, n_bytes in zip(steps, BYTES_READ)
     }

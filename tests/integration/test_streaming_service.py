@@ -45,20 +45,9 @@ def streaming_config(**overrides):
 
 
 class TestStreamedEqualsMaterialized:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            PostgresRawConfig(batch_size=128),
-            PostgresRawConfig(
-                batch_size=128,
-                scan_workers=4,
-                parallel_chunk_bytes=16 * 1024,
-            ),
-        ],
-        ids=["serial", "parallel_threads"],
-    )
-    def test_cursor_rows_match_query_rows(self, small_csv, config):
+    def test_cursor_rows_match_query_rows(self, small_csv):
         path, schema = small_csv
+        config = PostgresRawConfig(batch_size=128)
         with PostgresRaw(PostgresRawConfig()) as reference_engine:
             reference_engine.register_csv("t", path, schema)
             reference = reference_engine.query(SQL).rows

@@ -1,8 +1,7 @@
-"""Telemetry end-to-end: a traced parallel streamed query over the
-wire yields one connected span tree under a single trace_id,
-retrievable via the STATS command; the stats server-push stream
-round-trips through repro.client; traces and slow queries export as
-JSONL."""
+"""Telemetry end-to-end: a traced streamed query over the wire yields
+one connected span tree under a single trace_id, retrievable via the
+STATS command; the stats server-push stream round-trips through
+repro.client; traces and slow queries export as JSONL."""
 
 from __future__ import annotations
 
@@ -33,13 +32,10 @@ def table_csv(tmp_path):
 
 @pytest.fixture
 def served(table_csv):
-    """Parallel-scan service (4 workers, small chunks) behind a server."""
+    """A service behind a server."""
     path, schema = table_csv
     config = PostgresRawConfig(
         batch_size=256,
-        scan_workers=4,
-        parallel_chunk_bytes=16 * 1024,
-        parallel_backend="thread",
         slow_query_s=1e-9,  # everything lands in the slow-query log
     )
     with PostgresRawService(config) as service:
@@ -65,9 +61,7 @@ def span_names(tree):
 
 
 class TestTracedWireQuery:
-    def test_one_connected_span_tree_for_parallel_streamed_query(
-        self, served
-    ):
+    def test_one_connected_span_tree_for_streamed_query(self, served):
         service, server = served
         with repro.client.Connection("127.0.0.1", server.port) as conn:
             cursor = conn.cursor(SQL)
@@ -82,13 +76,11 @@ class TestTracedWireQuery:
             assert tree is not None
             assert tree["trace_id"] == trace_id
             names = span_names(tree)
-            # Session -> admission -> locks -> workers -> merge -> wire.
+            # Session -> admission -> locks -> produce -> pump -> wire.
             assert "admission" in names
             assert "lock:t" in names
             assert "produce" in names and "pump" in names
             assert "wire:frames" in names
-            chunk_spans = {n for n in names if n.startswith("scan-chunk:")}
-            assert len(chunk_spans) >= 4  # one per pool worker chunk
             # One tree: every span hangs off the single root.
             assert tree["root"]["name"] == "query"
             assert tree["n_spans"] == len(names)

@@ -1,10 +1,10 @@
 """Cross-format equivalence properties.
 
 A JSONL file and a CSV file encoding the same rows must answer every
-query identically — cold, warm, under the 4-worker chunked scan pool,
-and through streaming cursors.  Mirrors the shapes of
-``test_engine_props.py`` but runs each generated query against *both*
-encodings of the same generated rows and compares row lists directly.
+query identically — cold, warm and through streaming cursors.  Mirrors
+the shapes of ``test_engine_props.py`` but runs each generated query
+against *both* encodings of the same generated rows and compares row
+lists directly.
 """
 
 import hypothesis.strategies as st
@@ -141,27 +141,6 @@ def test_jsonl_matches_csv_serial(tmp_path_factory, rows, queries):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(rows=rows_strategy, query=query_strategy)
-def test_jsonl_matches_csv_parallel_threads(tmp_path_factory, rows, query):
-    tmp_path = tmp_path_factory.mktemp("fmt-par")
-    config = PostgresRawConfig(
-        batch_size=16, scan_workers=4, parallel_chunk_bytes=64
-    )
-    csv_eng, jsonl_eng = _engines(tmp_path, rows, config)
-    try:
-        sql = _sql(query)
-        for _ in range(2):
-            assert list(jsonl_eng.query(sql)) == list(csv_eng.query(sql)), sql
-    finally:
-        csv_eng.close()
-        jsonl_eng.close()
-
-
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(rows=rows_strategy, query=query_strategy)
 def test_jsonl_matches_csv_streaming(tmp_path_factory, rows, query):
     tmp_path = tmp_path_factory.mktemp("fmt-stream")
     config = PostgresRawConfig(batch_size=8)
@@ -172,27 +151,6 @@ def test_jsonl_matches_csv_streaming(tmp_path_factory, rows, query):
             sql
         ) as ccur:
             assert list(jcur.fetchall()) == list(ccur.fetchall()), sql
-    finally:
-        csv_eng.close()
-        jsonl_eng.close()
-
-
-def test_jsonl_matches_csv_process_backend(tmp_path):
-    """One deterministic pass through the process scan pool."""
-    rows = [
-        (i % 23 - 11, (i * 7) % 19, f"s{i}" if i % 5 else None, i / 8.0)
-        for i in range(500)
-    ]
-    config = PostgresRawConfig(
-        scan_workers=4, parallel_chunk_bytes=1024, parallel_backend="process"
-    )
-    csv_eng, jsonl_eng = _engines(tmp_path, rows, config)
-    try:
-        for sql in (
-            "SELECT c0, c2 FROM t WHERE c1 > 5",
-            "SELECT c3, c0 FROM t WHERE c0 <= 0",
-        ):
-            assert list(jsonl_eng.query(sql)) == list(csv_eng.query(sql)), sql
     finally:
         csv_eng.close()
         jsonl_eng.close()
@@ -337,17 +295,6 @@ def _assert_map_points_at_the_bytes(eng, raw, kind, dialect, rows):
                 assert raw[off : off + len(cell)] == cell, (r, attr)
 
 
-def _map_of(eng):
-    pm = eng.table_state("t").positional_map
-    return (
-        pm.line_bounds.tolist(),
-        pm.crlf,
-        sorted(
-            (c.attrs, c.rows, c.offsets.tolist()) for c in pm.entries()
-        ),
-    )
-
-
 FULL = "SELECT c0, c1, c2, c3 FROM t"
 
 
@@ -407,37 +354,3 @@ def test_layouts_answer_like_the_lf_file(
     finally:
         eng.close()
         reference.close()
-
-
-@pytest.mark.parametrize("name", sorted(PATHS))
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(rows=rows_strategy, layout=layout_strategy, query=query_strategy)
-def test_layouts_serial_equals_thread_equals_process(
-    tmp_path_factory, name, rows, layout, query
-):
-    """(c) rows, merged positional map, line bounds and the CRLF flag
-    agree across the serial scan and both 4-worker pool backends."""
-    kind, dialect = PATHS[name]
-    path = tmp_path_factory.mktemp("layout-par") / f"t.{kind}"
-    path.write_bytes(_physical(_render_lf(kind, dialect, rows), layout))
-    outcomes = []
-    for workers, backend in ((1, "thread"), (4, "thread"), (4, "process")):
-        config = PostgresRawConfig(
-            batch_size=16,
-            scan_workers=workers,
-            parallel_backend=backend,
-            parallel_chunk_bytes=64,
-        )
-        eng = _open(path, kind, dialect, config)
-        try:
-            answers = [eng.query(sql).rows for sql in (FULL, _sql(query))]
-            outcomes.append((answers, _map_of(eng)))
-        finally:
-            eng.close()
-    assert outcomes[0][0][0] == rows
-    assert outcomes[1] == outcomes[0]
-    assert outcomes[2] == outcomes[0]

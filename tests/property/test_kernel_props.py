@@ -6,7 +6,7 @@ same dialect with a quote character (the RFC-4180 state machine, the
 scalar tokenizer) answer row-for-row and structure-for-structure
 identically, serially (one batch per scan, and batches of 3 and 7
 rows, so the kernel's delimiter grid starts and ends at many row
-ranges), with 4-worker pools and streamed.  The text alphabet holds no
+ranges) and streamed.  The text alphabet holds no
 quote, so both dialects read the same fields.  The numeric converters
 are held to the scalar ``int`` / ``float`` column converter directly.
 
@@ -207,21 +207,6 @@ def test_kernel_scan_equals_scalar_null_heavy(
     )
 
 
-@settings(max_examples=15, deadline=None)
-@given(content=raw_files(), backend=st.sampled_from(["thread", "process"]))
-def test_kernel_scan_equals_scalar_parallel(
-    tmp_path_factory, content, backend
-):
-    path = tmp_path_factory.mktemp("kern_par") / "t.csv"
-    path.write_text(content, encoding="utf-8", newline="")
-    config = PostgresRawConfig(
-        scan_workers=4, parallel_chunk_bytes=97, parallel_backend=backend
-    )
-    _assert_equivalent(
-        _engine(path, DIALECT, config), _engine(path, QUOTED, config)
-    )
-
-
 @settings(max_examples=20, deadline=None)
 @given(content=raw_files())
 def test_kernel_streaming_equals_blocking(tmp_path_factory, content):
@@ -417,12 +402,8 @@ def text_files(draw):
     return bytes(out), first_invalid
 
 
-def _text_engine(path, dialect, batch_size, workers):
-    # Chunks long enough for a worker's vectorized encode.
-    config = PostgresRawConfig(
-        batch_size=batch_size, scan_workers=workers, parallel_chunk_bytes=4096
-    )
-    eng = PostgresRaw(config)
+def _text_engine(path, dialect, batch_size):
+    eng = PostgresRaw(PostgresRawConfig(batch_size=batch_size))
     eng.register_csv("t", path, TEXT_SCHEMA, dialect)
     return eng
 
@@ -431,18 +412,13 @@ def _text_engine(path, dialect, batch_size, workers):
 @given(
     case=text_files(),
     batch_size=st.sampled_from([3, 4096]),
-    workers=st.sampled_from([1, 2]),
 )
-def test_kernel_text_equals_scalar(
-    tmp_path_factory, case, batch_size, workers
-):
+def test_kernel_text_equals_scalar(tmp_path_factory, case, batch_size):
     content, first_invalid = case
     path = tmp_path_factory.mktemp("kern_text") / "t.csv"
     path.write_bytes(content)
-    kernel = _text_engine(path, CsvDialect(), batch_size, workers)
-    scalar = _text_engine(
-        path, CsvDialect(quote_char='"'), batch_size, workers
-    )
+    kernel = _text_engine(path, CsvDialect(), batch_size)
+    scalar = _text_engine(path, CsvDialect(quote_char='"'), batch_size)
     for sql in TEXT_QUERIES:
         kout = _outcome(kernel, sql)
         assert kout == _outcome(scalar, sql)

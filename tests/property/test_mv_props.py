@@ -1,6 +1,6 @@
 """Property: MV-served answers are row-identical to the raw path.
 
-For arbitrary tables, query shapes, scan parallelism and fetch styles:
+For arbitrary tables, query shapes and fetch styles:
 
 * an **exact** hit returns the same rows the raw aggregation would;
 * a **partial** hit (wider MV re-aggregated down, including residual
@@ -56,14 +56,10 @@ DERIVED = [
 ]
 
 
-def build_config(
-    workers: int, mv_auto: bool = True, **overrides
-) -> PostgresRawConfig:
+def build_config(mv_auto: bool = True, **overrides) -> PostgresRawConfig:
     return PostgresRawConfig(
         batch_size=16,
         stream_queue_batches=2,
-        scan_workers=workers,
-        parallel_chunk_bytes=256,
         mv_auto=mv_auto,
         mv_min_repeats=1,
         **overrides,
@@ -80,10 +76,9 @@ def reference_rows(path, query):
 @settings(max_examples=25, deadline=None)
 @given(
     rows=rows_strategy,
-    workers=st.sampled_from([1, 4]),
     query=st.sampled_from(DERIVED),
 )
-def test_mv_served_rows_equal_raw(tmp_path_factory, rows, workers, query):
+def test_mv_served_rows_equal_raw(tmp_path_factory, rows, query):
     tmp = tmp_path_factory.mktemp("mv_props")
     path = tmp / "t.csv"
     write_csv(path, rows, SCHEMA)
@@ -91,7 +86,7 @@ def test_mv_served_rows_equal_raw(tmp_path_factory, rows, workers, query):
     expected = reference_rows(path, query)
     # mv_auto off: only the explicit build_mv below materializes, so
     # the derived queries must route through the *wide* MV.
-    with PostgresRaw(build_config(workers, mv_auto=False)) as engine:
+    with PostgresRaw(build_config(mv_auto=False)) as engine:
         engine.register_csv("t", path, SCHEMA)
         raw_first = sorted(engine.query(query).rows)
         assert raw_first == expected
@@ -143,11 +138,10 @@ FORMATS = {
         min_size=1,
         max_size=4,
     ),
-    workers=st.sampled_from([1, 4]),
     fmt=st.sampled_from(sorted(FORMATS)),
 )
 def test_appends_advance_both_tiers_and_stay_correct(
-    tmp_path_factory, rows, steps, workers, fmt
+    tmp_path_factory, rows, steps, fmt
 ):
     tmp = tmp_path_factory.mktemp("mv_append")
     path = tmp / f"t.{fmt}"
@@ -160,7 +154,6 @@ def test_appends_advance_both_tiers_and_stay_correct(
             return sorted(ref.query(query).rows, key=repr)
 
     config = build_config(
-        workers,
         mv_auto=False,
         memory_budget=8 << 20,
         vp_enabled=True,
@@ -193,10 +186,8 @@ def test_appends_advance_both_tiers_and_stay_correct(
 
 
 @settings(max_examples=10, deadline=None)
-@given(rows=rows_strategy, workers=st.sampled_from([1, 4]))
-def test_eviction_and_drop_never_change_answers(
-    tmp_path_factory, rows, workers
-):
+@given(rows=rows_strategy)
+def test_eviction_and_drop_never_change_answers(tmp_path_factory, rows):
     """A budget too small for the map, the cache and two MVs keeps
     evicting; a dropped and re-registered table forgets its MVs.
     Answers never change."""
@@ -208,7 +199,7 @@ def test_eviction_and_drop_never_change_answers(
     expected = {q: reference_rows(path, q) for q in queries}
     # 4 KiB: captures of the wide shape (hundreds of bytes each, at
     # most 1 KiB) contend with map chunks and cache columns for room.
-    config = build_config(workers, memory_budget=4096)
+    config = build_config(memory_budget=4096)
     with PostgresRaw(config) as engine:
         engine.register_csv("t", path, SCHEMA)
         for __ in range(3):

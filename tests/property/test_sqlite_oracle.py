@@ -6,8 +6,7 @@ is loaded into ``sqlite3`` too, and every generated statement must give
 the same rows on both — cold, then repeated until its columns are
 cache-resident, with appends interleaved between statements, across
 batch sizes, the columnstore + materialized-aggregate tiers (with room
-to spare, and under a budget that keeps the governor evicting) and the
-parallel scan pool on both backends (asserted to have run), the
+to spare, and under a budget that keeps the governor evicting), the
 scalar tokenizer (a quoted dialect), and JSON lines (the JSONL kernel
 on every window it reads, and the scalar parser on the windows whose
 strings ``\\u``-escape the multi-byte words).  One
@@ -91,19 +90,6 @@ CONFIGS = {
     # within) statements in most examples, so scans are served from a
     # mix of evicted and surviving tiers.
     "vp_mv_tight": {**VP_MV, "memory_budget": 500},
-    # 8-byte chunks, so the pool runs on these small files: cold
-    # scans and appended tails fan out over two workers.
-    "workers2": {
-        "batch_size": 7,
-        "scan_workers": 2,
-        "parallel_chunk_bytes": 8,
-    },
-    "process2": {
-        "batch_size": 7,
-        "scan_workers": 2,
-        "parallel_chunk_bytes": 8,
-        "parallel_backend": "process",
-    },
     # The same bytes through the scalar tokenizer: a quoted dialect is
     # not kernel-eligible, so it runs the RFC-4180 state machine.
     "quoted": {"batch_size": 7},
@@ -384,11 +370,10 @@ def _oracle(rows):
 
 def _matches_sqlite(
     tmp_path_factory, name, rows, plan, warmup=()
-) -> tuple[int, int]:
+) -> int:
     """Run ``plan`` on a fresh engine (after the ``warmup`` statements)
     and on sqlite; every statement's rows must agree.  Returns the
-    windows the engine's scans skipped and the chunks its scan pool
-    ran."""
+    windows the engine's scans skipped."""
     tmp = tmp_path_factory.mktemp("oracle")
     dialect = DIALECTS.get(name, DEFAULT_DIALECT)
     jsonl = FORMATS.get(name) == "jsonl"
@@ -400,7 +385,6 @@ def _matches_sqlite(
     if config.get("vp_enabled"):
         config["vp_dir"] = str(tmp / "vp")
     db = _oracle(rows)
-    chunks = 0
     try:
         with PostgresRaw(PostgresRawConfig(**config)) as engine:
             if jsonl:
@@ -421,19 +405,12 @@ def _matches_sqlite(
                 want = db.execute(theirs).fetchall()
                 # Cold, then warm: the repeats run over cached columns.
                 for __ in range(3):
-                    result = engine.query(ours)
-                    got = list(result)
+                    got = list(engine.query(ours))
                     assert _same(got, want, ordered), (ours, got, want)
-                    chunks += result.metrics.parallel_chunks
             registry = engine.telemetry.registry
-            skipped = registry.counter("scan_windows_skipped_total").value
-            return skipped, chunks
+            return registry.counter("scan_windows_skipped_total").value
     finally:
         db.close()
-
-
-#: Columns that exist to run the scan pool.
-POOLED = ("process2", "workers2")
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -443,7 +420,6 @@ def test_engine_matches_sqlite(tmp_path_factory, monkeypatch, name):
         # and map jump it can, however small.
         monkeypatch.setattr(jsonl_kernel, "MIN_RECORDS", 1)
         monkeypatch.setattr(jsonl_kernel, "MIN_VALUES", 1)
-    chunks = []
 
     @given(rows=rows_of, plan=steps)
     @settings(
@@ -452,12 +428,9 @@ def test_engine_matches_sqlite(tmp_path_factory, monkeypatch, name):
         suppress_health_check=[HealthCheck.too_slow],
     )
     def run(rows, plan):
-        chunks.append(_matches_sqlite(tmp_path_factory, name, rows, plan)[1])
+        _matches_sqlite(tmp_path_factory, name, rows, plan)
 
     run()
-    if name in POOLED:
-        # Some statements must have gone through the pool.
-        assert sum(chunks) > 0
 
 
 @pytest.mark.parametrize("name", SORTED_CONFIGS)
@@ -471,7 +444,7 @@ def test_window_skipping_matches_sqlite(tmp_path_factory, name):
         suppress_health_check=[HealthCheck.too_slow],
     )
     def run(rows, plan):
-        skipped.append(_matches_sqlite(tmp_path_factory, name, rows, plan)[0])
+        skipped.append(_matches_sqlite(tmp_path_factory, name, rows, plan))
 
     run()
     # The column is about skipped windows: some scans must have skipped.

@@ -1,8 +1,8 @@
-"""Property: for arbitrary tables, queries, fetch granularities and
-scan parallelism, the streamed result (batch iteration and ``fetchmany``
-in odd sizes) is row-for-row identical to the materialized result and to
-a fresh serial engine — including after an external append (the
-partially-mapped tail-scan path)."""
+"""Property: for arbitrary tables, queries and fetch granularities,
+the streamed result (batch iteration and ``fetchmany`` in odd sizes) is
+row-for-row identical to the materialized result and to a fresh engine
+— including after an external append (the partially-mapped tail-scan
+path)."""
 
 from __future__ import annotations
 
@@ -32,15 +32,7 @@ QUERIES = [
 ]
 
 
-def build_config(workers: int) -> PostgresRawConfig:
-    return PostgresRawConfig(
-        batch_size=16,
-        stream_queue_batches=2,
-        scan_workers=workers,
-        # Tiny chunks so even small generated files actually engage the
-        # streaming chunk merge.
-        parallel_chunk_bytes=256,
-    )
+CONFIG = PostgresRawConfig(batch_size=16, stream_queue_batches=2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -54,11 +46,10 @@ def build_config(workers: int) -> PostgresRawConfig:
         max_size=60,
     ),
     fetch_size=st.integers(1, 9),
-    workers=st.sampled_from([1, 4]),
     query=st.sampled_from(QUERIES),
 )
 def test_streamed_fetchmany_and_materialized_agree(
-    tmp_path_factory, rows, tail, fetch_size, workers, query
+    tmp_path_factory, rows, tail, fetch_size, query
 ):
     tmp = tmp_path_factory.mktemp("stream_props")
     path = tmp / "t.csv"
@@ -69,7 +60,7 @@ def test_streamed_fetchmany_and_materialized_agree(
         reference_engine.register_csv("t", path, SCHEMA)
         reference_cold = reference_engine.query(query).rows
 
-    with PostgresRaw(build_config(workers)) as engine:
+    with PostgresRaw(CONFIG) as engine:
         engine.register_csv("t", path, SCHEMA)
 
         # Cold: streamed batches vs reference.
@@ -92,8 +83,7 @@ def test_streamed_fetchmany_and_materialized_agree(
         assert fetched == materialized
 
         if tail:
-            # External append: the next scan stitches the unmapped tail
-            # (fanned out over the pool when workers > 1).
+            # External append: the next scan stitches the unmapped tail.
             append_csv_rows(path, tail, SCHEMA)
             with PostgresRaw() as reference_engine:
                 reference_engine.register_csv("t", path, SCHEMA)

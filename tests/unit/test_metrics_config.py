@@ -1,5 +1,6 @@
 """Unit tests for metrics accounting and engine configuration."""
 
+import importlib
 import time
 
 import pytest
@@ -107,65 +108,30 @@ class TestPostgresRawConfig:
         [
             ("memory_budget", -1),
             ("batch_size", 0),
-            ("scan_workers", 0),
-            ("scan_workers", -3),
-            ("parallel_chunk_bytes", 0),
-            ("parallel_chunk_bytes", -1),
-            ("parallel_backend", "fibers"),
-            ("parallel_backend", ""),
         ],
     )
     def test_invalid_values_raise(self, field, value):
         with pytest.raises(BudgetError):
             PostgresRawConfig(**{field: value})
 
-    def test_parallel_defaults_keep_serial_path(self):
-        config = PostgresRawConfig()
-        assert config.scan_workers == 1
-        assert config.parallel_backend == "thread"
-        assert config.parallel_chunk_bytes > 0
-
-    def test_parallel_overrides_accepted(self):
-        config = PostgresRawConfig().with_overrides(
-            scan_workers=8,
-            parallel_chunk_bytes=4096,
-            parallel_backend="process",
-        )
-        assert config.scan_workers == 8
-        assert config.parallel_chunk_bytes == 4096
-        assert config.parallel_backend == "process"
+    @pytest.mark.parametrize(
+        "field", ["scan_workers", "parallel_chunk_bytes", "parallel_backend"]
+    )
+    def test_scan_pool_knobs_are_gone(self, field):
+        # Every scan is serial; a config naming a pool knob fails loudly
+        # instead of being silently ignored.
+        with pytest.raises(TypeError, match=field):
+            PostgresRawConfig(**{field: 2})
+        with pytest.raises(TypeError, match=field):
+            PostgresRawConfig().with_overrides(**{field: 2})
 
 
-class TestParallelMetricsAccounting:
-    def test_absorb_workers_scales_to_wall_time(self):
-        main = QueryMetrics()
-        workers = []
-        for __ in range(4):
-            w = QueryMetrics()
-            w.tokenizing_seconds = 0.3
-            w.convert_seconds = 0.1
-            w.fields_tokenized = 100
-            w.bytes_read = 10
-            workers.append(w)
-        main.absorb_workers(0.5, workers)
-        # Volume counters add exactly; seconds are apportioned wall time.
-        assert main.fields_tokenized == 400
-        assert main.bytes_read == 40
-        assert main.parallel_chunks == 4
-        assert main.accounted_seconds() == pytest.approx(0.5)
-        assert main.tokenizing_seconds == pytest.approx(0.5 * 0.75)
-        assert main.convert_seconds == pytest.approx(0.5 * 0.25)
-        assert len(main.worker_breakdowns) == 4
-
-    def test_absorb_workers_with_zero_cpu_charges_io(self):
-        main = QueryMetrics()
-        main.absorb_workers(0.25, [QueryMetrics(), QueryMetrics()])
-        assert main.io_seconds == pytest.approx(0.25)
-
-    def test_merge_extends_worker_breakdowns(self):
-        a, b = QueryMetrics(), QueryMetrics()
-        b.absorb_workers(0.1, [QueryMetrics()])
-        a.merge(b)
-        assert a.parallel_scans == 1
-        assert a.parallel_scan_seconds == pytest.approx(0.1)
-        assert len(a.worker_breakdowns) == 1
+@pytest.mark.parametrize("cli", ["repro.server", "repro.sharding"])
+def test_clis_reject_scan_workers(cli, capsys):
+    # Multi-core scale-out is ``--shards``; no CLI takes a scan pool size.
+    parser = importlib.import_module(f"{cli}.__main__").build_parser()
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(["--demo", "--scan-workers", "2"])
+    assert info.value.code == 2
+    assert "--scan-workers" in capsys.readouterr().err
+    assert parser.parse_args(["--demo"]).demo

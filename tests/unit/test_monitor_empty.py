@@ -11,7 +11,6 @@ from repro import (
     PostgresRaw,
     PostgresRawConfig,
     PostgresRawService,
-    QueryMetrics,
     RawServer,
 )
 from repro.monitor import (
@@ -24,7 +23,6 @@ from repro.monitor import (
     render_concurrency_panel,
     render_connections_panel,
     render_governor_panel,
-    render_worker_breakdown,
 )
 
 
@@ -38,12 +36,6 @@ def fresh_engine(small_csv):
 
 def test_breakdown_panel_empty_report():
     assert render_breakdown(BreakdownReport()) == "(no data)"
-
-
-def test_worker_breakdown_without_parallel_phase():
-    # A serial query has no worker_breakdowns; the panel must say so.
-    text = render_worker_breakdown(QueryMetrics())
-    assert isinstance(text, str) and text
 
 
 def test_system_panel_renders_before_any_query(fresh_engine):

@@ -362,7 +362,7 @@ class TestByteRangeReads:
         assert result.metrics.bytes_read == tail_size + 1
         eng.close()
 
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("batch_size", [1, 4])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize(
         "first, separator, second",
@@ -374,11 +374,12 @@ class TestByteRangeReads:
         ],
     )
     def test_append_after_unterminated_last_record(
-        self, tmp_path, fmt, workers, first, separator, second
+        self, tmp_path, fmt, batch_size, first, separator, second
     ):
-        """Regression: the tail read started one byte past the old end
-        of file, so the ``\\n`` of a separating ``\\r\\n`` became a
-        phantom empty record."""
+        """Growth after an unterminated last record is a rewrite: the
+        separator that closes it (a ``\\r\\n`` included) makes no
+        phantom empty record, cold or warm, whether the closed record
+        ends a batch of its own or shares one."""
         if fmt == "csv":
             lines = [b"%d,%d,n%d" % (i, i * 2, i) for i in range(8)]
         else:
@@ -389,7 +390,7 @@ class TestByteRangeReads:
         expected = [(i, i * 2, f"n{i}") for i in range(8)]
         path = tmp_path / f"t.{fmt}"
         path.write_bytes(first.join(lines[:5]))  # no final terminator
-        eng = PostgresRaw(PostgresRawConfig(scan_workers=workers))
+        eng = PostgresRaw(PostgresRawConfig(batch_size=batch_size))
         if fmt == "csv":
             dialect = CsvDialect(has_header=False)
             eng.register_csv("t", path, FACTS, dialect)
@@ -413,7 +414,8 @@ DIALECT_IDS = ["kernel", "quoted"]
 
 class TestMalformedRows:
     """A row with too few or too many fields fails the same way, with
-    the same text and row, whichever tokenizer the dialect picks."""
+    the same text and table row, whichever tokenizer the dialect picks
+    and whichever batch the row falls in."""
 
     SCHEMA = TableSchema.from_pairs(
         [("a", "integer"), ("b", "integer"), ("c", "integer")]
@@ -437,11 +439,14 @@ class TestMalformedRows:
     )
     @pytest.mark.parametrize("body", ["SHORT", "LONG"])
     @pytest.mark.parametrize("column", ["a", "b", "c"])
-    def test_same_outcome_per_dialect(self, tmp_path, dialect, body, column):
+    @pytest.mark.parametrize("batch_size", [1, 4096])
+    def test_same_outcome_per_dialect(
+        self, tmp_path, dialect, body, column, batch_size
+    ):
         path = tmp_path / "t.csv"
         text = "a,b,c\n" + getattr(self, body)
         path.write_text(text.replace(",", dialect.delimiter), "utf-8")
-        with PostgresRaw() as eng:
+        with PostgresRaw(PostgresRawConfig(batch_size=batch_size)) as eng:
             eng.register_csv("t", path, self.SCHEMA, dialect)
             expected = self.EXPECTED[body, column]
             sql = f"SELECT {column} FROM t"
@@ -495,29 +500,21 @@ class TestLazyDecode:
             assert "row 257" in str(info.value)
             engine.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backends(self, tmp_path, backend):
+    def test_cold_error_names_the_file_offset(self, tmp_path):
         path = tmp_path / "t.csv"
         schema = _invalid_utf8_csv(path)
-        config = PostgresRawConfig(
-            scan_workers=4,
-            parallel_backend=backend,
-            parallel_chunk_bytes=1024,
-            batch_size=64,
-        )
-        with PostgresRaw(config) as eng:
+        with PostgresRaw(PostgresRawConfig(batch_size=64)) as eng:
             eng.register_csv("t", path, schema)
-            result = eng.query("SELECT v FROM t")
-            assert result.metrics.parallel_chunks > 1
-            assert result.rows == [(i * 3,) for i in range(400)]
-        with PostgresRaw(config) as eng:
+            assert eng.query("SELECT v FROM t").rows == [
+                (i * 3,) for i in range(400)
+            ]
+        with PostgresRaw(PostgresRawConfig(batch_size=64)) as eng:
             eng.register_csv("t", path, schema)
             with pytest.raises(RawDataError, match="not valid UTF-8") as info:
                 eng.query("SELECT s FROM t")
-            # The byte offset is the file's on every backend, and the
-            # row is the table's — not the one within the worker's chunk.
+            # The byte offset is the file's, and the row the table's.
             offset = path.read_bytes().index(b"caf\xff")
             assert info.value.offset == offset
             assert f"byte offset {offset}" in str(info.value)
             assert info.value.row == 257
-            assert str(info.value).startswith("row 257 ")
+            assert str(info.value).startswith("row 257: ")

@@ -2,8 +2,7 @@
 
 Each test builds a table state by running queries, then plans a bare
 scan over it and pins the plan — segments and their pinned sources,
-residency, the kept window runs, the combination chunk and the cut
-where the scan pool takes over.
+residency, the kept window runs and the combination chunk.
 """
 
 import pytest
@@ -90,7 +89,7 @@ def test_cold_scan(make):
     assert plan.pred_attrs == (0,)
     assert (plan.proj_attrs, plan.resident) == ((1, 2), False)
     assert plan.runs == ((0, N),)
-    assert plan.combination is None and plan.tail_from is None
+    assert plan.combination is None
     assert next(plan.strides()) == (0, B)
     assert len(list(plan.strides())) == -(-N // B)
 
@@ -180,43 +179,8 @@ def test_every_window_ruled_out(make):
     assert plan.runs == () and list(plan.strides()) == []
 
 
-POOL = {"scan_workers": 2, "parallel_chunk_bytes": 64}
-
-
-def test_tail_from_cold_thread_scan_is_the_whole_table(make):
-    plan = _plan(make(**POOL), ["a", "c"], "b > 10")
-    assert plan.tail_from == 0
-    # The serial scan reads nothing before the cut.
-    assert plan.runs == ((0, 0),) and list(plan.strides()) == []
-
-
-def test_tail_from_is_batch_aligned_after_an_append(make, tmp_path):
-    eng = make(**POOL)
-    eng.query("SELECT a, c FROM t")
-    append_csv_rows(tmp_path / "t.csv", _rows(N, N + 50), SCHEMA)
-    eng.refresh()
-    plan = _plan(eng, ["a", "c"])
-    # The unmapped tail starts at row N; the pool takes it from the
-    # next batch cut, and the serial scan reads up to there.
-    assert plan.tail_from == -(-N // B) * B == 208
-    assert plan.runs == ((0, 208),)
-    assert list(plan.strides())[-1] == (192, 208)
-
-
-def test_no_tail_for_count_star(make):
-    eng = make(**POOL)
-    plan = _plan(eng, [])
-    assert plan.tail_from is None
+def test_count_star_needs_no_source(make):
+    plan = _plan(make(), [])
     (seg,) = plan.segments
     assert _sources(seg) == {}
-
-
-def test_no_tail_under_two_chunks(make):
-    eng = make(scan_workers=2, parallel_chunk_bytes=1 << 20)
-    plan = _plan(eng, ["a", "c"])
-    assert plan.tail_from is None and plan.runs == ((0, N),)
-
-
-def test_serial_scan_never_cuts_a_tail(make):
-    plan = _plan(make(parallel_chunk_bytes=64), ["a", "c"])
-    assert plan.tail_from is None
+    assert plan.runs == ((0, N),)

@@ -243,36 +243,3 @@ class TestMonitorPanels:
             )
             assert any(r["nbytes"] for r in report["residency"])
             assert "global budget" in render_governor_panel(service)
-
-
-class TestPoolRecycling:
-    def test_pool_survives_across_queries(self, small_csv, tmp_path):
-        path, schema = small_csv
-        config = PostgresRawConfig(
-            scan_workers=2, parallel_chunk_bytes=4 * 1024
-        )
-        with PostgresRaw(config) as engine:
-            engine.register_csv("t", path, schema)
-            engine.query("SELECT a0, a5 FROM t WHERE a1 >= 0")
-            pool = engine.service._scan_pool()
-            assert pool is not None
-            first_dispatches = pool.dispatches
-            assert first_dispatches >= 1
-            assert pool.alive  # executor recycled, not torn down
-            # Force a second parallel scan (append-free second table).
-            import shutil
-
-            path2 = tmp_path / "t2.csv"
-            shutil.copy(path, path2)
-            engine.register_csv("t2", path2, schema)
-            engine.query("SELECT a0, a5 FROM t2 WHERE a1 >= 0")
-            assert engine.service._scan_pool() is pool
-            assert pool.dispatches > first_dispatches
-        assert not pool.alive  # engine close shuts the pool down
-
-    def test_serial_config_builds_no_pool(self, small_csv):
-        path, schema = small_csv
-        with PostgresRaw() as engine:
-            engine.register_csv("t", path, schema)
-            engine.query("SELECT a0 FROM t WHERE a0 >= 0")
-            assert engine.service._scan_pool() is None

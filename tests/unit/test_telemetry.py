@@ -1,20 +1,14 @@
 """Unit coverage for the telemetry subsystem: registry, tracer,
-slow-query log, the QueryMetrics bucket invariant and the worker-error
-wrapping that feeds the ``scan_worker_errors`` counter."""
+slow-query log and the QueryMetrics bucket invariant."""
 
 from __future__ import annotations
 
 import json
-import pickle
 
-import numpy as np
 import pytest
 
 from repro.config import PostgresRawConfig
 from repro.core.metrics import BreakdownComponent, QueryMetrics
-from repro.errors import RawDataError, ScanWorkerError
-from repro.parallel.worker import ChunkTask, scan_chunk
-from repro.rawio.dialect import CsvDialect
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.telemetry.registry import NULL_INSTRUMENT
 
@@ -161,9 +155,9 @@ class TestMetricsInvariant:
         )
 
     def test_overshoot_lands_in_negative_residual(self):
-        # Attributed buckets can exceed the measured wall clock (e.g. a
-        # consumer stamped total while a merge still folded worker time
-        # in); processing clamps at zero, the residual records the rest.
+        # Attributed buckets can exceed the measured wall clock (timed
+        # sections that overlap); processing clamps at zero, the
+        # residual records the rest.
         m = QueryMetrics()
         m.add(BreakdownComponent.IO, 0.030)
         m.add(BreakdownComponent.TOKENIZING, 0.040)
@@ -236,40 +230,3 @@ class TestSlowQueryLog:
         telemetry = Telemetry.from_config(config)
         assert not telemetry.registry.enabled
         assert not telemetry.tracer.enabled
-
-
-class TestScanWorkerError:
-    def _failing_task(self):
-        # No such raw file: the worker's read raises, and the wrapper
-        # must attach the chunk's scan context.
-        return ChunkTask(
-            index=3,
-            path="/nonexistent/orders.csv",
-            entry_name="orders",
-            schema=None,
-            dialect=CsvDialect(),
-            output_columns=[],
-            predicate=None,
-            config=PostgresRawConfig(),
-            bounds=np.zeros(1, dtype=np.int64),
-        )
-
-    def test_worker_failure_carries_chunk_context(self):
-        with pytest.raises(ScanWorkerError) as info:
-            scan_chunk(self._failing_task())
-        err = info.value
-        assert err.chunk_index == 3
-        assert err.table == "orders"
-        assert "chunk 3" in str(err) and "orders" in str(err)
-        # Still a RawDataError: existing handlers keep catching it.
-        assert isinstance(err, RawDataError)
-
-    def test_worker_error_survives_pickling(self):
-        # The process backend ships exceptions through pickle; the
-        # chunk context must survive the round trip.
-        try:
-            scan_chunk(self._failing_task())
-        except ScanWorkerError as exc:
-            clone = pickle.loads(pickle.dumps(exc))
-        assert clone.chunk_index == 3
-        assert clone.table == "orders"

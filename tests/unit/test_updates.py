@@ -127,6 +127,33 @@ class TestDetectChange:
             change, fp = detect_change(fp, raw_file)
             assert change is FileChange.APPENDED
 
+    def test_growth_after_an_unterminated_record_is_a_rewrite(
+        self, tmp_path
+    ):
+        # The new bytes may continue the old last record ("3,z" + "4,w"
+        # is one record "3,z4,w"): the rows learned so far are stale.
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1,x\n2,y\n3,z")
+        fp = fingerprint_file(path)
+        assert not fp.ends_with_newline
+        with open(path, "ab") as f:
+            f.write(b"4,w\n")
+        change, new_fp = detect_change(fp, path)
+        assert change is FileChange.REWRITTEN
+        assert new_fp.ends_with_newline
+        # Terminated again: the next append is an append.
+        with open(path, "ab") as f:
+            f.write(b"5,v\n")
+        assert detect_change(new_fp, path)[0] is FileChange.APPENDED
+
+    def test_empty_file_growth_is_an_append(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"")
+        fp = fingerprint_file(path)
+        assert fp.ends_with_newline
+        path.write_bytes(b"1,x\n")
+        assert detect_change(fp, path)[0] is FileChange.APPENDED
+
 
 def test_append_to_empty_table_keeps_first_byte(tmp_path):
     """Regression: the zero-row line index must place its boundary at

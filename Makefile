@@ -125,10 +125,13 @@ bench-report:
 			|| exit 1; \
 	done
 
-# Heavier threaded stress run of the concurrent serving layer and of the
-# governed tiers under concurrent eviction, grow and extend, including
-# columnstore-served streams under cross-table eviction (the tier-1
-# suite runs the same tests at REPRO_STRESS_ROUNDS=2).  `timeout` guards
+# Heavier threaded stress run of the concurrent serving layer (with the
+# mixed-lane hammer: query() sessions pulling their plans on their own
+# threads next to slowly read producer-thread cursors while a writer
+# appends) and of the governed tiers under concurrent eviction, grow and
+# extend, including columnstore-served streams under cross-table
+# eviction (the tier-1 suite runs the same tests at
+# REPRO_STRESS_ROUNDS=2).  `timeout` guards
 # against a deadlocked lock/scheduler hanging CI forever.
 stress:
 	REPRO_STRESS_ROUNDS=10 timeout 600 $(PYTHON) -m pytest \
@@ -139,9 +142,9 @@ stress:
 		-x -q
 
 # Deep differential run against stdlib sqlite3: every column of the
-# oracle (the 2-shard and JSONL ones included) at 250 examples instead
-# of the tier-1 suite's 25, under a fixed seed so a disagreement
-# reproduces; plus, as deep, the CSV scan kernel against the RFC-4180
+# oracle (the 2-shard, JSONL and streamed-cursor ones included) at 250
+# examples instead of the tier-1 suite's 25, under a fixed seed so a
+# disagreement reproduces; plus, as deep, the CSV scan kernel against the RFC-4180
 # state machine (serial and NULL-heavy files, one batch or batches of
 # 3 and 7 rows, ragged rows at batch edges), the kernel's INTEGER /
 # FLOAT word parsers against int() / float() (0..20 digits, signs,

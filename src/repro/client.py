@@ -5,8 +5,8 @@
 ``connection.cursor(sql)`` streams a query through the very same lazy
 :class:`repro.executor.result.Cursor` the in-process API hands out —
 the only difference is that its batch source decodes ROWS_BIN frames
-off the socket instead of draining a local
-:class:`BatchChannel`.  ``fetchone``/``fetchmany``/``fetchall``/
+off the socket instead of pulling a local plan (or its producer
+thread's :class:`BatchChannel`).  ``fetchone``/``fetchmany``/``fetchall``/
 ``batches`` therefore behave identically, and server-side failures
 re-raise the *same* exception classes (:class:`repro.errors.AdmissionError`,
 :class:`repro.errors.CursorTimeoutError`, ...) via their wire codes::

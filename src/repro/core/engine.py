@@ -154,8 +154,10 @@ class PostgresRaw:
     def query(self, sql: str) -> QueryResult:
         """Parse, plan and execute one SELECT statement.
 
-        Materialized convenience form — internally this is
-        :meth:`query_stream` drained by ``fetchall()``.
+        Materialized convenience form: the plan that
+        :meth:`query_stream` would stream is pulled on this thread,
+        batch by batch into rows, with no producer thread and no
+        channel.
         """
         return self._session.query(sql)
 

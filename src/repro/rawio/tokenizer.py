@@ -187,12 +187,15 @@ def tokenize_span(
     ``first_attr`` begins in row ``r`` (a positional-map anchor, or the
     row start when ``first_attr == 0``); ``line_ends[r]`` is the
     exclusive end of the row's bytes (its newline, CR-trimmed).  This
-    is **selective tokenizing**: scanning stops after ``last_attr`` and
-    never revisits the attributes before the anchor.  Quoted fields
-    follow RFC-4180 (doubled-quote escapes); an unquoted dialect is the
-    same machine with no quote to open.  A row with the wrong number of
-    fields raises :func:`field_count_error`, as the kernel does; rows
-    are counted from table row ``first_row``.
+    is **selective tokenizing**: fields are split out only up to
+    ``last_attr`` and never before the anchor.  Quoted fields follow
+    RFC-4180 (doubled-quote escapes); an unquoted dialect is the same
+    machine with no quote to open.  A row with the wrong number of
+    fields raises :func:`field_count_error`, as the kernel does, also
+    when the span stops early: the rest of the row is counted (one
+    ``bytes.count`` when it holds no quote), so what a row answers
+    never depends on which columns a query reads.  Rows are counted
+    from table row ``first_row``.
     """
     if last_attr >= n_attrs or first_attr > last_attr:
         raise RawDataError(
@@ -200,7 +203,8 @@ def tokenize_span(
             f"{n_attrs}-attribute schema"
         )
     span = last_attr - first_attr
-    runs_to_line_end = last_attr == n_attrs - 1
+    # Fields a well-formed row holds from ``first_attr`` on.
+    width = n_attrs - first_attr
     delim, quote = dialect.delimiter_bytes, dialect.quote_bytes
     # Tokenized relative to ``data``; shifted to file offsets at the end.
     offsets = np.empty((len(field_starts), span + 2), dtype=np.int64)
@@ -213,50 +217,60 @@ def tokenize_span(
         row_offsets = offsets[r]
         for j in range(span + 1):
             if pos > line_end:
-                raise field_count_error(
-                    first_row + r, j, span, first_attr, runs_to_line_end
-                )
+                raise field_count_error(first_row + r, j, width, first_attr)
             row_offsets[j] = pos
             raw, pos = _scan_quoted_field(
                 data, pos, line_end, delim, quote, base
             )
             row_fields.append(raw)
         row_offsets[span + 1] = pos
-        if (pos <= line_end) == runs_to_line_end:
-            # A full-width span left fields over, or an early-stopping
-            # one found no field after ``last_attr``: count what is there.
-            found = span + 1
-            while pos <= line_end:
-                __, pos = _scan_quoted_field(
-                    data, pos, line_end, delim, quote, base
-                )
-                found += 1
-            raise field_count_error(
-                first_row + r, found, span, first_attr, runs_to_line_end
-            )
+        found = span + 1
+        if pos <= line_end:  # fields remain after ``last_attr``
+            found += _count_fields(data, pos, line_end, delim, quote, base)
+        if found != width:
+            raise field_count_error(first_row + r, found, width, first_attr)
         fields_out.append(row_fields)
     offsets += base
     return TokenizedRows(first_attr, last_attr, offsets, fields_out)
 
 
-def field_count_error(
-    row: int, found: int, span: int, first_attr: int, runs_to_line_end: bool
-) -> RawDataError:
-    """The error for a row holding ``found`` fields from ``first_attr``.
+def _count_fields(
+    data: bytes,
+    pos: int,
+    line_end: int,
+    delim: bytes,
+    quote: bytes | None,
+    base: int = 0,
+) -> int:
+    """Fields in ``data[pos:line_end]``, the rest of a row.
 
-    A span that runs to the line end needs exactly ``span + 1`` fields;
-    one that stops early needs at least one more, the field whose start
-    closes ``last_attr``.
+    Delimiters separate fields up to the next field that opens with a
+    quote; only such a field runs through the state machine.
     """
-    if runs_to_line_end:
-        return RawDataError(
-            f"row {row}: expected {span + 1} fields from attribute "
-            f"{first_attr}, found {found}",
-            row=row,
-        )
+    found = 0
+    while True:
+        if quote and data.startswith(quote, pos, line_end):
+            closing = _closing_quote(data, pos, line_end, quote, base)
+            pos = closing + len(quote) + len(delim)
+            found += 1
+            if pos > line_end:
+                return found
+            continue
+        opens = -1 if not quote else data.find(delim + quote, pos, line_end)
+        if opens == -1:
+            return found + data.count(delim, pos, line_end) + 1
+        found += data.count(delim, pos, opens) + 1
+        pos = opens + len(delim)
+
+
+def field_count_error(
+    row: int, found: int, width: int, first_attr: int
+) -> RawDataError:
+    """The error for a row holding ``found`` of its ``width`` fields
+    from ``first_attr`` on — the same text whichever span found it."""
     return RawDataError(
-        f"row {row}: expected at least {span + 2} fields from "
-        f"attribute {first_attr}, found {found}",
+        f"row {row}: expected {width} fields from attribute "
+        f"{first_attr}, found {found}",
         row=row,
     )
 
@@ -276,27 +290,32 @@ def _scan_quoted_field(
     """
     if quote and start < line_end and data.startswith(quote, start):
         q = len(quote)
-        pieces: list[bytes] = []
-        pos = start + q
-        while True:
-            closing = data.find(quote, pos, line_end)
-            if closing == -1:
-                raise RawDataError(
-                    f"unterminated quote at offset {start + base}",
-                    offset=start + base,
-                )
-            if data.startswith(quote, closing + q, line_end):
-                pieces.append(data[pos : closing + q])  # doubled quote
-                pos = closing + 2 * q
-                continue
-            pieces.append(data[pos:closing])
-            end = closing + q
-            break
-        return b"".join(pieces), end + len(delim)
+        closing = _closing_quote(data, start, line_end, quote, base)
+        raw = data[start + q : closing].replace(quote + quote, quote)
+        return raw, closing + q + len(delim)
     end = data.find(delim, start, line_end)
     if end == -1:
         end = line_end
     return data[start:end], end + len(delim)
+
+
+def _closing_quote(
+    data: bytes, start: int, line_end: int, quote: bytes, base: int = 0
+) -> int:
+    """Where the quoted field opening at ``start`` closes (doubled
+    quotes are escapes)."""
+    q = len(quote)
+    pos = start + q
+    while True:
+        closing = data.find(quote, pos, line_end)
+        if closing == -1:
+            raise RawDataError(
+                f"unterminated quote at offset {start + base}",
+                offset=start + base,
+            )
+        if not data.startswith(quote, closing + q, line_end):
+            return closing
+        pos = closing + 2 * q
 
 
 def extract_field(

@@ -21,20 +21,25 @@ makes that sharing safe under concurrency:
   queue smooths bursts (granted round-robin across sessions, so one
   greedy session cannot monopolize the slots) and overload is rejected
   fast.
-* **Streaming execution, two lanes** — a query whose plan contains a
-  raw scan runs on a producer thread feeding a bounded
-  :class:`repro.service.streaming.BatchChannel`; :meth:`Session.cursor`
-  hands the consuming end to the client as a lazy
-  :class:`repro.executor.result.Cursor`, and the classic
-  ``query()``/``execute()`` APIs are just ``fetchall()`` over the same
-  stream.  The producing scan holds its table locks until the cursor
-  is exhausted or closed (``cursor_ttl_s`` abandons stalled consumers
-  cleanly); a ``drop_table``/rewrite that races an opening cursor is
-  generation-guarded into :class:`repro.errors.CursorInvalidError`.
-  A plan that scans nothing — a level MV hit, a FROM-less SELECT — is
-  the *inline* lane: it runs on the caller's thread under the same
-  slot, shared locks and generation check, and its cursor is handed
-  out already produced and holding no lock.
+* **One plan generator, two lanes** — every plan runs as one
+  generator over its batches (:meth:`PostgresRawService._batches`):
+  it holds the table locks across its yields and, when it ends,
+  releases them, installs what the scans deferred and the MV captures,
+  and frees the admission slot.  Whoever consumes it pulls it.  The
+  classic ``query()``/``execute()`` APIs drain their statement in the
+  same call, so they pull it on the caller's thread (the *inline*
+  lane: no producer thread, no channel).  :meth:`Session.cursor` over
+  a plan that scans a raw file gets a producer thread that loops the
+  generator into a bounded
+  :class:`repro.service.streaming.BatchChannel`, and the client reads
+  the consuming end as a lazy :class:`repro.executor.result.Cursor`;
+  the plan holds its table locks until the cursor is exhausted or
+  closed (``cursor_ttl_s`` abandons stalled consumers cleanly).  A
+  cursor over a plan that scans nothing — a level MV hit, a FROM-less
+  SELECT — is inline too: it is handed out already produced and
+  holding no lock.  On every lane a ``drop_table``/rewrite that races
+  an opening statement is generation-guarded into
+  :class:`repro.errors.CursorInvalidError`.
 * **Plan cache** (:mod:`repro.service.plan_cache`) — scan-free plans
   are cached by SQL text for every session; a repeat skips lexer,
   parser and planner and costs one MV serve decision.
@@ -57,7 +62,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..catalog.catalog import Catalog, RawTableEntry
 from ..catalog.schema import PartitionSpec, TableSchema
@@ -92,6 +97,29 @@ from .scheduler import QueryScheduler
 from .streaming import BatchChannel
 
 
+def _drain(cursor: Cursor) -> QueryResult:
+    """Pull a drained statement's cursor into a :class:`QueryResult`
+    on this thread.  An error while its rows are built closes the
+    plan, so its locks and slot are released."""
+    try:
+        return cursor.fetchall()
+    except BaseException:
+        cursor.close()
+        raise
+
+
+def _produced(batches: Iterator[Batch]) -> Iterator[Batch]:
+    """Run a plan to its end now; the returned source replays its
+    batches, then the error that stopped it (the inline lane)."""
+    done: list[Batch] = []
+    try:
+        for batch in batches:
+            done.append(batch)
+    except BaseException as exc:
+        return replay(done, exc)
+    return replay(done)
+
+
 class Session:
     """A per-client handle on the shared service.
 
@@ -110,25 +138,39 @@ class Session:
 
     def query(self, sql: str) -> QueryResult:
         """Parse (or reuse a cached plan), plan and execute one SELECT
-        statement."""
-        return self.cursor(sql).fetchall()
+        statement.
+
+        The plan runs on this thread: its batches are pulled straight
+        into rows, with no producer thread and no channel, and every
+        lock is released by the time the result is returned.
+        """
+        cursor = self.service._open_text(
+            sql, self.session_id, self._account, drained=True
+        )
+        self.queries_issued += 1
+        return _drain(cursor)
 
     def execute(
         self, stmt: SelectStatement, sql: str | None = None
     ) -> QueryResult:
-        return self.execute_stream(stmt, sql=sql).fetchall()
+        cursor = self.service._open(
+            stmt, self.session_id, self._account, sql, drained=True
+        )
+        self.queries_issued += 1
+        return _drain(cursor)
 
     def cursor(self, sql: str) -> Cursor:
         """Parse (or reuse a cached plan), plan and *stream* one SELECT
         statement.
 
-        Batches flow from the producing scan through a bounded handoff
-        queue as they are computed; iterate / ``fetchmany`` / close the
-        returned :class:`Cursor`.  The table's shared lock is held until
-        the cursor is exhausted or closed (``cursor_ttl_s`` bounds how
-        long an idle consumer can pin it) — except on the inline lane:
-        a plan that scans nothing has run, and released every lock, by
-        the time the cursor is returned.
+        A plan that scans a raw file runs on a producer thread, and its
+        batches flow through a bounded handoff queue as they are
+        computed; iterate / ``fetchmany`` / close the returned
+        :class:`Cursor`.  The table's shared lock is held until the
+        cursor is exhausted or closed (``cursor_ttl_s`` bounds how long
+        an idle consumer can pin it).  A plan that scans nothing has
+        run, and released every lock, by the time the cursor is
+        returned.
         """
         cursor = self.service.query_stream(
             sql, session_id=self.session_id, on_close=self._account
@@ -169,7 +211,7 @@ class _StreamHandle:
 
     stream_id: int
     #: The producer thread and its channel (``None`` on the inline
-    #: lane: the plan ran before the cursor was handed out).
+    #: lane: the plan runs on the thread that opened the cursor).
     channel: BatchChannel | None = field(default=None)
     thread: threading.Thread | None = field(default=None)
     #: Root span of the query's trace (None when telemetry is off).
@@ -447,8 +489,8 @@ class PostgresRawService:
 
     def query(self, sql: str, session_id: object = 0) -> QueryResult:
         """Parse (or reuse a cached plan), plan and execute one SELECT
-        statement."""
-        return self.query_stream(sql, session_id=session_id).fetchall()
+        statement on the caller's thread (see :meth:`execute`)."""
+        return _drain(self._open_text(sql, session_id, drained=True))
 
     def execute(
         self,
@@ -458,13 +500,13 @@ class PostgresRawService:
     ) -> QueryResult:
         """Execute to a materialized :class:`QueryResult`.
 
-        This *is* the streaming path fully drained —
-        ``execute_stream(...).fetchall()`` — so both APIs run the same
-        code and return row-for-row identical results.
+        The statement runs the streaming path's plan generator, pulled
+        on the caller's thread batch by batch into rows: the same
+        admission, locks, generation check and installs as a cursor,
+        with no producer thread and no channel, so both APIs return
+        row-for-row identical results and learn the same state.
         """
-        return self.execute_stream(
-            stmt, session_id=session_id, sql=sql
-        ).fetchall()
+        return _drain(self._open(stmt, session_id, sql=sql, drained=True))
 
     def query_stream(
         self,
@@ -472,15 +514,9 @@ class PostgresRawService:
         session_id: object = 0,
         on_close: Callable[[Cursor], None] | None = None,
     ) -> Cursor:
-        """Stream one SELECT statement given as text — the one entry
-        point every text API goes through.  A plan-cache hit skips
-        lexer, parser and planner; a miss parses, and the plan is
-        cached when it turns out scan-free."""
-        cached = self.plan_cache.get(sql)
-        stmt = parse_select(sql) if cached is None else cached.stmt
-        return self.execute_stream(
-            stmt, session_id, on_close, sql, cached=cached, from_text=True
-        )
+        """Stream one SELECT statement given as text (see
+        :meth:`execute_stream`)."""
+        return self._open_text(sql, session_id, on_close)
 
     def execute_stream(
         self,
@@ -488,9 +524,6 @@ class PostgresRawService:
         session_id: object = 0,
         on_close: Callable[[Cursor], None] | None = None,
         sql: str | None = None,
-        *,
-        cached: CachedPlan | None = None,
-        from_text: bool = False,
     ) -> Cursor:
         """Admit, plan and run one streaming query; return its cursor.
 
@@ -499,13 +532,12 @@ class PostgresRawService:
         catalog errors raise here).  Then one question picks the lane:
         does the plan contain a raw scan?
 
-        * **Threaded** (it does): execution runs on a producer thread
-          that holds the table locks and feeds a bounded
-          :class:`BatchChannel` (``stream_queue_batches`` deep,
-          ``cursor_ttl_s`` flow-control timeout).
+        * **Threaded** (it does): a producer thread pulls the plan's
+          batches (:meth:`_batches`, which holds the table locks) into
+          a bounded :class:`BatchChannel` (``stream_queue_batches``
+          deep, ``cursor_ttl_s`` flow-control timeout).
         * **Inline** (it does not — a level MV hit or a FROM-less
-          SELECT): the plan runs here, under the same admission slot,
-          shared locks and generation check, and its batches are in the
+          SELECT): the plan runs here, and its batches are in the
           cursor before it is returned — no thread, no channel, no lock
           held by the open cursor.  Its output is bounded by a
           resident, governed MV; it is too short to cancel or time out.
@@ -515,9 +547,53 @@ class PostgresRawService:
         invalidated the plan, and :class:`CursorTimeoutError` on a
         stalled consumer — surface from the cursor after the batches
         that preceded them.
+        """
+        return self._open(stmt, session_id, on_close, sql)
+
+    def _open_text(
+        self,
+        sql: str,
+        session_id: object,
+        on_close: Callable[[Cursor], None] | None = None,
+        drained: bool = False,
+    ) -> Cursor:
+        """The one entry point every text API goes through.  A
+        plan-cache hit skips lexer, parser and planner; a miss parses,
+        and the plan is cached when it turns out scan-free."""
+        cached = self.plan_cache.get(sql)
+        stmt = parse_select(sql) if cached is None else cached.stmt
+        return self._open(
+            stmt,
+            session_id,
+            on_close,
+            sql,
+            cached=cached,
+            from_text=True,
+            drained=drained,
+        )
+
+    def _open(
+        self,
+        stmt: SelectStatement,
+        session_id: object,
+        on_close: Callable[[Cursor], None] | None = None,
+        sql: str | None = None,
+        *,
+        cached: CachedPlan | None = None,
+        from_text: bool = False,
+        drained: bool = False,
+    ) -> Cursor:
+        """Admit and plan one statement; return the cursor over its
+        plan generator (:meth:`_batches`).
+
+        ``drained`` marks a statement the service itself drains in this
+        call (:meth:`query` / :meth:`execute`): its cursor pulls the
+        generator on the caller's thread and reports the inline lane,
+        whatever the plan scans.  Otherwise the lane is chosen as
+        :meth:`execute_stream` describes.
 
         ``from_text`` marks ``sql`` as the exact text of ``stmt`` (see
-        :meth:`query_stream`): only then is a scan-free plan cached.
+        :meth:`_open_text`): only then is a scan-free plan cached.
         ``cached`` is that text's plan-cache entry, if any.
         """
         if self._closed:
@@ -568,7 +644,7 @@ class PostgresRawService:
                     captures,
                 )
             # The cursor contract is "rows from the table as admitted":
-            # the producer re-checks these generations under its locks
+            # the plan re-checks these generations under its locks
             # and fails with CursorInvalidError rather than serve rows
             # from a dropped or rewritten file.
             generations = {
@@ -579,8 +655,9 @@ class PostgresRawService:
             self.scheduler.release()
             raise
 
-        # The lane: a plan that scans no raw file runs right here.
-        inline = not scans
+        # The lane: a drained statement, and a plan that scans no raw
+        # file, run on this thread.
+        inline = drained or not scans
         if root is not None:
             root.attrs["lane"] = "inline" if inline else "threaded"
         handle = _StreamHandle(
@@ -590,11 +667,12 @@ class PostgresRawService:
             mv_signature=plan.mv_signature,
             mv_decision=plan.mv_decision,
         )
-        job = (plan, scans, tables, generations, metrics, root, captures)
+        batches = self._batches(
+            plan, scans, tables, generations, metrics, root, captures
+        )
         if inline:
             registry.counter("inline_queries_total").inc()
-            batches: list[Batch] = []
-            source = replay(batches, self._produce(batches.append, *job))
+            source = batches if drained else _produced(batches)
         else:
             handle.channel = BatchChannel(
                 self.config.stream_queue_batches, self.config.cursor_ttl_s
@@ -619,9 +697,9 @@ class PostgresRawService:
         cursor.trace_id = None if root is None else root.trace_id
         if inline:
             return cursor
-        channel = handle.channel
         thread = threading.Thread(
-            target=lambda: channel.finish(self._produce(channel.put, *job)),
+            target=self._pump,
+            args=(handle.channel, batches),
             name=f"repro-cursor-{handle.stream_id}",
             daemon=True,
         )
@@ -744,9 +822,8 @@ class PostgresRawService:
     # Execution internals.
     # ------------------------------------------------------------------
 
-    def _produce(
+    def _batches(
         self,
-        put: Callable[[Batch], bool | None],
         plan: LogicalPlan,
         scans: list[RawScan],
         tables: list[tuple[str, RawTableState, RWLock]],
@@ -754,31 +831,67 @@ class PostgresRawService:
         metrics: QueryMetrics,
         root: Span | None = None,
         captures: list | None = None,
-    ) -> BaseException | None:
-        """Run the plan into ``put``: the body of both lanes (on the
-        producer thread, or inline on the caller's).
+    ) -> Iterator[Batch]:
+        """The plan's batches: the one body of every lane, pulled by
+        whoever consumes it (the caller of a drained statement, the
+        inline lane's list, or a cursor's producer thread).
 
-        Owns the scheduler slot taken by :meth:`execute_stream` and
-        always releases it.  Returns the error that stopped production
-        (``None`` on success); the caller delivers it through the
-        cursor, after the batches that preceded it.
+        Takes the table locks on the first pull and holds them across
+        its yields.  When it ends — exhausted, failed or closed — it
+        releases them, installs what shared-lock scans deferred, then
+        the MV captures, and frees the scheduler slot taken by
+        :meth:`_open`.  Closing it mid-stream (a consumer hang-up)
+        finishes like a scan abandoned by a ``LIMIT``: every scan still
+        harvests the row prefix it completed.  An error is stamped with
+        the trace id and propagates to the consumer.
         """
         try:
             with self.telemetry.tracer.span(root, "produce"):
-                self._run_stream(
-                    put,
-                    plan,
-                    scans,
-                    tables,
-                    generations,
-                    metrics,
-                    root,
-                    captures,
+                shared, held = self._lock_tables(
+                    scans, tables, generations, root
                 )
+                deferred: list[tuple[RawScan, InstallPlan]] = []
+                if shared:
+                    for scan in scans:
+                        scan._install_sink = (
+                            lambda s, p, acc=deferred: acc.append((s, p))
+                        )
+                try:
+                    # The locks are held while the plan produces: until
+                    # the consumer has pulled the last batch or closed
+                    # (a cursor's bounded channel flow-controls its
+                    # producer, bounded by cursor_ttl_s).
+                    yield from self._operator_batches(plan, root)
+                except GeneratorExit:
+                    pass  # the consumer hung up: finish normally
+                finally:
+                    self._release_all(tables, write=not shared, held=held)
+                    if shared:
+                        # Install what the shared-lock scans learned
+                        # (e.g. columns converted on the positional-map
+                        # jump path, combination chunks) under the
+                        # exclusive lock, after the rows are out — also
+                        # when the consumer closed or timed out
+                        # mid-stream: abandoning the consumer never
+                        # wastes what the scan already discovered.
+                        self._install_deferred(deferred)
+
+                # Deferred MV installs: captured aggregates and
+                # tail-merges go resident under the table's write lock,
+                # after the rows are out (same ordering discipline as
+                # the scans' own InstallPlans above).
+                if captures:
+                    self._install_mv_captures(captures, generations)
+
+                # The table rows the scans covered: all of them, or —
+                # under an MV hit — none, or only those past the entry's
+                # watermark.
+                for scan in scans:
+                    if scan.row_to is not None:
+                        metrics.rows_scanned += max(
+                            scan.row_to - scan.row_from, 0
+                        )
         except BaseException as exc:
-            # BaseException included: swallowing even SystemExit here is
-            # better than a channel that never finishes (consumer hang)
-            # or finishes clean (silent truncation).
             if root is not None:
                 # Stamp the trace id so the wire server's ERROR frame
                 # (and any other consumer) can correlate the failure.
@@ -786,34 +899,31 @@ class PostgresRawService:
                     exc.trace_id = root.trace_id
                 except Exception:  # exotic immutable exception
                     pass
-            return exc
+            raise
         finally:
             self.scheduler.release()
-        return None
 
-    def _run_stream(
+    def _lock_tables(
         self,
-        put: Callable[[Batch], bool | None],
-        plan: LogicalPlan,
         scans: list[RawScan],
         tables: list[tuple[str, RawTableState, RWLock]],
         generations: dict[str, int],
-        metrics: QueryMetrics,
-        root: Span | None = None,
-        captures: list | None = None,
-    ) -> None:
-        # Phase 3 — classify: can every scan be served by already-built
-        # structures?  If so, run under shared locks and defer whatever
-        # the scan learns; otherwise take the exclusive path.  An
-        # MV-served plan has no scans at all, so all() over the empty
-        # list puts it on the shared-lock path automatically: a
-        # generation check under shared locks, zero raw-file work.
-        read_path = bool(tables) and all(
+        root: Span | None,
+    ) -> tuple[bool, list[float]]:
+        """Take the plan's table locks and check its generations.
+
+        Shared when every scan can be served by already-built
+        structures (what such a scan learns is deferred), exclusive
+        otherwise.  An MV-served plan has no scans at all, so all()
+        over the empty list puts it on the shared-lock path
+        automatically: a generation check under shared locks, zero
+        raw-file work.  Returns ``(shared, held)``; on an error no lock
+        is left held.
+        """
+        shared = bool(tables) and all(
             scan.state.covers(scan.needed_attrs) for scan in scans
         )
-
-        deferred: list[tuple[RawScan, InstallPlan]] = []
-        if read_path:
+        if shared:
             held = self._acquire_all(tables, write=False, root=root)
             try:
                 self._check_generations(tables, generations)
@@ -829,51 +939,72 @@ class PostgresRawService:
             # whose results are deferred like everything else; once it
             # has planned, the columns it reads are pinned, and an
             # eviction changes neither what it reads nor its answer.
-            if not all(
-                scan.state.covers(scan.needed_attrs) for scan in scans
-            ):
-                self._release_all(tables, write=False, held=held)
-                read_path = False
-        if read_path:
-            for scan in scans:
-                scan._install_sink = lambda s, p, acc=deferred: acc.append(
-                    (s, p)
+            if all(scan.state.covers(scan.needed_attrs) for scan in scans):
+                return True, held
+            self._release_all(tables, write=False, held=held)
+        held = self._acquire_all(tables, write=True, root=root)
+        try:
+            self._check_generations(tables, generations)
+        except BaseException:
+            self._release_all(tables, write=True, held=held)
+            raise
+        return False, held
+
+    def _operator_batches(
+        self, plan: LogicalPlan, root: Span | None = None
+    ) -> Iterator[Batch]:
+        """Drive the operator tree, batch by batch.
+
+        Closing it (a consumer hang-up) or an error closes the plan's
+        generators; their ``finally`` blocks run, so every scan still
+        harvests the row prefix it completed.
+        """
+        n_batches = 0
+        batches = plan.root.execute()
+        with self.telemetry.tracer.span(root, "pump") as pump_span:
+            try:
+                for batch in batches:
+                    yield batch
+                    n_batches += 1
+            finally:
+                closer = getattr(batches, "close", None)
+                if closer is not None:
+                    closer()
+                if pump_span is not None:
+                    pump_span.attrs["batches"] = n_batches
+                self.telemetry.registry.counter("stream_batches_total").inc(
+                    n_batches
                 )
-            try:
-                # The shared lock is held while the scan produces — the
-                # bounded channel flow-controls production, so this
-                # lasts until the cursor is exhausted or closed
-                # (bounded by cursor_ttl_s for stalled consumers).
-                self._pump(plan, put, root)
-            finally:
-                self._release_all(tables, write=False, held=held)
-                # Install what the shared-lock scans learned (e.g.
-                # columns converted on the positional-map jump path,
-                # combination chunks) under the exclusive lock, after
-                # the rows are out — also when the cursor was closed or
-                # timed out mid-stream: abandoning the consumer never
-                # wastes what the scan already discovered.
-                self._install_deferred(deferred)
-        else:
-            held = self._acquire_all(tables, write=True, root=root)
-            try:
-                self._check_generations(tables, generations)
-                self._pump(plan, put, root)
-            finally:
-                self._release_all(tables, write=True, held=held)
 
-        # Deferred MV installs: captured aggregates and tail-merges go
-        # resident under the table's write lock, after the rows are out
-        # (same ordering discipline as the scans' own InstallPlans
-        # above).
-        if captures:
-            self._install_mv_captures(captures, generations)
+    @staticmethod
+    def _pump(channel: BatchChannel, batches: Iterator[Batch]) -> None:
+        """A threaded cursor's producer: loop the plan's batches into
+        ``channel``, then finish it.
 
-        # The table rows the scans covered: all of them, or — under an
-        # MV hit — none, or only those past the entry's watermark.
-        for scan in scans:
-            if scan.row_to is not None:
-                metrics.rows_scanned += max(scan.row_to - scan.row_from, 0)
+        A consumer hang-up (``put`` returning ``False``) closes the
+        plan, which finishes like a scan abandoned by a ``LIMIT``; a
+        flow-control timeout is thrown into the plan, which ends it as
+        that error.  The error that stopped production reaches the
+        consumer after the batches that preceded it.  BaseException is
+        caught: swallowing even SystemExit here is better than a
+        channel that never finishes (consumer hang) or finishes clean
+        (silent truncation).
+        """
+        error = None
+        try:
+            for batch in batches:
+                try:
+                    more = channel.put(batch)
+                except BaseException as exc:
+                    batches.throw(exc)
+                    raise
+                if not more:
+                    break
+        except BaseException as exc:
+            error = exc
+        finally:
+            batches.close()
+        channel.finish(error)
 
     def _install_mv_captures(
         self, captures: list, generations: dict[str, int]
@@ -899,38 +1030,6 @@ class PostgresRawService:
                 ):
                     continue
                 install(state.generation)
-
-    def _pump(
-        self,
-        plan: LogicalPlan,
-        put: Callable[[Batch], bool | None],
-        root: Span | None = None,
-    ) -> None:
-        """Drive the operator tree into ``put`` (a channel, or the
-        inline lane's list).
-
-        A consumer hang-up (``put`` returning ``False``) or a flow-
-        control timeout stops the plan generators; their ``finally``
-        blocks run, so every scan still harvests the row prefix it
-        completed — exactly like a serial scan abandoned by a LIMIT.
-        """
-        n_batches = 0
-        batches = plan.root.execute()
-        with self.telemetry.tracer.span(root, "pump") as pump_span:
-            try:
-                for batch in batches:
-                    if put(batch) is False:
-                        break
-                    n_batches += 1
-            finally:
-                closer = getattr(batches, "close", None)
-                if closer is not None:
-                    closer()
-                if pump_span is not None:
-                    pump_span.attrs["batches"] = n_batches
-        self.telemetry.registry.counter("stream_batches_total").inc(
-            n_batches
-        )
 
     def _install_deferred(
         self, deferred: list[tuple[RawScan, InstallPlan]]

@@ -1,12 +1,14 @@
 """The bounded batch handoff between a producing scan and a cursor.
 
-A streaming query whose plan scans a raw file runs on a dedicated
-producer thread (holding the scheduler slot and the per-table locks);
-the client consumes through a :class:`repro.executor.result.Cursor`.
-:class:`BatchChannel` is the pipe between them.  (A plan that scans
-nothing — a level MV hit, a FROM-less SELECT — needs no pipe: the
-service runs it inline, before the cursor is handed out.)  The
-channel is:
+A cursor whose plan scans a raw file has a dedicated producer thread
+that pulls the plan's batch generator (holding the scheduler slot and
+the per-table locks); the client consumes through a
+:class:`repro.executor.result.Cursor`.  :class:`BatchChannel` is the
+pipe between them.  Nothing else needs a pipe: a statement the
+service drains itself (``query()`` / ``execute()``) pulls its plan on
+the caller's thread, and a cursor over a plan that scans nothing — a
+level MV hit, a FROM-less SELECT — is produced inline before it is
+handed out.  The channel is:
 
 * **Bounded** — at most ``capacity`` batches sit in the channel, so the
   producer runs only that far ahead of the consumer and an open cursor

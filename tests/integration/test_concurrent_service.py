@@ -6,6 +6,10 @@ structure discovery, installation, eviction and read-path jumps all
 race.  Every result must be row-identical to a serial engine, and the
 adaptive-state byte accounting must balance when the dust settles.
 
+A mixed-lane hammer runs ``query()`` sessions (their plans pulled on
+their own threads) next to slowly read cursors (producer threads)
+while a writer appends to the file.
+
 ``REPRO_STRESS_ROUNDS`` scales the per-thread workload (``make stress``
 raises it; the default keeps the tier-1 suite fast).
 """
@@ -14,10 +18,14 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 import pytest
 
 from repro import PostgresRaw, PostgresRawConfig, PostgresRawService
+from repro.catalog.schema import TableSchema
+from repro.errors import UpdateConflictError
+from repro.rawio.writer import append_csv_rows, write_csv
 
 N_THREADS = 8
 ROUNDS = int(os.environ.get("REPRO_STRESS_ROUNDS", "2"))
@@ -241,3 +249,134 @@ def test_read_path_runs_shared_after_warmup(small_csv):
         # Repeat queries only take the exclusive lock for the per-query
         # reconcile/clock tick, never for the scan itself.
         assert lock.write_acquisitions == writes_after_warmup + 3
+
+
+#: The mixed-lane hammer's table: row ``i`` is ``(i, i % 5, 7i % 101)``.
+GROWING = TableSchema.from_pairs(
+    [("id", "integer"), ("g", "integer"), ("v", "integer")]
+)
+#: Each statement's answer over the first ``n`` rows, sorted.
+MIXED = {
+    "SELECT id, v FROM t WHERE v < 30": lambda rows: [
+        (i, v) for i, __, v in rows if v < 30
+    ],
+    "SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g": lambda rows: [
+        (g, len(vs), sum(vs))
+        for g in sorted({r[1] for r in rows})
+        for vs in [[v for __, h, v in rows if h == g]]
+    ],
+    "SELECT COUNT(*), SUM(v) FROM t": lambda rows: [
+        (len(rows), sum(r[2] for r in rows))
+    ],
+    "SELECT id FROM t WHERE g = 2": lambda rows: [
+        (i,) for i, g, __ in rows if g == 2
+    ],
+}
+
+
+def _growing_rows(lo, hi):
+    return [(i, i % 5, (i * 7) % 101) for i in range(lo, hi)]
+
+
+def test_mixed_lanes_while_the_file_grows(tmp_path):
+    """4 sessions loop ``query()``, 2 hold cursors open and read them
+    slowly with ``fetchmany``, and a writer appends.  Every answer is
+    the oracle's over one row prefix the file had, nobody waits out
+    ``cursor_ttl_s``, and no slot, cursor or lock is left behind."""
+    first, per_append, appends = 1_500, 40, 4 * ROUNDS
+    path = tmp_path / "t.csv"
+    write_csv(path, _growing_rows(0, first), GROWING)
+    final = first + appends * per_append
+    everything = _growing_rows(0, final)
+    # Every answer a statement may give: one per prefix the file had.
+    answers = {
+        sql: [
+            sorted(oracle(everything[: first + k * per_append]))
+            for k in range(appends + 1)
+        ]
+        for sql, oracle in MIXED.items()
+    }
+    cfg = PostgresRawConfig(
+        batch_size=128,
+        stream_queue_batches=2,
+        cursor_ttl_s=20.0,
+        max_concurrent_queries=8,
+        mv_auto=True,
+        mv_min_repeats=1,
+    )
+    failures: list = []
+    done = threading.Event()
+
+    def check(sql, rows):
+        if sorted(rows) not in answers[sql]:
+            failures.append((sql, len(rows)))
+
+    def querier(session, offset):
+        try:
+            statements = list(MIXED)
+            for round_no in range(ROUNDS * 3):
+                for i in range(len(statements)):
+                    k = (offset + round_no + i) % len(statements)
+                    sql = statements[k]
+                    try:
+                        check(sql, session.query(sql).rows)
+                    except UpdateConflictError:
+                        pass  # the file grew under this very scan
+        except Exception as exc:  # reported by the main thread
+            failures.append(repr(exc))
+
+    def slow_reader(session):
+        try:
+            while not done.is_set():
+                for sql in MIXED:
+                    rows = []
+                    try:
+                        with session.cursor(sql) as cursor:
+                            while True:
+                                more = cursor.fetchmany(50)
+                                if not more:
+                                    break
+                                rows.extend(more)
+                                time.sleep(0.001)
+                    except UpdateConflictError:
+                        continue
+                    check(sql, rows)
+        except Exception as exc:
+            failures.append(repr(exc))
+
+    with PostgresRawService(cfg) as service:
+        service.register_csv("t", path, GROWING)
+        queriers = [
+            threading.Thread(target=querier, args=(service.session(), i))
+            for i in range(4)
+        ]
+        readers = [
+            threading.Thread(target=slow_reader, args=(service.session(),))
+            for __ in range(2)
+        ]
+        for thread in queriers + readers:
+            thread.start()
+        for k in range(appends):
+            lo = first + k * per_append
+            append_csv_rows(path, _growing_rows(lo, lo + per_append), GROWING)
+            time.sleep(0.02)
+        for thread in queriers:
+            thread.join(timeout=300)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=300)
+        assert not any(t.is_alive() for t in queriers + readers), "hung"
+        assert failures == []
+        session = service.session()
+        for sql in MIXED:
+            check(sql, session.query(sql).rows)
+        assert failures == []
+        # No cursor waited out its TTL, and nothing is left behind.
+        cursors = service.cursor_stats()
+        assert cursors["open"] == 0 and cursors["abandoned"] == 0
+        assert cursors["opened"] == cursors["finished"]
+        sched = service.scheduler.stats()
+        assert sched["active"] == 0 and sched["waiting"] == 0
+        assert sched["admitted"] == sched["completed"]
+        lock = service.table_lock("t")
+        assert lock._readers == 0 and not lock._writer

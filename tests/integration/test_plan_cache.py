@@ -10,7 +10,7 @@ repeat skips lexer, parser and planner.  Covered here:
 * every text entry point passes its SQL on (regression: the service's
   ``query`` dropped it from the slow-query log and root span);
 * cached answers equal freshly parsed ones — and an MV-less oracle —
-  across MV install, appends (lagging → threaded tail-merge → level),
+  across MV install, appends (lagging → tail-merge → level),
   eviction, rewrite and drop + re-register with another schema;
 * ``serve`` runs once per statement: mining, hit counters and capture
   timing do not depend on the cache;
@@ -198,9 +198,13 @@ class TestHitPath:
         with PostgresRaw(config()) as engine:
             engine.register_csv("t", csv_path, SCHEMA)
             cache = engine.service.plan_cache
+            sql = "SELECT g, v FROM t WHERE v > 10"
             for __ in range(3):
-                engine.query("SELECT g, v FROM t WHERE v > 10")
+                with engine.query_stream(sql) as cursor:
+                    cursor.fetchall()
                 assert last_root(engine)["attrs"]["lane"] == "threaded"
+                engine.query(sql)  # drained: on the caller's thread
+                assert last_root(engine)["attrs"]["lane"] == "inline"
             assert len(cache) == 0
             assert engine.query(CONSTANT).rows == [(2,)]
             assert CONSTANT in cache
@@ -354,7 +358,8 @@ def test_append_goes_threaded_then_inline_again(csv_path):
         engine.query(TILE)
         assert TILE in engine.service.plan_cache
         append_csv_rows(csv_path, ROWS[:30], SCHEMA)
-        rows = engine.query(TILE).rows  # lagging: tail-merge scans
+        # Lagging: the tail-merge scans, so its cursor gets a thread.
+        rows = engine.query_stream(TILE).fetchall().rows
         assert last_root(engine)["attrs"]["lane"] == "threaded"
         assert TILE not in engine.service.plan_cache
         assert same(TILE, rows, oracle(csv_path, SCHEMA, TILE))
@@ -367,6 +372,13 @@ def test_append_goes_threaded_then_inline_again(csv_path):
             TILE, engine.query(TILE).rows, oracle(csv_path, SCHEMA, TILE)
         )
         assert last_root(engine)["attrs"]["lane"] == "inline"
+        # A drained tail-merge scans on the caller's thread.
+        append_csv_rows(csv_path, ROWS[30:60], SCHEMA)
+        rows = engine.query(TILE).rows
+        assert last_root(engine)["attrs"]["lane"] == "inline"
+        assert TILE not in engine.service.plan_cache
+        assert same(TILE, rows, oracle(csv_path, SCHEMA, TILE))
+        assert counter("mv_tail_merges_total").value == 2
 
 
 def test_cached_sql_keeps_no_evicted_batch_alive(csv_path):

@@ -4,8 +4,11 @@ quoted dialects."""
 
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import RawDataError
 from repro.rawio.dialect import CsvDialect
 from repro.rawio.tokenizer import (
+    _count_fields,
+    _scan_quoted_field,
     build_line_index,
     extract_field,
     extract_fields_between,
@@ -152,6 +155,63 @@ def test_quoted_roundtrip(rows):
     )
     for attr in range(n_attrs):
         assert tokenized.texts_of(attr) == [row[attr] for row in rows]
+
+
+def _outcome(content, bounds, last, n_attrs, dialect):
+    try:
+        tokenized = tokenize_span(
+            content, bounds[:-1], bounds[1:] - 1, 0, last, n_attrs, dialect
+        )
+    except RawDataError as exc:
+        return str(exc)
+    return tokenized.offsets
+
+
+@given(
+    st.lists(st.text(alphabet='ab,"', max_size=10), min_size=1, max_size=6),
+    st.integers(1, 4),
+    st.sampled_from([PLAIN, QUOTED]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_early_stop_accepts_what_full_width_accepts(
+    lines, n_attrs, dialect, data
+):
+    """Any bytes, well-formed or not: a span that stops early fails with
+    the full-width span's error, or agrees with its offsets."""
+    content = "".join(line + "\n" for line in lines).encode()
+    bounds = build_line_index(content)
+    last = data.draw(st.integers(0, n_attrs - 1))
+    full = _outcome(content, bounds, n_attrs - 1, n_attrs, dialect)
+    early = _outcome(content, bounds, last, n_attrs, dialect)
+    if isinstance(full, str):
+        assert early == full
+    else:
+        assert not isinstance(early, str), early
+        assert (early == full[:, : last + 2]).all()
+
+
+def _fields_by_state_machine(line, quote):
+    pos, found = 0, 0
+    while pos <= len(line):
+        __, pos = _scan_quoted_field(line, pos, len(line), b",", quote)
+        found += 1
+    return found
+
+
+@given(st.text(alphabet='ab,"', max_size=16), st.sampled_from([None, b'"']))
+@settings(max_examples=300, deadline=None)
+def test_count_fields_equals_the_state_machine(text, quote):
+    line = text.encode()
+    try:
+        want = _fields_by_state_machine(line, quote)
+    except RawDataError as exc:
+        want = str(exc)
+    try:
+        got = _count_fields(line, 0, len(line), b",", quote)
+    except RawDataError as exc:
+        got = str(exc)
+    assert got == want
 
 
 @given(plain_tables())

@@ -414,8 +414,9 @@ DIALECT_IDS = ["kernel", "quoted"]
 
 class TestMalformedRows:
     """A row with too few or too many fields fails the same way, with
-    the same text and table row, whichever tokenizer the dialect picks
-    and whichever batch the row falls in."""
+    the same text and table row, whichever tokenizer the dialect picks,
+    whichever batch the row falls in and whichever column is read (a
+    span that stops early counts the rest of the row)."""
 
     SCHEMA = TableSchema.from_pairs(
         [("a", "integer"), ("b", "integer"), ("c", "integer")]
@@ -423,13 +424,8 @@ class TestMalformedRows:
     SHORT = "1,2,3\n4,5\n7,8,9\n"
     LONG = "1,2,3\n4,5,6,99\n7,8,9\n"
     EXPECTED = {
-        ("SHORT", "a"): [(1,), (4,), (7,)],
-        ("SHORT", "b"): "row 1: expected at least 3 fields from "
-        "attribute 0, found 2",
-        ("SHORT", "c"): "row 1: expected 3 fields from attribute 0, found 2",
-        ("LONG", "a"): [(1,), (4,), (7,)],
-        ("LONG", "b"): [(2,), (5,), (8,)],
-        ("LONG", "c"): "row 1: expected 3 fields from attribute 0, found 4",
+        "SHORT": "row 1: expected 3 fields from attribute 0, found 2",
+        "LONG": "row 1: expected 3 fields from attribute 0, found 4",
     }
 
     @pytest.mark.parametrize(
@@ -448,14 +444,9 @@ class TestMalformedRows:
         path.write_text(text.replace(",", dialect.delimiter), "utf-8")
         with PostgresRaw(PostgresRawConfig(batch_size=batch_size)) as eng:
             eng.register_csv("t", path, self.SCHEMA, dialect)
-            expected = self.EXPECTED[body, column]
-            sql = f"SELECT {column} FROM t"
-            if isinstance(expected, list):
-                assert eng.query(sql).rows == expected
-                return
             with pytest.raises(RawDataError) as info:
-                eng.query(sql)
-            assert str(info.value) == expected
+                eng.query(f"SELECT {column} FROM t")
+            assert str(info.value) == self.EXPECTED[body]
             assert info.value.row == 1
 
 

@@ -130,7 +130,8 @@ bench-report:
 # threads next to slowly read producer-thread cursors while a writer
 # appends) and of the governed tiers under concurrent eviction, grow and
 # extend, including columnstore-served streams under cross-table
-# eviction (the tier-1 suite runs the same tests at
+# eviction and columnstore loads racing evictions and tail extends
+# while a writer appends (the tier-1 suite runs the same tests at
 # REPRO_STRESS_ROUNDS=2).  `timeout` guards
 # against a deadlocked lock/scheduler hanging CI forever.
 stress:
@@ -139,10 +140,11 @@ stress:
 		"tests/integration/test_mv_adaptive.py::test_concurrent_aggregate_hammer" \
 		"tests/integration/test_append_watermarks.py::test_sessions_hammering_while_the_file_grows_never_miscount" \
 		"tests/integration/test_vertical_persistence.py::test_columnstore_streams_under_cross_table_eviction" \
+		"tests/integration/test_vertical_persistence.py::test_loads_race_evictions_and_tail_extends" \
 		-x -q
 
 # Deep differential run against stdlib sqlite3: every column of the
-# oracle (the 2-shard, JSONL and streamed-cursor ones included) at 250
+# oracle (the 2-shard, JSONL, streamed-cursor and loaded ones included) at 250
 # examples instead of the tier-1 suite's 25, under a fixed seed so a
 # disagreement reproduces; plus, as deep, the CSV scan kernel against the RFC-4180
 # state machine (serial and NULL-heavy files, one batch or batches of

@@ -161,7 +161,9 @@ class PostgresRawConfig:
     vp_enabled: bool = False
 
     #: How many scans must touch a (table, column) pair before vertical
-    #: persistence promotes its converted vector into the columnstore.
+    #: persistence promotes its converted vector into the columnstore,
+    #: or loads it there once the raw bytes its selective map jumps
+    #: have read reach those of one whole conversion (rent-or-buy).
     vp_min_accesses: int = 3
 
     #: Directory the vertical-persistence columnstore files live in.

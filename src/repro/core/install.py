@@ -146,6 +146,9 @@ class InstallPlan:
     #: Attributes whose promoted column this plan may bring up to
     #: ``n_rows`` (see :func:`_promotions`).
     promotions: list[int] = field(default_factory=list)
+    #: The scan's ``load_attrs``: their ``columns`` go to the
+    #: columnstore only, never the cache.
+    loads: tuple[int, ...] = ()
 
     def empty(self) -> bool:
         return not (
@@ -176,6 +179,7 @@ def harvest(scan: "RawScan", n_rows: int) -> InstallPlan:
                 if (matrix := c.materialize(np.vstack)) is not None
             ],
             combination=None if plan is None else plan.combination,
+            loads=() if plan is None else plan.load_attrs,
             columns=[
                 (attr, c.start_row, vector, c.benefit_seconds)
                 for attr, c in collectors.columns.items()
@@ -228,6 +232,8 @@ def install(scan: "RawScan", plan: InstallPlan) -> None:
         if config.enable_cache:
             needed = set(scan.needed_attrs)
             for attr, start_row, vector, benefit in plan.columns:
+                if attr in plan.loads:
+                    continue  # one binary copy: the columnstore's
                 if start_row == 0:
                     cache.put(
                         attr,
@@ -280,24 +286,37 @@ def _maybe_promote(scan: "RawScan", plan: InstallPlan) -> None:
     it lacks are still at hand, converted by this very scan or resident
     in the cache.  A promoted prefix that an append left short is
     extended by the tail alone; the whole column is written for one
-    never promoted, or whose files cannot take the tail in place.
-    Charged to the ``nodb`` bucket like all adaptive-structure
-    maintenance.
+    never promoted, or whose files cannot take the tail in place.  The
+    rent toward a load starts over once the column is promoted, and
+    after a load (``plan.loads``) whether admitted or not.  Charged to
+    the ``nodb`` bucket like all adaptive-structure maintenance.
     """
-    store = scan.state.columnstore
     for attr in plan.promotions:
-        covered = store.coverage_rows(attr)
-        if covered >= plan.n_rows:
-            continue
         with scan.metrics.time(_NODB):
-            if covered:
-                tail = _rows_at_hand(scan, plan, attr, covered)
-                if tail is None or store.extend(attr, tail[0]):
-                    continue
-            full = _rows_at_hand(scan, plan, attr, 0)
-            if full is not None:
-                column = scan.schema.columns[attr]
-                store.promote(attr, column.name, column.dtype, *full)
+            promoted = _promote(scan, plan, attr)
+        if promoted or attr in plan.loads:
+            scan.state.reset_rent(attr)
+
+
+def _promote(scan: "RawScan", plan: InstallPlan, attr: int) -> bool:
+    """Bring ``attr``'s promoted column up to ``plan.n_rows``; whether
+    it now holds them."""
+    store = scan.state.columnstore
+    load = attr in plan.loads
+    covered = store.coverage_rows(attr)
+    if covered >= plan.n_rows:
+        return True
+    if covered:
+        tail = _rows_at_hand(scan, plan, attr, covered)
+        if tail is None:
+            return False
+        if store.extend(attr, tail[0], load=load):
+            return True
+    full = _rows_at_hand(scan, plan, attr, 0)
+    if full is None:
+        return False
+    column = scan.schema.columns[attr]
+    return store.promote(attr, column.name, column.dtype, *full, load=load)
 
 
 def _rows_at_hand(

@@ -31,12 +31,13 @@ rows (:meth:`ScanPlan.strides`; the first is the first batch), and the
 remaining projected columns are *converted only for qualifying rows* —
 "tuples are only created after the select operator".  Each stride
 acquires them once, for its survivors, which leave in batches of up to
-``batch_size`` rows.  Learning stays per ``batch_size`` window: a
-window whose every row qualifies is collected (cache) and observed
-(statistics) whole, on its own, as if converted alone.  Tokenization of
-a batch stays full-width for the attributes the query touches (that is
-what populates the map), even when no row of it qualifies.  Rows always
-leave in file order.
+``batch_size`` rows — all its rows for the columns the plan loads into
+the columnstore (``load_attrs``, rent-or-buy).  Learning stays per
+``batch_size`` window: a window whose every row qualifies is collected
+(cache) and observed (statistics) whole, on its own, as if converted
+alone.  Tokenization of a batch stays full-width for the attributes the
+query touches (that is what populates the map), even when no row of it
+qualifies.  Rows always leave in file order.
 
 **Raw access is by byte range.**  Every offset the scan holds is a byte
 offset into the raw file, and it reads only the ranges its plan needs:
@@ -262,9 +263,10 @@ class RawScan(Operator):
         """Emit the rows of ``[s0, s1)`` the predicate keeps, in file
         order, in batches of up to ``batch_size`` rows: one predicate
         evaluation, then one acquisition of the projection-only columns
-        for the stride's survivors (all of its rows, then taken, when
-        selective tuple formation is off).  What the acquisition
-        converts is still learned per window (:meth:`_learn`)."""
+        for the stride's survivors (all of its rows, then taken, for
+        the columns it loads and when selective tuple formation is
+        off).  What the acquisition converts is still learned per
+        window (:meth:`_learn`)."""
         plan = self.plan
         batch_size = plan.batch_size
         self._batch_spans.clear()
@@ -290,10 +292,20 @@ class RawScan(Operator):
         sel = None
         if selected is not None and self.config.selective_tuple_formation:
             sel = selected + s0
+        proj_attrs = plan.proj_attrs
+        if plan.load_attrs:
+            # Loaded whole (first, so the survivors' read below reuses
+            # the window), then taken like any other column.
+            part = self._acquire(plan.load_attrs, s0, s1)
+            vectors.update(
+                (a, v if selected is None else v.take(selected))
+                for a, v in part.items()
+            )
+            proj_attrs = tuple(a for a in proj_attrs if a not in part)
         # With no survivors a stride that tokenizes still does so once,
         # so the map keeps learning; a resident one has nothing to learn.
-        if plan.proj_attrs and (n_out or sel is None or not plan.resident):
-            part = self._acquire(plan.proj_attrs, s0, s1, sel=sel)
+        if proj_attrs and (n_out or sel is None or not plan.resident):
+            part = self._acquire(proj_attrs, s0, s1, sel=sel)
             if sel is None and selected is not None:
                 part = {a: v.take(selected) for a, v in part.items()}
             vectors.update(part)
@@ -588,7 +600,7 @@ class RawScan(Operator):
                 if l1 - l0 < len(vector):
                     piece = vector.slice(k, k + l1 - l0)
                     seconds *= (l1 - l0) / len(vector)
-                if self.config.enable_cache:
+                if self.config.enable_cache or attr in self.plan.load_attrs:
                     # A cached window holds only its own rows and strings.
                     own = piece if piece is vector else piece.compacted()
                     self.collectors.add_column(attr, l0, own, seconds)
@@ -685,6 +697,11 @@ class RawScan(Operator):
         """
         col = chunk.column_of(attr)
         window = self._rows_window(lo, hi, sel)
+        if sel is not None and self.state.columnstore is not None:
+            # Rent-or-buy (repro.core.scan_plan): what this jump reads.
+            bounds = self._bounds
+            rent = int(bounds[sel[-1] + 1] - bounds[sel[0]])
+            self.state.pay_rent(attr, rent)
         rows = slice(lo, hi) if sel is None else sel
         rows_of = lo if sel is None else sel
         kernel = None

@@ -17,12 +17,30 @@ all its predicate attributes in a binary tier (cache or columnstore)
 and has nothing to tokenize.  Their selection strides double, up to
 :data:`MAX_STRIDE_BATCHES` batches; any other scan steps one batch at a
 time.  Either way a stride acquires its projection-only attributes
-(``proj_attrs``) once, for its survivors only: a binary tier's rows are
-taken, and a positional-map jump is one read from the first survivor
-to the last — split at window edges where it would exceed
-:data:`MAX_READ_BYTES` — one offsets gather and one conversion.  What a
-stride learns is still learned per ``batch_size`` window: a window
-whose every row survives is collected and observed whole, on its own.
+(``proj_attrs``) once, for its survivors only — except ``load_attrs``,
+below: a binary tier's rows are taken, and a positional-map jump is one
+read from the first survivor to the last — split at window edges where
+it would exceed :data:`MAX_READ_BYTES` — one offsets gather and one
+conversion.  What a stride learns is still learned per ``batch_size``
+window: a window whose every row survives is collected and observed
+whole, on its own.
+
+**Rent-or-buy loading.**  A projection-only column read through the
+map for a few survivors per stride seldom converts a whole window, so
+it seldom reaches the cache or the columnstore, and every scan pays
+its jump again.  Each such jump pays *rent*: the raw bytes it reads
+(:meth:`repro.core.table_state.RawTableState.pay_rent`).  With the
+columnstore on, ``load_attrs`` holds the projection-only attributes
+hot by ``vp_min_accesses`` that the plan reads through the map only —
+jumped segments, after the rows their promoted column already holds —
+and whose rent has reached the *price*: the raw bytes of those
+segments' rows, what one whole conversion reads.  Each stride acquires
+them for all its rows, then takes its survivors; the whole windows are
+harvested and written into the columnstore (not the cache).  The rent
+starts over whether the governor admits them or refuses, and whenever
+a column is promoted.  It is the ski-rental rule: no knob, and never
+more than twice the cost of the best choice made knowing the future.
+A loading scan skips no window, since every row is read to be loaded.
 
 **Window skipping.**  Cache entries and promoted columns of INTEGER,
 FLOAT and DATE columns carry a synopsis — per ``batch_size`` window
@@ -91,6 +109,9 @@ class ScanPlan:
     #: Projection-only attributes (needed, not read by the predicate),
     #: acquired once per stride for its survivors.
     proj_attrs: tuple[int, ...]
+    #: The ``proj_attrs`` this scan loads into the columnstore,
+    #: acquired for every row of each stride instead.
+    load_attrs: tuple[int, ...]
     #: Strides double (see :meth:`strides`).
     resident: bool
     #: The kept row ranges ``[r0, r1)``.
@@ -156,15 +177,21 @@ def plan_scan(scan: "RawScan", bounds: np.ndarray) -> ScanPlan:
         and all(a in s.resident for s in segments for a in pred_attrs)
         and not any(seg.tokenize_attrs for seg in segments)
     )
+    proj_attrs = tuple(a for a in needed if a not in pred_attrs)
+    load_attrs = _load_attrs(scan, segments, bounds, proj_attrs)
+    runs = [(row_from, n_rows)]
+    if not load_attrs:
+        runs = _kept_runs(scan, segments, row_from, n_rows)
     return ScanPlan(
         row_from=row_from,
         row_to=n_rows,
         batch_size=config.batch_size,
         segments=tuple(segments),
         pred_attrs=tuple(pred_attrs),
-        proj_attrs=tuple(a for a in needed if a not in pred_attrs),
+        proj_attrs=proj_attrs,
+        load_attrs=load_attrs,
         resident=resident,
-        runs=tuple(_kept_runs(scan, segments, row_from, n_rows)),
+        runs=tuple(runs),
         combination=combination,
     )
 
@@ -208,6 +235,36 @@ def _pin_segments(scan: "RawScan", row_from: int, n_rows: int) -> list:
             metrics.pm_chunk_misses += len(seg.tokenize_attrs)
         segments.append(seg)
     return segments
+
+
+def _load_attrs(
+    scan: "RawScan",
+    segments: list[Segment],
+    bounds: np.ndarray,
+    proj_attrs: tuple[int, ...],
+) -> tuple[int, ...]:
+    """The ``proj_attrs`` whose rent has bought their load (see the
+    module docstring)."""
+    state = scan.state
+    store = state.columnstore
+    if store is None or scan.predicate is None:
+        return ()
+    usage = state.attribute_usage
+    loads = []
+    for attr in proj_attrs:
+        if usage.get(attr, 0) < scan.config.vp_min_accesses:
+            continue
+        # The jumped rows must continue the promoted prefix to the end.
+        start, price = store.coverage_rows(attr), 0
+        for seg in segments:
+            if attr in seg.chunk_hits and (price or seg.start == start):
+                price += int(bounds[seg.end] - bounds[seg.start])
+            elif price or seg.end > start:
+                break
+        else:
+            if 0 < price <= state.load_rent.get(attr, 0):
+                loads.append(attr)
+    return tuple(loads)
 
 
 def _kept_runs(

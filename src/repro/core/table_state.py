@@ -69,6 +69,11 @@ class RawTableState:
         self.pending_append = False
         self.queries_executed = 0
         self.attribute_usage: dict[int, int] = {}
+        #: Rent-or-buy loading (:mod:`repro.core.scan_plan`): per
+        #: attribute, the raw bytes its selective positional-map jumps
+        #: have read since it was last promoted or loaded, or its load
+        #: refused.
+        self.load_rent: dict[int, int] = {}
         #: Bumped on invalidation so deferred installs (read-path queries
         #: installing under the write lock *after* their scan) can detect
         #: that their harvested offsets describe a file that no longer
@@ -85,6 +90,23 @@ class RawTableState:
                 self.attribute_usage[attr] = (
                     self.attribute_usage.get(attr, 0) + 1
                 )
+
+    def pay_rent(self, attr: int, nbytes: int) -> None:
+        with self._usage_lock:
+            self.load_rent[attr] = self.load_rent.get(attr, 0) + nbytes
+
+    def reset_rent(self, attr: int) -> None:
+        with self._usage_lock:
+            self.load_rent.pop(attr, None)
+
+    def rents(self) -> dict[str, int]:
+        """Each attribute's rent so far, by column name."""
+        columns = self.entry.schema.columns
+        with self._usage_lock:
+            return {
+                columns[attr].name: nbytes
+                for attr, nbytes in sorted(self.load_rent.items())
+            }
 
     def table_rows(self) -> int | None:
         """Rows as last reconciled; ``None`` while unknown (no line
@@ -118,4 +140,6 @@ class RawTableState:
         if self.columnstore is not None:
             self.columnstore.invalidate()
         self.statistics.invalidate()
+        with self._usage_lock:
+            self.load_rent.clear()
         self.pending_append = False

@@ -36,6 +36,7 @@ def governor_report(service: PostgresRawService) -> dict[str, object]:
         "residency": collectors["residency"],
         "kernels": collectors.get("kernels"),
         "mv": collectors.get("mv"),
+        "vertical": collectors.get("vertical"),
     }
 
 
@@ -82,6 +83,22 @@ def render_governor_panel(service: PostgresRawService, width: int = 40) -> str:
                 f"  hits {entry['hits']}+{entry['partial_hits']}p"
                 f"  benefit {entry['benefit_seconds'] * 1000:.1f} ms"
             )
+    for store in report.get("vertical") or ():
+        loaded = set(store["loaded"])
+        columns = [
+            f"{name}{' (loaded)' if name in loaded else ''}"
+            for name in store["columns"]
+        ]
+        lines.append(
+            f"columnstore {store['table']}: "
+            f"{', '.join(columns) or '(empty)'}"
+        )
+        if store["rent"]:
+            rent = ", ".join(
+                f"{name} {nbytes / 1024:.0f} KiB"
+                for name, nbytes in store["rent"].items()
+            )
+            lines.append(f"  rent toward a load: {rent}")
     lines.append("")
     lines.append("per-table residency:")
     total = sum(r["nbytes"] for r in residency) or 1

@@ -1268,10 +1268,14 @@ class PostgresRawService:
         return self.mv.stats() if self.mv is not None else None
 
     def _collect_columnstores(self) -> list[dict[str, object]] | None:
-        """Registry collector: promoted columns and their watermarks,
-        one row per table (None when ``vp_enabled`` is off)."""
+        """Registry collector: promoted columns, their watermarks and
+        each column's rent toward a load (rent-or-buy), one row per
+        table (None when ``vp_enabled`` is off)."""
         stats = [
-            state.columnstore.stats(state.table_rows())
+            {
+                **state.columnstore.stats(state.table_rows()),
+                "rent": state.rents(),
+            }
             for __, state in sorted(self._states.items())
             if state.columnstore is not None
         ]

@@ -8,6 +8,19 @@ governed cache tier.  Later scans serve those columns straight from
 binary storage — no raw-file I/O, no tokenizing, no parsing — while the
 table stays registered in situ.
 
+Two ways nominate a column, both only once it has been read
+``vp_min_accesses`` times (:mod:`repro.core.install`):
+
+* *promotion* — a scan converted every row the column lacks (or the
+  cache holds them): those vectors are written as they are;
+* *loading* — a projection-only column that scans keep reading for a
+  few survivors through the positional map has paid, in raw bytes
+  read, the price of one whole conversion (rent-or-buy,
+  :mod:`repro.core.scan_plan`): the next such scan converts it whole
+  and it is written here, and not into the cache.  ``vp_loads_total``
+  counts loads; :meth:`VerticalStore.stats` names the columns that
+  came in by one.
+
 One :class:`VerticalStore` exists per raw table (when ``vp_enabled``):
 the ``columnstore`` tier of its :class:`repro.core.table_state.RawTableState`,
 between the cache and the positional map on the scan's ladder.  It is a
@@ -70,6 +83,8 @@ class PromotedColumn:
     benefit_seconds: float
     last_used_ts: float = field(default_factory=now)
     hits: int = 0
+    #: Came in by a load (rent-or-buy), not by a promotion.
+    loaded: bool = False
 
     @property
     def synopsis(self) -> Synopsis | None:
@@ -125,8 +140,11 @@ class VerticalStore(GovernedLedger):
         dtype: DataType,
         vector: ColumnVector,
         benefit_seconds: float,
+        load: bool = False,
     ) -> bool:
-        """Write one converted column into the columnstore tier.
+        """Write one converted column into the columnstore tier
+        (``load``: converted whole to be loaded, see the module
+        docstring).
 
         Bytes are measured from the files actually written, plus the
         zone map, then admitted through the governor (which may evict
@@ -150,6 +168,7 @@ class VerticalStore(GovernedLedger):
             rows=len(vector),
             nbytes=staged.storage_bytes() + staged.zone_bytes(),
             benefit_seconds=benefit_seconds,
+            loaded=load,
         )
         with self.governor.lock:
             if not self.admit(attr, column):
@@ -157,13 +176,15 @@ class VerticalStore(GovernedLedger):
                 return False
             shutil.rmtree(directory, ignore_errors=True)
             staging.rename(directory)
-        if self.registry is not None:
-            self.registry.counter("vp_promotions_total").inc()
+        self._count("vp_promotions_total", load)
         return True
 
-    def extend(self, attr: int, tail: ColumnVector) -> bool:
+    def extend(
+        self, attr: int, tail: ColumnVector, load: bool = False
+    ) -> bool:
         """Append ``tail`` — the table rows right after the promoted
-        prefix of ``attr`` — onto the column's files.
+        prefix of ``attr`` — onto the column's files (``load``: a tail
+        converted whole to be loaded).
 
         Costs O(tail) bytes of I/O (a TEXT tail adds its codes and the
         strings the column's dictionary lacks); the added bytes are
@@ -186,9 +207,14 @@ class VerticalStore(GovernedLedger):
                 return False
             column.rows += len(tail)
             column.nbytes += added
-        if self.registry is not None:
-            self.registry.counter("vp_extends_total").inc()
+        self._count("vp_extends_total", load)
         return True
+
+    def _count(self, name: str, load: bool) -> None:
+        if self.registry is not None:
+            self.registry.counter(name).inc()
+            if load:
+                self.registry.counter("vp_loads_total").inc()
 
     def read(
         self,
@@ -233,6 +259,7 @@ class VerticalStore(GovernedLedger):
             return {
                 "table": self.table,
                 "columns": sorted(c.name for c in columns),
+                "loaded": sorted(c.name for c in columns if c.loaded),
                 "nbytes": self.used_bytes,
                 "hits": sum(c.hits for c in columns),
                 "rows": {c.name: c.rows for c in columns},

@@ -11,6 +11,7 @@ with the default ``vp_enabled=False`` nothing changes.
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,10 +21,14 @@ from repro import (
     DataType,
     PostgresRaw,
     PostgresRawConfig,
+    PostgresRawService,
     TableSchema,
     append_csv_rows,
+    append_jsonl_rows,
     write_csv,
+    write_jsonl,
 )
+from repro.errors import UpdateConflictError
 from repro.monitor.governor import render_governor_panel
 
 SCHEMA = TableSchema(
@@ -438,3 +443,331 @@ def test_vp_respects_governor_budget(tmp_path):
         )
     finally:
         eng.close()
+
+
+# ----------------------------------------------------------------------
+# Rent-or-buy loading: a projection-only column that scans keep reading
+# for a few survivors through the positional map is loaded into the
+# columnstore once its rent (raw bytes its jumps read) reaches its price
+# (the raw bytes of its rows).
+# ----------------------------------------------------------------------
+
+#: ``a`` read whole (cached), ``c`` mapped but converted for survivors.
+MAP_C = "SELECT c FROM t WHERE a % 2 = 0"
+JUMPED = "SELECT a, c FROM t WHERE a % 7 = 0"
+
+
+def _jumped(rows):
+    return [(a, c) for a, __, c in rows if a % 7 == 0]
+
+
+def _price(state):
+    bounds = state.positional_map.line_bounds
+    return int(bounds[-1] - bounds[0])
+
+
+def _load_c(eng, rows=ROWS):
+    """Repeat ``JUMPED`` until ``c`` is loaded: the rent each run
+    started with, the last run's the one that loaded."""
+    state = eng.table_state("t")
+    paid = []
+    while state.columnstore.coverage_rows(2) < len(rows):
+        assert len(paid) < 4, paid
+        paid.append(state.load_rent.get(2, 0))
+        assert list(eng.query(JUMPED)) == _jumped(rows)
+    return paid
+
+
+def test_a_jumped_column_is_loaded_once_its_rent_reaches_the_price(tmp_path):
+    eng = _make_engine(tmp_path, _vp_config(tmp_path))
+    try:
+        eng.query(MAP_C)
+        state = eng.table_state("t")
+        price = _price(state)
+        paid = _load_c(eng)
+        # Not before: every earlier run started short of the price.
+        assert paid[-1] >= price and all(p < price for p in paid[:-1])
+        assert _counter(eng, "vp_loads_total") == 1
+        # One binary copy: the columnstore's, not the cache's.
+        assert state.cache.peek(2) is None
+        (stats,) = eng.service._collect_columnstores()
+        assert stats["loaded"] == ["c"] and stats["rows"]["c"] == len(ROWS)
+        assert stats["rent"] == {}
+        assert "c (loaded)" in render_governor_panel(eng.service)
+        # Served from the columnstore since: no jump, so no rent.
+        result = eng.query(JUMPED)
+        assert list(result) == _jumped(ROWS)
+        assert result.metrics.fields_parsed_via_map == 0
+        assert state.rents() == {}
+        assert "-- vp: served from columnstore" in eng.explain(JUMPED)
+        assert _counter(eng, "vp_loads_total") == 1
+    finally:
+        eng.close()
+
+
+def test_single_row_jumps_never_load(tmp_path):
+    eng = _make_engine(tmp_path, _vp_config(tmp_path))
+    try:
+        eng.query(MAP_C)
+        state = eng.table_state("t")
+        keys = range(0, len(ROWS), 4)
+        for k in keys:
+            sql = f"SELECT a, c FROM t WHERE a = {k}"
+            assert list(eng.query(sql)) == [(k, f"r{k}")]
+        # Each lookup paid one row; a quarter of the table is no price.
+        bounds = state.positional_map.line_bounds
+        assert state.rents() == {
+            "c": sum(int(bounds[k + 1] - bounds[k]) for k in keys)
+        }
+        assert state.load_rent[2] < _price(state)
+        assert state.columnstore.coverage_rows(2) == 0
+        assert state.cache.peek(2) is None
+        assert _counter(eng, "vp_loads_total") == 0
+        (stats,) = eng.service._collect_columnstores()
+        assert stats["loaded"] == [] and "c" in stats["rent"]
+        assert "rent toward a load: c" in render_governor_panel(eng.service)
+    finally:
+        eng.close()
+
+
+def test_vp_off_pays_no_rent_and_loads_nothing(tmp_path):
+    eng = _make_engine(tmp_path, PostgresRawConfig(memory_budget=50_000_000))
+    try:
+        eng.query(MAP_C)
+        for _ in range(6):
+            result = eng.query(JUMPED)
+            assert list(result) == _jumped(ROWS)
+            assert result.metrics.fields_parsed_via_map > 0  # still jumped
+        state = eng.table_state("t")
+        assert state.load_rent == {} and state.cache.peek(2) is None
+        for name in ("vp_loads_total", "vp_promotions_total"):
+            assert _counter(eng, name) == 0
+        assert eng.service._collect_columnstores() is None
+    finally:
+        eng.close()
+
+
+def test_a_rewrite_resets_the_rent(tmp_path):
+    eng = _make_engine(tmp_path, _vp_config(tmp_path))
+    try:
+        eng.query(MAP_C)
+        eng.query(JUMPED)
+        state = eng.table_state("t")
+        assert state.load_rent[2] > 0
+        write_csv(tmp_path / "t.csv", ROWS[:50], SCHEMA)
+        eng.refresh()
+        assert state.rents() == {}
+        # The new file's column earns its own rent from nothing.
+        eng.query(MAP_C)
+        assert _load_c(eng, ROWS[:50])[0] == 0
+        assert _counter(eng, "vp_loads_total") == 1
+    finally:
+        eng.close()
+
+
+def test_a_promotion_resets_the_rent(tmp_path):
+    eng = _make_engine(tmp_path, _vp_config(tmp_path))
+    try:
+        eng.query(MAP_C)
+        eng.query(JUMPED)
+        state = eng.table_state("t")
+        assert state.load_rent[2] > 0
+        # Read whole: cached and promoted the ordinary way, no load.
+        eng.query("SELECT c FROM t")
+        assert state.columnstore.coverage_rows(2) == len(ROWS)
+        assert state.rents() == {}
+        assert _counter(eng, "vp_loads_total") == 0
+    finally:
+        eng.close()
+
+
+WIDE_ROWS = [(i, i * 2, f"{i:04d}" + "w" * 120) for i in range(200)]
+
+
+def test_a_refused_load_resets_the_rent_and_caches_nothing(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, WIDE_ROWS, SCHEMA)
+    # Room for the map and the cached ``a``, not for ``c``'s column.
+    config = PostgresRawConfig(
+        memory_budget=16_000,
+        vp_enabled=True,
+        vp_min_accesses=2,
+        vp_dir=str(tmp_path / "vp"),
+    )
+    with PostgresRaw(config) as eng:
+        eng.register_csv("t", path, SCHEMA)
+        eng.query(MAP_C)
+        state = eng.table_state("t")
+        price = _price(state)
+        expected = _jumped(WIDE_ROWS)
+        rents = []
+        for _ in range(6):
+            rents.append(state.load_rent.get(2, 0))
+            assert list(eng.query(JUMPED)) == expected
+        # The rent climbs to the price, the load is refused, and the
+        # rent starts over: one whole conversion per price of rent,
+        # not one per query.
+        assert rents[0] == 0 and rents[1] < price <= rents[2]
+        assert rents[3:] == rents[:3]
+        governor = eng.service.governor
+        assert governor.rejected_grants == 2
+        assert _counter(eng, "vp_loads_total") == 0
+        assert state.columnstore.coverage_rows(2) == 0
+        assert state.cache.peek(2) is None
+        assert governor.used_bytes <= governor.budget_bytes
+        assert governor.used_bytes == sum(
+            r["nbytes"] for r in governor.residency()
+        )
+
+
+def test_an_appended_tail_loads_and_extends_the_column_in_place(tmp_path):
+    eng = _make_engine(tmp_path, _vp_config(tmp_path))
+    try:
+        eng.query(MAP_C)
+        _load_c(eng)
+        codes = _column_file(tmp_path, "c")
+        assert len(np.load(codes)) == len(ROWS)
+        promotions = _counter(eng, "vp_promotions_total")
+        extends = _counter(eng, "vp_extends_total")
+        tail = [(1001, 0, "x1"), (1002, 0, "x2"), (1008, 0, "x3")]
+        append_csv_rows(tmp_path / "t.csv", tail, SCHEMA)
+        rows = ROWS + tail
+        # The tail is tokenized once, then jumped: its own rent buys it.
+        paid = _load_c(eng, rows)
+        state = eng.table_state("t")
+        bounds = state.positional_map.line_bounds
+        tail_price = int(bounds[-1] - bounds[len(ROWS)])
+        assert paid[0] == 0 and paid[-1] >= tail_price > paid[-2]
+        assert _counter(eng, "vp_loads_total") == 2
+        assert _counter(eng, "vp_promotions_total") == promotions
+        assert _counter(eng, "vp_extends_total") > extends
+        assert _counter(eng, "vp_invalidations_total") == 0
+        assert len(np.load(codes)) == len(rows)  # extended in place
+        (stats,) = eng.service._collect_columnstores()
+        assert stats["loaded"] == ["c"] and stats["lag_rows"]["c"] == 0
+        assert state.cache.peek(2) is None
+        assert list(eng.query(JUMPED)) == _jumped(rows)
+        assert state.rents() == {}
+    finally:
+        eng.close()
+
+
+def test_loads_race_evictions_and_tail_extends(tmp_path):
+    """Four sessions run selective projections — two drained, two
+    through cursors read in small fetches — while a writer appends to a
+    JSON-lines file (whose map chunks take every tail), under a budget
+    the growing table overflows: tail loads race evictions and tail
+    extends.  Every answer is the oracle's over a row prefix the file
+    has had, and no lock, slot, cursor or governed byte is left
+    behind."""
+    base, per_append = 3_000, 50
+    appends = 6 * ROUNDS
+
+    def row(i):
+        return (i, i % 10, f"r{i:05d}")
+
+    path = tmp_path / "t.jsonl"
+    write_jsonl(path, [row(i) for i in range(base)], SCHEMA)
+    last = base + appends * per_append
+    config = PostgresRawConfig(
+        memory_budget=250_000,
+        vp_enabled=True,
+        vp_min_accesses=1,
+        vp_dir=str(tmp_path / "vp"),
+        batch_size=256,
+        max_concurrent_queries=8,
+    )
+    #: ``WHERE b = k`` over every row the file will have.
+    answers = [
+        [(i, c) for i, b, c in map(row, range(last)) if b == k]
+        for k in range(10)
+    ]
+    errors: list = []
+    done = threading.Event()
+
+    def sql(k):
+        return f"SELECT a, c FROM t WHERE b = {k}"
+
+    def check(k, got):
+        # The answer over a row prefix the file has had: the first
+        # ``base`` rows at least.
+        if got != answers[k][: len(got)] or len(got) < base // 10:
+            errors.append((k, len(got)))
+
+    def load_a_column(session):
+        """Run the projections alone until one loads a column."""
+        for k in range(8):
+            check(k, session.query(sql(k)).rows)
+            if counter("vp_loads_total").value:
+                return
+        raise AssertionError("no column loaded")
+
+    def client(session, i):
+        r = 0
+        try:
+            while not done.is_set() or r < 4:
+                k = (i + r) % 10
+                r += 1
+                try:
+                    if i % 2:
+                        with session.cursor(sql(k)) as cursor:
+                            got = []
+                            while more := cursor.fetchmany(97):
+                                got.extend(more)
+                    else:
+                        got = session.query(sql(k)).rows
+                except UpdateConflictError:
+                    continue  # the file grew under this very scan
+                check(k, got)
+        except Exception as exc:  # surfaced by the main thread
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the threads finely
+    try:
+        with PostgresRawService(config) as service:
+            counter = service.telemetry.registry.counter
+            service.register_jsonl("t", path, SCHEMA)
+            session = service.session()
+            session.query("SELECT c FROM t WHERE a % 2 = 0")
+            load_a_column(session)
+            loads = counter("vp_loads_total").value
+            threads = [
+                threading.Thread(target=client, args=(service.session(), i))
+                for i in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for step in range(appends):
+                lo = base + step * per_append
+                append_jsonl_rows(
+                    path, [row(i) for i in range(lo, lo + per_append)], SCHEMA
+                )
+                time.sleep(0.05)  # time to map the tail and pay its rent
+            done.set()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads), "stress test hung"
+            assert errors == []
+            # Tails loaded while the writer appended.
+            assert counter("vp_loads_total").value > loads
+            for k in range(10):
+                assert session.query(sql(k)).rows == answers[k]
+            governor = service.governor
+            assert governor.evictions > 0
+            assert governor.used_bytes <= governor.budget_bytes
+            assert governor.used_bytes == sum(
+                r["nbytes"] for r in governor.residency()
+            )
+            state = service.table_state("t")
+            tiers = (state.positional_map, state.cache, state.columnstore)
+            assert governor.used_bytes == sum(t.used_bytes for t in tiers)
+            cursors = service.cursor_stats()
+            assert cursors["open"] == 0
+            sched = service.scheduler.stats()
+            assert sched["active"] == 0
+            assert sched["admitted"] == sched["completed"]
+            lock = service.table_lock("t")
+            assert lock._readers == 0 and not lock._writer
+    finally:
+        sys.setswitchinterval(interval)

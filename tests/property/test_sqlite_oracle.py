@@ -14,7 +14,10 @@ more column orders the table by ``i`` (NULLs last) and leads each
 predicate with a conjunct on ``i`` or ``f`` that synopses can test, so
 warm scans skip windows — and must still agree.
 Another splits the table into two shards hashed on ``i`` and answers
-through the scatter planner and gather merge, in process.  Every column
+through the scatter planner and gather merge, in process.  The loaded
+column repeats selective projections with the columnstore on until the
+column they read through the positional map is loaded, across appends
+and a rewrite of the file.  Every column
 reads with ``query()``, which pulls the plan on the caller's thread,
 except the streamed one: it reads through cursors with ``fetchmany``,
 on the producer thread, and closes some of them after the first batch.
@@ -337,6 +340,23 @@ JUMPED_WARMUP = ("SELECT i, j, f FROM t", "SELECT s FROM t WHERE i <> i")
 jumped_steps = _steps(_statements(_predicates(_atoms(text=False))))
 
 # ----------------------------------------------------------------------
+# The loaded column: the map-jump column's warm-up with the columnstore
+# on, and only selective projections of ``s`` — so their repeats pay
+# ``s``'s rent until a scan loads it into the columnstore (rent-or-buy)
+# — with appends before and after one rewrite, which starts every tier
+# and the rent over.
+# ----------------------------------------------------------------------
+
+LOADED = {"batch_size": 7, "vp_enabled": True, "vp_min_accesses": 1}
+
+_loaded_projections = _steps(
+    _predicates(_atoms(text=False)).map(_projection)
+)
+loaded_steps = st.tuples(
+    _loaded_projections, rows_of, _loaded_projections
+).map(lambda t: [*t[0], ("rewrite", t[1]), *t[2]])
+
+# ----------------------------------------------------------------------
 # Comparison.
 # ----------------------------------------------------------------------
 
@@ -395,15 +415,19 @@ def _matches_sqlite(
     """Run ``plan`` on a fresh engine (after the ``warmup`` statements)
     and on sqlite; every statement's rows must agree.  ``read(engine,
     sql, repeat)`` returns the rows and whether they are all of them.
-    Returns the windows the engine's scans skipped."""
+    A ``rewrite`` step replaces the table's rows.  Returns the engine's
+    metrics registry."""
     tmp = tmp_path_factory.mktemp("oracle")
     dialect = DIALECTS.get(name, DEFAULT_DIALECT)
     jsonl = FORMATS.get(name) == "jsonl"
-    if jsonl:
-        path = write_jsonl(tmp / "t.jsonl", rows, SCHEMA)
-    else:
-        path = write_csv(tmp / "t.csv", rows, SCHEMA, dialect)
-    config = dict(CONFIGS[name])
+
+    def write(rows):
+        if jsonl:
+            return write_jsonl(tmp / "t.jsonl", rows, SCHEMA)
+        return write_csv(tmp / "t.csv", rows, SCHEMA, dialect)
+
+    path = write(rows)
+    config = dict(CONFIGS[name] if name in CONFIGS else LOADED)
     if config.get("vp_enabled"):
         config["vp_dir"] = str(tmp / "vp")
     db = _oracle(rows)
@@ -423,6 +447,14 @@ def _matches_sqlite(
                         append_csv_rows(path, step, SCHEMA, dialect)
                     db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", step)
                     continue
+                if kind == "rewrite":
+                    mtime = path.stat().st_mtime_ns
+                    write(step)
+                    # Another fingerprint, even within one clock tick.
+                    os.utime(path, ns=(mtime + 10**9,) * 2)
+                    db.execute("DELETE FROM t")
+                    db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", step)
+                    continue
                 ours, theirs, ordered = step
                 want = db.execute(theirs).fetchall()
                 # Cold, then warm: the repeats run over cached columns.
@@ -432,8 +464,7 @@ def _matches_sqlite(
                         assert _same(got, want, ordered), (ours, got, want)
                     else:
                         assert _within(got, want), (ours, got, want)
-            registry = engine.telemetry.registry
-            return registry.counter("scan_windows_skipped_total").value
+            return engine.telemetry.registry
     finally:
         db.close()
 
@@ -469,7 +500,8 @@ def test_window_skipping_matches_sqlite(tmp_path_factory, name):
         suppress_health_check=[HealthCheck.too_slow],
     )
     def run(rows, plan):
-        skipped.append(_matches_sqlite(tmp_path_factory, name, rows, plan))
+        registry = _matches_sqlite(tmp_path_factory, name, rows, plan)
+        skipped.append(registry.counter("scan_windows_skipped_total").value)
 
     run()
     # The column is about skipped windows: some scans must have skipped.
@@ -511,6 +543,26 @@ def test_resident_map_jumps_match_sqlite(tmp_path_factory, monkeypatch, name):
     # The column is about resident scans that jump the map for a
     # projection column: some scans must have.
     assert any(jumped)
+
+
+def test_loaded_columns_match_sqlite(tmp_path_factory):
+    loads = []
+
+    @given(rows=rows_of, plan=loaded_steps)
+    @settings(
+        max_examples=EXAMPLES,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def run(rows, plan):
+        registry = _matches_sqlite(
+            tmp_path_factory, "loaded", rows, plan, JUMPED_WARMUP
+        )
+        loads.append(registry.counter("vp_loads_total").value)
+
+    run()
+    # The column is about loads: some scans must have loaded ``s``.
+    assert sum(loads) > 0
 
 
 # ----------------------------------------------------------------------

@@ -430,3 +430,107 @@ def test_tiny_read_bound_splits_reads_at_window_edges(
     assert answers[:2] == answers[2:]
     assert learned[0] == learned[1]
     assert learned[0][0] == _texts(0, 32)
+
+
+# ----------------------------------------------------------------------
+# Rent-or-buy loading (repro.core.scan_plan): with the columnstore on,
+# the jumps that read ``c`` for survivors pay rent, and the first scan
+# planned with the rent at the price of ``c``'s rows loads it.
+# ----------------------------------------------------------------------
+
+
+def _vp(tmp_path):
+    return {
+        "vp_enabled": True,
+        "vp_min_accesses": 1,
+        "vp_dir": str(tmp_path / "vp"),
+    }
+
+
+def _price(state):
+    bounds = state.positional_map.line_bounds
+    return int(bounds[-1] - bounds[0])
+
+
+def _rent(state, plan, keep):
+    """What ``plan``'s jumps read: each stride's first survivor through
+    its last."""
+    bounds = state.positional_map.line_bounds
+    rent = 0
+    for s0, s1 in plan.strides():
+        rows = [r for r in range(s0, s1) if keep(r)]
+        if rows:
+            rent += int(bounds[rows[-1] + 1] - bounds[rows[0]])
+    return rent
+
+
+def test_the_load_waits_until_the_rent_reaches_the_price(
+    make, scans, tmp_path
+):
+    eng = make(**_vp(tmp_path))
+    _warm_jumped_c(eng)
+    state = eng.table_state("t")
+    expected = [a for a in range(N) if a % 3 == 0]
+    paid = 0
+    while paid < _price(state):
+        scan, batches = _scan(eng, ["a", "c"], "a % 3 = 0")
+        assert scan.plan.load_attrs == () and _chunk_jumped(scan, 2)
+        assert _column(batches, "c") == [f"r{a}" for a in expected]
+        paid += _rent(state, scan.plan, lambda r: r % 3 == 0)
+        assert state.load_rent[2] == paid
+        assert state.columnstore.coverage_rows(2) == 0
+    scan, batches = _scan(eng, ["a", "c"], "a % 3 = 0")
+    assert scan.plan.load_attrs == (2,)
+    # The same answer, in the same batches.
+    assert _column(batches, "c") == [f"r{a}" for a in expected]
+    assert [b.num_rows for b in batches] == [6, 10, 16, 6, 16, 13]
+    assert state.columnstore.coverage_rows(2) == N
+    assert state.cache.peek(2) is None and state.load_rent == {}
+    # Read from the columnstore since: no jump, no rent.
+    scan, __ = _scan(eng, ["a", "c"], "a % 3 = 0")
+    assert scan.plan.load_attrs == () and not _chunk_jumped(scan, 2)
+    assert state.load_rent == {}
+
+
+def test_point_lookups_pay_one_row_each_and_never_load(
+    make, scans, tmp_path
+):
+    eng = make(**_vp(tmp_path))
+    _warm_jumped_c(eng)
+    state = eng.table_state("t")
+    bounds = state.positional_map.line_bounds
+    keys = range(0, N, 2)
+    for k in keys:
+        scan, batches = _scan(eng, ["a", "c"], f"a = {k}")
+        assert scan.plan.load_attrs == ()
+        assert _column(batches, "c") == [f"r{k}"]
+    assert state.load_rent == {
+        2: sum(int(bounds[k + 1] - bounds[k]) for k in keys)
+    }
+    assert state.load_rent[2] < _price(state)
+    assert state.columnstore.coverage_rows(2) == 0
+
+
+def test_a_loading_scan_skips_no_window(make, scans, tmp_path):
+    eng = make(**_vp(tmp_path))
+    _warm_jumped_c(eng)
+    state = eng.table_state("t")
+    state.pay_rent(2, _price(state))
+    scan, batches = _scan(eng, ["a", "c"], "a < 20")
+    assert scan.plan.load_attrs == (2,) and scan.plan.runs == ((0, N),)
+    assert _column(batches, "c") == [f"r{a}" for a in range(20)]
+    assert state.columnstore.coverage_rows(2) == N
+    # Loaded: the synopsis rules out every window past the second.
+    scan, batches = _scan(eng, ["a", "c"], "a < 20")
+    assert scan.plan.runs == ((0, 2 * B),)
+    assert _column(batches, "c") == [f"r{a}" for a in range(20)]
+
+
+def test_without_the_columnstore_nothing_pays_rent(make, scans):
+    eng = make()
+    _warm_jumped_c(eng)
+    state = eng.table_state("t")
+    for _ in range(4):
+        scan, __ = _scan(eng, ["a", "c"], "a % 3 = 0")
+        assert scan.plan.load_attrs == () and _chunk_jumped(scan, 2)
+    assert state.load_rent == {} and state.cache.peek(2) is None

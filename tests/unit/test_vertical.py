@@ -252,3 +252,29 @@ def test_a_promoted_column_extends_its_zone_map(tmp_path):
     assert store.used_bytes == column.store.storage_bytes() + (
         column.store.zone_bytes()
     )
+
+
+def test_loads_are_counted_and_named(store):
+    counter = store.registry.counter
+    assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 1.0)
+    assert store.promote(1, "b", DataType.INTEGER, ints(range(10)), 1.0, True)
+    assert counter("vp_loads_total").value == 1
+    # A loaded column's tail loads too; a promoted one's extends.
+    assert store.extend(1, ints([10, 11]), load=True)
+    assert store.extend(0, ints([10, 11]))
+    assert counter("vp_loads_total").value == 2
+    assert counter("vp_promotions_total").value == 2
+    assert counter("vp_extends_total").value == 2
+    stats = store.stats(12)
+    assert stats["columns"] == ["a", "b"] and stats["loaded"] == ["b"]
+
+
+def test_a_refused_load_counts_nothing(tmp_path):
+    store = make_store(tmp_path, 128 + 10 * 8 + WINDOW_BYTES)  # not 15
+    assert not store.promote(
+        0, "a", DataType.INTEGER, ints(range(15)), 1.0, load=True
+    )
+    counter = store.registry.counter
+    assert counter("vp_loads_total").value == 0
+    assert counter("vp_promotions_total").value == 0
+    assert store.stats()["loaded"] == [] and files(store) == {}

@@ -80,8 +80,9 @@ bench-mv:
 		--benchmark-only --import-mode=importlib -q -s
 
 # Multi-format scans + vertical persistence: CSV vs JSONL cold/warm qps
-# and a vp-promoted columnstore scan vs the raw re-scan it replaces
-# (asserts JSONL answers row-identical to CSV and vp wins).
+# and a selective projection over loaded columnstore columns vs the
+# same projection jumping the positional map with VP off (asserts JSONL
+# answers row-identical to CSV and the loaded columns win).
 bench-format:
 	$(PYTHON) -m pytest benchmarks/bench_format_scan.py \
 		--benchmark-only --import-mode=importlib -q -s

@@ -152,19 +152,15 @@ class PostgresRawConfig:
     #: captures it.
     mv_min_repeats: int = 3
 
-    #: Vertical persistence: promote hot converted columns of raw
-    #: tables into the on-disk columnstore as a durable governed cache
-    #: tier.  Scans then serve those columns from binary storage
-    #: without touching the raw file — the NoDB-to-loaded continuum.
-    #: Off (the default) nothing is ever promoted and planner/scan
-    #: behavior is exactly as before the tier existed.
+    #: Vertical persistence: load hot columns of raw tables into the
+    #: on-disk columnstore, a durable governed tier.  A column is loaded
+    #: once the raw bytes its selective positional-map jumps have read
+    #: reach those of one whole conversion (rent-or-buy); a column the
+    #: cache holds is never copied there.  Scans then serve loaded
+    #: columns from binary storage without touching the raw file — the
+    #: NoDB-to-loaded continuum.  Off (the default) nothing is loaded
+    #: and planner/scan behavior is exactly as before the tier existed.
     vp_enabled: bool = False
-
-    #: How many scans must touch a (table, column) pair before vertical
-    #: persistence promotes its converted vector into the columnstore,
-    #: or loads it there once the raw bytes its selective map jumps
-    #: have read reach those of one whole conversion (rent-or-buy).
-    vp_min_accesses: int = 3
 
     #: Directory the vertical-persistence columnstore files live in.
     #: ``None`` (the default) uses a per-service temporary directory
@@ -204,8 +200,6 @@ class PostgresRawConfig:
             raise BudgetError("slow_query_s must be > 0 (or None)")
         if self.mv_min_repeats < 1:
             raise BudgetError("mv_min_repeats must be >= 1")
-        if self.vp_min_accesses < 1:
-            raise BudgetError("vp_min_accesses must be >= 1")
 
     def with_overrides(self, **overrides: Any) -> "PostgresRawConfig":
         """Return a copy with the given fields replaced.

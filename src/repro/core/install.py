@@ -7,13 +7,13 @@ tokenized along the way") and every column it converts whole.  When it
 ends — or is abandoned: the completed row prefix is valid —
 :func:`harvest` turns them into an :class:`InstallPlan` and
 :func:`install` applies it: map chunks, cache entries, the combination
-chunk and columnstore promotions, charged to the ``nodb`` bucket of the
+chunk, columnstore loads and tails, charged to the ``nodb`` bucket of the
 Figure 3 breakdown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -143,19 +143,13 @@ class InstallPlan:
     combination: "tuple[tuple[int, PositionalChunk], ...] | None"
     #: ``(attr, start_row, vector, convert benefit seconds)``.
     columns: list[tuple[int, int, ColumnVector, float]]
-    #: Attributes whose promoted column this plan may bring up to
-    #: ``n_rows`` (see :func:`_promotions`).
-    promotions: list[int] = field(default_factory=list)
     #: The scan's ``load_attrs``: their ``columns`` go to the
     #: columnstore only, never the cache.
     loads: tuple[int, ...] = ()
 
     def empty(self) -> bool:
         return not (
-            self.spans
-            or self.columns
-            or self.promotions
-            or self.combination is not None
+            self.spans or self.columns or self.combination is not None
         )
 
 
@@ -186,7 +180,6 @@ def harvest(scan: "RawScan", n_rows: int) -> InstallPlan:
                 if (vector := c.materialize(ColumnVector.concat)) is not None
             ],
         )
-        result.promotions = _promotions(scan, result)
     collectors.clear()
     return result
 
@@ -213,10 +206,20 @@ def install(scan: "RawScan", plan: InstallPlan) -> None:
                     pm.install(
                         attrs, matrix, protected, benefit_seconds=benefit
                     )
-                else:
-                    existing = pm.peek(attrs)
-                    if existing is not None and existing.rows == start_row:
-                        pm.extend(existing, matrix, benefit_seconds=benefit)
+                    continue
+                # A tail extends every chunk it continues, with the
+                # columns of the chunk's attributes.
+                column_of = {attr: i for i, attr in enumerate(attrs)}
+                for chunk in pm.entries():
+                    if chunk.rows == start_row and all(
+                        a in column_of for a in chunk.attrs
+                    ):
+                        share = len(chunk.attrs) / len(attrs)
+                        pm.extend(
+                            chunk,
+                            matrix[:, [column_of[a] for a in chunk.attrs]],
+                            benefit_seconds=benefit * share,
+                        )
 
             if plan.combination is not None:
                 columns = []
@@ -235,12 +238,13 @@ def install(scan: "RawScan", plan: InstallPlan) -> None:
                 if attr in plan.loads:
                     continue  # one binary copy: the columnstore's
                 if start_row == 0:
-                    cache.put(
+                    if cache.put(
                         attr,
                         vector,
                         protected=needed,
                         benefit_seconds=benefit,
-                    )
+                    ):
+                        state.reset_rent(attr)  # no load to buy now
                 else:
                     entry = cache.peek(attr)
                     if entry is not None and entry.rows == start_row:
@@ -248,94 +252,46 @@ def install(scan: "RawScan", plan: InstallPlan) -> None:
     _maybe_promote(scan, plan)
 
 
-def _promotions(scan: "RawScan", plan: InstallPlan) -> list[int]:
-    """The needed attributes whose promoted column ``plan`` may bring
-    up to its rows: used ``vp_min_accesses`` times, promoted short of
-    them, and with the rows they lack at hand once the plan is
-    installed (:func:`_maybe_promote` checks again)."""
+def _maybe_promote(scan: "RawScan", plan: InstallPlan) -> None:
+    """Vertical persistence: write the plan's loads (``plan.loads``)
+    into the columnstore, where later scans read them without touching
+    the raw file, and extend each promoted column by the rows this scan
+    converted right after its prefix — as cache entries and map chunks
+    take a tail.  A column the columnstore does not hold enters it only
+    by a load.  The rent toward a load starts over once the column is
+    written, and after a load whether admitted or not.  Charged to the
+    ``nodb`` bucket like all adaptive-structure maintenance.
+    """
     store = scan.state.columnstore
     if store is None:
-        return []
-    config = scan.config
-    usage = scan.state.attribute_usage
-    cache = scan.state.cache if config.enable_cache else None
-    # Rows at hand: harvested up to the table's end from ``start``;
-    # all of them when the cache (extended by the plan) reaches it.
-    starts = {
-        a: s for a, s, v, __ in plan.columns if s + len(v) == plan.n_rows
-    }
-    promotions = []
-    for attr in scan.needed_attrs:
-        start = starts.get(attr, plan.n_rows)
-        if cache is not None and cache.coverage_rows(attr) >= start:
-            start = 0
-        if (
-            usage.get(attr, 0) >= config.vp_min_accesses
-            and start <= store.coverage_rows(attr) < plan.n_rows
-        ):
-            promotions.append(attr)
-    return promotions
-
-
-def _maybe_promote(scan: "RawScan", plan: InstallPlan) -> None:
-    """Vertical persistence: bring hot columns' promoted prefixes up to
-    the table's rows.
-
-    Each of ``plan.promotions`` is written into the columnstore, where
-    later scans read it without touching the raw file — when the rows
-    it lacks are still at hand, converted by this very scan or resident
-    in the cache.  A promoted prefix that an append left short is
-    extended by the tail alone; the whole column is written for one
-    never promoted, or whose files cannot take the tail in place.  The
-    rent toward a load starts over once the column is promoted, and
-    after a load (``plan.loads``) whether admitted or not.  Charged to
-    the ``nodb`` bucket like all adaptive-structure maintenance.
-    """
-    for attr in plan.promotions:
+        return
+    for attr, start_row, vector, benefit in plan.columns:
+        load = attr in plan.loads
+        covered = store.coverage_rows(attr)
+        if not (load or covered):
+            continue
         with scan.metrics.time(_NODB):
-            promoted = _promote(scan, plan, attr)
-        if promoted or attr in plan.loads:
+            written = _promote(scan, attr, covered, start_row, vector, benefit)
+        if written or load:
             scan.state.reset_rent(attr)
 
 
-def _promote(scan: "RawScan", plan: InstallPlan, attr: int) -> bool:
-    """Bring ``attr``'s promoted column up to ``plan.n_rows``; whether
-    it now holds them."""
-    store = scan.state.columnstore
-    load = attr in plan.loads
-    covered = store.coverage_rows(attr)
-    if covered >= plan.n_rows:
-        return True
-    if covered:
-        tail = _rows_at_hand(scan, plan, attr, covered)
-        if tail is None:
-            return False
-        if store.extend(attr, tail[0], load=load):
-            return True
-    full = _rows_at_hand(scan, plan, attr, 0)
-    if full is None:
+def _promote(
+    scan: "RawScan",
+    attr: int,
+    covered: int,
+    start_row: int,
+    vector: ColumnVector,
+    benefit: float,
+) -> bool:
+    """Write the rows of ``vector`` (``attr`` from ``start_row``) past
+    the ``covered`` rows of its promoted prefix; whether it took them."""
+    if not start_row <= covered < start_row + len(vector):
         return False
+    if covered:
+        tail = vector.slice(covered - start_row, len(vector))
+        return scan.state.columnstore.extend(attr, tail)
     column = scan.schema.columns[attr]
-    return store.promote(attr, column.name, column.dtype, *full, load=load)
-
-
-def _rows_at_hand(
-    scan: "RawScan", plan: InstallPlan, attr: int, lo: int
-) -> tuple[ColumnVector, float] | None:
-    """Rows ``[lo, plan.n_rows)`` of ``attr`` as ``(vector, convert
-    benefit seconds)``: from this scan's harvest, else the cache."""
-    for harvested, start_row, vector, benefit in plan.columns:
-        if (
-            harvested == attr
-            and start_row <= lo
-            and start_row + len(vector) == plan.n_rows
-        ):
-            return vector.slice(lo - start_row, len(vector)), benefit
-    if scan.config.enable_cache:
-        entry = scan.state.cache.peek(attr)
-        if entry is not None and entry.rows >= plan.n_rows:
-            return (
-                entry.vector.slice(lo, plan.n_rows),
-                entry.benefit_seconds,
-            )
-    return None
+    return scan.state.columnstore.promote(
+        attr, column.name, column.dtype, vector, benefit
+    )

@@ -27,20 +27,22 @@ whole, on its own.
 
 **Rent-or-buy loading.**  A projection-only column read through the
 map for a few survivors per stride seldom converts a whole window, so
-it seldom reaches the cache or the columnstore, and every scan pays
-its jump again.  Each such jump pays *rent*: the raw bytes it reads
+it seldom reaches the cache, and every scan pays its jump again.  Each
+such jump pays *rent*: the raw bytes it reads
 (:meth:`repro.core.table_state.RawTableState.pay_rent`).  With the
 columnstore on, ``load_attrs`` holds the projection-only attributes
-hot by ``vp_min_accesses`` that the plan reads through the map only —
-jumped segments, after the rows their promoted column already holds —
-and whose rent has reached the *price*: the raw bytes of those
-segments' rows, what one whole conversion reads.  Each stride acquires
-them for all its rows, then takes its survivors; the whole windows are
-harvested and written into the columnstore (not the cache).  The rent
-starts over whether the governor admits them or refuses, and whenever
-a column is promoted.  It is the ski-rental rule: no knob, and never
-more than twice the cost of the best choice made knowing the future.
-A loading scan skips no window, since every row is read to be loaded.
+that the plan reads through the map only — jumped segments, after the
+rows their promoted column already holds — and whose rent has reached
+the *price*: the raw bytes of those segments' rows, what one whole
+conversion reads.  Each stride acquires them for all its rows, then
+takes its survivors; the whole windows are harvested and written into
+the columnstore (not the cache).  This is the only way a column enters
+the columnstore.  The rent starts over whether the governor admits the
+load or refuses, whenever a column's tail is written, and once the
+cache takes the whole column.  It is the ski-rental rule: no knob, and
+never more than twice the cost of the best choice made knowing the
+future.  A loading scan skips no window, since every row is read to be
+loaded.
 
 **Window skipping.**  Cache entries and promoted columns of INTEGER,
 FLOAT and DATE columns carry a synopsis — per ``batch_size`` window
@@ -249,11 +251,8 @@ def _load_attrs(
     store = state.columnstore
     if store is None or scan.predicate is None:
         return ()
-    usage = state.attribute_usage
     loads = []
     for attr in proj_attrs:
-        if usage.get(attr, 0) < scan.config.vp_min_accesses:
-            continue
         # The jumped rows must continue the promoted prefix to the end.
         start, price = store.coverage_rows(attr), 0
         for seg in segments:

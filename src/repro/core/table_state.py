@@ -71,8 +71,8 @@ class RawTableState:
         self.attribute_usage: dict[int, int] = {}
         #: Rent-or-buy loading (:mod:`repro.core.scan_plan`): per
         #: attribute, the raw bytes its selective positional-map jumps
-        #: have read since it was last promoted or loaded, or its load
-        #: refused.
+        #: have read since it was last cached, loaded or extended, or
+        #: its load refused.
         self.load_rent: dict[int, int] = {}
         #: Bumped on invalidation so deferred installs (read-path queries
         #: installing under the write lock *after* their scan) can detect

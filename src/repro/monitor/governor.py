@@ -84,14 +84,9 @@ def render_governor_panel(service: PostgresRawService, width: int = 40) -> str:
                 f"  benefit {entry['benefit_seconds'] * 1000:.1f} ms"
             )
     for store in report.get("vertical") or ():
-        loaded = set(store["loaded"])
-        columns = [
-            f"{name}{' (loaded)' if name in loaded else ''}"
-            for name in store["columns"]
-        ]
         lines.append(
             f"columnstore {store['table']}: "
-            f"{', '.join(columns) or '(empty)'}"
+            f"{', '.join(store['columns']) or '(empty)'}"
         )
         if store["rent"]:
             rent = ", ".join(

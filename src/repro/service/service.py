@@ -1035,10 +1035,8 @@ class PostgresRawService:
         self, deferred: list[tuple[RawScan, InstallPlan]]
     ) -> None:
         for scan, install_plan in deferred:
-            # A plan counts the promotions it may make, so a
-            # cache-served repeat query that crosses
-            # ``vp_min_accesses`` still takes the lock; one with
-            # nothing to install does not.
+            # A query that learned nothing takes no write lock: every
+            # columnstore load or tail comes with harvested columns.
             if install_plan.empty():
                 continue
             lock = self._table_locks.get(scan.state.entry.name)

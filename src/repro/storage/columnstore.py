@@ -19,7 +19,7 @@ stages.
 The zone maps are the engine's shared synopses
 (:class:`repro.core.synopsis.Synopsis`): the same builder, with
 ``ZONE_BLOCK_ROWS``-row blocks here and the scan's ``batch_size`` for
-the columns the columnstore tier promotes (:mod:`repro.storage.vertical`).
+the columns the columnstore tier loads (:mod:`repro.storage.vertical`).
 They are held in memory beside the mapped files, and :meth:`extend`
 re-derives only the tail block.
 """
@@ -101,16 +101,8 @@ class ColumnStoreTable:
                     f"column {column.name!r} has {len(vec)} rows, "
                     f"expected {n_rows}"
                 )
-            np.save(directory / f"{column.name}.values.npy", vec.values)
-            if vec.dtype is DataType.TEXT:
-                blob, ends = _encode_strings(vec.dictionary.tolist())
-                np.save(directory / f"{column.name}.dict.npy", blob)
-                np.save(directory / f"{column.name}.dictends.npy", ends)
-            if vec.null_mask.any():
-                np.save(
-                    directory / f"{column.name}.nulls.npy",
-                    np.ascontiguousarray(vec.null_mask),
-                )
+            for file, array in column_files(column.name, vec).items():
+                np.save(directory / file, array)
             if zone_rows is not None:
                 zone_map = Synopsis.of(vec, zone_rows)
                 if zone_map is not None:
@@ -360,6 +352,27 @@ class _FileDictionary:
         rank = encoded.values
         sorted_already = bool((rank == np.arange(len(rank))).all())
         self.rank = None if sorted_already else rank
+
+
+def column_files(name: str, vec: ColumnVector) -> dict[str, np.ndarray]:
+    """The arrays :meth:`ColumnStoreTable.create` saves for column
+    ``name`` holding ``vec``, by file name: its values (a TEXT column's
+    codes and file dictionary) and, when it holds a NULL, its flags."""
+    files = {f"{name}.values.npy": vec.values}
+    if vec.dtype is DataType.TEXT:
+        blob, ends = _encode_strings(vec.dictionary.tolist())
+        files[f"{name}.dict.npy"] = blob
+        files[f"{name}.dictends.npy"] = ends
+    if vec.null_mask.any():
+        files[f"{name}.nulls.npy"] = np.ascontiguousarray(vec.null_mask)
+    return files
+
+
+def saved_bytes(array: np.ndarray) -> int:
+    """The bytes ``np.save`` writes for ``array``: header and data."""
+    header = io.BytesIO()
+    npy.write_array_header_1_0(header, npy.header_data_from_array_1_0(array))
+    return header.tell() + array.nbytes
 
 
 def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:

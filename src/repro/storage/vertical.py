@@ -1,25 +1,19 @@
-"""Vertical persistence: governed promotion of hot raw columns.
+"""Vertical persistence: governed loading of hot raw columns.
 
 The NoDB-to-loaded continuum ("Workload-Driven Vertical Partitioning",
 PAPERS.md): the workload itself nominates hot (table, column) pairs of a
-raw table, and their already-converted vectors are written into the
-on-disk columnstore (:mod:`repro.storage.columnstore`) as a *durable*
-governed cache tier.  Later scans serve those columns straight from
-binary storage — no raw-file I/O, no tokenizing, no parsing — while the
-table stays registered in situ.
+raw table, and their converted vectors are written into the on-disk
+columnstore (:mod:`repro.storage.columnstore`) as a *durable* governed
+tier.  Later scans serve those columns straight from binary storage —
+no raw-file I/O, no tokenizing, no parsing — while the table stays
+registered in situ.
 
-Two ways nominate a column, both only once it has been read
-``vp_min_accesses`` times (:mod:`repro.core.install`):
-
-* *promotion* — a scan converted every row the column lacks (or the
-  cache holds them): those vectors are written as they are;
-* *loading* — a projection-only column that scans keep reading for a
-  few survivors through the positional map has paid, in raw bytes
-  read, the price of one whole conversion (rent-or-buy,
-  :mod:`repro.core.scan_plan`): the next such scan converts it whole
-  and it is written here, and not into the cache.  ``vp_loads_total``
-  counts loads; :meth:`VerticalStore.stats` names the columns that
-  came in by one.
+One way in, a *load*: a projection-only column that scans keep
+reading for a few survivors through the positional map has paid, in
+raw bytes read, the price of one whole conversion (rent-or-buy,
+:mod:`repro.core.scan_plan`); the next such scan converts it whole and
+it is written here, and not into the cache.  A column the cache holds
+is never copied here: each converted column has one binary copy.
 
 One :class:`VerticalStore` exists per raw table (when ``vp_enabled``):
 the ``columnstore`` tier of its :class:`repro.core.table_state.RawTableState`,
@@ -29,24 +23,25 @@ registered with the governor as kind ``"columnstore"``: promoted bytes
 are admitted against the same budget as positional-map chunks, cache
 entries and materialized aggregates, and evict per column by
 benefit-per-byte.  What is the store's own is the files: the ledger's
-eviction hook removes an evicted column's directory, and a promotion
-is written beside the column it replaces and swapped in only once
-admitted.  Mutations run under the governor's lock; lookups read the
-ledger's snapshot.  A scan *pins* a column when it plans
+eviction hook removes an evicted column's directory, and a column's
+bytes are admitted before its files are written, so a refused load
+writes nothing.  Mutations run under the governor's lock; lookups read
+the ledger's snapshot.  A scan *pins* a column when it plans
 (:meth:`VerticalStore.pin` maps its arrays under the lock), so an
 eviction while it reads removes the files but not the mapping.
 
 A promoted INTEGER, FLOAT or DATE column carries the columnstore's zone
 map in windows of the scan's ``batch_size`` rows — the same
 :class:`repro.core.synopsis.Synopsis` a cache entry carries, built when
-it is promoted and governed with its files — so a scan can skip the
+it is loaded and governed with its files — so a scan can skip the
 windows its predicate rules out.
 
 A promoted column covers a row *prefix* of its table (``rows`` is its
 watermark).  An append leaves it valid: scans read the prefix from the
-columnstore and only the new tail from the raw file, and
-:meth:`VerticalStore.extend` then appends that tail onto the column's
-files in O(tail) bytes, and re-derives only the zone map's tail window.
+columnstore and only the new tail from the raw file; once a scan
+converts that tail whole (or loads it), :meth:`VerticalStore.extend`
+appends it onto the column's files in O(tail) bytes and re-derives
+only the zone map's tail window.
 Rewrites, drops and ``close`` invalidate the whole store (through the
 table state).
 """
@@ -65,7 +60,7 @@ from ..config import DEFAULT_BATCH_SIZE
 from ..core.ledger import GovernedLedger, now
 from ..core.synopsis import Synopsis
 from ..datatypes import DataType
-from .columnstore import ColumnStoreTable
+from .columnstore import ColumnStoreTable, column_files, saved_bytes
 
 
 @dataclass
@@ -83,8 +78,6 @@ class PromotedColumn:
     benefit_seconds: float
     last_used_ts: float = field(default_factory=now)
     hits: int = 0
-    #: Came in by a load (rent-or-buy), not by a promotion.
-    loaded: bool = False
 
     @property
     def synopsis(self) -> Synopsis | None:
@@ -140,51 +133,51 @@ class VerticalStore(GovernedLedger):
         dtype: DataType,
         vector: ColumnVector,
         benefit_seconds: float,
-        load: bool = False,
     ) -> bool:
-        """Write one converted column into the columnstore tier
-        (``load``: converted whole to be loaded, see the module
-        docstring).
+        """Write one converted column into the columnstore tier.
 
-        Bytes are measured from the files actually written, plus the
-        zone map, then admitted through the governor (which may evict
-        other governed structures — or refuse, in which case the files
-        are removed again).  The files are written beside those of an
-        earlier promotion of the same column and swapped in once
-        admitted, so a refusal keeps the old prefix.  Returns whether
-        the new column is now resident.
+        Its bytes — the files about to be written, plus the zone map —
+        are admitted through the governor first, which may evict other
+        governed structures or refuse: then nothing is written, and an
+        earlier promotion of the same column stays.  The files are
+        written under the governor's lock, so no scan pins the column
+        before they are whole.  Returns whether the new column is now
+        resident.
         """
         directory = self.root / f"{self.table}-{attr}-{name}"
-        staging = directory.with_name(directory.name + ".new")
         schema = TableSchema([Column(name, dtype)])
-        staged = ColumnStoreTable.create(
-            staging, schema, {name: vector}, self.window_rows
+        files = column_files(name, vector)
+        zone_map = Synopsis.of(vector, self.window_rows)
+        store = ColumnStoreTable(
+            directory, schema, {} if zone_map is None else {name: zone_map}
         )
         column = PromotedColumn(
             attr=attr,
             name=name,
             dtype=dtype,
-            store=ColumnStoreTable(directory, schema, staged.zone_maps),
+            store=store,
             rows=len(vector),
-            nbytes=staged.storage_bytes() + staged.zone_bytes(),
+            nbytes=sum(map(saved_bytes, files.values())) + store.zone_bytes(),
             benefit_seconds=benefit_seconds,
-            loaded=load,
         )
         with self.governor.lock:
             if not self.admit(attr, column):
-                shutil.rmtree(staging, ignore_errors=True)
                 return False
             shutil.rmtree(directory, ignore_errors=True)
-            staging.rename(directory)
-        self._count("vp_promotions_total", load)
+            try:
+                directory.mkdir(parents=True)
+                for file, array in files.items():
+                    np.save(directory / file, array)
+            except BaseException:
+                self._remove(attr)
+                _remove_files(column)
+                raise
+        self._count("vp_promotions_total")
         return True
 
-    def extend(
-        self, attr: int, tail: ColumnVector, load: bool = False
-    ) -> bool:
+    def extend(self, attr: int, tail: ColumnVector) -> bool:
         """Append ``tail`` — the table rows right after the promoted
-        prefix of ``attr`` — onto the column's files (``load``: a tail
-        converted whole to be loaded).
+        prefix of ``attr`` — onto the column's files.
 
         Costs O(tail) bytes of I/O (a TEXT tail adds its codes and the
         strings the column's dictionary lacks); the added bytes are
@@ -207,14 +200,12 @@ class VerticalStore(GovernedLedger):
                 return False
             column.rows += len(tail)
             column.nbytes += added
-        self._count("vp_extends_total", load)
+        self._count("vp_extends_total")
         return True
 
-    def _count(self, name: str, load: bool) -> None:
+    def _count(self, name: str) -> None:
         if self.registry is not None:
             self.registry.counter(name).inc()
-            if load:
-                self.registry.counter("vp_loads_total").inc()
 
     def read(
         self,
@@ -232,8 +223,7 @@ class VerticalStore(GovernedLedger):
         """
         self.touch(column)
         column.hits += 1
-        if self.registry is not None:
-            self.registry.counter("vp_served_total").inc()
+        self._count("vp_served_total")
         index = sel if sel is not None else slice(lo, hi)
         return column.store._vector(column.name, index, metrics)
 
@@ -259,7 +249,6 @@ class VerticalStore(GovernedLedger):
             return {
                 "table": self.table,
                 "columns": sorted(c.name for c in columns),
-                "loaded": sorted(c.name for c in columns if c.loaded),
                 "nbytes": self.used_bytes,
                 "hits": sum(c.hits for c in columns),
                 "rows": {c.name: c.rows for c in columns},

@@ -1,6 +1,6 @@
 """Appends advance the aggregate and columnstore tiers' watermarks.
 
-An append leaves a materialized aggregate and a promoted column valid
+An append leaves a materialized aggregate and a loaded column valid
 for the row prefix they cover; the next query folds in / appends only
 the new tail.  These are the edges of that contract: what a tail may
 bring (NULLs, NaN keys, new groups, nothing that passes the filter,
@@ -72,6 +72,19 @@ def same_rows(got, want, rel=0.0):
         len(g) == len(w) and all(map(same, g, w))
         for g, w in zip(sorted(got, key=key), sorted(want, key=key))
     )
+
+
+def load_v(engine):
+    """Load ``v`` into the columnstore the one way in: mapped by a
+    selective scan without being cached, then jumped until its rent
+    buys its load."""
+    state = engine.table_state("t")
+    engine.query("SELECT v FROM t WHERE g = 1")
+    for __ in range(4):
+        engine.query("SELECT g, v FROM t WHERE g = 1")
+        if state.columnstore.coverage_rows(2):
+            return
+    raise AssertionError("v was not loaded")
 
 
 def merges(engine):
@@ -270,7 +283,6 @@ def test_sessions_hammering_while_the_file_grows_never_miscount(tmp_path):
     cfg = config(
         memory_budget=8 << 20,
         vp_enabled=True,
-        vp_min_accesses=1,
         vp_dir=str(tmp_path / "vp"),
         max_concurrent_queries=8,
     )
@@ -302,6 +314,7 @@ def test_sessions_hammering_while_the_file_grows_never_miscount(tmp_path):
     try:
         with PostgresRawService(cfg) as service:
             service.register_csv("t", path, SCHEMA)
+            load_v(service)
             service.session().query(tiles[0])
             threads = [
                 threading.Thread(target=reader, args=(service.session(),))
@@ -325,6 +338,7 @@ def test_sessions_hammering_while_the_file_grows_never_miscount(tmp_path):
             assert service.mv.catalog.invalidations == 0
             counter = service.telemetry.registry.counter
             assert counter("vp_invalidations_total").value == 0
+            assert counter("vp_extends_total").value > 0
             assert counter("mv_tail_rows_total").value == appends * per_append
             governor = service.governor
             assert governor.used_bytes == sum(
@@ -346,18 +360,18 @@ def test_pure_appends_rebuild_nothing_rewrite_and_drop_drop_both(tmp_path):
     cfg = config(
         memory_budget=8 << 20,
         vp_enabled=True,
-        vp_min_accesses=1,
         vp_dir=str(tmp_path / "vp"),
     )
     with PostgresRaw(cfg) as engine:
         engine.register_csv("t", path, SCHEMA)
+        load_v(engine)
         for sql in tiles + [plain]:
             engine.query(sql)
         catalog = engine.service.mv.catalog
         counter = engine.telemetry.registry.counter
         builds = catalog.builds
         promotions = counter("vp_promotions_total").value
-        assert builds == 2 and promotions >= 4
+        assert builds == 2 and promotions == 1
         (v_file,) = (tmp_path / "vp").glob("t-*-v/v.values.npy")
         size = v_file.stat().st_size
 
@@ -375,10 +389,11 @@ def test_pure_appends_rebuild_nothing_rewrite_and_drop_drop_both(tmp_path):
 
         # A rewrite is another file: both tiers start over.
         write_csv(path, ROWS[:20], SCHEMA)
+        load_v(engine)
         for sql in tiles + [plain]:
             assert same_rows(engine.query(sql).rows, raw(path, sql))
         assert catalog.invalidations == 2
-        assert counter("vp_invalidations_total").value >= 4
+        assert counter("vp_invalidations_total").value == 1
         assert catalog.builds == builds + 2
 
         # So is a drop.

@@ -46,7 +46,6 @@ def config(tmp_path, **overrides) -> PostgresRawConfig:
         mv_auto=True,
         mv_min_repeats=1,
         vp_enabled=True,
-        vp_min_accesses=1,
         vp_dir=str(tmp_path / "vp"),
     )
     base.update(overrides)
@@ -154,8 +153,10 @@ def test_query_learns_what_a_drained_cursor_learns(tmp_path):
         write_csv(path, ROWS, SCHEMA)
         paths.append(path)
     steps = [
-        SCAN,
-        SCAN,
+        SCAN,  # maps ``g``, converting it for survivors only
+        SCAN,  # jumps ``g``, paying its rent ...
+        SCAN,  # ... until it reaches the price of ``g``'s rows
+        SCAN,  # loads ``g``
         "SELECT h FROM t WHERE g = 1",
         "SELECT g, h, v FROM t WHERE h = 2",
         TILE,
@@ -163,7 +164,7 @@ def test_query_learns_what_a_drained_cursor_learns(tmp_path):
         TILE,
         ("append", ROWS[:40]),
         TILE,  # lagging: tail-merge
-        SCAN,  # extends map, cache and promoted columns over the tail
+        SCAN,  # extends map and cache over the tail
         TILE,
         "SELECT COUNT(*), SUM(v) FROM t",  # partial hit
     ]
@@ -184,7 +185,7 @@ def test_query_learns_what_a_drained_cursor_learns(tmp_path):
             assert learned(drained) == learned(streamed), step
         state = learned(drained)
         assert state["map"] and state["cache"] and state["mv"]
-        assert state["vp"]["columns"]
+        assert state["vp"]["columns"] == ["g"]
         assert state["counters"][3] >= 1  # a tail-merge happened
 
 

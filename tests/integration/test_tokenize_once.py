@@ -2,7 +2,9 @@
 
 A query with a ``WHERE`` clause tokenizes a batch's rows for its
 predicate first; the projection's columns of the same rows are then
-read from that span, not tokenized a second time.  So a cold JSONL
+read from that span, not tokenized a second time.  An appended tail is
+tokenized once too: its span extends every map chunk it continues.  So
+a cold JSONL
 predicate query — whose records always tokenize whole — leaves the
 positional map with every attribute, and a cold CSV projection whose
 columns precede the predicate column tokenizes each field once, and no
@@ -16,6 +18,7 @@ from repro import (
     DataType,
     PostgresRaw,
     TableSchema,
+    append_csv_rows,
     write_csv,
     write_jsonl,
 )
@@ -70,6 +73,33 @@ def test_csv_projection_before_the_predicate_tokenizes_once(tmp_path):
         # the projection too.
         assert result.metrics.fields_tokenized == N_ROWS * 3
         assert result.metrics.collector_invalidations == 0
+
+
+def test_an_appended_tail_extends_every_chunk_it_continues(tmp_path):
+    path = write_csv(tmp_path / "t.csv", ROWS[:3000], SCHEMA)
+    with PostgresRaw() as eng:
+        eng.register_csv("t", path, SCHEMA)
+        # ``a`` tokenized for the predicate, then ``b`` and ``c`` anchored
+        # on it: two chunks, and ``c`` only converted for survivors.
+        eng.query("SELECT c FROM t WHERE a % 2 = 0")
+        pm = eng.table_state("t").positional_map
+
+        def chunks():
+            return sorted((c["attrs"], c["rows"]) for c in pm.describe())
+
+        assert chunks() == [((0, 1), 3000), ((1, 2), 3000)]
+        append_csv_rows(path, ROWS[3000:3050], SCHEMA)
+        tokenized = []
+        for _ in range(5):
+            result = eng.query("SELECT a, c FROM t WHERE b = 3")
+            assert sorted(result.rows) == sorted(
+                (a, c) for a, b, c in ROWS[:3050] if b == 3
+            )
+            tokenized.append(result.metrics.fields_tokenized)
+        # The tail's span over all three attributes extends both
+        # chunks: later repeats jump it.
+        assert tokenized[0] >= 50 * 3 and tokenized[1:] == [0, 0, 0, 0]
+        assert chunks() == [((0, 1), 3050), ((1, 2), 3050)]
 
 
 def test_harvest_counts_the_runs_it_drops(tmp_path):

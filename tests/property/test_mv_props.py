@@ -120,6 +120,8 @@ AFTER_APPEND = DERIVED + [
     "SELECT g, v FROM t WHERE v > 0",  # no aggregate at all
     "SELECT h, count(DISTINCT v) FROM t GROUP BY h",  # MV-ineligible
 ]
+#: A selective projection of ``g``: its repeats load it.
+LOAD_G = "SELECT v, g FROM t WHERE v > 0"
 FORMATS = {
     "csv": (write_csv, append_csv_rows, "register_csv"),
     "jsonl": (write_jsonl, append_jsonl_rows, "register_jsonl"),
@@ -157,17 +159,22 @@ def test_appends_advance_both_tiers_and_stay_correct(
         mv_auto=False,
         memory_budget=8 << 20,
         vp_enabled=True,
-        vp_min_accesses=1,
         vp_dir=str(tmp / "vp"),
     )
     with PostgresRaw(config) as engine:
         getattr(engine, register)("t", path, SCHEMA)
+        # Load ``g`` where the rows allow: mapped and converted for
+        # survivors only, then jumped until its rent buys its load.
+        for __ in range(4):
+            got = sorted(engine.query(LOAD_G).rows, key=repr)
+            assert got == expected(LOAD_G)
         engine.build_mv(WIDE)
         counter = engine.telemetry.registry.counter
         for tail, queries, drop_cache in steps:
             append(path, tail, SCHEMA)
             if drop_cache:
-                # Promoted prefixes now serve what the cache did.
+                # The loaded prefix and the map now serve what the
+                # cache did.
                 engine.table_state("t").cache.invalidate()
             for query in queries:
                 got = sorted(engine.query(query).rows, key=repr)

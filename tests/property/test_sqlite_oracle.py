@@ -6,7 +6,9 @@ is loaded into ``sqlite3`` too, and every generated statement must give
 the same rows on both — cold, then repeated until its columns are
 cache-resident, with appends interleaved between statements, across
 batch sizes, the columnstore + materialized-aggregate tiers (with room
-to spare, and under a budget that keeps the governor evicting), the
+to spare, and under a budget that keeps the governor evicting; their
+plans start with selective projections that load columns, the one way
+into the columnstore, and some scan must read it), the
 scalar tokenizer (a quoted dialect), and JSON lines (the JSONL kernel
 on every window it reads, and the scalar parser on the windows whose
 strings ``\\u``-escape the multi-byte words).  One
@@ -16,8 +18,8 @@ warm scans skip windows — and must still agree.
 Another splits the table into two shards hashed on ``i`` and answers
 through the scatter planner and gather merge, in process.  The loaded
 column repeats selective projections with the columnstore on until the
-column they read through the positional map is loaded, across appends
-and a rewrite of the file.  Every column
+column they read through the positional map is loaded and read from
+there, across appends and a rewrite of the file.  Every column
 reads with ``query()``, which pulls the plan on the caller's thread,
 except the streamed one: it reads through cursors with ``fetchmany``,
 on the producer thread, and closes some of them after the first batch.
@@ -84,7 +86,6 @@ WORDS = ("a", "b", "ab", "ba", "abc", "B", "bb", "é", "éa", "z", "日本")
 VP_MV = {
     "batch_size": 7,
     "vp_enabled": True,
-    "vp_min_accesses": 1,
     "mv_auto": True,
     "mv_min_repeats": 1,
 }
@@ -294,6 +295,12 @@ def _steps(statements):
 
 steps = _steps(_statements(predicates))
 
+#: What the columnstore columns run first: a selective projection of
+#: ``i``, ``f`` and ``s`` twice.  Its repeats jump them through the map,
+#: paying their rent, until the second statement loads them — the one
+#: way into the columnstore — and reads them from there.
+LOAD_STEPS = [("query", _projection("j IS NULL OR (j % 2) = 0"))] * 2
+
 # ----------------------------------------------------------------------
 # The window-skipping column: a table ordered by ``i``, predicates led
 # by a conjunct a synopsis can test.
@@ -347,14 +354,14 @@ jumped_steps = _steps(_statements(_predicates(_atoms(text=False))))
 # and the rent over.
 # ----------------------------------------------------------------------
 
-LOADED = {"batch_size": 7, "vp_enabled": True, "vp_min_accesses": 1}
+LOADED = {"batch_size": 7, "vp_enabled": True}
 
 _loaded_projections = _steps(
     _predicates(_atoms(text=False)).map(_projection)
 )
 loaded_steps = st.tuples(
     _loaded_projections, rows_of, _loaded_projections
-).map(lambda t: [*t[0], ("rewrite", t[1]), *t[2]])
+).map(lambda t: [*LOAD_STEPS, *t[0], ("rewrite", t[1]), *t[2]])
 
 # ----------------------------------------------------------------------
 # Comparison.
@@ -476,6 +483,8 @@ def test_engine_matches_sqlite(tmp_path_factory, monkeypatch, name):
         # and map jump it can, however small.
         monkeypatch.setattr(jsonl_kernel, "MIN_RECORDS", 1)
         monkeypatch.setattr(jsonl_kernel, "MIN_VALUES", 1)
+    vp = CONFIGS[name].get("vp_enabled", False)
+    served = []
 
     @given(rows=rows_of, plan=steps)
     @settings(
@@ -484,14 +493,21 @@ def test_engine_matches_sqlite(tmp_path_factory, monkeypatch, name):
         suppress_health_check=[HealthCheck.too_slow],
     )
     def run(rows, plan):
-        _matches_sqlite(tmp_path_factory, name, rows, plan)
+        if vp:
+            plan = LOAD_STEPS + plan
+        registry = _matches_sqlite(tmp_path_factory, name, rows, plan)
+        served.append(registry.counter("vp_served_total").value)
 
     run()
+    # A columnstore column is about the columnstore: it must have
+    # served some scan.
+    assert sum(served) > 0 or not vp
 
 
 @pytest.mark.parametrize("name", SORTED_CONFIGS)
 def test_window_skipping_matches_sqlite(tmp_path_factory, name):
-    skipped = []
+    vp = CONFIGS[name].get("vp_enabled", False)
+    skipped, served = [], []
 
     @given(rows=sorted_rows, plan=sorted_steps)
     @settings(
@@ -500,12 +516,16 @@ def test_window_skipping_matches_sqlite(tmp_path_factory, name):
         suppress_health_check=[HealthCheck.too_slow],
     )
     def run(rows, plan):
+        if vp:
+            plan = LOAD_STEPS + plan
         registry = _matches_sqlite(tmp_path_factory, name, rows, plan)
         skipped.append(registry.counter("scan_windows_skipped_total").value)
+        served.append(registry.counter("vp_served_total").value)
 
     run()
     # The column is about skipped windows: some scans must have skipped.
     assert sum(skipped) > 0
+    assert sum(served) > 0 or not vp
 
 
 @pytest.mark.parametrize("name", JUMPED_CONFIGS)
@@ -546,7 +566,7 @@ def test_resident_map_jumps_match_sqlite(tmp_path_factory, monkeypatch, name):
 
 
 def test_loaded_columns_match_sqlite(tmp_path_factory):
-    loads = []
+    loads, served = [], []
 
     @given(rows=rows_of, plan=loaded_steps)
     @settings(
@@ -558,11 +578,13 @@ def test_loaded_columns_match_sqlite(tmp_path_factory):
         registry = _matches_sqlite(
             tmp_path_factory, "loaded", rows, plan, JUMPED_WARMUP
         )
-        loads.append(registry.counter("vp_loads_total").value)
+        loads.append(registry.counter("vp_promotions_total").value)
+        served.append(registry.counter("vp_served_total").value)
 
     run()
-    # The column is about loads: some scans must have loaded ``s``.
-    assert sum(loads) > 0
+    # The column is about loads: some scans must have loaded ``s``,
+    # and read it from the columnstore since.
+    assert sum(loads) > 0 and sum(served) > 0
 
 
 # ----------------------------------------------------------------------

@@ -236,7 +236,6 @@ class TestOneAdmissionPath:
             mv_auto=True,
             mv_min_repeats=1,
             vp_enabled=True,
-            vp_min_accesses=1,
             vp_dir=str(tmp_path / "vp"),
         )
         with PostgresRawService(config) as service:
@@ -247,6 +246,11 @@ class TestOneAdmissionPath:
             assert state.positional_map.governor is governor
             assert state.cache.governor is governor
             session = service.session()
+            # ``a3`` mapped, converted for survivors only, then jumped
+            # until its rent buys its load.
+            session.query("SELECT a3 FROM t WHERE a2 % 2 = 0")
+            for __ in range(3):
+                session.query("SELECT a2, a3 FROM t WHERE a2 % 7 = 0")
             for __ in range(3):
                 session.query("SELECT SUM(a1) AS s FROM t WHERE a2 < 500000")
             resident = {

@@ -184,10 +184,15 @@ def test_limit_stops_after_the_first_stride(make, scans, monkeypatch):
 
 
 def test_columnstore_served_predicate_column(make, scans, tmp_path):
-    eng = make(vp_enabled=True, vp_min_accesses=1, vp_dir=str(tmp_path / "vp"))
-    _warm_all(eng)
+    eng = make(vp_enabled=True, vp_dir=str(tmp_path / "vp"))
+    # ``a`` and ``b`` mapped, converted for survivors only, then jumped
+    # until their rent buys their load.
     state = eng.table_state("t")
-    state.cache.invalidate()  # the columnstore is now the only tier
+    for _ in range(5):
+        eng.query("SELECT a, b FROM t WHERE f > 0")
+    store = state.columnstore
+    assert store.coverage_rows(0) == store.coverage_rows(1) == N
+    assert state.cache.peek(0) is None and state.cache.peek(1) is None
     served = eng.telemetry.registry.counter("vp_served_total")
     before = served.value
     result = eng.query("SELECT a, b FROM t WHERE a % 5 = 0 AND b > 30")
@@ -440,11 +445,7 @@ def test_tiny_read_bound_splits_reads_at_window_edges(
 
 
 def _vp(tmp_path):
-    return {
-        "vp_enabled": True,
-        "vp_min_accesses": 1,
-        "vp_dir": str(tmp_path / "vp"),
-    }
+    return {"vp_enabled": True, "vp_dir": str(tmp_path / "vp")}
 
 
 def _price(state):

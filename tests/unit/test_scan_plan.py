@@ -135,9 +135,13 @@ def test_cache_resident_predicate_column(make):
 
 
 def test_columnstore_resident_predicate_column(make, tmp_path):
-    eng = make(vp_enabled=True, vp_min_accesses=1, vp_dir=str(tmp_path / "vp"))
-    eng.query("SELECT a, b, c FROM t")
-    eng.table_state("t").cache.invalidate()
+    eng = make(vp_enabled=True, vp_dir=str(tmp_path / "vp"))
+    # ``a`` and ``b`` mapped, converted for survivors only, then jumped
+    # until their rent buys their load.
+    store = eng.table_state("t").columnstore
+    for _ in range(5):
+        eng.query("SELECT a, b FROM t WHERE c LIKE '%1'")
+    assert store.coverage_rows(0) == store.coverage_rows(1) == N
     plan = _plan(eng, ["a", "b"], "a % 5 = 0")
     (seg,) = plan.segments
     assert _sources(seg) == {0: "VerticalStore", 1: "VerticalStore"}

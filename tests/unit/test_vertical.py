@@ -254,27 +254,39 @@ def test_a_promoted_column_extends_its_zone_map(tmp_path):
     )
 
 
-def test_loads_are_counted_and_named(store):
+def test_loads_and_tails_are_counted(store):
     counter = store.registry.counter
     assert store.promote(0, "a", DataType.INTEGER, ints(range(10)), 1.0)
-    assert store.promote(1, "b", DataType.INTEGER, ints(range(10)), 1.0, True)
-    assert counter("vp_loads_total").value == 1
-    # A loaded column's tail loads too; a promoted one's extends.
-    assert store.extend(1, ints([10, 11]), load=True)
-    assert store.extend(0, ints([10, 11]))
-    assert counter("vp_loads_total").value == 2
+    assert store.promote(1, "b", DataType.INTEGER, ints(range(10)), 1.0)
+    assert store.extend(1, ints([10, 11]))
     assert counter("vp_promotions_total").value == 2
-    assert counter("vp_extends_total").value == 2
+    assert counter("vp_extends_total").value == 1
     stats = store.stats(12)
-    assert stats["columns"] == ["a", "b"] and stats["loaded"] == ["b"]
+    assert stats["columns"] == ["a", "b"]
+    assert stats["lag_rows"] == {"a": 2, "b": 0}
 
 
 def test_a_refused_load_counts_nothing(tmp_path):
     store = make_store(tmp_path, 128 + 10 * 8 + WINDOW_BYTES)  # not 15
-    assert not store.promote(
-        0, "a", DataType.INTEGER, ints(range(15)), 1.0, load=True
-    )
+    assert not store.promote(0, "a", DataType.INTEGER, ints(range(15)), 1.0)
     counter = store.registry.counter
-    assert counter("vp_loads_total").value == 0
     assert counter("vp_promotions_total").value == 0
-    assert store.stats()["loaded"] == [] and files(store) == {}
+    assert store.stats()["columns"] == [] and store.governed_bytes() == 0
+    # Refused before a byte was written: no file, no directory.
+    assert not store.root.exists()
+
+
+@pytest.mark.parametrize(
+    "dtype, vector",
+    [
+        (DataType.INTEGER, ints(range(50), nulls=[3])),
+        (
+            DataType.FLOAT,
+            ColumnVector.from_pylist(DataType.FLOAT, [0.5, None]),
+        ),
+        (DataType.TEXT, texts(["b", None, "é", "b"] * 9)),
+    ],
+)
+def test_the_charged_bytes_are_the_written_files(store, dtype, vector):
+    assert store.promote(0, "a", dtype, vector, 1.0)
+    assert store.governed_bytes() == held(store) > 0

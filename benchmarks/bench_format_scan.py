@@ -95,7 +95,7 @@ def test_format_scan(benchmark, tmp_path_factory):
                 engine.register_csv("t", csv_path, SCHEMA)
                 for __ in range(4):
                     assert engine.query(SQL).rows == expect
-                served = "vp: served from columnstore" in engine.explain(
+                served = "columnstore: a, d" in engine.explain(
                     "SELECT a, d FROM t"
                 )
                 assert served == (config is vp_config), arm

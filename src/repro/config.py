@@ -141,16 +141,14 @@ class PostgresRawConfig:
     #: as before the subsystem existed.
     mv_enabled: bool = True
 
-    #: Auto-materialization: when a query signature has been planned
-    #: ``mv_min_repeats`` times, its next raw execution captures the
-    #: finished aggregate as a governed MV.  Off (the default), the
+    #: Auto-materialization by rent-or-buy: a query signature's raw
+    #: runs pay their seconds as rent, and the first plan whose rent
+    #: reaches the governor's price for the result's bytes captures it
+    #: as a governed MV (its second raw run, while the budget does not
+    #: bind).  Off (the default), the
     #: analyzer still mines and *suggests*; materialization happens only
     #: through explicit ``service.build_mv(sql)``.
     mv_auto: bool = False
-
-    #: How many times a signature must repeat before ``mv_auto``
-    #: captures it.
-    mv_min_repeats: int = 3
 
     #: Vertical persistence: load hot columns of raw tables into the
     #: on-disk columnstore, a durable governed tier.  A column is loaded
@@ -166,14 +164,6 @@ class PostgresRawConfig:
     #: ``None`` (the default) uses a per-service temporary directory
     #: that is removed on ``close()``.
     vp_dir: str | None = None
-
-    #: Half-life (seconds) for decaying the ``benefit_seconds`` signal
-    #: of governed structures: a positional chunk or cache entry that
-    #: has not been touched for one half-life counts at half its
-    #: measured benefit-per-byte in the governor's eviction ordering, so
-    #: stale-but-expensive structures age out in favor of recently
-    #: useful ones.  ``None`` (the default) keeps benefit undecayed.
-    benefit_half_life_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.memory_budget is None or self.memory_budget < 0:
@@ -191,15 +181,8 @@ class PostgresRawConfig:
             raise BudgetError("stream_queue_batches must be >= 1")
         if self.cursor_ttl_s is not None and self.cursor_ttl_s <= 0:
             raise BudgetError("cursor_ttl_s must be > 0 (or None)")
-        if (
-            self.benefit_half_life_s is not None
-            and self.benefit_half_life_s <= 0
-        ):
-            raise BudgetError("benefit_half_life_s must be > 0 (or None)")
         if self.slow_query_s is not None and self.slow_query_s <= 0:
             raise BudgetError("slow_query_s must be > 0 (or None)")
-        if self.mv_min_repeats < 1:
-            raise BudgetError("mv_min_repeats must be >= 1")
 
     def with_overrides(self, **overrides: Any) -> "PostgresRawConfig":
         """Return a copy with the given fields replaced.

@@ -212,13 +212,20 @@ class RawScan(Operator):
             f"RawScan({self.state.entry.name}{fmt_tag}{rows} -> "
             f"{', '.join(self.output_columns)}{pred})"
         )
-        columnstore = self.state.columnstore
-        if (
-            columnstore is not None
-            and self.needed_attrs
-            and self.state.covers(self.needed_attrs, [columnstore])
-        ):
-            text += "\n-- vp: served from columnstore"
+        # Served wholly from binary tiers: the scan reads no raw byte.
+        state, n = self.state, self.state.table_rows()
+        binary = {state.cache: "cache", state.columnstore: "columnstore"}
+        tiers = [t for t in state.tiers if t in binary]
+        served: dict[str, list[str]] = {}
+        for attr in self.needed_attrs if n is not None else ():
+            held = [t for t in tiers if t.coverage_rows(attr) >= n]
+            if not held:
+                break
+            served.setdefault(binary[held[0]], []).append(self._names[attr])
+        else:
+            if served:
+                parts = (f"{k}: {', '.join(v)}" for k, v in served.items())
+                text += f"\n-- served from binary tiers ({'; '.join(parts)})"
         return text
 
     def execute(self) -> Iterator[Batch]:
@@ -503,9 +510,7 @@ class RawScan(Operator):
                 )
                 converted = {}
                 try:
-                    tokenized = None
-                    if to_tokenize:
-                        tokenized = self._tokenize_for(to_tokenize, lo, hi)
+                    tokenized = self._tokenize_for(to_tokenize, lo, hi)
                     if seg_sel is not None and not len(seg_sel):
                         continue  # no row qualifies: nothing to convert
                     for attr in attrs:
@@ -617,11 +622,11 @@ class RawScan(Operator):
         lo: int,
         hi: int,
         sel: np.ndarray | None,
-        tokenized: TokenizedRows | None,
+        tokenized: dict[int, TokenizedRows],
     ) -> tuple[ColumnVector, float | None]:
         """One attribute's vector over rows [lo, hi) of ``seg`` (``sel``
-        rows only, when given) and the seconds its conversion took —
-        ``None`` when a binary tier served it."""
+        rows only, when given; ``tokenized`` by attribute) and the
+        seconds its conversion took — ``None`` when a tier served it."""
         resident = seg.resident.get(attr)
         if resident is not None:
             # Binary values: no raw-file access at all.
@@ -638,7 +643,9 @@ class RawScan(Operator):
         if chunk is not None:
             convert = self._jump_via_chunk(chunk, attr, lo, hi, sel, dtype)
         else:
-            convert = self._tokenized_fields(tokenized, attr, lo, sel, dtype)
+            convert = self._tokenized_fields(
+                tokenized[attr], attr, lo, sel, dtype
+            )
         convert_start = time.perf_counter()
         with self.metrics.time(_CONVERT):
             vector = convert()
@@ -769,23 +776,24 @@ class RawScan(Operator):
 
     def _tokenize_for(
         self, attrs: list[int], lo: int, hi: int
-    ) -> TokenizedRows:
-        """Tokenize rows [lo, hi) covering ``attrs``, anchored as close
-        as possible (batch-local spans first, then the positional map,
-        then the start of the tuple).
-
-        Rows are tokenized once per batch: a span this batch already
-        holds for the same rows that covers ``attrs`` is returned as
-        is, learning and counting nothing twice."""
-        min_a = min(attrs)
-        max_a = max(attrs)
-        for span_lo, span_hi, prev in self._batch_spans:
-            if (
-                (span_lo, span_hi) == (lo, hi)
-                and prev.first_attr <= min_a
-                and max_a <= prev.last_attr
-            ):
-                return prev
+    ) -> dict[int, TokenizedRows]:
+        """Tokenized rows [lo, hi) for each of ``attrs``: from a span
+        this batch already holds over them (rows are tokenized once per
+        batch), else from one new span anchored as close as possible
+        (batch-local spans first, then the map, then the tuple start)."""
+        spans = [
+            p for s0, s1, p in self._batch_spans if (s0, s1) == (lo, hi)
+        ]
+        out = {
+            a: p
+            for p in spans
+            for a in attrs
+            if p.first_attr <= a <= p.last_attr
+        }
+        rest = [a for a in attrs if a not in out]
+        if not rest:
+            return out
+        min_a, max_a = min(rest), max(rest)
         window = self._rows_window(lo, hi)
         bounds = self._bounds
         n_attrs = len(self.schema)
@@ -798,18 +806,13 @@ class RawScan(Operator):
         first = 0
         field_starts = None
         if self.adapter.supports_anchors:
-            # 1. Anchor on a span tokenized earlier in this same batch.
-            best_prev = None
-            for span_lo, span_hi, prev in self._batch_spans:
-                if span_lo != lo or span_hi != hi:
-                    continue
-                next_attr = prev.last_attr + 1
-                if next_attr <= min_a and next_attr < n_attrs:
-                    if (
-                        best_prev is None
-                        or next_attr > best_prev.last_attr + 1
-                    ):
-                        best_prev = prev
+            # 1. Anchor on a span tokenized earlier in this same batch:
+            # the one ending closest before ``min_a``.
+            best_prev = max(
+                (p for p in spans if p.last_attr < min(min_a, n_attrs - 1)),
+                key=lambda p: p.last_attr,
+                default=None,
+            )
             if best_prev is not None:
                 first = best_prev.last_attr + 1
                 field_starts = best_prev.offsets[:, -1]
@@ -873,7 +876,8 @@ class RawScan(Operator):
                 first, max_a, n_attrs, lo, tokenized.offsets, tokenize_seconds
             )
         self._batch_spans.append((lo, hi, tokenized))
-        return tokenized
+        out.update(dict.fromkeys(rest, tokenized))
+        return out
 
     # ------------------------------------------------------------------
     # Adaptive-structure population (repro.core.install).

@@ -37,12 +37,13 @@ the *price*: the raw bytes of those segments' rows, what one whole
 conversion reads.  Each stride acquires them for all its rows, then
 takes its survivors; the whole windows are harvested and written into
 the columnstore (not the cache).  This is the only way a column enters
-the columnstore.  The rent starts over whether the governor admits the
-load or refuses, whenever a column's tail is written, and once the
-cache takes the whole column.  It is the ski-rental rule: no knob, and
-never more than twice the cost of the best choice made knowing the
-future.  A loading scan skips no window, since every row is read to be
-loaded.
+the columnstore, and only while the governor prices rows x value
+width (a lower bound of its bytes) finite.  The rent starts over
+whether the governor admits the load or refuses, whenever a column's
+tail is written, and once the cache takes the whole column.  It is the
+ski-rental rule: no knob, and never more than twice the cost of the
+best choice made knowing the future.  A loading scan skips no window,
+since every row is read to be loaded.
 
 **Window skipping.**  Cache entries and promoted columns of INTEGER,
 FLOAT and DATE columns carry a synopsis — per ``batch_size`` window
@@ -60,6 +61,7 @@ row ranges; strides restart at one batch for each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -262,7 +264,13 @@ def _load_attrs(
                 break
         else:
             if 0 < price <= state.load_rent.get(attr, 0):
-                loads.append(attr)
+                # The governor prices a lower bound of its bytes.
+                dtype = state.entry.schema.columns[attr].dtype.numpy_dtype
+                nbytes = (segments[-1].end - start) * dtype.itemsize
+                if math.isinf(store.governor.price(store, nbytes, {attr})):
+                    state.reset_rent(attr)  # refused before converting
+                else:
+                    loads.append(attr)
     return tuple(loads)
 
 

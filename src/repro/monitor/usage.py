@@ -40,18 +40,16 @@ def query_signature_stats(service, limit: int = 10) -> list[dict[str, object]]:
 
     Each row carries the signature label, how often the planner saw it,
     observed raw vs MV-served cost, the statistics-estimated result
-    size and its materialization status (``materialized`` / candidate /
-    cold).  Empty when ``mv_enabled=False``.
+    size, the raw seconds paid toward a capture (rent) against what
+    admitting it would evict (price), and its status (``materialized``
+    / ``candidate``: rent paid and at least the price / ``cold``).
+    Empty when ``mv_enabled=False``.
     """
     mv = getattr(service, "mv", None)
     if mv is None:
         return []
     materialized = {e.signature for e in mv.catalog.entries()}
-    return mv.analyzer.suggestions(
-        estimator=mv.estimate_result_bytes,
-        materialized=materialized,
-        limit=limit,
-    )
+    return mv.analyzer.suggestions(materialized, limit=limit)
 
 
 def render_query_signatures(service, limit: int = 10) -> str:
@@ -59,12 +57,17 @@ def render_query_signatures(service, limit: int = 10) -> str:
     rows = query_signature_stats(service, limit=limit)
     if not rows:
         return "(no aggregate signatures mined yet)"
-    lines = ["signature  repeats  raw-ms  served-ms  est-KiB  status"]
+    lines = [
+        "signature  repeats  raw-ms  served-ms  est-KiB  rent-ms  price-ms"
+        "  status"
+    ]
     for row in rows:
         lines.append(
             f"{row['signature']}  x{row['repeats']}  "
             f"{row['mean_raw_seconds'] * 1000:.2f}  "
             f"{row['mean_served_seconds'] * 1000:.2f}  "
-            f"{row['est_result_bytes'] / 1024:.1f}  {row['status']}"
+            f"{row['est_result_bytes'] / 1024:.1f}  "
+            f"{row['rent_s'] * 1000:.2f}  {row['price_s'] * 1000:.2f}  "
+            f"{row['status']}"
         )
     return "\n".join(lines)

@@ -13,8 +13,14 @@ are ranked by **benefit-per-byte** —
 by, so a suggestion's rank predicts how well the resulting MV will
 compete against positional-map chunks and cache entries once resident.
 
-``mv_auto=True`` closes the loop: a signature planned ``mv_min_repeats``
-times is captured on its next raw execution.  Explicit
+``mv_auto=True`` closes the loop by rent-or-buy, as columnstore loads
+do: each completed raw run adds its seconds to the signature's *rent*,
+and bytes are bought once the rent reaches their *price*
+(:meth:`repro.service.MemoryGovernor.price`, what their grant would
+evict) — the estimated result's by the plan (its second raw run while
+the budget does not bind; a one-off never), the real ones by the
+install, a tail-merge's growth by the merge.  A refused capture and an
+invalidated table start the rent over.  Explicit
 ``service.build_mv(sql)`` uses the same machinery with a force flag
 (which also suppresses serving for that signature, so a wider partial
 match cannot shadow the build).
@@ -23,8 +29,7 @@ match cannot shadow the build).
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .signature import QuerySignature
 
@@ -46,23 +51,32 @@ class SignatureStats:
     #: Completed executions served from an MV (exact or partial).
     served_runs: int = 0
     served_seconds_total: float = 0.0
-    last_seen_unix: float = field(default_factory=time.time)
+    #: Raw seconds paid toward a capture since the last refusal or
+    #: invalidation (rent-or-buy).
+    rent_s: float = 0.0
+    #: Refused captures whose runs have yet to complete: the rent they
+    #: would pay is already forfeit.
+    unpaid: int = 0
 
     def mean_raw_seconds(self) -> float:
         return self.raw_seconds_total / self.raw_runs if self.raw_runs else 0.0
 
     def mean_served_seconds(self) -> float:
-        if not self.served_runs:
-            return 0.0
-        return self.served_seconds_total / self.served_runs
+        n = self.served_runs
+        return self.served_seconds_total / n if n else 0.0
 
 
 class WorkloadAnalyzer:
-    """Signature frequencies, observed costs, and capture decisions."""
+    """Signature frequencies, observed costs, and capture decisions:
+    ``estimator(sig)`` sizes a result (``None``: unknown), ``price(sig,
+    nbytes)`` is what admitting it would evict, in benefit-seconds."""
 
-    def __init__(self, min_repeats: int, auto: bool) -> None:
-        self.min_repeats = min_repeats
+    def __init__(
+        self, auto: bool, estimator=lambda sig: None, price=lambda s, n: 0.0
+    ) -> None:
         self.auto = auto
+        self.estimator = estimator
+        self.price = price
         self._lock = threading.Lock()
         self._stats: dict[QuerySignature, SignatureStats] = {}
         self._forced: dict[QuerySignature, int] = {}
@@ -74,12 +88,8 @@ class WorkloadAnalyzer:
     def note_planned(self, sig: QuerySignature) -> int:
         """Record one planned occurrence; returns the repeat count."""
         with self._lock:
-            stats = self._stats.get(sig)
-            if stats is None:
-                stats = SignatureStats(sig)
-                self._stats[sig] = stats
+            stats = self._stats.setdefault(sig, SignatureStats(sig))
             stats.repeats += 1
-            stats.last_seen_unix = time.time()
             return stats.repeats
 
     def note_completed(
@@ -92,16 +102,32 @@ class WorkloadAnalyzer:
         raw scan+aggregate cost an MV would save.
         """
         with self._lock:
-            stats = self._stats.get(sig)
-            if stats is None:
-                stats = SignatureStats(sig)
-                self._stats[sig] = stats
+            stats = self._stats.setdefault(sig, SignatureStats(sig))
             if decision in ("exact", "partial"):
                 stats.served_runs += 1
                 stats.served_seconds_total += seconds
             else:
                 stats.raw_runs += 1
                 stats.raw_seconds_total += seconds
+                if stats.unpaid:
+                    stats.unpaid -= 1
+                else:
+                    stats.rent_s += seconds
+
+    def refuse(self, sig: QuerySignature) -> None:
+        """A refused capture: the rent starts over, and the run that
+        made it pays none when it completes."""
+        with self._lock:
+            stats = self._stats.setdefault(sig, SignatureStats(sig))
+            stats.rent_s = 0.0
+            stats.unpaid += 1
+
+    def reset_rent(self, table: str) -> None:
+        """An invalidated or dropped table's signatures pay anew."""
+        with self._lock:
+            for stats in self._stats.values():
+                if stats.signature.table == table:
+                    stats.rent_s = 0.0
 
     def observed_seconds(self, sig: QuerySignature) -> float:
         """Mean raw cost of this shape (0.0 when never run raw)."""
@@ -133,70 +159,75 @@ class WorkloadAnalyzer:
     def should_capture(
         self, sig: QuerySignature, already_materialized: bool
     ) -> bool:
+        return (
+            not already_materialized
+            and (self.auto or self.is_forced(sig))
+            and self.affords(sig, self.est_bytes(sig))
+        )
+
+    def affords(self, sig: QuerySignature, nbytes: int) -> bool:
+        """Rent-or-buy: may ``sig`` take ``nbytes`` now — a forced build
+        always, else once its rent is paid and at least their price."""
         with self._lock:
             if sig in self._forced:
-                return not already_materialized
-            if not self.auto or already_materialized:
-                return False
+                return True
             stats = self._stats.get(sig)
-            return stats is not None and stats.repeats >= self.min_repeats
+            rent = stats.rent_s if stats is not None else 0.0
+        # A signature that never completed raw costs no governor walk.
+        return rent > 0 and rent >= self.price(sig, nbytes)
+
+    def est_bytes(self, sig: QuerySignature) -> int:
+        return self.estimator(sig) or DEFAULT_RESULT_BYTES
 
     # ------------------------------------------------------------------
     # Ranking / suggestions.
     # ------------------------------------------------------------------
 
     def suggestions(
-        self,
-        estimator=None,
-        materialized=frozenset(),
-        limit: int = 10,
+        self, materialized=frozenset(), limit: int = 10
     ) -> list[dict[str, object]]:
-        """Candidates ranked by benefit-per-byte, best first.
-
-        ``estimator(sig) -> int | None`` prices a candidate's result
-        bytes (the runtime wires table statistics in);
-        ``materialized`` signatures are reported with their status
-        instead of re-suggested.
-        """
+        """Candidates ranked by benefit-per-byte, best first, each with
+        its rent and price (``candidate`` once the rent covers it);
+        ``materialized`` signatures are reported as such."""
         with self._lock:
-            rows = []
-            for sig, stats in self._stats.items():
-                est_bytes = None
-                if estimator is not None:
-                    est_bytes = estimator(sig)
-                if est_bytes is None:
-                    est_bytes = DEFAULT_RESULT_BYTES
-                saved = stats.mean_raw_seconds()
-                rows.append(
-                    {
-                        "signature": sig.label(),
-                        "table": sig.table,
-                        "repeats": stats.repeats,
-                        "raw_runs": stats.raw_runs,
-                        "served_runs": stats.served_runs,
-                        "mean_raw_seconds": round(saved, 6),
-                        "mean_served_seconds": round(
-                            stats.mean_served_seconds(), 6
-                        ),
-                        "est_result_bytes": est_bytes,
-                        "benefit_per_byte": saved / max(est_bytes, 1),
-                        "status": (
-                            "materialized"
-                            if sig in materialized
-                            else "candidate"
-                            if stats.repeats >= self.min_repeats
-                            else "cold"
-                        ),
-                    }
-                )
-            rows.sort(
-                key=lambda r: (
-                    r["status"] == "materialized",
-                    -r["benefit_per_byte"] * r["repeats"],
-                    -r["repeats"],
-                )
+            ranked = sorted(
+                (
+                    (s, s.rent_s, self.est_bytes(s.signature))
+                    for s in self._stats.values()
+                ),
+                key=lambda h: (
+                    h[0].signature in materialized,
+                    -h[0].mean_raw_seconds() / max(h[2], 1) * h[0].repeats,
+                    -h[0].repeats,
+                ),
+            )[:limit]
+        rows = []
+        # Priced after the cut: one governor walk per row shown.
+        for stats, rent, est_bytes in ranked:
+            sig, saved = stats.signature, stats.mean_raw_seconds()
+            price = self.price(sig, est_bytes)
+            status = "candidate" if 0 < rent >= price else "cold"
+            if sig in materialized:
+                status = "materialized"
+            rows.append(
+                {
+                    "signature": sig.label(),
+                    "table": sig.table,
+                    "repeats": stats.repeats,
+                    "raw_runs": stats.raw_runs,
+                    "served_runs": stats.served_runs,
+                    "mean_raw_seconds": round(saved, 6),
+                    "mean_served_seconds": round(
+                        stats.mean_served_seconds(), 6
+                    ),
+                    "est_result_bytes": est_bytes,
+                    "benefit_per_byte": saved / max(est_bytes, 1),
+                    "rent_s": round(rent, 6),
+                    "price_s": round(price, 6),
+                    "status": status,
+                }
             )
-            return rows[:limit]
+        return rows
 
     def signature_count(self) -> int:
         with self._lock:

@@ -28,8 +28,7 @@ chunks and cache entries — the benefit being the measured
 scan+aggregate seconds the capture replaced.  Admission (a re-capture
 of a signature supersedes its entry, which stays if the new one is
 refused), tail-merge growth, eviction, invalidation and recency are the
-ledger's; matching and tail-merging are the catalog's own.  One entry
-may not exceed ``max_entry_bytes``.
+ledger's; matching and tail-merging are the catalog's own.
 
 **Row watermark.**  An entry aggregates the table rows ``[0, rows)``
 — ``rows`` is taken from the line index of the scan that built it —
@@ -149,14 +148,12 @@ class MVMatch:
 class MVCatalog:
     """All resident materialized aggregates of one engine."""
 
-    def __init__(self, registry, governor, max_entry_bytes: int = 0) -> None:
+    def __init__(self, registry, governor) -> None:
         self._registry = registry
         # Every method takes the governor's reentrant lock: grant-
         # triggered evictions re-enter our ledgers without a second lock
         # (and without an install-vs-evict lock-order inversion).
         self._governor = governor
-        #: Per-entry size ceiling (``0``: only the governor's budget).
-        self.max_entry_bytes = max_entry_bytes
         #: Per-table ledgers keyed by signature — the governor-facing
         #: membership unit, so a table's MVs are evicted (and
         #: ``unregister_table``-released) exactly like its map chunks.
@@ -233,7 +230,7 @@ class MVCatalog:
         return "partial"
 
     def note_served(self, match: MVMatch) -> None:
-        """Mark a hit: recency + hit counters feed the benefit decay."""
+        """Mark a hit: recency (the eviction tie-break) and counters."""
         with self._governor.lock:
             entry = match.entry
             if match.kind == "partial":
@@ -246,8 +243,9 @@ class MVCatalog:
     # Install / invalidate / drop.
     # ------------------------------------------------------------------
 
-    def install(self, entry: MaterializedAggregate) -> bool:
-        """Admit one captured aggregate; ``False`` when rejected.
+    def install(self, entry: MaterializedAggregate, bought=True) -> bool:
+        """Admit one captured aggregate; ``False`` when rejected — also
+        when not ``bought`` (its rent does not cover its price).
 
         A re-capture of a resident signature replaces its entry (which
         stays when the new one is refused).  Callers hold the table's
@@ -255,11 +253,8 @@ class MVCatalog:
         admission races a concurrent reconcile/drop never interleave
         mid-decision.
         """
-        oversized = bool(self.max_entry_bytes) and (
-            entry.nbytes > self.max_entry_bytes
-        )
         with self._governor.lock:
-            if oversized or not self._ensure_container(
+            if not bought or not self._ensure_container(
                 entry.signature.table
             ).admit(entry.signature, entry):
                 self.rejected += 1
@@ -272,6 +267,10 @@ class MVCatalog:
             )
             self._update_gauge()
         return True
+
+    def price(self, sig: QuerySignature, nbytes: int) -> float:
+        """:meth:`repro.service.MemoryGovernor.price` of an entry."""
+        return self._governor.price(self._tables.get(sig.table), nbytes, {sig})
 
     def _ensure_container(self, table: str) -> GovernedLedger:
         container = self._tables.get(table)
@@ -314,8 +313,6 @@ class MVCatalog:
                 or entry.rows != from_rows
                 or rows <= from_rows
             ):
-                return False
-            if self.max_entry_bytes and nbytes > self.max_entry_bytes:
                 return False
             extra = nbytes - entry.nbytes
             if extra > 0 and not container.grow(entry.signature, extra):

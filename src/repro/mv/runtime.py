@@ -25,11 +25,6 @@ from .catalog import (
 )
 from .signature import QuerySignature, extract_signature
 
-#: Largest fraction of ``memory_budget`` one captured aggregate may
-#: occupy; a bigger capture is rejected outright instead of evicting
-#: most of the engine's adaptive state to make room for it.
-MV_MAX_ENTRY_FRACTION = 0.25
-
 
 class MVRuntime:
     """Analyzer + catalog + telemetry wiring for one engine."""
@@ -48,15 +43,9 @@ class MVRuntime:
         #: ``table -> its reconciled row count``, or ``None`` while that
         #: is unknown (an append not yet indexed, no line index kept).
         self._rows_provider = rows_provider or (lambda table: None)
+        self.catalog = MVCatalog(registry, governor)
         self.analyzer = WorkloadAnalyzer(
-            config.mv_min_repeats, config.mv_auto
-        )
-        self.catalog = MVCatalog(
-            registry,
-            governor,
-            max_entry_bytes=int(
-                config.memory_budget * MV_MAX_ENTRY_FRACTION
-            ),
+            config.mv_auto, self.estimate_result_bytes, self.catalog.price
         )
 
     # ------------------------------------------------------------------
@@ -168,7 +157,11 @@ class MVRuntime:
             build_seconds=time.perf_counter() - start,
             created_unix=time.time(),
         )
-        return self.catalog.install(entry)
+        # The plan bought the estimate; the real bytes pay the same rule.
+        if self.catalog.install(entry, self.analyzer.affords(sig, nbytes)):
+            return True
+        self.analyzer.refuse(sig)
+        return False
 
     def observe_completion(
         self, sig: QuerySignature, decision: str | None, seconds: float
@@ -185,15 +178,22 @@ class MVRuntime:
     ) -> bool:
         """Install a tail-merge: ``batch`` is ``entry`` with the table
         rows ``[from_rows, rows)`` folded in.  Same caller contract as
-        :meth:`install`; not a build, so build counters do not move."""
+        :meth:`install`; not a build, so build counters do not move.
+        Growth is bought like a capture, with the entry's rent; refused,
+        the entry stays lagging."""
         if entry.generation != generation:
+            return False
+        grows = sum(v.nbytes() for v in batch.columns.values()) - entry.nbytes
+        if grows > 0 and not self.analyzer.affords(entry.signature, grows):
             return False
         return self.catalog.advance(entry, from_rows, batch, rows)
 
     def invalidate_table(self, table: str) -> int:
+        self.analyzer.reset_rent(table)
         return self.catalog.invalidate_table(table)
 
     def drop_table(self, table: str) -> None:
+        self.analyzer.reset_rent(table)
         self.catalog.drop_table(table)
 
     def force(self, sig: QuerySignature) -> None:
@@ -237,13 +237,10 @@ class MVRuntime:
         """Registry collector: the panel / STATS / Prometheus view."""
         catalog = self.catalog
         registry = self.registry
-        materialized = {
-            e.signature for e in catalog.entries()
-        }
+        materialized = {e.signature for e in catalog.entries()}
         return {
             "enabled": True,
             "auto": self.config.mv_auto,
-            "min_repeats": self.config.mv_min_repeats,
             "mvs": catalog.entry_count(),
             "bytes": catalog.total_bytes(),
             "hits": int(registry.counter("mv_hits_total").value),
@@ -262,9 +259,5 @@ class MVRuntime:
             ),
             "tail_rows": int(registry.counter("mv_tail_rows_total").value),
             "entries": [self.describe_entry(e) for e in catalog.entries()],
-            "suggestions": self.analyzer.suggestions(
-                estimator=self.estimate_result_bytes,
-                materialized=materialized,
-                limit=5,
-            ),
+            "suggestions": self.analyzer.suggestions(materialized, limit=5),
         }

@@ -26,12 +26,11 @@ structure keeps its entries in a
 the same monotonic clock (``last_used_ts``) — no structure keeps a
 private counter whose values would not compare with another's.
 
-**Benefit decay.**  With ``benefit_half_life_s`` set, an item's benefit
-is aged by how long it has gone untouched: an expensive-to-rebuild
-structure the workload stopped using loses half its effective
-benefit-per-byte every half-life, so it eventually ranks below (and is
-evicted in favor of) a cheaper but recently-useful one — the benefit
-signal tracks the *current* workload instead of fossilizing the past.
+**Pricing.**  :meth:`MemoryGovernor.price` is what a grant would evict
+now, in benefit-seconds (``inf``: it cannot fit), evicting nothing — the
+one admission rule for what is bought, not learned in passing: an
+aggregate once its rent in raw seconds reaches it, a column load only
+while it is finite.
 
 Thread safety: the governor's reentrant ``lock`` serializes every
 budget decision *and* every container mutation of the structures bound
@@ -41,11 +40,10 @@ safely evict from table B while B's installer is one lock-acquire away.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Protocol
-
-from ..core.ledger import now as recency_now
 
 
 class GovernedStructure(Protocol):
@@ -80,22 +78,15 @@ class GovernedItem:
     structure: "GovernedStructure"
     token: object
     nbytes: int
-    value_density: float  # seconds saved per byte held (decayed)
+    value_density: float  # seconds saved per byte held
     last_used_ts: float
 
 
 class MemoryGovernor:
-    """Arbitrates one byte budget across every registered structure.
+    """Arbitrates one byte budget across every registered structure."""
 
-    ``benefit_half_life_s`` (``None`` = no decay) ages each item's
-    benefit-per-byte by its idle time when ordering eviction victims.
-    """
-
-    def __init__(
-        self, budget_bytes: int, benefit_half_life_s: float | None = None
-    ) -> None:
+    def __init__(self, budget_bytes: int) -> None:
         self.budget_bytes = int(budget_bytes)
-        self.benefit_half_life_s = benefit_half_life_s
         self.lock = threading.RLock()
         self._members: list[tuple[str, str, str, GovernedStructure]] = []
         self.evictions = 0
@@ -162,68 +153,72 @@ class MemoryGovernor:
         attribute tuples for maps, attribute numbers for caches and
         columnstores, signatures for MVs) are never evicted *from the
         requester*; other structures are fully up for grabs.  Returns
-        ``False`` — and evicts nothing further — when the bytes cannot
-        fit even after evicting everything evictable.
+        ``False`` — and evicts nothing — when the bytes cannot fit even
+        after evicting everything evictable.
         """
-        protected = protected or set()
         with self.lock:
-            if nbytes > self.budget_bytes:
+            victims = self._victims(requester, nbytes, protected)
+            if victims is None:
                 self.rejected_grants += 1
                 return False
-            used = self.used_bytes
-            if used + nbytes <= self.budget_bytes:
-                return True
-            # Build and order the cross-table inventory once; the lock
-            # guarantees it cannot change while we walk it, and eviction
-            # returns the exact bytes freed, so no re-summing per victim.
-            for victim in self._victim_order(requester, protected):
-                used -= victim.structure.governed_evict(victim.token)
+            for victim in victims:
+                victim.structure.governed_evict(victim.token)
                 self.evictions += 1
                 if victim.structure is not requester:
                     self.cross_evictions += 1
-                if used + nbytes <= self.budget_bytes:
-                    return True
-            self.rejected_grants += 1
-            return False
+            return True
+
+    def price(
+        self,
+        requester: GovernedStructure | None,
+        nbytes: int,
+        protected: set | None = None,
+    ) -> float:
+        """The benefit-seconds ``grant(requester, nbytes, protected)``
+        would evict now (0.0: they fit, ``inf``: they cannot)."""
+        with self.lock:
+            victims = self._victims(requester, nbytes, protected)
+        if victims is None:
+            return math.inf
+        return sum(v.value_density * v.nbytes for v in victims)
+
+    def _victims(
+        self,
+        requester: GovernedStructure | None,
+        nbytes: int,
+        protected: set | None,
+    ) -> list[GovernedItem] | None:
+        """The one victim walk (callers hold the lock): the items of
+        :meth:`_victim_order` a grant of ``nbytes`` takes, or ``None``
+        when evicting everything evictable would not make room."""
+        excess = self.used_bytes + nbytes - self.budget_bytes
+        if excess <= 0:
+            return []
+        victims = []
+        for item in self._victim_order(requester, protected or set()):
+            victims.append(item)
+            excess -= item.nbytes
+            if excess <= 0:
+                return victims
+        return None
 
     def _victim_order(
-        self, requester: GovernedStructure, protected: set
+        self, requester: GovernedStructure | None, protected: set
     ) -> list[GovernedItem]:
-        """Evictable items, cheapest-to-lose first (decayed benefit),
-        the least recently used first among equals."""
-        now = recency_now()
-        candidates: list[GovernedItem] = []
-        for _, _, _, structure in self._members:
-            for (
-                token,
-                nbytes,
-                density,
-                last_used_ts,
-            ) in structure.governed_items():
-                if structure is requester and token in protected:
-                    continue
-                candidates.append(
-                    GovernedItem(
-                        structure,
-                        token,
-                        nbytes,
-                        self._decayed(density, last_used_ts, now),
-                        last_used_ts,
-                    )
-                )
+        """Evictable items, cheapest-to-lose first (lowest benefit per
+        byte), the least recently used first among equals."""
+        candidates = [
+            GovernedItem(structure, token, nbytes, density, last_used_ts)
+            for _, _, _, structure in self._members
+            for token, nbytes, density, last_used_ts in (
+                structure.governed_items()
+            )
+            if structure is not requester or token not in protected
+        ]
         candidates.sort(
             key=lambda i: (i.value_density, i.last_used_ts, i.nbytes)
         )
         return candidates
-
-    def _decayed(
-        self, density: float, last_used_ts: float, now: float
-    ) -> float:
-        """Benefit-per-byte halved for every half-life of idleness."""
-        if self.benefit_half_life_s is None:
-            return density
-        idle_s = max(now - last_used_ts, 0.0)
-        return density * 0.5 ** (idle_s / self.benefit_half_life_s)
 
     # ------------------------------------------------------------------
     # Introspection (monitoring panel).

@@ -233,10 +233,7 @@ class PostgresRawService:
         self._states: dict[str, RawTableState] = {}
         self._table_locks: dict[str, RWLock] = {}
         self._registry_lock = threading.Lock()
-        self.governor = MemoryGovernor(
-            self.config.memory_budget,
-            benefit_half_life_s=self.config.benefit_half_life_s,
-        )
+        self.governor = MemoryGovernor(self.config.memory_budget)
         self.scheduler = QueryScheduler(
             self.config.max_concurrent_queries,
             self.config.admission_queue_depth,

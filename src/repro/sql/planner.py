@@ -975,12 +975,11 @@ class Planner:
         where: Expression | None = None,
     ) -> Operator:
         """The raw aggregate, wrapped in an MVCapture when this
-        signature has earned materialization."""
+        signature has earned materialization — in EXPLAIN too, which
+        previews the capture without a sink and never runs it."""
         if (
             mv_sig is None
             or self.mv is None
-            or self.mv_captures is None
-            or not self.mv_mining
             or not self.mv.should_capture(mv_sig)
         ):
             return HashAggregate(plan, group_items, specs)

@@ -91,24 +91,6 @@ class TestBudgetsAndEviction:
         assert state.positional_map.chunk_count == 0
         assert state.cache.entry_count == 0
 
-    def test_eviction_keeps_recent_attributes(self, dataset):
-        """With benefit decay, the epoch-old attributes go, not the hot
-        ones."""
-        eng, __ = _engine(
-            dataset,
-            memory_budget=150 * 1024,
-            enable_positional_map=False,
-            benefit_half_life_s=1e-3,
-        )
-        cache = eng.table_state("t").cache
-        eng.query("SELECT a0 FROM t")
-        for attr in range(1, 12):
-            eng.query(f"SELECT a{attr} FROM t")
-            eng.query(f"SELECT a{attr} FROM t")  # keep current attr hot
-        cached = cache.cached_attrs()
-        assert 11 in cached  # most recent survives
-        assert 0 not in cached  # oldest evicted
-
 
 class TestEpochWorkloadDynamics:
     def test_epoch_shift_changes_structures(self, dataset):

@@ -302,7 +302,6 @@ def test_mixed_lanes_while_the_file_grows(tmp_path):
         cursor_ttl_s=20.0,
         max_concurrent_queries=8,
         mv_auto=True,
-        mv_min_repeats=1,
     )
     failures: list = []
     done = threading.Event()

@@ -44,7 +44,6 @@ def config(tmp_path, **overrides) -> PostgresRawConfig:
     base = dict(
         batch_size=16,
         mv_auto=True,
-        mv_min_repeats=1,
         vp_enabled=True,
         vp_dir=str(tmp_path / "vp"),
     )

@@ -142,9 +142,8 @@ def test_jsonl_vertical_persistence(jsonl_path, tmp_path):
         rows = service.governor.residency()
         cs = [r for r in rows if r["kind"] == "columnstore"]
         assert cs and cs[0]["format"] == "jsonl"
-        assert "-- vp: served from columnstore" in service.explain(
-            "SELECT a FROM t WHERE a >= 0"
-        )
+        served = "-- served from binary tiers (columnstore: a)"
+        assert served in service.explain("SELECT a FROM t WHERE a >= 0")
 
 
 def test_malformed_record_raises(tmp_path):

@@ -1,6 +1,6 @@
 """Adaptive materialized-aggregate lifecycle against a live service.
 
-Auto-materialization after ``mv_min_repeats``, explicit ``build_mv``,
+Auto-materialization by rent-or-buy, explicit ``build_mv``,
 appends advancing an entry's watermark (tail-merge), rewrite/drop
 invalidation, governed accounting with MVs in the
 budget, monitor panels, and an aggregate-heavy concurrent hammer whose
@@ -11,6 +11,7 @@ every answer must match a fresh MV-less engine.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -20,6 +21,7 @@ from repro import PostgresRaw, PostgresRawConfig, PostgresRawService
 from repro.catalog.schema import TableSchema
 from repro.monitor import render_governor_panel, render_query_signatures
 from repro.rawio.writer import append_csv_rows, write_csv
+from repro.sql.parser import parse_select
 
 N_THREADS = 8
 ROUNDS = int(os.environ.get("REPRO_STRESS_ROUNDS", "2"))
@@ -54,17 +56,20 @@ def reference(path, queries):
 
 
 def test_auto_materialization_lifecycle(csv_path):
-    config = PostgresRawConfig(mv_auto=True, mv_min_repeats=3)
+    config = PostgresRawConfig(mv_auto=True)
     sql = AGG_QUERIES[0]
     expected = reference(csv_path, [sql])[sql]
     with PostgresRaw(config) as engine:
         engine.register_csv("t", csv_path, SCHEMA)
         mv = engine.service.mv
-        # Below the repeat threshold: every run stays raw.
-        for __ in range(2):
-            assert sorted(engine.query(sql).rows) == expected
+        # No rent paid yet: the first run stays raw and pays its seconds.
+        assert sorted(engine.query(sql).rows) == expected
         assert mv.catalog.entry_count() == 0
-        # The third plan crosses mv_min_repeats: that run captures.
+        (row,) = mv.stats()["suggestions"]
+        assert row["rent_s"] > 0 and row["price_s"] == 0
+        assert row["status"] == "candidate"
+        # The budget does not bind, so the price is 0: the second plan
+        # captures.
         assert sorted(engine.query(sql).rows) == expected
         assert mv.catalog.entry_count() == 1
         # From now on the planner serves the MV.
@@ -79,6 +84,76 @@ def test_auto_materialization_lifecycle(csv_path):
         assert "MVScan [partial" in engine.explain(narrow)
         assert sorted(engine.query(narrow).rows) == expected_narrow
         assert mv.stats()["partial_hits"] == 1
+
+
+def test_bought_on_the_second_raw_run_and_a_one_off_never(csv_path):
+    repeated, one_off = AGG_QUERIES[4], AGG_QUERIES[3]
+    with PostgresRaw(PostgresRawConfig(mv_auto=True)) as engine:
+        engine.register_csv("t", csv_path, SCHEMA)
+        assert "MVCapture" not in engine.explain(repeated)  # no rent yet
+        engine.query(one_off)
+        engine.query(repeated)
+        # Rent paid, nothing to evict: EXPLAIN previews the capture.
+        assert "MVCapture [" in engine.explain(repeated)
+        engine.query(repeated)
+        mv = engine.service.mv
+        assert [e["signature"] for e in mv.stats()["entries"]] == [
+            mv.signature_of(parse_select(repeated), "t").label()
+        ]
+        assert "MVScan [exact]" in engine.explain(repeated)
+        assert "MVScan" not in engine.explain(one_off)
+        assert mv.stats()["builds"] == 1
+
+
+def test_an_unaffordable_signature_never_plans_a_capture(csv_path):
+    """``amount`` has 1000 distinct values: the estimated result of
+    grouping by it outweighs the budget, so the governor prices it at
+    ``inf`` and no rent buys it."""
+    sql = "SELECT amount, COUNT(*) AS n FROM t GROUP BY amount"
+    config = PostgresRawConfig(mv_auto=True, memory_budget=32 * 1024)
+    expected = reference(csv_path, [sql])[sql]
+    with PostgresRaw(config) as engine:
+        engine.register_csv("t", csv_path, SCHEMA)
+        mv = engine.service.mv
+        for __ in range(4):
+            assert sorted(engine.query(sql).rows) == expected
+            assert "MVCapture" not in engine.explain(sql)
+        sig = mv.signature_of(parse_select(sql), "t")
+        assert mv.estimate_result_bytes(sig) > config.memory_budget
+        (row,) = mv.stats()["suggestions"]
+        assert row["rent_s"] > 0 and row["price_s"] == math.inf
+        assert row["status"] == "cold"
+        stats = mv.stats()
+        assert stats["builds"] == stats["rejected"] == 0
+
+
+def test_a_refused_capture_costs_its_signature_a_whole_rent(csv_path):
+    """An expression dim has no statistics: the plan buys the default
+    estimate, which fits, but the real 1000 groups outweigh the budget.
+    The install refuses them, and the refused run, completing after its
+    install, pays no rent: the next run plans no capture."""
+    sql = "SELECT amount + 0 AS k, COUNT(*) AS n FROM t GROUP BY amount + 0"
+    expected = reference(csv_path, [sql])[sql]
+    config = PostgresRawConfig(mv_auto=True, memory_budget=16 * 1024)
+    with PostgresRaw(config) as engine:
+        engine.register_csv("t", csv_path, SCHEMA)
+        mv = engine.service.mv
+
+        def rent():
+            (row,) = mv.stats()["suggestions"]
+            return row["rent_s"]
+
+        assert sorted(engine.query(sql).rows) == expected
+        assert rent() > 0 and "MVCapture [" in engine.explain(sql)
+        assert sorted(engine.query(sql).rows) == expected  # refused
+        assert mv.stats()["rejected"] == 1 and rent() == 0
+        assert "MVCapture" not in engine.explain(sql)
+        assert sorted(engine.query(sql).rows) == expected
+        stats = mv.stats()
+        assert stats["rejected"] == 1 and stats["builds"] == 0
+        assert rent() > 0
+        governor = engine.service.governor
+        assert governor.used_bytes <= governor.budget_bytes
 
 
 def test_build_mv_explicit_and_idempotent(csv_path):
@@ -101,10 +176,11 @@ def test_build_mv_explicit_and_idempotent(csv_path):
 
 
 def test_append_advances_and_rewrite_invalidates(csv_path):
-    config = PostgresRawConfig(mv_auto=True, mv_min_repeats=1)
+    config = PostgresRawConfig(mv_auto=True)
     sql = AGG_QUERIES[0]
     with PostgresRaw(config) as engine:
         engine.register_csv("t", csv_path, SCHEMA)
+        engine.query(sql)
         engine.query(sql)
         catalog = engine.service.mv.catalog
         counter = engine.telemetry.registry.counter
@@ -135,11 +211,12 @@ def test_append_advances_and_rewrite_invalidates(csv_path):
         assert sorted(again.rows) == expected
         assert again.metrics.rows_scanned == 0
 
-        # A rewrite is a new file: everything is dropped and rebuilt.
+        # A rewrite is a new file: everything is dropped, the rent
+        # starts over, and the second run over the new file rebuilds.
         write_csv(csv_path, ROWS[:500], SCHEMA)
         expected = reference(csv_path, [sql])[sql]
         assert sorted(engine.query(sql).rows) == expected
-        assert catalog.invalidations == 1
+        assert catalog.invalidations == 1 and catalog.builds == 1
         assert sorted(engine.query(sql).rows) == expected
         assert catalog.builds == 2
 
@@ -149,11 +226,12 @@ def test_capture_installed_after_a_reconciled_append_is_not_stale(csv_path):
     install, an append lands and session B's query reconciles it.  A's
     entry must go resident as an aggregate of N rows (lagging by 2),
     never as the current answer."""
-    config = PostgresRawConfig(mv_auto=True, mv_min_repeats=1)
+    config = PostgresRawConfig(mv_auto=True)
     sql = "SELECT region, COUNT(*) AS n FROM t GROUP BY region"
     with PostgresRawService(config) as service:
         service.register_csv("t", csv_path, SCHEMA)
         a, b = service.session(), service.session()
+        a.query(sql)  # pays the rent: the next run captures
         install = service._install_mv_captures
 
         def interleaved(captures, generations):
@@ -172,11 +250,10 @@ def test_capture_installed_after_a_reconciled_append_is_not_stale(csv_path):
 
 
 def test_drop_table_forgets_mvs(csv_path):
-    config = PostgresRawConfig(
-        mv_auto=True, mv_min_repeats=1, memory_budget=8 * 1024 * 1024
-    )
+    config = PostgresRawConfig(mv_auto=True, memory_budget=8 * 1024 * 1024)
     with PostgresRaw(config) as engine:
         engine.register_csv("t", csv_path, SCHEMA)
+        engine.query(AGG_QUERIES[0])
         engine.query(AGG_QUERIES[0])
         assert engine.service.mv.catalog.entry_count() == 1
         engine.drop_table("t")
@@ -187,10 +264,10 @@ def test_drop_table_forgets_mvs(csv_path):
 
 def test_disabled_matches_enabled_row_for_row(csv_path):
     expected = reference(csv_path, AGG_QUERIES)
-    config = PostgresRawConfig(mv_auto=True, mv_min_repeats=1)
+    config = PostgresRawConfig(mv_auto=True)
     with PostgresRaw(config) as engine:
         engine.register_csv("t", csv_path, SCHEMA)
-        for __ in range(2):  # second pass is MV-served
+        for __ in range(3):  # the second pass captures, the third serves
             for sql in AGG_QUERIES:
                 assert sorted(engine.query(sql).rows) == expected[sql]
         assert engine.service.mv.catalog.entry_count() > 0
@@ -210,9 +287,7 @@ def test_governor_accounting_balances_with_mvs(csv_path, tmp_path):
     must balance whatever got evicted along the way."""
     other = tmp_path / "u.csv"
     write_csv(other, ROWS[:900], SCHEMA)
-    config = PostgresRawConfig(
-        mv_auto=True, mv_min_repeats=1, memory_budget=256 * 1024
-    )
+    config = PostgresRawConfig(mv_auto=True, memory_budget=256 * 1024)
     with PostgresRawService(config) as service:
         service.register_csv("t", csv_path, SCHEMA)
         service.register_csv("u", other, SCHEMA)
@@ -230,9 +305,7 @@ def test_governor_accounting_balances_with_mvs(csv_path, tmp_path):
 
 
 def test_monitor_panels_render_mv_state(csv_path):
-    config = PostgresRawConfig(
-        mv_auto=True, mv_min_repeats=1, memory_budget=8 * 1024 * 1024
-    )
+    config = PostgresRawConfig(mv_auto=True, memory_budget=8 * 1024 * 1024)
     with PostgresRaw(config) as engine:
         engine.register_csv("t", csv_path, SCHEMA)
         sql = AGG_QUERIES[0]
@@ -243,6 +316,7 @@ def test_monitor_panels_render_mv_state(csv_path):
         assert "mv#" in panel and "t[region;" in panel
         table = render_query_signatures(engine.service)
         assert "materialized" in table
+        assert "rent-ms  price-ms" in table.splitlines()[0]
         usage = engine.service.telemetry.registry.snapshot()
         mv_stats = usage["collectors"]["mv"]
         assert mv_stats["suggestions"][0]["status"] == "materialized"
@@ -269,7 +343,6 @@ def _hammer(service, thread_id, expected, errors, mismatches):
             "governed",
             PostgresRawConfig(
                 mv_auto=True,
-                mv_min_repeats=2,
                 memory_budget=8 * 1024 * 1024,
                 max_concurrent_queries=8,
             ),
@@ -278,7 +351,6 @@ def _hammer(service, thread_id, expected, errors, mismatches):
             "tiny_budget",
             PostgresRawConfig(
                 mv_auto=True,
-                mv_min_repeats=2,
                 memory_budget=64 * 1024,
             ),
         ),

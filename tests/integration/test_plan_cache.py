@@ -63,7 +63,7 @@ ORDERED = {TOP, ORDINAL}
 
 
 def config(**overrides) -> PostgresRawConfig:
-    base = dict(batch_size=64, mv_auto=True, mv_min_repeats=1)
+    base = dict(batch_size=64, mv_auto=True)
     base.update(overrides)
     return PostgresRawConfig(**base)
 
@@ -171,7 +171,8 @@ class TestHitPath:
     def test_repeat_skips_parser_and_planner(self, csv_path, monkeypatch):
         with PostgresRaw(config()) as engine:
             engine.register_csv("t", csv_path, SCHEMA)
-            want = engine.query(TILE).rows  # raw + capture
+            want = engine.query(TILE).rows  # raw: pays the rent
+            engine.query(TILE)  # raw + capture
             engine.query(TILE)  # MV hit: planned, then cached
             counter = engine.telemetry.registry.counter
             hits = counter("plan_cache_hits_total").value
@@ -216,6 +217,7 @@ class TestHitPath:
     ):
         with PostgresRaw(config()) as engine:
             engine.register_csv("t", csv_path, SCHEMA)
+            engine.query(TILE)  # pays the rent
             engine.query(TILE)  # captures
             counter = engine.telemetry.registry.counter
             before = (
@@ -244,7 +246,7 @@ class TestHitPath:
         script += [GLOBAL, TILE, TOP, ORDINAL, ORDINAL, ORDINAL, TOP]
         trails = []
         for path, text in ((csv_path, True), (other, False)):
-            with PostgresRaw(config(mv_min_repeats=2)) as engine:
+            with PostgresRaw(config()) as engine:
                 engine.register_csv("t", path, SCHEMA)
                 mv = engine.service.mv
                 served = []
@@ -354,8 +356,8 @@ def test_cached_plans_answer_like_fresh_ones(
 def test_append_goes_threaded_then_inline_again(csv_path):
     with PostgresRaw(config()) as engine:
         engine.register_csv("t", csv_path, SCHEMA)
-        engine.query(TILE)
-        engine.query(TILE)
+        for __ in range(3):  # raw, raw + capture, MV hit
+            engine.query(TILE)
         assert TILE in engine.service.plan_cache
         append_csv_rows(csv_path, ROWS[:30], SCHEMA)
         # Lagging: the tail-merge scans, so its cursor gets a thread.
@@ -410,7 +412,8 @@ def test_inline_cursor_holds_no_lock(csv_path):
     with PostgresRawService(config()) as service:
         service.register_csv("t", csv_path, SCHEMA)
         session = service.session()
-        want = session.query(TILE).rows
+        session.query(TILE)  # pays the rent
+        want = session.query(TILE).rows  # captures
         cursor = session.cursor(TILE)  # inline: already produced
         trace = service.telemetry.tracer.trace_dict(cursor.trace_id)
         assert trace["root"]["attrs"]["lane"] == "inline"

@@ -116,11 +116,14 @@ def test_repeated_workload_promotes_and_serves(tmp_path, monkeypatch):
 def test_explain_annotates_vp_serving(tmp_path):
     eng = _make_engine(tmp_path, _vp_config(tmp_path))
     try:
-        assert "vp: served from columnstore" not in eng.explain(SQL)
+        assert "served from binary tiers" not in eng.explain(SQL)
         _load_a(eng)
-        assert "-- vp: served from columnstore" in eng.explain(SQL)
-        # A projection including a column not loaded is not annotated.
-        assert "vp: served from columnstore" not in eng.explain(
+        assert "-- served from binary tiers (columnstore: a)" in eng.explain(
+            SQL
+        )
+        # A projection including a column no binary tier holds reads
+        # the raw file: not annotated.
+        assert "served from binary tiers" not in eng.explain(
             "SELECT a, c FROM t WHERE a >= 0"
         )
     finally:
@@ -173,7 +176,7 @@ def test_append_extends_promoted_columns(tmp_path):
         eng.refresh()
         # The loaded prefix survives; the scan stitches the tail on.
         assert _counter(eng, "vp_invalidations_total") == 0
-        assert "vp: served from columnstore" not in eng.explain(SQL)
+        assert "served from binary tiers" not in eng.explain(SQL)
         (stats,) = eng.service._collect_columnstores()
         assert stats["rows"]["a"] == len(ROWS)
         got = list(eng.query(SQL))
@@ -190,7 +193,9 @@ def test_append_extends_promoted_columns(tmp_path):
         assert stats["rows"]["a"] == len(ROWS) + 2
         assert stats["lag_rows"]["a"] == 0
         # The extended column serves the whole table again.
-        assert "-- vp: served from columnstore" in eng.explain(SQL)
+        assert "-- served from binary tiers (columnstore: a)" in eng.explain(
+            SQL
+        )
         eng.table_state("t").cache.invalidate()
         served_before = _counter(eng, "vp_served_total")
         assert list(eng.query(SQL)) == got
@@ -428,7 +433,7 @@ def test_vp_disabled_by_default(tmp_path):
         assert eng.service._collect_columnstores() is None
         kinds = {r["kind"] for r in eng.service.governor.residency()}
         assert "columnstore" not in kinds
-        assert "vp: served from columnstore" not in eng.explain(SQL)
+        assert "columnstore:" not in eng.explain(SQL)
     finally:
         eng.close()
 
@@ -512,8 +517,10 @@ def test_a_jumped_column_is_loaded_once_its_rent_reaches_the_price(tmp_path):
         assert list(result) == _jumped(ROWS)
         assert result.metrics.fields_parsed_via_map == 0
         assert state.rents() == {}
-        assert "-- vp: served from columnstore" in eng.explain(
-            "SELECT c FROM t"
+        # Wholly from binary tiers, each column from its one copy.
+        assert (
+            "-- served from binary tiers (cache: a; columnstore: c)"
+            in eng.explain(JUMPED)
         )
         assert _counter(eng, "vp_promotions_total") == 1
     finally:

@@ -61,7 +61,6 @@ def build_config(mv_auto: bool = True, **overrides) -> PostgresRawConfig:
         batch_size=16,
         stream_queue_batches=2,
         mv_auto=mv_auto,
-        mv_min_repeats=1,
         **overrides,
     )
 

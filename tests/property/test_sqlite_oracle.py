@@ -87,7 +87,6 @@ VP_MV = {
     "batch_size": 7,
     "vp_enabled": True,
     "mv_auto": True,
-    "mv_min_repeats": 1,
 }
 CONFIGS = {
     "batch3": {"batch_size": 3},
@@ -484,7 +483,7 @@ def test_engine_matches_sqlite(tmp_path_factory, monkeypatch, name):
         monkeypatch.setattr(jsonl_kernel, "MIN_RECORDS", 1)
         monkeypatch.setattr(jsonl_kernel, "MIN_VALUES", 1)
     vp = CONFIGS[name].get("vp_enabled", False)
-    served = []
+    served, mv_served = [], []
 
     @given(rows=rows_of, plan=steps)
     @settings(
@@ -497,11 +496,18 @@ def test_engine_matches_sqlite(tmp_path_factory, monkeypatch, name):
             plan = LOAD_STEPS + plan
         registry = _matches_sqlite(tmp_path_factory, name, rows, plan)
         served.append(registry.counter("vp_served_total").value)
+        mv_served.append(
+            registry.counter("mv_hits_total").value
+            + registry.counter("mv_partial_hits_total").value
+        )
 
     run()
     # A columnstore column is about the columnstore: it must have
     # served some scan.
     assert sum(served) > 0 or not vp
+    # ... and ``vp_mv`` about MVs too: the capture rule must not quietly
+    # switch MV coverage off.
+    assert sum(mv_served) > 0 or name != "vp_mv"
 
 
 @pytest.mark.parametrize("name", SORTED_CONFIGS)

@@ -7,6 +7,8 @@ bound to one governor, no engine) and the service-level release path
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,72 @@ class TestEvictionOrdering:
         assert cache.peek(0) is not None
         assert cache.peek(1) is None
 
+    def test_measured_benefit_wins_regardless_of_age(self):
+        budget = vector_bytes(100) * 2
+        governor = MemoryGovernor(budget)
+        cache = governed_cache(governor, "a")
+        cache.put(0, vector(100), benefit_seconds=100.0)
+        cache.put(1, vector(100), benefit_seconds=1.0)
+        cache.peek(0).last_used_ts -= 1000.0
+        assert cache.put(2, vector(100), benefit_seconds=1.0)
+        # Density first, recency only among equals: the high measured
+        # benefit keeps attr 0 resident however long it sat idle, and
+        # the low-benefit attr 1 is the victim.
+        assert cache.peek(0) is not None
+        assert cache.peek(1) is None
+
+
+class TestPrice:
+    """``price`` walks the victims ``grant`` would take and sums the
+    benefit-seconds they hold, evicting nothing."""
+
+    def test_bytes_that_fit_cost_nothing(self):
+        governor = MemoryGovernor(vector_bytes(100) * 2)
+        cache = governed_cache(governor, "a")
+        cache.put(0, vector(100), benefit_seconds=5.0)
+        assert governor.price(cache, vector_bytes(100)) == 0.0
+
+    def test_price_is_the_benefit_grant_evicts(self):
+        n = vector_bytes(100)
+        governor = MemoryGovernor(3 * n)
+        cache_a = governed_cache(governor, "a")
+        cache_b = governed_cache(governor, "b")
+        cache_a.put(0, vector(100), benefit_seconds=4.0)
+        cache_b.put(0, vector(100), benefit_seconds=0.5)
+        cache_a.put(1, vector(100), benefit_seconds=2.0)
+        # Room for two more columns: the two sparsest entries go.
+        assert governor.price(cache_a, 2 * n) == pytest.approx(2.5)
+        assert governor.used_bytes == 3 * n  # priced, nothing evicted
+        assert governor.evictions == 0
+        assert cache_a.put(2, vector(200), benefit_seconds=1.0)
+        assert cache_b.peek(0) is None and cache_a.peek(1) is None
+        assert cache_a.peek(0) is not None
+
+    def test_protected_tokens_are_not_priced(self):
+        n = vector_bytes(100)
+        governor = MemoryGovernor(2 * n)
+        cache = governed_cache(governor, "a")
+        cache.put(0, vector(100), benefit_seconds=0.5)
+        cache.put(1, vector(100), benefit_seconds=3.0)
+        assert governor.price(cache, n, {0}) == pytest.approx(3.0)
+        # Another structure asking ignores the cache's protected set.
+        other = governed_cache(governor, "b")
+        assert governor.price(other, n, {0}) == pytest.approx(0.5)
+
+    def test_bytes_that_cannot_fit_cost_infinity(self):
+        n = vector_bytes(100)
+        governor = MemoryGovernor(2 * n)
+        cache = governed_cache(governor, "a")
+        cache.put(0, vector(100), benefit_seconds=1.0)
+        cache.put(1, vector(100), benefit_seconds=1.0)
+        assert governor.price(cache, 2 * n + 1) == math.inf
+        # Everything but the protected entry would not make room:
+        # ``grant`` refuses, and evicts nothing for the refusal.
+        assert governor.price(cache, 2 * n, {0}) == math.inf
+        assert not governor.grant(cache, 2 * n, {0})
+        assert cache.peek(0) is not None and cache.peek(1) is not None
+        assert governor.evictions == 0 and governor.rejected_grants == 1
+
 
 class TestRelease:
     def test_unregister_table_returns_bytes(self):
@@ -234,7 +302,6 @@ class TestOneAdmissionPath:
         path, schema = small_csv
         config = PostgresRawConfig(
             mv_auto=True,
-            mv_min_repeats=1,
             vp_enabled=True,
             vp_dir=str(tmp_path / "vp"),
         )
@@ -261,48 +328,3 @@ class TestOneAdmissionPath:
                 r["nbytes"] for r in governor.residency()
             )
 
-
-class TestBenefitDecay:
-    def test_stale_expensive_structure_loses_to_recent_useful_one(self):
-        budget = vector_bytes(100) * 2
-        governor = MemoryGovernor(budget, benefit_half_life_s=1.0)
-        cache = governed_cache(governor, "a")
-        # Attr 0 measured a huge benefit... a long time ago.
-        cache.put(0, vector(100), benefit_seconds=100.0)
-        cache.put(1, vector(100), benefit_seconds=1.0)
-        # Age attr 0 by many half-lives: its effective benefit-per-byte
-        # decays below the recently-useful attr 1.
-        cache.peek(0).last_used_ts -= 1000.0
-        assert cache.put(2, vector(100), benefit_seconds=1.0)
-        assert cache.peek(0) is None  # the cold, stale entry lost
-        assert cache.peek(1) is not None
-        assert cache.peek(2) is not None
-
-    def test_without_half_life_measured_benefit_wins_regardless_of_age(self):
-        budget = vector_bytes(100) * 2
-        governor = MemoryGovernor(budget)  # no decay configured
-        cache = governed_cache(governor, "a")
-        cache.put(0, vector(100), benefit_seconds=100.0)
-        cache.put(1, vector(100), benefit_seconds=1.0)
-        cache.peek(0).last_used_ts -= 1000.0
-        assert cache.put(2, vector(100), benefit_seconds=1.0)
-        # Undecayed: the high measured benefit keeps attr 0 resident and
-        # the low-benefit attr 1 is the victim.
-        assert cache.peek(0) is not None
-        assert cache.peek(1) is None
-
-    def test_decay_spans_structure_kinds(self):
-        n = 100
-        budget = vector_bytes(n) + int(offsets(n, 2).nbytes)
-        governor = MemoryGovernor(budget, benefit_half_life_s=1.0)
-        cache = governed_cache(governor, "a")
-        pm = governed_map(governor, "b")
-        # A stale-but-expensive map chunk vs a fresh cheap cache entry.
-        pm.install((0, 1), offsets(n, 2), benefit_seconds=50.0)
-        (chunk,) = pm.entries()
-        chunk.last_used_ts -= 1000.0
-        cache.put(0, vector(n), benefit_seconds=0.5)
-        # New bytes need room: the decayed chunk is the cheapest loss.
-        assert cache.put(1, vector(n), benefit_seconds=0.5)
-        assert pm.chunk_count == 0
-        assert cache.peek(0) is not None and cache.peek(1) is not None

@@ -7,14 +7,18 @@ decisions, the internal ``sum0`` aggregate and the EXPLAIN annotations.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
+from governed import cache_bytes, count_signature, governed_cache, mv_entry
 from repro import PostgresRaw, PostgresRawConfig
 from repro.batch import Batch, ColumnVector
 from repro.catalog.schema import TableSchema
 from repro.core.metrics import QueryMetrics
 from repro.datatypes import DataType
-from repro.errors import BudgetError, ServiceError
+from repro.errors import ServiceError
 from repro.mv import (
     MaterializedAggregate,
     MVCatalog,
@@ -23,6 +27,8 @@ from repro.mv import (
     WorkloadAnalyzer,
     extract_signature,
 )
+from repro.mv.analyzer import DEFAULT_RESULT_BYTES
+from repro.mv.runtime import MVRuntime
 from repro.rawio.writer import write_csv
 from repro.service import MemoryGovernor
 from repro.sql.parser import parse_select
@@ -38,9 +44,7 @@ ROWS = [(f"r{i % 4}", i, i % 7) for i in range(200)]
 def engine(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ROWS, SCHEMA)
-    with PostgresRaw(
-        PostgresRawConfig(mv_auto=True, mv_min_repeats=2)
-    ) as eng:
+    with PostgresRaw(PostgresRawConfig(mv_auto=True)) as eng:
         eng.register_csv("t", path, SCHEMA)
         yield eng
 
@@ -271,32 +275,14 @@ class TestGovernedEviction:
         assert catalog.total_bytes() <= 250
 
     def test_oversized_entry_rejected(self):
-        catalog = MVCatalog(
-            MetricsRegistry(), MemoryGovernor(10_000), max_entry_bytes=50
-        )
+        catalog = MVCatalog(MetricsRegistry(), MemoryGovernor(50))
         entry = make_entry(
             1, wide_sig(), {("count", "*"): "count:*"}, nbytes=100
         )
+        assert catalog.price(entry.signature, entry.nbytes) == math.inf
         assert not catalog.install(entry)
         assert catalog.rejected == 1
         assert catalog.entry_count() == 0
-
-    def test_one_capture_takes_at_most_a_quarter_of_the_budget(self):
-        from repro.mv.runtime import MV_MAX_ENTRY_FRACTION, MVRuntime
-
-        governor = MemoryGovernor(1000)
-        runtime = MVRuntime(
-            PostgresRawConfig(memory_budget=1000), MetricsRegistry(), governor
-        )
-        catalog = runtime.catalog
-        assert catalog.max_entry_bytes == int(1000 * MV_MAX_ENTRY_FRACTION)
-        cols = {("count", "*"): "count:*"}
-        # The governor has room for it, the per-capture cap does not.
-        assert not catalog.install(
-            make_entry(1, wide_sig(), dict(cols), nbytes=300)
-        )
-        assert catalog.install(make_entry(2, wide_sig(), dict(cols)))
-        assert governor.used_bytes == 100
 
     def test_replaces_same_signature(self):
         catalog = MVCatalog(MetricsRegistry(), MemoryGovernor(10_000))
@@ -313,22 +299,58 @@ class TestGovernedEviction:
 
 
 class TestAnalyzer:
-    def test_auto_capture_after_min_repeats(self):
-        analyzer = WorkloadAnalyzer(min_repeats=3, auto=True)
-        sig = wide_sig()
-        for expected in (False, False, True):
-            analyzer.note_planned(sig)
-            assert analyzer.should_capture(sig, False) is expected
-        assert analyzer.should_capture(sig, True) is False
+    def test_auto_capture_once_rent_reaches_price(self):
+        priced = []
 
-    def test_auto_off_never_captures(self):
-        analyzer = WorkloadAnalyzer(min_repeats=1, auto=False)
+        def price(sig, nbytes):
+            priced.append(nbytes)
+            return 1.0
+
+        analyzer = WorkloadAnalyzer(auto=True, price=price)
         sig = wide_sig()
         analyzer.note_planned(sig)
+        # No raw run paid rent yet: no governor walk either.
+        assert analyzer.should_capture(sig, False) is False
+        assert priced == []
+        analyzer.note_completed(sig, None, 0.6)
+        assert analyzer.should_capture(sig, False) is False  # 0.6 < 1
+        analyzer.note_completed(sig, "exact", 5.0)  # served: no rent
+        assert analyzer.should_capture(sig, False) is False
+        analyzer.note_completed(sig, None, 0.6)
+        assert analyzer.should_capture(sig, False) is True
+        assert priced == [DEFAULT_RESULT_BYTES] * 3
+        assert analyzer.should_capture(sig, True) is False
+        # A refusal starts the rent over, and the refused run pays none
+        # when it completes; so does the table's rewrite.
+        analyzer.refuse(sig)
+        analyzer.note_completed(sig, None, 2.0)
+        assert analyzer.should_capture(sig, False) is False
+        analyzer.note_completed(sig, None, 2.0)
+        assert analyzer.should_capture(sig, False) is True
+        analyzer.reset_rent(sig.table)
+        assert analyzer.should_capture(sig, False) is False
+
+    def test_an_unaffordable_capture_is_never_bought(self):
+        analyzer = WorkloadAnalyzer(
+            auto=True, price=lambda sig, nbytes: math.inf
+        )
+        sig = wide_sig()
+        for __ in range(5):
+            analyzer.note_completed(sig, None, 100.0)
+            assert analyzer.should_capture(sig, False) is False
+        (row,) = analyzer.suggestions()
+        assert row["rent_s"] == 500.0 and row["price_s"] == math.inf
+        assert row["status"] == "cold"
+
+    def test_auto_off_never_captures(self):
+        analyzer = WorkloadAnalyzer(auto=False)
+        sig = wide_sig()
+        analyzer.note_planned(sig)
+        analyzer.note_completed(sig, None, 1.0)
         assert analyzer.should_capture(sig, False) is False
 
     def test_force_overrides_auto_off(self):
-        analyzer = WorkloadAnalyzer(min_repeats=99, auto=False)
+        analyzer = WorkloadAnalyzer(auto=False)
         sig = wide_sig()
         analyzer.force(sig)
         assert analyzer.is_forced(sig)
@@ -337,7 +359,7 @@ class TestAnalyzer:
         assert not analyzer.is_forced(sig)
 
     def test_suggestions_ranked_by_benefit_per_byte(self):
-        analyzer = WorkloadAnalyzer(min_repeats=1, auto=True)
+        analyzer = WorkloadAnalyzer(auto=True)
         hot = QuerySignature("t", ("a",), (), (("count", "*"),), ())
         cold = QuerySignature("t", ("b",), (), (("count", "*"),), ())
         for __ in range(5):
@@ -350,13 +372,139 @@ class TestAnalyzer:
         assert rows[0]["benefit_per_byte"] > rows[1]["benefit_per_byte"]
 
     def test_served_and_raw_buckets(self):
-        analyzer = WorkloadAnalyzer(min_repeats=1, auto=True)
+        analyzer = WorkloadAnalyzer(auto=True)
         sig = wide_sig()
         analyzer.note_completed(sig, None, 4.0)
         analyzer.note_completed(sig, "exact", 0.5)
         assert analyzer.observed_seconds(sig) == 4.0
         row = analyzer.suggestions()[0]
         assert row["raw_runs"] == 1 and row["served_runs"] == 1
+
+
+def int_vector(n_rows: int) -> ColumnVector:
+    return ColumnVector.from_values(
+        DataType.INTEGER, np.arange(n_rows, dtype=np.int64)
+    )
+
+
+class TestRentOrBuy:
+    """Under a binding budget a capture is bought once the raw seconds
+    its signature paid reach the governor's price, and evicts what is
+    cheapest to lose at that moment."""
+
+    def test_capture_bought_at_the_price_of_the_sparsest_victims(self):
+        governor, cache, runtime, entry_bytes = self.full_budget()
+        analyzer = runtime.analyzer
+        sig = count_signature("g")
+        # No statistics: the default estimate, which one entry covers.
+        assert analyzer.est_bytes(sig) == DEFAULT_RESULT_BYTES
+        assert DEFAULT_RESULT_BYTES <= entry_bytes
+
+        def status():
+            (row,) = runtime.stats()["suggestions"]
+            return row["rent_s"], row["price_s"], row["status"]
+
+        analyzer.note_completed(sig, None, 0.15)
+        assert status() == (0.15, pytest.approx(0.2), "cold")
+        assert not runtime.should_capture(sig)
+        # Attr 0 turns dense: the sparsest victim, and the price, move.
+        cache.peek(0).benefit_seconds = 9.0
+        analyzer.note_completed(sig, None, 0.1)
+        assert status() == (0.25, pytest.approx(0.4), "cold")
+        assert not runtime.should_capture(sig)
+        analyzer.note_completed(sig, None, 0.2)
+        assert status()[2] == "candidate"
+        assert runtime.should_capture(sig)
+        assert governor.evictions == 0  # priced, nothing evicted
+        assert runtime.catalog.install(
+            mv_entry(sig, 1, nbytes=DEFAULT_RESULT_BYTES)
+        )
+        assert cache.peek(1) is None  # 0.4 s: the sparsest now
+        assert all(cache.peek(a) is not None for a in (0, 2, 3))
+        assert governor.evictions == 1
+
+    def test_a_refused_capture_starts_the_rent_over(self, monkeypatch):
+        governor = MemoryGovernor(64 * 1024)
+        config = PostgresRawConfig(
+            mv_auto=True, memory_budget=governor.budget_bytes
+        )
+        runtime = MVRuntime(config, MetricsRegistry(), governor)
+        sig = QuerySignature("t", (), (), (("count", "*"),), ())
+        runtime.analyzer.note_completed(sig, None, 1.0)
+        assert runtime.should_capture(sig)
+        monkeypatch.setattr(
+            runtime.catalog, "install", lambda entry, bought: False
+        )
+        batch = Batch({"n": ColumnVector.from_pylist(DataType.INTEGER, [7])})
+        assert not runtime.install(sig, COUNT_LAYOUT, batch, 1.0, 7, 0)
+        assert not runtime.should_capture(sig)
+        # The refused run completes after its install: it pays nothing.
+        runtime.observe_completion(sig, None, 1.0)
+        assert not runtime.should_capture(sig)
+        (row,) = runtime.stats()["suggestions"]
+        assert row["rent_s"] == 0 and row["status"] == "cold"
+        runtime.observe_completion(sig, None, 1.0)  # the next run pays
+        assert runtime.should_capture(sig)
+
+    def test_real_bytes_priced_above_the_rent_are_refused(self):
+        """The plan buys the estimate; the install prices the real
+        bytes, and their rent must cover them too."""
+        governor, cache, runtime, entry_bytes = self.full_budget()
+        sig = QuerySignature("t", (), (), (("count", "*"),), ())
+        runtime.analyzer.note_completed(sig, None, 0.3)
+        assert runtime.should_capture(sig)  # the estimate evicts 0.2 s
+        rows = entry_bytes // 8
+        batch = Batch({"n": int_vector(rows)})
+        # ... the real result evicts two entries, 0.2 s + 0.4 s.
+        assert entry_bytes < batch.columns["n"].nbytes() <= 2 * entry_bytes
+        assert runtime.catalog.price(sig, batch.columns["n"].nbytes()) == (
+            pytest.approx(0.6)
+        )
+        assert not runtime.install(sig, COUNT_LAYOUT, batch, 1.0, rows, 0)
+        assert runtime.catalog.entry_count() == 0
+        assert runtime.stats()["rejected"] == 1
+        assert governor.evictions == 0
+        assert all(cache.peek(a) is not None for a in range(4))
+        assert not runtime.should_capture(sig)
+
+    def test_growth_is_bought_with_the_entry_rent(self):
+        governor, cache, runtime, entry_bytes = self.full_budget()
+        sig = QuerySignature("t", (), (), (("count", "*"),), ())
+        runtime.analyzer.note_completed(sig, None, 0.3)
+        small = Batch({"n": int_vector(8)})
+        assert runtime.install(sig, COUNT_LAYOUT, small, 9.0, 8, 0)
+        assert cache.peek(0) is None  # evicted for it: 0.2 s <= 0.3 s
+        entry = runtime.find(sig)
+        grown = Batch({"n": int_vector(entry_bytes // 8)})
+        # Growing evicts 0.4 s more than the rent that bought it.
+        assert not runtime.advance(entry, 8, grown, 16, 0)
+        assert entry.rows == 8 and cache.peek(1) is not None
+        runtime.analyzer.note_completed(sig, None, 0.2)
+        assert runtime.advance(entry, 8, grown, 16, 0)
+        assert entry.rows == 16 and cache.peek(1) is None
+
+    @staticmethod
+    def full_budget():
+        """A governor filled by four cache entries of 0.2 s, 0.4 s, 3 s
+        and 5 s, and an MV runtime under it."""
+        entry_bytes = cache_bytes(int_vector(512))
+        governor = MemoryGovernor(4 * entry_bytes)
+        cache = governed_cache(governor)
+        for attr, benefit in enumerate((0.2, 0.4, 3.0, 5.0)):
+            assert cache.put(attr, int_vector(512), benefit_seconds=benefit)
+        config = PostgresRawConfig(
+            mv_auto=True, memory_budget=governor.budget_bytes
+        )
+        runtime = MVRuntime(config, MetricsRegistry(), governor)
+        return governor, cache, runtime, entry_bytes
+
+
+COUNT_LAYOUT = {
+    "dims": [],
+    "aggs": [("n", "count", "*", None)],
+    "filters": [],
+    "types": {"n": DataType.INTEGER},
+}
 
 
 # ----------------------------------------------------------------------
@@ -408,11 +556,6 @@ def test_explain_does_not_mine(engine):
     assert engine.service.mv.analyzer.note_planned(sig_of(engine, sql)) == 3
 
 
-def test_mv_config_validation():
-    with pytest.raises(BudgetError):
-        PostgresRawConfig(mv_min_repeats=0)
-
-
 def test_build_mv_rejects_ineligible(engine):
     with pytest.raises(ServiceError):
         engine.build_mv("SELECT region FROM t")
@@ -433,11 +576,10 @@ def test_mv_disabled_has_no_runtime(tmp_path):
 
 def test_fast_aggregate_still_feeds_the_mv_tier(tmp_path):
     # MVCapture scores an entry by the seconds its HashAggregate child
-    # took, and the columnar aggregate made those ~10x fewer.  With the
-    # default mv_min_repeats and a budget that does not bind, every
-    # captured aggregate must still be admitted with a positive
-    # benefit, and then be served — a faster operator may not quietly
-    # switch the MV tier off.
+    # took, and the columnar aggregate made those ~10x fewer.  Under a
+    # budget that does not bind, every captured aggregate must still be
+    # admitted with a positive benefit, and then be served — a faster
+    # operator may not quietly switch the MV tier off.
     path = tmp_path / "t.csv"
     write_csv(path, ROWS, SCHEMA)
     config = PostgresRawConfig(mv_auto=True, memory_budget=256 << 20)
@@ -449,9 +591,8 @@ def test_fast_aggregate_still_feeds_the_mv_tier(tmp_path):
     with PostgresRaw(config) as eng:
         eng.register_csv("t", path, SCHEMA)
         raw = [sorted(eng.query(sql), key=repr) for sql in queries]
-        for __ in range(config.mv_min_repeats):
-            for sql in queries:
-                eng.query(sql)
+        for sql in queries:
+            eng.query(sql)  # rent paid, nothing to evict: captured
         stats = eng.service.mv.stats()
         assert stats["builds"] == len(queries) == stats["mvs"]
         assert stats["rejected"] == 0 and stats["evictions"] == 0

@@ -194,6 +194,38 @@ class TestCounters:
         assert usage[0] == 1
 
 
+class TestTokenizedOnce:
+    def test_projection_past_the_predicate_span_anchors_on_it(
+        self, tmp_path
+    ):
+        """The predicate tokenizes ``a..b``; the projection takes ``a``
+        from that span and tokenizes only ``c``, anchored on its last
+        column — each row's three fields once, cold and on a tail."""
+        schema = TableSchema(
+            [
+                Column("a", DataType.INTEGER),
+                Column("b", DataType.INTEGER),
+                Column("c", DataType.INTEGER),
+            ]
+        )
+        path = tmp_path / "t.csv"
+        rows = [(i, i % 5, 3 * i) for i in range(3000)]
+        write_csv(path, rows, schema)
+        sql = "SELECT a, c FROM t WHERE b = 3"
+        with PostgresRaw() as eng:
+            eng.register_csv("t", path, schema)
+            result = eng.query(sql)
+            assert result.metrics.fields_tokenized == 9000
+            assert result.rows == [(a, c) for a, b, c in rows if b == 3]
+            tail = [(3000 + i, i % 5, 7) for i in range(50)]
+            append_csv_rows(path, tail, schema)
+            result = eng.query(sql)
+            assert result.metrics.fields_tokenized == 150
+            assert result.rows == [
+                (a, c) for a, b, c in rows + tail if b == 3
+            ]
+
+
 class TestLimitsAndPartialScans:
     def test_limit_query_learns_prefix(self, fresh):
         eng = fresh(PostgresRawConfig(batch_size=256))

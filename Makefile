@@ -153,8 +153,9 @@ stress:
 # FLOAT word parsers against int() / float() (0..20 digits, signs,
 # dots, stray bytes, fields at a window's edges), the kernel's TEXT
 # dictionary encode against the scalar one (multi-byte, NUL-ended,
-# outlier-wide and invalid UTF-8), and the JSONL kernel against
-# parse_record (clean, escaped and malformed windows).
+# outlier-wide and invalid UTF-8), the JSONL kernel against
+# parse_record (clean, escaped and malformed windows), and on-the-fly
+# statistics under any split, order and batch size (3, 7, 4096).
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
 		tests/property/test_sqlite_oracle.py \
@@ -163,6 +164,7 @@ oracle:
 		"tests/property/test_kernel_props.py::test_convert_span_equals_convert_column" \
 		"tests/property/test_kernel_props.py::test_kernel_text_equals_scalar" \
 		"tests/property/test_kernel_props.py::test_jsonl_kernel_equals_parse_record" \
+		tests/property/test_stats_props.py \
 		--hypothesis-seed=29 -x -q
 
 verify: test smoke serve-smoke

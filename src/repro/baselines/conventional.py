@@ -238,7 +238,7 @@ class ConventionalDBMS:
         for column in schema:
             vec = columns[column.name]
             n_rows = len(vec)
-            store.observe(column.name, vec)
+            store.observe(column.name, vec, 0)
         store.set_row_estimate(n_rows)
         self._stats[name] = store
 
@@ -247,9 +247,11 @@ class ConventionalDBMS:
         entry = self._loaded(name)
         t0 = time.perf_counter()
         store = StatisticsStore(sample_size=_STATS_SAMPLE)
+        row = 0
         for batch in entry.table.scan(entry.schema.names(), self.batch_size):
             for col_name, vector in batch.columns.items():
-                store.observe(col_name, vector)
+                store.observe(col_name, vector, row)
+            row += batch.num_rows
         store.set_row_estimate(entry.table.num_rows)
         self._stats[name] = store
         elapsed = time.perf_counter() - t0

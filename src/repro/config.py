@@ -27,11 +27,8 @@ DEFAULT_BATCH_SIZE = 4096
 #: 64 MiB positional map plus a 256 MiB binary cache.
 DEFAULT_MEMORY_BUDGET = 320 * 1024 * 1024
 
-#: Reservoir sample size per attribute for on-the-fly statistics.
+#: Sample size per attribute for on-the-fly statistics.
 DEFAULT_STATS_SAMPLE_SIZE = 1024
-
-#: Default number of buckets in equi-depth histograms.
-DEFAULT_HISTOGRAM_BUCKETS = 32
 
 
 @dataclass(frozen=True)
@@ -76,10 +73,6 @@ class PostgresRawConfig:
 
     #: Rows per vectorized batch in the scan pipeline.
     batch_size: int = DEFAULT_BATCH_SIZE
-
-    #: "PostgresRaw is responsible for detecting the changes" — check the
-    #: raw file's fingerprint before every query and reconcile.
-    auto_detect_updates: bool = True
 
     #: "the amount of storage space which is devoted to internal
     #: indexes" and caches: one engine-wide byte budget for every

@@ -188,7 +188,7 @@ class PostgresRaw:
         return self.service.explain(sql)
 
     def refresh(self, name: str | None = None) -> dict[str, FileChange]:
-        """Force update detection now (instead of before the next query).
+        """Detect updates now (instead of before the next query).
 
         Returns the change detected per table.
         """

@@ -32,12 +32,12 @@ remaining projected columns are *converted only for qualifying rows* —
 "tuples are only created after the select operator".  Each stride
 acquires them once, for its survivors, which leave in batches of up to
 ``batch_size`` rows — all its rows for the columns the plan loads into
-the columnstore (``load_attrs``, rent-or-buy).  Learning stays per
-``batch_size`` window: a window whose every row qualifies is collected
-(cache) and observed (statistics) whole, on its own, as if converted
-alone.  Tokenization of a batch stays full-width for the attributes the
-query touches (that is what populates the map), even when no row of it
-qualifies.  Rows always leave in file order.
+the columnstore (``load_attrs``, rent-or-buy).  What is learned is
+whole ``batch_size`` windows: each run of adjacent windows whose every
+row qualifies is collected (cache) and observed (statistics, keyed by
+table row) in one piece.  Tokenization of a batch stays full-width for
+the attributes the query touches (that is what populates the map), even
+when no row of it qualifies.  Rows always leave in file order.
 
 **Raw access is by byte range.**  Every offset the scan holds is a byte
 offset into the raw file, and it reads only the ranges its plan needs:
@@ -272,8 +272,8 @@ class RawScan(Operator):
         evaluation, then one acquisition of the projection-only columns
         for the stride's survivors (all of its rows, then taken, for
         the columns it loads and when selective tuple formation is
-        off).  What the acquisition converts is still learned per
-        window (:meth:`_learn`)."""
+        off).  What the acquisition converts is learned for the windows
+        it acquires whole (:meth:`_learn`)."""
         plan = self.plan
         batch_size = plan.batch_size
         self._batch_spans.clear()
@@ -391,7 +391,7 @@ class RawScan(Operator):
             # version is an UpdateConflictError, not wrong rows.
             stamp = None
             fingerprint = self.state.fingerprint
-            if fingerprint is not None and self.config.auto_detect_updates:
+            if fingerprint is not None:
                 stamp = (fingerprint.size_bytes, fingerprint.mtime_ns)
             self._reader = RawFileReader(
                 self.state.entry.path, self.metrics, stamp
@@ -479,9 +479,9 @@ class RawScan(Operator):
         converted only for those rows — selective parsing / selective
         tuple formation.  Tokenization itself stays full-range so the
         positional map keeps learning.  Each segment is acquired once
-        per read piece (:meth:`_read_pieces`); the ``batch_size``
-        windows in which every row is acquired are learned one at a
-        time (:meth:`_learn`).
+        per read piece (:meth:`_read_pieces`); the runs of adjacent
+        ``batch_size`` windows in which every row is acquired are
+        learned one run at a time (:meth:`_learn`).
         """
         edges = self.plan.window_edges(r0, r1)
         # Where each window's rows start in ``sel``.
@@ -490,11 +490,12 @@ class RawScan(Operator):
             ranks = [0, len(sel)]
             if len(edges) > 2:
                 ranks = np.searchsorted(sel, edges).tolist()
-        whole = [
-            (w0, w1)
-            for i, (w0, w1) in enumerate(zip(edges, edges[1:]))
-            if ranks is None or ranks[i + 1] - ranks[i] == w1 - w0
-        ]
+        # Runs of adjacent windows in which every row is acquired.
+        whole: list[tuple[int, int]] = []
+        for i, (w0, w1) in enumerate(zip(edges, edges[1:])):
+            if ranks is None or ranks[i + 1] - ranks[i] == w1 - w0:
+                start = whole.pop()[0] if whole and whole[-1][1] == w0 else w0
+                whole.append((start, w1))
         out: dict[int, list[ColumnVector]] = {a: [] for a in attrs}
         for p0, p1 in self._read_pieces(attrs, edges, sel, ranks):
             for seg in self.plan.segments:
@@ -591,10 +592,8 @@ class RawScan(Operator):
     ) -> None:
         """Collect (cache) and observe (statistics) the vectors
         converted for rows [lo, hi) (``sel`` rows only, when given),
-        one ``whole`` window at a time in row order, attributes in
-        order within each: exactly what converting each window alone
-        would learn.  The reservoir sample draws per call, so the calls
-        cannot merge."""
+        one ``whole`` run of windows at a time; each run's share of the
+        conversion seconds is its share of the rows."""
         for w0, w1 in whole:
             l0, l1 = max(w0, lo), min(w1, hi)
             if l0 >= l1:
@@ -606,13 +605,13 @@ class RawScan(Operator):
                     piece = vector.slice(k, k + l1 - l0)
                     seconds *= (l1 - l0) / len(vector)
                 if self.config.enable_cache or attr in self.plan.load_attrs:
-                    # A cached window holds only its own rows and strings.
+                    # A cached run holds only its own rows and strings.
                     own = piece if piece is vector else piece.compacted()
                     self.collectors.add_column(attr, l0, own, seconds)
                 if self.config.enable_statistics:
                     with self.metrics.time(_NODB):
                         self.state.statistics.observe(
-                            self.schema.columns[attr].name, piece
+                            self.schema.columns[attr].name, piece, l0
                         )
 
     def _acquire_attr_part(

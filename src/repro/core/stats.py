@@ -6,25 +6,23 @@ adaptive way; as queries request more attributes of a raw file,
 statistics are incrementally augmented to represent bigger subsets of
 the data."
 
-The scan feeds every batch of converted values for *requested* attributes
-into :class:`StatisticsStore`, which maintains per-attribute reservoir
-samples, min/max, null fractions, distinct-value estimates and equi-depth
-histograms.  The optimizer consumes them through the same selectivity API
-a conventional DBMS would use after ANALYZE.
+The scan feeds the converted values of *requested* attributes, with the
+table row they start at, into :class:`StatisticsStore`, which keeps per
+attribute a uniform sample, min/max, the null fraction and a
+distinct-value estimate.  The optimizer consumes them through the same
+selectivity API a conventional DBMS would use after ANALYZE.
 
-**A typed reservoir.**  The sample is a numpy array of the column's own
-dtype (for TEXT, an object array of the decoded strings), kept by
-Vitter's algorithm R with numpy draws: a batch first fills the free
-slots, then draws one ``rng.random`` and one ``rng.integers`` per
-remaining value; the accepted values land in one fancy-index
-assignment, where the last arrival per slot wins, just as a
-value-at-a-time loop would leave it.  A TEXT batch arrives as
-dictionary codes — the draws are the same, and only the values kept
-are decoded — and its min / max are the strings of its extreme codes.
-The estimators and the histogram read the array with numpy.  Arrival
-numbers count non-NULL values only: a batch's values arrive after the
-non-NULL values of the batches before it, however many NULLs either
-held.
+**A sample keyed by table row.**  A row's *priority* is the splitmix64
+finalizer of its row number, salted per column (name and ``seed``).  A
+column's sample holds the values of the ``sample_size`` observed
+non-NULL rows of smallest priority (bottom-k sampling): uniform without
+replacement, and dependent only on *which* rows were observed — not on
+batch size, call boundaries, column order or thread interleaving.  Once
+full, it takes in only rows below its k-th priority.  It is a numpy
+array of the column's own dtype; TEXT decodes only the codes that
+enter it.  Each attribute keeps the row intervals it has observed and
+folds only rows outside them, so re-converted rows (no cache, an
+eviction, two concurrent scans) change no statistic.
 
 One deliberate refinement over a literal reading of the paper: only
 *full-column* reads feed the store.  Attributes materialized solely for
@@ -35,6 +33,8 @@ later, when the attribute is first read unfiltered.
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 import threading
 from dataclasses import dataclass, field
 
@@ -46,6 +46,23 @@ from ..datatypes import DataType
 _DEFAULT_SELECTIVITY_EQ = 0.005
 _DEFAULT_SELECTIVITY_RANGE = 0.33
 
+_U64 = np.uint64
+#: splitmix64's gamma, finalizer multipliers and shifts: 0-d arrays,
+#: the operands numpy's ufuncs take fastest on small arrays.
+_GAMMA, _MIX1, _MIX2, _S30, _S27, _S31 = (
+    np.array(c, dtype=_U64)
+    for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+    + (30, 27, 31)
+)
+
+
+def _priorities(rows: np.ndarray, salt: np.uint64) -> np.ndarray:
+    """splitmix64's finalizer of ``salt + row * gamma``: rows never tie."""
+    x = rows.astype(_U64) * _GAMMA + salt
+    x = (x ^ (x >> _S30)) * _MIX1
+    x = (x ^ (x >> _S27)) * _MIX2
+    return x ^ (x >> _S31)
+
 
 @dataclass
 class AttributeStatistics:
@@ -54,82 +71,95 @@ class AttributeStatistics:
     name: str
     dtype: DataType
     sample_size: int
-    histogram_buckets: int
+    #: With ``name``, hashed into the ``salt`` of the row priorities.
+    seed: int = 0
+    salt: np.uint64 = field(init=False, repr=False)
     rows_seen: int = 0
     null_count: int = 0
     min_value: object = None
     max_value: object = None
-    #: The reservoir: up to ``sample_size`` non-NULL values, typed.
+    #: Up to ``sample_size`` non-NULL values, typed, by rising priority.
     sample: np.ndarray = field(init=False, repr=False)
-    _histogram: np.ndarray | None = field(default=None, repr=False)
-    _histogram_dirty: bool = field(default=True, repr=False)
+    #: The priorities of ``sample``'s rows.
+    _priority: np.ndarray = field(init=False, repr=False)
+    #: Observed rows: the bounds of disjoint, non-touching ``[start,
+    #: end)`` intervals, flat and in order.
+    _seen: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         # TEXT samples hold the decoded strings.
         text = self.dtype is DataType.TEXT
         dtype = object if text else self.dtype.numpy_dtype
         self.sample = np.empty(0, dtype=dtype)
+        self._priority = np.empty(0, dtype=_U64)
+        key = f"{self.seed}:{self.name}".encode()
+        digest = hashlib.blake2b(key, digest_size=8).digest()
+        self.salt = _U64(int.from_bytes(digest, "little"))
 
     # ------------------------------------------------------------------
     # Maintenance.
     # ------------------------------------------------------------------
 
-    def observe(self, vector: ColumnVector, rng: np.random.Generator) -> None:
-        """Fold one batch of binary values into the running statistics."""
-        n = len(vector)
-        if n == 0:
+    def observe(self, vector: ColumnVector, row_from: int) -> None:
+        """Fold ``vector``'s rows (table rows from ``row_from``) not
+        observed before into the statistics."""
+        pieces = self._claim(row_from, row_from + len(vector))
+        if not pieces:
             return
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi in pieces])
+        if len(rows) < len(vector):
+            vector = vector.take(rows - row_from)
         nulls = vector.null_mask
         null_in_batch = int(np.count_nonzero(nulls))
-        seen = self.rows_seen - self.null_count  # non-NULL values so far
-        self.rows_seen += n
+        self.rows_seen += len(rows)
         self.null_count += null_in_batch
 
-        values = vector.values[~nulls] if null_in_batch else vector.values
-        if len(values):
-            # TEXT: codes order like their strings, so the extreme codes
-            # name the extreme strings.
-            extremes = values[[values.argmin(), values.argmax()]]
-            if vector.dtype is DataType.TEXT:
-                extremes = vector.dictionary[extremes]
-            low, high = extremes.tolist()
-            if self.min_value is None or low < self.min_value:
-                self.min_value = low
-            if self.max_value is None or high > self.max_value:
-                self.max_value = high
-            self._reservoir_update(values, seen, rng, vector.dictionary)
-        self._histogram_dirty = True
-
-    def _reservoir_update(
-        self,
-        values: np.ndarray,
-        seen: int,
-        rng: np.random.Generator,
-        dictionary: np.ndarray | None = None,
-    ) -> None:
-        """Vitter's algorithm R over one batch of non-NULL ``values``,
-        ``seen`` non-NULL values having arrived before it.  TEXT
-        ``values`` are codes into ``dictionary``: the draws are the
-        same, and only the values kept are decoded."""
-        k = self.sample_size
-        take = min(k - len(self.sample), len(values))
-        if take:
-            kept = values[:take]
-            if dictionary is not None:
-                kept = dictionary[kept]
-            self.sample = np.concatenate([self.sample, kept])
-            values = values[take:]
-            seen += take
+        values = vector.values
+        if null_in_batch:
+            values, rows = values[~nulls], rows[~nulls]
         if not len(values):
             return
-        arrival = seen + np.arange(1, len(values) + 1)
-        accept = rng.random(len(values)) < (k / arrival)
-        slots = rng.integers(0, k, size=len(values))
-        # One assignment; of two arrivals for one slot the later wins.
-        slots, values = slots[accept][::-1], values[accept][::-1]
-        slots, last = np.unique(slots, return_index=True)
-        kept = values[last]
-        self.sample[slots] = kept if dictionary is None else dictionary[kept]
+        # TEXT: codes order like their strings, so the extreme codes
+        # name the extreme strings.
+        extremes = values[[values.argmin(), values.argmax()]]
+        if vector.dtype is DataType.TEXT:
+            extremes = vector.dictionary[extremes]
+        low, high = extremes.tolist()
+        if self.min_value is None or low < self.min_value:
+            self.min_value = low
+        if self.max_value is None or high > self.max_value:
+            self.max_value = high
+
+        # Bottom-k: the rows below the k-th priority (at most k of them,
+        # decoded if TEXT) are sorted and merged into the sample.
+        k = self.sample_size
+        priority = _priorities(rows, self.salt)
+        if len(self._priority) == k:
+            below = priority < self._priority[-1]
+            if not below.any():
+                return
+            values, priority = values[below], priority[below]
+        order = np.argsort(priority)[:k]
+        values, priority = values[order], priority[order]
+        if vector.dtype is DataType.TEXT:
+            values = vector.dictionary[values]
+        merged = np.concatenate([self._priority, priority])
+        # Two sorted runs: the stable sort (a merge sort) merges them.
+        take = np.argsort(merged, kind="stable")[:k]
+        self.sample = np.concatenate([self.sample, values])[take]
+        self._priority = merged[take]
+
+    def _claim(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """The pieces of rows ``[lo, hi)`` not observed yet, in order;
+        from now on they count as observed."""
+        seen = self._seen
+        i, j = bisect.bisect_left(seen, lo), bisect.bisect_right(seen, hi)
+        # The points bound unseen, seen, ... rows (seen first if i odd).
+        points = iter([lo, *seen[i:j], hi][i % 2 :])
+        pieces = [(a, b) for a, b in zip(points, points) if a < b]
+        if pieces:
+            seen[i:j] = [lo][i % 2 :] + [hi][j % 2 :]
+        return pieces
 
     # ------------------------------------------------------------------
     # Derived estimates.
@@ -151,17 +181,6 @@ class AttributeStatistics:
         if d < n / 2:
             return float(d)  # low-cardinality domain, sample saw it all
         return min(float(non_null), d * non_null / n)
-
-    def histogram(self) -> np.ndarray | None:
-        """Equi-depth bucket boundaries over the sample (numeric only)."""
-        if self.dtype is DataType.TEXT or not len(self.sample):
-            return None
-        if self._histogram_dirty:
-            data = np.sort(self.sample.astype(np.float64))
-            quantiles = np.linspace(0.0, 1.0, self.histogram_buckets + 1)
-            self._histogram = np.quantile(data, quantiles)
-            self._histogram_dirty = False
-        return self._histogram
 
     def selectivity_eq(self, value: object) -> float:
         """Estimated fraction of rows with ``attr = value``."""
@@ -220,20 +239,20 @@ class StatisticsStore:
     def __init__(
         self,
         sample_size: int = 1024,
-        histogram_buckets: int = 32,
         seed: int = 0x5EED,
     ) -> None:
         self.sample_size = sample_size
-        self.histogram_buckets = histogram_buckets
-        self._rng = np.random.default_rng(seed)
+        self.seed = seed
         self._stats: dict[str, AttributeStatistics] = {}
         self._row_estimate = 0
-        # Serializes reservoir/extrema updates: concurrent queries on the
+        # Serializes sample/extrema updates: concurrent queries on the
         # service's shared read path feed the same store.  (Selectivity
         # reads stay lock-free — a momentarily stale estimate is fine.)
         self._write_lock = threading.Lock()
 
-    def observe(self, name: str, vector: ColumnVector) -> None:
+    def observe(self, name: str, vector: ColumnVector, row_from: int) -> None:
+        """Fold ``vector``, the values of table rows ``[row_from,
+        row_from + len(vector))``, into ``name``'s statistics."""
         with self._write_lock:
             stats = self._stats.get(name)
             if stats is None:
@@ -241,10 +260,10 @@ class StatisticsStore:
                     name=name,
                     dtype=vector.dtype,
                     sample_size=self.sample_size,
-                    histogram_buckets=self.histogram_buckets,
+                    seed=self.seed,
                 )
                 self._stats[name] = stats
-            stats.observe(vector, self._rng)
+            stats.observe(vector, row_from)
 
     def set_row_estimate(self, n_rows: int) -> None:
         with self._write_lock:

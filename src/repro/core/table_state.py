@@ -12,11 +12,7 @@ import threading
 from pathlib import Path
 
 from ..catalog.catalog import RawTableEntry
-from ..config import (
-    DEFAULT_HISTOGRAM_BUCKETS,
-    DEFAULT_STATS_SAMPLE_SIZE,
-    PostgresRawConfig,
-)
+from ..config import DEFAULT_STATS_SAMPLE_SIZE, PostgresRawConfig
 from ..storage.vertical import VerticalStore
 from .cache import RawDataCache
 from .positional_map import PositionalMap
@@ -62,9 +58,7 @@ class RawTableState:
             self.tiers.append(self.columnstore)
         if config.enable_positional_map:
             self.tiers.append(self.positional_map)
-        self.statistics = StatisticsStore(
-            DEFAULT_STATS_SAMPLE_SIZE, DEFAULT_HISTOGRAM_BUCKETS
-        )
+        self.statistics = StatisticsStore(DEFAULT_STATS_SAMPLE_SIZE)
         self.fingerprint = None
         self.pending_append = False
         self.queries_executed = 0

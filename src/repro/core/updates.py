@@ -6,7 +6,7 @@ for detecting the changes and update the auxiliary NoDB data
 structures."
 
 The engine fingerprints each registered file and re-checks the
-fingerprint before every query (``auto_detect_updates``).  Three
+fingerprint before every query (``refresh()`` checks now).  Three
 outcomes:
 
 * ``UNCHANGED``  — nothing to do;

@@ -37,6 +37,11 @@ from .signature import QuerySignature
 #: candidate (no distinct counts yet): one typical aggregate batch.
 DEFAULT_RESULT_BYTES = 4096
 
+#: Signatures the analyzer remembers; past it, the least recently
+#: planned one that is neither forced, owed a refused run nor held by
+#: a resident MV (its rent buys the MV's growth) goes.
+MAX_SIGNATURES = 256
+
 
 @dataclass
 class SignatureStats:
@@ -69,14 +74,21 @@ class SignatureStats:
 class WorkloadAnalyzer:
     """Signature frequencies, observed costs, and capture decisions:
     ``estimator(sig)`` sizes a result (``None``: unknown), ``price(sig,
-    nbytes)`` is what admitting it would evict, in benefit-seconds."""
+    nbytes)`` is what admitting it would evict, in benefit-seconds,
+    and ``resident(sig)`` tells whether an MV captured from ``sig`` is
+    held."""
 
     def __init__(
-        self, auto: bool, estimator=lambda sig: None, price=lambda s, n: 0.0
+        self,
+        auto: bool,
+        estimator=lambda sig: None,
+        price=lambda s, n: 0.0,
+        resident=lambda sig: False,
     ) -> None:
         self.auto = auto
         self.estimator = estimator
         self.price = price
+        self.resident = resident
         self._lock = threading.Lock()
         self._stats: dict[QuerySignature, SignatureStats] = {}
         self._forced: dict[QuerySignature, int] = {}
@@ -85,10 +97,25 @@ class WorkloadAnalyzer:
     # Mining (plan time + retire time).
     # ------------------------------------------------------------------
 
+    def _entry(self, sig: QuerySignature) -> SignatureStats:
+        """``sig``'s stats, added if new; ``_stats`` runs least recently
+        planned first.  Callers hold the lock (``resident`` takes the
+        governor's inside it; no governor-locked path calls in here)."""
+        held = self._stats
+        if sig not in held and len(held) >= MAX_SIGNATURES:
+            for old, stats in held.items():
+                if not (
+                    old in self._forced or stats.unpaid or self.resident(old)
+                ):
+                    del held[old]
+                    break
+        return held.setdefault(sig, SignatureStats(sig))
+
     def note_planned(self, sig: QuerySignature) -> int:
         """Record one planned occurrence; returns the repeat count."""
         with self._lock:
-            stats = self._stats.setdefault(sig, SignatureStats(sig))
+            stats = self._entry(sig)
+            self._stats[sig] = self._stats.pop(sig)  # now the latest
             stats.repeats += 1
             return stats.repeats
 
@@ -102,7 +129,7 @@ class WorkloadAnalyzer:
         raw scan+aggregate cost an MV would save.
         """
         with self._lock:
-            stats = self._stats.setdefault(sig, SignatureStats(sig))
+            stats = self._entry(sig)
             if decision in ("exact", "partial"):
                 stats.served_runs += 1
                 stats.served_seconds_total += seconds
@@ -118,7 +145,7 @@ class WorkloadAnalyzer:
         """A refused capture: the rent starts over, and the run that
         made it pays none when it completes."""
         with self._lock:
-            stats = self._stats.setdefault(sig, SignatureStats(sig))
+            stats = self._entry(sig)
             stats.rent_s = 0.0
             stats.unpaid += 1
 

@@ -45,7 +45,10 @@ class MVRuntime:
         self._rows_provider = rows_provider or (lambda table: None)
         self.catalog = MVCatalog(registry, governor)
         self.analyzer = WorkloadAnalyzer(
-            config.mv_auto, self.estimate_result_bytes, self.catalog.price
+            config.mv_auto,
+            self.estimate_result_bytes,
+            self.catalog.price,
+            lambda sig: self.catalog.find(sig) is not None,
         )
 
     # ------------------------------------------------------------------

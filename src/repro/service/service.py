@@ -800,7 +800,7 @@ class PostgresRawService:
         return self.mv.describe_entry(entry)
 
     def refresh(self, name: str | None = None) -> dict[str, FileChange]:
-        """Force update detection now (instead of before the next query).
+        """Detect updates now (instead of before the next query).
 
         Returns the change detected per table.
         """
@@ -812,7 +812,7 @@ class PostgresRawService:
             if lock is None:
                 continue
             with lock.write():
-                changes[table] = self._reconcile_file(state, force=True)
+                changes[table] = self._reconcile_file(state)
         return changes
 
     # ------------------------------------------------------------------
@@ -1210,9 +1210,7 @@ class PostgresRawService:
         names.extend(j.table.name for j in stmt.joins)
         return list(dict.fromkeys(names))
 
-    def _reconcile_file(
-        self, state: RawTableState, force: bool = False
-    ) -> FileChange:
+    def _reconcile_file(self, state: RawTableState) -> FileChange:
         """Detect external changes to the raw file and reconcile state.
 
         An append invalidates nothing: positional-map chunks, cache
@@ -1221,15 +1219,11 @@ class PostgresRawService:
         valid for it; ``pending_append`` only tells the next scan to
         index the new tail, and whatever that scan touches is extended
         over it.  A rewrite drops everything (the file is effectively
-        new).  ``force`` bypasses the ``auto_detect_updates`` knob
-        (explicit :meth:`refresh`).  Callers hold the table's write
-        lock.
+        new).  Callers hold the table's write lock.
         """
         path = state.entry.path
         if state.fingerprint is None:
             state.fingerprint = fingerprint_file(path)
-            return FileChange.UNCHANGED
-        if not (self.config.auto_detect_updates or force):
             return FileChange.UNCHANGED
         change, fingerprint = detect_change(state.fingerprint, path)
         if change is FileChange.MISSING:

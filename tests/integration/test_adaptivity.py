@@ -134,6 +134,31 @@ class TestStatisticsAdaptation:
         eng.query("SELECT a3 FROM t WHERE a5 > 0")
         assert stats.attribute_names() == ["a0", "a3", "a5"]
 
+    def test_reconverted_rows_are_observed_once(self, dataset):
+        # No cache: every run converts ``a1`` again, and each row still
+        # counts once.
+        path, schema = dataset
+        config = PostgresRawConfig.pm_only().with_overrides(batch_size=512)
+        eng = PostgresRaw(config)
+        eng.register_csv("t", path, schema)
+        sql = "SELECT a1, COUNT(*) AS n FROM t GROUP BY a1"
+        learned = []
+        for __ in range(5):
+            eng.query(sql)
+            stats = eng.table_state("t").statistics.get("a1")
+            learned.append(
+                (
+                    stats.rows_seen,
+                    stats.null_count,
+                    stats.min_value,
+                    stats.max_value,
+                    stats.sample.tolist(),
+                )
+            )
+        assert learned[0][0] == 4_000
+        assert learned == learned[:1] * 5
+        eng.close()
+
     def test_join_order_flips_with_statistics(self, tmp_path):
         """E10: on-the-fly statistics steer join ordering."""
         big_path = tmp_path / "big.csv"

@@ -20,6 +20,7 @@ import pytest
 from repro import PostgresRaw, PostgresRawConfig, PostgresRawService
 from repro.catalog.schema import TableSchema
 from repro.monitor import render_governor_panel, render_query_signatures
+from repro.mv.analyzer import MAX_SIGNATURES
 from repro.rawio.writer import append_csv_rows, write_csv
 from repro.sql.parser import parse_select
 
@@ -103,6 +104,29 @@ def test_bought_on_the_second_raw_run_and_a_one_off_never(csv_path):
         assert "MVScan [exact]" in engine.explain(repeated)
         assert "MVScan" not in engine.explain(one_off)
         assert mv.stats()["builds"] == 1
+
+
+def test_one_offs_stay_bounded_and_a_repeat_among_them_is_bought(csv_path):
+    repeated = AGG_QUERIES[4]
+    with PostgresRaw(PostgresRawConfig(mv_auto=True)) as engine:
+        engine.register_csv("t", csv_path, SCHEMA)
+        mv = engine.service.mv
+        for i in range(1000):
+            engine.query(f"SELECT COUNT(*) AS n FROM t WHERE amount < {i}")
+            if i in (500, 600):
+                engine.query(repeated)
+        assert mv.stats()["signatures"] == MAX_SIGNATURES
+        assert mv.stats()["builds"] == 1
+        assert "MVScan [exact]" in engine.explain(repeated)
+        # The repeat was last planned 400 one-offs ago, but its MV is
+        # resident: its stats, whose rent buys growth, are kept.  A new
+        # region grows the entry, and the hit advances it.
+        append_csv_rows(csv_path, [("r9", 1, 1), ("r0", 2, 2)], SCHEMA)
+        rows = sorted(engine.query(repeated).rows)
+        assert rows == reference(csv_path, [repeated])[repeated]
+        (entry,) = mv.stats()["entries"]
+        assert entry["groups"] == 6 and entry["lag_rows"] == 0
+        assert mv.stats()["tail_merges"] == 1
 
 
 def test_an_unaffordable_signature_never_plans_a_capture(csv_path):

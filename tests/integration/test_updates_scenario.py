@@ -131,21 +131,6 @@ class TestRewriteScenario:
             eng.query("SELECT COUNT(*) FROM live")
 
 
-class TestAutoDetectionKnob:
-    def test_disabled_detection_serves_stale_prefix(self, tmp_path):
-        path = tmp_path / "stale.csv"
-        write_csv(path, [(1, 1)], SCHEMA)
-        eng = PostgresRaw(PostgresRawConfig(auto_detect_updates=False))
-        eng.register_csv("live", path, SCHEMA)
-        assert eng.query("SELECT COUNT(*) AS n FROM live").scalar() == 1
-        append_csv_rows(path, [(2, 2)], SCHEMA)
-        # Stale by design: the engine was told not to watch the file.
-        assert eng.query("SELECT COUNT(*) AS n FROM live").scalar() == 1
-        changes = eng.refresh("live")
-        assert changes["live"] is FileChange.APPENDED
-        assert eng.query("SELECT COUNT(*) AS n FROM live").scalar() == 2
-
-
 # ----------------------------------------------------------------------
 # Fault injection: the raw file shrinks under an open streaming cursor
 # whose remaining batches still have positional-map jumps to make.

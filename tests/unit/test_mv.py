@@ -27,7 +27,7 @@ from repro.mv import (
     WorkloadAnalyzer,
     extract_signature,
 )
-from repro.mv.analyzer import DEFAULT_RESULT_BYTES
+from repro.mv.analyzer import DEFAULT_RESULT_BYTES, MAX_SIGNATURES
 from repro.mv.runtime import MVRuntime
 from repro.rawio.writer import write_csv
 from repro.service import MemoryGovernor
@@ -370,6 +370,31 @@ class TestAnalyzer:
         rows = analyzer.suggestions()
         assert rows[0]["signature"] == hot.label()
         assert rows[0]["benefit_per_byte"] > rows[1]["benefit_per_byte"]
+
+    def test_signatures_are_bounded_least_recently_planned_first(self):
+        def sig(i):
+            return QuerySignature("t", (f"c{i}",), (), (("count", "*"),), ())
+
+        forced, owed, hot, held = sig(0), sig(1), sig(2), sig(-1)
+        analyzer = WorkloadAnalyzer(auto=True, resident=lambda s: s == held)
+        analyzer.note_planned(held)
+        analyzer.force(forced)
+        analyzer.note_planned(forced)
+        analyzer.note_planned(owed)
+        analyzer.refuse(owed)
+        analyzer.note_planned(hot)
+        for i in range(3, 1000):
+            analyzer.note_planned(sig(i))
+            if i % 100 == 0:
+                analyzer.note_planned(hot)
+        assert analyzer.signature_count() == MAX_SIGNATURES
+        # Neither forced, owed a run nor resident: kept only while
+        # recently planned.
+        kept = analyzer._stats
+        assert forced in kept and owed in kept and held in kept
+        assert hot in kept
+        assert kept[hot].repeats == 10
+        assert sig(3) not in kept and sig(999) in kept
 
     def test_served_and_raw_buckets(self):
         analyzer = WorkloadAnalyzer(auto=True)

@@ -33,6 +33,7 @@ def uniform_stats():
             np.arange(1000, dtype=np.int64),
             np.zeros(1000, dtype=np.bool_),
         ),
+        0,
     )
     store.observe(
         "s",
@@ -40,6 +41,7 @@ def uniform_stats():
             DataType.TEXT,
             ["apple", "apricot", "banana", "cherry"] * 100,
         ),
+        0,
     )
     nulls = rng.random(1000) < 0.1
     store.observe(
@@ -49,6 +51,7 @@ def uniform_stats():
             np.arange(1000, dtype=np.int64),
             nulls,
         ),
+        0,
     )
     store.set_row_estimate(1000)
     return store

@@ -317,35 +317,41 @@ WHOLE_WINDOWS = "(a >= 48 AND a < 80) OR (a >= 96 AND a < 112) OR a % 5 = 0"
 
 
 def _small_sample_stats(eng):
-    """Give ``t`` a fresh statistics store with a small reservoir, so
-    observations draw from its generator."""
+    """Give ``t`` a fresh statistics store with a small sample, so
+    which rows a scan observes shows in the sample."""
     store = StatisticsStore(sample_size=8)
     eng.table_state("t").statistics = store
     return store
 
 
-def test_whole_windows_are_observed_one_call_each(make, scans):
+def test_adjacent_whole_windows_are_learned_as_one_run(
+    make, scans, monkeypatch
+):
     eng = make()
     _warm_jumped_c(eng)
     store = _small_sample_stats(eng)
+    observed = []
+    observe = store.observe
+
+    def spy(name, vector, row_from):
+        observed.append((name, row_from, row_from + len(vector)))
+        observe(name, vector, row_from)
+
+    monkeypatch.setattr(store, "observe", spy)
     scan, __ = _scan(eng, ["a", "c"], WHOLE_WINDOWS)
     assert scan.plan.resident and _chunk_jumped(scan, 2)
     assert (48, 112) in list(scan.plan.strides())
-    windows = [(48, 64), (64, 80), (96, 112)]
+    # [48, 64) and [64, 80) touch: one run, one call; [96, 112) is
+    # another.
+    assert observed == [("c", 48, 80), ("c", 96, 112)]
     fresh = StatisticsStore(sample_size=8)
-    for w0, w1 in windows:
-        fresh.observe("c", ColumnVector.from_texts(_texts(w0, w1)))
+    for w0, w1 in ((48, 80), (96, 112)):
+        fresh.observe("c", ColumnVector.from_texts(_texts(w0, w1)), w0)
     got, want = store.get("c"), fresh.get("c")
     assert got.rows_seen == want.rows_seen == 48
     assert (got.min_value, got.max_value) == (want.min_value, want.max_value)
     assert got.sample.tolist() == want.sample.tolist()
-    # One call over all three windows would draw another sample.
-    merged = StatisticsStore(sample_size=8)
-    rows = [t for w0, w1 in windows for t in _texts(w0, w1)]
-    merged.observe("c", ColumnVector.from_texts(rows))
-    assert merged.get("c").sample.tolist() != want.sample.tolist()
-    # Windows [48, 64) and [64, 80) touch, [96, 112) does not: the run
-    # does not start at row 0 and breaks, so nothing is cached.
+    # The run does not start at row 0 and breaks, so nothing is cached.
     assert eng.table_state("t").cache.peek(2) is None
 
 

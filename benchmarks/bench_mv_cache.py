@@ -3,9 +3,10 @@
 The NoDB economics one level up: positional maps amortize *tokenizing*,
 cached columns amortize *parsing+conversion* — but a repeated aggregate
 still pays the scan and hash-aggregation every run.  This benchmark
-prices the third tier.  One engine runs with ``mv_enabled=False`` and
-fully warm positional maps + cache (today's best case); a second runs
-with auto-materialization on.  Arms:
+prices the third tier.  One engine runs with the default config (no
+auto-materialization, so it never captures an MV) and fully warm
+positional maps + cache (today's best case); a second runs with
+auto-materialization on.  Arms:
 
 * **cold** — first-ever aggregate over the raw file (builds the maps);
 * **warm-maps** — repeat aggregate, maps+cache hot, no MV (baseline);
@@ -58,16 +59,14 @@ def test_mv_cache(benchmark, tmp_path_factory):
         [(f"r{i % 8}", i * 7 % 10_000, i % 13) for i in range(n_rows)],
         SCHEMA,
     )
-    raw_config = PostgresRawConfig(
-        mv_enabled=False, memory_budget=256 * 1024 * 1024
-    )
+    raw_config = PostgresRawConfig(memory_budget=256 * 1024 * 1024)
     mv_config = PostgresRawConfig(
         mv_auto=True, memory_budget=256 * 1024 * 1024
     )
 
     def sweep():
         records = []
-        # Baseline engine: no MV subsystem, everything else warm.
+        # Baseline engine: never captures an MV, everything else warm.
         with PostgresRaw(raw_config) as engine:
             engine.register_csv("t", path, SCHEMA)
             cold_watch = Stopwatch()

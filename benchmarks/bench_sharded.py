@@ -119,9 +119,10 @@ def test_sharded_throughput(benchmark, tmp_path_factory):
     schema = generate_csv(
         path, uniform_table_spec(n_attrs=8, n_rows=n_rows, width=8, seed=77)
     )
-    # MVs off: rotating predicates must hit the raw scan path on every
-    # query, so qps measures the sharded scan fan-out, not a cache.
-    config = PostgresRawConfig(mv_enabled=False)
+    # Default config: no MV is captured (``mv_auto`` off), so rotating
+    # predicates hit the raw scan path on every query and qps measures
+    # the sharded scan fan-out, not a cache.
+    config = PostgresRawConfig()
 
     def sweep():
         records = []

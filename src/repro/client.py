@@ -390,12 +390,6 @@ class Connection:
             self._stats_qids.discard(qid)
             self._io.notify_all()
 
-    def _mark_broken(self, exc: BaseException) -> None:
-        with self._io:
-            if self._broken is None:
-                self._broken = exc
-            self._io.notify_all()
-
     def _frame_for(self, qid: int) -> tuple[FrameType, dict]:
         """Next frame belonging to stream ``qid``.
 

@@ -35,9 +35,7 @@ DEFAULT_STATS_SAMPLE_SIZE = 1024
 class PostgresRawConfig:
     """Tunable parameters of a :class:`repro.core.engine.PostgresRaw` engine.
 
-    Instances are immutable; derive variants with :meth:`with_overrides`
-    (used heavily by the ablation benchmarks, which flip one knob at a
-    time).
+    Instances are immutable; derive variants with :meth:`with_overrides`.
     """
 
     #: "the user can enable or disable the NoDB components" — positional map.
@@ -49,27 +47,6 @@ class PostgresRawConfig:
     #: "We extend the PostgresRaw scan operator to create statistics
     #: on-the-fly."  Disable to measure the overhead / plan-quality impact.
     enable_statistics: bool = True
-
-    #: "PostgresRaw reduces the tokenizing costs by opportunistically
-    #: aborting tokenizing tuples as soon as the required attributes for a
-    #: query have been found."  Disabling forces full-tuple tokenization.
-    selective_tokenizing: bool = True
-
-    #: "PostgresRaw needs only to transform to binary the values required
-    #: for the remaining query plan."
-    selective_parsing: bool = True
-
-    #: "Tuples are not fully composed but only contain the attributes
-    #: needed for a given query ... only created after the select
-    #: operator."  Disabling materializes all projected attributes before
-    #: the filter runs.
-    selective_tuple_formation: bool = True
-
-    #: "The distance that triggers indexing of a new attribute combination
-    #: is a PostgresRaw parameter.  In our prototype, the default setting
-    #: is that if all requested attributes for a query belong in different
-    #: chunks, then the new combination is indexed."
-    pm_combination_policy: bool = True
 
     #: Rows per vectorized batch in the scan pipeline.
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -126,14 +103,6 @@ class PostgresRawConfig:
     #: breakdown and span tree (``None`` disables the log).
     slow_query_s: float | None = None
 
-    #: Master switch for the adaptive materialized-aggregate cache
-    #: (:mod:`repro.mv`).  Enabled, the planner consults the MV catalog
-    #: for aggregate queries (exact hit, wider-MV partial
-    #: re-aggregation, raw fallback) and the workload analyzer mines
-    #: query signatures; disabled, planner and service behave exactly
-    #: as before the subsystem existed.
-    mv_enabled: bool = True
-
     #: Auto-materialization by rent-or-buy: a query signature's raw
     #: runs pay their seconds as rent, and the first plan whose rent
     #: reaches the governor's price for the result's bytes captures it
@@ -143,19 +112,22 @@ class PostgresRawConfig:
     #: through explicit ``service.build_mv(sql)``.
     mv_auto: bool = False
 
-    #: Vertical persistence: load hot columns of raw tables into the
-    #: on-disk columnstore, a durable governed tier.  A column is loaded
-    #: once the raw bytes its selective positional-map jumps have read
-    #: reach those of one whole conversion (rent-or-buy); a column the
-    #: cache holds is never copied there.  Scans then serve loaded
+    #: Vertical persistence: load hot columns of raw tables into
+    #: columnstore files that scans map back, charged to
+    #: ``memory_budget`` and dropped on eviction, on ``close()`` or when
+    #: the raw file is rewritten.  A column is loaded once the raw bytes
+    #: its selective positional-map jumps have read reach those of one
+    #: whole conversion (rent-or-buy); a column the cache holds is never
+    #: copied there.  Scans then serve loaded
     #: columns from binary storage without touching the raw file — the
-    #: NoDB-to-loaded continuum.  Off (the default) nothing is loaded
-    #: and planner/scan behavior is exactly as before the tier existed.
+    #: NoDB-to-loaded continuum.  Off (the default) nothing is loaded.
     vp_enabled: bool = False
 
     #: Directory the vertical-persistence columnstore files live in.
     #: ``None`` (the default) uses a per-service temporary directory
-    #: that is removed on ``close()``.
+    #: that is removed on ``close()``.  A given directory is not read
+    #: at start-up, and the column files written there are removed on
+    #: ``close()`` as well.
     vp_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -189,8 +161,8 @@ class PostgresRawConfig:
     def baseline(cls) -> "PostgresRawConfig":
         """The 'Baseline' variant from Figure 3: no positional map, no
         cache, no statistics — the naive external-files scan that re-does
-        all work on every query (selective tokenizing/parsing stay on, as
-        in the paper's baseline which shares the scan operator)."""
+        all work on every query through the same selective scan
+        operator, as in the paper's baseline."""
         return cls(
             enable_positional_map=False,
             enable_cache=False,

@@ -113,9 +113,8 @@ class PositionalMap(GovernedLedger):
     ``governor`` is the engine's :class:`repro.service.MemoryGovernor`.
     """
 
-    def __init__(self, governor, combination_policy: bool = True) -> None:
+    def __init__(self, governor) -> None:
         super().__init__(governor)
-        self.combination_policy = combination_policy
         self._line_bounds: np.ndarray | None = None
         #: Learned with the line index: some record ends in ``\r\n``,
         #: so scans trim a trailing ``\r`` per record (LF files skip it).

@@ -271,9 +271,8 @@ class RawScan(Operator):
         order, in batches of up to ``batch_size`` rows: one predicate
         evaluation, then one acquisition of the projection-only columns
         for the stride's survivors (all of its rows, then taken, for
-        the columns it loads and when selective tuple formation is
-        off).  What the acquisition converts is learned for the windows
-        it acquires whole (:meth:`_learn`)."""
+        the columns it loads).  What the acquisition converts is learned
+        for the windows it acquires whole (:meth:`_learn`)."""
         plan = self.plan
         batch_size = plan.batch_size
         self._batch_spans.clear()
@@ -296,9 +295,7 @@ class RawScan(Operator):
                 if a in self._out_attrs
             }
         n_out = s1 - s0 if selected is None else len(selected)
-        sel = None
-        if selected is not None and self.config.selective_tuple_formation:
-            sel = selected + s0
+        sel = None if selected is None else selected + s0
         proj_attrs = plan.proj_attrs
         if plan.load_attrs:
             # Loaded whole (first, so the survivors' read below reuses
@@ -311,11 +308,8 @@ class RawScan(Operator):
             proj_attrs = tuple(a for a in proj_attrs if a not in part)
         # With no survivors a stride that tokenizes still does so once,
         # so the map keeps learning; a resident one has nothing to learn.
-        if proj_attrs and (n_out or sel is None or not plan.resident):
-            part = self._acquire(proj_attrs, s0, s1, sel=sel)
-            if sel is None and selected is not None:
-                part = {a: v.take(selected) for a, v in part.items()}
-            vectors.update(part)
+        if proj_attrs and (n_out or not plan.resident):
+            vectors.update(self._acquire(proj_attrs, s0, s1, sel=sel))
         for k in range(0, n_out, batch_size):
             end = min(k + batch_size, n_out)
             yield self._emit(
@@ -796,10 +790,7 @@ class RawScan(Operator):
         window = self._rows_window(lo, hi)
         bounds = self._bounds
         n_attrs = len(self.schema)
-        if not (
-            self.config.selective_tokenizing
-            and self.adapter.selective_tokenizing
-        ):
+        if not self.adapter.selective_tokenizing:
             max_a = n_attrs - 1
 
         first = 0
@@ -855,20 +846,6 @@ class RawScan(Operator):
                 max_a - first + 1
             )
         tokenize_seconds = time.perf_counter() - tokenize_start
-
-        if not self.config.selective_parsing:
-            # Without selective parsing every tokenized field is
-            # converted to binary whether or not the query needs it.
-            needed = set(self.needed_attrs)
-            extra = [a for a in range(first, max_a + 1) if a not in needed]
-            with self.metrics.time(_CONVERT):
-                for a in extra:
-                    ColumnVector.from_fields(
-                        tokenized.texts_of(a),
-                        self.schema.columns[a].dtype,
-                        self.dialect.null_token,
-                    )
-                    self.metrics.fields_converted += tokenized.num_rows
 
         if self.config.enable_positional_map:
             self.collectors.add_span(

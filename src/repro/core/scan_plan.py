@@ -51,12 +51,12 @@ min / max / NULL count (:mod:`repro.core.synopsis`) — and the plan
 tests the predicate's ``col op literal`` / ``BETWEEN`` / ``IN``
 conjuncts against it.  It skips a window that cannot qualify only where
 reading it would learn nothing: every segment the window overlaps pins
-all predicate attributes in a binary tier and has nothing to tokenize,
-and selective tuple formation is on (so a window without survivors
-converts, collects and observes nothing).  A skipped window is neither
-acquired, masked nor read, so no tier, statistic or answer changes —
-only time, and ``metrics.windows_skipped``.  ``runs`` holds the kept
-row ranges; strides restart at one batch for each.
+all predicate attributes in a binary tier and has nothing to tokenize
+(so a window without survivors converts, collects and observes
+nothing).  A skipped window is neither acquired, masked nor read, so
+no tier, statistic or answer changes — only time, and
+``metrics.windows_skipped``.  ``runs`` holds the kept row ranges;
+strides restart at one batch for each.
 """
 
 from __future__ import annotations
@@ -162,12 +162,7 @@ def plan_scan(scan: "RawScan", bounds: np.ndarray) -> ScanPlan:
     # when every requested attribute lives in a different, fully
     # covering chunk.
     combination = None
-    if (
-        config.enable_positional_map
-        and config.pm_combination_policy
-        and len(needed) > 1
-        and n_rows
-    ):
+    if config.enable_positional_map and len(needed) > 1 and n_rows:
         pm = scan.state.positional_map
         covers = [(a, pm.best_cover(a)) for a in needed]
         chunks = {id(c) for __, c in covers}
@@ -280,11 +275,7 @@ def _kept_runs(
     """``[row_from, row_to)`` less the windows the predicate's synopses
     rule out where skipping loses nothing (see the module docstring)."""
     whole = [(row_from, row_to)]
-    if not (
-        scan.predicate is not None
-        and scan.config.selective_tuple_formation
-        and row_from < row_to
-    ):
+    if scan.predicate is None or row_from >= row_to:
         return whole
     schema = scan.schema
     prunable = [

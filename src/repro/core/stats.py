@@ -276,9 +276,6 @@ class StatisticsStore:
     def get(self, name: str) -> AttributeStatistics | None:
         return self._stats.get(name)
 
-    def has(self, name: str) -> bool:
-        return name in self._stats
-
     def attribute_names(self) -> list[str]:
         return sorted(self._stats)
 

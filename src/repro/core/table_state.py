@@ -40,9 +40,7 @@ class RawTableState:
     ) -> None:
         self.entry = entry
         self.config = config
-        self.positional_map = PositionalMap(
-            governor, config.pm_combination_policy
-        )
+        self.positional_map = PositionalMap(governor)
         # Synopsis windows are the scan's windows.
         self.cache = RawDataCache(governor, config.batch_size)
         self.columnstore: VerticalStore | None = None

@@ -43,11 +43,8 @@ def query_signature_stats(service, limit: int = 10) -> list[dict[str, object]]:
     size, the raw seconds paid toward a capture (rent) against what
     admitting it would evict (price), and its status (``materialized``
     / ``candidate``: rent paid and at least the price / ``cold``).
-    Empty when ``mv_enabled=False``.
     """
-    mv = getattr(service, "mv", None)
-    if mv is None:
-        return []
+    mv = service.mv
     materialized = {e.signature for e in mv.catalog.entries()}
     return mv.analyzer.suggestions(materialized, limit=limit)
 

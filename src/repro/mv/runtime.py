@@ -2,9 +2,10 @@
 
 The planner talks to this object duck-typed (``Planner(mv=...)``), so
 :mod:`repro.sql.planner` stays import-free of this package; the service
-owns one instance per engine (``None`` when ``mv_enabled=False``, which
-restores pre-MV behavior exactly — no signature extraction, no catalog
-probe, no counters).
+owns one instance per engine.  A conventional plan (``Planner(mv=None)``,
+the baseline's) extracts no signature, probes no catalog and counts
+nothing; an engine that never captures (``mv_auto`` off, no
+``build_mv``) probes an empty catalog and answers from the raw scan.
 """
 
 from __future__ import annotations

@@ -74,9 +74,6 @@ class DatasetSpec:
     def schema(self) -> TableSchema:
         return TableSchema([Column(c.name, c.dtype) for c in self.columns])
 
-    def with_rows(self, n_rows: int) -> "DatasetSpec":
-        return replace(self, n_rows=n_rows)
-
 
 def uniform_table_spec(
     n_attrs: int,

@@ -250,17 +250,14 @@ class PostgresRawService:
         self.kernel_cache = KernelCache(registry=registry)
         #: Adaptive materialized-aggregate cache (:mod:`repro.mv`):
         #: workload-mined aggregate results governed alongside the
-        #: positional maps and caches.  ``None`` when ``mv_enabled``
-        #: is off — which restores the pre-MV planner byte-for-byte.
-        self.mv: MVRuntime | None = None
-        if self.config.mv_enabled:
-            self.mv = MVRuntime(
-                self.config,
-                registry,
-                governor=self.governor,
-                stats_provider=self._stats_provider,
-                rows_provider=self._table_rows,
-            )
+        #: positional maps and caches.
+        self.mv = MVRuntime(
+            self.config,
+            registry,
+            governor=self.governor,
+            stats_provider=self._stats_provider,
+            rows_provider=self._table_rows,
+        )
         registry.register_collector("mv", self._collect_mv)
         registry.register_collector("vertical", self._collect_columnstores)
         registry.register_collector("scheduler", self.scheduler.stats)
@@ -458,8 +455,7 @@ class PostgresRawService:
                 self._table_locks.pop(name, None)
                 self.plan_cache.clear()
             self.governor.unregister_table(name)
-            if self.mv is not None:
-                self.mv.drop_table(name)
+            self.mv.drop_table(name)
             state.invalidate()
 
     def table_state(self, name: str) -> RawTableState:
@@ -770,10 +766,6 @@ class PostgresRawService:
         a governed :class:`repro.mv.MaterializedAggregate`.  Returns the
         entry's description; idempotent when one is already resident.
         """
-        if self.mv is None:
-            raise ServiceError(
-                "materialized aggregates are disabled (mv_enabled=False)"
-            )
         stmt = parse_select(sql)
         sig = self._planner(QueryMetrics(), [], mining=False).mv_signature(
             stmt
@@ -1108,7 +1100,7 @@ class PostgresRawService:
             trace_id=getattr(cursor, "trace_id", None),
             sql=handle.sql,
         )
-        if self.mv is not None and handle.mv_signature is not None:
+        if handle.mv_signature is not None:
             # Workload mining, cost half: the observed seconds of this
             # completion — raw runs measure what an MV would save,
             # served runs measure what it actually costs.
@@ -1234,8 +1226,7 @@ class PostgresRawService:
         elif change is FileChange.REWRITTEN:
             state.invalidate()
             state.fingerprint = fingerprint
-            if self.mv is not None:
-                self.mv.invalidate_table(state.entry.name)
+            self.mv.invalidate_table(state.entry.name)
         else:
             state.fingerprint = fingerprint
         return change
@@ -1252,9 +1243,9 @@ class PostgresRawService:
                 for name, lock in sorted(self._table_locks.items())
             }
 
-    def _collect_mv(self) -> dict[str, object] | None:
-        """Registry collector: MV cache stats (None when disabled)."""
-        return self.mv.stats() if self.mv is not None else None
+    def _collect_mv(self) -> dict[str, object]:
+        """Registry collector: MV cache stats."""
+        return self.mv.stats()
 
     def _collect_columnstores(self) -> list[dict[str, object]] | None:
         """Registry collector: promoted columns, their watermarks and

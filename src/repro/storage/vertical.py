@@ -2,11 +2,16 @@
 
 The NoDB-to-loaded continuum ("Workload-Driven Vertical Partitioning",
 PAPERS.md): the workload itself nominates hot (table, column) pairs of a
-raw table, and their converted vectors are written into the on-disk
-columnstore (:mod:`repro.storage.columnstore`) as a *durable* governed
-tier.  Later scans serve those columns straight from binary storage —
-no raw-file I/O, no tokenizing, no parsing — while the table stays
-registered in situ.
+raw table, and their converted vectors are written into columnstore
+files (:mod:`repro.storage.columnstore`) that scans map back.  The
+files are a governed tier, not a durable one: their bytes are charged
+to ``memory_budget``, a column's directory is rewritten whole when it
+is promoted again, nothing reads an existing directory at start-up,
+and every column's files are removed on eviction, when the raw file is
+rewritten, and when the table is dropped or its engine closed.  Later
+scans serve those columns straight from binary storage — no raw-file
+I/O, no tokenizing, no parsing — while the table stays registered in
+situ.
 
 One way in, a *load*: a projection-only column that scans keep
 reading for a few survivors through the positional map has paid, in

@@ -46,7 +46,7 @@ def config(**overrides):
 
 
 def raw(path, sql):
-    with PostgresRaw(PostgresRawConfig(mv_enabled=False)) as engine:
+    with PostgresRaw() as engine:
         engine.register_csv("t", path, SCHEMA)
         return engine.query(sql).rows
 

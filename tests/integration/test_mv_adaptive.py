@@ -50,10 +50,20 @@ def csv_path(tmp_path):
     return path
 
 
+def assert_raw_served(engine):
+    """A reference engine answers from the raw scan: no MV served it."""
+    counter = engine.telemetry.registry.counter
+    assert counter("mv_hits_total").value == 0
+    assert counter("mv_partial_hits_total").value == 0
+
+
 def reference(path, queries):
-    with PostgresRaw(PostgresRawConfig(mv_enabled=False)) as engine:
+    """Ground truth: a fresh default engine, which never captures an MV."""
+    with PostgresRaw() as engine:
         engine.register_csv("t", path, SCHEMA)
-        return {sql: sorted(engine.query(sql).rows) for sql in queries}
+        rows = {sql: sorted(engine.query(sql).rows) for sql in queries}
+        assert_raw_served(engine)
+        return rows
 
 
 def test_auto_materialization_lifecycle(csv_path):
@@ -286,7 +296,7 @@ def test_drop_table_forgets_mvs(csv_path):
         assert governor.used_bytes == 0
 
 
-def test_disabled_matches_enabled_row_for_row(csv_path):
+def test_never_capturing_matches_capturing_row_for_row(csv_path):
     expected = reference(csv_path, AGG_QUERIES)
     config = PostgresRawConfig(mv_auto=True)
     with PostgresRaw(config) as engine:
@@ -295,15 +305,16 @@ def test_disabled_matches_enabled_row_for_row(csv_path):
             for sql in AGG_QUERIES:
                 assert sorted(engine.query(sql).rows) == expected[sql]
         assert engine.service.mv.catalog.entry_count() > 0
-    # And an engine with the subsystem off never grows the plan: no
-    # collector, no MVScan, identical answers.
-    with PostgresRaw(PostgresRawConfig(mv_enabled=False)) as engine:
+    # And a default engine (no ``mv_auto``, no ``build_mv``) never
+    # captures: no entry, no MVScan, identical answers.
+    with PostgresRaw() as engine:
         engine.register_csv("t", csv_path, SCHEMA)
-        for sql in AGG_QUERIES:
-            assert sorted(engine.query(sql).rows) == expected[sql]
-            assert "MVScan" not in engine.explain(sql)
-        snapshot = engine.service.telemetry.registry.snapshot()
-        assert snapshot["collectors"].get("mv") is None
+        for __ in range(3):
+            for sql in AGG_QUERIES:
+                assert sorted(engine.query(sql).rows) == expected[sql]
+                assert "MVScan" not in engine.explain(sql)
+        assert engine.service.mv.catalog.entry_count() == 0
+        assert_raw_served(engine)
 
 
 def test_governor_accounting_balances_with_mvs(csv_path, tmp_path):

@@ -75,8 +75,8 @@ def rows_for(schema: TableSchema, rows):
 
 
 def oracle(path, schema, sql):
-    """A fresh engine with the MV tier off: no cache, no MV."""
-    with PostgresRaw(PostgresRawConfig(mv_enabled=False)) as ref:
+    """A fresh default engine: no plan cached, no MV captured."""
+    with PostgresRaw() as ref:
         ref.register_csv("t", path, schema)
         return ref.query(sql).rows
 
@@ -115,7 +115,7 @@ class TestStatementReuse:
     def test_one_parse_plans_any_number_of_times(self, csv_path, sql, mv):
         want = oracle(csv_path, SCHEMA, sql)
         stmt = parse_select(sql)
-        with PostgresRaw(config(mv_enabled=mv)) as engine:
+        with PostgresRaw(config(mv_auto=mv)) as engine:
             engine.register_csv("t", csv_path, SCHEMA)
             for __ in range(4):
                 assert engine.execute(stmt).rows == want

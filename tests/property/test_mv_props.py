@@ -65,11 +65,20 @@ def build_config(mv_auto: bool = True, **overrides) -> PostgresRawConfig:
     )
 
 
+def assert_raw_served(engine):
+    """A reference engine answers from the raw scan: no MV served it."""
+    counter = engine.telemetry.registry.counter
+    assert counter("mv_hits_total").value == 0
+    assert counter("mv_partial_hits_total").value == 0
+
+
 def reference_rows(path, query):
-    """Ground truth: fresh serial engine with the MV subsystem off."""
-    with PostgresRaw(PostgresRawConfig(mv_enabled=False)) as ref:
+    """Ground truth: a fresh default engine, which never captures an MV."""
+    with PostgresRaw() as ref:
         ref.register_csv("t", path, SCHEMA)
-        return sorted(ref.query(query).rows)
+        rows = sorted(ref.query(query).rows)
+        assert_raw_served(ref)
+        return rows
 
 
 @settings(max_examples=25, deadline=None)
@@ -150,9 +159,11 @@ def test_appends_advance_both_tiers_and_stay_correct(
     write(path, rows, SCHEMA)
 
     def expected(query):
-        with PostgresRaw(PostgresRawConfig(mv_enabled=False)) as ref:
+        with PostgresRaw() as ref:
             getattr(ref, register)("t", path, SCHEMA)
-            return sorted(ref.query(query).rows, key=repr)
+            rows = sorted(ref.query(query).rows, key=repr)
+            assert_raw_served(ref)
+            return rows
 
     config = build_config(
         mv_auto=False,

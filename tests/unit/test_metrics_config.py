@@ -1,5 +1,6 @@
 """Unit tests for metrics accounting and engine configuration."""
 
+import dataclasses
 import importlib
 import time
 
@@ -79,17 +80,38 @@ class TestPostgresRawConfig:
         assert config.enable_positional_map
         assert config.enable_cache
         assert config.enable_statistics
-        assert config.selective_tokenizing
-        assert config.selective_parsing
-        assert config.selective_tuple_formation
 
     def test_baseline_disables_adaptive_parts(self):
         config = PostgresRawConfig.baseline()
         assert not config.enable_positional_map
         assert not config.enable_cache
         assert not config.enable_statistics
-        # Selective scanning stays on (shared scan operator).
-        assert config.selective_tokenizing
+
+    def test_fields_are_the_knobs(self):
+        # The scan always tokenizes, parses and forms tuples selectively
+        # and the MV tier always exists: none of that has a switch.
+        assert [f.name for f in dataclasses.fields(PostgresRawConfig)] == [
+            "enable_positional_map",
+            "enable_cache",
+            "enable_statistics",
+            "batch_size",
+            "memory_budget",
+            "max_concurrent_queries",
+            "admission_queue_depth",
+            "stream_queue_batches",
+            "cursor_ttl_s",
+            "telemetry_enabled",
+            "slow_query_s",
+            "mv_auto",
+            "vp_enabled",
+            "vp_dir",
+        ]
+
+    def test_unknown_knob_is_rejected(self):
+        with pytest.raises(TypeError):
+            PostgresRawConfig(no_such_knob=False)
+        with pytest.raises(TypeError):
+            PostgresRawConfig().with_overrides(no_such_knob=False)
 
     def test_pm_only_and_cache_only(self):
         assert not PostgresRawConfig.pm_only().enable_cache

@@ -586,17 +586,38 @@ def test_build_mv_rejects_ineligible(engine):
         engine.build_mv("SELECT region FROM t")
 
 
-def test_mv_disabled_has_no_runtime(tmp_path):
+def test_default_engine_builds_only_on_request(tmp_path):
+    # Without mv_auto the runtime is there but never captures on its
+    # own; an explicit build_mv is what puts an entry in the tier.
     path = tmp_path / "t.csv"
     write_csv(path, ROWS, SCHEMA)
-    with PostgresRaw(PostgresRawConfig(mv_enabled=False)) as eng:
+    sql = "SELECT region, count(*) FROM t GROUP BY region"
+    with PostgresRaw(PostgresRawConfig()) as eng:
         eng.register_csv("t", path, SCHEMA)
-        assert eng.service.mv is None
-        with pytest.raises(ServiceError):
-            eng.build_mv("SELECT count(*) FROM t")
-        sql = "SELECT region, count(*) FROM t GROUP BY region"
+        assert isinstance(eng.service.mv, MVRuntime)
+        raw = sorted(eng.query(sql))
+        for __ in range(3):
+            assert sorted(eng.query(sql)) == raw
+        assert eng.service.mv.stats()["mvs"] == 0
         assert "MVScan" not in eng.explain(sql)
-        assert "-- mv:" not in eng.explain(sql)
+        eng.build_mv(sql)
+        assert eng.service.mv.stats()["mvs"] == 1
+        assert "MVScan [exact]" in eng.explain(sql)
+        assert sorted(eng.query(sql)) == raw
+
+
+def test_default_engine_drop_table_forgets_built_mv(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ROWS, SCHEMA)
+    sql = "SELECT region, sum(amount) FROM t GROUP BY region"
+    with PostgresRaw(PostgresRawConfig()) as eng:
+        eng.register_csv("t", path, SCHEMA)
+        eng.build_mv(sql)
+        assert eng.service.mv.stats()["mvs"] == 1
+        eng.drop_table("t")
+        assert eng.service.mv.stats()["mvs"] == 0
+        eng.register_csv("t", path, SCHEMA)
+        assert "MVScan" not in eng.explain(sql)
 
 
 def test_fast_aggregate_still_feeds_the_mv_tier(tmp_path):

@@ -77,16 +77,6 @@ class TestPositionalMapLearning:
         after = {c.attrs for c in pm.entries()}
         assert (1, 6) in after - before
 
-    def test_combination_policy_disabled(self, fresh):
-        eng = fresh(
-            PostgresRawConfig(pm_combination_policy=False)
-        )
-        eng.query("SELECT a1 FROM t")
-        eng.query("SELECT a6 FROM t")
-        eng.query("SELECT a1, a6 FROM t")
-        pm = eng.table_state("t").positional_map
-        assert (1, 6) not in {c.attrs for c in pm.entries()}
-
     def test_pm_disabled_never_learns(self, fresh):
         eng = fresh(PostgresRawConfig(enable_positional_map=False))
         eng.query("SELECT a3 FROM t")
@@ -125,37 +115,47 @@ class TestCacheBehavior:
         assert 0 in cache.cached_attrs()  # predicate column: full
         assert 5 not in cache.cached_attrs()
 
-    def test_eager_formation_caches_projection(self, fresh):
-        eng = fresh(PostgresRawConfig(selective_tuple_formation=False))
-        eng.query("SELECT a5 FROM t WHERE a0 < 100000")
-        assert 5 in eng.table_state("t").cache.cached_attrs()
-
     def test_cache_disabled(self, fresh):
         eng = fresh(PostgresRawConfig(enable_cache=False))
         eng.query("SELECT a1 FROM t")
         assert eng.table_state("t").cache.entry_count == 0
 
 
-class TestSelectiveKnobs:
-    def test_selective_tokenizing_off_tokenizes_full_tuple(self, fresh):
-        eng_on = fresh()
-        r_on = eng_on.query("SELECT a1 FROM t")
-        assert r_on.metrics.fields_tokenized == 2000 * 2  # attrs 0,1
+class TestSelectiveScan:
+    def test_selective_tokenizing_stops_at_last_needed(self, fresh):
+        r = fresh().query("SELECT a1 FROM t")
+        assert r.metrics.fields_tokenized == 2000 * 2  # attrs 0,1
 
-        eng_off = fresh(PostgresRawConfig(selective_tokenizing=False))
-        r = eng_off.query("SELECT a1 FROM t")
-        assert r.metrics.fields_tokenized == 2000 * 8  # whole tuples
-
-    def test_selective_parsing_off_converts_everything(self, fresh):
-        eng = fresh(PostgresRawConfig(selective_parsing=False))
-        r = eng.query("SELECT a5 FROM t")
-        # attrs 0..5 tokenized; all converted although only a5 needed.
-        assert r.metrics.fields_converted == 2000 * 6
-
-    def test_selective_parsing_on_converts_only_needed(self, fresh):
+    def test_only_needed_attributes_converted(self, fresh):
         eng = fresh()
         r = eng.query("SELECT a5 FROM t")
         assert r.metrics.fields_converted == 2000
+
+    def test_projection_converted_only_for_survivors(self, fresh):
+        eng = fresh()
+        survivors = fresh().query(
+            "SELECT COUNT(*) AS n FROM t WHERE a0 < 100000"
+        ).scalar()
+        assert 0 < survivors < 2000
+        r = eng.query("SELECT a5 FROM t WHERE a0 < 100000")
+        # The predicate column for every row, a5 for survivors only.
+        assert r.metrics.fields_converted == 2000 + survivors
+
+    def test_jsonl_tokenizes_whole_records(self, fresh, tmp_path):
+        csv_eng = fresh()
+        rows = [tuple(row) for row in csv_eng.query("SELECT * FROM t")]
+        schema = generate_csv(
+            tmp_path / "schema.csv", uniform_table_spec(8, 2000, seed=17)
+        )
+        path = tmp_path / "t.jsonl"
+        write_jsonl(path, rows, schema)
+        with PostgresRaw() as eng:
+            eng.register_jsonl("t", path, schema)
+            r = eng.query("SELECT a1 FROM t")
+            # The format cannot stop early: every key of every record
+            # is tokenized, but only the requested one is converted.
+            assert r.metrics.fields_tokenized == 2000 * 8
+            assert r.metrics.fields_converted == 2000
 
     def test_statistics_only_on_requested(self, fresh):
         eng = fresh()
@@ -249,20 +249,20 @@ class TestCorrectnessUnderConfigs:
             PostgresRawConfig.baseline(),
             PostgresRawConfig.pm_only(),
             PostgresRawConfig.cache_only(),
-            PostgresRawConfig(selective_tokenizing=False),
-            PostgresRawConfig(selective_parsing=False),
-            PostgresRawConfig(selective_tuple_formation=False),
             PostgresRawConfig(batch_size=77),
+            PostgresRawConfig(enable_statistics=False),
+            PostgresRawConfig(mv_auto=True),
+            PostgresRawConfig(memory_budget=64 << 10),
         ],
         ids=[
             "full",
             "baseline",
             "pm_only",
             "cache_only",
-            "no_sel_tok",
-            "no_sel_parse",
-            "no_sel_form",
             "odd_batch",
+            "no_stats",
+            "mv_auto",
+            "tight_budget",
         ],
     )
     def test_same_answers_any_config(self, fresh, config):

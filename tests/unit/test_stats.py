@@ -344,9 +344,3 @@ class TestStoreManagement:
         assert store.attribute_names() == ["a", "b"]
         described = store.describe()
         assert {d["name"] for d in described} == {"a", "b"}
-
-    def test_has(self):
-        store = _store()
-        assert not store.has("x")
-        store.observe("x", _int_vec([1]), 0)
-        assert store.has("x")

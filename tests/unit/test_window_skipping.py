@@ -260,11 +260,6 @@ def test_no_skip_where_a_window_would_teach_something(make, tmp_path):
     result = cold.query("SELECT id FROM t WHERE id = 5")
     assert list(result) == [(5,)]
     assert result.metrics.windows_skipped == 0  # every window tokenizes
-    whole = make(selective_tuple_formation=False)
-    whole.query("SELECT id FROM t")
-    result = whole.query("SELECT id, note FROM t WHERE id = 5")
-    assert list(result) == [(5, "n5")]
-    assert result.metrics.windows_skipped == 0  # windows convert ``note``
 
 
 def test_columnstore_served_predicate_column(make, tmp_path):

@@ -154,8 +154,11 @@ stress:
 # dots, stray bytes, fields at a window's edges), the kernel's TEXT
 # dictionary encode against the scalar one (multi-byte, NUL-ended,
 # outlier-wide and invalid UTF-8), the JSONL kernel against
-# parse_record (clean, escaped and malformed windows), and on-the-fly
-# statistics under any split, order and batch size (3, 7, 4096).
+# parse_record (clean, escaped and malformed windows), on-the-fly
+# statistics under any split, order and batch size (3, 7, 4096), and
+# the keyed operators (HashJoin, Distinct, COUNT / SUM / AVG DISTINCT)
+# against the per-row dict / set code they replaced, under any batch
+# cuts on both sides.
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
 		tests/property/test_sqlite_oracle.py \
@@ -165,6 +168,7 @@ oracle:
 		"tests/property/test_kernel_props.py::test_kernel_text_equals_scalar" \
 		"tests/property/test_kernel_props.py::test_jsonl_kernel_equals_parse_record" \
 		tests/property/test_stats_props.py \
+		tests/property/test_keyed_props.py \
 		--hypothesis-seed=29 -x -q
 
 verify: test smoke serve-smoke

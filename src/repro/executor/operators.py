@@ -1,12 +1,12 @@
 """Relational operators over batches.
 
 A Volcano pipeline of batches: each operator exposes
-``execute() -> Iterator[Batch]`` and ``output_types()``.  Scan, filter,
-project and aggregate work an array at a time — :class:`HashAggregate`
-maps group keys to operator-wide ids and folds arguments with numpy
-kernels, leaving Python only DISTINCT; :class:`HashJoin`, :class:`Sort`
-and :class:`Distinct` still walk Python rows.  These operators are
-deliberately engine-agnostic — they sit above either a
+``execute() -> Iterator[Batch]`` and ``output_types()``.  Every
+operator but :class:`Sort` works an array at a time.  Whatever matches
+rows by key — :class:`HashAggregate` and its DISTINCT aggregates,
+:class:`Distinct`, :class:`HashJoin` — maps keys to operator-wide ids
+through one :class:`_GroupIndex`, with no Python per row.  These
+operators are deliberately engine-agnostic — they sit above either a
 :class:`repro.core.raw_scan.RawScan` (PostgresRaw) or a binary-storage
 scan (conventional baselines) and never know which.
 """
@@ -147,8 +147,14 @@ class Project(Operator):
 class HashJoin(Operator):
     """Hash join on equality keys; build side = right child.
 
-    NULL keys never match (SQL semantics).  ``kind='left'`` emits
-    unmatched probe rows padded with NULLs.
+    Keys are equal as Python ``==`` on their values says: across
+    BOOLEAN, INTEGER, FLOAT and DATE (a day number) as integers, so a
+    FLOAT equals only an integral value within int64 and ``-0.0``
+    equals ``0.0``; TEXT equals only TEXT.  NULL and NaN keys never
+    match.  Build keys take ids in a :class:`_GroupIndex` and probe
+    batches map through it.  Per probe batch: matched rows in probe
+    order, each with its matches in build order, then (``kind='left'``)
+    the unmatched probe rows padded with NULLs.
     """
 
     def __init__(
@@ -181,70 +187,53 @@ class HashJoin(Operator):
         return types
 
     def execute(self) -> Iterator[Batch]:
-        build_batch = Batch.concat(list(self.right.execute()))
         right_types = self.right.output_types()
-        table = self._build_table(build_batch)
+        left_types = self.left.output_types()
+        domains = [
+            _join_domain(left_types[lk], right_types[rk])
+            for lk, rk in zip(self.left_keys, self.right_keys)
+        ]
+        # The build rows, then one all-NULL row that pads a LEFT join.
+        pad = {
+            name: ColumnVector.from_pylist(dtype, [None])
+            for name, dtype in right_types.items()
+        }
+        build = Batch.concat([*self.right.execute(), Batch(pad)])
+        # Build keys take ids 0 .. n_build - 1 (probe-only keys take
+        # later ones); sorted by id, stably, an id's build rows run from
+        # starts[id] for counts[id] rows.
+        index = _GroupIndex([d or DataType.INTEGER for d in domains])
+        rows, ids = _join_ids(index, build, self.right_keys, domains)
+        n_build = index.n_groups
+        by_id = rows[np.argsort(ids, kind="stable")]
+        counts = np.bincount(ids, minlength=n_build)
+        starts = np.cumsum(counts) - counts
         for probe in self.left.execute():
             if probe.num_rows == 0:
                 continue
-            out = self._probe(probe, build_batch, right_types, table)
-            if out is not None and out.num_rows:
-                yield out
-
-    def _build_table(self, build: Batch) -> dict[tuple, list[int]]:
-        table: dict[tuple, list[int]] = {}
-        if build.num_rows == 0:
-            return table
-        key_columns = [build.column(k) for k in self.right_keys]
-        key_lists = [c.to_pylist() for c in key_columns]
-        for row in range(build.num_rows):
-            key = tuple(kl[row] for kl in key_lists)
-            if any(v is None for v in key):
-                continue
-            table.setdefault(key, []).append(row)
-        return table
-
-    def _probe(
-        self,
-        probe: Batch,
-        build: Batch,
-        right_types: dict[str, DataType],
-        table: dict[tuple, list[int]],
-    ) -> Batch | None:
-        key_lists = [probe.column(k).to_pylist() for k in self.left_keys]
-        probe_idx: list[int] = []
-        build_idx: list[int] = []
-        unmatched: list[int] = []
-        for row in range(probe.num_rows):
-            key = tuple(kl[row] for kl in key_lists)
-            matches = None if any(v is None for v in key) else table.get(key)
-            if matches:
-                probe_idx.extend([row] * len(matches))
-                build_idx.extend(matches)
-            elif self.kind == "left":
-                unmatched.append(row)
-
-        parts: list[Batch] = []
-        if probe_idx:
-            left_part = probe.take(np.asarray(probe_idx, dtype=np.int64))
-            right_part = build.take(np.asarray(build_idx, dtype=np.int64))
-            combined = dict(left_part.columns)
-            combined.update(right_part.columns)
-            parts.append(Batch(combined))
-        if unmatched:
-            left_part = probe.take(np.asarray(unmatched, dtype=np.int64))
-            combined = dict(left_part.columns)
-            for name, dtype in right_types.items():
-                values = np.zeros(len(unmatched), dtype=dtype.numpy_dtype)
-                combined[name] = ColumnVector(
-                    dtype, values, np.ones(len(unmatched), dtype=np.bool_)
+            rows, ids = _join_ids(index, probe, self.left_keys, domains)
+            hit = ids < n_build
+            rows, ids = rows[hit], ids[hit]
+            per_row = counts[ids]
+            skip = starts[ids] - (np.cumsum(per_row) - per_row)
+            probe_rows = np.repeat(rows, per_row)
+            build_rows = by_id[
+                np.repeat(skip, per_row) + np.arange(len(probe_rows))
+            ]
+            if self.kind == "left":
+                unmatched = np.ones(probe.num_rows, dtype=np.bool_)
+                unmatched[rows] = False
+                unmatched = np.flatnonzero(unmatched)
+                probe_rows = np.concatenate([probe_rows, unmatched])
+                padding = np.full(len(unmatched), build.num_rows - 1)
+                build_rows = np.concatenate([build_rows, padding])
+            if len(probe_rows):
+                yield Batch(
+                    {
+                        **probe.take(probe_rows).columns,
+                        **build.take(build_rows).columns,
+                    }
                 )
-            parts.append(Batch(combined))
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        return Batch.concat(parts)
 
     def describe(self) -> str:
         pairs = ", ".join(
@@ -491,7 +480,7 @@ class _PairTable:
         self.ids = np.zeros(0, dtype=np.int64)
 
     def lookup(
-        self, a: np.ndarray, a_bound: int, b: np.ndarray, b_bound: int
+        self, a: np.ndarray, b: np.ndarray, b_bound: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Every row's pair id, and the first rows of the pairs that
         got new ids (in id order)."""
@@ -531,19 +520,16 @@ class _GroupIndex:
         if not self.pairs:
             self.n_groups = self.columns[0].count
             return codes[0]
-        ids, bound = codes[0], self.columns[0].count
+        ids = codes[0]
         for pairs, column, column_codes in zip(
             self.pairs, self.columns[1:], codes[1:]
         ):
-            ids, new_rows = pairs.lookup(
-                ids, bound, column_codes, column.count
-            )
-            bound = pairs.count
+            ids, new_rows = pairs.lookup(ids, column_codes, column.count)
         self.group_codes = [
             np.concatenate([held, column_codes[new_rows]])
             for held, column_codes in zip(self.group_codes, codes)
         ]
-        self.n_groups = bound
+        self.n_groups = self.pairs[-1].count
         return ids
 
     def key_vectors(self) -> list[ColumnVector]:
@@ -553,6 +539,53 @@ class _GroupIndex:
             column.vector(codes)
             for column, codes in zip(self.columns, self.group_codes)
         ]
+
+
+def _join_domain(left: DataType, right: DataType) -> DataType | None:
+    """The type two join key columns are matched in; ``None`` when no
+    value of one equals a value of the other (TEXT against another)."""
+    if left is right:
+        return left
+    return None if DataType.TEXT in (left, right) else DataType.INTEGER
+
+
+def _join_key(
+    vector: ColumnVector, domain: DataType | None
+) -> tuple[ColumnVector, np.ndarray]:
+    """``vector`` as keys of ``domain``, and the rows whose key matches
+    nothing: NULL, NaN, a FLOAT no int64 equals, and — with no domain —
+    every row."""
+    if domain is None:
+        return vector, np.ones(len(vector), dtype=np.bool_)
+    values, miss = vector.values, vector.null_mask
+    if vector.dtype is DataType.FLOAT:
+        if domain is DataType.FLOAT:
+            miss = miss | np.isnan(values)
+        else:
+            miss = miss | ~(
+                (values == np.floor(values))
+                & (values >= -(2.0**63))
+                & (values < 2.0**63)
+            )
+            values = np.where(miss, 0, values).astype(np.int64)
+    elif vector.dtype is not domain:
+        values = values.astype(np.int64)
+    return ColumnVector(domain, values, miss, vector.dictionary), miss
+
+
+def _join_ids(
+    index: _GroupIndex,
+    batch: Batch,
+    names: list[str],
+    domains: list[DataType | None],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``batch`` whose join key can match, and their ids."""
+    keys = [_join_key(batch.column(n), d) for n, d in zip(names, domains)]
+    miss = functools.reduce(np.logical_or, [m for __, m in keys])
+    rows = np.flatnonzero(~miss)
+    if not len(rows):
+        return rows, rows
+    return rows, index.ids([key.take(rows) for key, __ in keys])
 
 
 class _ColumnarAggregate:
@@ -576,11 +609,18 @@ class _ColumnarAggregate:
     """
 
     def __init__(
-        self, func: str, arg: Expression | None, arg_type: DataType | None
+        self,
+        func: str,
+        arg: Expression | None,
+        arg_type: DataType | None,
+        distinct: bool = False,
     ) -> None:
         self.func = func
         self.arg = arg
         self.count = np.zeros(0, dtype=np.int64)
+        #: DISTINCT: the argument's codes and the (group, code) pairs
+        #: seen — only a pair's first row is folded.
+        self.seen = (_KeyColumn(arg_type), _PairTable()) if distinct else None
         self.ufunc = None
         if func != "count":
             self.ufunc, float_identity, int_identity = _FOLDS[func]
@@ -612,6 +652,11 @@ class _ColumnarAggregate:
             self._count(group_ids, n_groups)
             return
         vector = evaluate(self.arg, batch)
+        if self.seen is not None:
+            column, pairs = self.seen
+            codes = column.codes(vector)
+            __, first = pairs.lookup(group_ids, codes, column.count)
+            vector, group_ids = vector.take(first), group_ids[first]
         values = vector.values
         if vector.null_mask.any():
             valid = ~vector.null_mask
@@ -693,43 +738,6 @@ class _ColumnarAggregate:
         )
 
 
-class _RowAggregate:
-    """The per-row fallback for what has no numpy kernel: DISTINCT
-    COUNT / SUM / AVG (per group, a dict as an ordered set of the
-    values seen, summed at the end in first-seen order).  Same
-    interface as :class:`_ColumnarAggregate`."""
-
-    def __init__(self, func: str, arg: Expression) -> None:
-        self.func = func
-        self.arg = arg
-        self.groups: list[dict] = []
-
-    def _reserve(self, n_groups: int) -> None:
-        self.groups.extend({} for __ in range(n_groups - len(self.groups)))
-
-    def fold(self, batch: Batch, group_ids: np.ndarray, n_groups: int) -> None:
-        self._reserve(n_groups)
-        groups = self.groups
-        values = evaluate(self.arg, batch).to_pylist()
-        for gid, value in zip(group_ids.tolist(), values):
-            if value is not None:
-                groups[gid][value] = None
-
-    def result(self, n_groups: int, dtype: DataType) -> ColumnVector:
-        self._reserve(n_groups)
-        return ColumnVector.from_pylist(
-            dtype, [self._final(group) for group in self.groups]
-        )
-
-    def _final(self, group: dict) -> object:
-        if self.func == "count":
-            return len(group)
-        if not group and self.func != "sum0":
-            return None
-        total = sum(group)
-        return total / len(group) if self.func == "avg" else total
-
-
 class HashAggregate(Operator):
     """Hash aggregation with optional grouping keys.
 
@@ -740,8 +748,9 @@ class HashAggregate(Operator):
 
     Columnar: each batch's keys are mapped to operator-wide group ids
     (:class:`_GroupIndex`) and every aggregate folds the batch into
-    arrays indexed by group id (:class:`_ColumnarAggregate`); only
-    DISTINCT COUNT / SUM / AVG go row by row (:class:`_RowAggregate`).
+    arrays indexed by group id (:class:`_ColumnarAggregate`) — under
+    DISTINCT, only each (group, argument value) pair's first row, the
+    values equal as group keys are.
     """
 
     def __init__(
@@ -824,14 +833,13 @@ class HashAggregate(Operator):
     @staticmethod
     def _state(
         spec: AggregateSpec, child_types: dict[str, DataType]
-    ) -> "_ColumnarAggregate | _RowAggregate":
+    ) -> _ColumnarAggregate:
         if spec.arg is None or isinstance(spec.arg, Star):
             return _ColumnarAggregate(spec.func, None, None)
         arg_type = infer_type(spec.arg, child_types)
         # DISTINCT changes nothing for MIN / MAX.
-        if spec.distinct and spec.func not in ("min", "max"):
-            return _RowAggregate(spec.func, spec.arg)
-        return _ColumnarAggregate(spec.func, spec.arg, arg_type)
+        distinct = spec.distinct and spec.func not in ("min", "max")
+        return _ColumnarAggregate(spec.func, spec.arg, arg_type, distinct)
 
     def describe(self) -> str:
         keys = ", ".join(n for n, __ in self.group_items) or "<global>"
@@ -954,40 +962,10 @@ class MVCapture(Operator):
 
     def execute(self) -> Iterator[Batch]:
         start = time.perf_counter()
-        batches = list(self.child.execute())
+        (full,) = self.child.execute()
         elapsed = time.perf_counter() - start
-        if len(batches) == 1:
-            full = batches[0]
-        elif not batches:
-            types = self.child.output_types()
-            full = Batch(
-                {
-                    name: ColumnVector.from_pylist(dtype, [])
-                    for name, dtype in types.items()
-                }
-            )
-        else:
-            names = batches[0].column_names()
-            full = Batch(
-                {
-                    name: ColumnVector.concat(
-                        [b.column(name) for b in batches]
-                    )
-                    for name in names
-                }
-            )
         self._sink(full, elapsed)
-        if self._drop:
-            yield Batch(
-                {
-                    name: vector
-                    for name, vector in full.columns.items()
-                    if name not in self._drop
-                },
-                num_rows=full.num_rows,
-            )
-        else:
-            yield full
+        yield full.select([n for n in full.columns if n not in self._drop])
 
     def output_types(self) -> dict[str, DataType]:
         return {
@@ -1091,7 +1069,9 @@ class Limit(Operator):
 
 
 class Distinct(Operator):
-    """Streaming duplicate elimination over whole rows."""
+    """Streaming duplicate elimination over whole rows, equal as group
+    keys are (:class:`_GroupIndex`: NULL, NaN and ``±0.0`` one value
+    each): every batch streams out the first row of each new row id."""
 
     def __init__(self, child: Operator) -> None:
         self.child = child
@@ -1100,19 +1080,18 @@ class Distinct(Operator):
         return self.child.output_types()
 
     def execute(self) -> Iterator[Batch]:
-        seen: set[tuple] = set()
+        index = _GroupIndex(list(self.output_types().values()))
         for batch in self.child.execute():
             if batch.num_rows == 0:
                 continue
-            keep = np.zeros(batch.num_rows, dtype=np.bool_)
-            lists = [v.to_pylist() for v in batch.columns.values()]
-            for row in range(batch.num_rows):
-                key = tuple(l[row] for l in lists)
-                if key not in seen:
-                    seen.add(key)
-                    keep[row] = True
-            if keep.any():
-                yield batch.filter(keep)
+            seen = index.n_groups
+            ids = index.ids(list(batch.columns.values()))
+            new = np.flatnonzero(ids >= seen)
+            if len(new):
+                # Ids are numbered in first-appearance order, so the
+                # first rows of the new ones come out in row order.
+                __, first = np.unique(ids[new], return_index=True)
+                yield batch.take(new[first])
 
     def children(self) -> list[Operator]:
         return [self.child]

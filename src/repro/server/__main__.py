@@ -2,7 +2,9 @@
 
 Registers one or more raw CSV files (or a generated demo table) on a
 fresh :class:`repro.service.PostgresRawService` and serves them until
-interrupted.  ``make serve`` wraps the demo mode.
+interrupted: Ctrl-C (SIGINT) or SIGTERM, the signal service managers
+send, both shut it down cleanly with exit code 0.  ``make serve`` wraps
+the demo mode.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import signal
 import tempfile
 from pathlib import Path
 
@@ -90,6 +93,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 async def _serve(server: RawServer) -> None:
+    # SIGTERM stops the server as Ctrl-C does: by cancelling this task.
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel
+    )
     await server.start_async()
     print(
         f"repro wire server listening on {server.host}:{server.port} "
@@ -97,7 +104,7 @@ async def _serve(server: RawServer) -> None:
     )
     try:
         await server.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - Ctrl-C path
+    except asyncio.CancelledError:  # Ctrl-C or SIGTERM
         pass
     finally:
         await server.aclose()

@@ -2,14 +2,16 @@
 
 Partitions the given raw files across N worker processes — each a
 full engine + wire server over its shard — prints the cluster DSN for
-:func:`repro.connect`, and serves until interrupted.  ``make
-serve-sharded`` wraps the demo mode.
+:func:`repro.connect`, and serves until interrupted: Ctrl-C (SIGINT) or
+SIGTERM stops the workers and exits with code 0.  ``make serve-sharded``
+wraps the demo mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import signal
 import tempfile
 import time
 from pathlib import Path
@@ -100,6 +102,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"shard {i}: {host}:{port}")
         print(f"cluster DSN: {cluster.dsn()}")
         print("Ctrl-C to stop")
+        # SIGTERM stops the cluster as Ctrl-C does (set after the workers
+        # fork, so they keep the default action).
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             while True:
                 time.sleep(3600)

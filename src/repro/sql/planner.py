@@ -977,11 +977,7 @@ class Planner:
         """The raw aggregate, wrapped in an MVCapture when this
         signature has earned materialization — in EXPLAIN too, which
         previews the capture without a sink and never runs it."""
-        if (
-            mv_sig is None
-            or self.mv is None
-            or not self.mv.should_capture(mv_sig)
-        ):
+        if mv_sig is None or not self.mv.should_capture(mv_sig):
             return HashAggregate(plan, group_items, specs)
 
         by_key: dict[tuple[str, str], AggregateSpec] = {}

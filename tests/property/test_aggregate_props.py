@@ -10,10 +10,9 @@ into batches.  Pinned here beyond plain equality:
   (``fmin``/``fmax``), so the answer does not depend on row order;
 * NaN group keys form one group;
 * an INTEGER ``SUM`` is exact while it fits int64 and an
-  ``ExecutionError`` once it does not.
-
-DISTINCT is never drawn over the NaN-bearing column: a set keeps every
-NaN object apart, before this operator and after it.
+  ``ExecutionError`` once it does not;
+* under DISTINCT, NaN arguments are one value, as NaN keys are one
+  group (the reference normalizes them before its ``set``).
 
 The partial-aggregate algebra (:func:`partial_aggregate`) is checked
 here directly: rows cut into parts, each part aggregated into its
@@ -77,7 +76,7 @@ def aggregate_specs(draw):
         return (func, None, False)  # COUNT(*)
     names = SUMMABLE if func in ("sum", "sum0", "avg") else tuple(COLUMNS)
     arg = draw(st.sampled_from(names))
-    return (func, arg, arg != "fn" and draw(st.booleans()))
+    return (func, arg, draw(st.booleans()))
 
 
 @st.composite
@@ -140,9 +139,10 @@ def reference(table, n, keys, specs):
             if value is None:
                 continue
             if distinct:
-                if value in acc["seen"]:
+                seen = NAN if value != value else value
+                if seen in acc["seen"]:
                     continue
-                acc["seen"].add(value)
+                acc["seen"].add(seen)
             acc["n"] += 1
             if func in ("sum", "sum0", "avg"):
                 acc["total"] += value

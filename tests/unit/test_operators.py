@@ -226,6 +226,23 @@ class TestHashAggregate:
         __, rows = _collect(op)
         assert rows == [(2,)]
 
+    def test_distinct_aggregates_count_nan_once(self):
+        nan = float("nan")
+        src = _source(
+            {"f": (DataType.FLOAT, [nan, 1.0, nan, None, 1.0, -0.0, 0.0])},
+            batch_rows=3,
+        )
+        op = HashAggregate(
+            src,
+            [],
+            [
+                AggregateSpec("n", "count", _expr("f"), distinct=True),
+                AggregateSpec("s", "sum", _expr("f"), distinct=True),
+            ],
+        )
+        [(n, s)] = _collect(op)[1]
+        assert n == 3 and s != s  # NaN, 1.0 and -0.0 (= 0.0)
+
     def test_min_max_text(self):
         src = _source({"s": (DataType.TEXT, ["pear", "apple", "fig"])})
         op = HashAggregate(
@@ -564,6 +581,27 @@ class TestSortLimitDistinct:
         )
         __, rows = _collect(Distinct(src))
         assert rows == [(1,), (2,), (None,)]
+
+    def test_distinct_nan_is_one_value(self):
+        # As GROUP BY and PostgreSQL: one NaN row, and -0.0 equal to 0.0
+        # (the first row of each stays).
+        nan = float("nan")
+        src = _source(
+            {"f": (DataType.FLOAT, [nan, -0.0, nan, 0.0, None, nan])},
+            batch_rows=2,
+        )
+        __, rows = _collect(Distinct(src))
+        assert [repr(row[0]) for row in rows] == ["nan", "-0.0", "None"]
+
+    def test_distinct_streams_under_a_limit(self):
+        def factory():
+            ones = ColumnVector.from_pylist(DataType.INTEGER, [1, 1])
+            yield Batch({"a": ones})
+            raise AssertionError("pulled past the first batch")
+
+        src = BatchSource(factory, {"a": DataType.INTEGER})
+        __, rows = _collect(Limit(Distinct(src), 1))
+        assert rows == [(1,)]
 
 
 class TestMisc:

@@ -156,9 +156,12 @@ stress:
 # outlier-wide and invalid UTF-8), the JSONL kernel against
 # parse_record (clean, escaped and malformed windows), on-the-fly
 # statistics under any split, order and batch size (3, 7, 4096), and
-# the keyed operators (HashJoin, Distinct, COUNT / SUM / AVG DISTINCT)
-# against the per-row dict / set code they replaced, under any batch
-# cuts on both sides.
+# the keyed and ordered operators against per-row Python references
+# under any batch cuts on both sides: HashJoin, Distinct, GROUP BY keys
+# (each group's first row, by repr) and COUNT / SUM / AVG DISTINCT
+# against dict / set code, and the Sort property (1-3 ASC / DESC keys
+# with NULL, NaN, +-0.0 and ties, under a LIMIT) against Python's
+# stable sorted().
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
 		tests/property/test_sqlite_oracle.py \

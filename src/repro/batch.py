@@ -150,8 +150,8 @@ class ColumnVector:
         """This TEXT vector over only the strings its rows use, when its
         dictionary holds more strings than it has rows (a few rows of a
         larger column): what runs once per dictionary entry then runs
-        at most once per row."""
-        if len(self.dictionary) <= len(self.values):
+        at most once per row.  Any other vector is returned as is."""
+        if self.dictionary is None or len(self.dictionary) <= len(self):
             return self
         used, codes = np.unique(self.values, return_inverse=True)
         return ColumnVector(

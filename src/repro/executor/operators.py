@@ -1,12 +1,14 @@
 """Relational operators over batches.
 
 A Volcano pipeline of batches: each operator exposes
-``execute() -> Iterator[Batch]`` and ``output_types()``.  Every
-operator but :class:`Sort` works an array at a time.  Whatever matches
-rows by key — :class:`HashAggregate` and its DISTINCT aggregates,
-:class:`Distinct`, :class:`HashJoin` — maps keys to operator-wide ids
-through one :class:`_GroupIndex`, with no Python per row.  These
-operators are deliberately engine-agnostic — they sit above either a
+``execute() -> Iterator[Batch]`` and ``output_types()``, with no
+Python per row.  Keyed operators share :func:`_factorize`'s equality
+(NULL, NaN and ``±0.0`` one value each): :class:`HashAggregate` and
+its DISTINCT aggregates, :class:`Distinct` and :class:`HashJoin` map
+keys to operator-wide ids through one :class:`_GroupIndex` and take
+key values from each id's first row, and :class:`Sort` ranks keys by
+the same factorization.  These operators are deliberately
+engine-agnostic — they sit above either a
 :class:`repro.core.raw_scan.RawScan` (PostgresRaw) or a binary-storage
 scan (conventional baselines) and never know which.
 """
@@ -350,37 +352,26 @@ def _grown(array: np.ndarray, size: int, fill: object) -> np.ndarray:
     return out
 
 
-class _KeyColumn:
-    """Operator-wide codes of one GROUP BY key column.
+def _first_rows(ids: np.ndarray, seen: int, count: int) -> np.ndarray:
+    """The first row of every id ``seen .. count - 1`` in ``ids`` (the
+    ids a batch added), in id order.
 
-    Codes are dense and assigned in the order values first appear, NULL
-    taking a code of its own (and, for FLOAT, NaN: ``np.unique`` folds
-    every NaN into one value, and ``-0.0`` into ``0.0``).  A batch is
-    mapped in one pass per column: TEXT through its dictionary's
-    strings (one dict lookup per dictionary entry, no sort), every other
-    type by :func:`_factorize` plus a binary search among the values
-    seen.  Python runs once per batch and per new string, never per row.
+    Ids number keys in the order they first appear, so a new id's first
+    row is one whose id is at least ``seen`` and above every id before
+    it: one pass, no sort.
     """
+    if count == seen:
+        return np.zeros(0, dtype=np.intp)
+    first = ids >= seen
+    first[1:] &= ids[1:] > np.maximum.accumulate(ids)[:-1]
+    return np.flatnonzero(first)
 
-    def __init__(self, dtype: DataType) -> None:
-        self.dtype = dtype
-        self.count = 0
-        self.null_code = -1
-        #: Per code, its value (NULL's slot holds a placeholder).
-        self.by_code: list | np.ndarray
-        if dtype is DataType.TEXT:
-            self.index: dict[str, int] = {}
-            self.by_code = []
-        else:
-            self.by_code = np.zeros(0, dtype=dtype.numpy_dtype)
-            self.seen = np.zeros(0, dtype=dtype.numpy_dtype)
-            self.seen_codes = np.zeros(0, dtype=np.int64)
 
-    def codes(self, vector: ColumnVector) -> np.ndarray:
-        """The operator-wide code of every row of ``vector``."""
-        if self.dtype is DataType.TEXT:
-            return self._text_codes(vector)
-        return self._value_codes(vector)
+class _Codes:
+    """Dense codes, numbered in the order keys first appear."""
+
+    #: Codes assigned so far.
+    count = 0
 
     def _assign(self, known: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Codes for the local keys ``known`` marks ``-1``, in the order
@@ -392,6 +383,64 @@ class _KeyColumn:
         known[new] = self.count + np.arange(len(new))
         self.count += len(new)
         return new
+
+
+class _SeenKeys:
+    """The keys seen so far, sorted, beside their codes.  Adding a
+    batch's new keys is one ``np.insert``, so it costs O(keys seen)."""
+
+    def __init__(self, dtype: np.dtype) -> None:
+        self.keys = np.zeros(0, dtype=dtype)
+        self.codes = np.zeros(0, dtype=np.int64)
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The code of each of ``keys`` (sorted, unique), ``-1`` where
+        unseen (NaN finds NaN), and where each would be inserted."""
+        at = np.searchsorted(self.keys, keys)
+        hit = at < len(self.keys)
+        match = self.keys[at[hit]]
+        same = match == keys[hit]
+        if keys.dtype.kind == "f":
+            same |= np.isnan(match) & np.isnan(keys[hit])
+        hit[hit] = same
+        codes = np.full(len(keys), -1, dtype=np.int64)
+        codes[hit] = self.codes[at[hit]]
+        return codes, at
+
+    def add(self, at: np.ndarray, keys: np.ndarray, codes: np.ndarray) -> None:
+        """Record unseen ``keys`` (sorted) under ``codes``, inserted at
+        ``at`` as :meth:`find` gave."""
+        if len(keys):
+            self.keys = np.insert(self.keys, at, keys)
+            self.codes = np.insert(self.codes, at, codes)
+
+
+class _KeyColumn(_Codes):
+    """Operator-wide codes of one key column.
+
+    Codes are dense and assigned in the order values first appear, NULL
+    taking a code of its own (and, for FLOAT, NaN: ``np.unique`` folds
+    every NaN into one value, and ``-0.0`` into ``0.0``).  A batch is
+    mapped in one pass per column: TEXT through its dictionary's
+    strings (one dict lookup per dictionary entry, no sort), every other
+    type by :func:`_factorize` plus a binary search among the values
+    seen (:class:`_SeenKeys`).  Python runs once per batch and per new
+    string, never per row.
+    """
+
+    def __init__(self, dtype: DataType) -> None:
+        self.dtype = dtype
+        self.null_code = -1
+        if dtype is DataType.TEXT:
+            self.index: dict[str, int] = {}
+        else:
+            self.seen = _SeenKeys(dtype.numpy_dtype)
+
+    def codes(self, vector: ColumnVector) -> np.ndarray:
+        """The operator-wide code of every row of ``vector``."""
+        if self.dtype is DataType.TEXT:
+            return self._text_codes(vector)
+        return self._value_codes(vector)
 
     def _text_codes(self, vector: ColumnVector) -> np.ndarray:
         vector = vector.narrowed()
@@ -412,13 +461,10 @@ class _KeyColumn:
             first = np.full(len(known), _INT64_MAX, dtype=np.int64)
             np.minimum.at(first, local, np.arange(len(local)))
             for k in self._assign(known, first).tolist():
-                code = int(known[k])
                 if k == len(strings):
-                    self.null_code = code
-                    self.by_code.append(None)
+                    self.null_code = int(known[k])
                 else:
-                    self.index[strings[k]] = code
-                    self.by_code.append(strings[k])
+                    self.index[strings[k]] = int(known[k])
         return known[local]
 
     def _value_codes(self, vector: ColumnVector) -> np.ndarray:
@@ -429,116 +475,67 @@ class _KeyColumn:
         )
         if rows is not None:
             first = rows[first]
-        at = np.searchsorted(self.seen, uniques)
-        hit = at < len(self.seen)
-        match = self.seen[at[hit]]
-        same = match == uniques[hit]
-        if self.dtype is DataType.FLOAT:
-            same |= np.isnan(match) & np.isnan(uniques[hit])
-        hit[hit] = same
-        known = np.full(len(uniques) + 1, -1, dtype=np.int64)
-        known[:-1][hit] = self.seen_codes[at[hit]]
-        known[-1] = self.null_code
+        # Local key k < len(uniques) is a value; NULL is one past them.
+        found, at = self.seen.find(uniques)
+        known = np.append(found, self.null_code)
         first = np.append(
             first, int(np.argmax(nulls)) if rows is not None else _INT64_MAX
         )
         new = self._assign(known, first)
-        if len(new):
-            if (new == len(uniques)).any():
-                self.null_code = int(known[-1])
-            # A key's value is that of the row it first appeared in
-            # (``-0.0`` or ``0.0``); NULL's is whatever its row holds.
-            self.by_code = np.concatenate([self.by_code, values[first[new]]])
-            inserted = np.sort(new[new < len(uniques)])
-            spots = at[inserted]
-            self.seen = np.insert(self.seen, spots, uniques[inserted])
-            self.seen_codes = np.insert(
-                self.seen_codes, spots, known[inserted]
-            )
+        if (new == len(uniques)).any():
+            self.null_code = int(known[-1])
+        added = np.sort(new[new < len(uniques)])
+        self.seen.add(at[added], uniques[added], known[added])
         if rows is None:
             return known[:-1][inverse]
         codes = np.full(len(values), known[-1], dtype=np.int64)
         codes[rows] = known[:-1][inverse]
         return codes
 
-    def vector(self, codes: np.ndarray) -> ColumnVector:
-        """The key column of groups whose codes are ``codes``."""
-        if self.dtype is DataType.TEXT:
-            return ColumnVector.from_texts(self.by_code).take(codes)
-        null = codes == self.null_code
-        return ColumnVector(self.dtype, self.by_code[codes], null)
 
-
-class _PairTable:
+class _PairTable(_Codes):
     """Dense ids of ``(a, b)`` code pairs, assigned in the order pairs
-    first appear: a sorted array of the pairs seen (as ``a << 32 | b``)
-    beside their ids."""
+    first appear; the pairs seen (as ``a << 32 | b``) sit in a
+    :class:`_SeenKeys`."""
 
     def __init__(self) -> None:
-        self.count = 0
-        self.keys = np.zeros(0, dtype=np.int64)
-        self.ids = np.zeros(0, dtype=np.int64)
+        self.seen = _SeenKeys(np.int64)
 
     def lookup(
         self, a: np.ndarray, b: np.ndarray, b_bound: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's pair id, and the first rows of the pairs that
-        got new ids (in id order)."""
+    ) -> np.ndarray:
+        """Every row's pair id."""
         # Mixed radix within the batch (dense, so usually factorized
         # without a sort).
         uniques, first, inverse = _factorize(a * b_bound + b)
         keys = (uniques // b_bound) << 32 | (uniques % b_bound)
-        at = np.searchsorted(self.keys, keys)
-        hit = at < len(self.keys)
-        hit[hit] = self.keys[at[hit]] == keys[hit]
-        ids = np.empty(len(uniques), dtype=np.int64)
-        ids[hit] = self.ids[at[hit]]
-        new = np.flatnonzero(~hit)
-        by_row = new[np.argsort(first[new], kind="stable")]
-        ids[by_row] = self.count + np.arange(len(new))
-        self.count += len(new)
-        self.keys = np.insert(self.keys, at[new], keys[new])
-        self.ids = np.insert(self.ids, at[new], ids[new])
-        return ids[inverse], first[by_row]
+        ids, at = self.seen.find(keys)
+        new = np.sort(self._assign(ids, first))
+        self.seen.add(at[new], keys[new], ids[new])
+        return ids[inverse]
 
 
 class _GroupIndex:
     """Operator-wide group ids: per key column a :class:`_KeyColumn`,
     and for composite keys a chain of :class:`_PairTable`\\ s combining
-    them.  Ids are dense, in the order groups first appear; a single
-    key's codes are its group ids.  The key columns of the output come
-    from here: per group, each column's code."""
+    them.  Ids are dense, in the order groups first appear, so
+    :func:`_first_rows` finds each new group's first row; a single
+    key's codes are its group ids."""
 
     def __init__(self, dtypes: list[DataType]) -> None:
         self.columns = [_KeyColumn(dtype) for dtype in dtypes]
         self.pairs = [_PairTable() for __ in dtypes[1:]]
-        self.group_codes = [np.zeros(0, dtype=np.int64) for __ in dtypes]
         self.n_groups = 0
 
     def ids(self, vectors: list[ColumnVector]) -> np.ndarray:
         codes = [col.codes(v) for col, v in zip(self.columns, vectors)]
-        if not self.pairs:
-            self.n_groups = self.columns[0].count
-            return codes[0]
         ids = codes[0]
         for pairs, column, column_codes in zip(
             self.pairs, self.columns[1:], codes[1:]
         ):
-            ids, new_rows = pairs.lookup(ids, column_codes, column.count)
-        self.group_codes = [
-            np.concatenate([held, column_codes[new_rows]])
-            for held, column_codes in zip(self.group_codes, codes)
-        ]
-        self.n_groups = self.pairs[-1].count
+            ids = pairs.lookup(ids, column_codes, column.count)
+        self.n_groups = (self.pairs or self.columns)[-1].count
         return ids
-
-    def key_vectors(self) -> list[ColumnVector]:
-        if not self.pairs:
-            return [self.columns[0].vector(np.arange(self.n_groups))]
-        return [
-            column.vector(codes)
-            for column, codes in zip(self.columns, self.group_codes)
-        ]
 
 
 def _join_domain(left: DataType, right: DataType) -> DataType | None:
@@ -654,8 +651,10 @@ class _ColumnarAggregate:
         vector = evaluate(self.arg, batch)
         if self.seen is not None:
             column, pairs = self.seen
+            before = pairs.count
             codes = column.codes(vector)
-            __, first = pairs.lookup(group_ids, codes, column.count)
+            pair_ids = pairs.lookup(group_ids, codes, column.count)
+            first = _first_rows(pair_ids, before, pairs.count)
             vector, group_ids = vector.take(first), group_ids[first]
         values = vector.values
         if vector.null_mask.any():
@@ -743,8 +742,9 @@ class HashAggregate(Operator):
 
     With no GROUP BY, produces exactly one row (even over empty input,
     per SQL semantics: ``COUNT(*)`` of nothing is 0).  Groups come out
-    in the order their first rows arrived; NULL keys form one group,
-    and so do NaN keys.
+    in the order their first rows arrived, keyed by those rows' values;
+    NULL keys form one group, and so do NaN keys (and ``-0.0`` with
+    ``0.0``).
 
     Columnar: each batch's keys are mapped to operator-wide group ids
     (:class:`_GroupIndex`) and every aggregate folds the batch into
@@ -796,9 +796,10 @@ class HashAggregate(Operator):
         index = None
         n_groups = 1
         if self.group_items:
-            index = _GroupIndex(
-                [out_types[name] for name, __ in self.group_items]
-            )
+            key_types = {n: out_types[n] for n, __ in self.group_items}
+            index = _GroupIndex(list(key_types.values()))
+            # The key values of every group's first row, batch by batch.
+            firsts = []
             n_groups = 0
         for batch in self.child.execute():
             if batch.num_rows == 0:
@@ -806,19 +807,23 @@ class HashAggregate(Operator):
             if index is None:
                 group_ids = np.zeros(batch.num_rows, dtype=np.intp)
             else:
-                group_ids = index.ids(
-                    [evaluate(expr, batch) for __, expr in self.group_items]
+                keys = Batch(
+                    {name: evaluate(e, batch) for name, e in self.group_items}
                 )
+                group_ids = index.ids(list(keys.columns.values()))
+                first = _first_rows(group_ids, n_groups, index.n_groups)
+                if len(first):
+                    firsts.append(keys.take(first))
                 n_groups = index.n_groups
             for state in states:
                 state.fold(batch, group_ids, n_groups)
 
         columns = {}
         if index is not None:
-            for (name, __), vector in zip(
-                self.group_items, index.key_vectors()
-            ):
-                columns[name] = vector
+            # Narrowed: a TEXT key holds no more strings than groups.
+            firsts = firsts or [Batch.empty_like(key_types)]
+            for name, vector in Batch.concat(firsts).columns.items():
+                columns[name] = vector.narrowed()
         for spec, state in zip(self.aggregates, states):
             try:
                 columns[spec.name] = state.result(
@@ -982,7 +987,13 @@ class MVCapture(Operator):
 
 
 class Sort(Operator):
-    """Full materializing sort; ASC = NULLS LAST, DESC = NULLS FIRST."""
+    """Full materializing sort: one stable ``np.lexsort`` over the keys'
+    ranks.  A key's rank is its place among the key's distinct non-NULL
+    values (:func:`_factorize`: NaN above every number, as in
+    PostgreSQL, and ``-0.0`` tied with ``0.0``; TEXT by its codes, which
+    order like strings), NULL's is one above them all, and DESC negates
+    the ranks: NULLs come last ascending and first descending, and rows
+    with equal keys keep their input order either way."""
 
     def __init__(
         self, child: Operator, keys: list[tuple[Expression, bool]]
@@ -1000,25 +1011,15 @@ class Sort(Operator):
         if not batches:
             return
         data = Batch.concat(batches)
-        if data.num_rows == 0:
-            yield data
-            return
-        order = list(range(data.num_rows))
-        # Stable multi-key sort: apply keys from minor to major.
-        for expr, ascending in reversed(self.keys):
+        ranks = []
+        for expr, ascending in reversed(self.keys):  # major key last
             vector = evaluate(expr, data)
-            if vector.dtype is DataType.TEXT:  # codes order like strings
-                vector = ColumnVector(
-                    DataType.INTEGER, vector.values, vector.null_mask
-                )
-            values = vector.to_pylist()
-
-            def sort_key(i: int, values=values) -> tuple:
-                v = values[i]
-                return (v is None, 0 if v is None else v)
-
-            order.sort(key=sort_key, reverse=not ascending)
-        yield data.take(np.asarray(order, dtype=np.int64))
+            valid = ~vector.null_mask
+            uniques, __, inverse = _factorize(vector.values[valid])
+            rank = np.full(data.num_rows, len(uniques), dtype=np.int64)
+            rank[valid] = inverse
+            ranks.append(rank if ascending else -rank)
+        yield data.take(np.lexsort(ranks))
 
     def describe(self) -> str:
         return f"Sort [{len(self.keys)} keys]"
@@ -1086,12 +1087,9 @@ class Distinct(Operator):
                 continue
             seen = index.n_groups
             ids = index.ids(list(batch.columns.values()))
-            new = np.flatnonzero(ids >= seen)
-            if len(new):
-                # Ids are numbered in first-appearance order, so the
-                # first rows of the new ones come out in row order.
-                __, first = np.unique(ids[new], return_index=True)
-                yield batch.take(new[first])
+            first = _first_rows(ids, seen, index.n_groups)
+            if len(first):
+                yield batch.take(first)
 
     def children(self) -> list[Operator]:
         return [self.child]

@@ -1,15 +1,16 @@
-"""The keyed operators against the row-at-a-time code they replaced.
+"""The keyed and ordered operators against row-at-a-time references.
 
-``HashJoin``, ``Distinct`` and the DISTINCT aggregates of
-``HashAggregate`` match keys through one columnar group index.  The
-references here are the per-row algorithms that ran before: a ``dict``
-of key tuples for the join, a ``set`` of row tuples for ``Distinct``
-and, per group, a ``dict`` as an ordered set of argument values for
-COUNT / SUM / AVG (DISTINCT).  Each must agree with its operator row
-for row and in order, however both inputs are cut into batches.  The
-one difference is deliberate: under DISTINCT the references normalize
-NaN to one value (a ``set`` of fresh float objects kept every NaN
-apart), as GROUP BY and PostgreSQL do.
+``HashJoin``, ``Distinct``, ``HashAggregate`` and its DISTINCT
+aggregates match keys through one columnar group index, and ``Sort``
+ranks keys with one ``np.lexsort``.  The references here are per-row
+Python: a ``dict`` of key tuples for the join, a ``set`` of row tuples
+for ``Distinct``, a ``dict`` of key tuples for GROUP BY and, per group,
+a ``dict`` as an ordered set of argument values for COUNT / SUM / AVG
+(DISTINCT), and Python's stable ``sorted`` for ``Sort``.  Each must
+agree with its operator row for row and in order, however the inputs
+are cut into batches.  The references normalize NaN to one value (a
+``set`` of fresh float objects would keep every NaN apart), as GROUP BY
+and PostgreSQL do.
 
 Pinned beyond plain equality:
 
@@ -20,7 +21,13 @@ Pinned beyond plain equality:
 * TEXT keys match across batches that carry different dictionaries;
 * a DISTINCT FLOAT sum is the left-to-right sum of first-seen values,
   and a DISTINCT INTEGER sum is exact, or an ``ExecutionError`` once
-  it leaves int64.
+  it leaves int64;
+* a group's output key is its first row's, compared by ``repr``: a
+  group whose first row holds ``0.0`` prints ``0.0`` even where
+  another group met ``-0.0`` first;
+* ``Sort`` puts NaN above every number and NULL last ascending (first
+  descending), ties ``-0.0`` with ``0.0`` and keeps tied rows in input
+  order in both directions.
 
 ``REPRO_ORACLE_EXAMPLES`` sets the examples per property (default 25;
 ``make oracle`` runs 250).
@@ -33,7 +40,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.batch import Batch, ColumnVector
 from repro.datatypes import DataType
@@ -45,6 +52,8 @@ from repro.executor.operators import (
     Distinct,
     HashAggregate,
     HashJoin,
+    Limit,
+    Sort,
 )
 from repro.sql.ast import ColumnRef
 
@@ -280,6 +289,63 @@ def test_distinct_matches_the_set_of_rows(data, types):
 
 
 # ----------------------------------------------------------------------
+# GROUP BY keys against a dict of key tuples.
+# ----------------------------------------------------------------------
+
+
+def reference_group_by(batches, keys):
+    """Rows of ``keys`` + COUNT(*): groups in first-appearance order,
+    each keyed by its first row (NULL, NaN and ``±0.0`` one value
+    each)."""
+    groups = {}
+    for batch in batches:
+        for key in batch.select(keys).rows():
+            normal = tuple(map(_one_nan, key))
+            groups.setdefault(normal, [key, 0])[1] += 1
+    return [(*key, count) for key, count in groups.values()]
+
+
+@st.composite
+def grouped(draw):
+    types = draw(
+        st.lists(st.sampled_from(list(POOLS)), min_size=1, max_size=3)
+    )
+    types = {f"c{i}": dtype for i, dtype in enumerate(types)}
+    return types, draw(tables(types, max_rows=40))
+
+
+#: A group ('', 0.0) after (NULL, -0.0): ``h``'s 0.0 first met -0.0.
+SIGNED_ZERO_KEYS = (
+    {"g": DataType.TEXT, "h": DataType.FLOAT},
+    [
+        Batch(
+            {
+                "g": _vector(DataType.TEXT, [None, ""]),
+                "h": _vector(DataType.FLOAT, [-0.0, 0.0]),
+            }
+        )
+    ],
+)
+
+
+@given(case=grouped())
+@example(case=SIGNED_ZERO_KEYS)
+@settings(max_examples=EXAMPLES * 4, deadline=None)
+def test_group_keys_are_each_groups_first_row(case):
+    types, batches = case
+    op = HashAggregate(
+        _source(batches, types),
+        [(name, ColumnRef(name)) for name in types],
+        [AggregateSpec("n", "count", None)],
+    )
+    (out,) = op.execute()
+    want = reference_group_by(batches, list(types))
+    assert _rows([out]) == [tuple(map(_canon, row)) for row in want]
+    # Typed keys even with no groups (empty input).
+    assert {n: v.dtype for n, v in out.columns.items()} == op.output_types()
+
+
+# ----------------------------------------------------------------------
 # COUNT / SUM / AVG (DISTINCT) against the per-row aggregate they
 # replaced.
 # ----------------------------------------------------------------------
@@ -402,10 +468,8 @@ def test_distinct_aggregates_match_the_row_aggregate(data, keys, specs):
     got = list(out.rows())
     assert len(got) == len(want)
     for got_row, want_row in zip(got, want):  # same groups, same order
-        # A key column holds the value its code first had in that column
-        # (a group's 0.0 may come out -0.0): compared by value.
         keys_got, keys_want = got_row[: len(keys)], want_row[: len(keys)]
-        assert all(map(_agree, keys_got, keys_want)), (keys_got, keys_want)
+        assert list(map(_canon, keys_got)) == list(map(_canon, keys_want))
         for (func, __), g, w in zip(
             specs, got_row[len(keys) :], want_row[len(keys) :]
         ):
@@ -430,3 +494,61 @@ def test_distinct_float_sum_is_the_first_seen_left_to_right_sum():
     )
     (out,) = op.execute()
     assert list(out.rows()) == [(1e16 + 1.0 - 1e16,)]
+
+
+# ----------------------------------------------------------------------
+# Sort against Python's stable sort.
+# ----------------------------------------------------------------------
+
+
+def _order(value):
+    """A key's place in Python's order: numbers (and strings, dates,
+    booleans), then NaN, then NULL."""
+    nan = isinstance(value, float) and value != value
+    return (value is None, nan, 0 if value is None or nan else value)
+
+
+def reference_sort(rows, keys):
+    """``rows`` ordered by ``keys`` (``(position, ascending)`` pairs):
+    one stable ``sorted`` per key, minor key first.  DESC reverses,
+    which keeps tied rows in input order."""
+    for at, ascending in reversed(keys):
+        rows = sorted(
+            rows, key=lambda row: _order(row[at]), reverse=not ascending
+        )
+    return rows
+
+
+@given(
+    data=st.data(),
+    types=st.lists(st.sampled_from(list(POOLS)), min_size=1, max_size=3),
+)
+@settings(max_examples=EXAMPLES * 4, deadline=None)
+def test_sort_matches_pythons_stable_sort(data, types):
+    types = {f"c{i}": dtype for i, dtype in enumerate(types)}
+    batches = data.draw(tables(types, max_rows=40))
+    # Each row's input position rides along, so tie order shows.
+    starts = np.cumsum([0, *(batch.num_rows for batch in batches)])
+    batches = [
+        batch.with_column(
+            "row",
+            ColumnVector.from_values(
+                DataType.INTEGER, np.arange(start, start + batch.num_rows)
+            ),
+        )
+        for batch, start in zip(batches, starts)
+    ]
+    order = data.draw(st.permutations(range(len(types))))
+    n_keys = data.draw(st.integers(1, len(types)))
+    keys = [(at, data.draw(st.booleans())) for at in order[:n_keys]]
+    limit = data.draw(st.none() | st.integers(0, 10))
+    op = Limit(
+        Sort(
+            _source(batches, {**types, "row": DataType.INTEGER}),
+            [(ColumnRef(f"c{at}"), ascending) for at, ascending in keys],
+        ),
+        limit,
+    )
+    rows = [row for batch in batches for row in batch.rows()]
+    want = reference_sort(rows, keys)[:limit]
+    assert _rows(op.execute()) == [tuple(map(_canon, r)) for r in want]

@@ -528,6 +528,49 @@ def test_integer_sum_exact_through_the_engine(tmp_path):
         assert list(grouped) == [("x", 2 * odd), ("y", 5)]
 
 
+def test_order_by_nan_through_the_engine(tmp_path):
+    from repro import PostgresRaw
+    from repro.catalog.schema import TableSchema
+
+    # ``nan`` and ``NaN`` parse as FLOAT NaN, the empty field as NULL.
+    path = tmp_path / "t.csv"
+    path.write_text("a,f\n1,3.0\n2,nan\n3,1.0\n4,\n5,2.0\n6,NaN\n7,0.5\n")
+    schema = TableSchema.from_pairs([("a", "integer"), ("f", "float")])
+    with PostgresRaw() as engine:
+        engine.register_csv("t", path, schema)
+
+        def query(sql):
+            return [tuple(map(repr, row)) for row in engine.query(sql)]
+
+        # NaN above every number, as in PostgreSQL; NULLs last ascending
+        # and first descending; the two NaNs keep their file order.
+        ascending = [
+            ("7", "0.5"),
+            ("3", "1.0"),
+            ("5", "2.0"),
+            ("1", "3.0"),
+            ("2", "nan"),
+            ("6", "nan"),
+            ("4", "None"),
+        ]
+        assert query("SELECT a, f FROM t ORDER BY f") == ascending
+        descending = [
+            ("4", "None"),
+            ("2", "nan"),
+            ("6", "nan"),
+            ("1", "3.0"),
+            ("5", "2.0"),
+            ("3", "1.0"),
+            ("7", "0.5"),
+        ]
+        assert query("SELECT a, f FROM t ORDER BY f DESC") == descending
+        assert query("SELECT f FROM t ORDER BY f LIMIT 3") == [
+            ("0.5",),
+            ("1.0",),
+            ("2.0",),
+        ]
+
+
 class TestSortLimitDistinct:
     def test_sort_asc_desc(self):
         src = _source({"a": (DataType.INTEGER, [3, 1, 2])})

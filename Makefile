@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test smoke serve serve-smoke serve-sharded sharded-smoke bench \
-	bench-concurrent bench-streaming bench-wire bench-telemetry \
+	bench-concurrent bench-streaming bench-wire \
 	bench-tokenizer bench-mv bench-format bench-sharded bench-statistics \
 	bench-budget bench-report stress lint oracle verify
 
@@ -63,13 +63,6 @@ bench-streaming:
 # materialized latency with 2 concurrent socket clients).
 bench-wire:
 	$(PYTHON) -m pytest benchmarks/bench_wire_throughput.py \
-		--benchmark-only --import-mode=importlib -q -s
-
-# Telemetry tax: the 4-client concurrent leg with tracing + metrics on
-# vs off, interleaved rounds, asserting < 5% qps overhead; exports a
-# trace-ring + slow-query JSONL sample into bench_artifacts/.
-bench-telemetry:
-	$(PYTHON) -m pytest benchmarks/bench_telemetry.py \
 		--benchmark-only --import-mode=importlib -q -s
 
 # Adaptive aggregate cache: cold / warm-maps / mv-hit / mv-partial qps

@@ -88,16 +88,6 @@ class PostgresRawConfig:
     #: cursor then holds its shared table locks indefinitely).
     cursor_ttl_s: float | None = 60.0
 
-    #: Master switch for :mod:`repro.telemetry` — the per-query span
-    #: tracer, the engine-wide metrics registry's direct instruments
-    #: (latency/TTFB/lock-wait histograms, counters) and the slow-query
-    #: log.  Disabled, every instrument is a shared no-op and the
-    #: tracer records nothing; snapshot-time *collectors* (scheduler,
-    #: governor, lock and server stats) keep feeding the monitoring
-    #: panels either way, since the components keep those counters for
-    #: their own operation.
-    telemetry_enabled: bool = True
-
     #: Queries whose ``total_seconds`` reaches this threshold are
     #: recorded in the slow-query log with their full Figure-3
     #: breakdown and span tree (``None`` disables the log).

@@ -27,7 +27,8 @@ class RawTableState:
     as the workload evolves.  It owns the table's governed tiers —
     ``positional_map``, ``cache`` and, with ``vp_enabled``,
     ``columnstore`` (files under ``vp_root``) — and its statistics.
-    ``governor`` admits every byte the tiers hold.
+    ``governor`` admits every byte the tiers hold; ``registry`` counts
+    the columnstore's loads, extends, reads and invalidations.
     """
 
     def __init__(
@@ -35,8 +36,8 @@ class RawTableState:
         entry: RawTableEntry,
         config: PostgresRawConfig,
         governor,
+        registry,
         vp_root: Path | None = None,
-        registry=None,
     ) -> None:
         self.entry = entry
         self.config = config

@@ -2,8 +2,9 @@
 
 Kernels are built per (dialect, schema, attribute-span) signature and
 requested once per batch — the cache makes the build cost O(distinct
-signatures), LRU-bounds the footprint (:data:`KERNEL_CACHE_ENTRIES`) and
-feeds hit/miss/build-time counters to the telemetry registry.
+signatures) and LRU-bounds the footprint (:data:`KERNEL_CACHE_ENTRIES`).
+Its hit/miss/build-time counts are plain attributes, reported by
+:meth:`KernelCache.stats` (an engine's ``kernels`` collector).
 
 A scan with no engine (a bare :class:`repro.core.raw_scan.RawScan`)
 uses the per-process cache, :func:`process_cache`.
@@ -26,9 +27,7 @@ KERNEL_CACHE_ENTRIES = 64
 class KernelCache:
     """Thread-safe LRU cache of :class:`ScanKernel` keyed by signature."""
 
-    def __init__(
-        self, max_entries: int = KERNEL_CACHE_ENTRIES, registry=None
-    ) -> None:
+    def __init__(self, max_entries: int = KERNEL_CACHE_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
@@ -40,22 +39,6 @@ class KernelCache:
         self.misses = 0
         self.evictions = 0
         self.build_seconds = 0.0
-        self._hits_c = None
-        self._misses_c = None
-        self._build_c = None
-        if registry is not None:
-            self.attach_registry(registry)
-
-    def attach_registry(self, registry) -> None:
-        """Mirror counters into a telemetry ``MetricsRegistry``.
-
-        The instruments are no-ops on a telemetry-disabled engine; the
-        plain attributes above keep counting either way so the governor
-        panel's collector stays useful.
-        """
-        self._hits_c = registry.counter("kernel_cache_hits")
-        self._misses_c = registry.counter("kernel_cache_misses")
-        self._build_c = registry.counter("kernel_build_seconds_total")
 
     def get(self, signature: KernelSignature) -> tuple[ScanKernel, float]:
         """The kernel for ``signature`` as ``(kernel, build_seconds)``.
@@ -70,8 +53,6 @@ class KernelCache:
             if kernel is not None:
                 self._entries.move_to_end(signature)
                 self.hits += 1
-                if self._hits_c is not None:
-                    self._hits_c.inc()
                 return kernel, 0.0
             t0 = time.perf_counter()
             kernel = ScanKernel(signature)
@@ -82,9 +63,6 @@ class KernelCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            if self._misses_c is not None:
-                self._misses_c.inc()
-                self._build_c.inc(built)
             return kernel, built
 
     def __len__(self) -> int:

@@ -261,11 +261,6 @@ class MVCatalog:
                 return False
             self.builds += 1
             self.build_seconds += entry.build_seconds
-            self._registry.counter("mv_builds_total").inc()
-            self._registry.counter("mv_build_seconds_total").inc(
-                entry.build_seconds
-            )
-            self._update_gauge()
         return True
 
     def price(self, sig: QuerySignature, nbytes: int) -> float:
@@ -286,8 +281,6 @@ class MVCatalog:
         """The ledgers' eviction hook (called under the lock for every
         entry the governor evicts)."""
         self.evictions += 1
-        self._registry.counter("mv_evictions_total").inc()
-        self._update_gauge()
 
     def advance(
         self,
@@ -320,7 +313,6 @@ class MVCatalog:
             entry.batch, entry.rows, entry.nbytes = batch, rows, nbytes
             self._registry.counter("mv_tail_merges_total").inc()
             self._registry.counter("mv_tail_rows_total").inc(rows - from_rows)
-            self._update_gauge()
         return True
 
     def invalidate_table(self, table: str) -> int:
@@ -331,10 +323,7 @@ class MVCatalog:
             if container is None:
                 return 0
             dropped = container.invalidate()
-            if dropped:
-                self.invalidations += dropped
-                self._registry.counter("mv_invalidations_total").inc(dropped)
-                self._update_gauge()
+            self.invalidations += dropped
             return dropped
 
     def drop_table(self, table: str) -> None:
@@ -344,7 +333,6 @@ class MVCatalog:
             container = self._tables.pop(table, None)
             if container is not None:
                 self.invalidations += container.invalidate()
-            self._update_gauge()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -364,6 +352,3 @@ class MVCatalog:
 
     def next_id(self) -> int:
         return next(self._ids)
-
-    def _update_gauge(self) -> None:
-        self._registry.gauge("mv_bytes").set(float(self.total_bytes()))

@@ -243,7 +243,6 @@ class MVRuntime:
         registry = self.registry
         materialized = {e.signature for e in catalog.entries()}
         return {
-            "enabled": True,
             "auto": self.config.mv_auto,
             "mvs": catalog.entry_count(),
             "bytes": catalog.total_bytes(),

@@ -631,9 +631,10 @@ class RawServer:
         rows_sent = 0
         closed = False
         # The query's trace was opened service-side; parent the socket
-        # writes under its root so the span tree covers wire delivery.
+        # writes under its root so the span tree covers wire delivery
+        # (while the ring still retains the trace).
         tracer = self.service.telemetry.tracer
-        trace_id = getattr(cursor, "trace_id", None)
+        trace_id = cursor.trace_id
         wire_span = tracer.span_for_trace(trace_id, "wire:frames", qid=qid)
         try:
             await self._send(
@@ -729,7 +730,8 @@ class RawServer:
             await self._retire_stream(conn, stream)
             await self._try_send_error(writer, qid, exc, conn)
         finally:
-            tracer.end_span(wire_span, rows=rows_sent)
+            if wire_span is not None:
+                tracer.end_span(wire_span, rows=rows_sent)
             conn.streams.pop(qid, None)
             await self._retire_stream(conn, stream)
 

@@ -210,12 +210,12 @@ class _StreamHandle:
     """One open streaming query, tracked for monitoring and shutdown."""
 
     stream_id: int
+    #: Root span of the query's trace.
+    root: Span
     #: The producer thread and its channel (``None`` on the inline
     #: lane: the plan runs on the thread that opened the cursor).
     channel: BatchChannel | None = field(default=None)
     thread: threading.Thread | None = field(default=None)
-    #: Root span of the query's trace (None when telemetry is off).
-    root: Span | None = field(default=None)
     #: Original SQL text when known (slow-query log context).
     sql: str | None = field(default=None)
     #: MV signature + serve verdict of the plan (workload mining: the
@@ -246,8 +246,8 @@ class PostgresRawService:
         registry = self.telemetry.registry
         #: Engine-owned cache of specialized scan kernels
         #: (:mod:`repro.kernels`), shared by every scan this service
-        #: plans; hit/miss/build counters feed the registry.
-        self.kernel_cache = KernelCache(registry=registry)
+        #: plans; its ``stats()`` is the ``kernels`` collector.
+        self.kernel_cache = KernelCache()
         #: Adaptive materialized-aggregate cache (:mod:`repro.mv`):
         #: workload-mined aggregate results governed alongside the
         #: positional maps and caches.
@@ -285,8 +285,6 @@ class PostgresRawService:
         self.cursors_opened = 0
         self.cursors_finished = 0
         self.cursors_abandoned = 0
-        self._ttfb_sum = 0.0
-        self._ttfb_count = 0
         self._last_ttfb: float | None = None
         #: Scan-free plans by SQL text, shared by every session.
         self.plan_cache = PlanCache(registry)
@@ -424,8 +422,8 @@ class PostgresRawService:
                 entry,
                 self.config,
                 self.governor,
-                self._vp_dir,
                 self.telemetry.registry,
+                self._vp_dir,
             )
             self.governor.register(state.positional_map, name, "map", fmt)
             self.governor.register(state.cache, name, "cache", fmt)
@@ -599,8 +597,7 @@ class PostgresRawService:
         try:
             with tracer.span(root, "admission") as admission_span:
                 waited = self.scheduler.acquire(session_id)
-                if admission_span is not None:
-                    admission_span.attrs["wait_s"] = round(waited, 6)
+                admission_span.attrs["wait_s"] = round(waited, 6)
             registry.histogram("admission_wait_seconds").observe(waited)
         except BaseException as exc:
             tracer.finish(root, error=repr(exc))
@@ -651,8 +648,7 @@ class PostgresRawService:
         # The lane: a drained statement, and a plan that scans no raw
         # file, run on this thread.
         inline = drained or not scans
-        if root is not None:
-            root.attrs["lane"] = "inline" if inline else "threaded"
+        root.attrs["lane"] = "inline" if inline else "threaded"
         handle = _StreamHandle(
             stream_id=next(self._cursor_ids),
             root=root,
@@ -687,7 +683,7 @@ class PostgresRawService:
             metrics,
             on_close=finished,
         )
-        cursor.trace_id = None if root is None else root.trace_id
+        cursor.trace_id = root.trace_id
         if inline:
             return cursor
         thread = threading.Thread(
@@ -712,7 +708,7 @@ class PostgresRawService:
         cached: CachedPlan | None,
         metrics: QueryMetrics,
         scans: list[RawScan],
-        root: Span | None,
+        root: Span,
         captures: list,
     ) -> LogicalPlan:
         """Plan ``stmt``, through the plan cache when ``sql`` is its
@@ -818,8 +814,8 @@ class PostgresRawService:
         tables: list[tuple[str, RawTableState, RWLock]],
         generations: dict[str, int],
         metrics: QueryMetrics,
-        root: Span | None = None,
-        captures: list | None = None,
+        root: Span,
+        captures: list,
     ) -> Iterator[Batch]:
         """The plan's batches: the one body of every lane, pulled by
         whoever consumes it (the caller of a drained statement, the
@@ -881,13 +877,12 @@ class PostgresRawService:
                             scan.row_to - scan.row_from, 0
                         )
         except BaseException as exc:
-            if root is not None:
-                # Stamp the trace id so the wire server's ERROR frame
-                # (and any other consumer) can correlate the failure.
-                try:
-                    exc.trace_id = root.trace_id
-                except Exception:  # exotic immutable exception
-                    pass
+            # Stamp the trace id so the wire server's ERROR frame (and
+            # any other consumer) can correlate the failure.
+            try:
+                exc.trace_id = root.trace_id
+            except Exception:  # exotic immutable exception
+                pass
             raise
         finally:
             self.scheduler.release()
@@ -897,7 +892,7 @@ class PostgresRawService:
         scans: list[RawScan],
         tables: list[tuple[str, RawTableState, RWLock]],
         generations: dict[str, int],
-        root: Span | None,
+        root: Span,
     ) -> tuple[bool, list[float]]:
         """Take the plan's table locks and check its generations.
 
@@ -940,7 +935,7 @@ class PostgresRawService:
         return False, held
 
     def _operator_batches(
-        self, plan: LogicalPlan, root: Span | None = None
+        self, plan: LogicalPlan, root: Span
     ) -> Iterator[Batch]:
         """Drive the operator tree, batch by batch.
 
@@ -959,8 +954,7 @@ class PostgresRawService:
                 closer = getattr(batches, "close", None)
                 if closer is not None:
                     closer()
-                if pump_span is not None:
-                    pump_span.attrs["batches"] = n_batches
+                pump_span.attrs["batches"] = n_batches
                 self.telemetry.registry.counter("stream_batches_total").inc(
                     n_batches
                 )
@@ -1089,16 +1083,12 @@ class PostgresRawService:
                 self.cursors_abandoned += 1
             ttfb = cursor.metrics.time_to_first_batch
             if ttfb is not None:
-                self._ttfb_sum += ttfb
-                self._ttfb_count += 1
                 self._last_ttfb = ttfb
         self.telemetry.tracer.finish(
             handle.root, rows=cursor.rows_fetched
         )
         self.telemetry.note_query(
-            cursor.metrics,
-            trace_id=getattr(cursor, "trace_id", None),
-            sql=handle.sql,
+            cursor.metrics, trace_id=handle.root.trace_id, sql=handle.sql
         )
         if handle.mv_signature is not None:
             # Workload mining, cost half: the observed seconds of this
@@ -1110,9 +1100,7 @@ class PostgresRawService:
                 cursor.metrics.total_seconds,
             )
 
-    def _acquire_all(
-        self, tables, write: bool, root: Span | None = None
-    ) -> list[float]:
+    def _acquire_all(self, tables, write: bool, root: Span) -> list[float]:
         # Tables are pre-sorted by name: a global acquisition order makes
         # multi-table queries deadlock-free.
         tracer = self.telemetry.tracer
@@ -1263,15 +1251,14 @@ class PostgresRawService:
 
     def cursor_stats(self) -> dict[str, object]:
         """Streaming-cursor gauges for the concurrency panel."""
+        # The mean of the TTFB histogram, which retiring cursors fill.
+        ttfb = self.telemetry.registry.histogram("ttfb_seconds").snapshot()
         with self._cursor_lock:
-            avg_ttfb = (
-                self._ttfb_sum / self._ttfb_count if self._ttfb_count else None
-            )
             return {
                 "open": len(self._open_streams),
                 "opened": self.cursors_opened,
                 "finished": self.cursors_finished,
                 "abandoned": self.cursors_abandoned,
-                "avg_ttfb_s": avg_ttfb,
+                "avg_ttfb_s": ttfb.get("mean"),
                 "last_ttfb_s": self._last_ttfb,
             }

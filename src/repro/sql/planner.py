@@ -691,10 +691,7 @@ class Planner:
             for conjunct in split_conjuncts(join.condition):
                 aliases = {r.table for r in expr_column_refs(conjunct)}
                 if aliases == {alias}:
-                    if join.kind == "left":
-                        pushed[alias].append(conjunct)
-                    else:
-                        pushed[alias].append(conjunct)
+                    pushed[alias].append(conjunct)
                     continue
                 edge = self._as_join_edge(conjunct)
                 if edge is None or alias not in (

@@ -98,7 +98,7 @@ class VerticalStore(GovernedLedger):
         table: str,
         root: str | Path,
         governor,
-        registry=None,
+        registry,
         window_rows: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(governor, on_evict=_remove_files)
@@ -177,7 +177,7 @@ class VerticalStore(GovernedLedger):
                 self._remove(attr)
                 _remove_files(column)
                 raise
-        self._count("vp_promotions_total")
+        self.registry.counter("vp_promotions_total").inc()
         return True
 
     def extend(self, attr: int, tail: ColumnVector) -> bool:
@@ -205,12 +205,8 @@ class VerticalStore(GovernedLedger):
                 return False
             column.rows += len(tail)
             column.nbytes += added
-        self._count("vp_extends_total")
+        self.registry.counter("vp_extends_total").inc()
         return True
-
-    def _count(self, name: str) -> None:
-        if self.registry is not None:
-            self.registry.counter(name).inc()
 
     def read(
         self,
@@ -228,7 +224,7 @@ class VerticalStore(GovernedLedger):
         """
         self.touch(column)
         column.hits += 1
-        self._count("vp_served_total")
+        self.registry.counter("vp_served_total").inc()
         index = sel if sel is not None else slice(lo, hi)
         return column.store._vector(column.name, index, metrics)
 
@@ -242,8 +238,7 @@ class VerticalStore(GovernedLedger):
             for column in self.entries():
                 _remove_files(column)
             dropped = super().invalidate()
-        if self.registry is not None and dropped:
-            self.registry.counter("vp_invalidations_total").inc(dropped)
+        self.registry.counter("vp_invalidations_total").inc(dropped)
         return dropped
 
     def stats(self, table_rows: int | None = None) -> dict[str, object]:

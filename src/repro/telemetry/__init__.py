@@ -12,9 +12,9 @@ Three pieces, one facade:
 * :class:`Telemetry` — what a service owns: the registry + tracer +
   the slow-query log, with the JSONL/Prometheus exporters attached.
 
-Everything honors ``PostgresRawConfig(telemetry_enabled=False)``:
-instruments become shared no-ops and the tracer returns ``None``
-spans, so the hot path pays one attribute load and a falsy check.
+Telemetry is always on: every query has a root span, and every count
+a component reports lives in exactly one place — its own attribute
+behind a collector, or a registry instrument it reads back.
 """
 
 from __future__ import annotations
@@ -39,24 +39,19 @@ class Telemetry:
 
     def __init__(
         self,
-        enabled: bool = True,
         slow_query_s: float | None = None,
         keep_traces: int = 256,
         keep_slow_queries: int = 128,
     ) -> None:
-        self.enabled = enabled
-        self.registry = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(enabled=enabled, keep=keep_traces)
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(keep=keep_traces)
         self.slow_query_s = slow_query_s
         self._slow_lock = threading.Lock()
         self._slow: deque[dict] = deque(maxlen=keep_slow_queries)
 
     @classmethod
     def from_config(cls, config) -> "Telemetry":
-        return cls(
-            enabled=config.telemetry_enabled,
-            slow_query_s=config.slow_query_s,
-        )
+        return cls(slow_query_s=config.slow_query_s)
 
     # ------------------------------------------------------------------
     # Per-query accounting (called by the service at cursor retire).

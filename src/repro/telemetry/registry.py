@@ -12,14 +12,14 @@ Design constraints, in order:
   ``Counter.inc`` / ``Histogram.observe`` take one small per-instrument
   lock.  Instrument *creation* is lock-striped so two threads minting
   different instruments never serialize on one registry mutex.
-* **Near-zero when disabled.**  With ``telemetry_enabled=False`` every
-  factory returns a shared null instrument whose methods are no-ops —
-  call sites never branch.
-* **No double bookkeeping.**  Components that already keep counters
-  (scheduler, governor, locks, wire server) are not mirrored write-by-
+* **No double bookkeeping.**  Each count lives in one place.
+  Components that already keep counters (scheduler, governor, locks,
+  kernel cache, MV catalog, wire server) are not mirrored write-by-
   write; they register a snapshot-time **collector** instead, and
-  :meth:`MetricsRegistry.snapshot` folds their live stats in.  The
-  monitoring panels render from that snapshot.
+  :meth:`MetricsRegistry.snapshot` folds their live stats in.  A count
+  kept only here (MV hits, columnstore promotions) is read back from
+  its instrument by the component that reports it.  The monitoring
+  panels render from that snapshot.
 
 Histograms are **log-bucketed**: bucket upper bounds are powers of two
 of a second from ~1 µs to 64 s (plus an overflow bucket), so one fixed
@@ -189,50 +189,13 @@ class Histogram:
         return out
 
 
-class _NullInstrument:
-    """Shared no-op stand-in for every instrument when disabled."""
-
-    __slots__ = ()
-    name = "null"
-    labels = ()
-    count = 0
-    sum = 0.0
-    min = None
-    max = None
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, p: float) -> float | None:
-        return None
-
-    def snapshot(self) -> dict[str, object]:
-        return {"count": 0, "sum": 0.0}
-
-    def buckets(self) -> list[tuple[float, int]]:
-        return []
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
 _STRIPES = 16
 
 
 class MetricsRegistry:
     """One engine's instruments plus snapshot-time collectors."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._stripes = [threading.Lock() for _ in range(_STRIPES)]
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
@@ -253,18 +216,12 @@ class MetricsRegistry:
         return inst
 
     def counter(self, name: str, labels: dict[str, str] | None = None):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         return self._instrument(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, labels: dict[str, str] | None = None):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         return self._instrument(self._gauges, Gauge, name, labels)
 
     def histogram(self, name: str, labels: dict[str, str] | None = None):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         return self._instrument(self._histograms, Histogram, name, labels)
 
     # ------------------------------------------------------------------
@@ -274,12 +231,7 @@ class MetricsRegistry:
     def register_collector(
         self, name: str, fn: Callable[[], object]
     ) -> None:
-        """Register (or replace) a named snapshot-time stats source.
-
-        Collectors run even when direct instruments are disabled — they
-        only *read* counters the components keep anyway, so the panels
-        stay useful on a telemetry-off engine.
-        """
+        """Register (or replace) a named snapshot-time stats source."""
         with self._collector_lock:
             self._collectors[name] = fn
 

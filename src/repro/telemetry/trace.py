@@ -1,6 +1,6 @@
 """Per-query span tracing: one tree of timed spans per statement.
 
-Every streamed query gets a ``trace_id``; the stages it passes through
+Every query gets a ``trace_id``; the stages it passes through
 — admission wait, file reconcile, planning, per-table lock
 acquisition, the producer's channel pump, the wire
 server's frame writes — each record a span under that id.  The result
@@ -16,8 +16,7 @@ parent through the call graph is both cheaper and honest about who
 owns what.
 
 Finished traces live in a bounded ring buffer (``keep`` most recent)
-and export as JSONL; when disabled every method returns ``None`` and
-records nothing.
+and export as JSONL.
 """
 
 from __future__ import annotations
@@ -70,8 +69,7 @@ class _TraceRecord:
 class Tracer:
     """Creates, finishes and retains per-query span trees."""
 
-    def __init__(self, enabled: bool = True, keep: int = 256) -> None:
-        self.enabled = enabled
+    def __init__(self, keep: int = 256) -> None:
         self._lock = threading.Lock()
         self._prefix = os.urandom(3).hex()
         self._trace_seq = itertools.count(1)
@@ -85,10 +83,8 @@ class Tracer:
     # Span lifecycle.
     # ------------------------------------------------------------------
 
-    def new_trace(self, name: str, **attrs) -> Span | None:
-        """Open a new trace; returns its root span (``None`` when off)."""
-        if not self.enabled:
-            return None
+    def new_trace(self, name: str, **attrs) -> Span:
+        """Open a new trace; returns its root span."""
         trace_id = f"{self._prefix}-{next(self._trace_seq):06d}"
         root = Span(
             trace_id=trace_id,
@@ -103,12 +99,8 @@ class Tracer:
             self.traces_started += 1
         return root
 
-    def start_span(
-        self, parent: Span | None, name: str, **attrs
-    ) -> Span | None:
-        """Open a child span under ``parent`` (no-op on ``None``)."""
-        if parent is None or not self.enabled:
-            return None
+    def start_span(self, parent: Span, name: str, **attrs) -> Span:
+        """Open a child span under ``parent``."""
         span = Span(
             trace_id=parent.trace_id,
             span_id=next(self._span_seq),
@@ -120,9 +112,7 @@ class Tracer:
         self._append(span)
         return span
 
-    def end_span(self, span: Span | None, **attrs) -> None:
-        if span is None:
-            return
+    def end_span(self, span: Span, **attrs) -> None:
         span.end_s = time.perf_counter()
         if attrs:
             span.attrs.update(
@@ -130,9 +120,9 @@ class Tracer:
             )
 
     @contextmanager
-    def span(self, parent: Span | None, name: str, **attrs):
+    def span(self, parent: Span, name: str, **attrs):
         """``with tracer.span(parent, "plan") as sp: ...`` — the yielded
-        span (or ``None``) may be annotated via ``sp.attrs``."""
+        span may be annotated via ``sp.attrs``."""
         span = self.start_span(parent, name, **attrs)
         try:
             yield span
@@ -141,18 +131,16 @@ class Tracer:
 
     def add_span(
         self,
-        parent: Span | None,
+        parent: Span,
         name: str,
         duration_s: float,
         **attrs,
-    ) -> Span | None:
+    ) -> Span:
         """Record an already-completed span of known duration.
 
         Used for work measured elsewhere, such as a lock wait timed
         by its caller; ``start_s`` is back-dated by ``duration_s``.
         """
-        if parent is None or not self.enabled:
-            return None
         now = time.perf_counter()
         span = Span(
             trace_id=parent.trace_id,
@@ -174,18 +162,17 @@ class Tracer:
         The wire server learns a query's trace only via the id stamped
         on the cursor; this parents its socket-write span correctly
         even though the root ended when the producer retired.
+        ``None`` when the id is ``None`` or no longer retained.
         """
-        if trace_id is None or not self.enabled:
+        if trace_id is None:
             return None
         record = self._find(trace_id)
         if record is None:
             return None
         return self.start_span(record.root, name, **attrs)
 
-    def finish(self, root: Span | None, **attrs) -> None:
+    def finish(self, root: Span, **attrs) -> None:
         """End the root span and move the trace to the ring buffer."""
-        if root is None:
-            return
         self.end_span(root, **attrs)
         with self._lock:
             record = self._active.pop(root.trace_id, None)

@@ -20,6 +20,7 @@ from repro.datatypes import DataType
 from repro.mv import MaterializedAggregate, MVRecipe, QuerySignature
 from repro.service import MemoryGovernor
 from repro.storage.vertical import VerticalStore
+from repro.telemetry import MetricsRegistry
 
 
 def governed_cache(
@@ -57,7 +58,7 @@ def governed_map(
 def governed_store(
     governor: MemoryGovernor, root, table: str = "t"
 ) -> VerticalStore:
-    store = VerticalStore(table, root, governor)
+    store = VerticalStore(table, root, governor, MetricsRegistry())
     governor.register(store, table, "columnstore")
     return store
 

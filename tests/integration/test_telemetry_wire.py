@@ -157,20 +157,3 @@ class TestTracedWireQuery:
             assert "trace_id" in record and "root" in record
         for line in slow.read_text().splitlines():
             assert "breakdown" in json.loads(line)
-
-    def test_telemetry_disabled_still_serves_stats(self, table_csv):
-        path, schema = table_csv
-        config = PostgresRawConfig(telemetry_enabled=False)
-        with PostgresRawService(config) as service:
-            service.register_csv("t", path, schema)
-            with RawServer(service, port=0) as server:
-                with repro.client.Connection("127.0.0.1", server.port) as conn:
-                    cursor = conn.cursor(SQL)
-                    assert cursor.fetchall().rows
-                    cursor.close()
-                    assert cursor.trace_id is None  # no tracing
-                    payload = conn.stats()
-                    stats = payload["stats"]
-                    assert stats["counters"] == {}
-                    # Collectors still render the component stats.
-                    assert stats["collectors"]["scheduler"]["admitted"] >= 1

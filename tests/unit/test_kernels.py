@@ -18,7 +18,6 @@ from repro.kernels import (
 )
 from repro.rawio.dialect import CsvDialect
 from repro.rawio.tokenizer import build_line_index, tokenize_span
-from repro.telemetry import MetricsRegistry
 
 
 def _span(texts, base=0):
@@ -207,15 +206,13 @@ class TestKernelCache:
             self.DIALECT, self.DTYPES, 0, 1
         )
 
-    def test_registry_counters(self):
-        registry = MetricsRegistry(enabled=True)
-        cache = KernelCache(max_entries=4, registry=registry)
+    def test_stats_report_hits_misses_and_build_seconds(self):
+        cache = KernelCache(max_entries=4)
+        _, built = cache.get(self.sig(0, 1))
         cache.get(self.sig(0, 1))
-        cache.get(self.sig(0, 1))
-        snap = registry.snapshot()
-        assert snap["counters"]["kernel_cache_misses"] == 1
-        assert snap["counters"]["kernel_cache_hits"] == 1
-        assert snap["counters"]["kernel_build_seconds_total"] > 0.0
+        stats = cache.stats()
+        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert stats["build_seconds"] == built > 0.0
 
 
 def test_engine_scans_use_the_engine_kernel_cache(tmp_path):

@@ -100,7 +100,6 @@ class TestPostgresRawConfig:
             "admission_queue_depth",
             "stream_queue_batches",
             "cursor_ttl_s",
-            "telemetry_enabled",
             "slow_query_s",
             "mv_auto",
             "vp_enabled",

@@ -154,7 +154,11 @@ stress:
 # (each group's first row, by repr) and COUNT / SUM / AVG DISTINCT
 # against dict / set code, and the Sort property (1-3 ASC / DESC keys
 # with NULL, NaN, +-0.0 and ties, under a LIMIT) against Python's
-# stable sorted().
+# stable sorted(); and the MV tier against raw answers: exact and
+# partial hits, appends folded into entries, eviction and drop, and
+# captures and their hits bit for bit (by repr, NULL / NaN / +-0.0 /
+# TEXT / empty input, batches of 3, 7 and 4096 rows) with every stored
+# column checked against its own raw aggregate.
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
 		tests/property/test_sqlite_oracle.py \
@@ -165,6 +169,7 @@ oracle:
 		"tests/property/test_kernel_props.py::test_jsonl_kernel_equals_parse_record" \
 		tests/property/test_stats_props.py \
 		tests/property/test_keyed_props.py \
+		tests/property/test_mv_props.py \
 		--hypothesis-seed=29 -x -q
 
 verify: test smoke serve-smoke

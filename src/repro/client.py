@@ -239,7 +239,7 @@ class Connection:
 
         Returns the server's STATS payload: ``{"qid", "stats"}`` where
         ``stats`` is the engine's full telemetry-registry snapshot
-        (counters, gauges, histograms, component collectors).  Pass a
+        (counters, histograms, component collectors).  Pass a
         ``trace_id`` (as stamped on a drained cursor's ``trace_id``, or
         carried by an ERROR frame) to also get that query's span tree
         under ``"trace"``.

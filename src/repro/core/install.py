@@ -129,14 +129,12 @@ class InstallPlan:
     :func:`install`.  The split exists for the concurrent service's
     read path: a query served entirely by existing structures runs
     under a shared lock and hands its plan to the service, which
-    installs it under the exclusive lock afterwards.  ``generation`` is
-    the table state's generation at harvest time — installation is
-    skipped if the file was rewritten in between (the offsets would
-    describe a file that no longer exists).
+    installs it under the exclusive lock afterwards, unless the file
+    was rewritten or dropped in between (the offsets would describe a
+    file that no longer exists).
     """
 
     n_rows: int
-    generation: int
     #: ``(attrs, start_row, offset matrix, tokenize benefit seconds)``.
     spans: list[tuple[tuple[int, ...], int, np.ndarray, float]]
     #: The attribute-combination chunk plan (paper's default policy).
@@ -166,7 +164,6 @@ def harvest(scan: "RawScan", n_rows: int) -> InstallPlan:
     with scan.metrics.time(_NODB):
         result = InstallPlan(
             n_rows=n_rows,
-            generation=scan.state.generation,
             spans=[
                 (c.attrs, c.start_row, matrix, c.benefit_seconds)
                 for c in collectors.spans.values()
@@ -187,8 +184,6 @@ def harvest(scan: "RawScan", n_rows: int) -> InstallPlan:
 def install(scan: "RawScan", plan: InstallPlan) -> None:
     """Apply an :class:`InstallPlan` to the shared adaptive state."""
     state, config = scan.state, scan.config
-    if plan.generation != state.generation:
-        return  # the raw file was rewritten mid-flight; offsets stale
     pm = state.positional_map
     cache = state.cache
     with scan.metrics.time(_NODB):

@@ -859,13 +859,15 @@ class MVScan(Operator):
     """Serve a stored materialized-aggregate batch.
 
     An entry level with its table is served as stored — no raw-file
-    scan.  One that lags it (rows were appended since it was built or
-    last advanced) comes with ``tail``: the entry's own aggregate
-    planned over the table rows past its watermark.  The tail's groups
-    are re-aggregated with the stored ones by :func:`partial_aggregate`,
-    the merged batch is what is served, and ``on_merged`` receives it
-    for the deferred install.  ``aggs`` maps ``(func, arg)`` to the
-    stored column name; every other stored column is a group key.
+    scan.  One that lags it comes with ``tail``: the entry's own
+    aggregate (its recipe) planned over the table rows past its
+    watermark.  The tail's groups are re-aggregated with the stored
+    ones by :func:`partial_aggregate`, and the merged batch is what is
+    served.  A capture is the same fold from row 0 into an empty
+    stored batch.  ``on_merged(batch, seconds)`` receives the merged
+    batch and the seconds the tail (scan + recipe aggregate) took, for
+    the deferred install.  ``aggs`` maps ``(func, arg)`` to the stored
+    column name; every other stored column is a group key.
     """
 
     def __init__(
@@ -875,7 +877,7 @@ class MVScan(Operator):
         label: str = "MVScan",
         tail: Operator | None = None,
         aggs: dict[tuple[str, str], str] | None = None,
-        on_merged: Callable[[Batch], None] | None = None,
+        on_merged: Callable[[Batch, float], None] | None = None,
     ) -> None:
         self._batch = batch
         self._types = types
@@ -893,12 +895,15 @@ class MVScan(Operator):
         if self._tail is None:
             yield self._batch
             return
-        merged = self._merge()
+        start = time.perf_counter()
+        (tail,) = self._tail.execute()
+        seconds = time.perf_counter() - start
+        merged = self._merge(tail)
         if self._on_merged is not None:
-            self._on_merged(merged)
+            self._on_merged(merged, seconds)
         yield merged
 
-    def _merge(self) -> Batch:
+    def _merge(self, tail: Batch) -> Batch:
         aggs = self._aggs
         # Stored partial column -> the spec folding it; stored aggregate
         # column -> its final value over the folded partials.
@@ -919,7 +924,7 @@ class MVScan(Operator):
         names = dims + list(folds)
         stored = self._batch.select(names)
         source = BatchSource(
-            lambda: itertools.chain((stored,), self._tail.execute()),
+            lambda: iter((stored, tail)),
             {name: self._types[name] for name in names},
         )
         (merged,) = HashAggregate(
@@ -940,50 +945,6 @@ class MVScan(Operator):
 
     def children(self) -> list[Operator]:
         return [] if self._tail is None else [self._tail]
-
-
-class MVCapture(Operator):
-    """Tee a finished aggregate toward materialization.
-
-    Wraps the raw ``HashAggregate``, timing the child's consumption —
-    the scan+aggregate seconds a future MV hit saves, which becomes the
-    entry's governed benefit — and hands the complete result to
-    ``sink(batch, elapsed_seconds)``.  Downstream sees the batch minus
-    ``drop`` columns (capture-only AVG components the query itself did
-    not request), so query output is unchanged by the capture.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        sink: Callable[[Batch, float], None],
-        drop: tuple[str, ...] = (),
-        label: str = "MVCapture",
-    ) -> None:
-        self.child = child
-        self._sink = sink
-        self._drop = tuple(drop)
-        self._label = label
-
-    def execute(self) -> Iterator[Batch]:
-        start = time.perf_counter()
-        (full,) = self.child.execute()
-        elapsed = time.perf_counter() - start
-        self._sink(full, elapsed)
-        yield full.select([n for n in full.columns if n not in self._drop])
-
-    def output_types(self) -> dict[str, DataType]:
-        return {
-            name: dtype
-            for name, dtype in self.child.output_types().items()
-            if name not in self._drop
-        }
-
-    def describe(self) -> str:
-        return self._label
-
-    def children(self) -> list[Operator]:
-        return [self.child]
 
 
 class Sort(Operator):

@@ -1,8 +1,9 @@
 """Governed storage and fuzzy matching of materialized aggregates.
 
-A :class:`MaterializedAggregate` is one captured ``HashAggregate``
-output, stored as a single :class:`repro.batch.Batch` whose columns are
-keyed by *canonical* names: each dimension column by its normalized
+A :class:`MaterializedAggregate` is the fold of its recipe
+(:class:`MVRecipe`) over the table rows ``[0, rows)``, stored as a
+single :class:`repro.batch.Batch` whose columns are keyed by
+*canonical* names: each dimension column by its normalized
 SQL (``region``, ``(a % 10)``), each aggregate by ``"func:arg"``
 (``sum:amount``, ``count:*``).  Every aggregate is also stored as
 its partials (an AVG as ``sum:`` and ``count:``; the algebra is
@@ -25,22 +26,24 @@ Governance: each table's MVs form one
 registered with the engine's :class:`repro.service.MemoryGovernor`
 (kind ``"mv"``), valued at ``benefit_seconds / nbytes`` like map
 chunks and cache entries — the benefit being the measured
-scan+aggregate seconds the capture replaced.  Admission (a re-capture
+scan+aggregate seconds of the capture's fold.  Admission (a re-capture
 of a signature supersedes its entry, which stays if the new one is
 refused), tail-merge growth, eviction, invalidation and recency are the
 ledger's; matching and tail-merging are the catalog's own.
 
 **Row watermark.**  An entry aggregates the table rows ``[0, rows)``
-— ``rows`` is taken from the line index of the scan that built it —
-and keeps the recipe (:class:`MVRecipe`) that built it.  An append
-leaves the entry valid for that prefix: the next hit aggregates only
-the rows past the watermark, re-aggregates them with the stored groups
-and :meth:`MVCatalog.advance` swaps the merged batch in.  Every stored
+— ``rows`` is taken from the line index of the scan that folded them —
+and keeps the recipe (:class:`MVRecipe`) that folds them.  A capture
+folds every row into a new, empty entry.  An append leaves the entry
+valid for its prefix: the next hit folds only the rows past the
+watermark into the stored groups, the same fold, and
+:meth:`MVCatalog.advance` swaps the merged batch in.  Every stored
 partial is append-mergeable, and an AVG is recomputed from its merged
 partials.  INTEGER results stay exact — or raise the typed out-of-range
-error — however often they were merged; a FLOAT ``SUM``/``AVG`` adds
-the tail's sum to the stored one instead of adding row by row, so it
-equals the raw path's within 1e-9 relative rather than bit for bit.
+error — however often they were merged.  A capture folds into nothing
+stored, so it equals the raw path bit for bit; a tail merge's FLOAT
+``SUM``/``AVG`` adds the tail's sum to the stored one instead of adding
+row by row, so it equals the raw path's within 1e-9 relative.
 Rewrites and drops still invalidate, generation-style, through the
 service's per-table write path.
 """
@@ -80,28 +83,34 @@ class MVRecipe:
 
 @dataclass
 class MaterializedAggregate:
-    """One governed, generation-stamped captured aggregate."""
+    """One governed, generation-stamped materialized aggregate.
 
-    mv_id: int
+    :meth:`repro.mv.MVRuntime.capture` makes one with its signature,
+    columns and recipe only — no ``mv_id``, no batch, watermark 0 — and
+    :meth:`repro.mv.MVRuntime.install` fills in the rest once the fold
+    of every table row has run.
+    """
+
     signature: QuerySignature
     #: Canonical dim column names (== ``signature.dims``).
     dims: tuple[str, ...]
     #: ``(func, arg) -> stored column name`` for every stored final
     #: and component column.
     columns: dict[tuple[str, str], str]
-    batch: Batch
-    types: dict[str, DataType]
-    nbytes: int
-    #: Table generation at install; bumped generations invalidate.
-    generation: int
-    #: The batch aggregates table rows ``[0, rows)``.
-    rows: int
     recipe: MVRecipe
-    #: Measured scan+aggregate seconds the capture replaced — the
+    mv_id: int | None = None
+    batch: Batch | None = None
+    types: dict[str, DataType] = field(default_factory=dict)
+    nbytes: int = 0
+    #: Table generation at install; bumped generations invalidate.
+    generation: int = 0
+    #: The batch aggregates table rows ``[0, rows)``.
+    rows: int = 0
+    #: Measured scan+aggregate seconds of the fold that built it — the
     #: seconds a future hit saves (the governor's benefit signal).
-    benefit_seconds: float
-    build_seconds: float
-    created_unix: float
+    benefit_seconds: float = 0.0
+    build_seconds: float = 0.0
+    created_unix: float = 0.0
     hits: int = 0
     partial_hits: int = 0
     last_used_ts: float = field(default_factory=now)
@@ -134,8 +143,9 @@ class MVMatch:
     entry: MaterializedAggregate
     kind: str  # "exact" | "partial"
     #: The entry's batch and the watermark it aggregates up to, read
-    #: together under the governor lock (``advance`` swaps both).
-    batch: Batch
+    #: together under the governor lock (``advance`` swaps both);
+    #: ``None`` and 0 for a capture.
+    batch: Batch | None
     rows: int
     #: Query conjuncts (normalized SQL) the MV has *not* applied;
     #: the planner filters the stored groups by them (partial only).

@@ -6,16 +6,30 @@ owns one instance per engine.  A conventional plan (``Planner(mv=None)``,
 the baseline's) extracts no signature, probes no catalog and counts
 nothing; an engine that never captures (``mv_auto`` off, no
 ``build_mv``) probes an empty catalog and answers from the raw scan.
+
+An MV is one fold: its recipe over the table rows ``[0, watermark)``.
+A capture (:meth:`MVRuntime.capture`) is a new, empty entry the plan
+folds every row into, served like a lagging hit; a tail merge folds
+the rows past a resident entry's watermark.  After the rows are out,
+the service installs the one (:meth:`MVRuntime.install`) or advances
+the other (:meth:`MVRuntime.advance`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 from ..batch import Batch
 from ..config import PostgresRawConfig
 from ..executor.operators import PARTIALS
-from ..sql.ast import SelectStatement
+from ..sql.ast import Expression, SelectStatement, split_conjuncts
+from ..sql.planner import (
+    aggregate_calls,
+    aggregate_key,
+    normalize_sql,
+    strip_alias,
+)
 from .analyzer import WorkloadAnalyzer
 from .catalog import (
     MaterializedAggregate,
@@ -96,68 +110,73 @@ class MVRuntime:
             sig, self.catalog.find(sig) is not None
         )
 
+    def capture(
+        self, stmt: SelectStatement, sig: QuerySignature
+    ) -> MVMatch | None:
+        """A capture of ``sig``, if it has earned one: an exact match
+        over a new entry that lags from row 0 and stores nothing yet,
+        so the plan folds every table row into it.
+
+        The entry's recipe comes from the resolved ``stmt``, alias-free:
+        each group expression under its normalized SQL, each partial
+        (:data:`PARTIALS`) of each aggregate once, and the WHERE
+        conjuncts.
+        """
+        if not self.should_capture(sig):
+            return None
+        groups: dict[str, Expression] = {}
+        for expr in stmt.group_by:
+            groups.setdefault(normalize_sql(expr), strip_alias(expr))
+        args: dict[str, Expression | None] = {}
+        for node in aggregate_calls(stmt):
+            __, arg = aggregate_key(node)
+            args[arg] = None if arg == "*" else strip_alias(node.args[0])
+        parts = dict.fromkeys(
+            (part, arg) for func, arg in sig.aggs for part in PARTIALS[func]
+        )
+        columns = {key: column_name(*key) for key in (*sig.aggs, *parts)}
+        recipe = MVRecipe(
+            groups=tuple(groups.items()),
+            aggs=tuple(
+                (columns[(part, arg)], part, args[arg]) for part, arg in parts
+            ),
+            filters=tuple(strip_alias(c) for c in split_conjuncts(stmt.where)),
+        )
+        entry = MaterializedAggregate(sig, sig.dims, columns, recipe)
+        return MVMatch(entry, "exact", None, 0, lagging=True)
+
     # ------------------------------------------------------------------
     # Service-facing surface.
     # ------------------------------------------------------------------
 
     def install(
         self,
-        sig: QuerySignature,
-        layout: dict,
+        entry: MaterializedAggregate,
         batch: Batch,
         benefit_seconds: float,
         rows: int,
         generation: int,
     ) -> bool:
-        """Assemble a captured aggregate into a governed entry.
-
-        ``layout`` maps the capture plan's internal column names to
-        canonical MV names and carries the alias-free expressions they
-        were computed from: ``{"dims": [(plan, canonical, expr)],
-        "aggs": [(plan, func, arg, expr)], "filters": [expr], "types":
-        {plan: DataType}}``.  ``rows`` is how many table rows the
-        capture scan folded; the table may have grown past them since
-        (the entry is then simply lagging).  The caller holds the
+        """Install a capture: ``batch`` is ``entry`` (from
+        :meth:`capture`) with the table rows ``[0, rows)`` folded in,
+        in ``benefit_seconds``.  The table may have grown past ``rows``
+        since (the entry is then simply lagging).  The caller holds the
         table's write lock and has validated the generation.
         """
         start = time.perf_counter()
-        columns: dict[tuple[str, str], str] = {}
-        stored = {}
-        types = {}
-        for plan_name, canonical, __ in layout["dims"]:
-            stored[canonical] = batch.column(plan_name)
-            types[canonical] = layout["types"][plan_name]
-        for plan_name, func, arg, __ in layout["aggs"]:
-            name = column_name(func, arg)
-            columns[(func, arg)] = name
-            stored[name] = batch.column(plan_name)
-            types[name] = layout["types"][plan_name]
-        recipe = MVRecipe(
-            groups=tuple(
-                (canonical, expr) for __, canonical, expr in layout["dims"]
-            ),
-            aggs=tuple(
-                (column_name(func, arg), func, expr)
-                for __, func, arg, expr in layout["aggs"]
-                if PARTIALS[func] == (func,)  # a partial itself: not AVG
-            ),
-            filters=tuple(layout["filters"]),
-        )
-        entry_batch = Batch(stored, num_rows=batch.num_rows)
-        nbytes = sum(v.nbytes() for v in entry_batch.columns.values())
-        observed = self.analyzer.observed_seconds(sig)
-        entry = MaterializedAggregate(
+        sig = entry.signature
+        nbytes = sum(v.nbytes() for v in batch.columns.values())
+        entry = dataclasses.replace(
+            entry,
             mv_id=self.catalog.next_id(),
-            signature=sig,
-            dims=sig.dims,
-            columns=columns,
-            batch=entry_batch,
-            types=types,
+            batch=batch,
+            types={name: v.dtype for name, v in batch.columns.items()},
             nbytes=nbytes,
             generation=generation,
             rows=rows,
-            recipe=recipe,
-            benefit_seconds=max(benefit_seconds, observed),
+            benefit_seconds=max(
+                benefit_seconds, self.analyzer.observed_seconds(sig)
+            ),
             build_seconds=time.perf_counter() - start,
             created_unix=time.time(),
         )

@@ -24,8 +24,8 @@ makes that sharing safe under concurrency:
 * **One plan generator, two lanes** — every plan runs as one
   generator over its batches (:meth:`PostgresRawService._batches`):
   it holds the table locks across its yields and, when it ends,
-  releases them, installs what the scans deferred and the MV captures,
-  and frees the admission slot.  Whoever consumes it pulls it.  The
+  releases them, installs what the scans and MV folds deferred, and
+  frees the admission slot.  Whoever consumes it pulls it.  The
   classic ``query()``/``execute()`` APIs drain their statement in the
   same call, so they pull it on the caller's thread (the *inline*
   lane: no producer thread, no channel).  :meth:`Session.cursor` over
@@ -622,7 +622,7 @@ class PostgresRawService:
 
             # Phase 2 — plan.  Planning reads schemas and statistics only.
             scans: list[RawScan] = []
-            captures: list = []
+            deferred: list = []
             with tracer.span(root, "plan"):
                 plan = self._plan(
                     stmt,
@@ -631,7 +631,7 @@ class PostgresRawService:
                     metrics,
                     scans,
                     root,
-                    captures,
+                    deferred,
                 )
             # The cursor contract is "rows from the table as admitted":
             # the plan re-checks these generations under its locks
@@ -657,7 +657,7 @@ class PostgresRawService:
             mv_decision=plan.mv_decision,
         )
         batches = self._batches(
-            plan, scans, tables, generations, metrics, root, captures
+            plan, scans, tables, generations, metrics, root, deferred
         )
         if inline:
             registry.counter("inline_queries_total").inc()
@@ -709,7 +709,7 @@ class PostgresRawService:
         metrics: QueryMetrics,
         scans: list[RawScan],
         root: Span,
-        captures: list,
+        deferred: list,
     ) -> LogicalPlan:
         """Plan ``stmt``, through the plan cache when ``sql`` is its
         exact text.
@@ -729,7 +729,7 @@ class PostgresRawService:
             plan = cached.bind(match)
             if plan is not None:
                 return plan
-        planner = self._planner(metrics, scans, captures=captures)
+        planner = self._planner(metrics, scans, deferred=deferred)
         plan = planner.plan(stmt, match)
         if sql is not None:
             if not scans:
@@ -815,7 +815,7 @@ class PostgresRawService:
         generations: dict[str, int],
         metrics: QueryMetrics,
         root: Span,
-        captures: list,
+        deferred: list,
     ) -> Iterator[Batch]:
         """The plan's batches: the one body of every lane, pulled by
         whoever consumes it (the caller of a drained statement, the
@@ -823,9 +823,9 @@ class PostgresRawService:
 
         Takes the table locks on the first pull and holds them across
         its yields.  When it ends — exhausted, failed or closed — it
-        releases them, installs what shared-lock scans deferred, then
-        the MV captures, and frees the scheduler slot taken by
-        :meth:`_open`.  Closing it mid-stream (a consumer hang-up)
+        releases them, installs what the statement deferred
+        (:meth:`_install_deferred`), and frees the scheduler slot taken
+        by :meth:`_open`.  Closing it mid-stream (a consumer hang-up)
         finishes like a scan abandoned by a ``LIMIT``: every scan still
         harvests the row prefix it completed.  An error is stamped with
         the trace id and propagates to the consumer.
@@ -835,12 +835,22 @@ class PostgresRawService:
                 shared, held = self._lock_tables(
                     scans, tables, generations, root
                 )
-                deferred: list[tuple[RawScan, InstallPlan]] = []
                 if shared:
+
+                    def defer(scan: RawScan, learned: InstallPlan) -> None:
+                        # A query that learned nothing takes no write
+                        # lock: every columnstore load or tail comes
+                        # with harvested columns.
+                        if not learned.empty():
+                            deferred.append(
+                                (
+                                    scan.state.entry.name,
+                                    lambda __: install(scan, learned),
+                                )
+                            )
+
                     for scan in scans:
-                        scan._install_sink = (
-                            lambda s, p, acc=deferred: acc.append((s, p))
-                        )
+                        scan._install_sink = defer
                 try:
                     # The locks are held while the plan produces: until
                     # the consumer has pulled the last batch or closed
@@ -851,22 +861,10 @@ class PostgresRawService:
                     pass  # the consumer hung up: finish normally
                 finally:
                     self._release_all(tables, write=not shared, held=held)
-                    if shared:
-                        # Install what the shared-lock scans learned
-                        # (e.g. columns converted on the positional-map
-                        # jump path, combination chunks) under the
-                        # exclusive lock, after the rows are out — also
-                        # when the consumer closed or timed out
-                        # mid-stream: abandoning the consumer never
-                        # wastes what the scan already discovered.
-                        self._install_deferred(deferred)
-
-                # Deferred MV installs: captured aggregates and
-                # tail-merges go resident under the table's write lock,
-                # after the rows are out (same ordering discipline as
-                # the scans' own InstallPlans above).
-                if captures:
-                    self._install_mv_captures(captures, generations)
+                    # After the rows are out — also when the consumer
+                    # closed or timed out mid-stream: abandoning the
+                    # consumer never wastes what the plan discovered.
+                    self._install_deferred(deferred, tables, generations)
 
                 # The table rows the scans covered: all of them, or —
                 # under an MV hit — none, or only those past the entry's
@@ -989,44 +987,36 @@ class PostgresRawService:
             batches.close()
         channel.finish(error)
 
-    def _install_mv_captures(
-        self, captures: list, generations: dict[str, int]
-    ) -> None:
-        """Install captured aggregates and tail-merges under their
-        table's write lock.
-
-        ``captures`` holds ``(table, install)`` pairs.  One is discarded
-        when its table was rewritten or dropped since planning (its
-        generation moved): the batch aggregates a file that no longer
-        exists.  An append since then discards nothing — every batch
-        carries the row count its scan folded, so the entry is simply
-        installed lagging and the next hit merges the tail.
-        """
-        for table, install in captures:
-            lock = self._table_locks.get(table)
-            if lock is None:
-                continue  # table dropped while we were producing
-            with lock.write():
-                state = self._states.get(table)
-                if state is None or state.generation != generations.get(
-                    table
-                ):
-                    continue
-                install(state.generation)
-
     def _install_deferred(
-        self, deferred: list[tuple[RawScan, InstallPlan]]
+        self,
+        deferred: list,
+        tables: list[tuple[str, RawTableState, RWLock]],
+        generations: dict[str, int],
     ) -> None:
-        for scan, install_plan in deferred:
-            # A query that learned nothing takes no write lock: every
-            # columnstore load or tail comes with harvested columns.
-            if install_plan.empty():
-                continue
-            lock = self._table_locks.get(scan.state.entry.name)
-            if lock is None:
-                continue  # table dropped while we were reading
+        """Install what a statement deferred, each under its table's
+        write lock, in the order it was deferred: what the shared-lock
+        scans learned (e.g. columns converted on the positional-map
+        jump path, combination chunks), then the MV folds (captures and
+        tail merges).
+
+        ``deferred`` holds ``(table, install)`` pairs.  One is discarded
+        when its table was dropped or rewritten since planning (its
+        generation moved): it describes a file that no longer exists.
+        An append since then discards nothing — every MV fold carries
+        the row count its scan folded, so the entry is simply installed
+        lagging and the next hit merges the tail.
+        """
+        held = {name: (state, lock) for name, state, lock in tables}
+        for table, step in deferred:
+            if table not in held:
+                continue  # registered after the plan chose its locks
+            state, lock = held[table]
             with lock.write():
-                install(scan, install_plan)
+                if (
+                    self._states.get(table) is state
+                    and state.generation == generations[table]
+                ):
+                    step(state.generation)
         # The scans' sinks hold this list: break the cycle, so they and
         # the entries their plans pin are freed now, not at the next GC.
         deferred.clear()
@@ -1138,7 +1128,7 @@ class PostgresRawService:
         metrics: QueryMetrics,
         scans: list[RawScan],
         mining: bool = True,
-        captures: list | None = None,
+        deferred: list | None = None,
     ) -> Planner:
         def scan_factory(
             table: str,
@@ -1165,7 +1155,7 @@ class PostgresRawService:
             self._stats_provider,
             mv=self.mv,
             mv_mining=mining,
-            mv_captures=captures,
+            mv_captures=deferred,
         )
 
     def _stats_provider(self, table: str) -> StatisticsStore | None:

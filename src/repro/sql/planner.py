@@ -31,10 +31,8 @@ from ..executor.operators import (
     HashAggregate,
     HashJoin,
     Limit,
-    MVCapture,
     MVScan,
     Operator,
-    PARTIALS,
     Project,
     SingleRowSource,
     Sort,
@@ -403,11 +401,10 @@ class Planner:
         #: ``False`` for EXPLAIN: preview serve decisions without
         #: mining the signature or bumping hit/miss counters.
         self.mv_mining = mv_mining
-        #: Capture sink: the service's per-stream list receiving, at
-        #: execution time, ``(table, install)`` pairs — a finished
-        #: capture (:class:`MVCapture`) or tail-merge (:class:`MVScan`)
-        #: to install by calling ``install(generation)`` under the
-        #: table's write lock.
+        #: The service's per-statement deferred list: at execution
+        #: time every :class:`MVScan` fold (a capture or a tail merge)
+        #: appends a ``(table, install)`` pair, installed by calling
+        #: ``install(generation)`` under the table's write lock.
         self.mv_captures = mv_captures
 
     # ------------------------------------------------------------------
@@ -442,14 +439,18 @@ class Planner:
             match = mv_match
             if match is UNSERVED:
                 match = self.mv.serve(mv_sig, record=self.mv_mining)
+            mv_decision = "miss" if match is None else match.kind
+            if match is None:
+                # A capture folds a new, empty entry from row 0 and is
+                # served like a lagging hit; the plan stays a miss.
+                match = self.mv.capture(stmt, mv_sig)
             if match is not None:
                 plan, select_items = self._plan_from_mv(stmt, mv_sig, match)
                 logical = self._finish_plan(
-                    stmt, plan, select_items, mv_sig, match.kind
+                    stmt, plan, select_items, mv_sig, mv_decision
                 )
                 logical.mv_id = match.entry.mv_id
                 return logical
-            mv_decision = "miss"
 
         if not bindings:
             plan: Operator = SingleRowSource()
@@ -462,7 +463,7 @@ class Planner:
         for conjunct in residual:
             plan = Filter(plan, conjunct)
 
-        plan, select_items = self._plan_aggregation(stmt, plan, mv_sig)
+        plan, select_items = self._plan_aggregation(stmt, plan)
         return self._finish_plan(
             stmt, plan, select_items, mv_sig, mv_decision
         )
@@ -826,7 +827,8 @@ class Planner:
     def _plan_from_mv(
         self, stmt: SelectStatement, sig, match
     ) -> tuple[Operator, list[tuple[str, Expression]]]:
-        """Serve an aggregate query from a resident MV — no raw scan.
+        """Serve an aggregate query from an MV: a resident one, or a
+        capture's new entry (:meth:`_mv_scan` folds the rows it lacks).
 
         Exact match: the stored batch *is* the aggregate output; group
         keys and aggregate calls map straight onto its canonical
@@ -862,8 +864,9 @@ class Planner:
         An entry level with its table is served as stored.  A lagging
         one also gets its own aggregate, rebuilt from its recipe over
         the table rows past its watermark; the leaf merges the two and
-        hands the result to the capture sink, whose deferred step
-        advances the entry.
+        hands the result to the deferred list, whose step advances the
+        entry.  A capture is a new entry (no ``mv_id`` yet) lagging
+        from row 0: its stored side is empty and its step installs it.
         """
         entry = match.entry
         if not match.lagging:
@@ -891,28 +894,29 @@ class Planner:
             list(recipe.groups),
             [AggregateSpec(*component) for component in recipe.aggs],
         )
+        new = entry.mv_id is None
+        if new:
+            types = tail.output_types()
+            for (func, __), name in entry.columns.items():
+                if func == "avg":
+                    types[name] = DataType.FLOAT
+            stored = Batch.empty_like(types)
+            label = f"MVCapture [{entry.signature.label()}]"
+        else:
+            types, stored = entry.types, match.batch
+            label = f"MVScan [{label} + tail from row {match.rows}]"
         on_merged = None
         if self.mv_captures is not None:
-            captures, advance = self.mv_captures, self.mv.advance
+            deferred, mv = self.mv_captures, self.mv
 
-            def on_merged(batch: Batch) -> None:
-                captures.append(
-                    (
-                        table,
-                        partial(
-                            advance, entry, match.rows, batch, scan.row_to
-                        ),
-                    )
-                )
+            def on_merged(batch: Batch, seconds: float) -> None:
+                if new:
+                    step = partial(mv.install, entry, batch, seconds)
+                else:
+                    step = partial(mv.advance, entry, match.rows, batch)
+                deferred.append((table, partial(step, scan.row_to)))
 
-        return MVScan(
-            match.batch,
-            entry.types,
-            f"MVScan [{label} + tail from row {match.rows}]",
-            tail,
-            entry.columns,
-            on_merged,
-        )
+        return MVScan(stored, types, label, tail, entry.columns, on_merged)
 
     def _plan_mv_partial(
         self, stmt: SelectStatement, sig, match
@@ -963,92 +967,12 @@ class Planner:
                 )
         return HashAggregate(plan, group_items, specs), mapping
 
-    def _build_aggregate(
-        self,
-        plan: Operator,
-        group_items: list[tuple[str, Expression]],
-        specs: list[AggregateSpec],
-        mv_sig,
-        where: Expression | None = None,
-    ) -> Operator:
-        """The raw aggregate, wrapped in an MVCapture when this
-        signature has earned materialization — in EXPLAIN too, which
-        previews the capture without a sink and never runs it."""
-        if mv_sig is None or not self.mv.should_capture(mv_sig):
-            return HashAggregate(plan, group_items, specs)
-
-        by_key: dict[tuple[str, str], AggregateSpec] = {}
-        for spec in specs:
-            arg_sql = "*" if spec.arg is None else normalize_sql(spec.arg)
-            by_key[(spec.func, arg_sql)] = spec
-
-        def unqualified(expr: Expression | None) -> Expression | None:
-            return None if expr is None else strip_alias(expr)
-
-        layout_aggs: list[tuple[str, str, str, Expression | None]] = []
-        for func, arg in mv_sig.aggs:
-            spec = by_key.get((func, arg))
-            if spec is None:  # normalization drift: skip the capture
-                return HashAggregate(plan, group_items, specs)
-            layout_aggs.append((spec.name, func, arg, unqualified(spec.arg)))
-
-        # Every aggregate also stores its partials (AVG's SUM and COUNT)
-        # so the stored MV can later be re-aggregated; capture-only
-        # partials are dropped before the query's own output.
-        extra: list[AggregateSpec] = []
-        drop: list[str] = []
-        stored = set(mv_sig.aggs)
-        for func, arg in mv_sig.aggs:
-            for part in PARTIALS[func]:
-                if (part, arg) in stored:
-                    continue
-                stored.add((part, arg))
-                part_spec = by_key.get((part, arg))
-                if part_spec is None:
-                    name = f"__mv{len(extra)}"
-                    part_arg = transform_expr(
-                        by_key[(func, arg)].arg, lambda __: None
-                    )
-                    part_spec = AggregateSpec(name, part, part_arg)
-                    extra.append(part_spec)
-                    drop.append(name)
-                layout_aggs.append(
-                    (part_spec.name, part, arg, unqualified(part_spec.arg))
-                )
-
-        agg = HashAggregate(plan, group_items, specs + extra)
-        layout = {
-            "dims": [
-                (name, normalize_sql(expr), unqualified(expr))
-                for name, expr in group_items
-            ],
-            "aggs": layout_aggs,
-            "filters": [unqualified(c) for c in split_conjuncts(where)],
-            "types": agg.output_types(),
-        }
-        captures, install = self.mv_captures, self.mv.install
-        sig = mv_sig
-        # The capture's one scan: how many table rows the batch folds.
-        scan = plan
-        while scan.children():
-            scan = scan.children()[0]
-
-        def sink(batch: Batch, elapsed: float) -> None:
-            captures.append(
-                (
-                    sig.table,
-                    partial(install, sig, layout, batch, elapsed, scan.row_to),
-                )
-            )
-
-        return MVCapture(agg, sink, tuple(drop), f"MVCapture [{sig.label()}]")
-
     # ------------------------------------------------------------------
     # Aggregation.
     # ------------------------------------------------------------------
 
     def _plan_aggregation(
-        self, stmt: SelectStatement, plan: Operator, mv_sig=None
+        self, stmt: SelectStatement, plan: Operator
     ) -> tuple[Operator, list[tuple[str, Expression]]]:
         """Insert HashAggregate when needed; returns rewritten select items."""
         select_items = select_outputs(stmt.items, list(plan.output_types()))
@@ -1092,9 +1016,7 @@ class Planner:
             mapping[signature] = ColumnRef(name)
 
         select_items, having = rewrite_post_agg(stmt, select_items, mapping)
-        plan = self._build_aggregate(
-            plan, group_items, specs, mv_sig, stmt.where
-        )
+        plan = HashAggregate(plan, group_items, specs)
         if having is not None:
             plan = Filter(plan, having)
         return plan, select_items

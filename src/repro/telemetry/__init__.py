@@ -3,7 +3,7 @@
 Three pieces, one facade:
 
 * :class:`MetricsRegistry` (:mod:`repro.telemetry.registry`) —
-  engine-wide counters, gauges and log-bucketed latency histograms,
+  engine-wide counters and log-bucketed latency histograms,
   plus snapshot-time collectors over component stats.  The monitoring
   panels render from its :meth:`~MetricsRegistry.snapshot`.
 * :class:`Tracer` (:mod:`repro.telemetry.trace`) — per-query span
@@ -30,7 +30,7 @@ from .export import (
     snapshot_json,
     write_jsonl,
 )
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import Counter, Histogram, MetricsRegistry
 from .trace import Span, Tracer
 
 
@@ -116,7 +116,6 @@ class Telemetry:
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Span",

@@ -1,4 +1,4 @@
-"""The engine-wide metrics registry: counters, gauges, histograms.
+"""The engine-wide metrics registry: counters and histograms.
 
 Per-query :class:`repro.core.metrics.QueryMetrics` answers *"where did
 this query's time go?"* (the paper's Figure 3).  The registry answers
@@ -55,33 +55,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge:
-    """A value that goes up and down (occupancy, residency)."""
-
-    __slots__ = ("name", "labels", "_lock", "_value")
-
-    def __init__(self, name: str, labels: tuple = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:
@@ -198,7 +171,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._stripes = [threading.Lock() for _ in range(_STRIPES)]
         self._counters: dict[tuple, Counter] = {}
-        self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
         self._collector_lock = threading.Lock()
         self._collectors: dict[str, Callable[[], object]] = {}
@@ -217,9 +189,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, labels: dict[str, str] | None = None):
         return self._instrument(self._counters, Counter, name, labels)
-
-    def gauge(self, name: str, labels: dict[str, str] | None = None):
-        return self._instrument(self._gauges, Gauge, name, labels)
 
     def histogram(self, name: str, labels: dict[str, str] | None = None):
         return self._instrument(self._histograms, Histogram, name, labels)
@@ -262,10 +231,6 @@ class MetricsRegistry:
                 self._flat_name(k): c.value
                 for k, c in sorted(self._counters.items())
             },
-            "gauges": {
-                self._flat_name(k): g.value
-                for k, g in sorted(self._gauges.items())
-            },
             "histograms": {
                 self._flat_name(k): h.snapshot()
                 for k, h in sorted(self._histograms.items())
@@ -286,11 +251,6 @@ class MetricsRegistry:
             lines.append(f"# TYPE {prefix}_{name} counter")
             lines.append(
                 f"{prefix}_{name}{_prom_labels(labels)} {counter.value}"
-            )
-        for (name, labels), gauge in sorted(self._gauges.items()):
-            lines.append(f"# TYPE {prefix}_{name} gauge")
-            lines.append(
-                f"{prefix}_{name}{_prom_labels(labels)} {gauge.value}"
             )
         for (name, labels), hist in sorted(self._histograms.items()):
             lines.append(f"# TYPE {prefix}_{name} histogram")

@@ -218,13 +218,13 @@ def test_two_sessions_merging_the_same_tail_count_it_once(path):
         # Hold A's deferred install until B has planned against the
         # same lagging entry: both merge rows [50, 54).
         b_planned = threading.Event()
-        install = service._install_mv_captures
+        install = service._install_deferred
 
-        def gated(captures, generations):
+        def gated(*args):
             assert b_planned.wait(TIMEOUT)
-            install(captures, generations)
+            install(*args)
 
-        service._install_mv_captures = gated
+        service._install_deferred = gated
         cursor_a = a.cursor(sql)
         rows_a = cursor_a.fetchmany(3)  # merged, not yet installed
         cursor_b = b.cursor(sql)

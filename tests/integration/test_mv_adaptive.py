@@ -265,17 +265,17 @@ def test_capture_installed_after_a_reconciled_append_is_not_stale(csv_path):
         service.register_csv("t", csv_path, SCHEMA)
         a, b = service.session(), service.session()
         a.query(sql)  # pays the rent: the next run captures
-        install = service._install_mv_captures
+        install = service._install_deferred
 
-        def interleaved(captures, generations):
-            service._install_mv_captures = install  # one shot
+        def interleaved(*args):
+            service._install_deferred = install  # one shot
             append_csv_rows(csv_path, [("r0", 1, 1)] * 2, SCHEMA)
             assert b.query("SELECT COUNT(*) FROM t").rows == [
                 (len(ROWS) + 2,)
             ]
-            install(captures, generations)
+            install(*args)
 
-        service._install_mv_captures = interleaved
+        service._install_deferred = interleaved
         assert sum(n for __, n in a.query(sql).rows) == len(ROWS)
         assert service.mv.catalog.entry_count() >= 1
         for __ in range(2):

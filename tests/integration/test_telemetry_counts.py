@@ -97,7 +97,7 @@ def test_mv_invalidation_after_drop_is_counted_once(service):
     assert {n for n in snap["counters"] if n.startswith("mv_")} <= set(
         REGISTRY_ONLY_MV
     )
-    assert not [n for n in snap["gauges"] if n.startswith("mv_")]
+    assert "gauges" not in snap
 
 
 def test_component_counts_are_not_mirrored(service):
@@ -106,7 +106,7 @@ def test_component_counts_are_not_mirrored(service):
     service.build_mv(TILE)
     snap = service.telemetry.snapshot()
     assert not set(MIRRORED) & set(snap["counters"])
-    assert "mv_bytes" not in snap["gauges"]
+    assert "gauges" not in snap
 
     mv = snap["collectors"]["mv"]
     assert mv["builds"] == 1 and mv["build_seconds"] > 0.0

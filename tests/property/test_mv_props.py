@@ -9,13 +9,24 @@ For arbitrary tables, query shapes and fetch styles:
   partial hits and queries the MV tier cannot serve, every answer
   equals a fresh engine's over the grown file — while no MV and no
   promoted column is ever invalidated or rebuilt: their watermarks
-  advance over the appended rows instead.
+  advance over the appended rows instead;
+* a capture — the fold of a new, empty entry from row 0 — answers
+  bit for bit like the raw path (by ``repr``: NULL, NaN, ``±0.0``,
+  1e300 FLOATs, TEXT, INTEGERs past 2**53, empty input, any batch
+  size), as does the hit after it, and every column it stores equals
+  an ``mv_auto=False`` engine's answer to that one aggregate.
 
-Aggregate inputs are integers, so re-aggregated SUM/AVG arithmetic is
-exact and comparison needs no tolerance.
+Aggregate inputs of the append properties are integers, so
+re-aggregated SUM/AVG arithmetic is exact and comparison needs no
+tolerance.
+
+``REPRO_ORACLE_EXAMPLES`` sets the examples per property (defaults
+25 / 30 / 10 / 25; ``make oracle`` runs 250).
 """
 
 from __future__ import annotations
+
+import os
 
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +39,11 @@ from repro.rawio.writer import (
     write_csv,
     write_jsonl,
 )
+
+
+def _examples(default: int) -> int:
+    return int(os.environ.get("REPRO_ORACLE_EXAMPLES", default))
+
 
 SCHEMA = TableSchema.from_pairs(
     [("g", "integer"), ("h", "integer"), ("v", "integer")]
@@ -81,7 +97,7 @@ def reference_rows(path, query):
         return rows
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=_examples(25), deadline=None)
 @given(
     rows=rows_strategy,
     query=st.sampled_from(DERIVED),
@@ -136,7 +152,7 @@ FORMATS = {
 }
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=_examples(30), deadline=None)
 @given(
     rows=nullable_rows,
     steps=st.lists(
@@ -202,7 +218,7 @@ def test_appends_advance_both_tiers_and_stay_correct(
             assert covered <= n_rows
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=_examples(10), deadline=None)
 @given(rows=rows_strategy)
 def test_eviction_and_drop_never_change_answers(tmp_path_factory, rows):
     """A budget too small for the map, the cache and two MVs keeps
@@ -233,3 +249,86 @@ def test_eviction_and_drop_never_change_answers(tmp_path_factory, rows):
         engine.register_csv("t", path, SCHEMA)
         for q in queries:
             assert sorted(engine.query(q).rows) == expected[q]
+
+
+MIXED = TableSchema.from_pairs(
+    [("g", "text"), ("k", "integer"), ("f", "float"), ("v", "integer")]
+)
+#: Few values per column, so groups collide.  ``''`` reads as NULL.
+#: INTEGERs reach past 2**53, yet 60 rows of them cannot overflow a sum.
+mixed_rows = st.lists(
+    st.tuples(
+        st.sampled_from([None, "", "a", "b", "ab", "B", "é"]),
+        st.one_of(st.none(), st.integers(-2, 4)),
+        st.sampled_from(
+            [None, float("nan"), 0.0, -0.0, 1e300, -1e300, 0.1, 2.5, -7.0]
+        ),
+        st.one_of(
+            st.none(), st.integers(-50, 50), st.integers(-(2**58), 2**58)
+        ),
+    ),
+    max_size=60,
+)
+#: Global, grouped (by a column and by an expression), HAVING / ORDER
+#: BY / LIMIT, a WHERE nothing passes, and an aliased table.
+CAPTURED = [
+    "SELECT count(*), sum(v), avg(f), min(g), max(f), count(f) FROM t",
+    "SELECT g, count(f), sum(f), avg(v), min(v), max(g) FROM t GROUP BY g",
+    "SELECT k % 3 AS b, g, max(g), sum(v), avg(f), count(*) FROM t "
+    "GROUP BY k % 3, g",
+    "SELECT g, sum(f) AS s, count(*) AS n, min(f) FROM t GROUP BY g "
+    "HAVING count(*) > 1 ORDER BY n DESC, g LIMIT 3",
+    "SELECT k, avg(v), sum(f) FROM t WHERE f > 0 AND v <> 0 GROUP BY k "
+    "ORDER BY 2 DESC",
+    "SELECT g, avg(f), count(*) FROM t WHERE k > 100 GROUP BY g",
+    "SELECT count(*), sum(f), min(g) FROM t WHERE 1 = 0",
+    "SELECT x.g, sum(x.v), max(x.f) FROM t AS x WHERE x.k >= 0 "
+    "GROUP BY x.g",
+]
+
+
+@settings(max_examples=_examples(25), deadline=None)
+@given(
+    rows=mixed_rows,
+    query=st.sampled_from(CAPTURED),
+    batch_size=st.sampled_from([3, 7, 4096]),
+)
+def test_capture_and_hit_equal_raw_bit_for_bit(
+    tmp_path_factory, rows, query, batch_size
+):
+    path = tmp_path_factory.mktemp("mv_capture") / "t.csv"
+    write_csv(path, rows, MIXED)
+
+    def config(mv_auto):
+        return PostgresRawConfig(
+            batch_size=batch_size, mv_auto=mv_auto, memory_budget=64 << 20
+        )
+
+    with PostgresRaw(config(mv_auto=False)) as ref:
+        ref.register_csv("t", path, MIXED)
+
+        def answer(sql):
+            return repr(ref.query(sql).rows)
+
+        expected = answer(query)
+        with PostgresRaw(config(mv_auto=True)) as engine:
+            engine.register_csv("t", path, MIXED)
+            # (a) raw run (pays the rent), capture run, exact hit.
+            assert repr(engine.query(query).rows) == expected
+            assert "MVCapture [" in engine.explain(query)
+            assert repr(engine.query(query).rows) == expected
+            assert "MVScan [exact]" in engine.explain(query)
+            assert repr(engine.query(query).rows) == expected
+            (entry,) = engine.service.mv.catalog.entries()
+        assert_raw_served(ref)
+
+        # (b) Each stored column, against that one aggregate run raw.
+        dims = [name for name, __ in entry.recipe.groups]
+        where = " AND ".join(entry.signature.filters) or "1 = 1"
+        group_by = f" GROUP BY {', '.join(dims)}" if dims else ""
+        for (func, arg), name in entry.columns.items():
+            select = ", ".join([*dims, f"{func}({arg})"])
+            stored = batch_rows(entry.batch, [*dims, name])
+            assert repr(stored) == answer(
+                f"SELECT {select} FROM t WHERE {where}{group_by}"
+            )

@@ -460,8 +460,11 @@ class TestRentOrBuy:
         monkeypatch.setattr(
             runtime.catalog, "install", lambda entry, bought: False
         )
-        batch = Batch({"n": ColumnVector.from_pylist(DataType.INTEGER, [7])})
-        assert not runtime.install(sig, COUNT_LAYOUT, batch, 1.0, 7, 0)
+        entry = count_capture(runtime, sig)
+        batch = Batch(
+            {"count:*": ColumnVector.from_pylist(DataType.INTEGER, [7])}
+        )
+        assert not runtime.install(entry, batch, 1.0, 7, 0)
         assert not runtime.should_capture(sig)
         # The refused run completes after its install: it pays nothing.
         runtime.observe_completion(sig, None, 1.0)
@@ -478,14 +481,16 @@ class TestRentOrBuy:
         sig = QuerySignature("t", (), (), (("count", "*"),), ())
         runtime.analyzer.note_completed(sig, None, 0.3)
         assert runtime.should_capture(sig)  # the estimate evicts 0.2 s
+        entry = count_capture(runtime, sig)
         rows = entry_bytes // 8
-        batch = Batch({"n": int_vector(rows)})
+        counts = int_vector(rows)
         # ... the real result evicts two entries, 0.2 s + 0.4 s.
-        assert entry_bytes < batch.columns["n"].nbytes() <= 2 * entry_bytes
-        assert runtime.catalog.price(sig, batch.columns["n"].nbytes()) == (
+        assert entry_bytes < counts.nbytes() <= 2 * entry_bytes
+        assert runtime.catalog.price(sig, counts.nbytes()) == (
             pytest.approx(0.6)
         )
-        assert not runtime.install(sig, COUNT_LAYOUT, batch, 1.0, rows, 0)
+        batch = Batch({"count:*": counts})
+        assert not runtime.install(entry, batch, 1.0, rows, 0)
         assert runtime.catalog.entry_count() == 0
         assert runtime.stats()["rejected"] == 1
         assert governor.evictions == 0
@@ -496,11 +501,11 @@ class TestRentOrBuy:
         governor, cache, runtime, entry_bytes = self.full_budget()
         sig = QuerySignature("t", (), (), (("count", "*"),), ())
         runtime.analyzer.note_completed(sig, None, 0.3)
-        small = Batch({"n": int_vector(8)})
-        assert runtime.install(sig, COUNT_LAYOUT, small, 9.0, 8, 0)
+        small = Batch({"count:*": int_vector(8)})
+        assert runtime.install(count_capture(runtime, sig), small, 9.0, 8, 0)
         assert cache.peek(0) is None  # evicted for it: 0.2 s <= 0.3 s
         entry = runtime.find(sig)
-        grown = Batch({"n": int_vector(entry_bytes // 8)})
+        grown = Batch({"count:*": int_vector(entry_bytes // 8)})
         # Growing evicts 0.4 s more than the rent that bought it.
         assert not runtime.advance(entry, 8, grown, 16, 0)
         assert entry.rows == 8 and cache.peek(1) is not None
@@ -524,12 +529,14 @@ class TestRentOrBuy:
         return governor, cache, runtime, entry_bytes
 
 
-COUNT_LAYOUT = {
-    "dims": [],
-    "aggs": [("n", "count", "*", None)],
-    "filters": [],
-    "types": {"n": DataType.INTEGER},
-}
+def count_capture(runtime, sig):
+    """The new entry a capture of ``SELECT count(*) FROM t`` folds
+    into (``sig`` is its signature; its rent must cover it)."""
+    match = runtime.capture(parse_select("SELECT count(*) FROM t"), sig)
+    assert match.kind == "exact" and match.lagging and match.rows == 0
+    assert match.entry.mv_id is None and match.entry.batch is None
+    assert match.entry.columns == {("count", "*"): "count:*"}
+    return match.entry
 
 
 # ----------------------------------------------------------------------
@@ -621,11 +628,12 @@ def test_default_engine_drop_table_forgets_built_mv(tmp_path):
 
 
 def test_fast_aggregate_still_feeds_the_mv_tier(tmp_path):
-    # MVCapture scores an entry by the seconds its HashAggregate child
-    # took, and the columnar aggregate made those ~10x fewer.  Under a
-    # budget that does not bind, every captured aggregate must still be
-    # admitted with a positive benefit, and then be served — a faster
-    # operator may not quietly switch the MV tier off.
+    # A capture scores an entry by the seconds its fold (scan + recipe
+    # aggregate) took, and the columnar aggregate made those ~10x
+    # fewer.  Under a budget that does not bind, every captured
+    # aggregate must still be admitted with a positive benefit, and
+    # then be served — a faster operator may not quietly switch the MV
+    # tier off.
     path = tmp_path / "t.csv"
     write_csv(path, ROWS, SCHEMA)
     config = PostgresRawConfig(mv_auto=True, memory_budget=256 << 20)

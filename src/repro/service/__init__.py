@@ -12,8 +12,9 @@ under concurrency:
   only admission path: one ``memory_budget`` arbitrated across every
   table's map chunks, cache entries, aggregates and promoted columns on
   benefit-per-byte;
-* :mod:`repro.service.plan_cache` — the engine-wide cache of scan-free
-  plans by SQL text (repeat MV hits skip parser and planner);
+* :mod:`repro.service.plan_cache` — the engine-wide cache of statement
+  templates by shape (a repeated shape with new WHERE values skips
+  lexer, parser and planner);
 * :mod:`repro.service.service` — :class:`PostgresRawService` (the
   thread-safe engine) and :class:`Session` (per-client handles).
 

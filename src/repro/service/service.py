@@ -40,9 +40,11 @@ makes that sharing safe under concurrency:
   holding no lock.  On every lane a ``drop_table``/rewrite that races
   an opening statement is generation-guarded into
   :class:`repro.errors.CursorInvalidError`.
-* **Plan cache** (:mod:`repro.service.plan_cache`) — scan-free plans
-  are cached by SQL text for every session; a repeat skips lexer,
-  parser and planner and costs one MV serve decision.
+* **Plan cache** (:mod:`repro.service.plan_cache`) — statement
+  templates keyed by shape (the text with its literals lifted out),
+  shared by every session: a statement repeating a shape with new
+  WHERE values binds them into the cached plan and skips lexer, parser
+  and planner; an aggregate's still costs one MV serve decision.
 * **One memory governor** — every table's map chunks, cache entries,
   materialized aggregates and promoted columns are admitted under one
   ``memory_budget`` and compete for it on benefit-per-byte
@@ -86,13 +88,14 @@ from ..mv import MVRuntime
 from ..rawio.dialect import CsvDialect, DEFAULT_DIALECT
 from ..rawio.sniffer import infer_schema
 from ..sql.ast import Expression, SelectStatement
+from ..sql.lexer import lift_literals
 from ..sql.parser import parse_select
 from ..sql.planner import UNSERVED, LogicalPlan, Planner
 from ..telemetry import Telemetry
 from ..telemetry.trace import Span
 from .governor import MemoryGovernor
 from .locks import RWLock
-from .plan_cache import CachedPlan, PlanCache
+from .plan_cache import PlanCache, Template
 from .scheduler import QueryScheduler
 from .streaming import BatchChannel
 
@@ -106,6 +109,13 @@ def _drain(cursor: Cursor) -> QueryResult:
     except BaseException:
         cursor.close()
         raise
+
+
+def _same_values(read: tuple, lifted: tuple) -> bool:
+    """Did the lexer read the literals the lift did (type for type)?"""
+    return read == lifted and all(
+        type(a) is type(b) for a, b in zip(read, lifted)
+    )
 
 
 def _produced(batches: Iterator[Batch]) -> Iterator[Batch]:
@@ -286,7 +296,7 @@ class PostgresRawService:
         self.cursors_finished = 0
         self.cursors_abandoned = 0
         self._last_ttfb: float | None = None
-        #: Scan-free plans by SQL text, shared by every session.
+        #: Statement templates by shape, shared by every session.
         self.plan_cache = PlanCache(registry)
 
     # ------------------------------------------------------------------
@@ -548,30 +558,43 @@ class PostgresRawService:
         on_close: Callable[[Cursor], None] | None = None,
         drained: bool = False,
     ) -> Cursor:
-        """The one entry point every text API goes through.  A
-        plan-cache hit skips lexer, parser and planner; a miss parses,
-        and the plan is cached when it turns out scan-free."""
-        cached = self.plan_cache.get(sql)
-        stmt = parse_select(sql) if cached is None else cached.stmt
+        """The one entry point every text API goes through.
+
+        One pass lifts the literals out of ``sql``
+        (:func:`repro.sql.lexer.lift_literals`); a template cached for
+        its shape skips lexer, parser and planner.  A miss parses, and
+        its plan is cached as a template when it can be (see
+        :meth:`_plan`) — not when the lexer read other literals than
+        the lift did.
+        """
+        lifted = lift_literals(sql)
+        template = self.plan_cache.get(lifted)
+        stmt = None
+        if template is None:
+            stmt = parse_select(sql)
+            if lifted is not None and not _same_values(
+                stmt.literals, lifted[1]
+            ):
+                lifted = None
         return self._open(
             stmt,
             session_id,
             on_close,
             sql,
-            cached=cached,
-            from_text=True,
+            lifted=lifted,
+            template=template,
             drained=drained,
         )
 
     def _open(
         self,
-        stmt: SelectStatement,
+        stmt: SelectStatement | None,
         session_id: object,
         on_close: Callable[[Cursor], None] | None = None,
         sql: str | None = None,
         *,
-        cached: CachedPlan | None = None,
-        from_text: bool = False,
+        lifted: tuple[str, tuple] | None = None,
+        template: Template | None = None,
         drained: bool = False,
     ) -> Cursor:
         """Admit and plan one statement; return the cursor over its
@@ -583,9 +606,9 @@ class PostgresRawService:
         whatever the plan scans.  Otherwise the lane is chosen as
         :meth:`execute_stream` describes.
 
-        ``from_text`` marks ``sql`` as the exact text of ``stmt`` (see
-        :meth:`_open_text`): only then is a scan-free plan cached.
-        ``cached`` is that text's plan-cache entry, if any.
+        ``lifted`` is ``sql`` lifted (see :meth:`_open_text`): only a
+        statement given as text is cached.  ``template`` is its shape's
+        plan-cache entry, if any, and then ``stmt`` is ``None``.
         """
         if self._closed:
             raise ServiceError("service is closed")
@@ -603,8 +626,13 @@ class PostgresRawService:
             tracer.finish(root, error=repr(exc))
             raise
         try:
+            names = (
+                template.tables
+                if template is not None
+                else sorted(self._referenced_tables(stmt))
+            )
             tables: list[tuple[str, RawTableState, RWLock]] = []
-            for name in sorted(self._referenced_tables(stmt)):
+            for name in names:
                 state = self._states.get(name)
                 lock = self._table_locks.get(name)
                 if state is None or lock is None:
@@ -626,8 +654,9 @@ class PostgresRawService:
             with tracer.span(root, "plan"):
                 plan = self._plan(
                     stmt,
-                    sql if from_text else None,
-                    cached,
+                    lifted,
+                    template,
+                    tuple(names),
                     metrics,
                     scans,
                     root,
@@ -703,39 +732,57 @@ class PostgresRawService:
 
     def _plan(
         self,
-        stmt: SelectStatement,
-        sql: str | None,
-        cached: CachedPlan | None,
+        stmt: SelectStatement | None,
+        lifted: tuple[str, tuple] | None,
+        template: Template | None,
+        tables: tuple[str, ...],
         metrics: QueryMetrics,
         scans: list[RawScan],
         root: Span,
         deferred: list,
     ) -> LogicalPlan:
-        """Plan ``stmt``, through the plan cache when ``sql`` is its
-        exact text.
+        """Plan one statement: ``stmt``, or ``lifted``'s values bound
+        into ``template``.  The root span's ``plan`` attribute says
+        which: ``"template"`` or ``"planned"``.
 
-        A cached shape is reused when the statement's serve verdict
-        still names the entry (and kind) it was planned over, level
-        with its table; otherwise that verdict is handed to the planner
-        — ``serve`` runs once per statement either way, so mining, hit
-        counters and capture timing do not depend on the cache.  The
-        new plan replaces the entry when it is scan-free, else the
-        entry is dropped.
+        An MV-eligible shape serves the bound statement's signature
+        first — ``serve`` runs once per statement, cached or not, so
+        mining, hit counters and capture timing do not depend on the
+        cache.  A raw template takes a miss its rent does not capture;
+        a level MV hit's template takes a verdict that still names its
+        entry.  Any other verdict plans the bound statement (still not
+        re-parsed), and a stale MV hit's template is dropped.  A plan
+        for a statement given as text is cached as its template.
         """
+        epoch = self.plan_cache.epoch  # before the catalog is read
         match = UNSERVED
-        if cached is not None:
-            sig = cached.shape.mv_signature
-            match = None if sig is None else self.mv.serve(sig)
-            plan = cached.bind(match)
+        if template is not None:
+            values = lifted[1]
+            sig = template.shape.mv_signature
+            scan_factory = self._scan_factory(metrics, scans)
+            if sig is None:  # nothing to serve: the template fits
+                root.attrs["plan"] = "template"
+                return template.bind(values, scan_factory)
+            stmt = template.statement(values)
+            if template.slots:
+                sig = self.mv.signature_of(stmt, sig.table)
+            match = self.mv.serve(sig)
+            if template.reads_mv:
+                plan = template.serving(match)
+            elif match is None and not self.mv.should_capture(sig):
+                plan = template.bind(values, scan_factory, sig)
+            else:
+                plan = None
             if plan is not None:
+                root.attrs["plan"] = "template"
                 return plan
+            if template.reads_mv:
+                self.plan_cache.discard(template)
         planner = self._planner(metrics, scans, deferred=deferred)
-        plan = planner.plan(stmt, match)
-        if sql is not None:
-            if not scans:
-                self.plan_cache.put(sql, stmt, plan)
-            elif cached is not None:
-                self.plan_cache.discard(sql, cached)
+        plan = planner.plan(stmt, match, resolved=template is not None)
+        root.attrs["plan"] = "planned"
+        if lifted is not None:
+            self.plan_cache.put(lifted, tables, plan, scans, epoch)
         return plan
 
     def explain(self, sql: str) -> str:
@@ -1078,7 +1125,10 @@ class PostgresRawService:
             handle.root, rows=cursor.rows_fetched
         )
         self.telemetry.note_query(
-            cursor.metrics, trace_id=handle.root.trace_id, sql=handle.sql
+            cursor.metrics,
+            trace_id=handle.root.trace_id,
+            sql=handle.sql,
+            plan=handle.root.attrs.get("plan"),
         )
         if handle.mv_signature is not None:
             # Workload mining, cost half: the observed seconds of this
@@ -1123,13 +1173,12 @@ class PostgresRawService:
                     "lock_hold_seconds", {"table": name, "mode": mode}
                 ).observe(now - held[i])
 
-    def _planner(
-        self,
-        metrics: QueryMetrics,
-        scans: list[RawScan],
-        mining: bool = True,
-        deferred: list | None = None,
-    ) -> Planner:
+    def _scan_factory(
+        self, metrics: QueryMetrics, scans: list[RawScan]
+    ) -> Callable[..., RawScan]:
+        """One statement's scan factory: each scan it builds charges
+        ``metrics`` and is appended to ``scans``."""
+
         def scan_factory(
             table: str,
             columns: list[str],
@@ -1149,9 +1198,18 @@ class PostgresRawService:
             scans.append(scan)
             return scan
 
+        return scan_factory
+
+    def _planner(
+        self,
+        metrics: QueryMetrics,
+        scans: list[RawScan],
+        mining: bool = True,
+        deferred: list | None = None,
+    ) -> Planner:
         return Planner(
             self.catalog,
-            scan_factory,
+            self._scan_factory(metrics, scans),
             self._stats_provider,
             mv=self.mv,
             mv_mining=mining,

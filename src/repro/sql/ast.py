@@ -48,10 +48,16 @@ class ColumnRef(Expression):
 
 @dataclass(eq=False)
 class Literal(Expression):
-    """A constant; ``dtype=None`` encodes the NULL literal."""
+    """A constant; ``dtype=None`` encodes the NULL literal.
+
+    ``slot`` is the index of the literal token a WHERE-clause literal
+    was read from (the statement's ``k``-th number or string), which a
+    plan-cache template binds a new value into; ``None`` elsewhere.
+    """
 
     value: object
     dtype: DataType | None
+    slot: int | None = None
 
     @classmethod
     def null(cls) -> "Literal":
@@ -168,6 +174,9 @@ class SelectStatement:
     order_by: list[OrderItem] = field(default_factory=list)
     limit: int | None = None
     offset: int | None = None
+    #: The values of the statement's literal tokens (numbers and
+    #: strings, in order), as the parser read them.
+    literals: tuple = field(default=(), compare=False, repr=False)
 
 
 # ----------------------------------------------------------------------

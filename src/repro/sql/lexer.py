@@ -1,8 +1,9 @@
-"""SQL tokenizer."""
+"""SQL tokenizer, and the literal lift the plan cache keys statements by."""
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from ..errors import SQLSyntaxError
@@ -148,3 +149,80 @@ def _scan_string(sql: str, start: int) -> tuple[str, int]:
             continue
         pieces.append(sql[i:end])
         return "".join(pieces), end + 1
+
+
+def number_value(text: str, position: int = -1) -> int | float:
+    """The value of a NUMBER token: FLOAT when it has a dot or an
+    exponent, else INTEGER (any size: the parser judges the range after
+    folding a unary minus)."""
+    try:
+        if any(c in text for c in ".eE"):
+            return float(text)
+        return int(text)
+    except ValueError:
+        raise SQLSyntaxError(f"malformed number {text!r}", position) from None
+
+
+#: What stands for each lifted literal in a shape, by its value's type.
+#: NUL never appears in a statement :func:`lift_literals` lifts.
+SHAPE_MARKS = {int: "\x00i", float: "\x00f", str: "\x00s"}
+
+#: One left-to-right pass that finds every literal where
+#: :func:`tokenize_sql` does: a ``--`` comment and a ``"quoted
+#: identifier"`` are kept whole, a string may double its quote, and a
+#: number is a digit (or a dot before one) running on over digits, dots
+#: and exponents — but a digit right after a letter, digit or ``_`` is
+#: inside an identifier (``a7``).  An unterminated string and a NUL make
+#: the statement unliftable.
+_LIFT = re.compile(
+    r"""
+    (?P<kept> --[^\n]* | "[^"]*" )
+  | (?P<string> '(?:[^']|'')*' )
+  | (?P<number> (?:(?<!\w)\d|\.\d)(?:[\d.]|[eE][+-]?)* )
+  | (?P<bad> ['\x00] )
+    """,
+    re.VERBOSE,
+)
+
+#: Text without a digit, a quote or a NUL holds no literal.
+_NO_LITERAL = re.compile(r"[^\d'\x00]*")
+
+_INT64_MAX = 2**63 - 1
+
+
+def lift_literals(sql: str) -> tuple[str, tuple] | None:
+    """``(shape, values)``: ``sql`` with each numeric or single-quoted
+    string literal replaced by its :data:`SHAPE_MARKS` mark, and the
+    literals' values in order (as the parser reads them: ``int``,
+    ``float`` or ``str``).  Statements that differ only in their
+    literals share a shape.
+
+    ``None`` when the text cannot be lifted: an unterminated string, a
+    malformed number, an integer outside int64, or a NUL.  Such a
+    statement is parsed every time (and its error raised there).
+    """
+    if _NO_LITERAL.fullmatch(sql):
+        return sql, ()
+    values: list = []
+
+    def lift(match: re.Match) -> str:
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "kept":
+            return text
+        if kind == "string":
+            value: object = text[1:-1].replace("''", "'")
+        elif kind == "number":
+            value = number_value(text)
+            if isinstance(value, int) and value > _INT64_MAX:
+                raise SQLSyntaxError("integer literal out of range")
+        else:
+            raise SQLSyntaxError("unliftable text")
+        values.append(value)
+        return SHAPE_MARKS[type(value)]
+
+    try:
+        shape = _LIFT.sub(lift, sql)
+    except SQLSyntaxError:
+        return None
+    return shape, tuple(values)

@@ -38,15 +38,33 @@ from .ast import (
     TableRef,
     UnaryOp,
 )
-from .lexer import Token, TokenKind, tokenize_sql
+from .lexer import Token, TokenKind, number_value, tokenize_sql
 
 _COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        #: Token index -> its literal index ``k``, and each literal's
+        #: value (a malformed number fails here, at its position).
+        self._literal_index: dict[int, int] = {}
+        values: list = []
+        for i, token in enumerate(tokens):
+            if token.kind is TokenKind.NUMBER:
+                value = number_value(token.text, token.position)
+            elif token.kind is TokenKind.STRING:
+                value = token.text
+            else:
+                continue
+            self._literal_index[i] = len(values)
+            values.append(value)
+        self._literals = tuple(values)
+        #: Whether literals read now get their slot (the WHERE clause).
+        self._slotted = False
 
     # -- token plumbing -------------------------------------------------
 
@@ -104,7 +122,9 @@ class _Parser:
         while self._accept_op(","):
             items.append(self._parse_select_item())
 
-        stmt = SelectStatement(items=items, distinct=distinct)
+        stmt = SelectStatement(
+            items=items, distinct=distinct, literals=self._literals
+        )
         if self._accept_keyword("from"):
             stmt.from_table = self._parse_table_ref()
             while True:
@@ -113,7 +133,9 @@ class _Parser:
                     break
                 stmt.joins.append(join)
         if self._accept_keyword("where"):
+            self._slotted = True
             stmt.where = self._parse_expr()
+            self._slotted = False
         if self._accept_keyword("group"):
             self._expect_keyword("by")
             stmt.group_by.append(self._parse_expr())
@@ -285,8 +307,23 @@ class _Parser:
                 return left
 
     def _parse_unary(self) -> Expression:
+        """A unary chain, whose INTEGER literal (after folding every
+        minus into it) must fit int64."""
+        start = self._peek()
+        expr = self._parse_signed()
+        if (
+            isinstance(expr, Literal)
+            and expr.dtype is DataType.INTEGER
+            and not _INT64_MIN <= expr.value <= _INT64_MAX
+        ):
+            raise SQLSyntaxError(
+                "integer literal out of range", start.position
+            )
+        return expr
+
+    def _parse_signed(self) -> Expression:
         if self._accept_op("-"):
-            operand = self._parse_unary()
+            operand = self._parse_signed()
             if isinstance(operand, Literal) and operand.dtype in (
                 DataType.INTEGER,
                 DataType.FLOAT,
@@ -294,18 +331,21 @@ class _Parser:
                 return Literal(-operand.value, operand.dtype)
             return UnaryOp("-", operand)
         if self._accept_op("+"):
-            return self._parse_unary()
+            return self._parse_signed()
         return self._parse_primary()
 
     def _parse_primary(self) -> Expression:
         token = self._advance()
-        if token.kind is TokenKind.NUMBER:
-            text = token.text
-            if any(c in text for c in ".eE"):
-                return Literal(float(text), DataType.FLOAT)
-            return Literal(int(text), DataType.INTEGER)
-        if token.kind is TokenKind.STRING:
-            return Literal(token.text, DataType.TEXT)
+        if token.kind in (TokenKind.NUMBER, TokenKind.STRING):
+            k = self._literal_index[self._pos - 1]
+            value = self._literals[k]
+            if token.kind is TokenKind.STRING:
+                dtype = DataType.TEXT
+            elif isinstance(value, float):
+                dtype = DataType.FLOAT
+            else:
+                dtype = DataType.INTEGER
+            return Literal(value, dtype, k if self._slotted else None)
         if token.is_keyword("null"):
             return Literal.null()
         if token.is_keyword("true"):

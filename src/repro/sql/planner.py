@@ -119,7 +119,7 @@ def transform_expr(
     if isinstance(expr, ColumnRef):
         return ColumnRef(expr.name, expr.table)
     if isinstance(expr, Literal):
-        return Literal(expr.value, expr.dtype)
+        return Literal(expr.value, expr.dtype, expr.slot)
     return expr
 
 
@@ -322,6 +322,26 @@ def plan_tail(
 UNSERVED = object()
 
 
+def _copy_operator(
+    op: Operator, bind: Callable[[Operator], Operator | dict | None]
+) -> Operator:
+    """:meth:`LogicalPlan.rebound`'s walk (a module function: a nested
+    recursive one is a reference cycle, which would hold what ``bind``
+    builds until the next collection)."""
+    bound = bind(op)
+    if isinstance(bound, Operator):
+        return bound
+    clone = object.__new__(type(op))
+    attrs = clone.__dict__
+    attrs.update(vars(op))
+    for name, value in attrs.items():
+        if isinstance(value, Operator):
+            attrs[name] = _copy_operator(value, bind)
+    if bound:
+        attrs.update(bound)
+    return clone
+
+
 @dataclass
 class LogicalPlan:
     """The planner's product: an executable tree plus output metadata."""
@@ -335,30 +355,29 @@ class LogicalPlan:
     mv_decision: str | None = None
     #: The serving entry's ``mv_id`` when the plan reads an MV.
     mv_id: int | None = None
+    #: The resolved statement the plan was built from (column refs
+    #: qualified, DATE text coerced, ORDER BY keys substituted).
+    stmt: SelectStatement | None = None
+    #: Whether the statement's literal values chose the plan's shape,
+    #: not only its expressions: it reads an MV (its filters matched
+    #: the entry) or statistics ordered its joins.
+    literal_shaped: bool = False
 
-    def rebound(self, batch: Batch | None) -> "LogicalPlan":
-        """This plan with its MV leaf serving ``batch``.
+    def rebound(
+        self, bind: Callable[[Operator], Operator | dict | None]
+    ) -> "LogicalPlan":
+        """A copy of this plan, operator by operator.
 
-        Only the single-child chain from the root to the leaf is copied
-        (shallowly: operators keep no execution state), so a cached
-        shape is never mutated by a hit and holds no batch itself.
+        ``bind(op)`` returns an operator to put in ``op``'s place, or a
+        dict of attributes to give its copy, or ``None``.  Every
+        operator not replaced is copied shallowly (operators keep no
+        execution state) over copies of its children, so a cached plan
+        is never mutated by what is bound into a copy of it.
         """
 
-        def bind(op: Operator) -> Operator:
-            if isinstance(op, MVScan):
-                return op.serving(batch)
-            clone = object.__new__(type(op))
-            clone.__dict__.update(vars(op), child=bind(op.child))
-            return clone
-
-        return LogicalPlan(
-            bind(self.root),
-            self.output_names,
-            self.output_types,
-            self.mv_signature,
-            self.mv_decision,
-            self.mv_id,
-        )
+        clone = object.__new__(LogicalPlan)
+        clone.__dict__.update(vars(self), root=_copy_operator(self.root, bind))
+        return clone
 
     def explain(self) -> str:
         text = "\n".join(self.root.explain_lines())
@@ -412,7 +431,10 @@ class Planner:
     # ------------------------------------------------------------------
 
     def plan(
-        self, stmt: SelectStatement, mv_match: object = UNSERVED
+        self,
+        stmt: SelectStatement,
+        mv_match: object = UNSERVED,
+        resolved: bool = False,
     ) -> LogicalPlan:
         """Plan ``stmt``, which is left unchanged (one parsed statement
         may be planned any number of times).
@@ -420,7 +442,8 @@ class Planner:
         ``mv_match`` is a serve verdict the caller already obtained for
         this statement's signature (an ``MVMatch`` or ``None``): the
         plan cache's hit path, which must not serve — and so mine — a
-        statement twice.
+        statement twice.  ``resolved`` marks ``stmt`` as a plan's
+        resolved statement (:attr:`LogicalPlan.stmt`), planned as is.
         """
         bindings = self._bind_tables(stmt)
         types_full = {
@@ -429,7 +452,14 @@ class Planner:
             for c in b.schema
         }
 
-        stmt = self._resolve_statement(stmt, bindings, types_full)
+        if not resolved:
+            stmt = self._resolve_statement(stmt, bindings, types_full)
+        resolved_stmt = stmt
+        # Planning rewrites ORDER BY keys in place: on a copy of them.
+        stmt = dataclasses.replace(
+            stmt,
+            order_by=[OrderItem(o.expr, o.ascending) for o in stmt.order_by],
+        )
 
         mv_sig = None
         mv_decision = None
@@ -450,6 +480,8 @@ class Planner:
                     stmt, plan, select_items, mv_sig, mv_decision
                 )
                 logical.mv_id = match.entry.mv_id
+                logical.stmt = resolved_stmt
+                logical.literal_shaped = True
                 return logical
 
         if not bindings:
@@ -464,9 +496,12 @@ class Planner:
             plan = Filter(plan, conjunct)
 
         plan, select_items = self._plan_aggregation(stmt, plan)
-        return self._finish_plan(
+        logical = self._finish_plan(
             stmt, plan, select_items, mv_sig, mv_decision
         )
+        logical.stmt = resolved_stmt
+        logical.literal_shaped = self._orders_by_statistics(stmt, bindings)
+        return logical
 
     def _finish_plan(
         self,
@@ -665,6 +700,20 @@ class Planner:
             current_estimate = max(current_estimate, new_estimate)
             joined.add(alias)
         return plan, residual
+
+    def _orders_by_statistics(
+        self, stmt: SelectStatement, bindings: list[_TableBinding]
+    ) -> bool:
+        """Whether :meth:`_plan_from_where` ordered joins by estimates
+        read off statistics (which weigh the filters' literals)."""
+        return (
+            len(bindings) > 1
+            and not any(j.kind == "left" for j in stmt.joins)
+            and any(
+                self.stats_provider(b.table_name) is not None
+                for b in bindings
+            )
+        )
 
     def _plan_left_joins(
         self, stmt: SelectStatement, bindings: list[_TableBinding]

@@ -57,9 +57,11 @@ class Telemetry:
     # Per-query accounting (called by the service at cursor retire).
     # ------------------------------------------------------------------
 
-    def note_query(self, metrics, trace_id=None, sql=None) -> None:
+    def note_query(self, metrics, trace_id=None, sql=None, plan=None) -> None:
         """Fold one finished query into the aggregate instruments and,
-        past the ``slow_query_s`` threshold, the slow-query log."""
+        past the ``slow_query_s`` threshold, the slow-query log.
+        ``plan`` says whether the statement was ``"planned"`` or bound
+        into a cached ``"template"``."""
         reg = self.registry
         reg.counter("queries_total").inc()
         reg.histogram("query_latency_seconds").observe(metrics.total_seconds)
@@ -79,6 +81,7 @@ class Telemetry:
             "unix_s": round(time.time(), 3),
             "trace_id": trace_id,
             "sql": sql,
+            "plan": plan,
             "total_seconds": metrics.total_seconds,
             "time_to_first_batch": metrics.time_to_first_batch,
             "rows_scanned": metrics.rows_scanned,

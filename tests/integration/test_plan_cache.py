@@ -1,8 +1,10 @@
-"""Plan cache + inline lane: repeat scan-free statements.
+"""Plan cache + inline lane: repeat statement shapes.
 
-A statement whose plan scans no raw file (a level MV hit, a FROM-less
-SELECT) runs on the caller's thread and is cached by its SQL text; a
-repeat skips lexer, parser and planner.  Covered here:
+Every statement given as text is cached as a template of its shape (its
+text with the literals lifted out); a repeat of the shape, with new
+WHERE values or the same ones, skips lexer, parser and planner.  A plan
+that scans no raw file (a level MV hit, a FROM-less SELECT) runs on the
+caller's thread.  Covered here:
 
 * planning leaves its input statement unchanged, so one parsed
   statement plans any number of times (regression: ORDER BY over an
@@ -12,9 +14,14 @@ repeat skips lexer, parser and planner.  Covered here:
 * cached answers equal freshly parsed ones — and an MV-less oracle —
   across MV install, appends (lagging → tail-merge → level),
   eviction, rewrite and drop + re-register with another schema;
+* a template binds new WHERE values, and only those: every other
+  literal (LIMIT, a folded minus, LIKE, text coerced to a date, select
+  items) keys a template of its own;
+* the lift finds the literals the lexer does;
 * ``serve`` runs once per statement: mining, hit counters and capture
-  timing do not depend on the cache;
-* a cached shape keeps no evicted MV batch alive;
+  timing do not depend on the cache, also when every run's WHERE
+  values are new;
+* a template keeps no evicted MV batch and no raw scan alive;
 * an inline cursor holds no lock once returned, and closes cleanly;
 * an 8-thread hammer with a concurrent appender stays correct and
   leaks no slot, lock or governed byte.
@@ -34,11 +41,19 @@ from hypothesis import given, settings, strategies as st
 from repro import PostgresRaw, PostgresRawConfig, PostgresRawService
 from repro.catalog.schema import TableSchema
 from repro.config import DEFAULT_MEMORY_BUDGET
+from repro.datatypes import parse_date
 from repro.errors import UpdateConflictError
 from repro.executor.operators import SingleRowSource
 from repro.rawio.writer import append_csv_rows, write_csv
+from repro.errors import SQLSyntaxError
 from repro.service.plan_cache import PlanCache
 from repro.sql.ast import select_to_sql, walk_expr
+from repro.sql.lexer import (
+    TokenKind,
+    lift_literals,
+    number_value,
+    tokenize_sql,
+)
 from repro.sql.parser import parse_select
 from repro.sql.planner import LogicalPlan, Planner
 from repro.telemetry.registry import MetricsRegistry
@@ -195,18 +210,23 @@ class TestHitPath:
             assert counter("inline_queries_total").value == inline + 3
             assert last_root(engine)["attrs"]["lane"] == "inline"
 
-    def test_scanning_plans_are_threaded_and_never_cached(self, csv_path):
+    def test_scanning_plans_are_threaded_and_cached(self, csv_path):
         with PostgresRaw(config()) as engine:
             engine.register_csv("t", csv_path, SCHEMA)
             cache = engine.service.plan_cache
-            sql = "SELECT g, v FROM t WHERE v > 10"
-            for __ in range(3):
+            counter = engine.telemetry.registry.counter
+            for bound in (10, 11, 12):
+                sql = f"SELECT g, v FROM t WHERE v > {bound}"
+                want = oracle(csv_path, SCHEMA, sql)
                 with engine.query_stream(sql) as cursor:
-                    cursor.fetchall()
+                    assert sorted(cursor.fetchall().rows) == sorted(want)
                 assert last_root(engine)["attrs"]["lane"] == "threaded"
                 engine.query(sql)  # drained: on the caller's thread
                 assert last_root(engine)["attrs"]["lane"] == "inline"
-            assert len(cache) == 0
+                assert last_root(engine)["attrs"]["plan"] == "template"
+            assert len(cache) == 1
+            assert "SELECT g, v FROM t WHERE v > 99" in cache
+            assert counter("plan_cache_hits_total").value == 5
             assert engine.query(CONSTANT).rows == [(2,)]
             assert CONSTANT in cache
             assert engine.query(CONSTANT).rows == [(2,)]
@@ -224,11 +244,13 @@ class TestHitPath:
                 counter("plan_cache_hits_total").value,
                 counter("plan_cache_misses_total").value,
             )
+            cached = len(engine.service.plan_cache)
             text = engine.explain(TILE)
             assert "MVScan [exact]" in text
             assert text.endswith("-- lane: inline (no raw scan)")
             assert "lane" not in engine.explain("SELECT g FROM t")
-            assert len(engine.service.plan_cache) == 0
+            assert len(engine.service.plan_cache) == cached
+            assert "SELECT g FROM t" not in engine.service.plan_cache
             assert (
                 counter("plan_cache_hits_total").value,
                 counter("plan_cache_misses_total").value,
@@ -239,11 +261,20 @@ class TestHitPath:
     ):
         """The same statement stream through the text API (plan cache)
         and through pre-parsed statements (never cached) mines, counts
-        and captures identically."""
+        and captures identically — also for aggregates whose WHERE
+        values are new on most runs, bound into one template."""
         other = tmp_path / "u.csv"
         write_csv(other, ROWS, SCHEMA)
         script = [TILE, GLOBAL, TOP, TILE, GLOBAL, "append", TILE]
         script += [GLOBAL, TILE, TOP, ORDINAL, ORDINAL, ORDINAL, TOP]
+        script += [
+            f"SELECT g, COUNT(*), SUM(v) FROM t WHERE v < {k} GROUP BY g"
+            for k in (5, 6, 7, 5, 5, 8, 5, 9)
+        ]
+        script += [
+            f"SELECT SUM(v) FROM t WHERE h = {k} AND v > {k + 30}"
+            for k in (0, 1, 2, 1, 1, 1)
+        ]
         trails = []
         for path, text in ((csv_path, True), (other, False)):
             with PostgresRaw(config()) as engine:
@@ -278,9 +309,16 @@ class TestHitPath:
                             mv.catalog.builds,
                         )
                     )
-                trails.append(trail)
+                mined = {
+                    sig: (st.repeats, st.raw_runs, st.served_runs, st.unpaid)
+                    for sig, st in mv.analyzer._stats.items()
+                }
+                trails.append((trail, mined))
                 if text:
                     assert counter("plan_cache_hits_total").value > 0
+                    roots = engine.telemetry.tracer.recent_traces(40)
+                    plans = [t["root"]["attrs"]["plan"] for t in roots]
+                    assert plans.count("template") >= 8
         assert trails[0] == trails[1]
 
 
@@ -540,19 +578,286 @@ def test_plan_cache_is_a_bounded_lru():
     registry = MetricsRegistry()
     cache = PlanCache(registry, capacity=2)
     shape = LogicalPlan(SingleRowSource(), [], {})
-    for sql in ("a", "b"):
-        cache.put(sql, parse_select("SELECT 1"), shape)
-    assert cache.get("a") is not None  # "b" is now least recent
-    cache.put("c", parse_select("SELECT 1"), shape)
-    assert "b" not in cache and "a" in cache and "c" in cache
-    assert cache.get("b") is None
+
+    def put(sql):
+        cache.put(lift_literals(sql), (), shape, [], cache.epoch)
+
+    put("SELECT 1")  # a literal outside WHERE is fixed: one per value
+    put("SELECT 2")
+    assert cache.get(lift_literals("SELECT 1")) is not None
+    put("SELECT 3")  # "SELECT 2" was the least recent
+    assert "SELECT 2" not in cache and "SELECT 1" in cache
+    assert "SELECT 3" in cache
+    assert cache.get(lift_literals("SELECT 2")) is None
+    assert cache.get(None) is None  # unliftable text always misses
     counter = registry.counter
     assert counter("plan_cache_evictions_total").value == 1
     assert counter("plan_cache_hits_total").value == 1
-    assert counter("plan_cache_misses_total").value == 1
-    stale = cache.get("a")
-    cache.put("a", parse_select("SELECT 2"), shape)
-    cache.discard("a", stale)  # replaced since: kept
-    assert "a" in cache
+    assert counter("plan_cache_misses_total").value == 2
+    stale = cache.get(lift_literals("SELECT 1"))
+    put("SELECT 1")
+    cache.discard(stale)  # replaced since: kept
+    assert "SELECT 1" in cache
+    cache.discard(cache.get(lift_literals("SELECT 1")))
+    assert "SELECT 1" not in cache and len(cache) == 1
+    epoch = cache.epoch
     cache.clear()
     assert len(cache) == 0
+    # A plan made before the clear (over a catalog since changed).
+    cache.put(lift_literals("SELECT 4"), (), shape, [], epoch)
+    assert len(cache) == 0
+
+
+# ----------------------------------------------------------------------
+# Templates: what a hit binds, what it must match.
+# ----------------------------------------------------------------------
+
+DATED = TableSchema.from_pairs(
+    [("g", "integer"), ("d", "date"), ("s", "text"), ("f", "float")]
+)
+DATED_ROWS = [
+    (i % 5, parse_date(f"2012-01-{1 + i % 28:02d}"), f"w{i % 7}", i / 4)
+    for i in range(90)
+]
+
+
+@pytest.fixture()
+def dated_path(tmp_path):
+    path = tmp_path / "d.csv"
+    write_csv(path, DATED_ROWS, DATED)
+    return path
+
+
+def oracle_d(path, sql):
+    with PostgresRaw() as ref:
+        ref.register_csv("d", path, DATED)
+        return ref.query(sql).rows
+
+
+#: Pairs of statements of one shape: a hit binds the second's WHERE
+#: values into the first's template, or, where the differing literal
+#: is fixed, the second gets a template of its own.
+SHAPES = [
+    ("SELECT g, s FROM d WHERE g = 1", "SELECT g, s FROM d WHERE g = 3", 1),
+    (
+        "SELECT g FROM d WHERE f < 2.5 AND s <> 'w1'",
+        "SELECT g FROM d WHERE f < 7.75 AND s <> 'w''3'",
+        1,
+    ),
+    (
+        "SELECT g, f FROM d WHERE g IN (1, 2) OR f BETWEEN 3.0 AND 4.0",
+        "SELECT g, f FROM d WHERE g IN (0, 4) OR f BETWEEN 1.0 AND 9.5",
+        1,
+    ),
+    ("SELECT g FROM d WHERE g > -1", "SELECT g FROM d WHERE g > -3", 2),
+    (
+        "SELECT g FROM d WHERE s LIKE 'w1%'",
+        "SELECT g FROM d WHERE s LIKE 'w2%'",
+        2,
+    ),
+    (
+        "SELECT g FROM d WHERE d < '2012-01-09'",
+        "SELECT g FROM d WHERE d < '2012-01-20'",
+        2,
+    ),
+    (
+        "SELECT g FROM d WHERE d < DATE '2012-01-09'",
+        "SELECT g FROM d WHERE d < DATE '2012-01-20'",
+        2,
+    ),
+    (
+        "SELECT g, s FROM d WHERE g > 0 ORDER BY s, g LIMIT 3",
+        "SELECT g, s FROM d WHERE g > 2 ORDER BY s, g LIMIT 5",
+        2,
+    ),
+    (
+        "SELECT g + 1 FROM d WHERE g < 2 ORDER BY 1",
+        "SELECT g + 2 FROM d WHERE g < 2 ORDER BY 1",
+        2,
+    ),
+    (
+        "SELECT s FROM d WHERE g <> 2 GROUP BY s HAVING COUNT(*) > 1",
+        "SELECT s FROM d WHERE g <> 4 GROUP BY s HAVING COUNT(*) > 1",
+        1,
+    ),
+    ("SELECT 1 WHERE 2 > 1", "SELECT 1 WHERE 0 > 1", 1),
+]
+
+
+@pytest.mark.parametrize("first, second, templates", SHAPES)
+def test_a_template_binds_only_where_values(
+    dated_path, first, second, templates
+):
+    with PostgresRaw(config(mv_auto=False)) as engine:
+        engine.register_csv("d", dated_path, DATED)
+        counter = engine.telemetry.registry.counter
+        for sql in (first, second, first, second):
+            want = oracle_d(dated_path, sql)
+            assert same(sql, engine.query(sql).rows, want), sql
+            if "ORDER" in sql:
+                assert engine.query(sql).rows == want
+        assert len(engine.service.plan_cache) == templates
+        assert counter("plan_cache_misses_total").value == templates
+
+
+def joined(k: int) -> str:
+    return (
+        "SELECT t.g, d.s FROM t JOIN d ON t.g = d.g "
+        f"WHERE t.v > {k} AND d.f < {k + 3}.5"
+    )
+
+
+@pytest.mark.parametrize("statistics", [False, True])
+def test_joins_are_templated_unless_statistics_order_them(
+    csv_path, dated_path, statistics
+):
+    """Estimates read off statistics weigh the filters' values, so a
+    join they ordered is planned anew for new values."""
+    with PostgresRaw(config(enable_statistics=statistics)) as engine:
+        engine.register_csv("t", csv_path, SCHEMA)
+        engine.register_csv("d", dated_path, DATED)
+        for k in (10, 20, 30):
+            with PostgresRaw() as ref:
+                ref.register_csv("t", csv_path, SCHEMA)
+                ref.register_csv("d", dated_path, DATED)
+                want = ref.query(joined(k)).rows
+            assert same(joined(k), engine.query(joined(k)).rows, want)
+            assert same(joined(k), engine.query(joined(k)).rows, want)
+        plans = [
+            t["root"]["attrs"]["plan"]
+            for t in engine.telemetry.tracer.recent_traces(6)
+        ]
+        if statistics:
+            assert plans == ["planned"] * 6
+            assert len(engine.service.plan_cache) == 0
+        else:
+            assert plans == ["planned"] + ["template"] * 5
+
+
+def test_a_hit_skips_parser_and_planner(csv_path, monkeypatch):
+    from repro.service import service as service_module
+
+    with PostgresRaw(config()) as engine:
+        engine.register_csv("t", csv_path, SCHEMA)
+        engine.query("SELECT g, v FROM t WHERE h = 0 AND v > 1")
+        calls = []
+        monkeypatch.setattr(
+            service_module, "parse_select", lambda sql: calls.append(sql)
+        )
+        monkeypatch.setattr(
+            Planner, "plan", lambda *a, **k: calls.append("plan")
+        )
+        for h, v in ((1, 2), (2, 9), (0, 40)):
+            sql = f"SELECT g, v FROM t WHERE h = {h} AND v > {v}"
+            want = [r for r in ROWS if r[1] == h and r[2] > v]
+            got = engine.query(sql).rows
+            assert sorted(got) == sorted((g, x) for g, __, x in want)
+            assert last_root(engine)["attrs"]["plan"] == "template"
+        assert calls == []
+
+
+def test_a_template_pins_no_scan(csv_path):
+    with PostgresRaw(config()) as engine:
+        engine.register_csv("t", csv_path, SCHEMA)
+        service = engine.service
+        scans = []
+        factory = service._scan_factory
+
+        def spying(*args):
+            make = factory(*args)
+
+            def scan(*a, **k):
+                op = make(*a, **k)
+                scans.append(weakref.ref(op))
+                return op
+
+            return scan
+
+        service._scan_factory = spying
+        for k in range(3):
+            engine.query(f"SELECT g FROM t WHERE v > {k}")
+            engine.query(f"SELECT g, SUM(v) FROM t WHERE v > {k} GROUP BY g")
+        assert len(service.plan_cache) == 2
+        assert len(scans) == 6
+        gc.collect()
+        assert all(ref() is None for ref in scans)
+
+
+def test_slow_query_entries_say_how_the_statement_planned(csv_path):
+    with PostgresRaw(config(slow_query_s=1e-9)) as engine:
+        engine.register_csv("t", csv_path, SCHEMA)
+        for k in range(2):
+            engine.query(f"SELECT g FROM t WHERE v > {k}")
+        engine.execute(parse_select("SELECT g FROM t WHERE v > 5"))
+        plans = [e["plan"] for e in engine.telemetry.slow_queries()]
+        assert plans == ["planned", "template", "planned"]
+
+
+# ----------------------------------------------------------------------
+# The lift agrees with the lexer.
+# ----------------------------------------------------------------------
+
+#: Fragments whose concatenations put literals next to identifiers,
+#: comments, quoted identifiers and each other.
+words = st.sampled_from(
+    [
+        "SELECT",
+        "a7",
+        "x_1e5",
+        "e5",
+        "t",
+        ".",
+        ",",
+        "(",
+        ")",
+        "-",
+        "+",
+        "*",
+        "=",
+        "<",
+        "--",
+        "\n",
+        " ",
+        '"x 5"',
+        '"q\'"',
+        "-- 5 'x",
+        "'it''s'",
+        "'5'",
+        "''",
+        "5",
+        "0",
+        "1.5",
+        ".5",
+        "5.",
+        "1e3",
+        "2E-4",
+        "7e+1",
+        "1.",
+        "12",
+        "abc",
+        "é9",
+        "_3",
+    ]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(words, max_size=14).map("".join))
+def test_the_lift_finds_the_lexers_literals(text):
+    lifted = lift_literals(text)
+    try:
+        tokens = tokenize_sql(text)
+        literals = [
+            t.text if t.kind is TokenKind.STRING else number_value(t.text)
+            for t in tokens
+            if t.kind in (TokenKind.NUMBER, TokenKind.STRING)
+        ]
+    except SQLSyntaxError:
+        return  # never parses, so never cached
+    if lifted is None:
+        # Only an integer the parser would reject is left unlifted.
+        assert any(isinstance(v, int) and v >= 2**63 for v in literals)
+        return
+    __, values = lifted
+    assert list(values) == literals
+    assert [type(v) for v in values] == [type(v) for v in literals]

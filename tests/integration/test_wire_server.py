@@ -638,6 +638,27 @@ class TestWireErrors:
             with pytest.raises(SQLSyntaxError):
                 conn.query("SELEKT a0 FROM t")
 
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("SELECT a0 FROM t WHERE a0 = 99999999999999999999", "range"),
+            ("SELECT 99999999999999999999", "range"),
+            ("SELECT a0 FROM t WHERE a0 < 1.2.3", "malformed number"),
+            ("SELECT 1e", "malformed number"),
+        ],
+    )
+    def test_bad_literals_round_trip_as_syntax_errors(
+        self, served, sql, message
+    ):
+        from repro.errors import SQLSyntaxError, wire_code_for
+
+        _, server = served
+        with wire_connect(server) as conn:
+            with pytest.raises(SQLSyntaxError, match=message) as info:
+                conn.query(sql)
+            assert wire_code_for(info.value) == "sql_syntax"
+            assert conn.query("SELECT COUNT(*) AS n FROM t").scalar() == 4000
+
     def test_unexpected_pump_error_still_sends_terminal_frame(
         self, served, monkeypatch
     ):

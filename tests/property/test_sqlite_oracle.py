@@ -16,7 +16,10 @@ more column orders the table by ``i`` (NULLs last) and leads each
 predicate with a conjunct on ``i`` or ``f`` that synopses can test, so
 warm scans skip windows — and must still agree.
 Another splits the table into two shards hashed on ``i`` and answers
-through the scatter planner and gather merge, in process.  The loaded
+through the scatter planner and gather merge, in process.  The
+templated column follows each statement with the same shape under a
+second draw of its literals, which the plan cache answers by binding
+them into the first one's template.  The loaded
 column repeats selective projections with the columnstore on until the
 column they read through the positional map is loaded and read from
 there, across appends and a rewrite of the file.  Every column
@@ -67,6 +70,7 @@ from repro.sharding import (
     gather,
     partition_file,
 )
+from repro.sql.lexer import SHAPE_MARKS, lift_literals
 
 EXAMPLES = int(os.environ.get("REPRO_ORACLE_EXAMPLES", "25"))
 
@@ -644,6 +648,74 @@ def test_streamed_cursors_match_sqlite(tmp_path_factory, monkeypatch):
     # The column is about the producer lane: some reads must have
     # scanned on it.
     assert any(scanned)
+
+
+# ----------------------------------------------------------------------
+# The templated column: each statement, then its shape again under a
+# second draw of its literals (non-negative, so a redrawn number never
+# meets the minus before it as ``--``).  The cache binds the new WHERE
+# values into the first draw's template; a literal it must match
+# (LIMIT, LIKE, a folded minus, ...) gets a template of its own.
+# ----------------------------------------------------------------------
+
+
+def _render(shape: str, values: list) -> str:
+    marks = {mark: kind for kind, mark in SHAPE_MARKS.items()}
+    pieces = shape.split("\x00")
+    out = [pieces[0]]
+    for piece, value in zip(pieces[1:], values):
+        assert marks["\x00" + piece[0]] is type(value)
+        if isinstance(value, str):
+            out.append("'" + value.replace("'", "''") + "'")
+        else:
+            out.append(repr(value))
+        out.append(piece[1:])
+    return "".join(out)
+
+
+def _redrawn(step, rng):
+    ours, theirs, ordered = step
+    shape, values = lift_literals(ours)
+    drawn = []
+    for value in values:
+        if isinstance(value, str):
+            drawn.append(rng.choice(WORDS))
+        elif isinstance(value, float):
+            drawn.append(rng.randint(0, 40) / 4)
+        else:
+            drawn.append(rng.randint(0, 9))
+    return (
+        _render(shape, drawn),
+        _render(lift_literals(theirs)[0], drawn),
+        ordered,
+    )
+
+
+def test_templated_statements_match_sqlite(tmp_path_factory):
+    hits = []
+
+    @given(rows=rows_of, plan=steps, rng=st.randoms(use_true_random=False))
+    @settings(
+        max_examples=EXAMPLES,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def run(rows, plan, rng):
+        plan = [
+            twin
+            for kind, step in plan
+            for twin in (
+                [(kind, step), (kind, _redrawn(step, rng))]
+                if kind == "query"
+                else [(kind, step)]
+            )
+        ]
+        registry = _matches_sqlite(tmp_path_factory, "vp_mv", rows, plan)
+        hits.append(registry.counter("plan_cache_hits_total").value)
+
+    run()
+    # The column is about templates: repeated shapes must have hit.
+    assert sum(hits) > 0
 
 
 # ----------------------------------------------------------------------

@@ -185,6 +185,49 @@ class TestParserExpressions:
         assert values[5].value is None
         assert values[6].dtype is DataType.DATE
 
+    @pytest.mark.parametrize(
+        "sql, position",
+        [
+            ("SELECT 1.2.3", 7),
+            ("SELECT 1e", 7),
+            ("SELECT a FROM t WHERE a < 1ee2", 26),
+        ],
+    )
+    def test_malformed_number_is_a_syntax_error(self, sql, position):
+        with pytest.raises(SQLSyntaxError, match="malformed number") as info:
+            parse_select(sql)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "sql, position",
+        [
+            ("SELECT 99999999999999999999", 7),
+            ("SELECT a FROM t WHERE a = 99999999999999999999", 26),
+            ("SELECT 9223372036854775808", 7),
+            ("SELECT -9223372036854775809", 7),
+            ("SELECT a FROM t WHERE a IN (1, -  99999999999999999999)", 31),
+        ],
+    )
+    def test_integer_out_of_int64_is_a_syntax_error(self, sql, position):
+        with pytest.raises(SQLSyntaxError, match="out of range") as info:
+            parse_select(sql)
+        assert info.value.position == position
+
+    def test_int64_bounds_parse_after_folding_the_minus(self):
+        stmt = parse_select("SELECT -9223372036854775808, 9223372036854775807")
+        assert [i.expr.value for i in stmt.items] == [-(2**63), 2**63 - 1]
+
+    def test_where_literals_carry_their_token_index(self):
+        stmt = parse_select(
+            "SELECT 5, a FROM t WHERE a = 7 AND s = 'x' AND b > -2 "
+            "AND s LIKE 'y%' LIMIT 3"
+        )
+        assert stmt.literals == (5, 7, "x", 2, "y%", 3)
+        assert stmt.items[0].expr.slot is None  # select list: fixed
+        (a, s, b, __) = split_conjuncts(stmt.where)
+        assert a.right.slot == 1 and s.right.slot == 2
+        assert b.right.value == -2 and b.right.slot is None  # folded
+
     def test_date_literal_requires_string(self):
         with pytest.raises(SQLSyntaxError):
             parse_select("SELECT DATE 5")

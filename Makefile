@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test smoke serve serve-smoke serve-sharded sharded-smoke bench \
 	bench-concurrent bench-streaming bench-wire \
 	bench-tokenizer bench-mv bench-format bench-sharded bench-statistics \
-	bench-budget bench-report stress lint oracle verify
+	bench-budget bench-report fault-tax stress lint oracle verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -119,6 +119,12 @@ bench-report:
 			|| exit 1; \
 	done
 
+# Minor page faults and median ms per cold op class, each op on a fresh
+# engine over a generated 24k-row CSV: what a cold scan pays to touch
+# memory the OS took back (runs on any commit; ~1 minute).
+fault-tax:
+	$(PYTHON) tools/fault_tax.py
+
 # Heavier threaded stress run of the concurrent serving layer (with the
 # mixed-lane hammer: query() sessions pulling their plans on their own
 # threads next to slowly read producer-thread cursors while a writer
@@ -158,7 +164,9 @@ stress:
 # partial hits, appends folded into entries, eviction and drop, and
 # captures and their hits bit for bit (by repr, NULL / NaN / +-0.0 /
 # TEXT / empty input, batches of 3, 7 and 4096 rows) with every stored
-# column checked against its own raw aggregate.
+# column checked against its own raw aggregate; and every cold scan's
+# installed map chunk against the state machine's offsets of each row
+# (batches of 3, 7 and 4096, CRLF, unterminated last rows, a LIMIT).
 oracle:
 	REPRO_ORACLE_EXAMPLES=250 $(PYTHON) -m pytest \
 		tests/property/test_sqlite_oracle.py \
@@ -170,6 +178,7 @@ oracle:
 		tests/property/test_stats_props.py \
 		tests/property/test_keyed_props.py \
 		tests/property/test_mv_props.py \
+		tests/property/test_install_props.py \
 		--hypothesis-seed=29 -x -q
 
 verify: test smoke serve-smoke

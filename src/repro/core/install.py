@@ -3,18 +3,24 @@
 As a side effect of reading, a :class:`repro.core.raw_scan.RawScan`
 collects every field boundary it discovers ("it does not keep maps only
 for the attributes requested in the query, but also for attributes
-tokenized along the way") and every column it converts whole.  When it
-ends — or is abandoned: the completed row prefix is valid —
-:func:`harvest` turns them into an :class:`InstallPlan` and
-:func:`install` applies it: map chunks, cache entries, the combination
-chunk, columnstore loads and tails, charged to the ``nodb`` bucket of the
-Figure 3 breakdown.
+tokenized along the way") and every column it converts whole.  A
+stride tokenizes each window once, over every attribute it tokenizes at
+all, so the map learns one chunk per tokenized span.  The tokenizer
+writes each window's offsets in place, into the span's matrix
+(:class:`SpanCollector`), allocated once for the rows the scan covers:
+no per-window block is kept or joined.  Converted columns are
+collected per window and joined once (:class:`Collector`).  When the
+scan ends — or is abandoned: the completed row prefix is valid, and a
+prefix of a span's matrix is copied out — :func:`harvest` turns them
+into an :class:`InstallPlan` and :func:`install` applies it: map
+chunks, cache entries, the combination chunk, columnstore loads and
+tails, charged to the ``nodb`` bucket of the Figure 3 breakdown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,29 +35,25 @@ _NODB = BreakdownComponent.NODB
 
 
 class Collector:
-    """Accumulates a contiguous run of row blocks for installation: the
-    converted vectors of one attribute (cache) or the tokenized offset
-    matrices of one attribute span, ``attrs`` (positional map).
+    """Accumulates the converted vectors of one attribute over a
+    contiguous run of row blocks, for the cache (or the columnstore).
 
-    ``benefit_seconds`` sums the measured time that produced the blocks
-    — the conversion a future cache hit, or the tokenizing a future map
-    jump, saves; the memory governor's benefit-per-byte eviction uses
-    it.  A block that does not continue the run invalidates it.
+    ``benefit_seconds`` sums the measured conversion time that produced
+    the blocks — what a future cache hit saves; the memory governor's
+    benefit-per-byte eviction uses it.  A block that does not continue
+    the run invalidates it.
     """
 
-    __slots__ = (
-        "attrs", "start_row", "next_row", "blocks", "valid", "benefit_seconds"
-    )
+    __slots__ = ("start_row", "next_row", "blocks", "valid", "benefit_seconds")
 
-    def __init__(self, start_row: int, attrs: tuple[int, ...] = ()) -> None:
-        self.attrs = attrs
+    def __init__(self, start_row: int) -> None:
         self.start_row = start_row
         self.next_row = start_row
-        self.blocks: list = []
+        self.blocks: list[ColumnVector] = []
         self.valid = True
         self.benefit_seconds = 0.0
 
-    def add(self, row_from: int, block, seconds: float = 0.0) -> None:
+    def add(self, row_from: int, block: ColumnVector, seconds: float) -> None:
         if not self.valid:
             return
         if row_from != self.next_row:
@@ -65,14 +67,72 @@ class Collector:
         self.valid = False
         self.blocks.clear()
 
-    def materialize(self, concat: Callable):
-        """The run as one block, joined by ``concat`` (``None`` if
-        invalid or empty); the run keeps it as its only block."""
+    def materialize(self) -> ColumnVector | None:
+        """The run as one vector (``None`` if invalid or empty)."""
         if not self.valid or not self.blocks:
             return None
         if len(self.blocks) > 1:
-            self.blocks = [concat(self.blocks)]
+            self.blocks = [ColumnVector.concat(self.blocks)]
         return self.blocks[0]
+
+
+class SpanCollector:
+    """The offsets of one tokenized attribute span, ``attrs``, over a
+    contiguous run of rows, for the positional map.
+
+    The matrix is allocated once, for every row from ``start_row`` to
+    the end of the scan, and the tokenizer writes each window's offsets
+    straight into its rows (:meth:`rows`): the run is never copied or
+    joined.  ``benefit_seconds`` sums the tokenizing time that found
+    them — what a future map jump saves.  Rows that do not continue the
+    run invalidate it.
+    """
+
+    __slots__ = (
+        "attrs", "start_row", "next_row", "matrix", "valid", "benefit_seconds"
+    )
+
+    def __init__(
+        self, attrs: tuple[int, ...], start_row: int, row_to: int
+    ) -> None:
+        self.attrs = attrs
+        self.start_row = start_row
+        self.next_row = start_row
+        self.matrix: np.ndarray | None = np.empty(
+            (row_to - start_row, len(attrs)), dtype=np.int64
+        )
+        self.valid = True
+        self.benefit_seconds = 0.0
+
+    def rows(self, lo: int, hi: int) -> np.ndarray | None:
+        """The matrix rows to write rows ``[lo, hi)`` into, or ``None``
+        (the run invalid) when they do not continue the run."""
+        if self.valid and lo != self.next_row:
+            self.invalidate()
+        if not self.valid:
+            return None
+        return self.matrix[lo - self.start_row : hi - self.start_row]
+
+    def filled(self, hi: int, seconds: float) -> None:
+        """The rows up to ``hi`` are written, in ``seconds``."""
+        if self.valid:
+            self.next_row = hi
+            self.benefit_seconds += seconds
+
+    def invalidate(self) -> None:
+        self.valid = False
+        self.matrix = None
+
+    def materialize(self) -> np.ndarray | None:
+        """The written rows (``None`` if invalid or empty).  A scan that
+        stopped early (a ``LIMIT``) wrote only a prefix: it is copied
+        out, so the chunk holds exactly the bytes it is charged for."""
+        written = self.next_row - self.start_row
+        if not self.valid or not written:
+            return None
+        if written < len(self.matrix):
+            return self.matrix[:written].copy()
+        return self.matrix
 
 
 class Collectors:
@@ -83,30 +143,22 @@ class Collectors:
 
     def __init__(self) -> None:
         #: Keyed by the tokenized span ``(first, last)``.
-        self.spans: dict[tuple[int, int], Collector] = {}
+        self.spans: dict[tuple[int, int], SpanCollector] = {}
         self.columns: dict[int, Collector] = {}
 
-    def add_span(
-        self,
-        first: int,
-        last: int,
-        n_attrs: int,
-        lo: int,
-        offsets: np.ndarray,
-        seconds: float,
-    ) -> None:
-        """Tokenized ``offsets`` of ``first .. last`` from row ``lo``; the
-        closing column starts the next attribute, if there is one."""
-        include_sentinel = last + 1 < n_attrs
+    def span(
+        self, first: int, last: int, n_attrs: int, lo: int, row_to: int
+    ) -> SpanCollector:
+        """The collector of span ``first .. last``, created at row
+        ``lo``: its matrix holds the span's columns and, if there is a
+        next attribute, that attribute's start (the span's end)."""
         collector = self.spans.get((first, last))
         if collector is None:
-            attrs = tuple(
-                range(first, last + 2 if include_sentinel else last + 1)
+            stop = last + 2 if last + 1 < n_attrs else last + 1
+            collector = self.spans[(first, last)] = SpanCollector(
+                tuple(range(first, stop)), lo, row_to
             )
-            collector = self.spans[(first, last)] = Collector(lo, attrs)
-        collector.add(
-            lo, offsets if include_sentinel else offsets[:, :-1], seconds
-        )
+        return collector
 
     def add_column(
         self, attr: int, lo: int, vector: ColumnVector, seconds: float
@@ -167,14 +219,14 @@ def harvest(scan: "RawScan", n_rows: int) -> InstallPlan:
             spans=[
                 (c.attrs, c.start_row, matrix, c.benefit_seconds)
                 for c in collectors.spans.values()
-                if (matrix := c.materialize(np.vstack)) is not None
+                if (matrix := c.materialize()) is not None
             ],
             combination=None if plan is None else plan.combination,
             loads=() if plan is None else plan.load_attrs,
             columns=[
                 (attr, c.start_row, vector, c.benefit_seconds)
                 for attr, c in collectors.columns.items()
-                if (vector := c.materialize(ColumnVector.concat)) is not None
+                if (vector := c.materialize()) is not None
             ],
         )
     collectors.clear()

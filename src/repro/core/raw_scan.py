@@ -472,7 +472,9 @@ class RawScan(Operator):
         map sources extract only those rows, and tokenized text is
         converted only for those rows — selective parsing / selective
         tuple formation.  Tokenization itself stays full-range so the
-        positional map keeps learning.  Each segment is acquired once
+        positional map keeps learning, and covers every attribute the
+        segment tokenizes, so the stride's later acquisitions of the
+        same rows read that one span.  Each segment is acquired once
         per read piece (:meth:`_read_pieces`); the runs of adjacent
         ``batch_size`` windows in which every row is acquired are
         learned one run at a time (:meth:`_learn`).
@@ -500,12 +502,13 @@ class RawScan(Operator):
                 seg_sel = None
                 if sel is not None:
                     seg_sel = sel[(sel >= lo) & (sel < hi)]
-                to_tokenize = sorted(
-                    a for a in attrs if a in seg.tokenize_attrs
-                )
                 converted = {}
                 try:
-                    tokenized = self._tokenize_for(to_tokenize, lo, hi)
+                    # Every attribute the segment tokenizes, at once: a
+                    # later acquisition of these rows reads this span.
+                    tokenized = self._tokenize_for(
+                        sorted(seg.tokenize_attrs), lo, hi
+                    )
                     if seg_sel is not None and not len(seg_sel):
                         continue  # no row qualifies: nothing to convert
                     for attr in attrs:
@@ -823,12 +826,19 @@ class RawScan(Operator):
 
         line_ends = self._record_ends(window, lo, hi, None)
         kernel = self._kernel_for_span(first, max_a)
+        # The offsets go straight into the rows of the span's map matrix.
+        span = into = None
+        if self.config.enable_positional_map:
+            span = self.collectors.span(first, max_a, n_attrs, lo, self.row_to)
+            into = span.rows(lo, hi)
         tokenize_start = time.perf_counter()
         with self.metrics.time(_TOKENIZING):
             tokenized = None
             if kernel is not None:
                 # ``None``: a JSONL window only the scalar parser reads.
-                tokenized = kernel.tokenize(window, field_starts, line_ends)
+                tokenized = kernel.tokenize(
+                    window, field_starts, line_ends, into
+                )
             if tokenized is None:
                 tokenized = self.adapter.tokenize_span(
                     window.data,
@@ -842,15 +852,13 @@ class RawScan(Operator):
                     base=window.base,
                     first_row=lo,
                 )
+                if into is not None:
+                    into[:] = tokenized.offsets[:, : into.shape[1]]
             self.metrics.fields_tokenized += tokenized.num_rows * (
                 max_a - first + 1
             )
-        tokenize_seconds = time.perf_counter() - tokenize_start
-
-        if self.config.enable_positional_map:
-            self.collectors.add_span(
-                first, max_a, n_attrs, lo, tokenized.offsets, tokenize_seconds
-            )
+        if span is not None:
+            span.filled(hi, time.perf_counter() - tokenize_start)
         self._batch_spans.append((lo, hi, tokenized))
         out.update(dict.fromkeys(rest, tokenized))
         return out

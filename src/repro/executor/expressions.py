@@ -33,6 +33,7 @@ from ..sql.ast import (
 
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 _ARITHMETIC = {"+", "-", "*", "/", "%"}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 # ----------------------------------------------------------------------
@@ -333,9 +334,14 @@ def _arithmetic(
     nulls = left.null_mask | right.null_mask
     l, r = _numeric_pair(left, right)
     if op == "/":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = l.astype(np.float64) / r.astype(np.float64)
         zero_div = r == 0
+        if l.dtype == object:
+            # An AVG's exact partial SUM past int64: Python's int / int,
+            # as one engine's AVG divides it.
+            values = (l / np.where(zero_div, 1, r)).astype(np.float64)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = l.astype(np.float64) / r.astype(np.float64)
         nulls = nulls | zero_div
         values = np.where(zero_div, 0.0, values)
         return ColumnVector(DataType.FLOAT, values, nulls)
@@ -353,8 +359,37 @@ def _arithmetic(
         values = l - r
     else:
         values = l * r
+    if values.dtype.kind == "i":
+        _check_int64(op, l, r, values, nulls)
     dtype = _arith_dtype(op, left.dtype, right.dtype)
     return ColumnVector(dtype, values, nulls)
+
+
+def _check_int64(
+    op: str,
+    l: np.ndarray,
+    r: np.ndarray,
+    values: np.ndarray,
+    nulls: np.ndarray,
+) -> None:
+    """Raise where a non-NULL ``l op r`` left int64 and ``values``
+    wrapped around (PostgreSQL's "bigint out of range").  A sum or
+    difference wrapped where its sign contradicts its operands'; a
+    product can only have where its float64 estimate reaches 2**62,
+    and those rows are multiplied again exactly."""
+    if op == "+":
+        wrapped = np.any((((l ^ values) & (r ^ values)) < 0) & ~nulls)
+    elif op == "-":
+        wrapped = np.any((((l ^ r) & (l ^ values)) < 0) & ~nulls)
+    else:
+        estimate = np.abs(l.astype(np.float64) * r.astype(np.float64))
+        rows = np.flatnonzero((estimate >= 2.0**62) & ~nulls)
+        wrapped = any(
+            not _INT64_MIN <= a * b <= _INT64_MAX
+            for a, b in zip(l[rows].tolist(), r[rows].tolist())
+        )
+    if wrapped:
+        raise ExecutionError(f"{op!r} result is out of INTEGER range")
 
 
 def _arith_dtype(op: str, left: DataType, right: DataType) -> DataType:
@@ -404,11 +439,12 @@ def _evaluate_unary(expr: UnaryOp, batch: Batch) -> ColumnVector:
     if expr.op == "-":
         if not operand.dtype.is_numeric:
             raise ExecutionError("unary minus expects a numeric operand")
-        return ColumnVector(
-            operand.dtype,
-            -np.asarray(operand.values),
-            operand.null_mask.copy(),
-        )
+        values = np.asarray(operand.values)
+        if values.dtype.kind == "i" and np.any(
+            (values == _INT64_MIN) & ~operand.null_mask
+        ):
+            raise ExecutionError("'-' result is out of INTEGER range")
+        return ColumnVector(operand.dtype, -values, operand.null_mask.copy())
     raise ExecutionError(f"unknown unary operator {expr.op!r}")
 
 

@@ -19,7 +19,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -314,6 +314,17 @@ def partial_aggregate(
         return BinaryOp("/", total, count)
     (value,) = folded
     return value
+
+
+def exact_partials(
+    specs: list[AggregateSpec], finals: Iterable[Expression]
+) -> frozenset[str]:
+    """The ``specs`` (folding partials) that none of ``finals``, the
+    aggregates' final values (:func:`partial_aggregate`), reads as it
+    is: the partial SUMs only an AVG divides.  They may stay exact past
+    int64 (:class:`HashAggregate`'s ``exact_sums``)."""
+    shown = {e.name for e in finals if isinstance(e, ColumnRef)}
+    return frozenset(spec.name for spec in specs) - shown
 
 
 def _factorize(
@@ -717,7 +728,12 @@ class _ColumnarAggregate:
         else:
             self.count[:n_groups] += np.bincount(group_ids, minlength=n_groups)
 
-    def result(self, n_groups: int, dtype: DataType) -> ColumnVector:
+    def result(
+        self, n_groups: int, dtype: DataType, exact: bool = False
+    ) -> ColumnVector:
+        """Each group's value; an INTEGER sum past int64 raises
+        ``OverflowError`` or, with ``exact``, stays an object
+        array of Python ints."""
         self._reserve(n_groups)
         count = self.count[:n_groups]
         if self.func == "count":
@@ -729,12 +745,13 @@ class _ColumnarAggregate:
         # re-aggregation of stored COUNT components must yield 0, not
         # NULL, when every MV group is filtered away (as raw COUNT).
         null = (count == 0) & (self.func != "sum0")
-        return ColumnVector(
-            dtype,
-            np.where(null, 0, value).astype(dtype.numpy_dtype),
-            null,
-            self.dictionary,
-        )
+        values = np.where(null, 0, value)
+        try:
+            values = values.astype(dtype.numpy_dtype)
+        except OverflowError:
+            if not exact:
+                raise
+        return ColumnVector(dtype, values, null, self.dictionary)
 
 
 class HashAggregate(Operator):
@@ -751,6 +768,11 @@ class HashAggregate(Operator):
     arrays indexed by group id (:class:`_ColumnarAggregate`) — under
     DISTINCT, only each (group, argument value) pair's first row, the
     values equal as group keys are.
+
+    An INTEGER SUM whose value leaves int64 raises, unless its name is
+    in ``exact_sums``: a partial SUM (an MV's tail, merge or
+    re-aggregation) that only an AVG reads stays exact, an object array
+    of Python ints, and the AVG divides it as the raw AVG does.
     """
 
     def __init__(
@@ -758,10 +780,12 @@ class HashAggregate(Operator):
         child: Operator,
         group_items: list[tuple[str, Expression]],
         aggregates: list[AggregateSpec],
+        exact_sums: frozenset[str] = frozenset(),
     ) -> None:
         self.child = child
         self.group_items = group_items
         self.aggregates = aggregates
+        self.exact_sums = exact_sums
 
     def output_types(self) -> dict[str, DataType]:
         child_types = self.child.output_types()
@@ -825,9 +849,10 @@ class HashAggregate(Operator):
             for name, vector in Batch.concat(firsts).columns.items():
                 columns[name] = vector.narrowed()
         for spec, state in zip(self.aggregates, states):
+            exact = spec.name in self.exact_sums
             try:
                 columns[spec.name] = state.result(
-                    n_groups, out_types[spec.name]
+                    n_groups, out_types[spec.name], exact
                 )
             except OverflowError:  # an exact sum too large for int64
                 raise ExecutionError(
@@ -868,6 +893,11 @@ class MVScan(Operator):
     batch and the seconds the tail (scan + recipe aggregate) took, for
     the deferred install.  ``aggs`` maps ``(func, arg)`` to the stored
     column name; every other stored column is a group key.
+
+    A partial SUM that leaves int64 stays exact (an object array) for
+    an AVG to divide, unless it is ``shown``: a stored column the plan
+    above reads as it is, as a SUM, which then raises like the raw SUM.
+    An exact sum cannot be stored: the install refuses the batch.
     """
 
     def __init__(
@@ -878,6 +908,7 @@ class MVScan(Operator):
         tail: Operator | None = None,
         aggs: dict[tuple[str, str], str] | None = None,
         on_merged: Callable[[Batch, float], None] | None = None,
+        shown: frozenset[str] = frozenset(),
     ) -> None:
         self._batch = batch
         self._types = types
@@ -885,6 +916,7 @@ class MVScan(Operator):
         self._tail = tail
         self._aggs = aggs or {}
         self._on_merged = on_merged
+        self._shown = shown
 
     def serving(self, batch: Batch | None) -> "MVScan":
         """This (level, tail-less) leaf re-bound to another batch of
@@ -931,6 +963,7 @@ class MVScan(Operator):
             source,
             [(name, ColumnRef(name)) for name in dims],
             list(folds.values()),
+            frozenset(folds) - self._shown,
         ).execute()
         for name, final in finals.items():
             if name not in folds:  # not itself a partial: AVG

@@ -101,6 +101,9 @@ class KernelRows(TokenizedRows):
 
     The offsets matrix is the only product of tokenizing;
     :meth:`texts_of` slices and decodes the window's bytes on demand.
+    A span that runs to the line end may come without the matrix's end
+    column (a positional-map chunk has none): ``line_ends`` then ends
+    its last field.
     """
 
     def __init__(
@@ -109,11 +112,13 @@ class KernelRows(TokenizedRows):
         last_attr: int,
         offsets: np.ndarray,
         cbuf: ContentBuffer,
+        line_ends: np.ndarray | None = None,
     ) -> None:
         self.first_attr = first_attr
         self.last_attr = last_attr
         self.offsets = offsets
         self.cbuf = cbuf
+        self.line_ends = line_ends
 
     @property
     def num_rows(self) -> int:
@@ -122,6 +127,8 @@ class KernelRows(TokenizedRows):
     def field_bounds(self, attr: int) -> tuple[np.ndarray, np.ndarray]:
         """File offsets where each row's ``attr`` field starts and ends."""
         j = attr - self.first_attr
+        if j + 1 == self.offsets.shape[1]:
+            return self.offsets[:, j], self.line_ends
         return self.offsets[:, j], self.offsets[:, j + 1] - 1
 
     def texts_of(self, attr: int, rows: list[int] | None = None) -> list[str]:
@@ -192,6 +199,7 @@ class ScanKernel:
         cbuf: ContentBuffer,
         field_starts: np.ndarray,
         line_ends: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> KernelRows | None:
         """Vectorized equivalent of ``tokenize_span`` for this signature.
 
@@ -202,28 +210,37 @@ class ScanKernel:
         then runs the state machine, which raises the same
         :class:`RawDataError` on a malformed row as it always does.
 
+        Given ``out`` (one row per record), the offsets are written into
+        it instead: the rows of a positional-map chunk, whose columns
+        stop at the span's last attribute when the span runs to the
+        line end.
+
         A JSONL kernel reads whole records (:mod:`repro.kernels.jsonl`)
         and returns ``None`` for a window only the scalar parser reads.
         """
         if self.keys is not None:
-            return self._tokenize_records(cbuf, field_starts, line_ends)
+            return self._tokenize_records(cbuf, field_starts, line_ends, out)
         sig = self.signature
         span = self.span
         starts = np.ascontiguousarray(field_starts, dtype=np.int64)
         ends = np.ascontiguousarray(line_ends, dtype=np.int64)
-        offsets = np.empty((len(starts), span + 2), dtype=np.int64)
-        offsets[:, 0] = starts
+        offsets = out
+        if offsets is None:
+            offsets = np.empty((len(starts), span + 2), dtype=np.int64)
+        rows = KernelRows(sig.first_attr, sig.last_attr, offsets, cbuf, ends)
         if len(starts) == 0:
-            return KernelRows(sig.first_attr, sig.last_attr, offsets, cbuf)
+            return rows
         grid = self._row_grid(cbuf, starts, ends)
         if grid is None:
             return None
+        offsets[:, 0] = starts
         if self.runs_to_line_end:
             np.add(grid[:, :span], 1, out=offsets[:, 1 : span + 1])
-            np.add(ends, 1, out=offsets[:, span + 1])
+            if offsets.shape[1] > span + 1:
+                np.add(ends, 1, out=offsets[:, span + 1])
         else:
             np.add(grid[:, : span + 1], 1, out=offsets[:, 1:])
-        return KernelRows(sig.first_attr, sig.last_attr, offsets, cbuf)
+        return rows
 
     def _row_grid(
         self, cbuf: ContentBuffer, starts: np.ndarray, ends: np.ndarray
@@ -279,14 +296,19 @@ class ScanKernel:
         cbuf: ContentBuffer,
         record_starts: np.ndarray,
         line_ends: np.ndarray,
+        out: np.ndarray | None,
     ) -> JsonKernelRows | None:
         found = tokenize_records(self.keys, cbuf, record_starts, line_ends)
         if found is None:
             return None
         starts, ends = found
-        offsets = np.empty((len(starts), len(self.keys) + 1), dtype=np.int64)
-        offsets[:, :-1] = starts
-        offsets[:, -1] = np.asarray(line_ends) + 1
+        n_keys = len(self.keys)
+        offsets = out
+        if offsets is None:
+            offsets = np.empty((len(starts), n_keys + 1), dtype=np.int64)
+        offsets[:, :n_keys] = starts
+        if offsets.shape[1] > n_keys:
+            offsets[:, n_keys] = np.asarray(line_ends) + 1
         return JsonKernelRows(offsets, ends, cbuf, self.signature.null_token)
 
     def field_ends(

@@ -165,6 +165,9 @@ class MVRuntime:
         """
         start = time.perf_counter()
         sig = entry.signature
+        if not _storable(batch):
+            self.analyzer.refuse(sig)
+            return False
         nbytes = sum(v.nbytes() for v in batch.columns.values())
         entry = dataclasses.replace(
             entry,
@@ -204,7 +207,7 @@ class MVRuntime:
         :meth:`install`; not a build, so build counters do not move.
         Growth is bought like a capture, with the entry's rent; refused,
         the entry stays lagging."""
-        if entry.generation != generation:
+        if entry.generation != generation or not _storable(batch):
             return False
         grows = sum(v.nbytes() for v in batch.columns.values()) - entry.nbytes
         if grows > 0 and not self.analyzer.affords(entry.signature, grows):
@@ -283,3 +286,10 @@ class MVRuntime:
             "entries": [self.describe_entry(e) for e in catalog.entries()],
             "suggestions": self.analyzer.suggestions(materialized, limit=5),
         }
+
+
+def _storable(batch: Batch) -> bool:
+    """Whether every column of a merged ``batch`` can be stored: an
+    INTEGER sum past int64 is an object array (exact, for an AVG to
+    divide), and an entry cannot hold it."""
+    return all(v.values.dtype != object for v in batch.columns.values())

@@ -94,6 +94,7 @@ from ..sql.planner import UNSERVED, LogicalPlan, Planner
 from ..telemetry import Telemetry
 from ..telemetry.trace import Span
 from .governor import MemoryGovernor
+from .heap import retain_heap
 from .locks import RWLock
 from .plan_cache import PlanCache, Template
 from .scheduler import QueryScheduler
@@ -238,6 +239,8 @@ class PostgresRawService:
     """A thread-safe in-situ SQL engine serving many sessions."""
 
     def __init__(self, config: PostgresRawConfig | None = None) -> None:
+        # Freed scan memory stays in the process (:mod:`.heap`).
+        retain_heap()
         self.config = config or PostgresRawConfig()
         self.catalog = Catalog()
         self._states: dict[str, RawTableState] = {}

@@ -40,6 +40,7 @@ from ..executor.operators import (
     Filter,
     HashAggregate,
     Operator,
+    exact_partials,
     partial_aggregate,
 )
 from ..sql.ast import (
@@ -318,8 +319,10 @@ class ScatterPlanner:
             for name, __, reagg in comps
         ]
 
+        exact = exact_partials(specs, mapping.values())
+
         def build(source: Operator) -> Operator:
-            plan: Operator = HashAggregate(source, group_items, specs)
+            plan: Operator = HashAggregate(source, group_items, specs, exact)
             if having is not None:
                 plan = Filter(plan, having)
             return plan_tail(stmt, plan, select_items)

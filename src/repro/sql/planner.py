@@ -36,6 +36,7 @@ from ..executor.operators import (
     Project,
     SingleRowSource,
     Sort,
+    exact_partials,
     partial_aggregate,
 )
 from .ast import (
@@ -886,7 +887,6 @@ class Planner:
         """
         entry = match.entry
         if match.kind == "exact":
-            plan: Operator = self._mv_scan(match, "exact")
             mapping: dict[str, Expression] = {}
             for expr in stmt.group_by:
                 mapping.setdefault(
@@ -897,6 +897,8 @@ class Planner:
                     expr_to_sql(node),
                     ColumnRef(entry.columns[aggregate_key(node)]),
                 )
+            shown = frozenset(ref.name for ref in mapping.values())
+            plan: Operator = self._mv_scan(match, "exact", shown)
         else:
             plan, mapping = self._plan_mv_partial(stmt, sig, match)
 
@@ -907,8 +909,9 @@ class Planner:
             plan = Filter(plan, having)
         return plan, select_items
 
-    def _mv_scan(self, match, label: str) -> MVScan:
-        """The leaf serving ``match``'s stored batch.
+    def _mv_scan(self, match, label: str, shown: frozenset[str]) -> MVScan:
+        """The leaf serving ``match``'s stored batch (``shown``: the
+        stored columns the plan above reads as they are).
 
         An entry level with its table is served as stored.  A lagging
         one also gets its own aggregate, rebuilt from its recipe over
@@ -942,6 +945,7 @@ class Planner:
             tail,
             list(recipe.groups),
             [AggregateSpec(*component) for component in recipe.aggs],
+            frozenset(name for name, __, __ in recipe.aggs),
         )
         new = entry.mv_id is None
         if new:
@@ -965,7 +969,9 @@ class Planner:
                     step = partial(mv.advance, entry, match.rows, batch)
                 deferred.append((table, partial(step, scan.row_to)))
 
-        return MVScan(stored, types, label, tail, entry.columns, on_merged)
+        return MVScan(
+            stored, types, label, tail, entry.columns, on_merged, shown
+        )
 
     def _plan_mv_partial(
         self, stmt: SelectStatement, sig, match
@@ -974,7 +980,11 @@ class Planner:
         the query's shape (:func:`partial_aggregate`)."""
         entry = match.entry
         dims = ", ".join(sig.dims) or "<global>"
-        plan = self._mv_scan(match, f"partial: re-agg over {dims}")
+        # The re-aggregation below reads the partials: it decides
+        # which sums must fit.
+        plan = self._mv_scan(
+            match, f"partial: re-agg over {dims}", frozenset()
+        )
         residual = set(match.residual_filters)
         applied: set[str] = set()
         for conjunct in split_conjuncts(stmt.where):
@@ -1014,7 +1024,8 @@ class Planner:
                 mapping[qualified] = partial_aggregate(
                     func, partial(component, arg)
                 )
-        return HashAggregate(plan, group_items, specs), mapping
+        exact = exact_partials(specs, mapping.values())
+        return HashAggregate(plan, group_items, specs, exact), mapping
 
     # ------------------------------------------------------------------
     # Aggregation.

@@ -1,14 +1,14 @@
 """A scan tokenizes each row range once.
 
-A query with a ``WHERE`` clause tokenizes a batch's rows for its
-predicate first; the projection's columns of the same rows are then
-read from that span, not tokenized a second time.  An appended tail is
-tokenized once too: its span extends every map chunk it continues.  So
-a cold JSONL
-predicate query — whose records always tokenize whole — leaves the
-positional map with every attribute, and a cold CSV projection whose
-columns precede the predicate column tokenizes each field once, and no
-collector run is dropped on the way (``collector_invalidations``).
+A query with a ``WHERE`` clause tokenizes a batch's rows once, for
+its predicate and projection columns together: the projection reads
+its columns of the same rows from that span, and the map learns one
+chunk.  An appended tail is tokenized once too: its span extends every
+map chunk it continues.  So a cold JSONL predicate query — whose
+records always tokenize whole — leaves the positional map with every
+attribute, and a cold CSV projection whose columns precede the
+predicate column tokenizes each field once, and no collector run is
+dropped on the way (``collector_invalidations``).
 """
 
 import numpy as np
@@ -79,14 +79,17 @@ def test_an_appended_tail_extends_every_chunk_it_continues(tmp_path):
     path = write_csv(tmp_path / "t.csv", ROWS[:3000], SCHEMA)
     with PostgresRaw() as eng:
         eng.register_csv("t", path, SCHEMA)
-        # ``a`` tokenized for the predicate, then ``b`` and ``c`` anchored
-        # on it: two chunks, and ``c`` only converted for survivors.
-        eng.query("SELECT c FROM t WHERE a % 2 = 0")
+        # A stride tokenizes each window once: ``a`` alone, then ``b``
+        # and ``c`` anchored on the first chunk's ``b``.  Two chunks,
+        # ``a`` and ``b`` cached, ``c`` only converted for survivors.
         pm = eng.table_state("t").positional_map
 
         def chunks():
             return sorted((c["attrs"], c["rows"]) for c in pm.describe())
 
+        eng.query("SELECT a FROM t WHERE a % 2 = 0")
+        assert chunks() == [((0, 1), 3000)]
+        eng.query("SELECT c FROM t WHERE b % 2 = 0")
         assert chunks() == [((0, 1), 3000), ((1, 2), 3000)]
         append_csv_rows(path, ROWS[3000:3050], SCHEMA)
         tokenized = []

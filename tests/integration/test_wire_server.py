@@ -339,11 +339,26 @@ class TestMultiplexing:
                     assert len(c.fetchall().rows) == 4000
                     b.close()
 
-    def test_stream_limit_enforced_server_side(self, table_csv):
+    def test_stream_limit_enforced_server_side(self, tmp_path):
         # A raw v2 speaker that ignores the advertised max_streams: the
         # server answers the over-limit QUERY with a stream_limit ERROR
-        # and keeps the other streams healthy.
-        path, schema = table_csv
+        # and keeps the other streams healthy.  Streams 1 and 2 must
+        # still run when QUERY 3 is read: each result is over twice
+        # what the server's socket send buffer grows to (4 MiB by
+        # default) and the client reads nothing before its third
+        # QUERY, so neither can finish first.
+        wmem = 4 << 20
+        try:
+            with open("/proc/sys/net/ipv4/tcp_wmem") as f:
+                wmem = max(wmem, int(f.read().split()[-1]))
+        except OSError:
+            pass
+        path = tmp_path / "t.csv"
+        # 6 INTEGER columns: more than 48 bytes a row on the wire.
+        n_rows = 2 * wmem // 48
+        schema = generate_csv(
+            path, uniform_table_spec(n_attrs=6, n_rows=n_rows, seed=99)
+        )
         config = PostgresRawConfig(batch_size=128)
         with PostgresRawService(config) as service:
             service.register_csv("t", path, schema)
@@ -356,7 +371,7 @@ class TestMultiplexing:
                     _, welcome = raw.read()
                     assert welcome["max_streams"] == 2
                     for qid in (1, 2, 3):
-                        raw.send(3, {"qid": qid, "sql": "SELECT a0 FROM t"})
+                        raw.send(3, {"qid": qid, "sql": "SELECT * FROM t"})
                     code = None
                     for _ in range(10_000):  # drain until the refusal
                         ftype, payload = raw.read()

@@ -365,3 +365,68 @@ class TestNormalization:
         expr = _expr("s = '2012-01-01'")
         normalize_expression(expr, {"s": DataType.TEXT})
         assert expr.right.dtype is DataType.TEXT
+
+
+class TestIntegerRange:
+    """INTEGER ``+ - *`` that leaves int64 raises, as PostgreSQL's
+    "bigint out of range" does, instead of wrapping around."""
+
+    MAX = 2**63 - 1
+
+    def test_folded_constant_raises(self):
+        from repro import PostgresRaw
+
+        with PostgresRaw() as engine:
+            with pytest.raises(ExecutionError, match="out of INTEGER range"):
+                engine.query(f"SELECT {self.MAX} + 1")
+            assert engine.query(f"SELECT {self.MAX - 1} + 1").rows == [
+                (self.MAX,)
+            ]
+
+    def test_vectorized_predicate_raises(self):
+        batch = _batch(a=(DataType.INTEGER, [1, 2, 3]))
+        with pytest.raises(ExecutionError, match="out of INTEGER range"):
+            predicate_mask(_expr(f"a * {self.MAX} > 0"), batch)
+
+    @pytest.mark.parametrize(
+        "fragment",
+        [
+            f"a + {2**63 - 1}",
+            f"a - {2**63 - 1} - 3",
+            f"-a - {2**63 - 1}",
+            "a * 4611686018427387904",
+            f"-a * {2**63 - 1} - 3",
+        ],
+    )
+    def test_each_operator_raises_past_either_end(self, fragment):
+        batch = _batch(a=(DataType.INTEGER, [0, 2]))
+        with pytest.raises(ExecutionError, match="out of INTEGER range"):
+            _eval(fragment, batch)
+
+    def test_results_at_the_ends_of_the_range_stand(self):
+        batch = _batch(a=(DataType.INTEGER, [-2, 1, None]))
+        assert _eval("a * 4611686018427387904", batch) == [
+            -(2**63),
+            2**62,
+            None,
+        ]
+        assert _eval(f"a + {self.MAX - 1}", batch) == [
+            self.MAX - 3,
+            self.MAX,
+            None,
+        ]
+        batch = _batch(a=(DataType.INTEGER, [-1, 1, None]))
+        assert _eval(f"a - {self.MAX}", batch) == [
+            -(2**63),
+            -self.MAX + 1,
+            None,
+        ]
+
+    def test_null_rows_never_overflow(self):
+        batch = _batch(a=(DataType.INTEGER, [None, 1]))
+        assert _eval(f"a * {self.MAX}", batch) == [None, self.MAX]
+
+    def test_negating_the_smallest_integer_raises(self):
+        batch = _batch(a=(DataType.INTEGER, [-(2**63), None]))
+        with pytest.raises(ExecutionError, match="out of INTEGER range"):
+            _eval("-a", batch)

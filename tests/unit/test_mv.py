@@ -18,7 +18,7 @@ from repro.batch import Batch, ColumnVector
 from repro.catalog.schema import TableSchema
 from repro.core.metrics import QueryMetrics
 from repro.datatypes import DataType
-from repro.errors import ServiceError
+from repro.errors import ExecutionError, ServiceError
 from repro.mv import (
     MaterializedAggregate,
     MVCatalog,
@@ -655,3 +655,50 @@ def test_fast_aggregate_still_feeds_the_mv_tier(tmp_path):
             assert "MVScan [exact]" in eng.explain(sql)
             assert sorted(eng.query(sql), key=repr) == expected
         assert eng.service.mv.stats()["hits"] >= stats["hits"] + len(queries)
+
+
+def test_captured_integer_avg_past_int64_answers_like_raw(tmp_path):
+    # An INTEGER AVG travels as SUM and COUNT partials.  Three rows of
+    # 2**62 sum past int64: the raw AVG divides the exact sum, so a
+    # capture must too, every run, while SUM still raises.
+    schema = TableSchema.from_pairs([("g", "integer"), ("v", "integer")])
+    path = tmp_path / "big.csv"
+    write_csv(path, [(1, 2**62)] * 3, schema)
+    avg = "SELECT g, avg(v) FROM t GROUP BY g"
+    with PostgresRaw() as raw:
+        raw.register_csv("t", path, schema)
+        expected = repr(raw.query(avg).rows)
+    assert expected == "[(1, 4.611686018427388e+18)]"
+    with PostgresRaw(PostgresRawConfig(mv_auto=True)) as eng:
+        eng.register_csv("t", path, schema)
+        plans = []
+        for __ in range(4):
+            plans.append(eng.explain(avg))
+            assert repr(eng.query(avg).rows) == expected
+        assert any("MVCapture" in plan for plan in plans)
+        # The exact sum cannot be stored: the capture is refused.
+        assert eng.service.mv.stats()["mvs"] == 0
+        for __ in range(3):
+            with pytest.raises(ExecutionError, match="SUM result is out of"):
+                eng.query("SELECT g, sum(v) FROM t GROUP BY g")
+
+
+def test_partial_hit_integer_avg_past_int64_answers_like_raw(tmp_path):
+    # Each group's sum fits int64 and is captured; re-aggregated to one
+    # group it does not: the AVG divides the exact sum, the SUM raises.
+    schema = TableSchema.from_pairs([("g", "integer"), ("v", "integer")])
+    path = tmp_path / "big.csv"
+    write_csv(path, [(g, 2**62) for g in range(3)], schema)
+    avg = "SELECT avg(v) FROM t"
+    with PostgresRaw() as raw:
+        raw.register_csv("t", path, schema)
+        expected = repr(raw.query(avg).rows)
+    with PostgresRaw(PostgresRawConfig(mv_auto=True)) as eng:
+        eng.register_csv("t", path, schema)
+        for __ in range(3):
+            eng.query("SELECT g, avg(v) FROM t GROUP BY g")
+        assert eng.service.mv.stats()["mvs"] == 1
+        assert "MVScan [partial" in eng.explain(avg)
+        assert repr(eng.query(avg).rows) == expected
+        with pytest.raises(ExecutionError, match="SUM result is out of"):
+            eng.query("SELECT sum(v) FROM t")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import DataType, PartitionSpec
-from repro.errors import PlanningError, ShardingError
+from repro.errors import ExecutionError, PlanningError, ShardingError
 from repro.sharding import ScatterPlanner, ShardResult, gather
 from repro.sharding.partition import shard_of
 
@@ -159,6 +159,20 @@ def test_grouped_merge_re_aggregates_across_shards(planner):
     merged = plan.merge(results)
     assert merged.columns == ["g", "lo", "hi"]
     assert list(merged.rows()) == [("a", 0, 9), ("b", 2, 2)]
+
+
+def test_avg_partials_past_int64_merge_exactly(planner):
+    # Each shard's SUM fits int64, their total does not: the AVG
+    # divides the exact total, as one engine's AVG does; SUM raises.
+    types = [DataType.INTEGER, DataType.INTEGER]
+    results = [
+        ShardResult(["__c0", "__c1"], types, [(2**62, 1)]) for __ in range(3)
+    ]
+    plan = planner.plan("SELECT AVG(v) AS m FROM t")
+    assert list(plan.merge(results).rows()) == [(2**62 * 3 / 3,)]
+    plan = planner.plan("SELECT SUM(v) AS s, AVG(v) AS m FROM t")
+    with pytest.raises(ExecutionError, match="out of INTEGER range"):
+        list(plan.merge(results).rows())
 
 
 def test_merge_rejects_disagreeing_shards(planner):
